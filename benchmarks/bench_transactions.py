@@ -11,6 +11,10 @@ from conftest import emit
 
 from repro.experiments import format_table
 from repro.experiments.exp_transactions import N_ITEMS, run, run_streaming
+from repro.transactions.tuplespace import TupleSpaceClient, TupleSpaceServer
+from repro.transport.inmemory import InMemoryFabric
+
+STORED = 1000
 
 
 def test_paradigm_comparison(benchmark):
@@ -47,3 +51,47 @@ def test_streaming_jitter_buffer(benchmark):
     assert rows[0]["glitches"] > rows[-1]["glitches"]
     waits = [row["mean_buffer_wait_s"] for row in rows]
     assert waits == sorted(waits)
+
+
+def _loaded_space():
+    fabric = InMemoryFabric()
+    server = TupleSpaceServer(fabric.endpoint("space", "ts"))
+    client = TupleSpaceClient(
+        fabric.endpoint("reader", "ts"), server.transport.local_address
+    )
+    for key in range(STORED):
+        client.out("chat", key, "x" * 32)
+    fabric.run()
+    assert len(server) == STORED
+    return fabric, server, client
+
+
+def test_tuplespace_rd_at_1k(benchmark):
+    """One keyed ``rd`` of the newest of 1 000 stored tuples, request to
+    fulfilled promise: the case a scan of the store answers last."""
+    fabric, server, client = _loaded_space()
+
+    def read_newest():
+        promise = client.rd("chat", STORED - 1, None)
+        fabric.run()
+        return promise.result()
+
+    assert benchmark(read_newest) == ["chat", STORED - 1, "x" * 32]
+    assert len(server) == STORED
+
+
+def test_tuplespace_inp_drain_1k(benchmark):
+    """Take all 1 000 tuples by key, newest first, so every take removes
+    from the far end of the store and the index must shrink with it."""
+
+    def drain(fabric, server, client):
+        takes = [client.inp("chat", key, None)
+                 for key in reversed(range(STORED))]
+        fabric.run()
+        assert len(server) == 0
+        return takes
+
+    takes = benchmark.pedantic(
+        drain, setup=lambda: (_loaded_space(), {}), rounds=10
+    )
+    assert all(take.result() is not None for take in takes)

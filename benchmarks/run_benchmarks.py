@@ -51,6 +51,7 @@ BENCH_FILES = [
     Path(__file__).resolve().parent / "bench_overload.py",
     Path(__file__).resolve().parent / "bench_reconfigure_loop.py",
     Path(__file__).resolve().parent / "bench_replication.py",
+    Path(__file__).resolve().parent / "bench_transactions.py",
     Path(__file__).resolve().parent / "bench_wire.py",
 ]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_micro.json"

@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.replication.client import GroupClient, ShardedClient
 from repro.replication.replica import Outcome, StateMachine
-from repro.transactions.tuplespace import template_matches
+from repro.transactions.tuplespace import TupleStore, template_matches
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
@@ -184,7 +184,7 @@ class TupleSpaceMachine(StateMachine):
     """
 
     def __init__(self) -> None:
-        self.tuples: List[List[Any]] = []
+        self.tuples = TupleStore()
         # (rid, template, destructive) in registration order.
         self.waiters: List[Tuple[str, List[Any], bool]] = []
 
@@ -206,13 +206,13 @@ class TupleSpaceMachine(StateMachine):
                 wakeups.append((rid, list(values)))
             self.waiters = remaining
             if not consumed:
-                self.tuples.append(values)
+                self.tuples.add(values)
             return Outcome(result=list(values), wakeups=tuple(wakeups))
         if name == "inp":
-            return Outcome(result=self._probe(list(args[0]), remove=True))
+            return Outcome(result=self._find(args[0], remove=True))
         if name in ("in", "rd"):
             template, rid = list(args[0]), args[1]
-            found = self._probe(template, remove=(name == "in"))
+            found = self._find(template, remove=(name == "in"))
             if found is not None:
                 return Outcome(result=found)
             if all(w[0] != rid for w in self.waiters):
@@ -220,17 +220,13 @@ class TupleSpaceMachine(StateMachine):
             return Outcome(pending=True)
         raise ValueError(f"unknown tuple-space op {name!r}")
 
-    def _probe(self, template: List[Any], remove: bool) -> Optional[List[Any]]:
-        for i, candidate in enumerate(self.tuples):
-            if template_matches(template, candidate):
-                if remove:
-                    del self.tuples[i]
-                return list(candidate)
-        return None
+    def _find(self, template: List[Any], remove: bool) -> Optional[List[Any]]:
+        found = self.tuples.find(template, remove=remove)
+        return None if found is None else list(found)
 
     def read(self, name: str, args: Tuple[Any, ...]) -> Any:
         if name == "rdp":
-            return self._probe(list(args[0]), remove=False)
+            return self._find(args[0], remove=False)
         if name == "count":
             return len(self.tuples)
         raise ValueError(f"unknown tuple-space read {name!r}")
@@ -242,7 +238,7 @@ class TupleSpaceMachine(StateMachine):
         }
 
     def restore(self, snapshot: Any) -> None:
-        self.tuples = [list(t) for t in snapshot["tuples"]]
+        self.tuples = TupleStore(list(t) for t in snapshot["tuples"])
         self.waiters = [(r, list(t), bool(d)) for r, t, d in snapshot["waiters"]]
 
     def pending_rids(self) -> Iterable[str]:

@@ -21,9 +21,10 @@ answered by ``{"op": "tuple", "rid", "tuple": t or None}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.interop.codec import Codec, get_codec
+from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.obs.metrics import get_registry
 from repro.transport.base import Address, Transport
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
@@ -58,6 +59,104 @@ def template_matches(template: List[Any], candidate: List[Any]) -> bool:
     return True
 
 
+class TupleStore:
+    """Insertion-ordered tuples with an inverted index over their fields.
+
+    ``find`` returns the *first match in insertion order* — what a linear
+    scan returns — without scanning. Every hashable field is indexed under
+    ``(arity, position, value)``; a template's concrete fields select
+    buckets, the smallest bucket is walked in insertion order and each
+    candidate verified by :func:`template_matches`. A match lies in every
+    one of the template's buckets (equal values hash alike), so the first
+    match within any one bucket is the first match overall. Unhashable
+    fields are not indexed and unhashable patterns select no bucket: the
+    index only narrows, ``template_matches`` alone decides.
+
+    The store owns its lists and trusts them not to change: callers copy
+    before handing a result to anyone who might mutate it.
+    """
+
+    def __init__(self, tuples: Iterable[List[Any]] = ()):
+        self._next_seq = 0
+        self._tuples: Dict[int, List[Any]] = {}
+        self._index: Dict[Tuple[int, int, Any], Dict[int, None]] = {}
+        for values in tuples:
+            self.add(values)
+
+    def __len__(self) -> int:
+        return len(self._tuples)
+
+    def __iter__(self) -> Iterator[List[Any]]:
+        return iter(self._tuples.values())
+
+    def add(self, values: List[Any]) -> None:
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._tuples[seq] = values
+        index = self._index
+        arity = len(values)
+        for position, value in enumerate(values):
+            key = (arity, position, value)
+            try:
+                bucket = index.get(key)
+            except TypeError:  # unhashable field: found by verification only
+                continue
+            if bucket is None:
+                index[key] = {seq: None}
+            else:
+                bucket[seq] = None
+
+    def find(self, template: List[Any], remove: bool = False) -> Optional[List[Any]]:
+        """The first stored tuple matching ``template``, or None."""
+        index = self._index
+        arity = len(template)
+        candidates: Optional[Dict[int, None]] = None
+        for position, pattern in enumerate(template):
+            if pattern is None:
+                continue
+            try:
+                if pattern in _TYPE_NAMES:
+                    continue
+                bucket = index.get((arity, position, pattern))
+            except TypeError:  # unhashable pattern: selects no bucket
+                continue
+            if bucket is None:
+                return None
+            if candidates is None or len(bucket) < len(candidates):
+                candidates = bucket
+        tuples = self._tuples
+        for seq in tuples if candidates is None else candidates:
+            values = tuples[seq]
+            if template_matches(template, values):
+                if remove:
+                    # Mutates the dict under iteration; safe only because
+                    # the loop is left before the iterator advances.
+                    self._remove(seq, values)
+                return values
+        return None
+
+    def _remove(self, seq: int, values: List[Any]) -> None:
+        del self._tuples[seq]
+        index = self._index
+        arity = len(values)
+        for position, value in enumerate(values):
+            key = (arity, position, value)
+            try:
+                bucket = index[key]
+            except TypeError:
+                continue
+            del bucket[seq]
+            if not bucket:
+                del index[key]
+
+
+def _drop_malformed(endpoint: "TupleSpaceServer | TupleSpaceClient") -> None:
+    endpoint.malformed_frames += 1
+    get_registry().counter(
+        "transport.malformed", node=endpoint.transport.local_address.node
+    ).inc()
+
+
 @dataclass
 class _Waiter:
     source: Address
@@ -72,40 +171,55 @@ class TupleSpaceServer:
     def __init__(self, transport: Transport, codec: Optional[Codec] = None):
         self.transport = transport
         self.codec = codec if codec is not None else get_codec("binary")
-        self._tuples: List[List[Any]] = []
+        self._store = TupleStore()
         self._waiters: List[_Waiter] = []
         self.outs = 0
         self.takes = 0
         self.reads = 0
+        self.malformed_frames = 0
         transport.set_receiver(self._on_message)
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._store)
 
     def snapshot(self) -> List[List[Any]]:
-        return [list(t) for t in self._tuples]
+        return [list(t) for t in self._store]
 
     # -------------------------------------------------------------- protocol
 
     def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+        message = try_decode_dict(self.codec, payload)
+        if message is None:
+            _drop_malformed(self)
+            return
         op = message.get("op")
         rid = message.get("rid")
         if op == "out":
-            self._handle_out(list(message["tuple"]))
+            values = message.get("tuple")
+            if not isinstance(values, list):
+                _drop_malformed(self)
+                return
+            self._handle_out(values)
             if rid is not None:
-                self._answer(source, rid, list(message["tuple"]))
-        elif op in ("rd", "in"):
-            self._handle_blocking(source, rid, list(message["template"]), op == "in")
-        elif op in ("rdp", "inp"):
-            self._handle_probe(source, rid, list(message["template"]), op == "inp")
+                self._answer(source, rid, values)
+        elif op in ("rd", "in", "rdp", "inp"):
+            template = message.get("template")
+            if not isinstance(template, list):
+                _drop_malformed(self)
+                return
+            self._handle_request(
+                source, rid, template,
+                destructive=op in ("in", "inp"), blocking=op in ("rd", "in"),
+            )
 
     def _answer(self, destination: Address, rid: Any, value: Optional[List[Any]]) -> None:
         self.transport.send(
             destination, self.codec.encode({"op": "tuple", "rid": rid, "tuple": value})
         )
 
-    def _handle_out(self, new_tuple: List[Any]) -> None:
+    def _handle_out(self, values: List[Any]) -> None:
+        """``values`` is the received message's own list: answers may carry
+        it, the store gets a copy."""
         self.outs += 1
         # Wake matching waiters: every rd, at most one in (which consumes).
         consumed = False
@@ -114,8 +228,8 @@ class TupleSpaceServer:
             if consumed and waiter.destructive:
                 remaining.append(waiter)
                 continue
-            if template_matches(waiter.template, new_tuple):
-                self._answer(waiter.source, waiter.rid, new_tuple)
+            if template_matches(waiter.template, values):
+                self._answer(waiter.source, waiter.rid, values)
                 if waiter.destructive:
                     self.takes += 1
                     consumed = True
@@ -125,43 +239,25 @@ class TupleSpaceServer:
                 remaining.append(waiter)
         self._waiters = remaining
         if not consumed:
-            self._tuples.append(new_tuple)
+            self._store.add(list(values))
 
-    def _find(self, template: List[Any]) -> Optional[int]:
-        for i, candidate in enumerate(self._tuples):
-            if template_matches(template, candidate):
-                return i
-        return None
-
-    def _handle_blocking(
-        self, source: Address, rid: Any, template: List[Any], destructive: bool
+    def _handle_request(
+        self, source: Address, rid: Any, template: List[Any],
+        destructive: bool, blocking: bool,
     ) -> None:
-        index = self._find(template)
-        if index is None:
-            self._waiters.append(_Waiter(source, rid, template, destructive))
+        matched = self._store.find(template, remove=destructive)
+        if matched is None:
+            if blocking:
+                self._waiters.append(_Waiter(source, rid, template, destructive))
+            else:
+                self._answer(source, rid, None)
             return
-        matched = self._tuples[index]
         if destructive:
             self.takes += 1
-            del self._tuples[index]
         else:
             self.reads += 1
-        self._answer(source, rid, matched)
-
-    def _handle_probe(
-        self, source: Address, rid: Any, template: List[Any], destructive: bool
-    ) -> None:
-        index = self._find(template)
-        if index is None:
-            self._answer(source, rid, None)
-            return
-        matched = self._tuples[index]
-        if destructive:
-            self.takes += 1
-            del self._tuples[index]
-        else:
-            self.reads += 1
-        self._answer(source, rid, matched)
+        # A copy: the receiver may get this very list by reference.
+        self._answer(source, rid, list(matched))
 
 
 class TupleSpaceClient:
@@ -178,6 +274,7 @@ class TupleSpaceClient:
         self.codec = codec if codec is not None else get_codec("binary")
         self._rids = IdGenerator(f"ts:{transport.local_address}")
         self._pending: Dict[str, Promise] = {}
+        self.malformed_frames = 0
         transport.set_receiver(self._on_message)
 
     def _request(self, message: Dict[str, Any]) -> Promise:
@@ -215,7 +312,16 @@ class TupleSpaceClient:
         return self._request({"op": "inp", "template": list(template)})
 
     def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
-        promise = self._pending.pop(message.get("rid"), None)
+        message = try_decode_dict(self.codec, payload)
+        if message is None:
+            _drop_malformed(self)
+            return
+        rid = message.get("rid")
+        value = message.get("tuple")
+        if not isinstance(rid, str) or not isinstance(value, (list, type(None))):
+            _drop_malformed(self)
+            return
+        promise = self._pending.pop(rid, None)
         if promise is not None:
-            promise.fulfill(message.get("tuple"))
+            # A copy: the frame's list may be shared with other receivers.
+            promise.fulfill(value if value is None else list(value))

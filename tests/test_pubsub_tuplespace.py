@@ -3,6 +3,8 @@
 import pytest
 
 from repro.discovery.matching import AttributeConstraint
+from repro.interop.codec import get_codec, try_decode_dict
+from repro.obs.metrics import get_registry
 from repro.transactions.pubsub import PubSubBroker, PubSubClient, topic_matches
 from repro.transactions.sharedobjects import SharedObjectCache, SharedObjectHost
 from repro.transactions.tuplespace import TupleSpaceClient, TupleSpaceServer, template_matches
@@ -194,6 +196,136 @@ class TestTupleSpace:
         take = b.inp("reading", "?float")
         fabric.run()
         assert take.result() == ["reading", 21.5]
+
+    def test_duplicates_are_taken_in_insertion_order(self):
+        fabric, server, a, b = self.setup_space()
+        a.out("job", 1, "first")
+        a.out("job", 2, "other")
+        a.out("job", 1, "second")
+        fabric.run()
+        takes = [b.inp("job", 1, None) for _ in range(3)]
+        fabric.run()
+        assert [t.result() for t in takes] == [
+            ["job", 1, "first"], ["job", 1, "second"], None,
+        ]
+        assert server.snapshot() == [["job", 2, "other"]]
+
+    def test_mutating_a_result_cannot_stale_the_store(self):
+        fabric, server, a, b = self.setup_space()
+        confirmed = a.out("k", 1, confirm=True)
+        fabric.run()
+        confirmed.result()[1] = "mutated"
+        read = b.rd("k", 1)
+        fabric.run()
+        read.result()[1] = "mutated"
+        assert server.snapshot() == [["k", 1]]
+        take = b.inp("k", 1)
+        fabric.run()
+        assert take.result() == ["k", 1]
+        assert len(server) == 0
+
+    def test_server_never_sends_a_stored_list(self):
+        # A raw peer on the by-reference fabric sees the server's own dict.
+        fabric, server, a, b = self.setup_space()
+        codec = get_codec("binary")
+        received = []
+        raw = fabric.endpoint("raw", "ts")
+        raw.set_receiver(lambda _src, payload: received.append(
+            try_decode_dict(codec, payload)))
+        space = server.transport.local_address
+        raw.send(space, codec.encode({"op": "out", "tuple": ["k", 1]}))
+        raw.send(space, codec.encode(
+            {"op": "rd", "rid": "r1", "template": ["k", None]}))
+        fabric.run()
+        received[0]["tuple"][1] = "mutated"
+        assert server.snapshot() == [["k", 1]]
+
+    def test_woken_readers_get_private_lists(self):
+        fabric, server, a, b = self.setup_space()
+        first, second = a.rd("x", None), b.rd("x", None)
+        fabric.run()
+        a.out("x", 9)
+        fabric.run()
+        first.result()[1] = "mutated"
+        assert second.result() == ["x", 9]
+        assert server.snapshot() == [["x", 9]]
+
+
+def _binary_frame(message, cut=None):
+    return bytes(get_codec("binary").encode(message))[:cut]
+
+
+class TestTupleSpaceMalformedFrames:
+    """A corrupted frame is counted and dropped, never raised through the
+    event loop (the class of bug PR 4 fixed in rpc/routing/discovery)."""
+
+    def setup_space(self):
+        get_registry().reset()
+        fabric = InMemoryFabric(latency_s=0.01)
+        server = TupleSpaceServer(fabric.endpoint("space", "ts"))
+        client = TupleSpaceClient(fabric.endpoint("a", "ts"),
+                                  server.transport.local_address)
+        raw = fabric.endpoint("raw", "ts")
+        return fabric, server, client, raw
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _binary_frame({"op": "out", "tuple": ["k", 1]}, cut=-3),
+            b"",
+            _binary_frame(["out", "k", 1]),
+            _binary_frame({"op": "out", "rid": "r"}),
+            _binary_frame({"op": "out", "tuple": "k"}),
+            _binary_frame({"op": "rd", "rid": "r"}),
+            _binary_frame({"op": "inp", "rid": "r", "template": 7}),
+            _binary_frame({"op": "in", "rid": "r", "template": {"k": 1}}),
+        ],
+        ids=["truncated", "empty", "non-dict", "out-missing-tuple",
+             "out-str-tuple", "rd-missing-template", "inp-int-template",
+             "in-dict-template"],
+    )
+    def test_server_drops_and_counts(self, payload):
+        fabric, server, client, raw = self.setup_space()
+        answers = []
+        raw.set_receiver(lambda _src, frame: answers.append(frame))
+        raw.send(server.transport.local_address, payload)
+        fabric.run()
+        assert server.malformed_frames == 1
+        assert get_registry().counter_total("transport.malformed") == 1
+        assert len(server) == 0 and server.outs == 0
+        assert answers == []
+        # The server is still serving.
+        client.out("k", 1)
+        probe = client.rdp("k", None)
+        fabric.run()
+        assert probe.result() == ["k", 1]
+
+    @pytest.mark.parametrize(
+        "make_payload",
+        [
+            lambda rid: _binary_frame(
+                {"op": "tuple", "rid": rid, "tuple": ["k", 1]}, cut=-2),
+            lambda rid: _binary_frame([rid, "k", 1]),
+            lambda rid: _binary_frame({"op": "tuple", "rid": rid, "tuple": "k"}),
+            lambda rid: _binary_frame(
+                {"op": "tuple", "rid": [rid], "tuple": ["k", 1]}),
+            lambda rid: _binary_frame({"op": "tuple", "tuple": ["k", 1]}),
+        ],
+        ids=["truncated", "non-dict", "str-tuple", "list-rid", "missing-rid"],
+    )
+    def test_client_drops_and_keeps_waiting(self, make_payload):
+        fabric, server, client, raw = self.setup_space()
+        blocked = client.rd("k", None)
+        fabric.run()
+        (rid,) = client._pending
+        raw.send(client.transport.local_address, make_payload(rid))
+        fabric.run()
+        assert client.malformed_frames == 1
+        assert get_registry().counter_total("transport.malformed") == 1
+        assert blocked.pending
+        client.out("k", 1)
+        fabric.run()
+        assert blocked.result() == ["k", 1]
 
 
 class TestSharedObjects:

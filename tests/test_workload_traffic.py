@@ -6,7 +6,7 @@ seed)``, time-ordered, and confined to the horizon, for every model and
 any reasonable parameters — not just the ones the goldens happen to use.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.workloads import TRAFFIC_MODELS
 from repro.workloads.traffic import (
@@ -64,10 +64,19 @@ def test_heavy_tail_sizes_stay_within_declared_bounds(seed, horizon_s):
 
 
 @given(seed=seeds, horizon_s=horizons)
+@example(seed=112725, horizon_s=1.0)  # sampled at 1 s: 5 in the window, 25.0/s vs 2 x 13.75/s
 @settings(max_examples=40)
 def test_flash_crowd_spike_window_matches_spec(seed, horizon_s):
     """The spike window sits where the spec says, and the arrival rate
-    inside it visibly exceeds the base-rate background."""
+    inside it visibly exceeds the base-rate background.
+
+    The window arithmetic is exact at any horizon. The rate ratio is a
+    *sampled* quantity, so it is taken at no less than 30 s: there the
+    window expects 288 arrivals and the background 192, and the Chernoff
+    bound on P(inside rate <= 2 x outside rate) is 8.6e-29 per example,
+    falling as the horizon grows. At the 1 s minimum the window expects ~10
+    arrivals and Poisson noise alone failed the assertion (pinned above).
+    """
     model = FlashCrowdTraffic()
     start, end = model.spike_window(horizon_s)
     assert abs(start - model.spike_start_frac * horizon_s) < 1e-9
@@ -75,13 +84,15 @@ def test_flash_crowd_spike_window_matches_spec(seed, horizon_s):
     assert end <= horizon_s
 
     rate = 8.0
-    arrivals = model.arrivals(seed, horizon_s, rate)
+    sampled_s = max(horizon_s, 30.0)
+    start, end = model.spike_window(sampled_s)
+    arrivals = model.arrivals(seed, sampled_s, rate)
     inside = sum(1 for a in arrivals if start <= a.at < end)
     outside = len(arrivals) - inside
     inside_rate = inside / (end - start)
-    outside_rate = outside / (horizon_s - (end - start))
-    # Expected ratio is `multiplier`x (6x); demanding 2x keeps the
-    # property robust to Poisson noise at small horizons.
+    outside_rate = outside / (sampled_s - (end - start))
+    # Expected ratio is `multiplier`x (6x); 2x is the margin the bound
+    # above is computed for.
     assert inside_rate > 2.0 * outside_rate
 
 
