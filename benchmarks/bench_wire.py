@@ -15,11 +15,15 @@ The pytest-benchmark ops feed the BENCH_micro.json perf trajectory:
 * ``test_wire_beacon_packing`` — compiled heartbeat packer vs per-beat
   dict encode;
 * ``test_wire_replication_fanout`` — encode-once append fan-out vs
-  re-encoding per backup.
+  re-encoding per backup;
+* ``test_wire_encoded_size[...]`` — the sizing walk, which is all the codec
+  work a frame costs on the simulated path (an RPC call, a ledger append,
+  a 1 KiB tuple).
 """
 
 import time
 
+import pytest
 from conftest import emit
 
 from repro.experiments import format_table
@@ -159,3 +163,20 @@ def test_wire_replication_fanout(benchmark):
         return sum(len(bytes(frame)) for _ in range(backups))
 
     assert benchmark(fan_out) == 8 * len(codec.encode(record))
+
+
+_SIZED_MESSAGES = {
+    "rpc_call": {"op": "call", "rid": "rpc:leaf0:api.c-1234", "method": "echo",
+                 "params": {"n": 512}},
+    "ledger_append": {"op": "append", "term": 3, "slot": 900001, "commit": 900000,
+                      "cmd": ["transfer", "acct-17", "acct-42", 1250, "rid-88123"]},
+    "tuple_1kib": {"op": "out", "rid": "ts:leaf0:ts.pub-77",
+                   "tuple": ["chat", 77, "x" * 1024]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIZED_MESSAGES))
+def test_wire_encoded_size(benchmark, name):
+    codec = BinaryCodec()
+    message = _SIZED_MESSAGES[name]
+    assert benchmark(codec.encoded_size, message) == len(codec.encode(message))

@@ -92,15 +92,8 @@ def _varint_size(value: int) -> int:
     return max(1, (value.bit_length() + 6) // 7)
 
 
-def _utf8_size(text: str) -> int:
-    # ASCII is the overwhelmingly common case for frame keys and addresses;
-    # ``isascii`` is a C-speed scan that avoids building the encoded copy.
-    return len(text) if text.isascii() else len(text.encode("utf-8"))
-
-
 #: Lazy wire-frame types (registered by :mod:`repro.interop.frames` to avoid
-#: an import cycle). The binary encoder treats them as bytes values,
-#: materializing their cached encoding on demand.
+#: an import cycle); every codec's ``decode`` materializes them first.
 _FRAME_TYPES: tuple = ()
 
 #: Hook installed by :mod:`repro.interop.frames`: extracts the message dict
@@ -108,12 +101,209 @@ _FRAME_TYPES: tuple = ()
 _FRAME_DICT_EXTRACTOR = None
 
 
+# ------------------------------------------------------ the binary walker
+#
+# One row per value type: ``(size, encode, plain)``. ``size(value)`` is
+# exactly ``len`` of what ``encode(value, pieces)`` appends, and the two
+# live side by side so a change to one is a change next to the other (a
+# Hypothesis property pins the equality for every row, fallback rows
+# included). ``plain(value)`` builds what ``decode`` would return for
+# those bytes — see :func:`wire_plain` — and is ``None`` where that is the
+# value itself. Container rows recurse through the same table.
+
+
+def _size_tag_only(value: Any) -> int:
+    return 1
+
+
+def _encode_none(value: Any, pieces: list) -> None:
+    pieces.append(_T_NONE)
+
+
+def _encode_bool(value: Any, pieces: list) -> None:
+    pieces.append(_T_TRUE if value else _T_FALSE)
+
+
+def _size_int(value: int) -> int:
+    if -(2**63) <= value < 2**63:
+        # 1 + _varint_size(_zigzag(value)), inlined: this row runs once per
+        # int of every frame the simulator sizes.
+        bits = ((value << 1) ^ (value >> 63)).bit_length()
+        return 2 if bits < 8 else 1 + (bits + 6) // 7
+    length = len(str(value))
+    return 1 + _varint_size(length) + length
+
+
+def _encode_int(value: int, pieces: list) -> None:
+    if -(2**63) <= value < 2**63:
+        pieces.append(_T_INT + _encode_varint(_zigzag(value)))
+    else:
+        encoded = str(value).encode("ascii")
+        pieces.append(_T_BIGINT + _encode_varint(len(encoded)) + encoded)
+
+
+def _size_float(value: float) -> int:
+    return 1 + _F64.size
+
+
+def _encode_float(value: float, pieces: list) -> None:
+    pieces.append(_T_FLOAT + _F64.pack(value))
+
+
+def _size_str(value: str) -> int:
+    # ASCII is the overwhelmingly common case for ops, ids and addresses;
+    # ``isascii`` is a C-speed scan that avoids building the encoded copy.
+    length = len(value) if value.isascii() else len(value.encode("utf-8"))
+    return (2 if length < 128 else 1 + _varint_size(length)) + length
+
+
+def _encode_str(value: str, pieces: list) -> None:
+    encoded = value.encode("utf-8")
+    pieces.append(_T_STR + _encode_varint(len(encoded)) + encoded)
+
+
+def _size_bytes(value: Any) -> int:
+    # bytes, bytearray and lazy frames, whose ``len`` is their (possibly
+    # cached) encoded length: sized without materializing.
+    length = len(value)
+    return 1 + _varint_size(length) + length
+
+
+def _encode_bytes(value: Any, pieces: list) -> None:
+    # ``bytes(frame)`` materializes a nested lazy frame's cached encoding —
+    # identical to the eager path, where the upper layer would have handed
+    # us those bytes directly.
+    data = bytes(value)
+    pieces.append(_T_BYTES + _encode_varint(len(data)) + data)
+
+
+def _size_list(value: Any) -> int:
+    rows = _ROWS
+    count = len(value)
+    total = 2 if count < 128 else 1 + _varint_size(count)
+    for item in value:
+        total += rows[type(item)][0](item)
+    return total
+
+
+def _encode_list(value: Any, pieces: list) -> None:
+    rows = _ROWS
+    pieces.append(_T_LIST + _encode_varint(len(value)))
+    for item in value:
+        rows[type(item)][1](item, pieces)
+
+
+def _plain_list(value: Any) -> list:
+    rows = _ROWS
+    result = []
+    for item in value:
+        plain = rows[type(item)][2]
+        result.append(item if plain is None else plain(item))
+    return result
+
+
+#: ``varint(len) + utf-8`` of dict keys already seen. Protocol field names
+#: ("op", "rid", "seq", ...) are a small set that recurs on every frame, so
+#: both columns of the dict row read a key's header from here; the cap keeps
+#: application-chosen keys (bindings, object ids) from growing it forever.
+#: Only ``str`` keys are stored, so only a key equal to one can hit.
+_KEY_HEADERS: Dict[str, bytes] = {}
+_KEY_HEADERS_MAX = 4096
+
+
+def _key_header(key: Any) -> bytes:
+    if not isinstance(key, str):
+        raise CodecError(f"dict keys must be str, got {type(key).__name__}")
+    encoded = key.encode("utf-8")
+    header = _encode_varint(len(encoded)) + encoded
+    if type(key) is str and len(_KEY_HEADERS) < _KEY_HEADERS_MAX:
+        _KEY_HEADERS[key] = header
+    return header
+
+
+def _size_dict(value: Any) -> int:
+    rows = _ROWS
+    headers = _KEY_HEADERS
+    count = len(value)
+    total = 2 if count < 128 else 1 + _varint_size(count)
+    for key, item in value.items():
+        try:
+            header = headers[key]
+        except KeyError:
+            header = _key_header(key)
+        total += len(header) + rows[type(item)][0](item)
+    return total
+
+
+def _encode_dict(value: Any, pieces: list) -> None:
+    rows = _ROWS
+    headers = _KEY_HEADERS
+    pieces.append(_T_DICT + _encode_varint(len(value)))
+    for key, item in value.items():
+        try:
+            header = headers[key]
+        except KeyError:
+            header = _key_header(key)
+        pieces.append(header)
+        rows[type(item)][1](item, pieces)
+
+
+def _plain_dict(value: Any) -> dict:
+    rows = _ROWS
+    result = {}
+    for key, item in value.items():
+        plain = rows[type(item)][2]
+        result[key] = item if plain is None else plain(item)
+    return result
+
+
+class _RowTable(dict):
+    """``type -> (size, encode, plain)``: an exact type is one dict probe.
+
+    A type not in the table (``IntEnum``, ``OrderedDict``, a namedtuple, a
+    ``str`` subclass, ...) resolves once, to the row of the first entry it
+    subclasses in insertion order — the order the rows are listed below —
+    and is then an exact hit. A type with no such entry is unsupported.
+    """
+
+    #: Resolved subclasses are remembered up to this many rows, so a
+    #: program that keeps minting value classes cannot grow the table.
+    MAX_ROWS = 256
+
+    def __missing__(self, kind: type) -> tuple:
+        for base, row in self.items():
+            if issubclass(kind, base):
+                break  # leave the loop before the insert below
+        else:
+            raise CodecError(f"unsupported type {kind.__name__}")
+        if len(self) < self.MAX_ROWS:
+            self[kind] = row
+        return row
+
+
+_ROWS = _RowTable({
+    type(None): (_size_tag_only, _encode_none, None),
+    bool: (_size_tag_only, _encode_bool, None),  # before int, its base
+    int: (_size_int, _encode_int, None),
+    float: (_size_float, _encode_float, None),
+    str: (_size_str, _encode_str, None),
+    bytes: (_size_bytes, _encode_bytes, None),
+    bytearray: (_size_bytes, _encode_bytes, bytes),
+    list: (_size_list, _encode_list, _plain_list),
+    tuple: (_size_list, _encode_list, _plain_list),
+    dict: (_size_dict, _encode_dict, _plain_dict),
+})
+
+
 def register_frame_types(types: tuple, extractor) -> None:
     """Teach the codec layer about lazy frame types (called once by
-    :mod:`repro.interop.frames` at import time)."""
+    :mod:`repro.interop.frames` at import time): the binary walker treats
+    them as bytes values, materializing their cached encoding on demand."""
     global _FRAME_TYPES, _FRAME_DICT_EXTRACTOR
     _FRAME_TYPES = types
     _FRAME_DICT_EXTRACTOR = extractor
+    for frame_type in types:
+        _ROWS[frame_type] = (_size_bytes, _encode_bytes, bytes)
 
 
 @runtime_checkable
@@ -141,101 +331,30 @@ class BinaryCodec:
     def encode(self, value: Any) -> bytes:
         pieces: list[bytes] = []
         try:
-            self._encode_into(value, pieces)
+            _ROWS[type(value)][1](value, pieces)
         except CodecError:
             raise
         except Exception as exc:
             raise CodecError(f"cannot binary-encode {type(value).__name__}: {exc}") from exc
         return b"".join(pieces)
 
-    def _encode_into(self, value: Any, pieces: list[bytes]) -> None:
-        if value is None:
-            pieces.append(_T_NONE)
-        elif value is True:
-            pieces.append(_T_TRUE)
-        elif value is False:
-            pieces.append(_T_FALSE)
-        elif isinstance(value, int):
-            if -(2**63) <= value < 2**63:
-                pieces.append(_T_INT + _encode_varint(_zigzag(value)))
-            else:
-                encoded = str(value).encode("ascii")
-                pieces.append(_T_BIGINT + _encode_varint(len(encoded)) + encoded)
-        elif isinstance(value, float):
-            pieces.append(_T_FLOAT + _F64.pack(value))
-        elif isinstance(value, str):
-            encoded = value.encode("utf-8")
-            pieces.append(_T_STR + _encode_varint(len(encoded)) + encoded)
-        elif isinstance(value, (bytes, bytearray)):
-            pieces.append(_T_BYTES + _encode_varint(len(value)) + bytes(value))
-        elif _FRAME_TYPES and isinstance(value, _FRAME_TYPES):
-            # A nested lazy frame (e.g. an envelope's payload): materialize
-            # its cached bytes — identical to the eager path, where the
-            # upper layer would have handed us those bytes directly.
-            data = bytes(value)
-            pieces.append(_T_BYTES + _encode_varint(len(data)) + data)
-        elif isinstance(value, (list, tuple)):
-            pieces.append(_T_LIST + _encode_varint(len(value)))
-            for item in value:
-                self._encode_into(item, pieces)
-        elif isinstance(value, dict):
-            pieces.append(_T_DICT + _encode_varint(len(value)))
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise CodecError(f"dict keys must be str, got {type(key).__name__}")
-                encoded = key.encode("utf-8")
-                pieces.append(_encode_varint(len(encoded)) + encoded)
-                self._encode_into(item, pieces)
-        else:
-            raise CodecError(f"unsupported type {type(value).__name__}")
-
     def encoded_size(self, value: Any) -> int:
         """``len(self.encode(value))`` without building the bytes.
 
-        Exact by construction — the walk mirrors :meth:`_encode_into` branch
-        for branch (a property test pins the equality) — and cheap: no
-        buffer concatenation, no UTF-8 copies for ASCII strings, and nested
-        lazy frames contribute their cached ``encoded_length``. This is what
-        lets a :class:`~repro.interop.frames.WireFrame` report its wire size
+        Exact by construction — each type's size function sits beside its
+        encode function in the walker table (a property test pins the
+        equality) — and cheap: no buffer concatenation, no UTF-8 copies
+        for ASCII strings, memoised key headers, and nested lazy frames
+        contribute their cached ``encoded_length``. This is what lets a
+        :class:`~repro.interop.frames.WireFrame` report its wire size
         (the simulator's serialization-delay input) without materializing.
         """
         try:
-            return self._size_of(value)
+            return _ROWS[type(value)][0](value)
         except CodecError:
             raise
         except Exception as exc:
             raise CodecError(f"cannot binary-encode {type(value).__name__}: {exc}") from exc
-
-    def _size_of(self, value: Any) -> int:
-        if value is None or value is True or value is False:
-            return 1
-        if isinstance(value, int):
-            if -(2**63) <= value < 2**63:
-                return 1 + _varint_size(_zigzag(value))
-            length = len(str(value))
-            return 1 + _varint_size(length) + length
-        if isinstance(value, float):
-            return 1 + _F64.size
-        if isinstance(value, str):
-            length = _utf8_size(value)
-            return 1 + _varint_size(length) + length
-        if isinstance(value, (bytes, bytearray)):
-            return 1 + _varint_size(len(value)) + len(value)
-        if _FRAME_TYPES and isinstance(value, _FRAME_TYPES):
-            length = len(value)  # the frame's (possibly cached) encoded_length
-            return 1 + _varint_size(length) + length
-        if isinstance(value, (list, tuple)):
-            return (1 + _varint_size(len(value))
-                    + sum(self._size_of(item) for item in value))
-        if isinstance(value, dict):
-            total = 1 + _varint_size(len(value))
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise CodecError(f"dict keys must be str, got {type(key).__name__}")
-                key_length = _utf8_size(key)
-                total += _varint_size(key_length) + key_length + self._size_of(item)
-            return total
-        raise CodecError(f"unsupported type {type(value).__name__}")
 
     def decode(self, payload: bytes) -> Any:
         if _FRAME_TYPES and isinstance(payload, _FRAME_TYPES):
@@ -535,3 +654,18 @@ def try_decode_dict(codec: Codec, payload: bytes) -> "Dict[str, Any] | None":
     except (InteropError, ValueError, OverflowError):
         return None
     return value if isinstance(value, dict) else None
+
+
+def wire_plain(value: Any) -> Any:
+    """``value`` as a receiver would hold it had it crossed the wire as bytes.
+
+    A dict extracted from a reference-passed frame is the sender's own
+    object, so a field that is handed on to application code (an RPC
+    result, a published event, a queue body, a shared-object value) or
+    kept (a stored tuple) goes through here first: containers are rebuilt
+    all the way down, a tuple arrives as a list and a bytearray as bytes —
+    what ``decode(encode(value))`` yields — while scalars, which are
+    immutable, pass by reference at no cost.
+    """
+    plain = _ROWS[type(value)][2]
+    return value if plain is None else plain(value)

@@ -2,8 +2,11 @@
 
 Every layer of the stack used to pay a full ``dict -> encode -> bytes ->
 decode -> dict`` round trip per hop, even though the bytes travel between
-functions in the same process. A :class:`WireFrame` carries the message
-dict *and* a lazily materialized, cached encoding:
+functions in the same process. Now every layer — transport, routing,
+discovery, replication, heartbeats, the interaction styles of
+``transactions/`` and the location service of ``naming/`` — sends a
+:class:`WireFrame`, which carries the message dict *and* a lazily
+materialized, cached encoding:
 
 * built from a message, it encodes only when something genuinely needs
   bytes (encryption, chaos tampering, the WAL, a real socket, a process
@@ -28,7 +31,11 @@ configuration and each beat appends one varint.
 Contract for receivers: a message dict extracted from a reference-passed
 frame is shared with the sender (and every other receiver of a broadcast).
 Treat it as immutable — copy (``{**message, ...}``) before patching, which
-is what every receive path in this repo already does.
+is what every receive path in this repo already does. A field that is
+handed on to application code or kept (an RPC result, an event, a queue
+body, a stored tuple) goes through
+:func:`~repro.interop.codec.wire_plain` first, so the application holds
+what bytes on a wire would have produced, never the sender's own object.
 
 Observability: ``transport.frames.passthrough`` counts zero-decode dict
 extractions, ``transport.frames.materialized`` counts forced encodes, and
@@ -58,22 +65,26 @@ from repro.obs.metrics import get_registry
 
 # Frame counters fire on every zero-copy hop, so the registry lookup
 # (label-key build + dict probe) is cached per (registry, generation) —
-# a registry.reset() orphans instruments, which the generation detects.
+# a registry.reset() orphans instruments, which the generation detects —
+# and one validity check serves every counter a hop bumps.
 _counter_cache: Dict[str, Any] = {}
-_cache_key = (None, -1)
+_cache_registry: Any = None
+_cache_generation = -1
 
 
-def _count(name: str) -> None:
-    global _cache_key
+def _count(*names: str) -> None:
+    global _cache_registry, _cache_generation
     registry = get_registry()
-    key = (registry, registry.generation)
-    if key != _cache_key:
+    if (registry is not _cache_registry
+            or registry.generation != _cache_generation):
         _counter_cache.clear()
-        _cache_key = key
-    counter = _counter_cache.get(name)
-    if counter is None:
-        counter = _counter_cache[name] = registry.counter(name)
-    counter.inc()
+        _cache_registry = registry
+        _cache_generation = registry.generation
+    for name in names:
+        counter = _counter_cache.get(name)
+        if counter is None:
+            counter = _counter_cache[name] = registry.counter(name)
+        counter.inc()
 
 
 class WireFrame:
@@ -156,7 +167,10 @@ class WireFrame:
         return length
 
     def __len__(self) -> int:
-        return self.encoded_length
+        # Each hop asks several times (transport counters, packet size,
+        # energy); every time after the first is this one slot read.
+        length = self._length
+        return length if length is not None else self.encoded_length
 
     # ------------------------------------------------------------ derivation
 
@@ -273,10 +287,12 @@ def decode_payload(codec: Codec, payload: FramePayload) -> Any:
     """
     if isinstance(payload, WireFrame):
         if payload.codec.name == codec.name:
-            if payload._encoded is None:
-                _count("codec.encode_skipped")
+            skipped = payload._encoded is None
             message = payload.message
-            _count("transport.frames.passthrough")
+            if skipped:
+                _count("codec.encode_skipped", "transport.frames.passthrough")
+            else:
+                _count("transport.frames.passthrough")
             return message
         payload = payload.materialize()
     elif isinstance(payload, PrefixedFrame):
@@ -288,16 +304,22 @@ def _extract_dict(codec: Codec, payload: Any) -> Optional[Dict[str, Any]]:
     """The non-bytes arm of ``try_decode_dict`` (installed as a codec hook)."""
     if isinstance(payload, WireFrame):
         if payload.codec.name == codec.name:
-            if payload._encoded is None:
-                _count("codec.encode_skipped")
-            try:
-                message = payload.message
-            except (InteropError, ValueError, OverflowError):
+            skipped = payload._encoded is None
+            message = payload._message
+            if message is None:  # bytes-built frame: decode is the lazy half
+                try:
+                    message = payload.message
+                except (InteropError, ValueError, OverflowError):
+                    return None
+            if not isinstance(message, dict):
+                if skipped:
+                    _count("codec.encode_skipped")
                 return None
-            if isinstance(message, dict):
+            if skipped:
+                _count("codec.encode_skipped", "transport.frames.passthrough")
+            else:
                 _count("transport.frames.passthrough")
-                return message
-            return None
+            return message
         # Wire-format mismatch: behave exactly like the eager path — the
         # receiver sees this codec's view of the sender's real bytes.
         return try_decode_dict(codec, payload.materialize())

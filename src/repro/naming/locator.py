@@ -15,13 +15,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.errors import NameNotFoundError
-from repro.interop.codec import Codec, get_codec
+from repro.errors import AddressError, NameNotFoundError, NamingError
+from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.interop.frames import WireFrame
 from repro.naming.names import LogicalName
-from repro.transport.base import Address, Transport
+from repro.transport.base import Address, Transport, drop_malformed
 from repro.util.events import EventEmitter
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
+
+
+def _is_name(text: Any) -> bool:
+    """Whether a frame field spells a logical name."""
+    try:
+        return isinstance(text, str) and bool(LogicalName.parse(text))
+    except NamingError:
+        return False
+
+
+def _is_address(text: Any) -> bool:
+    """Whether a frame field spells a transport address."""
+    try:
+        return isinstance(text, str) and bool(Address.parse(text))
+    except AddressError:
+        return False
 
 
 @dataclass
@@ -44,6 +61,7 @@ class LocationServer:
         self.events = EventEmitter()
         self._bindings: Dict[str, Binding] = {}
         self.resolves_served = 0
+        self.malformed_frames = 0
         transport.set_receiver(self._on_message)
 
     def binding(self, name: str) -> Optional[Binding]:
@@ -53,10 +71,24 @@ class LocationServer:
         return len(self._bindings)
 
     def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+        message = try_decode_dict(self.codec, payload)
+        if message is None:
+            drop_malformed(self)
+            return
         op = message.get("op")
         rid = message.get("rid")
+        # Every request names something (a stored name that did not parse
+        # would fail each later prefix listing); other ops are not ours.
+        if op in ("bind", "resolve", "resolve_prefix", "unbind") and not _is_name(
+            message.get("prefix" if op == "resolve_prefix" else "name")
+        ):
+            drop_malformed(self)
+            return
         if op == "bind":
+            if not (_is_address(message.get("address"))
+                    and isinstance(message.get("version", 1), int)):
+                drop_malformed(self)
+                return
             self._handle_bind(source, rid, message)
         elif op == "resolve":
             self._handle_resolve(source, rid, message)
@@ -66,11 +98,11 @@ class LocationServer:
             self._handle_unbind(source, rid, message)
 
     def _reply(self, destination: Address, message: Dict[str, Any]) -> None:
-        self.transport.send(destination, self.codec.encode(message))
+        self.transport.send(destination, WireFrame(message, self.codec))
 
     def _handle_bind(self, source: Address, rid: Any, message: Dict[str, Any]) -> None:
         name = message["name"]
-        version = int(message.get("version", 1))
+        version = message.get("version", 1)
         existing = self._bindings.get(name)
         accepted = existing is None or version > existing.version
         if accepted:
@@ -109,6 +141,20 @@ class LocationServer:
         self._reply(source, {"op": "unbind_ack", "rid": rid, "ok": binding is not None})
 
 
+def _is_reply(message: Dict[str, Any]) -> bool:
+    """Whether the fields the client's unpackers parse have their types."""
+    op = message.get("op")
+    if op == "resolve_ack":
+        address = message.get("address")
+        return address is None or _is_address(address)
+    if op == "resolve_prefix_ack":
+        bindings = message.get("bindings")
+        return isinstance(bindings, dict) and all(
+            _is_address(address) for address in bindings.values()
+        )
+    return True
+
+
 class LocationClient:
     """A node's handle onto the location server."""
 
@@ -126,6 +172,7 @@ class LocationClient:
         self._rids = IdGenerator(f"loc:{transport.local_address}")
         self._pending: Dict[str, Promise] = {}
         self._versions: Dict[str, int] = {}
+        self.malformed_frames = 0
         transport.set_receiver(self._on_message)
 
     def _request(self, message: Dict[str, Any]) -> Promise:
@@ -133,7 +180,7 @@ class LocationClient:
         message["rid"] = rid
         promise: Promise = Promise()
         self._pending[rid] = promise
-        self.transport.send(self.server_address, self.codec.encode(message))
+        self.transport.send(self.server_address, WireFrame(message, self.codec))
         self.transport.scheduler.schedule(self.request_timeout_s, self._timeout, rid)
         return promise
 
@@ -143,8 +190,12 @@ class LocationClient:
             promise.reject(NameNotFoundError(f"location request {rid} timed out"))
 
     def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
-        promise = self._pending.pop(message.get("rid"), None)
+        message = try_decode_dict(self.codec, payload)
+        if (message is None or not isinstance(message.get("rid"), str)
+                or not _is_reply(message)):
+            drop_malformed(self)
+            return
+        promise = self._pending.pop(message["rid"], None)
         if promise is not None:
             promise.fulfill(message)
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Dict, List, Optional, Type
 
-from repro.errors import ConfigurationError, TransactionError
-from repro.interop.codec import Codec, get_codec
-from repro.transport.base import Address, Transport
+from repro.errors import AddressError, ConfigurationError, TransactionError
+from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
+from repro.interop.frames import WireFrame
+from repro.transport.base import Address, Transport, drop_malformed
 from repro.util.events import EventEmitter
 from repro.util.promise import Promise
 
@@ -77,6 +78,7 @@ class AgentHost:
         self._homecoming: Dict[str, List[Promise]] = {}
         self.agents_hosted = 0
         self.agents_refused = 0
+        self.malformed_frames = 0
         transport.set_receiver(self._on_message)
 
     @property
@@ -128,30 +130,48 @@ class AgentHost:
         )
 
     def _send(self, destination: Address, message: Dict[str, Any]) -> None:
-        self.transport.send(destination, self.codec.encode(message))
+        self.transport.send(destination, WireFrame(message, self.codec))
 
     # -------------------------------------------------------------- receive
 
     def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+        message = try_decode_dict(self.codec, payload)
+        if message is None or not isinstance(message.get("name"), str):
+            drop_malformed(self)
+            return
         op = message.get("op")
         if op == "agent":
             self._host_agent(message)
         elif op == "agent_done":
+            if not isinstance(message.get("state"), dict):
+                drop_malformed(self)
+                return
             self._welcome_home(message, success=True)
         elif op == "agent_refused":
             self._welcome_home(message, success=False)
 
     def _host_agent(self, message: Dict[str, Any]) -> None:
         name = message["name"]
-        home = Address.parse(message["home"])
+        state, itinerary, hops = (
+            message.get("state"), message.get("itinerary"), message.get("hops"))
+        if not (isinstance(state, dict) and isinstance(itinerary, list)
+                and isinstance(hops, int)):
+            drop_malformed(self)
+            return
+        try:
+            home = Address.parse(message.get("home"))
+            next_stop = Address.parse(itinerary[0]) if itinerary else None
+        except (AddressError, AttributeError):  # empty / not a string
+            drop_malformed(self)
+            return
         agent_class = self._registry.get(name)
         if agent_class is None:
             self.agents_refused += 1
             self._send(home, {"op": "agent_refused", "name": name,
                               "at": str(self.address)})
             return
-        agent = agent_class(dict(message["state"]))
+        # A copy: the frame's state is the previous stop's agent's own dict.
+        agent = agent_class(wire_plain(state))
         self.agents_hosted += 1
         self.events.emit("agent_arrived", name)
         try:
@@ -161,17 +181,15 @@ class AgentHost:
                               "at": f"{self.address} ({exc!r})"})
             return
         self.events.emit("agent_departed", name)
-        remaining = list(message["itinerary"])
-        if remaining:
-            next_stop = Address.parse(remaining[0])
+        if next_stop is not None:
             self._send(
                 next_stop,
-                {**message, "state": agent.state, "itinerary": remaining[1:],
-                 "hops": message["hops"] + 1},
+                {**message, "state": agent.state, "itinerary": itinerary[1:],
+                 "hops": hops + 1},
             )
         else:
             self._send(home, {"op": "agent_done", "name": name,
-                              "state": agent.state, "hops": message["hops"]})
+                              "state": agent.state, "hops": hops})
 
     def _welcome_home(self, message: Dict[str, Any], success: bool) -> None:
         waiting = self._homecoming.get(message["name"], [])
@@ -179,7 +197,7 @@ class AgentHost:
             return
         promise = waiting.pop(0)
         if success:
-            promise.fulfill(message["state"])
+            promise.fulfill(wire_plain(message["state"]))
         else:
             promise.reject(
                 TransactionError(

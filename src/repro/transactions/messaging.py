@@ -20,8 +20,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.interop.codec import Codec, get_codec
-from repro.transport.base import Address, Transport
+from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
+from repro.interop.frames import WireFrame
+from repro.transport.base import Address, Transport, drop_malformed
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
@@ -59,6 +60,7 @@ class MessageBroker:
         self.messages_accepted = 0
         self.deliveries = 0
         self.redeliveries = 0
+        self.malformed_frames = 0
         transport.set_receiver(self._on_message)
 
     def depth(self, queue: str) -> int:
@@ -71,26 +73,41 @@ class MessageBroker:
     # -------------------------------------------------------------- protocol
 
     def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+        message = try_decode_dict(self.codec, payload)
+        if message is None:
+            drop_malformed(self)
+            return
         op = message.get("op")
         if op == "put":
+            if not isinstance(message.get("queue"), str) or "body" not in message:
+                drop_malformed(self)
+                return
             self._handle_put(source, message)
         elif op == "subscribe":
+            if not isinstance(message.get("queue"), str):
+                drop_malformed(self)
+                return
             self._handle_subscribe(source, message)
         elif op == "ack":
             mid = message.get("mid")
+            if not isinstance(mid, str):
+                drop_malformed(self)
+                return
             self._inflight.pop(mid, None)
             self._attempts.pop(mid, None)
 
     def _handle_put(self, source: Address, message: Dict[str, Any]) -> None:
         queue = self._queue(message["queue"])
         mid = self._mids.next()
-        queue.messages.append((mid, message["body"]))
+        # A copy: the frame's body is the producer's own object, and the
+        # queue (or a dead letter) holds what was put, not what it became.
+        queue.messages.append((mid, wire_plain(message["body"])))
         self.messages_accepted += 1
         if message.get("rid") is not None:
             self.transport.send(
                 source,
-                self.codec.encode({"op": "put_ack", "rid": message["rid"], "mid": mid}),
+                WireFrame({"op": "put_ack", "rid": message["rid"], "mid": mid},
+                          self.codec),
             )
         self._drain(message["queue"])
 
@@ -100,7 +117,7 @@ class MessageBroker:
             queue.subscribers.append(source)
         self.transport.send(
             source,
-            self.codec.encode({"op": "subscribe_ack", "rid": message.get("rid")}),
+            WireFrame({"op": "subscribe_ack", "rid": message.get("rid")}, self.codec),
         )
         self._drain(message["queue"])
 
@@ -119,8 +136,9 @@ class MessageBroker:
         self._inflight[mid] = (queue_name, body, subscriber)
         self.transport.send(
             subscriber,
-            self.codec.encode(
-                {"op": "deliver", "queue": queue_name, "mid": mid, "body": body}
+            WireFrame(
+                {"op": "deliver", "queue": queue_name, "mid": mid, "body": body},
+                self.codec,
             ),
         )
         self.transport.scheduler.schedule(
@@ -165,6 +183,7 @@ class MessagingClient:
         self._pending: Dict[str, Promise] = {}
         self._handlers: Dict[str, Callable[[Any], None]] = {}
         self.received = 0
+        self.malformed_frames = 0
         transport.set_receiver(self._on_message)
 
     # --------------------------------------------------------------- producer
@@ -174,13 +193,13 @@ class MessagingClient:
         broker's ack (message id); without, it is fire-and-forget."""
         message: Dict[str, Any] = {"op": "put", "queue": queue, "body": body}
         if not confirm:
-            self.transport.send(self.broker_address, self.codec.encode(message))
+            self.transport.send(self.broker_address, WireFrame(message, self.codec))
             return None
         rid = self._rids.next()
         message["rid"] = rid
         promise: Promise = Promise()
         self._pending[rid] = promise
-        self.transport.send(self.broker_address, self.codec.encode(message))
+        self.transport.send(self.broker_address, WireFrame(message, self.codec))
         self.transport.scheduler.schedule(self.request_timeout_s, self._timeout, rid)
         return promise
 
@@ -195,7 +214,7 @@ class MessagingClient:
         self._pending[rid] = promise
         self.transport.send(
             self.broker_address,
-            self.codec.encode({"op": "subscribe", "queue": queue, "rid": rid}),
+            WireFrame({"op": "subscribe", "queue": queue, "rid": rid}, self.codec),
         )
         self.transport.scheduler.schedule(self.request_timeout_s, self._timeout, rid)
         return promise
@@ -210,17 +229,30 @@ class MessagingClient:
             promise.reject(DeliveryError(f"broker request {rid} timed out"))
 
     def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
-        op = message.get("op")
-        if op == "deliver":
-            handler = self._handlers.get(message["queue"])
+        message = try_decode_dict(self.codec, payload)
+        if message is None:
+            drop_malformed(self)
+            return
+        if message.get("op") == "deliver":
+            queue = message.get("queue")
+            mid = message.get("mid")
+            if (not isinstance(queue, str) or not isinstance(mid, str)
+                    or "body" not in message):
+                drop_malformed(self)
+                return
+            handler = self._handlers.get(queue)
             if handler is not None:
                 self.received += 1
-                handler(message["body"])
+                # A copy: the broker keeps the body for redelivery.
+                handler(wire_plain(message["body"]))
                 self.transport.send(
-                    source, self.codec.encode({"op": "ack", "mid": message["mid"]})
+                    source, WireFrame({"op": "ack", "mid": mid}, self.codec)
                 )
             return
-        promise = self._pending.pop(message.get("rid"), None)
+        rid = message.get("rid")
+        if not isinstance(rid, str):
+            drop_malformed(self)
+            return
+        promise = self._pending.pop(rid, None)
         if promise is not None:
             promise.fulfill(message)

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.discovery.matching import AttributeConstraint
-from repro.errors import ConfigurationError
-from repro.interop.codec import Codec, get_codec
-from repro.transport.base import Address, Transport
+from repro.errors import ConfigurationError, DiscoveryError
+from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
+from repro.interop.frames import WireFrame
+from repro.transport.base import Address, Transport, drop_malformed
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
@@ -44,23 +45,36 @@ def topic_matches(pattern: str, topic: str) -> bool:
     return len(pattern_parts) == len(topic_parts)
 
 
-def _content_matches(filters: List[Dict[str, str]], event: Any) -> bool:
+def _parse_filters(raw: Any) -> Optional[List[AttributeConstraint]]:
+    """Constraints from their wire dicts; None if the field is malformed."""
+    if not isinstance(raw, list):
+        return None
+    try:
+        filters = [AttributeConstraint.from_dict(f) for f in raw]
+    except (KeyError, TypeError, DiscoveryError):
+        return None
+    if all(isinstance(f.name, str) and isinstance(f.value, str) for f in filters):
+        return filters
+    return None
+
+
+def _content_matches(filters: List[AttributeConstraint], event: Any) -> bool:
     """Apply attribute constraints to dict events (non-dicts fail filters)."""
     if not filters:
         return True
     if not isinstance(event, dict):
         return False
-    attributes = {k: str(v) for k, v in event.items()}
-    return all(
-        AttributeConstraint.from_dict(f).matches(attributes) for f in filters
-    )
+    # Values read as the wire would show them (a tuple as a list), so a
+    # filter matches the same whether the event came by reference or bytes.
+    attributes = {k: str(wire_plain(v)) for k, v in event.items()}
+    return all(f.matches(attributes) for f in filters)
 
 
 @dataclass
 class _Subscription:
     subscriber: Address
     pattern: str
-    filters: List[Dict[str, str]] = field(default_factory=list)
+    filters: List[AttributeConstraint] = field(default_factory=list)
 
 
 class PubSubBroker:
@@ -72,31 +86,50 @@ class PubSubBroker:
         self._subscriptions: List[_Subscription] = []
         self.events_published = 0
         self.events_delivered = 0
+        self.malformed_frames = 0
         transport.set_receiver(self._on_message)
 
     def subscription_count(self) -> int:
         return len(self._subscriptions)
 
     def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+        message = try_decode_dict(self.codec, payload)
+        if message is None:
+            drop_malformed(self)
+            return
         op = message.get("op")
         if op == "sub":
-            self._subscriptions.append(
-                _Subscription(source, message["pattern"], message.get("filters", []))
-            )
+            pattern = message.get("pattern")
+            filters = _parse_filters(message.get("filters", []))
+            if not isinstance(pattern, str) or filters is None:
+                drop_malformed(self)
+                return
+            self._subscriptions.append(_Subscription(source, pattern, filters))
             self.transport.send(
-                source, self.codec.encode({"op": "sub_ack", "rid": message.get("rid")})
+                source,
+                WireFrame({"op": "sub_ack", "rid": message.get("rid")}, self.codec),
             )
         elif op == "unsub":
+            pattern = message.get("pattern")
+            if not isinstance(pattern, str):
+                drop_malformed(self)
+                return
             self._subscriptions = [
                 s
                 for s in self._subscriptions
-                if not (s.subscriber == source and s.pattern == message["pattern"])
+                if not (s.subscriber == source and s.pattern == pattern)
             ]
         elif op == "pub":
-            self._fan_out(message["topic"], message["event"])
+            topic = message.get("topic")
+            if not isinstance(topic, str) or "event" not in message:
+                drop_malformed(self)
+                return
+            self._fan_out(topic, message["event"])
 
     def _fan_out(self, topic: str, event: Any) -> None:
+        """One frame per matching subscription, each carrying ``event`` —
+        the publisher's own object, which subscribers copy on receipt —
+        rather than an encoding of it per subscriber."""
         self.events_published += 1
         for subscription in self._subscriptions:
             if not topic_matches(subscription.pattern, topic):
@@ -106,9 +139,10 @@ class PubSubBroker:
             self.events_delivered += 1
             self.transport.send(
                 subscription.subscriber,
-                self.codec.encode(
+                WireFrame(
                     {"op": "event", "topic": topic, "event": event,
-                     "pattern": subscription.pattern}
+                     "pattern": subscription.pattern},
+                    self.codec,
                 ),
             )
 
@@ -134,6 +168,7 @@ class PubSubClient:
         self._pending: Dict[str, Promise] = {}
         self._handlers: Dict[str, Tuple[EventHandler, List[Dict[str, str]]]] = {}
         self.events_received = 0
+        self.malformed_frames = 0
         transport.set_receiver(self._on_message)
 
     def subscribe(
@@ -152,8 +187,9 @@ class PubSubClient:
         self._pending[rid] = promise
         self.transport.send(
             self.broker_address,
-            self.codec.encode(
-                {"op": "sub", "rid": rid, "pattern": pattern, "filters": raw_filters}
+            WireFrame(
+                {"op": "sub", "rid": rid, "pattern": pattern, "filters": raw_filters},
+                self.codec,
             ),
         )
         self.transport.scheduler.schedule(self.request_timeout_s, self._timeout, rid)
@@ -163,14 +199,14 @@ class PubSubClient:
         self._handlers.pop(pattern, None)
         self.transport.send(
             self.broker_address,
-            self.codec.encode({"op": "unsub", "pattern": pattern}),
+            WireFrame({"op": "unsub", "pattern": pattern}, self.codec),
         )
 
     def publish(self, topic: str, event: Any) -> None:
         """Emit an event; fire-and-forget, as events are."""
         self.transport.send(
             self.broker_address,
-            self.codec.encode({"op": "pub", "topic": topic, "event": event}),
+            WireFrame({"op": "pub", "topic": topic, "event": event}, self.codec),
         )
 
     def _timeout(self, rid: str) -> None:
@@ -181,15 +217,28 @@ class PubSubClient:
             promise.reject(DeliveryError(f"broker request {rid} timed out"))
 
     def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
-        op = message.get("op")
-        if op == "event":
-            entry = self._handlers.get(message.get("pattern", ""))
+        message = try_decode_dict(self.codec, payload)
+        if message is None:
+            drop_malformed(self)
+            return
+        if message.get("op") == "event":
+            topic = message.get("topic")
+            pattern = message.get("pattern")
+            if (not isinstance(topic, str) or not isinstance(pattern, str)
+                    or "event" not in message):
+                drop_malformed(self)
+                return
+            entry = self._handlers.get(pattern)
             if entry is not None:
                 handler, _filters = entry
                 self.events_received += 1
-                handler(message["topic"], message["event"])
+                # A copy: every subscriber's frame carries the one event.
+                handler(topic, wire_plain(message["event"]))
             return
-        promise = self._pending.pop(message.get("rid"), None)
+        rid = message.get("rid")
+        if not isinstance(rid, str):
+            drop_malformed(self)
+            return
+        promise = self._pending.pop(rid, None)
         if promise is not None:
             promise.fulfill(message)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.errors import AdmissionRefused, RemoteError, RpcError, RpcTimeoutError, SchemaError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
+from repro.interop.frames import WireFrame
 from repro.interop.schema import InterfaceSchema
 from repro.obs.tracing import NOOP_SPAN, TRACER
 from repro.transport.base import Address, Transport
@@ -108,7 +109,11 @@ class RpcEndpoint:
                 raise RpcError(f"no such method {method!r}")
             if self.interface is not None:
                 self.interface.operation(method).validate_params(params)
-            value = handler(**params)
+            # Copies: by-reference delivery hands over the caller's own
+            # containers, which a retry would send again (``**`` itself
+            # already builds the handler a dict of its own).
+            value = handler(**{name: wire_plain(item)
+                               for name, item in params.items()})
             if self.interface is not None:
                 self.interface.operation(method).validate_result(value)
         except Exception as exc:  # noqa: BLE001 - marshalled to the caller
@@ -248,11 +253,12 @@ class RpcEndpoint:
             pending.span.set_label(status="ok" if op == "result" else "error")
             pending.span.finish()
             if op == "result":
-                pending.promise.fulfill(message.get("value"))
+                # A copy: the handler may have returned its own state.
+                pending.promise.fulfill(wire_plain(message.get("value")))
             else:
                 pending.promise.reject(
                     RemoteError(message.get("type", "Exception"), message.get("msg", ""))
                 )
 
     def _send(self, destination: Address, message: Dict[str, Any]) -> None:
-        self.transport.send(destination, self.codec.encode(message))
+        self.transport.send(destination, WireFrame(message, self.codec))

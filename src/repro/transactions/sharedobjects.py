@@ -38,8 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.interop.codec import Codec, get_codec
-from repro.transport.base import Address, Transport
+from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
+from repro.interop.frames import WireFrame
+from repro.transport.base import Address, Transport, drop_malformed
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
@@ -84,6 +85,7 @@ class SharedObjectHost:
         self.reads_served = 0
         self.writes_served = 0
         self.invalidations_sent = 0
+        self.malformed_frames = 0
         transport.set_receiver(self._on_message)
 
     def value(self, key: str) -> Any:
@@ -91,30 +93,39 @@ class SharedObjectHost:
         return stored.value if stored else None
 
     def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+        message = try_decode_dict(self.codec, payload)
+        if message is None:
+            drop_malformed(self)
+            return
         op = message.get("op")
+        key = message.get("key")
+        if op in ("get", "put", "watch") and not isinstance(key, str):
+            drop_malformed(self)
+            return
         if op == "get":
-            key = message["key"]
             if message.get("watch"):
                 self._watchers.setdefault(key, set()).add(source)
             if self._get_must_wait(key):
                 self._deferred_gets.setdefault(key, []).append(
-                    (source, message["rid"])
+                    (source, message.get("rid"))
                 )
                 return
-            self._answer_get(source, message["rid"], key)
+            self._answer_get(source, message.get("rid"), key)
         elif op == "put":
+            if "value" not in message:
+                drop_malformed(self)
+                return
             self.writes_served += 1
-            key = message["key"]
             if message.get("watch"):
                 self._watchers.setdefault(key, set()).add(source)
             stored = self._objects.get(key)
             version = (stored.version if stored else 0) + 1
-            self._objects[key] = _Stored(message["value"], version)
+            # A copy: the frame's value is the writer's own object.
+            self._objects[key] = _Stored(wire_plain(message["value"]), version)
             waiting = self._invalidate(key, version, exclude=source)
             if self.write_through_acks and waiting:
                 wid = self._next_wid = self._next_wid + 1
-                self._pending_writes[wid] = (source, message["rid"], key,
+                self._pending_writes[wid] = (source, message.get("rid"), key,
                                              version, set(waiting))
                 self._pending_by_key[key] = self._pending_by_key.get(key, 0) + 1
                 for watcher in waiting:
@@ -124,14 +135,19 @@ class SharedObjectHost:
                 self._send_invalidate(watcher, key, version, None)
             self.transport.send(
                 source,
-                self.codec.encode(
-                    {"op": "put_ack", "rid": message["rid"], "version": version}
+                WireFrame(
+                    {"op": "put_ack", "rid": message.get("rid"), "version": version},
+                    self.codec,
                 ),
             )
         elif op == "inv_ack":
-            self._on_inv_ack(source, message.get("wid"))
+            wid = message.get("wid")
+            if not isinstance(wid, int):
+                drop_malformed(self)
+                return
+            self._on_inv_ack(source, wid)
         elif op == "watch":
-            self._watchers.setdefault(message["key"], set()).add(source)
+            self._watchers.setdefault(key, set()).add(source)
 
     def _get_must_wait(self, key: str) -> bool:
         """Whether a get must be deferred behind in-flight invalidations.
@@ -157,20 +173,21 @@ class SharedObjectHost:
                                    "version": version}
         if wid is not None:
             message["wid"] = wid
-        self.transport.send(watcher, self.codec.encode(message))
+        self.transport.send(watcher, WireFrame(message, self.codec))
 
     def _answer_get(self, source: Address, rid: Any, key: str) -> None:
         self.reads_served += 1
         stored = self._objects.get(key)
         self.transport.send(
             source,
-            self.codec.encode(
+            WireFrame(
                 {
                     "op": "got",
                     "rid": rid,
                     "value": stored.value if stored else None,
                     "version": stored.version if stored else 0,
-                }
+                },
+                self.codec,
             ),
         )
 
@@ -185,7 +202,7 @@ class SharedObjectHost:
         del self._pending_writes[wid]
         self.transport.send(
             writer,
-            self.codec.encode({"op": "put_ack", "rid": rid, "version": version}),
+            WireFrame({"op": "put_ack", "rid": rid, "version": version}, self.codec),
         )
         remaining = self._pending_by_key.get(key, 1) - 1
         if remaining > 0:
@@ -219,6 +236,7 @@ class SharedObjectCache:
         self.cache_hits = 0
         self.cache_misses = 0
         self.invalidations_received = 0
+        self.malformed_frames = 0
         transport.set_receiver(self._on_message)
 
     # ------------------------------------------------------------------- API
@@ -236,9 +254,8 @@ class SharedObjectCache:
         self._pending[rid] = (promise, key)
         self.transport.send(
             self.host_address,
-            self.codec.encode(
-                {"op": "get", "rid": rid, "key": key, "watch": True}
-            ),
+            WireFrame({"op": "get", "rid": rid, "key": key, "watch": True},
+                      self.codec),
         )
         return promise
 
@@ -259,9 +276,10 @@ class SharedObjectCache:
         promise.on_settle(update_cache)
         self.transport.send(
             self.host_address,
-            self.codec.encode(
+            WireFrame(
                 {"op": "put", "rid": rid, "key": key, "value": value,
-                 "watch": True}
+                 "watch": True},
+                self.codec,
             ),
         )
         return promise
@@ -282,11 +300,17 @@ class SharedObjectCache:
         self._cache[key] = (value, version)
 
     def _on_message(self, source: Address, payload: bytes) -> None:
-        message = self.codec.decode(payload)
+        message = try_decode_dict(self.codec, payload)
+        if message is None:
+            drop_malformed(self)
+            return
         op = message.get("op")
         if op == "invalidate":
+            key, version = message.get("key"), message.get("version")
+            if not isinstance(key, str) or not isinstance(version, int):
+                drop_malformed(self)
+                return
             self.invalidations_received += 1
-            key, version = message["key"], message["version"]
             if self._floor.get(key, 0) < version:
                 self._floor[key] = version
             cached = self._cache.get(key)
@@ -296,16 +320,23 @@ class SharedObjectCache:
             if wid is not None:
                 # Write-through-acks host: confirm the stale copy is gone.
                 self.transport.send(
-                    source, self.codec.encode({"op": "inv_ack", "wid": wid})
+                    source, WireFrame({"op": "inv_ack", "wid": wid}, self.codec)
                 )
             return
-        entry = self._pending.pop(message.get("rid"), None)
+        rid = message.get("rid")
+        version = message.get("version", 0)
+        if not isinstance(rid, str) or not isinstance(version, int):
+            drop_malformed(self)
+            return
+        entry = self._pending.pop(rid, None)
         if entry is None:
             return
         promise, cache_key = entry
         if op == "got":
-            if cache_key is not None and message.get("version", 0) > 0:
-                self._admit(cache_key, message.get("value"), message["version"])
-            promise.fulfill(message.get("value"))
+            # A copy: the frame's value is the host's authoritative object.
+            value = wire_plain(message.get("value"))
+            if cache_key is not None and version > 0:
+                self._admit(cache_key, value, version)
+            promise.fulfill(value)
         elif op == "put_ack":
-            promise.fulfill(message.get("version"))
+            promise.fulfill(version)

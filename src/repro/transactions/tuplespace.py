@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.interop.codec import Codec, get_codec, try_decode_dict
-from repro.obs.metrics import get_registry
-from repro.transport.base import Address, Transport
+from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
+from repro.interop.frames import WireFrame
+from repro.transport.base import Address, Transport, drop_malformed
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
@@ -150,13 +150,6 @@ class TupleStore:
                 del index[key]
 
 
-def _drop_malformed(endpoint: "TupleSpaceServer | TupleSpaceClient") -> None:
-    endpoint.malformed_frames += 1
-    get_registry().counter(
-        "transport.malformed", node=endpoint.transport.local_address.node
-    ).inc()
-
-
 @dataclass
 class _Waiter:
     source: Address
@@ -190,36 +183,39 @@ class TupleSpaceServer:
     def _on_message(self, source: Address, payload: bytes) -> None:
         message = try_decode_dict(self.codec, payload)
         if message is None:
-            _drop_malformed(self)
+            drop_malformed(self)
             return
         op = message.get("op")
         rid = message.get("rid")
         if op == "out":
             values = message.get("tuple")
             if not isinstance(values, list):
-                _drop_malformed(self)
+                drop_malformed(self)
                 return
+            # A copy: the frame's list and what it nests are the sender's.
+            values = wire_plain(values)
             self._handle_out(values)
             if rid is not None:
                 self._answer(source, rid, values)
         elif op in ("rd", "in", "rdp", "inp"):
             template = message.get("template")
             if not isinstance(template, list):
-                _drop_malformed(self)
+                drop_malformed(self)
                 return
             self._handle_request(
-                source, rid, template,
+                source, rid, wire_plain(template),
                 destructive=op in ("in", "inp"), blocking=op in ("rd", "in"),
             )
 
     def _answer(self, destination: Address, rid: Any, value: Optional[List[Any]]) -> None:
         self.transport.send(
-            destination, self.codec.encode({"op": "tuple", "rid": rid, "tuple": value})
+            destination,
+            WireFrame({"op": "tuple", "rid": rid, "tuple": value}, self.codec),
         )
 
     def _handle_out(self, values: List[Any]) -> None:
-        """``values`` is the received message's own list: answers may carry
-        it, the store gets a copy."""
+        """``values`` is the space's copy of the received tuple: answers may
+        carry it, the store gets a list of its own."""
         self.outs += 1
         # Wake matching waiters: every rd, at most one in (which consumes).
         consumed = False
@@ -282,7 +278,7 @@ class TupleSpaceClient:
         message["rid"] = rid
         promise: Promise = Promise()
         self._pending[rid] = promise
-        self.transport.send(self.space_address, self.codec.encode(message))
+        self.transport.send(self.space_address, WireFrame(message, self.codec))
         return promise
 
     def out(self, *values: Any, confirm: bool = False) -> Optional[Promise]:
@@ -291,7 +287,7 @@ class TupleSpaceClient:
             return self._request({"op": "out", "tuple": list(values)})
         self.transport.send(
             self.space_address,
-            self.codec.encode({"op": "out", "tuple": list(values)}),
+            WireFrame({"op": "out", "tuple": list(values)}, self.codec),
         )
         return None
 
@@ -314,14 +310,14 @@ class TupleSpaceClient:
     def _on_message(self, source: Address, payload: bytes) -> None:
         message = try_decode_dict(self.codec, payload)
         if message is None:
-            _drop_malformed(self)
+            drop_malformed(self)
             return
         rid = message.get("rid")
         value = message.get("tuple")
         if not isinstance(rid, str) or not isinstance(value, (list, type(None))):
-            _drop_malformed(self)
+            drop_malformed(self)
             return
         promise = self._pending.pop(rid, None)
         if promise is not None:
-            # A copy: the frame's list may be shared with other receivers.
-            promise.fulfill(value if value is None else list(value))
+            # A copy: the frame's list is the space's stored tuple.
+            promise.fulfill(wire_plain(value))

@@ -19,6 +19,7 @@ from typing import Any, Callable, Optional, Protocol
 
 from repro.errors import AddressError, TransportClosedError
 from repro.interop.frames import FRAME_TYPES
+from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 
 
@@ -51,6 +52,20 @@ class Address:
 
 
 Receiver = Callable[[Address, bytes], None]
+
+
+def drop_malformed(endpoint: Any) -> None:
+    """Count a frame ``endpoint`` could not parse; the caller then drops it.
+
+    The receive-path convention of every protocol endpoint (an object with
+    a ``transport`` and a ``malformed_frames`` count): a corrupted,
+    truncated or wrongly-typed frame is a counted drop, never a raise
+    through the simulator event loop.
+    """
+    endpoint.malformed_frames += 1
+    get_registry().counter(
+        "transport.malformed", node=endpoint.transport.local_address.node
+    ).inc()
 
 
 class Scheduler(Protocol):
@@ -111,8 +126,9 @@ class Transport(abc.ABC):
             raise TypeError(
                 f"transport payloads must be bytes, got {type(payload).__name__}"
             )
+        size = len(payload)  # sizes a lazy frame; raises if it cannot encode
         self.sent_messages += 1
-        self.sent_bytes += len(payload)
+        self.sent_bytes += size
         if TRACER.enabled:
             with TRACER.span(
                 "transport.send",

@@ -7,12 +7,15 @@ exact without materializing, and every edge that genuinely needs bytes
 (crypto, chaos corruption, the WAL, pickling) must keep receiving them.
 """
 
+import enum
 import pickle
+from collections import OrderedDict, namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CodecError
+from repro.interop import codec as codec_module
 from repro.interop.codec import (
     _varint_size,
     _zigzag,
@@ -20,6 +23,7 @@ from repro.interop.codec import (
     JsonCodec,
     splice_int_field,
     try_decode_dict,
+    wire_plain,
 )
 from repro.interop.frames import (
     decode_payload,
@@ -115,6 +119,122 @@ class TestWireFrameIdentity:
         frame = WireFrame({"a": 1}, BinaryCodec())
         repr(frame)
         assert frame._encoded is None
+
+
+class Level(enum.IntEnum):
+    LOW = 0
+    NEGATIVE = -300
+    HIGH = 2**40
+
+
+class Name(str):
+    pass
+
+
+Pair = namedtuple("Pair", "left right")
+
+# Values that reach the walker through its fallback rows — subclasses of the
+# listed types, resolved by ``issubclass`` once — and through the rows frames
+# register, mixed with the exact types at every depth.
+fallback_scalars = st.one_of(
+    json_scalars,
+    st.sampled_from(list(Level)),
+    st.text(max_size=20).map(Name),
+    st.binary(max_size=20).map(bytearray),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+)
+
+
+def _fallback_containers(children):
+    dicts = st.dictionaries(st.text(max_size=8), children, max_size=4)
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.tuples(children, children).map(lambda pair: Pair(*pair)),
+        dicts,
+        dicts.map(OrderedDict),
+        dicts.map(lambda d: WireFrame(d, BinaryCodec())),
+        dicts.map(lambda d: PrefixedFrame(b"\x01\x02", WireFrame(d, BinaryCodec()))),
+    )
+
+
+fallback_values = st.recursive(fallback_scalars, _fallback_containers,
+                               max_leaves=15)
+
+
+def _is_wire_plain(value):
+    if type(value) is list:
+        return all(_is_wire_plain(item) for item in value)
+    if type(value) is dict:
+        return all(_is_wire_plain(item) for item in value.values())
+    return not isinstance(value, (tuple, dict, bytearray, WireFrame, PrefixedFrame))
+
+
+class TestWalkerTable:
+    """One table row per type holds size, encode and plain side by side;
+    these pin that the columns agree on every row, fallback rows included."""
+
+    @given(fallback_values)
+    @settings(max_examples=300)
+    def test_size_equals_encode_on_every_row(self, value):
+        codec = BinaryCodec()
+        assert codec.encoded_size(value) == len(codec.encode(value))
+
+    @given(fallback_values)
+    @settings(max_examples=200)
+    def test_wire_plain_is_what_decode_returns(self, value):
+        codec = BinaryCodec()
+        plain = wire_plain(value)
+        assert plain == codec.decode(codec.encode(value))
+        assert _is_wire_plain(plain)
+
+    @given(st.dictionaries(st.text(max_size=12), st.integers(), max_size=6))
+    def test_non_ascii_and_memoised_keys_size_exactly(self, value):
+        codec = BinaryCodec()
+        for _ in range(2):  # second pass reads every key header from the memo
+            assert codec.encoded_size(value) == len(codec.encode(value))
+
+    def test_key_header_memo_is_bounded(self, monkeypatch):
+        codec = BinaryCodec()
+        monkeypatch.setattr(codec_module, "_KEY_HEADERS_MAX",
+                            len(codec_module._KEY_HEADERS))
+        value = {"a key no protocol uses \u00e9": 1}
+        assert codec.encoded_size(value) == len(codec.encode(value))
+        assert "a key no protocol uses \u00e9" not in codec_module._KEY_HEADERS
+
+    def test_subclass_resolves_once_to_its_base_row(self):
+        codec = BinaryCodec()
+        assert codec.encode(Level.HIGH) == codec.encode(2**40)
+        assert codec.encode(Pair(1, 2)) == codec.encode([1, 2])
+        rows = codec_module._ROWS
+        assert rows[Level] is rows[int] and rows[Pair] is rows[tuple]
+        # bool is listed before int, so it never takes the int row.
+        assert codec.encode(True) == b"T" and codec.encoded_size(False) == 1
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {1: "a"},
+            {"outer": {2: 1}},
+            [{("k",): 1}],
+            {"s": {1, 2}},
+            [object()],
+            {"z": 1.5j},
+            OrderedDict([(b"k", 1)]),
+            "\ud800",
+            {"\ud800": 1},
+        ],
+        ids=["int-key", "nested-int-key", "tuple-key", "set", "object",
+             "complex", "bytes-key", "lone-surrogate", "lone-surrogate-key"],
+    )
+    def test_encode_and_size_refuse_the_same_values(self, value):
+        codec = BinaryCodec()
+        with pytest.raises(CodecError) as from_encode:
+            codec.encode(value)
+        with pytest.raises(CodecError) as from_size:
+            codec.encoded_size(value)
+        assert str(from_encode.value) == str(from_size.value)
 
 
 class TestDeriveInt:
@@ -262,7 +382,28 @@ class TestPassthrough:
 
     def test_non_dict_frame_is_not_extracted(self):
         codec = BinaryCodec()
+        registry = get_registry()
+        passthrough = registry.counter_total("transport.frames.passthrough")
+        skipped = registry.counter_total("codec.encode_skipped")
         assert try_decode_dict(codec, WireFrame([1, 2, 3], codec)) is None
+        assert registry.counter_total("transport.frames.passthrough") == passthrough
+        assert registry.counter_total("codec.encode_skipped") == skipped + 1
+
+    def test_counter_totals_per_extraction_survive_a_registry_reset(self):
+        # One (registry, generation) check serves both counters of a hop;
+        # a reset in between must land the next hop in fresh instruments.
+        codec = BinaryCodec()
+        registry = get_registry()
+        for expected in (1, 2, 1):
+            if expected == 1:
+                registry.reset()
+            lazy, encoded = WireFrame({"a": 1}, codec), WireFrame({"b": 2}, codec)
+            bytes(encoded)
+            try_decode_dict(codec, lazy)
+            try_decode_dict(codec, encoded)
+            assert registry.counter_total("transport.frames.passthrough") == 2 * expected
+            assert registry.counter_total("codec.encode_skipped") == expected
+            assert registry.counter_total("transport.frames.materialized") == expected
 
 
 class TestEndToEndZeroCopy:
