@@ -39,10 +39,9 @@ fans campaigns over seeds). No wall-clock values appear in the scorecard.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.milan import Milan
 from repro.core.overload import OverloadGovernor, queue_pressure, rejection_pressure
@@ -53,6 +52,7 @@ from repro.errors import AdmissionRefused, ConfigurationError
 from repro.netsim import topology
 from repro.netsim.failures import FailureInjector
 from repro.netsim.mobility import RandomWaypointMobility
+from repro.obs.export import canonical_json
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.qos.admission import AdmissionController, PriorityClass
@@ -60,6 +60,7 @@ from repro.qos.spec import SupplierQoS
 from repro.recovery.heartbeat import HeartbeatDetector
 from repro.scheduling.bandwidth import BandwidthAllocator
 from repro.transport.pacing import PacedTransport
+from repro.replication.check import check_group, close_group, group_summary
 from repro.replication.client import GroupClient
 from repro.replication.replica import ReplicationParams, deploy_group
 from repro.replication.services import LedgerMachine, ReplicatedLedger
@@ -848,65 +849,35 @@ class ChaosCampaign:
     def _check_replication(self, violations: List[str]) -> Optional[Dict[str, Any]]:
         """Failover-mix invariants on the replicated ledger group.
 
-        After the heal the group must have exactly one primary at a term
-        above the initial one, every member converged to the same applied
-        prefix, money conserved on every replica, and every transfer the
-        client saw acknowledged present in every replica's applied set.
+        After the heal the group must pass :func:`check_group` with its
+        primary crashed: exactly one primary at a term above the initial
+        one, every member converged to the same applied prefix, money
+        conserved on every replica, and every transfer the client saw
+        acknowledged present in every replica's applied set.
         """
         if self.repl_group is None:
             return None
         members = self.repl_group
-        primaries = [n for n, r in members.items() if r.role == "primary"]
-        if len(primaries) != 1:
-            violations.append(
-                f"replication: expected one primary after heal, got {primaries}"
-            )
-        new_primary = primaries[0] if len(primaries) == 1 else None
-        if new_primary is not None and members[new_primary].term < 2:
-            violations.append(
-                "replication: primary never advanced past the initial term"
-            )
-        head = members[_REPL_MEMBERS[0]]
-        for node in _REPL_MEMBERS[1:]:
-            replica = members[node]
-            if (replica.applied_index != head.applied_index
-                    or replica.machine.snapshot() != head.machine.snapshot()):
-                violations.append(
-                    f"replication: {node} diverged from {_REPL_MEMBERS[0]} "
-                    f"({replica.applied_index} != {head.applied_index})"
-                )
-        conserved = True
-        for node, replica in members.items():
-            total = sum(replica.machine.balances.values())
-            if total != _INITIAL_BALANCE * len(_ACCOUNTS):
-                conserved = False
-                violations.append(
-                    f"replication: conservation broken on {node} "
-                    f"(total={total})"
-                )
-            missing = (self.state.repl_transfers_acked
-                       - replica.machine.applied_txids)
-            if missing:
-                violations.append(
-                    f"replication: {len(missing)} acked txids missing "
-                    f"on {node}"
-                )
+        findings = check_group(
+            members, self.state.repl_transfers_acked,
+            expected_total=_INITIAL_BALANCE * len(_ACCOUNTS),
+            failed_over=True,
+        )
+        violations += [f"replication: {detail}" for _, detail in findings]
         return {
             "members": list(_REPL_MEMBERS),
-            "primary": new_primary,
-            "terms": {n: members[n].term for n in _REPL_MEMBERS},
-            "applied_index": {
-                n: members[n].applied_index for n in _REPL_MEMBERS
-            },
+            **group_summary(members),
             "election_rounds": sum(
                 members[n].election.rounds for n in _REPL_MEMBERS
             ),
             "transfers": {
                 "attempted": self.state.repl_transfers_attempted,
                 "acked": len(self.state.repl_transfers_acked),
-                "applied": len(head.machine.applied_txids),
+                "applied": len(
+                    members[_REPL_MEMBERS[0]].machine.applied_txids
+                ),
             },
-            "conserved": conserved,
+            "conserved": all(inv != "conservation" for inv, _ in findings),
         }
 
     def _check_flashcrowd(self, violations: List[str]) -> Optional[Dict[str, Any]]:
@@ -1062,12 +1033,19 @@ class ChaosCampaign:
         promise.on_settle(lambda settled: self._judge_milan(settled, before=False))
         sim.run_for(4.0)
 
-        violations: List[str] = []
+        # Every check files what it finds under the invariant it judges.
+        found: Dict[str, List[str]] = {name: [] for name in (
+            "no_timer_leaks", "exactly_once_delivery", "reconverged",
+            "transactions_atomic", "heartbeat_exact", "replication_failover",
+            "overload_protected",
+        )}
 
         # Invariant: no leaked retransmit timers once traffic quiesced.
         leaked = len(self.bulk_sender._pending) + len(self.bulk_receiver._pending)
         if leaked:
-            violations.append(f"{leaked} retransmit timers still pending after quiesce")
+            found["no_timer_leaks"].append(
+                f"{leaked} retransmit timers still pending after quiesce"
+            )
         window_sizes = [
             len(state.window)
             for transport in (self.bulk_sender, self.bulk_receiver)
@@ -1075,7 +1053,7 @@ class ChaosCampaign:
         ]
         max_window = max(window_sizes, default=0)
         if max_window > spec.recv_window:
-            violations.append(
+            found["no_timer_leaks"].append(
                 f"receive window exceeded bound: {max_window} > {spec.recv_window}"
             )
 
@@ -1083,35 +1061,35 @@ class ChaosCampaign:
         received = self.state.bulk_received
         duplicate_deliveries = len(received) - len(set(received))
         if duplicate_deliveries:
-            violations.append(
+            found["exactly_once_delivery"].append(
                 f"{duplicate_deliveries} duplicate deliveries on the bulk stream"
             )
 
         # Invariant: ledger atomicity across partitions.
         conserved = self.ledger.total() == _INITIAL_BALANCE * len(_ACCOUNTS)
         if not conserved:
-            violations.append(
+            found["transactions_atomic"].append(
                 f"ledger violated conservation: total={self.ledger.total()}"
             )
         unapplied = self.state.transfers_acked - self.ledger.applied
         if unapplied:
-            violations.append(
+            found["transactions_atomic"].append(
                 f"{len(unapplied)} acked transfers were never applied"
             )
 
-        heartbeat = self._check_heartbeat(violations)
-        reconvergence = self._check_reconvergence(violations)
-        replication = self._check_replication(violations)
-        overload = self._check_flashcrowd(violations)
+        heartbeat = self._check_heartbeat(found["heartbeat_exact"])
+        reconvergence = self._check_reconvergence(found["reconverged"])
+        replication = self._check_replication(found["replication_failover"])
+        overload = self._check_flashcrowd(found["overload_protected"])
 
-        scorecard = self._scorecard(violations, heartbeat, reconvergence,
+        scorecard = self._scorecard(found, heartbeat, reconvergence,
                                     duplicate_deliveries, max_window, conserved,
                                     replication, overload)
         self._publish(scorecard)
         self._teardown()
         return scorecard
 
-    def _scorecard(self, violations, heartbeat, reconvergence,
+    def _scorecard(self, found, heartbeat, reconvergence,
                    duplicate_deliveries, max_window, conserved,
                    replication, overload) -> Dict[str, Any]:
         state = self.state
@@ -1137,23 +1115,7 @@ class ChaosCampaign:
         faults["frames_corrupted"] = 0 if corruptor is None else corruptor.corrupted
         faults["frames_truncated"] = 0 if corruptor is None else corruptor.truncated
         milan_after_ok, milan_after_sensors = self._milan_after
-        invariants = {
-            "no_timer_leaks": not any("pending" in v or "window exceeded" in v
-                                      for v in violations),
-            "exactly_once_delivery": duplicate_deliveries == 0,
-            "reconverged": not any("re-converge" in v for v in violations),
-            "transactions_atomic": not any(
-                "ledger" in v or "acked transfers" in v for v in violations
-            ),
-            "heartbeat_exact": heartbeat["missed"] == 0
-            and heartbeat["duplicate_detections"] == 0,
-            "replication_failover": not any(
-                v.startswith("replication:") for v in violations
-            ),
-            "overload_protected": not any(
-                v.startswith("flashcrowd:") for v in violations
-            ),
-        }
+        violations = sorted(v for broken in found.values() for v in broken)
         return {
             "mix": self.spec.mix,
             "seed": self.spec.seed,
@@ -1190,8 +1152,8 @@ class ChaosCampaign:
             },
             "replication": replication,
             "overload": overload,
-            "invariants": invariants,
-            "violations": sorted(violations),
+            "invariants": {name: not broken for name, broken in found.items()},
+            "violations": violations,
             "ok": not violations,
         }
 
@@ -1218,8 +1180,7 @@ class ChaosCampaign:
 
     def _teardown(self) -> None:
         if self.repl_group is not None:
-            for replica in self.repl_group.values():
-                replica.close()
+            close_group(self.repl_group)
             self.repl_client.close()
         if self.governor is not None:
             self.governor.stop()
@@ -1240,95 +1201,5 @@ def run_campaign(mix: str, seed: int, **overrides: Any) -> Dict[str, Any]:
     return ChaosCampaign(spec).run()
 
 
-def scorecard_bytes(scorecard: Dict[str, Any]) -> bytes:
-    """Canonical serialized form: byte-identical for identical campaigns."""
-    return json.dumps(scorecard, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
-#: The fault mixes any deployment can compose with (via
-#: :func:`schedule_mix_faults`). ``failover`` and ``flashcrowd`` are
-#: campaign-specific — they need a replica group / admission edge the
-#: campaign itself builds — so they are not composable storms.
-COMPOSABLE_MIXES = ("churn", "partition", "corrupt")
-
-
-def schedule_mix_faults(
-    injector: FailureInjector,
-    mix: str,
-    seed: int,
-    start_s: float,
-    end_s: float,
-    *,
-    crash_targets: Sequence[str] = (),
-    partition_groups: Optional[List[List[str]]] = None,
-    label: str = "workload",
-) -> Tuple[Dict[str, int], float]:
-    """Schedule a seed-derived storm of ``mix`` faults on any deployment.
-
-    The composable face of the campaign mixes: where :class:`ChaosCampaign`
-    owns its whole deployment, this schedules the same *shapes* of faults —
-    crash/recover churn with a loss burst, partitions with a slow-link
-    window, corruption windows — against a deployment someone else built
-    (e.g. a registered workload scenario). All windows land inside
-    ``[start_s, end_s]``; every fault heals by ``end_s``.
-
-    ``crash_targets`` are the node ids the deployment can afford to lose
-    (see :meth:`repro.workloads.registry.Archetype.fault_targets`);
-    ``partition_groups`` the candidate isolation groups. Draws come from a
-    private ``(seed, label, mix)`` stream, so composing faults never
-    perturbs the deployment's own RNG streams.
-
-    Returns ``(fault_counts, last_heal_s)``.
-    """
-    if mix not in COMPOSABLE_MIXES:
-        raise ConfigurationError(
-            f"mix {mix!r} is not composable; available: {COMPOSABLE_MIXES}"
-        )
-    if end_s <= start_s:
-        raise ConfigurationError(
-            f"fault window must be non-empty, got [{start_s}, {end_s}]"
-        )
-    rng = split_rng(seed, f"chaos-mix:{label}:{mix}")
-    counts: Dict[str, int] = {
-        "crashes": 0, "partitions": 0, "loss_bursts": 0,
-        "degrade_windows": 0, "corrupt_windows": 0,
-    }
-    last_heal = start_s
-    span = end_s - start_s
-
-    def window(min_frac: float, max_frac: float) -> Tuple[float, float]:
-        nonlocal last_heal
-        duration = span * rng.uniform(min_frac, max_frac)
-        start = rng.uniform(start_s, end_s - duration)
-        last_heal = max(last_heal, start + duration)
-        return start, duration
-
-    if mix == "churn":
-        for target in list(crash_targets)[:2]:
-            start, duration = window(0.15, 0.3)
-            injector.crash_and_recover(target, start, duration)
-            counts["crashes"] += 1
-        start, duration = window(0.15, 0.25)
-        injector.loss_burst_at(start, duration,
-                               extra_loss=rng.uniform(0.1, 0.25))
-        counts["loss_bursts"] += 1
-    elif mix == "partition":
-        for group in list(partition_groups or [])[:2]:
-            start, duration = window(0.2, 0.35)
-            injector.partition_at(start, list(group), duration)
-            counts["partitions"] += 1
-        start, duration = window(0.15, 0.3)
-        injector.degrade_at(start, duration,
-                            extra_latency_s=rng.uniform(0.01, 0.03))
-        counts["degrade_windows"] += 1
-    else:  # corrupt
-        for _ in range(2):
-            start, duration = window(0.2, 0.35)
-            injector.corrupt_frames_at(
-                start, duration,
-                probability=rng.uniform(0.02, 0.06),
-                truncate_fraction=0.5,
-            )
-            counts["corrupt_windows"] += 1
-    return counts, last_heal
+#: Canonical serialized form: byte-identical for identical campaigns.
+scorecard_bytes = canonical_json

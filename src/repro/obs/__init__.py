@@ -13,7 +13,10 @@ the stack-wide instrumentation layer:
   histograms (p50/p95/p99) keyed by name+labels. The old
   :class:`MetricsRecorder` lives here now and remains fully compatible.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in Perfetto)
-  mapping spans onto per-node timelines, plus plain-text summaries.
+  mapping spans onto per-node timelines, plain-text summaries, and the
+  canonical JSON encoding traces and scorecards are compared in.
+* :mod:`repro.obs.history` — operation intervals recorded off promises,
+  the input of the linearizability replay.
 * :mod:`repro.obs.report` — ``python -m repro.obs.report trace.json``.
 * :mod:`repro.obs.profiler` — wall-clock attribution per event-loop
   callback type, pluggable into :class:`repro.netsim.simulator.Simulator`.

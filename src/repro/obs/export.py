@@ -80,11 +80,20 @@ def chrome_trace(tracer: Tracer, default_process: str = DEFAULT_PROCESS) -> Dict
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
+def canonical_json(obj: Any) -> bytes:
+    """The one canonical encoding: sorted keys, no whitespace, UTF-8.
+
+    Two artifacts (traces, chaos / failover / workload scorecards) agree
+    iff their canonical bytes agree, so "byte-identical" has one
+    definition everywhere. Floats come from the virtual-time simulator and
+    seeded streams; their ``repr`` round-trips exactly.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def dump_trace(trace: Dict[str, Any], path: Union[str, Path]) -> None:
     """Write a trace object as deterministic (sorted-key, compact) JSON."""
-    Path(path).write_text(
-        json.dumps(trace, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    Path(path).write_bytes(canonical_json(trace) + b"\n")
 
 
 def validate_chrome_trace(trace: Any) -> List[str]:

@@ -19,6 +19,8 @@ deployments without changing client-facing call shapes:
   across caught-up backups with an explicit consistency knob.
 - :mod:`repro.replication.services` — state machines and client facades
   for the three existing services.
+- :mod:`repro.replication.check` — the end-of-run invariants every harness
+  judges a group by, its scorecard summary, and its teardown.
 """
 
 from repro.replication.client import GroupClient, ShardedClient

@@ -23,7 +23,9 @@ which keeps the search small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -222,3 +224,19 @@ class LedgerModel(SequentialModel):
                 ((tuple(sorted(balances.items())), applied | {txid}), True)
             ]
         raise ValueError(f"ledger model cannot apply {op!r}")
+
+
+def model_for(kind: str, accounts: Mapping[str, int]) -> SequentialModel:
+    """The sequential model of one history object, by its kind: ``"so"``
+    (a shared-object key), ``"ts"`` (a tuple kind) or ``"ledger"`` (the
+    transfer ledger opened with ``accounts``)."""
+    if kind == "so":
+        return RegisterModel()
+    if kind == "ts":
+        return TupleSpaceModel()
+    if kind == "ledger" and accounts:
+        return LedgerModel(dict(accounts))
+    raise ConfigurationError(
+        f"no sequential model for a {kind!r} object (a ledger needs its "
+        f"initial accounts; got {dict(accounts)!r})"
+    )

@@ -15,11 +15,18 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.feasibility import minimal_feasible_sets
 from repro.core.feasibility_reference import minimal_feasible_sets_reference
 from repro.core.sensors import SensorInfo
+from repro.obs.history import Row
+from repro.simtest.linearizability import (
+    CheckAborted,
+    Op,
+    check_linearizable,
+    model_for,
+)
 from repro.util.rng import split_rng
 
 _SEQ = struct.Struct(">Q")
@@ -42,6 +49,55 @@ class Divergence:
     def to_dict(self) -> Dict[str, Any]:
         return {"oracle": self.oracle, "kind": self.kind, "at": self.at,
                 "detail": self.detail}
+
+
+# ----------------------------------------------------------- linearizability
+
+
+def replay(history: Iterable[Row], accounts: Mapping[str, int],
+           ) -> List[Tuple[Tuple[Any, ...], Optional[str], bool]]:
+    """Replay recorded :class:`~repro.obs.history.History` rows through
+    the Wing–Gong checker.
+
+    Linearizability is compositional, so every object — each shared-object
+    key, each tuple kind, the ledger — is checked on its own, against the
+    model its kind (``obj[0]``) selects; ``accounts`` are the ledger's
+    opening balances. Returns one ``(obj, problem, aborted)`` per object,
+    in object order: ``problem`` is ``None`` when the object's history is
+    linearizable, else the counterexample — or, when ``aborted``, why the
+    search gave up without an answer.
+    """
+    by_object: Dict[Tuple[Any, ...], List[Op]] = {}
+    for obj, client, op, args, invoke, response, result in history:
+        by_object.setdefault(obj, []).append(
+            Op(client, op, args, invoke, response, result)
+        )
+    verdicts = []
+    for obj, ops in sorted(by_object.items()):
+        try:
+            problem = check_linearizable(ops, model_for(obj[0], accounts))
+            verdicts.append((obj, problem, False))
+        except CheckAborted as aborted:
+            verdicts.append((obj, str(aborted), True))
+    return verdicts
+
+
+def linearizability_divergences(history: Iterable[Row],
+                                accounts: Mapping[str, int], now: float,
+                                stats: Dict[str, int]) -> List[Divergence]:
+    """A simtest world's reading of :func:`replay`: a counterexample is a
+    divergence, an exhausted search budget is only counted."""
+    divergences = []
+    for obj, problem, aborted in replay(history, accounts):
+        stats["lin_objects"] += 1
+        if aborted:
+            stats["lin_aborted"] += 1
+        elif problem is not None:
+            divergences.append(Divergence(
+                f"linearizability-{obj[0]}", "non-linearizable", now,
+                f"object {obj}: {problem}",
+            ))
+    return divergences
 
 
 # ----------------------------------------------------------------- delivery

@@ -22,11 +22,11 @@ replication-specific oracles:
 
 * **failover bound** — some surviving replica takes over the ledger
   group within ``FAILOVER_BOUND_S`` of the crash;
-* **acked-is-applied** — every acknowledged transfer txid is in every
-  ledger replica's applied set after the run;
-* **conservation** — account totals are preserved on every replica;
-* **convergence** — after the recovered node catches up, every group's
-  replicas agree on applied index and machine state.
+* the group invariants of :func:`repro.replication.check.check_group` on
+  every group after the recovered node caught up — one primary (at a
+  later term when it was crashed), replicas agreeing on applied index and
+  machine state, and on the ledger group conservation and
+  acked-is-applied.
 
 Everything is a pure function of ``(seed, tie_seed)``: the scorecard is
 byte-identical across reruns.
@@ -34,14 +34,16 @@ byte-identical across reruns.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.netsim import topology
 from repro.netsim.failures import FailureInjector
 from repro.netsim.medium import IDEAL_RADIO
+from repro.obs.export import canonical_json
+from repro.obs.history import History
 from repro.obs.metrics import get_registry
+from repro.replication.check import check_group, close_group, group_summary
 from repro.replication.client import GroupClient, ShardedClient
 from repro.replication.replica import (
     ReplicationParams,
@@ -56,16 +58,8 @@ from repro.replication.services import (
     ReplicatedTupleSpace,
     TupleSpaceMachine,
 )
-from repro.simtest.linearizability import (
-    CheckAborted,
-    LedgerModel,
-    Op,
-    RegisterModel,
-    TupleSpaceModel,
-    check_linearizable,
-)
-from repro.simtest.oracles import Divergence
-from repro.simtest.world import RunResult, _OpRecord
+from repro.simtest.oracles import Divergence, linearizability_divergences
+from repro.simtest.world import RunResult, issue_service_op
 from repro.transport.base import Address
 from repro.transport.simnet import SimFabric
 from repro.util.rng import split_rng
@@ -160,6 +154,7 @@ class ReplicatedWorld:
         self.seed = seed
         self.tie_seed = tie_seed
         self.horizon_s = horizon_s
+        self.crash_primary = crash_primary
         get_registry().reset()
 
         self.network = topology.grid(
@@ -171,7 +166,7 @@ class ReplicatedWorld:
         self.injector = FailureInjector(self.network, seed=seed)
 
         self.divergences: List[Divergence] = []
-        self._history: List[_OpRecord] = []
+        self.history = History(self.sim.now)
         self.stats: Dict[str, int] = defaultdict(int)
         self.acked_txids: set = set()
 
@@ -199,6 +194,7 @@ class ReplicatedWorld:
         self.crash_at = 0.0
         self.recover_at = 0.0
         self.first_new_primary_at: Optional[float] = None
+        self.new_primary: Optional[str] = None
         if crash_primary:
             self.crash_at = round(5.5 + rng.uniform(0.0, 1.0), 3)
             downtime = round(5.0 + rng.uniform(0.0, 1.5), 3)
@@ -233,69 +229,19 @@ class ReplicatedWorld:
 
         self.end_s = max(horizon_s, self.recover_at) + 4.0
 
-    # ------------------------------------------------------------- recording
-
-    def _record(self, obj: Tuple[str, ...], client: int, op: str,
-                args: Tuple[Any, ...], promise: Any) -> _OpRecord:
-        record = _OpRecord(obj, f"c{client}", op, args, self.sim.now())
-        self._history.append(record)
-
-        def settle(settled: Any) -> None:
-            if settled.fulfilled:
-                record.response = self.sim.now()
-                record.result = settled.result()
-
-        promise.on_settle(settle)
-        return record
-
     # -------------------------------------------------------------- workload
 
     def _exec(self, op: str, args: Tuple[Any, ...]) -> None:
         self.stats[f"ops_{op}"] += 1
+        promise = issue_service_op(self.history, self.clients, op, args)
         if op == "transfer":
-            txid, src, dst, amount, client = args
-            promise = self.clients[client].ledger.transfer(
-                txid, src, dst, amount
-            )
-            self._record(("ledger",), client, "transfer",
-                         (txid, src, dst, amount), promise)
+            txid = args[0]
 
-            def note_acked(settled: Any, txid: str = txid) -> None:
+            def note_acked(settled: Any) -> None:
                 if settled.fulfilled and settled.result() is True:
                     self.acked_txids.add(txid)
 
             promise.on_settle(note_acked)
-        elif op == "balance":
-            acct, client = args
-            promise = self.clients[client].ledger.balance(acct)
-            self._record(("ledger",), client, "balance", (acct,), promise)
-        elif op == "so_write":
-            key, value, client = args
-            promise = self.clients[client].objects.write(key, value)
-            self._record(("so", key), client, "write", (value,), promise)
-        elif op == "so_read":
-            key, client = args
-            promise = self.clients[client].objects.read(key)
-            self._record(("so", key), client, "read", (), promise)
-        elif op == "ts_out":
-            kind, value, client = args
-            promise = self.clients[client].space.out(kind, value,
-                                                     confirm=True)
-            self._record(("ts", kind), client, "out", (kind, value), promise)
-        elif op == "ts_inp":
-            kind, client = args
-            promise = self.clients[client].space.inp(kind, None)
-            self._record(("ts", kind), client, "inp", (), promise)
-        elif op == "ts_rdp":
-            kind, client = args
-            promise = self.clients[client].space.rdp(kind, None)
-            self._record(("ts", kind), client, "rdp", (), promise)
-        elif op == "ts_in":
-            kind, client = args
-            promise = self.clients[client].space.in_(kind, None)
-            self._record(("ts", kind), client, "in", (), promise)
-        else:
-            raise ValueError(f"unknown workload op {op!r}")
 
     # --------------------------------------------------------------- oracles
 
@@ -316,73 +262,33 @@ class ReplicatedWorld:
             yield f"ts.s{shard}", members
 
     def _check_replication(self, now: float) -> None:
-        if self.crash_at and self.first_new_primary_at is None:
-            self.divergences.append(Divergence(
-                "failover", "no-new-primary", now,
-                f"no survivor took over the ledger group within "
-                f"{FAILOVER_BOUND_S}s of the crash at t={self.crash_at}",
-            ))
+        if self.crash_primary:
+            if self.first_new_primary_at is None:
+                self.divergences.append(Divergence(
+                    "failover", "no-new-primary", now,
+                    f"no survivor took over the ledger group within "
+                    f"{FAILOVER_BOUND_S}s of the crash at t={self.crash_at}",
+                ))
+            elif self.first_new_primary_at - self.crash_at > FAILOVER_BOUND_S:
+                self.divergences.append(Divergence(
+                    "failover", "bound-exceeded", now,
+                    f"{self.new_primary} took over the ledger group "
+                    f"{self.first_new_primary_at - self.crash_at:.3f}s after "
+                    f"the crash at t={self.crash_at}; the bound is "
+                    f"{FAILOVER_BOUND_S}s",
+                ))
         for label, members in self._all_groups():
-            primaries = [n for n, r in members.items() if r.role == "primary"]
-            if len(primaries) != 1:
-                self.divergences.append(Divergence(
-                    "failover", "primary-count", now,
-                    f"group {label}: primaries={primaries}",
-                ))
-            head = members[REPLICAS[0]]
-            for node in REPLICAS[1:]:
-                replica = members[node]
-                if (replica.applied_index != head.applied_index
-                        or replica.machine.snapshot() != head.machine.snapshot()):
-                    self.divergences.append(Divergence(
-                        "convergence", "replica-diverged", now,
-                        f"group {label}: {node} at index "
-                        f"{replica.applied_index} != {REPLICAS[0]} at "
-                        f"{head.applied_index}",
-                    ))
-        for node, replica in self.ledger_group.items():
-            machine = replica.machine
-            total = sum(machine.balances.values())
-            if total != INITIAL_BALANCE * len(ACCOUNTS):
-                self.divergences.append(Divergence(
-                    "ledger", "conservation", now,
-                    f"{node}: total={total}",
-                ))
-            missing = self.acked_txids - machine.applied_txids
-            if missing:
-                self.divergences.append(Divergence(
-                    "ledger", "acked-not-applied", now,
-                    f"{node}: {sorted(missing)}",
-                ))
-
-    def _check_linearizability(self, now: float) -> None:
-        groups: Dict[Tuple[str, ...], List[Op]] = defaultdict(list)
-        for record in self._history:
-            groups[record.obj].append(Op(
-                client=record.client, op=record.op, args=record.args,
-                invoke=record.invoke, response=record.response,
-                result=record.result,
-            ))
-        for obj, ops in sorted(groups.items()):
-            if obj[0] == "so":
-                model: Any = RegisterModel()
-            elif obj[0] == "ts":
-                model = TupleSpaceModel()
-            else:
-                model = LedgerModel(
-                    {a: INITIAL_BALANCE for a in ACCOUNTS}
-                )
-            self.stats["lin_objects"] += 1
-            try:
-                verdict = check_linearizable(ops, model)
-            except CheckAborted:
-                self.stats["lin_aborted"] += 1
-                continue
-            if verdict is not None:
-                self.divergences.append(Divergence(
-                    f"linearizability-{obj[0]}", "non-linearizable", now,
-                    f"object {obj}: {verdict}",
-                ))
+            ledger_args = (
+                (self.acked_txids, INITIAL_BALANCE * len(ACCOUNTS))
+                if members is self.ledger_group else ()
+            )
+            findings = check_group(members, *ledger_args,
+                                   failed_over=self.crash_primary)
+            self.divergences += [
+                Divergence("replication", invariant, now,
+                           f"group {label}: {detail}")
+                for invariant, detail in findings
+            ]
 
     # ---------------------------------------------------------------- runner
 
@@ -390,7 +296,10 @@ class ReplicatedWorld:
         self.sim.run_until(self.end_s)
         now = self.sim.now()
         self._check_replication(now)
-        self._check_linearizability(now)
+        self.divergences += linearizability_divergences(
+            self.history.rows(), {a: INITIAL_BALANCE for a in ACCOUNTS},
+            now, self.stats,
+        )
         registry = get_registry()
         self.stats["events"] = self.sim.events_processed
         self.stats["transfers_acked"] = len(self.acked_txids)
@@ -403,8 +312,7 @@ class ReplicatedWorld:
         for client in self.clients:
             client.close()
         for _label, members in self._all_groups():
-            for replica in members.values():
-                replica.close()
+            close_group(members)
         divergences = sorted(
             self.divergences, key=lambda d: (d.at, d.oracle, d.kind)
         )
@@ -414,7 +322,7 @@ class ReplicatedWorld:
 
     def scorecard(self, result: RunResult) -> Dict[str, Any]:
         primary_machine = self.ledger_group[
-            getattr(self, "new_primary", PRIMARY)
+            self.new_primary or PRIMARY
         ].machine
         latency = (
             None if self.first_new_primary_at is None
@@ -429,12 +337,9 @@ class ReplicatedWorld:
                 "crash_at": self.crash_at,
                 "recover_at": self.recover_at,
                 "latency_s": latency,
-                "new_primary": getattr(self, "new_primary", None),
+                "new_primary": self.new_primary,
                 "bound_s": FAILOVER_BOUND_S,
-                "terms": {
-                    node: replica.term
-                    for node, replica in sorted(self.ledger_group.items())
-                },
+                "terms": group_summary(self.ledger_group)["terms"],
             },
             "ledger": {
                 "balances": dict(sorted(primary_machine.balances.items())),
@@ -452,7 +357,5 @@ def run_failover(seed: int, tie_seed: int = 0,
     return world.scorecard(world.run())
 
 
-def scorecard_bytes(scorecard: Dict[str, Any]) -> bytes:
-    """Canonical serialized form: byte-identical for identical runs."""
-    return json.dumps(scorecard, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+#: Canonical serialized form: byte-identical for identical runs.
+scorecard_bytes = canonical_json

@@ -10,30 +10,11 @@ tuple, the ledger — is checked separately.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 from repro.errors import ConfigurationError
-from repro.simtest.linearizability import (
-    LedgerModel,
-    Op,
-    RegisterModel,
-    SequentialModel,
-    TupleSpaceModel,
-    check_linearizable,
-)
+from repro.simtest.oracles import replay
 from repro.workloads.runner import ScenarioRun, parse_spec
-
-
-def _model_for(obj: Tuple[Any, ...], archetype) -> SequentialModel:
-    kind = obj[0]
-    if kind == "ts":
-        return TupleSpaceModel()
-    if kind == "ledger":
-        accounts = dict(getattr(archetype, "initial_accounts", {}))
-        return LedgerModel(accounts)
-    if kind == "so":
-        return RegisterModel()
-    raise ConfigurationError(f"no sequential model for history object {obj!r}")
 
 
 def check_scenario(name: str, seed: int = 0,
@@ -41,15 +22,15 @@ def check_scenario(name: str, seed: int = 0,
     """Run ``name`` with history recording and check every oracle.
 
     Returns ``{"scorecard", "objects", "operations", "violations"}`` where
-    ``violations`` collects linearizability counterexamples and the
+    ``violations`` collects linearizability counterexamples (an object the
+    checker could not decide within its budget counts as one) and the
     archetype's consistency violations (empty means the run is clean).
     Scenarios whose archetype records no history are rejected — a vacuous
-    oracle pass is worse than an error.
+    oracle pass is worse than an error — and so are object kinds no
+    sequential model exists for.
     """
     run = ScenarioRun(parse_spec(name, seed, record_history=True,
                                  **overrides))
-    # The archetype is closed by run(); capture history/violations first
-    # via the scorecard path, then read the recorded history.
     archetype = run.archetype
     scorecard = run.run()
     history = archetype.history()
@@ -59,24 +40,18 @@ def check_scenario(name: str, seed: int = 0,
             "simtest world"
         )
 
-    by_object: Dict[Tuple[Any, ...], List[Op]] = {}
-    for obj, client, op, args, invoke, response, result in history:
-        by_object.setdefault(tuple(obj), []).append(
-            Op(client=str(client), op=str(op), args=tuple(args),
-               invoke=invoke, response=response, result=result)
-        )
-
     violations: List[str] = list(
         scorecard["archetype_detail"]["consistency_violations"]
     )
-    for obj in sorted(by_object, key=repr):
-        verdict = check_linearizable(by_object[obj], _model_for(obj, archetype))
-        if verdict is not None:
-            violations.append(f"{obj}: {verdict}")
+    verdicts = replay(history, archetype.initial_accounts)
+    violations += [
+        f"{obj}: {problem}" for obj, problem, _aborted in verdicts
+        if problem is not None
+    ]
 
     return {
         "scorecard": scorecard,
-        "objects": len(by_object),
+        "objects": len(verdicts),
         "operations": len(history),
         "violations": violations,
     }

@@ -23,9 +23,10 @@ shared-object, and tuple-space traffic see crashes, partitions, loss, and
 latency, whose effects the respective oracles and the linearizability
 checker judge.
 
-Every workload operation is recorded as an interval (invoke/response) and
-fed to the Wing–Gong checker at the end of the run, split per independent
-object (each shared-object key, each tuple kind, the ledger).
+Every workload operation is recorded as an interval (invoke/response) in
+a :class:`~repro.obs.history.History` and replayed through the Wing–Gong
+checker at the end of the run, split per independent object (each
+shared-object key, each tuple kind, the ledger).
 """
 
 from __future__ import annotations
@@ -33,27 +34,22 @@ from __future__ import annotations
 import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.discovery.matching import Query
 from repro.netsim import topology
 from repro.netsim.failures import FailureInjector
 from repro.netsim.medium import IDEAL_RADIO
+from repro.obs.history import History
 from repro.obs.metrics import get_registry
-from repro.simtest.linearizability import (
-    CheckAborted,
-    LedgerModel,
-    Op,
-    RegisterModel,
-    TupleSpaceModel,
-    check_linearizable,
-)
 from repro.simtest.oracles import (
     DeliveryOracle,
     DiscoveryOracle,
     Divergence,
     LedgerOracle,
     MilanOracle,
+    linearizability_divergences,
 )
 from repro.simtest.scenario import (
     ACCOUNTS,
@@ -134,18 +130,65 @@ class RunResult:
         return [d.signature for d in self.divergences]
 
 
-class _OpRecord:
-    __slots__ = ("obj", "client", "op", "args", "invoke", "response", "result")
+def issue_service_op(history: History, clients: Sequence[Any], op: str,
+                     args: Tuple[Any, ...]) -> Any:
+    """Issue one operation of the service vocabulary both simtest worlds
+    draw from, and record its interval.
 
-    def __init__(self, obj: Tuple[str, ...], client: str, op: str,
-                 args: Tuple[Any, ...], invoke: float):
-        self.obj = obj
-        self.client = client
-        self.op = op
-        self.args = args
-        self.invoke = invoke
-        self.response: Optional[float] = None
-        self.result: Any = None
+    ``args`` ends with the index of the issuing client; ``clients[index]``
+    carries that client's ``ledger`` (``transfer`` / ``balance``),
+    ``objects`` (``write`` / ``read``) and ``space`` (``out`` / ``inp`` /
+    ``rdp`` / ``in_``) facades — the call shapes of
+    :mod:`repro.replication.services`, whatever sits behind them. Returns
+    the operation's promise.
+    """
+    *params, index = args
+    client = clients[index]
+    if op in ("transfer", "balance"):
+        obj, name, recorded = ("ledger",), op, tuple(params)
+        promise = getattr(client.ledger, op)(*params)
+    elif op == "so_write":
+        key, value = params
+        obj, name, recorded = ("so", key), "write", (value,)
+        promise = client.objects.write(key, value)
+    elif op == "so_read":
+        (key,) = params
+        obj, name, recorded = ("so", key), "read", ()
+        promise = client.objects.read(key)
+    elif op == "ts_out":
+        kind, value = params
+        obj, name, recorded = ("ts", kind), "out", (kind, value)
+        promise = client.space.out(kind, value, confirm=True)
+    elif op in ("ts_inp", "ts_rdp", "ts_in"):
+        (kind,) = params
+        obj, name, recorded = ("ts", kind), op[3:], ()
+        take = getattr(client.space, "in_" if name == "in" else name)
+        promise = take(kind, None)
+    else:
+        raise ValueError(f"unknown service op {op!r}")
+    history.record(obj, f"c{index}", name, recorded, promise)
+    return promise
+
+
+class _RpcLedger:
+    """The ledger facade's call shape over the plain RPC ledger service."""
+
+    def __init__(self, rpc: Any):
+        self._rpc = rpc
+
+    def _call(self, method: str, **params: Any) -> Any:
+        return self._rpc.call(Address(SERVER, "svc"), method, params,
+                              timeout_s=_RPC_TIMEOUT_S, retries=_RPC_RETRIES)
+
+    def transfer(self, txid: str, src: str, dst: str, amount: int) -> Any:
+        return self._call("transfer", txid=txid, src=src, dst=dst,
+                          amount=amount)
+
+    def balance(self, acct: str) -> Any:
+        return self._call("balance", acct=acct)
+
+    def ping(self) -> Any:
+        return self._call("ping")
 
 
 class SimWorld:
@@ -172,7 +215,7 @@ class SimWorld:
         )
         self.milan = MilanOracle()
         self.divergences: List[Divergence] = []
-        self._history: List[_OpRecord] = []
+        self.history = History(self.sim.now)
         self.stats: Dict[str, int] = defaultdict(int)
 
         # --- middleware nodes -------------------------------------------
@@ -183,7 +226,6 @@ class SimWorld:
             for node_id in (MONITOR, HELPER, SPARE, SERVER)
         }
         self.nodes[MONITOR].discovery.use_cache = False
-        self._clients = (self.nodes[MONITOR], self.nodes[HELPER])
 
         # --- ledger service ---------------------------------------------
         self.ledger = SimLedger()
@@ -196,7 +238,6 @@ class SimWorld:
             },
         )
         self.discovery.note_provided(0.0, "ledger", "ledger", SERVER)
-        self._server_svc = f"{SERVER}:svc"
 
         # --- reliable-over-secure bulk stream ---------------------------
         self._bulk_dst = Address(MONITOR, _BULK_PORT)
@@ -225,18 +266,18 @@ class SimWorld:
         self.so_host = SharedObjectHost(
             self.fabric.endpoint(SERVER, _SO_PORT), write_through_acks=True
         )
-        self.so_caches = tuple(
-            SharedObjectCache(
-                self.fabric.endpoint(node_id, _SO_PORT),
-                Address(SERVER, _SO_PORT),
-            )
-            for node_id in (MONITOR, HELPER)
-        )
         self.ts_server = TupleSpaceServer(self.fabric.endpoint(SERVER, _TS_PORT))
-        self.ts_clients = tuple(
-            TupleSpaceClient(
-                self.fabric.endpoint(node_id, _TS_PORT),
-                Address(SERVER, _TS_PORT),
+        self.clients = tuple(
+            SimpleNamespace(
+                ledger=_RpcLedger(self.nodes[node_id].rpc),
+                objects=SharedObjectCache(
+                    self.fabric.endpoint(node_id, _SO_PORT),
+                    Address(SERVER, _SO_PORT),
+                ),
+                space=TupleSpaceClient(
+                    self.fabric.endpoint(node_id, _TS_PORT),
+                    Address(SERVER, _TS_PORT),
+                ),
             )
             for node_id in (MONITOR, HELPER)
         )
@@ -293,21 +334,6 @@ class SimWorld:
             probe_at + _RPC_TIMEOUT_S * (_RPC_RETRIES + 1) + 0.6,
         )
 
-    # ------------------------------------------------------------- recording
-
-    def _record(self, obj: Tuple[str, ...], client: str, op: str,
-                args: Tuple[Any, ...], promise: Any) -> _OpRecord:
-        record = _OpRecord(obj, client, op, args, self.sim.now())
-        self._history.append(record)
-
-        def settle(settled: Any) -> None:
-            if settled.fulfilled:
-                record.response = self.sim.now()
-                record.result = settled.result()
-
-        promise.on_settle(settle)
-        return record
-
     # ------------------------------------------------------------- workload
 
     def _exec_step(self, step: Any) -> None:
@@ -319,28 +345,6 @@ class SimWorld:
             self.bulk_sender.send(
                 self._bulk_dst, _INDEX.pack(index) + _BULK_PADDING
             )
-        elif op == "transfer":
-            txid, src, dst, amount, client = args
-            promise = self._clients[client].rpc.call(
-                Address.parse(self._server_svc), "transfer",
-                {"txid": txid, "src": src, "dst": dst, "amount": amount},
-                timeout_s=_RPC_TIMEOUT_S, retries=_RPC_RETRIES,
-            )
-            self._record(("ledger",), f"c{client}", "transfer",
-                         (txid, src, dst, amount), promise)
-
-            def note_acked(settled: Any, txid: str = txid) -> None:
-                if settled.fulfilled:
-                    self.ledger_oracle.note_acked(txid)
-
-            promise.on_settle(note_acked)
-        elif op == "balance":
-            acct, client = args
-            promise = self._clients[client].rpc.call(
-                Address.parse(self._server_svc), "balance", {"acct": acct},
-                timeout_s=_RPC_TIMEOUT_S, retries=_RPC_RETRIES,
-            )
-            self._record(("ledger",), f"c{client}", "balance", (acct,), promise)
         elif op == "lookup":
             self._issue_lookup(args[0], False)
         elif op == "provide":
@@ -353,38 +357,21 @@ class SimWorld:
             service_id = f"extra{args[0]}"
             self.nodes[HELPER].withdraw(service_id)
             self.discovery.note_withdrawn(self.sim.now(), service_id)
-        elif op == "so_write":
-            key, value, client = args
-            self.stats["so_ops"] += 1
-            promise = self.so_caches[client].write(key, value)
-            self._record(("so", key), f"c{client}", "write", (value,), promise)
-        elif op == "so_read":
-            key, client = args
-            self.stats["so_ops"] += 1
-            promise = self.so_caches[client].read(key)
-            self._record(("so", key), f"c{client}", "read", (), promise)
-        elif op == "ts_out":
-            kind, value, client = args
-            self.stats["ts_ops"] += 1
-            promise = self.ts_clients[client].out(kind, value, confirm=True)
-            self._record(("ts", kind), f"c{client}", "out", (kind, value),
-                         promise)
-        elif op in ("ts_inp", "ts_rdp", "ts_in"):
-            kind, client = args
-            self.stats["ts_ops"] += 1
-            ts = self.ts_clients[client]
-            if op == "ts_inp":
-                promise = ts.inp(kind, None)
-            elif op == "ts_rdp":
-                promise = ts.rdp(kind, None)
-            else:
-                promise = ts.in_(kind, None)
-            self._record(("ts", kind), f"c{client}", op[3:], (), promise)
         elif op == "milan":
             self.milan.check_fleet(self.sim.now(), args[0])
             self.stats["milan_checked"] += 1
         else:
-            raise ValueError(f"unknown scenario op {op!r}")
+            if op.startswith(("so_", "ts_")):
+                self.stats[f"{op[:2]}_ops"] += 1
+            promise = issue_service_op(self.history, self.clients, op, args)
+            if op == "transfer":
+                txid = args[0]
+
+                def note_acked(settled: Any) -> None:
+                    if settled.fulfilled:
+                        self.ledger_oracle.note_acked(txid)
+
+                promise.on_settle(note_acked)
 
     def _serve_transfer(self, txid: str, src: str, dst: str,
                         amount: int) -> bool:
@@ -416,11 +403,8 @@ class SimWorld:
         promise.on_settle(settle)
 
     def _final_ping(self) -> None:
-        promise = self.nodes[MONITOR].rpc.call(
-            Address.parse(self._server_svc), "ping", {},
-            timeout_s=_RPC_TIMEOUT_S, retries=_RPC_RETRIES,
-        )
-        self._record(("ledger",), "c0", "ping", (), promise)
+        promise = self.clients[0].ledger.ping()
+        self.history.record(("ledger",), "c0", "ping", (), promise)
 
         def settle(settled: Any) -> None:
             if not settled.fulfilled:
@@ -438,7 +422,10 @@ class SimWorld:
         now = self.sim.now()
         self.delivery.finish(now, self.bulk_sender)
         self.ledger_oracle.finish(now, self.ledger)
-        self._check_linearizability(now)
+        self.divergences += linearizability_divergences(
+            self.history.rows(), {a: INITIAL_BALANCE for a in ACCOUNTS},
+            now, self.stats,
+        )
 
         divergences = sorted(
             self.delivery.divergences
@@ -453,33 +440,6 @@ class SimWorld:
         self.stats["transfers_acked"] = len(self.ledger_oracle.acked)
         self.stats["milan_checked"] = self.milan.checked
         return RunResult(divergences, dict(self.stats))
-
-    def _check_linearizability(self, now: float) -> None:
-        groups: Dict[Tuple[str, ...], List[Op]] = defaultdict(list)
-        for record in self._history:
-            groups[record.obj].append(Op(
-                client=record.client, op=record.op, args=record.args,
-                invoke=record.invoke, response=record.response,
-                result=record.result,
-            ))
-        for obj, ops in sorted(groups.items()):
-            if obj[0] == "so":
-                model: Any = RegisterModel()
-            elif obj[0] == "ts":
-                model = TupleSpaceModel()
-            else:
-                model = LedgerModel({a: INITIAL_BALANCE for a in ACCOUNTS})
-            self.stats["lin_objects"] += 1
-            try:
-                verdict = check_linearizable(ops, model)
-            except CheckAborted:
-                self.stats["lin_aborted"] += 1
-                continue
-            if verdict is not None:
-                self.divergences.append(Divergence(
-                    f"linearizability-{obj[0]}", "non-linearizable", now,
-                    f"object {obj}: {verdict}",
-                ))
 
 
 def execute_scenario(scenario: Scenario,

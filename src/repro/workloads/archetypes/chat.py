@@ -13,7 +13,7 @@ the pending promise forever), so this archetype runs on the lossless
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Callable, Dict
 
 from repro.netsim import topology
 from repro.netsim.energy import Battery
@@ -53,24 +53,6 @@ class ChatFanout(Archetype):
             )
             for leaf in _SUBSCRIBERS
         }
-        self._history: List[Tuple[Any, ...]] = []
-
-    def _record(self, obj: Tuple[Any, ...], client: str, op: str,
-                args: Tuple[Any, ...], promise) -> None:
-        if not self.record_history:
-            return
-        invoked = self.sim.now()
-        slot = len(self._history)
-        self._history.append(
-            (obj, client, op, args, invoked, None, None)
-        )
-        promise.on_settle(
-            lambda settled: self._history.__setitem__(
-                slot,
-                (obj, client, op, args, invoked, self.sim.now(),
-                 settled.result() if settled.fulfilled else None),
-            )
-        )
 
     def issue(self, index: int, size: int,
               done: Callable[[str], None]) -> None:
@@ -82,8 +64,8 @@ class ChatFanout(Archetype):
         # traffic) identical whether or not history is being recorded.
         out_promise = self.publisher.out("chat", index, payload, confirm=True)
         assert out_promise is not None
-        self._record(obj, "publisher", "out", ("chat", index, payload),
-                     out_promise)
+        self.record(obj, "publisher", "out", ("chat", index, payload),
+                    out_promise)
         remaining = {"n": len(self.subscribers)}
 
         def one_received(settled) -> None:
@@ -93,11 +75,8 @@ class ChatFanout(Archetype):
 
         for leaf, client in sorted(self.subscribers.items()):
             promise = client.rd("chat", index, None)
-            self._record(obj, leaf, "rd", (), promise)
+            self.record(obj, leaf, "rd", (), promise)
             promise.on_settle(one_received)
-
-    def history(self) -> List[Tuple[Any, ...]]:
-        return list(self._history)
 
     def detail(self) -> Dict[str, object]:
         return {

@@ -8,10 +8,11 @@ balance reads double as linearizable-read probes for the simtest oracles.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.netsim import topology
 from repro.netsim.energy import Battery
+from repro.replication.check import check_group, close_group, group_summary
 from repro.replication.client import GroupClient
 from repro.replication.replica import ReplicationParams, deploy_group
 from repro.replication.services import LedgerMachine, ReplicatedLedger
@@ -68,7 +69,6 @@ class TelemetryLedger(Archetype):
         )
         self.ledger = ReplicatedLedger(self.client)
         self.acked: Dict[str, int] = {}
-        self._history: List[Tuple[Any, ...]] = []
         # Balance probes run on a fixed cadence in every mode (history
         # recording must not change traffic); they start once the runner
         # drives the simulator.
@@ -79,23 +79,8 @@ class TelemetryLedger(Archetype):
         shard = _SHARDS[self._probe_index % len(_SHARDS)]
         self._probe_index += 1
         promise = self.ledger.balance(shard)
-        self._record(("ledger",), "gateway", "balance", (shard,), promise)
+        self.record(("ledger",), "gateway", "balance", (shard,), promise)
         self.sim.schedule_at(self.sim.now() + 2.0, self._probe)
-
-    def _record(self, obj: Tuple[Any, ...], client: str, op: str,
-                args: Tuple[Any, ...], promise) -> None:
-        if not self.record_history:
-            return
-        invoked = self.sim.now()
-        slot = len(self._history)
-        self._history.append((obj, client, op, args, invoked, None, None))
-        promise.on_settle(
-            lambda settled: self._history.__setitem__(
-                slot,
-                (obj, client, op, args, invoked, self.sim.now(),
-                 settled.result() if settled.fulfilled else None),
-            )
-        )
 
     def issue(self, index: int, size: int,
               done: Callable[[str], None]) -> None:
@@ -103,8 +88,8 @@ class TelemetryLedger(Archetype):
         shard = _SHARDS[index % len(_SHARDS)]
         amount = 1 + size % 16
         promise = self.ledger.transfer(txid, "ingress", shard, amount)
-        self._record(("ledger",), "gateway", "transfer",
-                     (txid, "ingress", shard, amount), promise)
+        self.record(("ledger",), "gateway", "transfer",
+                    (txid, "ingress", shard, amount), promise)
 
         def settle(settled) -> None:
             if settled.fulfilled and settled.result() is True:
@@ -122,45 +107,17 @@ class TelemetryLedger(Archetype):
     def partition_groups(self) -> Optional[List[List[str]]]:
         return [["n0_1"], ["n1_0"]]
 
-    def history(self) -> List[Tuple[Any, ...]]:
-        return list(self._history)
-
     def consistency_violations(self) -> List[str]:
-        violations: List[str] = []
-        total = sum(self.initial_accounts.values())
-        head = self.replicas[_MEMBERS[0]]
-        for member in _MEMBERS:
-            machine = self.replicas[member].machine
-            if sum(machine.balances.values()) != total:
-                violations.append(
-                    f"conservation broken on {member}: "
-                    f"total={sum(machine.balances.values())}"
-                )
-            missing = set(self.acked) - machine.applied_txids
-            if missing:
-                violations.append(
-                    f"{len(missing)} acked txids missing on {member}"
-                )
-        for member in _MEMBERS[1:]:
-            replica = self.replicas[member]
-            if (replica.applied_index != head.applied_index
-                    or replica.machine.snapshot() != head.machine.snapshot()):
-                violations.append(
-                    f"{member} diverged from {_MEMBERS[0]} "
-                    f"({replica.applied_index} != {head.applied_index})"
-                )
-        return violations
+        return [
+            detail for _invariant, detail in check_group(
+                self.replicas, self.acked,
+                expected_total=sum(self.initial_accounts.values()),
+            )
+        ]
 
     def detail(self) -> Dict[str, object]:
-        primaries = sorted(
-            m for m in _MEMBERS if self.replicas[m].role == "primary"
-        )
         return {
-            "primary": primaries[0] if len(primaries) == 1 else None,
-            "terms": {m: self.replicas[m].term for m in _MEMBERS},
-            "applied_index": {
-                m: self.replicas[m].applied_index for m in _MEMBERS
-            },
+            **group_summary(self.replicas),
             "acked": len(self.acked),
             "shard_totals": dict(
                 sorted(
@@ -171,6 +128,5 @@ class TelemetryLedger(Archetype):
         }
 
     def close(self) -> None:
-        for replica in self.replicas.values():
-            replica.close()
+        close_group(self.replicas)
         self.client.close()

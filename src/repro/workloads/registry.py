@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.history import History, Row
 
 
 class Archetype:
@@ -46,6 +47,9 @@ class Archetype:
     rate_rps: float = 1.0
     #: The per-request latency target the SLO section judges against.
     slo_target_s: float = 0.5
+    #: Opening balances of the ledger an archetype records ``("ledger",)``
+    #: history against; the simtest replay builds its ledger model from it.
+    initial_accounts: Dict[str, int] = {}
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -54,6 +58,7 @@ class Archetype:
         #: never change what an archetype *does* (same wire traffic either
         #: way), only what it remembers for the simtest oracles.
         self.record_history = False
+        self._history = History(lambda: self.sim.now())
 
     # ------------------------------------------------------------- contract
 
@@ -72,6 +77,13 @@ class Archetype:
         """
         raise NotImplementedError
 
+    def record(self, obj: Tuple[Any, ...], client: str, op: str,
+               args: Tuple[Any, ...], promise: Any) -> None:
+        """Remember one operation on ``obj`` for the simtest oracles (only
+        while :attr:`record_history` is set)."""
+        if self.record_history:
+            self._history.record(obj, client, op, args, promise)
+
     # ---------------------------------------------------- optional hooks
 
     def fault_targets(self) -> Sequence[str]:
@@ -88,12 +100,13 @@ class Archetype:
         """Archetype-specific scorecard section (deterministic values only)."""
         return {}
 
-    def history(self) -> List[Tuple[Any, ...]]:
+    def history(self) -> List[Row]:
         """Operation history for the simtest oracles, as
         ``(obj, client, op, args, invoke, response, result)`` tuples —
-        the same shape :mod:`repro.simtest.world` records. Empty when the
-        archetype has nothing linearizable to check."""
-        return []
+        what :meth:`record` remembered, the same :class:`History` the
+        simtest worlds record into. Empty when the archetype has nothing
+        linearizable to check."""
+        return self._history.rows()
 
     def consistency_violations(self) -> List[str]:
         """End-of-run consistency checks beyond linearizability (e.g.

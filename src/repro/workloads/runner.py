@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.netsim.chaos import schedule_mix_faults
-from repro.netsim.failures import FailureInjector
+from repro.netsim.failures import FailureInjector, schedule_mix_faults
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.workloads.registry import (

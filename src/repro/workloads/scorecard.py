@@ -4,24 +4,23 @@ A scorecard is the single artifact a scenario run produces. Two rules make
 it useful as a golden-test substrate:
 
 1. **Canonical bytes.** :func:`canonical_bytes` is the only way scorecards
-   are compared — sorted keys, no whitespace, UTF-8. Two runs agree iff
-   their canonical bytes agree, so "byte-identical" has one definition
-   shared by the conformance tests, the goldens, and the CI smoke step.
+   are compared — it is :func:`repro.obs.export.canonical_json`, the same
+   function the chaos and failover scorecards are compared by. Two runs
+   agree iff their canonical bytes agree, so "byte-identical" has one
+   definition shared by the conformance tests, the goldens, and the CI
+   smoke step.
 
 2. **Schema over taste.** :func:`validate_scorecard` checks structure
    (every section present, every field the right type) so a scenario that
    forgets to fill in its SLO section fails loudly in the conformance
    suite instead of producing a quietly hollow golden.
-
-Floats in scorecards come from the deterministic virtual-time simulator and
-seeded RNG streams, so their ``repr`` round-trips exactly — JSON encoding
-does not introduce cross-run drift.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Mapping
+
+from repro.obs.export import canonical_json
 
 #: section -> field -> allowed types. ``dict`` values are free-form
 #: (archetype- or mix-specific) but must be dicts.
@@ -71,11 +70,8 @@ SCHEMA: Dict[str, Dict[str, tuple]] = {
 }
 
 
-def canonical_bytes(card: Mapping[str, Any]) -> bytes:
-    """The one true encoding used for byte-identity comparisons."""
-    return json.dumps(
-        card, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+#: The one true encoding used for byte-identity comparisons.
+canonical_bytes = canonical_json
 
 
 def validate_scorecard(card: Mapping[str, Any]) -> List[str]:

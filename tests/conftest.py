@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
+from repro.obs.export import canonical_json
 from repro.transport.simnet import SimFabric
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 try:
     from hypothesis import HealthCheck, settings
@@ -44,8 +49,8 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite tests/golden/*.json workload scorecards instead of "
-        "comparing against them",
+        help="rewrite the tests/golden/*.json scorecards (workload, chaos, "
+        "failover) instead of comparing against them",
     )
 
 
@@ -53,6 +58,31 @@ def pytest_addoption(parser):
 def update_golden(request):
     """True when the run should rewrite golden scorecards, not compare."""
     return request.config.getoption("--update-golden")
+
+
+@pytest.fixture
+def check_golden(update_golden):
+    """``check_golden(name, card)``: the scorecard must equal
+    ``tests/golden/<name>.json`` under the one canonical encoder, or is
+    written there when the run was started with ``--update-golden``."""
+
+    def check(name, card):
+        path = GOLDEN_DIR / f"{name}.json"
+        if update_golden:
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            path.write_text(json.dumps(card, sort_keys=True, indent=2) + "\n")
+            return
+        assert path.exists(), (
+            f"missing golden {path}; regenerate with "
+            "PYTHONPATH=src python -m pytest --update-golden"
+        )
+        assert canonical_json(json.loads(path.read_text())) == \
+            canonical_json(card), (
+                f"scorecard drifted from {path}; if intentional, rerun "
+                "with --update-golden"
+            )
+
+    return check
 
 
 def pytest_collection_modifyitems(config, items):

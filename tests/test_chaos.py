@@ -5,6 +5,8 @@ whole file runs in seconds; the full-length acceptance grid is the
 experiment CLI's job (``python -m repro.experiments.exp_chaos``).
 """
 
+import functools
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -31,6 +33,12 @@ SHORT = dict(
 )
 
 
+@functools.lru_cache(maxsize=None)
+def short_campaign_at_seed0(mix):
+    """One run per mix, shared by the invariant and the golden test."""
+    return run_campaign(mix, 0, **SHORT)
+
+
 class TestCampaignSpec:
     def test_unknown_mix_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -50,7 +58,7 @@ class TestCampaignSpec:
 class TestInvariants:
     @pytest.mark.parametrize("mix", FAULT_MIXES)
     def test_short_campaign_passes_all_invariants(self, mix):
-        scorecard = run_campaign(mix, 0, **SHORT)
+        scorecard = short_campaign_at_seed0(mix)
         assert scorecard["ok"], scorecard["violations"]
         invariants = scorecard["invariants"]
         assert invariants["no_timer_leaks"]
@@ -59,6 +67,13 @@ class TestInvariants:
         assert invariants["transactions_atomic"]
         assert invariants["heartbeat_exact"]
         assert scorecard["ledger"]["conserved"]
+
+    @pytest.mark.parametrize("mix", FAULT_MIXES)
+    def test_short_campaign_matches_its_golden(self, mix, check_golden):
+        """The scorecards ROADMAP calls the behavioural contract, pinned
+        as files like the workload goldens (``--update-golden`` rewrites
+        them)."""
+        check_golden(f"chaos__{mix}__seed0", short_campaign_at_seed0(mix))
 
     def test_churn_campaign_injects_and_detects_crashes(self):
         scorecard = run_campaign("churn", 1, **SHORT)

@@ -1,0 +1,337 @@
+"""The judging kit under the three harnesses, each part tested once.
+
+One op :class:`History`, one Wing–Gong :func:`replay`, one replica-group
+check, one canonical encoder: the chaos campaign, the simtest worlds and
+the workload scenarios all judge a run through them. These tests pin the
+kit itself, that every harness surfaces what the kit finds, and — by grep —
+that a second copy of any part cannot creep back.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import repro.netsim.chaos as chaos
+import repro.simtest.oracles as oracles
+import repro.simtest.replicated as replicated
+import repro.workloads.archetypes.telemetry as telemetry
+from repro.errors import ConfigurationError
+from repro.obs.export import canonical_json
+from repro.obs.history import History
+from repro.replication.check import check_group, close_group, group_summary
+from repro.replication.services import KVMachine, LedgerMachine
+from repro.simtest.explorer import scenario_for_iteration
+from repro.simtest.oracles import replay
+from repro.simtest.scenario import ACCOUNTS as WORLD_ACCOUNTS, INITIAL_BALANCE
+from repro.simtest.workloads import check_scenario
+from repro.simtest.world import SimWorld
+from repro.util.promise import Promise
+from repro.workloads import ScenarioRun, parse_spec, run_scenario
+from repro.workloads.registry import Archetype
+from tests.test_chaos import SHORT
+
+SRC = Path(__file__).parent.parent / "src" / "repro"
+ACCOUNTS = {"a": 60, "b": 40}
+
+
+# ------------------------------------------------------- replica-group check
+
+
+class FakeReplica(SimpleNamespace):
+    def close(self):
+        self.closed = True
+
+
+def ledger_group():
+    """A sound hand-built group: ``n2`` primary at term 2, every member
+    applied the one acked transfer."""
+    members = {}
+    for node in ("n0", "n1", "n2"):
+        machine = LedgerMachine(ACCOUNTS)
+        machine.apply("transfer", ("t0", "a", "b", 5))
+        members[node] = FakeReplica(
+            role="primary" if node == "n2" else "backup", term=2,
+            applied_index=1, machine=machine, closed=False,
+        )
+    return members
+
+
+def kinds(findings):
+    return [invariant for invariant, _detail in findings]
+
+
+class TestCheckGroup:
+    def check(self, members, failed_over=True):
+        return check_group(members, {"t0"}, expected_total=100,
+                           failed_over=failed_over)
+
+    def test_sound_group_has_no_findings(self):
+        assert self.check(ledger_group()) == []
+
+    def test_two_primaries(self):
+        members = ledger_group()
+        members["n0"].role = "primary"
+        findings = self.check(members)
+        assert kinds(findings) == ["primary-count"]
+        assert "['n0', 'n2']" in findings[0][1]
+        assert group_summary(members)["primary"] is None
+
+    def test_no_primary(self):
+        members = ledger_group()
+        members["n2"].role = "backup"
+        assert kinds(self.check(members)) == ["primary-count"]
+
+    def test_primary_still_at_the_initial_term(self):
+        members = ledger_group()
+        for replica in members.values():
+            replica.term = 1
+        assert kinds(self.check(members)) == ["primary-term"]
+        # Only a harness that crashed the primary expects a later term.
+        assert self.check(members, failed_over=False) == []
+
+    def test_diverged_applied_index(self):
+        members = ledger_group()
+        members["n1"].applied_index = 0
+        findings = self.check(members)
+        assert kinds(findings) == ["replica-diverged"]
+        assert "n1 diverged from n0 (0 != 1)" in findings[0][1]
+
+    def test_diverged_machine_state_at_the_same_index(self):
+        members = ledger_group()
+        members["n2"].machine.balances.update(a=54, b=46)
+        assert kinds(self.check(members)) == ["replica-diverged"]
+
+    def test_broken_conservation_on_one_replica(self):
+        members = ledger_group()
+        members["n1"].machine.balances["a"] += 1
+        findings = self.check(members)
+        assert kinds(findings) == ["replica-diverged", "conservation"]
+        assert "n1 (total=101)" in findings[1][1]
+
+    def test_acked_txid_missing_on_one_replica(self):
+        members = ledger_group()
+        members["n0"].machine.applied_txids.clear()
+        findings = self.check(members)
+        # n0 is the member the others are compared with.
+        assert kinds(findings) == ["replica-diverged", "replica-diverged",
+                                   "acked-not-applied"]
+        assert "1 acked txids missing on n0 (first: t0)" in findings[2][1]
+
+    def test_a_group_without_a_ledger_skips_the_ledger_invariants(self):
+        members = ledger_group()
+        for replica in members.values():
+            replica.machine = KVMachine()
+        assert check_group(members) == []
+
+    def test_summary_and_close(self):
+        members = ledger_group()
+        assert group_summary(members) == {
+            "primary": "n2",
+            "terms": {"n0": 2, "n1": 2, "n2": 2},
+            "applied_index": {"n0": 1, "n1": 1, "n2": 1},
+        }
+        close_group(members)
+        assert all(replica.closed for replica in members.values())
+
+
+ALL_KINDS = {"primary-count", "primary-term", "replica-diverged",
+             "conservation", "acked-not-applied"}
+
+
+def break_then_check(monkeypatch, module, only=lambda members: True):
+    """Make ``module``'s harness judge a group broken in every way the
+    check knows. Returns the list the real check's findings land in."""
+    surfaced = []
+
+    def broken_check(members, acked=(), expected_total=None, **kwargs):
+        if not only(members):
+            return check_group(members, acked, expected_total, **kwargs)
+        low, mid, high = members.values()
+        mid.applied_index += 1
+        mid.machine.balances[next(iter(mid.machine.balances))] += 1
+        low.machine.applied_txids.discard(sorted(acked)[0])
+        for replica in members.values():
+            replica.role, replica.term = "backup", 1
+        high.role = "primary"
+        findings = check_group(members, acked, expected_total,
+                               failed_over=True)
+        mid.role = "primary"
+        findings += check_group(members, acked, expected_total)[:1]
+        surfaced.extend(findings)
+        return findings
+
+    monkeypatch.setattr(module, "check_group", broken_check)
+    return surfaced
+
+
+class TestEveryHarnessSurfacesTheFindings:
+    def test_chaos_failover_campaign(self, monkeypatch):
+        surfaced = break_then_check(monkeypatch, chaos)
+        card = chaos.run_campaign("failover", 0, **SHORT)
+        assert set(kinds(surfaced)) == ALL_KINDS
+        assert card["violations"] == sorted(
+            f"replication: {detail}" for _kind, detail in surfaced
+        )
+        broken = [name for name, held in card["invariants"].items()
+                  if not held]
+        assert broken == ["replication_failover"]
+        assert card["replication"]["conserved"] is False
+        assert not card["ok"]
+
+    def test_simtest_failover_world(self, monkeypatch):
+        surfaced = break_then_check(
+            monkeypatch, replicated,
+            only=lambda members: isinstance(
+                next(iter(members.values())).machine, LedgerMachine
+            ),
+        )
+        card = replicated.run_failover(0)
+        assert set(kinds(surfaced)) == ALL_KINDS
+        reported = {(d["oracle"], d["kind"], d["detail"])
+                    for d in card["divergences"]}
+        assert reported == {("replication", kind, f"group led: {detail}")
+                            for kind, detail in surfaced}
+        assert not card["ok"]
+
+    def test_telemetry_ledger_scenario(self, monkeypatch):
+        surfaced = break_then_check(monkeypatch, telemetry)
+        card = run_scenario("telemetry_ledger:heavy_tail", seed=0,
+                            horizon_s=8.0)
+        assert set(kinds(surfaced)) == ALL_KINDS
+        assert card["archetype_detail"]["consistency_violations"] == sorted(
+            detail for _kind, detail in surfaced
+        )
+        assert not card["ok"]
+
+
+# ---------------------------------------------------------- history + replay
+
+
+class TestHistory:
+    def test_fulfilled_closes_the_interval_rejected_leaves_it_pending(self):
+        clock = iter([1.0, 2.0, 3.0])
+        history = History(lambda: next(clock))
+        done, failed = Promise(), Promise()
+        history.record(("so", "k"), "c0", "write", (7,), done)
+        history.record(("so", "k"), "c1", "read", (), failed)
+        failed.reject(TimeoutError("retries exhausted"))
+        done.fulfill(1)
+        assert history.rows() == [
+            (("so", "k"), "c0", "write", (7,), 1.0, 3.0, 1),
+            (("so", "k"), "c1", "read", (), 2.0, None, None),
+        ]
+
+    def test_replay_rejects_what_it_has_no_model_for(self):
+        row = (("queue", "q0"), "c0", "push", (1,), 0.0, 1.0, None)
+        with pytest.raises(ConfigurationError):
+            replay([row], {})
+
+    def test_a_ledger_history_needs_declared_accounts(self):
+        """An archetype that records ``("ledger",)`` history without
+        declaring ``initial_accounts`` is refused — it used to be judged
+        against an empty ledger and fail for the wrong reason."""
+        assert Archetype.initial_accounts == {}
+        row = (("ledger",), "gw", "balance", ("a",), 0.0, 1.0, 60)
+        with pytest.raises(ConfigurationError):
+            replay([row], Archetype.initial_accounts)
+        assert replay([row], ACCOUNTS) == [(("ledger",), None, False)]
+
+
+@pytest.mark.simtest
+class TestOneReplay:
+    def test_world_and_archetype_histories_replay_through_one_function(
+            self, monkeypatch):
+        world = SimWorld(scenario_for_iteration(0, 1))
+        assert world.run().ok
+        run = ScenarioRun(parse_spec("telemetry_ledger:heavy_tail", 0,
+                                     horizon_s=8.0, record_history=True))
+        archetype = run.archetype
+        run.run()
+
+        from_world = world.history.rows()
+        from_archetype = archetype.history()
+        assert {obj[0] for obj, *_ in from_world} == {"ledger", "so", "ts"}
+        assert {obj for obj, *_ in from_archetype} == {("ledger",)}
+        for rows, accounts in (
+            (from_world, dict.fromkeys(WORLD_ACCOUNTS, INITIAL_BALANCE)),
+            (from_archetype, archetype.initial_accounts),
+        ):
+            assert all(problem is None for _obj, problem, _ in
+                       replay(rows, accounts))
+
+        # The same function also refuses both: a balance nobody held.
+        forged = (("ledger",), "cX", "balance", ("ingress",), 90.0, 91.0, -1)
+        _obj, problem, aborted = replay(from_archetype + [forged],
+                                        archetype.initial_accounts)[0]
+        assert "no linearization" in problem and not aborted
+
+    def test_every_harness_reaches_the_checker_through_replay(
+            self, monkeypatch):
+        calls = []
+        real = oracles.check_linearizable
+
+        def counting(ops, model, *args, **kwargs):
+            calls.append(type(model).__name__)
+            return real(ops, model, *args, **kwargs)
+
+        monkeypatch.setattr(oracles, "check_linearizable", counting)
+        SimWorld(scenario_for_iteration(0, 1)).run()
+        assert set(calls) == {"LedgerModel", "RegisterModel",
+                              "TupleSpaceModel"}
+        del calls[:]
+        card = replicated.run_failover(1)
+        assert len(calls) == card["stats"]["lin_objects"] >= 3
+        del calls[:]
+        result = check_scenario("chat_fanout:heavy_tail", seed=0,
+                                horizon_s=6.0)
+        assert calls == ["TupleSpaceModel"] * result["objects"]
+
+
+# ------------------------------------------------- one copy of each, by grep
+
+
+def sources():
+    return {path.relative_to(SRC).as_posix(): path.read_text()
+            for path in SRC.rglob("*.py")}
+
+
+def test_one_replay_call_site_and_one_canonical_encoder():
+    replays = {name: text.count("check_linearizable(")
+               for name, text in sources().items()
+               if name != "simtest/linearizability.py"
+               and "check_linearizable(" in text}
+    assert replays == {"simtest/oracles.py": 1}, (
+        "histories are replayed in one place: repro.simtest.oracles.replay"
+    )
+    encoder = 'sort_keys=True, separators=(",", ":")'
+    encoders = {name: text.count(encoder)
+                for name, text in sources().items() if encoder in text}
+    assert encoders == {"obs/export.py": 1}, (
+        "scorecards and traces are encoded in one place: "
+        "repro.obs.export.canonical_json"
+    )
+    assert chaos.scorecard_bytes is canonical_json
+    assert replicated.scorecard_bytes is canonical_json
+    import repro.workloads
+
+    assert repro.workloads.canonical_bytes is canonical_json
+
+
+def test_chaos_scorecard_reads_invariant_names_not_message_substrings():
+    body = sources()["netsim/chaos.py"]
+    scorecard = body[body.index("def _scorecard("):body.index("def _publish(")]
+    assert " in v" not in scorecard and "startswith" not in scorecard
+
+
+def test_importing_workloads_loads_neither_chaos_nor_simtest():
+    code = ("import sys, repro.workloads; "
+            "print([m for m in sys.modules if m == 'repro.netsim.chaos' "
+            "or m.startswith('repro.simtest')])")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env={"PYTHONPATH": str(SRC.parent)}, check=True,
+    )
+    assert out.stdout.strip() == "[]"

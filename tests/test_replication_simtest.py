@@ -1,7 +1,10 @@
 """The replicated primary-kill simtest world (repro.simtest.replicated)."""
 
+import functools
+
 import pytest
 
+import repro.simtest.replicated as replicated
 from repro.simtest import __main__ as simtest_cli
 from repro.simtest.replicated import (
     FAILOVER_BOUND_S,
@@ -13,10 +16,13 @@ from repro.simtest.replicated import (
 
 pytestmark = pytest.mark.simtest
 
+#: One seed-0 run shared by the tests that only read its scorecard.
+failover_at_seed0 = functools.lru_cache(maxsize=None)(lambda: run_failover(0))
+
 
 class TestPrimaryKill:
     def test_run_is_clean_and_failover_is_bounded(self):
-        scorecard = run_failover(0)
+        scorecard = failover_at_seed0()
         assert scorecard["ok"], scorecard["divergences"]
         failover = scorecard["failover"]
         assert failover["new_primary"] not in (None, PRIMARY)
@@ -36,6 +42,20 @@ class TestPrimaryKill:
         balances = scorecard["ledger"]["balances"]
         assert sum(balances.values()) == 4000
 
+    def test_scorecard_matches_its_golden(self, check_golden):
+        check_golden("failover__seed0", failover_at_seed0())
+
+    def test_failover_slower_than_the_bound_is_a_divergence(self, monkeypatch):
+        """Seed 0 fails over in 2.0 s. Against a 1 s bound the probes
+        (which run to bound + 2 s) still find the new primary, and the
+        oracle used to ask only whether any probe had."""
+        monkeypatch.setattr(replicated, "FAILOVER_BOUND_S", 1.0)
+        scorecard = run_failover(0)
+        assert scorecard["failover"]["latency_s"] == 2.0
+        assert not scorecard["ok"]
+        assert [(d["oracle"], d["kind"]) for d in scorecard["divergences"]] \
+            == [("failover", "bound-exceeded")]
+
     def test_quiet_run_without_crash_stays_clean(self):
         world = ReplicatedWorld(3, crash_primary=False)
         result = world.run()
@@ -52,7 +72,7 @@ class TestDeterminism:
         assert first == second
 
     def test_different_seeds_differ(self):
-        assert scorecard_bytes(run_failover(0)) != \
+        assert scorecard_bytes(failover_at_seed0()) != \
             scorecard_bytes(run_failover(1))
 
 

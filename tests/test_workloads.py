@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.netsim.chaos import FAULT_MIXES
 from repro.workloads import (
     ARCHETYPES,
     SCHEMA,
@@ -81,7 +82,7 @@ def test_scenario_is_deterministic_and_seed_sensitive(name):
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
-def test_golden_scorecard_and_schema(name, update_golden):
+def test_golden_scorecard_and_schema(name, check_golden):
     card = run_scenario(name, seed=0)
 
     problems = validate_scorecard(card)
@@ -92,28 +93,17 @@ def test_golden_scorecard_and_schema(name, update_golden):
         section for section in SCHEMA if section
     }
 
-    path = golden_path(GOLDEN_DIR, name, 0)
-    if update_golden:
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(json.dumps(card, sort_keys=True, indent=2) + "\n")
-        return
-    assert path.exists(), (
-        f"missing golden {path}; regenerate with "
-        "PYTHONPATH=src python -m pytest tests/test_workloads.py "
-        "--update-golden"
-    )
-    assert canonical_bytes(json.loads(path.read_text())) == \
-        canonical_bytes(card), (
-            f"{name} scorecard drifted from {path}; if intentional, rerun "
-            "with --update-golden"
-        )
+    check_golden(golden_path(GOLDEN_DIR, name, 0).stem, card)
 
 
 def test_golden_directory_has_no_strays():
-    """Every golden corresponds to a registered scenario (renames must
-    remove the old file, not strand it)."""
+    """Every golden corresponds to a registered scenario, a chaos mix or
+    the failover world (renames must remove the old file, not strand
+    it)."""
     expected = {golden_path(GOLDEN_DIR, name, 0).name
                 for name in ALL_SCENARIOS}
+    expected |= {f"chaos__{mix}__seed0.json" for mix in FAULT_MIXES}
+    expected.add("failover__seed0.json")
     actual = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert actual == expected
 
