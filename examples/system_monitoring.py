@@ -75,9 +75,7 @@ def main() -> None:
     FailureInjector(network).crash_at(4.5, "leaf0")
     network.sim.run_until(20.0)
 
-    print("\nevent totals:")
-    for name, value in bus.metrics.table():
-        print(f"  {name:<24} {value}")
+    print("\n" + bus.registry.render("event totals"))
     transfers = bus.events_matching("txn.transferred")
     assert transfers, "the stream should have transferred to bp-b"
     print(f"\nthe stream survived: transferred {transfers[0][1]['from']} "

@@ -30,10 +30,9 @@ topic                      payload
 ``milan.infeasible``       {"state": s}
 =========================  =============================================
 
-Every event is counted into the bus's :class:`~repro.obs.metrics.
-MetricsRegistry` (one counter per topic, readable through the compatible
-:class:`~repro.obs.metrics.MetricsRecorder` facade on :attr:`metrics`), and
-can be forwarded to a network
+Every event is counted into the bus's own :class:`~repro.obs.metrics.
+MetricsRegistry` (:attr:`SystemEventBus.registry`, one counter per topic),
+and can be forwarded to a network
 :class:`~repro.transactions.pubsub.PubSubClient` so remote operators
 observe the system live.
 """
@@ -46,7 +45,7 @@ from repro.core.milan import Milan
 from repro.discovery.distributed import DistributedDiscovery
 from repro.discovery.registry import RegistryServer
 from repro.netsim.network import Network
-from repro.obs.metrics import MetricsRecorder, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.qos.contract import QoSContract
 from repro.transactions.manager import TransactionManager
 from repro.transactions.pubsub import PubSubClient, topic_matches
@@ -57,25 +56,16 @@ Handler = Callable[[str, Dict[str, Any]], None]
 class SystemEventBus:
     """Aggregates component events onto one wildcard-subscribable stream.
 
-    Per-topic counting lives in an :class:`MetricsRegistry` (``registry``;
-    one counter named after each topic). :attr:`metrics` is a recorder
-    bound to that registry, kept for the historical
-    ``bus.metrics.count(topic)`` API.
+    Per-topic counting lives in :attr:`registry`, one counter named after
+    each topic: ``bus.registry.counter_total("node.crashed")``.
     """
 
     def __init__(
         self,
-        metrics: Optional[MetricsRecorder] = None,
         forward_to: Optional[PubSubClient] = None,
         forward_prefix: str = "system",
-        registry: Optional[MetricsRegistry] = None,
     ):
-        if registry is None:
-            registry = getattr(metrics, "registry", None) or MetricsRegistry()
-        self.registry = registry
-        self.metrics = (
-            metrics if metrics is not None else MetricsRecorder(registry=registry)
-        )
+        self.registry = MetricsRegistry()
         self.forward_to = forward_to
         self.forward_prefix = forward_prefix
         self._subscribers: List[Tuple[str, Handler]] = []
@@ -87,7 +77,7 @@ class SystemEventBus:
     def publish(self, topic: str, payload: Dict[str, Any]) -> None:
         """Publish one system event (components call this via the watchers)."""
         self.events_published += 1
-        self.metrics.incr(topic)
+        self.registry.counter(topic).inc()
         self.history.append((topic, payload))
         for pattern, handler in list(self._subscribers):
             if topic_matches(pattern, topic):

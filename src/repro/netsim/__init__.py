@@ -12,8 +12,8 @@ deterministic simulation of one. It models:
   delay (:mod:`repro.netsim.medium`), and wireline links
   (:mod:`repro.netsim.link`),
 * mobility models (:mod:`repro.netsim.mobility`), topology generators
-  (:mod:`repro.netsim.topology`), failure injection
-  (:mod:`repro.netsim.failures`), and metric traces (:mod:`repro.netsim.trace`).
+  (:mod:`repro.netsim.topology`), and failure injection
+  (:mod:`repro.netsim.failures`).
 
 Nothing in this package knows about the middleware above it; the coupling
 point is :class:`repro.netsim.node.Node.set_packet_handler`.
@@ -26,7 +26,6 @@ from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import MetricsRecorder
 
 __all__ = [
     "Battery",
@@ -38,5 +37,4 @@ __all__ = [
     "Node",
     "Packet",
     "Simulator",
-    "MetricsRecorder",
 ]

@@ -39,7 +39,6 @@ fans campaigns over seeds). No wall-clock values appear in the scorecard.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -53,7 +52,7 @@ from repro.netsim import topology
 from repro.netsim.failures import FailureInjector
 from repro.netsim.mobility import RandomWaypointMobility
 from repro.obs.export import canonical_json
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, nearest_rank
 from repro.obs.tracing import TRACER
 from repro.qos.admission import AdmissionController, PriorityClass
 from repro.qos.spec import SupplierQoS
@@ -895,14 +894,11 @@ class ChaosCampaign:
                 and self.governor is not None and self.milan_live is not None)
         fc = self._fc
         latencies = sorted(fc["latencies"])
-
-        def percentile(q: float) -> Optional[float]:
-            if not latencies:
-                return None
-            index = min(len(latencies) - 1, max(0, math.ceil(q * len(latencies)) - 1))
-            return latencies[index]
-
-        p99 = percentile(0.99)
+        # No admitted request completed: the scorecard says null, not 0.0.
+        p50, p95, p99 = (
+            [nearest_rank(latencies, q) for q in (0.5, 0.95, 0.99)]
+            if latencies else [None] * 3
+        )
         if fc["ok"] == 0:
             violations.append("flashcrowd: no admitted crowd request completed")
         elif p99 is not None and p99 > self.spec.crowd_p99_bound_s:
@@ -959,8 +955,8 @@ class ChaosCampaign:
                 "refused": fc["refused"],
                 "ok": fc["ok"],
                 "failed": fc["failed"],
-                "p50_s": _round_opt(percentile(0.5)),
-                "p95_s": _round_opt(percentile(0.95)),
+                "p50_s": _round_opt(p50),
+                "p95_s": _round_opt(p95),
                 "p99_s": _round_opt(p99),
             },
             "admission": {

@@ -11,7 +11,6 @@ components off).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -24,13 +23,6 @@ from repro.netsim.simulator import Simulator
 from repro.netsim.spatialindex import SpatialHashGrid
 from repro.util.events import Subscription
 from repro.util.rng import split_rng
-
-#: Environment switch for the position-index backend: ``auto`` (numpy when
-#: importable — the default), ``scalar`` (force the pure-Python grid), or
-#: ``vector`` (require numpy; raises if missing). Read at medium
-#: construction, so tests can monkeypatch it per-world.
-BACKEND_ENV = "REPRO_SCALE_BACKEND"
-
 
 @dataclass(frozen=True)
 class RadioProfile:
@@ -151,19 +143,9 @@ class _ScalarBackend:
 
 
 def _select_backend(cell_size: float, vectorized: Optional[bool]):
-    """Resolve the backend choice (explicit arg beats :data:`BACKEND_ENV`)."""
+    """Resolve the backend: the explicit argument, else numpy if importable."""
     if vectorized is None:
-        choice = os.environ.get(BACKEND_ENV, "auto")
-        if choice == "scalar":
-            vectorized = False
-        elif choice == "vector":
-            vectorized = True
-        elif choice == "auto":
-            vectorized = vecindex.available()
-        else:
-            raise ConfigurationError(
-                f"bad {BACKEND_ENV}={choice!r}; want scalar|vector|auto"
-            )
+        vectorized = vecindex.available()
     if vectorized:
         # Raises ConfigurationError when numpy is missing — forcing the
         # vector backend without it is a configuration mistake, not a
@@ -183,8 +165,8 @@ class WirelessMedium:
     equal to the radio range, so a broadcast inspects only the 3x3 cell
     block around the sender instead of scanning every attached node. Two
     interchangeable backends exist (selected by the ``vectorized``
-    argument, or :data:`BACKEND_ENV` when it is ``None``): the scalar
-    :class:`SpatialHashGrid` reference path, and the numpy-vectorized
+    argument, or by whether numpy is importable when it is ``None``): the
+    scalar :class:`SpatialHashGrid` reference path, and the numpy-vectorized
     :class:`~repro.netsim.vecindex.VectorPositionIndex` for swarm-scale
     worlds — held bit-for-bit equivalent by the suite in
     ``tests/test_vector_medium.py``, so which one is active never changes

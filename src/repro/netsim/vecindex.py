@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 try:  # numpy is an optional dependency (the [scale] extra)
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO_SCALE_BACKEND
+except ImportError:  # pragma: no cover - CI's test-no-numpy job
     _np = None
 
 from repro.errors import ConfigurationError

@@ -10,8 +10,8 @@ the stack-wide instrumentation layer:
   default**: every instrumentation site is guarded by ``TRACER.enabled``
   and costs one attribute check when disabled.
 * :mod:`repro.obs.metrics` — a registry of counters, gauges, and streaming
-  histograms (p50/p95/p99) keyed by name+labels. The old
-  :class:`MetricsRecorder` lives here now and remains fully compatible.
+  histograms (p50/p95/p99) keyed by name+labels, plus the exact
+  :class:`Summary` over raw samples.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in Perfetto)
   mapping spans onto per-node timelines, plain-text summaries, and the
   canonical JSON encoding traces and scorecards are compared in.
@@ -32,13 +32,7 @@ from repro.obs.export import (
     subsystems,
     validate_chrome_trace,
 )
-from repro.obs.metrics import (
-    MetricsRecorder,
-    MetricsRegistry,
-    SeriesPoint,
-    Summary,
-    get_registry,
-)
+from repro.obs.metrics import MetricsRegistry, Summary, get_registry
 from repro.obs.profiler import LoopProfiler
 from repro.obs.tracing import NOOP_SPAN, Span, Tracer, TRACER
 
@@ -48,9 +42,7 @@ __all__ = [
     "Span",
     "NOOP_SPAN",
     "MetricsRegistry",
-    "MetricsRecorder",
     "Summary",
-    "SeriesPoint",
     "get_registry",
     "LoopProfiler",
     "chrome_trace",

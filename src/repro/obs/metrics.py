@@ -14,24 +14,17 @@ an instrument is get-or-create, so call sites never pre-register.
 :class:`Histogram` is a fixed-bucket streaming estimator: geometric bucket
 bounds, O(1) memory, nearest-rank percentiles read from the bucket upper
 edge (clamped to the observed min/max). Good to ~2x relative error at the
-default bucket growth, which is what latency dashboards need; experiments
-wanting exact percentiles keep raw samples via :class:`MetricsRecorder`.
-
-:class:`MetricsRecorder` (previously ``repro.netsim.trace``) lives here now
-and is re-exported from its old home. When bound to a registry it mirrors
-every recording into it — this is how ``SystemEventBus`` per-topic counting
-migrated onto the registry without breaking any existing caller.
+default bucket growth, which is what latency dashboards need; callers
+wanting exact percentiles keep their raw samples and read them through
+:class:`Summary` / :func:`nearest_rank`.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
-
-from repro.util.clock import Clock
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -266,28 +259,17 @@ def get_registry() -> MetricsRegistry:
     return REGISTRY
 
 
-# --------------------------------------------------------------------------
-# The experiment-facing recorder (moved from repro.netsim.trace).
-# --------------------------------------------------------------------------
+def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank quantile of an already-sorted sample, ``q`` in [0, 1].
 
-
-@dataclass(frozen=True)
-class SeriesPoint:
-    time: float
-    value: float
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile on an already-sorted sequence.
-
-    An empty sample yields **0.0** (matching :meth:`Histogram.quantile` and
-    :meth:`Summary.of`), so percentiles over zero-traffic windows are
-    well-defined values rather than exceptions.
+    An empty sample yields **0.0** (as :meth:`Histogram.quantile` does), so
+    percentiles over zero-traffic windows are values rather than exceptions.
     """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q!r}")
     if not sorted_values:
         return 0.0
-    rank = max(1, math.ceil(q / 100.0 * len(sorted_values)))
-    return sorted_values[rank - 1]
+    return sorted_values[max(1, math.ceil(q * len(sorted_values))) - 1]
 
 
 @dataclass(frozen=True)
@@ -312,87 +294,7 @@ class Summary:
             mean=sum(ordered) / len(ordered),
             minimum=ordered[0],
             maximum=ordered[-1],
-            p50=_percentile(ordered, 50),
-            p95=_percentile(ordered, 95),
-            p99=_percentile(ordered, 99),
+            p50=nearest_rank(ordered, 0.50),
+            p95=nearest_rank(ordered, 0.95),
+            p99=nearest_rank(ordered, 0.99),
         )
-
-
-class MetricsRecorder:
-    """Counters + time series + samples, keyed by metric name.
-
-    When ``registry`` is given, every recording is mirrored into it:
-    ``incr`` into a counter, ``sample`` into a histogram, ``record`` into a
-    gauge — so legacy recorder call sites feed registry-based dashboards
-    without changing.
-    """
-
-    def __init__(self, clock: Optional[Clock] = None,
-                 registry: Optional[MetricsRegistry] = None):
-        self._clock = clock
-        self.registry = registry
-        self.counters: Dict[str, float] = defaultdict(float)
-        self.series: Dict[str, List[SeriesPoint]] = defaultdict(list)
-        self.samples: Dict[str, List[float]] = defaultdict(list)
-
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
-
-    # ------------------------------------------------------------- recording
-
-    def incr(self, name: str, amount: float = 1.0) -> None:
-        self.counters[name] += amount
-        if self.registry is not None:
-            self.registry.counter(name).inc(amount)
-
-    def record(self, name: str, value: float) -> None:
-        """Append a time-stamped point to a series (for trend plots)."""
-        self.series[name].append(SeriesPoint(self._now(), value))
-        if self.registry is not None:
-            self.registry.gauge(name).set(value)
-
-    def sample(self, name: str, value: float) -> None:
-        """Append an order-insensitive sample (for latency distributions)."""
-        self.samples[name].append(value)
-        if self.registry is not None:
-            self.registry.histogram(name).observe(value)
-
-    # --------------------------------------------------------------- reading
-
-    def count(self, name: str) -> float:
-        return self.counters.get(name, 0.0)
-
-    def summary(self, name: str) -> Summary:
-        return Summary.of(self.samples.get(name, []))
-
-    def last(self, name: str) -> Optional[SeriesPoint]:
-        points = self.series.get(name)
-        return points[-1] if points else None
-
-    def series_values(self, name: str) -> List[Tuple[float, float]]:
-        return [(p.time, p.value) for p in self.series.get(name, [])]
-
-    # ------------------------------------------------------------- reporting
-
-    def table(self) -> List[Tuple[str, str]]:
-        """All metrics as (name, rendered value) rows, sorted by name."""
-        rows: List[Tuple[str, str]] = []
-        for name in sorted(self.counters):
-            rows.append((name, f"{self.counters[name]:g}"))
-        for name in sorted(self.samples):
-            s = self.summary(name)
-            rows.append(
-                (name, f"n={s.count} mean={s.mean:.6g} p50={s.p50:.6g} p95={s.p95:.6g}")
-            )
-        for name in sorted(self.series):
-            last = self.last(name)
-            assert last is not None
-            rows.append((name, f"points={len(self.series[name])} last={last.value:g}"))
-        return rows
-
-    def render(self, title: str = "metrics") -> str:
-        lines = [title, "-" * len(title)]
-        width = max((len(name) for name, _value in self.table()), default=0)
-        for name, value in self.table():
-            lines.append(f"{name:<{width}}  {value}")
-        return "\n".join(lines)

@@ -11,14 +11,14 @@ incorporated." Both are here:
   work,
 * :mod:`repro.recovery.store` — a transactional key-value store with
   redo/undo recovery (the database-style mechanism), crash-injectable,
-* :mod:`repro.recovery.heartbeat` — a heartbeat failure detector,
-* :mod:`repro.recovery.replication` — primary-backup replication with
-  failover.
+* :mod:`repro.recovery.heartbeat` — a heartbeat failure detector.
+
+Replication — the far end of the paper's recovery spectrum — is
+:mod:`repro.replication` (op-log primary-backup, majority commit, election).
 """
 
 from repro.recovery.checkpoint import Checkpoint, CheckpointManager
 from repro.recovery.heartbeat import HeartbeatDetector
-from repro.recovery.replication import BackupReplica, PrimaryReplica, ReplicationClient
 from repro.recovery.store import TransactionalStore
 from repro.recovery.wal import LogRecord, StableStorage, WriteAheadLog
 
@@ -26,9 +26,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointManager",
     "HeartbeatDetector",
-    "BackupReplica",
-    "PrimaryReplica",
-    "ReplicationClient",
     "TransactionalStore",
     "LogRecord",
     "StableStorage",

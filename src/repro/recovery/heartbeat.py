@@ -4,8 +4,7 @@ Every monitored peer sends periodic heartbeats; the detector suspects a
 peer after ``timeout_multiplier`` missed intervals and unsuspects on the
 next heartbeat. This is the standard eventually-perfect-detector
 construction under partial synchrony — good enough to drive failover in
-:mod:`repro.recovery.replication` and rebinding in the QoS degradation
-manager.
+:mod:`repro.replication` and rebinding in the QoS degradation manager.
 
 Wire format: ``{"op": "hb", "from": node, "seq": n}`` (fire-and-forget).
 """

@@ -59,6 +59,7 @@ from repro.replication.services import (
     TupleSpaceMachine,
 )
 from repro.simtest.oracles import Divergence, linearizability_divergences
+from repro.simtest.scenario import _pick
 from repro.simtest.world import RunResult, issue_service_op
 from repro.transport.base import Address
 from repro.transport.simnet import SimFabric
@@ -105,16 +106,6 @@ _WEIGHTS = [
     ("ts_rdp", 4),
     ("ts_in", 2),
 ]
-
-
-def _pick(rng, weighted) -> str:
-    total = sum(w for _op, w in weighted)
-    roll = rng.uniform(0.0, total)
-    for op, weight in weighted:
-        roll -= weight
-        if roll <= 0.0:
-            return op
-    return weighted[-1][0]
 
 
 class _ClientStack:

@@ -11,7 +11,6 @@ Protocol (codec dicts)::
 
     get:        {"op": "get", "rid", "key", "watch": true}   -> value + version
     put:        {"op": "put", "rid", "key", "value", "watch": true} -> new version
-    watch:      {"op": "watch", "key"}   (standalone registration, legacy)
     invalidate: {"op": "invalidate", "key", "version"[, "wid"]}
     inv_ack:    {"op": "inv_ack", "wid"}  (write-through-acks mode only)
 
@@ -99,7 +98,7 @@ class SharedObjectHost:
             return
         op = message.get("op")
         key = message.get("key")
-        if op in ("get", "put", "watch") and not isinstance(key, str):
+        if op in ("get", "put") and not isinstance(key, str):
             drop_malformed(self)
             return
         if op == "get":
@@ -146,8 +145,6 @@ class SharedObjectHost:
                 drop_malformed(self)
                 return
             self._on_inv_ack(source, wid)
-        elif op == "watch":
-            self._watchers.setdefault(key, set()).add(source)
 
     def _get_must_wait(self, key: str) -> bool:
         """Whether a get must be deferred behind in-flight invalidations.

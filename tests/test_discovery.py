@@ -378,3 +378,24 @@ class TestAdaptiveDiscovery:
         assert agent.mode == "centralized"
         assert len(server) == 1
         assert agent.mode_switches >= 1
+
+    def test_withdraw_in_both_modes(self):
+        network = topology.star(4, radius=40, radio_profile=IDEAL_RADIO)
+        fabric = SimFabric(network)
+        server = RegistryServer(fabric.endpoint("hub", "registry"))
+        distributed = DistributedDiscovery(fabric.endpoint("leaf0", "disc"),
+                                           collect_window_s=0.5)
+        registry = RegistryClient(fabric.endpoint("leaf0", "reg"),
+                                  server.transport.local_address)
+        agent = AdaptiveDiscovery(
+            distributed, registry,
+            policy=AdaptivePolicy(density_threshold=1, reevaluate_interval_s=1.0),
+            density_probe=lambda: 10,  # centralized
+        )
+        agent.advertise(ServiceDescription("svc", "cam", "leaf0:svc"))
+        network.sim.run_for(1.0)
+        assert len(server) == 1
+        agent.withdraw("svc")
+        network.sim.run_for(1.0)
+        assert len(server) == 0
+        assert distributed.local_services() == []

@@ -23,6 +23,7 @@ from repro.experiments import (
     exp_spatial,
     exp_transactions,
 )
+from repro.experiments.__main__ import EXPERIMENTS, main as experiments_main
 
 
 class TestFormatTable:
@@ -162,3 +163,19 @@ class TestNetIndepHarness:
         by_policy = {row["stack"]: row for row in rows}
         assert (by_policy["retries=8"]["mean_latency_ms"]
                 < by_policy["no-retransmit"]["mean_latency_ms"])
+
+
+class TestExperimentsCli:
+    def test_listing(self, capsys):
+        assert experiments_main(["prog"]) == 0
+        out = capsys.readouterr().out
+        for name in EXPERIMENTS:
+            assert name in out
+
+    def test_unknown_name(self, capsys):
+        assert experiments_main(["prog", "nope"]) == 2
+
+    def test_runs_fast_experiment(self, capsys):
+        assert experiments_main(["prog", "degradation"]) == 0
+        out = capsys.readouterr().out
+        assert "E4" in out and "degrading" in out

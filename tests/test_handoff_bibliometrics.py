@@ -8,6 +8,7 @@ from repro.bibliometrics.query import QueryEngine, pearson_correlation, tokenize
 from repro.discovery.description import ServiceDescription
 from repro.discovery.matching import Query
 from repro.discovery.registry import RegistryClient, RegistryServer
+from repro.errors import ConfigurationError
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
 from repro.netsim.mobility import LinearMobility
@@ -18,6 +19,7 @@ from repro.transactions.rpc import RpcEndpoint
 from repro.transactions.transaction import TransactionKind, TransactionSpec
 from repro.transport.simnet import SimFabric
 from repro.util.geometry import Point
+from repro.util.promise import Promise
 
 
 class TestHandoff:
@@ -115,6 +117,23 @@ class TestHandoff:
         network.sim.run_until(25.0)
         assert len(readings) > before  # stream survived the departure
         handoff.stop()
+
+    def test_warn_fraction_bounds(self):
+        network = topology.star(2)
+        fabric = SimFabric(network)
+        rpc = RpcEndpoint(fabric.endpoint("hub", "svc"))
+
+        class FakeDiscovery:
+            def lookup(self, query):
+                promise = Promise()
+                promise.fulfill([])
+                return promise
+
+        manager = TransactionManager(rpc, FakeDiscovery())
+        with pytest.raises(ConfigurationError):
+            HandoffManager(network, manager, "hub", warn_fraction=0.0)
+        with pytest.raises(ConfigurationError):
+            HandoffManager(network, manager, "hub", warn_fraction=1.5)
 
 
 class TestBibliometrics:

@@ -7,6 +7,7 @@ kit itself, that every harness surfaces what the kit finds, and — by grep —
 that a second copy of any part cannot creep back.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -318,6 +319,28 @@ def test_one_replay_call_site_and_one_canonical_encoder():
     import repro.workloads
 
     assert repro.workloads.canonical_bytes is canonical_json
+
+    # The superseded copies (second replication layer, second metrics API,
+    # trace shim, backend env switch, second _pick) cannot creep back.
+    texts = sources()
+    reads_env = [name for name, text in texts.items()
+                 if "os.environ" in text or "getenv" in text]
+    assert reads_env == [], "src/repro reads no environment variable"
+    for gone in ("repro.recovery.replication", "repro.netsim.trace"):
+        assert importlib.util.find_spec(gone) is None, gone
+    removed = ("MetricsRecorder", "SeriesPoint", "BACKEND_ENV",
+               "PrimaryReplica", "BackupReplica", "ReplicationClient")
+    root = SRC.parent.parent
+    survivors = [(path.relative_to(root).as_posix(), name)
+                 for top in ("src", "examples", "benchmarks")
+                 for path in (root / top).rglob("*")
+                 if path.suffix in (".py", ".md")
+                 for name in removed if name in path.read_text()]
+    assert survivors == []
+    picks = {name: text.count("def _pick(")
+             for name, text in texts.items()
+             if name.startswith("simtest/") and "def _pick(" in text}
+    assert picks == {"simtest/scenario.py": 1}
 
 
 def test_chaos_scorecard_reads_invariant_names_not_message_substrings():

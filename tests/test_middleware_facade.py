@@ -156,6 +156,27 @@ class TestCodecGateway:
         fabric.run()
         assert gateway.dropped == 1
 
+    def test_explicit_address_maps(self):
+        fabric = InMemoryFabric(latency_s=0.005)
+        binary = get_codec("binary")
+        sml = get_codec("sml")
+        gateway = CodecGateway(fabric.endpoint("gw", "a"),
+                               fabric.endpoint("gw", "b"),
+                               codec_a=binary, codec_b=sml)
+        gateway.map_a_to_b(Address("alice", "app"), Address("bob", "app"))
+        gateway.map_b_to_a(Address("bob", "app"), Address("alice", "app"))
+        alice = fabric.endpoint("alice", "app")
+        bob = fabric.endpoint("bob", "app")
+        seen = []
+        bob.set_receiver(lambda src, data: seen.append(sml.decode(data)))
+        alice.set_receiver(lambda src, data: seen.append(binary.decode(data)))
+        alice.send(Address("gw", "a"), binary.encode({"n": 1}))
+        fabric.run()
+        bob.send(Address("gw", "b"), sml.encode({"n": 2}))
+        fabric.run()
+        assert seen == [{"n": 1}, {"n": 2}]
+        assert gateway.dropped == 0
+
 
 class TestParadigmBridges:
     def test_rpc_to_pubsub(self):

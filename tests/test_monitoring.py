@@ -38,8 +38,8 @@ class TestSystemEventBus:
         bus.publish("qos.violated", {})
         bus.publish("qos.violated", {})
         bus.publish("qos.repaired", {})
-        assert bus.metrics.count("qos.violated") == 2
-        assert bus.metrics.count("qos.repaired") == 1
+        assert bus.registry.counter_total("qos.violated") == 2
+        assert bus.registry.counter_total("qos.repaired") == 1
 
     def test_history_query(self):
         bus = SystemEventBus()

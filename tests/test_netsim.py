@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError, NodeDownError
 from repro.netsim.energy import Battery
-from repro.netsim.link import ETHERNET_10M, WiredLink
+from repro.netsim.link import ATM_155M, ETHERNET_10M, LinkProfile, WiredLink
 from repro.netsim.medium import BLUETOOTH, IDEAL_RADIO, RadioProfile, WIFI_80211
 from repro.netsim.network import Network
 from repro.netsim.packet import BROADCAST, HEADER_BYTES, Packet
@@ -215,6 +215,47 @@ class TestWiredLink:
         assert link.other_end("b") is node_a
         with pytest.raises(ConfigurationError):
             link.other_end("c")
+
+    def test_lossy_wire_drops_fraction(self):
+        network = Network(seed=5)
+        network.add_node("a")
+        node_b = network.add_node("b", position=Point(50000, 0))
+        lossy = LinkProfile("lossy-wire", bandwidth_bps=1e6, latency_s=0.001,
+                            loss_probability=0.5)
+        network.add_link("a", "b", lossy)
+        got = []
+        node_b.set_packet_handler(lambda node, pkt: got.append(1))
+        for _ in range(200):
+            network.send("a", Packet("a", "b", payload=b"x", payload_bytes=10))
+        network.sim.run()
+        assert 50 < len(got) < 150
+
+    def test_atm_faster_than_ethernet_for_big_frames(self):
+        def one_way_latency(profile):
+            network = Network()
+            network.add_node("a")
+            node_b = network.add_node("b", position=Point(50000, 0))
+            network.add_link("a", "b", profile)
+            arrival = []
+            node_b.set_packet_handler(lambda node, pkt: arrival.append(network.sim.now()))
+            network.send("a", Packet("a", "b", payload=b"x", payload_bytes=100000))
+            network.sim.run()
+            return arrival[0]
+
+        # 100 kB serializes in 80 ms at 10 Mbps vs ~5 ms at 155 Mbps; ATM's
+        # higher base latency does not make up the difference.
+        assert one_way_latency(ATM_155M) < one_way_latency(ETHERNET_10M)
+
+    def test_broadcast_crosses_wired_links_too(self):
+        network = Network()
+        network.add_node("a")
+        far = network.add_node("far", position=Point(50000, 0))
+        network.add_link("a", "far")
+        got = []
+        far.set_packet_handler(lambda node, pkt: got.append(pkt.payload))
+        network.send("a", Packet("a", BROADCAST, payload=b"hi", payload_bytes=2))
+        network.sim.run()
+        assert got == [b"hi"]
 
 
 class TestTopologyQueries:

@@ -1,6 +1,7 @@
 """Observability subsystem: tracer, metrics registry, exporters, profiler."""
 
 import json
+import math
 
 import pytest
 
@@ -8,7 +9,6 @@ from repro.monitoring import SystemEventBus
 from repro.netsim.simulator import Simulator
 from repro.obs import (
     LoopProfiler,
-    MetricsRecorder,
     MetricsRegistry,
     NOOP_SPAN,
     TRACER,
@@ -18,6 +18,7 @@ from repro.obs import (
     subsystems,
     validate_chrome_trace,
 )
+from repro.obs.metrics import Summary, nearest_rank
 from repro.obs.report import main as report_main
 from repro.util.clock import ManualClock
 
@@ -150,36 +151,12 @@ def test_registry_get_or_create_is_keyed_by_labels():
     assert registry.counter("c") is not a
 
 
-def test_recorder_mirrors_into_registry():
-    registry = MetricsRegistry()
-    recorder = MetricsRecorder(registry=registry)
-    recorder.incr("events", 2)
-    recorder.sample("lat", 0.25)
-    recorder.record("level", 7.0)
-    # Historical dict API intact...
-    assert recorder.count("events") == 2
-    assert recorder.summary("lat").count == 1
-    assert recorder.last("level").value == 7.0
-    # ...and the registry sees the same traffic.
-    assert registry.counter("events").value == 2
-    assert registry.histogram("lat").count == 1
-    assert registry.gauge("level").value == 7.0
-
-
-def test_netsim_trace_compat_alias():
-    from repro.netsim.trace import MetricsRecorder as Aliased
-    from repro.netsim.trace import Summary
-
-    assert Aliased is MetricsRecorder
-    assert Summary.of([1.0, 2.0]).count == 2
-
-
 def test_event_bus_counts_through_registry():
     bus = SystemEventBus()
     bus.publish("node.crashed", {"node": "n1"})
     bus.publish("node.crashed", {"node": "n2"})
-    assert bus.metrics.count("node.crashed") == 2
-    assert bus.registry.counter("node.crashed").value == 2
+    assert bus.registry.counter_total("node.crashed") == 2
+    assert bus.registry.counter_total("node.recovered") == 0
 
 
 # ------------------------------------------------------------------ export
@@ -287,13 +264,48 @@ def test_single_sample_histogram_quantiles_are_that_sample():
 
 
 def test_module_percentile_of_empty_sample_is_zero():
-    from repro.obs.metrics import Summary, _percentile
-
-    assert _percentile([], 50) == 0.0
-    assert _percentile([], 99) == 0.0
+    assert nearest_rank([], 0.5) == 0.0
+    assert nearest_rank([], 0.99) == 0.0
     summary = Summary.of([])
     assert summary.count == 0
     assert summary.p99 == 0.0
+
+
+def test_nearest_rank_takes_a_fraction_and_rejects_anything_else():
+    values = list(range(1, 101))
+    assert nearest_rank(values, 0.0) == 1
+    assert nearest_rank(values, 0.99) == 99  # a fraction, not "0.99 percent"
+    assert nearest_rank(values, 1.0) == 100
+    for q in (-0.01, 1.01, 50, 99):  # percent-style arguments are refused
+        with pytest.raises(ValueError):
+            nearest_rank(values, q)
+        with pytest.raises(ValueError):
+            nearest_rank([], q)
+
+
+def test_nearest_rank_equals_the_formula_the_chaos_scorecards_were_cut_with():
+    """``ChaosCampaign._check_flashcrowd`` used to carry its own copy."""
+    def closure(latencies, q):
+        index = min(len(latencies) - 1,
+                    max(0, math.ceil(q * len(latencies)) - 1))
+        return latencies[index]
+
+    for n in range(1, 201):
+        values = [0.25 * i for i in range(n)]
+        for q in (0.0, 0.5, 0.95, 0.99, 1.0):
+            assert nearest_rank(values, q) == closure(values, q), (n, q)
+
+
+def test_summary_of_static():
+    summary = Summary.of([3.0, 1.0, 2.0, 100.0, 4.0])
+    assert (summary.minimum, summary.p50, summary.maximum) == (1.0, 3.0, 100.0)
+    assert summary.count == 5
+    assert summary.mean == pytest.approx(22.0)
+
+
+def test_summary_p95_p99():
+    summary = Summary.of(list(range(1, 101)))  # 1..100
+    assert (summary.p50, summary.p95, summary.p99) == (50, 95, 99)
 
 
 def test_histogram_quantile_still_rejects_out_of_range_q():

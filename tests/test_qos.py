@@ -149,6 +149,14 @@ class TestScoreMatch:
         with pytest.raises(ConfigurationError):
             NetworkQoS(traffic_load=2.0)
 
+    def test_equal_scores_order_by_key(self):
+        supplier = SupplierQoS(reliability=0.9)
+        ranked = rank_matches(
+            [("zeta", supplier, None), ("alpha", supplier, None)],
+            ConsumerQoS(),
+        )
+        assert [key for key, _score in ranked] == ["alpha", "zeta"]
+
 
 class TestContract:
     def test_no_judgment_before_min_observations(self):

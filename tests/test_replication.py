@@ -4,10 +4,12 @@ import pytest
 
 from repro.errors import ConfigurationError, DeliveryError
 from repro.obs.metrics import get_registry
+from repro.replication.client import GroupClient
 from repro.replication.log import LogEntry, OpLog
 from repro.replication.replica import ReplicationParams
 from repro.replication.shards import ShardMap
 from repro.transport.base import Address
+from repro.transport.inmemory import InMemoryFabric
 
 from tests.replication_helpers import FAST, GroupHarness
 
@@ -113,6 +115,22 @@ class TestQuorumCommit:
         assert isinstance(promise.error(), DeliveryError)
         assert h.replicas["r2"].machine.read("version", ("k",)) == 0
         h.close()
+
+    def test_client_whose_every_member_is_dead_gets_a_rejection(self):
+        fabric = InMemoryFabric(latency_s=0.005)
+        client = GroupClient(
+            fabric.endpoint("cli", "c"),
+            [Address("ghost1", "g"), Address("ghost2", "g")],
+            request_timeout_s=0.2, max_attempts=3,
+        )
+        write = client.command("write", "k", 1)
+        read = client.read("read", "k")
+        fabric.run()
+        for promise in (write, read):
+            assert promise.rejected
+            assert isinstance(promise.error(), DeliveryError)
+        assert client.failovers >= 2  # it tried both addresses first
+        client.close()
 
 
 class TestCatchUp:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.netsim import topology
 from repro.netsim.energy import Battery
+from repro.netsim.medium import IDEAL_RADIO
 from repro.netsim.network import Network
 from repro.routing.base import Envelope, RoutingAgent, build_routed_network
 from repro.routing.datacentric import DataCentricAgent
@@ -89,6 +90,38 @@ class TestRoutingAgent:
         port.send(Address("n4", "low"), b"too far for ttl 2")
         network.sim.run()
         assert received == []
+
+    def test_routed_port_broadcast_reaches_neighbors(self):
+        network = topology.star(3, radius=40, radio_profile=IDEAL_RADIO)
+        fabric = SimFabric(network)
+        agents = build_routed_network(
+            fabric, lambda nid: LinkStateRouter(network, nid)
+        )
+        hub_port = agents["hub"].open_port("app")
+        got = []
+        for leaf in ("leaf0", "leaf1", "leaf2"):
+            port = agents[leaf].open_port("app")
+            port.set_receiver(lambda src, data, leaf=leaf: got.append(leaf))
+        hub_port.broadcast(b"hello all")
+        network.sim.run()
+        assert sorted(got) == ["leaf0", "leaf1", "leaf2"]
+
+    def test_not_on_route_dropped(self, ideal_star):
+        network, fabric = ideal_star
+        agent = RoutingAgent(fabric, "hub", FloodingRouter())
+        envelope = Envelope(Address("x", "p"), Address("leaf0", "p"),
+                            ttl=5, seq=1, payload=b"",
+                            route=["a", "b", "leaf0"])  # hub not on route
+        agent._move(envelope)
+        assert agent.dropped.get("not-on-route") == 1
+
+    def test_route_exhausted_dropped(self, ideal_star):
+        network, fabric = ideal_star
+        agent = RoutingAgent(fabric, "hub", FloodingRouter())
+        envelope = Envelope(Address("x", "p"), Address("other", "p"),
+                            ttl=5, seq=2, payload=b"", route=["a", "hub"])
+        agent._move(envelope)
+        assert agent.dropped.get("route-exhausted") == 1
 
 
 class TestLinkState:
@@ -317,3 +350,25 @@ class TestDataCentric:
         agent.subscribe("x", lambda n, v, o: received.append(v))
         agent.publish("x", 7)
         assert received == [7]
+
+    def test_unsubscribe_stops_local_delivery(self, chain):
+        network, fabric = chain
+        agent = DataCentricAgent(fabric, "n0")
+        got = []
+        agent.subscribe("x", lambda n, v, o: got.append(v))
+        agent.publish("x", 1)
+        agent.unsubscribe("x")
+        agent.publish("x", 2)
+        assert got == [1]
+
+    def test_refreshed_interest_keeps_gradient_alive(self, chain):
+        network, fabric = chain
+        agents = {i: DataCentricAgent(fabric, f"n{i}", gradient_lifetime_s=3.0)
+                  for i in range(5)}
+        got = []
+        agents[0].subscribe("t", lambda n, v, o: got.append(v),
+                            refresh_interval_s=1.0)
+        network.sim.run_until(10.0)  # far beyond one gradient lifetime
+        agents[4].publish("t", 9)
+        network.sim.run_until(12.0)
+        assert got == [9]

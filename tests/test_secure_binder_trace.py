@@ -1,5 +1,4 @@
-"""Tests for the secure transport, the MiLAN discovery binder, and the
-metrics recorder."""
+"""Tests for the secure transport and the MiLAN discovery binder."""
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.discovery.distributed import DistributedDiscovery
 from repro.errors import ConfigurationError
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
-from repro.netsim.trace import MetricsRecorder, Summary
 from repro.qos.spec import SupplierQoS
 from repro.transport.base import Address
 from repro.transport.inmemory import InMemoryFabric
@@ -23,7 +21,6 @@ from repro.transport.secure import (
     SecureTransport,
 )
 from repro.transport.simnet import SimFabric
-from repro.util.clock import ManualClock
 
 KEY = b"0123456789abcdef-shared-secret"
 OTHER_KEY = b"another-key-0123456789abcdef!!"
@@ -181,52 +178,6 @@ class TestDiscoveryBinder:
         count = binder.refreshes
         network.sim.run_for(10.0)
         assert binder.refreshes == count
-
-
-class TestMetricsRecorder:
-    def test_counters(self):
-        metrics = MetricsRecorder()
-        metrics.incr("sent")
-        metrics.incr("sent", 2)
-        assert metrics.count("sent") == 3
-        assert metrics.count("missing") == 0
-
-    def test_samples_summary(self):
-        metrics = MetricsRecorder()
-        for value in (1.0, 2.0, 3.0, 4.0, 100.0):
-            metrics.sample("latency", value)
-        summary = metrics.summary("latency")
-        assert summary.count == 5
-        assert summary.mean == pytest.approx(22.0)
-        assert summary.p50 == 3.0
-        assert summary.maximum == 100.0
-
-    def test_empty_summary(self):
-        summary = MetricsRecorder().summary("nothing")
-        assert summary.count == 0 and summary.mean == 0.0
-
-    def test_series_timestamps_from_clock(self):
-        clock = ManualClock()
-        metrics = MetricsRecorder(clock)
-        metrics.record("energy", 5.0)
-        clock.advance(2.0)
-        metrics.record("energy", 4.0)
-        assert metrics.series_values("energy") == [(0.0, 5.0), (2.0, 4.0)]
-        assert metrics.last("energy").value == 4.0
-
-    def test_render_contains_all_metrics(self):
-        metrics = MetricsRecorder()
-        metrics.incr("packets")
-        metrics.sample("delay", 0.5)
-        metrics.record("battery", 1.0)
-        rendered = metrics.render("test metrics")
-        assert "packets" in rendered
-        assert "delay" in rendered
-        assert "battery" in rendered
-
-    def test_summary_of_static(self):
-        summary = Summary.of([3.0, 1.0, 2.0])
-        assert (summary.minimum, summary.p50, summary.maximum) == (1.0, 2.0, 3.0)
 
 
 class TestTamperedFrameRejection:

@@ -151,7 +151,6 @@ def _object_host(fabric):
         {"op": "get", "rid": "r"},
         {"op": "put", "rid": "r", "key": "k"},
         {"op": "put", "rid": "r", "key": ["k"], "value": 1},
-        {"op": "watch"},
         {"op": "inv_ack", "wid": ["w"]},
     ], probe
 
@@ -290,6 +289,22 @@ class TestMalformedFrames:
         assert get_registry().counter_total("transport.malformed") == 1
         assert answers == []
         assert probe()
+
+    def test_object_host_ignores_a_standalone_watch(self):
+        """Watch registration rides inside get/put; a bare ``watch`` frame
+        is an unknown op: not malformed, not answered, nothing registered."""
+        fabric = InMemoryFabric(latency_s=0.01)
+        host, _wrong, probe = _object_host(fabric)
+        raw = fabric.endpoint("raw", "x")
+        answers = []
+        raw.set_receiver(lambda _source, frame: answers.append(frame))
+        raw.send(host.transport.local_address, _frame({"op": "watch"}))
+        raw.send(host.transport.local_address,
+                 _frame({"op": "watch", "key": "k"}))
+        fabric.run()
+        assert host.malformed_frames == 0
+        assert probe()
+        assert answers == []  # the probe's put invalidated nobody at "raw"
 
 
 class TestAliasingContract:

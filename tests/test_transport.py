@@ -1,11 +1,14 @@
-"""Tests for the transport layer: addresses, in-memory fabric, simnet."""
+"""Tests for the transport layer: addresses, in-memory fabric, simnet,
+and the wall-clock scheduler."""
+
+import threading
 
 import pytest
 
 from repro.errors import AddressError, ConfigurationError, TransportClosedError
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
-from repro.transport.base import Address
+from repro.transport.base import Address, RealTimeScheduler
 from repro.transport.inmemory import InMemoryFabric
 from repro.transport.simnet import SimFabric
 
@@ -174,3 +177,15 @@ class TestSimFabric:
         a = fabric.endpoint("leaf0", "p")
         a.send(Address("leaf1", "unbound"), b"x")
         network.sim.run()  # must not raise
+
+
+class TestRealTimeScheduler:
+    def test_timer_fires(self):
+        scheduler = RealTimeScheduler()
+        fired = threading.Event()
+        scheduler.schedule(0.01, fired.set)
+        assert fired.wait(timeout=2.0)
+
+    def test_now_monotonic(self):
+        scheduler = RealTimeScheduler()
+        assert scheduler.now() <= scheduler.now()

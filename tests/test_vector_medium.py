@@ -17,7 +17,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.netsim import vecindex
-from repro.netsim.medium import BACKEND_ENV, RadioProfile, WirelessMedium
+from repro.netsim.medium import RadioProfile, WirelessMedium
 from repro.netsim.mobility import LinearMobility, PathMobility
 from repro.netsim.network import Network
 from repro.netsim.packet import BROADCAST, Packet
@@ -259,15 +259,6 @@ class TestVectorIndexInternals:
         with pytest.raises(ConfigurationError, match="numpy"):
             WirelessMedium(Simulator(), LOSSY_FLAT, vectorized=True)
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        assert not WirelessMedium(Simulator(), LOSSY_FLAT).vectorized
-        monkeypatch.setenv(BACKEND_ENV, "vector")
-        assert WirelessMedium(Simulator(), LOSSY_FLAT).vectorized
-        monkeypatch.setenv(BACKEND_ENV, "nonsense")
-        with pytest.raises(ConfigurationError, match="REPRO_SCALE_BACKEND"):
-            WirelessMedium(Simulator(), LOSSY_FLAT)
-
 
 class TestScalarFallback:
     """The pure-Python path must stand alone (no numpy at all)."""
@@ -278,7 +269,6 @@ class TestScalarFallback:
 
     def test_auto_without_numpy_falls_back(self, monkeypatch):
         monkeypatch.setattr(vecindex, "_np", None)
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         medium = WirelessMedium(Simulator(), LOSSY_FLAT)
         assert not medium.vectorized
 
@@ -293,10 +283,10 @@ class TestChaosScorecardEquivalence:
 
         short = dict(duration_s=40.0, heal_deadline_s=24.0, fault_start_s=5.0,
                      bulk_messages=60, transfer_stop_s=22.0)
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        scalar = scorecard_bytes(run_campaign("churn", 2, **short))
-        monkeypatch.setenv(BACKEND_ENV, "vector")
         vector = scorecard_bytes(run_campaign("churn", 2, **short))
+        # Without numpy every medium the campaign builds is scalar.
+        monkeypatch.setattr(vecindex, "_np", None)
+        scalar = scorecard_bytes(run_campaign("churn", 2, **short))
         assert vector == scalar
 
 
@@ -305,11 +295,10 @@ class TestSimtestOnVectorBackend:
     """Schedule exploration (tie-breaker installed) over the vector path."""
 
     @pytest.mark.simtest
-    def test_explorer_smoke_is_clean(self, monkeypatch):
+    def test_explorer_smoke_is_clean(self):
         from repro.simtest.explorer import explore
 
-        monkeypatch.setenv(BACKEND_ENV, "vector")
-        report = explore(5, seed=0)
+        report = explore(5, seed=0)  # numpy importable: the vector backend
         assert report.ok
         assert report.runs == 5
         assert report.totals["events"] > 0
