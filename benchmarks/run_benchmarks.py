@@ -60,13 +60,24 @@ SCHEMA_VERSION = 1
 
 
 def git_sha() -> str:
-    try:
+    """HEAD's sha, with ``+dirty`` appended when tracked files differ from it.
+
+    A ledger refreshed inside a change is produced by HEAD *plus that
+    change*; the suffix keeps the stamp from naming a commit whose code
+    would not reproduce the numbers.
+    """
+    def git(*args: str) -> str:
         return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+            ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True,
+            check=True,
         ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    return sha + "+dirty" if dirty else sha
 
 
 def _bench_env() -> dict:

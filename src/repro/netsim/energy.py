@@ -83,7 +83,7 @@ class Battery:
 
     @property
     def depleted(self) -> bool:
-        return self.remaining <= 0.0
+        return not self.remaining > 0.0
 
     @property
     def fraction_remaining(self) -> float:
@@ -103,22 +103,26 @@ class Battery:
         Draining an already-depleted battery is a no-op returning False.
         The depletion callbacks fire exactly once, on the transition to empty.
         """
-        if joules < 0:
+        # One inverted comparison rejects negatives and NaN alike; a NaN
+        # would otherwise leave ``remaining`` NaN and the node immortal.
+        if not joules >= 0.0:
             raise ConfigurationError(f"cannot drain negative energy {joules!r}")
-        if self.depleted:
+        remaining = self.remaining
+        if not remaining > 0.0:
             return False
-        self.remaining -= joules
-        if self.remaining <= 0.0:
-            self.remaining = 0.0
-            callbacks, self._depletion_callbacks = self._depletion_callbacks, []
-            for callback in callbacks:
-                callback()
-            return False
-        return True
+        remaining -= joules
+        if remaining > 0.0:
+            self.remaining = remaining
+            return True
+        self.remaining = 0.0
+        callbacks, self._depletion_callbacks = self._depletion_callbacks, []
+        for callback in callbacks:
+            callback()
+        return False
 
     def recharge(self, joules: float) -> None:
         """Add energy up to capacity (used by energy-harvesting scenarios)."""
-        if joules < 0:
+        if not joules >= 0.0:
             raise ConfigurationError(f"cannot recharge negative energy {joules!r}")
         self.remaining = min(self.capacity, self.remaining + joules)
 

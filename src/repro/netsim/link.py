@@ -108,4 +108,6 @@ class WiredLink:
             self.drops += 1
             return
         self.deliveries += 1
-        receiver.deliver(packet)
+        # A wire charges the receiver nothing; everything else is the one
+        # reception routine the radio medium uses.
+        receiver.receive(packet, packet.size_bytes, 0.0)

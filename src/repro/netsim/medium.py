@@ -12,12 +12,12 @@ components off).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.netsim import vecindex
 from repro.netsim.mobility import is_time_varying
-from repro.netsim.node import Node
+from repro.netsim.node import DeliveryFault, Node
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.spatialindex import SpatialHashGrid
@@ -71,11 +71,6 @@ IDEAL_RADIO = RadioProfile(
 )
 
 
-#: A delivery fault hook: ``(receiver_id, packet) -> packet or None``.
-#: Returning ``None`` drops the reception; returning a (possibly mutated)
-#: packet delivers it. Installed by the chaos layer to model corruption.
-DeliveryFault = Callable[[str, Packet], Optional[Packet]]
-
 #: A cross-shard egress hook: ``(sender_id, packet, air_delay_s)``. Installed
 #: by the sharded-simulation coordinator (:mod:`repro.netsim.shard`); called
 #: for unicast packets whose destination is not attached to this medium, in
@@ -95,11 +90,12 @@ class _ScalarBackend:
     changed — instead of the historical per-node ``move`` call storm.
     """
 
-    __slots__ = ("_grid", "_seq", "_next_seq", "_mobile", "_time")
+    __slots__ = ("_grid", "_seq", "_node_of", "_next_seq", "_mobile", "_time")
 
     def __init__(self, cell_size: float):
         self._grid = SpatialHashGrid(cell_size)
         self._seq: Dict[str, int] = {}
+        self._node_of: Dict[str, Node] = {}
         self._next_seq = 0
         self._mobile: Dict[str, Node] = {}
         self._time: Optional[float] = None
@@ -108,6 +104,7 @@ class _ScalarBackend:
         position = node.position
         self._grid.insert(node.node_id, position.x, position.y)
         self._seq[node.node_id] = self._next_seq
+        self._node_of[node.node_id] = node
         self._next_seq += 1
         if is_time_varying(node.mobility):
             self._mobile[node.node_id] = node
@@ -115,6 +112,7 @@ class _ScalarBackend:
     def remove(self, node_id: str) -> None:
         self._grid.remove(node_id)
         self._seq.pop(node_id, None)
+        self._node_of.pop(node_id, None)
         self._mobile.pop(node_id, None)
 
     def note_moved(self, node: Node) -> None:
@@ -136,10 +134,10 @@ class _ScalarBackend:
             self._grid.update_positions(positions())
         self._time = now
 
-    def query_circle_ordered(self, x: float, y: float, radius: float) -> List[str]:
+    def query_circle_ordered(self, x: float, y: float, radius: float) -> List[Node]:
         ids = self._grid.query_circle(x, y, radius)
         ids.sort(key=self._seq.__getitem__)
-        return ids
+        return list(map(self._node_of.__getitem__, ids))
 
 
 def _select_backend(cell_size: float, vectorized: Optional[bool]):
@@ -172,9 +170,18 @@ class WirelessMedium:
     ``tests/test_vector_medium.py``, so which one is active never changes
     results, only speed. Nodes with time-varying mobility are refreshed
     lazily, at most once per distinct virtual timestamp; static nodes
-    re-bucket only when their ``"moved"`` event fires. Contention-free
-    broadcasts batch all surviving same-tick receptions into a single
-    scheduler entry (see :meth:`Simulator.schedule_batch` notes).
+    re-bucket only when their ``"moved"`` event fires.
+
+    Reception is one routine. Every path that ends in a node hearing a
+    frame — a contention-free broadcast (one queue entry for all its
+    surviving receivers), a contended or tie-broken reception, a unicast,
+    :meth:`inject` (each a batch of one) — schedules the same delivery
+    method, which calls :meth:`Node.receive` once per receiver. Per
+    receiver, strictly in this order: liveness check, rx-energy drain,
+    post-drain liveness, delivery-fault hook, delivery count, the node's
+    receive counters, its handler. Receiver *k*'s handler returns before
+    receiver *k+1* is tested for liveness, so a handler that crashes a
+    later receiver of its own batch is seen by that receiver's check.
 
     Failure modeling hooks (all no-cost when unused):
 
@@ -297,7 +304,7 @@ class WirelessMedium:
         node = self._nodes.get(node_id)
         if node is None:
             raise ConfigurationError(f"cannot inject to unknown node {node_id!r}")
-        self.sim.schedule_at(at_time, self._deliver, node, packet)
+        self.sim.schedule_at(at_time, self._deliver, (node,), packet)
 
     def nodes(self) -> List[Node]:
         return list(self._nodes.values())
@@ -319,10 +326,9 @@ class WirelessMedium:
     def _audible_nodes(self, node_id: str) -> List[Node]:
         """Alive in-range nodes, ignoring partitions (physical audibility).
 
-        Both backends return candidate ids already in attachment order
-        (the scalar grid sorts by attach sequence, the vector index by
-        slot number — which *is* the attach sequence), so the historical
-        post-hoc keyed sort is gone from the hot path.
+        Both backends return the candidate nodes already in attachment
+        order (the scalar grid sorts by attach sequence, the vector index
+        by slot number — which *is* the attach sequence).
         """
         origin = self._nodes.get(node_id)
         if origin is None:
@@ -330,13 +336,12 @@ class WirelessMedium:
         index = self._index
         index.refresh(self.sim.now())
         position = origin.position
-        nodes = self._nodes
         return [
-            nodes[candidate_id]
-            for candidate_id in index.query_circle_ordered(
+            node
+            for node in index.query_circle_ordered(
                 position.x, position.y, self.profile.range_m
             )
-            if candidate_id != node_id and nodes[candidate_id].alive
+            if node is not origin and node.alive
         ]
 
     # ----------------------------------------------------------- transmission
@@ -358,6 +363,7 @@ class WirelessMedium:
 
         self.transmissions += 1
         self.bytes_transmitted += packet.size_bytes
+        size_bits = packet.size_bits
 
         if packet.is_broadcast:
             receivers = self._audible_nodes(sender_id)
@@ -381,7 +387,7 @@ class WirelessMedium:
                         sender_id,
                         packet,
                         self.profile.base_latency_s
-                        + self.profile.serialization_delay(packet.size_bits)
+                        + self.profile.serialization_delay(size_bits)
                         + self.extra_latency_s,
                     )
                 else:
@@ -405,14 +411,14 @@ class WirelessMedium:
                     receivers = [target]
 
         # The sender pays for the transmission whether or not anyone hears it.
-        still_powered = sender.charge_tx(packet.size_bits, tx_distance)
+        still_powered = sender.charge_tx(size_bits, tx_distance)
         if not still_powered:
             # Battery died mid-transmission: the frame never completes.
             return True
 
         delay = (
             self.profile.base_latency_s
-            + self.profile.serialization_delay(packet.size_bits)
+            + self.profile.serialization_delay(size_bits)
             + self.extra_latency_s
         )
         loss_probability = min(
@@ -421,6 +427,7 @@ class WirelessMedium:
         rng = self._rng
         sim = self.sim
         contention = self.profile.contention_window_s
+        deliver = self._deliver
         if contention > 0:
             # Per-receiver MAC backoff: every reception gets its own delay,
             # so each is necessarily its own queue event. Deliveries are
@@ -430,7 +437,7 @@ class WirelessMedium:
                 if rng.random() < loss_probability:
                     self.drops_loss += 1
                     continue
-                sim.call_later(per_rx_delay, self._deliver, receiver, packet)
+                sim.call_later(per_rx_delay, deliver, (receiver,), packet)
             return True
         # Contention-free profiles give every reception the identical delay:
         # fold the survivors into ONE queue entry. The loss process still
@@ -446,36 +453,39 @@ class WirelessMedium:
                 self.drops_loss += 1
             else:
                 survivors.append(receiver)
-        if len(survivors) == 1:
-            sim.call_later(delay, self._deliver, survivors[0], packet)
+        if len(survivors) > 1 and sim.tie_breaker_installed():
+            for receiver in survivors:
+                sim.call_later(delay, deliver, (receiver,), packet)
         elif survivors:
-            if sim.tie_breaker_installed():
-                for receiver in survivors:
-                    sim.call_later(delay, self._deliver, receiver, packet)
-            else:
-                sim.call_later(delay, self._deliver_batch, survivors, packet)
+            sim.call_later(delay, deliver, survivors, packet)
         return True
 
-    def _deliver_batch(self, receivers: List[Node], packet: Packet) -> None:
-        """One queue entry delivering a same-tick broadcast to N receivers."""
-        deliver = self._deliver
-        for receiver in receivers:
-            deliver(receiver, packet)
+    def _deliver(self, receivers: Sequence[Node], packet: Packet) -> None:
+        """``receivers`` hear ``packet``, in order (contract: class docstring).
 
-    def _deliver(self, receiver: Node, packet: Packet) -> None:
-        if not receiver.alive:
-            self.drops_dead += 1
-            return
-        receiver.charge_rx(packet.size_bits)
-        if not receiver.alive:
-            self.drops_dead += 1
-            return
+        What does not vary by receiver — frame size, the fault hook, the rx
+        price of each distinct radio model — is read once per batch, and
+        the medium's counters are written back once, in a ``finally``: a
+        reception whose handler raises was still made, and is counted.
+        """
+        size_bits = packet.size_bits
+        size_bytes = packet.size_bytes
         fault = self._delivery_fault
-        if fault is not None:
-            faulted = fault(receiver.node_id, packet)
-            if faulted is None:
-                self.drops_faulted += 1
-                return
-            packet = faulted
-        self.deliveries += 1
-        receiver.deliver(packet)
+        radio = None
+        made = dead = faulted = 0
+        try:
+            for receiver in receivers:
+                if receiver.radio is not radio:
+                    radio = receiver.radio
+                    rx_joules = radio.rx_cost(size_bits)
+                made += 1
+                heard = receiver.receive(packet, size_bytes, rx_joules, fault)
+                if not heard:
+                    if heard is None:
+                        faulted += 1
+                    else:
+                        dead += 1
+        finally:
+            self.drops_dead += dead
+            self.drops_faulted += faulted
+            self.deliveries += made - dead - faulted

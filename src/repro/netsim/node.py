@@ -22,6 +22,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 PacketHandler = Callable[["Node", Packet], None]
 
+#: The stock radio, shared by every node not given its own (the model is
+#: frozen): the medium prices a frame once per distinct radio instance.
+_DEFAULT_RADIO = RadioEnergyModel()
+
+#: A delivery fault hook: ``(receiver_id, packet) -> packet or None``.
+#: Returning ``None`` drops the reception; returning a (possibly mutated)
+#: packet delivers it. Installed by the chaos layer to model corruption.
+DeliveryFault = Callable[[str, Packet], Optional[Packet]]
+
 
 class Node:
     """A networked device in the simulation.
@@ -33,6 +42,9 @@ class Node:
     * ``"recovered"`` (node) — restarted after a crash.
     * ``"moved"`` (node) — position pinned or mobility model swapped;
       spatial caches (the medium's hash grid) invalidate on this.
+
+    Hearing a frame is one call, :meth:`receive`, whichever medium or link
+    carried it: liveness, energy, counters and the upper-layer handler.
 
     ``__slots__`` keeps the per-node footprint flat — 10k–100k node worlds
     hold every node alive for the whole run, so the dict-per-instance
@@ -58,7 +70,7 @@ class Node:
         self.node_id = node_id
         self.sim = sim
         self.battery = battery if battery is not None else Battery(capacity=float("inf"))
-        self.radio = radio if radio is not None else RadioEnergyModel()
+        self.radio = radio if radio is not None else _DEFAULT_RADIO
         self.events = EventEmitter()
         self._home_position = position
         self._mobility = mobility
@@ -75,7 +87,7 @@ class Node:
     @property
     def alive(self) -> bool:
         """True unless the node crashed or its battery is flat."""
-        return not self._crashed and not self.battery.depleted
+        return not self._crashed and self.battery.remaining > 0.0
 
     def crash(self) -> None:
         """Fail-stop the node (failure injection); idempotent."""
@@ -128,16 +140,32 @@ class Node:
         """Install the upper-layer receive callback (one per node)."""
         self._handler = handler
 
-    def deliver(self, packet: Packet) -> bool:
-        """Called by the medium/link when a packet arrives.
+    def receive(
+        self,
+        packet: Packet,
+        size_bytes: int,
+        rx_joules: float,
+        fault: Optional[DeliveryFault] = None,
+    ) -> Optional[bool]:
+        """Hear one frame: the whole reception, called by the medium/link.
 
-        Returns True if the node was alive and the packet was handed to the
-        upper layer. Dead nodes silently drop traffic, as real ones do.
+        The caller reads ``packet.size_bytes`` and prices ``rx_joules`` (what
+        this node's radio charges for the frame) once per frame, not once
+        per receiver. In order: liveness check, energy drain, post-drain
+        liveness, the per-reception ``fault`` hook, the receive counters,
+        then the upper-layer handler. Returns True if the packet was handed
+        up, False if the node was (or went) dead — dead nodes silently drop
+        traffic, as real ones do — and None if the fault hook swallowed it.
         """
-        if not self.alive:
+        if self._crashed or not self.battery.drain(rx_joules):
             return False
+        if fault is not None:
+            packet = fault(self.node_id, packet)
+            if packet is None:
+                return None
+            size_bytes = packet.size_bytes
         self.packets_received += 1
-        self.bytes_received += packet.size_bytes
+        self.bytes_received += size_bytes
         if self._handler is not None:
             self._handler(self, packet)
         return True
@@ -147,10 +175,6 @@ class Node:
         self.packets_sent += 1
         self.bytes_sent += size_bits // 8
         return self.battery.drain(self.radio.tx_cost(size_bits, distance))
-
-    def charge_rx(self, size_bits: int) -> bool:
-        """Account receive energy; returns False if the battery died."""
-        return self.battery.drain(self.radio.rx_cost(size_bits))
 
     def charge_sense(self) -> bool:
         """Account one sensing operation."""

@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.errors import ConfigurationError
+
 #: Broadcast destination sentinel.
 BROADCAST = "*"
 
@@ -46,6 +48,12 @@ class Packet:
     headers: Dict[str, Any] = field(default_factory=dict)
     packet_id: int = field(default_factory=lambda: next(_packet_seq))
     hop_count: int = 0
+
+    def __post_init__(self) -> None:
+        if self.payload_bytes < 0:
+            raise ConfigurationError(
+                f"payload_bytes must be >= 0, got {self.payload_bytes!r}"
+            )
 
     @property
     def size_bytes(self) -> int:

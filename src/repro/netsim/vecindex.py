@@ -25,7 +25,7 @@ equivalence suite in ``tests/test_vector_medium.py`` enforces it): the
 distance filter is ``dx*dx + dy*dy <= r*r`` in both backends (identical
 IEEE-754 operation order), and the linear-kinematics expression mirrors
 ``LinearMobility.position_at`` operation for operation. Queries return the
-same ids in the same order as the scalar grid + attach-sequence sort.
+same nodes in the same order as the scalar grid + attach-sequence sort.
 
 numpy is optional (the ``[scale]`` extra): when it is missing,
 :func:`available` is False and the medium silently stays on the scalar
@@ -86,7 +86,6 @@ class VectorPositionIndex:
         self._next_slot = 0
         self._live = 0
         self._slot_of: Dict[str, int] = {}
-        self._id_of: Dict[int, str] = {}
         self._node_of: Dict[int, Any] = {}
         # Static slots, bucketed by cell.
         self._cells: Dict[Cell, List[int]] = {}
@@ -116,7 +115,6 @@ class VectorPositionIndex:
             self._x = _np.concatenate([self._x, _np.zeros(len(self._x))])
             self._y = _np.concatenate([self._y, _np.zeros(len(self._y))])
         self._slot_of[node_id] = slot
-        self._id_of[slot] = node_id
         self._node_of[slot] = node
         self._live += 1
         self._classify(slot, node)
@@ -126,7 +124,6 @@ class VectorPositionIndex:
         if slot is None:
             return
         self._declassify(slot)
-        del self._id_of[slot]
         del self._node_of[slot]
         self._live -= 1
         dead = self._next_slot - self._live
@@ -184,12 +181,10 @@ class VectorPositionIndex:
 
     def _compact(self) -> None:
         """Renumber live slots densely, preserving relative (attach) order."""
-        live = sorted(self._id_of)
-        nodes = [self._node_of[slot] for slot in live]
+        nodes = [self._node_of[slot] for slot in sorted(self._node_of)]
         self._next_slot = 0
         self._live = 0
         self._slot_of.clear()
-        self._id_of.clear()
         self._node_of.clear()
         self._cells.clear()
         self._cell_of.clear()
@@ -240,8 +235,8 @@ class VectorPositionIndex:
 
     # ---------------------------------------------------------------- queries
 
-    def query_circle_ordered(self, x: float, y: float, radius: float) -> List[str]:
-        """Ids within ``radius`` of (x, y), inclusive, in attachment order.
+    def query_circle_ordered(self, x: float, y: float, radius: float) -> List[Any]:
+        """Nodes within ``radius`` of (x, y), inclusive, in attachment order.
 
         Candidates are the 3x3 static cell block around the origin plus
         every time-varying slot; the distance filter runs as one vector
@@ -271,7 +266,7 @@ class VectorPositionIndex:
         r2 = radius * radius
         x_arr = self._x
         y_arr = self._y
-        id_of = self._id_of
+        node_of = self._node_of
         n_dyn = 0 if dyn is None else len(dyn)
         if len(static_candidates) + n_dyn < _SMALL_QUERY:
             slots = static_candidates if n_dyn == 0 else (
@@ -284,7 +279,7 @@ class VectorPositionIndex:
                 if dx * dx + dy * dy <= r2:
                     hits.append(slot)
             hits.sort()
-            return [id_of[slot] for slot in hits]
+            return [node_of[slot] for slot in hits]
         if static_candidates:
             candidates = _np.fromiter(static_candidates, dtype=_np.intp,
                                       count=len(static_candidates))
@@ -296,4 +291,4 @@ class VectorPositionIndex:
         dy = y_arr[candidates] - y
         hits_arr = candidates[dx * dx + dy * dy <= r2]
         hits_arr.sort()
-        return [id_of[int(slot)] for slot in hits_arr]
+        return [node_of[slot] for slot in hits_arr.tolist()]

@@ -75,6 +75,25 @@ class TestBattery:
         with pytest.raises(ConfigurationError):
             Battery().drain(-0.1)
 
+    def test_nan_drain_rejected_and_battery_untouched(self):
+        # NaN is not ``< 0``; let through, it would turn ``remaining`` into
+        # a NaN that no comparison ever finds empty: a node that cannot die.
+        battery = Battery(capacity=1.0)
+        with pytest.raises(ConfigurationError):
+            battery.drain(float("nan"))
+        assert battery.remaining == 1.0
+        assert not battery.drain(2.0)
+        assert battery.depleted
+
+    def test_nan_recharge_rejected(self):
+        battery = Battery(capacity=2.0, remaining=1.0)
+        with pytest.raises(ConfigurationError):
+            battery.recharge(float("nan"))
+        assert battery.remaining == 1.0
+
+    def test_nan_charge_counts_as_depleted(self):
+        assert Battery(capacity=1.0, remaining=float("nan")).depleted
+
     def test_recharge_capped_at_capacity(self):
         battery = Battery(capacity=2.0)
         battery.drain(1.0)

@@ -22,6 +22,15 @@ class TestPacket:
         assert packet.size_bytes == 100 + HEADER_BYTES
         assert packet.size_bits == (100 + HEADER_BYTES) * 8
 
+    def test_negative_payload_size_rejected(self):
+        # Rejected at construction, not later inside the event loop when
+        # a radio is asked to price a frame of -672 bits.
+        with pytest.raises(ConfigurationError):
+            make_packet(size=-100)
+        with pytest.raises(ConfigurationError):
+            Packet("a", "b", b"", -1)
+        assert make_packet(size=0).size_bytes == HEADER_BYTES
+
     def test_broadcast_detection(self):
         assert make_packet(dst=BROADCAST).is_broadcast
         assert not make_packet(dst="n1").is_broadcast

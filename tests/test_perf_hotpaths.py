@@ -3,15 +3,23 @@
 Covers the behaviors the event-loop and queue rewrites must preserve: NaN
 rejection at scheduling time (NaN used to slip past the ``when < now``
 guard and corrupt heap ordering), tombstone compaction semantics, and the
-inlined pop paths in ``run``/``run_until`` honoring cancellation.
+inlined pop paths in ``run``/``run_until`` honoring cancellation. The last
+class is a call-count guard on the radio reception path.
 """
 
 import math
+import os
+import sys
 
 import pytest
 
+import repro
 from repro.errors import SimulationError
+from repro.netsim.medium import RadioProfile
+from repro.netsim.mobility import LinearMobility
+from repro.netsim.packet import BROADCAST, Packet
 from repro.netsim.simulator import Simulator
+from repro.netsim.topology import grid
 from repro.util.priorityqueue import StablePriorityQueue
 
 
@@ -173,3 +181,63 @@ class TestInlinedEventLoops:
         sim.schedule(0.001, rearm)
         with pytest.raises(SimulationError):
             sim.run(max_events=50)
+
+
+class TestReceptionCallBudget:
+    """Python-level calls inside ``src/repro`` per radio delivery.
+
+    The fused reception routine costs about 4 such calls per delivery; a
+    chain of per-receiver helpers and nested liveness properties around
+    the one float subtraction costs 18. Counts are exact and repeat run to
+    run, so the budget needs no timing tolerance: a change that puts such a
+    chain back fails here, on any machine.
+    """
+
+    BUDGET = 8.0
+
+    def test_beacon_swarm_stays_within_budget(self):
+        # The benchmark's smoke size: a 12x12 grid, 4 rounds, one node in
+        # ten drifting, every node beaconing at its own timestamp.
+        profile = RadioProfile(
+            name="802.11-swarm", bandwidth_bps=11e6, range_m=100.0,
+            base_latency_s=0.001, loss_probability=0.01)
+        network = grid(12, 12, spacing=30.0, radio_profile=profile, seed=0)
+        sim, medium = network.sim, network.medium
+        nodes = network.nodes()
+        heard = []
+        for i, node in enumerate(nodes):
+            # A handler that does not call back into repro.
+            node.set_packet_handler(lambda n, p: heard.append(None))
+            if i % 10 == 0:
+                node.set_mobility(LinearMobility(
+                    start=node.position, velocity=(1.0, 0.5), start_time=0.0))
+
+        def beacon(node):
+            medium.transmit(node.node_id, Packet(
+                source=node.node_id, destination=BROADCAST, payload=b"b",
+                payload_bytes=16))
+
+        step = 2.0 * 0.8 / len(nodes)
+        for round_index in range(4):
+            for i, node in enumerate(nodes):
+                sim.schedule_at(0.05 + round_index * 2.0 + i * step,
+                                beacon, node)
+
+        root = os.path.dirname(repro.__file__) + os.sep
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            sim.run()
+        finally:
+            sys.setprofile(previous)
+
+        assert medium.transmissions == 4 * len(nodes)
+        assert len(heard) == medium.deliveries > 10_000
+        assert calls / medium.deliveries <= self.BUDGET

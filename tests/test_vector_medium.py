@@ -17,6 +17,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.netsim import vecindex
+from repro.netsim.energy import Battery, RadioEnergyModel
 from repro.netsim.medium import RadioProfile, WirelessMedium
 from repro.netsim.mobility import LinearMobility, PathMobility
 from repro.netsim.network import Network
@@ -250,8 +251,8 @@ class TestVectorIndexInternals:
         for node in nodes[:140]:
             index.remove(node.node_id)
         assert len(index) == 60
-        ids = index.query_circle_ordered(0.0, 0.0, 50.0)
-        assert ids == [f"m{i}" for i in range(140, 200)]
+        found = index.query_circle_ordered(0.0, 0.0, 50.0)
+        assert found == nodes[140:]
 
     def test_forcing_vector_without_numpy_is_an_error(self, monkeypatch):
         monkeypatch.setattr(vecindex, "_np", None)
@@ -349,3 +350,203 @@ class TestDeliveryBatching:
                 payload_bytes=8))
             network.sim.run()
         assert batched == unbatched
+
+
+#: Lossless and contention-free: every broadcast is one batch, and the
+#: receiver sets below are exact.
+FLAT = RadioProfile(name="flat", bandwidth_bps=11e6, range_m=100.0,
+                    base_latency_s=0.001)
+#: What the stock radio charges to hear one 8-byte-payload frame.
+RX_JOULES = RadioEnergyModel().rx_cost((8 + 16) * 8)
+#: n1_1's neighbours in attachment order: the receivers of its beacons.
+RING = ["n0_0", "n0_1", "n0_2", "n1_0", "n1_2", "n2_0", "n2_1", "n2_2"]
+
+BACKENDS = [pytest.param(False, id="scalar"),
+            pytest.param(True, id="vector", marks=needs_numpy)]
+
+
+def _one_joule(_node_id):
+    return Battery(capacity=1.0)
+
+
+class _World:
+    """A 3x3 grid at 60 m pitch (all of RING hears n1_1) with a logbook."""
+
+    def __init__(self, vectorized, per_receiver, battery_factory):
+        self.network = topology_grid(
+            3, 3, spacing=60.0, radio_profile=FLAT, seed=0,
+            vectorized=vectorized, battery_factory=battery_factory)
+        self.sim, self.medium = self.network.sim, self.network.medium
+        if per_receiver:
+            # A constant tie-breaker keeps scheduling order but makes the
+            # medium give every reception a queue entry of its own.
+            self.sim.set_tie_breaker(lambda: 0)
+        self.calls = []
+        self.depleted = []
+        for node in self.network.nodes():
+            node.set_packet_handler(self.on_packet)
+            node.events.on(
+                "depleted", lambda n: self.depleted.append(n.node_id))
+
+    def on_packet(self, node, packet):
+        self.calls.append((self.sim.now(), node.node_id, packet.source,
+                           packet.payload, packet.payload_bytes))
+
+    def frame(self, source, destination=BROADCAST):
+        return Packet(source=source, destination=destination, payload=b"x",
+                      payload_bytes=8)
+
+    def beacon(self, sender_id="n1_1"):
+        self.medium.transmit(sender_id, self.frame(sender_id))
+
+    def heard(self):
+        return [call[1] for call in self.calls]
+
+    def snapshot(self):
+        medium = self.medium
+        return {
+            "calls": list(self.calls),
+            "depleted": list(self.depleted),
+            "medium": {name: getattr(medium, name) for name in (
+                "transmissions", "deliveries", "bytes_transmitted",
+                "drops_out_of_range", "drops_loss", "drops_dead",
+                "drops_partitioned", "drops_faulted")},
+            # Floats are compared with ==: the drains must be the same
+            # subtractions in the same order, not merely close.
+            "nodes": {node.node_id: (node.packets_received,
+                                     node.bytes_received,
+                                     node.battery.remaining, node.alive)
+                      for node in self.network.nodes()},
+        }
+
+
+def _column_batteries(node_id):
+    # A node in column c can pay for c + 1.5 receptions; n1_1 only sends.
+    if node_id == "n1_1":
+        return Battery(capacity=float("inf"))
+    return Battery(capacity=RX_JOULES * (int(node_id[-1]) + 1.5))
+
+
+def _deplete_mid_batch(world):
+    """(a) receivers run flat in the middle of a batch, column by column."""
+    for round_index in range(4):
+        world.sim.schedule_at(0.1 + round_index, world.beacon)
+    world.sim.run()
+    # Round 1 reaches all eight; round 2 kills column 0 and reaches the
+    # other five; round 3 kills column 1 and reaches column 2; round 4
+    # kills column 2. A flat node is not a receiver of later rounds.
+    assert world.medium.deliveries == 8 + 5 + 3
+    assert world.medium.drops_dead == 3 + 2 + 3
+    assert sorted(world.depleted) == sorted(RING)  # "depleted" once each
+    assert all(world.network.node(node_id).battery.remaining == 0.0
+               for node_id in RING)
+
+
+def _crash_later_receiver(world):
+    """(b) receiver k's handler runs before receiver k+1's liveness test."""
+    victim = world.network.node("n2_2")
+
+    def crash_the_last(node, packet):
+        world.on_packet(node, packet)
+        victim.crash()
+
+    world.network.node("n0_1").set_packet_handler(crash_the_last)
+    world.beacon()
+    world.sim.run()
+    assert world.heard() == RING[:-1]
+    assert world.medium.deliveries == 7 and world.medium.drops_dead == 1
+    assert victim.battery.remaining == 1.0  # a crashed radio draws nothing
+
+
+def _fault_hook(world):
+    """(c) a delivery fault that swallows, rewrites and passes frames."""
+
+    def fault(receiver_id, packet):
+        if receiver_id == "n0_1":
+            return None
+        if receiver_id == "n1_0":
+            return Packet(packet.source, packet.destination, b"mangled",
+                          packet.payload_bytes + 4)
+        return packet
+
+    world.medium.set_delivery_fault(fault)
+    world.beacon()
+    world.sim.run()
+    assert world.heard() == [n for n in RING if n != "n0_1"]
+    assert world.medium.deliveries == 7 and world.medium.drops_faulted == 1
+    swallowed = world.network.node("n0_1")
+    assert swallowed.packets_received == 0
+    assert swallowed.battery.remaining == 1.0 - RX_JOULES  # heard, then lost
+    # The counters see the frame the hook handed on, not the one sent.
+    assert world.network.node("n1_0").bytes_received == 8 + 4 + 16
+    assert world.network.node("n1_2").bytes_received == 8 + 16
+
+
+def _handler_raises(world):
+    """(d) a raising handler aborts the run, not the bookkeeping."""
+
+    def boom(node, packet):
+        raise RuntimeError("handler bug")
+
+    world.network.node("n0_2").set_packet_handler(boom)
+    world.beacon()
+    with pytest.raises(RuntimeError, match="handler bug"):
+        world.sim.run()
+    # Three receptions were made (the third is the one that raised).
+    assert world.medium.deliveries == 3 and world.medium.drops_dead == 0
+    assert [world.network.node(node_id).packets_received
+            for node_id in RING] == [1, 1, 1, 0, 0, 0, 0, 0]
+
+
+def _singles(world):
+    """(e) unicast and inject are batches of one through the same routine."""
+    world.sim.schedule_at(0.1, world.medium.transmit, "n0_0",
+                          world.frame("n0_0", "n0_1"))
+    world.medium.inject("n2_2", world.frame("elsewhere", "n2_2"), 0.2)
+    world.network.node("n2_0").crash()
+    world.medium.inject("n2_0", world.frame("elsewhere", "n2_0"), 0.3)
+    world.sim.run()
+    assert world.heard() == ["n0_1", "n2_2"]
+    assert world.medium.deliveries == 2 and world.medium.drops_dead == 1
+    for node_id in ("n0_1", "n2_2"):
+        node = world.network.node(node_id)
+        assert node.battery.remaining == 1.0 - RX_JOULES
+        assert (node.packets_received, node.bytes_received) == (1, 24)
+
+
+SCENARIOS = [
+    pytest.param(_deplete_mid_batch, _column_batteries, id="deplete-mid-batch"),
+    pytest.param(_crash_later_receiver, _one_joule, id="crash-later-receiver"),
+    pytest.param(_fault_hook, _one_joule, id="fault-hook"),
+    pytest.param(_handler_raises, _one_joule, id="handler-raises"),
+    pytest.param(_singles, _one_joule, id="singles"),
+]
+
+
+@pytest.mark.parametrize("drive, batteries", SCENARIOS)
+class TestReceptionPathEquivalence:
+    """One reception routine: a batch of N and N batches of one agree.
+
+    Each scenario runs once with contention-free batching and once with a
+    tie-breaker forcing one queue entry per reception, and must leave the
+    same handler-call order, medium counters, per-node counters and
+    battery charges (``==`` on the floats) behind.
+    """
+
+    @pytest.mark.parametrize("vectorized", BACKENDS)
+    def test_batched_and_per_receiver_agree(self, vectorized, drive, batteries):
+        batched = _World(vectorized, False, batteries)
+        per_receiver = _World(vectorized, True, batteries)
+        drive(batched)
+        drive(per_receiver)
+        assert batched.snapshot() == per_receiver.snapshot()
+        assert (batched.sim.events_processed
+                <= per_receiver.sim.events_processed)
+
+    @needs_numpy
+    def test_backends_agree(self, drive, batteries):
+        scalar = _World(False, False, batteries)
+        vector = _World(True, False, batteries)
+        drive(scalar)
+        drive(vector)
+        assert scalar.snapshot() == vector.snapshot()
