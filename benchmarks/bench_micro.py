@@ -13,6 +13,7 @@ from repro.core.feasibility import minimal_feasible_sets
 from repro.core.sensors import SensorInfo
 from repro.interop.codec import BinaryCodec, SmlCodec
 from repro.interop.sml import parse, serialize
+from repro.netsim.mobility import LinearMobility
 from repro.netsim.packet import BROADCAST, Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import grid as topology_grid
@@ -20,6 +21,7 @@ from repro.qos.spec import ConsumerQoS, SupplierQoS, score_match
 from repro.scheduling.policies import EdfPolicy
 from repro.scheduling.scheduler import TaskScheduler
 from repro.scheduling.task import ScheduledTask
+from repro.util.geometry import Point
 
 SAMPLE_MESSAGE = {
     "op": "call", "rid": "rpc:node17:svc-142", "method": "record",
@@ -121,14 +123,31 @@ def test_medium_neighbor_scan(benchmark, side, center):
     # confines the scan to the 3x3 cell block around the sender, so the
     # answer (36 in-range neighbors of an interior node) should cost the
     # same at 144 nodes as at 1024 — that flatness is what this pair of
-    # points gates.
+    # points gates. One corner node drifts (out of the center's range), so
+    # the static-neighbourhood memo is off and every call asks the index.
     network = topology_grid(side, side, spacing=30.0)
     medium = network.medium
+    network.node("n0_0").set_mobility(LinearMobility(
+        start=Point(0.0, 0.0), velocity=(0.1, 0.0), start_time=0.0))
 
     def broadcast_scan():
         return len(medium.neighbors_of(center))
 
     assert benchmark(broadcast_scan) == 36
+    assert not medium._static_neighbourhoods
+
+
+def test_medium_neighbor_memo_hit(benchmark):
+    # The same question in an all-static world: after the first call the
+    # answer is the remembered list filtered by liveness, no index query.
+    network = topology_grid(32, 32, spacing=30.0)
+    medium = network.medium
+
+    def remembered_scan():
+        return len(medium.neighbors_of("n16_16"))
+
+    assert benchmark(remembered_scan) == 36
+    assert "n16_16" in medium._static_neighbourhoods
 
 
 @pytest.mark.parametrize("side,center", [(8, "n4_4"), (32, "n16_16")],

@@ -57,8 +57,10 @@ class EagerCodecAgent(RoutingAgent):
     runs a full decode and ``envelope.wire`` never caches anything.
     """
 
-    def _frame_for(self, envelope, out):
-        return self.codec.encode(out.to_dict())
+    def _frame_for(self, envelope):
+        message = envelope.to_dict()
+        message["t"] -= 1
+        return self.codec.encode(message)
 
 
 def _flood_chain(agent_cls, messages: int, payload: bytes):

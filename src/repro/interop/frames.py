@@ -64,27 +64,31 @@ from repro.obs.metrics import get_registry
 
 
 # Frame counters fire on every zero-copy hop, so the registry lookup
-# (label-key build + dict probe) is cached per (registry, generation) —
-# a registry.reset() orphans instruments, which the generation detects —
-# and one validity check serves every counter a hop bumps.
-_counter_cache: Dict[str, Any] = {}
-_cache_registry: Any = None
-_cache_generation = -1
+# (label-key build + dict probe) is cached per (registry, generation) — a
+# registry.reset() orphans instruments, which the generation detects. One
+# validity check serves every counter a hop bumps, and a bump is
+# ``_live_counters()[name].value += 1.0``. A counter is still created by
+# its first bump, never earlier, so a registry dump lists what happened.
+class _Counters(dict):
+    registry: Any = None
+    generation = -1
+
+    def __missing__(self, name: str) -> Any:
+        counter = self[name] = self.registry.counter(name)
+        return counter
 
 
-def _count(*names: str) -> None:
-    global _cache_registry, _cache_generation
+_counters = _Counters()
+
+
+def _live_counters() -> _Counters:
     registry = get_registry()
-    if (registry is not _cache_registry
-            or registry.generation != _cache_generation):
-        _counter_cache.clear()
-        _cache_registry = registry
-        _cache_generation = registry.generation
-    for name in names:
-        counter = _counter_cache.get(name)
-        if counter is None:
-            counter = _counter_cache[name] = registry.counter(name)
-        counter.inc()
+    if (registry is not _counters.registry
+            or registry.generation != _counters.generation):
+        _counters.clear()
+        _counters.registry = registry
+        _counters.generation = registry.generation
+    return _counters
 
 
 class WireFrame:
@@ -147,7 +151,7 @@ class WireFrame:
             encoded = packer() if packer is not None else self.codec.encode(self._message)
             self._encoded = encoded
             self._length = len(encoded)
-            _count("transport.frames.materialized")
+            _live_counters()["transport.frames.materialized"].value += 1.0
         return encoded
 
     def __bytes__(self) -> bytes:
@@ -289,10 +293,10 @@ def decode_payload(codec: Codec, payload: FramePayload) -> Any:
         if payload.codec.name == codec.name:
             skipped = payload._encoded is None
             message = payload.message
+            counters = _live_counters()
             if skipped:
-                _count("codec.encode_skipped", "transport.frames.passthrough")
-            else:
-                _count("transport.frames.passthrough")
+                counters["codec.encode_skipped"].value += 1.0
+            counters["transport.frames.passthrough"].value += 1.0
             return message
         payload = payload.materialize()
     elif isinstance(payload, PrefixedFrame):
@@ -311,14 +315,12 @@ def _extract_dict(codec: Codec, payload: Any) -> Optional[Dict[str, Any]]:
                     message = payload.message
                 except (InteropError, ValueError, OverflowError):
                     return None
-            if not isinstance(message, dict):
-                if skipped:
-                    _count("codec.encode_skipped")
-                return None
+            counters = _live_counters()
             if skipped:
-                _count("codec.encode_skipped", "transport.frames.passthrough")
-            else:
-                _count("transport.frames.passthrough")
+                counters["codec.encode_skipped"].value += 1.0
+            if not isinstance(message, dict):
+                return None
+            counters["transport.frames.passthrough"].value += 1.0
             return message
         # Wire-format mismatch: behave exactly like the eager path — the
         # receiver sees this codec's view of the sender's real bytes.

@@ -134,6 +134,11 @@ class _ScalarBackend:
             self._grid.update_positions(positions())
         self._time = now
 
+    @property
+    def all_static(self) -> bool:
+        """True while no indexed node has a time-varying mobility model."""
+        return not self._mobile
+
     def query_circle_ordered(self, x: float, y: float, radius: float) -> List[Node]:
         ids = self._grid.query_circle(x, y, radius)
         ids.sort(key=self._seq.__getitem__)
@@ -209,6 +214,9 @@ class WirelessMedium:
         self._rng = split_rng(seed, f"medium:{profile.name}")
         self._index, self.vectorized = _select_backend(profile.range_m, vectorized)
         self._moved_subs: Dict[str, Subscription] = {}
+        # node id -> in-range nodes in attach order, liveness NOT applied;
+        # filled only while the index holds no time-varying node.
+        self._static_neighbourhoods: Dict[str, List[Node]] = {}
         # Failure-modeling state (chaos layer; inert by default).
         self._isolations: Dict[int, frozenset] = {}
         self._next_isolation_token = 0
@@ -234,12 +242,14 @@ class WirelessMedium:
             raise ConfigurationError(f"node {node.node_id!r} already attached")
         self._nodes[node.node_id] = node
         self._index.insert(node)
+        self._static_neighbourhoods.clear()
         self._moved_subs[node.node_id] = node.events.on("moved", self._on_node_moved)
 
     def detach(self, node_id: str) -> None:
         if self._nodes.pop(node_id, None) is None:
             return
         self._index.remove(node_id)
+        self._static_neighbourhoods.clear()
         subscription = self._moved_subs.pop(node_id, None)
         if subscription is not None:
             subscription.cancel()
@@ -249,6 +259,7 @@ class WirelessMedium:
         if node.node_id not in self._nodes:
             return
         self._index.note_moved(node)
+        self._static_neighbourhoods.clear()
 
     # ------------------------------------------------------ failure modeling
 
@@ -315,34 +326,51 @@ class WirelessMedium:
     def neighbors_of(self, node_id: str) -> List[Node]:
         """Alive nodes currently within radio range of ``node_id``.
 
-        Results come from the spatial grid (then an exact range check) and
-        are ordered by attachment, matching the pre-grid all-nodes scan.
+        Ordered by attachment, matching the pre-grid all-nodes scan. While
+        every attached node is static the in-range set is answered from
+        memory (see :meth:`_audible_nodes`); otherwise from the position
+        index (3x3 cell block, then an exact range check).
         """
-        out = self._audible_nodes(node_id)
+        origin = self._nodes.get(node_id)
+        if origin is None:
+            return []
+        out = self._audible_nodes(origin)
         if self._isolations:
             out = [n for n in out if not self.partitioned(node_id, n.node_id)]
         return out
 
-    def _audible_nodes(self, node_id: str) -> List[Node]:
+    def _audible_nodes(self, origin: Node) -> List[Node]:
         """Alive in-range nodes, ignoring partitions (physical audibility).
 
         Both backends return the candidate nodes already in attachment
         order (the scalar grid sorts by attach sequence, the vector index
         by slot number — which *is* the attach sequence).
+
+        Static neighbourhoods: while the index reports no time-varying
+        node, who is in range of whom can only change through ``attach``,
+        ``detach`` or a ``"moved"`` event, and each of those clears the
+        memo — so the index is asked once per origin, not once per frame.
+        Liveness is not part of what is remembered: crashes, recoveries and
+        battery depletion fire no medium hook, so ``node.alive`` is applied
+        to the remembered list at every use, exactly as to a fresh answer.
         """
-        origin = self._nodes.get(node_id)
-        if origin is None:
-            return []
-        index = self._index
-        index.refresh(self.sim.now())
-        position = origin.position
-        return [
-            node
-            for node in index.query_circle_ordered(
+        in_range = self._static_neighbourhoods.get(origin.node_id)
+        if in_range is None:
+            index = self._index
+            index.refresh(self.sim.now())
+            position = origin.position
+            in_range = index.query_circle_ordered(
                 position.x, position.y, self.profile.range_m
             )
-            if node is not origin and node.alive
-        ]
+            if not index.all_static:
+                return [
+                    node for node in in_range
+                    if node is not origin and node.alive
+                ]
+            in_range = self._static_neighbourhoods[origin.node_id] = [
+                node for node in in_range if node is not origin
+            ]
+        return [node for node in in_range if node.alive]
 
     # ----------------------------------------------------------- transmission
 
@@ -362,11 +390,12 @@ class WirelessMedium:
             return False
 
         self.transmissions += 1
-        self.bytes_transmitted += packet.size_bytes
-        size_bits = packet.size_bits
+        size_bytes = packet.size_bytes
+        self.bytes_transmitted += size_bytes
+        size_bits = size_bytes * 8
 
         if packet.is_broadcast:
-            receivers = self._audible_nodes(sender_id)
+            receivers = self._audible_nodes(sender)
             if self._isolations:
                 reachable = [
                     n for n in receivers
@@ -432,9 +461,11 @@ class WirelessMedium:
             # Per-receiver MAC backoff: every reception gets its own delay,
             # so each is necessarily its own queue event. Deliveries are
             # fire-and-forget (never cancelled), so the no-handle path.
+            # rng.uniform(0, c) is 0 + (c - 0) * random(): the same float.
+            draw = rng.random
             for receiver in receivers:
-                per_rx_delay = delay + rng.uniform(0, contention)
-                if rng.random() < loss_probability:
+                per_rx_delay = delay + contention * draw()
+                if draw() < loss_probability:
                     self.drops_loss += 1
                     continue
                 sim.call_later(per_rx_delay, deliver, (receiver,), packet)
@@ -468,8 +499,8 @@ class WirelessMedium:
         the medium's counters are written back once, in a ``finally``: a
         reception whose handler raises was still made, and is counted.
         """
-        size_bits = packet.size_bits
         size_bytes = packet.size_bytes
+        size_bits = size_bytes * 8
         fault = self._delivery_fault
         radio = None
         made = dead = faulted = 0

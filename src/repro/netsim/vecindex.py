@@ -235,6 +235,11 @@ class VectorPositionIndex:
 
     # ---------------------------------------------------------------- queries
 
+    @property
+    def all_static(self) -> bool:
+        """True while no indexed node has a time-varying mobility model."""
+        return not (self._linear or self._fallback)
+
     def query_circle_ordered(self, x: float, y: float, radius: float) -> List[Any]:
         """Nodes within ``radius`` of (x, y), inclusive, in attachment order.
 

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, MiddlewareError, NoRouteError
 from repro.interop.codec import Codec, get_codec, try_decode_dict
-from repro.interop.frames import WireFrame, is_frame
+from repro.interop.frames import FRAME_TYPES, WireFrame
 from repro.obs.tracing import TRACER, SpanContext
 from repro.transport.base import Address, Scheduler, Transport
 from repro.transport.simnet import BROADCAST_NODE, SimFabric, SimTransport
@@ -34,6 +34,9 @@ from repro.util.ids import SequenceGenerator
 
 ROUTE_PORT = "route"
 DEFAULT_TTL = 32
+
+#: What an envelope's ``"b"`` field may hold.
+_BODY_TYPES = (bytes, bytearray) + FRAME_TYPES
 
 
 @dataclass
@@ -68,17 +71,6 @@ class Envelope:
         if self.route is not None:
             message["r"] = list(self.route)
         return message
-
-    @staticmethod
-    def from_dict(message: Dict[str, Any]) -> "Envelope":
-        return Envelope(
-            source=Address.parse(message["s"]),
-            destination=Address.parse(message["d"]),
-            ttl=message["t"],
-            seq=message["q"],
-            payload=message["b"],
-            route=list(message["r"]) if "r" in message else None,
-        )
 
 
 #: What a router tells the agent to do with an envelope.
@@ -128,6 +120,8 @@ class RoutingAgent:
         self.endpoint: SimTransport = fabric.endpoint(node_id, ROUTE_PORT)
         self._seq = SequenceGenerator(1)
         self._seen: set[Tuple[str, int]] = set()
+        # "node:port" as received -> (Address, str(Address)); bounded.
+        self._addresses: Dict[str, Tuple[Address, str]] = {}
         self._ports: Dict[str, "RoutedTransport"] = {}
         self.originated = 0
         self.forwarded = 0
@@ -257,32 +251,30 @@ class RoutingAgent:
         network = self.fabric.network
         return node_id in network and network.node(node_id).alive
 
-    def _frame_for(self, envelope: Envelope, out: Envelope):
-        """The wire frame for one outgoing hop.
+    def _frame_for(self, envelope: Envelope):
+        """The wire frame for ``envelope``'s next hop: its fields, ttl - 1.
 
-        When the incoming envelope carried a canonical wire dict
-        (``envelope.wire``) and the router changed nothing but the ttl, the
-        hop costs a ttl patch on the cached frame — the flood fast path.
+        When the envelope arrived as a canonical wire dict
+        (``envelope.wire``) and the router changed nothing since, the hop
+        costs a ttl patch on the cached frame — the flood fast path.
         Everything else (originations, DSR route edits) builds a fresh lazy
-        frame from ``out.to_dict()``. Overridden by the eager-codec baseline
-        in ``benchmarks/bench_wire.py``.
+        frame from ``to_dict()``. Overridden by the eager-codec baseline in
+        ``benchmarks/bench_wire.py``.
         """
         wire = envelope.wire
         if wire is not None:
             message = wire.message
-            if (message["b"] is out.payload
-                    and message.get("r") == out.route):
-                return wire.derive_int("t", out.ttl)
-        return WireFrame(out.to_dict(), self.codec)
+            if (message["b"] is envelope.payload
+                    and message.get("r") == envelope.route):
+                return wire.derive_int("t", envelope.ttl - 1)
+        message = envelope.to_dict()
+        message["t"] -= 1
+        return WireFrame(message, self.codec)
 
     def forward_to(self, next_hop: str, envelope: Envelope) -> None:
         """Send an envelope one hop (decrements TTL)."""
         self.forwarded += 1
-        out = Envelope(
-            envelope.source, envelope.destination, envelope.ttl - 1,
-            envelope.seq, envelope.payload, envelope.route,
-        )
-        frame = self._frame_for(envelope, out)
+        frame = self._frame_for(envelope)
         if TRACER.enabled:
             with TRACER.span("route.forward", parent=envelope.trace_ctx,
                              node=self.node_id, next_hop=next_hop,
@@ -294,11 +286,7 @@ class RoutingAgent:
     def flood(self, envelope: Envelope) -> None:
         """Broadcast an envelope to all neighbors (decrements TTL)."""
         self.forwarded += 1
-        out = Envelope(
-            envelope.source, envelope.destination, envelope.ttl - 1,
-            envelope.seq, envelope.payload, envelope.route,
-        )
-        frame = self._frame_for(envelope, out)
+        frame = self._frame_for(envelope)
         if TRACER.enabled:
             with TRACER.span("route.flood", parent=envelope.trace_ctx,
                              node=self.node_id,
@@ -336,41 +324,62 @@ class RoutingAgent:
             else:
                 self.router.handle_control(source, message)
             return
+        # Validate every header field in place — a bad header is "malformed"
+        # even when its (source, seq) was heard before — and ask _seen
+        # before anything is built: most flooded receptions are duplicates.
+        known = self._addresses
         try:
-            envelope = Envelope.from_dict(message)
+            text = message["s"]
+            origin, origin_text = known.get(text) or self._learn_address(text)
+            text = message["d"]
+            target, target_text = known.get(text) or self._learn_address(text)
+            ttl, seq, body = message["t"], message["q"], message["b"]
+            route = list(message["r"]) if "r" in message else None
         except (KeyError, TypeError, ValueError, AttributeError, MiddlewareError):
             self._drop("malformed")
             return
-        if not isinstance(envelope.ttl, int) or not isinstance(envelope.seq, int) \
-                or not (isinstance(envelope.payload, (bytes, bytearray))
-                        or is_frame(envelope.payload)):
+        if not isinstance(ttl, int) or not isinstance(seq, int) \
+                or not isinstance(body, _BODY_TYPES):
             self._drop("malformed")
             return
-        envelope.wire = self._capture_wire(payload, message, envelope)
-        if TRACER.enabled:
-            # Re-attach the trace context carried in the frame's packet
-            # header (ambient here: we run inside the transport.deliver span).
-            envelope.trace_ctx = TRACER.current_context()
-        key = (str(envelope.source), envelope.seq)
+        key = (origin_text, seq)
         if key in self._seen:
             self._drop("duplicate")
             return
         self._seen.add(key)
+        envelope = Envelope(origin, target, ttl, seq, body, route)
+        envelope.wire = self._capture_wire(
+            payload, message, origin_text, target_text)
+        if TRACER.enabled:
+            # Re-attach the trace context carried in the frame's packet
+            # header (ambient here: we run inside the transport.deliver span).
+            envelope.trace_ctx = TRACER.current_context()
         self._move(envelope)
+
+    _ADDRESS_MEMO_CAP = 1024
+
+    def _learn_address(self, text: str) -> Tuple[Address, str]:
+        """Parse ``"node:port"`` once; remember it with its re-stringified form."""
+        address = Address.parse(text)
+        if len(self._addresses) >= self._ADDRESS_MEMO_CAP:
+            self._addresses.clear()
+        known = self._addresses[text] = (address, str(address))
+        return known
 
     _WIRE_KEYS = ("s", "d", "t", "q", "b")
     _WIRE_KEYS_R = ("s", "d", "t", "q", "b", "r")
 
     def _capture_wire(self, payload, message: Dict[str, Any],
-                      envelope: Envelope) -> Optional[WireFrame]:
+                      source: str, destination: str) -> Optional[WireFrame]:
         """The received frame, iff its dict provably round-trips to_dict().
 
         Forwarding via a cached frame is only sound when re-encoding
         ``envelope.to_dict()`` would reproduce the received dict exactly:
-        canonical key order, addresses that re-stringify identically, and a
-        ttl that an int-field splice can rewrite. Anything else returns
-        None, falling back to the full re-encode — exactly the pre-frame
-        behavior (including its silent dropping of unknown keys).
+        canonical key order, addresses that re-stringify identically
+        (``source``/``destination`` are the parsed addresses' ``str()``),
+        and a ttl that an int-field splice can rewrite. Anything else
+        returns None, falling back to the full re-encode — exactly the
+        pre-frame behavior (including its silent dropping of unknown keys).
         """
         keys = tuple(message)
         if keys != self._WIRE_KEYS and keys != self._WIRE_KEYS_R:
@@ -379,8 +388,7 @@ class RoutingAgent:
         if type(ttl) is not int or type(message["q"]) is not int \
                 or not 0 <= ttl < 2**63:
             return None
-        if message["s"] != str(envelope.source) \
-                or message["d"] != str(envelope.destination):
+        if message["s"] != source or message["d"] != destination:
             return None
         if isinstance(payload, WireFrame) and payload.codec.name == self.codec.name:
             return payload

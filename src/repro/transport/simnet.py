@@ -125,7 +125,8 @@ class SimFabric:
             destination=(
                 BROADCAST if destination.node == BROADCAST_NODE else destination.node
             ),
-            payload=(source.port, destination.port, payload),
+            # The sender's Address itself, shared by every receiver.
+            payload=(source, destination.port, payload),
             payload_bytes=len(payload) + PORT_HEADER_BYTES,
         )
         if TRACER.enabled:
@@ -159,7 +160,7 @@ class SimFabric:
         payload = packet.payload
         if not (isinstance(payload, tuple) and len(payload) == 3):
             return  # not transport traffic (e.g. raw routing-layer frames)
-        source_port, dest_port, data = payload
+        source, dest_port, data = payload
         endpoint = self._endpoints.get((node.node_id, dest_port))
         if endpoint is None or endpoint.closed:
             return
@@ -171,9 +172,9 @@ class SimFabric:
                 port=dest_port,
                 peer=packet.source,
             ):
-                endpoint._dispatch(Address(packet.source, source_port), data)
+                endpoint._dispatch(source, data)
         else:
-            endpoint._dispatch(Address(packet.source, source_port), data)
+            endpoint._dispatch(source, data)
 
     def run(self) -> None:
         """Pump all pending simulator events (convenience for tests)."""

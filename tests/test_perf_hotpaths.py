@@ -4,9 +4,11 @@ Covers the behaviors the event-loop and queue rewrites must preserve: NaN
 rejection at scheduling time (NaN used to slip past the ``when < now``
 guard and corrupt heap ordering), tombstone compaction semantics, and the
 inlined pop paths in ``run``/``run_until`` honoring cancellation. The last
-class is a call-count guard on the radio reception path.
+two classes are call-count guards: on the radio reception path, and on a
+flooded multi-hop delivery.
 """
 
+import collections
 import math
 import os
 import sys
@@ -20,7 +22,12 @@ from repro.netsim.mobility import LinearMobility
 from repro.netsim.packet import BROADCAST, Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import grid
+from repro.routing.base import build_routed_network
+from repro.routing.flooding import FloodingRouter
+from repro.transport.base import Address
+from repro.transport.simnet import SimFabric
 from repro.util.priorityqueue import StablePriorityQueue
+from tests.test_vector_medium import BACKENDS
 
 
 class TestNaNScheduling:
@@ -183,6 +190,26 @@ class TestInlinedEventLoops:
             sim.run(max_events=50)
 
 
+def count_repro_calls(run):
+    """``run()`` under ``sys.setprofile``: Python-level ``call`` events
+    whose code lives in ``src/repro``, by function name. Exact, and the
+    same on every machine."""
+    root = os.path.dirname(repro.__file__) + os.sep
+    calls = collections.Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
 class TestReceptionCallBudget:
     """Python-level calls inside ``src/repro`` per radio delivery.
 
@@ -223,21 +250,51 @@ class TestReceptionCallBudget:
                 sim.schedule_at(0.05 + round_index * 2.0 + i * step,
                                 beacon, node)
 
-        root = os.path.dirname(repro.__file__) + os.sep
-        calls = 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            if event == "call" and frame.f_code.co_filename.startswith(root):
-                calls += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
-            sim.run()
-        finally:
-            sys.setprofile(previous)
+        calls = sum(count_repro_calls(sim.run).values())
 
         assert medium.transmissions == 4 * len(nodes)
         assert len(heard) == medium.deliveries > 10_000
         assert calls / medium.deliveries <= self.BUDGET
+
+
+class TestFloodCallBudget:
+    """Python-level calls inside ``src/repro`` per delivery of a flood.
+
+    A 3x3 grid at 60 m where every node runs a ``FloodingRouter``: each
+    corner-to-corner unicast is rebroadcast once by the eight other nodes,
+    and about four receptions in five are duplicates. With the position
+    index asked per frame and an ``Envelope`` built before the duplicate
+    check, a delivery cost 38.6 such calls; answered from the static
+    neighbourhood memo and dropped before anything is built, 26.1. The
+    world never moves, so the index may be asked once per sender — not
+    once per transmission.
+    """
+
+    BUDGET = 30.0
+    UNICASTS = 200
+
+    @pytest.mark.parametrize("vectorized", BACKENDS)
+    def test_flooded_grid_stays_within_budget(self, vectorized):
+        network = grid(3, 3, spacing=60.0, seed=0, vectorized=vectorized)
+        sim, medium = network.sim, network.medium
+        agents = build_routed_network(
+            SimFabric(network), lambda node_id: FloodingRouter())
+        source = agents["n0_0"].open_port("app")
+        delivered = []
+        agents["n2_2"].open_port("app").set_receiver(
+            lambda sender, body: delivered.append(body))
+        for i in range(self.UNICASTS):
+            sim.schedule_at(0.1 + 0.05 * i, source.send,
+                            Address("n2_2", "app"), b"x" * 32)
+
+        calls = count_repro_calls(sim.run)
+
+        # Everyone but the destination rebroadcasts each envelope once.
+        assert medium.transmissions == 8 * self.UNICASTS
+        assert len(delivered) == self.UNICASTS
+        duplicates = sum(agent.dropped.get("duplicate", 0)
+                         for agent in agents.values())
+        assert duplicates > 0.75 * medium.deliveries > 5_000
+        assert sum(calls.values()) / medium.deliveries <= self.BUDGET
+        senders = len(agents) - 1
+        assert 0 < calls["query_circle_ordered"] <= senders

@@ -7,6 +7,7 @@ from repro.netsim import topology
 from repro.netsim.energy import Battery
 from repro.netsim.medium import IDEAL_RADIO
 from repro.netsim.network import Network
+from repro.interop.frames import WireFrame
 from repro.routing.base import Envelope, RoutingAgent, build_routed_network
 from repro.routing.datacentric import DataCentricAgent
 from repro.routing.dsr import DsrRouter
@@ -36,21 +37,32 @@ def end_to_end(network, agents, src, dst, payload=b"data"):
     return received
 
 
+def parsed_by_agent(fabric, message):
+    """The Envelope an agent's receive path builds from one header dict."""
+    agent = RoutingAgent(fabric, "hub", FloodingRouter())
+    heard = []
+    agent._move = heard.append
+    agent._on_frame(Address("leaf0", "route"), WireFrame(message, agent.codec))
+    assert agent.dropped == {}
+    (envelope,) = heard
+    return envelope
+
+
 class TestEnvelope:
-    def test_dict_round_trip(self):
+    def test_dict_round_trip(self, ideal_star):
         envelope = Envelope(Address("a", "x"), Address("b", "y"), ttl=5, seq=9,
                             payload=b"data", route=["a", "m", "b"])
-        again = Envelope.from_dict(envelope.to_dict())
+        again = parsed_by_agent(ideal_star[1], envelope.to_dict())
         assert again.source == envelope.source
         assert again.destination == envelope.destination
         assert again.ttl == 5 and again.seq == 9
         assert again.payload == b"data"
         assert again.route == ["a", "m", "b"]
 
-    def test_route_optional(self):
+    def test_route_optional(self, ideal_star):
         envelope = Envelope(Address("a"), Address("b"), 3, 1, b"")
         assert "r" not in envelope.to_dict()
-        assert Envelope.from_dict(envelope.to_dict()).route is None
+        assert parsed_by_agent(ideal_star[1], envelope.to_dict()).route is None
 
 
 class TestRoutingAgent:
