@@ -15,7 +15,7 @@ three regimes of that loop:
 
 ``test_warm_fastpath_speedup`` is a plain assertion (not a benchmark)
 guarding the tentpole claim: warm energy-only reconfiguration must be at
-least 5x faster than cold enumeration.
+least 10x faster than cold enumeration.
 """
 
 import time
@@ -111,7 +111,7 @@ def test_lifetime_loop_warm(benchmark):
 
 
 def test_warm_fastpath_speedup():
-    """Acceptance gate: warm energy-only rounds >= 5x faster than cold."""
+    """Acceptance gate: warm energy-only rounds >= 10x faster than cold."""
     milan = _build()
     rounds = 30
 
@@ -131,7 +131,7 @@ def test_warm_fastpath_speedup():
         lambda i: milan.update_sensor_energy("s0", 1e9 - (i + 1) * 1e-3)
     )
     speedup = cold_s / warm_s
-    assert speedup >= 5.0, (
+    assert speedup >= 10.0, (
         f"warm energy-only reconfigure only {speedup:.1f}x faster than cold "
         f"(cold {cold_s * 1e3:.2f}ms, warm {warm_s * 1e3:.2f}ms for "
         f"{rounds} rounds)"

@@ -74,7 +74,7 @@ def combined_reliability(
     """Reliability a sensor group achieves for one variable."""
     miss = 1.0
     for sensor in sensors:
-        r = sensor.reliability_for(variable)
+        r = sensor.reliabilities.get(variable, 0.0)
         if r > 0.0:
             miss *= 1.0 - r
     return 1.0 - miss

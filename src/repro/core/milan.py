@@ -33,7 +33,7 @@ from repro.core.feasibility import (
 )
 from repro.core.plugins import NetworkContext, NetworkPlugin, network_feasible
 from repro.core.policy import ApplicationPolicy
-from repro.core.reconfig import ReconfigEngine
+from repro.core.reconfig import FeasibilityEntry, ReconfigEngine
 from repro.core.selection import SetScore, select_best
 from repro.core.sensors import SensorInfo
 from repro.obs.tracing import TRACER
@@ -47,8 +47,9 @@ class Milan:
 
     ``incremental=True`` (the default) runs the pipeline through a
     :class:`~repro.core.reconfig.ReconfigEngine`: candidate enumerations
-    are memoized under a structural fingerprint and energy-only updates
-    re-score cached candidates instead of re-enumerating. Results are
+    and their energy-independent score terms are memoized together under
+    one structural fingerprint, so an energy-only round reads each alive
+    sensor's lifetime once and re-ranks the cached candidates. Results are
     identical to the uncached path (``incremental=False``), which is kept
     both as the equivalence oracle and for memory-constrained embeddings.
     """
@@ -127,10 +128,11 @@ class Milan:
 
     def application_satisfied(self) -> bool:
         """Is the applied set actually meeting the current requirements?"""
+        sensors = self.context.sensors
         active = [
-            self.context.sensors[sid]
+            sensors[sid]
             for sid in self.active_sensor_ids()
-            if sid in self.context.sensors
+            if sid in sensors and not sensors[sid].depleted
         ]
         return satisfies(active, self.requirements())
 
@@ -172,7 +174,7 @@ class Milan:
         updated = sensor.with_energy(energy_j)
         self.context.sensors[sensor_id] = updated
         if updated.depleted and not sensor.depleted and self.engine is not None:
-            self.engine.note_death(sensor_id)
+            self.engine.invalidate_sensor(sensor_id)
         if self.auto_reconfigure and energy_j <= 0.0 and was_active:
             self.reconfigure()
 
@@ -203,21 +205,25 @@ class Milan:
 
     def candidate_sets(self) -> List[SensorSet]:
         """Steps 1-2: application feasible sets, then network filtering."""
-        return self._candidate_sets(self.requirements())
+        return self._candidate_sets(self.requirements())[0]
 
-    def _candidate_sets(self, requirements: Dict[str, float]) -> List[SensorSet]:
+    def _candidate_sets(
+        self, requirements: Dict[str, float]
+    ) -> Tuple[List[SensorSet], Optional[FeasibilityEntry]]:
+        entry = None  # the engine entry the sets came from, for select()
         if self.engine is not None:
-            candidates = self.engine.candidates(
+            entry = self.engine.candidates(
                 self.context.sensors,
                 requirements,
                 self.policy,
                 lambda: self._application_candidates(requirements),
             )
+            candidates = entry.candidates
         else:
             candidates = self._application_candidates(requirements)
         # Plugins judge live network state (reachability, channel load) that
         # can change without any sensor delta, so filtering is never cached.
-        return network_feasible(candidates, self.plugins, self.context)
+        return network_feasible(candidates, self.plugins, self.context), entry
 
     def _application_candidates(
         self, requirements: Dict[str, float]
@@ -258,10 +264,11 @@ class Milan:
 
     def _run_pipeline(self) -> Optional[NetworkConfiguration]:
         requirements = self.requirements()
-        candidates = self._candidate_sets(requirements)
-        if self.engine is not None:
+        candidates, entry = self._candidate_sets(requirements)
+        if entry is not None:
             chosen = self.engine.select(
-                candidates, self.context.sensors, requirements, self._strategy
+                entry, candidates, self.context.sensors, requirements,
+                self._strategy,
             )
         else:
             chosen = select_best(
@@ -326,7 +333,7 @@ class Milan:
         if died:
             if self.engine is not None:
                 for sensor_id in died:
-                    self.engine.note_death(sensor_id)
+                    self.engine.invalidate_sensor(sensor_id)
             if self.auto_reconfigure:
                 self.reconfigure()
         return died

@@ -113,6 +113,8 @@ def network_feasible(
     context: NetworkContext,
 ) -> List[SensorSet]:
     """Filter candidates through every plugin (order-preserving)."""
+    if not plugins:
+        return candidate_sets  # as is, not copied
     return [
         sensor_set
         for sensor_set in candidate_sets

@@ -22,24 +22,29 @@ direct ``context.sensors[sid] = ...`` swap (as the secure binder does)
 lands on a different key and misses. Explicit *delta invalidation*
 (:meth:`ReconfigEngine.invalidate_sensor`, wired into ``add_sensor`` /
 ``remove_sensor`` / sensor death) is hygiene on top: it evicts entries
-that can never be hit again and keeps the caches honest about memory.
+that can never be hit again and keeps the cache honest about memory.
 
 :class:`ReconfigEngine` adds the scoring half of the fast path: per-set
 ``performance`` and ``power`` terms are energy-independent, so they are
-cached per ``(requirements, set)`` and validated against the member
-signatures; only the energy-dependent ``lifetime`` term is recomputed each
-round. A warm energy-only ``reconfigure()`` therefore does no enumeration
-and no reliability products — just a fingerprint probe, plugin filtering,
-one ``min`` per candidate, and the strategy comparison.
+kept *in the feasibility entry* of their candidate — its fleet key pins
+every alive sensor's signature, all those terms depend on, so the
+fingerprint validates them and the one cache is bounded and evicted as one.
+A warm energy-only ``reconfigure()`` is a fingerprint probe, plugin
+filtering, one pass over the entry's fleet (signature re-checked through
+the identity memo, ``lifetime_if_active()`` read once per sensor, *after*
+the plugins ran), one ``min`` per candidate, and the strategy comparison.
+A sensor swapped or removed since the probe (a plugin or listener touched
+``context.sensors`` mid-pipeline) fails that pass: the round is scored
+uncached and nothing is stored.
 
 Exact equivalence with the uncached path is guaranteed by construction
-(the miss path *is* the uncached code, via the ``compute`` thunk, and the
-cached score terms are the floats that code produced) and asserted by the
-interleaving property test in ``tests/test_feasibility_property.py``.
+(the miss paths *are* the uncached code: the ``compute`` thunk, and
+``score_set``, whose floats associate over id-sorted members) and asserted
+by the interleaving property test in ``tests/test_feasibility_property.py``.
 
 Cache traffic is visible via :mod:`repro.obs.metrics` counters:
 ``milan.feasibility_cache.{hits,misses,invalidations}`` and
-``milan.score_cache.{hits,misses}``.
+``milan.score_cache.{hits,misses}`` (terms reused / computed).
 """
 
 from __future__ import annotations
@@ -50,19 +55,14 @@ from typing import (
     Dict,
     FrozenSet,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
 )
 
 from repro.core.feasibility import requirements_signature, sensor_signature
-from repro.core.selection import (
-    SelectionStrategy,
-    SetScore,
-    set_lifetime,
-    set_performance,
-    set_power,
-)
+from repro.core.selection import SelectionStrategy, SetScore, score_set, select_best
 from repro.core.sensors import SensorInfo
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -71,6 +71,16 @@ Signature = Tuple
 #: ((sensor_id, signature), ...) over alive sensors, id-sorted.
 FleetKey = Tuple
 CacheKey = Tuple
+_INF = float("inf")
+
+
+class FeasibilityEntry(NamedTuple):
+    """One fingerprint's candidates and their energy-independent terms."""
+
+    fleet: FleetKey
+    candidates: List[SensorSet]
+    #: sensor_set -> (performance, power_w), filled in by ``select``.
+    terms: Dict[SensorSet, Tuple[float, float]]
 
 
 class FeasibilityCache:
@@ -89,7 +99,7 @@ class FeasibilityCache:
     def __init__(self, max_entries: int = 256,
                  registry: Optional[MetricsRegistry] = None):
         self.max_entries = max_entries
-        self._entries: "OrderedDict[CacheKey, List[SensorSet]]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, FeasibilityEntry]" = OrderedDict()
         self._signatures: Dict[str, Tuple[Dict[str, float], float, Signature]] = {}
         self.hits = 0
         self.misses = 0
@@ -121,15 +131,15 @@ class FeasibilityCache:
         return signature
 
     def fleet_key(self, sensors: Dict[str, SensorInfo]) -> FleetKey:
-        alive = sorted(
+        alive = sorted([
             (sid, sensor) for sid, sensor in sensors.items()
             if not sensor.depleted
-        )
-        return tuple((sid, self.signature_of(sensor)) for sid, sensor in alive)
+        ])
+        return tuple([(sid, self.signature_of(sensor)) for sid, sensor in alive])
 
     # ----------------------------------------------------------------- cache
 
-    def lookup(self, key: CacheKey) -> Optional[List[SensorSet]]:
+    def lookup(self, key: CacheKey) -> Optional[FeasibilityEntry]:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -140,22 +150,23 @@ class FeasibilityCache:
         self._hits_counter.inc()
         return entry
 
-    def store(self, key: CacheKey, candidates: List[SensorSet]) -> None:
-        self._entries[key] = candidates
+    def store(self, key: CacheKey, candidates: List[SensorSet]) -> FeasibilityEntry:
+        entry = self._entries[key] = FeasibilityEntry(key[0], candidates, {})
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
+        return entry
 
     def invalidate_sensor(self, sensor_id: str) -> int:
         """Evict the sensor's signature memo and every entry keyed on it.
 
-        Returns the number of candidate lists dropped. Structural keying
+        Returns the number of entries dropped. Structural keying
         already guarantees such entries could never be *wrongly* hit; this
         reclaims their memory the moment they become unreachable.
         """
         self._signatures.pop(sensor_id, None)
         stale = [
-            key for key, _candidates in self._entries.items()
+            key for key in self._entries
             if any(sid == sensor_id for sid, _sig in key[0])
         ]
         for key in stale:
@@ -165,6 +176,9 @@ class FeasibilityCache:
             self._invalidations_counter.inc(len(stale))
         return len(stale)
 
+    def terms_held(self) -> int:
+        return sum(len(entry.terms) for entry in self._entries.values())
+
     def clear(self) -> None:
         self._entries.clear()
         self._signatures.clear()
@@ -173,23 +187,16 @@ class FeasibilityCache:
 class ReconfigEngine:
     """The incremental engine behind ``Milan._run_pipeline``.
 
-    Couples a :class:`FeasibilityCache` with a score-term cache so that a
-    warm reconfigure after an energy-only update skips both the candidate
-    enumeration and the per-set reliability products, recomputing only the
-    lifetime terms the energy update actually moved.
+    One :class:`FeasibilityCache` whose entries carry both halves of the
+    fast path: a warm reconfigure after an energy-only update skips the
+    candidate enumeration and the per-set reliability products, and pays
+    one pass over the alive sensors plus one ``min`` per candidate.
     """
 
     def __init__(self, max_feasibility_entries: int = 256,
-                 max_score_entries: int = 4096,
                  registry: Optional[MetricsRegistry] = None):
         registry = registry if registry is not None else get_registry()
         self.feasibility = FeasibilityCache(max_feasibility_entries, registry)
-        self.max_score_entries = max_score_entries
-        #: (requirements signature, sensor_set) ->
-        #: (performance, power_w, member signatures at compute time)
-        self._scores: "OrderedDict[Tuple, Tuple[float, float, Tuple[Signature, ...]]]" = (
-            OrderedDict()
-        )
         self.score_hits = 0
         self.score_misses = 0
         self._score_hits_counter = registry.counter("milan.score_cache.hits")
@@ -203,13 +210,13 @@ class ReconfigEngine:
         requirements: Dict[str, float],
         policy,
         compute: Callable[[], List[SensorSet]],
-    ) -> List[SensorSet]:
-        """The memoized application-feasible candidates.
+    ) -> FeasibilityEntry:
+        """The memoized entry for the current fingerprint.
 
         ``compute`` is the uncached enumeration (Milan's own pipeline
-        code), called only on a fingerprint miss — so the cached result is
-        byte-identical to what the uncached path would have produced.
-        Callers must treat the returned list as immutable.
+        code), called only on a fingerprint miss — so ``entry.candidates``
+        is byte-identical to what the uncached path would have produced.
+        Callers must treat it as immutable and hand the entry to ``select``.
         """
         key = (
             self.feasibility.fleet_key(sensors),
@@ -217,82 +224,72 @@ class ReconfigEngine:
             policy.exhaustive_limit,
             policy.redundancy,
         )
-        cached = self.feasibility.lookup(key)
-        if cached is not None:
-            return cached
-        result = compute()
-        self.feasibility.store(key, result)
-        return result
+        entry = self.feasibility.lookup(key)
+        if entry is None:
+            entry = self.feasibility.store(key, compute())
+        return entry
 
     # --------------------------------------------------------------- scoring
 
     def select(
         self,
+        entry: FeasibilityEntry,
         candidates: Sequence[SensorSet],
         sensors: Dict[str, SensorInfo],
         requirements: Dict[str, float],
         strategy: SelectionStrategy,
     ) -> Optional[SetScore]:
-        """Score-cached equivalent of :func:`repro.core.selection.select_best`."""
+        """``select_best`` over ``entry``'s terms; ``candidates`` are the
+        entry's after network filtering, ``requirements`` its lookup's."""
         if not candidates:
             return None
-        req_key = requirements_signature(requirements)
-        scores = [
-            self._score(sensor_set, sensors, requirements, req_key)
-            for sensor_set in candidates
-        ]
+        signature_of = self.feasibility.signature_of
+        lifetimes: Dict[str, float] = {}
+        for sensor_id, signature in entry.fleet:
+            sensor = sensors.get(sensor_id)
+            if sensor is None or signature_of(sensor) != signature:
+                # Swapped or removed since the lookup: the fingerprint no
+                # longer vouches for the stored terms.
+                self.score_misses += len(candidates)
+                self._score_misses_counter.inc(len(candidates))
+                return select_best(candidates, sensors, requirements, strategy)
+            lifetimes[sensor_id] = sensor.lifetime_if_active()
+        lifetime_of = lifetimes.__getitem__
+        terms = entry.terms
+        held = len(terms)
+        scores = []
+        for sensor_set in candidates:
+            term = terms.get(sensor_set)
+            if term is None:
+                score = score_set(sensor_set, sensors, requirements)
+                terms[sensor_set] = (score.performance, score.power_w)
+            else:
+                # Lifetime is the only energy-dependent term: always fresh.
+                lifetime = min(map(lifetime_of, sensor_set)) if sensor_set else _INF
+                score = SetScore(sensor_set, lifetime, *term)
+            scores.append(score)
+        computed = len(terms) - held
+        reused = len(scores) - computed
+        if computed:
+            self.score_misses += computed
+            self._score_misses_counter.inc(computed)
+        if reused:
+            self.score_hits += reused
+            self._score_hits_counter.inc(reused)
         return strategy(scores)
-
-    def _score(
-        self,
-        sensor_set: SensorSet,
-        sensors: Dict[str, SensorInfo],
-        requirements: Dict[str, float],
-        req_key: Tuple,
-    ) -> SetScore:
-        members = [sensors[sid] for sid in sensor_set]
-        # Lifetime is the only energy-dependent term: always fresh.
-        lifetime = set_lifetime(members)
-        member_sigs = tuple(
-            self.feasibility.signature_of(member) for member in members
-        )
-        key = (req_key, sensor_set)
-        cached = self._scores.get(key)
-        if cached is not None and cached[2] == member_sigs:
-            performance, power, _sigs = cached
-            self._scores.move_to_end(key)
-            self.score_hits += 1
-            self._score_hits_counter.inc()
-            return SetScore(sensor_set, lifetime, performance, power)
-        self.score_misses += 1
-        self._score_misses_counter.inc()
-        performance = set_performance(members, requirements)
-        power = set_power(members)
-        self._scores[key] = (performance, power, member_sigs)
-        while len(self._scores) > self.max_score_entries:
-            self._scores.popitem(last=False)
-        return SetScore(sensor_set, lifetime, performance, power)
 
     # ---------------------------------------------------------- invalidation
 
     def invalidate_sensor(self, sensor_id: str) -> None:
-        """Delta invalidation: drop everything keyed on ``sensor_id``.
+        """Delta invalidation: drop every entry keyed on ``sensor_id``.
 
         Wired into ``add_sensor`` (a re-registration may carry new
         reliabilities), ``remove_sensor``, and sensor death.
         """
         self.feasibility.invalidate_sensor(sensor_id)
-        stale = [key for key in self._scores if sensor_id in key[1]]
-        for key in stale:
-            del self._scores[key]
-
-    def note_death(self, sensor_id: str) -> None:
-        """A battery hit zero: the alive set shrank, evict its entries."""
-        self.invalidate_sensor(sensor_id)
 
     def clear(self) -> None:
         self.feasibility.clear()
-        self._scores.clear()
 
     # ------------------------------------------------------------ inspection
 
@@ -304,5 +301,5 @@ class ReconfigEngine:
             "feasibility_entries": len(self.feasibility),
             "score_hits": self.score_hits,
             "score_misses": self.score_misses,
-            "score_entries": len(self._scores),
+            "score_entries": self.feasibility.terms_held(),
         }

@@ -77,7 +77,8 @@ def score_set(
     sensors: Dict[str, SensorInfo],
     requirements: Dict[str, float],
 ) -> SetScore:
-    members = [sensors[sid] for sid in sensor_set]
+    # Id-sorted: the float product and sum must not associate in hash order.
+    members = [sensors[sid] for sid in sorted(sensor_set)]
     return SetScore(
         sensor_set,
         set_lifetime(members),
@@ -95,12 +96,20 @@ def _tie_break(score: SetScore) -> Tuple:
     return (len(score.sensor_set), score.power_w, tuple(sorted(score.sensor_set)))
 
 
+def _best(scores: List[SetScore], values: List[float]) -> SetScore:
+    """Highest value wins, :func:`_tie_break` only among those sharing it:
+    the choice ``min(key=(-value,) + _tie_break)`` makes over all scores."""
+    best = max(values)
+    tied = [score for score, value in zip(scores, values) if value == best]
+    return tied[0] if len(tied) == 1 else min(tied, key=_tie_break)
+
+
 def max_lifetime(scores: List[SetScore]) -> SetScore:
-    return min(scores, key=lambda s: (-s.lifetime_s,) + _tie_break(s))
+    return _best(scores, [s.lifetime_s for s in scores])
 
 
 def max_reliability(scores: List[SetScore]) -> SetScore:
-    return min(scores, key=lambda s: (-s.performance,) + _tie_break(s))
+    return _best(scores, [s.performance for s in scores])
 
 
 def balanced(alpha: float = 0.7) -> SelectionStrategy:
@@ -122,7 +131,7 @@ def balanced(alpha: float = 0.7) -> SelectionStrategy:
                 normalized_lifetime = score.lifetime_s / best_finite
             return alpha * normalized_lifetime + (1.0 - alpha) * score.performance
 
-        return min(scores, key=lambda s: (-utility(s),) + _tie_break(s))
+        return _best(scores, [utility(s) for s in scores])
 
     return strategy
 

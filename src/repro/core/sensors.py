@@ -10,7 +10,7 @@ properties carry ``var:<name>`` reliability entries
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.discovery.description import ServiceDescription
@@ -76,10 +76,15 @@ class SensorInfo:
         """A copy with ``joules`` consumed (immutable update)."""
         if self.energy_j == float("inf"):
             return self
-        return replace(self, energy_j=max(0.0, self.energy_j - joules))
+        return self.with_energy(max(0.0, self.energy_j - joules))
 
     def with_energy(self, energy_j: float) -> "SensorInfo":
-        return replace(self, energy_j=energy_j)
+        # The reliabilities mapping keeps its identity: the engine's
+        # signature memo is validated by it.
+        return SensorInfo(
+            self.sensor_id, self.reliabilities, self.active_power_w,
+            energy_j, self.bandwidth_bps, self.node_id,
+        )
 
 
 def sensor_from_description(description: ServiceDescription) -> SensorInfo:

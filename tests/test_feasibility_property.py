@@ -8,6 +8,7 @@ generates the fleets; a deterministic seeded sweep adds breadth beyond what
 one hypothesis run explores.
 """
 
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,13 @@ from repro.core.feasibility_reference import minimal_feasible_sets_reference
 from repro.core.milan import Milan
 from repro.core.policy import ApplicationPolicy
 from repro.core.requirements import VariableRequirements
+from repro.core.selection import (
+    SetScore,
+    _tie_break,
+    balanced,
+    max_lifetime,
+    max_reliability,
+)
 from repro.core.sensors import SensorInfo
 
 VARIABLES = ["v0", "v1", "v2", "v3"]
@@ -80,7 +88,54 @@ class TestBitmaskMatchesReference:
                 assert not satisfies(smaller, requirements)
 
 
-def _twin_policy() -> ApplicationPolicy:
+def _last_ids_first(scores):
+    """A custom strategy: no ``_tie_break``, just a total order on ids."""
+    return max(scores, key=lambda s: sorted(s.sensor_set))
+
+
+_twin_selection = st.sampled_from([
+    "max_lifetime", "max_reliability", "balanced",
+    balanced(0.0), balanced(0.3), balanced(1.0), _last_ids_first,
+])
+
+
+class _SwapOnAccept:
+    """A plugin that, once armed, replaces a sensor from inside ``accepts``
+    — i.e. after the engine's fingerprint lookup and before its scoring."""
+
+    name = "swap-on-accept"
+
+    def __init__(self):
+        self.pending = None
+
+    def accepts(self, sensor_set, context) -> bool:
+        if self.pending is not None:
+            (slot, measures), self.pending = self.pending, None
+            _swap(context.sensors, slot, measures)
+        return True
+
+
+def _swap(sensors, slot, measures) -> None:
+    """Same id and energy, new reliabilities and power, no Milan hook."""
+    old = sensors.get(f"s{slot}")
+    if old is not None:
+        sensors[old.sensor_id] = SensorInfo(
+            old.sensor_id, measures, active_power_w=0.02, energy_j=old.energy_j)
+
+
+def _recorded(selection, log):
+    """``selection`` as a strategy that also logs every score list it is
+    shown, so the twins are compared on all candidates, not the winner."""
+    strategy = _twin_policy(selection).selection_strategy()
+
+    def record(scores):
+        log.append(list(scores))
+        return strategy(scores)
+
+    return record
+
+
+def _twin_policy(selection="balanced") -> ApplicationPolicy:
     requirements = (
         VariableRequirements()
         .require("lo", "v0", 0.7)
@@ -90,7 +145,7 @@ def _twin_policy() -> ApplicationPolicy:
         .require("hi", "v2", 0.8)
     )
     return ApplicationPolicy(
-        "twin", requirements, initial_state="lo", selection="balanced"
+        "twin", requirements, initial_state="lo", selection=selection
     )
 
 
@@ -103,7 +158,9 @@ _twin_measures = st.dictionaries(
 #: One runtime mutation. Sensor ids are drawn from an 8-slot namespace so
 #: adds collide with (re-register over) earlier sensors, removes and energy
 #: updates hit both existing and missing ids, and ticks can deplete the
-#: small-battery sensors mid-run.
+#: small-battery sensors mid-run. ``swap`` writes ``context.sensors``
+#: behind Milan's back (as the secure binder does); ``plugin_swap`` does
+#: the same from inside the next reconfigure's network filtering.
 _twin_op = st.one_of(
     st.tuples(st.just("add"), st.integers(0, 7), _twin_measures,
               st.sampled_from([0.0, 0.5, 2.0, 50.0])),
@@ -112,7 +169,20 @@ _twin_op = st.one_of(
               st.sampled_from([0.0, 0.1, 1.0, 25.0])),
     st.tuples(st.just("state"), st.sampled_from(["lo", "hi"])),
     st.tuples(st.just("tick"), st.sampled_from([1.0, 30.0, 400.0])),
+    st.tuples(st.just("swap"), st.integers(0, 7), _twin_measures),
+    st.tuples(st.just("plugin_swap"), st.integers(0, 7), _twin_measures),
 )
+
+
+#: Random adds alone rarely build a fleet that satisfies even ``lo``, and
+#: an infeasible round has nothing to score; half the runs therefore start
+#: from this fleet (several minimal sets in both states, one small battery).
+_twin_base = st.sampled_from([[], [
+    ("add", 0, {"v0": 0.9, "v1": 0.5}, 50.0),
+    ("add", 1, {"v1": 0.8, "v2": 0.7}, 50.0),
+    ("add", 2, {"v0": 0.6, "v2": 0.85}, 2.0),
+    ("add", 3, {"v0": 0.75, "v1": 0.7, "v2": 0.5}, 50.0),
+]])
 
 
 def _twin_apply(milan: Milan, op) -> None:
@@ -127,27 +197,38 @@ def _twin_apply(milan: Milan, op) -> None:
         milan.update_sensor_energy(f"s{op[1]}", op[2])
     elif kind == "state":
         milan.set_state(op[1])
+    elif kind == "swap":
+        _swap(milan.context.sensors, op[1], op[2])
+    elif kind == "plugin_swap":
+        milan.plugins[0].pending = op[1:]
     else:
         milan.advance_time(op[1])
 
 
 class TestIncrementalEngineMatchesUncached:
     """The reconfiguration engine is invisible: under any interleaving of
-    adds, removes, energy updates, state changes, and time, the incremental
-    Milan must track the uncached one exactly — same candidates (also
-    checked against the O(2^n) reference), same chosen set, same scores."""
+    adds, removes, energy updates, state changes, time, and sensor swaps
+    it is never told about, and under any selection strategy, the
+    incremental Milan must track the uncached one exactly — same
+    candidates (also checked against the O(2^n) reference), same chosen
+    set, same scores."""
 
-    @given(st.lists(_twin_op, min_size=1, max_size=24))
+    @given(_twin_selection, _twin_base,
+           st.lists(_twin_op, min_size=1, max_size=24))
     @settings(max_examples=60, deadline=None)
-    def test_interleavings(self, ops):
-        cached = Milan(_twin_policy(), incremental=True)
-        plain = Milan(_twin_policy(), incremental=False)
+    def test_interleavings(self, selection, base, ops):
+        cached_saw, plain_saw = [], []
+        cached = Milan(_twin_policy(_recorded(selection, cached_saw)),
+                       [_SwapOnAccept()], incremental=True)
+        plain = Milan(_twin_policy(_recorded(selection, plain_saw)),
+                      [_SwapOnAccept()], incremental=False)
         assert cached.engine is not None and plain.engine is None
-        for op in ops:
+        for op in base + ops:
             _twin_apply(cached, op)
             _twin_apply(plain, op)
             cached.reconfigure()
             plain.reconfigure()
+            assert cached_saw == plain_saw
             assert cached.active_sensor_ids() == plain.active_sensor_ids()
             assert cached.current_score == plain.current_score
             assert cached.current_configuration == plain.current_configuration
@@ -160,6 +241,60 @@ class TestIncrementalEngineMatchesUncached:
             assert candidates == minimal_feasible_sets_reference(
                 alive, cached.requirements()
             )
+
+
+def _old_strategy(value):
+    """The one-line strategies ``_best`` replaced: every candidate keyed."""
+    return lambda scores: min(
+        scores, key=lambda s: (-value(scores, s),) + _tie_break(s))
+
+
+def _old_utility(alpha):
+    def utility(scores, score):
+        finite = [s.lifetime_s for s in scores if not math.isinf(s.lifetime_s)]
+        best_finite = max(finite) if finite else 1.0
+        if math.isinf(score.lifetime_s):
+            normalized = 1.0
+        elif best_finite <= 0:
+            normalized = 0.0
+        else:
+            normalized = score.lifetime_s / best_finite
+        return alpha * normalized + (1.0 - alpha) * score.performance
+    return utility
+
+
+#: Values come from small pools so that ties on the primary value, on
+#: size, on power and (duplicated sets) on everything are the common case;
+#: the lifetime pools cover all-inf lists and a zero best-finite lifetime.
+_score_list = st.sampled_from(
+    [[0.0, 1.0, 2.5, math.inf], [math.inf], [0.0], [0.0, math.inf]]
+).flatmap(lambda lifetimes: st.lists(
+    st.builds(
+        SetScore,
+        st.frozensets(st.sampled_from("abcd"), max_size=3),
+        st.sampled_from(lifetimes),
+        st.sampled_from([0.5, 0.75, 1.0]),
+        st.sampled_from([0.01, 0.02]),
+    ),
+    min_size=1, max_size=10,
+))
+
+
+class TestTieBreakOnlyAmongTies:
+    """Picking the best primary value first and tie-breaking among the
+    candidates that share it is the same lexicographic choice as keying
+    every candidate on ``(-value,) + _tie_break``."""
+
+    @given(_score_list, st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_builtin_strategies_choose_as_before(self, scores, alpha):
+        for new, old in (
+            (max_lifetime, _old_strategy(lambda _, s: s.lifetime_s)),
+            (max_reliability, _old_strategy(lambda _, s: s.performance)),
+            (balanced(alpha), _old_strategy(_old_utility(alpha))),
+        ):
+            # The same object: among fully equal keys both keep the first.
+            assert new(scores) is old(scores)
 
 
 def test_seeded_sweep_matches_reference():

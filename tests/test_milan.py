@@ -1,8 +1,13 @@
 """Tests for the MiLAN core: states, requirements, feasibility, plugins,
 selection, configuration, and the runtime."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.configurator import configure
 from repro.core.feasibility import (
     combined_reliability,
@@ -271,6 +276,44 @@ class TestSelection:
             max_lifetime,
         )
         assert chosen.sensor_set == frozenset(["a"])
+
+    def test_score_floats_do_not_depend_on_hash_seed(self):
+        # The miss product and the power sum associate in member order, and
+        # a frozenset of str iterates in per-process hash order. Print, as
+        # hex, the terms of every candidate in every state of the E10
+        # fleet — from score_set and from the engine (cold, then from its
+        # stored terms) — under different seeds.
+        code = """if True:
+            from repro.core.milan import Milan
+            from repro.core.policy import health_monitor_policy
+            from repro.core.selection import score_set
+            from repro.experiments.exp_milan import fleet
+            policy = health_monitor_policy()
+            strategy = policy.selection_strategy()
+            seen = []
+            policy.selection = lambda scores: seen.extend(scores) or strategy(scores)
+            milan = Milan(policy)
+            for sensor in fleet():
+                milan.add_sensor(sensor)
+            for state in ("rest", "exercise", "distress"):
+                milan.set_state(state)
+                milan.reconfigure()
+                seen.extend(score_set(sensor_set, milan.sensors, milan.requirements())
+                            for sensor_set in milan.candidate_sets())
+            for score in seen:
+                print(sorted(score.sensor_set), score.performance.hex(),
+                      score.power_w.hex())
+        """
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                timeout=60, env=env, check=True,
+            ).stdout)
+        assert len(outputs) == 1
+        assert outputs.pop().count("\n") > 3 * 31
 
 
 class TestConfigurator:

@@ -4,8 +4,8 @@ Covers the behaviors the event-loop and queue rewrites must preserve: NaN
 rejection at scheduling time (NaN used to slip past the ``when < now``
 guard and corrupt heap ordering), tombstone compaction semantics, and the
 inlined pop paths in ``run``/``run_until`` honoring cancellation. The last
-two classes are call-count guards: on the radio reception path, and on a
-flooded multi-hop delivery.
+three classes are call-count guards: on the radio reception path, on a
+flooded multi-hop delivery, and on a warm MiLAN reconfiguration round.
 """
 
 import collections
@@ -16,7 +16,10 @@ import sys
 import pytest
 
 import repro
+from repro.core.milan import Milan
+from repro.core.policy import health_monitor_policy
 from repro.errors import SimulationError
+from repro.experiments import exp_milan
 from repro.netsim.medium import RadioProfile
 from repro.netsim.mobility import LinearMobility
 from repro.netsim.packet import BROADCAST, Packet
@@ -298,3 +301,47 @@ class TestFloodCallBudget:
         assert sum(calls.values()) / medium.deliveries <= self.BUDGET
         senders = len(agents) - 1
         assert 0 < calls["query_circle_ordered"] <= senders
+
+
+class TestReconfigureCallBudget:
+    """Python-level calls inside ``src/repro`` per warm MiLAN round.
+
+    The E10 nine-sensor fleet at rest has twelve candidate sets of two or
+    three members. Scored per candidate member — a signature and a
+    lifetime each, a second LRU probe and two counter bumps per candidate,
+    a sorted tie-break key for every candidate — an energy-only
+    ``advance_time`` + ``reconfigure`` round cost 287 such calls
+    (``balanced``) or 274 (``max_lifetime``); scored per alive sensor from
+    the terms the feasibility entry holds, 86 or 75. Nothing is enumerated
+    in the loop, and each sensor's signature is asked for twice a round:
+    once for the fingerprint, once when its lifetime is read.
+    """
+
+    BUDGET = 120.0
+    ROUNDS = 50
+
+    @pytest.mark.parametrize("selection", ["balanced", "max_lifetime"])
+    def test_warm_round_stays_within_budget(self, selection):
+        policy = health_monitor_policy()
+        policy.selection = selection
+        milan = Milan(policy, auto_reconfigure=False)
+        for sensor in exp_milan.fleet():
+            milan.add_sensor(sensor)
+        milan.reconfigure()
+        before = milan.engine.stats()
+
+        def loop():
+            for _ in range(self.ROUNDS):
+                milan.advance_time(0.5)
+                milan.reconfigure()
+
+        calls = count_repro_calls(loop)
+
+        alive = [s for s in milan.sensors.values() if not s.depleted]
+        assert len(alive) == len(milan.sensors) == 9
+        after = milan.engine.stats()
+        assert after["feasibility_misses"] == before["feasibility_misses"]
+        assert after["feasibility_hits"] == before["feasibility_hits"] + self.ROUNDS
+        assert after["score_misses"] == before["score_misses"]
+        assert sum(calls.values()) / self.ROUNDS <= self.BUDGET
+        assert 0 < calls["signature_of"] <= 2 * len(alive) * self.ROUNDS

@@ -1,10 +1,10 @@
 """Tests for the incremental reconfiguration engine.
 
 Covers the structural-fingerprint feasibility cache (hits on energy-only
-deltas, misses on structural ones), delta invalidation, the score cache,
-metrics visibility, the ``incremental=False`` escape hatch, and the
-binder-style direct-swap hazard the identity-validated signatures exist
-for.
+deltas, misses on structural ones), delta invalidation, the score terms
+its entries hold, metrics visibility, the ``incremental=False`` escape
+hatch, and the binder-style direct-swap hazard the identity-validated
+signatures exist for.
 """
 
 import pytest
@@ -13,6 +13,7 @@ from repro.core.milan import Milan
 from repro.core.policy import ApplicationPolicy, health_monitor_policy
 from repro.core.reconfig import FeasibilityCache, ReconfigEngine
 from repro.core.requirements import VariableRequirements
+from repro.core.selection import max_lifetime
 from repro.core.sensors import SensorInfo
 from repro.obs.metrics import get_registry
 
@@ -65,11 +66,27 @@ class TestFeasibilityCacheFastPath:
     def test_score_cache_hits_on_warm_rounds(self):
         milan = build()
         milan.reconfigure()
-        misses_before = milan.engine.score_misses
+        before = milan.engine.stats()
         milan.update_sensor_energy("spo2", 8.5)
         milan.reconfigure()
-        assert milan.engine.score_misses == misses_before
-        assert milan.engine.score_hits > 0
+        after = milan.engine.stats()
+        assert after["score_misses"] == before["score_misses"]
+        assert after["score_entries"] == before["score_entries"]
+        assert (after["score_hits"] - before["score_hits"]
+                == len(milan.candidate_sets()))
+
+    def test_empty_requirements_score_like_uncached(self):
+        # The empty candidate has no member to take a lifetime from.
+        cached, plain = build(), build(incremental=False)
+        for milan in (cached, plain):
+            milan.set_requirements_override(lambda base: {})
+            milan.reconfigure()  # cached: the second, warm, round
+            assert milan.candidate_sets() == [frozenset()]
+            score = milan.current_score
+            assert score.lifetime_s == float("inf")
+            assert (score.performance, score.power_w) == (1.0, 0)
+        assert cached.current_score == plain.current_score
+        assert cached.engine.score_hits > 0
 
 
 class TestInvalidation:
@@ -103,6 +120,28 @@ class TestInvalidation:
         milan.advance_time(weakest.lifetime_if_active() + 1.0)
         assert weakest.sensor_id not in milan.active_sensor_ids()
         assert milan.engine.feasibility.invalidations > 0
+
+    @pytest.mark.parametrize("forget", [
+        lambda milan, victim: milan.update_sensor_energy(victim, 0.0),
+        lambda milan, victim: milan.remove_sensor(victim),
+        lambda milan, victim: milan.engine.clear(),
+    ], ids=["death", "remove", "clear"])
+    def test_no_term_outlives_its_sensor(self, forget):
+        milan = build(auto_reconfigure=False)
+        for state in ("distress", "rest"):
+            milan.set_state(state)
+            milan.reconfigure()
+        victim = sorted(milan.active_sensor_ids())[0]
+        entries = milan.engine.feasibility._entries
+        assert any(victim in sensor_set
+                   for entry in entries.values() for sensor_set in entry.terms)
+        before = milan.engine.stats()
+        forget(milan, victim)
+        after = milan.engine.stats()
+        assert not any(victim in sensor_set
+                       for entry in entries.values() for sensor_set in entry.terms)
+        assert after["feasibility_entries"] < before["feasibility_entries"]
+        assert after["score_entries"] < before["score_entries"]
 
     def test_clear_empties_everything(self):
         milan = build()
@@ -159,6 +198,23 @@ class TestNonIncremental:
             assert cached.current_score == plain.current_score
 
 
+class TestApplicationSatisfied:
+    @pytest.mark.parametrize("kill", [
+        lambda milan, active: milan.advance_time(1e6),
+        lambda milan, active: [milan.update_sensor_energy(sid, 0.0)
+                               for sid in active],
+    ], ids=["advance_time", "update_sensor_energy"])
+    def test_dead_active_sensors_do_not_count(self, kill):
+        milan = build(auto_reconfigure=False)
+        milan.reconfigure()
+        assert milan.application_satisfied()
+        active = sorted(milan.active_sensor_ids())
+        kill(milan, active)
+        assert all(milan.sensors[sid].depleted for sid in active)
+        assert milan.active_sensor_ids() == frozenset(active)
+        assert not milan.application_satisfied()
+
+
 class TestDirectSwapHazard:
     def test_binder_style_swap_is_picked_up(self):
         # The secure binder replaces sensors directly in context.sensors,
@@ -178,6 +234,53 @@ class TestDirectSwapHazard:
         fresh.reconfigure()
         assert milan.active_sensor_ids() == fresh.active_sensor_ids()
         assert milan.current_score == fresh.current_score
+
+    def test_swap_between_lookup_and_select_scores_uncached(self):
+        # A plugin replaces a sensor while filtering: the entry looked up a
+        # moment ago no longer describes the fleet select() is handed.
+        class SwappingPlugin:
+            name = "swapper"
+            armed = False
+
+            def accepts(self, sensor_set, context):
+                if self.armed:
+                    context.sensors["bp-cuff"] = SensorInfo(
+                        "bp-cuff", {"blood_pressure": 0.8}, 0.5, 10.0)
+                return True
+
+        def recording(**kwargs):
+            # Every candidate's score, not just the winner's: the swapped
+            # sensor need not be in the chosen set.
+            seen = []
+
+            def strategy(scores):
+                seen.append(list(scores))
+                return max_lifetime(scores)
+
+            policy = health_monitor_policy()
+            policy.selection = strategy
+            milan = Milan(policy, plugins=[SwappingPlugin()], **kwargs)
+            milan.seen = seen
+            for sensor in fleet():
+                milan.add_sensor(sensor)
+            return milan
+
+        def run(milan, armed):
+            milan.plugins[0].armed = armed
+            milan.context.sensors["bp-cuff"] = fleet()[0]
+            milan.reconfigure()
+            return milan.seen[-1], milan.current_configuration
+
+        cached, plain = recording(), recording(incremental=False)
+        assert run(cached, False) == run(plain, False)
+        warm = cached.engine.stats()
+        assert run(cached, True) == run(plain, True)  # hit, then swapped
+        swapped = cached.engine.stats()
+        assert swapped["feasibility_hits"] == warm["feasibility_hits"] + 1
+        assert swapped["score_entries"] == warm["score_entries"]
+        # ... and the entry's own terms were neither used nor overwritten.
+        assert run(cached, False) == run(plain, False)
+        assert cached.engine.stats()["score_misses"] == swapped["score_misses"]
 
 
 class TestFeasibilityCacheUnit:
@@ -220,5 +323,5 @@ class TestFeasibilityCacheUnit:
                                   lambda: [frozenset(["a"])])
         second = engine.candidates(sensors, requirements, big,
                                    lambda: [frozenset(["b"])])
-        assert first != second
+        assert first.candidates != second.candidates
         assert engine.feasibility.misses == 2
