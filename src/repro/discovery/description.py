@@ -15,9 +15,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import DiscoveryError
+from repro.errors import ConfigurationError, DiscoveryError
 from repro.interop import sml
 from repro.qos.spec import SupplierQoS
+
+
+def wire_real(raw: Any) -> float:
+    """A frame field that must be a number a float can hold, as it came."""
+    if not isinstance(raw, (int, float)):
+        raise TypeError(f"expected a number, got {raw!r}")
+    float(raw)  # OverflowError: an int beyond any float
+    return raw
+
+
+def wire_point(raw: Any) -> Optional[Tuple[float, float]]:
+    """A frame's ``[x, y]`` as a tuple; None when the field was left out."""
+    if raw is None:
+        return None
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise TypeError(f"expected [x, y], got {raw!r}")
+    return (wire_real(raw[0]), wire_real(raw[1]))
+
+
+def wire_strings(raw: Any) -> Dict[str, str]:
+    """A frame's ``str -> str`` mapping, copied."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"expected a mapping, got {raw!r}")
+    for key, value in raw.items():
+        if not (isinstance(key, str) and isinstance(value, str)):
+            raise TypeError(f"expected strings, got {key!r}: {value!r}")
+    return dict(raw)
 
 
 @dataclass(frozen=True)
@@ -72,30 +99,46 @@ class ServiceDescription:
 
     @staticmethod
     def from_dict(payload: Dict[str, Any]) -> "ServiceDescription":
+        """Rebuild a description from its wire form, every field checked:
+        what this returns, matching, ranking and caching can use without
+        a second look. Anything else raises :class:`DiscoveryError`."""
         try:
             qos_raw = payload.get("qos", {})
-            qos = SupplierQoS(
-                reliability=qos_raw.get("reliability", 1.0),
-                availability=qos_raw.get("availability", 1.0),
-                expected_latency_s=qos_raw.get("expected_latency_s", 0.01),
-                bandwidth_bps=qos_raw.get("bandwidth_bps", 0.0),
-                battery_powered=qos_raw.get("battery_powered", False),
-                battery_fraction=qos_raw.get("battery_fraction"),
-                requires_password=qos_raw.get("requires_password", False),
-                encrypted=qos_raw.get("encrypted", False),
-                properties=dict(qos_raw.get("properties", {})),
-            )
-            position = payload.get("position")
-            return ServiceDescription(
+            fraction = qos_raw.get("battery_fraction")
+            description = ServiceDescription(
                 service_id=payload["service_id"],
                 service_type=payload["service_type"],
                 provider=payload["provider"],
-                attributes=dict(payload.get("attributes", {})),
-                qos=qos,
-                position=(position[0], position[1]) if position else None,
+                attributes=wire_strings(payload.get("attributes", {})),
+                qos=SupplierQoS(
+                    reliability=wire_real(qos_raw.get("reliability", 1.0)),
+                    availability=wire_real(qos_raw.get("availability", 1.0)),
+                    expected_latency_s=wire_real(
+                        qos_raw.get("expected_latency_s", 0.01)),
+                    bandwidth_bps=wire_real(qos_raw.get("bandwidth_bps", 0.0)),
+                    battery_powered=qos_raw.get("battery_powered", False),
+                    battery_fraction=(
+                        fraction if fraction is None else wire_real(fraction)),
+                    requires_password=qos_raw.get("requires_password", False),
+                    encrypted=qos_raw.get("encrypted", False),
+                    properties=wire_strings(qos_raw.get("properties", {})),
+                ),
+                position=wire_point(payload.get("position")),
                 interface_markup=payload.get("interface"),
             )
-        except (KeyError, TypeError, IndexError) as exc:
+            qos = description.qos
+            if not (isinstance(description.service_id, str)
+                    and isinstance(description.service_type, str)
+                    and isinstance(description.provider, str)
+                    and isinstance(description.interface_markup,
+                                   (str, type(None)))
+                    and isinstance(qos.battery_powered, bool)
+                    and isinstance(qos.requires_password, bool)
+                    and isinstance(qos.encrypted, bool)):
+                raise TypeError("identity fields are strings, flags booleans")
+            return description
+        except (LookupError, TypeError, AttributeError, OverflowError,
+                ConfigurationError) as exc:
             raise DiscoveryError(f"malformed service description: {exc!r}") from exc
 
     # -------------------------------------------------------------- markup

@@ -21,10 +21,11 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.discovery.description import ServiceDescription
 from repro.discovery.matching import Matcher, Query
-from repro.errors import ConfigurationError, MiddlewareError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.errors import ConfigurationError, DiscoveryError
+from repro.interop.codec import Codec
 from repro.interop.frames import WireFrame
-from repro.transport.base import Address
+from repro.transport.base import Address, drop_malformed
+from repro.transport.endpoint import MessageEndpoint, list_of
 from repro.transport.simnet import SimTransport
 from repro.util.events import EventEmitter
 from repro.util.ids import IdGenerator
@@ -42,7 +43,10 @@ class CachedAdvert:
     expires_at: float
 
 
-class DistributedDiscovery:
+_DESCRIPTIONS = list_of(ServiceDescription.from_dict)
+
+
+class DistributedDiscovery(MessageEndpoint):
     """One node's discovery agent.
 
     Parameters:
@@ -53,6 +57,19 @@ class DistributedDiscovery:
         use_cache: answer lookups from the advert cache as well as from
             network replies (the E2 ablation flag).
     """
+
+    # A flood delivers most frames more than once: the gates drop what was
+    # already heard before its descriptions or query are parsed again. A
+    # reply's results are parsed by whoever collects them, not by a relay.
+    OPS = {
+        "advert": ({"origin": str, "seq": int, "ttl": int,
+                    "descs": _DESCRIPTIONS}, "_on_advert", "_unheard"),
+        "withdraw": ({"origin": str, "seq": int, "ttl": int,
+                      "service_id": str}, "_on_withdraw", "_unheard"),
+        "query": ({"origin": str, "qid": str, "ttl": int,
+                   "query": Query.from_dict}, "_on_query", "_unasked"),
+        "reply": ({"qid": str, "results": list}, "_on_query_reply"),
+    }
 
     def __init__(
         self,
@@ -66,8 +83,7 @@ class DistributedDiscovery:
     ):
         if ttl < 1:
             raise ConfigurationError(f"ttl must be >= 1, got {ttl!r}")
-        self.transport = transport
-        self.codec = codec if codec is not None else get_codec("binary")
+        super().__init__(transport, codec)
         self.node_id = transport.local_address.node
         self.ttl = ttl
         self.advertise_interval_s = advertise_interval_s
@@ -94,8 +110,6 @@ class DistributedDiscovery:
         self.messages_sent: Dict[str, int] = {
             "advert": 0, "query": 0, "reply": 0, "withdraw": 0,
         }
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
         self._advert_timer = transport.scheduler.schedule(
             self.advertise_interval_s, self._periodic_advertise
         )
@@ -207,47 +221,26 @@ class DistributedDiscovery:
 
     # -------------------------------------------------------------- receiving
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
-            return
-        try:
-            op = message.get("op")
-            if op == "advert":
-                self._on_advert(message)
-            elif op == "withdraw":
-                self._on_withdraw(message)
-            elif op == "query":
-                self._on_query(source, message)
-            elif op == "reply":
-                self._on_reply(message)
-        except (KeyError, TypeError, ValueError, AttributeError, MiddlewareError):
-            # A corrupted frame can decode to a dict with mangled keys,
-            # field types, or out-of-range values; treat it like any other
-            # malformed frame.
-            self.malformed_frames += 1
+    def _unheard(self, source: Address, message: Dict[str, Any]) -> bool:
+        return (message["origin"], message["seq"]) not in self._seen_adverts
 
-    def _on_withdraw(self, message: Dict[str, Any]) -> None:
-        key = (message["origin"], message["seq"])
-        if key in self._seen_adverts:
-            return
-        self._seen_adverts.add(key)
+    def _unasked(self, source: Address, message: Dict[str, Any]) -> bool:
+        return message["qid"] not in self._seen_queries
+
+    def _on_withdraw(self, source: Address, message: Dict[str, Any]) -> None:
+        self._seen_adverts.add((message["origin"], message["seq"]))
         self._cache.pop(message["service_id"], None)
         self._withdrawn.add(message["service_id"])
         ttl = message["ttl"] - 1
         if ttl >= 1:
             self._broadcast("withdraw", {**message, "ttl": ttl})
 
-    def _on_advert(self, message: Dict[str, Any]) -> None:
-        key = (message["origin"], message["seq"])
-        if key in self._seen_adverts:
-            return
-        self._seen_adverts.add(key)
+    def _on_advert(self, source: Address, message: Dict[str, Any],
+                   descriptions: List[ServiceDescription]) -> None:
+        self._seen_adverts.add((message["origin"], message["seq"]))
         expires = self._now() + self.advert_lease_s
         fresh = []
-        for raw in message["descs"]:
-            description = ServiceDescription.from_dict(raw)
+        for description in descriptions:
             if description.service_id not in self._cache:
                 fresh.append(description)
             self._withdrawn.discard(description.service_id)
@@ -258,47 +251,40 @@ class DistributedDiscovery:
         if ttl >= 1:
             self._broadcast("advert", {**message, "ttl": ttl})
 
-    def _on_query(self, source: Address, message: Dict[str, Any]) -> None:
+    def _on_query(self, source: Address, message: Dict[str, Any],
+                  query: Query) -> None:
         qid = message["qid"]
-        if qid in self._seen_queries:
-            return
         self._seen_queries.add(qid)
         self._reverse_path[qid] = (source, self._now() + 30.0)
-        query = Query.from_dict(message["query"])
         matches = self._matcher.match(list(self._local.values()), query)
         if matches:
             self.messages_sent["reply"] += 1
-            self.transport.send(
-                source,
-                WireFrame(
-                    {
-                        "op": "reply",
-                        "qid": qid,
-                        "origin": message["origin"],
-                        "results": [m.description.to_dict() for m in matches],
-                    },
-                    self.codec,
-                ),
-            )
+            self._send(source, {
+                "op": "reply",
+                "qid": qid,
+                "origin": message["origin"],
+                "results": [m.description.to_dict() for m in matches],
+            })
         ttl = message["ttl"] - 1
         if ttl >= 1:
             self._broadcast("query", {**message, "ttl": ttl})
 
-    def _on_reply(self, message: Dict[str, Any]) -> None:
+    def _on_query_reply(self, source: Address, message: Dict[str, Any]) -> None:
         qid = message["qid"]
         collecting = self._collecting.get(qid)
         if collecting is not None:
             collected, _query = collecting
-            collected.extend(
-                ServiceDescription.from_dict(raw) for raw in message["results"]
-            )
+            try:
+                collected.extend(_DESCRIPTIONS(message["results"]))
+            except DiscoveryError:
+                drop_malformed(self)
             return
         # Not ours: forward along the recorded reverse path.
         hop = self._reverse_path.get(qid)
         if hop is not None:
             previous, _expires = hop
             self.messages_sent["reply"] += 1
-            self.transport.send(previous, WireFrame(message, self.codec))
+            self._send(previous, message)
 
     # --------------------------------------------------------------- plumbing
 

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.discovery.description import ServiceDescription
-from repro.errors import DiscoveryError
+from repro.discovery.description import (
+    ServiceDescription, wire_point, wire_real)
+from repro.errors import ConfigurationError, DiscoveryError
 from repro.qos.spec import ConsumerQoS, MatchScore, NetworkQoS, score_match
 
 #: Supported constraint operators.
@@ -61,7 +62,16 @@ class AttributeConstraint:
 
     @staticmethod
     def from_dict(raw: Dict[str, str]) -> "AttributeConstraint":
-        return AttributeConstraint(raw["name"], raw["op"], raw["value"])
+        """Rebuild a constraint from its wire form: name and value must be
+        strings (what :meth:`matches` compares), or :class:`DiscoveryError`."""
+        try:
+            name, op, value = raw["name"], raw["op"], raw["value"]
+        except (LookupError, TypeError) as exc:
+            raise DiscoveryError(f"malformed constraint: {exc!r}") from exc
+        if not (isinstance(name, str) and isinstance(value, str)):
+            raise DiscoveryError(
+                f"constraint name and value must be strings: {raw!r}")
+        return AttributeConstraint(name, op, value)
 
 
 @dataclass(frozen=True)
@@ -118,28 +128,43 @@ class Query:
         Note: only the *hard* consumer terms travel (benefit functions are
         code, not data); remote matchers filter hard terms and the consumer
         re-ranks locally with its full QoS — the standard split in SLP-like
-        protocols.
+        protocols. Every field is checked; anything a matcher could not use
+        raises :class:`DiscoveryError`.
         """
-        consumer = None
-        raw_consumer = payload.get("consumer")
-        if raw_consumer is not None:
-            consumer = ConsumerQoS(
-                min_reliability=raw_consumer.get("min_reliability", 0.0),
-                min_availability=raw_consumer.get("min_availability", 0.0),
-                max_latency_s=raw_consumer.get("max_latency_s"),
-                require_encryption=raw_consumer.get("require_encryption", False),
-                password="*" if raw_consumer.get("has_password") else None,
+        try:
+            consumer = None
+            raw_consumer = payload.get("consumer")
+            if raw_consumer is not None:
+                ceiling = raw_consumer.get("max_latency_s")
+                consumer = ConsumerQoS(
+                    min_reliability=wire_real(
+                        raw_consumer.get("min_reliability", 0.0)),
+                    min_availability=wire_real(
+                        raw_consumer.get("min_availability", 0.0)),
+                    max_latency_s=(
+                        ceiling if ceiling is None else wire_real(ceiling)),
+                    require_encryption=raw_consumer.get("require_encryption", False),
+                    password="*" if raw_consumer.get("has_password") else None,
+                )
+            service_type = payload["service_type"]
+            constraints = payload.get("constraints", [])
+            max_results = payload.get("max_results", 10)
+            if not (isinstance(service_type, str)
+                    and isinstance(constraints, (list, tuple))
+                    and isinstance(max_results, int)):
+                raise TypeError("service_type is a string, constraints a "
+                                "list, max_results an int")
+            return Query(
+                service_type=service_type,
+                constraints=tuple(
+                    AttributeConstraint.from_dict(c) for c in constraints),
+                consumer=consumer,
+                consumer_position=wire_point(payload.get("position")),
+                max_results=max_results,
             )
-        position = payload.get("position")
-        return Query(
-            service_type=payload["service_type"],
-            constraints=tuple(
-                AttributeConstraint.from_dict(c) for c in payload.get("constraints", [])
-            ),
-            consumer=consumer,
-            consumer_position=(position[0], position[1]) if position else None,
-            max_results=payload.get("max_results", 10),
-        )
+        except (LookupError, TypeError, AttributeError, OverflowError,
+                ConfigurationError) as exc:
+            raise DiscoveryError(f"malformed query: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -18,22 +18,31 @@ Protocol (codec-encoded dicts):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.discovery.description import ServiceDescription
 from repro.discovery.matching import Matcher, Query
-from repro.errors import DiscoveryError, MiddlewareError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.errors import DiscoveryError
+from repro.interop.codec import Codec
 from repro.interop.frames import WireFrame
 from repro.obs.tracing import NOOP_SPAN, TRACER
 from repro.transport.base import Address, Transport
+from repro.transport.endpoint import MessageEndpoint, list_of, optional
 from repro.util.events import EventEmitter
-from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
 #: Default and maximum lease the server grants.
 DEFAULT_LEASE_S = 30.0
 MAX_LEASE_S = 300.0
+
+
+def _clamp_lease(requested: Any) -> float:
+    """The lease a server grants for the one asked for, and the most a
+    client believes of a grant: the default for none, within the bounds —
+    clamped before it is made a float, so an int beyond any float is just
+    a long lease."""
+    lease = requested if requested else DEFAULT_LEASE_S
+    return float(max(0.1, min(lease, MAX_LEASE_S)))
 
 
 @dataclass
@@ -42,12 +51,26 @@ class Registration:
     expires_at: float
 
 
-class RegistryServer:
+# A mirror peer's copy carries ``rid: None`` (see ``_replicate``).
+_RID = optional((str, type(None)))
+_LEASE = optional((int, float))
+
+
+class RegistryServer(MessageEndpoint):
     """The directory process.
 
     Events (via :attr:`events`): ``"registered"``, ``"renewed"``,
     ``"unregistered"``, ``"expired"`` — each with the service description.
     """
+
+    OPS = {
+        "register": ({"desc": ServiceDescription.from_dict, "lease_s": _LEASE,
+                      "rid": _RID}, "_handle_register"),
+        "renew": ({"service_id": str, "lease_s": _LEASE, "rid": _RID},
+                  "_handle_renew"),
+        "unregister": ({"service_id": str, "rid": _RID}, "_handle_unregister"),
+        "lookup": ({"query": Query.from_dict, "rid": _RID}, "_handle_lookup"),
+    }
 
     def __init__(
         self,
@@ -56,8 +79,7 @@ class RegistryServer:
         sweep_interval_s: float = 1.0,
         peers: Optional[List[Address]] = None,
     ):
-        self.transport = transport
-        self.codec = codec if codec is not None else get_codec("binary")
+        super().__init__(transport, codec)
         self.events = EventEmitter()
         self._registrations: Dict[str, Registration] = {}
         self._matcher = Matcher()
@@ -65,8 +87,6 @@ class RegistryServer:
         self.lookups_served = 0
         self.registrations_accepted = 0
         self.replications_sent = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
         self._sweep_interval = sweep_interval_s
         self._schedule_sweep()
 
@@ -99,41 +119,12 @@ class RegistryServer:
 
     # -------------------------------------------------------------- protocol
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
-            return
-        try:
-            op = message.get("op")
-            rid = message.get("rid")
-            if op == "register":
-                self._handle_register(source, rid, message)
-            elif op == "renew":
-                self._handle_renew(source, rid, message)
-            elif op == "unregister":
-                self._handle_unregister(source, rid, message)
-            elif op == "lookup":
-                self._handle_lookup(source, rid, message)
-            # Unknown ops are dropped: forward compatibility over loud
-            # failure at a network boundary.
-        except (KeyError, TypeError, ValueError, AttributeError, MiddlewareError):
-            # Decodable but mangled (corrupted keys/values/field types): drop.
-            self.malformed_frames += 1
-
-    def _reply(self, destination: Address, message: Dict[str, Any]) -> None:
-        self.transport.send(destination, WireFrame(message, self.codec))
-
-    def _grant_lease(self, requested: Any) -> float:
-        lease = float(requested) if requested else DEFAULT_LEASE_S
-        return max(0.1, min(lease, MAX_LEASE_S))
-
     def _replicate(self, message: Dict[str, Any]) -> None:
         """Forward a mutation to mirror peers (Section 3.3's mirroring).
 
         Replicated copies carry ``sync=True`` so peers apply without
-        re-forwarding; their acks come back with ``rid=None`` and are
-        dropped by :meth:`_on_message` as unknown correlation ids.
+        re-forwarding; their acks come back here, where no ``*_ack`` op is
+        in the table, and are dropped.
         """
         if not self.peers or message.get("sync"):
             return
@@ -142,9 +133,9 @@ class RegistryServer:
             self.replications_sent += 1
             self.transport.send(peer, copy)
 
-    def _handle_register(self, source: Address, rid: Any, message: Dict[str, Any]) -> None:
-        description = ServiceDescription.from_dict(message["desc"])
-        lease = self._grant_lease(message.get("lease_s"))
+    def _handle_register(self, source: Address, message: Dict[str, Any],
+                         description: ServiceDescription) -> None:
+        lease = _clamp_lease(message.get("lease_s"))
         is_new = description.service_id not in self._registrations
         self._registrations[description.service_id] = Registration(
             description, self.transport.scheduler.now() + lease
@@ -152,50 +143,46 @@ class RegistryServer:
         self.registrations_accepted += 1
         self._replicate(message)
         self.events.emit("registered" if is_new else "renewed", description)
-        self._reply(
-            source,
-            {"op": "register_ack", "rid": rid, "service_id": description.service_id,
-             "lease_s": lease},
-        )
+        self._ack(source, message, service_id=description.service_id,
+                  lease_s=lease)
 
-    def _handle_renew(self, source: Address, rid: Any, message: Dict[str, Any]) -> None:
+    def _handle_renew(self, source: Address, message: Dict[str, Any]) -> None:
         service_id = message["service_id"]
         registration = self._registrations.get(service_id)
         ok = registration is not None
         if registration is not None:
-            lease = self._grant_lease(message.get("lease_s"))
+            lease = _clamp_lease(message.get("lease_s"))
             registration.expires_at = self.transport.scheduler.now() + lease
             self._replicate(message)
             self.events.emit("renewed", registration.description)
-        self._reply(source, {"op": "renew_ack", "rid": rid, "ok": ok})
+        self._ack(source, message, ok=ok)
 
-    def _handle_unregister(self, source: Address, rid: Any, message: Dict[str, Any]) -> None:
+    def _handle_unregister(self, source: Address, message: Dict[str, Any]) -> None:
         registration = self._registrations.pop(message["service_id"], None)
         if registration is not None:
             self._replicate(message)
-        if registration is not None:
             self.events.emit("unregistered", registration.description)
-        self._reply(
-            source,
-            {"op": "unregister_ack", "rid": rid, "removed": registration is not None},
-        )
+        self._ack(source, message, removed=registration is not None)
 
-    def _handle_lookup(self, source: Address, rid: Any, message: Dict[str, Any]) -> None:
-        query = Query.from_dict(message["query"])
+    def _handle_lookup(self, source: Address, message: Dict[str, Any],
+                       query: Query) -> None:
         matches = self._matcher.match(self.registered_services(), query)
         self.lookups_served += 1
-        self._reply(
-            source,
-            {
-                "op": "lookup_ack",
-                "rid": rid,
-                "results": [m.description.to_dict() for m in matches],
-            },
-        )
+        self._ack(source, message,
+                  results=[m.description.to_dict() for m in matches])
 
 
-class RegistryClient:
+class RegistryClient(MessageEndpoint):
     """A node's handle onto the central registry."""
+
+    OPS = {
+        "register_ack": ({"rid": str, "lease_s": _LEASE}, "_on_reply"),
+        "renew_ack": ({"rid": str}, "_on_reply"),
+        "unregister_ack": ({"rid": str}, "_on_reply"),
+        # A lookup settles with the parsed descriptions.
+        "lookup_ack": ({"rid": str, "results": list_of(
+            ServiceDescription.from_dict)}, "_on_reply"),
+    }
 
     def __init__(
         self,
@@ -205,63 +192,20 @@ class RegistryClient:
         request_timeout_s: float = 2.0,
         retries: int = 2,
     ):
-        self.transport = transport
+        super().__init__(transport, codec, rids="reg")
         self.registry_address = registry_address
-        self.codec = codec if codec is not None else get_codec("binary")
         self.request_timeout_s = request_timeout_s
         self.retries = retries
-        self._rids = IdGenerator(f"reg:{transport.local_address}")
-        # rid -> (promise, request frame, retries left). Requests are
-        # retransmitted on timeout because the transport below may be lossy;
-        # server operations are idempotent, so duplicates are harmless. The
-        # frame is lazy: it encodes at most once across all retransmissions.
-        self._pending: Dict[str, Tuple[Promise, WireFrame, int]] = {}
-        self.timeouts = 0
-        self.retransmissions = 0
-        self.malformed_frames = 0
         self._auto_renew: Dict[str, float] = {}  # service_id -> lease_s
-        transport.set_receiver(self._on_message)
 
     # --------------------------------------------------------------- sending
 
-    def _request(self, message: Dict[str, Any]) -> Promise:
-        rid = self._rids.next()
-        message["rid"] = rid
-        promise: Promise = Promise()
-        encoded = WireFrame(message, self.codec)
-        self._pending[rid] = (promise, encoded, self.retries)
-        self.transport.send(self.registry_address, encoded)
-        self.transport.scheduler.schedule(self.request_timeout_s, self._timeout, rid)
-        return promise
-
-    def _timeout(self, rid: str) -> None:
-        entry = self._pending.get(rid)
-        if entry is None:
-            return
-        promise, encoded, retries_left = entry
-        if retries_left > 0:
-            self.retransmissions += 1
-            self._pending[rid] = (promise, encoded, retries_left - 1)
-            self.transport.send(self.registry_address, encoded)
-            self.transport.scheduler.schedule(self.request_timeout_s, self._timeout, rid)
-            return
-        del self._pending[rid]
-        self.timeouts += 1
-        promise.reject(DiscoveryError(f"registry request {rid} timed out"))
-
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
-            return
-        rid = message.get("rid")
-        if not isinstance(rid, str):
-            return
-        entry = self._pending.pop(rid, None)
-        if entry is None:
-            return
-        promise, _encoded, _retries = entry
-        promise.fulfill(message)
+    def _ask(self, message: Dict[str, Any]) -> Promise:
+        # Retransmitted on timeout because the transport below may be lossy;
+        # server operations are idempotent, so duplicates are harmless.
+        return self._request(self.registry_address, message,
+                             self.request_timeout_s, DiscoveryError,
+                             self.retries)
 
     # ------------------------------------------------------------ operations
 
@@ -273,14 +217,14 @@ class RegistryClient:
     ) -> Promise:
         """Register a service; with ``auto_renew`` the lease is kept alive
         until :meth:`unregister` is called. Fulfills with the granted lease."""
-        promise = self._request(
+        promise = self._ask(
             {"op": "register", "desc": description.to_dict(), "lease_s": lease_s}
         )
 
         def arm_renewal(settled: Promise) -> None:
             if settled.rejected or not auto_renew:
                 return
-            granted = settled.result().get("lease_s", lease_s)
+            granted = _clamp_lease(settled.result().get("lease_s", lease_s))
             self._auto_renew[description.service_id] = granted
             self._schedule_renew(description.service_id, granted)
 
@@ -296,15 +240,15 @@ class RegistryClient:
         lease_s = self._auto_renew.get(service_id)
         if lease_s is None or self.transport.closed:
             return
-        self._request({"op": "renew", "service_id": service_id, "lease_s": lease_s})
+        self._ask({"op": "renew", "service_id": service_id, "lease_s": lease_s})
         self._schedule_renew(service_id, lease_s)
 
     def renew(self, service_id: str, lease_s: float = DEFAULT_LEASE_S) -> Promise:
-        return self._request({"op": "renew", "service_id": service_id, "lease_s": lease_s})
+        return self._ask({"op": "renew", "service_id": service_id, "lease_s": lease_s})
 
     def unregister(self, service_id: str) -> Promise:
         self._auto_renew.pop(service_id, None)
-        return self._request({"op": "unregister", "service_id": service_id})
+        return self._ask({"op": "unregister", "service_id": service_id})
 
     def lookup(self, query: Query) -> Promise:
         """Find services; fulfills with a list of :class:`ServiceDescription`.
@@ -320,7 +264,7 @@ class RegistryClient:
                 service_type=query.service_type,
             )
         with TRACER.activate(span):
-            promise = self._request({"op": "lookup", "query": query.to_dict()})
+            promise = self._ask({"op": "lookup", "query": query.to_dict()})
         results: Promise = Promise()
 
         def unpack(settled: Promise) -> None:
@@ -329,12 +273,7 @@ class RegistryClient:
                 span.finish()
                 results.reject(settled.error())  # type: ignore[arg-type]
                 return
-            descriptions = [
-                ServiceDescription.from_dict(raw)
-                for raw in settled.result().get("results", [])
-            ]
-            matcher = Matcher()
-            ranked = matcher.match(descriptions, query)
+            ranked = Matcher().match(settled.result(), query)
             span.set_label(outcome="ok", matches=len(ranked))
             span.finish()
             results.fulfill([m.description for m in ranked])

@@ -15,30 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.errors import AddressError, NameNotFoundError, NamingError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
-from repro.interop.frames import WireFrame
+from repro.errors import NameNotFoundError
+from repro.interop.codec import Codec
 from repro.naming.names import LogicalName
-from repro.transport.base import Address, Transport, drop_malformed
+from repro.transport.base import Address, Transport
+from repro.transport.endpoint import MessageEndpoint, checked, optional
 from repro.util.events import EventEmitter
-from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
 
-def _is_name(text: Any) -> bool:
-    """Whether a frame field spells a logical name."""
-    try:
-        return isinstance(text, str) and bool(LogicalName.parse(text))
-    except NamingError:
-        return False
+def _bindings(raw: Dict[str, str]) -> Dict[str, Address]:
+    """Frame-field parser: a ``name -> address`` listing."""
+    return {name: Address.parse(address) for name, address in raw.items()}
 
 
-def _is_address(text: Any) -> bool:
-    """Whether a frame field spells a transport address."""
-    try:
-        return isinstance(text, str) and bool(Address.parse(text))
-    except AddressError:
-        return False
+_NAME = checked(LogicalName.parse)
 
 
 @dataclass
@@ -48,21 +39,31 @@ class Binding:
     version: int
 
 
-class LocationServer:
+class LocationServer(MessageEndpoint):
     """Holds the name -> address map.
 
     Events (via :attr:`events`): ``"bound"`` / ``"moved"`` / ``"unbound"``
     with the binding.
     """
 
+    # Every request names something (a stored name that did not parse
+    # would fail each later prefix listing). Both parsers reject non-strings;
+    # bindings are kept, and answered, as the strings that were sent.
+    OPS = {
+        "bind": ({"name": _NAME, "address": checked(Address.parse),
+                  "version": optional(int), "rid": optional(str)},
+                 "_handle_bind"),
+        "resolve": ({"name": _NAME, "rid": optional(str)}, "_handle_resolve"),
+        "resolve_prefix": ({"prefix": LogicalName.parse, "rid": optional(str)},
+                           "_handle_resolve_prefix"),
+        "unbind": ({"name": _NAME, "rid": optional(str)}, "_handle_unbind"),
+    }
+
     def __init__(self, transport: Transport, codec: Optional[Codec] = None):
-        self.transport = transport
-        self.codec = codec if codec is not None else get_codec("binary")
+        super().__init__(transport, codec)
         self.events = EventEmitter()
         self._bindings: Dict[str, Binding] = {}
         self.resolves_served = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
     def binding(self, name: str) -> Optional[Binding]:
         return self._bindings.get(name)
@@ -70,37 +71,7 @@ class LocationServer:
     def __len__(self) -> int:
         return len(self._bindings)
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            drop_malformed(self)
-            return
-        op = message.get("op")
-        rid = message.get("rid")
-        # Every request names something (a stored name that did not parse
-        # would fail each later prefix listing); other ops are not ours.
-        if op in ("bind", "resolve", "resolve_prefix", "unbind") and not _is_name(
-            message.get("prefix" if op == "resolve_prefix" else "name")
-        ):
-            drop_malformed(self)
-            return
-        if op == "bind":
-            if not (_is_address(message.get("address"))
-                    and isinstance(message.get("version", 1), int)):
-                drop_malformed(self)
-                return
-            self._handle_bind(source, rid, message)
-        elif op == "resolve":
-            self._handle_resolve(source, rid, message)
-        elif op == "resolve_prefix":
-            self._handle_resolve_prefix(source, rid, message)
-        elif op == "unbind":
-            self._handle_unbind(source, rid, message)
-
-    def _reply(self, destination: Address, message: Dict[str, Any]) -> None:
-        self.transport.send(destination, WireFrame(message, self.codec))
-
-    def _handle_bind(self, source: Address, rid: Any, message: Dict[str, Any]) -> None:
+    def _handle_bind(self, source: Address, message: Dict[str, Any]) -> None:
         name = message["name"]
         version = message.get("version", 1)
         existing = self._bindings.get(name)
@@ -109,54 +80,44 @@ class LocationServer:
             binding = Binding(name, message["address"], version)
             self._bindings[name] = binding
             self.events.emit("moved" if existing else "bound", binding)
-        self._reply(source, {"op": "bind_ack", "rid": rid, "ok": accepted})
+        self._ack(source, message, ok=accepted)
 
-    def _handle_resolve(self, source: Address, rid: Any, message: Dict[str, Any]) -> None:
+    def _handle_resolve(self, source: Address, message: Dict[str, Any]) -> None:
         self.resolves_served += 1
         binding = self._bindings.get(message["name"])
-        self._reply(
-            source,
-            {
-                "op": "resolve_ack",
-                "rid": rid,
-                "address": binding.address if binding else None,
-                "version": binding.version if binding else 0,
-            },
-        )
+        self._ack(source, message,
+                  address=binding.address if binding else None,
+                  version=binding.version if binding else 0)
 
-    def _handle_resolve_prefix(self, source: Address, rid: Any, message: Dict[str, Any]) -> None:
+    def _handle_resolve_prefix(self, source: Address, message: Dict[str, Any],
+                               prefix: LogicalName) -> None:
         self.resolves_served += 1
-        prefix = LogicalName.parse(message["prefix"])
         matches = {
             name: binding.address
             for name, binding in self._bindings.items()
             if prefix.is_prefix_of(LogicalName.parse(name))
         }
-        self._reply(source, {"op": "resolve_prefix_ack", "rid": rid, "bindings": matches})
+        self._ack(source, message, bindings=matches)
 
-    def _handle_unbind(self, source: Address, rid: Any, message: Dict[str, Any]) -> None:
+    def _handle_unbind(self, source: Address, message: Dict[str, Any]) -> None:
         binding = self._bindings.pop(message["name"], None)
         if binding is not None:
             self.events.emit("unbound", binding)
-        self._reply(source, {"op": "unbind_ack", "rid": rid, "ok": binding is not None})
+        self._ack(source, message, ok=binding is not None)
 
 
-def _is_reply(message: Dict[str, Any]) -> bool:
-    """Whether the fields the client's unpackers parse have their types."""
-    op = message.get("op")
-    if op == "resolve_ack":
-        address = message.get("address")
-        return address is None or _is_address(address)
-    if op == "resolve_prefix_ack":
-        bindings = message.get("bindings")
-        return isinstance(bindings, dict) and all(
-            _is_address(address) for address in bindings.values()
-        )
-    return True
-
-
-class LocationClient:
+class LocationClient(MessageEndpoint):
     """A node's handle onto the location server."""
+
+    # A resolve settles with what its reply's parser made of it.
+    OPS = {
+        "bind_ack": ({"rid": str}, "_on_reply"),
+        "unbind_ack": ({"rid": str}, "_on_reply"),
+        "resolve_ack": ({"rid": str, "address": optional(Address.parse)},
+                        "_on_reply"),
+        "resolve_prefix_ack": ({"rid": str, "bindings": _bindings},
+                               "_on_reply"),
+    }
 
     def __init__(
         self,
@@ -165,39 +126,14 @@ class LocationClient:
         codec: Optional[Codec] = None,
         request_timeout_s: float = 2.0,
     ):
-        self.transport = transport
+        super().__init__(transport, codec, rids="loc")
         self.server_address = server_address
-        self.codec = codec if codec is not None else get_codec("binary")
         self.request_timeout_s = request_timeout_s
-        self._rids = IdGenerator(f"loc:{transport.local_address}")
-        self._pending: Dict[str, Promise] = {}
         self._versions: Dict[str, int] = {}
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
-    def _request(self, message: Dict[str, Any]) -> Promise:
-        rid = self._rids.next()
-        message["rid"] = rid
-        promise: Promise = Promise()
-        self._pending[rid] = promise
-        self.transport.send(self.server_address, WireFrame(message, self.codec))
-        self.transport.scheduler.schedule(self.request_timeout_s, self._timeout, rid)
-        return promise
-
-    def _timeout(self, rid: str) -> None:
-        promise = self._pending.pop(rid, None)
-        if promise is not None:
-            promise.reject(NameNotFoundError(f"location request {rid} timed out"))
-
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if (message is None or not isinstance(message.get("rid"), str)
-                or not _is_reply(message)):
-            drop_malformed(self)
-            return
-        promise = self._pending.pop(message["rid"], None)
-        if promise is not None:
-            promise.fulfill(message)
+    def _ask(self, message: Dict[str, Any]) -> Promise:
+        return self._request(self.server_address, message,
+                             self.request_timeout_s, NameNotFoundError)
 
     # ------------------------------------------------------------ operations
 
@@ -206,7 +142,7 @@ class LocationClient:
         per client so a mobile service's newest location always wins."""
         version = self._versions.get(str(name), 0) + 1
         self._versions[str(name)] = version
-        return self._request(
+        return self._ask(
             {"op": "bind", "name": str(name), "address": str(address),
              "version": version}
         )
@@ -214,40 +150,24 @@ class LocationClient:
     def resolve(self, name: LogicalName) -> Promise:
         """Fulfills with the current :class:`Address`; rejects with
         :class:`NameNotFoundError` for unknown names."""
-        promise = self._request({"op": "resolve", "name": str(name)})
+        promise = self._ask({"op": "resolve", "name": str(name)})
         result: Promise = Promise()
 
         def unpack(settled: Promise) -> None:
             if settled.rejected:
                 result.reject(settled.error())  # type: ignore[arg-type]
                 return
-            address = settled.result().get("address")
-            if address is None:
+            if settled.result() is None:
                 result.reject(NameNotFoundError(f"no binding for {name}"))
             else:
-                result.fulfill(Address.parse(address))
+                result.fulfill(settled.result())
 
         promise.on_settle(unpack)
         return result
 
     def resolve_prefix(self, prefix: LogicalName) -> Promise:
         """Fulfills with a dict of name -> Address under the prefix."""
-        promise = self._request({"op": "resolve_prefix", "prefix": str(prefix)})
-        result: Promise = Promise()
-
-        def unpack(settled: Promise) -> None:
-            if settled.rejected:
-                result.reject(settled.error())  # type: ignore[arg-type]
-                return
-            result.fulfill(
-                {
-                    name: Address.parse(address)
-                    for name, address in settled.result().get("bindings", {}).items()
-                }
-            )
-
-        promise.on_settle(unpack)
-        return result
+        return self._ask({"op": "resolve_prefix", "prefix": str(prefix)})
 
     def unbind(self, name: LogicalName) -> Promise:
-        return self._request({"op": "unbind", "name": str(name)})
+        return self._ask({"op": "unbind", "name": str(name)})

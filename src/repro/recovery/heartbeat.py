@@ -12,12 +12,13 @@ Wire format: ``{"op": "hb", "from": node, "seq": n}`` (fire-and-forget).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError
-from repro.interop.codec import BinaryCodec, Codec, get_codec, try_decode_dict
+from repro.interop.codec import BinaryCodec, Codec
 from repro.interop.frames import TailIntPacker, WireFrame
 from repro.transport.base import Address, Transport
+from repro.transport.endpoint import MessageEndpoint
 from repro.util.events import EventEmitter, Subscription
 
 
@@ -28,12 +29,14 @@ class PeerState:
     suspected: bool = False
 
 
-class HeartbeatDetector:
+class HeartbeatDetector(MessageEndpoint):
     """Sends own heartbeats and watches peers' (both optional).
 
     Events (via :attr:`events`): ``"suspect"`` (peer node id),
     ``"alive"`` (peer node id) on recovery from suspicion.
     """
+
+    OPS = {"hb": ({"from": str, "seq": int}, "_on_heartbeat")}
 
     def __init__(
         self,
@@ -48,16 +51,14 @@ class HeartbeatDetector:
             raise ConfigurationError(
                 f"timeout multiplier must be >= 1, got {timeout_multiplier!r}"
             )
-        self.transport = transport
+        super().__init__(transport, codec)
         self.interval_s = interval_s
         self.timeout_s = interval_s * timeout_multiplier
-        self.codec = codec if codec is not None else get_codec("binary")
         self.events = EventEmitter()
         self._targets: List[Address] = []
         self._watched: Dict[str, PeerState] = {}
         self._seq = 0
         self.heartbeats_sent = 0
-        self.malformed_frames = 0
         # Beacons share a fixed schema where only the seq varies: compile
         # the constant prefix once instead of re-encoding every period.
         beacon_base = {"op": "hb", "from": transport.local_address.node}
@@ -65,7 +66,6 @@ class HeartbeatDetector:
             TailIntPacker(self.codec, beacon_base, "seq")
             if isinstance(self.codec, BinaryCodec) else None
         )
-        transport.set_receiver(self._on_message)
         self._beat_timer = transport.scheduler.schedule(interval_s, self._beat)
         self._check_timer = transport.scheduler.schedule(interval_s, self._check)
 
@@ -143,21 +143,11 @@ class HeartbeatDetector:
                 self.events.emit("suspect", node_id)
         self._check_timer = self.transport.scheduler.schedule(self.interval_s, self._check)
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            # Corrupted frame (chaos injection): drop, never raise.
-            self.malformed_frames += 1
-            return
-        if message.get("op") != "hb":
-            return
-        node_id = message.get("from")
+    def _on_heartbeat(self, source: Address, message: Dict[str, Any]) -> None:
+        node_id, seq = message["from"], message["seq"]
         state = self._watched.get(node_id)
-        if state is None:
-            return
-        seq = message.get("seq", 0)
-        if not isinstance(seq, int) or seq <= state.last_seq:
-            return  # stale, duplicated, or mangled heartbeat
+        if state is None or seq <= state.last_seq:
+            return  # not watched, or a stale or duplicated heartbeat
         state.last_seq = seq
         state.last_heard = self.transport.scheduler.now()
         if state.suspected:

@@ -26,10 +26,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AdmissionRefused, ConfigurationError, DeliveryError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.interop.codec import Codec
 from repro.interop.frames import WireFrame
 from repro.replication.shards import ShardMap
 from repro.transport.base import Address, Transport
+from repro.transport.endpoint import MessageEndpoint, optional, present
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
@@ -51,8 +52,18 @@ class _Request:
     wire: Optional[WireFrame] = None
 
 
-class GroupClient:
+_LEADER = optional((str, type(None)))  # a member may not know one
+
+
+class GroupClient(MessageEndpoint):
     """Routes commands and reads to one replica group."""
+
+    OPS = {
+        "cmd_ack": ({"rid": str, "result": present, "index": int}, "_on_cmd_ack"),
+        "cmd_err": ({"rid": str, "error": str}, "_on_cmd_err"),
+        "redirect": ({"rid": str, "leader": _LEADER}, "_on_redirect"),
+        "stale": ({"rid": str, "leader": _LEADER}, "_on_stale"),
+    }
 
     def __init__(
         self,
@@ -69,8 +80,7 @@ class GroupClient:
     ):
         if not members:
             raise ConfigurationError("a group client needs at least one member")
-        self.transport = transport
-        self.codec = codec if codec is not None else get_codec("binary")
+        super().__init__(transport, codec)
         self.members: List[Address] = sorted(set(members))
         self.request_timeout_s = request_timeout_s
         self.max_attempts = max_attempts
@@ -96,8 +106,6 @@ class GroupClient:
         self.stale_retries = 0
         self.rejections = 0
         self.admission_rejected = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
     # ------------------------------------------------------------------ API
 
@@ -267,50 +275,55 @@ class GroupClient:
                 return i
         return None
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
-            return
-        rid = message.get("rid")
-        request = self._requests.get(rid) if isinstance(rid, str) else None
+    # A late answer for an already-settled request finds no entry: dropped.
+
+    def _on_cmd_ack(self, source: Address, message: Dict[str, Any]) -> None:
+        request = self._requests.get(message["rid"])
         if request is None:
-            return  # late answer for an already-settled request
-        op = message.get("op")
-        if op == "cmd_ack":
-            index = message.get("index", 0)
-            if isinstance(index, int) and index > self.seen_index:
-                self.seen_index = index
-            self._settle(request)
-            request.promise.fulfill(message.get("result"))
-        elif op == "cmd_err":
-            self.rejections += 1
-            if message.get("error") == "deposed":
-                self._leader = None
-                self._retry(request, immediate=True)
-            else:  # no_quorum: wait out the election window
-                self._leader = None
-                request.probe += 1
-                self._retry(request, immediate=False)
-        elif op == "redirect":
-            self.redirects += 1
-            leader = self._leader_index(message.get("leader"))
-            if leader is not None and leader != self._leader:
-                self._leader = leader
-                self._retry(request, immediate=True)
-            else:
-                # The member does not know a (new) leader either: back off.
-                if leader is None:
-                    self._leader = None
-                request.probe += 1
-                self._retry(request, immediate=False)
-        elif op == "stale":
-            self.stale_retries += 1
-            request.force_primary = True
-            leader = self._leader_index(message.get("leader"))
-            if leader is not None:
-                self._leader = leader
+            return
+        if message["index"] > self.seen_index:
+            self.seen_index = message["index"]
+        self._settle(request)
+        request.promise.fulfill(message["result"])
+
+    def _on_cmd_err(self, source: Address, message: Dict[str, Any]) -> None:
+        request = self._requests.get(message["rid"])
+        if request is None:
+            return
+        self.rejections += 1
+        self._leader = None
+        if message["error"] == "deposed":
             self._retry(request, immediate=True)
+        else:  # no_quorum: wait out the election window
+            request.probe += 1
+            self._retry(request, immediate=False)
+
+    def _on_redirect(self, source: Address, message: Dict[str, Any]) -> None:
+        request = self._requests.get(message["rid"])
+        if request is None:
+            return
+        self.redirects += 1
+        leader = self._leader_index(message.get("leader"))
+        if leader is not None and leader != self._leader:
+            self._leader = leader
+            self._retry(request, immediate=True)
+        else:
+            # The member does not know a (new) leader either: back off.
+            if leader is None:
+                self._leader = None
+            request.probe += 1
+            self._retry(request, immediate=False)
+
+    def _on_stale(self, source: Address, message: Dict[str, Any]) -> None:
+        request = self._requests.get(message["rid"])
+        if request is None:
+            return
+        self.stale_retries += 1
+        request.force_primary = True
+        leader = self._leader_index(message.get("leader"))
+        if leader is not None:
+            self._leader = leader
+        self._retry(request, immediate=True)
 
     # ---------------------------------------------------------------- stats
 

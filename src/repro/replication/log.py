@@ -46,13 +46,15 @@ class LogEntry:
 
     @staticmethod
     def from_wire(raw: Dict[str, Any]) -> "LogEntry":
-        return LogEntry(
-            index=int(raw["i"]),
-            term=int(raw["t"]),
-            rid=str(raw["r"]),
-            name=str(raw["n"]),
-            args=tuple(raw["a"]),
-        )
+        """Rebuild an entry from its wire form; nothing is coerced — a field
+        of the wrong type is a ``TypeError``, a missing one a ``KeyError``."""
+        index, term, rid, name, args = (
+            raw["i"], raw["t"], raw["r"], raw["n"], raw["a"])
+        if not (isinstance(index, int) and isinstance(term, int)
+                and isinstance(rid, str) and isinstance(name, str)
+                and isinstance(args, (list, tuple))):
+            raise TypeError(f"malformed log entry: {raw!r}")
+        return LogEntry(index, term, rid, name, tuple(args))
 
 
 class OpLog:

@@ -37,13 +37,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
+from repro.interop.codec import Codec
 from repro.interop.frames import WireFrame
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.recovery.heartbeat import HeartbeatDetector
 from repro.replication.log import LogEntry, OpLog
-from repro.transport.base import Address, Transport
+from repro.transport.base import Address, Transport, drop_malformed
+from repro.transport.endpoint import MessageEndpoint, list_of, optional, present
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,37 @@ class _PendingCmd:
     timer: Any = None
 
 
-class ReplicaNode:
+_ENTRIES = list_of(LogEntry.from_wire)
+
+
+class ReplicaNode(MessageEndpoint):
     """One member of a replica group."""
+
+    # ``cmd`` is client traffic; every other op is group-internal, gated on
+    # its sender being a member. A closed replica hears nothing: close()
+    # takes its receiver off the transport.
+    OPS = {
+        "cmd": ({"rid": str, "name": str, "args": optional(list),
+                 "read": optional(bool), "mode": optional(str),
+                 "min_index": optional(int)}, "_enqueue_cmd"),
+        "append": ({"term": int, "commit": int, "prev": int, "prev_term": int,
+                    "entries": _ENTRIES, "repair": optional(bool),
+                    "from": optional(int)}, "_on_append", "_from_member"),
+        "append_ack": ({"term": int, "index": int}, "_on_append_ack",
+                       "_from_member"),
+        "need_catchup": ({"from": int}, "_on_need_catchup", "_from_member"),
+        "fenced": ({"term": int}, "_on_fenced", "_from_member"),
+        "snapshot": ({"term": int, "index": int, "sterm": int,
+                      "state": present, "commit": int}, "_on_snapshot",
+                     "_from_member"),
+        "elect": ({"term": int}, "_on_elect", "_from_member"),
+        "elect_ok": ({"term": int}, "_on_elect_ok", "_from_member"),
+        "coord": ({"term": int, "leader": str}, "_on_coord", "_from_member"),
+        "sync_req": ({"term": int, "from_index": int}, "_on_sync_req",
+                     "_from_member"),
+        "sync": ({"term": int, "commit": int, "entries": _ENTRIES}, "_on_sync",
+                 "_from_member"),
+    }
 
     def __init__(
         self,
@@ -128,9 +158,8 @@ class ReplicaNode:
     ):
         from repro.replication.election import BullyElection
 
-        self.transport = transport
+        super().__init__(transport, codec)
         self.hb_transport = hb_transport
-        self.codec = codec if codec is not None else get_codec("binary")
         self.params = params if params is not None else ReplicationParams()
         self.group = group
         self.node_id = transport.local_address.node
@@ -153,7 +182,6 @@ class ReplicaNode:
         self.log = OpLog()
         self.applied_index = 0
         self.closed = False
-        self.malformed_frames = 0
 
         # rid -> (result, index) for every applied op: the at-most-once
         # cache. Populated on *every* replica so a freshly elected primary
@@ -186,8 +214,6 @@ class ReplicaNode:
             "repl.election.term", group=group, node=self.node_id
         )
         self._g_term.set(self.term)
-
-        transport.set_receiver(self._on_message)
 
         self.detector = HeartbeatDetector(
             hb_transport,
@@ -234,45 +260,19 @@ class ReplicaNode:
 
     # ------------------------------------------------------------- messages
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        if self.closed:
-            return
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
-            return
-        op = message.get("op")
-        if op == "cmd":
-            self._enqueue_cmd(source, message)
-            return
-        # Everything else is group-internal; ignore strangers.
-        if source.node not in self.members:
-            return
-        if op == "append":
-            self._on_append(source, message)
-        elif op == "append_ack":
-            self._on_append_ack(source, message)
-        elif op == "need_catchup":
-            self._on_need_catchup(source, message)
-        elif op == "fenced":
-            self._on_fenced(message)
-        elif op == "snapshot":
-            self._on_snapshot(source, message)
-        elif op == "elect":
-            self.election.on_elect(source.node, int(message.get("term", 0)))
-        elif op == "elect_ok":
-            self.election.on_elect_ok(int(message.get("term", 0)))
-        elif op == "coord":
-            self._on_coord(source, message)
-        elif op == "sync_req":
-            self._on_sync_req(source, message)
-        elif op == "sync":
-            self.election.on_sync(
-                source.node,
-                int(message.get("term", 0)),
-                int(message.get("commit", 0)),
-                [LogEntry.from_wire(e) for e in message.get("entries", [])],
-            )
+    def _from_member(self, source: Address, message: Dict[str, Any]) -> bool:
+        return source.node in self.members
+
+    def _on_elect(self, source: Address, message: Dict[str, Any]) -> None:
+        self.election.on_elect(source.node, message["term"])
+
+    def _on_elect_ok(self, source: Address, message: Dict[str, Any]) -> None:
+        self.election.on_elect_ok(message["term"])
+
+    def _on_sync(self, source: Address, message: Dict[str, Any],
+                 entries: List[LogEntry]) -> None:
+        self.election.on_sync(
+            source.node, message["term"], message["commit"], entries)
 
     # -------------------------------------------------------- client traffic
 
@@ -298,11 +298,7 @@ class ReplicaNode:
     def _on_cmd(self, source: Address, message: Dict[str, Any]) -> None:
         if self.closed:
             return
-        rid = message.get("rid")
-        name = message.get("name")
-        if not isinstance(rid, str) or not isinstance(name, str):
-            self.malformed_frames += 1
-            return
+        rid, name = message["rid"], message["name"]
         args = tuple(message.get("args", ()))
         if message.get("read"):
             self._on_read(source, rid, name, args, message)
@@ -311,21 +307,11 @@ class ReplicaNode:
         cached = self._results.get(rid)
         if cached is not None:
             result, index = cached
-            self._send(
-                source,
-                {"op": "cmd_ack", "rid": rid, "result": result, "index": index},
-            )
+            self._reply(source, "cmd_ack", rid, result=result, index=index)
             return
         if self.role != "primary":
-            self._send(
-                source,
-                {
-                    "op": "redirect",
-                    "rid": rid,
-                    "leader": self.leader,
-                    "term": self.term,
-                },
-            )
+            self._reply(source, "redirect", rid, leader=self.leader,
+                        term=self.term)
             return
         if rid in self._parked:
             # Blocking op already applied, still waiting for its wakeup:
@@ -342,9 +328,7 @@ class ReplicaNode:
                 self._arm_pending(logged, source, rid)
             return
         if not self._quorum_alive():
-            self._send(
-                source, {"op": "cmd_err", "rid": rid, "error": "no_quorum"}
-            )
+            self._reply(source, "cmd_err", rid, error="no_quorum")
             return
         entry = self.log.append(self.term, rid, name, args)
         self._logged_rids[rid] = entry.index
@@ -366,36 +350,19 @@ class ReplicaNode:
             if not self._quorum_alive():
                 # Possibly deposed (partitioned minority): a newer primary
                 # may exist, so a "linearizable" answer here could be stale.
-                self._send(
-                    source, {"op": "cmd_err", "rid": rid, "error": "no_quorum"}
-                )
+                self._reply(source, "cmd_err", rid, error="no_quorum")
                 return
             self._m_reads_primary.inc()
             self._answer_read(source, rid, name, args)
             return
         if mode == "primary":
-            self._send(
-                source,
-                {
-                    "op": "redirect",
-                    "rid": rid,
-                    "leader": self.leader,
-                    "term": self.term,
-                },
-            )
+            self._reply(source, "redirect", rid, leader=self.leader,
+                        term=self.term)
             return
-        min_index = int(message.get("min_index", 0))
-        if self.applied_index < min_index:
+        if self.applied_index < message.get("min_index", 0):
             self._m_reads_stale.inc()
-            self._send(
-                source,
-                {
-                    "op": "stale",
-                    "rid": rid,
-                    "applied": self.applied_index,
-                    "leader": self.leader,
-                },
-            )
+            self._reply(source, "stale", rid, applied=self.applied_index,
+                        leader=self.leader)
             return
         self._m_reads_backup.inc()
         self._answer_read(source, rid, name, args)
@@ -404,15 +371,8 @@ class ReplicaNode:
         self, source: Address, rid: str, name: str, args: Tuple[Any, ...]
     ) -> None:
         result = self.machine.read(name, args)
-        self._send(
-            source,
-            {
-                "op": "cmd_ack",
-                "rid": rid,
-                "result": result,
-                "index": self.applied_index,
-            },
-        )
+        self._reply(source, "cmd_ack", rid, result=result,
+                    index=self.applied_index)
 
     def _arm_pending(self, index: int, source: Address, rid: str) -> None:
         pend = _PendingCmd(source, rid)
@@ -427,10 +387,7 @@ class ReplicaNode:
             return
         # The entry stays in the log: if it commits later, the apply path
         # fills the result cache and the client's retry dedups against it.
-        self._send(
-            pend.source,
-            {"op": "cmd_err", "rid": pend.rid, "error": "no_quorum"},
-        )
+        self._reply(pend.source, "cmd_err", pend.rid, error="no_quorum")
 
     # ---------------------------------------------------------- replication
 
@@ -491,19 +448,21 @@ class ReplicaNode:
             self.params.beacon_interval_s, self._beacon
         )
 
-    def _on_append(self, source: Address, message: Dict[str, Any]) -> None:
-        term = int(message.get("term", 0))
+    def _on_append(self, source: Address, message: Dict[str, Any],
+                   entries: List[LogEntry]) -> None:
+        repair = message.get("repair")
+        if repair and "from" not in message:  # a repair says where it starts
+            drop_malformed(self)
+            return
+        term = message["term"]
         if term < self.term:
             self.send_to_member(source.node, {"op": "fenced", "term": self.term})
             return
         self._adopt_leader(term, source.node)
-        entries = [LogEntry.from_wire(e) for e in message.get("entries", [])]
-        if message.get("repair"):
-            self._apply_repair(int(message["from"]), entries)
+        if repair:
+            self._apply_repair(message["from"], entries)
         else:
-            prev_index = int(message.get("prev", 0))
-            prev_term = int(message.get("prev_term", -1))
-            if not self._prefix_matches(prev_index, prev_term):
+            if not self._prefix_matches(message["prev"], message["prev_term"]):
                 self._request_catchup()
                 return
             for entry in entries:
@@ -519,7 +478,7 @@ class ReplicaNode:
                     return
                 self.log.extend([entry])
                 self._logged_rids[entry.rid] = entry.index
-        commit = int(message.get("commit", 0))
+        commit = message["commit"]
         if commit > self.log.last_index:
             # The primary has committed entries we do not hold yet.
             self._advance_commit(self.log.last_index)
@@ -585,20 +544,16 @@ class ReplicaNode:
             if pend is not None:
                 if pend.timer is not None:
                     pend.timer.cancel()
-                self._send(
-                    pend.source,
-                    {"op": "cmd_err", "rid": pend.rid, "error": "deposed"},
-                )
+                self._reply(pend.source, "cmd_err", pend.rid, error="deposed")
         self.log.truncate_from(index)
 
     def _on_append_ack(self, source: Address, message: Dict[str, Any]) -> None:
-        term = int(message.get("term", 0))
-        if term > self.term:
-            self._step_down(term)
+        if message["term"] > self.term:
+            self._step_down(message["term"])
             return
         if self.role != "primary":
             return
-        index = int(message.get("index", 0))
+        index = message["index"]
         if index > self._match.get(source.node, 0):
             self._match[source.node] = index
         self._maybe_commit()
@@ -652,15 +607,8 @@ class ReplicaNode:
             self._parked.discard(wrid)
             waiter = self._blocked.pop(wrid, None)
             if waiter is not None and self.role == "primary":
-                self._send(
-                    waiter,
-                    {
-                        "op": "cmd_ack",
-                        "rid": wrid,
-                        "result": wresult,
-                        "index": entry.index,
-                    },
-                )
+                self._reply(waiter, "cmd_ack", wrid, result=wresult,
+                            index=entry.index)
         pend = self._pending.pop(entry.index, None)
         if pend is not None:
             if pend.timer is not None:
@@ -668,22 +616,15 @@ class ReplicaNode:
             if outcome.pending:
                 self._blocked[pend.rid] = pend.source
             else:
-                self._send(
-                    pend.source,
-                    {
-                        "op": "cmd_ack",
-                        "rid": pend.rid,
-                        "result": outcome.result,
-                        "index": entry.index,
-                    },
-                )
+                self._reply(pend.source, "cmd_ack", pend.rid,
+                            result=outcome.result, index=entry.index)
 
     # ------------------------------------------------------------- catch-up
 
     def _on_need_catchup(self, source: Address, message: Dict[str, Any]) -> None:
         if self.role != "primary":
             return
-        from_index = int(message.get("from", 1))
+        from_index = message["from"]
         self._m_catchups.inc()
         if from_index <= self.log.snapshot_index:
             # The requested prefix is compacted away: state-transfer the
@@ -711,16 +652,15 @@ class ReplicaNode:
             )
 
     def _on_snapshot(self, source: Address, message: Dict[str, Any]) -> None:
-        term = int(message.get("term", 0))
+        term, index = message["term"], message["index"]
         if term < self.term:
             self.send_to_member(source.node, {"op": "fenced", "term": self.term})
             return
         self._adopt_leader(term, source.node)
-        index = int(message.get("index", 0))
         if index <= self.log.commit_index:
             return  # stale snapshot; we are already past it
-        self.machine.restore(message.get("state"))
-        self.log.reset(index, int(message.get("sterm", 0)))
+        self.machine.restore(message["state"])
+        self.log.reset(index, message["sterm"])
         self.applied_index = index
         self._logged_rids.clear()
         self._parked = set(self.machine.pending_rids())
@@ -731,8 +671,8 @@ class ReplicaNode:
 
     # -------------------------------------------------------------- fencing
 
-    def _on_fenced(self, message: Dict[str, Any]) -> None:
-        term = int(message.get("term", 0))
+    def _on_fenced(self, source: Address, message: Dict[str, Any]) -> None:
+        term = message["term"]
         if term > self.term:
             self._step_down(term)
         self.election.on_fenced(term)
@@ -749,10 +689,7 @@ class ReplicaNode:
                 pend = self._pending[index]
                 if pend.timer is not None:
                     pend.timer.cancel()
-                self._send(
-                    pend.source,
-                    {"op": "cmd_err", "rid": pend.rid, "error": "deposed"},
-                )
+                self._reply(pend.source, "cmd_err", pend.rid, error="deposed")
             self._pending.clear()
         self.leader = None
         self.election.note_deposed()
@@ -768,14 +705,14 @@ class ReplicaNode:
             self.election.cancel()
 
     def _on_coord(self, source: Address, message: Dict[str, Any]) -> None:
-        term = int(message.get("term", 0))
+        term = message["term"]
         if term < self.term:
             self.send_to_member(source.node, {"op": "fenced", "term": self.term})
             return
-        self._adopt_leader(term, str(message.get("leader", source.node)))
+        self._adopt_leader(term, message["leader"])
 
     def _on_sync_req(self, source: Address, message: Dict[str, Any]) -> None:
-        term = int(message.get("term", 0))
+        term = message["term"]
         if term < self.term:
             self.send_to_member(source.node, {"op": "fenced", "term": self.term})
             return
@@ -783,8 +720,8 @@ class ReplicaNode:
             # Adopting the candidate's term fences the old primary during
             # the sync window, before the winner's first append.
             self._step_down(term)
-        from_index = int(message.get("from_index", 1))
-        entries = self.log.entries_from(max(from_index, self.log.first_index))
+        entries = self.log.entries_from(
+            max(message["from_index"], self.log.first_index))
         self.send_to_member(
             source.node,
             {
@@ -855,6 +792,7 @@ class ReplicaNode:
         if self.closed:
             return
         self.closed = True
+        self.transport.set_receiver(None)
         self._cancel_beacon()
         self.election.shutdown()
         for pend in self._pending.values():

@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
-from repro.interop.codec import Codec, get_codec
-from repro.interop.frames import WireFrame, decode_payload
+from repro.interop.codec import Codec
+from repro.interop.frames import WireFrame
 from repro.transport.base import Address
+from repro.transport.endpoint import MessageEndpoint, present
 from repro.transport.simnet import SimFabric, SimTransport
 from repro.util.ids import SequenceGenerator
 
@@ -42,8 +43,15 @@ class Gradient:
     expires_at: float
 
 
-class DataCentricAgent:
+class DataCentricAgent(MessageEndpoint):
     """One node's diffusion engine: sink, source, and relay in one."""
+
+    OP_FIELD = "c"
+    OPS = {
+        "interest": ({"n": str, "o": str, "q": int, "h": int, "t": int},
+                     "_on_interest"),
+        "data": ({"n": str, "o": str, "q": int, "v": present}, "_on_data"),
+    }
 
     def __init__(
         self,
@@ -52,11 +60,11 @@ class DataCentricAgent:
         codec: Optional[Codec] = None,
         gradient_lifetime_s: float = DEFAULT_GRADIENT_LIFETIME_S,
     ):
+        self.endpoint: SimTransport = fabric.endpoint(node_id, DIFFUSION_PORT)
+        super().__init__(self.endpoint, codec)
         self.fabric = fabric
         self.node_id = node_id
-        self.codec = codec if codec is not None else get_codec("binary")
         self.gradient_lifetime_s = gradient_lifetime_s
-        self.endpoint: SimTransport = fabric.endpoint(node_id, DIFFUSION_PORT)
         # name -> sink -> gradient
         self._gradients: Dict[str, Dict[str, Gradient]] = {}
         self._subscriptions: Dict[str, DataCallback] = {}
@@ -66,7 +74,6 @@ class DataCentricAgent:
         self.interests_sent = 0
         self.data_sent = 0
         self.data_delivered = 0
-        self.endpoint.set_receiver(self._on_message)
 
     def _now(self) -> float:
         return self.endpoint.scheduler.now()
@@ -150,14 +157,6 @@ class DataCentricAgent:
 
     # -------------------------------------------------------------- receiving
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = decode_payload(self.codec, payload)
-        kind = message.get("c")
-        if kind == "interest":
-            self._on_interest(source, message)
-        elif kind == "data":
-            self._on_data(message)
-
     def _on_interest(self, source: Address, message: Dict[str, Any]) -> None:
         key = (message["o"], message["q"])
         hops = message["h"] + 1
@@ -179,7 +178,7 @@ class DataCentricAgent:
                 WireFrame({**message, "h": hops, "t": ttl}, self.codec)
             )
 
-    def _on_data(self, message: Dict[str, Any]) -> None:
+    def _on_data(self, source: Address, message: Dict[str, Any]) -> None:
         key = (message["o"], message["q"])
         if key in self._seen_data:
             return

@@ -25,10 +25,10 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Dict, List, Optional, Type
 
-from repro.errors import AddressError, ConfigurationError, TransactionError
-from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
-from repro.interop.frames import WireFrame
-from repro.transport.base import Address, Transport, drop_malformed
+from repro.errors import ConfigurationError, TransactionError
+from repro.interop.codec import Codec, wire_plain
+from repro.transport.base import Address, Transport
+from repro.transport.endpoint import MessageEndpoint, optional
 from repro.util.events import EventEmitter
 from repro.util.promise import Promise
 
@@ -56,7 +56,15 @@ class MobileAgent(abc.ABC):
         ``host.services`` (whatever the hosting node exposed to agents)."""
 
 
-class AgentHost:
+def _next_stop(itinerary: Any) -> Optional[Address]:
+    """Frame-field parser: where the stops still ahead begin, None once
+    there are none. Each host checks only the hop it has to make."""
+    if not isinstance(itinerary, list):
+        raise TypeError(f"expected a list, got {type(itinerary).__name__}")
+    return Address.parse(itinerary[0]) if itinerary else None
+
+
+class AgentHost(MessageEndpoint):
     """One node's agent runtime: receives, runs, and forwards agents.
 
     ``services`` is the local resource dict the node offers to visiting
@@ -64,22 +72,27 @@ class AgentHost:
     :attr:`events`): ``"agent_arrived"`` / ``"agent_departed"`` (name).
     """
 
+    OPS = {
+        "agent": ({"name": str, "state": dict, "hops": int,
+                   "home": Address.parse, "itinerary": _next_stop},
+                  "_host_agent"),
+        "agent_done": ({"name": str, "state": dict}, "_on_done"),
+        "agent_refused": ({"name": str, "at": optional(str)}, "_on_refused"),
+    }
+
     def __init__(
         self,
         transport: Transport,
         services: Optional[Dict[str, Any]] = None,
         codec: Optional[Codec] = None,
     ):
-        self.transport = transport
+        super().__init__(transport, codec)
         self.services: Dict[str, Any] = services if services is not None else {}
-        self.codec = codec if codec is not None else get_codec("binary")
         self.events = EventEmitter()
         self._registry: Dict[str, Type[MobileAgent]] = {}
         self._homecoming: Dict[str, List[Promise]] = {}
         self.agents_hosted = 0
         self.agents_refused = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
     @property
     def address(self) -> Address:
@@ -129,41 +142,11 @@ class AgentHost:
             },
         )
 
-    def _send(self, destination: Address, message: Dict[str, Any]) -> None:
-        self.transport.send(destination, WireFrame(message, self.codec))
-
     # -------------------------------------------------------------- receive
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None or not isinstance(message.get("name"), str):
-            drop_malformed(self)
-            return
-        op = message.get("op")
-        if op == "agent":
-            self._host_agent(message)
-        elif op == "agent_done":
-            if not isinstance(message.get("state"), dict):
-                drop_malformed(self)
-                return
-            self._welcome_home(message, success=True)
-        elif op == "agent_refused":
-            self._welcome_home(message, success=False)
-
-    def _host_agent(self, message: Dict[str, Any]) -> None:
-        name = message["name"]
-        state, itinerary, hops = (
-            message.get("state"), message.get("itinerary"), message.get("hops"))
-        if not (isinstance(state, dict) and isinstance(itinerary, list)
-                and isinstance(hops, int)):
-            drop_malformed(self)
-            return
-        try:
-            home = Address.parse(message.get("home"))
-            next_stop = Address.parse(itinerary[0]) if itinerary else None
-        except (AddressError, AttributeError):  # empty / not a string
-            drop_malformed(self)
-            return
+    def _host_agent(self, source: Address, message: Dict[str, Any],
+                    home: Address, next_stop: Optional[Address]) -> None:
+        name, hops = message["name"], message["hops"]
         agent_class = self._registry.get(name)
         if agent_class is None:
             self.agents_refused += 1
@@ -171,7 +154,7 @@ class AgentHost:
                               "at": str(self.address)})
             return
         # A copy: the frame's state is the previous stop's agent's own dict.
-        agent = agent_class(wire_plain(state))
+        agent = agent_class(wire_plain(message["state"]))
         self.agents_hosted += 1
         self.events.emit("agent_arrived", name)
         try:
@@ -184,23 +167,20 @@ class AgentHost:
         if next_stop is not None:
             self._send(
                 next_stop,
-                {**message, "state": agent.state, "itinerary": itinerary[1:],
-                 "hops": hops + 1},
+                {**message, "state": agent.state,
+                 "itinerary": message["itinerary"][1:], "hops": hops + 1},
             )
         else:
             self._send(home, {"op": "agent_done", "name": name,
                               "state": agent.state, "hops": hops})
 
-    def _welcome_home(self, message: Dict[str, Any], success: bool) -> None:
-        waiting = self._homecoming.get(message["name"], [])
-        if not waiting:
-            return
-        promise = waiting.pop(0)
-        if success:
-            promise.fulfill(wire_plain(message["state"]))
-        else:
-            promise.reject(
-                TransactionError(
-                    f"agent {message['name']!r} refused at {message.get('at')}"
-                )
-            )
+    def _on_done(self, source: Address, message: Dict[str, Any]) -> None:
+        waiting = self._homecoming.get(message["name"])
+        if waiting:
+            waiting.pop(0).fulfill(wire_plain(message["state"]))
+
+    def _on_refused(self, source: Address, message: Dict[str, Any]) -> None:
+        waiting = self._homecoming.get(message["name"])
+        if waiting:
+            waiting.pop(0).reject(TransactionError(
+                f"agent {message['name']!r} refused at {message.get('at')}"))

@@ -20,9 +20,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
-from repro.interop.frames import WireFrame
-from repro.transport.base import Address, Transport, drop_malformed
+from repro.errors import DeliveryError
+from repro.interop.codec import Codec, wire_plain
+from repro.transport.base import Address, Transport
+from repro.transport.endpoint import MessageEndpoint, optional, present
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
@@ -36,8 +37,16 @@ class _QueueState:
     next_subscriber: int = 0
 
 
-class MessageBroker:
+class MessageBroker(MessageEndpoint):
     """The queue manager process."""
+
+    OPS = {
+        "put": ({"queue": str, "body": present, "rid": optional(str)},
+                "_handle_put"),
+        "subscribe": ({"queue": str, "rid": optional(str)},
+                      "_handle_subscribe"),
+        "ack": ({"mid": str}, "_handle_ack"),
+    }
 
     def __init__(
         self,
@@ -46,8 +55,7 @@ class MessageBroker:
         redelivery_timeout_s: float = DEFAULT_REDELIVERY_TIMEOUT_S,
         max_redeliveries: int = 20,
     ):
-        self.transport = transport
-        self.codec = codec if codec is not None else get_codec("binary")
+        super().__init__(transport, codec)
         self.redelivery_timeout_s = redelivery_timeout_s
         self.max_redeliveries = max_redeliveries
         self._queues: Dict[str, _QueueState] = {}
@@ -60,8 +68,6 @@ class MessageBroker:
         self.messages_accepted = 0
         self.deliveries = 0
         self.redeliveries = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
     def depth(self, queue: str) -> int:
         state = self._queues.get(queue)
@@ -72,29 +78,9 @@ class MessageBroker:
 
     # -------------------------------------------------------------- protocol
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            drop_malformed(self)
-            return
-        op = message.get("op")
-        if op == "put":
-            if not isinstance(message.get("queue"), str) or "body" not in message:
-                drop_malformed(self)
-                return
-            self._handle_put(source, message)
-        elif op == "subscribe":
-            if not isinstance(message.get("queue"), str):
-                drop_malformed(self)
-                return
-            self._handle_subscribe(source, message)
-        elif op == "ack":
-            mid = message.get("mid")
-            if not isinstance(mid, str):
-                drop_malformed(self)
-                return
-            self._inflight.pop(mid, None)
-            self._attempts.pop(mid, None)
+    def _handle_ack(self, source: Address, message: Dict[str, Any]) -> None:
+        self._inflight.pop(message["mid"], None)
+        self._attempts.pop(message["mid"], None)
 
     def _handle_put(self, source: Address, message: Dict[str, Any]) -> None:
         queue = self._queue(message["queue"])
@@ -103,22 +89,15 @@ class MessageBroker:
         # queue (or a dead letter) holds what was put, not what it became.
         queue.messages.append((mid, wire_plain(message["body"])))
         self.messages_accepted += 1
-        if message.get("rid") is not None:
-            self.transport.send(
-                source,
-                WireFrame({"op": "put_ack", "rid": message["rid"], "mid": mid},
-                          self.codec),
-            )
+        if "rid" in message:
+            self._ack(source, message, mid=mid)
         self._drain(message["queue"])
 
     def _handle_subscribe(self, source: Address, message: Dict[str, Any]) -> None:
         queue = self._queue(message["queue"])
         if source not in queue.subscribers:
             queue.subscribers.append(source)
-        self.transport.send(
-            source,
-            WireFrame({"op": "subscribe_ack", "rid": message.get("rid")}, self.codec),
-        )
+        self._ack(source, message)
         self._drain(message["queue"])
 
     # -------------------------------------------------------------- delivery
@@ -134,12 +113,9 @@ class MessageBroker:
     def _deliver(self, queue_name: str, mid: str, body: Any, subscriber: Address) -> None:
         self.deliveries += 1
         self._inflight[mid] = (queue_name, body, subscriber)
-        self.transport.send(
+        self._send(
             subscriber,
-            WireFrame(
-                {"op": "deliver", "queue": queue_name, "mid": mid, "body": body},
-                self.codec,
-            ),
+            {"op": "deliver", "queue": queue_name, "mid": mid, "body": body},
         )
         self.transport.scheduler.schedule(
             self.redelivery_timeout_s, self._check_ack, mid
@@ -165,8 +141,14 @@ class MessageBroker:
         self._drain(queue_name)
 
 
-class MessagingClient:
+class MessagingClient(MessageEndpoint):
     """A producer/consumer handle onto the broker."""
+
+    OPS = {
+        "deliver": ({"queue": str, "mid": str, "body": present}, "_on_deliver"),
+        "put_ack": ({"rid": str}, "_on_reply"),
+        "subscribe_ack": ({"rid": str}, "_on_reply"),
+    }
 
     def __init__(
         self,
@@ -175,16 +157,11 @@ class MessagingClient:
         codec: Optional[Codec] = None,
         request_timeout_s: float = 2.0,
     ):
-        self.transport = transport
+        super().__init__(transport, codec, rids="msg")
         self.broker_address = broker_address
-        self.codec = codec if codec is not None else get_codec("binary")
         self.request_timeout_s = request_timeout_s
-        self._rids = IdGenerator(f"msg:{transport.local_address}")
-        self._pending: Dict[str, Promise] = {}
         self._handlers: Dict[str, Callable[[Any], None]] = {}
         self.received = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
     # --------------------------------------------------------------- producer
 
@@ -193,15 +170,10 @@ class MessagingClient:
         broker's ack (message id); without, it is fire-and-forget."""
         message: Dict[str, Any] = {"op": "put", "queue": queue, "body": body}
         if not confirm:
-            self.transport.send(self.broker_address, WireFrame(message, self.codec))
+            self._send(self.broker_address, message)
             return None
-        rid = self._rids.next()
-        message["rid"] = rid
-        promise: Promise = Promise()
-        self._pending[rid] = promise
-        self.transport.send(self.broker_address, WireFrame(message, self.codec))
-        self.transport.scheduler.schedule(self.request_timeout_s, self._timeout, rid)
-        return promise
+        return self._request(self.broker_address, message,
+                             self.request_timeout_s, DeliveryError)
 
     # --------------------------------------------------------------- consumer
 
@@ -209,50 +181,16 @@ class MessagingClient:
         """Consume from a queue; the handler receives message bodies and
         deliveries are auto-acknowledged after it returns."""
         self._handlers[queue] = handler
-        rid = self._rids.next()
-        promise: Promise = Promise()
-        self._pending[rid] = promise
-        self.transport.send(
-            self.broker_address,
-            WireFrame({"op": "subscribe", "queue": queue, "rid": rid}, self.codec),
-        )
-        self.transport.scheduler.schedule(self.request_timeout_s, self._timeout, rid)
-        return promise
+        return self._request(
+            self.broker_address, {"op": "subscribe", "queue": queue},
+            self.request_timeout_s, DeliveryError)
 
     # -------------------------------------------------------------- plumbing
 
-    def _timeout(self, rid: str) -> None:
-        promise = self._pending.pop(rid, None)
-        if promise is not None:
-            from repro.errors import DeliveryError
-
-            promise.reject(DeliveryError(f"broker request {rid} timed out"))
-
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            drop_malformed(self)
-            return
-        if message.get("op") == "deliver":
-            queue = message.get("queue")
-            mid = message.get("mid")
-            if (not isinstance(queue, str) or not isinstance(mid, str)
-                    or "body" not in message):
-                drop_malformed(self)
-                return
-            handler = self._handlers.get(queue)
-            if handler is not None:
-                self.received += 1
-                # A copy: the broker keeps the body for redelivery.
-                handler(wire_plain(message["body"]))
-                self.transport.send(
-                    source, WireFrame({"op": "ack", "mid": mid}, self.codec)
-                )
-            return
-        rid = message.get("rid")
-        if not isinstance(rid, str):
-            drop_malformed(self)
-            return
-        promise = self._pending.pop(rid, None)
-        if promise is not None:
-            promise.fulfill(message)
+    def _on_deliver(self, source: Address, message: Dict[str, Any]) -> None:
+        handler = self._handlers.get(message["queue"])
+        if handler is not None:
+            self.received += 1
+            # A copy: the broker keeps the body for redelivery.
+            handler(wire_plain(message["body"]))
+            self._send(source, {"op": "ack", "mid": message["mid"]})

@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.discovery.matching import AttributeConstraint
-from repro.errors import ConfigurationError, DiscoveryError
-from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
-from repro.interop.frames import WireFrame
-from repro.transport.base import Address, Transport, drop_malformed
-from repro.util.ids import IdGenerator
+from repro.errors import ConfigurationError, DeliveryError
+from repro.interop.codec import Codec, wire_plain
+from repro.transport.base import Address, Transport
+from repro.transport.endpoint import (
+    MessageEndpoint, list_of, optional, present)
 from repro.util.promise import Promise
 
 
@@ -45,17 +45,8 @@ def topic_matches(pattern: str, topic: str) -> bool:
     return len(pattern_parts) == len(topic_parts)
 
 
-def _parse_filters(raw: Any) -> Optional[List[AttributeConstraint]]:
-    """Constraints from their wire dicts; None if the field is malformed."""
-    if not isinstance(raw, list):
-        return None
-    try:
-        filters = [AttributeConstraint.from_dict(f) for f in raw]
-    except (KeyError, TypeError, DiscoveryError):
-        return None
-    if all(isinstance(f.name, str) and isinstance(f.value, str) for f in filters):
-        return filters
-    return None
+#: Frame-field parser: constraints from their wire dicts.
+_FILTERS = list_of(AttributeConstraint.from_dict)
 
 
 def _content_matches(filters: List[AttributeConstraint], event: Any) -> bool:
@@ -77,59 +68,43 @@ class _Subscription:
     filters: List[AttributeConstraint] = field(default_factory=list)
 
 
-class PubSubBroker:
+class PubSubBroker(MessageEndpoint):
     """The event dispatcher process."""
 
+    OPS = {
+        "sub": ({"pattern": str, "rid": optional(str),
+                 "filters": optional(_FILTERS)}, "_on_sub"),
+        "unsub": ({"pattern": str}, "_on_unsub"),
+        "pub": ({"topic": str, "event": present}, "_fan_out"),
+    }
+
     def __init__(self, transport: Transport, codec: Optional[Codec] = None):
-        self.transport = transport
-        self.codec = codec if codec is not None else get_codec("binary")
+        super().__init__(transport, codec)
         self._subscriptions: List[_Subscription] = []
         self.events_published = 0
         self.events_delivered = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
     def subscription_count(self) -> int:
         return len(self._subscriptions)
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            drop_malformed(self)
-            return
-        op = message.get("op")
-        if op == "sub":
-            pattern = message.get("pattern")
-            filters = _parse_filters(message.get("filters", []))
-            if not isinstance(pattern, str) or filters is None:
-                drop_malformed(self)
-                return
-            self._subscriptions.append(_Subscription(source, pattern, filters))
-            self.transport.send(
-                source,
-                WireFrame({"op": "sub_ack", "rid": message.get("rid")}, self.codec),
-            )
-        elif op == "unsub":
-            pattern = message.get("pattern")
-            if not isinstance(pattern, str):
-                drop_malformed(self)
-                return
-            self._subscriptions = [
-                s
-                for s in self._subscriptions
-                if not (s.subscriber == source and s.pattern == pattern)
-            ]
-        elif op == "pub":
-            topic = message.get("topic")
-            if not isinstance(topic, str) or "event" not in message:
-                drop_malformed(self)
-                return
-            self._fan_out(topic, message["event"])
+    def _on_sub(self, source: Address, message: Dict[str, Any],
+                filters: Optional[List[AttributeConstraint]]) -> None:
+        self._subscriptions.append(
+            _Subscription(source, message["pattern"], filters or []))
+        self._ack(source, message)
 
-    def _fan_out(self, topic: str, event: Any) -> None:
-        """One frame per matching subscription, each carrying ``event`` —
+    def _on_unsub(self, source: Address, message: Dict[str, Any]) -> None:
+        self._subscriptions = [
+            s
+            for s in self._subscriptions
+            if not (s.subscriber == source and s.pattern == message["pattern"])
+        ]
+
+    def _fan_out(self, source: Address, message: Dict[str, Any]) -> None:
+        """One frame per matching subscription, each carrying the event —
         the publisher's own object, which subscribers copy on receipt —
         rather than an encoding of it per subscriber."""
+        topic, event = message["topic"], message["event"]
         self.events_published += 1
         for subscription in self._subscriptions:
             if not topic_matches(subscription.pattern, topic):
@@ -137,21 +112,23 @@ class PubSubBroker:
             if not _content_matches(subscription.filters, event):
                 continue
             self.events_delivered += 1
-            self.transport.send(
+            self._send(
                 subscription.subscriber,
-                WireFrame(
-                    {"op": "event", "topic": topic, "event": event,
-                     "pattern": subscription.pattern},
-                    self.codec,
-                ),
+                {"op": "event", "topic": topic, "event": event,
+                 "pattern": subscription.pattern},
             )
 
 
 EventHandler = Callable[[str, Any], None]  # (topic, event)
 
 
-class PubSubClient:
+class PubSubClient(MessageEndpoint):
     """A publisher/subscriber handle onto the broker."""
+
+    OPS = {
+        "event": ({"topic": str, "pattern": str, "event": present}, "_on_event"),
+        "sub_ack": ({"rid": str}, "_on_reply"),
+    }
 
     def __init__(
         self,
@@ -160,16 +137,11 @@ class PubSubClient:
         codec: Optional[Codec] = None,
         request_timeout_s: float = 2.0,
     ):
-        self.transport = transport
+        super().__init__(transport, codec, rids="ps")
         self.broker_address = broker_address
-        self.codec = codec if codec is not None else get_codec("binary")
         self.request_timeout_s = request_timeout_s
-        self._rids = IdGenerator(f"ps:{transport.local_address}")
-        self._pending: Dict[str, Promise] = {}
         self._handlers: Dict[str, Tuple[EventHandler, List[Dict[str, str]]]] = {}
         self.events_received = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
     def subscribe(
         self,
@@ -182,63 +154,25 @@ class PubSubClient:
             raise ConfigurationError(f"already subscribed to {pattern!r}")
         raw_filters = [f.to_dict() for f in (filters or [])]
         self._handlers[pattern] = (handler, raw_filters)
-        rid = self._rids.next()
-        promise: Promise = Promise()
-        self._pending[rid] = promise
-        self.transport.send(
+        return self._request(
             self.broker_address,
-            WireFrame(
-                {"op": "sub", "rid": rid, "pattern": pattern, "filters": raw_filters},
-                self.codec,
-            ),
-        )
-        self.transport.scheduler.schedule(self.request_timeout_s, self._timeout, rid)
-        return promise
+            # "rid" holds its place on the wire; _request fills it in.
+            {"op": "sub", "rid": None, "pattern": pattern, "filters": raw_filters},
+            self.request_timeout_s, DeliveryError)
 
     def unsubscribe(self, pattern: str) -> None:
         self._handlers.pop(pattern, None)
-        self.transport.send(
-            self.broker_address,
-            WireFrame({"op": "unsub", "pattern": pattern}, self.codec),
-        )
+        self._send(self.broker_address, {"op": "unsub", "pattern": pattern})
 
     def publish(self, topic: str, event: Any) -> None:
         """Emit an event; fire-and-forget, as events are."""
-        self.transport.send(
-            self.broker_address,
-            WireFrame({"op": "pub", "topic": topic, "event": event}, self.codec),
-        )
+        self._send(self.broker_address,
+                   {"op": "pub", "topic": topic, "event": event})
 
-    def _timeout(self, rid: str) -> None:
-        promise = self._pending.pop(rid, None)
-        if promise is not None:
-            from repro.errors import DeliveryError
-
-            promise.reject(DeliveryError(f"broker request {rid} timed out"))
-
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            drop_malformed(self)
-            return
-        if message.get("op") == "event":
-            topic = message.get("topic")
-            pattern = message.get("pattern")
-            if (not isinstance(topic, str) or not isinstance(pattern, str)
-                    or "event" not in message):
-                drop_malformed(self)
-                return
-            entry = self._handlers.get(pattern)
-            if entry is not None:
-                handler, _filters = entry
-                self.events_received += 1
-                # A copy: every subscriber's frame carries the one event.
-                handler(topic, wire_plain(message["event"]))
-            return
-        rid = message.get("rid")
-        if not isinstance(rid, str):
-            drop_malformed(self)
-            return
-        promise = self._pending.pop(rid, None)
-        if promise is not None:
-            promise.fulfill(message)
+    def _on_event(self, source: Address, message: Dict[str, Any]) -> None:
+        entry = self._handlers.get(message["pattern"])
+        if entry is not None:
+            handler, _filters = entry
+            self.events_received += 1
+            # A copy: every subscriber's frame carries the one event.
+            handler(message["topic"], wire_plain(message["event"]))

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.errors import AdmissionRefused, RemoteError, RpcError, RpcTimeoutError, SchemaError
-from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
-from repro.interop.frames import WireFrame
+from repro.interop.codec import Codec, wire_plain
 from repro.interop.schema import InterfaceSchema
 from repro.obs.tracing import NOOP_SPAN, TRACER
 from repro.transport.base import Address, Transport
+from repro.transport.endpoint import MessageEndpoint, optional
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
@@ -46,8 +46,17 @@ class _PendingCall:
     span: Any = NOOP_SPAN  # open rpc.call span; closed when the call settles
 
 
-class RpcEndpoint:
+class RpcEndpoint(MessageEndpoint):
     """A bidirectional RPC endpoint over one transport."""
+
+    OPS = {
+        "call": ({"method": str, "rid": optional(str),
+                  "params": optional(dict)}, "_serve"),
+        "notify": ({"method": str, "params": optional(dict)}, "_serve"),
+        "result": ({"rid": str}, "_on_result"),
+        "error": ({"rid": str, "type": optional(str), "msg": optional(str)},
+                  "_on_result"),
+    }
 
     def __init__(
         self,
@@ -58,8 +67,7 @@ class RpcEndpoint:
         admission: Optional[Any] = None,
         admission_class: str = "normal",
     ):
-        self.transport = transport
-        self.codec = codec if codec is not None else get_codec("binary")
+        super().__init__(transport, codec)
         self.interface = interface
         self.default_timeout_s = default_timeout_s
         # Optional AdmissionController consulted before each outbound call;
@@ -74,8 +82,6 @@ class RpcEndpoint:
         self.calls_served = 0
         self.timeouts = 0
         self.admission_rejected = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
     # ---------------------------------------------------------------- serving
 
@@ -91,8 +97,11 @@ class RpcEndpoint:
             raise RpcError(f"method {method!r} already exposed")
         self._handlers[method] = handler
 
-    def _serve(self, source: Address, rid: Optional[str], method: str,
-               params: Mapping[str, Any]) -> None:
+    def _serve(self, source: Address, message: Dict[str, Any]) -> None:
+        # A notify is served the same, never answered.
+        rid = message.get("rid") if message["op"] == "call" else None
+        method = message["method"]
+        params = message.get("params", {})
         if TRACER.enabled:
             with TRACER.span("rpc.serve",
                              node=self.transport.local_address.node,
@@ -223,42 +232,21 @@ class RpcEndpoint:
 
     # -------------------------------------------------------------- receiving
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            self.malformed_frames += 1
-            return
-        op = message.get("op")
-        if op == "call":
-            method = message.get("method")
-            if not isinstance(method, str):
-                self.malformed_frames += 1
-                return
-            self._serve(source, message.get("rid"), method,
-                        message.get("params", {}))
-        elif op == "notify":
-            method = message.get("method")
-            if not isinstance(method, str):
-                self.malformed_frames += 1
-                return
-            self._serve(source, None, method, message.get("params", {}))
-        elif op in ("result", "error"):
-            pending = self._pending.pop(message.get("rid"), None)
-            if pending is None:
-                return  # late reply after timeout: drop
-            if pending.timer is not None:
-                cancel = getattr(pending.timer, "cancel", None)
-                if cancel is not None:
-                    cancel()
-            pending.span.set_label(status="ok" if op == "result" else "error")
-            pending.span.finish()
-            if op == "result":
-                # A copy: the handler may have returned its own state.
-                pending.promise.fulfill(wire_plain(message.get("value")))
-            else:
-                pending.promise.reject(
-                    RemoteError(message.get("type", "Exception"), message.get("msg", ""))
-                )
-
-    def _send(self, destination: Address, message: Dict[str, Any]) -> None:
-        self.transport.send(destination, WireFrame(message, self.codec))
+    def _on_result(self, source: Address, message: Dict[str, Any]) -> None:
+        pending = self._pending.pop(message["rid"], None)
+        if pending is None:
+            return  # late reply after timeout: drop
+        if pending.timer is not None:
+            cancel = getattr(pending.timer, "cancel", None)
+            if cancel is not None:
+                cancel()
+        ok = message["op"] == "result"
+        pending.span.set_label(status="ok" if ok else "error")
+        pending.span.finish()
+        if ok:
+            # A copy: the handler may have returned its own state.
+            pending.promise.fulfill(wire_plain(message.get("value")))
+        else:
+            pending.promise.reject(
+                RemoteError(message.get("type", "Exception"), message.get("msg", ""))
+            )

@@ -37,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
-from repro.interop.frames import WireFrame
-from repro.transport.base import Address, Transport, drop_malformed
-from repro.util.ids import IdGenerator
+from repro.interop.codec import Codec, wire_plain
+from repro.transport.base import Address, Transport
+from repro.transport.endpoint import MessageEndpoint, optional, present
 from repro.util.promise import Promise
 
 
@@ -50,7 +49,7 @@ class _Stored:
     version: int
 
 
-class SharedObjectHost:
+class SharedObjectHost(MessageEndpoint):
     """Authoritative object store with watcher invalidation.
 
     ``write_through_acks=True`` selects the linearizable write protocol:
@@ -65,10 +64,17 @@ class SharedObjectHost:
     stale-read anomalies.
     """
 
+    OPS = {
+        "get": ({"key": str, "rid": optional(str), "watch": optional(bool)},
+                "_on_get"),
+        "put": ({"key": str, "value": present, "rid": optional(str),
+                 "watch": optional(bool)}, "_on_put"),
+        "inv_ack": ({"wid": int}, "_on_inv_ack"),
+    }
+
     def __init__(self, transport: Transport, codec: Optional[Codec] = None,
                  write_through_acks: bool = False):
-        self.transport = transport
-        self.codec = codec if codec is not None else get_codec("binary")
+        super().__init__(transport, codec)
         self.write_through_acks = write_through_acks
         self._objects: Dict[str, _Stored] = {}
         self._watchers: Dict[str, Set[Address]] = {}
@@ -84,67 +90,43 @@ class SharedObjectHost:
         self.reads_served = 0
         self.writes_served = 0
         self.invalidations_sent = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
     def value(self, key: str) -> Any:
         stored = self._objects.get(key)
         return stored.value if stored else None
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            drop_malformed(self)
-            return
-        op = message.get("op")
-        key = message.get("key")
-        if op in ("get", "put") and not isinstance(key, str):
-            drop_malformed(self)
-            return
-        if op == "get":
-            if message.get("watch"):
-                self._watchers.setdefault(key, set()).add(source)
-            if self._get_must_wait(key):
-                self._deferred_gets.setdefault(key, []).append(
-                    (source, message.get("rid"))
-                )
-                return
-            self._answer_get(source, message.get("rid"), key)
-        elif op == "put":
-            if "value" not in message:
-                drop_malformed(self)
-                return
-            self.writes_served += 1
-            if message.get("watch"):
-                self._watchers.setdefault(key, set()).add(source)
-            stored = self._objects.get(key)
-            version = (stored.version if stored else 0) + 1
-            # A copy: the frame's value is the writer's own object.
-            self._objects[key] = _Stored(wire_plain(message["value"]), version)
-            waiting = self._invalidate(key, version, exclude=source)
-            if self.write_through_acks and waiting:
-                wid = self._next_wid = self._next_wid + 1
-                self._pending_writes[wid] = (source, message.get("rid"), key,
-                                             version, set(waiting))
-                self._pending_by_key[key] = self._pending_by_key.get(key, 0) + 1
-                for watcher in waiting:
-                    self._send_invalidate(watcher, key, version, wid)
-                return
-            for watcher in waiting:
-                self._send_invalidate(watcher, key, version, None)
-            self.transport.send(
-                source,
-                WireFrame(
-                    {"op": "put_ack", "rid": message.get("rid"), "version": version},
-                    self.codec,
-                ),
+    def _on_get(self, source: Address, message: Dict[str, Any]) -> None:
+        key = message["key"]
+        if message.get("watch"):
+            self._watchers.setdefault(key, set()).add(source)
+        if self._get_must_wait(key):
+            self._deferred_gets.setdefault(key, []).append(
+                (source, message.get("rid"))
             )
-        elif op == "inv_ack":
-            wid = message.get("wid")
-            if not isinstance(wid, int):
-                drop_malformed(self)
-                return
-            self._on_inv_ack(source, wid)
+            return
+        self._answer_get(source, message.get("rid"), key)
+
+    def _on_put(self, source: Address, message: Dict[str, Any]) -> None:
+        key = message["key"]
+        self.writes_served += 1
+        if message.get("watch"):
+            self._watchers.setdefault(key, set()).add(source)
+        stored = self._objects.get(key)
+        version = (stored.version if stored else 0) + 1
+        # A copy: the frame's value is the writer's own object.
+        self._objects[key] = _Stored(wire_plain(message["value"]), version)
+        waiting = self._invalidate(key, version, exclude=source)
+        if self.write_through_acks and waiting:
+            wid = self._next_wid = self._next_wid + 1
+            self._pending_writes[wid] = (source, message.get("rid"), key,
+                                         version, set(waiting))
+            self._pending_by_key[key] = self._pending_by_key.get(key, 0) + 1
+            for watcher in waiting:
+                self._send_invalidate(watcher, key, version, wid)
+            return
+        for watcher in waiting:
+            self._send_invalidate(watcher, key, version, None)
+        self._ack(source, message, version=version)
 
     def _get_must_wait(self, key: str) -> bool:
         """Whether a get must be deferred behind in-flight invalidations.
@@ -170,37 +152,25 @@ class SharedObjectHost:
                                    "version": version}
         if wid is not None:
             message["wid"] = wid
-        self.transport.send(watcher, WireFrame(message, self.codec))
+        self._send(watcher, message)
 
     def _answer_get(self, source: Address, rid: Any, key: str) -> None:
         self.reads_served += 1
         stored = self._objects.get(key)
-        self.transport.send(
-            source,
-            WireFrame(
-                {
-                    "op": "got",
-                    "rid": rid,
-                    "value": stored.value if stored else None,
-                    "version": stored.version if stored else 0,
-                },
-                self.codec,
-            ),
-        )
+        self._reply(source, "got", rid,
+                    value=stored.value if stored else None,
+                    version=stored.version if stored else 0)
 
-    def _on_inv_ack(self, source: Address, wid: Any) -> None:
-        pending = self._pending_writes.get(wid)
+    def _on_inv_ack(self, source: Address, message: Dict[str, Any]) -> None:
+        pending = self._pending_writes.get(message["wid"])
         if pending is None:
             return
         writer, rid, key, version, waiting = pending
         waiting.discard(source)
         if waiting:
             return
-        del self._pending_writes[wid]
-        self.transport.send(
-            writer,
-            WireFrame({"op": "put_ack", "rid": rid, "version": version}, self.codec),
-        )
+        del self._pending_writes[message["wid"]]
+        self._reply(writer, "put_ack", rid, version=version)
         remaining = self._pending_by_key.get(key, 1) - 1
         if remaining > 0:
             self._pending_by_key[key] = remaining
@@ -210,8 +180,15 @@ class SharedObjectHost:
             self._answer_get(reader, reader_rid, key)
 
 
-class SharedObjectCache:
+class SharedObjectCache(MessageEndpoint):
     """A caching client: reads hit the cache until invalidated."""
+
+    OPS = {
+        "invalidate": ({"key": str, "version": int, "wid": optional(int)},
+                       "_on_invalidate"),
+        "got": ({"rid": str, "version": optional(int)}, "_on_reply"),
+        "put_ack": ({"rid": str, "version": optional(int)}, "_on_reply"),
+    }
 
     def __init__(
         self,
@@ -219,12 +196,8 @@ class SharedObjectCache:
         host_address: Address,
         codec: Optional[Codec] = None,
     ):
-        self.transport = transport
+        super().__init__(transport, codec, rids="so")
         self.host_address = host_address
-        self.codec = codec if codec is not None else get_codec("binary")
-        self._rids = IdGenerator(f"so:{transport.local_address}")
-        # rid -> (promise, key for cache fill or None)
-        self._pending: Dict[str, Tuple[Promise, Optional[str]]] = {}
         self._cache: Dict[str, Tuple[Any, int]] = {}
         # key -> lowest version still admissible in the cache: invalidations
         # raise it so a late-arriving get reply or put ack (reordered behind
@@ -233,8 +206,6 @@ class SharedObjectCache:
         self.cache_hits = 0
         self.cache_misses = 0
         self.invalidations_received = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
     # ------------------------------------------------------------------- API
 
@@ -247,38 +218,40 @@ class SharedObjectCache:
             promise.fulfill(cached[0])
             return promise
         self.cache_misses += 1
-        rid = self._rids.next()
-        self._pending[rid] = (promise, key)
-        self.transport.send(
+
+        def fill_cache(reply: Dict[str, Any]) -> None:
+            # A copy: the frame's value is the host's authoritative object.
+            value = wire_plain(reply.get("value"))
+            version = reply.get("version", 0)
+            if version > 0:
+                self._admit(key, value, version)
+            promise.fulfill(value)
+
+        # "rid" holds its place on the wire; _request fills it in.
+        self._request(
             self.host_address,
-            WireFrame({"op": "get", "rid": rid, "key": key, "watch": True},
-                      self.codec),
-        )
+            {"op": "get", "rid": None, "key": key, "watch": True},
+            reply="got",
+        ).on_value(fill_cache)
         return promise
 
     def write(self, key: str, value: Any) -> Promise:
         """Fulfills with the new version; updates the local cache eagerly."""
-        rid = self._rids.next()
-        promise: Promise = Promise()
-        self._pending[rid] = (promise, None)
         # The old cached value is unservable the moment the write is issued:
         # keeping it would let this client read its own stale data after
         # another client already observed the new value.
         self._cache.pop(key, None)
+        promise: Promise = Promise()
 
-        def update_cache(settled: Promise) -> None:
-            if settled.fulfilled:
-                self._admit(key, value, settled.result())
+        def update_cache(reply: Dict[str, Any]) -> None:
+            version = reply.get("version", 0)
+            self._admit(key, value, version)
+            promise.fulfill(version)
 
-        promise.on_settle(update_cache)
-        self.transport.send(
+        self._request(
             self.host_address,
-            WireFrame(
-                {"op": "put", "rid": rid, "key": key, "value": value,
-                 "watch": True},
-                self.codec,
-            ),
-        )
+            {"op": "put", "rid": None, "key": key, "value": value, "watch": True},
+        ).on_value(update_cache)
         return promise
 
     def cached_version(self, key: str) -> int:
@@ -296,44 +269,14 @@ class SharedObjectCache:
             return
         self._cache[key] = (value, version)
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            drop_malformed(self)
-            return
-        op = message.get("op")
-        if op == "invalidate":
-            key, version = message.get("key"), message.get("version")
-            if not isinstance(key, str) or not isinstance(version, int):
-                drop_malformed(self)
-                return
-            self.invalidations_received += 1
-            if self._floor.get(key, 0) < version:
-                self._floor[key] = version
-            cached = self._cache.get(key)
-            if cached is not None and cached[1] < version:
-                del self._cache[key]
-            wid = message.get("wid")
-            if wid is not None:
-                # Write-through-acks host: confirm the stale copy is gone.
-                self.transport.send(
-                    source, WireFrame({"op": "inv_ack", "wid": wid}, self.codec)
-                )
-            return
-        rid = message.get("rid")
-        version = message.get("version", 0)
-        if not isinstance(rid, str) or not isinstance(version, int):
-            drop_malformed(self)
-            return
-        entry = self._pending.pop(rid, None)
-        if entry is None:
-            return
-        promise, cache_key = entry
-        if op == "got":
-            # A copy: the frame's value is the host's authoritative object.
-            value = wire_plain(message.get("value"))
-            if cache_key is not None and version > 0:
-                self._admit(cache_key, value, version)
-            promise.fulfill(value)
-        elif op == "put_ack":
-            promise.fulfill(version)
+    def _on_invalidate(self, source: Address, message: Dict[str, Any]) -> None:
+        key, version = message["key"], message["version"]
+        self.invalidations_received += 1
+        if self._floor.get(key, 0) < version:
+            self._floor[key] = version
+        cached = self._cache.get(key)
+        if cached is not None and cached[1] < version:
+            del self._cache[key]
+        if "wid" in message:
+            # Write-through-acks host: confirm the stale copy is gone.
+            self._send(source, {"op": "inv_ack", "wid": message["wid"]})

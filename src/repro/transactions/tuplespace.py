@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.interop.codec import Codec, get_codec, try_decode_dict, wire_plain
-from repro.interop.frames import WireFrame
-from repro.transport.base import Address, Transport, drop_malformed
-from repro.util.ids import IdGenerator
+from repro.interop.codec import Codec, wire_plain
+from repro.transport.base import Address, Transport
+from repro.transport.endpoint import MessageEndpoint, optional
 from repro.util.promise import Promise
 
 _TYPE_NAMES = {
@@ -158,19 +157,22 @@ class _Waiter:
     destructive: bool
 
 
-class TupleSpaceServer:
+class TupleSpaceServer(MessageEndpoint):
     """The space itself."""
 
+    OPS = {
+        "out": ({"tuple": list, "rid": optional(str)}, "_handle_out"),
+        **dict.fromkeys(("rd", "in", "rdp", "inp"), (
+            {"template": list, "rid": optional(str)}, "_handle_request")),
+    }
+
     def __init__(self, transport: Transport, codec: Optional[Codec] = None):
-        self.transport = transport
-        self.codec = codec if codec is not None else get_codec("binary")
+        super().__init__(transport, codec)
         self._store = TupleStore()
         self._waiters: List[_Waiter] = []
         self.outs = 0
         self.takes = 0
         self.reads = 0
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -180,42 +182,10 @@ class TupleSpaceServer:
 
     # -------------------------------------------------------------- protocol
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            drop_malformed(self)
-            return
-        op = message.get("op")
-        rid = message.get("rid")
-        if op == "out":
-            values = message.get("tuple")
-            if not isinstance(values, list):
-                drop_malformed(self)
-                return
-            # A copy: the frame's list and what it nests are the sender's.
-            values = wire_plain(values)
-            self._handle_out(values)
-            if rid is not None:
-                self._answer(source, rid, values)
-        elif op in ("rd", "in", "rdp", "inp"):
-            template = message.get("template")
-            if not isinstance(template, list):
-                drop_malformed(self)
-                return
-            self._handle_request(
-                source, rid, wire_plain(template),
-                destructive=op in ("in", "inp"), blocking=op in ("rd", "in"),
-            )
-
-    def _answer(self, destination: Address, rid: Any, value: Optional[List[Any]]) -> None:
-        self.transport.send(
-            destination,
-            WireFrame({"op": "tuple", "rid": rid, "tuple": value}, self.codec),
-        )
-
-    def _handle_out(self, values: List[Any]) -> None:
-        """``values`` is the space's copy of the received tuple: answers may
-        carry it, the store gets a list of its own."""
+    def _handle_out(self, source: Address, message: Dict[str, Any]) -> None:
+        # A copy: the frame's list and what it nests are the sender's.
+        # Answers may carry it, the store gets a list of its own.
+        values = wire_plain(message["tuple"])
         self.outs += 1
         # Wake matching waiters: every rd, at most one in (which consumes).
         consumed = False
@@ -225,7 +195,7 @@ class TupleSpaceServer:
                 remaining.append(waiter)
                 continue
             if template_matches(waiter.template, values):
-                self._answer(waiter.source, waiter.rid, values)
+                self._reply(waiter.source, "tuple", waiter.rid, tuple=values)
                 if waiter.destructive:
                     self.takes += 1
                     consumed = True
@@ -236,28 +206,35 @@ class TupleSpaceServer:
         self._waiters = remaining
         if not consumed:
             self._store.add(list(values))
+        if "rid" in message:
+            self._reply(source, "tuple", message["rid"], tuple=values)
 
-    def _handle_request(
-        self, source: Address, rid: Any, template: List[Any],
-        destructive: bool, blocking: bool,
-    ) -> None:
+    def _handle_request(self, source: Address, message: Dict[str, Any]) -> None:
+        op, rid = message["op"], message.get("rid")
+        template = wire_plain(message["template"])
+        destructive = op in ("in", "inp")
         matched = self._store.find(template, remove=destructive)
         if matched is None:
-            if blocking:
+            if op in ("rd", "in"):
                 self._waiters.append(_Waiter(source, rid, template, destructive))
             else:
-                self._answer(source, rid, None)
+                self._reply(source, "tuple", rid, tuple=None)
             return
         if destructive:
             self.takes += 1
         else:
             self.reads += 1
         # A copy: the receiver may get this very list by reference.
-        self._answer(source, rid, list(matched))
+        self._reply(source, "tuple", rid, tuple=list(matched))
 
 
-class TupleSpaceClient:
+class TupleSpaceClient(MessageEndpoint):
     """A handle onto a tuple-space server."""
+
+    OPS = {
+        "tuple": ({"rid": str, "tuple": optional((list, type(None)))},
+                  "_on_tuple"),
+    }
 
     def __init__(
         self,
@@ -265,59 +242,43 @@ class TupleSpaceClient:
         space_address: Address,
         codec: Optional[Codec] = None,
     ):
-        self.transport = transport
+        super().__init__(transport, codec, rids="ts")
         self.space_address = space_address
-        self.codec = codec if codec is not None else get_codec("binary")
-        self._rids = IdGenerator(f"ts:{transport.local_address}")
-        self._pending: Dict[str, Promise] = {}
-        self.malformed_frames = 0
-        transport.set_receiver(self._on_message)
-
-    def _request(self, message: Dict[str, Any]) -> Promise:
-        rid = self._rids.next()
-        message["rid"] = rid
-        promise: Promise = Promise()
-        self._pending[rid] = promise
-        self.transport.send(self.space_address, WireFrame(message, self.codec))
-        return promise
 
     def out(self, *values: Any, confirm: bool = False) -> Optional[Promise]:
         """Write a tuple. Fire-and-forget unless ``confirm``."""
+        message = {"op": "out", "tuple": list(values)}
         if confirm:
-            return self._request({"op": "out", "tuple": list(values)})
-        self.transport.send(
-            self.space_address,
-            WireFrame({"op": "out", "tuple": list(values)}, self.codec),
-        )
+            return self._request(self.space_address, message, reply="tuple")
+        self._send(self.space_address, message)
         return None
 
     def rd(self, *template: Any) -> Promise:
         """Blocking read: fulfills (possibly much later) with a matching tuple."""
-        return self._request({"op": "rd", "template": list(template)})
+        return self._request(
+            self.space_address, {"op": "rd", "template": list(template)},
+            reply="tuple")
 
     def in_(self, *template: Any) -> Promise:
         """Blocking take: like rd but removes the tuple."""
-        return self._request({"op": "in", "template": list(template)})
+        return self._request(
+            self.space_address, {"op": "in", "template": list(template)},
+            reply="tuple")
 
     def rdp(self, *template: Any) -> Promise:
         """Probe read: fulfills immediately with the tuple or None."""
-        return self._request({"op": "rdp", "template": list(template)})
+        return self._request(
+            self.space_address, {"op": "rdp", "template": list(template)},
+            reply="tuple")
 
     def inp(self, *template: Any) -> Promise:
         """Probe take: fulfills immediately with the tuple or None."""
-        return self._request({"op": "inp", "template": list(template)})
+        return self._request(
+            self.space_address, {"op": "inp", "template": list(template)},
+            reply="tuple")
 
-    def _on_message(self, source: Address, payload: bytes) -> None:
-        message = try_decode_dict(self.codec, payload)
-        if message is None:
-            drop_malformed(self)
-            return
-        rid = message.get("rid")
-        value = message.get("tuple")
-        if not isinstance(rid, str) or not isinstance(value, (list, type(None))):
-            drop_malformed(self)
-            return
-        promise = self._pending.pop(rid, None)
+    def _on_tuple(self, source: Address, message: Dict[str, Any]) -> None:
+        promise, _reply = self._pending.pop(message["rid"], (None, None))
         if promise is not None:
             # A copy: the frame's list is the space's stored tuple.
-            promise.fulfill(wire_plain(value))
+            promise.fulfill(wire_plain(message.get("tuple")))

@@ -20,7 +20,9 @@ optionally composed with:
 * :mod:`repro.transport.pacing` — bounded-queue, token-bucket-paced sending
   charged against a :class:`~repro.scheduling.bandwidth.BandwidthAllocator`
   reservation (the overload-protection send path),
-* :mod:`repro.transport.stack` — declarative composition of the above.
+* :mod:`repro.transport.stack` — declarative composition of the above,
+* :mod:`repro.transport.endpoint` — the one decode → validate → dispatch
+  skeleton every protocol endpoint above a transport subclasses.
 
 Payloads are ``bytes`` end to end; structured messages are encoded by
 :mod:`repro.interop.codec`. This keeps on-wire byte accounting honest in the

@@ -57,10 +57,12 @@ Receiver = Callable[[Address, bytes], None]
 def drop_malformed(endpoint: Any) -> None:
     """Count a frame ``endpoint`` could not parse; the caller then drops it.
 
-    The receive-path convention of every protocol endpoint (an object with
-    a ``transport`` and a ``malformed_frames`` count): a corrupted,
-    truncated or wrongly-typed frame is a counted drop, never a raise
-    through the simulator event loop.
+    The one place a malformed frame is counted, so ``malformed_frames`` and
+    ``transport.malformed{node}`` always agree: a corrupted, truncated or
+    wrongly-typed frame is a counted drop, never a raise through the loop.
+    ``MessageEndpoint._on_message`` (:mod:`repro.transport.endpoint`) calls
+    it for everything an op table can tell; the two handlers whose verdict
+    needs their own state or two fields together call it themselves.
     """
     endpoint.malformed_frames += 1
     get_registry().counter(

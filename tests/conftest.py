@@ -31,6 +31,16 @@ try:
         suppress_health_check=(HealthCheck.too_slow,),
     )
     settings.register_profile("dev")
+    # ``fuzz``: the endpoint fuzz's own CI step (one property, selected by
+    # name) at twenty times the default budget; tier-1 keeps the default.
+    settings.register_profile(
+        "fuzz",
+        derandomize=True,
+        deadline=None,
+        max_examples=2000,
+        print_blob=True,
+        suppress_health_check=(HealthCheck.too_slow,),
+    )
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 except ImportError:  # pragma: no cover - hypothesis is a dev dependency
     pass

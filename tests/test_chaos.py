@@ -17,9 +17,11 @@ from repro.experiments.sweep import SWEEPABLE
 from repro.netsim.chaos import (
     FAULT_MIXES,
     CampaignSpec,
+    ChaosCampaign,
     run_campaign,
     scorecard_bytes,
 )
+from repro.obs.metrics import get_registry
 
 #: Short-campaign overrides, mirroring the CLI's ``--smoke`` grid: the
 #: 40s duration still leaves room for the slowest retransmission chain
@@ -91,6 +93,23 @@ class TestInvariants:
         assert faults["frames_corrupted"] + faults["frames_truncated"] > 0
         # Corrupted frames are counted and dropped, never raised.
         assert scorecard["malformed_frames"] > 0
+
+    def test_corrupt_campaign_counts_every_endpoint_drop_in_the_registry(self):
+        """``transport.malformed`` moves with ``malformed_frames``: one count
+        site for every message endpoint, so the registry sees the discovery,
+        RPC and heartbeat drops (it saw none of them while those classes
+        bumped the attribute by hand). The scorecard total, summed from the
+        attributes, is what it always was."""
+        get_registry().reset()
+        campaign = ChaosCampaign(CampaignSpec("corrupt", 0))
+        scorecard = campaign.run()
+        nodes = campaign.nodes.values()
+        dropped = [sum(e.malformed_frames for e in endpoints) for endpoints in (
+            [n.discovery for n in nodes], [n.rpc for n in nodes],
+            campaign.detectors.values())]
+        assert dropped == [41, 5, 3]
+        assert get_registry().counter_total("transport.malformed") == 49
+        assert scorecard["malformed_frames"] == 534
 
     def test_partition_campaign_drops_at_the_reachability_filter(self):
         scorecard = run_campaign("partition", 0, **SHORT)

@@ -8,6 +8,7 @@ that a second copy of any part cannot creep back.
 """
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -341,6 +342,28 @@ def test_one_replay_call_site_and_one_canonical_encoder():
              for name, text in texts.items()
              if name.startswith("simtest/") and "def _pick(" in text}
     assert picks == {"simtest/scenario.py": 1}
+
+
+def test_one_receive_skeleton_under_every_protocol():
+    """Decode -> validate -> dispatch lives in ``transport/endpoint.py``;
+    a protocol that spells it out again puts a nineteenth copy back."""
+    texts = sources()
+
+    def where(needle, *, outside=()):
+        return sorted(name for name, text in texts.items()
+                      if needle in text and not name.startswith(outside))
+
+    assert where("try_decode_dict(", outside="interop/") == [
+        "routing/base.py", "transport/endpoint.py"]
+    assert where("malformed_frames += 1", outside="transport/") == []
+    assert where("def _on_message") == ["transport/endpoint.py"]
+    assert texts["transport/endpoint.py"].count("def _on_message") == 1
+    assert "decode_payload(" not in texts["routing/datacentric.py"]
+    one_line_send = re.compile(
+        r"def (?:_send|_reply)\(self[^)]*\)[^:]*:\n"
+        r"\s+self\.transport\.send\([^\n]*WireFrame\([^\n]*self\.codec\)\)\n")
+    assert [name for name, text in texts.items()
+            for _ in one_line_send.findall(text)] == ["transport/endpoint.py"]
 
 
 def test_chaos_scorecard_reads_invariant_names_not_message_substrings():

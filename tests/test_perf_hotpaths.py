@@ -4,8 +4,9 @@ Covers the behaviors the event-loop and queue rewrites must preserve: NaN
 rejection at scheduling time (NaN used to slip past the ``when < now``
 guard and corrupt heap ordering), tombstone compaction semantics, and the
 inlined pop paths in ``run``/``run_until`` honoring cancellation. The last
-three classes are call-count guards: on the radio reception path, on a
-flooded multi-hop delivery, and on a warm MiLAN reconfiguration round.
+four classes are call-count guards: on the radio reception path, on a
+flooded multi-hop delivery, on a warm MiLAN reconfiguration round, and on
+a request/reply round trip through the message-endpoint skeleton.
 """
 
 import collections
@@ -27,7 +28,10 @@ from repro.netsim.simulator import Simulator
 from repro.netsim.topology import grid
 from repro.routing.base import build_routed_network
 from repro.routing.flooding import FloodingRouter
+from repro.transactions.rpc import RpcEndpoint
+from repro.transactions.tuplespace import TupleSpaceClient, TupleSpaceServer
 from repro.transport.base import Address
+from repro.transport.inmemory import InMemoryFabric
 from repro.transport.simnet import SimFabric
 from repro.util.priorityqueue import StablePriorityQueue
 from tests.test_vector_medium import BACKENDS
@@ -345,3 +349,48 @@ class TestReconfigureCallBudget:
         assert after["score_misses"] == before["score_misses"]
         assert sum(calls.values()) / self.ROUNDS <= self.BUDGET
         assert 0 < calls["signature_of"] <= 2 * len(alive) * self.ROUNDS
+
+
+class TestEndpointCallBudget:
+    """Python-level calls inside ``src/repro`` per request/reply round trip.
+
+    ``MessageEndpoint._on_message`` decodes, checks the declared fields
+    inline and calls the op's handler: one dispatch frame per message and
+    nothing more. With each protocol spelling its own receive path an
+    ``RpcEndpoint`` ping cost 75 such calls and a ``TupleSpaceClient.rdp``
+    66; through the skeleton 76 and 68 (the reply handlers are the added
+    frames, and the space now answers through the shared ``_reply`` ->
+    ``_send`` instead of a private one-call sender): no more than one
+    frame per message over the old paths. A validator called per field, or
+    a helper between the table and the handler, fails here.
+    """
+
+    def round_trip_calls(self, request, fabric):
+        answered = []
+
+        def trip():
+            answered.append(request())
+            fabric.sim.run()
+
+        trip()  # first use fills the frame-counter and codec caches
+        calls = sum(count_repro_calls(trip).values())
+        assert all(promise.fulfilled for promise in answered)
+        return calls
+
+    def test_rpc_ping_stays_within_budget(self):
+        fabric = InMemoryFabric()
+        server = RpcEndpoint(fabric.endpoint("s", "rpc"))
+        client = RpcEndpoint(fabric.endpoint("c", "rpc"))
+        server.expose("ping", lambda: "pong")
+        calls = self.round_trip_calls(
+            lambda: client.call(Address("s", "rpc"), "ping"), fabric)
+        assert calls <= 76
+
+    def test_tuple_space_probe_stays_within_budget(self):
+        fabric = InMemoryFabric()
+        TupleSpaceServer(fabric.endpoint("hub", "ts"))
+        client = TupleSpaceClient(fabric.endpoint("c", "ts"),
+                                  Address("hub", "ts"))
+        client.out("k", 1)
+        calls = self.round_trip_calls(lambda: client.rdp("k", None), fabric)
+        assert calls <= 68
