@@ -27,7 +27,7 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.common import parse_seeds
-from repro.netsim.chaos import FAULT_MIXES, run_campaign
+from repro.workloads.campaign import FAULT_MIXES, run_campaign
 
 
 def run_one(mix: str, seed: int, **overrides: Any) -> Dict[str, Any]:

@@ -16,7 +16,10 @@ deterministic simulation of one. It models:
   (:mod:`repro.netsim.failures`).
 
 Nothing in this package knows about the middleware above it; the coupling
-point is :class:`repro.netsim.node.Node.set_packet_handler`.
+point is :class:`repro.netsim.node.Node.set_packet_handler`. That is
+enforced by ``tests/test_judging_kit.py``
+(``test_netsim_knows_nothing_about_the_middleware_above_it``): two listed
+imports from above, neither loaded by this ``__init__``.
 """
 
 from repro.netsim.energy import Battery, RadioEnergyModel

@@ -5,7 +5,7 @@ degradation, recovery). This module provides the failures to survive: node
 crashes and recoveries, link cuts, network partitions, lossy/slow periods,
 and frame corruption — all scheduled deterministically on the simulator.
 
-Semantics the chaos campaigns (:mod:`repro.netsim.chaos`) rely on:
+Semantics the chaos campaigns (:mod:`repro.workloads.campaign`) rely on:
 
 * **Same-time ordering is deterministic.** The simulator's queue is stable,
   so faults scheduled for the same instant fire in scheduling order; a
@@ -26,7 +26,7 @@ Semantics the chaos campaigns (:mod:`repro.netsim.chaos`) rely on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.interop.frames import FRAME_TYPES
@@ -357,92 +357,3 @@ class FailureInjector:
         self.network.sim.schedule_at(when, start)
         self.network.sim.schedule_at(when + duration, stop)
         return corruptor
-
-
-#: The chaos fault mixes any deployment can compose with (via
-#: :func:`schedule_mix_faults`). The campaign's ``failover`` and
-#: ``flashcrowd`` mixes need a replica group / admission edge the campaign
-#: itself builds, so they are not composable storms.
-COMPOSABLE_MIXES = ("churn", "partition", "corrupt")
-
-
-def schedule_mix_faults(
-    injector: FailureInjector,
-    mix: str,
-    seed: int,
-    start_s: float,
-    end_s: float,
-    *,
-    crash_targets: Sequence[str] = (),
-    partition_groups: Optional[List[List[str]]] = None,
-    label: str = "workload",
-) -> Tuple[Dict[str, int], float]:
-    """Schedule a seed-derived storm of ``mix`` faults on any deployment.
-
-    The composable face of the campaign mixes: where
-    :class:`repro.netsim.chaos.ChaosCampaign` owns its whole deployment,
-    this schedules the same *shapes* of faults — crash/recover churn with
-    a loss burst, partitions with a slow-link window, corruption windows —
-    against a deployment someone else built (e.g. a registered workload
-    scenario). All windows land inside ``[start_s, end_s]``; every fault
-    heals by ``end_s``.
-
-    ``crash_targets`` are the node ids the deployment can afford to lose
-    (see :meth:`repro.workloads.registry.Archetype.fault_targets`);
-    ``partition_groups`` the candidate isolation groups. Draws come from a
-    private ``(seed, label, mix)`` stream, so composing faults never
-    perturbs the deployment's own RNG streams.
-
-    Returns ``(fault_counts, last_heal_s)``.
-    """
-    if mix not in COMPOSABLE_MIXES:
-        raise ConfigurationError(
-            f"mix {mix!r} is not composable; available: {COMPOSABLE_MIXES}"
-        )
-    if end_s <= start_s:
-        raise ConfigurationError(
-            f"fault window must be non-empty, got [{start_s}, {end_s}]"
-        )
-    rng = split_rng(seed, f"chaos-mix:{label}:{mix}")
-    counts: Dict[str, int] = {
-        "crashes": 0, "partitions": 0, "loss_bursts": 0,
-        "degrade_windows": 0, "corrupt_windows": 0,
-    }
-    last_heal = start_s
-    span = end_s - start_s
-
-    def window(min_frac: float, max_frac: float) -> Tuple[float, float]:
-        nonlocal last_heal
-        duration = span * rng.uniform(min_frac, max_frac)
-        start = rng.uniform(start_s, end_s - duration)
-        last_heal = max(last_heal, start + duration)
-        return start, duration
-
-    if mix == "churn":
-        for target in list(crash_targets)[:2]:
-            start, duration = window(0.15, 0.3)
-            injector.crash_and_recover(target, start, duration)
-            counts["crashes"] += 1
-        start, duration = window(0.15, 0.25)
-        injector.loss_burst_at(start, duration,
-                               extra_loss=rng.uniform(0.1, 0.25))
-        counts["loss_bursts"] += 1
-    elif mix == "partition":
-        for group in list(partition_groups or [])[:2]:
-            start, duration = window(0.2, 0.35)
-            injector.partition_at(start, list(group), duration)
-            counts["partitions"] += 1
-        start, duration = window(0.15, 0.3)
-        injector.degrade_at(start, duration,
-                            extra_latency_s=rng.uniform(0.01, 0.03))
-        counts["degrade_windows"] += 1
-    else:  # corrupt
-        for _ in range(2):
-            start, duration = window(0.2, 0.35)
-            injector.corrupt_frames_at(
-                start, duration,
-                probability=rng.uniform(0.02, 0.06),
-                truncate_fraction=0.5,
-            )
-            counts["corrupt_windows"] += 1
-    return counts, last_heal

@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import AdmissionRefused, ConfigurationError, DeliveryError
+from repro.errors import (
+    AdmissionRefused, ConfigurationError, DeliveryError, TransactionAborted)
 from repro.interop.codec import Codec
 from repro.interop.frames import WireFrame
 from repro.replication.shards import ShardMap
@@ -291,6 +292,13 @@ class GroupClient(MessageEndpoint):
         if request is None:
             return
         self.rejections += 1
+        if message["error"] == "rejected":
+            # The state machine refused the command itself; every member
+            # would refuse a retry alike.
+            self._settle(request)
+            request.promise.reject(TransactionAborted(
+                f"request {request.rid} rejected by the state machine"))
+            return
         self._leader = None
         if message["error"] == "deposed":
             self._retry(request, immediate=True)

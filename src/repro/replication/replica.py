@@ -44,7 +44,8 @@ from repro.obs.tracing import TRACER
 from repro.recovery.heartbeat import HeartbeatDetector
 from repro.replication.log import LogEntry, OpLog
 from repro.transport.base import Address, Transport, drop_malformed
-from repro.transport.endpoint import MessageEndpoint, list_of, optional, present
+from repro.transport.endpoint import (
+    MALFORMED, MessageEndpoint, list_of, optional, present)
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,12 @@ class StateMachine:
 
 
 NOOP = "__noop"
+
+#: Cached in place of a result when the machine refused the command (raised
+#: one of :data:`~repro.transport.endpoint.MALFORMED`). Every replica runs
+#: the same machine on the same state, so all refuse alike: the entry is a
+#: no-op on every member, and the rid answers ``rejected`` from then on.
+_REJECTED = object()
 
 
 @dataclass(frozen=True)
@@ -306,8 +313,7 @@ class ReplicaNode(MessageEndpoint):
         # At-most-once: an already-applied rid answers from the cache.
         cached = self._results.get(rid)
         if cached is not None:
-            result, index = cached
-            self._reply(source, "cmd_ack", rid, result=result, index=index)
+            self._answer(source, rid, *cached)
             return
         if self.role != "primary":
             self._reply(source, "redirect", rid, leader=self.leader,
@@ -370,9 +376,21 @@ class ReplicaNode(MessageEndpoint):
     def _answer_read(
         self, source: Address, rid: str, name: str, args: Tuple[Any, ...]
     ) -> None:
-        result = self.machine.read(name, args)
-        self._reply(source, "cmd_ack", rid, result=result,
-                    index=self.applied_index)
+        try:
+            result = self.machine.read(name, args)
+        except MALFORMED:
+            result = _REJECTED
+        self._answer(source, rid, result, self.applied_index)
+
+    def _answer(self, source: Address, rid: str, result: Any,
+                index: int) -> None:
+        """A settled command's result — or the machine's refusal, which the
+        client must not retry: one command the application rejects is the
+        client's error, not a reason to take the group down."""
+        if result is _REJECTED:
+            self._reply(source, "cmd_err", rid, error="rejected")
+        else:
+            self._reply(source, "cmd_ack", rid, result=result, index=index)
 
     def _arm_pending(self, index: int, source: Address, rid: str) -> None:
         pend = _PendingCmd(source, rid)
@@ -597,7 +615,10 @@ class ReplicaNode(MessageEndpoint):
         if entry.name == NOOP:
             outcome = Outcome(result=None)
         else:
-            outcome = self.machine.apply(entry.name, entry.args)
+            try:
+                outcome = self.machine.apply(entry.name, entry.args)
+            except MALFORMED:
+                outcome = Outcome(result=_REJECTED)
         if outcome.pending:
             self._parked.add(entry.rid)
         else:
@@ -616,8 +637,8 @@ class ReplicaNode(MessageEndpoint):
             if outcome.pending:
                 self._blocked[pend.rid] = pend.source
             else:
-                self._reply(pend.source, "cmd_ack", pend.rid,
-                            result=outcome.result, index=entry.index)
+                self._answer(pend.source, pend.rid, outcome.result,
+                             entry.index)
 
     # ------------------------------------------------------------- catch-up
 

@@ -58,9 +58,9 @@ def _plant_double_apply() -> Callable[[], None]:
     Caught by the ledger oracle's lockstep balance comparison the first
     time a retried transfer lands twice.
     """
-    from repro.simtest import world
+    from repro.workloads.campaign import Ledger
 
-    original = world.SimLedger.transfer
+    original = Ledger.transfer
 
     def broken(self, txid: str, src: str, dst: str, amount: int) -> bool:
         self.applied.add(txid)
@@ -68,8 +68,8 @@ def _plant_double_apply() -> Callable[[], None]:
         self.balances[dst] += amount
         return True
 
-    world.SimLedger.transfer = broken
-    return lambda: setattr(world.SimLedger, "transfer", original)
+    Ledger.transfer = broken
+    return lambda: setattr(Ledger, "transfer", original)
 
 
 def _plant_ghost_withdraw() -> Callable[[], None]:

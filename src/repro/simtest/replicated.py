@@ -81,6 +81,7 @@ SO_KEYS = ("cfg", "route", "limit", "peer")
 TS_KINDS = ("job", "evt")
 
 HORIZON_S = 16.0
+N_OPS = 60
 
 #: Detection (~0.9 s) + a couple of election rounds, with headroom.
 FAILOVER_BOUND_S = 5.0
@@ -140,11 +141,9 @@ class ReplicatedWorld:
     """Builds the replicated deployment and runs one primary-kill run."""
 
     def __init__(self, seed: int, tie_seed: int = 0,
-                 horizon_s: float = HORIZON_S, n_ops: int = 60,
                  crash_primary: bool = True):
         self.seed = seed
         self.tie_seed = tie_seed
-        self.horizon_s = horizon_s
         self.crash_primary = crash_primary
         get_registry().reset()
 
@@ -197,8 +196,8 @@ class ReplicatedWorld:
                 probe_at += 0.25
 
         # --- the workload ------------------------------------------------
-        for i in range(n_ops):
-            at = round(rng.uniform(0.5, horizon_s - 1.0), 3)
+        for i in range(N_OPS):
+            at = round(rng.uniform(0.5, HORIZON_S - 1.0), 3)
             op = _pick(rng, _WEIGHTS)
             client = rng.choice((0, 1))
             if op == "transfer":
@@ -218,7 +217,7 @@ class ReplicatedWorld:
                 args = (rng.choice(TS_KINDS), client)
             self.sim.schedule_at(at, self._exec, op, args)
 
-        self.end_s = max(horizon_s, self.recover_at) + 4.0
+        self.end_s = max(HORIZON_S, self.recover_at) + 4.0
 
     # -------------------------------------------------------------- workload
 
@@ -341,10 +340,9 @@ class ReplicatedWorld:
         }
 
 
-def run_failover(seed: int, tie_seed: int = 0,
-                 **kwargs: Any) -> Dict[str, Any]:
+def run_failover(seed: int, tie_seed: int = 0) -> Dict[str, Any]:
     """One primary-kill run; returns the scorecard (pure in its inputs)."""
-    world = ReplicatedWorld(seed, tie_seed, **kwargs)
+    world = ReplicatedWorld(seed, tie_seed)
     return world.scorecard(world.run())
 
 

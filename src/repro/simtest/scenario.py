@@ -17,13 +17,10 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Tuple
 
 from repro.util.rng import split_rng
+from repro.workloads.campaign import ACCOUNTS
 
 #: Virtual-time window during which scenario steps fire.
 HORIZON_S = 12.0
-
-#: Ledger accounts in the simtest world (mirrors the chaos deployment).
-ACCOUNTS = ("acct0", "acct1", "acct2", "acct3")
-INITIAL_BALANCE = 100
 
 #: Shared-object keys and tuple kinds the workload cycles through.
 SO_KEYS = ("cfg", "route", "limit")

@@ -51,12 +51,7 @@ from repro.simtest.oracles import (
     MilanOracle,
     linearizability_divergences,
 )
-from repro.simtest.scenario import (
-    ACCOUNTS,
-    INITIAL_BALANCE,
-    PARTITION_GROUPS,
-    Scenario,
-)
+from repro.simtest.scenario import PARTITION_GROUPS, Scenario
 from repro.transactions.sharedobjects import SharedObjectCache, SharedObjectHost
 from repro.transactions.tuplespace import TupleSpaceClient, TupleSpaceServer
 from repro.transport.base import Address
@@ -65,6 +60,7 @@ from repro.transport.secure import SecureTransport
 from repro.transport.simnet import SimFabric
 from repro.middleware import MiddlewareNode
 from repro.util.rng import split_rng
+from repro.workloads.campaign import ACCOUNTS, INITIAL_BALANCE, Ledger
 
 MONITOR = "n0_0"
 HELPER = "n0_1"
@@ -93,26 +89,6 @@ _RPC_RETRIES = 2
 
 #: Padding appended to bulk payloads after the 4-byte index.
 _BULK_PADDING = b"x" * 12
-
-
-class SimLedger:
-    """The idempotent transfer ledger (the chaos campaign's, locally owned
-    so :mod:`repro.simtest.plants` can break it without touching chaos)."""
-
-    def __init__(self) -> None:
-        self.balances: Dict[str, int] = {a: INITIAL_BALANCE for a in ACCOUNTS}
-        self.applied: set = set()
-
-    def transfer(self, txid: str, src: str, dst: str, amount: int) -> bool:
-        if txid in self.applied:
-            return True
-        self.applied.add(txid)
-        self.balances[src] -= amount
-        self.balances[dst] += amount
-        return True
-
-    def ping(self) -> str:
-        return "pong"
 
 
 @dataclass
@@ -228,7 +204,7 @@ class SimWorld:
         self.nodes[MONITOR].discovery.use_cache = False
 
         # --- ledger service ---------------------------------------------
-        self.ledger = SimLedger()
+        self.ledger = Ledger()
         self.nodes[SERVER].provide(
             "ledger", "ledger",
             {

@@ -73,7 +73,7 @@ class Archetype:
         ``done`` must be called exactly once with ``"ok"``, ``"failed"``,
         or ``"refused"`` (admission-shed before any network traffic) when
         the request settles; requests still pending at the end of the run
-        are counted by the runner, not by the archetype.
+        are counted (as SLO violations) by the runner, not by the archetype.
         """
         raise NotImplementedError
 
@@ -88,12 +88,14 @@ class Archetype:
 
     def fault_targets(self) -> Sequence[str]:
         """Node ids a chaos mix may crash without destroying the scenario
-        outright (never the node hosting the only copy of the service)."""
+        outright (never the node hosting the only copy of the service).
+        With none declared, ``churn`` refuses to compose."""
         return ()
 
     def partition_groups(self) -> Optional[List[List[str]]]:
         """Candidate partition groups for the ``partition`` mix, or None
-        if this deployment has no meaningful split."""
+        if this deployment has no meaningful split (the mix then refuses
+        to compose)."""
         return None
 
     def detail(self) -> Dict[str, Any]:

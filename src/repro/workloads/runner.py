@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.netsim.failures import FailureInjector, schedule_mix_faults
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
+from repro.workloads.mixes import compose
 from repro.workloads.registry import (
     ARCHETYPES,
     TRAFFIC_MODELS,
@@ -41,7 +41,7 @@ DEFAULT_HORIZON_S = 24.0
 GRACE_S = 8.0
 
 #: A scenario meets its SLO when at most this fraction of arrivals
-#: violated the latency target (or failed outright).
+#: violated the latency target (or failed outright, or never completed).
 SLO_BUDGET = 0.05
 
 
@@ -112,12 +112,9 @@ class ScenarioRun:
         self.fault_counts: Dict[str, int] = {}
         self.last_heal_s = 0.0
         if spec.chaos_mix is not None:
-            injector = FailureInjector(self.archetype.network, seed=spec.seed)
-            self.fault_counts, self.last_heal_s = schedule_mix_faults(
-                injector, spec.chaos_mix, spec.seed,
+            self.fault_counts, self.last_heal_s = compose(
+                spec.chaos_mix, self.archetype, spec.seed,
                 start_s=0.25 * spec.horizon_s, end_s=0.75 * spec.horizon_s,
-                crash_targets=self.archetype.fault_targets(),
-                partition_groups=self.archetype.partition_groups(),
                 label=spec.name,
             )
 
@@ -217,8 +214,10 @@ class ScenarioRun:
             if start is not None:
                 consumed += start - node.battery.remaining
                 capacity += node.battery.capacity
+        # A request that never completed missed its target too.
+        slo_violations = self.slo_violations + pending
         violation_fraction = (
-            self.slo_violations / self.issued if self.issued else 0.0
+            slo_violations / self.issued if self.issued else 0.0
         )
         violations = arch.consistency_violations()
         detail = dict(arch.detail())
@@ -253,7 +252,7 @@ class ScenarioRun:
             },
             "slo": {
                 "target_s": round(arch.slo_target_s, 9),
-                "violations": self.slo_violations,
+                "violations": slo_violations,
                 "violation_fraction": round(violation_fraction, 9),
                 "met": violation_fraction <= SLO_BUDGET,
             },

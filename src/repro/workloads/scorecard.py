@@ -124,6 +124,11 @@ def validate_scorecard(card: Mapping[str, Any]) -> List[str]:
             )
         if lat["count"] > off["arrivals"]:
             problems.append("latency count exceeds arrivals")
+        if card["slo"]["violations"] < drops["failed"] + drops["pending"]:
+            problems.append(
+                "slo.violations below failed+pending: a request that "
+                "failed or never completed missed its target"
+            )
         frac = card["slo"]["violation_fraction"]
         if not 0.0 <= frac <= 1.0:
             problems.append(f"slo.violation_fraction {frac} outside [0,1]")

@@ -120,19 +120,27 @@ class Stamper(MobileAgent):
         self.state.setdefault("seen", []).append(host.address.node)
 
 
-class AnyOpMachine(StateMachine):
-    """Applies whatever it is given: the fuzz is about the replica, and a
-    command or snapshot a real machine would refuse is the application's
-    business."""
+class StrictMachine(StateMachine):
+    """Knows ``set key value`` and ``get key`` and raises on anything else,
+    the way :class:`~repro.replication.services.LedgerMachine` refuses an
+    op it does not know: what a replica does with a well-typed command its
+    application rejects is under the fuzz too. ``restore`` takes whatever
+    it is given — snapshots are group-internal."""
 
     def __init__(self):
         self.applied = []
 
     def apply(self, name, args):
-        self.applied.append([name, list(args)])
+        if name != "set":
+            raise ValueError(f"unknown op {name!r}")
+        key, value = args
+        self.applied.append([name, [key, value]])
         return Outcome(result=len(self.applied))
 
     def read(self, name, args):
+        if name != "get":
+            raise ValueError(f"unknown read {name!r}")
+        (_key,) = args
         return len(self.applied)
 
     def snapshot(self):
@@ -540,7 +548,7 @@ def heartbeat_detector():
 def group_client():
     fabric, advance = _fabric()
     members = [Address(node, "g") for node in ("r0", "r1", "r2")]
-    deploy_group(fabric.endpoint, [m.node for m in members], AnyOpMachine,
+    deploy_group(fabric.endpoint, [m.node for m in members], StrictMachine,
                  port="g", params=FAST)
     client = GroupClient(fabric.endpoint("cli", "c"), members,
                          request_timeout_s=0.4)
@@ -564,7 +572,7 @@ def group_client():
 def _replica(node, leader):
     fabric, advance = _fabric()
     members = ["r0", "r1", "r2"]
-    replicas = deploy_group(fabric.endpoint, members, AnyOpMachine, port="g",
+    replicas = deploy_group(fabric.endpoint, members, StrictMachine, port="g",
                             params=FAST)
     client = GroupClient(fabric.endpoint("cli", "c"),
                          [Address(m, "g") for m in members],

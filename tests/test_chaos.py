@@ -5,7 +5,9 @@ whole file runs in seconds; the full-length acceptance grid is the
 experiment CLI's job (``python -m repro.experiments.exp_chaos``).
 """
 
+import dataclasses
 import functools
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.experiments import exp_chaos
 
 pytestmark = pytest.mark.chaos
 from repro.experiments.sweep import SWEEPABLE
+from repro.netsim import topology
 from repro.netsim.chaos import (
     FAULT_MIXES,
     CampaignSpec,
@@ -21,7 +24,9 @@ from repro.netsim.chaos import (
     run_campaign,
     scorecard_bytes,
 )
+from repro.netsim.failures import FailureInjector
 from repro.obs.metrics import get_registry
+from repro.workloads.mixes import COMPOSABLE_MIXES, MIXES, Mix
 
 #: Short-campaign overrides, mirroring the CLI's ``--smoke`` grid: the
 #: 40s duration still leaves room for the slowest retransmission chain
@@ -55,6 +60,23 @@ class TestCampaignSpec:
         scorecard = run_campaign("churn", 0, **SHORT)
         assert scorecard["duration_s"] == 40.0
         assert scorecard["delivery"]["sent"] == 60
+
+    def test_the_spec_has_the_seven_fields_some_caller_sets(self):
+        """``mix``, ``seed`` and what ``SHORT`` / ``--smoke`` / the
+        benchmark's smoke size override; the rest are module constants."""
+        names = [f.name for f in dataclasses.fields(CampaignSpec)]
+        assert names == ["mix", "seed", "duration_s", "fault_start_s",
+                         "heal_deadline_s", "bulk_messages", "transfer_stop_s"]
+        assert set(SHORT) == set(names[2:])
+
+    def test_one_table_maps_a_mix_name_to_behaviour(self):
+        """Grid order of ``exp_chaos`` and the CI artifact is table order;
+        the composable mixes are the rows with a compose form."""
+        assert FAULT_MIXES == tuple(MIXES) == (
+            "churn", "partition", "corrupt", "failover", "flashcrowd")
+        assert COMPOSABLE_MIXES == ("churn", "partition", "corrupt")
+        for name, row in MIXES.items():
+            assert issubclass(row, Mix) and row.storm is not Mix.storm, name
 
 
 class TestInvariants:
@@ -138,6 +160,36 @@ class TestInvariants:
         scorecard = run_campaign("churn", 0, **SHORT)
         assert scorecard["replication"] is None
         assert scorecard["invariants"]["replication_failover"] is True
+
+
+class TestOutagesFromTheInjectorLog:
+    """``heartbeat_exact`` is judged against the outages the injector
+    logged, not a list the campaign keeps beside it: hand-scheduled
+    injections ``(node, crash_at, downtime)`` and the outages they are."""
+
+    @pytest.mark.parametrize("injections,outages", [
+        pytest.param([("n0_1", 2.0, 3.0)], [("n0_1", 2.0, 5.0)], id="plain"),
+        pytest.param([("n0_1", 2.0, 3.0), ("n0_1", 3.0, 3.0)],
+                     [("n0_1", 2.0, 6.0)], id="nested-double-crash"),
+        pytest.param([("n0_1", 2.0, 3.0), ("n0_1", 3.5, 0.0)],
+                     [("n0_1", 2.0, 5.0)], id="blip-inside-a-crash"),
+        pytest.param([("n0_1", 2.0, 0.0)], [], id="lone-blip"),
+        pytest.param([("n0_1", 6.0, 2.0), ("n1_0", 2.5, 1.0),
+                      ("n0_1", 2.0, 1.0)],
+                     [("n0_1", 2.0, 3.0), ("n0_1", 6.0, 8.0),
+                      ("n1_0", 2.5, 3.5)], id="disjoint-outages-of-one-node"),
+    ])
+    def test_log_derived_outages_match_what_was_scheduled(
+            self, injections, outages):
+        network = topology.grid(2, 2, spacing=60.0, seed=0)
+        injector = FailureInjector(network, seed=0)
+        for node_id, crash_at, downtime in injections:
+            injector.crash_and_recover(node_id, crash_at, downtime)
+        network.sim.run_until(10.0)
+        episodes = ChaosCampaign._merged_episodes(
+            SimpleNamespace(injector=injector))
+        assert sorted(dataclasses.astuple(e) for e in episodes) == outages
+        assert all(network.node(n).alive for n, _, _ in injections)
 
 
 class TestDeterminism:

@@ -7,7 +7,9 @@ kit itself, that every harness surfaces what the kit finds, and — by grep —
 that a second copy of any part cannot creep back.
 """
 
+import ast
 import importlib.util
+import inspect
 import re
 import subprocess
 import sys
@@ -20,6 +22,7 @@ import repro.netsim.chaos as chaos
 import repro.simtest.oracles as oracles
 import repro.simtest.replicated as replicated
 import repro.workloads.archetypes.telemetry as telemetry
+import repro.workloads.mixes as mixes
 from repro.errors import ConfigurationError
 from repro.obs.export import canonical_json
 from repro.obs.history import History
@@ -27,11 +30,11 @@ from repro.replication.check import check_group, close_group, group_summary
 from repro.replication.services import KVMachine, LedgerMachine
 from repro.simtest.explorer import scenario_for_iteration
 from repro.simtest.oracles import replay
-from repro.simtest.scenario import ACCOUNTS as WORLD_ACCOUNTS, INITIAL_BALANCE
 from repro.simtest.workloads import check_scenario
 from repro.simtest.world import SimWorld
 from repro.util.promise import Promise
 from repro.workloads import ScenarioRun, parse_spec, run_scenario
+from repro.workloads.campaign import ACCOUNTS as WORLD_ACCOUNTS, INITIAL_BALANCE
 from repro.workloads.registry import Archetype
 from tests.test_chaos import SHORT
 
@@ -171,7 +174,7 @@ def break_then_check(monkeypatch, module, only=lambda members: True):
 
 class TestEveryHarnessSurfacesTheFindings:
     def test_chaos_failover_campaign(self, monkeypatch):
-        surfaced = break_then_check(monkeypatch, chaos)
+        surfaced = break_then_check(monkeypatch, mixes)
         card = chaos.run_campaign("failover", 0, **SHORT)
         assert set(kinds(surfaced)) == ALL_KINDS
         assert card["violations"] == sorted(
@@ -367,17 +370,77 @@ def test_one_receive_skeleton_under_every_protocol():
 
 
 def test_chaos_scorecard_reads_invariant_names_not_message_substrings():
-    body = sources()["netsim/chaos.py"]
+    body = sources()["workloads/campaign.py"]
     scorecard = body[body.index("def _scorecard("):body.index("def _publish(")]
     assert " in v" not in scorecard and "startswith" not in scorecard
 
 
-def test_importing_workloads_loads_neither_chaos_nor_simtest():
-    code = ("import sys, repro.workloads; "
-            "print([m for m in sys.modules if m == 'repro.netsim.chaos' "
-            "or m.startswith('repro.simtest')])")
+def loaded_by(importing):
+    """The ``repro`` modules a fresh interpreter holds after ``importing``."""
+    code = (f"import sys, {importing}; "
+            "print(*[m for m in sys.modules if m.startswith('repro.')])")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         timeout=60, env={"PYTHONPATH": str(SRC.parent)}, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_importing_workloads_loads_neither_chaos_nor_simtest():
+    loaded = loaded_by("repro.workloads")
+    assert "repro.workloads.mixes" in loaded  # the compose form lives there
+    assert [m for m in loaded if m == "repro.netsim.chaos"
+            or m.startswith("repro.simtest")] == []
+
+
+# ------------------------------------- the simulator stays below the stack
+
+#: The only imports from above that ``repro.netsim`` holds: the forwarder
+#: the benchmark of record binds to, and the frame types whose isinstance
+#: gate fixes the corruptor's draw order. Both must still exist — a listed
+#: exception nobody needs any more is to be taken off the list.
+UPWARD_IMPORTS = {
+    ("netsim/chaos.py", "repro.workloads.campaign"),
+    ("netsim/failures.py", "repro.interop.frames"),
+}
+
+
+def test_netsim_knows_nothing_about_the_middleware_above_it():
+    upward = set()
+    for path in (SRC / "netsim").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:  # a relative import stays inside the package
+                continue
+            upward |= {
+                (f"netsim/{path.name}", module) for module in modules
+                if module.split(".")[0] == "repro" and not module.startswith(
+                    ("repro.netsim", "repro.errors", "repro.util"))}
+    assert upward == UPWARD_IMPORTS
+    assert len((SRC / "netsim" / "chaos.py").read_text().splitlines()) <= 15
+    # The forwarder is for whoever names it: the package does not load it.
+    assert not {"repro.netsim.chaos", "repro.workloads"} & set(
+        loaded_by("repro.netsim"))
+
+
+def test_the_campaign_never_asks_which_mix_it_runs():
+    """A mix name maps to behaviour in one table (``workloads/mixes.py``);
+    what the move deleted cannot creep back under another roof."""
+    texts = sources()
+
+    def where(needle):
+        return sorted(name for name, text in texts.items() if needle in text)
+
+    assert where("spec.mix ==") == where("spec.mix !=") == []
+    assert where("class SimLedger") == []
+    assert [name for name in where("def schedule_mix_faults")
+            if name.startswith("netsim/")] == []
+    # Derived from the table, not spelled out a second time.
+    assert where('FAULT_MIXES = ("') == where('COMPOSABLE_MIXES = ("') == []
+    campaign = texts["workloads/campaign.py"]
+    assert "is not None and" not in campaign and ".episodes" not in campaign
+    assert list(inspect.signature(replicated.ReplicatedWorld).parameters) == [
+        "seed", "tie_seed", "crash_primary"]

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, DeliveryError
+from repro.errors import ConfigurationError, DeliveryError, TransactionAborted
 from repro.obs.metrics import get_registry
 from repro.replication.client import GroupClient
 from repro.replication.log import LogEntry, OpLog
 from repro.replication.replica import ReplicationParams
+from repro.replication.services import LedgerMachine
 from repro.replication.shards import ShardMap
 from repro.transport.base import Address
 from repro.transport.inmemory import InMemoryFabric
@@ -131,6 +132,56 @@ class TestQuorumCommit:
             assert isinstance(promise.error(), DeliveryError)
         assert client.failovers >= 2  # it tried both addresses first
         client.close()
+
+
+class TestMachineRefusal:
+    """One command the state machine refuses is the client's error: it
+    used to commit, then raise out of the event loop at the primary and
+    again at every backup that applied the entry."""
+
+    @pytest.fixture
+    def h(self):
+        harness = GroupHarness(
+            machine_factory=lambda: LedgerMachine({"a": 60, "b": 40}))
+        yield harness
+        harness.close()
+
+    @pytest.mark.parametrize("command", [
+        ("bogus", 1, 2),             # an op the ledger does not know
+        ("transfer", "t0", "a"),     # a transfer of the wrong arity
+        ("transfer", "t0", "a", "b", "ten"),  # ...and of the wrong type
+    ])
+    def test_a_refused_command_is_a_noop_entry_on_every_replica(
+            self, h, command):
+        refused = h.client.command(*command, rid="r-bad")
+        h.run_for(1.0)
+        assert refused.rejected
+        assert isinstance(refused.error(), TransactionAborted)
+        assert h.client.rejections == 1 and h.client.failovers == 0
+        # The entry committed and applied everywhere, changing nothing.
+        assert h.converged()
+        for replica in h.replicas.values():
+            assert replica.applied_index == 1
+            assert replica.machine.balances == {"a": 60, "b": 40}
+        # A retry of the refused rid answers from the cache: no new entry.
+        again = h.client.command(*command, rid="r-bad")
+        h.run_for(1.0)
+        assert again.rejected
+        assert all(r.log.last_index == 1 for r in h.replicas.values())
+        # ...and the group is up: the next good transfer commits.
+        moved = h.client.command("transfer", "t1", "a", "b", 10)
+        h.run_for(1.0)
+        assert moved.result() is True
+        assert h.converged()
+        assert h.replicas["r0"].machine.balances == {"a": 50, "b": 50}
+
+    @pytest.mark.parametrize("mode", ["primary", "any"])
+    def test_a_refused_read_is_rejected_not_raised(self, h, mode):
+        refused = h.client.read("bogus", "a", mode=mode)
+        known = h.client.read("balance", "a", mode=mode)
+        h.run_for(1.0)
+        assert isinstance(refused.error(), TransactionAborted)
+        assert known.result() == 60
 
 
 class TestCatchUp:

@@ -170,6 +170,42 @@ def test_chaos_mix_rejects_campaign_only_mixes():
                      chaos_mix="failover")
 
 
+@pytest.mark.chaos
+def test_a_composed_mix_with_nothing_to_hit_is_refused():
+    """``chat_fanout`` declares no crash targets and no partition groups;
+    ``churn`` used to crash nothing and still report that the mix ran. A
+    vacuous storm is worse than an error; ``corrupt`` needs no target."""
+    assert not ARCHETYPES["chat_fanout"].factory(0).fault_targets()
+    with pytest.raises(ConfigurationError,
+                       match=r"chat_fanout.*fault_targets\(\)"):
+        run_scenario("chat_fanout:diurnal", seed=0, chaos_mix="churn")
+    with pytest.raises(ConfigurationError,
+                       match=r"chat_fanout.*partition_groups\(\)"):
+        run_scenario("chat_fanout:diurnal", seed=0, chaos_mix="partition")
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("name,arrivals,pending", [
+    ("chat_fanout:flash_crowd", 124, 16),
+    ("chat_fanout:diurnal", 90, 11),
+])
+def test_a_request_that_never_completes_is_an_slo_violation(
+        name, arrivals, pending):
+    """Corruption leaves these runs with requests still pending at the end;
+    they used to escape the SLO (``violations: 0, met: True``)."""
+    card = run_scenario(name, seed=0, chaos_mix="corrupt")
+    assert card["faults"]["corrupt_windows"] == 2
+    assert card["offered"]["arrivals"] == arrivals
+    assert card["drops"] == {"refused": 0, "failed": 0, "pending": pending}
+    slo = card["slo"]
+    assert slo["violations"] == pending  # every completed request was on time
+    assert slo["violation_fraction"] == round(pending / arrivals, 9)
+    assert slo["met"] is False
+    # ...and a card that forgets them is not a valid card.
+    slo["violations"] = 0
+    assert any("failed+pending" in p for p in validate_scorecard(card))
+
+
 # --------------------------------------------------------- simtest worlds
 
 
