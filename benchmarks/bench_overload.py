@@ -25,7 +25,7 @@ experiment table.
 from conftest import emit
 
 from repro.experiments import format_table
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import get_registry, nearest_rank
 from repro.qos import AdmissionController, PriorityClass
 from repro.scheduling.bandwidth import BandwidthAllocator
 from repro.transport.base import Address
@@ -38,14 +38,6 @@ _OFFER_RATE = 20.0             # the crowd: 5x the sustainable rate
 _OFFER_WINDOW_S = 20.0
 _BOUNDED_QUEUE = 16
 _DEADLINE_S = 200.0
-
-
-def _percentile(values, q):
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = max(0, min(len(ordered) - 1, round(q * len(ordered)) - 1))
-    return ordered[index]
 
 
 def run_config(name, max_queue, with_admission):
@@ -93,6 +85,7 @@ def run_config(name, max_queue, with_admission):
     sim.run_until(sim.now() + 1.0)  # let in-flight deliveries land
     elapsed = sim.now()
     paced.close()
+    latencies.sort()
     return {
         "config": name,
         "offered": counts["offered"],
@@ -100,8 +93,8 @@ def run_config(name, max_queue, with_admission):
         "delivered": len(latencies),
         "shed": paced.shed,
         "max_depth": paced.max_queue_depth,
-        "p50_s": round(_percentile(latencies, 0.50), 4),
-        "p99_s": round(_percentile(latencies, 0.99), 4),
+        "p50_s": round(nearest_rank(latencies, 0.50), 4),
+        "p99_s": round(nearest_rank(latencies, 0.99), 4),
         "virtual_s": round(elapsed, 2),
         "goodput_per_vsec": round(len(latencies) / elapsed, 2),
     }
@@ -116,7 +109,7 @@ def run_flash_crowd():
 
 
 def test_protection_bounds_tail_latency_without_losing_goodput(benchmark):
-    rows = benchmark.pedantic(run_flash_crowd, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_flash_crowd, rounds=5, iterations=1)
     emit(format_table(rows, "Overload: flash crowd with/without protection"))
     by_config = {row["config"]: row for row in rows}
     unprotected = by_config["unprotected"]

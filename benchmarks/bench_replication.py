@@ -12,12 +12,18 @@ deterministic per configuration):
   regardless of group size; replication adds one pipelined append round
   trip, not a per-member slowdown, so the write-throughput penalty of a
   3- or 5-way group over a single member stays a small constant factor.
+
+Each row is timed over five rounds (one round is a few tens of ms: a single
+garbage collection would be the measurement) and printed with what one
+operation costs in Python-level ``src/repro`` calls — exact, unlike the
+median beside it.
 """
 
 from conftest import emit
 
 from repro.experiments import format_table
 from repro.obs.metrics import get_registry
+from repro.obs.profiler import count_repro_calls
 from repro.replication.client import GroupClient
 from repro.replication.replica import ReplicationParams, deploy_group
 from repro.replication.services import KVMachine
@@ -123,9 +129,18 @@ def run_write_comparison(sizes=(1, 3, 5), writes: int = 100):
     return rows
 
 
+def _emit_calls_per_op(run, rows, field: str) -> None:
+    """One more run, under the call counter (outside the timed rounds)."""
+    calls = sum(count_repro_calls(run).values())
+    ops = sum(row[field] for row in rows)
+    emit(f"src/repro calls per {field[:-1]} (group set-up included): "
+         f"{calls / ops:.1f}")
+
+
 def test_read_throughput_scales_with_backups(benchmark):
-    rows = benchmark.pedantic(run_read_scaling, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_read_scaling, rounds=5, iterations=1)
     emit(format_table(rows, "Replication: relaxed-read scaling vs backups"))
+    _emit_calls_per_op(run_read_scaling, rows, "reads")
     by_backups = {row["backups"]: row["reads_per_vsec"] for row in rows}
     # Two backups roughly double aggregate throughput; four roughly 4x it.
     assert by_backups[2] >= 1.8 * by_backups[0]
@@ -135,8 +150,9 @@ def test_read_throughput_scales_with_backups(benchmark):
 
 
 def test_quorum_write_overhead_is_bounded(benchmark):
-    rows = benchmark.pedantic(run_write_comparison, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run_write_comparison, rounds=5, iterations=1)
     emit(format_table(rows, "Replication: write throughput vs group size"))
+    _emit_calls_per_op(run_write_comparison, rows, "writes")
     assert all(row["applied_everywhere"] for row in rows)
     baseline = rows[0]["writes_per_vsec"]
     replicated = {row["members"]: row["writes_per_vsec"] for row in rows}

@@ -12,13 +12,14 @@ components off).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.netsim import vecindex
 from repro.netsim.mobility import is_time_varying
 from repro.netsim.node import DeliveryFault, Node
-from repro.netsim.packet import Packet
+from repro.netsim.packet import BROADCAST, HEADER_BYTES, Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.spatialindex import SpatialHashGrid
 from repro.util.events import Subscription
@@ -386,15 +387,23 @@ class WirelessMedium:
         sender = self._nodes.get(sender_id)
         if sender is None:
             raise ConfigurationError(f"sender {sender_id!r} is not attached to the medium")
-        if not sender.alive:
+        # Node.alive, Packet.size_bytes / is_broadcast and the profile's
+        # serialization_delay, as their own expressions: once per transmission.
+        if sender._crashed or not sender.battery.remaining > 0.0:
             return False
+        profile = self.profile
 
         self.transmissions += 1
-        size_bytes = packet.size_bytes
+        size_bytes = packet.payload_bytes + HEADER_BYTES
         self.bytes_transmitted += size_bytes
         size_bits = size_bytes * 8
+        delay = (
+            profile.base_latency_s
+            + size_bits / profile.bandwidth_bps
+            + self.extra_latency_s
+        )
 
-        if packet.is_broadcast:
+        if packet.destination == BROADCAST:
             receivers = self._audible_nodes(sender)
             if self._isolations:
                 reachable = [
@@ -403,7 +412,7 @@ class WirelessMedium:
                 ]
                 self.drops_partitioned += len(receivers) - len(reachable)
                 receivers = reachable
-            tx_distance = self.profile.range_m
+            tx_distance = profile.range_m
         else:
             target = self._nodes.get(packet.destination)
             if target is None:
@@ -412,23 +421,23 @@ class WirelessMedium:
                     # shard's medium; hand the frame (and the air delay it
                     # would incur here) to the coordinator's relay.
                     self.egress_relayed += 1
-                    self._egress(
-                        sender_id,
-                        packet,
-                        self.profile.base_latency_s
-                        + self.profile.serialization_delay(size_bits)
-                        + self.extra_latency_s,
-                    )
+                    self._egress(sender_id, packet, delay)
                 else:
                     self.drops_dead += 1
                 receivers = []
-                tx_distance = self.profile.range_m
+                tx_distance = profile.range_m
             else:
-                tx_distance = sender.distance_to(target)
-                if not target.alive:
+                if sender._mobility is None and target._mobility is None:
+                    # Two pinned nodes: Node.distance_to on the positions
+                    # they hold, the same hypot of the same operands.
+                    here, there = sender._home_position, target._home_position
+                    tx_distance = hypot(here.x - there.x, here.y - there.y)
+                else:
+                    tx_distance = sender.distance_to(target)
+                if target._crashed or not target.battery.remaining > 0.0:
                     self.drops_dead += 1
                     receivers = []
-                elif tx_distance > self.profile.range_m:
+                elif tx_distance > profile.range_m:
                     self.drops_out_of_range += 1
                     receivers = []
                 elif self._isolations and self.partitioned(
@@ -445,17 +454,12 @@ class WirelessMedium:
             # Battery died mid-transmission: the frame never completes.
             return True
 
-        delay = (
-            self.profile.base_latency_s
-            + self.profile.serialization_delay(size_bits)
-            + self.extra_latency_s
-        )
         loss_probability = min(
-            0.999999, self.profile.loss_probability + self.extra_loss_probability
+            0.999999, profile.loss_probability + self.extra_loss_probability
         )
         rng = self._rng
         sim = self.sim
-        contention = self.profile.contention_window_s
+        contention = profile.contention_window_s
         deliver = self._deliver
         if contention > 0:
             # Per-receiver MAC backoff: every reception gets its own delay,
@@ -499,7 +503,7 @@ class WirelessMedium:
         the medium's counters are written back once, in a ``finally``: a
         reception whose handler raises was still made, and is counted.
         """
-        size_bytes = packet.size_bytes
+        size_bytes = packet.payload_bytes + HEADER_BYTES
         size_bits = size_bytes * 8
         fault = self._delivery_fault
         radio = None

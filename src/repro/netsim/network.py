@@ -163,7 +163,16 @@ class Network:
         Unicast prefers a direct wired link to the destination when one is
         up; otherwise the wireless medium is used. Broadcast goes over the
         air and down every wired link.
+
+        ``False`` for a dead sender, :class:`ConfigurationError` for one the
+        network does not know. With no wired links the medium gives the
+        verdict, so there a sender detached from it raises "not attached"
+        even when dead (with links, a dead one returns ``False`` first).
         """
+        if not self.links:  # the medium checks "attached" and "alive" itself
+            if sender_id not in self._nodes:
+                raise ConfigurationError(f"unknown node {sender_id!r}")
+            return self.medium.transmit(sender_id, packet)
         sender = self.node(sender_id)
         if not sender.alive:
             return False

@@ -87,6 +87,10 @@ class Node:
     @property
     def alive(self) -> bool:
         """True unless the node crashed or its battery is flat."""
+        # Read in place by ``WirelessMedium.transmit`` (sender and unicast
+        # target: ``_crashed or not battery.remaining > 0.0``) and by
+        # ``receive`` below (``_crashed``, then the drain's verdict): a
+        # change to what "alive" means changes those three too.
         return not self._crashed and self.battery.remaining > 0.0
 
     def crash(self) -> None:

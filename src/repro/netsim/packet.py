@@ -8,7 +8,7 @@ explicit so upper layers can account header overhead honestly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
@@ -22,7 +22,7 @@ HEADER_BYTES = 16
 _packet_seq = itertools.count()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Packet:
     """A simulated frame.
 
@@ -31,12 +31,17 @@ class Packet:
     of a plain dataclass dominated their footprint. Per-hop metadata
     belongs in :attr:`headers`, not in ad-hoc attributes.
 
+    ``__init__`` is written out (one runs per transmission; the generated
+    one ran two default factories and a post-init hook); ``==``, ``repr``,
+    the field list and pickling stay the dataclass's own.
+
     Attributes:
         source: node id of the original sender.
         destination: node id, or :data:`BROADCAST`.
         payload: opaque application payload (any picklable object).
         payload_bytes: accounted size of the payload.
-        headers: mutable per-hop metadata (route records, TTLs, ...).
+        headers: mutable per-hop metadata (route records, TTLs, ...);
+            a fresh dict unless one is given.
         packet_id: unique per-process id, for tracing and dedup.
         hop_count: incremented by forwarding layers.
     """
@@ -45,15 +50,24 @@ class Packet:
     destination: str
     payload: Any
     payload_bytes: int
-    headers: Dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_seq))
-    hop_count: int = 0
+    headers: Dict[str, Any]
+    packet_id: int
+    hop_count: int
 
-    def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
+    def __init__(self, source: str, destination: str, payload: Any,
+                 payload_bytes: int, headers: Optional[Dict[str, Any]] = None,
+                 packet_id: Optional[int] = None, hop_count: int = 0) -> None:
+        if payload_bytes < 0:
             raise ConfigurationError(
-                f"payload_bytes must be >= 0, got {self.payload_bytes!r}"
+                f"payload_bytes must be >= 0, got {payload_bytes!r}"
             )
+        self.source = source
+        self.destination = destination
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.headers = {} if headers is None else headers
+        self.packet_id = next(_packet_seq) if packet_id is None else packet_id
+        self.hop_count = hop_count
 
     @property
     def size_bytes(self) -> int:

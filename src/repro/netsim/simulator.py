@@ -31,7 +31,7 @@ Swarm-scale additions (see ARCHITECTURE §13):
 
 from __future__ import annotations
 
-from heapq import heappop
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -158,11 +158,18 @@ class Simulator:
         Skipping the :class:`EventHandle` allocation saves real time at
         swarm scale — the event itself is identical to one scheduled via
         :meth:`schedule` (same queue, same ordering, same profiler
-        accounting).
+        accounting): the body of ``StablePriorityQueue.push`` inlined, as
+        the run loops inline the pop.
         """
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule event with delay {delay!r}")
-        self._queue.push(self._clock._now + delay, (fn, args))
+        queue = self._queue
+        seq = queue._next_seq
+        queue._next_seq = seq + 1
+        tie = queue._tie_breaker
+        heappush(queue._heap, [self._clock._now + delay,
+                               0 if tie is None else tie(), seq, (fn, args)])
+        queue._live += 1
 
     def schedule_batch(
         self, delay: float, callbacks: List[Callable[[], None]]

@@ -12,12 +12,37 @@ callback's qualified name::
     print(profiler.render())
 
 The hook costs one ``is None`` check per event when detached; attach only
-when measuring.
+when measuring. :func:`count_repro_calls` is the exact companion: what a
+piece of work costs in Python-level calls, the unit the call-budget guards
+of ``tests/test_perf_hotpaths.py`` are written in.
 """
 
 from __future__ import annotations
 
+import collections
+import os
+import sys
 from typing import Any, Callable, Dict, List
+
+
+def count_repro_calls(run: Callable[[], Any]) -> "collections.Counter[str]":
+    """``run()`` under ``sys.setprofile``: Python-level ``call`` events
+    whose code lives in ``src/repro``, by function name. Exact, and the
+    same on every machine."""
+    root = os.path.dirname(os.path.dirname(__file__)) + os.sep
+    calls: "collections.Counter[str]" = collections.Counter()
+
+    def count(frame: Any, event: str, arg: Any) -> None:
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
 
 
 class LoopProfiler:

@@ -58,13 +58,19 @@ class LogEntry:
 
 
 class OpLog:
-    """A 1-based, compactable op log with a commit watermark."""
+    """A 1-based, compactable op log with a commit watermark.
+
+    ``last_index`` is a stored field, ``snapshot_index + len(retained
+    entries)`` at all times: the five mutators, the only code that touches
+    ``_entries``, keep it in step (the replica reads it per message).
+    """
 
     def __init__(self) -> None:
         self._entries: List[LogEntry] = []
         self.snapshot_index = 0  # everything <= this has been compacted away
         self.snapshot_term = 0
         self.commit_index = 0
+        self.last_index = 0
 
     # -------------------------------------------------------------- queries
 
@@ -73,13 +79,9 @@ class OpLog:
         """Index of the first retained entry (snapshot_index + 1)."""
         return self.snapshot_index + 1
 
-    @property
-    def last_index(self) -> int:
-        return self.snapshot_index + len(self._entries)
-
     def entry(self, index: int) -> Optional[LogEntry]:
         """The retained entry at ``index``, or None if absent/compacted."""
-        offset = index - self.first_index
+        offset = index - self.snapshot_index - 1
         if 0 <= offset < len(self._entries):
             return self._entries[offset]
         return None
@@ -104,6 +106,7 @@ class OpLog:
     def append(self, term: int, rid: str, name: str, args: Tuple[Any, ...]) -> LogEntry:
         entry = LogEntry(self.last_index + 1, term, rid, name, tuple(args))
         self._entries.append(entry)
+        self.last_index = entry.index
         return entry
 
     def extend(self, entries: List[LogEntry]) -> None:
@@ -115,6 +118,7 @@ class OpLog:
                     f"{self.last_index + 1}, got {entry.index}"
                 )
             self._entries.append(entry)
+            self.last_index = entry.index
 
     def truncate_from(self, index: int) -> int:
         """Drop every entry with index >= ``index``; returns dropped count.
@@ -132,6 +136,7 @@ class OpLog:
         dropped = len(self._entries) - offset
         if dropped > 0:
             del self._entries[offset:]
+            self.last_index -= dropped
         return max(0, dropped)
 
     def compact_to(self, index: int) -> None:
@@ -147,10 +152,11 @@ class OpLog:
         del self._entries[:offset]
         self.snapshot_index = index
         self.snapshot_term = term if term is not None else 0
+        self.last_index = index + len(self._entries)
 
     def reset(self, index: int, term: int) -> None:
         """Replace the whole log with a snapshot boundary (state transfer)."""
         self._entries = []
-        self.snapshot_index = index
+        self.snapshot_index = self.last_index = index
         self.snapshot_term = term
         self.commit_index = index

@@ -177,6 +177,7 @@ class ReplicaNode(MessageEndpoint):
                 f"{self.node_id} is not in members {self.members}"
             )
         self.peers = [m for m in self.members if m != self.node_id]
+        self._addresses = {m: Address(m, self.port) for m in self.members}
         self.majority = len(self.members) // 2 + 1
         self.machine = machine
         self.scheduler = transport.scheduler
@@ -241,16 +242,19 @@ class ReplicaNode(MessageEndpoint):
     # ------------------------------------------------------------- plumbing
 
     def _send(self, destination: Address, message: Dict[str, Any]) -> None:
-        # Message dicts ride in lazy frames (encoded only if a lower layer
-        # needs real bytes); fan-out paths pass a prebuilt WireFrame so the
-        # whole group shares one potential encode.
-        if not self.transport.closed:
-            if not isinstance(message, WireFrame):
-                message = WireFrame(message, self.codec)
-            self.transport.send(destination, message)
+        if not self.transport._closed:  # replies only; group traffic below
+            self.transport.send(destination, WireFrame(message, self.codec))
 
     def send_to_member(self, member: str, message: Dict[str, Any]) -> None:
-        self._send(Address(member, self.port), message)
+        # Message dicts ride in lazy frames (encoded only if a lower layer
+        # needs real bytes); fan-out paths pass a prebuilt WireFrame so the
+        # whole group shares one potential encode. Member addresses are
+        # built once; a ``coord`` can name a leader outside the group.
+        if not self.transport._closed:
+            if not isinstance(message, WireFrame):
+                message = WireFrame(message, self.codec)
+            self.transport.send(self._addresses.get(member)
+                                or Address(member, self.port), message)
 
     def _quorum_alive(self) -> bool:
         """Does this node still see an unsuspected majority (incl. itself)?"""
@@ -483,29 +487,31 @@ class ReplicaNode(MessageEndpoint):
             if not self._prefix_matches(message["prev"], message["prev_term"]):
                 self._request_catchup()
                 return
+            log = self.log
             for entry in entries:
-                if entry.index <= self.log.snapshot_index:
+                if entry.index <= log.snapshot_index:
                     continue
-                existing = self.log.entry(entry.index)
+                existing = log.entry(entry.index)
                 if existing is not None:
                     if existing.term == entry.term:
                         continue
                     self._truncate_from(entry.index)
-                if entry.index > self.log.last_index + 1:
+                if entry.index > log.last_index + 1:
                     self._request_catchup()
                     return
-                self.log.extend([entry])
+                log.extend([entry])
                 self._logged_rids[entry.rid] = entry.index
         commit = message["commit"]
-        if commit > self.log.last_index:
+        last_index = self.log.last_index
+        if commit > last_index:
             # The primary has committed entries we do not hold yet.
-            self._advance_commit(self.log.last_index)
+            self._advance_commit(last_index)
             self._request_catchup()
             return
         self._advance_commit(commit)
         self.send_to_member(
             source.node,
-            {"op": "append_ack", "term": self.term, "index": self.log.last_index},
+            {"op": "append_ack", "term": self.term, "index": last_index},
         )
 
     def _prefix_matches(self, prev_index: int, prev_term: int) -> bool:
@@ -579,35 +585,37 @@ class ReplicaNode(MessageEndpoint):
     def _maybe_commit(self) -> None:
         if self.role != "primary":
             return
-        new_commit = self.log.commit_index
-        for idx in range(self.log.commit_index + 1, self.log.last_index + 1):
+        log = self.log
+        new_commit = commit_index = log.commit_index
+        for idx in range(commit_index + 1, log.last_index + 1):
             acks = 1 + sum(1 for m in self._match.values() if m >= idx)
             if acks < self.majority:
                 break
             # Only entries of the current term commit by counting (the
             # standard safety rule); older-term entries commit transitively
             # when a current-term entry above them does.
-            if self.log.term_at(idx) == self.term:
+            if log.term_at(idx) == self.term:
                 new_commit = idx
-        if new_commit > self.log.commit_index:
+        if new_commit > commit_index:
             self._advance_commit(new_commit)
             # Propagate the new commit index promptly (idle backups would
             # otherwise wait for the next beacon).
             self._replicate([])
 
     def _advance_commit(self, new_commit: int) -> None:
-        new_commit = min(new_commit, self.log.last_index)
-        while self.log.commit_index < new_commit:
-            self.log.commit_index += 1
-            entry = self.log.entry(self.log.commit_index)
+        log = self.log
+        new_commit = min(new_commit, log.last_index)
+        while log.commit_index < new_commit:
+            log.commit_index += 1
+            entry = log.entry(log.commit_index)
             self._m_commits.inc()
             self._apply(entry)
         if (
             self.params.compact_every
-            and self.log.commit_index - self.log.snapshot_index
+            and log.commit_index - log.snapshot_index
             >= self.params.compact_every
         ):
-            self.log.compact_to(self.applied_index)
+            log.compact_to(self.applied_index)
 
     def _apply(self, entry: LogEntry) -> None:
         self.applied_index = entry.index

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Protocol
 
 from repro.errors import AddressError, TransportClosedError
-from repro.interop.frames import FRAME_TYPES
+from repro.interop.frames import FRAME_TYPES, WireFrame
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 
@@ -122,13 +122,17 @@ class Transport(abc.ABC):
         """
         if self._closed:
             raise TransportClosedError(f"{self._local} is closed")
-        if isinstance(payload, bytearray):
-            payload = bytes(payload)
-        elif not isinstance(payload, bytes) and not isinstance(payload, FRAME_TYPES):
-            raise TypeError(
-                f"transport payloads must be bytes, got {type(payload).__name__}"
-            )
-        size = len(payload)  # sizes a lazy frame; raises if it cannot encode
+        if payload.__class__ is WireFrame:  # the commonest payload, asked first
+            # Sized here, once (raises if it cannot encode); read from then on.
+            size = payload._length or payload.encoded_length
+        else:
+            if isinstance(payload, bytearray):
+                payload = bytes(payload)
+            elif not isinstance(payload, bytes) and not isinstance(payload, FRAME_TYPES):
+                raise TypeError(
+                    f"transport payloads must be bytes, got {type(payload).__name__}"
+                )
+            size = len(payload)
         self.sent_messages += 1
         self.sent_bytes += size
         if TRACER.enabled:
@@ -157,7 +161,8 @@ class Transport(abc.ABC):
         if self._closed:
             return
         self.received_messages += 1
-        self.received_bytes += len(payload)
+        self.received_bytes += (
+            payload.__class__ is WireFrame and payload._length) or len(payload)
         if self._receiver is not None:
             self._receiver(source, payload)
 

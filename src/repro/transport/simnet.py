@@ -162,7 +162,7 @@ class SimFabric:
             return  # not transport traffic (e.g. raw routing-layer frames)
         source, dest_port, data = payload
         endpoint = self._endpoints.get((node.node_id, dest_port))
-        if endpoint is None or endpoint.closed:
+        if endpoint is None or endpoint._closed:
             return
         if TRACER.enabled:
             with TRACER.span(

@@ -56,7 +56,8 @@ class StablePriorityQueue(Generic[T]):
     The heap list (``_heap``), tombstone sentinel (``_REMOVED``), and entry
     layout (``[priority, tie, seq, item]``, payload at index :data:`_ITEM`)
     are deliberately stable internals: the simulator's event loop inlines
-    the pop path against them (see :mod:`repro.netsim.simulator`).
+    the pop path against them, and its ``call_later`` the body of
+    :meth:`push` (see :mod:`repro.netsim.simulator`).
     ``compact`` therefore rebuilds the heap *in place*, never rebinding the
     list.
     """

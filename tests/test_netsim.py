@@ -45,6 +45,53 @@ class TestPacket:
         assert clone.hop_count == 1
         clone.headers["k"] = "changed"
         assert packet.headers["k"] == "v"  # headers not shared
+        assert clone.packet_id > packet.packet_id
+        assert (clone.source, clone.destination, clone.payload,
+                clone.payload_bytes) == ("a", "b", b"x", 100)
+        assert packet.copy_for_forwarding("c").destination == "c"
+
+    # ``__init__`` is written out, not generated: what the dataclass gave.
+
+    def test_default_headers_are_fresh_per_packet_and_ids_increase(self):
+        first, second, third = make_packet(), make_packet(), make_packet()
+        assert first.headers == {} and first.headers is not second.headers
+        first.headers["ttl"] = 3
+        assert second.headers == {}
+        assert first.packet_id < second.packet_id < third.packet_id
+        assert first.hop_count == 0
+
+    def test_positional_and_keyword_construction_agree(self):
+        headers = {"trace": 1}
+        by_position = Packet("a", "b", b"x", 7, headers, 41, 2)
+        by_keyword = Packet(hop_count=2, packet_id=41, headers=headers,
+                            payload_bytes=7, payload=b"x", destination="b",
+                            source="a")
+        assert by_position == by_keyword
+        assert by_position.headers is headers  # a given dict is kept as is
+        assert by_position != Packet("a", "b", b"x", 7, headers, 42, 2)
+        with pytest.raises(TypeError):
+            Packet("a", "b", b"x")  # payload_bytes has no default
+
+    def test_repr_eq_fields_and_slots_are_the_dataclass_ones(self):
+        import dataclasses
+
+        packet = Packet("a", "b", b"x", 7, packet_id=5)
+        assert repr(packet) == (
+            "Packet(source='a', destination='b', payload=b'x', "
+            "payload_bytes=7, headers={}, packet_id=5, hop_count=0)")
+        assert [f.name for f in dataclasses.fields(Packet)] == [
+            "source", "destination", "payload", "payload_bytes", "headers",
+            "packet_id", "hop_count"]
+        assert dataclasses.replace(packet, hop_count=1).hop_count == 1
+        assert not hasattr(packet, "__dict__")
+        with pytest.raises(AttributeError):
+            packet.scratch = 1
+
+    def test_survives_a_process_boundary(self):
+        import pickle
+
+        packet = Packet("a", "b", (1, "two"), 7, {"ttl": 3}, 9, 4)
+        assert pickle.loads(pickle.dumps(packet)) == packet
 
 
 class TestRadioProfile:
@@ -115,6 +162,64 @@ class TestNetworkDelivery:
         network.add_node("b", position=Point(10, 0))
         node_a.crash()
         assert not network.send("a", make_packet("a", "b"))
+
+    def test_dead_sender_moves_no_counter(self):
+        network = Network(radio_profile=IDEAL_RADIO)
+        flat = network.add_node("a", battery=Battery(capacity=1.0))
+        crashed = network.add_node("b", position=Point(10, 0))
+        flat.battery.drain(1.0)
+        crashed.crash()
+        medium = network.medium
+        before = {name: value for name, value in vars(medium).items()
+                  if isinstance(value, int)}
+        assert network.send("a", make_packet("a", "b")) is False
+        assert network.send("b", make_packet("b", BROADCAST)) is False
+        assert before == {name: getattr(medium, name) for name in before}
+        assert before["transmissions"] == 0
+        assert (flat.packets_sent, crashed.packets_sent) == (0, 0)
+        assert network.sim.pending_events() == 0
+
+    def test_unknown_sender_raises(self):
+        network = Network(radio_profile=IDEAL_RADIO)
+        network.add_node("a")
+        with pytest.raises(ConfigurationError, match="unknown node 'ghost'"):
+            network.send("ghost", make_packet("ghost", "a"))
+        network.add_link("a", network.add_node("b").node_id)
+        with pytest.raises(ConfigurationError, match="unknown node 'ghost'"):
+            network.send("ghost", make_packet("ghost", "a"))
+
+    def test_sender_known_to_the_network_but_off_the_medium(self):
+        # The medium is the one that knows who is attached, and says so.
+        network = Network(radio_profile=IDEAL_RADIO)
+        network.add_node("a")
+        network.add_node("b", position=Point(10, 0))
+        network.medium.detach("a")
+        with pytest.raises(ConfigurationError, match="not attached"):
+            network.send("a", make_packet("a", "b"))
+        network.node("a").crash()  # dead or alive, it is not on the air
+        with pytest.raises(ConfigurationError, match="not attached"):
+            network.send("a", make_packet("a", "b"))
+        assert network.medium.transmissions == 0
+
+    def test_first_wired_link_takes_over_from_then_on(self):
+        network = Network(radio_profile=IDEAL_RADIO)
+        network.add_node("a")
+        node_b = network.add_node("b", position=Point(10, 0))
+        got = []
+        node_b.set_packet_handler(lambda node, pkt: got.append(pkt.payload))
+        for _ in range(3):
+            assert network.send("a", make_packet("a", "b"))
+        assert network.medium.transmissions == 3
+        link = network.add_link("a", "b")
+        assert network.send("a", make_packet("a", "b"))
+        assert network.medium.transmissions == 3  # the wire carried it
+        assert link.transmissions == 1
+        # Broadcast: over the air and down the wire.
+        assert network.send("a", make_packet("a", BROADCAST))
+        assert network.medium.transmissions == 4
+        assert link.transmissions == 2
+        network.sim.run()
+        assert len(got) == 6
 
     def test_transmission_drains_sender_battery(self):
         network = Network(radio_profile=IDEAL_RADIO)

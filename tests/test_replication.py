@@ -1,6 +1,8 @@
 """Tests for the replication core: log, quorum commit, catch-up, reads."""
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import ConfigurationError, DeliveryError, TransactionAborted
 from repro.obs.metrics import get_registry
@@ -54,6 +56,141 @@ class TestOpLog:
     def test_entry_wire_round_trip(self):
         entry = LogEntry(7, 2, "rid-1", "put", ("k", [1, 2]))
         assert LogEntry.from_wire(entry.to_wire()) == entry
+
+    def test_last_index_is_a_field_the_mutators_keep(self):
+        log = OpLog()
+        assert "last_index" in vars(log) and log.last_index == 0
+        with pytest.raises(TypeError):  # args that are no sequence
+            log.append(1, "a", "put", None)
+        assert log.last_index == 0 and log.entry(1) is None
+        # A watermark set past the end (nothing in the stack does this):
+        # compacting to it still leaves the field what the lists say.
+        log.append(1, "a", "put", ())
+        log.commit_index = 3
+        log.compact_to(3)
+        assert log.last_index == log.snapshot_index + len(log._entries) == 3
+
+
+_small = st.integers(min_value=0, max_value=12)
+
+
+class OpLogMachine(RuleBasedStateMachine):
+    """``OpLog`` against a list-slicing reference, mutator by mutator.
+
+    The reference keeps the retained entries in a plain list beside the
+    snapshot boundary and recomputes everything from them; ``last_index``
+    is a stored field in the log, and this is what holds it to
+    ``snapshot_index + len(retained entries)`` after every step.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.log = OpLog()
+        self.snapshot_index = self.snapshot_term = self.commit_index = 0
+        self.retained = []
+        self.term = 1
+        self.made = 0
+
+    def _last(self):
+        return self.snapshot_index + len(self.retained)
+
+    def _entry(self, index):
+        offset = index - self.snapshot_index - 1
+        return self.retained[offset] if 0 <= offset < len(self.retained) else None
+
+    def _term_at(self, index):
+        if index == 0:
+            return 0
+        if index == self.snapshot_index:
+            return self.snapshot_term
+        entry = self._entry(index)
+        return None if entry is None else entry.term
+
+    def _build(self, index):
+        self.made += 1
+        return LogEntry(index, self.term, f"r{self.made}", "put", (index,))
+
+    @rule(bump=st.booleans())
+    def append(self, bump):
+        self.term += bump
+        entry = self.log.append(self.term, f"a{self.made}", "put", [1])
+        assert entry == LogEntry(self._last() + 1, self.term,
+                                 f"a{self.made}", "put", (1,))
+        self.made += 1
+        self.retained.append(entry)
+
+    @rule(count=st.integers(min_value=0, max_value=3))
+    def extend(self, count):
+        entries = [self._build(self._last() + 1 + k) for k in range(count)]
+        self.log.extend(entries)
+        self.retained.extend(entries)
+
+    @rule(good=st.integers(min_value=0, max_value=2), skew=st.sampled_from([-1, 1, 5]))
+    def extend_out_of_order(self, good, skew):
+        entries = [self._build(self._last() + 1 + k) for k in range(good)]
+        stray = self._build(self._last() + 1 + good + skew)
+        with pytest.raises(ConfigurationError):
+            self.log.extend(entries + [stray])
+        self.retained.extend(entries)  # what continued the log stays
+
+    @rule(ahead=_small)
+    def commit(self, ahead):
+        self.commit_index = min(self._last(), self.commit_index + ahead)
+        self.log.commit_index = self.commit_index
+
+    @rule(back=st.integers(min_value=-2, max_value=4))
+    def truncate_from(self, back):
+        # back == 0: the tail entry; < 0: past the end; > 0: a suffix.
+        index = self._last() - back
+        if index <= self.commit_index:
+            with pytest.raises(ConfigurationError):
+                self.log.truncate_from(index)
+            return
+        offset = max(0, index - self.snapshot_index - 1)
+        expected = len(self.retained) - offset
+        assert self.log.truncate_from(index) == max(0, expected)
+        del self.retained[offset:]
+
+    @rule(below=_small)
+    def compact_to(self, below):
+        # below == 0: at the commit index itself.
+        index = self.commit_index - below
+        term = self._term_at(index)
+        self.log.compact_to(index)
+        if index > self.snapshot_index:
+            del self.retained[:index - self.snapshot_index]
+            self.snapshot_index, self.snapshot_term = index, term or 0
+
+    @rule()
+    def compact_beyond_commit_is_refused(self):
+        with pytest.raises(ConfigurationError):
+            self.log.compact_to(self.commit_index + 1)
+
+    @rule(index=st.integers(min_value=0, max_value=40), term=_small)
+    def reset(self, index, term):
+        self.log.reset(index, term)
+        self.snapshot_index = self.commit_index = index
+        self.snapshot_term = term
+        self.retained = []
+
+    @invariant()
+    def log_is_what_the_lists_say(self):
+        log = self.log
+        assert log.last_index == self._last()
+        assert log.last_index == log.snapshot_index + len(log._entries)
+        assert (log.snapshot_index, log.snapshot_term, log.commit_index) == (
+            self.snapshot_index, self.snapshot_term, self.commit_index)
+        assert log.first_index == self.snapshot_index + 1
+        for index in range(0, self._last() + 3):
+            assert log.entry(index) is self._entry(index)
+            assert log.term_at(index) == self._term_at(index)
+            assert log.entries_from(index) == self.retained[
+                max(0, index - self.snapshot_index - 1):]
+
+
+OpLogMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None)
+TestOpLogAgainstLists = OpLogMachine.TestCase
 
 
 class TestShardMap:

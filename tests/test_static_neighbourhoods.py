@@ -7,6 +7,12 @@ movement, mobility swaps, liveness changes and partitions,
 ``neighbors_of`` and a broadcast's receivers must be exactly what the
 position index says when asked afresh — same nodes, same order — on both
 backends.
+
+A unicast between two pinned nodes takes the same shortcut without a memo:
+``transmit`` reads the two positions the nodes hold instead of going through
+``Node.distance_to`` -> ``Node.position`` x2 -> ``Point.distance_to``. The
+same interleavings hold it to the long way round: what the sender is
+charged, whether the frame is out of range, and when it is heard.
 """
 
 from __future__ import annotations
@@ -97,6 +103,7 @@ class NeighbourhoodMachine(RuleBasedStateMachine):
                                      vectorized=self.vectorized)
         self.tokens = []
         self.heard = []
+        self.heard_at = []
 
     def _node(self, node_id):
         return self.medium.get_node(node_id)
@@ -112,8 +119,11 @@ class NeighbourhoodMachine(RuleBasedStateMachine):
     def _attach(self, node_id, position, mobility):
         node = Node(node_id, self.sim, position=position,
                     battery=Battery(capacity=1.0), mobility=mobility)
-        node.set_packet_handler(
-            lambda n, packet: self.heard.append(n.node_id))
+        def hear(n, packet):
+            self.heard.append(n.node_id)
+            self.heard_at.append(self.sim.now())
+
+        node.set_packet_handler(hear)
         self.medium.attach(node)
 
     @rule(node_id=_node_id, position=_point, data=st.data())
@@ -139,7 +149,9 @@ class NeighbourhoodMachine(RuleBasedStateMachine):
     def set_mobility(self, node_id, data):
         node = self._node(node_id)
         if node is not None:
-            node.set_mobility(data.draw(_mobility(self.sim.now())))
+            # None unpins nothing: the node is back where it was last pinned.
+            node.set_mobility(data.draw(
+                st.none() | _mobility(self.sim.now())))
 
     @rule(dt=st.sampled_from([0.0, 0.25, 3.0]))
     def advance(self, dt):
@@ -194,6 +206,41 @@ class NeighbourhoodMachine(RuleBasedStateMachine):
         # transmission still is at delivery, 1 ms later.
         self.sim.run_until(self.sim.now() + 0.002)
         assert self.heard == [node.node_id for node in expected]
+
+    @rule(sender_id=_node_id, target_id=_node_id)
+    def unicast(self, sender_id, target_id):
+        medium = self.medium
+        sender, target = self._node(sender_id), self._node(target_id)
+        if sender is None or target is None:
+            return
+        packet = Packet(sender_id, target_id, b"x", 8)
+        # The long way round, asked afresh through the public properties.
+        distance = sender.position.distance_to(target.position)
+        joules = sender.radio.tx_cost(packet.size_bits, distance)
+        in_range = distance <= medium.profile.range_m
+        hears = (target.alive and in_range
+                 and not medium.partitioned(sender_id, target_id))
+        sender_alive, charge = sender.alive, sender.battery.remaining
+        out_of_range = medium.drops_out_of_range
+        sent_at = self.sim.now()
+        del self.heard[:], self.heard_at[:]
+
+        assert medium.transmit(sender_id, packet) == sender_alive
+
+        if not sender_alive:
+            assert sender.battery.remaining == charge
+            assert medium.drops_out_of_range == out_of_range
+            return
+        # ~1e-5 of a 1 J battery: the same subtraction ``drain`` makes.
+        assert sender.battery.remaining == charge - joules
+        assert medium.drops_out_of_range - out_of_range == (
+            target.alive and not in_range)
+        self.sim.run_until(sent_at + 0.002)
+        assert self.heard == ([target_id] if hears else [])
+        assert self.heard_at == ([sent_at + (
+            medium.profile.base_latency_s
+            + medium.profile.serialization_delay(packet.size_bits)
+            + medium.extra_latency_s)] if hears else [])
 
     # ------------------------------------------------------------ invariants
 
@@ -330,3 +377,27 @@ class TestMemoLifecycle:
         assert world.ids("b") == ["c"] and world.ids("a") == []
         world.medium.heal(token)
         assert world.ids("b") == ["a", "c"]
+
+    def test_unicast_range_follows_pins_models_and_unpinning(self, world):
+        medium, c = world.medium, world.nodes["c"]
+
+        def out_of_range():
+            before = medium.drops_out_of_range
+            medium.transmit("a", Packet("a", "c", b"x", 8))
+            return medium.drops_out_of_range - before
+
+        assert out_of_range() == 1  # 120 m
+        c.set_position(Point(100.0, 0.0))  # the inclusive edge
+        assert out_of_range() == 0
+        # A model overrides the pin: 100 m now, drifting out at 10 m/s ...
+        c.set_mobility(LinearMobility(
+            start=Point(100.0, 0.0), velocity=(10.0, 0.0), start_time=0.0))
+        assert out_of_range() == 0
+        world.sim.run_until(1.0)
+        assert out_of_range() == 1
+        # ... and taking it away puts c back where it was last pinned.
+        c.set_mobility(None)
+        assert out_of_range() == 0
+        medium.detach("c")
+        world.add("c", Point(0.0, 250.0))
+        assert out_of_range() == 1

@@ -20,6 +20,7 @@ from repro.interop.codec import (
     _varint_size,
     _zigzag,
     BinaryCodec,
+    get_codec,
     JsonCodec,
     splice_int_field,
     try_decode_dict,
@@ -41,6 +42,8 @@ from repro.recovery.wal import StableStorage
 from repro.routing.base import build_routed_network
 from repro.routing.flooding import FloodingRouter
 from repro.transport.base import Address
+from repro.transport.endpoint import MessageEndpoint
+from repro.transport.inmemory import InMemoryFabric
 from repro.transport.secure import SecureChannel
 from repro.transport.simnet import SimFabric
 
@@ -163,6 +166,19 @@ fallback_values = st.recursive(fallback_scalars, _fallback_containers,
                                max_leaves=15)
 
 
+# Dict fields where the size column turns: either side of the two-byte ints
+# (-64 <= v < 64) and of 64 bits, bool / IntEnum / str subclasses (another
+# type's row), text of one-, two- and three-byte code points on either side
+# of the one-byte length prefix.
+_EDGE_INTS = [-65, -64, -1, 0, 63, 64, 2**62, -(2**62), 2**63 - 1, -(2**63),
+              2**63, -(2**63) - 1, 2**200, -(2**200)]
+_EDGE_TEXTS = [unit * length for unit in ("a", "\u00e9", "\u20ac")
+               for length in (0, 127, 128, 20_000)]
+dict_field_edges = (
+    _EDGE_INTS + [True, False] + list(Level) + [Level(0)]
+    + _EDGE_TEXTS + [Name(text) for text in _EDGE_TEXTS[:8]])
+
+
 def _is_wire_plain(value):
     if type(value) is list:
         return all(_is_wire_plain(item) for item in value)
@@ -194,6 +210,32 @@ class TestWalkerTable:
         codec = BinaryCodec()
         for _ in range(2):  # second pass reads every key header from the memo
             assert codec.encoded_size(value) == len(codec.encode(value))
+
+    @pytest.mark.parametrize("value", dict_field_edges, ids=lambda v: (
+        f"{type(v).__name__}-{len(v)}x{v[:1]!a}" if isinstance(v, str)
+        else f"{type(v).__name__}-{int(v)}"))
+    def test_dict_field_at_a_size_edge(self, value):
+        codec = BinaryCodec()
+        for message in ({"k": value}, {"op": "x", "k": value, "n": 7}):
+            assert codec.encoded_size(message) == len(codec.encode(message))
+            assert len(WireFrame(message, codec)) == len(codec.encode(message))
+
+    @given(st.dictionaries(st.text(max_size=8),
+                           st.sampled_from(dict_field_edges), max_size=6))
+    @settings(max_examples=200)
+    def test_dict_fields_mixed_across_the_size_edges(self, value):
+        codec = BinaryCodec()
+        assert codec.encoded_size(value) == len(codec.encode(value))
+
+    def test_two_byte_ints_are_exactly_minus_64_to_63(self):
+        codec = BinaryCodec()
+        empty = codec.encoded_size({"k": None}) - 1
+        sizes = {v: codec.encoded_size({"k": v}) - empty
+                 for v in range(-70, 70)}
+        assert {v for v, size in sizes.items() if size == 2} == set(
+            range(-64, 64))
+        # A bool is one tag byte, never an int's two.
+        assert codec.encoded_size({"k": True}) - empty == 1
 
     def test_key_header_memo_is_bounded(self, monkeypatch):
         codec = BinaryCodec()
@@ -404,6 +446,86 @@ class TestPassthrough:
             assert registry.counter_total("transport.frames.passthrough") == 2 * expected
             assert registry.counter_total("codec.encode_skipped") == expected
             assert registry.counter_total("transport.frames.materialized") == expected
+
+
+class _Taker(MessageEndpoint):
+    OPS = {"x": ({"n": int}, "_on_x")}
+
+    def __init__(self, transport):
+        super().__init__(transport)
+        self.taken = []
+
+    def _on_x(self, source, message):
+        self.taken.append(message)
+
+
+_X = {"op": "x", "n": 3}
+
+
+def _encoded_frame(message):
+    frame = WireFrame(message, BinaryCodec())
+    bytes(frame)
+    return frame
+
+
+#: What can arrive at an endpoint, by how it was built; the endpoint's own
+#: codec is the registry's binary singleton, ``BinaryCodec()`` is not it.
+ARRIVALS = {
+    "reference-lazy": lambda: WireFrame(dict(_X), get_codec("binary")),
+    "reference-lazy-fresh-codec": lambda: WireFrame(dict(_X), BinaryCodec()),
+    "reference-encoded": lambda: _encoded_frame(dict(_X)),
+    "dict-subclass": lambda: WireFrame(OrderedDict(_X), BinaryCodec()),
+    "bytes-built": lambda: WireFrame.from_bytes(
+        BinaryCodec().encode(_X), BinaryCodec()),
+    "bytes-built-garbage": lambda: WireFrame.from_bytes(
+        b"\xff\x00", BinaryCodec()),
+    "bytes": lambda: BinaryCodec().encode(_X),
+    "prefixed": lambda: PrefixedFrame(b"", WireFrame(dict(_X), BinaryCodec())),
+    "cross-codec": lambda: WireFrame(dict(_X), JsonCodec()),
+    "not-a-dict": lambda: WireFrame([1, 2, 3], BinaryCodec()),
+    "not-a-dict-encoded": lambda: _encoded_frame(7),
+}
+_FRAME_COUNTERS = ("codec.encode_skipped", "transport.frames.passthrough",
+                   "transport.frames.materialized")
+
+
+class TestEndpointArrivals:
+    """Whatever shape a frame arrives in, ``MessageEndpoint._on_message``
+    hands its handler the message, and leaves the frame counters, that
+    ``try_decode_dict`` gives for it; what does not decode to a dict is one
+    counted drop."""
+
+    @pytest.mark.parametrize("arrival", ARRIVALS)
+    def test_message_and_counters_match_try_decode_dict(self, arrival):
+        registry = get_registry()
+        endpoint = _Taker(InMemoryFabric().endpoint("n", "p"))
+        registry.reset()
+        expected = try_decode_dict(endpoint.codec, ARRIVALS[arrival]())
+        reference = {name: registry.counter_total(name)
+                     for name in _FRAME_COUNTERS}
+        created = {counter.name for counter in registry.counters()}
+        registry.reset()
+
+        endpoint._on_message(Address("peer", "p"), ARRIVALS[arrival]())
+
+        assert {name: registry.counter_total(name)
+                for name in _FRAME_COUNTERS} == reference
+        if expected is None:  # a counted drop
+            assert endpoint.taken == [] and endpoint.malformed_frames == 1
+            assert registry.counter_total("transport.malformed") == 1
+        else:
+            assert endpoint.taken == [expected] == [_X]
+            assert endpoint.malformed_frames == 0
+            # A counter is created by its first bump, never earlier.
+            assert {c.name for c in registry.counters()} == created
+
+    def test_reference_frame_hands_over_the_senders_own_dict(self):
+        endpoint = _Taker(InMemoryFabric().endpoint("n", "p"))
+        message = dict(_X)
+        frame = WireFrame(message, BinaryCodec())
+        endpoint._on_message(Address("peer", "p"), frame)
+        assert endpoint.taken[0] is message
+        assert frame._encoded is None  # and nothing was encoded for it
 
 
 class TestEndToEndZeroCopy:
