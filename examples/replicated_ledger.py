@@ -1,4 +1,4 @@
-"""Runnable failover demo: a 3-replica x 4-shard replicated ledger.
+"""Failover demo: a 3-replica x 4-shard replicated ledger.
 
 Stands up four replica groups (one per shard) over the same three nodes
 on an in-memory virtual-time fabric, deposits into a handful of
@@ -8,14 +8,10 @@ promotes a survivor per group, the client's redirect/failover logic
 re-routes without application changes, and the demo prints the balances
 before and after to show no acknowledged deposit was lost.
 
-Run it with::
-
-    PYTHONPATH=src python -m repro.replication.demo
-
 Everything is virtual time, so the output is deterministic.
-"""
 
-from __future__ import annotations
+Run:  python examples/replicated_ledger.py
+"""
 
 from repro.replication.client import ShardedClient
 from repro.replication.replica import ReplicationParams, deploy_sharded

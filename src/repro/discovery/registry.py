@@ -123,8 +123,7 @@ class RegistryServer(MessageEndpoint):
         """Forward a mutation to mirror peers (Section 3.3's mirroring).
 
         Replicated copies carry ``sync=True`` so peers apply without
-        re-forwarding; their acks come back here, where no ``*_ack`` op is
-        in the table, and are dropped.
+        re-forwarding and without answering (see :meth:`_ack`).
         """
         if not self.peers or message.get("sync"):
             return
@@ -132,6 +131,14 @@ class RegistryServer(MessageEndpoint):
         for peer in self.peers:
             self.replications_sent += 1
             self.transport.send(peer, copy)
+
+    def _ack(self, source: Address, message: Dict[str, Any],
+             **fields: Any) -> None:
+        """A peer's ``sync`` copy is applied and not answered: the peer has
+        no ``*_ack`` op in its table, so the frame would cross the network
+        to be dropped."""
+        if not message.get("sync"):
+            super()._ack(source, message, **fields)
 
     def _handle_register(self, source: Address, message: Dict[str, Any],
                          description: ServiceDescription) -> None:
@@ -153,7 +160,10 @@ class RegistryServer(MessageEndpoint):
         if registration is not None:
             lease = _clamp_lease(message.get("lease_s"))
             registration.expires_at = self.transport.scheduler.now() + lease
-            self._replicate(message)
+            # Copied as the registration it renews: a peer that lost the
+            # register copy cannot renew what it never held.
+            self._replicate({**message, "op": "register", "lease_s": lease,
+                             "desc": registration.description.to_dict()})
             self.events.emit("renewed", registration.description)
         self._ack(source, message, ok=ok)
 

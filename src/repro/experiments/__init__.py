@@ -12,9 +12,11 @@ Id          Claim under test                            Module
 ==========  ==========================================  =======================
 F1          Figure 1 bibliometrics                      exp_figure1
 E2          discovery modes vs size/churn (§3.3)        exp_discovery
+E2b         registry mirroring (§3.3)                   exp_discovery
 E3          spatial vs logical matching (§3.4)          exp_spatial
 E4          graceful degradation (§3.4)                 exp_degradation
 E5          routing & lifetime (§3.5, §4)               exp_routing
+E5b         routing without tables (§3.5)               exp_routing
 E6          transaction paradigms (§3.6)                exp_transactions
 E7          scheduling policies (§3.7)                  exp_scheduling
 E7b         handoff (§3.7)                              exp_handoff

@@ -41,10 +41,16 @@ EXPERIMENTS: Dict[str, List[Tuple[str, Callable[[], list]]]] = {
         ("F1: middleware references per year", exp_figure1.run),
         ("F1: textual claims", exp_figure1.run_claims),
     ],
-    "discovery": [("E2: discovery mode x size x churn", exp_discovery.run)],
+    "discovery": [
+        ("E2: discovery mode x size x churn", exp_discovery.run),
+        ("E2b: registry mirroring", exp_discovery.run_mirrored),
+    ],
     "spatial": [("E3: spatial vs logical matching", exp_spatial.run)],
     "degradation": [("E4: graceful degradation", exp_degradation.run)],
-    "routing": [("E5: routing and lifetime", exp_routing.run)],
+    "routing": [
+        ("E5: routing and lifetime", exp_routing.run),
+        ("E5b: routing without tables", exp_routing.run_tablefree),
+    ],
     "transactions": [("E6: interaction paradigms", exp_transactions.run)],
     "scheduling": [("E7: policies under load", exp_scheduling.run)],
     "handoff": [("E7b: departing-supplier handoff", exp_handoff.run)],

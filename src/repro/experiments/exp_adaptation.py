@@ -5,10 +5,16 @@ sets of components providing input (in a sense, plug and play), and the
 system incorporates a service discovery mechanism to identify new
 components."
 
-Sensors join and leave (discovered and lost over the simulated network)
-while the application runs; reported per event kind: how long MiLAN took to
-reconfigure (virtual time from event to restored satisfaction) and the
-fraction of total time the application QoS was satisfied.
+Sensors join and leave on a fixed script while the application runs: no
+network is built, :meth:`Milan.add_sensor` / :meth:`Milan.remove_sensor` are
+called directly at the scripted times. Reported per event: whether QoS held
+before and after, the active set, and the virtual time from the event to
+restored satisfaction — MiLAN reacts in the same tick, so a non-zero
+``recovery_s`` is exactly the script's gap until a replacement joins — plus
+the fraction of total time the application QoS was satisfied. The loop fed
+by discovery over the simulated network (sensors found and lost by lookup)
+is :class:`repro.core.binder.DiscoveryBinder`, which runs today in
+``examples/health_monitoring.py``, not here.
 """
 
 from __future__ import annotations

@@ -11,15 +11,22 @@ suppliers — under the centralized registry, distributed flooding (with and
 without advertisement caching — the ablation), and reports message
 overhead, lookup latency, and staleness (returned services that are
 actually dead).
+
+E2b puts the section's next sentence — "to further increase scalability,
+mirroring approaches can be introduced" — on the same star and lookup
+loop: one registry against a :class:`MirrorGroup` of three, the suppliers
+and the consumer's lookups spread over the mirrors by index.
 """
 
 from __future__ import annotations
 
+from itertools import cycle
 from typing import Any, Dict, List
 
 from repro.discovery.description import ServiceDescription
 from repro.discovery.distributed import DistributedDiscovery
 from repro.discovery.matching import Query
+from repro.discovery.mirror import MirrorGroup
 from repro.discovery.registry import RegistryClient, RegistryServer
 from repro.netsim import topology
 from repro.netsim.failures import FailureInjector
@@ -105,6 +112,37 @@ def run_centralized(n_suppliers: int, churn_rate: float, seed: int = 0) -> Dict[
     return {"mode": "centralized", **stats, "messages": messages}
 
 
+def run_mirror_group(n_mirrors: int, n_suppliers: int = 30,
+                     seed: int = 0) -> Dict[str, Any]:
+    """The centralized workload against ``n_mirrors`` replicating registries
+    (the hub, then one extra leaf each); one mirror is ``run_centralized``."""
+    network = topology.star(n_suppliers + n_mirrors, radius=40, seed=seed)
+    fabric = SimFabric(network)
+    hosts = ["hub"] + [f"leaf{n_suppliers + i}" for i in range(1, n_mirrors)]
+    group = MirrorGroup([fabric.endpoint(host, "registry") for host in hosts])
+    clients = []
+    for i in range(1, n_suppliers + 1):
+        client = group.client(fabric.endpoint(f"leaf{i}", "disc"), i % n_mirrors)
+        client.register(_make_description(i), lease_s=LEASE_S)
+        clients.append(client)
+    consumers = [group.client(fabric.endpoint("leaf0", f"disc{m}"), m)
+                 for m in range(n_mirrors)]
+    turn = cycle(consumers)
+    stats = _run_lookups(
+        network,
+        lambda: next(turn).lookup(Query("svc", max_results=n_suppliers + 1)),
+        clients,
+    )
+    del stats["stale_fraction"]  # no churn: nothing can be stale
+    endpoints = group.servers + consumers + clients
+    return {
+        "mirrors": n_mirrors, **stats,
+        "max_lookups_served": max(s.lookups_served for s in group.servers),
+        "messages": sum(e.transport.sent_messages for e in endpoints),
+        "consistent": group.consistent(),
+    }
+
+
 def run_distributed(
     n_suppliers: int, churn_rate: float, use_cache: bool, seed: int = 0
 ) -> Dict[str, Any]:
@@ -157,3 +195,8 @@ def run(
                 )
                 rows.append(result_row)
     return rows
+
+
+def run_mirrored(seed: int = 0) -> List[Dict[str, Any]]:
+    """The E2b table: directory load with one registry and with three."""
+    return [run_mirror_group(1, seed=seed), run_mirror_group(3, seed=seed)]

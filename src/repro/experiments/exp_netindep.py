@@ -9,7 +9,8 @@ the in-process fabric, a wireline star (Ethernet links), an 802.11 wireless
 star, and a Bluetooth-profile star, the last two with the reliability layer
 (and its retransmission-policy ablation). Reported: success rate, mean call
 latency, and bytes on the wire/air. The application function never changes;
-only the stack construction does — which is the claim.
+only the :class:`~repro.transport.stack.StackSpec` each row hands to
+:func:`~repro.transport.stack.build_stack` does — which is the claim.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from repro.netsim.network import Network
 from repro.transactions.rpc import RpcEndpoint
 from repro.transport.base import Transport
 from repro.transport.inmemory import InMemoryFabric
-from repro.transport.reliable import ReliabilityParams, ReliableTransport
+from repro.transport.reliable import ReliabilityParams
 from repro.transport.simnet import SimFabric
+from repro.transport.stack import StackSpec, build_stack
 from repro.util.geometry import Point
 
 N_CALLS = 100
@@ -59,10 +61,17 @@ def _application(server_transport: Transport, client_transport: Transport,
     }
 
 
+def _stacks(fabric, spec: StackSpec, server: str = "server",
+            client: str = "client") -> Tuple[Transport, Transport]:
+    """The two sides' ``svc`` endpoints, each under the stack ``spec`` names."""
+    return (build_stack(fabric.endpoint(server, "svc"), spec).top,
+            build_stack(fabric.endpoint(client, "svc"), spec).top)
+
+
 def run_inmemory() -> Dict[str, Any]:
     fabric = InMemoryFabric(latency_s=0.0001)
     result = _application(
-        fabric.endpoint("server", "svc"), fabric.endpoint("client", "svc"),
+        *_stacks(fabric, StackSpec(reliable=False)),
         fabric.run, fabric.sim.now,
     )
     return {"stack": "in-memory", **result, "bytes_on_wire": "n/a"}
@@ -75,7 +84,7 @@ def run_wireline() -> Dict[str, Any]:
     link = network.add_link("server", "client", ETHERNET_10M)
     fabric = SimFabric(network)
     result = _application(
-        fabric.endpoint("server", "svc"), fabric.endpoint("client", "svc"),
+        *_stacks(fabric, StackSpec(reliable=False)),
         lambda: network.sim.run(max_events=5_000_000), network.sim.now,
     )
     return {"stack": "ethernet-10M", **result,
@@ -87,10 +96,8 @@ def _run_wireless(profile: RadioProfile, params: ReliabilityParams,
     network = topology.star(2, radius=min(8.0, profile.range_m / 2),
                             radio_profile=profile, seed=3)
     fabric = SimFabric(network)
-    server_transport = ReliableTransport(fabric.endpoint("leaf0", "svc"), params)
-    client_transport = ReliableTransport(fabric.endpoint("leaf1", "svc"), params)
     result = _application(
-        server_transport, client_transport,
+        *_stacks(fabric, StackSpec(reliability_params=params), "leaf0", "leaf1"),
         lambda: network.sim.run(max_events=5_000_000), network.sim.now,
     )
     return {"stack": label, **result,

@@ -8,6 +8,10 @@ A battery-powered grid relays periodic reports from the far corner to a
 mains-powered sink under flooding, shortest-hop, and energy-aware routing
 (alpha sweep as the ablation). Reported: packets delivered, time to first
 node death, time until the source is cut off, and residual energy.
+
+E5b runs the same grid, source, sink and report schedule under the two
+table-free modes: greedy geographic forwarding (positions only) and
+data-centric diffusion (the sink names the data; nobody names a node).
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from typing import Any, Dict, List
 from repro.netsim import topology
 from repro.netsim.energy import Battery, mains_battery
 from repro.routing.base import build_routed_network
+from repro.routing.datacentric import DataCentricAgent
 from repro.routing.energyaware import EnergyAwareRouter
 from repro.routing.flooding import FloodingRouter
+from repro.routing.geographic import GeographicRouter
 from repro.routing.linkstate import LinkStateRouter
 from repro.transport.base import Address
 from repro.transport.simnet import SimFabric
@@ -29,6 +35,7 @@ REPORT_INTERVAL_S = 1.0
 MAX_TIME_S = 600.0
 SINK = "n0_0"
 SOURCE = f"n{GRID - 1}_{GRID - 1}"
+INTEREST_REFRESH_S = 10.0  # under the 30 s gradient lifetime
 
 
 def _router_factory(kind: str, network, alpha: float):
@@ -39,27 +46,22 @@ def _router_factory(kind: str, network, alpha: float):
     if kind == "energy-aware":
         return lambda nid: EnergyAwareRouter(network, nid, alpha=alpha,
                                              refresh_interval_s=1.0)
+    if kind == "geographic":
+        return lambda nid: GeographicRouter(network, nid)
     raise ValueError(f"unknown router kind {kind!r}")
 
 
-def run_one(kind: str, alpha: float = 2.0, seed: int = 0) -> Dict[str, Any]:
-    network = topology.grid(
+def _battery_grid(seed: int):
+    return topology.grid(
         GRID, GRID, spacing=55, seed=seed,
         battery_factory=lambda nid: (
             mains_battery() if nid == SINK else Battery(BATTERY_J)
         ),
     )
-    fabric = SimFabric(network)
-    agents = build_routed_network(fabric, _router_factory(kind, network, alpha))
-    sink = agents[SINK].open_port("data")
-    delivered = []
-    sink.set_receiver(lambda src, data: delivered.append(network.sim.now()))
-    source = agents[SOURCE].open_port("data")
 
-    def report() -> None:
-        if network.node(SOURCE).alive:
-            source.send(Address(SINK, "data"), bytes(64))
 
+def _lifetime(network, label: str, report, delivered: list) -> Dict[str, Any]:
+    """Report every second until the source is cut off; the E5 columns."""
     network.sim.schedule_every(REPORT_INTERVAL_S, report)
 
     first_death = None
@@ -73,7 +75,6 @@ def run_one(kind: str, alpha: float = 2.0, seed: int = 0) -> Dict[str, Any]:
         if SOURCE not in network.reachable_from(SINK):
             cut_off = time
             break
-    label = kind if kind != "energy-aware" else f"energy-aware(a={alpha:g})"
     return {
         "router": label,
         "delivered": len(delivered),
@@ -83,6 +84,41 @@ def run_one(kind: str, alpha: float = 2.0, seed: int = 0) -> Dict[str, Any]:
     }
 
 
+def run_one(kind: str, alpha: float = 2.0, seed: int = 0) -> Dict[str, Any]:
+    network = _battery_grid(seed)
+    fabric = SimFabric(network)
+    agents = build_routed_network(fabric, _router_factory(kind, network, alpha))
+    sink = agents[SINK].open_port("data")
+    delivered = []
+    sink.set_receiver(lambda src, data: delivered.append(network.sim.now()))
+    source = agents[SOURCE].open_port("data")
+
+    def report() -> None:
+        if network.node(SOURCE).alive:
+            source.send(Address(SINK, "data"), bytes(64))
+
+    label = kind if kind != "energy-aware" else f"energy-aware(a={alpha:g})"
+    return _lifetime(network, label, report, delivered)
+
+
+def run_datacentric(seed: int = 0) -> Dict[str, Any]:
+    """The E5 deployment with one diffusion agent per node and no router."""
+    network = _battery_grid(seed)
+    fabric = SimFabric(network)
+    agents = {nid: DataCentricAgent(fabric, nid) for nid in network.node_ids()}
+    delivered = []
+    agents[SINK].subscribe(
+        "report", lambda name, value, origin: delivered.append(network.sim.now()),
+        refresh_interval_s=INTEREST_REFRESH_S,
+    )
+
+    def report() -> None:
+        if network.node(SOURCE).alive:
+            agents[SOURCE].publish("report", bytes(64))
+
+    return _lifetime(network, "data-centric", report, delivered)
+
+
 def run(alphas=(0.0, 2.0, 4.0), seed: int = 0) -> List[Dict[str, Any]]:
     """The E5 table: flooding and shortest-hop baselines plus the
     energy-aware alpha sweep."""
@@ -90,3 +126,9 @@ def run(alphas=(0.0, 2.0, 4.0), seed: int = 0) -> List[Dict[str, Any]]:
     for alpha in alphas:
         rows.append(run_one("energy-aware", alpha=alpha, seed=seed))
     return rows
+
+
+def run_tablefree(seed: int = 0) -> List[Dict[str, Any]]:
+    """The E5b table: routing with no routing table, shortest-hop beside it."""
+    return [run_one("shortest-hop", seed=seed), run_one("geographic", seed=seed),
+            run_datacentric(seed)]

@@ -204,9 +204,9 @@ class WireFrame:
     # -------------------------------------------------------------- plumbing
 
     def __reduce__(self):
-        # Crossing a process boundary (sharded worlds) forces
-        # materialization; the peer rebuilds a bytes-backed frame whose
-        # decode is lazy, so behavior matches in-process delivery.
+        # Pickling forces materialization; the copy is a bytes-backed
+        # frame whose decode is lazy, so it behaves as the frame
+        # delivered in-process does.
         return (_rebuild_frame, (self.codec, self.materialize()))
 
     def __repr__(self) -> str:

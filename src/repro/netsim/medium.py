@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import hypot
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.netsim import vecindex
@@ -70,13 +70,6 @@ BLUETOOTH = RadioProfile(
 IDEAL_RADIO = RadioProfile(
     name="ideal", bandwidth_bps=1e9, range_m=1e6, base_latency_s=0.0001,
 )
-
-
-#: A cross-shard egress hook: ``(sender_id, packet, air_delay_s)``. Installed
-#: by the sharded-simulation coordinator (:mod:`repro.netsim.shard`); called
-#: for unicast packets whose destination is not attached to this medium, in
-#: place of counting a ``drops_dead``.
-EgressHook = Callable[[str, Packet, float], None]
 
 
 class _ScalarBackend:
@@ -180,9 +173,9 @@ class WirelessMedium:
 
     Reception is one routine. Every path that ends in a node hearing a
     frame — a contention-free broadcast (one queue entry for all its
-    surviving receivers), a contended or tie-broken reception, a unicast,
-    :meth:`inject` (each a batch of one) — schedules the same delivery
-    method, which calls :meth:`Node.receive` once per receiver. Per
+    surviving receivers), a contended or tie-broken reception, a unicast
+    (each a batch of one) — schedules the same delivery method, which
+    calls :meth:`Node.receive` once per receiver. Per
     receiver, strictly in this order: liveness check, rx-energy drain,
     post-drain liveness, delivery-fault hook, delivery count, the node's
     receive counters, its handler. Receiver *k*'s handler returns before
@@ -224,7 +217,6 @@ class WirelessMedium:
         self.extra_loss_probability = 0.0
         self.extra_latency_s = 0.0
         self._delivery_fault: Optional[DeliveryFault] = None
-        self._egress: Optional[EgressHook] = None
         # Counters for the overhead experiments.
         self.transmissions = 0
         self.deliveries = 0
@@ -233,7 +225,6 @@ class WirelessMedium:
         self.drops_dead = 0
         self.drops_partitioned = 0
         self.drops_faulted = 0
-        self.egress_relayed = 0
         self.bytes_transmitted = 0
 
     # ----------------------------------------------------------- membership
@@ -292,31 +283,6 @@ class WirelessMedium:
     def set_delivery_fault(self, fault: Optional[DeliveryFault]) -> None:
         """Install (or clear, with ``None``) the per-reception fault hook."""
         self._delivery_fault = fault
-
-    def set_egress(self, egress: Optional[EgressHook]) -> None:
-        """Install (or clear) the cross-shard egress hook.
-
-        While installed, a unicast to a destination **not attached** to
-        this medium is handed to the hook (with the air delay the frame
-        would have taken) instead of being counted as ``drops_dead`` —
-        the sharded-simulation coordinator relays it into the owning
-        shard. The sender is charged transmit energy at full radio range,
-        since the true distance is only known shard-side.
-        """
-        self._egress = egress
-
-    def inject(self, node_id: str, packet: Packet, at_time: float) -> None:
-        """Deliver ``packet`` to an attached node at absolute virtual time.
-
-        The ingress half of sharding: a relayed frame re-enters through
-        the normal delivery path (energy accounting, delivery faults,
-        liveness checks, counters), it just skips this medium's loss and
-        contention processes — those were the sending shard's business.
-        """
-        node = self._nodes.get(node_id)
-        if node is None:
-            raise ConfigurationError(f"cannot inject to unknown node {node_id!r}")
-        self.sim.schedule_at(at_time, self._deliver, (node,), packet)
 
     def nodes(self) -> List[Node]:
         return list(self._nodes.values())
@@ -416,14 +382,7 @@ class WirelessMedium:
         else:
             target = self._nodes.get(packet.destination)
             if target is None:
-                if self._egress is not None:
-                    # Sharded mode: the destination lives on another
-                    # shard's medium; hand the frame (and the air delay it
-                    # would incur here) to the coordinator's relay.
-                    self.egress_relayed += 1
-                    self._egress(sender_id, packet, delay)
-                else:
-                    self.drops_dead += 1
+                self.drops_dead += 1
                 receivers = []
                 tx_distance = profile.range_m
             else:

@@ -334,6 +334,48 @@ class TestMirrorGroup:
         assert group.total_registered() == 0
         assert group.consistent()
 
+    def test_a_sync_copy_is_applied_and_not_answered(self, ideal_star):
+        """A peer used to ack every replicated copy to a server with no
+        ``*_ack`` op: ``peers`` frames per mutation sent to be dropped."""
+        network, fabric = ideal_star
+        group = MirrorGroup([fabric.endpoint(f"leaf{i}", "reg")
+                             for i in range(3)])
+        client = group.client(fabric.endpoint("leaf3", "c"), mirror_index=0)
+        steps = []
+        for at, step in enumerate((
+            lambda: client.register(make_description("svc", "cam"),
+                                    lease_s=60, auto_renew=False),
+            lambda: client.renew("svc", lease_s=60),
+            lambda: client.unregister("svc"),
+        )):
+            steps.append(step())
+            network.sim.run_until(at + 1.0)
+            assert group.total_registered() == (at < 2) and group.consistent()
+        first, *peers = group.servers
+        assert first.replications_sent == 6
+        assert [peer.transport.sent_messages for peer in peers] == [0, 0]
+        assert all(step.fulfilled for step in steps)
+        # A peer still answers a request that is not a copy.
+        direct = group.client(fabric.endpoint("leaf4", "c"), mirror_index=1)
+        lookup = direct.lookup(Query("cam"))
+        network.sim.run_until(4.0)
+        assert lookup.result() == [] and peers[0].transport.sent_messages == 1
+
+    def test_a_renewal_heals_a_peer_that_missed_the_register_copy(self, ideal_star):
+        network, fabric = ideal_star
+        group = MirrorGroup([fabric.endpoint("leaf0", "reg"),
+                             fabric.endpoint("leaf1", "reg")])
+        client = group.client(fabric.endpoint("leaf2", "c"), mirror_index=0)
+        cut = network.medium.isolate(["leaf1"])
+        client.register(make_description("svc", "cam"), lease_s=60,
+                        auto_renew=False)
+        network.sim.run_until(1.0)
+        assert not group.consistent()
+        network.medium.heal(cut)
+        client.renew("svc", lease_s=60)
+        network.sim.run_until(2.0)
+        assert group.consistent() and len(group.servers[1]) == 1
+
 
 class TestAdaptiveDiscovery:
     def build(self, network, fabric, density):

@@ -325,15 +325,19 @@ def test_one_replay_call_site_and_one_canonical_encoder():
     assert repro.workloads.canonical_bytes is canonical_json
 
     # The superseded copies (second replication layer, second metrics API,
-    # trace shim, backend env switch, second _pick) cannot creep back.
+    # trace shim, backend env switch, second _pick) and the driverless
+    # sharded simulator with its medium hook cannot creep back.
     texts = sources()
     reads_env = [name for name, text in texts.items()
                  if "os.environ" in text or "getenv" in text]
     assert reads_env == [], "src/repro reads no environment variable"
-    for gone in ("repro.recovery.replication", "repro.netsim.trace"):
+    for gone in ("repro.recovery.replication", "repro.netsim.trace",
+                 "repro.netsim.shard", "repro.replication.demo"):
         assert importlib.util.find_spec(gone) is None, gone
     removed = ("MetricsRecorder", "SeriesPoint", "BACKEND_ENV",
-               "PrimaryReplica", "BackupReplica", "ReplicationClient")
+               "PrimaryReplica", "BackupReplica", "ReplicationClient",
+               "ShardedSimulation", "set_egress", "egress_relayed",
+               "EgressHook")
     root = SRC.parent.parent
     survivors = [(path.relative_to(root).as_posix(), name)
                  for top in ("src", "examples", "benchmarks")
@@ -444,3 +448,124 @@ def test_the_campaign_never_asks_which_mix_it_runs():
     assert "is not None and" not in campaign and ".episodes" not in campaign
     assert list(inspect.signature(replicated.ReplicatedWorld).parameters) == [
         "seed", "tie_seed", "crash_primary"]
+
+
+# ------------------------------------------------ every module has a driver
+
+
+def undriven_modules(src_root, entry_files):
+    """Modules of the package at ``src_root`` that no entry file reaches.
+
+    Imports are followed from ``entry_files`` through every module they
+    land on. A package ``__init__`` is transparent: a name a driver imports
+    from the package resolves through the ``__init__``'s re-export to the
+    module that holds it, and the ``__init__``'s own imports reach nothing
+    (nor is it reported: a package is driven as its modules are).
+    """
+    src_root = Path(src_root).resolve()
+    files = {}
+    for path in src_root.rglob("*.py"):
+        parts = path.relative_to(src_root.parent).with_suffix("").parts
+        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    names = {path: name for name, path in files.items()}
+
+    def imports(path):
+        """``(module, name, bound as)`` per import statement in ``path``."""
+        package = names.get(path, "").split(".")
+        if path.name != "__init__.py":
+            package = package[:-1]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    yield alias.name, None, None
+            elif isinstance(node, ast.ImportFrom):
+                base = package[:len(package) - node.level + 1] if node.level else []
+                base = ".".join(base + ([node.module] if node.module else []))
+                for alias in node.names:
+                    yield base, alias.name, alias.asname or alias.name
+
+    def resolve(module, name):
+        if f"{module}.{name}" in files:  # from package import submodule
+            return f"{module}.{name}"
+        path = files.get(module)
+        if path is not None and name and path.name == "__init__.py":
+            for base, original, bound in imports(path):
+                if bound == name and base != module:
+                    return resolve(base, original)
+        return module if path is not None else None
+
+    todo = [Path(entry).resolve() for entry in entry_files]
+    driven = {names[path] for path in todo if path in names}
+    while todo:
+        for module, name, _bound in imports(todo.pop()):
+            target = resolve(module, name)
+            if target is not None and target not in driven:
+                driven.add(target)
+                if files[target].name != "__init__.py":
+                    todo.append(files[target])
+    return sorted(name for name, path in files.items()
+                  if path.name != "__init__.py" and name not in driven)
+
+
+def test_every_module_has_a_driver():
+    """Something other than pytest runs every module under ``src/repro``:
+    a CLI, the facade, a registry row, a benchmark or an example imports
+    it. Computed from the tree — there is no list of modules to keep."""
+    from repro.simtest.plants import PLANTS
+    from repro.workloads import ARCHETYPES, TRAFFIC_MODELS
+
+    root = SRC.parent.parent
+    rows = [info.factory for registry in (ARCHETYPES, TRAFFIC_MODELS)
+            for info in registry.values()]
+    rows += list(mixes.MIXES.values()) + [plant for plant, _ in PLANTS.values()]
+    entries = [SRC / "experiments" / "__main__.py", SRC / "workloads" / "__main__.py",
+               SRC / "simtest" / "__main__.py", SRC / "obs" / "report.py",
+               SRC / "middleware.py"]
+    entries += {sys.modules[row.__module__].__file__ for row in rows
+                if row.__module__.startswith("repro.")}
+    entries += (root / "benchmarks").rglob("*.py")
+    entries += (root / "examples").glob("*.py")
+    assert all(Path(entry).is_file() for entry in entries)
+    assert undriven_modules(SRC, entries) == [
+        # A judge ("reference implementations that tests compare against"
+        # stay): the tests that consult check_scenario are its driver until
+        # ROADMAP item 2 runs it in CI. Nothing else is exempt.
+        "repro.simtest.workloads",
+    ]
+
+
+def test_the_driver_contract_on_a_toy_tree(tmp_path):
+    tree = {
+        "src/toy/__init__.py": "",
+        "src/toy/pkg/__init__.py": ("from toy.pkg.held import Held as Shown\n"
+                                    "from .orphan import Orphan\n"),
+        "src/toy/pkg/held.py": "from . import helper\nclass Held: pass\n",
+        "src/toy/pkg/helper.py": "",
+        "src/toy/pkg/orphan.py": "class Orphan: pass\n",
+        "src/toy/tested.py": "",
+        "src/toy/row.py": "from .pkg import helper\n",
+        "src/toy/cli.py": "def main():\n    import toy.lazy\n",
+        "src/toy/lazy.py": "",
+        "tests/test_toy.py": "import toy.tested\nfrom toy.pkg import Orphan\n",
+        "examples/demo.py": "from toy.pkg import Shown\n",
+    }
+    for name, text in tree.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    src = tmp_path / "src" / "toy"
+
+    def undriven(*entries):
+        return undriven_modules(src, [tmp_path / entry for entry in entries])
+
+    everything = ["toy.cli", "toy.lazy", "toy.pkg.held", "toy.pkg.helper",
+                  "toy.pkg.orphan", "toy.row", "toy.tested"]
+    assert undriven() == everything
+    # A re-exported *name* reaches its module (and what that imports,
+    # relatively); the __init__'s other re-export reaches nothing, and
+    # neither does the test file, which is never an entry.
+    assert undriven("examples/demo.py") == [
+        "toy.cli", "toy.lazy", "toy.pkg.orphan", "toy.row", "toy.tested"]
+    # A registry row's module is an entry itself; a CLI's lazy import counts.
+    assert undriven("examples/demo.py", "src/toy/row.py", "src/toy/cli.py") == [
+        "toy.pkg.orphan", "toy.tested"]

@@ -499,19 +499,25 @@ def _handler_raises(world):
 
 
 def _singles(world):
-    """(e) unicast and inject are batches of one through the same routine."""
-    world.sim.schedule_at(0.1, world.medium.transmit, "n0_0",
-                          world.frame("n0_0", "n0_1"))
-    world.medium.inject("n2_2", world.frame("elsewhere", "n2_2"), 0.2)
+    """(e) a unicast is a batch of one through the same routine; one to a
+    crashed node, or to an id the medium never attached, is a dead drop."""
+    transmit = world.medium.transmit
+    world.sim.schedule_at(0.1, transmit, "n0_0", world.frame("n0_0", "n0_1"))
     world.network.node("n2_0").crash()
-    world.medium.inject("n2_0", world.frame("elsewhere", "n2_0"), 0.3)
+    world.sim.schedule_at(0.2, transmit, "n2_1", world.frame("n2_1", "n2_0"))
     world.sim.run()
-    assert world.heard() == ["n0_1", "n2_2"]
-    assert world.medium.deliveries == 2 and world.medium.drops_dead == 1
-    for node_id in ("n0_1", "n2_2"):
-        node = world.network.node(node_id)
-        assert node.battery.remaining == 1.0 - RX_JOULES
-        assert (node.packets_received, node.bytes_received) == (1, 24)
+    assert world.heard() == ["n0_1"]
+    assert world.medium.deliveries == 1 and world.medium.drops_dead == 1
+    node = world.network.node("n0_1")
+    assert node.battery.remaining == 1.0 - RX_JOULES
+    assert (node.packets_received, node.bytes_received) == (1, 24)
+    # Never attached: nothing is scheduled, and the sender — who cannot
+    # know how far away nobody is — pays for full radio range.
+    sender = world.network.node("n1_1")
+    assert transmit("n1_1", world.frame("n1_1", "elsewhere")) is True
+    assert world.medium.drops_dead == 2 and world.sim.pending_events() == 0
+    assert sender.battery.remaining == 1.0 - sender.radio.tx_cost(
+        24 * 8, FLAT.range_m)
 
 
 SCENARIOS = [
