@@ -1,10 +1,11 @@
 """Micro-benchmarks of the hot paths.
 
-Unlike the experiment benches (which regenerate paper claims), these time
-the library's inner loops the way pytest-benchmark is designed to: many
-rounds of a small operation. Useful for catching performance regressions in
-the codecs, the markup parser, feasible-set enumeration, the scheduler, and
-the simulator core.
+These time the library's inner loops the way pytest-benchmark is designed
+to: many rounds of a small operation. Useful for catching performance
+regressions in the codecs, the markup parser, feasible-set enumeration, the
+scheduler, the simulator core, and the tuple space's keyed store. (The
+paper's claims are not benches: ``python -m repro.experiments`` runs and
+judges those.)
 """
 
 import pytest
@@ -21,6 +22,8 @@ from repro.qos.spec import ConsumerQoS, SupplierQoS, score_match
 from repro.scheduling.policies import EdfPolicy
 from repro.scheduling.scheduler import TaskScheduler
 from repro.scheduling.task import ScheduledTask
+from repro.transactions.tuplespace import TupleSpaceClient, TupleSpaceServer
+from repro.transport.inmemory import InMemoryFabric
 from repro.util.geometry import Point
 
 SAMPLE_MESSAGE = {
@@ -179,3 +182,50 @@ def test_scheduler_throughput(benchmark):
         return scheduler.completed
 
     assert benchmark(run_scheduler) == 400
+
+
+STORED = 1000
+
+
+def _loaded_space():
+    fabric = InMemoryFabric()
+    server = TupleSpaceServer(fabric.endpoint("space", "ts"))
+    client = TupleSpaceClient(
+        fabric.endpoint("reader", "ts"), server.transport.local_address
+    )
+    for key in range(STORED):
+        client.out("chat", key, "x" * 32)
+    fabric.run()
+    assert len(server) == STORED
+    return fabric, server, client
+
+
+def test_tuplespace_rd_at_1k(benchmark):
+    """One keyed ``rd`` of the newest of 1 000 stored tuples, request to
+    fulfilled promise: the case a scan of the store answers last."""
+    fabric, server, client = _loaded_space()
+
+    def read_newest():
+        promise = client.rd("chat", STORED - 1, None)
+        fabric.run()
+        return promise.result()
+
+    assert benchmark(read_newest) == ["chat", STORED - 1, "x" * 32]
+    assert len(server) == STORED
+
+
+def test_tuplespace_inp_drain_1k(benchmark):
+    """Take all 1 000 tuples by key, newest first, so every take removes
+    from the far end of the store and the index must shrink with it."""
+
+    def drain(fabric, server, client):
+        takes = [client.inp("chat", key, None)
+                 for key in reversed(range(STORED))]
+        fabric.run()
+        assert len(server) == 0
+        return takes
+
+    takes = benchmark.pedantic(
+        drain, setup=lambda: (_loaded_space(), {}), rounds=10
+    )
+    assert all(take.result() is not None for take in takes)

@@ -1,10 +1,9 @@
 """Benchmark-suite configuration.
 
-Every bench regenerates one experiment from DESIGN.md's index and prints
-the corresponding table (run pytest with ``-s`` to see them; representative
-outputs are recorded in EXPERIMENTS.md). pytest-benchmark's timing numbers
-measure the harness itself — the experiment *results* are the printed rows,
-which are deterministic per seed.
+The benches time the library (``run_benchmarks.py`` lists the files whose
+ops ``BENCH_micro.json`` gates); some also print the comparison table they
+assert on — run pytest with ``-s`` to see it. The paper's claims are not
+here: ``python -m repro.experiments`` runs and judges them.
 """
 
 from __future__ import annotations

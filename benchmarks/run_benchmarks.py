@@ -10,7 +10,11 @@ medians are compared against it first: any op slower by more than
 ``--threshold`` (a ratio; default 1.5x to ride out scheduler noise) is
 reported as a regression and the process exits non-zero — but the new
 numbers are still written, so an intentional perf-profile change just
-needs a second look plus a commit.
+needs a second look plus a commit. A baseline op the run no longer
+produces (renamed, deleted, failed to collect) is named too: against a
+separate ``--baseline`` it fails the gate like a regression, because an op
+nobody measures is an op nobody gates; refreshing the baseline in place it
+is printed as dropped and the new file is written without it.
 
 Medians are only comparable on the same machine, so CI uses a generous
 threshold. ``--jobs N`` runs the bench files as concurrent pytest
@@ -51,7 +55,6 @@ BENCH_FILES = [
     Path(__file__).resolve().parent / "bench_overload.py",
     Path(__file__).resolve().parent / "bench_reconfigure_loop.py",
     Path(__file__).resolve().parent / "bench_replication.py",
-    Path(__file__).resolve().parent / "bench_transactions.py",
     Path(__file__).resolve().parent / "bench_wire.py",
 ]
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_micro.json"
@@ -142,8 +145,9 @@ def run_benches(quick: bool, jobs: int = 1) -> dict:
 
 
 def compare(previous: dict, current: dict, threshold: float,
-            normalize_skew: bool = False) -> list:
-    """Return [(op, old_ns, new_ns, ratio, regressed)] for shared ops.
+            normalize_skew: bool = False) -> tuple:
+    """Return ``(rows, dropped)``: [(op, old_ns, new_ns, ratio, regressed)]
+    for shared ops, and the baseline ops ``current`` no longer has.
 
     With ``normalize_skew`` each ratio is divided by the median ratio
     across all ops before judging: a machine that is uniformly 2x slower
@@ -165,10 +169,11 @@ def compare(previous: dict, current: dict, threshold: float,
     if normalize_skew and rows:
         ratios = sorted(row[3] for row in rows)
         skew = ratios[len(ratios) // 2] or 1.0
+    dropped = sorted(set(previous.get("ops", {})) - set(current))
     return [
         (op, old_ns, new_ns, ratio, ratio / skew > threshold)
         for op, old_ns, new_ns, ratio in rows
-    ]
+    ], dropped
 
 
 def main(argv=None) -> int:
@@ -234,9 +239,10 @@ def main(argv=None) -> int:
     }
 
     regressed = []
+    dropped = []
     if previous is not None and not args.no_compare:
-        rows = compare(previous, ops, args.threshold,
-                       normalize_skew=args.normalize_skew)
+        rows, dropped = compare(previous, ops, args.threshold,
+                                normalize_skew=args.normalize_skew)
         print(f"\n{'op':<36} {'old (us)':>12} {'new (us)':>12} {'ratio':>7}")
         for op, old_ns, new_ns, ratio, bad in rows:
             flag = "  REGRESSION" if bad else ""
@@ -245,6 +251,8 @@ def main(argv=None) -> int:
         regressed = [row for row in rows if row[4]]
         baseline_sha = previous.get("git_sha", "?")[:12]
         print(f"(baseline {baseline_sha}, threshold {args.threshold}x)")
+        for op in dropped:
+            print(f"dropped: {op} is in the baseline and was not measured")
 
     args.output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.output}")
@@ -256,6 +264,10 @@ def main(argv=None) -> int:
     if regressed:
         names = ", ".join(row[0] for row in regressed)
         print(f"PERF REGRESSION in: {names}", file=sys.stderr)
+        return 2
+    if dropped and args.baseline is not None:
+        print(f"UNGATED: the baseline's {', '.join(dropped)} did not run",
+              file=sys.stderr)
         return 2
     return 0
 

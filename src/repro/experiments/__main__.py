@@ -3,76 +3,24 @@
 Usage::
 
     python -m repro.experiments              # list experiments
-    python -m repro.experiments milan        # run one, print its table(s)
-    python -m repro.experiments figure1 discovery
-    python -m repro.experiments all          # everything (several minutes)
+    python -m repro.experiments milan        # run one word's tables, judge each
+    python -m repro.experiments E10b figure1 # ... or one table by its id
+    python -m repro.experiments all          # everything (under half a minute)
+    python -m repro.experiments report       # rewrite EXPERIMENTS.md's tables
     python -m repro.experiments sweep milan --seeds 0-3 --workers 4
                                              # seed sweep across processes
+
+Every table is followed by its computed verdict; the exit status is
+non-zero when a verdict finds its table out of shape.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, List, Tuple
+from typing import List
 
-from repro.experiments import format_table
-from repro.experiments.common import parse_seeds
-from repro.experiments import (
-    exp_adaptation,
-    exp_chaos,
-    exp_degradation,
-    exp_discovery,
-    exp_figure1,
-    exp_handoff,
-    exp_interop,
-    exp_milan,
-    exp_netindep,
-    exp_recovery,
-    exp_routing,
-    exp_scheduling,
-    exp_simtest,
-    exp_spatial,
-    exp_transactions,
-)
-
-#: name -> [(title, thunk returning rows)]
-EXPERIMENTS: Dict[str, List[Tuple[str, Callable[[], list]]]] = {
-    "figure1": [
-        ("F1: middleware references per year", exp_figure1.run),
-        ("F1: textual claims", exp_figure1.run_claims),
-    ],
-    "discovery": [
-        ("E2: discovery mode x size x churn", exp_discovery.run),
-        ("E2b: registry mirroring", exp_discovery.run_mirrored),
-    ],
-    "spatial": [("E3: spatial vs logical matching", exp_spatial.run)],
-    "degradation": [("E4: graceful degradation", exp_degradation.run)],
-    "routing": [
-        ("E5: routing and lifetime", exp_routing.run),
-        ("E5b: routing without tables", exp_routing.run_tablefree),
-    ],
-    "transactions": [("E6: interaction paradigms", exp_transactions.run)],
-    "scheduling": [("E7: policies under load", exp_scheduling.run)],
-    "handoff": [("E7b: departing-supplier handoff", exp_handoff.run)],
-    "recovery": [("E8: recovery vs checkpoint interval", exp_recovery.run)],
-    "interop": [
-        ("E9: wire-format cost", exp_interop.run),
-        ("E9: paradigm bridge", lambda: [exp_interop.run_bridge()]),
-    ],
-    "milan": [
-        ("E10: MiLAN lifetime vs baselines", exp_milan.run),
-        ("E10 ablation: feasible-set cap", exp_milan.run_ablation),
-    ],
-    "adaptation": [("E11: plug-and-play adaptation", exp_adaptation.run)],
-    "chaos": [("E13: chaos campaign resilience scorecards", exp_chaos.run)],
-    "simtest": [("E14: planted-defect detection via simulation testing",
-                 exp_simtest.run)],
-    "netindep": [
-        ("E12: network independence", exp_netindep.run),
-        ("E12 ablation: retransmission policy",
-         exp_netindep.run_retransmit_ablation),
-    ],
-}
+from repro.experiments import sweep, table
+from repro.experiments.common import ShapeError, format_table, parse_seeds
 
 
 def sweep_main(argv: List[str]) -> int:
@@ -80,15 +28,13 @@ def sweep_main(argv: List[str]) -> int:
     import argparse
     import json
 
-    from repro.experiments import sweep
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments sweep",
         description="Fan (experiment, seed) jobs across worker processes; "
                     "results merge in deterministic grid order.",
     )
     parser.add_argument("experiments", nargs="*",
-                        help="sweepable experiment names (empty: list them)")
+                        help="seeded experiment words or ids (empty: list them)")
     parser.add_argument("--seeds", default="0",
                         help='seed spec: "0-3", "1,5,9", or a single value')
     parser.add_argument("--workers", type=int, default=None,
@@ -101,7 +47,7 @@ def sweep_main(argv: List[str]) -> int:
     if not args.experiments:
         parser.print_usage()
         print("available sweepables:")
-        for name in sorted(sweep.SWEEPABLE):
+        for name in sweep.sweepable_names():
             print(f"  {name}")
         return 0
     try:
@@ -111,7 +57,8 @@ def sweep_main(argv: List[str]) -> int:
             max_workers=1 if args.serial else args.workers,
             on_result=lambda job, outcome: print(
                 f"done {job[0]} seed={job[1]} "
-                f"({outcome['wall_s']:.2f}s, pid {outcome['pid']})",
+                f"({outcome['wall_s']:.2f}s, pid {outcome['pid']}) "
+                f"{outcome['verdict'] or ''}",
                 file=sys.stderr),
         )
     except ValueError as exc:
@@ -132,32 +79,48 @@ def sweep_main(argv: List[str]) -> int:
 
 
 def main(argv: List[str]) -> int:
-    names = argv[1:]
-    if names and names[0] == "sweep":
-        return sweep_main(names[1:])
-    if not names:
+    words = argv[1:]
+    if words and words[0] == "sweep":
+        return sweep_main(words[1:])
+    if words == ["report"]:
+        try:
+            changed = table.report()
+        except ShapeError as exc:
+            print(f"report: FAILED {exc}", file=sys.stderr)
+            return 1
+        print(f"{table.REPORT_PATH}: {'rewritten' if changed else 'up to date'}")
+        return 0
+    if not words:
         print(__doc__)
         print("available experiments:")
-        for name in sorted(EXPERIMENTS):
-            print(f"  {name}")
+        for name in dict.fromkeys(row.name for row in table.EXPERIMENTS):
+            ids = ", ".join(row.id for row in table.find(name))
+            print(f"  {name:<13} {ids}")
         return 0
-    if names == ["all"]:
-        names = sorted(EXPERIMENTS)
-    # Accept module-style names too: "exp_chaos" -> "chaos".
-    names = [
-        n[4:] if n.startswith("exp_") and n[4:] in EXPERIMENTS else n
-        for n in names
-    ]
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {unknown}; "
-              f"available: {sorted(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    for name in names:
-        for title, thunk in EXPERIMENTS[name]:
-            print(format_table(thunk(), title))
-            print()
-    return 0
+    if words == ["all"]:
+        chosen = list(table.EXPERIMENTS)
+    else:
+        # Accept module-style names too: "exp_chaos" -> "chaos".
+        found = {word: table.find(word) or table.find(word.removeprefix("exp_"))
+                 for word in words}
+        unknown = [word for word, rows in found.items() if not rows]
+        if unknown:
+            print(f"unknown experiment(s): {unknown}; available: "
+                  f"{sorted({row.name for row in table.EXPERIMENTS})}",
+                  file=sys.stderr)
+            return 2
+        chosen = [row for rows in found.values() for row in rows]
+    failed = 0
+    for row in chosen:
+        rows = row.run()
+        print(format_table(rows, row.title))
+        try:
+            print(f"verdict: {row.judge(rows)}")
+        except ShapeError as exc:
+            failed += 1
+            print(f"verdict: FAILED {exc}", file=sys.stderr)
+        print()
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

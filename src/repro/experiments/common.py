@@ -1,8 +1,76 @@
-"""Shared helpers for the experiment harnesses."""
+"""Shared helpers for the experiment harnesses: the row type of the
+``EXPERIMENTS`` table, the verdict vocabulary, seed specs and the table
+renderer."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+import inspect
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
+
+Rows = List[Dict[str, Any]]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One measured table: everything the CLI, the sweep runner and the
+    ``EXPERIMENTS.md`` report know about it.
+
+    ``run`` returns the table's rows (every parameter defaulted; a ``seed``
+    parameter makes the row sweepable). ``verdict`` judges those rows: it
+    raises :class:`ShapeError` naming the row that breaks the claim's shape,
+    and otherwise returns the Summary cell (``"holds (4.00x vs all-on)"``),
+    computed from deterministic columns only. ``wall`` names the wall-clock
+    columns a report must drop.
+    """
+
+    id: str
+    section: str
+    claim: str
+    run: Callable[..., Rows]
+    verdict: Callable[[Rows], str]
+    wall: Tuple[str, ...] = ()
+
+    @property
+    def name(self) -> str:
+        """The CLI word: ``exp_routing`` holds E5 and E5b, both ``routing``."""
+        return self.run.__module__.rpartition(".")[2].removeprefix("exp_")
+
+    @property
+    def title(self) -> str:
+        return f"{self.id} ({self.section}): {self.claim}"
+
+    @property
+    def seeded(self) -> bool:
+        return "seed" in inspect.signature(self.run).parameters
+
+    def judge(self, rows: Rows) -> str:
+        """The verdict on ``rows``; a failure is re-raised naming this row."""
+        try:
+            return self.verdict(rows)
+        except ShapeError as exc:
+            raise ShapeError(f"{self.id}: {exc}") from None
+
+
+class ShapeError(AssertionError):
+    """A table does not have the shape its claim needs."""
+
+
+def check(holds: bool, broken: str) -> None:
+    """A verdict's assertion (``assert`` itself vanishes under ``-O``)."""
+    if not holds:
+        raise ShapeError(broken)
+
+
+def keyed(rows: Rows, *columns: str) -> Dict[Hashable, Dict[str, Any]]:
+    """Rows by the value(s) of their key column(s)."""
+    if len(columns) == 1:
+        return {row[columns[0]]: row for row in rows}
+    return {tuple(row[column] for column in columns): row for row in rows}
+
+
+def ascending(values: Sequence[Any]) -> bool:
+    return list(values) == sorted(values)
 
 
 def parse_seeds(spec: str) -> List[int]:

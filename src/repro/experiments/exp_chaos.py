@@ -26,7 +26,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.experiments.common import parse_seeds
+from repro.experiments.common import Rows, check, parse_seeds
 from repro.workloads.campaign import FAULT_MIXES, run_campaign
 
 
@@ -51,9 +51,19 @@ def run_one(mix: str, seed: int, **overrides: Any) -> Dict[str, Any]:
     }
 
 
-def run(seed: int = 0, mixes: Sequence[str] = FAULT_MIXES) -> List[Dict[str, Any]]:
+def run(seed: int = 0) -> List[Dict[str, Any]]:
     """The E13 table: one row per fault mix at the given seed."""
-    return [run_one(mix, seed) for mix in mixes]
+    return [run_one(mix, seed) for mix in FAULT_MIXES]
+
+
+def verdict(rows: Rows) -> str:
+    for row in rows:
+        check(row["ok"] is True and row["violations"] == 0,
+              f"mix {row['mix']} broke {row['violations']} recovery invariant(s)")
+        check(row["ledger_ok"] is True, f"mix {row['mix']} lost money")
+    worst = min(rows, key=lambda row: row["delivery_ratio"])
+    return (f"holds ({len(rows)}/{len(rows)} mixes keep every recovery invariant; "
+            f"lowest delivery {worst['delivery_ratio']:.3f} under {worst['mix']})")
 
 
 def run_grid(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.experiments.common import Rows, check, keyed
 from repro.qos.monitor import DegradationManager
 from repro.qos.spec import ConsumerQoS, SupplierQoS, rank_matches
 
@@ -100,3 +101,16 @@ def _simulate(policy: str) -> Dict[str, Any]:
 def run() -> List[Dict[str, Any]]:
     """The E4 table: one row per fault-tolerance policy."""
     return [_simulate(policy) for policy in ("static", "rebind", "degrading")]
+
+
+def verdict(rows: Rows) -> str:
+    by_policy = keyed(rows, "policy")
+    static, rebind, degrading = (by_policy[p] for p in ("static", "rebind", "degrading"))
+    check(static["mean_quality"] < rebind["mean_quality"] < degrading["mean_quality"],
+          "delivered quality does not order static < rebind < degrading")
+    check(degrading["outage_s"] <= rebind["outage_s"] <= static["outage_s"],
+          "outage does not order degrading <= rebind <= static")
+    check(degrading["final_level"] > 0, "the degradation manager never relaxed")
+    return (f"holds ({degrading['mean_quality'] / static['mean_quality']:.1f}x the "
+            f"quality of a static binding, "
+            f"{degrading['mean_quality'] / rebind['mean_quality']:.1f}x rebind-only)")

@@ -28,6 +28,7 @@ from repro.discovery.distributed import DistributedDiscovery
 from repro.discovery.matching import Query
 from repro.discovery.mirror import MirrorGroup
 from repro.discovery.registry import RegistryClient, RegistryServer
+from repro.experiments.common import Rows, check, keyed
 from repro.netsim import topology
 from repro.netsim.failures import FailureInjector
 from repro.qos.spec import SupplierQoS
@@ -38,6 +39,7 @@ DURATION_S = 60.0
 LEASE_S = 6.0
 ADVERT_INTERVAL_S = 6.0
 ADVERT_LEASE_S = 8.0
+MIRROR_SUPPLIERS = 30  # E2's larger star
 
 
 def _make_description(i: int) -> ServiceDescription:
@@ -112,10 +114,10 @@ def run_centralized(n_suppliers: int, churn_rate: float, seed: int = 0) -> Dict[
     return {"mode": "centralized", **stats, "messages": messages}
 
 
-def run_mirror_group(n_mirrors: int, n_suppliers: int = 30,
-                     seed: int = 0) -> Dict[str, Any]:
+def run_mirror_group(n_mirrors: int, seed: int = 0) -> Dict[str, Any]:
     """The centralized workload against ``n_mirrors`` replicating registries
     (the hub, then one extra leaf each); one mirror is ``run_centralized``."""
+    n_suppliers = MIRROR_SUPPLIERS
     network = topology.star(n_suppliers + n_mirrors, radius=40, seed=seed)
     fabric = SimFabric(network)
     hosts = ["hub"] + [f"leaf{n_suppliers + i}" for i in range(1, n_mirrors)]
@@ -200,3 +202,49 @@ def run(
 def run_mirrored(seed: int = 0) -> List[Dict[str, Any]]:
     """The E2b table: directory load with one registry and with three."""
     return [run_mirror_group(1, seed=seed), run_mirror_group(3, seed=seed)]
+
+
+def _all_answered(rows: Rows) -> None:
+    for row in rows:  # at most the two lookups still in flight at the end
+        check(row["answered"] >= row["lookups"] - 2,
+              f"{row} answered {row['answered']} of {row['lookups']} lookups")
+
+
+def verdict(rows: Rows) -> str:
+    at = keyed(rows, "mode", "suppliers", "churn_per_s")
+    sizes = sorted({row["suppliers"] for row in rows})
+    churn = max(row["churn_per_s"] for row in rows)
+    small, large = sizes[0], sizes[-1]
+    _all_answered(rows)
+    # Overhead: flooding blows up with size, the directory does not.
+    growth = {mode: at[mode, large, 0.0]["messages"] / at[mode, small, 0.0]["messages"]
+              for mode in ("centralized", "distributed")}
+    check(growth["distributed"] > growth["centralized"],
+          f"{small} -> {large} suppliers: flooding grew {growth['distributed']:.1f}x, "
+          f"the directory {growth['centralized']:.1f}x")
+    # Staleness under churn: cached adverts go stale; cache-less floods
+    # reflect the live truth.
+    cached = at["distributed+cache", large, churn]["stale_fraction"]
+    fresh = at["distributed", large, churn]["stale_fraction"]
+    check(cached >= fresh, f"cached adverts ({cached:.3f} stale) fresher than "
+                           f"floods ({fresh:.3f})")
+    return (f"holds ({small} -> {large} suppliers: flooding {growth['distributed']:.1f}x "
+            f"the messages, the directory {growth['centralized']:.1f}x; under churn "
+            f"cached adverts {cached:.3f} stale, fresh floods {fresh:.3f})")
+
+
+def verdict_mirrored(rows: Rows) -> str:
+    one, three = rows
+    check((one["mirrors"], three["mirrors"]) == (1, 3),
+          f"mirror counts {one['mirrors']}, {three['mirrors']}")
+    _all_answered(rows)
+    for row in rows:
+        check(row["consistent"] is True,
+              f"{row['mirrors']} mirror(s) end holding different service sets")
+    check(three["max_lookups_served"] * 2 < one["max_lookups_served"],
+          f"busiest of three mirrors serves {three['max_lookups_served']} lookups, "
+          f"the single registry {one['max_lookups_served']}")
+    check(three["messages"] > one["messages"], "replication came free")
+    return (f"holds ({one['max_lookups_served'] / three['max_lookups_served']:.1f}x "
+            f"less lookup load per directory, "
+            f"{three['messages'] / one['messages']:.1f}x the messages)")

@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Optional
 from repro.discovery.description import ServiceDescription
 from repro.discovery.matching import Query
 from repro.discovery.registry import RegistryClient, RegistryServer
+from repro.experiments.common import Rows, check, keyed
 from repro.netsim import topology
 from repro.netsim.mobility import LinearMobility
 from repro.qos.spec import SupplierQoS
@@ -112,6 +113,21 @@ def _run_one(
 def run(seed: int = 0) -> List[Dict[str, Any]]:
     """The E7b table: the same departure with and without the manager."""
     return [run_one(False, seed), run_one(True, seed)]
+
+
+def verdict(rows: Rows) -> str:
+    by_mode = keyed(rows, "handoff")
+    on, off = by_mode["on"], by_mode["off"]
+    check(on["handoffs_initiated"] >= 1, "the handoff manager never acted")
+    check(on["failed_calls"] < off["failed_calls"],
+          f"{on['failed_calls']} failed calls with handoff, {off['failed_calls']} without")
+    check(on["worst_gap_s"] <= off["worst_gap_s"],
+          f"worst gap {on['worst_gap_s']} s with handoff, {off['worst_gap_s']} s without")
+    check(on["deliveries"] >= off["deliveries"], "handoff cost deliveries")
+    check((on["final_supplier"], on["final_state"]) == ("static", "active"),
+          f"stream ends {on['final_state']} on {on['final_supplier']}")
+    return (f"holds ({on['failed_calls']} failed calls vs {off['failed_calls']}, "
+            f"worst gap {on['worst_gap_s']:g} s vs {off['worst_gap_s']:g} s)")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List
 
+from repro.experiments.common import Rows, check, keyed
 from repro.interop.bridge import RpcEventBridge
 from repro.interop.codec import get_codec
 from repro.netsim import topology
@@ -68,7 +69,10 @@ def run_codec(codec_name: str) -> Dict[str, Any]:
     }
 
 
-def run_bridge() -> Dict[str, Any]:
+N_EVENTS = 50
+
+
+def run_bridge() -> List[Dict[str, Any]]:
     """RPC world publishing into pub/sub world through the bridge."""
     network = topology.star(4, radius=40, radio_profile=IDEAL_RADIO)
     fabric = SimFabric(network)
@@ -86,18 +90,37 @@ def run_bridge() -> Dict[str, Any]:
     network.sim.run_for(1.0)
     from repro.transport.base import Address
 
-    for i in range(50):
+    for i in range(N_EVENTS):
         caller.call(Address("leaf0", "rpc"), "publish",
                     {"topic": "vitals.bp", "event": {"seq": i}})
     network.sim.run(max_events=5_000_000)
-    return {
+    return [{
         "path": "rpc -> bridge -> pub/sub",
         "published_via_rpc": bridge.published,
         "received_by_subscriber": len(received),
         "loss": bridge.published - len(received),
-    }
+    }]
 
 
 def run() -> List[Dict[str, Any]]:
     """The E9 table: one row per wire format."""
     return [run_codec(name) for name in ("binary", "json", "sml")]
+
+
+def verdict(rows: Rows) -> str:
+    by_codec = keyed(rows, "codec")
+    for row in rows:
+        check(row["calls"] == N_CALLS, f"{row['codec']} completed {row['calls']} calls")
+    binary, json, sml = (by_codec[c]["bytes_per_call"] for c in ("binary", "json", "sml"))
+    check(binary < json < sml, f"bytes per call {binary}, {json}, {sml} "
+                               "do not order binary < json < sml")
+    check(sml > 2 * binary, f"markup costs only {sml / binary:.1f}x binary")
+    return f"holds ({sml / binary:.1f}x bytes)"
+
+
+def verdict_bridge(rows: Rows) -> str:
+    (row,) = rows
+    check(row["published_via_rpc"] == N_EVENTS,
+          f"{row['published_via_rpc']} of {N_EVENTS} calls were published")
+    check(row["loss"] == 0, f"the bridge lost {row['loss']} events")
+    return f"holds ({row['received_by_subscriber']}/{N_EVENTS} events, none lost)"

@@ -35,6 +35,7 @@ from repro.core.milan import Milan
 from repro.core.policy import health_monitor_policy
 from repro.core.selection import SetScore
 from repro.core.sensors import SensorInfo
+from repro.experiments.common import Rows, check
 from repro.util.rng import split_rng
 
 STEP_S = 5.0
@@ -159,6 +160,23 @@ def run(seed: int = 0) -> List[Dict[str, Any]]:
     return rows
 
 
+def verdict(rows: Rows) -> str:
+    lifetime = {row["policy"]: row["lifetime_s"] for row in rows}
+    surplus = {row["policy"]: row["mean_reliability_surplus"] for row in rows}
+    all_on = lifetime["all-on"]
+    for selector in ("milan-max-lifetime", "milan-balanced"):
+        check(lifetime[selector] > 3.0 * all_on,
+              f"{selector} lives {lifetime[selector]} s, all-on {all_on} s")
+    for naive in ("random-feasible", "greedy-reliability"):
+        check(lifetime["milan-max-lifetime"] > lifetime[naive],
+              f"{naive} ({lifetime[naive]} s) outlives milan-max-lifetime")
+    # Balanced buys surplus with a little lifetime.
+    check(surplus["milan-balanced"] >= surplus["milan-max-lifetime"],
+          "milan-balanced has less reliability surplus than milan-max-lifetime")
+    return (f"holds ({lifetime['milan-max-lifetime'] / all_on:.2f}x vs all-on, "
+            f"greedy-reliability {lifetime['greedy-reliability'] / all_on:.2f}x)")
+
+
 def run_traced(seed: int = 0, export_path: Optional[str] = None) -> Dict[str, Any]:
     """A fully traced end-to-end run: MiLAN driving a multi-hop network.
 
@@ -275,6 +293,13 @@ def run_ablation(caps=(4, 32, 256)) -> List[Dict[str, Any]]:
             }
         )
     return rows
+
+
+def verdict_ablation(rows: Rows) -> str:
+    sizes = {row["smallest_set"] for row in rows}
+    check(len(sizes) == 1, f"the cap changes the smallest feasible set: {sorted(sizes)}")
+    caps = "/".join(str(row["max_sets_cap"]) for row in rows)
+    return f"holds (smallest feasible set has {sizes.pop()} sensors at every cap, {caps})"
 
 
 if __name__ == "__main__":

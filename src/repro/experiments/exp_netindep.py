@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
+from repro.experiments.common import Rows, check, keyed
 from repro.netsim import topology
 from repro.netsim.link import ETHERNET_10M
 from repro.netsim.medium import BLUETOOTH, RadioProfile, WIFI_80211
@@ -30,6 +31,7 @@ from repro.transport.stack import StackSpec, build_stack
 from repro.util.geometry import Point
 
 N_CALLS = 100
+RELIABILITY = ReliabilityParams(ack_timeout_s=0.1, max_retries=5)
 
 
 def _application(server_transport: Transport, client_transport: Transport,
@@ -104,17 +106,11 @@ def _run_wireless(profile: RadioProfile, params: ReliabilityParams,
             "bytes_on_wire": network.medium.bytes_transmitted}
 
 
-def run(
-    retransmit_policies: Tuple[ReliabilityParams, ...] = (
-        ReliabilityParams(ack_timeout_s=0.1, max_retries=5),
-    ),
-) -> List[Dict[str, Any]]:
+def run() -> List[Dict[str, Any]]:
     """The E12 table: the same application over four network stacks."""
-    rows = [run_inmemory(), run_wireline()]
-    for params in retransmit_policies:
-        rows.append(_run_wireless(WIFI_80211, params, "802.11+reliable"))
-        rows.append(_run_wireless(BLUETOOTH, params, "bluetooth+reliable"))
-    return rows
+    return [run_inmemory(), run_wireline(),
+            _run_wireless(WIFI_80211, RELIABILITY, "802.11+reliable"),
+            _run_wireless(BLUETOOTH, RELIABILITY, "bluetooth+reliable")]
 
 
 def run_retransmit_ablation() -> List[Dict[str, Any]]:
@@ -134,3 +130,32 @@ def run_retransmit_ablation() -> List[Dict[str, Any]]:
         row = _run_wireless(lossy, params, label)
         rows.append(row)
     return rows
+
+
+def _all_complete(rows: Rows) -> None:
+    for row in rows:
+        check(row["calls_ok"] == N_CALLS,
+              f"{row['stack']} completed {row['calls_ok']} of {N_CALLS} calls")
+
+
+def verdict(rows: Rows) -> str:
+    _all_complete(rows)
+    order = ["in-memory", "ethernet-10M", "802.11+reliable", "bluetooth+reliable"]
+    by_stack = keyed(rows, "stack")
+    latency = [by_stack[stack]["mean_latency_ms"] for stack in order]
+    check(all(a < b for a, b in zip(latency, latency[1:])),
+          f"latency {latency} does not rank {' < '.join(order)}")
+    return (f"holds ({N_CALLS}/{N_CALLS} calls on all {len(rows)} stacks, mean latency "
+            f"{latency[0]:.4g} -> {latency[-1]:.4g} ms)")
+
+
+def verdict_retransmit_ablation(rows: Rows) -> str:
+    _all_complete(rows)  # layered recovery: everything completes either way
+    by_policy = keyed(rows, "stack")
+    none, link = by_policy["no-retransmit"], by_policy["retries=8"]
+    check(link["mean_latency_ms"] < 0.3 * none["mean_latency_ms"],
+          f"link-layer retransmission: {link['mean_latency_ms']} ms against "
+          f"{none['mean_latency_ms']} ms without")
+    return (f"holds ({none['mean_latency_ms'] / link['mean_latency_ms']:.1f}x lower "
+            f"call latency with link-layer retransmission, "
+            f"{link['bytes_on_wire'] / none['bytes_on_wire'] - 1:.0%} more bytes)")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.experiments.common import Rows, check, keyed
 from repro.netsim import topology
 from repro.netsim.energy import Battery, mains_battery
 from repro.routing.base import build_routed_network
@@ -132,3 +133,36 @@ def run_tablefree(seed: int = 0) -> List[Dict[str, Any]]:
     """The E5b table: routing with no routing table, shortest-hop beside it."""
     return [run_one("shortest-hop", seed=seed), run_one("geographic", seed=seed),
             run_datacentric(seed)]
+
+
+def verdict(rows: Rows) -> str:
+    by_router = keyed(rows, "router")
+    flooding, shortest = by_router["flooding"], by_router["shortest-hop"]
+    energy = by_router["energy-aware(a=2)"]
+    for column in ("source_cut_off_s", "delivered"):
+        check(flooding[column] < shortest[column] < energy[column],
+              f"{column} does not order flooding < shortest-hop < energy-aware: "
+              f"{flooding[column]}, {shortest[column]}, {energy[column]}")
+    # alpha=0 degenerates to (energy-blind) min-transmission-cost routing.
+    blind = by_router["energy-aware(a=0)"]["source_cut_off_s"]
+    check(blind <= energy["source_cut_off_s"],
+          f"energy-blind routing ({blind} s) outlived energy-aware")
+    ratio = energy["source_cut_off_s"] / shortest["source_cut_off_s"]
+    return (f"holds ({ratio:.1f}x vs shortest-hop, "
+            f"{energy['source_cut_off_s'] / flooding['source_cut_off_s']:.1f}x vs flooding)")
+
+
+def verdict_tablefree(rows: Rows) -> str:
+    hop, geographic, diffusion = rows
+    check((hop["router"], geographic["router"], diffusion["router"])
+          == ("shortest-hop", "geographic", "data-centric"),
+          f"rows are {[row['router'] for row in rows]}")
+    for column in ("delivered", "source_cut_off_s", "energy_left_j"):
+        check(geographic[column] == hop[column],
+              f"geographic {column} {geographic[column]} != shortest-hop {hop[column]}")
+    check(0 < diffusion["delivered"] <= diffusion["source_cut_off_s"],
+          f"data-centric delivered {diffusion['delivered']} reports in "
+          f"{diffusion['source_cut_off_s']} s")
+    return (f"works; geographic matches shortest-hop on a void-free grid, "
+            f"data-centric delivers {diffusion['delivered']} reports in "
+            f"{diffusion['source_cut_off_s']:g} s")

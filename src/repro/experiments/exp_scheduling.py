@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.experiments.common import Rows, check, keyed
 from repro.netsim.simulator import Simulator
 from repro.scheduling.policies import (
     EdfPolicy,
@@ -71,3 +72,25 @@ def run(utilizations=(0.5, 0.7, 0.9, 1.0, 1.1, 1.2)) -> List[Dict[str, Any]]:
     rows.append(run_one("edf", 1.2, drop_late=True))
     rows.append(run_one("fifo", 1.2, drop_late=True))
     return rows
+
+
+def verdict(rows: Rows) -> str:
+    at = keyed(rows, "policy", "utilization")
+
+    def miss(policy: str, utilization: float) -> float:
+        return at[policy, utilization]["miss_rate"]
+
+    # FIFO suffers early; EDF does not.
+    check(miss("fifo", 0.7) > 0.1, f"fifo misses only {miss('fifo', 0.7)} at 0.7")
+    check(miss("edf", 0.9) == 0.0, f"edf misses {miss('edf', 0.9)} at 0.9")
+    # Below the RM bound for 4 tasks (~0.757).
+    check(miss("rm", 0.7) == 0.0, f"rm misses {miss('rm', 0.7)} at 0.7")
+    # Overload: EDF thrashes, RM sheds gracefully.
+    check(miss("edf", 1.2) > 0.5, f"edf misses only {miss('edf', 1.2)} at 1.2")
+    check(miss("rm", 1.2) < miss("edf", 1.2), "rm misses more than edf in overload")
+    # Dropping late work beats finishing it uselessly under overload.
+    check(miss("edf+drop", 1.2) <= miss("edf", 1.2) + 0.05,
+          "dropping late activations made edf worse")
+    return (f"holds (at utilization 1.2 rm misses {miss('rm', 1.2):.3f}, edf "
+            f"{miss('edf', 1.2):.3f}, edf+drop {miss('edf+drop', 1.2):.3f}; fifo "
+            f"already misses {miss('fifo', 0.7):.3f} at 0.7)")

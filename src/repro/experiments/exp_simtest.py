@@ -25,6 +25,7 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.experiments.common import Rows, check
 from repro.simtest.explorer import explore
 from repro.simtest.plants import PLANTS
 from repro.simtest.scenario import Scenario, Step
@@ -108,6 +109,17 @@ def run(seed: int = 0, budget: int = DEFAULT_BUDGET,
     for plant in (plants if plants is not None else sorted(PLANTS)):
         rows.append(run_one(plant, seed, budget))
     return rows
+
+
+def verdict(rows: Rows) -> str:
+    clean, planted = rows[0], rows[1:]
+    check(clean["reproduces"] is True, "the unplanted middleware diverged")
+    for row in planted:
+        check(row["reproduces"] is True,
+              f"plant {row['plant']}: {row['found_after']}, replay {row['replays']}")
+    longest = max(row["shrunk"] for row in planted)
+    return (f"holds ({len(planted)}/{len(planted)} planted defects found, shrunk to "
+            f"at most {longest} steps and replayed; {clean['found_after']})")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -17,6 +17,7 @@ from typing import Any, Dict, List
 
 from repro.discovery.description import ServiceDescription
 from repro.discovery.matching import AttributeConstraint, Matcher, Query
+from repro.experiments.common import Rows, check, keyed
 from repro.qos.spatial import SpatialPreference
 from repro.qos.spec import ConsumerQoS, SupplierQoS
 from repro.util.rng import split_rng
@@ -113,3 +114,17 @@ def run(n_users: int = 200, seed: int = 0) -> List[Dict[str, Any]]:
             }
         )
     return rows
+
+
+def verdict(rows: Rows) -> str:
+    by_mode = keyed(rows, "mode")
+    logical, spatial = by_mode["logical-only"], by_mode["spatial"]
+    check(spatial["mean_walk_m"] < 0.5 * logical["mean_walk_m"],
+          f"spatial matching walks {spatial['mean_walk_m']:.1f} m, not half of "
+          f"logical-only's {logical['mean_walk_m']:.1f} m")
+    check(spatial["requirement_met"] >= logical["requirement_met"],
+          "spatial matching met fewer capability requirements")
+    cutoff = by_mode["spatial+cutoff-60m"]["p95_walk_m"]
+    check(cutoff <= 60.0, f"the 60 m cutoff sent users {cutoff:.1f} m")
+    return (f"holds ({logical['mean_walk_m'] / spatial['mean_walk_m']:.1f}x shorter "
+            f"mean walk, requirements met {spatial['requirement_met']:.0%})")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from repro.experiments.common import Rows, ascending, check, keyed
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
 from repro.transactions.agents import AgentHost, MobileAgent
@@ -26,6 +27,7 @@ from repro.transport.simnet import SimFabric
 
 N_ITEMS = 200
 PAYLOAD = {"reading": 21.5, "unit": "C", "seq": 0}
+PLAYOUT_DELAYS_S = (0.02, 0.1, 0.3, 0.6)  # E6b's sweep
 
 
 def _network():
@@ -187,7 +189,7 @@ def run_mobile_agent() -> Dict[str, Any]:
             "messages": network.medium.transmissions, "producer_blocks": "no"}
 
 
-def run_streaming(playout_delays=(0.02, 0.1, 0.3, 0.6)) -> List[Dict[str, Any]]:
+def run_streaming() -> List[Dict[str, Any]]:
     """E6b — multimedia streams (§3.10): the jitter-buffer tradeoff.
 
     A 25 fps stream crosses a channel whose per-frame delay varies by up to
@@ -198,7 +200,7 @@ def run_streaming(playout_delays=(0.02, 0.1, 0.3, 0.6)) -> List[Dict[str, Any]]:
     from repro.transactions.streaming import StreamingSink, StreamingSource
 
     rows: List[Dict[str, Any]] = []
-    for playout_delay in playout_delays:
+    for playout_delay in PLAYOUT_DELAYS_S:
         profile = RadioProfile("jittery", bandwidth_bps=11e6, range_m=100.0,
                                base_latency_s=0.001, contention_window_s=0.15)
         network = topology.star(2, radius=40, radio_profile=profile, seed=5)
@@ -233,3 +235,39 @@ def run() -> List[Dict[str, Any]]:
         run_sharedobjects(),
         run_mobile_agent(),
     ]
+
+
+def verdict(rows: Rows) -> str:
+    by_paradigm = keyed(rows, "paradigm")
+    check(len(by_paradigm) == 7, f"{len(by_paradigm)} paradigms, not 7")
+    for row in rows:
+        check(row["delivered"] == N_ITEMS,
+              f"{row['paradigm']} delivered {row['delivered']} of {N_ITEMS}")
+    sync, one_way = by_paradigm["rpc(sync)"], by_paradigm["rpc(one-way)"]
+    check(one_way["messages"] <= 0.6 * sync["messages"],
+          "one-way RPC does not halve sync RPC's messages")
+    # Broker paradigms relay through a third node: more air traffic than
+    # direct one-way RPC.
+    for broker in ("message-queue", "publish-subscribe"):
+        check(by_paradigm[broker]["bytes_on_air"] > one_way["bytes_on_air"],
+              f"{broker} put fewer bytes on the air than one-way RPC")
+    cached = by_paradigm["shared-objects(reads)"]["bytes_on_air"]
+    check(cached < 0.05 * sync["bytes_on_air"],
+          f"cached shared-object reads cost {cached} bytes on the air")
+    blockers = [row["paradigm"] for row in rows if row["producer_blocks"] == "yes"]
+    check(blockers == ["rpc(sync)"], f"producers that block: {blockers}")
+    return (f"holds (one-way RPC {one_way['bytes_on_air'] / sync['bytes_on_air']:.2f}x "
+            f"sync RPC's bytes, cached reads {sync['bytes_on_air'] / cached:.0f}x "
+            f"cheaper; only sync RPC blocks its producer)")
+
+
+def verdict_streaming(rows: Rows) -> str:
+    continuity = [row["continuity"] for row in rows]
+    check(ascending(continuity), f"continuity {continuity} falls as the buffer grows")
+    check(continuity[-1] > 0.99, f"the roomiest buffer still glitches: {continuity[-1]}")
+    check(rows[0]["glitches"] > rows[-1]["glitches"], "the buffer removed no glitch")
+    check(ascending([row["mean_buffer_wait_s"] for row in rows]),
+          "buffer wait does not grow with playout delay")
+    return (f"holds (continuity {continuity[0]:g} -> {continuity[-1]:g}, glitches "
+            f"{rows[0]['glitches']} -> {rows[-1]['glitches']} as playout delay grows "
+            f"{rows[0]['playout_delay_s']:g} -> {rows[-1]['playout_delay_s']:g} s)")

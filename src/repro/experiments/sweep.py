@@ -12,11 +12,14 @@ CLI::
 
     python -m repro.experiments sweep                 # list sweepables
     python -m repro.experiments sweep milan --seeds 0-3 --workers 4
-    python -m repro.experiments sweep milan adaptation --seeds 0,2,5 --json out.json
+    python -m repro.experiments sweep E2b adaptation --seeds 0,2,5 --json out.json
 
-Only (experiment-name, seed) pairs cross the process boundary; each worker
-re-resolves the callable from :data:`SWEEPABLE` in its own interpreter, so
-registry entries need not be picklable. :func:`fan_out` is the generic
+A sweep word resolves against the experiment table
+(:data:`repro.experiments.table.EXPERIMENTS`): a CLI word stands for each of
+its rows whose ``run`` takes a ``seed``, an id for that row alone, and every
+job is judged by its row's verdict. Only (row-id, seed) pairs cross the
+process boundary; each worker looks the row up again in its own
+interpreter, so rows need not be picklable. :func:`fan_out` is the generic
 pool primitive (processes or threads, order-preserving) that
 ``benchmarks/run_benchmarks.py --jobs N`` reuses to parallelize the bench
 files.
@@ -33,91 +36,12 @@ from concurrent.futures import (
 )
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import workloads
+from repro.errors import ConfigurationError
+from repro.experiments import table
+
 SweepJob = Tuple[str, int]
 SweepOutcome = Dict[str, Any]
-
-
-# --------------------------------------------------------------------------
-# The sweepable registry: name -> callable(seed) -> result rows.
-# Workers look names up here inside the child process.
-# --------------------------------------------------------------------------
-
-
-def _milan(seed: int) -> List[Dict[str, Any]]:
-    from repro.experiments import exp_milan
-
-    return exp_milan.run(seed=seed)
-
-
-def _adaptation(seed: int) -> List[Dict[str, Any]]:
-    from repro.experiments import exp_adaptation
-
-    return exp_adaptation.run(seed=seed)
-
-
-def _figure1(seed: int) -> List[Dict[str, Any]]:
-    from repro.experiments import exp_figure1
-
-    return exp_figure1.run(seed=seed)
-
-
-def _discovery(seed: int) -> List[Dict[str, Any]]:
-    from repro.experiments import exp_discovery
-
-    return exp_discovery.run(seed=seed)
-
-
-def _routing(seed: int) -> List[Dict[str, Any]]:
-    from repro.experiments import exp_routing
-
-    return exp_routing.run(seed=seed)
-
-
-def _spatial(seed: int) -> List[Dict[str, Any]]:
-    from repro.experiments import exp_spatial
-
-    return exp_spatial.run(seed=seed)
-
-
-def _chaos(seed: int) -> List[Dict[str, Any]]:
-    from repro.experiments import exp_chaos
-
-    return exp_chaos.run(seed=seed)
-
-
-def _simtest(seed: int) -> List[Dict[str, Any]]:
-    from repro.experiments import exp_simtest
-
-    return exp_simtest.run(seed=seed)
-
-
-def _selftest(seed: int) -> List[Dict[str, Any]]:
-    """Harness self-test: instant, deterministic, exercises the merge path."""
-    return [{"seed": seed, "square": seed * seed}]
-
-
-def _workloads(seed: int) -> List[Dict[str, Any]]:
-    """Every registered workload scenario, one row each."""
-    from repro import workloads
-
-    return [
-        workloads.sweep_rows(name, seed)
-        for name in workloads.scenario_names()
-    ]
-
-
-SWEEPABLE: Dict[str, Callable[[int], List[Dict[str, Any]]]] = {
-    "milan": _milan,
-    "adaptation": _adaptation,
-    "figure1": _figure1,
-    "discovery": _discovery,
-    "routing": _routing,
-    "spatial": _spatial,
-    "chaos": _chaos,
-    "simtest": _simtest,
-    "selftest": _selftest,
-    "workloads": _workloads,
-}
 
 #: Registered workload scenarios are sweep axes too, addressed as
 #: ``workload:<archetype>:<traffic>`` — one axis per scenario, resolved
@@ -125,15 +49,30 @@ SWEEPABLE: Dict[str, Callable[[int], List[Dict[str, Any]]]] = {
 WORKLOAD_PREFIX = "workload:"
 
 
-def _resolve_sweepable(name: str) -> Callable[[int], List[Dict[str, Any]]]:
-    """Resolve a sweepable name, including dynamic workload-scenario axes."""
-    if name.startswith(WORKLOAD_PREFIX):
-        from repro import workloads
+def sweepable_names() -> List[str]:
+    """Every CLI word with at least one seeded row, in table order."""
+    return list(dict.fromkeys(
+        row.name for row in table.EXPERIMENTS if row.seeded))
 
-        scenario = name[len(WORKLOAD_PREFIX):]
-        workloads.parse_scenario(scenario)  # raises on unknown scenarios
-        return lambda seed: [workloads.sweep_rows(scenario, seed)]
-    return SWEEPABLE[name]
+
+def _job_keys(word: str) -> List[str]:
+    """The job keys a sweep word stands for: a workload axis as it is, a
+    table word as the ids of its seeded rows. Raises ``ValueError`` saying
+    why a word cannot be swept."""
+    if word.startswith(WORKLOAD_PREFIX):
+        try:
+            workloads.parse_scenario(word[len(WORKLOAD_PREFIX):])
+        except ConfigurationError as exc:
+            raise ValueError(f"unknown sweepable {word!r}: {exc}") from None
+        return [word]
+    rows = table.find(word)
+    if not rows:
+        raise ValueError(f"unknown sweepable {word!r}")
+    seeded = [row.id for row in rows if row.seeded]
+    if not seeded:
+        ids = ", ".join(row.id for row in rows)
+        raise ValueError(f"{word!r} cannot be swept: the run of {ids} takes no seed")
+    return seeded
 
 
 # --------------------------------------------------------------------------
@@ -183,24 +122,31 @@ def fan_out(
 
 
 def _run_job(job: SweepJob) -> SweepOutcome:
-    """Worker body: run one (experiment, seed) configuration.
+    """Worker body: run and judge one (row-id or workload axis, seed) job.
 
-    Failures are captured into the outcome rather than raised, so one bad
+    Failures — a run that raises, a verdict that finds its table out of
+    shape — are captured into the outcome rather than raised, so one bad
     configuration cannot tear down the pool or perturb the deterministic
     merge of the others.
     """
-    name, seed = job
+    key, seed = job
     started = time.perf_counter()
+    rows: List[Dict[str, Any]] = []
+    verdict = error = None
     try:
-        rows = _resolve_sweepable(name)(seed)
-        error = None
+        if key.startswith(WORKLOAD_PREFIX):
+            rows = [workloads.sweep_rows(key[len(WORKLOAD_PREFIX):], seed)]
+        else:
+            (row,) = table.find(key)
+            rows = row.run(seed=seed)
+            verdict = row.judge(rows)
     except Exception as exc:  # noqa: BLE001 - reported per-job, not fatal
-        rows = []
         error = f"{type(exc).__name__}: {exc}"
     return {
-        "experiment": name,
+        "experiment": key,
         "seed": seed,
         "rows": rows,
+        "verdict": verdict,
         "error": error,
         "wall_s": round(time.perf_counter() - started, 6),
         "pid": os.getpid(),
@@ -216,24 +162,24 @@ def run_sweep(
 ) -> List[SweepOutcome]:
     """Fan experiments x seeds across a process pool; merge deterministically.
 
-    The outcome list is ordered by (position in ``experiments``, position
-    in ``seeds``) — the submission grid — regardless of worker completion
-    order, so a sweep is reproducible and diffable across worker counts.
+    The outcome list is ordered by (position in ``experiments``, the word's
+    rows in table order, position in ``seeds``) — the submission grid —
+    regardless of worker completion order, so a sweep is reproducible and
+    diffable across worker counts.
     """
-    unknown = []
-    for name in experiments:
+    keys: List[str] = []
+    refused: List[str] = []
+    for word in experiments:
         try:
-            _resolve_sweepable(name)
-        except Exception:  # noqa: BLE001 - unknown name or bad scenario
-            unknown.append(name)
-    if unknown:
+            keys += _job_keys(word)
+        except ValueError as exc:
+            refused.append(str(exc))
+    if refused:
         raise ValueError(
-            f"unknown sweepable(s) {sorted(set(unknown))}; available: "
-            f"{sorted(SWEEPABLE)} plus '{WORKLOAD_PREFIX}<archetype>:<traffic>'"
+            f"{'; '.join(refused)}; available: {sweepable_names()} plus "
+            f"'{WORKLOAD_PREFIX}<archetype>:<traffic>'"
         )
-    jobs: List[SweepJob] = [
-        (name, seed) for name in experiments for seed in seeds
-    ]
+    jobs: List[SweepJob] = [(key, seed) for key in keys for seed in seeds]
     return fan_out(
         jobs, _run_job, max_workers=max_workers,
         use_processes=use_processes, on_result=on_result,

@@ -17,17 +17,27 @@ from repro.transport.base import Address, Scheduler, Transport
 from repro.util.rng import split_rng
 
 
-class _SimScheduler:
-    """Adapts a Simulator to the Scheduler protocol."""
+class SimScheduler:
+    """A :class:`Simulator` as a ``Scheduler``: a node-local view of its clock.
 
-    def __init__(self, sim: Simulator):
+    Both simulated fabrics (this one and :class:`~repro.transport.simnet.
+    SimFabric`) hand these out. ``skew`` models a drifting local timer: a
+    node with ``skew=1.1`` fires its relative timers 10% late (its timer
+    hardware runs slow), one with ``skew=0.9`` fires 10% early. ``now()``
+    stays the shared virtual time — skew affects only where *new* timers
+    land, which is what desynchronizes heartbeat/retransmit/advertisement
+    periods between nodes under chaos.
+    """
+
+    def __init__(self, sim: Simulator, skew: float = 1.0):
         self._sim = sim
+        self.skew = skew
 
     def now(self) -> float:
         return self._sim.now()
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
-        return self._sim.schedule(delay, fn, *args)
+        return self._sim.schedule(delay * self.skew, fn, *args)
 
 
 class InMemoryFabric:
@@ -57,12 +67,9 @@ class InMemoryFabric:
         self.loss_probability = loss_probability
         self._rng = split_rng(seed, "inmemory-fabric")
         self._endpoints: Dict[Address, "InMemoryTransport"] = {}
+        self.scheduler: Scheduler = SimScheduler(self.sim)
         self.messages_dropped = 0
         self.messages_delivered = 0
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return _SimScheduler(self.sim)
 
     def endpoint(self, node: str, port: str = "default") -> "InMemoryTransport":
         """Create (and register) an endpoint for ``node:port``."""

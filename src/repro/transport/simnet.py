@@ -21,7 +21,7 @@ payload is eager bytes or a frame.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ConfigurationError
 from repro.netsim.network import Network
@@ -29,6 +29,7 @@ from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
 from repro.obs.tracing import TRACER
 from repro.transport.base import Address, Scheduler, Transport
+from repro.transport.inmemory import SimScheduler
 
 #: Accounted overhead for the port-demux header (bytes).
 PORT_HEADER_BYTES = 4
@@ -37,34 +38,13 @@ PORT_HEADER_BYTES = 4
 BROADCAST_NODE = BROADCAST
 
 
-class _SimScheduler:
-    """Node-local view of the simulator clock.
-
-    ``skew`` models a drifting local timer: a node with ``skew=1.1`` fires
-    its relative timers 10% late (its timer hardware runs slow), one with
-    ``skew=0.9`` fires 10% early. ``now()`` stays the shared virtual time —
-    skew affects only where *new* timers land, which is what desynchronizes
-    heartbeat/retransmit/advertisement periods between nodes under chaos.
-    """
-
-    def __init__(self, network: Network, skew: float = 1.0):
-        self._sim = network.sim
-        self.skew = skew
-
-    def now(self) -> float:
-        return self._sim.now()
-
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
-        return self._sim.schedule(delay * self.skew, fn, *args)
-
-
 class SimFabric:
     """Binds transport endpoints onto a simulated network."""
 
     def __init__(self, network: Network):
         self.network = network
-        self._scheduler = _SimScheduler(network)
-        self._node_schedulers: Dict[str, _SimScheduler] = {}
+        self._scheduler = SimScheduler(network.sim)
+        self._node_schedulers: Dict[str, SimScheduler] = {}
         # (node_id, port) -> endpoint
         self._endpoints: Dict[Tuple[str, str], "SimTransport"] = {}
         self._dispatching_nodes: Dict[str, Node] = {}
@@ -77,7 +57,7 @@ class SimFabric:
         """The per-node scheduler (shares the fabric clock until skewed)."""
         scheduler = self._node_schedulers.get(node_id)
         if scheduler is None:
-            scheduler = _SimScheduler(self.network)
+            scheduler = SimScheduler(self.network.sim)
             self._node_schedulers[node_id] = scheduler
         return scheduler
 
@@ -92,7 +72,7 @@ class SimFabric:
                 f"clock skew factor must be positive, got {factor!r}"
             )
         scheduler = self.scheduler_for(node_id)
-        assert isinstance(scheduler, _SimScheduler)
+        assert isinstance(scheduler, SimScheduler)
         scheduler.skew = factor
 
     def endpoint(self, node_id: str, port: str = "default") -> "SimTransport":

@@ -1,0 +1,29 @@
+"""The micro-benchmark gate's comparison (``benchmarks/run_benchmarks.py``)."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "run_benchmarks.py"
+spec = importlib.util.spec_from_file_location("run_benchmarks", SCRIPT)
+run_benchmarks = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run_benchmarks)
+
+
+def op(median_ns):
+    return {"median_ns": median_ns, "rounds": 5}
+
+
+def test_a_baseline_op_the_run_lost_is_named_not_skipped():
+    baseline = {"ops": {"kept": op(100.0), "slower": op(100.0),
+                        "renamed_away": op(100.0), "deleted": op(100.0)}}
+    current = {"kept": op(101.0), "slower": op(200.0), "brand_new": op(5.0)}
+    rows, dropped = run_benchmarks.compare(baseline, current, threshold=1.5)
+    assert [(name, bad) for name, _old, _new, _ratio, bad in rows] == [
+        ("kept", False), ("slower", True)]
+    assert dropped == ["deleted", "renamed_away"]
+
+
+def test_nothing_dropped_when_the_run_covers_the_baseline():
+    baseline = {"ops": {"a": op(10.0)}}
+    assert run_benchmarks.compare(baseline, {"a": op(10.0), "b": op(1.0)}, 1.5) == (
+        [("a", 10.0, 10.0, 1.0, False)], [])

@@ -12,10 +12,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import exp_chaos
+from repro.experiments import exp_chaos, table
 
 pytestmark = pytest.mark.chaos
-from repro.experiments.sweep import SWEEPABLE
 from repro.netsim import topology
 from repro.netsim.chaos import (
     FAULT_MIXES,
@@ -219,7 +218,8 @@ class TestExperimentHarness:
         assert "/" in row["hb_detected"]
 
     def test_chaos_is_sweepable(self):
-        assert "chaos" in SWEEPABLE
+        (row,) = table.find("chaos")
+        assert (row.id, row.seeded) == ("E13", True)
 
     def test_cli_smoke_exits_zero(self, tmp_path):
         out = tmp_path / "scorecards.json"

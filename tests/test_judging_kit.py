@@ -337,7 +337,7 @@ def test_one_replay_call_site_and_one_canonical_encoder():
     removed = ("MetricsRecorder", "SeriesPoint", "BACKEND_ENV",
                "PrimaryReplica", "BackupReplica", "ReplicationClient",
                "ShardedSimulation", "set_egress", "egress_relayed",
-               "EgressHook")
+               "EgressHook", "SWEEPABLE")
     root = SRC.parent.parent
     survivors = [(path.relative_to(root).as_posix(), name)
                  for top in ("src", "examples", "benchmarks")

@@ -9,7 +9,7 @@ from repro.errors import AddressError, ConfigurationError, TransportClosedError
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
 from repro.transport.base import Address, RealTimeScheduler
-from repro.transport.inmemory import InMemoryFabric
+from repro.transport.inmemory import InMemoryFabric, SimScheduler
 from repro.transport.simnet import SimFabric
 
 
@@ -177,6 +177,16 @@ class TestSimFabric:
         a = fabric.endpoint("leaf0", "p")
         a.send(Address("leaf1", "unbound"), b"x")
         network.sim.run()  # must not raise
+
+
+def test_a_fabric_holds_one_scheduler(ideal_star):
+    """Both simulated fabrics hand out the same adapter class, and the same
+    instance on every read — a skew set on it is seen by every holder."""
+    for fabric in (InMemoryFabric(), ideal_star[1]):
+        assert fabric.scheduler is fabric.scheduler
+        assert type(fabric.scheduler) is SimScheduler
+        assert (fabric.endpoint("hub", "a").scheduler
+                is fabric.endpoint("hub", "b").scheduler)
 
 
 class TestRealTimeScheduler:

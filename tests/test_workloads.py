@@ -163,9 +163,11 @@ def test_workload_scenario_is_a_sweep_axis():
 
 
 def test_workloads_axis_covers_every_scenario():
-    from repro.experiments.sweep import SWEEPABLE
+    from repro.experiments import table
 
-    assert "workloads" in SWEEPABLE  # the all-scenarios axis exists
+    (row,) = table.find("workloads")  # the all-scenarios axis is a table row
+    assert row.seeded
+    assert [line["scenario"] for line in row.run(seed=0)] == scenario_names()
 
 
 # ------------------------------------------------------- chaos composition
