@@ -5,10 +5,10 @@ middleware platforms" — shows up in two forms here:
 
 * :class:`CodecGateway` — a node standing between two transports whose
   parties speak *different wire formats* (e.g. a binary-codec sensor island
-  and an SML-markup enterprise side). It decodes with one codec, re-encodes
-  with the other, and forwards per an address map. Semantic independence
-  comes from the shared JSON-like value model, exactly the markup argument
-  the paper makes.
+  and an SML-markup enterprise side). It decodes a message dict with one
+  codec, re-encodes it with the other, and forwards per an address map.
+  Semantic independence comes from the shared JSON-like value model,
+  exactly the markup argument the paper makes.
 * :class:`RpcEventBridge` / :class:`PubSubTupleBridge` — *paradigm*
   bridges: RPC callers reach publish/subscribe consumers, and events
   materialize as tuples for tuple-space readers.
@@ -19,20 +19,24 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.interop.codec import Codec, get_codec
-from repro.interop.frames import decode_payload
+from repro.interop.frames import try_decode_dict
 from repro.transactions.pubsub import PubSubClient
 from repro.transactions.rpc import RpcEndpoint
 from repro.transactions.tuplespace import TupleSpaceClient
-from repro.transport.base import Address, Transport
+from repro.transport.base import Address, Transport, drop_malformed
 
 
 class CodecGateway:
     """Bidirectional wire-format translation between two transports.
 
-    ``route_a_to_b`` maps source addresses seen on side A to destinations
-    on side B (and vice versa for ``route_b_to_a``); unmapped sources fall
-    back to the default peer, and traffic with no route is dropped and
-    counted.
+    Like every protocol in the tree it carries message dicts: one arriving
+    on a side is decoded with that side's codec and re-encoded with the
+    other's. ``route_a_to_b`` maps source addresses seen on side A to
+    destinations on side B (and vice versa for ``route_b_to_a``); unmapped
+    sources fall back to the default peer, and traffic with no route is
+    dropped and counted in ``dropped``. A payload that is no message dict
+    in its side's codec is a counted drop (``malformed_frames``), never a
+    raise through the event loop.
     """
 
     def __init__(
@@ -55,6 +59,9 @@ class CodecGateway:
         self.forwarded_a_to_b = 0
         self.forwarded_b_to_a = 0
         self.dropped = 0
+        self.malformed_frames = 0
+        # What drop_malformed counts under: the gateway's own node.
+        self.transport = side_a
         side_a.set_receiver(self._from_a)
         side_b.set_receiver(self._from_b)
 
@@ -69,18 +76,24 @@ class CodecGateway:
         if destination is None:
             self.dropped += 1
             return
-        value = decode_payload(self.codec_a, payload)
+        message = try_decode_dict(self.codec_a, payload)
+        if message is None:
+            drop_malformed(self)
+            return
         self.forwarded_a_to_b += 1
-        self.side_b.send(destination, self.codec_b.encode(value))
+        self.side_b.send(destination, self.codec_b.encode(message))
 
     def _from_b(self, source: Address, payload: bytes) -> None:
         destination = self.route_b_to_a.get(str(source), self.default_a)
         if destination is None:
             self.dropped += 1
             return
-        value = decode_payload(self.codec_b, payload)
+        message = try_decode_dict(self.codec_b, payload)
+        if message is None:
+            drop_malformed(self)
+            return
         self.forwarded_b_to_a += 1
-        self.side_a.send(destination, self.codec_a.encode(value))
+        self.side_a.send(destination, self.codec_a.encode(message))
 
 
 class RpcEventBridge:

@@ -22,7 +22,7 @@ import struct
 from sys import intern
 from typing import Any, Dict, Protocol, runtime_checkable
 
-from repro.errors import CodecError, InteropError
+from repro.errors import CodecError
 from repro.interop import sml
 
 _F64 = struct.Struct(">d")
@@ -95,10 +95,6 @@ def _varint_size(value: int) -> int:
 #: Lazy wire-frame types (registered by :mod:`repro.interop.frames` to avoid
 #: an import cycle); every codec's ``decode`` materializes them first.
 _FRAME_TYPES: tuple = ()
-
-#: Hook installed by :mod:`repro.interop.frames`: extracts the message dict
-#: from a frame object without decoding (see :func:`try_decode_dict`).
-_FRAME_DICT_EXTRACTOR = None
 
 
 # ------------------------------------------------------ the binary walker
@@ -295,13 +291,13 @@ _ROWS = _RowTable({
 })
 
 
-def register_frame_types(types: tuple, extractor) -> None:
+def register_frame_types(types: tuple) -> None:
     """Teach the codec layer about lazy frame types (called once by
     :mod:`repro.interop.frames` at import time): the binary walker treats
-    them as bytes values, materializing their cached encoding on demand."""
-    global _FRAME_TYPES, _FRAME_DICT_EXTRACTOR
+    a nested frame as a bytes value, and every codec's ``decode`` coerces
+    a frame to bytes first, materializing its cached encoding on demand."""
+    global _FRAME_TYPES
     _FRAME_TYPES = types
-    _FRAME_DICT_EXTRACTOR = extractor
     for frame_type in types:
         _ROWS[frame_type] = (_size_bytes, _encode_bytes, bytes)
 
@@ -429,72 +425,6 @@ class BinaryCodec:
     def _need(payload: bytes, offset: int, count: int) -> None:
         if offset + count > len(payload):
             raise CodecError("truncated payload")
-
-
-def _skip_value(payload: bytes, offset: int) -> int:
-    """Offset just past the encoded value starting at ``offset``.
-
-    A structural scan — no Python values are built — used by
-    :func:`splice_int_field` to locate a field inside cached frame bytes.
-    """
-    if offset >= len(payload):
-        raise CodecError("truncated payload")
-    tag = payload[offset:offset + 1]
-    offset += 1
-    if tag in (_T_NONE, _T_TRUE, _T_FALSE):
-        return offset
-    if tag == _T_INT:
-        _, offset = _decode_varint(payload, offset)
-        return offset
-    if tag == _T_FLOAT:
-        BinaryCodec._need(payload, offset, _F64.size)
-        return offset + _F64.size
-    if tag in (_T_STR, _T_BYTES, _T_BIGINT):
-        length, offset = _decode_varint(payload, offset)
-        BinaryCodec._need(payload, offset, length)
-        return offset + length
-    if tag == _T_LIST:
-        count, offset = _decode_varint(payload, offset)
-        for _ in range(count):
-            offset = _skip_value(payload, offset)
-        return offset
-    if tag == _T_DICT:
-        count, offset = _decode_varint(payload, offset)
-        for _ in range(count):
-            key_length, offset = _decode_varint(payload, offset)
-            BinaryCodec._need(payload, offset, key_length)
-            offset += key_length
-            offset = _skip_value(payload, offset)
-        return offset
-    raise CodecError(f"unknown type tag {tag!r} at offset {offset - 1}")
-
-
-def splice_int_field(encoded: bytes, key: str, value: int) -> bytes:
-    """Rewrite one top-level int field of an encoded binary dict in place.
-
-    Returns bytes identical to re-encoding ``{**decode(encoded), key: value}``
-    but touches only the field's varint: everything before and after —
-    including a nested multi-kilobyte payload — is sliced, not re-encoded.
-    This is the routing layer's per-hop TTL patch on the materialization
-    path.
-    """
-    if encoded[:1] != _T_DICT:
-        raise CodecError("splice target is not an encoded dict")
-    count, offset = _decode_varint(encoded, 1)
-    target = key.encode("utf-8")
-    for _ in range(count):
-        key_length, offset = _decode_varint(encoded, offset)
-        BinaryCodec._need(encoded, offset, key_length)
-        field = encoded[offset:offset + key_length]
-        offset += key_length
-        end = _skip_value(encoded, offset)
-        if field == target:
-            if encoded[offset:offset + 1] != _T_INT:
-                raise CodecError(f"field {key!r} is not an int")
-            return (encoded[:offset] + _T_INT
-                    + _encode_varint(_zigzag(value)) + encoded[end:])
-        offset = end
-    raise CodecError(f"field {key!r} not found in encoded dict")
 
 
 class JsonCodec:
@@ -629,31 +559,6 @@ def get_codec(name: str) -> Codec:
         raise CodecError(
             f"unknown codec {name!r}; available: {sorted(_CODECS)}"
         ) from None
-
-
-def try_decode_dict(codec: Codec, payload: bytes) -> "Dict[str, Any] | None":
-    """Decode a frame expected to hold a message dict; ``None`` if malformed.
-
-    Receive paths use this so corrupted or truncated frames (chaos
-    injection, buggy peers) are counted and dropped by the caller instead
-    of unwinding the simulator event loop with a raise.
-
-    When the payload is a lazy :class:`~repro.interop.frames.WireFrame`
-    delivered by reference (same-process fast path), the message dict is
-    extracted with **zero decode** — provided the frame was built for the
-    same wire format; a codec mismatch falls back to materialize-then-decode
-    so cross-format behavior is identical to the eager path.
-    """
-    if not isinstance(payload, (bytes, bytearray)):
-        extractor = _FRAME_DICT_EXTRACTOR
-        if extractor is not None:
-            return extractor(codec, payload)
-        return None
-    try:
-        value = codec.decode(payload)
-    except (InteropError, ValueError, OverflowError):
-        return None
-    return value if isinstance(value, dict) else None
 
 
 def wire_plain(value: Any) -> Any:

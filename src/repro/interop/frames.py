@@ -5,21 +5,19 @@ decode -> dict`` round trip per hop, even though the bytes travel between
 functions in the same process. Now every layer — transport, routing,
 discovery, replication, heartbeats, the interaction styles of
 ``transactions/`` and the location service of ``naming/`` — sends a
-:class:`WireFrame`, which carries the message dict *and* a lazily
-materialized, cached encoding:
+:class:`WireFrame`: an in-process message that holds its dict and a
+lazily materialized, cached encoding.
 
-* built from a message, it encodes only when something genuinely needs
-  bytes (encryption, chaos tampering, the WAL, a real socket, a process
-  boundary) — ``bytes(frame)`` is always bit-identical to
-  ``codec.encode(message)``, enforced by a property test;
+* It encodes only when something genuinely needs bytes (the secure
+  channel, chaos tampering, the WAL, a codec mismatch, a raw
+  ``codec.decode(frame)``) — ``bytes(frame)`` is always bit-identical to
+  ``codec.encode(message)``, enforced by a property test.
 * ``len(frame)`` reports the exact encoded length *without* materializing
   (via :meth:`BinaryCodec.encoded_size`), so ``payload_bytes``-driven
-  serialization delays, energy charges, and byte counters are unchanged;
-* delivered by reference through the in-process fabrics, the receiver's
-  :func:`~repro.interop.codec.try_decode_dict` returns the original dict
-  with zero decode;
-* built from bytes (:meth:`WireFrame.from_bytes`, e.g. after crossing a
-  shard process boundary), the *decode* is the lazy, cached half.
+  serialization delays, energy charges, and byte counters are unchanged.
+* Delivered by reference through the in-process fabrics, the receiver's
+  :func:`try_decode_dict` — the one receive decoder — returns the
+  original dict with zero decode.
 
 :class:`PrefixedFrame` composes a packed binary header (reliable DATA,
 multiplexer channel headers) with a lazy body so mid-stack layers frame
@@ -57,8 +55,6 @@ from repro.interop.codec import (
     Codec,
     get_codec,
     register_frame_types,
-    splice_int_field,
-    try_decode_dict,
 )
 from repro.obs.metrics import get_registry
 
@@ -92,10 +88,9 @@ def _live_counters() -> _Counters:
 
 
 class WireFrame:
-    """A message and its wire encoding, each materialized at most once."""
+    """A message and its wire encoding, materialized at most once."""
 
-    __slots__ = ("codec", "_message", "_encoded", "_length", "_packer",
-                 "_canonical")
+    __slots__ = ("codec", "message", "_encoded", "_length", "_packer")
 
     def __init__(
         self,
@@ -106,49 +101,17 @@ class WireFrame:
         packer: Optional[Callable[[], bytes]] = None,
     ):
         self.codec = codec if codec is not None else get_codec("binary")
-        self._message = message
+        self.message = message
         self._encoded: Optional[bytes] = None
         self._length = length
         self._packer = packer
-        # True when this process built the frame from a message (so cached
-        # lengths/splices may assume our canonical encoding); False when it
-        # was rebuilt from received bytes, whose varints we did not write.
-        self._canonical = True
-
-    @classmethod
-    def from_bytes(cls, encoded: bytes, codec: Optional[Codec] = None) -> "WireFrame":
-        """A frame whose *decode* is the lazy half (cross-process arrivals)."""
-        frame = cls.__new__(cls)
-        frame.codec = codec if codec is not None else get_codec("binary")
-        frame._message = None
-        frame._encoded = bytes(encoded)
-        frame._length = len(encoded)
-        frame._packer = None
-        frame._canonical = False
-        return frame
-
-    # ------------------------------------------------------------ the halves
-
-    @property
-    def message(self) -> Dict[str, Any]:
-        """The message dict; decodes (once) only for bytes-built frames.
-
-        Raises :class:`CodecError` if a bytes-built frame does not decode
-        to a value at all — callers on receive paths go through
-        :func:`~repro.interop.codec.try_decode_dict`, which maps that to a
-        counted drop.
-        """
-        message = self._message
-        if message is None:
-            message = self._message = self.codec.decode(self._encoded)
-        return message
 
     def materialize(self) -> bytes:
         """The encoded bytes — bit-identical to ``codec.encode(message)``."""
         encoded = self._encoded
         if encoded is None:
             packer = self._packer
-            encoded = packer() if packer is not None else self.codec.encode(self._message)
+            encoded = packer() if packer is not None else self.codec.encode(self.message)
             self._encoded = encoded
             self._length = len(encoded)
             _live_counters()["transport.frames.materialized"].value += 1.0
@@ -164,7 +127,7 @@ class WireFrame:
         if length is None:
             sizer = getattr(self.codec, "encoded_size", None)
             if sizer is not None:
-                length = sizer(self._message)
+                length = sizer(self.message)
             else:
                 length = len(self.materialize())
             self._length = length
@@ -176,46 +139,27 @@ class WireFrame:
         length = self._length
         return length if length is not None else self.encoded_length
 
-    # ------------------------------------------------------------ derivation
-
     def derive_int(self, key: str, value: int) -> "WireFrame":
         """A frame for ``{**message, key: value}`` (``key`` must hold an int).
 
-        Reuses this frame's cached work: the derived length is O(1) when
-        ours is known, and if our bytes are already materialized the
-        derived frame's materialization splices the one varint instead of
-        re-encoding the dict — the routing layer's per-hop TTL patch.
+        The derived length is O(1) when ours is known — the routing
+        layer's per-hop TTL patch; its bytes, if anything ever needs them,
+        are a re-encode of the derived dict.
         """
         message = dict(self.message)
         old = message[key]
         if not isinstance(old, int) or isinstance(old, bool):
             raise CodecError(f"derive_int: field {key!r} is not an int")
         message[key] = value
-        derived = WireFrame(message, self.codec)
-        parent_encoded = self._encoded
-        if parent_encoded is not None:
-            derived._packer = lambda: splice_int_field(parent_encoded, key, value)
-        if self._canonical and self._length is not None:
-            derived._length = (self._length
-                               - _varint_size(_zigzag(old))
-                               + _varint_size(_zigzag(value)))
-        return derived
-
-    # -------------------------------------------------------------- plumbing
-
-    def __reduce__(self):
-        # Pickling forces materialization; the copy is a bytes-backed
-        # frame whose decode is lazy, so it behaves as the frame
-        # delivered in-process does.
-        return (_rebuild_frame, (self.codec, self.materialize()))
+        length = self._length
+        if length is not None:
+            length = (length - _varint_size(_zigzag(old))
+                      + _varint_size(_zigzag(value)))
+        return WireFrame(message, self.codec, length=length)
 
     def __repr__(self) -> str:
         state = "encoded" if self._encoded is not None else "lazy"
         return f"<WireFrame {self.codec.name} {state} len={self.encoded_length}>"
-
-
-def _rebuild_frame(codec: Codec, encoded: bytes) -> WireFrame:
-    return WireFrame.from_bytes(encoded, codec)
 
 
 class PrefixedFrame:
@@ -243,9 +187,6 @@ class PrefixedFrame:
     def __len__(self) -> int:
         return len(self.prefix) + len(self.body)
 
-    def __reduce__(self):
-        return (bytes, (bytes(self),))
-
     def __repr__(self) -> str:
         return f"<PrefixedFrame {len(self.prefix)}+{len(self.body)}B>"
 
@@ -257,13 +198,6 @@ FramePayload = Union[bytes, bytearray, WireFrame, PrefixedFrame]
 
 def is_frame(payload: Any) -> bool:
     return isinstance(payload, FRAME_TYPES)
-
-
-def frame_bytes(payload: FramePayload) -> bytes:
-    """Real bytes for edges that need them (crypto, WAL, sockets, chaos)."""
-    if isinstance(payload, bytes):
-        return payload
-    return bytes(payload)
 
 
 def split_frame(payload: FramePayload, header_size: int):
@@ -283,54 +217,40 @@ def split_frame(payload: FramePayload, header_size: int):
     return payload[:header_size], payload[header_size:]
 
 
-def decode_payload(codec: Codec, payload: FramePayload) -> Any:
-    """Codec-decode that short-circuits reference-passed frames.
+def try_decode_dict(codec: Codec, payload: Any) -> Optional[Dict[str, Any]]:
+    """The message dict a received payload holds; ``None`` if malformed.
 
-    The raising twin of :func:`~repro.interop.codec.try_decode_dict`, for
-    receive paths that predate the count-and-drop convention.
+    The one receive decoder: corrupted or truncated frames (chaos
+    injection, buggy peers) are counted and dropped by the caller instead
+    of unwinding the simulator event loop with a raise. A
+    :class:`WireFrame` of ``codec``'s wire format delivered by reference
+    *is* its dict — zero decode. Anything else is decoded from real bytes;
+    a frame of another wire format is materialized first, so the receiver
+    sees this codec's view of the sender's bytes, as on a real wire.
     """
     if isinstance(payload, WireFrame):
         if payload.codec.name == codec.name:
-            skipped = payload._encoded is None
             message = payload.message
             counters = _live_counters()
-            if skipped:
-                counters["codec.encode_skipped"].value += 1.0
-            counters["transport.frames.passthrough"].value += 1.0
-            return message
-        payload = payload.materialize()
-    elif isinstance(payload, PrefixedFrame):
-        payload = bytes(payload)
-    return codec.decode(payload)
-
-
-def _extract_dict(codec: Codec, payload: Any) -> Optional[Dict[str, Any]]:
-    """The non-bytes arm of ``try_decode_dict`` (installed as a codec hook)."""
-    if isinstance(payload, WireFrame):
-        if payload.codec.name == codec.name:
-            skipped = payload._encoded is None
-            message = payload._message
-            if message is None:  # bytes-built frame: decode is the lazy half
-                try:
-                    message = payload.message
-                except (InteropError, ValueError, OverflowError):
-                    return None
-            counters = _live_counters()
-            if skipped:
+            if payload._encoded is None:
                 counters["codec.encode_skipped"].value += 1.0
             if not isinstance(message, dict):
                 return None
             counters["transport.frames.passthrough"].value += 1.0
             return message
-        # Wire-format mismatch: behave exactly like the eager path — the
-        # receiver sees this codec's view of the sender's real bytes.
-        return try_decode_dict(codec, payload.materialize())
-    if isinstance(payload, PrefixedFrame):
-        return try_decode_dict(codec, bytes(payload))
-    return None
+        payload = payload.materialize()
+    elif isinstance(payload, PrefixedFrame):
+        payload = bytes(payload)
+    elif not isinstance(payload, (bytes, bytearray)):
+        return None
+    try:
+        value = codec.decode(payload)
+    except (InteropError, ValueError, OverflowError):
+        return None
+    return value if isinstance(value, dict) else None
 
 
-register_frame_types(FRAME_TYPES, _extract_dict)
+register_frame_types(FRAME_TYPES)
 
 
 class TailIntPacker:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, MiddlewareError, NoRouteError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
-from repro.interop.frames import FRAME_TYPES, WireFrame
+from repro.interop.codec import Codec, get_codec
+from repro.interop.frames import FRAME_TYPES, WireFrame, try_decode_dict
 from repro.obs.tracing import TRACER, SpanContext
 from repro.transport.base import Address, Scheduler, Transport
 from repro.transport.simnet import BROADCAST_NODE, SimFabric, SimTransport
@@ -57,7 +57,7 @@ class Envelope:
     )
     # In-memory only: the lazy frame this envelope arrived as, when its wire
     # dict is known to round-trip through to_dict() byte-for-byte. Lets a
-    # forward patch just the ttl varint instead of re-encoding the dict.
+    # forward derive the next frame (ttl patched, length O(1)) from it.
     wire: Optional[WireFrame] = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -377,9 +377,10 @@ class RoutingAgent:
         ``envelope.to_dict()`` would reproduce the received dict exactly:
         canonical key order, addresses that re-stringify identically
         (``source``/``destination`` are the parsed addresses' ``str()``),
-        and a ttl that an int-field splice can rewrite. Anything else
-        returns None, falling back to the full re-encode — exactly the
-        pre-frame behavior (including its silent dropping of unknown keys).
+        and a non-negative 64-bit ttl whose varint ``derive_int`` can size.
+        Anything else returns None, falling back to the full re-encode —
+        exactly the pre-frame behavior (including its silent dropping of
+        unknown keys).
         """
         keys = tuple(message)
         if keys != self._WIRE_KEYS and keys != self._WIRE_KEYS_R:

@@ -31,8 +31,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError, DeliveryError, MiddlewareError
-from repro.interop.codec import Codec, get_codec, try_decode_dict
-from repro.interop.frames import WireFrame
+from repro.interop.codec import Codec, get_codec
+from repro.interop.frames import WireFrame, try_decode_dict
 from repro.transport.base import Address, Transport, drop_malformed
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise

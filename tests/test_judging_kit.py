@@ -326,7 +326,10 @@ def test_one_replay_call_site_and_one_canonical_encoder():
 
     # The superseded copies (second replication layer, second metrics API,
     # trace shim, backend env switch, second _pick) and the driverless
-    # sharded simulator with its medium hook cannot creep back.
+    # sharded simulator with its medium hook, its bytes-built and pickled
+    # frames, the corruptor-only splice path and the second and third
+    # receive decoders cannot creep back. ``def frame_bytes``, not the bare
+    # name: ``StreamingSource`` has a ``frame_bytes`` parameter.
     texts = sources()
     reads_env = [name for name, text in texts.items()
                  if "os.environ" in text or "getenv" in text]
@@ -337,7 +340,9 @@ def test_one_replay_call_site_and_one_canonical_encoder():
     removed = ("MetricsRecorder", "SeriesPoint", "BACKEND_ENV",
                "PrimaryReplica", "BackupReplica", "ReplicationClient",
                "ShardedSimulation", "set_egress", "egress_relayed",
-               "EgressHook", "SWEEPABLE")
+               "EgressHook", "SWEEPABLE", "WireFrame.from_bytes",
+               "decode_payload", "splice_int_field", "_skip_value",
+               "def frame_bytes", "_FRAME_DICT_EXTRACTOR", "_rebuild_frame")
     root = SRC.parent.parent
     survivors = [(path.relative_to(root).as_posix(), name)
                  for top in ("src", "examples", "benchmarks")
@@ -362,10 +367,11 @@ def test_one_receive_skeleton_under_every_protocol():
 
     assert where("try_decode_dict(", outside="interop/") == [
         "routing/base.py", "transport/endpoint.py"]
+    assert where("def try_decode_dict") == ["interop/frames.py"]
+    assert texts["interop/frames.py"].count("def try_decode_dict") == 1
     assert where("malformed_frames += 1", outside="transport/") == []
     assert where("def _on_message") == ["transport/endpoint.py"]
     assert texts["transport/endpoint.py"].count("def _on_message") == 1
-    assert "decode_payload(" not in texts["routing/datacentric.py"]
     one_line_send = re.compile(
         r"def (?:_send|_reply)\(self[^)]*\)[^:]*:\n"
         r"\s+self\.transport\.send\([^\n]*WireFrame\([^\n]*self\.codec\)\)\n")

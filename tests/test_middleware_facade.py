@@ -8,6 +8,7 @@ from repro.interop.bridge import CodecGateway, PubSubTupleBridge, RpcEventBridge
 from repro.interop.codec import get_codec
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
+from repro.obs.metrics import get_registry
 from repro.routing.linkstate import LinkStateRouter
 from repro.transactions.pubsub import PubSubBroker, PubSubClient
 from repro.transactions.rpc import RpcEndpoint
@@ -147,6 +148,29 @@ class TestCodecGateway:
         fabric.run()
         assert received == [("sml", {"op": "hello"}), ("binary", {"op": "reply"})]
         assert gateway.forwarded_a_to_b == 1 and gateway.forwarded_b_to_a == 1
+
+    def test_garbage_is_a_counted_drop_not_a_raise(self):
+        fabric = InMemoryFabric(latency_s=0.01)
+        island = fabric.endpoint("island", "app")
+        enterprise = fabric.endpoint("enterprise", "app")
+        gateway = CodecGateway(
+            fabric.endpoint("gw", "a"), fabric.endpoint("gw", "b"),
+            default_b=Address("enterprise", "app"),
+        )
+        sml, binary = get_codec("sml"), get_codec("binary")
+        received = []
+        enterprise.set_receiver(
+            lambda src, data: received.append(sml.decode(data)))
+        registry = get_registry()
+        malformed = registry.counter_total("transport.malformed")
+        island.send(Address("gw", "a"), b"\xff\x00 not a frame")
+        island.send(Address("gw", "a"), binary.encode([1, 2]))  # no dict
+        island.send(Address("gw", "a"), binary.encode({"op": "hello"}))
+        fabric.run()
+        assert received == [{"op": "hello"}]
+        assert gateway.malformed_frames == 2
+        assert registry.counter_total("transport.malformed") == malformed + 2
+        assert gateway.forwarded_a_to_b == 1 and gateway.dropped == 0
 
     def test_unrouted_traffic_dropped(self):
         fabric = InMemoryFabric()

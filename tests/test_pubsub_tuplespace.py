@@ -3,7 +3,8 @@
 import pytest
 
 from repro.discovery.matching import AttributeConstraint
-from repro.interop.codec import get_codec, try_decode_dict
+from repro.interop.codec import get_codec
+from repro.interop.frames import try_decode_dict
 from repro.obs.metrics import get_registry
 from repro.transactions.pubsub import PubSubBroker, PubSubClient, topic_matches
 from repro.transactions.sharedobjects import SharedObjectCache, SharedObjectHost

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import CodecError, MiddlewareError
-from repro.interop.codec import get_codec, try_decode_dict
-from repro.interop.frames import PrefixedFrame, WireFrame, is_frame
+from repro.interop.codec import get_codec
+from repro.interop.frames import PrefixedFrame, WireFrame, is_frame, try_decode_dict
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
 from repro.routing.base import Envelope, RoutingAgent
@@ -86,8 +86,7 @@ def in_form(form: str, header):
         frame = WireFrame(header, codec)
         frame.materialize()  # must be sendable at all
         return frame
-    encoded = BINARY.encode(header)
-    return encoded if form == "bytes" else WireFrame.from_bytes(encoded, BINARY)
+    return BINARY.encode(header)
 
 
 class World:
@@ -178,7 +177,7 @@ class World:
         return [("forward", next_hop, encoded)], (0, 1)
 
 
-_FORMS = ["frame", "frame-from-bytes", "bytes", "json-frame"]
+_FORMS = ["frame", "bytes", "json-frame"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -194,7 +193,7 @@ def test_agent_agrees_with_the_old_order(header, form, primed):
     frames += [(form, header), (form, header)]
     for each_form, each_header in frames:
         try:
-            # One payload object each: decoding a bytes-built frame caches.
+            # One payload object each: materializing a frame caches.
             payload, twin = (in_form(each_form, each_header) for _ in "ab")
         except CodecError:
             assume(False)  # not expressible in this form (JSON bytes, ...)

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro
-from repro.interop.codec import BinaryCodec, get_codec, try_decode_dict
+from repro.interop.codec import BinaryCodec, get_codec
+from repro.interop.frames import try_decode_dict
 from repro.obs.metrics import get_registry
 from repro.transactions.agents import AgentHost
 from repro.transactions.messaging import MessageBroker, MessagingClient

@@ -4,11 +4,10 @@ The load-bearing guarantee is that laziness is *unobservable* on the wire:
 ``bytes(WireFrame(v))`` must be bit-identical to the eager
 ``BinaryCodec().encode(v)`` on an arbitrary value corpus, lengths must be
 exact without materializing, and every edge that genuinely needs bytes
-(crypto, chaos corruption, the WAL, pickling) must keep receiving them.
+(crypto, chaos corruption, the WAL) must keep receiving them.
 """
 
 import enum
-import pickle
 from collections import OrderedDict, namedtuple
 
 import pytest
@@ -22,24 +21,23 @@ from repro.interop.codec import (
     BinaryCodec,
     get_codec,
     JsonCodec,
-    splice_int_field,
-    try_decode_dict,
     wire_plain,
 )
 from repro.interop.frames import (
-    decode_payload,
     is_frame,
     PrefixedFrame,
     split_frame,
     TailIntPacker,
+    try_decode_dict,
     WireFrame,
 )
 from repro.netsim import topology
 from repro.netsim.failures import FrameCorruptor
+from repro.netsim.medium import IDEAL_RADIO
 from repro.netsim.packet import Packet
 from repro.obs.metrics import get_registry
 from repro.recovery.wal import StableStorage
-from repro.routing.base import build_routed_network
+from repro.routing.base import RoutingAgent, build_routed_network
 from repro.routing.flooding import FloodingRouter
 from repro.transport.base import Address
 from repro.transport.endpoint import MessageEndpoint
@@ -94,29 +92,9 @@ class TestWireFrameIdentity:
             codec.encode(value)
         )
 
-    @given(json_values)
-    @settings(max_examples=100)
-    def test_from_bytes_is_lazy_then_cached(self, value):
-        codec = BinaryCodec()
-        frame = WireFrame.from_bytes(codec.encode(value), codec)
-        assert frame._message is None
-        decoded = frame.message
-        assert decoded == codec.decode(codec.encode(value))
-        assert frame.message is frame._message  # cached, decoded once
-        assert len(frame) == len(codec.encode(value))
-
     def test_materialization_cached(self):
         frame = WireFrame({"a": 1}, BinaryCodec())
         assert bytes(frame) is bytes(frame)
-
-    def test_pickle_round_trip_yields_bytes_backed_frame(self):
-        codec = BinaryCodec()
-        frame = WireFrame({"op": "hb", "seq": 7}, codec)
-        clone = pickle.loads(pickle.dumps(frame))
-        assert isinstance(clone, WireFrame)
-        assert clone._message is None  # decode stays lazy on the far side
-        assert bytes(clone) == bytes(frame)
-        assert clone.message == frame.message
 
     def test_repr_does_not_materialize_message(self):
         frame = WireFrame({"a": 1}, BinaryCodec())
@@ -302,13 +280,19 @@ class TestDeriveInt:
     )
     @settings(max_examples=100)
     def test_splices_when_parent_materialized(self, base, old, new):
+        # Derived from a parent whose bytes exist (the corruptor forced
+        # them), a frame knows its exact length without encoding and, when
+        # asked, re-encodes its own dict; the parent's bytes stay as cached.
         codec = BinaryCodec()
         message = {**base, "t": old}
         frame = WireFrame(message, codec)
         parent_bytes = bytes(frame)
         derived = frame.derive_int("t", new)
-        assert bytes(derived) == splice_int_field(parent_bytes, "t", new)
-        assert bytes(derived) == codec.encode({**message, "t": new})
+        expected = codec.encode({**message, "t": new})
+        assert len(derived) == len(expected)
+        assert derived._encoded is None
+        assert bytes(derived) == expected
+        assert frame._encoded is parent_bytes == codec.encode(message)
 
     def test_rejects_non_int_field(self):
         frame = WireFrame({"t": "nope"}, BinaryCodec())
@@ -373,10 +357,6 @@ class TestPrefixedFrame:
         header, rest = split_frame(b"xy", 4)
         assert header is None and rest == b"xy"
 
-    def test_pickles_as_bytes(self):
-        frame = PrefixedFrame(b"H", WireFrame([1, 2], BinaryCodec()))
-        assert pickle.loads(pickle.dumps(frame)) == bytes(frame)
-
     def test_is_frame(self):
         assert is_frame(WireFrame({}, BinaryCodec()))
         assert is_frame(PrefixedFrame(b"", b""))
@@ -397,12 +377,6 @@ class TestPassthrough:
         assert registry.counter_total("transport.frames.passthrough") == passthrough + 1
         assert registry.counter_total("codec.encode_skipped") == skipped + 1
 
-    def test_decode_payload_passthrough_and_raw_bytes(self):
-        codec = BinaryCodec()
-        message = {"op": "x"}
-        assert decode_payload(codec, WireFrame(message, codec)) is message
-        assert decode_payload(codec, codec.encode(message)) == message
-
     def test_codec_mismatch_materializes_real_bytes(self):
         binary, json_codec = BinaryCodec(), JsonCodec()
         frame = WireFrame({"a": 1}, binary)
@@ -411,7 +385,7 @@ class TestPassthrough:
         assert try_decode_dict(json_codec, frame) is None
         assert frame._encoded is not None
         json_frame = WireFrame({"a": 1}, json_codec)
-        assert decode_payload(json_codec, json_frame) is json_frame._message
+        assert try_decode_dict(json_codec, json_frame) is json_frame.message
 
     def test_raw_decode_coerces_frames(self):
         # Receivers that call codec.decode() directly on a transport payload
@@ -449,6 +423,9 @@ class TestPassthrough:
 
 
 class _Taker(MessageEndpoint):
+    # "c", the op field a routing agent reads as control traffic, so one
+    # message reaches a handler through either receiver.
+    OP_FIELD = "c"
     OPS = {"x": ({"n": int}, "_on_x")}
 
     def __init__(self, transport):
@@ -459,7 +436,7 @@ class _Taker(MessageEndpoint):
         self.taken.append(message)
 
 
-_X = {"op": "x", "n": 3}
+_X = {"c": "x", "n": 3}
 
 
 def _encoded_frame(message):
@@ -468,56 +445,83 @@ def _encoded_frame(message):
     return frame
 
 
-#: What can arrive at an endpoint, by how it was built; the endpoint's own
-#: codec is the registry's binary singleton, ``BinaryCodec()`` is not it.
+#: What can arrive, by how it was built: ``(build, the message the one
+#: decoder yields or None for a drop, the counts it adds to _FRAME_COUNTERS)``.
+#: The receivers' codec is the registry's binary singleton, ``BinaryCodec()``
+#: is not it.
 ARRIVALS = {
-    "reference-lazy": lambda: WireFrame(dict(_X), get_codec("binary")),
-    "reference-lazy-fresh-codec": lambda: WireFrame(dict(_X), BinaryCodec()),
-    "reference-encoded": lambda: _encoded_frame(dict(_X)),
-    "dict-subclass": lambda: WireFrame(OrderedDict(_X), BinaryCodec()),
-    "bytes-built": lambda: WireFrame.from_bytes(
-        BinaryCodec().encode(_X), BinaryCodec()),
-    "bytes-built-garbage": lambda: WireFrame.from_bytes(
-        b"\xff\x00", BinaryCodec()),
-    "bytes": lambda: BinaryCodec().encode(_X),
-    "prefixed": lambda: PrefixedFrame(b"", WireFrame(dict(_X), BinaryCodec())),
-    "cross-codec": lambda: WireFrame(dict(_X), JsonCodec()),
-    "not-a-dict": lambda: WireFrame([1, 2, 3], BinaryCodec()),
-    "not-a-dict-encoded": lambda: _encoded_frame(7),
+    "reference-lazy": (
+        lambda: WireFrame(dict(_X), get_codec("binary")), _X, (1, 1, 0)),
+    "reference-lazy-fresh-codec": (
+        lambda: WireFrame(dict(_X), BinaryCodec()), _X, (1, 1, 0)),
+    "reference-encoded": (lambda: _encoded_frame(dict(_X)), _X, (0, 1, 0)),
+    "dict-subclass": (
+        lambda: WireFrame(OrderedDict(_X), BinaryCodec()), _X, (1, 1, 0)),
+    "bytes": (lambda: BinaryCodec().encode(_X), _X, (0, 0, 0)),
+    "garbage": (lambda: b"\xff\x00", None, (0, 0, 0)),
+    "prefixed": (
+        lambda: PrefixedFrame(b"", WireFrame(dict(_X), BinaryCodec())),
+        _X, (0, 0, 1)),
+    "cross-codec": (lambda: WireFrame(dict(_X), JsonCodec()), None, (0, 0, 1)),
+    "not-a-dict": (
+        lambda: WireFrame([1, 2, 3], BinaryCodec()), None, (1, 0, 0)),
+    "not-a-dict-encoded": (lambda: _encoded_frame(7), None, (0, 0, 0)),
 }
 _FRAME_COUNTERS = ("codec.encode_skipped", "transport.frames.passthrough",
                    "transport.frames.materialized")
 
 
+def _arrive(receive, arrival):
+    """Hand one built payload to ``receive``; the frame counters it added,
+    and the names of the counters that exist afterwards."""
+    payload = ARRIVALS[arrival][0]()
+    registry = get_registry()
+    registry.reset()
+    receive(Address("peer", "p"), payload)
+    return (tuple(registry.counter_total(name) for name in _FRAME_COUNTERS),
+            {counter.name for counter in registry.counters()})
+
+
+def _bumped(counts):
+    # A counter is created by its first bump, never earlier.
+    return {name for name, count in zip(_FRAME_COUNTERS, counts) if count}
+
+
 class TestEndpointArrivals:
-    """Whatever shape a frame arrives in, ``MessageEndpoint._on_message``
-    hands its handler the message, and leaves the frame counters, that
-    ``try_decode_dict`` gives for it; what does not decode to a dict is one
-    counted drop."""
+    """Whatever shape a frame arrives in, the message endpoint and the
+    routing agent — both calling the one decoder — hand on the message, and
+    add to the frame counters, that the table says; what does not decode to
+    a dict is one drop."""
 
     @pytest.mark.parametrize("arrival", ARRIVALS)
     def test_message_and_counters_match_try_decode_dict(self, arrival):
-        registry = get_registry()
+        _build, message, counts = ARRIVALS[arrival]
         endpoint = _Taker(InMemoryFabric().endpoint("n", "p"))
-        registry.reset()
-        expected = try_decode_dict(endpoint.codec, ARRIVALS[arrival]())
-        reference = {name: registry.counter_total(name)
-                     for name in _FRAME_COUNTERS}
-        created = {counter.name for counter in registry.counters()}
-        registry.reset()
-
-        endpoint._on_message(Address("peer", "p"), ARRIVALS[arrival]())
-
-        assert {name: registry.counter_total(name)
-                for name in _FRAME_COUNTERS} == reference
-        if expected is None:  # a counted drop
+        added, created = _arrive(endpoint._on_message, arrival)
+        assert added == counts
+        if message is None:  # a counted drop
             assert endpoint.taken == [] and endpoint.malformed_frames == 1
-            assert registry.counter_total("transport.malformed") == 1
+            assert get_registry().counter_total("transport.malformed") == 1
+            assert created == _bumped(counts) | {"transport.malformed"}
         else:
-            assert endpoint.taken == [expected] == [_X]
+            assert endpoint.taken == [message]
             assert endpoint.malformed_frames == 0
-            # A counter is created by its first bump, never earlier.
-            assert {c.name for c in registry.counters()} == created
+            assert created == _bumped(counts)
+
+    @pytest.mark.parametrize("arrival", ARRIVALS)
+    def test_routing_agent_answers_to_the_same_table(self, arrival):
+        _build, message, counts = ARRIVALS[arrival]
+        network = topology.star(2, radius=40, radio_profile=IDEAL_RADIO)
+        agent = RoutingAgent(SimFabric(network), "hub", FloodingRouter())
+        taken = []
+        agent.router.handle_control = lambda source, control: taken.append(
+            control)
+        added, created = _arrive(agent._on_frame, arrival)
+        assert added == counts and created == _bumped(counts)
+        if message is None:
+            assert taken == [] and agent.dropped == {"malformed": 1}
+        else:
+            assert taken == [message] and agent.dropped == {}
 
     def test_reference_frame_hands_over_the_senders_own_dict(self):
         endpoint = _Taker(InMemoryFabric().endpoint("n", "p"))
