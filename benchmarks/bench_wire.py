@@ -12,8 +12,6 @@ The pytest-benchmark ops feed the BENCH_micro.json perf trajectory:
 
 * ``test_wire_flood_chain_lazy`` — end-to-end chain throughput on the
   zero-copy path (the number the gate protects);
-* ``test_wire_beacon_packing`` — compiled heartbeat packer vs per-beat
-  dict encode;
 * ``test_wire_replication_fanout`` — encode-once append fan-out vs
   re-encoding per backup;
 * ``test_wire_encoded_size[...]`` — the sizing walk, which is all the codec
@@ -28,7 +26,7 @@ from conftest import emit
 
 from repro.experiments import format_table
 from repro.interop.codec import BinaryCodec
-from repro.interop.frames import TailIntPacker, WireFrame
+from repro.interop.frames import WireFrame
 from repro.netsim import topology
 from repro.netsim.medium import RadioProfile
 from repro.routing.base import RoutingAgent
@@ -139,23 +137,6 @@ def test_wire_flood_chain_lazy(benchmark):
 
     # Flood dedup: every node broadcasts each message exactly once.
     assert benchmark(chain) == _CHAIN_NODES * 10
-
-
-def test_wire_beacon_packing(benchmark):
-    codec = BinaryCodec()
-    packer = TailIntPacker(codec, {"op": "hb", "from": "node-17"}, "seq")
-
-    def beat_century(start=0):
-        total = 0
-        for seq in range(start, start + 100):
-            total += len(bytes(packer.frame(seq)))
-        return total
-
-    eager = sum(
-        len(codec.encode({"op": "hb", "from": "node-17", "seq": seq}))
-        for seq in range(100)
-    )
-    assert benchmark(beat_century) == eager
 
 
 def test_wire_replication_fanout(benchmark):

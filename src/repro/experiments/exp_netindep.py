@@ -66,8 +66,8 @@ def _application(server_transport: Transport, client_transport: Transport,
 def _stacks(fabric, spec: StackSpec, server: str = "server",
             client: str = "client") -> Tuple[Transport, Transport]:
     """The two sides' ``svc`` endpoints, each under the stack ``spec`` names."""
-    return (build_stack(fabric.endpoint(server, "svc"), spec).top,
-            build_stack(fabric.endpoint(client, "svc"), spec).top)
+    return (build_stack(fabric.endpoint(server, "svc"), spec),
+            build_stack(fabric.endpoint(client, "svc"), spec))
 
 
 def run_inmemory() -> Dict[str, Any]:

@@ -17,7 +17,7 @@ tradeoff:
 """
 
 from repro.interop.codec import BinaryCodec, Codec, JsonCodec, SmlCodec, get_codec
-from repro.interop.frames import PrefixedFrame, TailIntPacker, WireFrame
+from repro.interop.frames import PrefixedFrame, WireFrame
 from repro.interop.schema import FieldSpec, InterfaceSchema, MessageSchema, OperationSpec
 from repro.interop.sml import SmlElement, parse, serialize
 
@@ -28,7 +28,6 @@ __all__ = [
     "SmlCodec",
     "get_codec",
     "PrefixedFrame",
-    "TailIntPacker",
     "WireFrame",
     "FieldSpec",
     "InterfaceSchema",

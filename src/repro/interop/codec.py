@@ -92,11 +92,6 @@ def _varint_size(value: int) -> int:
     return max(1, (value.bit_length() + 6) // 7)
 
 
-#: Lazy wire-frame types (registered by :mod:`repro.interop.frames` to avoid
-#: an import cycle); every codec's ``decode`` materializes them first.
-_FRAME_TYPES: tuple = ()
-
-
 # ------------------------------------------------------ the binary walker
 #
 # One row per value type: ``(size, encode, plain)``. ``size(value)`` is
@@ -292,12 +287,9 @@ _ROWS = _RowTable({
 
 
 def register_frame_types(types: tuple) -> None:
-    """Teach the codec layer about lazy frame types (called once by
-    :mod:`repro.interop.frames` at import time): the binary walker treats
-    a nested frame as a bytes value, and every codec's ``decode`` coerces
-    a frame to bytes first, materializing its cached encoding on demand."""
-    global _FRAME_TYPES
-    _FRAME_TYPES = types
+    """Teach the binary walker about lazy frame types (called once by
+    :mod:`repro.interop.frames` at import time, which avoids an import
+    cycle): a nested frame is a bytes value, materialized on demand."""
     for frame_type in types:
         _ROWS[frame_type] = (_size_bytes, _encode_bytes, bytes)
 
@@ -353,8 +345,6 @@ class BinaryCodec:
             raise CodecError(f"cannot binary-encode {type(value).__name__}: {exc}") from exc
 
     def decode(self, payload: bytes) -> Any:
-        if _FRAME_TYPES and isinstance(payload, _FRAME_TYPES):
-            payload = bytes(payload)
         value, offset = self._decode_from(payload, 0)
         if offset != len(payload):
             raise CodecError(f"{len(payload) - offset} trailing bytes after value")
@@ -447,8 +437,6 @@ class JsonCodec:
             raise CodecError(f"cannot JSON-encode: {exc}") from exc
 
     def decode(self, payload: bytes) -> Any:
-        if _FRAME_TYPES and isinstance(payload, _FRAME_TYPES):
-            payload = bytes(payload)
         try:
             return json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -469,8 +457,6 @@ class SmlCodec:
         return sml.serialize(self._to_element(value)).encode("utf-8")
 
     def decode(self, payload: bytes) -> Any:
-        if _FRAME_TYPES and isinstance(payload, _FRAME_TYPES):
-            payload = bytes(payload)
         try:
             root = sml.parse(payload.decode("utf-8"))
         except UnicodeDecodeError as exc:

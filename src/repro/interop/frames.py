@@ -9,9 +9,9 @@ discovery, replication, heartbeats, the interaction styles of
 lazily materialized, cached encoding.
 
 * It encodes only when something genuinely needs bytes (the secure
-  channel, chaos tampering, the WAL, a codec mismatch, a raw
-  ``codec.decode(frame)``) — ``bytes(frame)`` is always bit-identical to
-  ``codec.encode(message)``, enforced by a property test.
+  channel, chaos tampering, the WAL, a codec mismatch) —
+  ``bytes(frame)`` is always bit-identical to ``codec.encode(message)``,
+  enforced by a property test.
 * ``len(frame)`` reports the exact encoded length *without* materializing
   (via :meth:`BinaryCodec.encoded_size`), so ``payload_bytes``-driven
   serialization delays, energy charges, and byte counters are unchanged.
@@ -19,12 +19,9 @@ lazily materialized, cached encoding.
   :func:`try_decode_dict` — the one receive decoder — returns the
   original dict with zero decode.
 
-:class:`PrefixedFrame` composes a packed binary header (reliable DATA,
-multiplexer channel headers) with a lazy body so mid-stack layers frame
-without forcing the body's encoding, and :class:`TailIntPacker` is a
-compiled packer for fixed-schema beacons whose only varying field is a
-trailing int (heartbeats): the constant prefix is encoded once per
-configuration and each beat appends one varint.
+:class:`PrefixedFrame` composes the packed reliable DATA header with a
+lazy body, so the reliability layer frames without forcing the body's
+encoding.
 
 Contract for receivers: a message dict extracted from a reference-passed
 frame is shared with the sender (and every other receiver of a broadcast).
@@ -35,23 +32,17 @@ body, a stored tuple) goes through
 :func:`~repro.interop.codec.wire_plain` first, so the application holds
 what bytes on a wire would have produced, never the sender's own object.
 
-Observability: ``transport.frames.passthrough`` counts zero-decode dict
-extractions, ``transport.frames.materialized`` counts forced encodes, and
-``codec.encode_skipped`` counts frames consumed without their encode ever
-having run.
+Observability: ``transport.frames.materialized`` counts forced encodes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.errors import CodecError, InteropError
 from repro.interop.codec import (
-    _T_INT,
-    _encode_varint,
     _varint_size,
     _zigzag,
-    BinaryCodec,
     Codec,
     get_codec,
     register_frame_types,
@@ -59,38 +50,10 @@ from repro.interop.codec import (
 from repro.obs.metrics import get_registry
 
 
-# Frame counters fire on every zero-copy hop, so the registry lookup
-# (label-key build + dict probe) is cached per (registry, generation) — a
-# registry.reset() orphans instruments, which the generation detects. One
-# validity check serves every counter a hop bumps, and a bump is
-# ``_live_counters()[name].value += 1.0``. A counter is still created by
-# its first bump, never earlier, so a registry dump lists what happened.
-class _Counters(dict):
-    registry: Any = None
-    generation = -1
-
-    def __missing__(self, name: str) -> Any:
-        counter = self[name] = self.registry.counter(name)
-        return counter
-
-
-_counters = _Counters()
-
-
-def _live_counters() -> _Counters:
-    registry = get_registry()
-    if (registry is not _counters.registry
-            or registry.generation != _counters.generation):
-        _counters.clear()
-        _counters.registry = registry
-        _counters.generation = registry.generation
-    return _counters
-
-
 class WireFrame:
     """A message and its wire encoding, materialized at most once."""
 
-    __slots__ = ("codec", "message", "_encoded", "_length", "_packer")
+    __slots__ = ("codec", "message", "_encoded", "_length")
 
     def __init__(
         self,
@@ -98,23 +61,20 @@ class WireFrame:
         codec: Optional[Codec] = None,
         *,
         length: Optional[int] = None,
-        packer: Optional[Callable[[], bytes]] = None,
     ):
         self.codec = codec if codec is not None else get_codec("binary")
         self.message = message
         self._encoded: Optional[bytes] = None
         self._length = length
-        self._packer = packer
 
     def materialize(self) -> bytes:
         """The encoded bytes — bit-identical to ``codec.encode(message)``."""
         encoded = self._encoded
         if encoded is None:
-            packer = self._packer
-            encoded = packer() if packer is not None else self.codec.encode(self.message)
+            encoded = self.codec.encode(self.message)
             self._encoded = encoded
             self._length = len(encoded)
-            _live_counters()["transport.frames.materialized"].value += 1.0
+            get_registry().counter("transport.frames.materialized").inc()
         return encoded
 
     def __bytes__(self) -> bytes:
@@ -165,10 +125,10 @@ class WireFrame:
 class PrefixedFrame:
     """A packed binary header plus a lazy body, concatenated only on demand.
 
-    Mid-stack layers (reliable DATA, channel multiplexing) frame their
-    payload with a fixed header; when the payload is itself a lazy frame,
-    eager concatenation would force its encoding. The receiving twin peels
-    :attr:`prefix` off by reference, so the body stays lazy end to end.
+    The reliability layer frames its DATA payload with a fixed header;
+    when the payload is itself a lazy frame, eager concatenation would
+    force its encoding. The receiving twin peels :attr:`prefix` off by
+    reference, so the body stays lazy end to end.
     """
 
     __slots__ = ("prefix", "body", "_encoded")
@@ -193,14 +153,9 @@ class PrefixedFrame:
 
 FRAME_TYPES = (WireFrame, PrefixedFrame)
 
-FramePayload = Union[bytes, bytearray, WireFrame, PrefixedFrame]
 
-
-def is_frame(payload: Any) -> bool:
-    return isinstance(payload, FRAME_TYPES)
-
-
-def split_frame(payload: FramePayload, header_size: int):
+def split_frame(payload: Union[bytes, bytearray, WireFrame, PrefixedFrame],
+                header_size: int):
     """``(header_bytes, body)`` with the body left lazy when possible.
 
     Returns ``(None, payload)`` when there are fewer than ``header_size``
@@ -231,12 +186,8 @@ def try_decode_dict(codec: Codec, payload: Any) -> Optional[Dict[str, Any]]:
     if isinstance(payload, WireFrame):
         if payload.codec.name == codec.name:
             message = payload.message
-            counters = _live_counters()
-            if payload._encoded is None:
-                counters["codec.encode_skipped"].value += 1.0
             if not isinstance(message, dict):
                 return None
-            counters["transport.frames.passthrough"].value += 1.0
             return message
         payload = payload.materialize()
     elif isinstance(payload, PrefixedFrame):
@@ -251,45 +202,3 @@ def try_decode_dict(codec: Codec, payload: Any) -> Optional[Dict[str, Any]]:
 
 
 register_frame_types(FRAME_TYPES)
-
-
-class TailIntPacker:
-    """Compiled packer for a fixed dict whose *last* field is a varying int.
-
-    The schema's constant part — everything up to and including the final
-    field's key — is encoded exactly once per configuration; each message
-    then costs one cached-prefix concat plus a one-or-two-byte varint.
-    Heartbeat beacons (``{"op": "hb", "from": node, "seq": n}``) are the
-    canonical user: the beacon prefix is compiled when the detector is
-    built, never re-encoded per period.
-    """
-
-    __slots__ = ("codec", "base", "field", "prefix", "_prefix_length")
-
-    def __init__(self, codec: BinaryCodec, base: Dict[str, Any], field: str):
-        if not isinstance(codec, BinaryCodec):
-            raise CodecError("TailIntPacker requires the binary codec")
-        if field in base:
-            raise CodecError(f"varying field {field!r} must not be in the base")
-        self.codec = codec
-        self.base = dict(base)
-        self.field = field
-        probe = dict(base)
-        probe[field] = 0
-        encoded = codec.encode(probe)
-        # encode(0) contributes the 2-byte tail b"I\x00"; everything before
-        # it — dict header, base entries, the field's key — is constant.
-        self.prefix = encoded[:-2]
-        self._prefix_length = len(self.prefix)
-
-    def frame(self, value: int) -> WireFrame:
-        """A :class:`WireFrame` for ``{**base, field: value}``."""
-        message = dict(self.base)
-        message[self.field] = value
-        prefix = self.prefix
-        return WireFrame(
-            message,
-            self.codec,
-            length=self._prefix_length + 1 + _varint_size(_zigzag(value)),
-            packer=lambda: prefix + _T_INT + _encode_varint(_zigzag(value)),
-        )

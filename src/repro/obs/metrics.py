@@ -154,9 +154,6 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
         self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
-        # Bumped by reset(); hot paths caching instrument references
-        # compare this to know their cached Counter has been orphaned.
-        self.generation = 0
 
     # ------------------------------------------------------------- accessors
 
@@ -205,13 +202,11 @@ class MetricsRegistry:
         registry between measured scenarios).
 
         Call sites holding an instrument reference keep incrementing their
-        orphaned copy; re-fetch after a reset to land in the registry again
-        (or key a cache on :attr:`generation`, which this bumps).
+        orphaned copy; re-fetch after a reset to land in the registry again.
         """
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-        self.generation += 1
 
     def to_dict(self) -> Dict[str, Any]:
         return {

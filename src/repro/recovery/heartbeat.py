@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError
-from repro.interop.codec import BinaryCodec, Codec
-from repro.interop.frames import TailIntPacker, WireFrame
+from repro.interop.codec import Codec
+from repro.interop.frames import WireFrame
 from repro.transport.base import Address, Transport
 from repro.transport.endpoint import MessageEndpoint
 from repro.util.events import EventEmitter, Subscription
@@ -59,13 +59,6 @@ class HeartbeatDetector(MessageEndpoint):
         self._watched: Dict[str, PeerState] = {}
         self._seq = 0
         self.heartbeats_sent = 0
-        # Beacons share a fixed schema where only the seq varies: compile
-        # the constant prefix once instead of re-encoding every period.
-        beacon_base = {"op": "hb", "from": transport.local_address.node}
-        self._beacon: Optional[TailIntPacker] = (
-            TailIntPacker(self.codec, beacon_base, "seq")
-            if isinstance(self.codec, BinaryCodec) else None
-        )
         self._beat_timer = transport.scheduler.schedule(interval_s, self._beat)
         self._check_timer = transport.scheduler.schedule(interval_s, self._check)
 
@@ -120,14 +113,11 @@ class HeartbeatDetector(MessageEndpoint):
         if self.transport.closed:
             return
         self._seq += 1
-        if self._beacon is not None:
-            frame = self._beacon.frame(self._seq)
-        else:
-            frame = WireFrame(
-                {"op": "hb", "from": self.transport.local_address.node,
-                 "seq": self._seq},
-                self.codec,
-            )
+        frame = WireFrame(
+            {"op": "hb", "from": self.transport.local_address.node,
+             "seq": self._seq},
+            self.codec,
+        )
         for peer in self._targets:
             self.heartbeats_sent += 1
             self.transport.send(peer, frame)

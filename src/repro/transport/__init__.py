@@ -16,22 +16,16 @@ optionally composed with:
   duplicate suppression over any lossy transport,
 * :mod:`repro.transport.secure` — shared-key encryption and authentication
   (Section 3.3's transport-level security),
-* :mod:`repro.transport.multiplex` — named channels over one endpoint,
 * :mod:`repro.transport.pacing` — bounded-queue, token-bucket-paced sending
   charged against a :class:`~repro.scheduling.bandwidth.BandwidthAllocator`
   reservation (the overload-protection send path),
 * :mod:`repro.transport.stack` — declarative composition of the above,
 * :mod:`repro.transport.endpoint` — the one decode → validate → dispatch
   skeleton every protocol endpoint above a transport subclasses.
-
-Payloads are ``bytes`` end to end; structured messages are encoded by
-:mod:`repro.interop.codec`. This keeps on-wire byte accounting honest in the
-overhead experiments.
 """
 
 from repro.transport.base import Address, Scheduler, Transport
 from repro.transport.inmemory import InMemoryFabric, InMemoryTransport
-from repro.transport.multiplex import ChannelTransport, Multiplexer
 from repro.transport.pacing import PacedTransport
 from repro.transport.reliable import ReliabilityParams, ReliableTransport
 from repro.transport.secure import SecureChannel, SecureTransport
@@ -44,8 +38,6 @@ __all__ = [
     "Transport",
     "InMemoryFabric",
     "InMemoryTransport",
-    "ChannelTransport",
-    "Multiplexer",
     "PacedTransport",
     "ReliabilityParams",
     "ReliableTransport",

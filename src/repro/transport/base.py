@@ -3,9 +3,9 @@
 A :class:`Transport` is one node's endpoint onto some network technology:
 it can send bytes to an :class:`Address` and delivers received bytes to a
 single receiver callback. Delivery is best-effort and unordered — exactly
-the guarantee a datagram network gives. Reliability, ordering, multiplexing
-and structure are layered on top (see :mod:`repro.transport.reliable`,
-:mod:`repro.transport.multiplex`, :mod:`repro.interop.codec`).
+the guarantee a datagram network gives. Reliability, ordering and
+structure are layered on top (see :mod:`repro.transport.reliable`,
+:mod:`repro.interop.codec`).
 
 Transports also expose a :class:`Scheduler` (virtual or real time) so the
 layers above can set timers without knowing which world they run in.

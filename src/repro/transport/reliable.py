@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
-from repro.interop.frames import PrefixedFrame, is_frame, split_frame
+from repro.interop.frames import FRAME_TYPES, PrefixedFrame, split_frame
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER, SpanContext
 from repro.transport.base import Address, Scheduler, Transport
@@ -144,7 +144,7 @@ class ReliableTransport(Transport):
     def _data_frame(seq: int, payload: bytes):
         """DATA header + payload; keeps a lazy payload lazy."""
         header = DATA_FLAG + _SEQ.pack(seq)
-        if is_frame(payload):
+        if isinstance(payload, FRAME_TYPES):
             return PrefixedFrame(header, payload)
         return header + payload
 

@@ -119,7 +119,9 @@ class SecureTransport(Transport):
         )
 
     def _on_frame(self, source: Address, frame: bytes) -> None:
-        plaintext = self._channel.open(frame)
+        # Sealed traffic is always real bytes; a lazy frame comes from a
+        # peer without the key and fails without being materialized.
+        plaintext = self._channel.open(frame) if isinstance(frame, bytes) else None
         if plaintext is None:
             self.auth_failures += 1
             return

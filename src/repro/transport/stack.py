@@ -1,8 +1,8 @@
 """Declarative transport-stack composition.
 
 The "network independence" promise (Section 3.2) in one function: describe
-what you need (reliability? channels?) and get the same stack over whichever
-fabric the deployment provides.
+what you need (reliability? encryption?) and get the same stack over
+whichever fabric the deployment provides.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.transport.base import Transport
-from repro.transport.multiplex import Multiplexer
 from repro.transport.reliable import ReliabilityParams, ReliableTransport
 from repro.transport.secure import SecureTransport
 
@@ -21,48 +20,24 @@ class StackSpec:
     """What the application needs from its transport.
 
     ``encryption_key`` (optional) inserts the shared-key secure layer at
-    the bottom of the stack, so reliability acks and channel headers are
-    encrypted too.
+    the bottom of the stack, so reliability acks are encrypted too.
     """
 
     reliable: bool = True
     reliability_params: ReliabilityParams = ReliabilityParams()
-    multiplexed: bool = False
     encryption_key: Optional[bytes] = None
 
 
-@dataclass
-class BuiltStack:
-    """The composed stack; use :attr:`top` (or :attr:`mux`) to communicate."""
+def build_stack(base: Transport, spec: StackSpec = StackSpec()) -> Transport:
+    """Compose encryption and reliability over a base transport; returns
+    the top of the stack.
 
-    base: Transport
-    top: Transport
-    mux: Optional[Multiplexer] = None
-
-    def channel(self, name: str) -> Transport:
-        if self.mux is None:
-            raise ValueError("stack was built without multiplexing")
-        return self.mux.channel(name)
-
-    def close(self) -> None:
-        if self.mux is not None:
-            self.mux.close()
-        else:
-            self.top.close()
-
-
-def build_stack(base: Transport, spec: StackSpec = StackSpec()) -> BuiltStack:
-    """Compose encryption, reliability, and multiplexing over a base
-    transport.
-
-    Layer order is fixed — encryption at the bottom (everything above it is
-    protected, including acks), reliability below multiplexing (one ack
-    stream covers all channels).
+    Layer order is fixed — encryption at the bottom, so everything above it
+    is protected, including acks.
     """
     top: Transport = base
     if spec.encryption_key is not None:
         top = SecureTransport(top, spec.encryption_key)
     if spec.reliable:
         top = ReliableTransport(top, spec.reliability_params)
-    mux = Multiplexer(top) if spec.multiplexed else None
-    return BuiltStack(base=base, top=top, mux=mux)
+    return top

@@ -133,7 +133,7 @@ class TestEdgeCases:
         ghost = h.fabric.endpoint("r2", h.port)
         answers = []
         ghost.set_receiver(lambda src, payload: answers.append(
-            h.client.codec.decode(payload)
+            h.client.codec.decode(bytes(payload))
         ))
         ghost.send(
             Address("r1", h.port),

@@ -327,22 +327,28 @@ def test_one_replay_call_site_and_one_canonical_encoder():
     # The superseded copies (second replication layer, second metrics API,
     # trace shim, backend env switch, second _pick) and the driverless
     # sharded simulator with its medium hook, its bytes-built and pickled
-    # frames, the corruptor-only splice path and the second and third
-    # receive decoders cannot creep back. ``def frame_bytes``, not the bare
-    # name: ``StreamingSource`` has a ``frame_bytes`` parameter.
+    # frames, the corruptor-only splice path, the second and third receive
+    # decoders, the heartbeat packer, the per-delivery frame counters, the
+    # codecs' frame coercion and the channel multiplexer cannot creep back.
+    # ``def frame_bytes``, not the bare name: ``StreamingSource`` has a
+    # ``frame_bytes`` parameter.
     texts = sources()
     reads_env = [name for name, text in texts.items()
                  if "os.environ" in text or "getenv" in text]
     assert reads_env == [], "src/repro reads no environment variable"
     for gone in ("repro.recovery.replication", "repro.netsim.trace",
-                 "repro.netsim.shard", "repro.replication.demo"):
+                 "repro.netsim.shard", "repro.replication.demo",
+                 "repro.transport.multiplex"):
         assert importlib.util.find_spec(gone) is None, gone
     removed = ("MetricsRecorder", "SeriesPoint", "BACKEND_ENV",
                "PrimaryReplica", "BackupReplica", "ReplicationClient",
                "ShardedSimulation", "set_egress", "egress_relayed",
                "EgressHook", "SWEEPABLE", "WireFrame.from_bytes",
                "decode_payload", "splice_int_field", "_skip_value",
-               "def frame_bytes", "_FRAME_DICT_EXTRACTOR", "_rebuild_frame")
+               "def frame_bytes", "_FRAME_DICT_EXTRACTOR", "_rebuild_frame",
+               "TailIntPacker", "packer=", "Multiplexer", "ChannelTransport",
+               "BuiltStack", "multiplexed", "_live_counters",
+               "frames.passthrough", "encode_skipped", "_FRAME_TYPES")
     root = SRC.parent.parent
     survivors = [(path.relative_to(root).as_posix(), name)
                  for top in ("src", "examples", "benchmarks")

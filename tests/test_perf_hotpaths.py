@@ -252,12 +252,13 @@ class TestFloodCallBudget:
     and about four receptions in five are duplicates. With the position
     index asked per frame and an ``Envelope`` built before the duplicate
     check, a delivery cost 38.6 such calls; answered from the static
-    neighbourhood memo and dropped before anything is built, 26.1. The
-    world never moves, so the index may be asked once per sender — not
-    once per transmission.
+    neighbourhood memo and dropped before anything is built, 26.1. It was
+    18.7 before the per-delivery frame counters were deleted, and 16.7
+    after. The world never moves, so the index may be asked once per
+    sender — not once per transmission.
     """
 
-    BUDGET = 30.0
+    BUDGET = 16.8
     UNICASTS = 200
 
     @pytest.mark.parametrize("vectorized", BACKENDS)
@@ -342,9 +343,10 @@ class TestEndpointCallBudget:
     frames, and the space now answers through the shared ``_reply`` ->
     ``_send`` instead of a private one-call sender): no more than one
     frame per message over the old paths. With a frame sized once, in
-    ``Transport.send``, and ``closed`` read in place, 72 and 64 — and those
-    are the ceilings: a validator called per field, a helper between the
-    table and the handler, or a ``len()`` per layer fails here.
+    ``Transport.send``, and ``closed`` read in place, 72 and 64; 68 and 62
+    before the per-delivery frame counters were deleted, 64 and 58 after —
+    and those are the ceilings: a validator called per field, a helper
+    between the table and the handler, or a ``len()`` per layer fails here.
     """
 
     def round_trip_calls(self, request, fabric):
@@ -354,7 +356,7 @@ class TestEndpointCallBudget:
             answered.append(request())
             fabric.sim.run()
 
-        trip()  # first use fills the frame-counter and codec caches
+        trip()  # first use fills the codec caches
         calls = sum(count_repro_calls(trip).values())
         assert all(promise.fulfilled for promise in answered)
         return calls
@@ -366,7 +368,7 @@ class TestEndpointCallBudget:
         server.expose("ping", lambda: "pong")
         calls = self.round_trip_calls(
             lambda: client.call(Address("s", "rpc"), "ping"), fabric)
-        assert calls <= 72
+        assert calls <= 64
 
     def test_tuple_space_probe_stays_within_budget(self):
         fabric = InMemoryFabric()
@@ -375,7 +377,7 @@ class TestEndpointCallBudget:
                                   Address("hub", "ts"))
         client.out("k", 1)
         calls = self.round_trip_calls(lambda: client.rdp("k", None), fabric)
-        assert calls <= 64
+        assert calls <= 58
 
 
 class _Pinger(MessageEndpoint):
@@ -411,12 +413,14 @@ class TestDatagramCallBudget:
     ``_reply`` and ``sim.run``. Through nested properties and helpers
     (``alive`` x3, ``__len__`` x3, ``position`` x2, ``distance_to`` x2,
     ``size_bytes`` x2, ``is_broadcast`` x2, ``push``, ...) that was 49.2
-    calls; with each fact read once where it lives, 31.3. The named
-    helpers must not come back on this path at all, and a frame's length
-    is asked for once a transmission (the packet's size), not three times.
+    calls; with each fact read once where it lives, 31.3. It was 30.3
+    before the per-delivery frame counters were deleted, and 28.3 after.
+    The named helpers must not come back on this path at all, and a frame's
+    length is asked for once a transmission (the packet's size), not three
+    times.
     """
 
-    BUDGET = 32.0
+    BUDGET = 28.4
     ROUND_TRIPS = 100
 
     def test_ping_round_trips_stay_within_budget(self):
@@ -434,7 +438,7 @@ class TestDatagramCallBudget:
                 near.ping(destination, rid)
                 fabric.run()
 
-        trips([0])  # first use fills the frame-counter and key-header caches
+        trips([0])  # first use fills the key-header caches
         before = medium.transmissions
         calls = count_repro_calls(
             lambda: trips(range(1, self.ROUND_TRIPS + 1)))
@@ -459,11 +463,13 @@ class TestQuorumWriteCallBudget:
     heartbeats and beacons. At 64.8 calls per transmission, 42 were the
     same fixed chain whatever the datagram carried; at 42.2 the chain is
     the send routine, the reception routine, the frame's decode and sizing
-    helpers and the handler. ``OpLog`` answers ``last_index`` from a stored
-    field: a property there is called 2.3 times per transmission.
+    helpers and the handler. It was 41.2 before the per-delivery frame
+    counters were deleted, and 39.5 after. ``OpLog`` answers
+    ``last_index`` from a stored field: a property there is called 2.3
+    times per transmission.
     """
 
-    BUDGET = 43.0
+    BUDGET = 39.6
 
     def test_ledger_smoke_stays_within_budget(self):
         scenario = ScenarioRun(

@@ -1,11 +1,10 @@
-"""Tests for the reliable-delivery and multiplexing layers."""
+"""Tests for the reliable-delivery layer and stack composition."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.transport.base import Address
 from repro.transport.inmemory import InMemoryFabric
-from repro.transport.multiplex import Multiplexer
 from repro.transport.reliable import (
     RELIABLE_HEADER_BYTES,
     ReliabilityParams,
@@ -97,65 +96,11 @@ class TestReliableTransport:
         assert b.acks_sent >= 20
 
 
-class TestMultiplexer:
-    def test_channels_are_isolated(self):
-        fabric = InMemoryFabric()
-        mux_a = Multiplexer(fabric.endpoint("a"))
-        mux_b = Multiplexer(fabric.endpoint("b"))
-        got = []
-        mux_b.channel("one").set_receiver(lambda src, data: got.append(("one", data)))
-        mux_b.channel("two").set_receiver(lambda src, data: got.append(("two", data)))
-        mux_a.channel("one").send(Address("b"), b"first")
-        mux_a.channel("two").send(Address("b"), b"second")
-        fabric.run()
-        assert sorted(got) == [("one", b"first"), ("two", b"second")]
-
-    def test_channel_is_memoized(self):
-        fabric = InMemoryFabric()
-        mux = Multiplexer(fabric.endpoint("a"))
-        assert mux.channel("x") is mux.channel("x")
-
-    def test_unbound_channel_dropped(self):
-        fabric = InMemoryFabric()
-        mux_a = Multiplexer(fabric.endpoint("a"))
-        Multiplexer(fabric.endpoint("b"))
-        mux_a.channel("nobody").send(Address("b"), b"x")
-        fabric.run()  # must not raise
-
-    def test_empty_channel_name_rejected(self):
-        fabric = InMemoryFabric()
-        mux = Multiplexer(fabric.endpoint("a"))
-        with pytest.raises(ConfigurationError):
-            mux.channel("")
-
-
 class TestStack:
-    def test_reliable_mux_stack_over_lossy_fabric(self):
-        fabric = InMemoryFabric(latency_s=0.01, loss_probability=0.3, seed=5)
-        spec = StackSpec(
-            reliable=True,
-            reliability_params=ReliabilityParams(ack_timeout_s=0.1, max_retries=8),
-            multiplexed=True,
-        )
-        stack_a = build_stack(fabric.endpoint("a"), spec)
-        stack_b = build_stack(fabric.endpoint("b"), spec)
-        got = []
-        stack_b.channel("app").set_receiver(lambda src, data: got.append(data))
-        for i in range(30):
-            stack_a.channel("app").send(Address("b"), f"m{i}".encode())
-        fabric.run()
-        assert len(got) == 30
-
     def test_plain_stack_passthrough(self):
         fabric = InMemoryFabric()
-        stack = build_stack(fabric.endpoint("a"), StackSpec(reliable=False))
-        assert stack.top is stack.base
-
-    def test_channel_without_mux_raises(self):
-        fabric = InMemoryFabric()
-        stack = build_stack(fabric.endpoint("a"), StackSpec(multiplexed=False))
-        with pytest.raises(ValueError):
-            stack.channel("x")
+        base = fabric.endpoint("a")
+        assert build_stack(base, StackSpec(reliable=False)) is base
 
 
 class TestBoundedDedupState:

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import CodecError, MiddlewareError
 from repro.interop.codec import get_codec
-from repro.interop.frames import PrefixedFrame, WireFrame, is_frame, try_decode_dict
+from repro.interop.frames import FRAME_TYPES, PrefixedFrame, WireFrame, try_decode_dict
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
 from repro.routing.base import Envelope, RoutingAgent
@@ -144,8 +144,8 @@ class World:
             return [("drop", "malformed")], (0, 0)
         if not isinstance(envelope.ttl, int) \
                 or not isinstance(envelope.seq, int) \
-                or not (isinstance(envelope.payload, (bytes, bytearray))
-                        or is_frame(envelope.payload)):
+                or not isinstance(envelope.payload,
+                                  (bytes, bytearray) + FRAME_TYPES):
             return [("drop", "malformed")], (0, 0)
         key = (str(envelope.source), envelope.seq)
         if key in self.seen:

@@ -9,11 +9,14 @@ from repro.core.requirements import VariableRequirements
 from repro.discovery.description import ServiceDescription
 from repro.discovery.distributed import DistributedDiscovery
 from repro.errors import ConfigurationError
+from repro.interop.codec import BinaryCodec
+from repro.interop.frames import WireFrame
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
 from repro.qos.spec import SupplierQoS
 from repro.transport.base import Address
 from repro.transport.inmemory import InMemoryFabric
+from repro.transport.reliable import ReliabilityParams, ReliableTransport
 from repro.transport.secure import (
     NONCE_BYTES,
     SECURE_OVERHEAD_BYTES,
@@ -102,6 +105,32 @@ class TestSecureTransport:
         a = SecureTransport(fabric.endpoint("a"), KEY)
         a.send(Address("b"), b"12345")
         assert a.inner.sent_bytes == 5 + SECURE_OVERHEAD_BYTES
+
+    @pytest.mark.parametrize("fabric_kind", ["inmemory", "simnet"])
+    @pytest.mark.parametrize("sender_kind", ["plain-endpoint", "plain-reliable"])
+    def test_unencrypted_frames_are_auth_failures(self, fabric_kind, sender_kind):
+        """A peer without the key sends lazy frames — a plain endpoint's
+        ``WireFrame``, a plain reliable layer's ``PrefixedFrame`` DATA. Each
+        is one counted authentication failure: never delivered, never
+        materialized, never a raise through the event loop."""
+        if fabric_kind == "inmemory":
+            fabric = InMemoryFabric(latency_s=0.01)
+        else:
+            fabric = SimFabric(topology.star(2, radius=40,
+                                             radio_profile=IDEAL_RADIO))
+        secure = SecureTransport(fabric.endpoint("leaf1", "app"), KEY)
+        received = []
+        secure.set_receiver(lambda src, data: received.append(data))
+        plain = fabric.endpoint("leaf0", "app")
+        if sender_kind == "plain-reliable":
+            plain = ReliableTransport(plain, ReliabilityParams(max_retries=0))
+        # Longer than a sealed frame's nonce + tag, so it reaches open().
+        frame = WireFrame({"op": "x", "note": "n" * 40}, BinaryCodec())
+        plain.send(secure.local_address, frame)
+        fabric.run()
+        assert received == []
+        assert secure.auth_failures == 1
+        assert frame._encoded is None
 
 
 def _binder_policy() -> ApplicationPolicy:

@@ -674,9 +674,6 @@ class TestNoCodecOnTheSimulatedPath:
         assert calls == {"encode": 0, "decode": 0}
         registry = get_registry()
         assert registry.counter_total("transport.frames.materialized") == 0
-        assert registry.counter_total("transport.frames.passthrough") > 0
-        assert (registry.counter_total("codec.encode_skipped")
-                == registry.counter_total("transport.frames.passthrough"))
 
 
 def test_no_eager_codec_call_in_transactions_or_naming():

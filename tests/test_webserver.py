@@ -151,15 +151,14 @@ class TestSecureStackSpec:
         spec = StackSpec(
             reliable=True,
             reliability_params=ReliabilityParams(ack_timeout_s=0.1, max_retries=10),
-            multiplexed=True,
             encryption_key=key,
         )
         stack_a = build_stack(fabric.endpoint("a"), spec)
         stack_b = build_stack(fabric.endpoint("b"), spec)
         received = []
-        stack_b.channel("app").set_receiver(lambda src, data: received.append(data))
+        stack_b.set_receiver(lambda src, data: received.append(data))
         for i in range(20):
-            stack_a.channel("app").send(Address("b"), f"m{i}".encode())
+            stack_a.send(Address("b"), f"m{i}".encode())
         fabric.run()
         assert len(received) == 20
 
@@ -174,7 +173,7 @@ class TestSecureStackSpec:
             StackSpec(reliable=False, encryption_key=b"B" * 32),
         )
         received = []
-        bad.top.set_receiver(lambda src, data: received.append(data))
-        good.top.send(Address("b"), b"secret")
+        bad.set_receiver(lambda src, data: received.append(data))
+        good.send(Address("b"), b"secret")
         fabric.run()
         assert received == []

@@ -24,10 +24,8 @@ from repro.interop.codec import (
     wire_plain,
 )
 from repro.interop.frames import (
-    is_frame,
     PrefixedFrame,
     split_frame,
-    TailIntPacker,
     try_decode_dict,
     WireFrame,
 )
@@ -37,6 +35,7 @@ from repro.netsim.medium import IDEAL_RADIO
 from repro.netsim.packet import Packet
 from repro.obs.metrics import get_registry
 from repro.recovery.wal import StableStorage
+from repro.routing import base as routing_base
 from repro.routing.base import RoutingAgent, build_routed_network
 from repro.routing.flooding import FloodingRouter
 from repro.transport.base import Address
@@ -310,28 +309,6 @@ class TestDeriveInt:
         assert bytes(frame) == codec.encode({"t": 9, "b": b"x"})
 
 
-class TestTailIntPacker:
-    @pytest.mark.parametrize(
-        "value", [0, 1, -1, 63, 64, -64, 1000, 123456789, -(2**62), 2**62]
-    )
-    def test_frame_matches_eager_encode(self, value):
-        codec = BinaryCodec()
-        packer = TailIntPacker(codec, {"op": "hb", "from": "n1"}, "seq")
-        frame = packer.frame(value)
-        expected = codec.encode({"op": "hb", "from": "n1", "seq": value})
-        assert len(frame) == len(expected)
-        assert bytes(frame) == expected
-        assert frame.message == {"op": "hb", "from": "n1", "seq": value}
-
-    def test_requires_binary_codec(self):
-        with pytest.raises(CodecError):
-            TailIntPacker(JsonCodec(), {"op": "hb"}, "seq")
-
-    def test_rejects_field_already_in_base(self):
-        with pytest.raises(CodecError):
-            TailIntPacker(BinaryCodec(), {"op": "hb", "seq": 0}, "seq")
-
-
 class TestPrefixedFrame:
     def test_len_and_bytes_without_forcing_body(self):
         codec = BinaryCodec()
@@ -357,25 +334,15 @@ class TestPrefixedFrame:
         header, rest = split_frame(b"xy", 4)
         assert header is None and rest == b"xy"
 
-    def test_is_frame(self):
-        assert is_frame(WireFrame({}, BinaryCodec()))
-        assert is_frame(PrefixedFrame(b"", b""))
-        assert not is_frame(b"raw")
-
 
 class TestPassthrough:
     def test_try_decode_dict_returns_original_dict_without_encoding(self):
         codec = BinaryCodec()
         message = {"op": "x", "n": 3}
         frame = WireFrame(message, codec)
-        registry = get_registry()
-        passthrough = registry.counter_total("transport.frames.passthrough")
-        skipped = registry.counter_total("codec.encode_skipped")
         extracted = try_decode_dict(codec, frame)
         assert extracted is message  # identity, not a copy
         assert frame._encoded is None  # encode never ran
-        assert registry.counter_total("transport.frames.passthrough") == passthrough + 1
-        assert registry.counter_total("codec.encode_skipped") == skipped + 1
 
     def test_codec_mismatch_materializes_real_bytes(self):
         binary, json_codec = BinaryCodec(), JsonCodec()
@@ -387,39 +354,11 @@ class TestPassthrough:
         json_frame = WireFrame({"a": 1}, json_codec)
         assert try_decode_dict(json_codec, json_frame) is json_frame.message
 
-    def test_raw_decode_coerces_frames(self):
-        # Receivers that call codec.decode() directly on a transport payload
-        # (test harnesses, gateways) must keep working on lazy frames.
-        codec = BinaryCodec()
-        frame = WireFrame({"a": [1, 2]}, codec)
-        assert codec.decode(frame) == {"a": [1, 2]}
-        json_codec = JsonCodec()
-        assert json_codec.decode(WireFrame({"a": 1}, json_codec)) == {"a": 1}
-
     def test_non_dict_frame_is_not_extracted(self):
         codec = BinaryCodec()
-        registry = get_registry()
-        passthrough = registry.counter_total("transport.frames.passthrough")
-        skipped = registry.counter_total("codec.encode_skipped")
-        assert try_decode_dict(codec, WireFrame([1, 2, 3], codec)) is None
-        assert registry.counter_total("transport.frames.passthrough") == passthrough
-        assert registry.counter_total("codec.encode_skipped") == skipped + 1
-
-    def test_counter_totals_per_extraction_survive_a_registry_reset(self):
-        # One (registry, generation) check serves both counters of a hop;
-        # a reset in between must land the next hop in fresh instruments.
-        codec = BinaryCodec()
-        registry = get_registry()
-        for expected in (1, 2, 1):
-            if expected == 1:
-                registry.reset()
-            lazy, encoded = WireFrame({"a": 1}, codec), WireFrame({"b": 2}, codec)
-            bytes(encoded)
-            try_decode_dict(codec, lazy)
-            try_decode_dict(codec, encoded)
-            assert registry.counter_total("transport.frames.passthrough") == 2 * expected
-            assert registry.counter_total("codec.encode_skipped") == expected
-            assert registry.counter_total("transport.frames.materialized") == expected
+        frame = WireFrame([1, 2, 3], codec)
+        assert try_decode_dict(codec, frame) is None
+        assert frame._encoded is None
 
 
 class _Taker(MessageEndpoint):
@@ -446,78 +385,76 @@ def _encoded_frame(message):
 
 
 #: What can arrive, by how it was built: ``(build, the message the one
-#: decoder yields or None for a drop, the counts it adds to _FRAME_COUNTERS)``.
-#: The receivers' codec is the registry's binary singleton, ``BinaryCodec()``
-#: is not it.
+#: decoder yields or None for a drop, the forced encodes it adds to
+#: ``transport.frames.materialized``)``. The receivers' codec is the
+#: registry's binary singleton, ``BinaryCodec()`` is not it.
 ARRIVALS = {
     "reference-lazy": (
-        lambda: WireFrame(dict(_X), get_codec("binary")), _X, (1, 1, 0)),
+        lambda: WireFrame(dict(_X), get_codec("binary")), _X, 0),
     "reference-lazy-fresh-codec": (
-        lambda: WireFrame(dict(_X), BinaryCodec()), _X, (1, 1, 0)),
-    "reference-encoded": (lambda: _encoded_frame(dict(_X)), _X, (0, 1, 0)),
+        lambda: WireFrame(dict(_X), BinaryCodec()), _X, 0),
+    "reference-encoded": (lambda: _encoded_frame(dict(_X)), _X, 0),
     "dict-subclass": (
-        lambda: WireFrame(OrderedDict(_X), BinaryCodec()), _X, (1, 1, 0)),
-    "bytes": (lambda: BinaryCodec().encode(_X), _X, (0, 0, 0)),
-    "garbage": (lambda: b"\xff\x00", None, (0, 0, 0)),
+        lambda: WireFrame(OrderedDict(_X), BinaryCodec()), _X, 0),
+    "bytes": (lambda: BinaryCodec().encode(_X), _X, 0),
+    "garbage": (lambda: b"\xff\x00", None, 0),
     "prefixed": (
         lambda: PrefixedFrame(b"", WireFrame(dict(_X), BinaryCodec())),
-        _X, (0, 0, 1)),
-    "cross-codec": (lambda: WireFrame(dict(_X), JsonCodec()), None, (0, 0, 1)),
+        _X, 1),
+    "cross-codec": (lambda: WireFrame(dict(_X), JsonCodec()), None, 1),
     "not-a-dict": (
-        lambda: WireFrame([1, 2, 3], BinaryCodec()), None, (1, 0, 0)),
-    "not-a-dict-encoded": (lambda: _encoded_frame(7), None, (0, 0, 0)),
+        lambda: WireFrame([1, 2, 3], BinaryCodec()), None, 0),
+    "not-a-dict-encoded": (lambda: _encoded_frame(7), None, 0),
 }
-_FRAME_COUNTERS = ("codec.encode_skipped", "transport.frames.passthrough",
-                   "transport.frames.materialized")
 
 
 def _arrive(receive, arrival):
-    """Hand one built payload to ``receive``; the frame counters it added,
+    """Hand one built payload to ``receive``; the forced encodes it added,
     and the names of the counters that exist afterwards."""
     payload = ARRIVALS[arrival][0]()
     registry = get_registry()
     registry.reset()
     receive(Address("peer", "p"), payload)
-    return (tuple(registry.counter_total(name) for name in _FRAME_COUNTERS),
+    return (registry.counter_total("transport.frames.materialized"),
             {counter.name for counter in registry.counters()})
 
 
-def _bumped(counts):
+def _bumped(count):
     # A counter is created by its first bump, never earlier.
-    return {name for name, count in zip(_FRAME_COUNTERS, counts) if count}
+    return {"transport.frames.materialized"} if count else set()
 
 
 class TestEndpointArrivals:
     """Whatever shape a frame arrives in, the message endpoint and the
     routing agent — both calling the one decoder — hand on the message, and
-    add to the frame counters, that the table says; what does not decode to
-    a dict is one drop."""
+    force the encodes, that the table says; what does not decode to a dict
+    is one drop."""
 
     @pytest.mark.parametrize("arrival", ARRIVALS)
     def test_message_and_counters_match_try_decode_dict(self, arrival):
-        _build, message, counts = ARRIVALS[arrival]
+        _build, message, count = ARRIVALS[arrival]
         endpoint = _Taker(InMemoryFabric().endpoint("n", "p"))
         added, created = _arrive(endpoint._on_message, arrival)
-        assert added == counts
+        assert added == count
         if message is None:  # a counted drop
             assert endpoint.taken == [] and endpoint.malformed_frames == 1
             assert get_registry().counter_total("transport.malformed") == 1
-            assert created == _bumped(counts) | {"transport.malformed"}
+            assert created == _bumped(count) | {"transport.malformed"}
         else:
             assert endpoint.taken == [message]
             assert endpoint.malformed_frames == 0
-            assert created == _bumped(counts)
+            assert created == _bumped(count)
 
     @pytest.mark.parametrize("arrival", ARRIVALS)
     def test_routing_agent_answers_to_the_same_table(self, arrival):
-        _build, message, counts = ARRIVALS[arrival]
+        _build, message, count = ARRIVALS[arrival]
         network = topology.star(2, radius=40, radio_profile=IDEAL_RADIO)
         agent = RoutingAgent(SimFabric(network), "hub", FloodingRouter())
         taken = []
         agent.router.handle_control = lambda source, control: taken.append(
             control)
         added, created = _arrive(agent._on_frame, arrival)
-        assert added == counts and created == _bumped(counts)
+        assert added == count and created == _bumped(count)
         if message is None:
             assert taken == [] and agent.dropped == {"malformed": 1}
         else:
@@ -533,7 +470,7 @@ class TestEndpointArrivals:
 
 
 class TestEndToEndZeroCopy:
-    def test_routed_chain_never_materializes(self):
+    def test_routed_chain_never_materializes(self, monkeypatch):
         network = topology.linear_chain(4, spacing=60)
         fabric = SimFabric(network)
         agents = build_routed_network(fabric, lambda node: FloodingRouter())
@@ -543,15 +480,25 @@ class TestEndToEndZeroCopy:
         dst_port = agents[dst].open_port("app")
         received = []
         dst_port.set_receiver(lambda source, data: received.append(data))
+        hops = []
+
+        def decode(codec, payload):
+            message = try_decode_dict(codec, payload)
+            hops.append((payload, message))
+            return message
+
+        monkeypatch.setattr(routing_base, "try_decode_dict", decode)
         registry = get_registry()
         materialized = registry.counter_total("transport.frames.materialized")
-        passthrough = registry.counter_total("transport.frames.passthrough")
         src_port.send(Address(dst, "app"), b"payload")
         network.sim.run()
         assert received == [b"payload"]
-        # Every hop crossed by reference: dict in, dict out, zero encodes.
+        # Every hop crossed by reference: the receiver holds the sender's
+        # own dict, and nothing was encoded for it.
+        assert hops and all(isinstance(payload, WireFrame)
+                            and message is payload.message
+                            for payload, message in hops)
         assert registry.counter_total("transport.frames.materialized") == materialized
-        assert registry.counter_total("transport.frames.passthrough") > passthrough
 
 
 class TestForcedBytesEdges:
