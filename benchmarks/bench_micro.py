@@ -24,7 +24,6 @@ from repro.scheduling.scheduler import TaskScheduler
 from repro.scheduling.task import ScheduledTask
 from repro.transactions.tuplespace import TupleSpaceClient, TupleSpaceServer
 from repro.transport.inmemory import InMemoryFabric
-from repro.util.geometry import Point
 
 SAMPLE_MESSAGE = {
     "op": "call", "rid": "rpc:node17:svc-142", "method": "record",
@@ -126,12 +125,13 @@ def test_medium_neighbor_scan(benchmark, side, center):
     # confines the scan to the 3x3 cell block around the sender, so the
     # answer (36 in-range neighbors of an interior node) should cost the
     # same at 144 nodes as at 1024 — that flatness is what this pair of
-    # points gates. One corner node drifts (out of the center's range), so
-    # the static-neighbourhood memo is off and every call asks the index.
+    # points gates. The center node itself drifts, and a mobile origin
+    # has no neighbour memo, so every call asks the index.
     network = topology_grid(side, side, spacing=30.0)
     medium = network.medium
-    network.node("n0_0").set_mobility(LinearMobility(
-        start=Point(0.0, 0.0), velocity=(0.1, 0.0), start_time=0.0))
+    origin = network.node(center)
+    origin.set_mobility(LinearMobility(
+        start=origin.position, velocity=(0.1, 0.0), start_time=0.0))
 
     def broadcast_scan():
         return len(medium.neighbors_of(center))

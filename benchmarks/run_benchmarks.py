@@ -29,7 +29,9 @@ smoke/gate runs, but leave it off when refreshing the committed baseline
 ``--scale`` swaps the pytest micro benches for the swarm-scale curve
 (``benchmarks/scale.py``): events/sec at 100/1k/10k nodes on the
 vectorized medium backend, with a scalar reference run per point whose
-delivery trace must be byte-identical (exit 3 on divergence). The same
+delivery trace must be byte-identical (exit 3 on divergence), then a
+single-process 100k-node point with its peak RSS (not under ``--quick``,
+where its row carries no median and is not compared). The same
 record/compare/threshold machinery applies, against ``BENCH_scale.json``::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py --scale            # baseline
@@ -159,10 +161,10 @@ def compare(previous: dict, current: dict, threshold: float,
     rows = []
     for op, stats in sorted(current.items()):
         old = previous.get("ops", {}).get(op)
-        if old is None:
-            continue
-        old_ns = old["median_ns"]
+        old_ns = None if old is None else old["median_ns"]
         new_ns = stats["median_ns"]
+        if old_ns is None or new_ns is None:  # new, or skipped by --quick
+            continue
         ratio = new_ns / old_ns if old_ns else float("inf")
         rows.append((op, old_ns, new_ns, ratio))
     skew = 1.0
@@ -182,7 +184,7 @@ def main(argv=None) -> int:
                         help="fast smoke run (fewer rounds, noisier medians)")
     parser.add_argument("--scale", action="store_true",
                         help="run the swarm-scale curve (events/sec at "
-                             "100/1k/10k nodes, scalar-vs-vector trace "
+                             "100/1k/10k/100k nodes, scalar-vs-vector trace "
                              "equality) instead of the micro benches; "
                              f"default output becomes {SCALE_OUTPUT.name}")
     parser.add_argument("--output", type=Path, default=None,

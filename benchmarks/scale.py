@@ -1,8 +1,8 @@
-"""The swarm-scale curve: events/sec at 100, 1k, and 10k nodes.
+"""The swarm-scale curve: events/sec at 100, 1k, 10k and 100k nodes.
 
-Driven by ``run_benchmarks.py --scale``. Each point builds the same world
-twice — once per medium backend — runs an identical staggered-beacon
-workload, and reports:
+Driven by ``run_benchmarks.py --scale``. Each point up to 10k builds the
+same world twice — once per medium backend — runs an identical
+staggered-beacon workload, and reports:
 
 * ``ns_per_event`` for the **vectorized** backend (stored as ``median_ns``
   so the regression harness's ``compare()`` / ``--normalize-skew``
@@ -17,16 +17,22 @@ grid at 30 m spacing under an 802.11-derived swarm profile (100 m range →
 36 in-range neighbors per interior node, 1% loss, no contention jitter so
 same-tick broadcast deliveries batch into single queue entries), every
 node broadcasting one beacon per round at a fully staggered — therefore
-fresh — timestamp, and one node in twenty drifting under
-:class:`LinearMobility` so every fresh timestamp forces a kinematics
-refresh. An *event* is one transmission or one delivery —
+fresh — timestamp, and one node in ten drifting under
+:class:`LinearMobility`. An *event* is one transmission or one delivery —
 backend-independent work units, so ns/event is comparable across backends
 and machines.
+
+The 100k point (:data:`POINT_100K`) is the single-process answer to "how
+far does one core go": the vector backend only, one round, no delivery
+trace (at ~3.6 M deliveries the trace would be most of the memory), with
+the process's peak RSS beside its events/sec. It runs last, so that peak
+is its own, and ``--quick`` skips it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import resource
 import sys
 import time
 from pathlib import Path
@@ -43,6 +49,9 @@ from repro.netsim.topology import grid as topology_grid
 
 #: (label, grid side) — 100, 1024, and 10000 nodes.
 CURVE = [("scale_100", 10), ("scale_1k", 32), ("scale_10k", 100)]
+
+#: (label, grid side) — 99 856 nodes, vector backend only.
+POINT_100K = ("scale_100k", 316)
 
 #: 802.11 rates/range/loss with no contention jitter — a slotted swarm MAC.
 #: Zero contention means every receiver of a broadcast shares one delivery
@@ -64,11 +73,12 @@ DRIFT = (1.0, 0.5)  # m/s; slow enough to stay in-cell over a short run
 
 
 def run_world(side: int, rounds: int, vectorized: Optional[bool],
-              seed: int = 0) -> Dict[str, object]:
+              seed: int = 0, trace: bool = True) -> Dict[str, object]:
     """Build a ``side x side`` world, run the beacon workload, measure it.
 
     Returns events (transmissions + deliveries), wall seconds, ns/event,
-    the sha256 delivery-trace digest, and the backend actually used.
+    the sha256 delivery-trace digest (None without ``trace``), and the
+    backend actually used.
     """
     network = topology_grid(side, side, spacing=SPACING,
                             radio_profile=SWARM_PROFILE, seed=seed,
@@ -88,9 +98,10 @@ def run_world(side: int, rounds: int, vectorized: Optional[bool],
     def on_packet(node, packet):
         record((now(), node.node_id, packet.source))
 
+    handler = on_packet if trace else (lambda node, packet: None)
     nodes = network.nodes()
     for index, node in enumerate(nodes):
-        node.set_packet_handler(on_packet)
+        node.set_packet_handler(handler)
         if index % MOBILE_EVERY == 0:
             node.set_mobility(LinearMobility(
                 start=node.position, velocity=DRIFT, start_time=0.0,
@@ -110,16 +121,16 @@ def run_world(side: int, rounds: int, vectorized: Optional[bool],
     start = time.perf_counter()
     sim.run()
     wall_s = time.perf_counter() - start
-    trace = hashlib.sha256()
+    digest = hashlib.sha256()
     for when, receiver, source in deliveries:
-        trace.update(f"{when!r}|{receiver}|{source};".encode())
+        digest.update(f"{when!r}|{receiver}|{source};".encode())
     events = medium.transmissions + medium.deliveries
     return {
         "nodes": side * side,
         "events": events,
         "wall_s": round(wall_s, 4),
         "ns_per_event": round(wall_s / events * 1e9, 1) if events else 0.0,
-        "trace_sha256": trace.hexdigest(),
+        "trace_sha256": digest.hexdigest() if trace else None,
         "deliveries": medium.deliveries,
         "vectorized": medium.vectorized,
     }
@@ -176,6 +187,31 @@ def run_curve(quick: bool = False) -> Tuple[Dict[str, dict], bool]:
               f"vector {vector_ns / 1e3:>8.1f} us/ev  "
               f"scalar {scalar_text}  "
               f"trace {status}")
+    label, side = POINT_100K
+    if quick:
+        # Present, so the gate does not report it dropped; no median, so
+        # it is not compared.
+        ops[label] = {"median_ns": None, "skipped": "quick"}
+        print(f"{label:<10} (skipped under --quick)")
+        return ops, all_match
+    point = run_world(side, 1, vectorized=None, trace=False)
+    # ru_maxrss is in KiB on Linux.
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    ops[label] = {
+        "median_ns": point["ns_per_event"],
+        "rounds": 1,
+        "nodes": point["nodes"],
+        "events": point["events"],
+        "wall_s": point["wall_s"],
+        "events_per_sec": round(point["events"] / point["wall_s"])
+        if point["wall_s"] else 0,
+        "peak_rss_mb": round(peak_mb, 1),
+        "vector_backend_used": point["vectorized"],
+    }
+    print(f"{label:<10} {point['nodes']:>6} nodes  "
+          f"{point['events']:>9} events  "
+          f"vector {point['ns_per_event'] / 1e3:>8.1f} us/ev  "
+          f"peak RSS {peak_mb:.0f} MB")
     return ops, all_match
 
 

@@ -11,19 +11,31 @@ components off).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import hypot
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import islice
+from math import hypot, inf
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.netsim import vecindex
-from repro.netsim.mobility import is_time_varying
+from repro.netsim.mobility import is_time_varying, linear_params, speed_bound
 from repro.netsim.node import DeliveryFault, Node
 from repro.netsim.packet import BROADCAST, HEADER_BYTES, Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.spatialindex import SpatialHashGrid
 from repro.util.events import Subscription
 from repro.util.rng import split_rng
+
+#: The neighbour memo's skin, as a fraction of the radio range: a static
+#: origin remembers every mover within ``range * (1 + SKIN_FRACTION)``, and
+#: that list stays a superset of the movers in range for as long as none
+#: of them can have covered the skin (see ``WirelessMedium._audible_nodes``).
+SKIN_FRACTION = 0.5
+
+#: The share of the skin a memo entry's window lets the fastest mover cover.
+_WINDOW_SHARE = 0.999
+
 
 @dataclass(frozen=True)
 class RadioProfile:
@@ -84,7 +96,8 @@ class _ScalarBackend:
     changed — instead of the historical per-node ``move`` call storm.
     """
 
-    __slots__ = ("_grid", "_seq", "_node_of", "_next_seq", "_mobile", "_time")
+    __slots__ = ("_grid", "_seq", "_node_of", "_next_seq", "_mobile",
+                 "refreshed_at")
 
     def __init__(self, cell_size: float):
         self._grid = SpatialHashGrid(cell_size)
@@ -92,7 +105,9 @@ class _ScalarBackend:
         self._node_of: Dict[str, Node] = {}
         self._next_seq = 0
         self._mobile: Dict[str, Node] = {}
-        self._time: Optional[float] = None
+        # Virtual time of the last refresh; a mobile node inserted or moved
+        # since holds a position no older than that.
+        self.refreshed_at: Optional[float] = None
 
     def insert(self, node: Node) -> None:
         position = node.position
@@ -118,7 +133,7 @@ class _ScalarBackend:
             self._mobile.pop(node.node_id, None)
 
     def refresh(self, now: float) -> None:
-        if now == self._time:
+        if now == self.refreshed_at:
             return
         if self._mobile:
             def positions():
@@ -126,17 +141,35 @@ class _ScalarBackend:
                     position = node.position
                     yield node_id, position.x, position.y
             self._grid.update_positions(positions())
-        self._time = now
-
-    @property
-    def all_static(self) -> bool:
-        """True while no indexed node has a time-varying mobility model."""
-        return not self._mobile
+        self.refreshed_at = now
 
     def query_circle_ordered(self, x: float, y: float, radius: float) -> List[Node]:
         ids = self._grid.query_circle(x, y, radius)
         ids.sort(key=self._seq.__getitem__)
         return list(map(self._node_of.__getitem__, ids))
+
+    def query_neighbourhood(
+        self, origin_id: str, x: float, y: float, radius: float, reach: float,
+    ) -> Tuple[List[str], List[object]]:
+        """A static origin at (x, y): its neighbour memo entry.
+
+        The same ``(statics, movers)`` as
+        :meth:`VectorPositionIndex.query_neighbourhood`, by attach
+        sequence instead of slot.
+        """
+        grid, seq, mobile = self._grid, self._seq, self._mobile
+        ids = [node_id for node_id in grid.query_circle(x, y, radius)
+               if node_id not in mobile and node_id != origin_id]
+        ids.sort(key=seq.__getitem__)
+        static_seqs = [seq[node_id] for node_id in ids]
+        near = [node_id for node_id in grid.query_circle(x, y, reach)
+                if node_id in mobile]
+        near.sort(key=seq.__getitem__)
+        movers: List[object] = []
+        for node_id in near:
+            movers += (bisect_left(static_seqs, seq[node_id]), node_id,
+                       linear_params(mobile[node_id].mobility))
+        return ids, movers
 
 
 def _select_backend(cell_size: float, vectorized: Optional[bool]):
@@ -208,9 +241,15 @@ class WirelessMedium:
         self._rng = split_rng(seed, f"medium:{profile.name}")
         self._index, self.vectorized = _select_backend(profile.range_m, vectorized)
         self._moved_subs: Dict[str, Subscription] = {}
-        # node id -> in-range nodes in attach order, liveness NOT applied;
-        # filled only while the index holds no time-varying node.
-        self._static_neighbourhoods: Dict[str, List[Node]] = {}
+        # Static origin id -> one flat tuple, (until, x, y, end, *statics,
+        # *movers) with statics = entry[4:end], of node ids: see
+        # _audible_nodes. Ids, floats and ints only, so the cyclic GC stops
+        # tracking an entry at its first collection instead of promoting it
+        # to the oldest generation. Liveness NOT applied. Cleared, with the
+        # speed bound it was sized by, on attach, detach and "moved".
+        self._static_neighbourhoods: Dict[str, tuple] = {}
+        self._speed_bound: Optional[float] = None
+        self._skin = profile.range_m * SKIN_FRACTION
         # Failure-modeling state (chaos layer; inert by default).
         self._isolations: Dict[int, frozenset] = {}
         self._next_isolation_token = 0
@@ -234,14 +273,14 @@ class WirelessMedium:
             raise ConfigurationError(f"node {node.node_id!r} already attached")
         self._nodes[node.node_id] = node
         self._index.insert(node)
-        self._static_neighbourhoods.clear()
+        self._forget_neighbourhoods()
         self._moved_subs[node.node_id] = node.events.on("moved", self._on_node_moved)
 
     def detach(self, node_id: str) -> None:
         if self._nodes.pop(node_id, None) is None:
             return
         self._index.remove(node_id)
-        self._static_neighbourhoods.clear()
+        self._forget_neighbourhoods()
         subscription = self._moved_subs.pop(node_id, None)
         if subscription is not None:
             subscription.cancel()
@@ -251,7 +290,7 @@ class WirelessMedium:
         if node.node_id not in self._nodes:
             return
         self._index.note_moved(node)
-        self._static_neighbourhoods.clear()
+        self._forget_neighbourhoods()
 
     # ------------------------------------------------------ failure modeling
 
@@ -293,10 +332,10 @@ class WirelessMedium:
     def neighbors_of(self, node_id: str) -> List[Node]:
         """Alive nodes currently within radio range of ``node_id``.
 
-        Ordered by attachment, matching the pre-grid all-nodes scan. While
-        every attached node is static the in-range set is answered from
-        memory (see :meth:`_audible_nodes`); otherwise from the position
-        index (3x3 cell block, then an exact range check).
+        Ordered by attachment, matching the pre-grid all-nodes scan. A
+        static node's in-range set is answered from its neighbour memo (see
+        :meth:`_audible_nodes`); a mobile node's from the position index
+        (3x3 cell block, then an exact range check).
         """
         origin = self._nodes.get(node_id)
         if origin is None:
@@ -306,6 +345,11 @@ class WirelessMedium:
             out = [n for n in out if not self.partitioned(node_id, n.node_id)]
         return out
 
+    def _forget_neighbourhoods(self) -> None:
+        """Drop every memo entry and the speed bound they were sized by."""
+        self._static_neighbourhoods.clear()
+        self._speed_bound = None
+
     def _audible_nodes(self, origin: Node) -> List[Node]:
         """Alive in-range nodes, ignoring partitions (physical audibility).
 
@@ -313,31 +357,103 @@ class WirelessMedium:
         order (the scalar grid sorts by attach sequence, the vector index
         by slot number — which *is* the attach sequence).
 
-        Static neighbourhoods: while the index reports no time-varying
-        node, who is in range of whom can only change through ``attach``,
-        ``detach`` or a ``"moved"`` event, and each of those clears the
-        memo — so the index is asked once per origin, not once per frame.
-        Liveness is not part of what is remembered: crashes, recoveries and
-        battery depletion fire no medium hook, so ``node.alive`` is applied
-        to the remembered list at every use, exactly as to a fresh answer.
+        Neighbour memo (a Verlet list): a *static* origin remembers its
+        static in-range nodes, every time-varying node within
+        ``range + skin`` with its place among them, and a deadline
+        ``until = now + 0.999 * skin / v_max``, where ``v_max`` bounds the
+        speed of every attached time-varying node
+        (:func:`~repro.netsim.mobility.speed_bound`). A mover left out was
+        more than ``range + skin`` away and cannot have crossed the skin
+        before ``until``, so the index is asked once per origin per window,
+        not once per frame. Each use range-checks the remembered movers
+        with the index's own arithmetic and splices the ones in range in at
+        their place. An ``inf`` bound turns the memo off; with no movers it
+        never expires. Everything else that changes who is in range of whom
+        goes through ``attach``, ``detach`` or a ``"moved"`` event, and
+        each of those clears the memo. A mobile origin asks the index every
+        time. Liveness is not remembered: crashes, recoveries and battery
+        depletion fire no medium hook, so ``node.alive`` is applied at
+        every use, as to a fresh answer.
         """
-        in_range = self._static_neighbourhoods.get(origin.node_id)
-        if in_range is None:
-            index = self._index
-            index.refresh(self.sim.now())
-            position = origin.position
-            in_range = index.query_circle_ordered(
-                position.x, position.y, self.profile.range_m
-            )
-            if not index.all_static:
+        now = self.sim.now()
+        entry = self._static_neighbourhoods.get(origin.node_id)
+        if entry is None or entry[0] < now:
+            entry = self._remember(origin, now)
+            if entry is None:
+                index = self._index
+                index.refresh(now)
+                position = origin.position
                 return [
-                    node for node in in_range
-                    if node is not origin and node.alive
+                    node for node in index.query_circle_ordered(
+                        position.x, position.y, self.profile.range_m)
+                    if node is not origin and not node._crashed
+                    and node.battery.remaining > 0.0
                 ]
-            in_range = self._static_neighbourhoods[origin.node_id] = [
-                node for node in in_range if node is not origin
-            ]
-        return [node for node in in_range if node.alive]
+        nodes = self._nodes
+        end = entry[3]
+        in_range = None
+        if len(entry) > end:
+            x, y = entry[1], entry[2]
+            r2 = self.profile.range_m * self.profile.range_m
+            spliced = 0
+            fields = islice(entry, end, None)
+            for at, node_id, params in zip(fields, fields, fields):
+                if params is None:
+                    position = nodes[node_id]._mobility.position_at(now)
+                    dx = position.x - x
+                    dy = position.y - y
+                else:
+                    # LinearMobility.position_at, operation for operation.
+                    x0, y0, vx, vy, t0 = params
+                    dt = now - t0
+                    if dt < 0.0:
+                        dt = 0.0
+                    dx = x0 + vx * dt - x
+                    dy = y0 + vy * dt - y
+                if dx * dx + dy * dy <= r2:
+                    if in_range is None:
+                        in_range = list(islice(entry, 4, end))
+                    in_range.insert(at + spliced, node_id)
+                    spliced += 1
+        # Node.alive, as its own expression: once per neighbour per frame.
+        return [node for node in map(nodes.__getitem__, (
+                    islice(entry, 4, end) if in_range is None else in_range))
+                if not node._crashed and node.battery.remaining > 0.0]
+
+    def _remember(self, origin: Node, now: float) -> Optional[tuple]:
+        """Ask the index for ``origin``'s memo entry and store it.
+
+        None, and nothing stored, for a mobile origin or while some
+        attached node's speed has no bound.
+        """
+        if is_time_varying(origin._mobility):
+            return None
+        bound = self._speed_bound
+        if bound is None:
+            bound = self._speed_bound = max(
+                (speed_bound(node.mobility) for node in self._nodes.values()
+                 if is_time_varying(node.mobility)),
+                default=0.0,
+            )
+        if bound == inf:
+            return None
+        # Movers are picked at the positions of the index's last refresh,
+        # the reach widened by how far any of them can have gone since: the
+        # refresh is paid only once that would add more than one skin.
+        index = self._index
+        since = index.refreshed_at
+        if since is None or bound * (now - since) > self._skin:
+            index.refresh(now)
+            since = now
+        position = origin.position
+        x, y = position.x, position.y
+        statics, movers = index.query_neighbourhood(
+            origin.node_id, x, y, self.profile.range_m,
+            self.profile.range_m + self._skin + bound * (now - since))
+        until = now + _WINDOW_SHARE * self._skin / bound if bound else inf
+        entry = self._static_neighbourhoods[origin.node_id] = (
+            until, x, y, 4 + len(statics), *statics, *movers)
+        return entry
 
     # ----------------------------------------------------------- transmission
 

@@ -8,6 +8,7 @@ they need no per-tick updates and remain exact under any event spacing.
 
 from __future__ import annotations
 
+from math import hypot, inf
 from typing import List, Optional, Protocol, Tuple
 
 from repro.errors import ConfigurationError
@@ -53,6 +54,25 @@ def linear_params(
             model.velocity[0], model.velocity[1], model.start_time,
         )
     return None
+
+
+def speed_bound(model: "MobilityModel") -> float:
+    """The fastest ``model`` can ever move, in m/s; ``inf`` when unknown.
+
+    The medium's neighbour memo (:meth:`WirelessMedium._audible_nodes`)
+    keeps a static origin's list of nearby movers only as long as none of
+    them could have come from outside it, so the bound must hold for every
+    stretch of virtual time. Exact types only: a subclass may move however
+    it likes, and so gets no bound.
+    """
+    kind = type(model)
+    if kind is LinearMobility:
+        return hypot(model.velocity[0], model.velocity[1])
+    if kind is PathMobility:
+        return model.speed
+    if kind is RandomWaypointMobility:
+        return model.speed_range[1]
+    return inf
 
 
 class StaticMobility:

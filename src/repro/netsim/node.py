@@ -88,9 +88,10 @@ class Node:
     def alive(self) -> bool:
         """True unless the node crashed or its battery is flat."""
         # Read in place by ``WirelessMedium.transmit`` (sender and unicast
-        # target: ``_crashed or not battery.remaining > 0.0``) and by
+        # target: ``_crashed or not battery.remaining > 0.0``), by
+        # ``WirelessMedium._audible_nodes`` (every neighbour) and by
         # ``receive`` below (``_crashed``, then the drain's verdict): a
-        # change to what "alive" means changes those three too.
+        # change to what "alive" means changes those four too.
         return not self._crashed and self.battery.remaining > 0.0
 
     def crash(self) -> None:

@@ -118,7 +118,9 @@ class Simulator:
 
     def now(self) -> float:
         """Current virtual time in seconds (the Clock protocol)."""
-        return self._clock.now()
+        # ``ManualClock.now`` read in place: one frame, not two, on a call
+        # made all over the stack.
+        return self._clock._now
 
     @property
     def clock(self) -> ManualClock:

@@ -34,6 +34,7 @@ backend.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Tuple
 
 try:  # numpy is an optional dependency (the [scale] extra)
@@ -95,7 +96,10 @@ class VectorPositionIndex:
         self._fallback: Dict[int, Any] = {}  # slot -> mobility model
         self._lin_arrays: Optional[Tuple[Any, ...]] = None  # lazy kinematics
         self._dyn_slots: Optional[Any] = None  # lazy: all time-varying slots
-        self._time: Optional[float] = None
+        # (dyn slots, their x, their y) as of the last refresh, lazily.
+        self._dyn_xy: Optional[Tuple[Any, Any, Any]] = None
+        #: Virtual time of the last refresh; None while one is owed.
+        self.refreshed_at: Optional[float] = None
 
     def __len__(self) -> int:
         return self._live
@@ -163,7 +167,7 @@ class VectorPositionIndex:
         else:
             self._fallback[slot] = mobility
         self._dyn_slots = None
-        self._time = None  # force a refresh before the next query
+        self.refreshed_at = None  # force a refresh before the next query
 
     def _declassify(self, slot: int) -> None:
         cell = self._cell_of.pop(slot, None)
@@ -192,7 +196,7 @@ class VectorPositionIndex:
         self._fallback.clear()
         self._lin_arrays = None
         self._dyn_slots = None
-        self._time = None
+        self.refreshed_at = None
         for node in nodes:
             self.insert(node)
 
@@ -204,7 +208,7 @@ class VectorPositionIndex:
         Linear slots update in one array expression; fallback slots loop
         Python ``position_at``. At most once per distinct timestamp.
         """
-        if now == self._time:
+        if now == self.refreshed_at:
             return
         if self._linear:
             arrays = self._lin_arrays
@@ -231,35 +235,29 @@ class VectorPositionIndex:
                 position = model.position_at(now)
                 x_arr[slot] = position.x
                 y_arr[slot] = position.y
-        self._time = now
+        self._dyn_xy = None
+        self.refreshed_at = now
 
     # ---------------------------------------------------------------- queries
 
-    @property
-    def all_static(self) -> bool:
-        """True while no indexed node has a time-varying mobility model."""
-        return not (self._linear or self._fallback)
-
-    def query_circle_ordered(self, x: float, y: float, radius: float) -> List[Any]:
-        """Nodes within ``radius`` of (x, y), inclusive, in attachment order.
-
-        Candidates are the 3x3 static cell block around the origin plus
-        every time-varying slot; the distance filter runs as one vector
-        expression (or a same-arithmetic Python loop when the candidate
-        set is tiny).
-        """
+    def _static_block(self, x: float, y: float, radius: float) -> List[int]:
+        """Static slots bucketed in the cells a ``radius`` circle touches."""
         size = self.cell_size
         cells = self._cells
         cx_lo = int((x - radius) // size)
         cx_hi = int((x + radius) // size)
         cy_lo = int((y - radius) // size)
         cy_hi = int((y + radius) // size)
-        static_candidates: List[int] = []
+        candidates: List[int] = []
         for cx in range(cx_lo, cx_hi + 1):
             for cy in range(cy_lo, cy_hi + 1):
                 bucket = cells.get((cx, cy))
                 if bucket:
-                    static_candidates.extend(bucket)
+                    candidates.extend(bucket)
+        return candidates
+
+    def _dyn(self) -> Optional[Any]:
+        """Every time-varying slot, ascending (None when there is none)."""
         dyn = self._dyn_slots
         if dyn is None and (self._linear or self._fallback):
             dyn = _np.fromiter(
@@ -268,15 +266,22 @@ class VectorPositionIndex:
                 count=len(self._linear) + len(self._fallback),
             )
             self._dyn_slots = dyn
+        return dyn
+
+    def _within(
+        self, slots: Any, x: float, y: float, radius: float,
+    ) -> List[int]:
+        """The ``slots`` within ``radius`` of (x, y), ascending.
+
+        One vector expression, or a same-arithmetic Python loop when the
+        candidate set is tiny.
+        """
         r2 = radius * radius
         x_arr = self._x
         y_arr = self._y
-        node_of = self._node_of
-        n_dyn = 0 if dyn is None else len(dyn)
-        if len(static_candidates) + n_dyn < _SMALL_QUERY:
-            slots = static_candidates if n_dyn == 0 else (
-                static_candidates + [int(s) for s in dyn]
-            )
+        if len(slots) < _SMALL_QUERY:
+            if isinstance(slots, _np.ndarray):
+                slots = slots.tolist()
             hits = []
             for slot in slots:
                 dx = x_arr[slot] - x
@@ -284,16 +289,59 @@ class VectorPositionIndex:
                 if dx * dx + dy * dy <= r2:
                     hits.append(slot)
             hits.sort()
-            return [node_of[slot] for slot in hits]
-        if static_candidates:
-            candidates = _np.fromiter(static_candidates, dtype=_np.intp,
-                                      count=len(static_candidates))
-            if n_dyn:
-                candidates = _np.concatenate([candidates, dyn])
-        else:
-            candidates = dyn
-        dx = x_arr[candidates] - x
-        dy = y_arr[candidates] - y
-        hits_arr = candidates[dx * dx + dy * dy <= r2]
+            return hits
+        if not isinstance(slots, _np.ndarray):
+            slots = _np.fromiter(slots, dtype=_np.intp, count=len(slots))
+        dx = x_arr[slots] - x
+        dy = y_arr[slots] - y
+        hits_arr = slots[dx * dx + dy * dy <= r2]
         hits_arr.sort()
-        return [node_of[slot] for slot in hits_arr.tolist()]
+        return hits_arr.tolist()
+
+    def query_circle_ordered(self, x: float, y: float, radius: float) -> List[Any]:
+        """Nodes within ``radius`` of (x, y), inclusive, in attachment order.
+
+        Candidates are the 3x3 static cell block around the origin plus
+        every time-varying slot.
+        """
+        candidates = self._static_block(x, y, radius)
+        dyn = self._dyn()
+        if dyn is not None:
+            candidates = (
+                _np.concatenate([_np.array(candidates, dtype=_np.intp), dyn])
+                if candidates else dyn
+            )
+        return list(map(self._node_of.__getitem__,
+                        self._within(candidates, x, y, radius)))
+
+    def query_neighbourhood(
+        self, origin_id: str, x: float, y: float, radius: float, reach: float,
+    ) -> Tuple[List[str], List[Any]]:
+        """A static origin at (x, y): its neighbour memo entry.
+
+        Returns ``(statics, movers)``, by node id. ``statics`` are the
+        static nodes within ``radius``, ``origin_id`` excluded, in
+        attachment order. ``movers`` is one flat list ``[at, node_id,
+        params, ...]`` over every time-varying node within ``reach``
+        (positions as of the last refresh), in attachment order: ``at`` is
+        how many of ``statics`` were attached before it, ``params`` its
+        :func:`linear_params`, or None when it has no closed form. The
+        distance arithmetic is :meth:`query_circle_ordered`'s.
+        """
+        hits = self._within(self._static_block(x, y, radius), x, y, radius)
+        hits.remove(self._slot_of[origin_id])
+        node_of = self._node_of
+        movers: List[Any] = []
+        dyn = self._dyn()
+        if dyn is not None:
+            # Gathered once per refresh: the builds in between share it.
+            cache = self._dyn_xy
+            if cache is None or cache[0] is not dyn:
+                cache = self._dyn_xy = (dyn, self._x[dyn], self._y[dyn])
+            dx = cache[1] - x
+            dy = cache[2] - y
+            linear = self._linear
+            for slot in dyn[dx * dx + dy * dy <= reach * reach].tolist():
+                movers += (bisect_left(hits, slot), node_of[slot].node_id,
+                           linear.get(slot))
+        return [node_of[slot].node_id for slot in hits], movers

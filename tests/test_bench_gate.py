@@ -27,3 +27,10 @@ def test_nothing_dropped_when_the_run_covers_the_baseline():
     baseline = {"ops": {"a": op(10.0)}}
     assert run_benchmarks.compare(baseline, {"a": op(10.0), "b": op(1.0)}, 1.5) == (
         [("a", 10.0, 10.0, 1.0, False)], [])
+
+
+def test_a_row_the_quick_run_skipped_is_neither_compared_nor_dropped():
+    baseline = {"ops": {"a": op(10.0), "big": op(2000.0)}}
+    current = {"a": op(10.0), "big": {"median_ns": None, "skipped": "quick"}}
+    assert run_benchmarks.compare(baseline, current, 1.5) == (
+        [("a", 10.0, 10.0, 1.0, False)], [])

@@ -329,7 +329,8 @@ def test_one_replay_call_site_and_one_canonical_encoder():
     # sharded simulator with its medium hook, its bytes-built and pickled
     # frames, the corruptor-only splice path, the second and third receive
     # decoders, the heartbeat packer, the per-delivery frame counters, the
-    # codecs' frame coercion and the channel multiplexer cannot creep back.
+    # codecs' frame coercion, the channel multiplexer and the all-static
+    # switch the neighbour memo outgrew cannot creep back.
     # ``def frame_bytes``, not the bare name: ``StreamingSource`` has a
     # ``frame_bytes`` parameter.
     texts = sources()
@@ -348,7 +349,8 @@ def test_one_replay_call_site_and_one_canonical_encoder():
                "def frame_bytes", "_FRAME_DICT_EXTRACTOR", "_rebuild_frame",
                "TailIntPacker", "packer=", "Multiplexer", "ChannelTransport",
                "BuiltStack", "multiplexed", "_live_counters",
-               "frames.passthrough", "encode_skipped", "_FRAME_TYPES")
+               "frames.passthrough", "encode_skipped", "_FRAME_TYPES",
+               "all_static")
     root = SRC.parent.parent
     survivors = [(path.relative_to(root).as_posix(), name)
                  for top in ("src", "examples", "benchmarks")

@@ -1,5 +1,7 @@
 """Tests for mobility models, topology generators, and failure injection."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -10,6 +12,7 @@ from repro.netsim.mobility import (
     PathMobility,
     RandomWaypointMobility,
     StaticMobility,
+    speed_bound,
 )
 from repro.netsim.network import Network
 from repro.util.geometry import Point
@@ -68,6 +71,27 @@ class TestMobility:
         early = model.position_at(5.0)
         assert model.position_at(40.0) == late  # re-query consistent
         assert model.position_at(5.0) == early
+
+    @pytest.mark.parametrize("model,bound", [
+        (LinearMobility(Point(0, 0), velocity=(3.0, -4.0), start_time=2.0), 5.0),
+        (PathMobility([Point(0, 0), Point(30, 0), Point(30, 40)], speed=2.5), 2.5),
+        (RandomWaypointMobility((100, 100), seed=1, speed_range=(1.0, 6.0),
+                                pause_s=0.5), 6.0),
+    ], ids=["linear", "path", "waypoint"])
+    def test_speed_bound_holds_between_any_two_instants(self, model, bound):
+        assert speed_bound(model) == bound
+        times = [0.25 * k for k in range(200)]
+        positions = [model.position_at(t) for t in times]
+        for (t0, p0) in zip(times, positions):
+            for (t1, p1) in zip(times[::7], positions[::7]):
+                assert p0.distance_to(p1) <= bound * abs(t1 - t0) + 1e-9
+
+    def test_an_unknown_model_has_no_speed_bound(self):
+        class Drift(LinearMobility):
+            """A subclass may move however it likes."""
+
+        assert speed_bound(Drift(Point(0, 0), velocity=(1.0, 0.0))) == math.inf
+        assert speed_bound(object()) == math.inf
 
     def test_node_follows_mobility(self):
         network = Network()

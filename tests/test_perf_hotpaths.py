@@ -18,8 +18,9 @@ from repro.core.milan import Milan
 from repro.core.policy import health_monitor_policy
 from repro.errors import SimulationError
 from repro.experiments import exp_milan
+from repro.netsim import vecindex
 from repro.netsim.medium import RadioProfile
-from repro.netsim.mobility import LinearMobility
+from repro.netsim.mobility import LinearMobility, is_time_varying
 from repro.netsim.packet import BROADCAST, Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import grid
@@ -202,20 +203,26 @@ class TestReceptionCallBudget:
 
     The fused reception routine costs about 4 such calls per delivery; a
     chain of per-receiver helpers and nested liveness properties around
-    the one float subtraction costs 18. Counts are exact and repeat run to
-    run, so the budget needs no timing tolerance: a change that puts such a
-    chain back fails here, on any machine.
+    the one float subtraction costs 18. With the neighbour memo answering
+    static origins and ``alive`` read in place per neighbour, 2.56 on the
+    vector backend and 2.88 on the scalar one, whose refresh still reads
+    ``position`` per mover (3.68 and 6.49 when every frame asked the
+    index). Counts are exact and repeat run to run, so the budget needs
+    no timing tolerance: a change that puts such a chain back fails here,
+    on any machine.
     """
 
-    BUDGET = 8.0
+    BUDGET = 2.89
+    ROUNDS = 4
 
-    def test_beacon_swarm_stays_within_budget(self):
-        # The benchmark's smoke size: a 12x12 grid, 4 rounds, one node in
-        # ten drifting, every node beaconing at its own timestamp.
+    def swarm(self, vectorized):
+        """The benchmark's smoke size: a 12x12 grid, 4 rounds, one node in
+        ten drifting, every node beaconing at its own timestamp."""
         profile = RadioProfile(
             name="802.11-swarm", bandwidth_bps=11e6, range_m=100.0,
             base_latency_s=0.001, loss_probability=0.01)
-        network = grid(12, 12, spacing=30.0, radio_profile=profile, seed=0)
+        network = grid(12, 12, spacing=30.0, radio_profile=profile, seed=0,
+                       vectorized=vectorized)
         sim, medium = network.sim, network.medium
         nodes = network.nodes()
         heard = []
@@ -232,16 +239,36 @@ class TestReceptionCallBudget:
                 payload_bytes=16))
 
         step = 2.0 * 0.8 / len(nodes)
-        for round_index in range(4):
+        for round_index in range(self.ROUNDS):
             for i, node in enumerate(nodes):
                 sim.schedule_at(0.05 + round_index * 2.0 + i * step,
                                 beacon, node)
 
-        calls = sum(count_repro_calls(sim.run).values())
+        calls = count_repro_calls(sim.run)
 
-        assert medium.transmissions == 4 * len(nodes)
+        assert medium.transmissions == self.ROUNDS * len(nodes)
         assert len(heard) == medium.deliveries > 10_000
-        assert calls / medium.deliveries <= self.BUDGET
+        return calls, medium, nodes
+
+    def test_beacon_swarm_stays_within_budget(self):
+        for vectorized in (False, True) if vecindex.available() else (False,):
+            calls, medium, _nodes = self.swarm(vectorized)
+            assert sum(calls.values()) / medium.deliveries <= self.BUDGET, (
+                vectorized)
+
+    @pytest.mark.parametrize("vectorized", BACKENDS)
+    def test_index_is_asked_once_per_static_origin(self, vectorized):
+        # The window (0.999 * 50 m / 1.118 m/s) outlasts the 8 s run, so a
+        # static origin asks once; a mobile origin asks at every beacon.
+        # Asked per beacon, this was 576 queries; it is 129 + 60.
+        calls, _medium, nodes = self.swarm(vectorized)
+        mobile = sum(is_time_varying(node.mobility) for node in nodes)
+        queries = (calls["query_neighbourhood"]
+                   + calls["query_circle_ordered"])
+        static_origins = len(nodes) - mobile
+        assert (static_origins, mobile) == (129, 15)
+        assert queries <= static_origins + self.ROUNDS * mobile
+        assert calls["query_circle_ordered"] == self.ROUNDS * mobile
 
 
 class TestFloodCallBudget:
@@ -285,7 +312,8 @@ class TestFloodCallBudget:
         assert duplicates > 0.75 * medium.deliveries > 5_000
         assert sum(calls.values()) / medium.deliveries <= self.BUDGET
         senders = len(agents) - 1
-        assert 0 < calls["query_circle_ordered"] <= senders
+        assert 0 < calls["query_neighbourhood"] <= senders
+        assert calls["query_circle_ordered"] == 0
 
 
 class TestReconfigureCallBudget:

@@ -30,6 +30,16 @@ class TestScheduling:
         sim.run()
         assert seen == [3.5]
 
+    def test_now_follows_the_clock(self):
+        sim = Simulator(start_time=1.5)
+        assert sim.now() == 1.5
+        sim.clock.set(4.0)
+        assert sim.now() == 4.0
+        sim.clock.advance(0.25)
+        assert sim.now() == 4.25
+        sim.run_until(6.0)
+        assert sim.now() == sim.clock.now() == 6.0
+
     def test_schedule_with_args(self):
         sim = Simulator()
         seen = []

@@ -1,12 +1,12 @@
-"""The medium's static-neighbourhood memo against the index it fronts.
+"""The medium's neighbour memo against the index it fronts.
 
-While no attached node has a time-varying mobility model,
-``WirelessMedium`` answers "who is in range of whom" from memory. The memo
-may only ever change *cost*: after any interleaving of membership,
-movement, mobility swaps, liveness changes and partitions,
-``neighbors_of`` and a broadcast's receivers must be exactly what the
-position index says when asked afresh — same nodes, same order — on both
-backends.
+A static origin remembers its static in-range nodes and every mover within
+``range + skin``, for as long as no mover can have crossed the skin. The
+memo may only ever change *cost*: after any interleaving of membership,
+movement, mobility swaps, liveness changes, partitions and the passing of
+time, ``neighbors_of`` must be exactly what a scan of every node says, and
+a broadcast's receivers what the position index says when asked afresh —
+same nodes, same order — on both backends.
 
 A unicast between two pinned nodes takes the same shortcut without a memo:
 ``transmit`` reads the two positions the nodes hold instead of going through
@@ -16,6 +16,8 @@ charged, whether the frame is out of range, and when it is heard.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -27,12 +29,13 @@ from hypothesis.stateful import (
 )
 
 from repro.netsim.energy import Battery
-from repro.netsim.medium import RadioProfile, WirelessMedium
+from repro.netsim.medium import SKIN_FRACTION, RadioProfile, WirelessMedium
 from repro.netsim.mobility import (
     LinearMobility,
     PathMobility,
     RandomWaypointMobility,
     StaticMobility,
+    is_time_varying,
 )
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
@@ -61,8 +64,10 @@ def _mobility(draw, at: float):
     if kind == "linear":
         velocity = (draw(st.sampled_from([-20.0, 0.0, 7.5])),
                     draw(st.sampled_from([-5.0, 0.0, 20.0])))
+        # It may set off later: until then it stands at its start.
+        delay = draw(st.sampled_from([0.0, 2.0]))
         return LinearMobility(start=draw(_point), velocity=velocity,
-                              start_time=at)
+                              start_time=at + delay)
     if kind == "waypoint":
         return RandomWaypointMobility(
             area=(200.0, 200.0), seed=draw(st.integers(0, 3)),
@@ -86,6 +91,28 @@ def fresh_neighbours(medium: WirelessMedium, node_id: str):
         if node is not origin and node.alive
         and not medium.partitioned(node_id, node.node_id)
     ]
+
+
+def scanned_neighbours(medium: WirelessMedium, node_id: str):
+    """The same answer from a scan of every attached node, in attach order.
+
+    Unlike :func:`fresh_neighbours` it leaves the index alone, so positions
+    the index last refreshed some steps ago stay that old for the memo.
+    """
+    origin = medium.get_node(node_id)
+    if origin is None:
+        return []
+    here = origin.position
+    r2 = medium.profile.range_m * medium.profile.range_m
+    out = []
+    for node in medium.nodes():
+        there = node.position
+        dx = there.x - here.x
+        dy = there.y - here.y
+        if (node is not origin and dx * dx + dy * dy <= r2 and node.alive
+                and not medium.partitioned(node_id, node.node_id)):
+            out.append(node)
+    return out
 
 
 def same_nodes(answer, reference) -> bool:
@@ -153,7 +180,22 @@ class NeighbourhoodMachine(RuleBasedStateMachine):
             node.set_mobility(data.draw(
                 st.none() | _mobility(self.sim.now())))
 
-    @rule(dt=st.sampled_from([0.0, 0.25, 3.0]))
+    @rule(node_id=_node_id, target_id=_node_id,
+          gap=st.sampled_from([152.5, 160.0, 185.0, 205.0]),
+          speed=st.sampled_from([5.0, 10.0, 20.0]))
+    def approach(self, node_id, target_id, gap, speed):
+        """Send a node straight at another from just beyond range + skin:
+        the mover a too-long window or a too-short reach would miss."""
+        node, target = self._node(node_id), self._node(target_id)
+        if node is not None and target is not None and node is not target:
+            here = target.position
+            node.set_mobility(LinearMobility(
+                start=Point(here.x + gap, here.y), velocity=(-speed, 0.0),
+                start_time=self.sim.now()))
+
+    #: 12 s outlasts the longest finite window the drawn models give
+    #: (0.999 * 50 m / 5 m/s), so remembered movers do expire.
+    @rule(dt=st.sampled_from([0.0, 0.25, 3.0, 12.0]))
     def advance(self, dt):
         self.sim.run_until(self.sim.now() + dt)
 
@@ -245,24 +287,23 @@ class NeighbourhoodMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------ invariants
 
     @invariant()
-    def neighbours_are_what_the_index_says(self):
+    def neighbours_are_what_a_scan_says(self):
         medium = self.medium
         for node_id in IDS:
             answer = medium.neighbors_of(node_id)
-            assert same_nodes(answer, fresh_neighbours(medium, node_id)), (
+            assert same_nodes(answer, scanned_neighbours(medium, node_id)), (
                 node_id, answer)
 
     @invariant()
-    def memo_is_live_only_in_an_all_static_world(self):
+    def memo_holds_static_origins_and_is_never_read_past_its_until(self):
         medium = self.medium
-        attached = [node.node_id for node in medium.nodes()]
-        for node_id in attached:
+        for node_id in IDS:
             medium.neighbors_of(node_id)
-        remembered = medium._static_neighbourhoods
-        if medium._index.all_static:
-            assert sorted(remembered) == sorted(attached)
-        else:
-            assert not remembered
+        now = self.sim.now()
+        for node_id, entry in medium._static_neighbourhoods.items():
+            node = medium.get_node(node_id)
+            assert node is not None and not is_time_varying(node.mobility)
+            assert entry[0] >= now, (node_id, entry[0], now)
 
 
 class VectorNeighbourhoodMachine(NeighbourhoodMachine):
@@ -288,16 +329,18 @@ class _CountingWorld:
             self.add(node_id, Point(60.0 * i, 0.0))
         self.queries = 0
         backend = type(self.medium._index)
-        query = backend.query_circle_ordered
+        for name in ("query_circle_ordered", "query_neighbourhood"):
+            query = getattr(backend, name)
 
-        def counting(index, x, y, radius):
-            self.queries += 1
-            return query(index, x, y, radius)
+            def counting(index, *args, _query=query):
+                self.queries += 1
+                return _query(index, *args)
 
-        monkeypatch.setattr(backend, "query_circle_ordered", counting)
+            monkeypatch.setattr(backend, name, counting)
 
-    def add(self, node_id, position):
-        node = self.nodes[node_id] = Node(node_id, self.sim, position=position)
+    def add(self, node_id, position, mobility=None):
+        node = self.nodes[node_id] = Node(node_id, self.sim, position=position,
+                                          mobility=mobility)
         self.medium.attach(node)
 
     def ids(self, node_id):
@@ -333,19 +376,103 @@ class TestMemoLifecycle:
         assert world.ids("b") == ["a"]
         assert world.asked() == 1
 
-    def test_mobility_turns_the_memo_off_and_pinning_turns_it_back_on(
+    def test_one_ask_per_origin_per_window_and_one_more_after_expiry(
             self, world):
+        # d drifts at 10 m/s far out of everyone's reach: every static
+        # origin's window is 0.999 * 50 m / 10 m/s.
+        world.add("d", Point(1000.0, 0.0), LinearMobility(
+            start=Point(1000.0, 0.0), velocity=(10.0, 0.0)))
+        world.asked()
+        assert world.ids("b") == ["a", "c"]
+        until = world.medium._static_neighbourhoods["b"][0]
+        assert until == 0.999 * SKIN_FRACTION * CLEAN.range_m / 10.0
+        for t in (1.0, until):
+            world.sim.run_until(t)
+            assert world.ids("b") == ["a", "c"]
+        assert world.asked() == 1
+        world.sim.run_until(math.nextafter(until, math.inf))
+        assert world.ids("b") == ["a", "c"]
+        assert world.ids("b") == ["a", "c"]
+        assert world.asked() == 1
+
+    def test_walker_from_beyond_the_skin_is_heard_at_the_inclusive_edge(
+            self, world):
+        # e walks straight at a, at the only (so the bound) speed, from
+        # 160 m: 155 m at a's first beacon, outside range + skin, and
+        # exactly 100.0 m at its twelfth.
+        world.add("e", Point(-160.0, 0.0), LinearMobility(
+            start=Point(-160.0, 0.0), velocity=(10.0, 0.0)))
+        heard = []
+        world.nodes["e"].set_packet_handler(
+            lambda node, packet: heard.append(packet.payload[0]))
+
+        def beacon(k):
+            world.medium.transmit("a", Packet(
+                source="a", destination=BROADCAST, payload=bytes([k]),
+                payload_bytes=8))
+
+        for k in range(1, 16):
+            world.sim.schedule_at(0.5 * k, beacon, k)
+        world.sim.run()
+        assert heard == list(range(12, 16))
+        # Built at 0.5 s, and again at 5.5 s: the 4.995 s window ran out.
+        assert world.asked() == 2
+
+    def test_a_build_on_stale_positions_widens_the_reach(self, world):
+        # w heads for a at 10 m/s from 190 m. a's entry is rebuilt at 5 s
+        # from the positions of the refresh at 0 s: w is 190 m out there,
+        # beyond range + skin, but the reach is widened by the 50 m it can
+        # have come since, so w is remembered and heard at exactly 100 m.
+        world.add("w", Point(-190.0, 0.0), LinearMobility(
+            start=Point(-190.0, 0.0), velocity=(10.0, 0.0)))
+        assert world.ids("a") == ["b"]
+        world.sim.run_until(5.0)
+        assert world.ids("a") == ["b"]
+        assert world.medium._index.refreshed_at == 0.0
+        world.sim.run_until(9.0)
+        assert world.ids("a") == ["b", "w"]
+        assert world.asked() == 2
+
+    def test_a_speed_with_no_bound_makes_every_broadcast_ask(self, world):
+        class Wanderer:
+            """A mobility model the medium knows no speed bound for."""
+
+            def position_at(self, t):
+                return Point(500.0, 0.0)
+
+        world.add("w", Point(0.0, 0.0), Wanderer())
+        world.asked()
+        for _ in range(3):
+            assert world.medium.transmit("b", Packet(
+                source="b", destination=BROADCAST, payload=b"x",
+                payload_bytes=8))
+            assert world.ids("b") == ["a", "c"]
+        assert world.asked() == 6
+        assert not world.medium._static_neighbourhoods
+
+    def test_a_mobile_origin_always_asks(self, world):
+        world.nodes["a"].set_mobility(LinearMobility(
+            start=Point(0.0, 0.0), velocity=(1.0, 0.0)))
+        world.asked()
+        for _ in range(3):
+            assert world.ids("a") == ["b"]
+            assert world.ids("b") == ["a", "c"]
+        assert world.asked() == 3 + 1
+        assert list(world.medium._static_neighbourhoods) == ["b"]
+
+    def test_moves_and_mobility_swaps_clear_the_memo(self, world):
         assert world.ids("b") == ["a", "c"]
         world.asked()
-        # c drifts away from b at 10 m/s: out of range after 4 s.
+        # c drifts away from b at 10 m/s: out of range after 4 s, and
+        # b's window (4.995 s) has run out by 5 s.
         world.nodes["c"].set_mobility(LinearMobility(
             start=Point(120.0, 0.0), velocity=(10.0, 0.0), start_time=0.0))
         assert world.ids("b") == ["a", "c"]
         assert world.ids("b") == ["a", "c"]
-        assert world.asked() == 2 and not world.medium._static_neighbourhoods
+        assert world.asked() == 1
         world.sim.run_until(5.0)
         assert world.ids("b") == ["a"]
-        # Pinned (back in range): static again, one query, then memory.
+        # Pinned (back in range): one query, then memory.
         world.nodes["c"].set_position(Point(100.0, 0.0))
         world.asked()
         assert world.ids("b") == ["a", "c"]
