@@ -24,6 +24,10 @@ from repro.util.events import EventEmitter
 from repro.util.promise import Promise
 
 
+#: Descriptions asked for per discovery lookup.
+MAX_RESULTS = 64
+
+
 class LookupAgent(Protocol):
     """What the binder needs from a discovery mode (they all provide it)."""
 
@@ -45,7 +49,6 @@ class DiscoveryBinder:
         scheduler: Scheduler,
         service_type: str = "sensor",
         refresh_interval_s: float = 10.0,
-        max_results: int = 64,
         miss_limit: int = 2,
     ):
         self.milan = milan
@@ -53,7 +56,6 @@ class DiscoveryBinder:
         self.scheduler = scheduler
         self.service_type = service_type
         self.refresh_interval_s = refresh_interval_s
-        self.max_results = max_results
         self.miss_limit = miss_limit
         self.events = EventEmitter()
         self._bound: Set[str] = set()
@@ -68,7 +70,7 @@ class DiscoveryBinder:
     def refresh(self) -> Promise:
         """One discovery round; fulfills when the fleet has been updated."""
         done: Promise = Promise()
-        query = Query(self.service_type, max_results=self.max_results)
+        query = Query(self.service_type, max_results=MAX_RESULTS)
         self.discovery.lookup(query).on_settle(
             lambda settled: self._apply(settled, done)
         )

@@ -64,7 +64,7 @@ from typing import (
 from repro.core.feasibility import requirements_signature, sensor_signature
 from repro.core.selection import SelectionStrategy, SetScore, score_set, select_best
 from repro.core.sensors import SensorInfo
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import get_registry
 
 SensorSet = FrozenSet[str]
 Signature = Tuple
@@ -96,15 +96,14 @@ class FeasibilityCache:
     object-id reuse.
     """
 
-    def __init__(self, max_entries: int = 256,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, max_entries: int = 256):
         self.max_entries = max_entries
         self._entries: "OrderedDict[CacheKey, FeasibilityEntry]" = OrderedDict()
         self._signatures: Dict[str, Tuple[Dict[str, float], float, Signature]] = {}
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        registry = registry if registry is not None else get_registry()
+        registry = get_registry()
         self._hits_counter = registry.counter("milan.feasibility_cache.hits")
         self._misses_counter = registry.counter("milan.feasibility_cache.misses")
         self._invalidations_counter = registry.counter(
@@ -193,10 +192,9 @@ class ReconfigEngine:
     one pass over the alive sensors plus one ``min`` per candidate.
     """
 
-    def __init__(self, max_feasibility_entries: int = 256,
-                 registry: Optional[MetricsRegistry] = None):
-        registry = registry if registry is not None else get_registry()
-        self.feasibility = FeasibilityCache(max_feasibility_entries, registry)
+    def __init__(self):
+        registry = get_registry()
+        self.feasibility = FeasibilityCache()
         self.score_hits = 0
         self.score_misses = 0
         self._score_hits_counter = registry.counter("milan.score_cache.hits")

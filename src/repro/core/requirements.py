@@ -19,7 +19,8 @@ from repro.errors import ConfigurationError
 class VariableRequirements:
     """state -> variable -> required reliability in [0, 1]."""
 
-    by_state: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    by_state: Dict[str, Dict[str, float]] = field(default_factory=dict,
+                                                  init=False)
 
     def require(self, state: str, variable: str, reliability: float) -> "VariableRequirements":
         """Declare a requirement; returns self for chaining."""

@@ -17,12 +17,11 @@ Requires a transport with broadcast support
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.discovery.description import ServiceDescription
 from repro.discovery.matching import Matcher, Query
 from repro.errors import ConfigurationError, DiscoveryError
-from repro.interop.codec import Codec
 from repro.interop.frames import WireFrame
 from repro.transport.base import Address, drop_malformed
 from repro.transport.endpoint import MessageEndpoint, list_of
@@ -74,7 +73,6 @@ class DistributedDiscovery(MessageEndpoint):
     def __init__(
         self,
         transport: SimTransport,
-        codec: Optional[Codec] = None,
         ttl: int = DEFAULT_TTL,
         advertise_interval_s: float = DEFAULT_ADVERT_INTERVAL_S,
         advert_lease_s: float = DEFAULT_ADVERT_LEASE_S,
@@ -83,7 +81,7 @@ class DistributedDiscovery(MessageEndpoint):
     ):
         if ttl < 1:
             raise ConfigurationError(f"ttl must be >= 1, got {ttl!r}")
-        super().__init__(transport, codec)
+        super().__init__(transport)
         self.node_id = transport.local_address.node
         self.ttl = ttl
         self.advertise_interval_s = advertise_interval_s

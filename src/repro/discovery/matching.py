@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.discovery.description import (
     ServiceDescription, wire_point, wire_real)
 from repro.errors import ConfigurationError, DiscoveryError
-from repro.qos.spec import ConsumerQoS, MatchScore, NetworkQoS, score_match
+from repro.qos.spec import ConsumerQoS, MatchScore, score_match
 
 #: Supported constraint operators.
 _OPERATORS = ("=", "!=", "contains", ">=", "<=")
@@ -179,9 +179,6 @@ class Match:
 class Matcher:
     """Ranks service descriptions against a query."""
 
-    def __init__(self, network: NetworkQoS = NetworkQoS()):
-        self.network = network
-
     def distance(
         self, query: Query, description: ServiceDescription
     ) -> Optional[float]:
@@ -201,7 +198,7 @@ class Matcher:
             if not query.accepts(description):
                 continue
             distance_m = self.distance(query, description)
-            score = score_match(description.qos, consumer, self.network, distance_m)
+            score = score_match(description.qos, consumer, distance_m=distance_m)
             if score is None:
                 continue
             results.append(Match(description, score, distance_m))

@@ -9,11 +9,10 @@ both directory load and lookup path length.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.discovery.registry import RegistryClient, RegistryServer
 from repro.errors import ConfigurationError
-from repro.interop.codec import Codec
 from repro.transport.base import Address, Transport
 
 
@@ -23,8 +22,6 @@ class MirrorGroup:
     def __init__(
         self,
         transports: Sequence[Transport],
-        codec: Optional[Codec] = None,
-        sweep_interval_s: float = 1.0,
     ):
         if not transports:
             raise ConfigurationError("a mirror group needs at least one transport")
@@ -32,12 +29,7 @@ class MirrorGroup:
         self.servers: List[RegistryServer] = []
         for i, transport in enumerate(transports):
             peers = [a for j, a in enumerate(addresses) if j != i]
-            self.servers.append(
-                RegistryServer(
-                    transport, codec=codec, sweep_interval_s=sweep_interval_s,
-                    peers=peers,
-                )
-            )
+            self.servers.append(RegistryServer(transport, peers=peers))
 
     @property
     def addresses(self) -> List[Address]:
@@ -47,7 +39,6 @@ class MirrorGroup:
         self,
         transport: Transport,
         mirror_index: int = 0,
-        codec: Optional[Codec] = None,
         request_timeout_s: float = 2.0,
     ) -> RegistryClient:
         """A client bound to the chosen mirror (pick the nearest)."""
@@ -58,7 +49,6 @@ class MirrorGroup:
         return RegistryClient(
             transport,
             self.addresses[mirror_index],
-            codec=codec,
             request_timeout_s=request_timeout_s,
         )
 

@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Optional
 from repro.discovery.description import ServiceDescription
 from repro.discovery.matching import Matcher, Query
 from repro.errors import DiscoveryError
-from repro.interop.codec import Codec
 from repro.interop.frames import WireFrame
 from repro.obs.tracing import NOOP_SPAN, TRACER
 from repro.transport.base import Address, Transport
@@ -34,6 +33,8 @@ from repro.util.promise import Promise
 #: Default and maximum lease the server grants.
 DEFAULT_LEASE_S = 30.0
 MAX_LEASE_S = 300.0
+#: How often the server drops registrations whose lease ran out.
+SWEEP_INTERVAL_S = 1.0
 
 
 def _clamp_lease(requested: Any) -> float:
@@ -75,11 +76,9 @@ class RegistryServer(MessageEndpoint):
     def __init__(
         self,
         transport: Transport,
-        codec: Optional[Codec] = None,
-        sweep_interval_s: float = 1.0,
         peers: Optional[List[Address]] = None,
     ):
-        super().__init__(transport, codec)
+        super().__init__(transport)
         self.events = EventEmitter()
         self._registrations: Dict[str, Registration] = {}
         self._matcher = Matcher()
@@ -87,7 +86,6 @@ class RegistryServer(MessageEndpoint):
         self.lookups_served = 0
         self.registrations_accepted = 0
         self.replications_sent = 0
-        self._sweep_interval = sweep_interval_s
         self._schedule_sweep()
 
     # ------------------------------------------------------------ inspection
@@ -101,7 +99,7 @@ class RegistryServer(MessageEndpoint):
     # ---------------------------------------------------------------- leases
 
     def _schedule_sweep(self) -> None:
-        self.transport.scheduler.schedule(self._sweep_interval, self._sweep)
+        self.transport.scheduler.schedule(SWEEP_INTERVAL_S, self._sweep)
 
     def _sweep(self) -> None:
         if self.transport.closed:
@@ -198,11 +196,10 @@ class RegistryClient(MessageEndpoint):
         self,
         transport: Transport,
         registry_address: Address,
-        codec: Optional[Codec] = None,
         request_timeout_s: float = 2.0,
         retries: int = 2,
     ):
-        super().__init__(transport, codec, rids="reg")
+        super().__init__(transport, rids="reg")
         self.registry_address = registry_address
         self.request_timeout_s = request_timeout_s
         self.retries = retries

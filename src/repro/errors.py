@@ -48,28 +48,12 @@ class ServiceNotFoundError(DiscoveryError):
     """No registered service matched the query."""
 
 
-class LeaseExpiredError(DiscoveryError):
-    """An operation referenced a registration whose lease has lapsed."""
-
-
 class QoSError(MiddlewareError):
     """Base class for quality-of-service failures."""
 
 
-class QoSViolationError(QoSError):
-    """A QoS contract was violated and could not be repaired."""
-
-
-class InfeasibleError(QoSError):
-    """No component set can satisfy the requested application QoS."""
-
-
 class RoutingError(MiddlewareError):
     """Base class for routing failures."""
-
-
-class NoRouteError(RoutingError):
-    """No route to the destination exists or could be discovered."""
 
 
 class TransactionError(MiddlewareError):
@@ -103,10 +87,6 @@ class RemoteError(RpcError):
 
 class SchedulingError(MiddlewareError):
     """Base class for scheduling failures."""
-
-
-class DeadlineMissed(SchedulingError):
-    """A task or transaction missed its deadline."""
 
 
 class AdmissionRefused(SchedulingError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.interop.codec import Codec, get_codec
+from repro.interop.codec import get_codec
 from repro.interop.frames import try_decode_dict
 from repro.transactions.pubsub import PubSubClient
 from repro.transactions.rpc import RpcEndpoint
@@ -29,10 +29,11 @@ from repro.transport.base import Address, Transport, drop_malformed
 class CodecGateway:
     """Bidirectional wire-format translation between two transports.
 
-    Like every protocol in the tree it carries message dicts: one arriving
-    on a side is decoded with that side's codec and re-encoded with the
-    other's. ``route_a_to_b`` maps source addresses seen on side A to
-    destinations on side B (and vice versa for ``route_b_to_a``); unmapped
+    Side A speaks the binary codec, side B SML markup. Like every protocol
+    in the tree it carries message dicts: one arriving on a side is decoded
+    with that side's codec and re-encoded with the other's.
+    ``route_a_to_b`` maps source addresses seen on side A to destinations
+    on side B (and vice versa for ``route_b_to_a``); unmapped
     sources fall back to the default peer, and traffic with no route is
     dropped and counted in ``dropped``. A payload that is no message dict
     in its side's codec is a counted drop (``malformed_frames``), never a
@@ -43,15 +44,13 @@ class CodecGateway:
         self,
         side_a: Transport,
         side_b: Transport,
-        codec_a: Optional[Codec] = None,
-        codec_b: Optional[Codec] = None,
         default_b: Optional[Address] = None,
         default_a: Optional[Address] = None,
     ):
         self.side_a = side_a
         self.side_b = side_b
-        self.codec_a = codec_a if codec_a is not None else get_codec("binary")
-        self.codec_b = codec_b if codec_b is not None else get_codec("sml")
+        self.codec_a = get_codec("binary")
+        self.codec_b = get_codec("sml")
         self.route_a_to_b: Dict[str, Address] = {}
         self.route_b_to_a: Dict[str, Address] = {}
         self.default_b = default_b

@@ -44,7 +44,6 @@ from repro.interop.codec import (
     _varint_size,
     _zigzag,
     Codec,
-    get_codec,
     register_frame_types,
 )
 from repro.obs.metrics import get_registry
@@ -58,11 +57,11 @@ class WireFrame:
     def __init__(
         self,
         message: Dict[str, Any],
-        codec: Optional[Codec] = None,
+        codec: Codec,
         *,
         length: Optional[int] = None,
     ):
-        self.codec = codec if codec is not None else get_codec("binary")
+        self.codec = codec
         self.message = message
         self._encoded: Optional[bytes] = None
         self._length = length

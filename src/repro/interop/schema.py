@@ -103,7 +103,8 @@ class InterfaceSchema:
     """A service interface: a name and a set of operations."""
 
     name: str
-    operations: Dict[str, OperationSpec] = field(default_factory=dict)
+    operations: Dict[str, OperationSpec] = field(default_factory=dict,
+                                                 init=False)
 
     def add_operation(
         self,

@@ -58,7 +58,7 @@ class SmlElement:
 
     tag: str
     attributes: Dict[str, str] = field(default_factory=dict)
-    children: List["SmlElement"] = field(default_factory=list)
+    children: List["SmlElement"] = field(default_factory=list, init=False)
     text: str = ""
 
     def __post_init__(self) -> None:

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.discovery.adaptive import AdaptiveDiscovery, AdaptivePolicy
+from repro.discovery.adaptive import AdaptiveDiscovery
 from repro.discovery.description import ServiceDescription
 from repro.discovery.distributed import DistributedDiscovery
 from repro.discovery.matching import Query
 from repro.discovery.registry import RegistryClient
 from repro.errors import ConfigurationError
-from repro.interop.codec import Codec, get_codec
 from repro.qos.spec import SupplierQoS
 from repro.routing.base import Router, RoutingAgent
 from repro.transactions.manager import TransactionManager
@@ -54,15 +53,12 @@ class MiddlewareNode:
         node_id: str,
         registry: Optional[Address] = None,
         adaptive: bool = False,
-        adaptive_policy: AdaptivePolicy = AdaptivePolicy(),
         router_factory: Optional[Callable[[str], Router]] = None,
-        codec: Optional[Codec] = None,
         discovery_ttl: int = 4,
         collect_window_s: float = 1.0,
     ):
         self.fabric = fabric
         self.node_id = node_id
-        self.codec = codec if codec is not None else get_codec("binary")
         self.events = EventEmitter()
 
         # --- transport (optionally multi-hop via the routing layer) --------
@@ -82,7 +78,7 @@ class MiddlewareNode:
             if registry is None:
                 raise ConfigurationError("adaptive discovery needs a registry address")
             self._distributed = DistributedDiscovery(
-                discovery_transport, codec=self.codec, ttl=discovery_ttl,
+                discovery_transport, ttl=discovery_ttl,
                 collect_window_s=collect_window_s,
             )
             registry_transport = (
@@ -90,30 +86,25 @@ class MiddlewareNode:
                 if self.routing_agent is not None
                 else fabric.endpoint(node_id, "reg")
             )
-            self._registry_client = RegistryClient(
-                registry_transport, registry, codec=self.codec
-            )
+            self._registry_client = RegistryClient(registry_transport, registry)
             network = fabric.network
             self.discovery: Any = AdaptiveDiscovery(
                 self._distributed,
                 self._registry_client,
-                policy=adaptive_policy,
                 density_probe=lambda: len(network.neighbors(node_id)),
             )
         elif registry is not None:
-            self._registry_client = RegistryClient(
-                discovery_transport, registry, codec=self.codec
-            )
+            self._registry_client = RegistryClient(discovery_transport, registry)
             self.discovery = self._registry_client
         else:
             self._distributed = DistributedDiscovery(
-                discovery_transport, codec=self.codec, ttl=discovery_ttl,
+                discovery_transport, ttl=discovery_ttl,
                 collect_window_s=collect_window_s,
             )
             self.discovery = self._distributed
 
         # --- interaction ------------------------------------------------------
-        self.rpc = RpcEndpoint(service_transport, codec=self.codec)
+        self.rpc = RpcEndpoint(service_transport)
         self.transactions = TransactionManager(self.rpc, self.discovery)
         self._provided: Dict[str, ServiceDescription] = {}
 

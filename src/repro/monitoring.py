@@ -63,11 +63,9 @@ class SystemEventBus:
     def __init__(
         self,
         forward_to: Optional[PubSubClient] = None,
-        forward_prefix: str = "system",
     ):
         self.registry = MetricsRegistry()
         self.forward_to = forward_to
-        self.forward_prefix = forward_prefix
         self._subscribers: List[Tuple[str, Handler]] = []
         self.history: List[Tuple[str, Dict[str, Any]]] = []
         self.events_published = 0
@@ -83,7 +81,7 @@ class SystemEventBus:
             if topic_matches(pattern, topic):
                 handler(topic, payload)
         if self.forward_to is not None:
-            self.forward_to.publish(f"{self.forward_prefix}.{topic}", payload)
+            self.forward_to.publish(f"system.{topic}", payload)
 
     def subscribe(self, pattern: str, handler: Handler) -> None:
         """Subscribe with a pub/sub topic pattern (``*``, ``#`` wildcards)."""

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.errors import NameNotFoundError
-from repro.interop.codec import Codec
 from repro.naming.names import LogicalName
 from repro.transport.base import Address, Transport
 from repro.transport.endpoint import MessageEndpoint, checked, optional
@@ -59,8 +58,8 @@ class LocationServer(MessageEndpoint):
         "unbind": ({"name": _NAME, "rid": optional(str)}, "_handle_unbind"),
     }
 
-    def __init__(self, transport: Transport, codec: Optional[Codec] = None):
-        super().__init__(transport, codec)
+    def __init__(self, transport: Transport):
+        super().__init__(transport)
         self.events = EventEmitter()
         self._bindings: Dict[str, Binding] = {}
         self.resolves_served = 0
@@ -123,10 +122,9 @@ class LocationClient(MessageEndpoint):
         self,
         transport: Transport,
         server_address: Address,
-        codec: Optional[Codec] = None,
         request_timeout_s: float = 2.0,
     ):
-        super().__init__(transport, codec, rids="loc")
+        super().__init__(transport, rids="loc")
         self.server_address = server_address
         self.request_timeout_s = request_timeout_s
         self._versions: Dict[str, int] = {}

@@ -63,6 +63,11 @@ class InventoryResult:
         return len(self.read_tags) / self.total_slots
 
 
+#: Slots in a reader's first inventory frame, and the most any frame gets.
+INITIAL_FRAME_SIZE = 8
+MAX_FRAME_SIZE = 256
+
+
 class RfidReader:
     """A reader with a circular field and framed-slotted-ALOHA inventory."""
 
@@ -70,20 +75,12 @@ class RfidReader:
         self,
         position: Point,
         range_m: float = 3.0,
-        initial_frame_size: int = 8,
-        max_frame_size: int = 256,
         seed: int = 0,
     ):
         if range_m <= 0:
             raise ConfigurationError(f"range must be positive, got {range_m!r}")
-        if initial_frame_size < 1:
-            raise ConfigurationError(
-                f"frame size must be >= 1, got {initial_frame_size!r}"
-            )
         self.position = position
         self.range_m = range_m
-        self.initial_frame_size = initial_frame_size
-        self.max_frame_size = max_frame_size
         self._rng = split_rng(seed, "rfid-reader")
         self._tags: List[RfidTag] = []
 
@@ -104,11 +101,11 @@ class RfidReader:
         Each round: the unread backlog picks slots uniformly in the current
         frame; singletons are read, collisions retry. The next frame size is
         the collided-slot count x 2 (the classic backlog estimate: each
-        collision hides >= 2 tags), clamped to [1, max_frame_size].
+        collision hides >= 2 tags), clamped to [1, MAX_FRAME_SIZE].
         """
         backlog: List[RfidTag] = list(self.tags_in_field())
         read: List[str] = []
-        frame_size = self.initial_frame_size
+        frame_size = INITIAL_FRAME_SIZE
         rounds = total_slots = collisions = empty = 0
         while backlog and rounds < max_rounds:
             rounds += 1
@@ -129,7 +126,7 @@ class RfidReader:
                     collisions += 1
                     next_backlog.extend(occupants)
             backlog = next_backlog
-            frame_size = max(1, min(self.max_frame_size, 2 * collided_slots))
+            frame_size = max(1, min(MAX_FRAME_SIZE, 2 * collided_slots))
         return InventoryResult(
             read_tags=tuple(read),
             rounds=rounds,

@@ -33,14 +33,12 @@ class RadioEnergyModel:
         eps_amp: amplifier energy per bit per m^exponent (J/bit/m^e).
         path_loss_exponent: 2 for free space, up to 4 for multipath.
         idle_power: power drawn while listening (W).
-        sense_energy: energy per sensing operation (J).
     """
 
     e_elec: float = DEFAULT_E_ELEC
     eps_amp: float = DEFAULT_EPS_AMP
     path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT
     idle_power: float = 0.0
-    sense_energy: float = 0.0
 
     def tx_cost(self, size_bits: int, distance: float) -> float:
         """Energy (J) to transmit ``size_bits`` over ``distance`` meters."""
@@ -72,7 +70,7 @@ class Battery:
     capacity: float = 2.0  # joules; typical mote experiment scale
     remaining: float = field(default=-1.0)
     _depletion_callbacks: List[Callable[[], None]] = field(
-        default_factory=list, repr=False
+        default_factory=list, init=False, repr=False
     )
 
     def __post_init__(self) -> None:

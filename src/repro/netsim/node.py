@@ -181,10 +181,6 @@ class Node:
         self.bytes_sent += size_bits // 8
         return self.battery.drain(self.radio.tx_cost(size_bits, distance))
 
-    def charge_sense(self) -> bool:
-        """Account one sensing operation."""
-        return self.battery.drain(self.radio.sense_energy)
-
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
         return f"<Node {self.node_id} {state} at {self.position}>"

@@ -28,14 +28,8 @@ class BenefitFunction(Protocol):
 class ConstantBenefit:
     """Delay-insensitive (e-mail): full benefit whenever data arrives."""
 
-    level: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.level <= 1.0:
-            raise ConfigurationError(f"benefit level must be in [0,1], got {self.level!r}")
-
     def value(self, delay_s: float) -> float:
-        return self.level
+        return 1.0
 
 
 @dataclass(frozen=True)

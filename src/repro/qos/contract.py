@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.util.clock import Clock, ManualClock
 from repro.util.events import EventEmitter
 
 
@@ -69,13 +68,11 @@ class QoSContract:
         consumer_id: str,
         supplier_id: str,
         terms: ContractTerms = ContractTerms(),
-        clock: Optional[Clock] = None,
     ):
         self.contract_id = contract_id
         self.consumer_id = consumer_id
         self.supplier_id = supplier_id
         self.terms = terms
-        self.clock = clock if clock is not None else ManualClock()
         self.events = EventEmitter()
         # (success, latency) observations, newest last.
         self._observations: Deque[Tuple[bool, float]] = deque(maxlen=terms.window)

@@ -7,18 +7,17 @@ in the presence of failures."
 The :class:`DegradationManager` keeps a consumer bound to the best currently
 feasible supplier: when the active supplier's contract is violated (or the
 supplier disappears), it re-runs QoS matching over the surviving candidates
-and rebinds, relaxing the consumer's hard floors in configured steps if
+and rebinds, relaxing the consumer's hard floors in fixed steps if
 nothing feasible remains — degrading gracefully instead of failing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.qos.contract import ContractTerms, QoSContract
-from repro.qos.spec import ConsumerQoS, MatchScore, NetworkQoS, SupplierQoS, rank_matches
-from repro.util.clock import Clock, ManualClock
+from repro.qos.contract import QoSContract
+from repro.qos.spec import ConsumerQoS, MatchScore, SupplierQoS, rank_matches
 from repro.util.events import EventEmitter
 from repro.util.ids import IdGenerator
 
@@ -26,12 +25,19 @@ from repro.util.ids import IdGenerator
 Candidate = Tuple[str, SupplierQoS, Optional[float]]
 CandidatesProvider = Callable[[], Sequence[Candidate]]
 
+#: One degradation level lowers the consumer's reliability and
+#: availability floors by these amounts and multiplies its latency
+#: ceiling by this factor; ``MAX_DEGRADATION_LEVEL`` levels at most.
+RELIABILITY_STEP = 0.1
+AVAILABILITY_STEP = 0.1
+LATENCY_FACTOR = 2.0
+MAX_DEGRADATION_LEVEL = 3
+
 
 class QoSMonitor:
     """Aggregates delivered QoS across many contracts (reporting surface)."""
 
-    def __init__(self, clock: Optional[Clock] = None):
-        self.clock = clock if clock is not None else ManualClock()
+    def __init__(self):
         self.contracts: Dict[str, QoSContract] = {}
         self.events = EventEmitter()
 
@@ -51,15 +57,6 @@ class QoSMonitor:
         return sum(known) / len(known)
 
 
-@dataclass(frozen=True)
-class DegradationStep:
-    """One relaxation of the consumer's hard floors."""
-
-    reliability_delta: float = 0.1
-    availability_delta: float = 0.1
-    latency_factor: float = 2.0
-
-
 class DegradationManager:
     """Keeps one consumer bound to the best feasible supplier, degrading
     its requirements stepwise when the world gets worse.
@@ -75,19 +72,9 @@ class DegradationManager:
         self,
         consumer: ConsumerQoS,
         candidates: CandidatesProvider,
-        network: NetworkQoS = NetworkQoS(),
-        contract_terms: ContractTerms = ContractTerms(),
-        degradation_step: DegradationStep = DegradationStep(),
-        max_degradation_level: int = 3,
-        clock: Optional[Clock] = None,
     ):
         self.base_consumer = consumer
         self.candidates = candidates
-        self.network = network
-        self.contract_terms = contract_terms
-        self.step = degradation_step
-        self.max_level = max_degradation_level
-        self.clock = clock if clock is not None else ManualClock()
         self.events = EventEmitter()
         self._ids = IdGenerator("contract")
         self.level = 0
@@ -103,15 +90,15 @@ class DegradationManager:
         if self.level == 0:
             return self.base_consumer
         reliability = max(
-            0.0, self.base_consumer.min_reliability - self.level * self.step.reliability_delta
+            0.0, self.base_consumer.min_reliability - self.level * RELIABILITY_STEP
         )
         availability = max(
             0.0,
-            self.base_consumer.min_availability - self.level * self.step.availability_delta,
+            self.base_consumer.min_availability - self.level * AVAILABILITY_STEP,
         )
         latency = self.base_consumer.max_latency_s
         if latency is not None:
-            latency = latency * (self.step.latency_factor**self.level)
+            latency = latency * (LATENCY_FACTOR**self.level)
         return replace(
             self.base_consumer,
             min_reliability=reliability,
@@ -133,13 +120,12 @@ class DegradationManager:
             ranked = rank_matches(
                 [(key, qos, dist) for key, qos, dist in available],
                 self.effective_consumer(),
-                self.network,
             )
             if ranked:
                 key, score = ranked[0]
                 self._bind_to(key, score)
                 return key
-            if self.level >= self.max_level:
+            if self.level >= MAX_DEGRADATION_LEVEL:
                 self.current_supplier = None
                 self.current_score = None
                 self.contract = None
@@ -153,9 +139,7 @@ class DegradationManager:
             self.rebinds += 1
         self.current_supplier = key
         self.current_score = score
-        contract = QoSContract(
-            self._ids.next(), "consumer", key, self.contract_terms, self.clock
-        )
+        contract = QoSContract(self._ids.next(), "consumer", key)
         contract.events.on("violated", self._on_violation)
         self.contract = contract
         self.events.emit("bound", key, score)

@@ -30,6 +30,16 @@ def _check_unit(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be in [0, 1], got {value!r}")
 
 
+#: Relative weight of each soft term in a match's total.
+SOFT_WEIGHTS: Dict[str, float] = {
+    "reliability": 1.0,
+    "availability": 0.5,
+    "benefit": 1.0,
+    "spatial": 1.0,
+    "power": 0.5,
+}
+
+
 @dataclass(frozen=True)
 class SupplierQoS:
     """What a service supplier promises and requires.
@@ -82,8 +92,6 @@ class ConsumerQoS:
         password: credential presented to password-protected suppliers.
         prefer_mains_power: softly prefer wall-powered suppliers, so battery
             nodes are spared (feeds MiLAN's energy goal).
-        weights: relative weights of the soft terms; keys among
-            {"reliability", "availability", "benefit", "spatial", "power"}.
     """
 
     min_reliability: float = 0.0
@@ -94,15 +102,6 @@ class ConsumerQoS:
     require_encryption: bool = False
     password: Optional[str] = None
     prefer_mains_power: bool = False
-    weights: Dict[str, float] = field(
-        default_factory=lambda: {
-            "reliability": 1.0,
-            "availability": 0.5,
-            "benefit": 1.0,
-            "spatial": 1.0,
-            "power": 0.5,
-        }
-    )
 
     def __post_init__(self) -> None:
         _check_unit("min reliability", self.min_reliability)
@@ -111,9 +110,6 @@ class ConsumerQoS:
             raise ConfigurationError(
                 f"max latency must be positive, got {self.max_latency_s!r}"
             )
-        for key, weight in self.weights.items():
-            if weight < 0:
-                raise ConfigurationError(f"weight {key!r} must be >= 0, got {weight!r}")
 
 
 @dataclass(frozen=True)
@@ -122,19 +118,15 @@ class NetworkQoS:
 
     Attributes:
         available_bandwidth_bps: headroom on the path (None = unconstrained).
-        density: nodes per radio neighborhood (drives adaptive discovery).
         traffic_load: utilization estimate in [0, 1]; inflates expected
             latency multiplicatively.
     """
 
     available_bandwidth_bps: Optional[float] = None
-    density: float = 0.0
     traffic_load: float = 0.0
 
     def __post_init__(self) -> None:
         _check_unit("traffic load", self.traffic_load)
-        if self.density < 0:
-            raise ConfigurationError(f"density must be >= 0, got {self.density!r}")
 
 
 @dataclass(frozen=True)
@@ -205,7 +197,7 @@ def score_match(
     weighted_sum = 0.0
     weight_total = 0.0
     for name, value in terms.items():
-        weight = consumer.weights.get(name, 1.0)
+        weight = SOFT_WEIGHTS[name]
         if name == "spatial" and consumer.spatial is not None:
             weight *= consumer.spatial.weight
         weighted_sum += weight * value

@@ -11,11 +11,10 @@ Wire format: ``{"op": "hb", "from": node, "seq": n}`` (fire-and-forget).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Set
 
 from repro.errors import ConfigurationError
-from repro.interop.codec import Codec
 from repro.interop.frames import WireFrame
 from repro.transport.base import Address, Transport
 from repro.transport.endpoint import MessageEndpoint
@@ -26,7 +25,7 @@ from repro.util.events import EventEmitter, Subscription
 class PeerState:
     last_heard: float
     last_seq: int
-    suspected: bool = False
+    suspected: bool = field(default=False, init=False)
 
 
 class HeartbeatDetector(MessageEndpoint):
@@ -43,7 +42,6 @@ class HeartbeatDetector(MessageEndpoint):
         transport: Transport,
         interval_s: float = 1.0,
         timeout_multiplier: float = 3.0,
-        codec: Optional[Codec] = None,
     ):
         if interval_s <= 0:
             raise ConfigurationError(f"interval must be positive, got {interval_s!r}")
@@ -51,7 +49,7 @@ class HeartbeatDetector(MessageEndpoint):
             raise ConfigurationError(
                 f"timeout multiplier must be >= 1, got {timeout_multiplier!r}"
             )
-        super().__init__(transport, codec)
+        super().__init__(transport)
         self.interval_s = interval_s
         self.timeout_s = interval_s * timeout_multiplier
         self.events = EventEmitter()

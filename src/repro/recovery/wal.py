@@ -84,7 +84,7 @@ class StableStorage:
     :meth:`truncate` models a torn write.
     """
 
-    blobs: List[bytes] = field(default_factory=list)
+    blobs: List[bytes] = field(default_factory=list, init=False)
 
     def append(self, blob: bytes) -> None:
         # Durable storage holds real bytes only — a lazy wire frame handed

@@ -27,7 +27,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     AdmissionRefused, ConfigurationError, DeliveryError, TransactionAborted)
-from repro.interop.codec import Codec
 from repro.interop.frames import WireFrame
 from repro.replication.shards import ShardMap
 from repro.transport.base import Address, Transport
@@ -71,7 +70,6 @@ class GroupClient(MessageEndpoint):
         transport: Transport,
         members: Sequence[Address],
         *,
-        codec: Optional[Codec] = None,
         request_timeout_s: float = 1.0,
         max_attempts: Optional[int] = 12,
         backoff_factor: float = 1.5,
@@ -81,7 +79,7 @@ class GroupClient(MessageEndpoint):
     ):
         if not members:
             raise ConfigurationError("a group client needs at least one member")
-        super().__init__(transport, codec)
+        super().__init__(transport)
         self.members: List[Address] = sorted(set(members))
         self.request_timeout_s = request_timeout_s
         self.max_attempts = max_attempts

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.interop.codec import Codec
 from repro.interop.frames import WireFrame
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
@@ -161,11 +160,10 @@ class ReplicaNode(MessageEndpoint):
         params: Optional[ReplicationParams] = None,
         initial_leader: Optional[str] = None,
         group: str = "g0",
-        codec: Optional[Codec] = None,
     ):
         from repro.replication.election import BullyElection
 
-        super().__init__(transport, codec)
+        super().__init__(transport)
         self.hb_transport = hb_transport
         self.params = params if params is not None else ReplicationParams()
         self.group = group
@@ -227,7 +225,6 @@ class ReplicaNode(MessageEndpoint):
             hb_transport,
             interval_s=self.params.hb_interval_s,
             timeout_multiplier=self.params.hb_timeout_multiplier,
-            codec=self.codec,
         )
         hb_port = hb_transport.local_address.port
         for peer in self.peers:

@@ -24,8 +24,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, MiddlewareError, NoRouteError
-from repro.interop.codec import Codec, get_codec
+from repro.errors import ConfigurationError, MiddlewareError
+from repro.interop.codec import get_codec
 from repro.interop.frames import FRAME_TYPES, WireFrame, try_decode_dict
 from repro.obs.tracing import TRACER, SpanContext
 from repro.transport.base import Address, Scheduler, Transport
@@ -53,12 +53,13 @@ class Envelope:
     # originating trace context while an envelope sits in router queues
     # (e.g. DSR awaiting route discovery).
     trace_ctx: Optional[SpanContext] = field(
-        default=None, compare=False, repr=False
+        default=None, init=False, compare=False, repr=False
     )
     # In-memory only: the lazy frame this envelope arrived as, when its wire
     # dict is known to round-trip through to_dict() byte-for-byte. Lets a
     # forward derive the next frame (ttl patched, length O(1)) from it.
-    wire: Optional[WireFrame] = field(default=None, compare=False, repr=False)
+    wire: Optional[WireFrame] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def to_dict(self) -> Dict[str, Any]:
         message: Dict[str, Any] = {
@@ -107,7 +108,6 @@ class RoutingAgent:
         fabric: SimFabric,
         node_id: str,
         router: Router,
-        codec: Optional[Codec] = None,
         default_ttl: int = DEFAULT_TTL,
     ):
         if default_ttl < 1:
@@ -115,7 +115,7 @@ class RoutingAgent:
         self.fabric = fabric
         self.node_id = node_id
         self.router = router
-        self.codec = codec if codec is not None else get_codec("binary")
+        self.codec = get_codec("binary")
         self.default_ttl = default_ttl
         self.endpoint: SimTransport = fabric.endpoint(node_id, ROUTE_PORT)
         self._seq = SequenceGenerator(1)

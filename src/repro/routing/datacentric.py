@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
-from repro.interop.codec import Codec
 from repro.interop.frames import WireFrame
 from repro.transport.base import Address
 from repro.transport.endpoint import MessageEndpoint, present
@@ -57,11 +56,10 @@ class DataCentricAgent(MessageEndpoint):
         self,
         fabric: SimFabric,
         node_id: str,
-        codec: Optional[Codec] = None,
         gradient_lifetime_s: float = DEFAULT_GRADIENT_LIFETIME_S,
     ):
         self.endpoint: SimTransport = fabric.endpoint(node_id, DIFFUSION_PORT)
-        super().__init__(self.endpoint, codec)
+        super().__init__(self.endpoint)
         self.fabric = fabric
         self.node_id = node_id
         self.gradient_lifetime_s = gradient_lifetime_s

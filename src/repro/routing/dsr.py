@@ -24,14 +24,17 @@ from repro.routing.base import Disposition, Envelope, Router
 from repro.transport.base import Address
 from repro.util.ids import SequenceGenerator
 
+#: Envelopes held per destination while its discovery runs; the oldest
+#: goes first when a new one arrives at a full queue.
+MAX_QUEUE = 64
+
 
 class DsrRouter(Router):
     """Dynamic source routing with a route cache."""
 
-    def __init__(self, node_id: str, discovery_timeout_s: float = 2.0, max_queue: int = 64):
+    def __init__(self, node_id: str, discovery_timeout_s: float = 2.0):
         self.node_id = node_id
         self.discovery_timeout_s = discovery_timeout_s
-        self.max_queue = max_queue
         self._route_cache: Dict[str, List[str]] = {}
         self._rreq_seq = SequenceGenerator(1)
         self._seen_rreqs: Set[Tuple[str, int]] = set()
@@ -112,7 +115,7 @@ class DsrRouter(Router):
 
     def _enqueue(self, destination: str, envelope: Envelope) -> None:
         queue = self._waiting.setdefault(destination, [])
-        if len(queue) >= self.max_queue:
+        if len(queue) >= MAX_QUEUE:
             queue.pop(0)
         queue.append(envelope)
 

@@ -31,24 +31,9 @@ RESIDUAL_FLOOR = 0.01
 NOMINAL_PACKET_BITS = (64 + HEADER_BYTES) * 8
 
 
-def energy_weight(alpha: float = 2.0):
-    """Build a weight function for :class:`LinkStateRouter`.
-
-    ``alpha`` controls how strongly low-residual nodes are avoided.
-    """
-
-    def weight(network: Network, u: str, v: str) -> float:
-        sender = network.node(u)
-        distance = sender.distance_to(network.node(v))
-        tx_cost = sender.radio.tx_cost(NOMINAL_PACKET_BITS, distance)
-        residual = max(sender.battery.fraction_remaining, RESIDUAL_FLOOR)
-        return tx_cost / residual**alpha
-
-    return weight
-
-
 class EnergyAwareRouter(LinkStateRouter):
-    """Link-state routing with residual-energy-weighted edges."""
+    """Link-state routing with residual-energy-weighted edges; ``alpha``
+    controls how strongly low-residual nodes are avoided."""
 
     def __init__(
         self,
@@ -57,13 +42,15 @@ class EnergyAwareRouter(LinkStateRouter):
         alpha: float = 2.0,
         refresh_interval_s: float = 1.0,
     ):
-        super().__init__(
-            network,
-            node_id,
-            weight_fn=energy_weight(alpha),
-            refresh_interval_s=refresh_interval_s,
-        )
+        super().__init__(network, node_id, refresh_interval_s=refresh_interval_s)
         self.alpha = alpha
+
+    def _weight(self, u: str, v: str) -> float:
+        sender = self.network.node(u)
+        distance = sender.distance_to(self.network.node(v))
+        tx_cost = sender.radio.tx_cost(NOMINAL_PACKET_BITS, distance)
+        residual = max(sender.battery.fraction_remaining, RESIDUAL_FLOOR)
+        return tx_cost / residual**self.alpha
 
     def _on_refresh(self) -> None:
         """Publish the fleet's weakest residual battery on each refresh —

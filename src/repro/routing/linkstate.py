@@ -1,11 +1,11 @@
 """Link-state shortest-path routing.
 
 Models a *converged* link-state protocol: each agent computes Dijkstra over
-the network's current connectivity graph with a pluggable edge-weight
-function. The LSA control traffic itself is abstracted away (we charge only
-data traffic), which is the standard simplification when the quantity under
-study is data-path behaviour — stated here so the experiment write-ups can
-cite it.
+the network's current connectivity graph, every edge one hop (a subclass
+weighs edges by overriding :meth:`LinkStateRouter._weight`). The LSA control
+traffic itself is abstracted away (we charge only data traffic), which is
+the standard simplification when the quantity under study is data-path
+behaviour — stated here so the experiment write-ups can cite it.
 
 The adjacency snapshot is cached for ``refresh_interval_s`` of virtual time,
 modeling the protocol's convergence delay: topology changes are invisible
@@ -15,19 +15,11 @@ until the next refresh.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.netsim.network import Network
 from repro.obs.tracing import TRACER
 from repro.routing.base import Disposition, Envelope, Router
-
-#: Edge weight: (network, from_node, to_node) -> cost.
-WeightFn = Callable[[Network, str, str], float]
-
-
-def hop_count_weight(_network: Network, _u: str, _v: str) -> float:
-    """Classic shortest-hop routing."""
-    return 1.0
 
 
 class LinkStateRouter(Router):
@@ -37,12 +29,10 @@ class LinkStateRouter(Router):
         self,
         network: Network,
         node_id: str,
-        weight_fn: WeightFn = hop_count_weight,
         refresh_interval_s: float = 1.0,
     ):
         self.network = network
         self.node_id = node_id
-        self.weight_fn = weight_fn
         self.refresh_interval_s = refresh_interval_s
         self._graph: Optional[Dict[str, Set[str]]] = None
         self._graph_time = -1.0
@@ -66,6 +56,10 @@ class LinkStateRouter(Router):
     def _on_refresh(self) -> None:
         """Hook invoked after each topology refresh (subclass extension)."""
 
+    def _weight(self, u: str, v: str) -> float:
+        """The cost of the edge ``u -> v``: one hop (shortest-hop routing)."""
+        return 1.0
+
     def _compute_next_hop(self, destination: str) -> Optional[str]:
         """Dijkstra from self; returns the first hop toward ``destination``."""
         graph = self._current_graph()
@@ -86,7 +80,7 @@ class LinkStateRouter(Router):
             for neighbor in sorted(graph.get(node, ())):
                 if neighbor in settled:
                     continue
-                weight = self.weight_fn(self.network, node, neighbor)
+                weight = self._weight(node, neighbor)
                 heapq.heappush(
                     frontier,
                     (

@@ -49,7 +49,7 @@ class GridSchedule:
     """Result of a mapping heuristic."""
 
     algorithm: str
-    assignment: Dict[str, str] = field(default_factory=dict)  # task -> proc
+    assignment: Dict[str, str] = field(default_factory=dict, init=False)  # task -> proc
     finish_times: Dict[str, float] = field(default_factory=dict)  # proc -> busy until
 
     @property

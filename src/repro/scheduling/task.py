@@ -37,11 +37,11 @@ class ScheduledTask:
     action: Optional[Action] = field(default=None, repr=False)
 
     # Per-activation bookkeeping, managed by the scheduler.
-    activation_time: float = 0.0
-    remaining_s: float = 0.0
-    activations: int = 0
-    completions: int = 0
-    misses: int = 0
+    activation_time: float = field(default=0.0, init=False)
+    remaining_s: float = field(default=0.0, init=False)
+    activations: int = field(default=0, init=False)
+    completions: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.cost_s <= 0:

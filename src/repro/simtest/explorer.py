@@ -28,10 +28,10 @@ class ExplorationReport:
 
     seed: int
     budget: int
-    runs: int = 0
-    divergent_scenario: Optional[Scenario] = None
-    divergences: List[Divergence] = field(default_factory=list)
-    totals: Dict[str, int] = field(default_factory=dict)
+    runs: int = field(default=0, init=False)
+    divergent_scenario: Optional[Scenario] = field(default=None, init=False)
+    divergences: List[Divergence] = field(default_factory=list, init=False)
+    totals: Dict[str, int] = field(default_factory=dict, init=False)
 
     @property
     def ok(self) -> bool:

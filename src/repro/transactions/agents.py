@@ -26,7 +26,7 @@ import abc
 from typing import Any, Callable, Dict, List, Optional, Type
 
 from repro.errors import ConfigurationError, TransactionError
-from repro.interop.codec import Codec, wire_plain
+from repro.interop.codec import wire_plain
 from repro.transport.base import Address, Transport
 from repro.transport.endpoint import MessageEndpoint, optional
 from repro.util.events import EventEmitter
@@ -84,9 +84,8 @@ class AgentHost(MessageEndpoint):
         self,
         transport: Transport,
         services: Optional[Dict[str, Any]] = None,
-        codec: Optional[Codec] = None,
     ):
-        super().__init__(transport, codec)
+        super().__init__(transport)
         self.services: Dict[str, Any] = services if services is not None else {}
         self.events = EventEmitter()
         self._registry: Dict[str, Type[MobileAgent]] = {}

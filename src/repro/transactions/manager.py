@@ -26,7 +26,7 @@ from repro.discovery.description import ServiceDescription
 from repro.discovery.matching import Query
 from repro.errors import ServiceNotFoundError
 from repro.obs.tracing import NOOP_SPAN, TRACER, Span
-from repro.qos.contract import ContractTerms, QoSContract
+from repro.qos.contract import QoSContract
 from repro.transactions.rpc import RpcEndpoint
 from repro.transactions.transaction import (
     DataCallback,
@@ -61,13 +61,11 @@ class TransactionManager:
         self,
         rpc: RpcEndpoint,
         discovery: DiscoveryService,
-        contract_terms: ContractTerms = ContractTerms(),
         failure_threshold: int = 3,
         call_timeout_s: float = 1.0,
     ):
         self.rpc = rpc
         self.discovery = discovery
-        self.contract_terms = contract_terms
         self.failure_threshold = failure_threshold
         self.call_timeout_s = call_timeout_s
         self.events = EventEmitter()
@@ -153,7 +151,6 @@ class TransactionManager:
             f"{transaction_id}-contract",
             str(self.rpc.transport.local_address),
             supplier.service_id,
-            self.contract_terms,
         )
         transaction = Transaction(transaction_id, spec, supplier, on_data, contract)
         transaction.created_at = self._now()
@@ -222,7 +219,6 @@ class TransactionManager:
             call = self.rpc.call(
                 destination,
                 transaction.spec.operation,
-                transaction.spec.params,
                 timeout_s=self.call_timeout_s,
             )
         call.on_settle(

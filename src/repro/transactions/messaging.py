@@ -21,13 +21,17 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import DeliveryError
-from repro.interop.codec import Codec, wire_plain
+from repro.interop.codec import wire_plain
 from repro.transport.base import Address, Transport
 from repro.transport.endpoint import MessageEndpoint, optional, present
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
 DEFAULT_REDELIVERY_TIMEOUT_S = 5.0
+#: Deliveries a message gets before it is dead-lettered.
+MAX_REDELIVERIES = 20
+#: How long a client waits for the broker to confirm a put or subscribe.
+REQUEST_TIMEOUT_S = 2.0
 
 
 @dataclass
@@ -51,19 +55,16 @@ class MessageBroker(MessageEndpoint):
     def __init__(
         self,
         transport: Transport,
-        codec: Optional[Codec] = None,
         redelivery_timeout_s: float = DEFAULT_REDELIVERY_TIMEOUT_S,
-        max_redeliveries: int = 20,
     ):
-        super().__init__(transport, codec)
+        super().__init__(transport)
         self.redelivery_timeout_s = redelivery_timeout_s
-        self.max_redeliveries = max_redeliveries
         self._queues: Dict[str, _QueueState] = {}
         self._mids = IdGenerator("m")
         # mid -> (queue, body, subscriber) awaiting ack
         self._inflight: Dict[str, Tuple[str, Any, Address]] = {}
         self._attempts: Dict[str, int] = {}
-        #: Messages abandoned after max_redeliveries (queue, body) pairs.
+        #: Messages abandoned after MAX_REDELIVERIES (queue, body) pairs.
         self.dead_letters: List[Tuple[str, Any]] = []
         self.messages_accepted = 0
         self.deliveries = 0
@@ -128,7 +129,7 @@ class MessageBroker(MessageEndpoint):
         queue_name, body, failed_subscriber = entry
         attempts = self._attempts.get(mid, 0) + 1
         self._attempts[mid] = attempts
-        if attempts > self.max_redeliveries:
+        if attempts > MAX_REDELIVERIES:
             # Dead-letter: an unackable message must not spin forever.
             self._attempts.pop(mid, None)
             self.dead_letters.append((queue_name, body))
@@ -154,12 +155,9 @@ class MessagingClient(MessageEndpoint):
         self,
         transport: Transport,
         broker_address: Address,
-        codec: Optional[Codec] = None,
-        request_timeout_s: float = 2.0,
     ):
-        super().__init__(transport, codec, rids="msg")
+        super().__init__(transport, rids="msg")
         self.broker_address = broker_address
-        self.request_timeout_s = request_timeout_s
         self._handlers: Dict[str, Callable[[Any], None]] = {}
         self.received = 0
 
@@ -173,7 +171,7 @@ class MessagingClient(MessageEndpoint):
             self._send(self.broker_address, message)
             return None
         return self._request(self.broker_address, message,
-                             self.request_timeout_s, DeliveryError)
+                             REQUEST_TIMEOUT_S, DeliveryError)
 
     # --------------------------------------------------------------- consumer
 
@@ -183,7 +181,7 @@ class MessagingClient(MessageEndpoint):
         self._handlers[queue] = handler
         return self._request(
             self.broker_address, {"op": "subscribe", "queue": queue},
-            self.request_timeout_s, DeliveryError)
+            REQUEST_TIMEOUT_S, DeliveryError)
 
     # -------------------------------------------------------------- plumbing
 

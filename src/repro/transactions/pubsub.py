@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.discovery.matching import AttributeConstraint
 from repro.errors import ConfigurationError, DeliveryError
-from repro.interop.codec import Codec, wire_plain
+from repro.interop.codec import wire_plain
 from repro.transport.base import Address, Transport
 from repro.transport.endpoint import (
     MessageEndpoint, list_of, optional, present)
@@ -78,8 +78,8 @@ class PubSubBroker(MessageEndpoint):
         "pub": ({"topic": str, "event": present}, "_fan_out"),
     }
 
-    def __init__(self, transport: Transport, codec: Optional[Codec] = None):
-        super().__init__(transport, codec)
+    def __init__(self, transport: Transport):
+        super().__init__(transport)
         self._subscriptions: List[_Subscription] = []
         self.events_published = 0
         self.events_delivered = 0
@@ -121,6 +121,9 @@ class PubSubBroker(MessageEndpoint):
 
 EventHandler = Callable[[str, Any], None]  # (topic, event)
 
+#: How long a client waits for the broker to confirm a subscription.
+REQUEST_TIMEOUT_S = 2.0
+
 
 class PubSubClient(MessageEndpoint):
     """A publisher/subscriber handle onto the broker."""
@@ -134,12 +137,9 @@ class PubSubClient(MessageEndpoint):
         self,
         transport: Transport,
         broker_address: Address,
-        codec: Optional[Codec] = None,
-        request_timeout_s: float = 2.0,
     ):
-        super().__init__(transport, codec, rids="ps")
+        super().__init__(transport, rids="ps")
         self.broker_address = broker_address
-        self.request_timeout_s = request_timeout_s
         self._handlers: Dict[str, Tuple[EventHandler, List[Dict[str, str]]]] = {}
         self.events_received = 0
 
@@ -158,7 +158,7 @@ class PubSubClient(MessageEndpoint):
             self.broker_address,
             # "rid" holds its place on the wire; _request fills it in.
             {"op": "sub", "rid": None, "pattern": pattern, "filters": raw_filters},
-            self.request_timeout_s, DeliveryError)
+            REQUEST_TIMEOUT_S, DeliveryError)
 
     def unsubscribe(self, pattern: str) -> None:
         self._handlers.pop(pattern, None)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.interop.codec import Codec, wire_plain
+from repro.interop.codec import wire_plain
 from repro.transport.base import Address, Transport
 from repro.transport.endpoint import MessageEndpoint, optional, present
 from repro.util.promise import Promise
@@ -72,9 +72,8 @@ class SharedObjectHost(MessageEndpoint):
         "inv_ack": ({"wid": int}, "_on_inv_ack"),
     }
 
-    def __init__(self, transport: Transport, codec: Optional[Codec] = None,
-                 write_through_acks: bool = False):
-        super().__init__(transport, codec)
+    def __init__(self, transport: Transport, write_through_acks: bool = False):
+        super().__init__(transport)
         self.write_through_acks = write_through_acks
         self._objects: Dict[str, _Stored] = {}
         self._watchers: Dict[str, Set[Address]] = {}
@@ -194,9 +193,8 @@ class SharedObjectCache(MessageEndpoint):
         self,
         transport: Transport,
         host_address: Address,
-        codec: Optional[Codec] = None,
     ):
-        super().__init__(transport, codec, rids="so")
+        super().__init__(transport, rids="so")
         self.host_address = host_address
         self._cache: Dict[str, Tuple[Any, int]] = {}
         # key -> lowest version still admissible in the cache: invalidations

@@ -32,6 +32,8 @@ _HEADER = struct.Struct(">Id")
 
 #: Accounted per-frame overhead of the streaming header.
 STREAM_HEADER_BYTES = _HEADER.size
+#: Media payload bytes per frame, after the header.
+FRAME_PAYLOAD_BYTES = 512
 
 
 class StreamingSource:
@@ -42,21 +44,15 @@ class StreamingSource:
         transport: Transport,
         sink: Address,
         frame_interval_s: float = 0.04,  # 25 fps
-        frame_bytes: int = 512,
         total_frames: Optional[int] = None,
     ):
         if frame_interval_s <= 0:
             raise ConfigurationError(
                 f"frame interval must be positive, got {frame_interval_s!r}"
             )
-        if frame_bytes <= 0:
-            raise ConfigurationError(
-                f"frame size must be positive, got {frame_bytes!r}"
-            )
         self.transport = transport
         self.sink = sink
         self.frame_interval_s = frame_interval_s
-        self.frame_bytes = frame_bytes
         self.total_frames = total_frames
         self.frames_sent = 0
         self._running = False
@@ -79,7 +75,7 @@ class StreamingSource:
             return
         seq = self.frames_sent
         timestamp = seq * self.frame_interval_s
-        payload = _HEADER.pack(seq, timestamp) + bytes(self.frame_bytes)
+        payload = _HEADER.pack(seq, timestamp) + bytes(FRAME_PAYLOAD_BYTES)
         self.transport.send(self.sink, payload)
         self.frames_sent += 1
         self.transport.scheduler.schedule(self.frame_interval_s, self._emit)

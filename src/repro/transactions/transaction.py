@@ -14,7 +14,7 @@ drives them; the scheduler and handoff manager reorder and migrate them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.discovery.description import ServiceDescription
@@ -68,11 +68,8 @@ class TransactionSpec:
 
     kind: TransactionKind
     operation: str = "read"
-    params: dict = field(default_factory=dict)
     interval_s: float = 1.0  # CONTINUOUS: data period
     predicted_times: tuple = ()  # INTERMITTENT: absolute activation times
-    deadline_s: Optional[float] = None  # relative completion deadline
-    priority: int = 0  # larger = more urgent
 
 
 class Transaction:

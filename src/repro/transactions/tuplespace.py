@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.interop.codec import Codec, wire_plain
+from repro.interop.codec import wire_plain
 from repro.transport.base import Address, Transport
 from repro.transport.endpoint import MessageEndpoint, optional
 from repro.util.promise import Promise
@@ -166,8 +166,8 @@ class TupleSpaceServer(MessageEndpoint):
             {"template": list, "rid": optional(str)}, "_handle_request")),
     }
 
-    def __init__(self, transport: Transport, codec: Optional[Codec] = None):
-        super().__init__(transport, codec)
+    def __init__(self, transport: Transport):
+        super().__init__(transport)
         self._store = TupleStore()
         self._waiters: List[_Waiter] = []
         self.outs = 0
@@ -240,9 +240,8 @@ class TupleSpaceClient(MessageEndpoint):
         self,
         transport: Transport,
         space_address: Address,
-        codec: Optional[Codec] = None,
     ):
-        super().__init__(transport, codec, rids="ts")
+        super().__init__(transport, rids="ts")
         self.space_address = space_address
 
     def out(self, *values: Any, confirm: bool = False) -> Optional[Promise]:

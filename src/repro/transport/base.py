@@ -7,8 +7,8 @@ the guarantee a datagram network gives. Reliability, ordering and
 structure are layered on top (see :mod:`repro.transport.reliable`,
 :mod:`repro.interop.codec`).
 
-Transports also expose a :class:`Scheduler` (virtual or real time) so the
-layers above can set timers without knowing which world they run in.
+Transports also expose a :class:`Scheduler` so the layers above can set
+timers without knowing which world they run in.
 """
 
 from __future__ import annotations
@@ -171,27 +171,3 @@ class Transport(abc.ABC):
     def close(self) -> None:
         """Close the endpoint; further sends raise, further receives drop."""
         self._closed = True
-
-
-class RealTimeScheduler:
-    """A Scheduler over wall-clock time using ``threading.Timer``.
-
-    Provided for completeness (running the middleware outside the simulator);
-    tests and experiments always use virtual-time schedulers.
-    """
-
-    def __init__(self) -> None:
-        import time
-
-        self._time = time
-
-    def now(self) -> float:
-        return self._time.monotonic()
-
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
-        import threading
-
-        timer = threading.Timer(max(0.0, delay), fn, args=args)
-        timer.daemon = True
-        timer.start()
-        return timer

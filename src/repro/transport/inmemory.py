@@ -1,7 +1,7 @@
 """In-memory transport fabric.
 
 A :class:`InMemoryFabric` is a star network living entirely in one process,
-with virtual time from a private (or shared) :class:`Simulator`. It supports
+with virtual time from a private :class:`Simulator`. It supports
 configurable latency and loss, so the reliability layer can be exercised
 without the full network simulator.
 """
@@ -29,9 +29,9 @@ class SimScheduler:
     periods between nodes under chaos.
     """
 
-    def __init__(self, sim: Simulator, skew: float = 1.0):
+    def __init__(self, sim: Simulator):
         self._sim = sim
-        self.skew = skew
+        self.skew = 1.0
 
     def now(self) -> float:
         return self._sim.now()
@@ -53,7 +53,6 @@ class InMemoryFabric:
 
     def __init__(
         self,
-        sim: Optional[Simulator] = None,
         latency_s: float = 0.0,
         loss_probability: float = 0.0,
         seed: int = 0,
@@ -62,7 +61,7 @@ class InMemoryFabric:
             raise ConfigurationError(
                 f"loss probability must be in [0, 1), got {loss_probability!r}"
             )
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.latency_s = latency_s
         self.loss_probability = loss_probability
         self._rng = split_rng(seed, "inmemory-fabric")

@@ -21,6 +21,8 @@ Layering is the caller's choice:
 Shedding is tail-drop (the arriving message is refused, queued messages
 keep their place): FIFO order is preserved for whatever is eventually
 sent, and the oldest — closest-to-transmitting — work is never wasted.
+Closing sheds whatever is still queued, so every send is sent, queued
+then sent, or shed.
 
 Metrics: ``transport.paced.sent`` / ``.queued`` / ``.shed`` counters and a
 ``transport.paced.queue_depth`` gauge, labeled by node and flow;
@@ -192,7 +194,9 @@ class PacedTransport(Transport):
             if cancel is not None:
                 cancel()
             self._drain_timer = None
-        self._queue.clear()
+        queued, self._queue = self._queue, deque()
+        for destination, payload, _bits in queued:
+            self._shed(destination, payload, why="closed")
         self._depth_gauge.set(0)
         if self._owns_flow:
             self.allocator.release(self.flow_id, now=self.scheduler.now())

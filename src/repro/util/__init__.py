@@ -4,7 +4,7 @@ These are deliberately dependency-free building blocks used by every other
 subsystem. Nothing in here knows about networks or middleware.
 """
 
-from repro.util.clock import Clock, ManualClock, SystemClock
+from repro.util.clock import Clock, ManualClock
 from repro.util.events import EventEmitter, Subscription
 from repro.util.geometry import Point, distance
 from repro.util.ids import IdGenerator, SequenceGenerator
@@ -14,7 +14,6 @@ from repro.util.rng import make_rng, split_rng
 __all__ = [
     "Clock",
     "ManualClock",
-    "SystemClock",
     "EventEmitter",
     "Subscription",
     "Point",

@@ -2,12 +2,12 @@
 
 The middleware never reads wall-clock time directly. Every component takes a
 :class:`Clock`, so the same code runs under the discrete-event simulator
-(where time is virtual and tests never sleep) and in real deployments.
+(where time is virtual and tests never sleep); a deployment outside it
+supplies any object with ``now()``.
 """
 
 from __future__ import annotations
 
-import time as _time
 from typing import Protocol, runtime_checkable
 
 
@@ -18,13 +18,6 @@ class Clock(Protocol):
     def now(self) -> float:
         """Return the current time in seconds."""
         ...
-
-
-class SystemClock:
-    """Wall-clock time via :func:`time.monotonic`."""
-
-    def now(self) -> float:
-        return _time.monotonic()
 
 
 class ManualClock:

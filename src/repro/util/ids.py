@@ -32,11 +32,11 @@ class IdGenerator:
     across runs.
     """
 
-    def __init__(self, prefix: str, start: int = 0):
+    def __init__(self, prefix: str):
         if not prefix:
             raise ValueError("id prefix must be non-empty")
         self.prefix = prefix
-        self._seq = SequenceGenerator(start)
+        self._seq = SequenceGenerator()
 
     def next(self) -> str:
         return f"{self.prefix}-{self._seq.next()}"

@@ -83,8 +83,7 @@ class DiurnalTraffic(TrafficModel):
     the seed.
     """
 
-    def __init__(self, amplitude: float = 0.6):
-        self.amplitude = amplitude
+    amplitude = 0.6
 
     def arrivals(self, seed: int, horizon_s: float,
                  rate_rps: float) -> Tuple[Arrival, ...]:
@@ -108,11 +107,9 @@ class DiurnalTraffic(TrafficModel):
 class HeavyTailTraffic(TrafficModel):
     """Constant-rate arrivals whose sizes follow a bounded Pareto law."""
 
-    def __init__(self, alpha: float = 1.4, min_size: int = 32,
-                 max_size: int = 4096):
-        self.alpha = alpha
-        self.min_size = min_size
-        self.max_size = max_size
+    alpha = 1.4
+    min_size = 32
+    max_size = 4096
 
     def arrivals(self, seed: int, horizon_s: float,
                  rate_rps: float) -> Tuple[Arrival, ...]:
@@ -141,13 +138,9 @@ class FlashCrowdTraffic(TrafficModel):
     """
 
     size_bytes = 48
-
-    def __init__(self, spike_start_frac: float = 0.4,
-                 spike_duration_frac: float = 0.2,
-                 multiplier: float = 6.0):
-        self.spike_start_frac = spike_start_frac
-        self.spike_duration_frac = spike_duration_frac
-        self.multiplier = multiplier
+    spike_start_frac = 0.4
+    spike_duration_frac = 0.2
+    multiplier = 6.0
 
     def spike_window(self, horizon_s: float) -> Tuple[float, float]:
         start = self.spike_start_frac * horizon_s
@@ -185,9 +178,7 @@ class ClosedLoopTraffic(TrafficModel):
     """
 
     closed_loop = True
-
-    def __init__(self, clients: int = 4):
-        self.clients = clients
+    clients = 4
 
     def think_mean_s(self, rate_rps: float) -> float:
         return self.clients / rate_rps

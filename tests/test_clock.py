@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.clock import Clock, ManualClock, SystemClock
+from repro.util.clock import Clock, ManualClock
 
 
 class TestManualClock:
@@ -47,14 +47,3 @@ class TestManualClock:
 
     def test_satisfies_clock_protocol(self):
         assert isinstance(ManualClock(), Clock)
-
-
-class TestSystemClock:
-    def test_monotonic(self):
-        clock = SystemClock()
-        a = clock.now()
-        b = clock.now()
-        assert b >= a
-
-    def test_satisfies_clock_protocol(self):
-        assert isinstance(SystemClock(), Clock)

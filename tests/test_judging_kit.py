@@ -8,6 +8,7 @@ that a second copy of any part cannot creep back.
 """
 
 import ast
+import functools
 import importlib.util
 import inspect
 import re
@@ -38,7 +39,7 @@ from repro.workloads.campaign import ACCOUNTS as WORLD_ACCOUNTS, INITIAL_BALANCE
 from repro.workloads.registry import Archetype
 from tests.test_chaos import SHORT
 
-SRC = Path(__file__).parent.parent / "src" / "repro"
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 ACCOUNTS = {"a": 60, "b": 40}
 
 
@@ -329,10 +330,10 @@ def test_one_replay_call_site_and_one_canonical_encoder():
     # sharded simulator with its medium hook, its bytes-built and pickled
     # frames, the corruptor-only splice path, the second and third receive
     # decoders, the heartbeat packer, the per-delivery frame counters, the
-    # codecs' frame coercion, the channel multiplexer and the all-static
-    # switch the neighbour memo outgrew cannot creep back.
-    # ``def frame_bytes``, not the bare name: ``StreamingSource`` has a
-    # ``frame_bytes`` parameter.
+    # codecs' frame coercion, the channel multiplexer, the all-static
+    # switch the neighbour memo outgrew, the options nothing set whose names
+    # are unique, the wall-clock scheduler and clock, and the exceptions
+    # nothing raised cannot creep back.
     texts = sources()
     reads_env = [name for name, text in texts.items()
                  if "os.environ" in text or "getenv" in text]
@@ -346,11 +347,15 @@ def test_one_replay_call_site_and_one_canonical_encoder():
                "ShardedSimulation", "set_egress", "egress_relayed",
                "EgressHook", "SWEEPABLE", "WireFrame.from_bytes",
                "decode_payload", "splice_int_field", "_skip_value",
-               "def frame_bytes", "_FRAME_DICT_EXTRACTOR", "_rebuild_frame",
+               "frame_bytes", "_FRAME_DICT_EXTRACTOR", "_rebuild_frame",
                "TailIntPacker", "packer=", "Multiplexer", "ChannelTransport",
                "BuiltStack", "multiplexed", "_live_counters",
                "frames.passthrough", "encode_skipped", "_FRAME_TYPES",
-               "all_static")
+               "all_static", "charge_sense", "sense_energy",
+               "max_feasibility_entries", "forward_prefix", "weight_fn",
+               "RealTimeScheduler", "SystemClock", "LeaseExpiredError",
+               "QoSViolationError", "InfeasibleError", "NoRouteError",
+               "DeadlineMissed")
     root = SRC.parent.parent
     survivors = [(path.relative_to(root).as_posix(), name)
                  for top in ("src", "examples", "benchmarks")
@@ -426,7 +431,7 @@ UPWARD_IMPORTS = {
 def test_netsim_knows_nothing_about_the_middleware_above_it():
     upward = set()
     for path in (SRC / "netsim").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(parsed(path)):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -467,6 +472,12 @@ def test_the_campaign_never_asks_which_mix_it_runs():
 # ------------------------------------------------ every module has a driver
 
 
+@functools.lru_cache(maxsize=None)
+def parsed(path):
+    """The module at ``path``, parsed once for both computed contracts."""
+    return ast.parse(Path(path).read_text())
+
+
 def undriven_modules(src_root, entry_files):
     """Modules of the package at ``src_root`` that no entry file reaches.
 
@@ -488,7 +499,7 @@ def undriven_modules(src_root, entry_files):
         package = names.get(path, "").split(".")
         if path.name != "__init__.py":
             package = package[:-1]
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(parsed(path)):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     yield alias.name, None, None
@@ -583,3 +594,206 @@ def test_the_driver_contract_on_a_toy_tree(tmp_path):
     # A registry row's module is an entry itself; a CLI's lazy import counts.
     assert undriven("examples/demo.py", "src/toy/row.py", "src/toy/cli.py") == [
         "toy.pkg.orphan", "toy.tested"]
+
+
+# ------------------------------------------------ every option has a setter
+
+
+def _name(node):
+    """The last name in ``node``: ``f`` for ``f``, ``a.f`` and ``f(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(
+        node, "id", None)
+
+
+def _init_arguments(cls):
+    """``(name, has a default, positional)`` per argument of ``cls``'s own
+    ``__init__`` after ``self``; None when it defines none."""
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+            args = stmt.args
+            positional = (args.posonlyargs + args.args)[1:]
+            defaults = [None] * (len(positional) - len(args.defaults))
+            return ([(arg.arg, default is not None, True) for arg, default
+                     in zip(positional, defaults + args.defaults)]
+                    + [(arg.arg, default is not None, False) for arg, default
+                       in zip(args.kwonlyargs, args.kw_defaults)])
+    return None
+
+
+def _dataclass_fields(cls):
+    """``(name, has a default, positional)`` per field ``cls`` declares that
+    a generated ``__init__`` takes; none when it is no dataclass."""
+    if "dataclass" not in map(_name, cls.decorator_list):
+        return []
+    fields = []
+    for stmt in cls.body:
+        if not isinstance(stmt, ast.AnnAssign) or "ClassVar" in ast.unparse(
+                stmt.annotation):
+            continue
+        default = stmt.value is not None
+        if _name(stmt.value) == "field":
+            spec = {kw.arg: kw.value for kw in stmt.value.keywords}
+            if getattr(spec.get("init"), "value", True) is False:
+                continue
+            default = "default" in spec or "default_factory" in spec
+        fields.append((stmt.target.id, default, True))
+    return fields
+
+
+def unset_options(src_root, caller_roots):
+    """``Class.option`` for each option of a public class under ``src_root``
+    that no call in a file under ``caller_roots`` sets.
+
+    An option is an ``__init__`` keyword with a default, or a dataclass
+    field with a default that is not ``init=False``. A call sets the options
+    it names, those its positional arguments reach, and all of them when it
+    expands ``*`` or ``**``; ``super().__init__(...)`` in a class calls its
+    bases, ``cls(...)`` the class itself. A callee is known by its name, and
+    a class without an ``__init__`` of its own takes its base's arguments
+    (a dataclass adds its fields), wherever the class is defined.
+    """
+    src_files = sorted(Path(src_root).resolve().rglob("*.py"))
+    files = src_files + [path for root in caller_roots
+                         for path in sorted(Path(root).resolve().rglob("*.py"))]
+    classes = {}  # name -> [ClassDef], from any file
+    for path in dict.fromkeys(files):
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, []).append(node)
+
+    def arguments(cls):
+        """``(owner, name, has a default, positional)`` per argument."""
+        own = _init_arguments(cls)
+        if own is not None:
+            return [(cls.name, *argument) for argument in own]
+        inherited = next((arguments(base) for base_name in map(_name, cls.bases)
+                          for base in classes.get(base_name, ())
+                          if base is not cls), [])
+        names = {name for _owner, name, *_ in inherited}
+        return inherited + [(cls.name, *field) for field in _dataclass_fields(cls)
+                            if field[0] not in names]
+
+    options = {f"{cls.name}.{name}"
+               for path in src_files for cls in parsed(path).body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+               for owner, name, default, _ in arguments(cls)
+               if owner == cls.name and default}
+
+    def credit(cls, call):
+        reached = arguments(cls)
+        if not (any(isinstance(arg, ast.Starred) for arg in call.args)
+                or any(kw.arg is None for kw in call.keywords)):
+            named = {kw.arg for kw in call.keywords}
+            reached = ([argument for argument in reached if argument[3]]
+                       [:len(call.args)]
+                       + [argument for argument in reached
+                          if argument[1] in named])
+        options.difference_update(f"{owner}.{name}"
+                                  for owner, name, *_ in reached)
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self):
+            self.within = []  # the enclosing class definitions, innermost last
+
+        def visit_ClassDef(self, node):
+            self.within.append(node)
+            self.generic_visit(node)
+            self.within.pop()
+
+        def visit_Call(self, node):
+            name = _name(node)
+            if (name == "__init__" and isinstance(node.func, ast.Attribute)
+                    and _name(node.func.value) == "super" and self.within):
+                callees = [base for base_name in map(_name, self.within[-1].bases)
+                           for base in classes.get(base_name, ())]
+            elif name == "cls" and self.within:
+                callees = [self.within[-1]]
+            else:
+                callees = classes.get(name, ())
+            for cls in callees:
+                credit(cls, node)
+            self.generic_visit(node)
+
+    for path in files[len(src_files):]:
+        Calls().visit(parsed(path))
+    return sorted(options)
+
+
+#: The options nothing sets that stay: two paper features no driver wires
+#: yet, §3.4's benefit function and the "traffic" of §3.3's "density or
+#: traffic". ROADMAP item 8's paper-coverage contract decides them.
+UNSET_OPTIONS = [
+    "AdaptiveDiscovery.traffic_probe",
+    "AdaptivePolicy.traffic_threshold",
+    "ConsumerQoS.benefit",
+]
+
+
+def test_every_option_is_set_somewhere():
+    """A constructor option that only ever holds its default is an
+    unexercised path, not policy: some call under ``src/``, ``examples/``,
+    ``benchmarks/`` or ``tests/`` sets every one. A value nobody sets is a
+    module constant or a plain attribute. Computed from the tree."""
+    root = SRC.parent.parent
+    callers = [root / top for top in ("src", "examples", "benchmarks", "tests")]
+    assert unset_options(SRC, callers) == UNSET_OPTIONS
+
+
+def test_the_option_contract_on_a_toy_tree(tmp_path):
+    tree = {
+        "src/toy/parts.py": (
+            "from dataclasses import dataclass, field\n"
+            "class Base:\n"
+            "    def __init__(self, a, b=1, *, c=2, d=3):\n"
+            "        pass\n"
+            "class Heir(Base):\n"
+            "    pass\n"
+            "class Own(Base):\n"
+            "    def __init__(self, e=4, **rest):\n"
+            "        super().__init__(0, **rest)\n"
+            "    @classmethod\n"
+            "    def make(cls):\n"
+            "        return cls(5)\n"
+            "class _Hidden:\n"
+            "    def __init__(self, f=6):\n"
+            "        pass\n"
+            "@dataclass\n"
+            "class Row:\n"
+            "    g: int\n"
+            "    h: int = 7\n"
+            "    i: list = field(default_factory=list)\n"
+            "    j: int = field(default=0, init=False)\n"
+            "@dataclass\n"
+            "class Wider(Row):\n"
+            "    k: int = 8\n"),
+        "src/toy/use.py": "from toy.parts import Heir\nHeir(0, 1)\n",
+        "tests/test_toy.py": (
+            "from toy.parts import Base, Row, Wider\n"
+            "class Local(Base):\n"
+            "    pass\n"
+            "Local(0, d=9)\n"
+            "Wider(0, 1, [], 2)\n"),
+    }
+    for name, text in tree.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    src = tmp_path / "src" / "toy"
+
+    def unset(*roots):
+        return unset_options(src, [tmp_path / root for root in roots])
+
+    everything = ["Base.b", "Base.c", "Base.d", "Own.e", "Row.h", "Row.i",
+                  "Wider.k"]
+    assert unset() == everything
+    # A class's own definition sets nothing; a caller in src does: an
+    # heir's positional reaches its base's ``b``, ``super().__init__``
+    # with ``**`` reaches all of the base's, ``cls(5)`` the first of Own's.
+    assert unset("src") == ["Row.h", "Row.i", "Wider.k"]
+    # A test's subclass passes through to the base, and a dataclass
+    # heir's positional reaches inherited fields before its own; the
+    # ``init=False`` field and the private class are never options.
+    assert unset("tests") == ["Base.b", "Base.c", "Own.e"]
+    assert unset("src", "tests") == []

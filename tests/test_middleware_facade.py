@@ -129,7 +129,6 @@ class TestCodecGateway:
         sml_side = fabric.endpoint("enterprise", "app")
         gateway = CodecGateway(
             fabric.endpoint("gw", "a"), fabric.endpoint("gw", "b"),
-            codec_a=get_codec("binary"), codec_b=get_codec("sml"),
             default_b=Address("enterprise", "app"),
             default_a=Address("island", "app"),
         )
@@ -185,8 +184,7 @@ class TestCodecGateway:
         binary = get_codec("binary")
         sml = get_codec("sml")
         gateway = CodecGateway(fabric.endpoint("gw", "a"),
-                               fabric.endpoint("gw", "b"),
-                               codec_a=binary, codec_b=sml)
+                               fabric.endpoint("gw", "b"))
         gateway.map_a_to_b(Address("alice", "app"), Address("bob", "app"))
         gateway.map_b_to_a(Address("bob", "app"), Address("alice", "app"))
         alice = fabric.endpoint("alice", "app")

@@ -1,14 +1,11 @@
-"""Tests for the transport layer: addresses, in-memory fabric, simnet,
-and the wall-clock scheduler."""
-
-import threading
+"""Tests for the transport layer: addresses, in-memory fabric and simnet."""
 
 import pytest
 
 from repro.errors import AddressError, ConfigurationError, TransportClosedError
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
-from repro.transport.base import Address, RealTimeScheduler
+from repro.transport.base import Address
 from repro.transport.inmemory import InMemoryFabric, SimScheduler
 from repro.transport.simnet import SimFabric
 
@@ -187,15 +184,3 @@ def test_a_fabric_holds_one_scheduler(ideal_star):
         assert type(fabric.scheduler) is SimScheduler
         assert (fabric.endpoint("hub", "a").scheduler
                 is fabric.endpoint("hub", "b").scheduler)
-
-
-class TestRealTimeScheduler:
-    def test_timer_fires(self):
-        scheduler = RealTimeScheduler()
-        fired = threading.Event()
-        scheduler.schedule(0.01, fired.set)
-        assert fired.wait(timeout=2.0)
-
-    def test_now_monotonic(self):
-        scheduler = RealTimeScheduler()
-        assert scheduler.now() <= scheduler.now()
