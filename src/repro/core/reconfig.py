@@ -13,29 +13,33 @@ structural fingerprint::
 
     (alive fleet key, requirements signature, exhaustive_limit, redundancy)
 
-where the fleet key is the id-sorted tuple of ``(sensor_id,
-sensor_signature)`` over non-depleted sensors. The fingerprint is
-recomputed on every lookup (cheap: an identity-validated signature memo
-makes it a few dict probes per sensor), so correctness never depends on
-callers announcing changes: a sensor death, removal, addition, or even a
-direct ``context.sensors[sid] = ...`` swap (as the secure binder does)
-lands on a different key and misses. Explicit *delta invalidation*
-(:meth:`ReconfigEngine.invalidate_sensor`, wired into ``add_sensor`` /
-``remove_sensor`` / sensor death) is hygiene on top: it evicts entries
-that can never be hit again and keeps the cache honest about memory.
+where the fleet key is the tuple of ``(sensor_id, sensor_signature)`` over
+non-depleted sensors, in one walk of the sensors dict in its own order (the
+enumeration id-sorts the fleet itself, so a reordered fleet is a miss, never
+a different list). The fingerprint is recomputed on every lookup (cheap: an
+identity-validated signature memo makes it a few dict probes per sensor),
+so correctness never depends on callers announcing changes: a sensor death,
+removal, addition, or even a direct ``context.sensors[sid] = ...`` swap (as
+the secure binder does) lands on a different key and misses. Explicit
+*delta invalidation* (:meth:`ReconfigEngine.invalidate_sensor`, wired into
+``add_sensor`` / ``remove_sensor`` / sensor death) is hygiene on top: it
+evicts entries that can never be hit again and keeps the cache honest
+about memory.
 
-:class:`ReconfigEngine` adds the scoring half of the fast path: per-set
-``performance`` and ``power`` terms are energy-independent, so they are
-kept *in the feasibility entry* of their candidate — its fleet key pins
-every alive sensor's signature, all those terms depend on, so the
-fingerprint validates them and the one cache is bounded and evicted as one.
+:class:`ReconfigEngine` adds the scoring half of the fast path. An entry's
+first ``select`` compiles one *row* per candidate: its members as positions
+in the entry's fleet (an ``itemgetter``), and its energy-independent
+``performance`` and ``power`` from ``score_set``. The fleet key pins every
+alive sensor's signature, which is all those terms depend on, so the
+fingerprint validates the rows and the one cache bounds and evicts them.
 A warm energy-only ``reconfigure()`` is a fingerprint probe, plugin
-filtering, one pass over the entry's fleet (signature re-checked through
-the identity memo, ``lifetime_if_active()`` read once per sensor, *after*
-the plugins ran), one ``min`` per candidate, and the strategy comparison.
-A sensor swapped or removed since the probe (a plugin or listener touched
-``context.sensors`` mid-pipeline) fails that pass: the round is scored
-uncached and nothing is stored.
+filtering, one pass over the entry's fleet
+(:meth:`FeasibilityCache.lifetimes`: the signature memo re-checked in
+line, each ``lifetime_if_active()`` read by fleet position, *after* the
+plugins ran), then per candidate ``min(gather(lifetimes))`` into a
+:class:`SetScore` tuple, and the strategy comparison. A sensor swapped or removed since the probe (a
+plugin or listener touched ``context.sensors`` mid-pipeline) fails that
+pass: the round is scored uncached and nothing is stored.
 
 Exact equivalence with the uncached path is guaranteed by construction
 (the miss paths *are* the uncached code: the ``compute`` thunk, and
@@ -44,12 +48,14 @@ by the interleaving property test in ``tests/test_feasibility_property.py``.
 
 Cache traffic is visible via :mod:`repro.obs.metrics` counters:
 ``milan.feasibility_cache.{hits,misses,invalidations}`` and
-``milan.score_cache.{hits,misses}`` (terms reused / computed).
+``milan.score_cache.{hits,misses}`` (candidates scored from rows / rows
+compiled).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -68,19 +74,22 @@ from repro.obs.metrics import get_registry
 
 SensorSet = FrozenSet[str]
 Signature = Tuple
-#: ((sensor_id, signature), ...) over alive sensors, id-sorted.
+#: ((sensor_id, signature), ...) over alive sensors, in the sensors dict's order.
 FleetKey = Tuple
 CacheKey = Tuple
 _INF = float("inf")
+_new_score = tuple.__new__  # SetScore without its Python-level __new__
 
 
 class FeasibilityEntry(NamedTuple):
-    """One fingerprint's candidates and their energy-independent terms."""
+    """One fingerprint's candidates and their compiled score rows."""
 
     fleet: FleetKey
     candidates: List[SensorSet]
-    #: sensor_set -> (performance, power_w), filled in by ``select``.
-    terms: Dict[SensorSet, Tuple[float, float]]
+    #: sensor_set -> (gather, performance, power_w), compiled by the
+    #: entry's first ``select``; ``gather`` picks the set's members out of
+    #: :meth:`FeasibilityCache.lifetimes`.
+    rows: Dict[SensorSet, Tuple]
 
 
 class FeasibilityCache:
@@ -130,11 +139,40 @@ class FeasibilityCache:
         return signature
 
     def fleet_key(self, sensors: Dict[str, SensorInfo]) -> FleetKey:
-        alive = sorted([
-            (sid, sensor) for sid, sensor in sensors.items()
+        signature_of = self.signature_of
+        # Dict order, not id order: ``compute`` id-sorts the fleet itself,
+        # so a reordered fleet is only a miss, never a different list.
+        return tuple([
+            (sid, signature_of(sensor)) for sid, sensor in sensors.items()
             if not sensor.depleted
         ])
-        return tuple([(sid, self.signature_of(sensor)) for sid, sensor in alive])
+
+    def lifetimes(
+        self, fleet: FleetKey, sensors: Dict[str, SensorInfo]
+    ) -> Optional[List[float]]:
+        """Each ``fleet`` sensor's ``lifetime_if_active()`` by fleet
+        position, then ``inf`` (the empty set's one "member").
+
+        ``None`` if a sensor was swapped or removed since ``fleet`` was
+        keyed: the :meth:`signature_of` memo rule, checked in line, plus the
+        memo's signature against the key's.
+        """
+        memos = self._signatures
+        lifetimes: List[float] = []
+        for sensor_id, signature in fleet:
+            sensor = sensors.get(sensor_id)
+            memo = memos.get(sensor_id)
+            if (
+                sensor is None
+                or memo is None
+                or memo[0] is not sensor.reliabilities
+                or memo[1] != sensor.active_power_w
+                or memo[2] != signature
+            ):
+                return None
+            lifetimes.append(sensor.lifetime_if_active())
+        lifetimes.append(_INF)
+        return lifetimes
 
     # ----------------------------------------------------------------- cache
 
@@ -175,8 +213,8 @@ class FeasibilityCache:
             self._invalidations_counter.inc(len(stale))
         return len(stale)
 
-    def terms_held(self) -> int:
-        return sum(len(entry.terms) for entry in self._entries.values())
+    def rows_held(self) -> int:
+        return sum(len(entry.rows) for entry in self._entries.values())
 
     def clear(self) -> None:
         self._entries.clear()
@@ -237,44 +275,48 @@ class ReconfigEngine:
         requirements: Dict[str, float],
         strategy: SelectionStrategy,
     ) -> Optional[SetScore]:
-        """``select_best`` over ``entry``'s terms; ``candidates`` are the
+        """``select_best`` over ``entry``'s rows; ``candidates`` are the
         entry's after network filtering, ``requirements`` its lookup's."""
         if not candidates:
             return None
-        signature_of = self.feasibility.signature_of
-        lifetimes: Dict[str, float] = {}
-        for sensor_id, signature in entry.fleet:
-            sensor = sensors.get(sensor_id)
-            if sensor is None or signature_of(sensor) != signature:
-                # Swapped or removed since the lookup: the fingerprint no
-                # longer vouches for the stored terms.
-                self.score_misses += len(candidates)
-                self._score_misses_counter.inc(len(candidates))
-                return select_best(candidates, sensors, requirements, strategy)
-            lifetimes[sensor_id] = sensor.lifetime_if_active()
-        lifetime_of = lifetimes.__getitem__
-        terms = entry.terms
-        held = len(terms)
-        scores = []
-        for sensor_set in candidates:
-            term = terms.get(sensor_set)
-            if term is None:
-                score = score_set(sensor_set, sensors, requirements)
-                terms[sensor_set] = (score.performance, score.power_w)
-            else:
-                # Lifetime is the only energy-dependent term: always fresh.
-                lifetime = min(map(lifetime_of, sensor_set)) if sensor_set else _INF
-                score = SetScore(sensor_set, lifetime, *term)
-            scores.append(score)
-        computed = len(terms) - held
-        reused = len(scores) - computed
-        if computed:
-            self.score_misses += computed
-            self._score_misses_counter.inc(computed)
-        if reused:
-            self.score_hits += reused
-            self._score_hits_counter.inc(reused)
+        lifetimes = self.feasibility.lifetimes(entry.fleet, sensors)
+        if lifetimes is None:
+            # Swapped or removed since the lookup: the fingerprint no
+            # longer vouches for the stored rows.
+            self.score_misses += len(candidates)
+            self._score_misses_counter.inc(len(candidates))
+            return select_best(candidates, sensors, requirements, strategy)
+        if not entry.rows:
+            self._compile(entry, sensors, requirements)
+        scores = [
+            _new_score(SetScore, (sensor_set, min(gather(lifetimes)), perf, power_w))
+            for sensor_set, (gather, perf, power_w)
+            in zip(candidates, map(entry.rows.__getitem__, candidates))
+        ]
+        self.score_hits += len(scores)
+        self._score_hits_counter.inc(len(scores))
         return strategy(scores)
+
+    def _compile(
+        self,
+        entry: FeasibilityEntry,
+        sensors: Dict[str, SensorInfo],
+        requirements: Dict[str, float],
+    ) -> None:
+        """One row per candidate: its members as fleet positions, and its
+        energy-independent terms exactly as ``score_set`` computes them."""
+        position = {sensor_id: i for i, (sensor_id, _sig) in enumerate(entry.fleet)}
+        empty = (len(entry.fleet),) * 2  # the trailing infinite lifetime
+        for sensor_set in entry.candidates:
+            members = [position[sensor_id] for sensor_id in sensor_set] or empty
+            if len(members) == 1:
+                members *= 2  # itemgetter of one index returns no tuple
+            score = score_set(sensor_set, sensors, requirements)
+            entry.rows[sensor_set] = (
+                itemgetter(*members), score.performance, score.power_w,
+            )
+        self.score_misses += len(entry.rows)
+        self._score_misses_counter.inc(len(entry.rows))
 
     # ---------------------------------------------------------- invalidation
 
@@ -299,5 +341,5 @@ class ReconfigEngine:
             "feasibility_entries": len(self.feasibility),
             "score_hits": self.score_hits,
             "score_misses": self.score_misses,
-            "score_entries": self.feasibility.terms_held(),
+            "score_entries": self.feasibility.rows_held(),
         }

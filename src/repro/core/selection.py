@@ -26,8 +26,9 @@ Strategies (benchmarked against each other in E10's ablation):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.feasibility import combined_reliability
 from repro.core.sensors import SensorInfo
@@ -36,9 +37,9 @@ from repro.errors import ConfigurationError
 SensorSet = FrozenSet[str]
 
 
-@dataclass(frozen=True)
-class SetScore:
-    """Metrics of one candidate set."""
+class SetScore(NamedTuple):
+    """Metrics of one candidate set (a tuple: the warm engine builds one per
+    candidate per round without a Python-level constructor)."""
 
     sensor_set: SensorSet
     lifetime_s: float
@@ -119,19 +120,19 @@ def balanced(alpha: float = 0.7) -> SelectionStrategy:
         raise ConfigurationError(f"alpha must be in [0, 1], got {alpha!r}")
 
     def strategy(scores: List[SetScore]) -> SetScore:
-        finite = [s.lifetime_s for s in scores if not math.isinf(s.lifetime_s)]
+        isinf = math.isinf
+        finite = [s.lifetime_s for s in scores if not isinf(s.lifetime_s)]
         best_finite = max(finite) if finite else 1.0
-
-        def utility(score: SetScore) -> float:
-            if math.isinf(score.lifetime_s):
-                normalized_lifetime = 1.0
-            elif best_finite <= 0:
-                normalized_lifetime = 0.0
-            else:
-                normalized_lifetime = score.lifetime_s / best_finite
-            return alpha * normalized_lifetime + (1.0 - alpha) * score.performance
-
-        return _best(scores, [utility(s) for s in scores])
+        # alpha * normalized lifetime + (1 - alpha) * performance, where an
+        # infinite lifetime normalizes to 1 and a zero best one to 0.
+        return _best(scores, [
+            alpha * (
+                1.0 if isinf(lifetime)
+                else 0.0 if best_finite <= 0
+                else lifetime / best_finite
+            ) + (1.0 - alpha) * performance
+            for _set, lifetime, performance, _power in scores
+        ])
 
     return strategy
 

@@ -49,11 +49,14 @@ class SensorInfo:
                     f"sensor {self.sensor_id!r}: reliability for {variable!r} "
                     f"must be in (0, 1], got {reliability!r}"
                 )
-        if self.active_power_w < 0:
+        # Inverted comparisons: NaN fails them and is refused with the
+        # negatives. Infinite energy (mains power) passes; infinite power
+        # does not (a mains sensor's lifetime would be inf / inf = NaN).
+        if not 0 <= self.active_power_w < float("inf"):
             raise ConfigurationError(
-                f"active power must be >= 0, got {self.active_power_w!r}"
+                f"active power must be finite and >= 0, got {self.active_power_w!r}"
             )
-        if self.energy_j < 0:
+        if not self.energy_j >= 0:
             raise ConfigurationError(f"energy must be >= 0, got {self.energy_j!r}")
 
     def reliability_for(self, variable: str) -> float:

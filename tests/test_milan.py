@@ -372,6 +372,40 @@ class TestSensorInfo:
         with pytest.raises(ConfigurationError):
             SensorInfo("s", {"v": 1.5})
 
+    @pytest.mark.parametrize("field", ["active_power_w", "energy_j"])
+    def test_nan_power_and_energy_rejected(self, field):
+        # NaN slips past `< 0`: a NaN-energy sensor would count as alive
+        # with a NaN lifetime, and `min` over NaN depends on order.
+        with pytest.raises(ConfigurationError):
+            SensorInfo("s", {"v": 0.9}, **{field: float("nan")})
+        with pytest.raises(ConfigurationError):
+            SensorInfo("s", {"v": 0.9}).with_energy(float("nan"))
+
+    def test_infinite_power_rejected(self):
+        # A mains sensor drawing infinite power would live inf / inf = NaN.
+        with pytest.raises(ConfigurationError):
+            SensorInfo("s", {"v": 0.9}, active_power_w=float("inf"))
+
+    @pytest.mark.parametrize(
+        "prop,value",
+        [("power_w", "nan"), ("battery_capacity_j", "nan"), ("power_w", "inf")],
+    )
+    def test_nan_description_rejected(self, prop, value):
+        properties = {"var:v": "0.9", "power_w": "0.02", "battery_capacity_j": "10"}
+        properties[prop] = value
+        description = ServiceDescription(
+            "s-1", "sensor", "node1:svc",
+            qos=SupplierQoS(battery_powered=True, battery_fraction=0.5,
+                            properties=properties),
+        )
+        with pytest.raises(ConfigurationError):
+            sensor_from_description(description)
+
+    def test_mains_energy_still_allowed(self):
+        sensor = SensorInfo("s", {"v": 0.9}, active_power_w=0.0, energy_j=float("inf"))
+        assert not sensor.depleted
+        assert sensor.lifetime_if_active() == float("inf")
+
     def test_from_description(self):
         description = ServiceDescription(
             "bp-1", "bp-sensor", "node3:svc",

@@ -1,8 +1,8 @@
 """Tests for the incremental reconfiguration engine.
 
 Covers the structural-fingerprint feasibility cache (hits on energy-only
-deltas, misses on structural ones), delta invalidation, the score terms
-its entries hold, metrics visibility, the ``incremental=False`` escape
+deltas, misses on structural ones), delta invalidation, the score rows
+its entries compile, metrics visibility, the ``incremental=False`` escape
 hatch, and the binder-style direct-swap hazard the identity-validated
 signatures exist for.
 """
@@ -13,7 +13,7 @@ from repro.core.milan import Milan
 from repro.core.policy import ApplicationPolicy, health_monitor_policy
 from repro.core.reconfig import FeasibilityCache, ReconfigEngine
 from repro.core.requirements import VariableRequirements
-from repro.core.selection import max_lifetime
+from repro.core.selection import max_lifetime, strategy_by_name
 from repro.core.sensors import SensorInfo
 from repro.obs.metrics import get_registry
 
@@ -89,6 +89,82 @@ class TestFeasibilityCacheFastPath:
         assert cached.engine.score_hits > 0
 
 
+class RejectBpCuff:
+    name = "no-bp-cuff"
+
+    def accepts(self, sensor_set, context):
+        return "bp-cuff" not in sensor_set
+
+
+#: name -> (extra sensors, plugins, requirements override or None).
+ROW_CASES = {
+    "plugin-filtered": ((), (RejectBpCuff(),), None),
+    "one-member": ((), (), lambda base: {"heart_rate": 0.8}),
+    "empty-requirements": ((), (), lambda base: {}),
+    "mains-and-zero-power": (
+        (SensorInfo("mains-hr", {"heart_rate": 0.9}, 0.05),
+         SensorInfo("passive-bp", {"blood_pressure": 0.8}, 0.0, 5.0)),
+        (), None),
+}
+
+
+class TestRowsScoreLikeUncached:
+    """Compiled rows hand the strategy the same ``SetScore`` list, round
+    after round, as scoring every candidate from its sensors."""
+
+    def twin(self, case, selection, incremental):
+        extra, plugins, override = ROW_CASES[case]
+        seen = []
+        chosen = strategy_by_name(selection)
+
+        def recording(scores):
+            seen.append(list(scores))
+            return chosen(scores)
+
+        policy = health_monitor_policy()
+        policy.selection = recording
+        milan = Milan(policy, plugins=list(plugins), incremental=incremental,
+                      auto_reconfigure=False)
+        for sensor in fleet() + list(extra):
+            milan.add_sensor(sensor)
+        if override is not None:
+            milan.set_requirements_override(override, reconfigure=False)
+        milan.seen = seen
+        return milan
+
+    @pytest.mark.parametrize("selection",
+                             ["balanced", "max_lifetime", "max_reliability"])
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_rows_score_like_uncached(self, case, selection):
+        cached = self.twin(case, selection, incremental=True)
+        plain = self.twin(case, selection, incremental=False)
+        for milan in (cached, plain):
+            for _ in range(4):  # one cold round, then warm ones
+                milan.reconfigure()
+                milan.advance_time(20.0)
+        assert cached.seen == plain.seen
+        for cached_scores, plain_scores in zip(cached.seen, plain.seen):
+            assert [tuple(map(type, score)) for score in cached_scores] == \
+                [tuple(map(type, score)) for score in plain_scores]
+        assert cached.current_score == plain.current_score
+        assert cached.active_sensor_ids() == plain.active_sensor_ids()
+        stats = cached.engine.stats()
+        assert stats["score_hits"] == sum(map(len, cached.seen))
+        assert stats["score_misses"] == stats["score_entries"]
+        scores = cached.seen[-1]
+        if case == "plugin-filtered":
+            assert len(scores) < stats["score_entries"]
+            assert not any("bp-cuff" in score.sensor_set for score in scores)
+        elif case == "one-member":
+            assert all(len(score.sensor_set) == 1 for score in scores)
+        elif case == "empty-requirements":
+            assert scores == [(frozenset(), float("inf"), 1.0, 0)]
+            assert type(scores[0].power_w) is int
+        else:
+            assert any(score.lifetime_s == float("inf") for score in scores)
+            assert any("passive-bp" in score.sensor_set for score in scores)
+
+
 class TestInvalidation:
     def test_death_invalidates_and_misses(self):
         milan = build()
@@ -134,12 +210,12 @@ class TestInvalidation:
         victim = sorted(milan.active_sensor_ids())[0]
         entries = milan.engine.feasibility._entries
         assert any(victim in sensor_set
-                   for entry in entries.values() for sensor_set in entry.terms)
+                   for entry in entries.values() for sensor_set in entry.rows)
         before = milan.engine.stats()
         forget(milan, victim)
         after = milan.engine.stats()
         assert not any(victim in sensor_set
-                       for entry in entries.values() for sensor_set in entry.terms)
+                       for entry in entries.values() for sensor_set in entry.rows)
         assert after["feasibility_entries"] < before["feasibility_entries"]
         assert after["score_entries"] < before["score_entries"]
 
@@ -278,7 +354,7 @@ class TestDirectSwapHazard:
         swapped = cached.engine.stats()
         assert swapped["feasibility_hits"] == warm["feasibility_hits"] + 1
         assert swapped["score_entries"] == warm["score_entries"]
-        # ... and the entry's own terms were neither used nor overwritten.
+        # ... and the entry's own rows were neither used nor recompiled.
         assert run(cached, False) == run(plain, False)
         assert cached.engine.stats()["score_misses"] == swapped["score_misses"]
 
@@ -299,6 +375,22 @@ class TestFeasibilityCacheUnit:
         assert cache.signature_of(a.with_energy(4.0)) is sig_a  # identity hit
         b = SensorInfo("s", {"v": 0.2}, 0.01, 5.0)
         assert cache.signature_of(b) != sig_a
+
+    def test_lifetimes_follow_the_fleet_or_refuse_a_swap(self):
+        cache = FeasibilityCache()
+        sensors = {s.sensor_id: s for s in fleet()}
+        fleet_key = cache.fleet_key(sensors)
+        lifetimes = cache.lifetimes(fleet_key, sensors)
+        assert lifetimes == [
+            sensors[sid].lifetime_if_active() for sid, _sig in fleet_key
+        ] + [float("inf")]
+        victim = fleet_key[0][0]
+        drained = dict(sensors, **{victim: sensors[victim].drained(1.0)})
+        assert cache.lifetimes(fleet_key, drained)[0] < lifetimes[0]
+        swapped = dict(sensors, **{victim: SensorInfo(victim, {"v": 0.5})})
+        assert cache.lifetimes(fleet_key, swapped) is None
+        del drained[victim]
+        assert cache.lifetimes(fleet_key, drained) is None
 
     def test_invalidate_reports_dropped_count(self):
         cache = FeasibilityCache()
