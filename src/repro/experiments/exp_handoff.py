@@ -43,7 +43,7 @@ def run_one(
     if trace_path is not None:
         from repro.obs.tracing import TRACER
 
-        TRACER.enable(seed=seed, clock=network.sim.clock)
+        TRACER.enable(seed=seed, clock=network.sim)
     try:
         return _run_one(network, with_handoff, trace_path)
     finally:

@@ -202,7 +202,7 @@ def run_traced(seed: int = 0, export_path: Optional[str] = None) -> Dict[str, An
     from repro.transport.simnet import SimFabric
 
     network = topology.linear_chain(4, spacing=60, seed=seed)
-    TRACER.enable(seed=seed, clock=network.sim.clock)
+    TRACER.enable(seed=seed, clock=network.sim)
     try:
         fabric = SimFabric(network)
         agents = build_routed_network(fabric, DsrRouter)

@@ -1,17 +1,32 @@
 """The discrete-event simulation core.
 
-A :class:`Simulator` owns a virtual clock and a stable event queue. Events
+A :class:`Simulator` owns its virtual clock and its event queue. Events
 scheduled for the same instant fire in scheduling order, which (together with
 seeded RNGs everywhere else) makes whole-system runs reproducible.
 
-The event loop is a measured hot path (``benchmarks/bench_micro.py``), so it
-trades a little abstraction for speed: queue entries carry ``(fn, args)``
-tuples instead of a per-event thunk lambda, and :meth:`Simulator.run` /
-:meth:`Simulator.run_until` inline the lazy-deletion pop and the clock
-assignment against the queue's documented internals rather than going
-through ``pop()``/``peek()`` per event. The heap invariant — every queued
-entry's time is >= the current clock, enforced at scheduling — is what
-makes the unguarded clock assignment in those loops safe.
+The queue is a binary heap of ``[time, tie, seq, (fn, args)]`` entries,
+the payload at index 3. ``seq`` is a monotonic sequence number: it makes
+the order total, so two entries never compare on their payload, and
+equal-time events fire in the order they were scheduled. ``tie`` sits in front of it, ``0`` unless a
+tie-breaker is installed (:meth:`Simulator.set_tie_breaker`), in which case
+it is drawn at scheduling time. The simulation-testing explorer
+(:mod:`repro.simtest`) installs a seeded-RNG tie-breaker to perturb the order
+of same-time events: the draw is a pure function of the seed and the
+scheduling sequence, so any perturbed schedule replays exactly.
+
+Cancellation is lazy: :meth:`EventHandle.cancel` tombstones the entry's
+payload in place, and the loop skips tombstones. Workloads that cancel most
+of what they schedule (the reliable transport's retransmit timers, cancelled
+on every ack) would otherwise grow the heap without bound, so a cancel that
+leaves dead entries outnumbering live ones sweeps them out — rebuilding the
+list *in place*, because a running loop holds a reference to it.
+
+The event loop is a measured hot path (``benchmarks/bench_micro.py``):
+entries carry ``(fn, args)`` tuples instead of a per-event thunk lambda,
+and :meth:`Simulator.run` and :meth:`Simulator.run_until` share one loop
+that pops, tombstones and dispatches in place. The heap invariant — every
+queued entry's time is >= the current time, enforced at scheduling — is
+what makes the unguarded clock assignment in that loop safe.
 
 Swarm-scale additions (see ARCHITECTURE §13):
 
@@ -31,16 +46,26 @@ Swarm-scale additions (see ARCHITECTURE §13):
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from functools import partialmethod
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.util.clock import ManualClock
-from repro.util.priorityqueue import StablePriorityQueue, _ITEM, _REMOVED
 
 #: A queue item: the callback and its (possibly empty) argument tuple.
 Event = Tuple[Callable[..., None], Tuple[Any, ...]]
+
+#: The payload of a cancelled or fired entry.
+_REMOVED = object()
+
+#: Dead entries may outnumber live ones by this much before a cancel sweeps
+#: them out of the heap.
+_AUTO_COMPACT_MIN_DEAD = 64
+
+#: ``run_until``'s event cap: an int too large to be reached, so the shared
+#: loop's cap test never fires there.
+_UNCAPPED = 1 << 62
 
 
 def _fire_batch(callbacks: List[Callable[[], None]]) -> None:
@@ -52,16 +77,31 @@ def _fire_batch(callbacks: List[Callable[[], None]]) -> None:
 class EventHandle:
     """Handle to a scheduled event; :meth:`cancel` prevents it from firing."""
 
-    __slots__ = ("_queue", "_entry", "time")
+    __slots__ = ("_sim", "_entry", "time")
 
-    def __init__(self, queue: StablePriorityQueue, entry: List[Any], time: float):
-        self._queue = queue
+    def __init__(self, sim: "Simulator", entry: List[Any], time: float):
+        self._sim = sim
         self._entry = entry
         self.time = time
 
     def cancel(self) -> bool:
-        """Cancel the event; returns False if it already fired or was cancelled."""
-        return self._queue.cancel(self._entry)
+        """Cancel the event; returns False if it already fired or was cancelled.
+
+        O(live) sweep when dead entries come to dominate, amortized O(1) per
+        cancel (each sweep removes at least half the heap).
+        """
+        entry = self._entry
+        if entry[3] is _REMOVED:
+            return False
+        entry[3] = _REMOVED
+        sim = self._sim
+        sim._live -= 1
+        heap = sim._heap
+        dead = len(heap) - sim._live
+        if dead > _AUTO_COMPACT_MIN_DEAD and dead > sim._live:
+            heap[:] = [queued for queued in heap if queued[3] is not _REMOVED]
+            heapify(heap)
+        return True
 
 
 class Simulator:
@@ -76,11 +116,18 @@ class Simulator:
     Callbacks run synchronously; a callback may schedule further events. A
     callback that raises aborts the run (errors never pass silently in the
     substrate — failure *modeling* belongs in :mod:`repro.netsim.failures`).
+    Time never moves backwards.
     """
 
     def __init__(self, start_time: float = 0.0):
-        self._clock = ManualClock(start_time)
-        self._queue: StablePriorityQueue[Event] = StablePriorityQueue()
+        # Inverted comparison: rejects negatives and NaN alike.
+        if not start_time >= 0.0:
+            raise SimulationError(f"cannot start simulation at {start_time!r}")
+        self._now = float(start_time)
+        self._heap: List[List[Any]] = []
+        self._next_seq = 0
+        self._tie_breaker: Optional[Callable[[], Any]] = None
+        self._live = 0
         self.events_processed = 0
         self._profiler: Optional[Any] = None
 
@@ -88,7 +135,7 @@ class Simulator:
         """Install (or remove, with ``None``) an event-loop profiler.
 
         The profiler's ``add(fn, elapsed_seconds)`` is called after every
-        processed event. Detached (the default), the loops pay a single
+        processed event. Detached (the default), the loop pays a single
         ``is None`` check per event.
         """
         self._profiler = profiler
@@ -97,13 +144,14 @@ class Simulator:
         """Install (or clear) a secondary ordering key for same-time events.
 
         By default events scheduled for the same instant fire in scheduling
-        order (the queue's monotonic sequence number). A tie-breaker is
-        called once per scheduled event and its value orders same-time
-        events ahead of that sequence number — the schedule-exploration
-        hook used by :mod:`repro.simtest` to perturb event interleavings
-        with a seeded RNG while staying exactly replayable.
+        order (the monotonic sequence number). A tie-breaker is called once
+        per scheduled event and its value orders same-time events ahead of
+        that sequence number. Keys must be mutually comparable and
+        comparable with ``0`` (the key of events scheduled while none was
+        installed) — seeded ``random()`` floats satisfy both. Installing one
+        mid-run is safe: queued events keep their keys.
         """
-        self._queue.set_tie_breaker(tie_breaker)
+        self._tie_breaker = tie_breaker
 
     def tie_breaker_installed(self) -> bool:
         """True while a same-time tie-breaker is active.
@@ -112,22 +160,22 @@ class Simulator:
         delivery batches) is disabled while one is installed, so schedule
         exploration keeps its power to interleave individual deliveries.
         """
-        return self._queue._tie_breaker is not None
-
-    # ------------------------------------------------------------------ time
+        return self._tie_breaker is not None
 
     def now(self) -> float:
-        """Current virtual time in seconds (the Clock protocol)."""
-        # ``ManualClock.now`` read in place: one frame, not two, on a call
-        # made all over the stack.
-        return self._clock._now
-
-    @property
-    def clock(self) -> ManualClock:
-        """The underlying clock, usable wherever a ``Clock`` is expected."""
-        return self._clock
+        """Current virtual time in seconds."""
+        return self._now
 
     # ------------------------------------------------------------- scheduling
+
+    def _push(self, when: float, item: Event) -> List[Any]:
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        tie = self._tie_breaker
+        entry = [when, 0 if tie is None else tie(), seq, item]
+        heappush(self._heap, entry)
+        self._live += 1
+        return entry
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
@@ -135,22 +183,20 @@ class Simulator:
         # (NaN compares False against everything).
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule event with delay {delay!r}")
-        when = self._clock._now + delay
-        entry = self._queue.push(when, (fn, args))
-        return EventHandle(self._queue, entry, when)
+        when = self._now + delay
+        return EventHandle(self, self._push(when, (fn, args)), when)
 
     def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` at absolute virtual time ``when``."""
         # Inverted comparison so NaN (which compares False either way, and
         # would corrupt heap ordering) is rejected along with the past.
-        if not when >= self._clock._now:
+        if not when >= self._now:
             raise SimulationError(
                 f"cannot schedule event at {when!r} "
-                f"(past or NaN; now is {self._clock._now!r})"
+                f"(past or NaN; now is {self._now!r})"
             )
         when = when + 0.0  # normalize ints so now() stays a float
-        entry = self._queue.push(when, (fn, args))
-        return EventHandle(self._queue, entry, when)
+        return EventHandle(self, self._push(when, (fn, args)), when)
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` seconds; no cancellation handle.
@@ -160,18 +206,16 @@ class Simulator:
         Skipping the :class:`EventHandle` allocation saves real time at
         swarm scale — the event itself is identical to one scheduled via
         :meth:`schedule` (same queue, same ordering, same profiler
-        accounting): the body of ``StablePriorityQueue.push`` inlined, as
-        the run loops inline the pop.
+        accounting): the body of :meth:`_push` inlined, to save its frame.
         """
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule event with delay {delay!r}")
-        queue = self._queue
-        seq = queue._next_seq
-        queue._next_seq = seq + 1
-        tie = queue._tie_breaker
-        heappush(queue._heap, [self._clock._now + delay,
-                               0 if tie is None else tie(), seq, (fn, args)])
-        queue._live += 1
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        tie = self._tie_breaker
+        heappush(self._heap, [self._now + delay,
+                              0 if tie is None else tie(), seq, (fn, args)])
+        self._live += 1
 
     def schedule_batch(
         self, delay: float, callbacks: List[Callable[[], None]]
@@ -191,7 +235,7 @@ class Simulator:
         """
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule event with delay {delay!r}")
-        self._queue.push(self._clock._now + delay, (_fire_batch, (callbacks,)))
+        self._push(self._now + delay, (_fire_batch, (callbacks,)))
 
     def schedule_every(
         self,
@@ -216,98 +260,79 @@ class Simulator:
 
     # ---------------------------------------------------------------- running
 
-    def step(self) -> bool:
-        """Process the single next event; returns False if the queue is empty."""
-        try:
-            when, (fn, args) = self._queue.pop()
-        except IndexError:
-            return False
-        self._clock._now = when
-        self.events_processed += 1
-        profiler = self._profiler
-        if profiler is None:
-            fn(*args)
-        else:
-            _t0 = perf_counter()
-            try:
-                fn(*args)
-            finally:
-                profiler.add(fn, perf_counter() - _t0)
-        return True
-
-    def run_until(self, deadline: float) -> None:
-        """Process events with time <= deadline, then set the clock to deadline."""
-        queue = self._queue
-        heap = queue._heap
-        clock = self._clock
-        removed = _REMOVED
-        profiler = self._profiler
-        while heap:
-            entry = heap[0]
-            item = entry[_ITEM]
-            if item is removed:
-                heappop(heap)
-                continue
-            when = entry[0]
-            if when > deadline:
-                break
-            heappop(heap)
-            entry[_ITEM] = removed  # a late cancel() of the handle is a no-op
-            queue._live -= 1
-            clock._now = when
-            self.events_processed += 1
-            if profiler is None:
-                item[0](*item[1])
-            else:
-                _t0 = perf_counter()
-                try:
-                    item[0](*item[1])
-                finally:
-                    profiler.add(item[0], perf_counter() - _t0)
-        if deadline > clock._now:
-            clock.set(deadline)
-
-    def run_for(self, duration: float) -> None:
-        """Process events for ``duration`` seconds of virtual time."""
-        self.run_until(self.now() + duration)
-
-    def run(self, max_events: int = 1_000_000) -> None:
-        """Run until the queue drains; raises if ``max_events`` is exceeded.
+    def _loop(self, deadline: float, max_events: int = 1_000_000) -> None:
+        """Fire every live event with time <= ``deadline``, in time order;
+        raise once more than ``max_events`` have fired.
 
         The cap catches accidental infinite event chains (e.g. an unjittered
-        retransmit loop) rather than hanging the test suite.
+        retransmit loop) in :meth:`run` rather than hanging the test suite.
+        The count is kept in a local and added to :attr:`events_processed`
+        on the way out, which pays for the cap test: per event, the loop
+        does no more work than an uncapped one updating the attribute.
         """
-        queue = self._queue
-        heap = queue._heap
-        clock = self._clock
+        heap = self._heap
         removed = _REMOVED
         profiler = self._profiler
         processed = 0
-        while heap:
-            entry = heappop(heap)
-            item = entry[_ITEM]
-            if item is removed:
-                continue
-            entry[_ITEM] = removed
-            queue._live -= 1
-            clock._now = entry[0]
-            self.events_processed += 1
-            if profiler is None:
-                item[0](*item[1])
-            else:
-                _t0 = perf_counter()
-                try:
+        try:
+            while heap:
+                entry = heappop(heap)
+                item = entry[3]
+                if item is removed:
+                    continue
+                when = entry[0]
+                if when > deadline:
+                    # Popping first and pushing the one overshoot back
+                    # saves a peek per event; keys are unique (``seq``),
+                    # so the pop order does not depend on heap layout.
+                    heappush(heap, entry)
+                    break
+                entry[3] = removed  # a late cancel() of the handle is a no-op
+                self._live -= 1
+                self._now = when
+                processed += 1
+                if profiler is None:
                     item[0](*item[1])
-                finally:
-                    profiler.add(item[0], perf_counter() - _t0)
-            processed += 1
-            if processed > max_events:
-                raise SimulationError(
-                    f"simulation exceeded {max_events} events without draining"
-                )
+                else:
+                    _t0 = perf_counter()
+                    try:
+                        item[0](*item[1])
+                    finally:
+                        profiler.add(item[0], perf_counter() - _t0)
+                if processed > max_events:
+                    raise SimulationError(
+                        f"simulation exceeded {max_events} events without draining"
+                    )
+        finally:
+            self.events_processed += processed
+
+    def run_until(self, deadline: float) -> None:
+        """Process events with time <= deadline, then set the clock to deadline.
+
+        A deadline earlier than now processes nothing and leaves the clock
+        where it is; a NaN deadline is rejected (it compares False against
+        every event time, so the loop would drain the whole queue).
+        """
+        if not deadline >= self._now:
+            if deadline < self._now:
+                return
+            raise SimulationError(f"cannot run until {deadline!r}")
+        self._loop(deadline, _UNCAPPED)
+        if deadline > self._now:
+            self._now = float(deadline)
+
+    def run_for(self, duration: float) -> None:
+        """Process events for ``duration`` seconds of virtual time."""
+        self.run_until(self._now + duration)
+
+    #: ``run(max_events=1_000_000)``: run until the queue drains; raises if
+    #: ``max_events`` is exceeded. The loop itself, bound to an infinite
+    #: deadline, so a call costs no wrapper frame (the datagram call budget
+    #: in ``tests/test_perf_hotpaths.py`` runs the loop once per round trip).
+    run = partialmethod(_loop, float("inf"))
 
     def pending_events(self) -> int:
-        return len(self._queue)
+        return self._live
 
 
 class PeriodicEvent:

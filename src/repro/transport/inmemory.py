@@ -8,36 +8,13 @@ without the full network simulator.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.netsim.simulator import Simulator
 from repro.obs.tracing import TRACER, SpanContext
 from repro.transport.base import Address, Scheduler, Transport
 from repro.util.rng import split_rng
-
-
-class SimScheduler:
-    """A :class:`Simulator` as a ``Scheduler``: a node-local view of its clock.
-
-    Both simulated fabrics (this one and :class:`~repro.transport.simnet.
-    SimFabric`) hand these out. ``skew`` models a drifting local timer: a
-    node with ``skew=1.1`` fires its relative timers 10% late (its timer
-    hardware runs slow), one with ``skew=0.9`` fires 10% early. ``now()``
-    stays the shared virtual time — skew affects only where *new* timers
-    land, which is what desynchronizes heartbeat/retransmit/advertisement
-    periods between nodes under chaos.
-    """
-
-    def __init__(self, sim: Simulator):
-        self._sim = sim
-        self.skew = 1.0
-
-    def now(self) -> float:
-        return self._sim.now()
-
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
-        return self._sim.schedule(delay * self.skew, fn, *args)
 
 
 class InMemoryFabric:
@@ -66,7 +43,6 @@ class InMemoryFabric:
         self.loss_probability = loss_probability
         self._rng = split_rng(seed, "inmemory-fabric")
         self._endpoints: Dict[Address, "InMemoryTransport"] = {}
-        self.scheduler: Scheduler = SimScheduler(self.sim)
         self.messages_dropped = 0
         self.messages_delivered = 0
 
@@ -122,7 +98,7 @@ class InMemoryTransport(Transport):
 
     @property
     def scheduler(self) -> Scheduler:
-        return self._fabric.scheduler
+        return self._fabric.sim
 
     def _send(self, destination: Address, payload: bytes) -> None:
         self._fabric._transmit(self._local, destination, payload)

@@ -21,15 +21,15 @@ payload is eager bytes or a frame.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.errors import ConfigurationError
 from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
+from repro.netsim.simulator import Simulator
 from repro.obs.tracing import TRACER
 from repro.transport.base import Address, Scheduler, Transport
-from repro.transport.inmemory import SimScheduler
 
 #: Accounted overhead for the port-demux header (bytes).
 PORT_HEADER_BYTES = 4
@@ -38,12 +38,34 @@ PORT_HEADER_BYTES = 4
 BROADCAST_NODE = BROADCAST
 
 
+class SimScheduler:
+    """A :class:`Simulator` as a ``Scheduler``: a node-local view of its clock.
+
+    :class:`SimFabric` hands out one per node. ``skew`` models a drifting
+    local timer: a node with ``skew=1.1`` fires its relative timers 10% late
+    (its timer hardware runs slow), one with ``skew=0.9`` fires 10% early.
+    ``now()`` stays the shared virtual time — skew affects only where *new*
+    timers land, which is what desynchronizes heartbeat/retransmit/
+    advertisement periods between nodes under chaos. The fabric-wide
+    :attr:`SimFabric.scheduler` is the simulator itself: nothing skews it.
+    """
+
+    def __init__(self, sim: Simulator):
+        self._sim = sim
+        self.skew = 1.0
+
+    def now(self) -> float:
+        return self._sim.now()
+
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Any:
+        return self._sim.schedule(delay * self.skew, fn, *args)
+
+
 class SimFabric:
     """Binds transport endpoints onto a simulated network."""
 
     def __init__(self, network: Network):
         self.network = network
-        self._scheduler = SimScheduler(network.sim)
         self._node_schedulers: Dict[str, SimScheduler] = {}
         # (node_id, port) -> endpoint
         self._endpoints: Dict[Tuple[str, str], "SimTransport"] = {}
@@ -51,7 +73,7 @@ class SimFabric:
 
     @property
     def scheduler(self) -> Scheduler:
-        return self._scheduler
+        return self.network.sim
 
     def scheduler_for(self, node_id: str) -> Scheduler:
         """The per-node scheduler (shares the fabric clock until skewed)."""

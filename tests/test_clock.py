@@ -1,49 +1,76 @@
-"""Tests for repro.util.clock."""
+"""Tests for the simulator's clock: where time starts and how it moves.
+
+The simulator owns its virtual time; these are the guarantees a clock
+gives, pinned on :class:`Simulator` itself. Time never moves backwards.
+"""
 
 import pytest
 
-from repro.util.clock import Clock, ManualClock
+from repro.errors import SimulationError
+from repro.netsim.simulator import Simulator
+from repro.obs import TRACER
 
 
 class TestManualClock:
     def test_starts_at_zero(self):
-        assert ManualClock().now() == 0.0
+        assert Simulator().now() == 0.0
 
     def test_starts_at_given_time(self):
-        assert ManualClock(5.0).now() == 5.0
+        sim = Simulator(5)
+        assert sim.now() == 5.0
+        assert isinstance(sim.now(), float)
 
     def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            ManualClock(-1.0)
+        with pytest.raises(SimulationError):
+            Simulator(-1.0)
 
     def test_advance_moves_time(self):
-        clock = ManualClock()
-        assert clock.advance(2.5) == 2.5
-        assert clock.now() == 2.5
+        sim = Simulator()
+        sim.run_for(2.5)
+        assert sim.now() == 2.5
 
     def test_advance_accumulates(self):
-        clock = ManualClock()
-        clock.advance(1.0)
-        clock.advance(0.5)
-        assert clock.now() == 1.5
+        sim = Simulator()
+        sim.run_for(1.0)
+        sim.run_for(0.5)
+        assert sim.now() == 1.5
 
     def test_advance_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ManualClock().advance(-0.1)
+        sim = Simulator(3.0)
+        sim.run_for(-0.1)
+        assert sim.now() == 3.0
 
     def test_set_jumps_forward(self):
-        clock = ManualClock()
-        clock.set(10.0)
-        assert clock.now() == 10.0
+        sim = Simulator()
+        sim.run_until(10)
+        assert sim.now() == 10.0
+        assert isinstance(sim.now(), float)
 
     def test_set_rejects_backwards(self):
-        clock = ManualClock(5.0)
-        with pytest.raises(ValueError):
-            clock.set(4.9)
+        sim = Simulator(5.0)
+        fired = []
+        sim.schedule_at(6.0, fired.append, "later")
+        sim.run_until(4.9)  # an earlier deadline keeps the time
+        assert sim.now() == 5.0
+        assert fired == [] and sim.pending_events() == 1
+        with pytest.raises(SimulationError):
+            sim.schedule_at(4.9, fired.append, "past")
 
     def test_set_same_time_is_allowed(self):
-        clock = ManualClock(5.0)
-        assert clock.set(5.0) == 5.0
+        sim = Simulator(5.0)
+        fired = []
+        sim.schedule_at(5.0, fired.append, "now")
+        sim.run_until(5.0)
+        assert sim.now() == 5.0
+        assert fired == ["now"]
 
     def test_satisfies_clock_protocol(self):
-        assert isinstance(ManualClock(), Clock)
+        # The tracer (and every Scheduler holder) reads the simulator
+        # itself as its clock.
+        sim = Simulator()
+        TRACER.set_clock(sim)
+        try:
+            sim.run_for(1.5)
+            assert TRACER.now() == 1.5
+        finally:
+            TRACER.set_clock(None)

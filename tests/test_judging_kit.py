@@ -332,15 +332,17 @@ def test_one_replay_call_site_and_one_canonical_encoder():
     # decoders, the heartbeat packer, the per-delivery frame counters, the
     # codecs' frame coercion, the channel multiplexer, the all-static
     # switch the neighbour memo outgrew, the options nothing set whose names
-    # are unique, the wall-clock scheduler and clock, and the exceptions
-    # nothing raised cannot creep back.
+    # are unique, the wall-clock scheduler and clock, the exceptions
+    # nothing raised, and the queue and clock the simulator now owns
+    # cannot creep back.
     texts = sources()
     reads_env = [name for name, text in texts.items()
                  if "os.environ" in text or "getenv" in text]
     assert reads_env == [], "src/repro reads no environment variable"
     for gone in ("repro.recovery.replication", "repro.netsim.trace",
                  "repro.netsim.shard", "repro.replication.demo",
-                 "repro.transport.multiplex"):
+                 "repro.transport.multiplex", "repro.util.priorityqueue",
+                 "repro.util.clock"):
         assert importlib.util.find_spec(gone) is None, gone
     removed = ("MetricsRecorder", "SeriesPoint", "BACKEND_ENV",
                "PrimaryReplica", "BackupReplica", "ReplicationClient",
@@ -355,7 +357,8 @@ def test_one_replay_call_site_and_one_canonical_encoder():
                "max_feasibility_entries", "forward_prefix", "weight_fn",
                "RealTimeScheduler", "SystemClock", "LeaseExpiredError",
                "QoSViolationError", "InfeasibleError", "NoRouteError",
-               "DeadlineMissed")
+               "DeadlineMissed", "StablePriorityQueue", "ManualClock",
+               "pop_if_at_most")
     root = SRC.parent.parent
     survivors = [(path.relative_to(root).as_posix(), name)
                  for top in ("src", "examples", "benchmarks")

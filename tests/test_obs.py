@@ -20,7 +20,6 @@ from repro.obs import (
 )
 from repro.obs.metrics import Summary, nearest_rank
 from repro.obs.report import main as report_main
-from repro.util.clock import ManualClock
 
 
 @pytest.fixture(autouse=True)
@@ -46,13 +45,13 @@ def test_disabled_tracer_is_inert():
 
 
 def test_ambient_nesting_and_context():
-    clock = ManualClock()
-    TRACER.enable(seed=1, clock=clock)
+    sim = Simulator()
+    TRACER.enable(seed=1, clock=sim)
     with TRACER.span("txn.transaction", node="a") as root:
-        clock.advance(1.0)
+        sim.run_for(1.0)
         assert TRACER.current_context() == root.context()
         with TRACER.span("rpc.call") as child:
-            clock.advance(1.0)
+            sim.run_for(1.0)
             assert child.trace_id == root.trace_id
             assert child.parent_id == root.span_id
     assert root.parent_id is None
@@ -72,12 +71,12 @@ def test_explicit_parent_tuple_crosses_boundaries():
 
 
 def test_finished_ancestors_extend_to_cover_late_children():
-    clock = ManualClock()
-    TRACER.enable(seed=1, clock=clock)
+    sim = Simulator()
+    TRACER.enable(seed=1, clock=sim)
     root = TRACER.span("rpc.call", node="a")
     child = TRACER.span("transport.deliver", parent=root, node="b")
     root.finish()  # async root closed at t=0
-    clock.advance(5.0)
+    sim.run_for(5.0)
     child.finish()  # late child would otherwise escape the parent interval
     assert child.end == 5.0
     assert root.end == 5.0
@@ -108,11 +107,11 @@ def test_exception_labels_error_and_pops_stack():
 
 
 def test_finish_all_closes_open_spans():
-    clock = ManualClock()
-    TRACER.enable(seed=1, clock=clock)
+    sim = Simulator()
+    TRACER.enable(seed=1, clock=sim)
     outer = TRACER.span("txn.transaction")
     inner = TRACER.span("rpc.call", parent=outer)
-    clock.advance(3.0)
+    sim.run_for(3.0)
     TRACER.finish_all()
     assert outer.end == 3.0 and inner.end == 3.0
 
@@ -163,12 +162,12 @@ def test_event_bus_counts_through_registry():
 
 
 def _sample_trace():
-    clock = ManualClock()
-    TRACER.enable(seed=3, clock=clock)
+    sim = Simulator()
+    TRACER.enable(seed=3, clock=sim)
     with TRACER.span("transport.send", node="a", peer="b"):
-        clock.advance(0.001)
+        sim.run_for(0.001)
         with TRACER.span("route.forward", node="a", next_hop="b"):
-            clock.advance(0.002)
+            sim.run_for(0.002)
     TRACER.span("milan.reconfigure", state="rest").finish()
     return chrome_trace(TRACER)
 

@@ -2,12 +2,14 @@
 
 Covers the behaviors the event-loop and queue rewrites must preserve: NaN
 rejection at scheduling time (NaN used to slip past the ``when < now``
-guard and corrupt heap ordering), tombstone compaction semantics, and the
-inlined pop paths in ``run``/``run_until`` honoring cancellation. The last
-six classes are call-count guards: on the radio reception path, on a
-flooded multi-hop delivery, on a warm MiLAN reconfiguration round, on a
-request/reply round trip through the message-endpoint skeleton, on one
-unicast datagram from ``_send`` to handler, and on the quorum-write path.
+guard and corrupt heap ordering) and at run time (a NaN deadline never
+stops the loop), tombstone compaction semantics, and the one inlined pop
+path behind ``run``/``run_until`` honoring cancellation. The last seven
+classes are call-count guards: on the event loop itself, on the radio
+reception path, on a flooded multi-hop delivery, on a warm MiLAN
+reconfiguration round, on a request/reply round trip through the
+message-endpoint skeleton, on one unicast datagram from ``_send`` to
+handler, and on the quorum-write path.
 """
 
 import math
@@ -33,7 +35,6 @@ from repro.transport.base import Address
 from repro.transport.endpoint import MessageEndpoint
 from repro.transport.inmemory import InMemoryFabric
 from repro.transport.simnet import SimFabric
-from repro.util.priorityqueue import StablePriorityQueue
 from repro.workloads import ScenarioRun, parse_spec
 from tests.test_vector_medium import BACKENDS
 
@@ -65,54 +66,91 @@ class TestNaNScheduling:
         assert fired == ["now", "int"]
         assert isinstance(sim.now(), float)
 
+    def test_run_until_rejects_nan_deadline(self):
+        # NaN compares False against every event time, so the loop's
+        # ``when > deadline`` stop never fires: it would drain the queue.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1e9, fired.append, "far")
+        with pytest.raises(SimulationError):
+            sim.run_until(math.nan)
+        assert fired == [] and sim.now() == 0.0
+
+    def test_run_for_rejects_nan_duration(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1e9, fired.append, "far")
+        with pytest.raises(SimulationError):
+            sim.run_for(math.nan)
+        assert fired == [] and sim.now() == 0.0
+
+    def test_start_time_rejects_nan(self):
+        with pytest.raises(SimulationError):
+            Simulator(start_time=math.nan)
+
 
 class TestQueueCompaction:
+    """Cancellation tombstones an entry in place; a cancel that leaves dead
+    entries outnumbering live ones (and more than 64 of them) sweeps them
+    out of the simulator's heap, in place."""
+
     def test_compact_sweeps_only_tombstones(self):
-        queue = StablePriorityQueue()
-        handles = [queue.push(i, f"item{i}") for i in range(10)]
-        for handle in handles[::2]:
-            queue.cancel(handle)
-        assert queue.compact() == 5
-        assert len(queue._heap) == 5  # tombstones actually gone
-        assert [queue.pop()[1] for _ in range(len(queue))] == [
-            "item1", "item3", "item5", "item7", "item9"
-        ]
+        sim = Simulator()
+        fired = []
+        handles = [sim.schedule(1.0 + i, fired.append, i) for i in range(200)]
+        for i, handle in enumerate(handles):
+            if i % 10:
+                handle.cancel()
+        assert sim.pending_events() == 20
+        assert len(sim._heap) < 200  # tombstones actually gone
+        sim.run()
+        assert fired == list(range(0, 200, 10))
 
     def test_compact_on_clean_queue_is_noop(self):
-        queue = StablePriorityQueue()
-        queue.push(1, "a")
-        assert queue.compact() == 0
-        assert queue.pop() == (1, "a")
+        # A handful of tombstones stays in place until popped.
+        sim = Simulator()
+        handles = [sim.schedule(1.0, lambda: None) for _ in range(10)]
+        heap = sim._heap
+        for handle in handles[:5]:
+            handle.cancel()
+        assert sim._heap is heap and len(heap) == 10
+        sim.run()
+        assert sim.events_processed == 5
 
     def test_cancel_auto_compacts_when_dead_dominate(self):
-        queue = StablePriorityQueue()
-        live = queue.push(0, "keep")
-        handles = [queue.push(i + 1, i) for i in range(200)]
+        sim = Simulator()
+        fired = []
+        live = sim.schedule(0.5, fired.append, "keep")
+        handles = [sim.schedule(1.0 + i, fired.append, i) for i in range(200)]
         for handle in handles:
-            queue.cancel(handle)
+            handle.cancel()
         # Lazy deletion alone would leave 200 tombstones in the list.
-        assert len(queue) == 1
-        assert len(queue._heap) < 200
-        assert queue.pop() == (0, "keep")
-        assert queue.cancel(live) is False  # popped entries cannot be cancelled
+        assert sim.pending_events() == 1
+        assert len(sim._heap) < 200
+        sim.run()
+        assert fired == ["keep"]
+        assert live.cancel() is False  # fired events cannot be cancelled
 
     def test_cancel_after_compact_returns_false(self):
-        queue = StablePriorityQueue()
-        handle = queue.push(1, "a")
-        queue.cancel(handle)
-        queue.compact()
-        assert queue.cancel(handle) is False
-        assert len(queue) == 0
+        sim = Simulator()
+        handles = [sim.schedule(1.0, lambda: None) for _ in range(100)]
+        for handle in handles:
+            handle.cancel()
+        assert len(sim._heap) < 100  # swept
+        assert handles[0].cancel() is False
+        assert sim.pending_events() == 0
 
     def test_stable_order_preserved_across_compact(self):
-        queue = StablePriorityQueue()
-        queue.push(1, "first")
-        doomed = queue.push(1, "doomed")
-        queue.push(1, "second")
-        queue.cancel(doomed)
-        queue.compact()
-        assert queue.pop() == (1, "first")
-        assert queue.pop() == (1, "second")
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "first")
+        doomed = [sim.schedule(1.0, fired.append, "doomed") for _ in range(100)]
+        sim.schedule(1.0, fired.append, "second")
+        for handle in doomed:
+            handle.cancel()
+        assert len(sim._heap) < 100  # swept
+        sim.run()
+        assert fired == ["first", "second"]
 
 
 class TestInlinedEventLoops:
@@ -196,6 +234,57 @@ class TestInlinedEventLoops:
         sim.schedule(0.001, rearm)
         with pytest.raises(SimulationError):
             sim.run(max_events=50)
+
+
+class TestEventLoopCallBudget:
+    """Python-level calls inside ``src/repro`` per simulator event.
+
+    A chain of 1 000 events, each callback (test code, not counted)
+    scheduling the next: through ``schedule`` an event costs three frames
+    (``schedule``, ``_push`` and the handle's ``__init__``), through
+    ``call_later`` one, and the loop's own frame is paid once per
+    ``run``/``run_until`` call, never per event — the same counts as when
+    the queue and the clock were separate objects. A cancel is one frame
+    (``EventHandle.cancel``, with the tombstone and the sweep check
+    inline); it was two.
+    """
+
+    EVENTS = 1000
+
+    def chain(self, sim, schedule, drive):
+        def tick(left):
+            if left:
+                schedule(0.001, tick, left - 1)
+
+        def go():
+            schedule(0.001, tick, self.EVENTS - 1)
+            drive()
+
+        calls = count_repro_calls(go)
+        assert sim.events_processed == self.EVENTS
+        return sum(calls.values()) / self.EVENTS
+
+    def test_schedule_chain_under_run(self):
+        sim = Simulator()
+        assert self.chain(sim, sim.schedule, sim.run) <= 3.001
+
+    def test_call_later_chain_under_run_until(self):
+        sim = Simulator()
+        per_event = self.chain(sim, sim.call_later,
+                               lambda: sim.run_until(1e3))
+        assert per_event <= 1.002
+
+    def test_cancel_is_one_frame(self):
+        sim = Simulator()
+        handles = [sim.schedule(1.0 + i, lambda: None)
+                   for i in range(self.EVENTS)]
+
+        def cancel_half():
+            for handle in handles[::2]:
+                handle.cancel()
+
+        calls = count_repro_calls(cancel_half)
+        assert calls == {"cancel": self.EVENTS // 2}
 
 
 class TestReceptionCallBudget:

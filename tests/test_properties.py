@@ -13,11 +13,11 @@ from repro.core.feasibility import (
 from repro.core.sensors import SensorInfo
 from repro.interop import sml
 from repro.interop.codec import BinaryCodec, SmlCodec
+from repro.netsim.simulator import Simulator
 from repro.qos.spec import ConsumerQoS, SupplierQoS, score_match
 from repro.recovery.store import TransactionalStore
 from repro.recovery.wal import StableStorage
 from repro.transactions.pubsub import topic_matches
-from repro.util.priorityqueue import StablePriorityQueue
 
 # ---------------------------------------------------------------------------
 # Value strategies for the codecs (JSON-like model).
@@ -88,32 +88,33 @@ class TestSmlProperties:
 
 
 class TestPriorityQueueProperties:
-    @given(st.lists(st.integers(), max_size=60))
-    @settings(max_examples=100)
-    def test_pops_sorted(self, priorities):
-        queue = StablePriorityQueue()
-        for i, priority in enumerate(priorities):
-            queue.push(priority, i)
-        popped = []
-        while queue:
-            popped.append(queue.pop()[0])
-        assert popped == sorted(priorities)
+    """The simulator's event queue fires in time order and never fires a
+    cancelled event."""
 
-    @given(st.lists(st.tuples(st.integers(-5, 5), st.booleans()), max_size=40))
+    @given(st.lists(st.integers(0, 10**6), max_size=60))
+    @settings(max_examples=100)
+    def test_pops_sorted(self, times):
+        sim = Simulator()
+        fired = []
+        for when in times:
+            sim.schedule_at(when, lambda: fired.append(sim.now()))
+        sim.run()
+        assert fired == sorted(times)
+
+    @given(st.lists(st.tuples(st.integers(0, 10), st.booleans()), max_size=40))
     @settings(max_examples=100)
     def test_cancelled_items_never_pop(self, spec):
-        queue = StablePriorityQueue()
+        sim = Simulator()
         keep = []
-        for i, (priority, cancel) in enumerate(spec):
-            handle = queue.push(priority, i)
+        fired = []
+        for i, (when, cancel) in enumerate(spec):
+            handle = sim.schedule_at(when, fired.append, i)
             if cancel:
-                queue.cancel(handle)
+                handle.cancel()
             else:
                 keep.append(i)
-        popped_items = []
-        while queue:
-            popped_items.append(queue.pop()[1])
-        assert sorted(popped_items) == sorted(keep)
+        sim.run()
+        assert sorted(fired) == keep
 
 
 _reliability = st.floats(min_value=0.05, max_value=1.0)

@@ -33,12 +33,12 @@ class TestScheduling:
     def test_now_follows_the_clock(self):
         sim = Simulator(start_time=1.5)
         assert sim.now() == 1.5
-        sim.clock.set(4.0)
+        sim.run_until(4.0)
         assert sim.now() == 4.0
-        sim.clock.advance(0.25)
+        sim.run_for(0.25)
         assert sim.now() == 4.25
         sim.run_until(6.0)
-        assert sim.now() == sim.clock.now() == 6.0
+        assert sim.now() == 6.0
 
     def test_schedule_with_args(self):
         sim = Simulator()
@@ -102,16 +102,23 @@ class TestRunning:
         sim.run_for(2.0)
         assert sim.now() == 5.0
 
-    def test_step_returns_false_when_empty(self):
-        assert not Simulator().step()
+    def test_running_an_empty_simulator_only_moves_the_clock(self):
+        sim = Simulator()
+        sim.run()
+        assert sim.now() == 0.0
+        sim.run_until(1.0)
+        assert sim.now() == 1.0
+        assert sim.events_processed == 0
 
-    def test_step_processes_one_event(self):
+    def test_run_until_the_first_event_time_processes_one_event(self):
         sim = Simulator()
         seen = []
         sim.schedule(1.0, lambda: seen.append("a"))
         sim.schedule(2.0, lambda: seen.append("b"))
-        assert sim.step()
+        sim.run_until(1.0)
         assert seen == ["a"]
+        assert sim.events_processed == 1
+        assert sim.pending_events() == 1
 
     def test_run_guards_against_runaway(self):
         sim = Simulator()

@@ -6,8 +6,8 @@ from repro.errors import AddressError, ConfigurationError, TransportClosedError
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
 from repro.transport.base import Address
-from repro.transport.inmemory import InMemoryFabric, SimScheduler
-from repro.transport.simnet import SimFabric
+from repro.transport.inmemory import InMemoryFabric
+from repro.transport.simnet import SimFabric, SimScheduler
 
 
 class TestAddress:
@@ -177,10 +177,13 @@ class TestSimFabric:
 
 
 def test_a_fabric_holds_one_scheduler(ideal_star):
-    """Both simulated fabrics hand out the same adapter class, and the same
-    instance on every read — a skew set on it is seen by every holder."""
-    for fabric in (InMemoryFabric(), ideal_star[1]):
-        assert fabric.scheduler is fabric.scheduler
-        assert type(fabric.scheduler) is SimScheduler
-        assert (fabric.endpoint("hub", "a").scheduler
-                is fabric.endpoint("hub", "b").scheduler)
+    """The fabric-wide scheduler is the fabric's simulator. A simulated
+    network's endpoints on one node share that node's skewable view, the
+    same instance on every read — a skew set on it is seen by every holder."""
+    network, fabric = ideal_star
+    memory = InMemoryFabric()
+    assert fabric.scheduler is network.sim
+    assert memory.endpoint("hub", "a").scheduler is memory.sim
+    a, b = fabric.endpoint("hub", "a"), fabric.endpoint("hub", "b")
+    assert a.scheduler is b.scheduler
+    assert type(a.scheduler) is SimScheduler

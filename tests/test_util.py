@@ -1,11 +1,12 @@
-"""Tests for repro.util: ids, events, priority queue, geometry, rng."""
+"""Tests for repro.util (ids, events, geometry, rng) and for the event
+queue the simulator owns: its ordering, cancellation and tie-breaker."""
 
 import pytest
 
+from repro.netsim.simulator import Simulator
 from repro.util.events import EventEmitter, HandlerErrors
 from repro.util.geometry import Point, bounding_box, centroid, distance
 from repro.util.ids import IdGenerator, SequenceGenerator
-from repro.util.priorityqueue import StablePriorityQueue
 from repro.util.rng import make_rng, split_rng
 
 
@@ -101,55 +102,78 @@ class TestEventEmitter:
 
 
 class TestStablePriorityQueue:
+    """The simulator's event queue: the ordering and cancellation a stable
+    priority queue gives, pinned on :class:`Simulator` itself."""
+
+    def fire(self, sim):
+        fired = []
+        return fired, lambda label: fired.append((sim.now(), label))
+
     def test_pops_in_priority_order(self):
-        q = StablePriorityQueue()
-        q.push(3, "c")
-        q.push(1, "a")
-        q.push(2, "b")
-        assert [q.pop()[1] for _ in range(3)] == ["a", "b", "c"]
+        sim = Simulator()
+        fired, note = self.fire(sim)
+        sim.schedule(3.0, note, "c")
+        sim.schedule(1.0, note, "a")
+        sim.schedule(2.0, note, "b")
+        sim.run()
+        assert fired == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
 
     def test_equal_priorities_pop_fifo(self):
-        q = StablePriorityQueue()
-        q.push(1, "first")
-        q.push(1, "second")
-        assert q.pop()[1] == "first"
-        assert q.pop()[1] == "second"
+        sim = Simulator()
+        fired, note = self.fire(sim)
+        sim.schedule(1.0, note, "first")
+        sim.schedule_at(1.0, note, "second")
+        sim.run()
+        assert fired == [(1.0, "first"), (1.0, "second")]
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            StablePriorityQueue().pop()
+    def test_empty_queue_fires_nothing(self):
+        sim = Simulator()
+        sim.run()
+        sim.run_until(2.0)
+        assert sim.events_processed == 0
+        assert sim.now() == 2.0
 
-    def test_peek_does_not_remove(self):
-        q = StablePriorityQueue()
-        q.push(1, "x")
-        assert q.peek() == (1, "x")
-        assert len(q) == 1
+    def test_pending_events_does_not_remove(self):
+        sim = Simulator()
+        fired, note = self.fire(sim)
+        sim.schedule(1.0, note, "x")
+        assert sim.pending_events() == 1
+        assert sim.pending_events() == 1
+        sim.run()
+        assert fired == [(1.0, "x")]
 
     def test_cancel_removes_entry(self):
-        q = StablePriorityQueue()
-        handle = q.push(1, "a")
-        q.push(2, "b")
-        assert q.cancel(handle)
-        assert q.pop()[1] == "b"
+        sim = Simulator()
+        fired, note = self.fire(sim)
+        handle = sim.schedule(1.0, note, "a")
+        sim.schedule(2.0, note, "b")
+        assert handle.cancel()
+        sim.run()
+        assert fired == [(2.0, "b")]
 
     def test_cancel_twice_returns_false(self):
-        q = StablePriorityQueue()
-        handle = q.push(1, "a")
-        assert q.cancel(handle)
-        assert not q.cancel(handle)
+        handle = Simulator().schedule(1.0, lambda: None)
+        assert handle.cancel()
+        assert not handle.cancel()
 
     def test_len_and_bool(self):
-        q = StablePriorityQueue()
-        assert not q and len(q) == 0
-        q.push(1, "a")
-        assert q and len(q) == 1
+        sim = Simulator()
+        assert sim.pending_events() == 0
+        handle = sim.schedule(1.0, lambda: None)
+        assert sim.pending_events() == 1
+        handle.cancel()
+        assert sim.pending_events() == 0
 
-    def test_pop_if_at_most(self):
-        q = StablePriorityQueue()
-        q.push(5, "later")
-        assert q.pop_if_at_most(4) is None
-        assert q.pop_if_at_most(5) == (5, "later")
-        assert q.pop_if_at_most(100) is None
+    def test_run_until_fires_only_events_at_most_the_deadline(self):
+        sim = Simulator()
+        fired, note = self.fire(sim)
+        sim.schedule(5.0, note, "later")
+        sim.run_until(4.0)
+        assert fired == []
+        sim.run_until(5.0)
+        assert fired == [(5.0, "later")]
+        sim.run_until(100.0)
+        assert fired == [(5.0, "later")]
 
 
 class TestGeometry:
@@ -209,61 +233,51 @@ class TestRng:
 
 
 class TestTieBreaker:
+    def run(self, times, tie_breaker=None):
+        sim = Simulator()
+        sim.set_tie_breaker(tie_breaker)
+        fired = []
+        for index, when in enumerate(times):
+            sim.schedule_at(when, fired.append, index)
+        sim.run()
+        return fired
+
     def test_default_is_fifo_for_equal_priorities(self):
-        queue = StablePriorityQueue()
-        for name in "abc":
-            queue.push(1, name)
-        assert [queue.pop()[1] for _ in range(3)] == ["a", "b", "c"]
+        assert self.run([1.0, 1.0, 1.0]) == [0, 1, 2]
 
     def test_tie_breaker_reorders_equal_priorities(self):
-        queue = StablePriorityQueue()
         draws = iter([0.9, 0.1, 0.5])
-        queue.set_tie_breaker(lambda: next(draws))
-        for name in "abc":
-            queue.push(1, name)
-        assert [queue.pop()[1] for _ in range(3)] == ["b", "c", "a"]
+        assert self.run([1.0, 1.0, 1.0], lambda: next(draws)) == [1, 2, 0]
 
     def test_tie_breaker_never_overrides_priority(self):
-        queue = StablePriorityQueue()
         draws = iter([0.9, 0.0])
-        queue.set_tie_breaker(lambda: next(draws))
-        queue.push(1, "urgent")
-        queue.push(2, "later")
-        assert queue.pop() == (1, "urgent")
-        assert queue.pop() == (2, "later")
+        assert self.run([1.0, 2.0], lambda: next(draws)) == [0, 1]
 
     def test_equal_draws_fall_back_to_fifo(self):
-        queue = StablePriorityQueue()
-        queue.set_tie_breaker(lambda: 0.5)
-        for name in "abc":
-            queue.push(1, name)
-        assert [queue.pop()[1] for _ in range(3)] == ["a", "b", "c"]
+        assert self.run([1.0, 1.0, 1.0], lambda: 0.5) == [0, 1, 2]
 
     def test_clearing_restores_fifo(self):
-        queue = StablePriorityQueue()
-        queue.set_tie_breaker(lambda: 0.0)
-        queue.set_tie_breaker(None)
+        sim = Simulator()
+        sim.set_tie_breaker(lambda: 0.0)
+        sim.set_tie_breaker(None)
+        fired = []
         for name in "ab":
-            queue.push(1, name)
-        assert [queue.pop()[1] for _ in range(2)] == ["a", "b"]
+            sim.schedule(1.0, fired.append, name)
+        sim.run()
+        assert fired == ["a", "b"]
 
     def test_seeded_reorder_is_replayable(self):
         import random
 
         def run(seed):
-            queue = StablePriorityQueue()
-            queue.set_tie_breaker(random.Random(seed).random)
-            for index in range(20):
-                queue.push(index % 3, index)
-            return [queue.pop() for _ in range(20)]
+            times = [float(index % 3) for index in range(20)]
+            return self.run(times, random.Random(seed).random)
 
         assert run(7) == run(7)
         assert run(7) != run(8)
 
     def test_simulator_tie_breaker_perturbs_same_time_events(self):
         import random
-
-        from repro.netsim.simulator import Simulator
 
         def run(seed):
             sim = Simulator()

@@ -195,8 +195,8 @@ class TestNeighborQueryEquivalence:
         assert vector_net.medium.vectorized
         for step in range(25):
             when = step * 0.41
-            scalar_net.sim._clock._now = when
-            vector_net.sim._clock._now = when
+            scalar_net.sim._now = when
+            vector_net.sim._now = when
             for node_id in ("n0", "n17", "n63", "n119"):
                 scalar_ids = [
                     n.node_id for n in scalar_net.medium.neighbors_of(node_id)
