@@ -18,7 +18,6 @@ from math import hypot, inf
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.netsim import vecindex
 from repro.netsim.mobility import is_time_varying, linear_params, speed_bound
 from repro.netsim.node import DeliveryFault, Node
 from repro.netsim.packet import BROADCAST, HEADER_BYTES, Packet
@@ -35,6 +34,13 @@ SKIN_FRACTION = 0.5
 
 #: The share of the skin a memo entry's window lets the fastest mover cover.
 _WINDOW_SHARE = 0.999
+
+#: A default medium (``vectorized=None``) starts on the scalar index and
+#: moves to the numpy one, once and for good, when an attach brings it to
+#: this many nodes: the smallest world size from which the vector index was
+#: measured faster per event at every larger size (``benchmarks/scale.py``
+#: beacon swarm, 9 to 256 nodes), so below it numpy would buy nothing.
+VECTOR_FROM_NODES = 36
 
 
 @dataclass(frozen=True)
@@ -172,18 +178,6 @@ class _ScalarBackend:
         return ids, movers
 
 
-def _select_backend(cell_size: float, vectorized: Optional[bool]):
-    """Resolve the backend: the explicit argument, else numpy if importable."""
-    if vectorized is None:
-        vectorized = vecindex.available()
-    if vectorized:
-        # Raises ConfigurationError when numpy is missing — forcing the
-        # vector backend without it is a configuration mistake, not a
-        # silent fallback.
-        return vecindex.VectorPositionIndex(cell_size), True
-    return _ScalarBackend(cell_size), False
-
-
 class WirelessMedium:
     """A broadcast domain shared by attached nodes.
 
@@ -194,15 +188,17 @@ class WirelessMedium:
     In-range queries go through a position-index backend with cell size
     equal to the radio range, so a broadcast inspects only the 3x3 cell
     block around the sender instead of scanning every attached node. Two
-    interchangeable backends exist (selected by the ``vectorized``
-    argument, or by whether numpy is importable when it is ``None``): the
-    scalar :class:`SpatialHashGrid` reference path, and the numpy-vectorized
+    interchangeable backends exist: the scalar :class:`SpatialHashGrid`
+    reference path, and the numpy-vectorized
     :class:`~repro.netsim.vecindex.VectorPositionIndex` for swarm-scale
-    worlds — held bit-for-bit equivalent by the suite in
-    ``tests/test_vector_medium.py``, so which one is active never changes
-    results, only speed. Nodes with time-varying mobility are refreshed
-    lazily, at most once per distinct virtual timestamp; static nodes
-    re-bucket only when their ``"moved"`` event fires.
+    worlds. ``vectorized=True`` or ``False`` picks one for good; the
+    default starts scalar and moves to the vector index once the world
+    reaches :data:`VECTOR_FROM_NODES` nodes, if numpy is importable, so a
+    small world never loads numpy. The two are held bit-for-bit equivalent
+    by the suite in ``tests/test_vector_medium.py``, so which one is active
+    never changes results, only speed. Nodes with time-varying mobility
+    are refreshed lazily, at most once per distinct virtual timestamp;
+    static nodes re-bucket only when their ``"moved"`` event fires.
 
     Reception is one routine. Every path that ends in a node hearing a
     frame — a contention-free broadcast (one queue entry for all its
@@ -239,7 +235,16 @@ class WirelessMedium:
         self.profile = profile
         self._nodes: Dict[str, Node] = {}
         self._rng = split_rng(seed, f"medium:{profile.name}")
-        self._index, self.vectorized = _select_backend(profile.range_m, vectorized)
+        if vectorized:
+            # Raises ConfigurationError when numpy is missing: forcing the
+            # vector index without it is a mistake, not a silent fallback.
+            from repro.netsim import vecindex
+            self._index = vecindex.VectorPositionIndex(profile.range_m)
+        else:
+            self._index = _ScalarBackend(profile.range_m)
+        self.vectorized = bool(vectorized)
+        # A default medium may still move to the vector index (see attach).
+        self._may_vectorize = vectorized is None
         self._moved_subs: Dict[str, Subscription] = {}
         # Static origin id -> one flat tuple, (until, x, y, end, *statics,
         # *movers) with statics = entry[4:end], of node ids: see
@@ -273,8 +278,28 @@ class WirelessMedium:
             raise ConfigurationError(f"node {node.node_id!r} already attached")
         self._nodes[node.node_id] = node
         self._index.insert(node)
+        if self._may_vectorize and len(self._nodes) >= VECTOR_FROM_NODES:
+            self._vectorize()
         self._forget_neighbourhoods()
         self._moved_subs[node.node_id] = node.events.on("moved", self._on_node_moved)
+
+    def _vectorize(self) -> None:
+        """Move to the vector index, if numpy is importable; asked once.
+
+        The attached nodes go in in attach order, so the new index's slots
+        are the old index's attach sequence and every answer is unchanged.
+        A world that shrinks back below :data:`VECTOR_FROM_NODES` stays
+        here, so it never thrashes between the two.
+        """
+        self._may_vectorize = False
+        from repro.netsim import vecindex
+        if not vecindex.available():
+            return
+        index = vecindex.VectorPositionIndex(self.profile.range_m)
+        for node in self._nodes.values():
+            index.insert(node)
+        self._index = index
+        self.vectorized = True
 
     def detach(self, node_id: str) -> None:
         if self._nodes.pop(node_id, None) is None:

@@ -27,9 +27,11 @@ IEEE-754 operation order), and the linear-kinematics expression mirrors
 ``LinearMobility.position_at`` operation for operation. Queries return the
 same nodes in the same order as the scalar grid + attach-sequence sort.
 
-numpy is optional (the ``[scale]`` extra): when it is missing,
-:func:`available` is False and the medium silently stays on the scalar
-backend.
+numpy is optional (the ``[scale]`` extra), and this is the only module that
+imports it. The medium imports this module only when it is forced onto the
+vector index or, by default, when its world reaches
+:data:`~repro.netsim.medium.VECTOR_FROM_NODES` nodes; when numpy is
+missing, :func:`available` is False and a default medium stays scalar.
 """
 
 from __future__ import annotations

@@ -4,15 +4,19 @@ Covers the behaviors the event-loop and queue rewrites must preserve: NaN
 rejection at scheduling time (NaN used to slip past the ``when < now``
 guard and corrupt heap ordering) and at run time (a NaN deadline never
 stops the loop), tombstone compaction semantics, and the one inlined pop
-path behind ``run``/``run_until`` honoring cancellation. The last seven
+path behind ``run``/``run_until`` honoring cancellation. The last eight
 classes are call-count guards: on the event loop itself, on the radio
 reception path, on a flooded multi-hop delivery, on a warm MiLAN
 reconfiguration round, on a request/reply round trip through the
 message-endpoint skeleton, on one unicast datagram from ``_send`` to
-handler, and on the quorum-write path.
+handler, on every benchmark workload as a whole, and on the quorum-write
+path.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,7 @@ from repro.transport.endpoint import MessageEndpoint
 from repro.transport.inmemory import InMemoryFabric
 from repro.transport.simnet import SimFabric
 from repro.workloads import ScenarioRun, parse_spec
+from repro.workloads.campaign import CampaignSpec, ChaosCampaign
 from tests.test_vector_medium import BACKENDS
 
 
@@ -571,6 +576,94 @@ class TestDatagramCallBudget:
         for helper in ("distance_to", "alive", "position", "push"):
             assert calls[helper] == 0, helper
         assert calls["__len__"] <= sent
+
+
+def _load_benchmark_workloads():
+    """``benchmarks/e2e/workloads.py``, loaded read-only (not a package).
+
+    Registered in ``sys.modules`` first: its dataclasses look their module
+    up there while they are built.
+    """
+    path = (Path(__file__).resolve().parent.parent
+            / "benchmarks" / "e2e" / "workloads.py")
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWorkloadCountCeiling:
+    """Per-op counts of each benchmark workload at its smoke size, seed 0.
+
+    The workloads are the benchmark's own builders, run as its timed region
+    is: ``build(name, 0, smoke=True)``, then ``run()`` under
+    ``count_repro_calls``, then ``outcome()`` for the ops and counters.
+    Each row pins ``src/repro`` calls per op, medium transmissions per op
+    and simulator events per op, at the measured value plus < 0.5 %.
+    Transmissions and events move with protocol traffic, calls with host
+    cost. ``milan_lifetime`` builds no network, so it pins calls only.
+    ``grid_failover``'s campaigns build their worlds inside ``run()``; a
+    recording ``run_campaign`` keeps each campaign in hand for its counts.
+    ``swarm_beacon``'s 144 nodes reach ``VECTOR_FROM_NODES``, so it has
+    one row per position index: numpy installed, and not.
+
+    A perf change lowers its row in the same diff; a row is raised only
+    with a note in CHANGES.md that says why.
+    """
+
+    #: (calls per op, transmissions per op, events per op); measured, in
+    #: the same order: 548.43, 14.058, 17.655 | 66.33, 1.0367, 2.0367 |
+    #: 315.41, 8, 9 | 10 247.42, 138.375, 577.69 | 97.67, 1, 2 |
+    #: 106.44, 1, 2 | 113.33.
+    CEILINGS = {
+        "ledger_write": (550.63, 14.11, 17.73),
+        "api_flash": (66.59, 1.041, 2.045),
+        "chat_read": (316.67, 8.03, 9.04),
+        "grid_failover": (10288.4, 138.93, 580.0),
+        "swarm_beacon": (98.06, 1.004, 2.008),
+        "swarm_beacon:scalar": (106.87, 1.004, 2.008),
+        "milan_lifetime": (113.79, None, None),
+    }
+
+    workloads = _load_benchmark_workloads()
+
+    def measure(self, name, monkeypatch):
+        """(row key, calls per op, transmissions per op, events per op)."""
+        campaigns = []
+
+        def run_campaign(mix, seed, **overrides):
+            campaigns.append(ChaosCampaign(
+                CampaignSpec(mix=mix, seed=seed, **overrides)))
+            return campaigns[-1].run()
+
+        monkeypatch.setattr(self.workloads, "run_campaign", run_campaign)
+        workload = self.workloads.build(name, 0, smoke=True)
+        calls = sum(count_repro_calls(workload.run).values())
+        outcome = workload.outcome()
+        ops, counters = outcome["ops"], outcome["counters"]
+        key = name
+        if name == "swarm_beacon" and not workload.network.medium.vectorized:
+            key += ":scalar"
+        if campaigns:
+            counters = {"transmissions": sum(
+                c.network.medium.transmissions for c in campaigns),
+                "events": sum(c.network.sim.events_processed
+                              for c in campaigns)}
+        if "events" not in counters:
+            return key, calls / ops, None, None
+        return (key, calls / ops, counters["transmissions"] / ops,
+                counters["events"] / ops)
+
+    @pytest.mark.parametrize("name", list(workloads.SIZES))
+    def test_workload_stays_under_its_ceiling(self, name, monkeypatch):
+        key, *measured = self.measure(name, monkeypatch)
+        for what, got, ceiling in zip(
+                ("calls", "transmissions", "events"), measured,
+                self.CEILINGS[key]):
+            if ceiling is None:
+                assert got is None, what
+            else:
+                assert got <= ceiling, f"{key}: {what} per op {got:.4f}"
 
 
 class TestQuorumWriteCallBudget:

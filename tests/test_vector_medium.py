@@ -11,14 +11,18 @@ numpy-dependent tests skip cleanly when the ``[scale]`` extra is absent.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.netsim import vecindex
+from repro.netsim import medium as medium_module, vecindex
 from repro.netsim.energy import Battery, RadioEnergyModel
-from repro.netsim.medium import RadioProfile, WirelessMedium
+from repro.netsim.medium import VECTOR_FROM_NODES, RadioProfile, WirelessMedium
 from repro.netsim.mobility import LinearMobility, PathMobility
 from repro.netsim.network import Network
 from repro.netsim.packet import BROADCAST, Packet
@@ -153,6 +157,124 @@ def _run_random_world(vectorized):
     return trace
 
 
+def _run_growing_world(vectorized, before_run, joiners=0, shrink_to=None):
+    """A world that grows across :data:`VECTOR_FROM_NODES` (or shrinks).
+
+    ``before_run`` nodes are attached before the run, ``joiners`` more at
+    t = 4, 4.5, ... while node n0 drifts under :class:`LinearMobility`;
+    with ``shrink_to``, nodes are detached from the end at t = 9 until
+    that many are left. Returns the delivery trace and the backend in use
+    at t = 3 (before any joiner), at t = 8 and at the end.
+    """
+    network = Network(radio_profile=LOSSY_FLAT, seed=3, vectorized=vectorized)
+    sim, medium = network.sim, network.medium
+    trace, backends = [], []
+    attached = []
+
+    def on_packet(node, packet):
+        trace.append((sim.now(), node.node_id, packet.source, packet.payload))
+
+    def join(index):
+        node_id = f"n{index}"
+        network.add_node(node_id, position=Point(
+            index % 8 * 40.0, index // 8 * 40.0)).set_packet_handler(on_packet)
+        attached.append(node_id)
+
+    for index in range(before_run):
+        join(index)
+    network.node("n0").set_mobility(LinearMobility(
+        start=Point(0.0, 0.0), velocity=(9.0, 6.0), start_time=0.0))
+    for k in range(joiners):
+        sim.schedule_at(4.0 + 0.5 * k, join, before_run + k)
+    if shrink_to is not None:
+        def shrink():
+            while len(attached) > shrink_to:
+                medium.detach(attached.pop())
+        sim.schedule_at(9.0, shrink)
+    for when in (3.0, 8.0):
+        sim.schedule_at(when, lambda: backends.append(medium.vectorized))
+
+    workload_rng = random.Random(17)
+
+    def send(step):
+        sender = workload_rng.choice(attached)
+        if workload_rng.random() < 0.3:
+            destination = workload_rng.choice(attached)
+        else:
+            destination = BROADCAST
+        medium.transmit(sender, Packet(source=sender, destination=destination,
+                                       payload=f"p{step}", payload_bytes=24))
+
+    for step in range(160):
+        sim.schedule_at(0.05 + step * 0.083, send, step)
+    sim.run()
+    return trace, backends + [medium.vectorized]
+
+
+@needs_numpy
+class TestDefaultMediumMovesToTheVectorIndex:
+    """A default medium starts scalar and moves once, at the constant.
+
+    Each case runs the same world three ways, default, forced scalar and
+    forced vector, and needs byte-identical delivery traces.
+    """
+
+    @staticmethod
+    def three_ways(**world):
+        runs = {flag: _run_growing_world(flag, **world)
+                for flag in (None, False, True)}
+        trace = runs[None][0]
+        assert len(trace) > 1000, "workload too small; test is vacuous"
+        assert runs[False][0] == trace
+        assert runs[True][0] == trace
+        return runs[None][1]
+
+    def test_every_node_attached_before_the_run(self):
+        assert self.three_ways(before_run=VECTOR_FROM_NODES + 4) == [
+            True, True, True]
+
+    def test_crossing_node_attached_while_a_node_moves(self):
+        backends = self.three_ways(before_run=VECTOR_FROM_NODES - 1,
+                                   joiners=4)
+        assert backends == [False, True, True]
+
+    def test_shrinking_below_the_constant_stays_vectorized(self):
+        backends = self.three_ways(before_run=VECTOR_FROM_NODES - 1,
+                                   joiners=4, shrink_to=VECTOR_FROM_NODES // 2)
+        assert backends == [False, True, True]
+
+
+class TestSmallWorldsNeverLoadNumpy:
+    """``import repro`` and a small default world leave numpy unloaded."""
+
+    SCRIPT = """
+import sys
+import repro, repro.workloads, repro.core.milan, repro.netsim.topology
+from repro.netsim.packet import BROADCAST, Packet
+network = repro.netsim.topology.grid(3, 3)
+for node_id in network.node_ids():
+    network.sim.call_later(0.1, network.medium.transmit, node_id, Packet(
+        source=node_id, destination=BROADCAST, payload=b"x", payload_bytes=8))
+network.sim.run()
+assert network.sim.events_processed > 0 and network.medium.deliveries > 0
+assert not network.medium.vectorized
+assert "numpy" not in sys.modules, "a small world loaded numpy"
+"""
+
+    def test_imports_and_a_small_world_leave_numpy_unloaded(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    @needs_numpy
+    def test_a_world_of_the_constant_size_is_vectorized(self):
+        assert topology_grid(1, VECTOR_FROM_NODES).medium.vectorized
+
+
 @needs_numpy
 class TestDeliveryTraceEquivalence:
     def test_grid_world_contention_free(self):
@@ -270,8 +392,10 @@ class TestScalarFallback:
 
     def test_auto_without_numpy_falls_back(self, monkeypatch):
         monkeypatch.setattr(vecindex, "_np", None)
-        medium = WirelessMedium(Simulator(), LOSSY_FLAT)
-        assert not medium.vectorized
+        network = Network(radio_profile=LOSSY_FLAT)
+        for index in range(VECTOR_FROM_NODES + 1):
+            network.add_node(f"n{index}", position=Point(float(index), 0.0))
+        assert not network.medium.vectorized
 
 
 @needs_numpy
@@ -284,8 +408,11 @@ class TestChaosScorecardEquivalence:
 
         short = dict(duration_s=40.0, heal_deadline_s=24.0, fault_start_s=5.0,
                      bulk_messages=60, transfer_stop_s=22.0)
+        # The campaign's worlds are small: with the constant at 1 every
+        # default medium it builds moves to the vector index at its first
+        # attach, and without numpy none does.
+        monkeypatch.setattr(medium_module, "VECTOR_FROM_NODES", 1)
         vector = scorecard_bytes(run_campaign("churn", 2, **short))
-        # Without numpy every medium the campaign builds is scalar.
         monkeypatch.setattr(vecindex, "_np", None)
         scalar = scorecard_bytes(run_campaign("churn", 2, **short))
         assert vector == scalar
@@ -296,10 +423,12 @@ class TestSimtestOnVectorBackend:
     """Schedule exploration (tie-breaker installed) over the vector path."""
 
     @pytest.mark.simtest
-    def test_explorer_smoke_is_clean(self):
+    def test_explorer_smoke_is_clean(self, monkeypatch):
         from repro.simtest.explorer import explore
 
-        report = explore(5, seed=0)  # numpy importable: the vector backend
+        # Every default medium moves to the vector index at its first attach.
+        monkeypatch.setattr(medium_module, "VECTOR_FROM_NODES", 1)
+        report = explore(5, seed=0)
         assert report.ok
         assert report.runs == 5
         assert report.totals["events"] > 0
