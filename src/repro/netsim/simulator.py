@@ -42,6 +42,11 @@ Swarm-scale additions (see ARCHITECTURE §13):
   *between* them, which is why callers that need explorable interleavings
   (:mod:`repro.simtest`) check :meth:`Simulator.tie_breaker_installed`
   before batching.
+* :meth:`Simulator.schedule_series` streams a precomputed schedule (a
+  workload's open-loop arrivals): it reserves one sequence number per
+  entry up front but keeps only the next entry in the heap, so the queue
+  and its memory stay the size of the live protocol traffic, while every
+  entry sorts exactly where an eager ``schedule_at`` loop would put it.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from __future__ import annotations
 from functools import partialmethod
 from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 
@@ -66,6 +71,8 @@ _AUTO_COMPACT_MIN_DEAD = 64
 #: ``run_until``'s event cap: an int too large to be reached, so the shared
 #: loop's cap test never fires there.
 _UNCAPPED = 1 << 62
+
+_INFINITY = float("inf")
 
 
 def _fire_batch(callbacks: List[Callable[[], None]]) -> None:
@@ -237,6 +244,59 @@ class Simulator:
             raise SimulationError(f"cannot schedule event with delay {delay!r}")
         self._push(self._now + delay, (_fire_batch, (callbacks,)))
 
+    def schedule_series(
+        self, times: Sequence[float], fn: Callable[..., None], *args: Any
+    ) -> None:
+        """Run ``fn(k, *args)`` at ``times[k]`` for every ``k``, in order.
+
+        ``times`` is checked once, here: finite, non-decreasing and not
+        before :meth:`now` (NaN is rejected, as :meth:`schedule_at` rejects
+        it). The call reserves ``len(times)`` consecutive sequence numbers,
+        but only one entry of the series is in the heap at a time: entry
+        ``k`` carries sequence number ``first + k`` and pushes entry
+        ``k + 1`` before it calls ``fn``. So every entry sorts against
+        every other event, same-time ties included, exactly as it would
+        had the caller looped ``schedule_at(times[k], fn, k, *args)`` here,
+        and :meth:`pending_events` counts a live series once. Under a
+        tie-breaker an entry draws its tie value when it is pushed, not at
+        this call. ``times`` must not change while the series runs, and a
+        series cannot be cancelled.
+        """
+        previous = self._now
+        for when in times:
+            # Inverted, chained comparison: NaN, the past, a step back and
+            # infinity all fail it.
+            if not previous <= when < _INFINITY:
+                raise SimulationError(
+                    f"cannot schedule series entry at {when!r} "
+                    f"(after {previous!r}: past, decreasing, NaN or infinite)"
+                )
+            previous = when
+        count = len(times)
+        if not count:
+            return
+        first = self._next_seq
+        self._next_seq = first + count
+        heap = self._heap
+        k = 0
+
+        def fire() -> None:
+            nonlocal k
+            due = k
+            k += 1
+            if k < count:
+                tie = self._tie_breaker
+                heappush(heap, [times[k] + 0.0, 0 if tie is None else tie(),
+                                first + k, item])
+                self._live += 1
+            fn(due, *args)
+
+        item = (fire, ())
+        tie = self._tie_breaker
+        heappush(heap, [times[0] + 0.0, 0 if tie is None else tie(),
+                        first, item])
+        self._live += 1
+
     def schedule_every(
         self,
         interval: float,
@@ -329,7 +389,7 @@ class Simulator:
     #: ``max_events`` is exceeded. The loop itself, bound to an infinite
     #: deadline, so a call costs no wrapper frame (the datagram call budget
     #: in ``tests/test_perf_hotpaths.py`` runs the loop once per round trip).
-    run = partialmethod(_loop, float("inf"))
+    run = partialmethod(_loop, _INFINITY)
 
     def pending_events(self) -> int:
         return self._live

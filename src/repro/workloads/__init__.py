@@ -25,7 +25,7 @@ from repro.workloads.scorecard import (
     canonical_bytes,
     validate_scorecard,
 )
-from repro.workloads.traffic import Arrival, TrafficModel
+from repro.workloads.traffic import TrafficModel
 from repro.workloads.runner import (
     DEFAULT_HORIZON_S,
     ScenarioRun,
@@ -43,7 +43,6 @@ __all__ = [
     "TRAFFIC_MODELS",
     "Archetype",
     "ArchetypeInfo",
-    "Arrival",
     "DEFAULT_HORIZON_S",
     "SCHEMA",
     "ScenarioRun",

@@ -12,6 +12,9 @@ Division of labor: the *archetype* decides what one request is, the
 *traffic model* decides when requests arrive, and the runner owns
 everything else — scheduling, latency measurement, SLO judgment, energy
 accounting, optional chaos fault composition, and scorecard assembly.
+An open-loop schedule is streamed, not pre-scheduled: one
+:meth:`~repro.netsim.simulator.Simulator.schedule_series` call keeps a
+single pending arrival in the event queue, whatever the horizon.
 """
 
 from __future__ import annotations
@@ -125,7 +128,15 @@ class ScenarioRun:
 
     # ------------------------------------------------------------- traffic
 
-    def _issue(self, index: int, size: int, and_then=None) -> None:
+    def _issue(self, index: int, sizes, and_then=None) -> None:
+        """Issue request ``index`` of ``sizes[index]`` bytes.
+
+        The open loop's series calls this directly with the schedule's
+        sizes array, with no adapter frame per arrival; the closed loop
+        passes a one-entry mapping. ``and_then`` runs once the request
+        settles.
+        """
+        size = sizes[index]
         self.issued += 1
         self.offered_bytes += size
         started = self.sim.now()
@@ -152,11 +163,10 @@ class ScenarioRun:
         self.archetype.issue(index, size, done)
 
     def _schedule_open_loop(self) -> None:
-        arrivals = self.traffic.arrivals(
+        times, sizes = self.traffic.arrivals(
             self.spec.seed, self.spec.horizon_s, self.archetype.rate_rps
         )
-        for index, arrival in enumerate(arrivals):
-            self.sim.schedule_at(arrival.at, self._issue, index, arrival.size)
+        self.sim.schedule_series(times, self._issue, sizes)
 
     def _schedule_closed_loop(self) -> None:
         counter = {"index": 0}
@@ -176,7 +186,7 @@ class ScenarioRun:
                     loop, client, rng,
                 )
 
-            self._issue(index, size, and_then=next_request)
+            self._issue(index, {index: size}, and_then=next_request)
 
         for client in range(self.traffic.clients):
             rng = self.traffic.client_stream(self.spec.seed, client)

@@ -1,11 +1,14 @@
 """Traffic models: seeded arrival processes for workload scenarios.
 
 A traffic model answers "when do requests arrive, and how big are they" —
-nothing else. Open-loop models pre-compute an arrival schedule as a pure
-function of ``(model, seed, horizon, rate)``; the closed-loop model
-instead drives a fixed population of clients that each wait for the
-previous response plus a think time (so offered load backs off when the
-system slows down — the classic open/closed distinction).
+nothing else. An open-loop model's schedule is a pure function of
+``(model, seed, horizon, rate)``: two flat arrays, times as ``array("d")``
+and sizes as ``array("I")`` (12 bytes an arrival, not an object each),
+which the runner streams into the simulator one arrival at a time
+(:meth:`~repro.netsim.simulator.Simulator.schedule_series`). The
+closed-loop model instead drives a fixed population of clients that each
+wait for the previous response plus a think time (so offered load backs
+off when the system slows down — the classic open/closed distinction).
 
 Invariants every model guarantees (pinned by Hypothesis properties in
 ``tests/test_workload_traffic.py``):
@@ -19,21 +22,21 @@ Invariants every model guarantees (pinned by Hypothesis properties in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
-
 import random
+from array import array
+from heapq import merge
+from typing import Any, Dict, Tuple
 
 from repro.workloads.registry import traffic_model
 from repro.util.rng import split_rng
 
+#: An arrival schedule: ``times[k]`` seconds from scenario start and
+#: ``sizes[k]`` payload bytes for request ``k``.
+Schedule = Tuple["array[float]", "array[int]"]
 
-@dataclass(frozen=True)
-class Arrival:
-    """One open-loop request: seconds from scenario start + payload bytes."""
 
-    at: float
-    size: int
+def _fixed_size(times: "array[float]", size: int) -> Schedule:
+    return times, array("I", [size]) * len(times)
 
 
 class TrafficModel:
@@ -51,7 +54,7 @@ class TrafficModel:
         return split_rng(seed, f"traffic:{self.name}:{label}")
 
     def arrivals(self, seed: int, horizon_s: float,
-                 rate_rps: float) -> Tuple[Arrival, ...]:
+                 rate_rps: float) -> Schedule:
         raise NotImplementedError
 
     def spec(self) -> Dict[str, Any]:
@@ -61,9 +64,9 @@ class TrafficModel:
 
 
 def _poisson_times(rng: random.Random, rate_rps: float,
-                   start_s: float, end_s: float) -> List[float]:
+                   start_s: float, end_s: float) -> "array[float]":
     """Homogeneous Poisson arrival times in [start_s, end_s)."""
-    times: List[float] = []
+    times = array("d")
     t = start_s
     while True:
         t += rng.expovariate(rate_rps)
@@ -86,17 +89,17 @@ class DiurnalTraffic(TrafficModel):
     amplitude = 0.6
 
     def arrivals(self, seed: int, horizon_s: float,
-                 rate_rps: float) -> Tuple[Arrival, ...]:
+                 rate_rps: float) -> Schedule:
         rng = self._stream(seed)
         peak = rate_rps * (1.0 + self.amplitude)
-        out: List[Arrival] = []
+        times = array("d")
         for t in _poisson_times(rng, peak, 0.0, horizon_s):
             rate_t = rate_rps * (
                 1.0 + self.amplitude * math.sin(2.0 * math.pi * t / horizon_s)
             )
             if rng.random() < rate_t / peak:
-                out.append(Arrival(t, self.size_bytes))
-        return tuple(out)
+                times.append(t)
+        return _fixed_size(times, self.size_bytes)
 
     def spec(self) -> Dict[str, Any]:
         return {**super().spec(), "amplitude": self.amplitude}
@@ -112,14 +115,15 @@ class HeavyTailTraffic(TrafficModel):
     max_size = 4096
 
     def arrivals(self, seed: int, horizon_s: float,
-                 rate_rps: float) -> Tuple[Arrival, ...]:
+                 rate_rps: float) -> Schedule:
         rng = self._stream(seed)
-        out: List[Arrival] = []
-        for t in _poisson_times(rng, rate_rps, 0.0, horizon_s):
+        times = _poisson_times(rng, rate_rps, 0.0, horizon_s)
+        sizes = array("I")
+        for _ in times:
             u = 1.0 - rng.random()  # in (0, 1]; never a zero division below
             size = int(self.min_size / u ** (1.0 / self.alpha))
-            out.append(Arrival(t, min(self.max_size, size)))
-        return tuple(out)
+            sizes.append(min(self.max_size, size))
+        return times, sizes
 
     def spec(self) -> Dict[str, Any]:
         return {**super().spec(), "alpha": self.alpha,
@@ -147,15 +151,14 @@ class FlashCrowdTraffic(TrafficModel):
         return (start, start + self.spike_duration_frac * horizon_s)
 
     def arrivals(self, seed: int, horizon_s: float,
-                 rate_rps: float) -> Tuple[Arrival, ...]:
+                 rate_rps: float) -> Schedule:
         rng = self._stream(seed)
-        times = _poisson_times(rng, rate_rps, 0.0, horizon_s)
+        base = _poisson_times(rng, rate_rps, 0.0, horizon_s)
         spike_start, spike_end = self.spike_window(horizon_s)
-        times += _poisson_times(
+        spike = _poisson_times(
             rng, rate_rps * (self.multiplier - 1.0), spike_start, spike_end
         )
-        times.sort()
-        return tuple(Arrival(t, self.size_bytes) for t in times)
+        return _fixed_size(array("d", merge(base, spike)), self.size_bytes)
 
     def spec(self) -> Dict[str, Any]:
         return {**super().spec(), "spike_start_frac": self.spike_start_frac,
@@ -190,18 +193,19 @@ class ClosedLoopTraffic(TrafficModel):
         return self._stream(seed, f"client{client}")
 
     def arrivals(self, seed: int, horizon_s: float,
-                 rate_rps: float) -> Tuple[Arrival, ...]:
-        times: List[float] = []
+                 rate_rps: float) -> Schedule:
+        streams = []
         for client in range(self.clients):
             rng = self.client_stream(seed, client)
+            times = array("d")
             t = 0.0
             while True:
                 t += self.think_s(rng, rate_rps)
                 if t >= horizon_s:
                     break
                 times.append(t)
-        times.sort()
-        return tuple(Arrival(t, self.size_bytes) for t in times)
+            streams.append(times)
+        return _fixed_size(array("d", merge(*streams)), self.size_bytes)
 
     def spec(self) -> Dict[str, Any]:
         return {**super().spec(), "clients": self.clients}

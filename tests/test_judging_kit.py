@@ -11,6 +11,7 @@ import ast
 import functools
 import importlib.util
 import inspect
+import os
 import re
 import subprocess
 import sys
@@ -407,7 +408,8 @@ def loaded_by(importing):
             "print(*[m for m in sys.modules if m.startswith('repro.')])")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=60, env={"PYTHONPATH": str(SRC.parent)}, check=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        check=True,
     )
     return out.stdout.split()
 

@@ -1,6 +1,7 @@
 """Tests for repro.netsim.simulator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.netsim.simulator import Simulator
@@ -235,3 +236,142 @@ class TestHotPathScheduling:
         assert sim.tie_breaker_installed()
         sim.set_tie_breaker(None)
         assert not sim.tie_breaker_installed()
+
+
+def _replay(streamed, series, inner, drive=None):
+    """Run one script with each series scheduled eagerly or streamed.
+
+    ``series`` is a list of time lists, scheduled in turn with events at
+    every series time queued before and after them. ``inner[(s, k)]`` lists
+    ``(s2, j)`` pairs: entry ``k`` of series ``s`` schedules an event at
+    entry ``j`` of series ``s2``'s time when it fires, the case a "push
+    the next entry when this one fires" series gets wrong. ``drive`` runs
+    the simulator (default ``run()``). Returns (firing order, events).
+    """
+    sim = Simulator()
+    fired = []
+
+    def note(tag):
+        fired.append((sim.now(), tag))
+
+    def arrive(k, s):
+        note(("series", s, k))
+        for s2, j in inner.get((s, k), ()):
+            sim.schedule_at(series[s2][j], note, ("inner", s, k, s2, j))
+        sim.schedule(0.0, note, ("zero", s, k))
+
+    instants = sorted({t for times in series for t in times})
+    for t in instants:
+        sim.schedule_at(t, note, ("before", t))
+    for s, times in enumerate(series):
+        if streamed:
+            sim.schedule_series(times, arrive, s)
+        else:
+            for k, t in enumerate(times):
+                sim.schedule_at(t, arrive, k, s)
+    for t in instants:
+        sim.schedule_at(t, note, ("after", t))
+    (drive or Simulator.run)(sim)
+    return fired, sim.events_processed
+
+
+class TestScheduleSeries:
+    """``schedule_series`` fires in exactly the eager ``schedule_at`` order."""
+
+    SERIES = [[0.0, 1.0, 1.0, 2.0, 3.0, 3.0], [1.0, 2.0, 2.0, 3.0]]
+    INNER = {(0, 0): [(0, 3), (1, 1)], (0, 1): [(0, 2), (0, 4)],
+             (1, 0): [(0, 5), (1, 3)], (0, 3): [(0, 3), (1, 2)]}
+
+    def test_same_order_as_the_eager_loop(self):
+        eager = _replay(False, self.SERIES, self.INNER)
+        streamed = _replay(True, self.SERIES, self.INNER)
+        assert streamed == eager
+        # The script really exercises ties and in-callback scheduling.
+        assert ("inner", 0, 0, 0, 3) in [tag for _, tag in eager[0]]
+        assert eager[1] == len(eager[0])
+
+    def test_same_order_when_run_until_stops_between_entries(self):
+        def drive(sim):
+            for deadline in (0.5, 1.0, 2.0, 2.5):
+                sim.run_until(deadline)
+            sim.run()
+
+        assert _replay(True, self.SERIES, self.INNER, drive) == \
+            _replay(False, self.SERIES, self.INNER, drive)
+
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_same_order_for_drawn_scripts(self, data):
+        instants = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+        series = data.draw(st.lists(
+            st.lists(instants, max_size=6).map(sorted), min_size=1,
+            max_size=3))
+        entries = [(s, k) for s, times in enumerate(series)
+                   for k in range(len(times))]
+        inner = {}
+        for s, k in entries:
+            later = [(s2, j) for s2, j in entries
+                     if series[s2][j] >= series[s][k]]
+            inner[(s, k)] = data.draw(
+                st.lists(st.sampled_from(later), max_size=2))
+        assert _replay(True, series, inner) == _replay(False, series, inner)
+
+    @pytest.mark.parametrize("times", [
+        [float("nan")], [1.0, float("nan")], [2.0, 1.0], [1.0, float("inf")],
+    ])
+    def test_bad_times_raise_and_schedule_nothing(self, times):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_series(times, lambda k: None)
+        assert sim.pending_events() == 0
+
+    def test_past_times_raise(self):
+        sim = Simulator(start_time=5.0)
+        with pytest.raises(SimulationError):
+            sim.schedule_series([4.0, 6.0], lambda k: None)
+
+    def test_empty_series_is_a_no_op(self):
+        sim = Simulator()
+        order = []
+        sim.schedule(1.0, order.append, "a")
+        sim.schedule_series([], order.append)
+        sim.schedule(1.0, order.append, "b")
+        assert sim.pending_events() == 2
+        sim.run()
+        assert order == ["a", "b"]
+        assert sim.events_processed == 2
+
+    def test_a_live_series_is_one_pending_event(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_series([1.0, 2.0, 3.0, 4.0], fired.append)
+        assert sim.pending_events() == 1
+        sim.schedule(0.5, lambda: None)
+        assert sim.pending_events() == 2
+        sim.run_until(2.5)
+        assert fired == [0, 1]
+        assert sim.pending_events() == 1
+        sim.run_until(4.0)
+        assert sim.pending_events() == 0
+
+    def test_run_drains_a_series_with_args(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_series([1.0, 1.0, 3.0], lambda k, tag: seen.append(
+            (sim.now(), k, tag)), "x")
+        sim.run()
+        assert seen == [(1.0, 0, "x"), (1.0, 1, "x"), (3.0, 2, "x")]
+        assert sim.pending_events() == 0
+        assert sim.events_processed == 3
+        assert isinstance(sim.now(), float)
+
+    def test_under_a_tie_breaker_each_entry_draws_when_pushed(self):
+        sim = Simulator()
+        draws = []
+        sim.set_tie_breaker(lambda: draws.append(None) or 0.5)
+        sim.schedule_series([1.0, 2.0, 3.0], lambda k: None)
+        assert len(draws) == 1
+        sim.run_until(1.0)
+        assert len(draws) == 2
+        sim.run()
+        assert len(draws) == 3

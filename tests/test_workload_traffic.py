@@ -28,15 +28,18 @@ rates = st.floats(min_value=0.5, max_value=50.0,
 @settings(max_examples=60)
 def test_arrivals_are_nonnegative_monotone_and_bounded(
         name, seed, horizon_s, rate_rps):
-    arrivals = TRAFFIC_MODELS[name].factory().arrivals(
+    times, sizes = TRAFFIC_MODELS[name].factory().arrivals(
         seed, horizon_s, rate_rps
     )
+    # The compact form: flat arrays, one time and one size per arrival.
+    assert (times.typecode, sizes.typecode) == ("d", "I")
+    assert len(times) == len(sizes)
     previous = 0.0
-    for arrival in arrivals:
-        assert 0.0 <= arrival.at < horizon_s
-        assert arrival.at >= previous  # non-decreasing: a schedule, not a set
-        assert arrival.size > 0
-        previous = arrival.at
+    for at, size in zip(times, sizes):
+        assert 0.0 <= at < horizon_s
+        assert at >= previous  # non-decreasing: a schedule, not a set
+        assert size > 0
+        previous = at
 
 
 @given(name=st.sampled_from(MODEL_NAMES), seed=seeds, rate_rps=rates)
@@ -44,7 +47,8 @@ def test_arrivals_are_nonnegative_monotone_and_bounded(
 def test_arrivals_are_reproducible_from_model_and_seed(name, seed, rate_rps):
     first = TRAFFIC_MODELS[name].factory().arrivals(seed, 30.0, rate_rps)
     again = TRAFFIC_MODELS[name].factory().arrivals(seed, 30.0, rate_rps)
-    assert first == again
+    assert first[0].tobytes() == again[0].tobytes()  # bit-for-bit times
+    assert first[1] == again[1]
 
 
 @given(name=st.sampled_from(MODEL_NAMES), seed=seeds)
@@ -59,8 +63,9 @@ def test_different_seeds_give_different_schedules(name, seed):
 @settings(max_examples=40)
 def test_heavy_tail_sizes_stay_within_declared_bounds(seed, horizon_s):
     model = HeavyTailTraffic()
-    for arrival in model.arrivals(seed, horizon_s, 10.0):
-        assert model.min_size <= arrival.size <= model.max_size
+    _, sizes = model.arrivals(seed, horizon_s, 10.0)
+    for size in sizes:
+        assert model.min_size <= size <= model.max_size
 
 
 @given(seed=seeds, horizon_s=horizons)
@@ -86,9 +91,9 @@ def test_flash_crowd_spike_window_matches_spec(seed, horizon_s):
     rate = 8.0
     sampled_s = max(horizon_s, 30.0)
     start, end = model.spike_window(sampled_s)
-    arrivals = model.arrivals(seed, sampled_s, rate)
-    inside = sum(1 for a in arrivals if start <= a.at < end)
-    outside = len(arrivals) - inside
+    times, _ = model.arrivals(seed, sampled_s, rate)
+    inside = sum(1 for at in times if start <= at < end)
+    outside = len(times) - inside
     inside_rate = inside / (end - start)
     outside_rate = outside / (sampled_s - (end - start))
     # Expected ratio is `multiplier`x (6x); 2x is the margin the bound

@@ -20,6 +20,7 @@ from repro.workloads import (
     ARCHETYPES,
     SCHEMA,
     TRAFFIC_MODELS,
+    ScenarioRun,
     canonical_bytes,
     parse_scenario,
     parse_spec,
@@ -119,6 +120,42 @@ def test_long_horizon_scorecards_are_byte_identical(name, seed):
     assert validate_scorecard(card) == []
     digest = hashlib.sha256(canonical_bytes(card)).hexdigest()[:16]
     assert digest == LONG_HORIZON_DIGESTS[name, seed]
+
+
+OPEN_LOOP_SCENARIOS = [
+    name for name in ALL_SCENARIOS
+    if not TRAFFIC_MODELS[parse_scenario(name)[1].name].factory().closed_loop
+]
+
+
+def _eager_open_loop(run):
+    """The test oracle: every arrival in the queue before the first event
+    fires, one ``schedule_at`` each, in index order."""
+    times, sizes = run.traffic.arrivals(
+        run.spec.seed, run.spec.horizon_s, run.archetype.rate_rps
+    )
+    for index, when in enumerate(times):
+        run.sim.schedule_at(when, run._issue, index, sizes)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", OPEN_LOOP_SCENARIOS)
+def test_streamed_arrivals_match_the_eager_schedule(name, seed, monkeypatch):
+    streamed = canonical_bytes(run_scenario(name, seed=seed, horizon_s=12.0))
+    monkeypatch.setattr(ScenarioRun, "_schedule_open_loop", _eager_open_loop)
+    eager = canonical_bytes(run_scenario(name, seed=seed, horizon_s=12.0))
+    assert streamed == eager
+
+
+def test_a_longer_horizon_queues_no_more_events():
+    """The open-loop schedule streams: the queue holds one pending
+    arrival, so a 100x horizon queues what the default one does."""
+    def pending(horizon_s):
+        run = ScenarioRun(parse_spec("api_rpc:flash_crowd", 0,
+                                     horizon_s=horizon_s))
+        return run.sim.pending_events()
+
+    assert pending(24.0) == pending(2400.0)
 
 
 def test_golden_directory_has_no_strays():
