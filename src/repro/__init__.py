@@ -40,32 +40,42 @@ Section     Feature                         Package
 ==========  ==============================  ===========================
 """
 
-from repro.core.milan import Milan
-from repro.core.policy import ApplicationPolicy, health_monitor_policy
-from repro.discovery.description import ServiceDescription
-from repro.discovery.matching import AttributeConstraint, Query
-from repro.errors import MiddlewareError
-from repro.middleware import MiddlewareNode
-from repro.monitoring import SystemEventBus
-from repro.qos.spec import ConsumerQoS, NetworkQoS, SupplierQoS
-from repro.transactions.transaction import TransactionKind, TransactionSpec
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Milan",
-    "ApplicationPolicy",
-    "health_monitor_policy",
-    "ServiceDescription",
-    "AttributeConstraint",
-    "Query",
-    "MiddlewareError",
-    "MiddlewareNode",
-    "SystemEventBus",
-    "ConsumerQoS",
-    "NetworkQoS",
-    "SupplierQoS",
-    "TransactionKind",
-    "TransactionSpec",
-    "__version__",
-]
+
+def _facade(package, table):
+    """``(__getattr__, __all__)`` for a package that loads its public names
+    on first use (PEP 562). ``table`` maps each name to the module that
+    defines it, so a process compiles only the modules it touches."""
+
+    def __getattr__(name):
+        if name not in table:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(table[name]), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__, list(table)
+
+
+__getattr__, __all__ = _facade(__name__, {
+    "Milan": "repro.core.milan",
+    "ApplicationPolicy": "repro.core.policy",
+    "health_monitor_policy": "repro.core.policy",
+    "ServiceDescription": "repro.discovery.description",
+    "AttributeConstraint": "repro.discovery.matching",
+    "Query": "repro.discovery.matching",
+    "MiddlewareError": "repro.errors",
+    "MiddlewareNode": "repro.middleware",
+    "SystemEventBus": "repro.monitoring",
+    "ConsumerQoS": "repro.qos.spec",
+    "NetworkQoS": "repro.qos.spec",
+    "SupplierQoS": "repro.qos.spec",
+    "TransactionKind": "repro.transactions.transaction",
+    "TransactionSpec": "repro.transactions.transaction",
+})
+__all__.append("__version__")

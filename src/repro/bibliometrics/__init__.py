@@ -14,19 +14,13 @@ database access, so per the substitution rule this package provides:
   correlation the authors argue from, and an ASCII rendering of the figure.
 """
 
-from repro.bibliometrics.corpus import CorpusGenerator, PaperRecord
-from repro.bibliometrics.figure1 import (
-    MIDDLEWARE_TARGET_SERIES,
-    Figure1Result,
-    reproduce_figure1,
-)
-from repro.bibliometrics.query import QueryEngine
+from repro import _facade
 
-__all__ = [
-    "CorpusGenerator",
-    "PaperRecord",
-    "MIDDLEWARE_TARGET_SERIES",
-    "Figure1Result",
-    "reproduce_figure1",
-    "QueryEngine",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "CorpusGenerator": "repro.bibliometrics.corpus",
+    "PaperRecord": "repro.bibliometrics.corpus",
+    "MIDDLEWARE_TARGET_SERIES": "repro.bibliometrics.figure1",
+    "Figure1Result": "repro.bibliometrics.figure1",
+    "reproduce_figure1": "repro.bibliometrics.figure1",
+    "QueryEngine": "repro.bibliometrics.query",
+})

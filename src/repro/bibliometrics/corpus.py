@@ -12,7 +12,6 @@ expectation and stable per seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.util.rng import split_rng
@@ -59,14 +58,17 @@ _DOMAINS = (
 )
 
 
-@dataclass(frozen=True)
 class PaperRecord:
     """One synthetic publication."""
 
-    paper_id: int
-    year: int
-    title: str
-    keywords: Tuple[str, ...]
+    __slots__ = ("paper_id", "year", "title", "keywords")
+
+    def __init__(self, paper_id: int, year: int, title: str,
+                 keywords: Tuple[str, ...]) -> None:
+        self.paper_id = paper_id
+        self.year = year
+        self.title = title
+        self.keywords = keywords
 
 
 class CorpusGenerator:

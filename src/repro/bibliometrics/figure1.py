@@ -12,7 +12,6 @@ wireless network — against the synthetic corpus and reports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.bibliometrics.corpus import CALIBRATION, CorpusGenerator, YEARS
@@ -24,16 +23,23 @@ MIDDLEWARE_TARGET_SERIES: Dict[int, int] = dict(CALIBRATION["middleware"])
 QUERIES = ("middleware", "distributed systems", "network", "wireless network")
 
 
-@dataclass
 class Figure1Result:
     """Everything the figure (and the surrounding text) claims."""
 
-    series: Dict[str, Dict[int, int]]  # query -> year -> count
-    first_middleware_year: int
-    middleware_1994: int
-    plateau_mean: float  # mean of 1999-2001
-    correlation_with_network: float
-    correlation_with_distributed: float
+    __slots__ = ("series", "first_middleware_year", "middleware_1994",
+                 "plateau_mean", "correlation_with_network",
+                 "correlation_with_distributed")
+
+    def __init__(self, series: Dict[str, Dict[int, int]],
+                 first_middleware_year: int, middleware_1994: int,
+                 plateau_mean: float, correlation_with_network: float,
+                 correlation_with_distributed: float) -> None:
+        self.series = series  # query -> year -> count
+        self.first_middleware_year = first_middleware_year
+        self.middleware_1994 = middleware_1994
+        self.plateau_mean = plateau_mean  # mean of 1999-2001
+        self.correlation_with_network = correlation_with_network
+        self.correlation_with_distributed = correlation_with_distributed
 
     def middleware_series(self) -> List[int]:
         return [self.series["middleware"].get(y, 0) for y in YEARS]

@@ -34,61 +34,33 @@ The model follows the MiLAN technical report (TR-795) lineage:
   :meth:`Milan.set_requirements_override`.
 """
 
-from repro.core.configurator import NetworkConfiguration, configure
-from repro.core.feasibility import (
-    combined_reliability,
-    greedy_feasible_set,
-    minimal_feasible_sets,
-    satisfies,
-)
-from repro.core.milan import Milan
-from repro.core.overload import (
-    DEFAULT_LEVELS,
-    OverloadGovernor,
-    OverloadLevel,
-    queue_pressure,
-    rejection_pressure,
-    shed_pressure,
-)
-from repro.core.plugins import (
-    BandwidthPlugin,
-    BluetoothPlugin,
-    NetworkContext,
-    NetworkPlugin,
-    ReachabilityPlugin,
-)
-from repro.core.policy import ApplicationPolicy
-from repro.core.reconfig import FeasibilityCache, ReconfigEngine
-from repro.core.requirements import VariableRequirements
-from repro.core.selection import SelectionStrategy, select_best
-from repro.core.sensors import SensorInfo
-from repro.core.state import StateMachine
+from repro import _facade
 
-__all__ = [
-    "NetworkConfiguration",
-    "configure",
-    "combined_reliability",
-    "greedy_feasible_set",
-    "minimal_feasible_sets",
-    "satisfies",
-    "Milan",
-    "DEFAULT_LEVELS",
-    "OverloadGovernor",
-    "OverloadLevel",
-    "queue_pressure",
-    "rejection_pressure",
-    "shed_pressure",
-    "BandwidthPlugin",
-    "BluetoothPlugin",
-    "NetworkContext",
-    "NetworkPlugin",
-    "ReachabilityPlugin",
-    "ApplicationPolicy",
-    "FeasibilityCache",
-    "ReconfigEngine",
-    "VariableRequirements",
-    "SelectionStrategy",
-    "select_best",
-    "SensorInfo",
-    "StateMachine",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "NetworkConfiguration": "repro.core.configurator",
+    "configure": "repro.core.configurator",
+    "combined_reliability": "repro.core.feasibility",
+    "greedy_feasible_set": "repro.core.feasibility",
+    "minimal_feasible_sets": "repro.core.feasibility",
+    "satisfies": "repro.core.feasibility",
+    "Milan": "repro.core.milan",
+    "DEFAULT_LEVELS": "repro.core.overload",
+    "OverloadGovernor": "repro.core.overload",
+    "OverloadLevel": "repro.core.overload",
+    "queue_pressure": "repro.core.overload",
+    "rejection_pressure": "repro.core.overload",
+    "shed_pressure": "repro.core.overload",
+    "BandwidthPlugin": "repro.core.plugins",
+    "BluetoothPlugin": "repro.core.plugins",
+    "NetworkContext": "repro.core.plugins",
+    "NetworkPlugin": "repro.core.plugins",
+    "ReachabilityPlugin": "repro.core.plugins",
+    "ApplicationPolicy": "repro.core.policy",
+    "FeasibilityCache": "repro.core.reconfig",
+    "ReconfigEngine": "repro.core.reconfig",
+    "VariableRequirements": "repro.core.requirements",
+    "SelectionStrategy": "repro.core.selection",
+    "select_best": "repro.core.selection",
+    "SensorInfo": "repro.core.sensors",
+    "StateMachine": "repro.core.state",
+})

@@ -19,7 +19,6 @@ Bluetooth masters)."
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.core.plugins import NetworkContext
@@ -28,15 +27,33 @@ from repro.core.sensors import SensorInfo
 SensorSet = FrozenSet[str]
 
 
-@dataclass(frozen=True)
 class NetworkConfiguration:
     """The applied outcome of one MiLAN selection round."""
 
-    active_sensors: SensorSet
-    senders: FrozenSet[str]  # node ids that transmit data
-    routers: FrozenSet[str]  # node ids that must stay awake to forward
-    master: Optional[str]  # piconet master node (None = not applicable)
-    sleepers: FrozenSet[str]  # node ids allowed to power down
+    __slots__ = ("active_sensors", "senders", "routers", "master", "sleepers")
+
+    def __init__(self, active_sensors: SensorSet, senders: FrozenSet[str],
+                 routers: FrozenSet[str], master: Optional[str],
+                 sleepers: FrozenSet[str]) -> None:
+        self.active_sensors = active_sensors
+        self.senders = senders  # node ids that transmit data
+        self.routers = routers  # node ids that must stay awake to forward
+        self.master = master  # piconet master node (None = not applicable)
+        self.sleepers = sleepers  # node ids allowed to power down
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.active_sensors, self.senders, self.routers, self.master,
+             self.sleepers)
+            == (other.active_sensors, other.senders, other.routers,
+                other.master, other.sleepers)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.active_sensors, self.senders, self.routers,
+                     self.master, self.sleepers))
 
     def role_of(self, node_id: str) -> str:
         if self.master == node_id:

@@ -30,7 +30,6 @@ Metrics: ``overload.level`` / ``overload.pressure`` gauges and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.milan import Milan
@@ -42,7 +41,6 @@ from repro.util.events import EventEmitter
 Signal = Callable[[], float]
 
 
-@dataclass(frozen=True)
 class OverloadLevel:
     """One rung of the degradation ladder.
 
@@ -51,12 +49,14 @@ class OverloadLevel:
     reliability while the level is active (clamped to the QoS floor).
     """
 
-    name: str
-    enter: float
-    exit: float
-    scale: float
+    __slots__ = ("name", "enter", "exit", "scale")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, enter: float, exit: float,
+                 scale: float) -> None:
+        self.name = name
+        self.enter = enter
+        self.exit = exit
+        self.scale = scale
         if not 0.0 < self.enter <= 1.0:
             raise ConfigurationError(
                 f"level {self.name!r}: enter must be in (0, 1], got {self.enter!r}"

@@ -12,7 +12,6 @@ installed plugin accepts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.core.sensors import SensorInfo
@@ -22,13 +21,17 @@ from repro.netsim.network import Network
 SensorSet = FrozenSet[str]
 
 
-@dataclass
 class NetworkContext:
     """What plugins may inspect when judging a set."""
 
-    sensors: Dict[str, SensorInfo] = field(default_factory=dict)
-    network: Optional[Network] = None  # live topology, when simulating one
-    sink_node_id: Optional[str] = None  # where data must arrive
+    __slots__ = ("sensors", "network", "sink_node_id")
+
+    def __init__(self, sensors: Optional[Dict[str, SensorInfo]] = None,
+                 network: Optional[Network] = None,
+                 sink_node_id: Optional[str] = None) -> None:
+        self.sensors = {} if sensors is None else sensors
+        self.network = network  # live topology, when simulating one
+        self.sink_node_id = sink_node_id  # where data must arrive
 
     def info(self, sensor_id: str) -> SensorInfo:
         try:

@@ -13,7 +13,6 @@ to :class:`repro.core.milan.Milan` is the entire application-side API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.requirements import VariableRequirements
@@ -22,7 +21,6 @@ from repro.core.state import Predicate, StateMachine
 from repro.errors import ConfigurationError
 
 
-@dataclass
 class ApplicationPolicy:
     """Declarative application policy.
 
@@ -39,15 +37,21 @@ class ApplicationPolicy:
             exactly; larger fleets use the greedy construction.
     """
 
-    name: str
-    requirements: VariableRequirements
-    initial_state: str
-    transitions: List[Tuple[str, str, Predicate]] = field(default_factory=list)
-    selection: object = "max_lifetime"
-    redundancy: int = 0
-    exhaustive_limit: int = 16
+    __slots__ = ("name", "requirements", "initial_state", "transitions",
+                 "selection", "redundancy", "exhaustive_limit")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, requirements: VariableRequirements,
+                 initial_state: str,
+                 transitions: Optional[List[Tuple[str, str, Predicate]]] = None,
+                 selection: object = "max_lifetime", redundancy: int = 0,
+                 exhaustive_limit: int = 16) -> None:
+        self.name = name
+        self.requirements = requirements
+        self.initial_state = initial_state
+        self.transitions = [] if transitions is None else transitions
+        self.selection = selection
+        self.redundancy = redundancy
+        self.exhaustive_limit = exhaustive_limit
         states = self.requirements.states()
         if self.initial_state not in states:
             raise ConfigurationError(

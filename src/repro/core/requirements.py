@@ -9,18 +9,18 @@ needed in that state (requirement 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
 from repro.errors import ConfigurationError
 
 
-@dataclass
 class VariableRequirements:
     """state -> variable -> required reliability in [0, 1]."""
 
-    by_state: Dict[str, Dict[str, float]] = field(default_factory=dict,
-                                                  init=False)
+    __slots__ = ("by_state",)
+
+    def __init__(self) -> None:
+        self.by_state: Dict[str, Dict[str, float]] = {}
 
     def require(self, state: str, variable: str, reliability: float) -> "VariableRequirements":
         """Declare a requirement; returns self for chaining."""

@@ -10,7 +10,6 @@ properties carry ``var:<name>`` reliability entries
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.discovery.description import ServiceDescription
@@ -20,7 +19,6 @@ from repro.errors import ConfigurationError
 VARIABLE_PROPERTY_PREFIX = "var:"
 
 
-@dataclass(frozen=True)
 class SensorInfo:
     """One component MiLAN can switch on or off.
 
@@ -33,31 +31,39 @@ class SensorInfo:
         node_id: the network node hosting it (for reachability plugins).
     """
 
-    sensor_id: str
-    reliabilities: Dict[str, float] = field(default_factory=dict)
-    active_power_w: float = 1e-3
-    energy_j: float = float("inf")
-    bandwidth_bps: float = 0.0
-    node_id: Optional[str] = None
+    __slots__ = ("sensor_id", "reliabilities", "active_power_w", "energy_j",
+                 "bandwidth_bps", "node_id")
 
-    def __post_init__(self) -> None:
-        if not self.sensor_id:
+    def __init__(self, sensor_id: str,
+                 reliabilities: Optional[Dict[str, float]] = None,
+                 active_power_w: float = 1e-3, energy_j: float = float("inf"),
+                 bandwidth_bps: float = 0.0,
+                 node_id: Optional[str] = None) -> None:
+        if not sensor_id:
             raise ConfigurationError("sensor_id must be non-empty")
-        for variable, reliability in self.reliabilities.items():
+        if reliabilities is None:
+            reliabilities = {}
+        for variable, reliability in reliabilities.items():
             if not 0.0 < reliability <= 1.0:
                 raise ConfigurationError(
-                    f"sensor {self.sensor_id!r}: reliability for {variable!r} "
+                    f"sensor {sensor_id!r}: reliability for {variable!r} "
                     f"must be in (0, 1], got {reliability!r}"
                 )
         # Inverted comparisons: NaN fails them and is refused with the
         # negatives. Infinite energy (mains power) passes; infinite power
         # does not (a mains sensor's lifetime would be inf / inf = NaN).
-        if not 0 <= self.active_power_w < float("inf"):
+        if not 0 <= active_power_w < float("inf"):
             raise ConfigurationError(
-                f"active power must be finite and >= 0, got {self.active_power_w!r}"
+                f"active power must be finite and >= 0, got {active_power_w!r}"
             )
-        if not self.energy_j >= 0:
-            raise ConfigurationError(f"energy must be >= 0, got {self.energy_j!r}")
+        if not energy_j >= 0:
+            raise ConfigurationError(f"energy must be >= 0, got {energy_j!r}")
+        self.sensor_id = sensor_id
+        self.reliabilities = reliabilities
+        self.active_power_w = active_power_w
+        self.energy_j = energy_j
+        self.bandwidth_bps = bandwidth_bps
+        self.node_id = node_id
 
     def reliability_for(self, variable: str) -> float:
         return self.reliabilities.get(variable, 0.0)

@@ -9,7 +9,6 @@ over the latest variable readings fire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -19,11 +18,13 @@ from repro.util.events import EventEmitter
 Predicate = Callable[[Dict[str, Any]], bool]
 
 
-@dataclass
 class Transition:
-    source: str
-    target: str
-    predicate: Predicate = field(repr=False)
+    __slots__ = ("source", "target", "predicate")
+
+    def __init__(self, source: str, target: str, predicate: Predicate) -> None:
+        self.source = source
+        self.target = target
+        self.predicate = predicate
 
 
 class StateMachine:

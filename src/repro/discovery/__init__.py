@@ -18,22 +18,17 @@ The section prescribes, and this package provides:
   (:mod:`repro.discovery.mirror`).
 """
 
-from repro.discovery.adaptive import AdaptiveDiscovery, AdaptivePolicy
-from repro.discovery.description import ServiceDescription
-from repro.discovery.distributed import DistributedDiscovery
-from repro.discovery.matching import AttributeConstraint, Matcher, Query
-from repro.discovery.mirror import MirrorGroup
-from repro.discovery.registry import RegistryClient, RegistryServer
+from repro import _facade
 
-__all__ = [
-    "AdaptiveDiscovery",
-    "AdaptivePolicy",
-    "ServiceDescription",
-    "DistributedDiscovery",
-    "AttributeConstraint",
-    "Matcher",
-    "Query",
-    "MirrorGroup",
-    "RegistryClient",
-    "RegistryServer",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "AdaptiveDiscovery": "repro.discovery.adaptive",
+    "AdaptivePolicy": "repro.discovery.adaptive",
+    "ServiceDescription": "repro.discovery.description",
+    "DistributedDiscovery": "repro.discovery.distributed",
+    "AttributeConstraint": "repro.discovery.matching",
+    "Matcher": "repro.discovery.matching",
+    "Query": "repro.discovery.matching",
+    "MirrorGroup": "repro.discovery.mirror",
+    "RegistryClient": "repro.discovery.registry",
+    "RegistryServer": "repro.discovery.registry",
+})

@@ -21,7 +21,6 @@ consumers in either mode can find the service during transitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.discovery.description import ServiceDescription
@@ -36,16 +35,20 @@ CENTRALIZED = "centralized"
 DISTRIBUTED = "distributed"
 
 
-@dataclass(frozen=True)
 class AdaptivePolicy:
     """When to prefer the registry over flooding."""
 
-    density_threshold: float = 6.0
-    traffic_threshold: float = 0.7
-    reevaluate_interval_s: float = 5.0
-    registry_failure_limit: int = 2
+    __slots__ = ("density_threshold", "traffic_threshold",
+                 "reevaluate_interval_s", "registry_failure_limit")
 
-    def __post_init__(self) -> None:
+    def __init__(self, density_threshold: float = 6.0,
+                 traffic_threshold: float = 0.7,
+                 reevaluate_interval_s: float = 5.0,
+                 registry_failure_limit: int = 2) -> None:
+        self.density_threshold = density_threshold
+        self.traffic_threshold = traffic_threshold
+        self.reevaluate_interval_s = reevaluate_interval_s
+        self.registry_failure_limit = registry_failure_limit
         if self.density_threshold < 0:
             raise ConfigurationError(
                 f"density threshold must be >= 0, got {self.density_threshold!r}"

@@ -16,7 +16,6 @@ Requires a transport with broadcast support
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Set, Tuple
 
 from repro.discovery.description import ServiceDescription
@@ -36,10 +35,13 @@ DEFAULT_ADVERT_LEASE_S = 30.0
 DEFAULT_COLLECT_WINDOW_S = 1.0
 
 
-@dataclass
 class CachedAdvert:
-    description: ServiceDescription
-    expires_at: float
+    __slots__ = ("description", "expires_at")
+
+    def __init__(self, description: ServiceDescription,
+                 expires_at: float) -> None:
+        self.description = description
+        self.expires_at = expires_at
 
 
 _DESCRIPTIONS = list_of(ServiceDescription.from_dict)

@@ -10,7 +10,6 @@ the consumer supplies a position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.discovery.description import (
@@ -22,7 +21,6 @@ from repro.qos.spec import ConsumerQoS, MatchScore, score_match
 _OPERATORS = ("=", "!=", "contains", ">=", "<=")
 
 
-@dataclass(frozen=True)
 class AttributeConstraint:
     """One predicate over a service attribute.
 
@@ -31,11 +29,12 @@ class AttributeConstraint:
     constraint except ``!=``.
     """
 
-    name: str
-    op: str
-    value: str
+    __slots__ = ("name", "op", "value")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, op: str, value: str) -> None:
+        self.name = name
+        self.op = op
+        self.value = value
         if self.op not in _OPERATORS:
             raise DiscoveryError(
                 f"unknown constraint operator {self.op!r}; known: {_OPERATORS}"
@@ -74,7 +73,6 @@ class AttributeConstraint:
         return AttributeConstraint(name, op, value)
 
 
-@dataclass(frozen=True)
 class Query:
     """What a consumer asks discovery for.
 
@@ -83,13 +81,19 @@ class Query:
     ``consumer_position`` enables spatial QoS.
     """
 
-    service_type: str
-    constraints: Tuple[AttributeConstraint, ...] = ()
-    consumer: Optional[ConsumerQoS] = None
-    consumer_position: Optional[Tuple[float, float]] = None
-    max_results: int = 10
+    __slots__ = ("service_type", "constraints", "consumer", "consumer_position",
+                 "max_results")
 
-    def __post_init__(self) -> None:
+    def __init__(self, service_type: str,
+                 constraints: Tuple[AttributeConstraint, ...] = (),
+                 consumer: Optional[ConsumerQoS] = None,
+                 consumer_position: Optional[Tuple[float, float]] = None,
+                 max_results: int = 10) -> None:
+        self.service_type = service_type
+        self.constraints = constraints
+        self.consumer = consumer
+        self.consumer_position = consumer_position
+        self.max_results = max_results
         if not self.service_type:
             raise DiscoveryError("query service_type must be non-empty ('*' for any)")
         if self.max_results <= 0:
@@ -167,13 +171,16 @@ class Query:
             raise DiscoveryError(f"malformed query: {exc!r}") from exc
 
 
-@dataclass(frozen=True)
 class Match:
     """One ranked result."""
 
-    description: ServiceDescription
-    score: MatchScore
-    distance_m: Optional[float] = None
+    __slots__ = ("description", "score", "distance_m")
+
+    def __init__(self, description: ServiceDescription, score: MatchScore,
+                 distance_m: Optional[float] = None) -> None:
+        self.description = description
+        self.score = score
+        self.distance_m = distance_m
 
 
 class Matcher:

@@ -17,7 +17,6 @@ Protocol (codec-encoded dicts):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.discovery.description import ServiceDescription
@@ -46,10 +45,13 @@ def _clamp_lease(requested: Any) -> float:
     return float(max(0.1, min(lease, MAX_LEASE_S)))
 
 
-@dataclass
 class Registration:
-    description: ServiceDescription
-    expires_at: float
+    __slots__ = ("description", "expires_at")
+
+    def __init__(self, description: ServiceDescription,
+                 expires_at: float) -> None:
+        self.description = description
+        self.expires_at = expires_at
 
 
 # A mirror peer's copy carries ``rid: None`` (see ``_replicate``).

@@ -8,6 +8,8 @@ and the generated ``EXPERIMENTS.md`` read (``python -m repro.experiments``
 lists them).
 """
 
-from repro.experiments.common import format_table
+from repro import _facade
 
-__all__ = ["format_table"]
+__getattr__, __all__ = _facade(__name__, {
+    "format_table": "repro.experiments.common",
+})

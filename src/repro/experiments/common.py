@@ -5,13 +5,11 @@ renderer."""
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Sequence, Tuple
 
 Rows = List[Dict[str, Any]]
 
 
-@dataclass(frozen=True)
 class Experiment:
     """One measured table: everything the CLI, the sweep runner and the
     ``EXPERIMENTS.md`` report know about it.
@@ -24,12 +22,17 @@ class Experiment:
     columns a report must drop.
     """
 
-    id: str
-    section: str
-    claim: str
-    run: Callable[..., Rows]
-    verdict: Callable[[Rows], str]
-    wall: Tuple[str, ...] = ()
+    __slots__ = ("id", "section", "claim", "run", "verdict", "wall")
+
+    def __init__(self, id: str, section: str, claim: str,
+                 run: Callable[..., Rows], verdict: Callable[[Rows], str],
+                 wall: Tuple[str, ...] = ()) -> None:
+        self.id = id
+        self.section = section
+        self.claim = claim
+        self.run = run
+        self.verdict = verdict
+        self.wall = wall
 
     @property
     def name(self) -> str:

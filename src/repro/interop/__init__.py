@@ -16,24 +16,21 @@ tradeoff:
   publish/subscribe) and a middleware-to-middleware gateway.
 """
 
-from repro.interop.codec import BinaryCodec, Codec, JsonCodec, SmlCodec, get_codec
-from repro.interop.frames import PrefixedFrame, WireFrame
-from repro.interop.schema import FieldSpec, InterfaceSchema, MessageSchema, OperationSpec
-from repro.interop.sml import SmlElement, parse, serialize
+from repro import _facade
 
-__all__ = [
-    "BinaryCodec",
-    "Codec",
-    "JsonCodec",
-    "SmlCodec",
-    "get_codec",
-    "PrefixedFrame",
-    "WireFrame",
-    "FieldSpec",
-    "InterfaceSchema",
-    "MessageSchema",
-    "OperationSpec",
-    "SmlElement",
-    "parse",
-    "serialize",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "BinaryCodec": "repro.interop.codec",
+    "Codec": "repro.interop.codec",
+    "JsonCodec": "repro.interop.codec",
+    "SmlCodec": "repro.interop.codec",
+    "get_codec": "repro.interop.codec",
+    "PrefixedFrame": "repro.interop.frames",
+    "WireFrame": "repro.interop.frames",
+    "FieldSpec": "repro.interop.schema",
+    "InterfaceSchema": "repro.interop.schema",
+    "MessageSchema": "repro.interop.schema",
+    "OperationSpec": "repro.interop.schema",
+    "SmlElement": "repro.interop.sml",
+    "parse": "repro.interop.sml",
+    "serialize": "repro.interop.sml",
+})

@@ -10,7 +10,6 @@ a supplier it has never linked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SchemaError
@@ -29,15 +28,16 @@ _TYPE_CHECKS = {
 }
 
 
-@dataclass(frozen=True)
 class FieldSpec:
     """One field of a message: name, type, and whether it is required."""
 
-    name: str
-    type: str = "any"
-    required: bool = True
+    __slots__ = ("name", "type", "required")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, type: str = "any",
+                 required: bool = True) -> None:
+        self.name = name
+        self.type = type
+        self.required = required
         if self.type not in _TYPE_CHECKS:
             raise SchemaError(
                 f"unknown field type {self.type!r}; known: {sorted(_TYPE_CHECKS)}"
@@ -50,12 +50,14 @@ class FieldSpec:
             )
 
 
-@dataclass(frozen=True)
 class MessageSchema:
     """A named message type with typed fields."""
 
-    name: str
-    fields: Tuple[FieldSpec, ...] = ()
+    __slots__ = ("name", "fields")
+
+    def __init__(self, name: str, fields: Tuple[FieldSpec, ...] = ()) -> None:
+        self.name = name
+        self.fields = fields
 
     def validate(self, message: Mapping[str, Any]) -> None:
         """Raise :class:`SchemaError` unless ``message`` conforms."""
@@ -75,15 +77,16 @@ class MessageSchema:
             )
 
 
-@dataclass(frozen=True)
 class OperationSpec:
     """One operation of a service interface."""
 
-    name: str
-    params: MessageSchema
-    returns: str = "any"
+    __slots__ = ("name", "params", "returns")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, params: MessageSchema,
+                 returns: str = "any") -> None:
+        self.name = name
+        self.params = params
+        self.returns = returns
         if self.returns not in _TYPE_CHECKS:
             raise SchemaError(f"unknown return type {self.returns!r}")
 
@@ -98,13 +101,14 @@ class OperationSpec:
             )
 
 
-@dataclass
 class InterfaceSchema:
     """A service interface: a name and a set of operations."""
 
-    name: str
-    operations: Dict[str, OperationSpec] = field(default_factory=dict,
-                                                 init=False)
+    __slots__ = ("name", "operations")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.operations: Dict[str, OperationSpec] = {}
 
     def add_operation(
         self,

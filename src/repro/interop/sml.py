@@ -18,7 +18,6 @@ codec uses it as a wire format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import MarkupError
@@ -52,16 +51,17 @@ def _is_name_char(ch: str) -> bool:
     return ch.isalnum() or ch in "_-."
 
 
-@dataclass
 class SmlElement:
     """A markup element: tag, attributes, children, and text content."""
 
-    tag: str
-    attributes: Dict[str, str] = field(default_factory=dict)
-    children: List["SmlElement"] = field(default_factory=list, init=False)
-    text: str = ""
+    __slots__ = ("tag", "attributes", "children", "text")
 
-    def __post_init__(self) -> None:
+    def __init__(self, tag: str, attributes: Optional[Dict[str, str]] = None,
+                 text: str = "") -> None:
+        self.tag = tag
+        self.attributes = {} if attributes is None else attributes
+        self.children: List["SmlElement"] = []
+        self.text = text
         if not self.tag or not _is_name_start(self.tag[0]) or not all(
             _is_name_char(c) for c in self.tag
         ):

@@ -7,7 +7,10 @@ moves. This package provides hierarchical logical names
 logical names to current physical addresses (:mod:`repro.naming.locator`).
 """
 
-from repro.naming.locator import LocationClient, LocationServer
-from repro.naming.names import LogicalName
+from repro import _facade
 
-__all__ = ["LocationClient", "LocationServer", "LogicalName"]
+__getattr__, __all__ = _facade(__name__, {
+    "LocationClient": "repro.naming.locator",
+    "LocationServer": "repro.naming.locator",
+    "LogicalName": "repro.naming.names",
+})

@@ -12,7 +12,6 @@ corresponding acks, plus ``resolve_prefix`` for directory-style listing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.errors import NameNotFoundError
@@ -31,11 +30,13 @@ def _bindings(raw: Dict[str, str]) -> Dict[str, Address]:
 _NAME = checked(LogicalName.parse)
 
 
-@dataclass
 class Binding:
-    name: str
-    address: str
-    version: int
+    __slots__ = ("name", "address", "version")
+
+    def __init__(self, name: str, address: str, version: int) -> None:
+        self.name = name
+        self.address = address
+        self.version = version
 
 
 class LocationServer(MessageEndpoint):

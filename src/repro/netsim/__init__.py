@@ -22,22 +22,16 @@ enforced by ``tests/test_judging_kit.py``
 imports from above, neither loaded by this ``__init__``.
 """
 
-from repro.netsim.energy import Battery, RadioEnergyModel
-from repro.netsim.link import WiredLink
-from repro.netsim.medium import RadioProfile, WirelessMedium
-from repro.netsim.network import Network
-from repro.netsim.node import Node
-from repro.netsim.packet import Packet
-from repro.netsim.simulator import Simulator
+from repro import _facade
 
-__all__ = [
-    "Battery",
-    "RadioEnergyModel",
-    "WiredLink",
-    "RadioProfile",
-    "WirelessMedium",
-    "Network",
-    "Node",
-    "Packet",
-    "Simulator",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "Battery": "repro.netsim.energy",
+    "RadioEnergyModel": "repro.netsim.energy",
+    "WiredLink": "repro.netsim.link",
+    "RadioProfile": "repro.netsim.medium",
+    "WirelessMedium": "repro.netsim.medium",
+    "Network": "repro.netsim.network",
+    "Node": "repro.netsim.node",
+    "Packet": "repro.netsim.packet",
+    "Simulator": "repro.netsim.simulator",
+})

@@ -23,7 +23,6 @@ position *readings* a middleware location service would actually ingest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
@@ -32,28 +31,47 @@ from repro.util.geometry import Point
 from repro.util.rng import split_rng
 
 
-@dataclass
 class RfidTag:
     """A passive tag: an id, a position, and a little onboard memory."""
 
-    tag_id: str
-    position: Point
-    memory: Dict[str, str] = field(default_factory=dict)
+    __slots__ = ("tag_id", "position", "memory")
 
-    def __post_init__(self) -> None:
+    def __init__(self, tag_id: str, position: Point,
+                 memory: Optional[Dict[str, str]] = None) -> None:
+        self.tag_id = tag_id
+        self.position = position
+        self.memory = {} if memory is None else memory
         if not self.tag_id:
             raise ConfigurationError("tag_id must be non-empty")
 
 
-@dataclass(frozen=True)
 class InventoryResult:
     """Outcome of one full inventory (until no tag is left unread)."""
 
-    read_tags: Tuple[str, ...]
-    rounds: int
-    total_slots: int
-    collisions: int
-    empty_slots: int
+    __slots__ = ("read_tags", "rounds", "total_slots", "collisions",
+                 "empty_slots")
+
+    def __init__(self, read_tags: Tuple[str, ...], rounds: int,
+                 total_slots: int, collisions: int, empty_slots: int) -> None:
+        self.read_tags = read_tags
+        self.rounds = rounds
+        self.total_slots = total_slots
+        self.collisions = collisions
+        self.empty_slots = empty_slots
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.read_tags, self.rounds, self.total_slots, self.collisions,
+             self.empty_slots)
+            == (other.read_tags, other.rounds, other.total_slots,
+                other.collisions, other.empty_slots)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.read_tags, self.rounds, self.total_slots,
+                     self.collisions, self.empty_slots))
 
     @property
     def slot_efficiency(self) -> float:

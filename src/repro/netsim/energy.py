@@ -13,7 +13,6 @@ charged separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List
 
 from repro.errors import ConfigurationError
@@ -24,7 +23,6 @@ DEFAULT_EPS_AMP = 100e-12  # J/bit/m^2 for the transmit amplifier
 DEFAULT_PATH_LOSS_EXPONENT = 2.0
 
 
-@dataclass(frozen=True)
 class RadioEnergyModel:
     """First-order radio energy model.
 
@@ -35,10 +33,16 @@ class RadioEnergyModel:
         idle_power: power drawn while listening (W).
     """
 
-    e_elec: float = DEFAULT_E_ELEC
-    eps_amp: float = DEFAULT_EPS_AMP
-    path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT
-    idle_power: float = 0.0
+    __slots__ = ("e_elec", "eps_amp", "path_loss_exponent", "idle_power")
+
+    def __init__(self, e_elec: float = DEFAULT_E_ELEC,
+                 eps_amp: float = DEFAULT_EPS_AMP,
+                 path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT,
+                 idle_power: float = 0.0) -> None:
+        self.e_elec = e_elec
+        self.eps_amp = eps_amp
+        self.path_loss_exponent = path_loss_exponent
+        self.idle_power = idle_power
 
     def tx_cost(self, size_bits: int, distance: float) -> float:
         """Energy (J) to transmit ``size_bits`` over ``distance`` meters."""
@@ -60,20 +64,18 @@ class RadioEnergyModel:
         return self.idle_power * max(0.0, duration)
 
 
-@dataclass
 class Battery:
     """A finite energy store with depletion callbacks.
 
     ``capacity`` of ``float('inf')`` models a mains-powered node.
     """
 
-    capacity: float = 2.0  # joules; typical mote experiment scale
-    remaining: float = field(default=-1.0)
-    _depletion_callbacks: List[Callable[[], None]] = field(
-        default_factory=list, init=False, repr=False
-    )
+    __slots__ = ("capacity", "remaining", "_depletion_callbacks")
 
-    def __post_init__(self) -> None:
+    def __init__(self, capacity: float = 2.0, remaining: float = -1.0) -> None:
+        self.capacity = capacity  # joules; typical mote experiment scale
+        self.remaining = remaining
+        self._depletion_callbacks: List[Callable[[], None]] = []
         if self.capacity < 0:
             raise ConfigurationError(f"battery capacity must be >= 0, got {self.capacity!r}")
         if self.remaining < 0:

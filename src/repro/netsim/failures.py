@@ -25,7 +25,6 @@ Semantics the chaos campaigns (:mod:`repro.workloads.campaign`) rely on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -35,14 +34,17 @@ from repro.netsim.packet import Packet
 from repro.util.rng import split_rng
 
 
-@dataclass
 class InjectedFault:
     """Record of one injected fault, for experiment reporting."""
 
-    at: float
-    kind: str
-    target: str
-    detail: str = ""
+    __slots__ = ("at", "kind", "target", "detail")
+
+    def __init__(self, at: float, kind: str, target: str,
+                 detail: str = "") -> None:
+        self.at = at
+        self.kind = kind
+        self.target = target
+        self.detail = detail
 
 
 class FrameCorruptor:

@@ -9,7 +9,6 @@ an optional loss probability. Wireline endpoints typically use
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import ConfigurationError
@@ -19,16 +18,17 @@ from repro.netsim.simulator import Simulator
 from repro.util.rng import split_rng
 
 
-@dataclass(frozen=True)
 class LinkProfile:
     """Parameters of one wireline technology."""
 
-    name: str
-    bandwidth_bps: float
-    latency_s: float
-    loss_probability: float = 0.0
+    __slots__ = ("name", "bandwidth_bps", "latency_s", "loss_probability")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, bandwidth_bps: float, latency_s: float,
+                 loss_probability: float = 0.0) -> None:
+        self.name = name
+        self.bandwidth_bps = bandwidth_bps
+        self.latency_s = latency_s
+        self.loss_probability = loss_probability
         if self.bandwidth_bps <= 0:
             raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth_bps!r}")
         if not 0.0 <= self.loss_probability < 1.0:

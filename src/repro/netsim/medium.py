@@ -12,7 +12,6 @@ components off).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import islice
 from math import hypot, inf
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -43,7 +42,6 @@ _WINDOW_SHARE = 0.999
 VECTOR_FROM_NODES = 36
 
 
-@dataclass(frozen=True)
 class RadioProfile:
     """Parameters of one wireless technology.
 
@@ -51,14 +49,18 @@ class RadioProfile:
     paper (Bluetooth, IEEE 802.11) at their era-appropriate data rates.
     """
 
-    name: str
-    bandwidth_bps: float
-    range_m: float
-    base_latency_s: float = 0.001
-    loss_probability: float = 0.0
-    contention_window_s: float = 0.0
+    __slots__ = ("name", "bandwidth_bps", "range_m", "base_latency_s",
+                 "loss_probability", "contention_window_s")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, bandwidth_bps: float, range_m: float,
+                 base_latency_s: float = 0.001, loss_probability: float = 0.0,
+                 contention_window_s: float = 0.0) -> None:
+        self.name = name
+        self.bandwidth_bps = bandwidth_bps
+        self.range_m = range_m
+        self.base_latency_s = base_latency_s
+        self.loss_probability = loss_probability
+        self.contention_window_s = contention_window_s
         if self.bandwidth_bps <= 0:
             raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth_bps!r}")
         if self.range_m <= 0:

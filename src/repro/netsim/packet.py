@@ -8,7 +8,6 @@ explicit so upper layers can account header overhead honestly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
@@ -22,18 +21,13 @@ HEADER_BYTES = 16
 _packet_seq = itertools.count()
 
 
-@dataclass(slots=True, init=False)
 class Packet:
     """A simulated frame.
 
-    ``slots=True`` matters at swarm scale: a 10k-node broadcast world holds
-    hundreds of thousands of live frames, and the per-instance ``__dict__``
-    of a plain dataclass dominated their footprint. Per-hop metadata
-    belongs in :attr:`headers`, not in ad-hoc attributes.
-
-    ``__init__`` is written out (one runs per transmission; the generated
-    one ran two default factories and a post-init hook); ``==``, ``repr``,
-    the field list and pickling stay the dataclass's own.
+    Slotted: a 10k-node broadcast world holds hundreds of thousands of live
+    frames, and a per-instance ``__dict__`` dominated their footprint.
+    Per-hop metadata belongs in :attr:`headers`, not in ad-hoc attributes.
+    ``==`` and ``repr`` compare and show the seven fields in order.
 
     Attributes:
         source: node id of the original sender.
@@ -46,13 +40,8 @@ class Packet:
         hop_count: incremented by forwarding layers.
     """
 
-    source: str
-    destination: str
-    payload: Any
-    payload_bytes: int
-    headers: Dict[str, Any]
-    packet_id: int
-    hop_count: int
+    __slots__ = ("source", "destination", "payload", "payload_bytes", "headers",
+                 "packet_id", "hop_count")
 
     def __init__(self, source: str, destination: str, payload: Any,
                  payload_bytes: int, headers: Optional[Dict[str, Any]] = None,
@@ -68,6 +57,19 @@ class Packet:
         self.headers = {} if headers is None else headers
         self.packet_id = next(_packet_seq) if packet_id is None else packet_id
         self.hop_count = hop_count
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields()))
+        return f"Packet({fields})"
 
     @property
     def size_bytes(self) -> int:

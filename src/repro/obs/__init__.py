@@ -25,29 +25,20 @@ Span ids derive from :func:`repro.util.rng.split_rng`, so two runs with the
 same seed export byte-identical traces.
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    dump_trace,
-    render_summary,
-    subsystems,
-    validate_chrome_trace,
-)
-from repro.obs.metrics import MetricsRegistry, Summary, get_registry
-from repro.obs.profiler import LoopProfiler
-from repro.obs.tracing import NOOP_SPAN, Span, Tracer, TRACER
+from repro import _facade
 
-__all__ = [
-    "TRACER",
-    "Tracer",
-    "Span",
-    "NOOP_SPAN",
-    "MetricsRegistry",
-    "Summary",
-    "get_registry",
-    "LoopProfiler",
-    "chrome_trace",
-    "dump_trace",
-    "validate_chrome_trace",
-    "render_summary",
-    "subsystems",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "chrome_trace": "repro.obs.export",
+    "dump_trace": "repro.obs.export",
+    "render_summary": "repro.obs.export",
+    "subsystems": "repro.obs.export",
+    "validate_chrome_trace": "repro.obs.export",
+    "MetricsRegistry": "repro.obs.metrics",
+    "Summary": "repro.obs.metrics",
+    "get_registry": "repro.obs.metrics",
+    "LoopProfiler": "repro.obs.profiler",
+    "NOOP_SPAN": "repro.obs.tracing",
+    "Span": "repro.obs.tracing",
+    "Tracer": "repro.obs.tracing",
+    "TRACER": "repro.obs.tracing",
+})

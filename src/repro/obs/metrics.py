@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -267,17 +266,20 @@ def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[max(1, math.ceil(q * len(sorted_values))) - 1]
 
 
-@dataclass(frozen=True)
 class Summary:
     """Summary statistics of a sample set."""
 
-    count: int
-    mean: float
-    minimum: float
-    maximum: float
-    p50: float
-    p95: float
-    p99: float
+    __slots__ = ("count", "mean", "minimum", "maximum", "p50", "p95", "p99")
+
+    def __init__(self, count: int, mean: float, minimum: float, maximum: float,
+                 p50: float, p95: float, p99: float) -> None:
+        self.count = count
+        self.mean = mean
+        self.minimum = minimum
+        self.maximum = maximum
+        self.p50 = p50
+        self.p95 = p95
+        self.p99 = p99
 
     @staticmethod
     def of(values: Sequence[float]) -> "Summary":

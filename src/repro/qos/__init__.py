@@ -19,46 +19,25 @@ adds request-edge admission control with priority classes — the front door
 of the overload-protection path (Section 3.7).
 """
 
-from repro.qos.benefit import (
-    BenefitFunction,
-    ConstantBenefit,
-    ExponentialDecayBenefit,
-    LinearDecayBenefit,
-    StepBenefit,
-)
-from repro.qos.contract import ContractTerms, QoSContract
-from repro.qos.monitor import DegradationManager, QoSMonitor
-from repro.qos.spatial import SpatialPreference, spatial_score
-from repro.qos.spec import ConsumerQoS, MatchScore, NetworkQoS, SupplierQoS, score_match
+from repro import _facade
 
-
-def __getattr__(name):
-    # Lazy: repro.qos is imported by discovery (service descriptions embed
-    # SupplierQoS), and admission pulls in repro.scheduling → transactions →
-    # discovery. Deferring the import breaks that cycle.
-    if name in ("AdmissionController", "PriorityClass"):
-        from repro.qos import admission
-
-        return getattr(admission, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "AdmissionController",
-    "PriorityClass",
-    "BenefitFunction",
-    "ConstantBenefit",
-    "ExponentialDecayBenefit",
-    "LinearDecayBenefit",
-    "StepBenefit",
-    "ContractTerms",
-    "QoSContract",
-    "DegradationManager",
-    "QoSMonitor",
-    "SpatialPreference",
-    "spatial_score",
-    "ConsumerQoS",
-    "MatchScore",
-    "NetworkQoS",
-    "SupplierQoS",
-    "score_match",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "AdmissionController": "repro.qos.admission",
+    "PriorityClass": "repro.qos.admission",
+    "BenefitFunction": "repro.qos.benefit",
+    "ConstantBenefit": "repro.qos.benefit",
+    "ExponentialDecayBenefit": "repro.qos.benefit",
+    "LinearDecayBenefit": "repro.qos.benefit",
+    "StepBenefit": "repro.qos.benefit",
+    "ContractTerms": "repro.qos.contract",
+    "QoSContract": "repro.qos.contract",
+    "DegradationManager": "repro.qos.monitor",
+    "QoSMonitor": "repro.qos.monitor",
+    "SpatialPreference": "repro.qos.spatial",
+    "spatial_score": "repro.qos.spatial",
+    "ConsumerQoS": "repro.qos.spec",
+    "MatchScore": "repro.qos.spec",
+    "NetworkQoS": "repro.qos.spec",
+    "SupplierQoS": "repro.qos.spec",
+    "score_match": "repro.qos.spec",
+})

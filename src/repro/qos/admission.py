@@ -24,7 +24,6 @@ governor samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import ConfigurationError
@@ -33,7 +32,6 @@ from repro.obs.tracing import TRACER
 from repro.scheduling.bandwidth import BandwidthAllocator
 
 
-@dataclass(frozen=True)
 class PriorityClass:
     """One admission class: a guaranteed request rate plus privilege.
 
@@ -43,12 +41,15 @@ class PriorityClass:
     way the handoff boost does on links.
     """
 
-    name: str
-    rate_per_s: float
-    burst: Optional[float] = None
-    privileged: bool = False
+    __slots__ = ("name", "rate_per_s", "burst", "privileged")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, rate_per_s: float,
+                 burst: Optional[float] = None,
+                 privileged: bool = False) -> None:
+        self.name = name
+        self.rate_per_s = rate_per_s
+        self.burst = burst
+        self.privileged = privileged
         if self.rate_per_s <= 0:
             raise ConfigurationError(
                 f"class {self.name!r} rate must be positive, got {self.rate_per_s!r}"

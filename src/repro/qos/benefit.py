@@ -10,7 +10,6 @@ the application derives, in [0, 1]. Real-time applications use a hard
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
@@ -24,21 +23,22 @@ class BenefitFunction(Protocol):
         ...
 
 
-@dataclass(frozen=True)
 class ConstantBenefit:
     """Delay-insensitive (e-mail): full benefit whenever data arrives."""
+
+    __slots__ = ()
 
     def value(self, delay_s: float) -> float:
         return 1.0
 
 
-@dataclass(frozen=True)
 class StepBenefit:
     """Hard real-time: full benefit up to the deadline, zero after."""
 
-    deadline_s: float
+    __slots__ = ("deadline_s",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, deadline_s: float) -> None:
+        self.deadline_s = deadline_s
         if self.deadline_s <= 0:
             raise ConfigurationError(f"deadline must be positive, got {self.deadline_s!r}")
 
@@ -46,15 +46,15 @@ class StepBenefit:
         return 1.0 if delay_s <= self.deadline_s else 0.0
 
 
-@dataclass(frozen=True)
 class LinearDecayBenefit:
     """Soft real-time: full benefit until ``full_until_s``, then a linear
     ramp down to zero at ``zero_at_s``."""
 
-    full_until_s: float
-    zero_at_s: float
+    __slots__ = ("full_until_s", "zero_at_s")
 
-    def __post_init__(self) -> None:
+    def __init__(self, full_until_s: float, zero_at_s: float) -> None:
+        self.full_until_s = full_until_s
+        self.zero_at_s = zero_at_s
         if self.full_until_s < 0:
             raise ConfigurationError(f"full_until must be >= 0, got {self.full_until_s!r}")
         if self.zero_at_s <= self.full_until_s:
@@ -71,13 +71,13 @@ class LinearDecayBenefit:
         return 1.0 - (delay_s - self.full_until_s) / span
 
 
-@dataclass(frozen=True)
 class ExponentialDecayBenefit:
     """Freshness-valuing: benefit halves every ``half_life_s``."""
 
-    half_life_s: float
+    __slots__ = ("half_life_s",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, half_life_s: float) -> None:
+        self.half_life_s = half_life_s
         if self.half_life_s <= 0:
             raise ConfigurationError(f"half life must be positive, got {self.half_life_s!r}")
 

@@ -10,14 +10,12 @@ reacts to.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.util.events import EventEmitter
 
 
-@dataclass(frozen=True)
 class ContractTerms:
     """What the supplier agreed to deliver.
 
@@ -31,12 +29,16 @@ class ContractTerms:
             observations arrive (avoids flapping on startup).
     """
 
-    min_success_rate: float = 0.9
-    max_mean_latency_s: Optional[float] = None
-    window: int = 20
-    min_observations: int = 5
+    __slots__ = ("min_success_rate", "max_mean_latency_s", "window",
+                 "min_observations")
 
-    def __post_init__(self) -> None:
+    def __init__(self, min_success_rate: float = 0.9,
+                 max_mean_latency_s: Optional[float] = None, window: int = 20,
+                 min_observations: int = 5) -> None:
+        self.min_success_rate = min_success_rate
+        self.max_mean_latency_s = max_mean_latency_s
+        self.window = window
+        self.min_observations = min_observations
         if not 0.0 <= self.min_success_rate <= 1.0:
             raise ConfigurationError(
                 f"min success rate must be in [0,1], got {self.min_success_rate!r}"

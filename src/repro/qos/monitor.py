@@ -13,7 +13,6 @@ nothing feasible remains — degrading gracefully instead of failing.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.qos.contract import QoSContract
@@ -99,11 +98,16 @@ class DegradationManager:
         latency = self.base_consumer.max_latency_s
         if latency is not None:
             latency = latency * (LATENCY_FACTOR**self.level)
-        return replace(
-            self.base_consumer,
+        base = self.base_consumer
+        return ConsumerQoS(
             min_reliability=reliability,
             min_availability=availability,
             max_latency_s=latency,
+            benefit=base.benefit,
+            spatial=base.spatial,
+            require_encryption=base.require_encryption,
+            password=base.password,
+            prefer_mains_power=base.prefer_mains_power,
         )
 
     # --------------------------------------------------------------- binding

@@ -10,7 +10,6 @@ against logical-only matching.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -28,7 +27,6 @@ def spatial_score(distance_m: float, scale_m: float) -> float:
     return math.exp(-max(0.0, distance_m) / scale_m)
 
 
-@dataclass(frozen=True)
 class SpatialPreference:
     """A consumer's spatial QoS term.
 
@@ -39,11 +37,14 @@ class SpatialPreference:
         weight: relative weight of proximity in the combined match score.
     """
 
-    scale_m: float = 50.0
-    max_distance_m: Optional[float] = None
-    weight: float = 1.0
+    __slots__ = ("scale_m", "max_distance_m", "weight")
 
-    def __post_init__(self) -> None:
+    def __init__(self, scale_m: float = 50.0,
+                 max_distance_m: Optional[float] = None,
+                 weight: float = 1.0) -> None:
+        self.scale_m = scale_m
+        self.max_distance_m = max_distance_m
+        self.weight = weight
         if self.scale_m <= 0:
             raise ConfigurationError(f"scale must be positive, got {self.scale_m!r}")
         if self.max_distance_m is not None and self.max_distance_m <= 0:

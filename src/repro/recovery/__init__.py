@@ -17,17 +17,14 @@ Replication — the far end of the paper's recovery spectrum — is
 :mod:`repro.replication` (op-log primary-backup, majority commit, election).
 """
 
-from repro.recovery.checkpoint import Checkpoint, CheckpointManager
-from repro.recovery.heartbeat import HeartbeatDetector
-from repro.recovery.store import TransactionalStore
-from repro.recovery.wal import LogRecord, StableStorage, WriteAheadLog
+from repro import _facade
 
-__all__ = [
-    "Checkpoint",
-    "CheckpointManager",
-    "HeartbeatDetector",
-    "TransactionalStore",
-    "LogRecord",
-    "StableStorage",
-    "WriteAheadLog",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "Checkpoint": "repro.recovery.checkpoint",
+    "CheckpointManager": "repro.recovery.checkpoint",
+    "HeartbeatDetector": "repro.recovery.heartbeat",
+    "TransactionalStore": "repro.recovery.store",
+    "LogRecord": "repro.recovery.wal",
+    "StableStorage": "repro.recovery.wal",
+    "WriteAheadLog": "repro.recovery.wal",
+})

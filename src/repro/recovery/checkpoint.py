@@ -8,13 +8,11 @@ checkpoint interval to show the recovery-time / runtime-overhead tradeoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.recovery.wal import CHECKPOINT, LogRecord, WriteAheadLog
 
 
-@dataclass(frozen=True)
 class Checkpoint:
     """Decoded checkpoint contents.
 
@@ -26,10 +24,14 @@ class Checkpoint:
     would lose committed writes.
     """
 
-    lsn: int
-    state: Dict[str, Any]
-    live_transactions: List[str]
-    redo_from_lsn: int
+    __slots__ = ("lsn", "state", "live_transactions", "redo_from_lsn")
+
+    def __init__(self, lsn: int, state: Dict[str, Any],
+                 live_transactions: List[str], redo_from_lsn: int) -> None:
+        self.lsn = lsn
+        self.state = state
+        self.live_transactions = live_transactions
+        self.redo_from_lsn = redo_from_lsn
 
     @staticmethod
     def from_record(record: LogRecord) -> "Checkpoint":

@@ -11,7 +11,6 @@ Wire format: ``{"op": "hb", "from": node, "seq": n}`` (fire-and-forget).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Set
 
 from repro.errors import ConfigurationError
@@ -21,11 +20,13 @@ from repro.transport.endpoint import MessageEndpoint
 from repro.util.events import EventEmitter, Subscription
 
 
-@dataclass
 class PeerState:
-    last_heard: float
-    last_seq: int
-    suspected: bool = field(default=False, init=False)
+    __slots__ = ("last_heard", "last_seq", "suspected")
+
+    def __init__(self, last_heard: float, last_seq: int) -> None:
+        self.last_heard = last_heard
+        self.last_seq = last_seq
+        self.suspected: bool = False
 
 
 class HeartbeatDetector(MessageEndpoint):

@@ -14,7 +14,6 @@ before/after images), ``COMMIT``, ``ABORT``, ``CHECKPOINT``.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import LogCorruptionError
@@ -29,17 +28,35 @@ CHECKPOINT = "CHECKPOINT"
 _codec = BinaryCodec()
 
 
-@dataclass(frozen=True)
 class LogRecord:
     """One durable log entry."""
 
-    lsn: int
-    kind: str
-    txid: Optional[str] = None
-    key: Optional[str] = None
-    before: Any = None
-    after: Any = None
-    payload: Any = None  # checkpoint snapshots, etc.
+    __slots__ = ("lsn", "kind", "txid", "key", "before", "after", "payload")
+
+    def __init__(self, lsn: int, kind: str, txid: Optional[str] = None,
+                 key: Optional[str] = None, before: Any = None,
+                 after: Any = None, payload: Any = None) -> None:
+        self.lsn = lsn
+        self.kind = kind
+        self.txid = txid
+        self.key = key
+        self.before = before
+        self.after = after
+        self.payload = payload  # checkpoint snapshots, etc.
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.lsn, self.kind, self.txid, self.key, self.before, self.after,
+             self.payload)
+            == (other.lsn, other.kind, other.txid, other.key, other.before,
+                other.after, other.payload)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lsn, self.kind, self.txid, self.key, self.before,
+                     self.after, self.payload))
 
     def encode(self) -> bytes:
         body = _codec.encode(
@@ -76,7 +93,6 @@ class LogRecord:
         )
 
 
-@dataclass
 class StableStorage:
     """Crash-surviving storage: an append-only list of encoded records.
 
@@ -84,7 +100,10 @@ class StableStorage:
     :meth:`truncate` models a torn write.
     """
 
-    blobs: List[bytes] = field(default_factory=list, init=False)
+    __slots__ = ("blobs",)
+
+    def __init__(self) -> None:
+        self.blobs: List[bytes] = []
 
     def append(self, blob: bytes) -> None:
         # Durable storage holds real bytes only — a lazy wire frame handed

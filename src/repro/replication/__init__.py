@@ -23,28 +23,18 @@ deployments without changing client-facing call shapes:
   judges a group by, its scorecard summary, and its teardown.
 """
 
-from repro.replication.client import GroupClient, ShardedClient
-from repro.replication.log import LogEntry, OpLog
-from repro.replication.replica import (
-    Outcome,
-    ReplicaNode,
-    ReplicationParams,
-    StateMachine,
-    deploy_group,
-    deploy_sharded,
-)
-from repro.replication.shards import ShardMap
+from repro import _facade
 
-__all__ = [
-    "GroupClient",
-    "LogEntry",
-    "OpLog",
-    "Outcome",
-    "ReplicaNode",
-    "ReplicationParams",
-    "ShardMap",
-    "ShardedClient",
-    "StateMachine",
-    "deploy_group",
-    "deploy_sharded",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "GroupClient": "repro.replication.client",
+    "ShardedClient": "repro.replication.client",
+    "LogEntry": "repro.replication.log",
+    "OpLog": "repro.replication.log",
+    "Outcome": "repro.replication.replica",
+    "ReplicaNode": "repro.replication.replica",
+    "ReplicationParams": "repro.replication.replica",
+    "StateMachine": "repro.replication.replica",
+    "deploy_group": "repro.replication.replica",
+    "deploy_sharded": "repro.replication.replica",
+    "ShardMap": "repro.replication.shards",
+})

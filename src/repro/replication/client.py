@@ -22,7 +22,6 @@ via a :class:`~repro.replication.shards.ShardMap`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -35,21 +34,25 @@ from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
 
-@dataclass
 class _Request:
-    rid: str
-    message: Dict[str, Any]
-    promise: Promise
-    blocking: bool
-    read: bool
-    attempts: int = 0
-    probe: int = 0
-    force_primary: bool = False
-    target: Optional[Address] = None
-    timer: Any = None
-    # The request's lazy frame: retransmissions across timeouts/failovers
-    # reuse it, so the message encodes at most once per request lifetime.
-    wire: Optional[WireFrame] = None
+    __slots__ = ("rid", "message", "promise", "blocking", "read", "attempts",
+                 "probe", "force_primary", "target", "timer", "wire")
+
+    def __init__(self, rid: str, message: Dict[str, Any], promise: Promise,
+                 blocking: bool, read: bool) -> None:
+        self.rid = rid
+        self.message = message
+        self.promise = promise
+        self.blocking = blocking
+        self.read = read
+        self.attempts = 0
+        self.probe = 0
+        self.force_primary = False
+        self.target: Optional[Address] = None
+        self.timer: Any = None
+        # The request's lazy frame: retransmissions across timeouts/failovers
+        # reuse it, so the message encodes at most once per request lifetime.
+        self.wire: Optional[WireFrame] = None
 
 
 _LEADER = optional((str, type(None)))  # a member may not know one

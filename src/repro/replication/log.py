@@ -15,13 +15,11 @@ append, truncate, or advance commit) live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
 class LogEntry:
     """One replicated operation.
 
@@ -29,11 +27,26 @@ class LogEntry:
     application (retries of an already-logged rid never re-append).
     """
 
-    index: int
-    term: int
-    rid: str
-    name: str
-    args: Tuple[Any, ...]
+    __slots__ = ("index", "term", "rid", "name", "args")
+
+    def __init__(self, index: int, term: int, rid: str, name: str,
+                 args: Tuple[Any, ...]) -> None:
+        self.index = index
+        self.term = term
+        self.rid = rid
+        self.name = name
+        self.args = args
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.index, self.term, self.rid, self.name, self.args)
+            == (other.index, other.term, other.rid, other.name, other.args)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.term, self.rid, self.name, self.args))
 
     def to_wire(self) -> Dict[str, Any]:
         return {

@@ -33,7 +33,6 @@ election adds strictly positive time on top).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -41,13 +40,13 @@ from repro.interop.frames import WireFrame
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.recovery.heartbeat import HeartbeatDetector
+from repro.replication.election import BullyElection
 from repro.replication.log import LogEntry, OpLog
 from repro.transport.base import Address, Transport, drop_malformed
 from repro.transport.endpoint import (
     MALFORMED, MessageEndpoint, list_of, optional, present)
 
 
-@dataclass(frozen=True)
 class Outcome:
     """Result of applying one op to a :class:`StateMachine`.
 
@@ -56,9 +55,14 @@ class Outcome:
     tuple of ``(rid, result)`` pairs resolved by this application.
     """
 
-    result: Any = None
-    wakeups: Tuple[Tuple[str, Any], ...] = ()
-    pending: bool = False
+    __slots__ = ("result", "wakeups", "pending")
+
+    def __init__(self, result: Any = None,
+                 wakeups: Tuple[Tuple[str, Any], ...] = (),
+                 pending: bool = False) -> None:
+        self.result = result
+        self.wakeups = wakeups
+        self.pending = pending
 
 
 class StateMachine:
@@ -96,27 +100,40 @@ NOOP = "__noop"
 _REJECTED = object()
 
 
-@dataclass(frozen=True)
 class ReplicationParams:
     """Tunables for one replica group. Defaults suit the simulator's
     low-latency fabrics; chaos campaigns override with coarser timers."""
 
-    hb_interval_s: float = 0.5
-    hb_timeout_multiplier: float = 3.0
-    elect_timeout_s: float = 0.6
-    sync_timeout_s: float = 0.6
-    coord_timeout_s: float = 1.2
-    beacon_interval_s: float = 0.5
-    write_timeout_s: float = 4.0
-    compact_every: int = 0  # retained entries before compaction; 0 = never
-    service_delay_s: float = 0.0  # per-request service time (read scaling)
+    __slots__ = ("hb_interval_s", "hb_timeout_multiplier", "elect_timeout_s",
+                 "sync_timeout_s", "coord_timeout_s", "beacon_interval_s",
+                 "write_timeout_s", "compact_every", "service_delay_s")
+
+    def __init__(self, hb_interval_s: float = 0.5,
+                 hb_timeout_multiplier: float = 3.0,
+                 elect_timeout_s: float = 0.6, sync_timeout_s: float = 0.6,
+                 coord_timeout_s: float = 1.2, beacon_interval_s: float = 0.5,
+                 write_timeout_s: float = 4.0, compact_every: int = 0,
+                 service_delay_s: float = 0.0) -> None:
+        self.hb_interval_s = hb_interval_s
+        self.hb_timeout_multiplier = hb_timeout_multiplier
+        self.elect_timeout_s = elect_timeout_s
+        self.sync_timeout_s = sync_timeout_s
+        self.coord_timeout_s = coord_timeout_s
+        self.beacon_interval_s = beacon_interval_s
+        self.write_timeout_s = write_timeout_s
+        # retained entries before compaction; 0 = never
+        self.compact_every = compact_every
+        # per-request service time (read scaling)
+        self.service_delay_s = service_delay_s
 
 
-@dataclass
 class _PendingCmd:
-    source: Address
-    rid: str
-    timer: Any = None
+    __slots__ = ("source", "rid", "timer")
+
+    def __init__(self, source: Address, rid: str) -> None:
+        self.source = source
+        self.rid = rid
+        self.timer: Any = None
 
 
 _ENTRIES = list_of(LogEntry.from_wire)
@@ -161,8 +178,6 @@ class ReplicaNode(MessageEndpoint):
         initial_leader: Optional[str] = None,
         group: str = "g0",
     ):
-        from repro.replication.election import BullyElection
-
         super().__init__(transport)
         self.hb_transport = hb_transport
         self.params = params if params is not None else ReplicationParams()

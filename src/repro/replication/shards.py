@@ -10,20 +10,19 @@ client and a test harness always agree on placement.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.transport.base import Address
 
 
-@dataclass(frozen=True)
 class ShardMap:
     """Routes keys to replica groups. ``groups[i]`` are shard *i*'s members."""
 
-    groups: Tuple[Tuple[Address, ...], ...]
+    __slots__ = ("groups",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, groups: Tuple[Tuple[Address, ...], ...]) -> None:
+        self.groups = groups
         if not self.groups:
             raise ConfigurationError("a shard map needs at least one group")
         for members in self.groups:

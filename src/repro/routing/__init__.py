@@ -22,23 +22,17 @@ application. This package provides that layer:
   gradient routing for sensor data.
 """
 
-from repro.routing.base import Envelope, RoutedTransport, Router, RoutingAgent
-from repro.routing.datacentric import DataCentricAgent
-from repro.routing.dsr import DsrRouter
-from repro.routing.energyaware import EnergyAwareRouter
-from repro.routing.flooding import FloodingRouter
-from repro.routing.geographic import GeographicRouter
-from repro.routing.linkstate import LinkStateRouter
+from repro import _facade
 
-__all__ = [
-    "Envelope",
-    "RoutedTransport",
-    "Router",
-    "RoutingAgent",
-    "DataCentricAgent",
-    "DsrRouter",
-    "EnergyAwareRouter",
-    "FloodingRouter",
-    "GeographicRouter",
-    "LinkStateRouter",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "Envelope": "repro.routing.base",
+    "RoutedTransport": "repro.routing.base",
+    "Router": "repro.routing.base",
+    "RoutingAgent": "repro.routing.base",
+    "DataCentricAgent": "repro.routing.datacentric",
+    "DsrRouter": "repro.routing.dsr",
+    "EnergyAwareRouter": "repro.routing.energyaware",
+    "FloodingRouter": "repro.routing.flooding",
+    "GeographicRouter": "repro.routing.geographic",
+    "LinkStateRouter": "repro.routing.linkstate",
+})

@@ -21,7 +21,6 @@ dicts on the same port and is handed to the router.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, MiddlewareError
@@ -39,27 +38,29 @@ DEFAULT_TTL = 32
 _BODY_TYPES = (bytes, bytearray) + FRAME_TYPES
 
 
-@dataclass
 class Envelope:
     """A multi-hop datagram."""
 
-    source: Address
-    destination: Address
-    ttl: int
-    seq: int
-    payload: bytes
-    route: Optional[List[str]] = None  # explicit source route, if any
-    # In-memory only — never serialized into the wire dict. Carries the
-    # originating trace context while an envelope sits in router queues
-    # (e.g. DSR awaiting route discovery).
-    trace_ctx: Optional[SpanContext] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    # In-memory only: the lazy frame this envelope arrived as, when its wire
-    # dict is known to round-trip through to_dict() byte-for-byte. Lets a
-    # forward derive the next frame (ttl patched, length O(1)) from it.
-    wire: Optional[WireFrame] = field(
-        default=None, init=False, compare=False, repr=False)
+    __slots__ = ("source", "destination", "ttl", "seq", "payload", "route",
+                 "trace_ctx", "wire")
+
+    def __init__(self, source: Address, destination: Address, ttl: int,
+                 seq: int, payload: bytes,
+                 route: Optional[List[str]] = None) -> None:
+        self.source = source
+        self.destination = destination
+        self.ttl = ttl
+        self.seq = seq
+        self.payload = payload
+        self.route = route  # explicit source route, if any
+        # In-memory only — never serialized into the wire dict. Carries the
+        # originating trace context while an envelope sits in router queues
+        # (e.g. DSR awaiting route discovery).
+        self.trace_ctx: Optional[SpanContext] = None
+        # In-memory only: the lazy frame this envelope arrived as, when its wire
+        # dict is known to round-trip through to_dict() byte-for-byte. Lets a
+        # forward derive the next frame (ttl patched, length O(1)) from it.
+        self.wire: Optional[WireFrame] = None
 
     def to_dict(self) -> Dict[str, Any]:
         message: Dict[str, Any] = {

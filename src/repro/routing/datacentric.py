@@ -16,7 +16,6 @@ Messages (own port, codec dicts)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.interop.frames import WireFrame
@@ -32,14 +31,17 @@ DEFAULT_GRADIENT_LIFETIME_S = 30.0
 DataCallback = Callable[[str, Any, str], None]  # (name, value, origin)
 
 
-@dataclass
 class Gradient:
     """Where to send data for one (name, sink) pair."""
 
-    parent: str  # neighbor to forward toward the sink
-    sink: str
-    hops_to_sink: int
-    expires_at: float
+    __slots__ = ("parent", "sink", "hops_to_sink", "expires_at")
+
+    def __init__(self, parent: str, sink: str, hops_to_sink: int,
+                 expires_at: float) -> None:
+        self.parent = parent  # neighbor to forward toward the sink
+        self.sink = sink
+        self.hops_to_sink = hops_to_sink
+        self.expires_at = expires_at
 
 
 class DataCentricAgent(MessageEndpoint):

@@ -18,41 +18,23 @@ Correspondingly:
   (list scheduling, min-min, max-min).
 """
 
-from repro.scheduling.bandwidth import BandwidthAllocator, TokenBucket
-from repro.scheduling.gridsched import (
-    GridTask,
-    Processor,
-    schedule_list,
-    schedule_max_min,
-    schedule_min_min,
-    schedule_round_robin,
-)
-from repro.scheduling.handoff import HandoffManager
-from repro.scheduling.policies import (
-    EdfPolicy,
-    FifoPolicy,
-    PriorityPolicy,
-    RateMonotonicPolicy,
-    rm_utilization_bound,
-)
-from repro.scheduling.scheduler import TaskScheduler
-from repro.scheduling.task import ScheduledTask
+from repro import _facade
 
-__all__ = [
-    "BandwidthAllocator",
-    "TokenBucket",
-    "GridTask",
-    "Processor",
-    "schedule_list",
-    "schedule_max_min",
-    "schedule_min_min",
-    "schedule_round_robin",
-    "HandoffManager",
-    "EdfPolicy",
-    "FifoPolicy",
-    "PriorityPolicy",
-    "RateMonotonicPolicy",
-    "rm_utilization_bound",
-    "TaskScheduler",
-    "ScheduledTask",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "BandwidthAllocator": "repro.scheduling.bandwidth",
+    "TokenBucket": "repro.scheduling.bandwidth",
+    "GridTask": "repro.scheduling.gridsched",
+    "Processor": "repro.scheduling.gridsched",
+    "schedule_list": "repro.scheduling.gridsched",
+    "schedule_max_min": "repro.scheduling.gridsched",
+    "schedule_min_min": "repro.scheduling.gridsched",
+    "schedule_round_robin": "repro.scheduling.gridsched",
+    "HandoffManager": "repro.scheduling.handoff",
+    "EdfPolicy": "repro.scheduling.policies",
+    "FifoPolicy": "repro.scheduling.policies",
+    "PriorityPolicy": "repro.scheduling.policies",
+    "RateMonotonicPolicy": "repro.scheduling.policies",
+    "rm_utilization_bound": "repro.scheduling.policies",
+    "TaskScheduler": "repro.scheduling.scheduler",
+    "ScheduledTask": "repro.scheduling.task",
+})

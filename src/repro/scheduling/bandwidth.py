@@ -27,22 +27,22 @@ reservations byte-compatible with the historical behavior).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import AdmissionRefused, ConfigurationError
 
 
-@dataclass
 class TokenBucket:
     """Classic token bucket: ``rate_bps`` sustained, ``burst_bits`` burst."""
 
-    rate_bps: float
-    burst_bits: float
-    tokens: float = -1.0
-    last_update: float = 0.0
+    __slots__ = ("rate_bps", "burst_bits", "tokens", "last_update")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rate_bps: float, burst_bits: float, tokens: float = -1.0,
+                 last_update: float = 0.0) -> None:
+        self.rate_bps = rate_bps
+        self.burst_bits = burst_bits
+        self.tokens = tokens
+        self.last_update = last_update
         if self.rate_bps <= 0:
             raise ConfigurationError(f"rate must be positive, got {self.rate_bps!r}")
         if self.burst_bits <= 0:

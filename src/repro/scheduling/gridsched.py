@@ -11,32 +11,39 @@ All functions are pure: they take tasks and processors and return a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
 class GridTask:
     """An independent task with an abstract amount of work."""
 
-    task_id: str
-    work: float  # abstract operations
+    __slots__ = ("task_id", "work")
 
-    def __post_init__(self) -> None:
+    def __init__(self, task_id: str, work: float) -> None:
+        self.task_id = task_id
+        self.work = work  # abstract operations
         if self.work <= 0:
             raise ConfigurationError(f"work must be positive, got {self.work!r}")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.task_id, self.work) == (other.task_id, other.work)
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        return hash((self.task_id, self.work))
+
+
 class Processor:
     """A processor with a speed (operations per second)."""
 
-    proc_id: str
-    speed: float = 1.0
+    __slots__ = ("proc_id", "speed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, proc_id: str, speed: float = 1.0) -> None:
+        self.proc_id = proc_id
+        self.speed = speed
         if self.speed <= 0:
             raise ConfigurationError(f"speed must be positive, got {self.speed!r}")
 
@@ -44,13 +51,17 @@ class Processor:
         return task.work / self.speed
 
 
-@dataclass
 class GridSchedule:
     """Result of a mapping heuristic."""
 
-    algorithm: str
-    assignment: Dict[str, str] = field(default_factory=dict, init=False)  # task -> proc
-    finish_times: Dict[str, float] = field(default_factory=dict)  # proc -> busy until
+    __slots__ = ("algorithm", "assignment", "finish_times")
+
+    def __init__(self, algorithm: str,
+                 finish_times: Optional[Dict[str, float]] = None) -> None:
+        self.algorithm = algorithm
+        self.assignment: Dict[str, str] = {}  # task -> proc
+        # proc -> busy until
+        self.finish_times = {} if finish_times is None else finish_times
 
     @property
     def makespan(self) -> float:

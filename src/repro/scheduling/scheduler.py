@@ -15,7 +15,6 @@ supported and benchmarked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from repro.errors import AdmissionRefused
@@ -26,14 +25,17 @@ from repro.scheduling.task import ScheduledTask
 from repro.util.events import EventEmitter
 
 
-@dataclass
 class _Activation:
     """One arrival of a task: its own clock and remaining cost."""
 
-    task: ScheduledTask
-    activation_time: float
-    remaining_s: float
-    index: int  # per-task activation counter
+    __slots__ = ("task", "activation_time", "remaining_s", "index")
+
+    def __init__(self, task: ScheduledTask, activation_time: float,
+                 remaining_s: float, index: int) -> None:
+        self.task = task
+        self.activation_time = activation_time
+        self.remaining_s = remaining_s
+        self.index = index  # per-task activation counter
 
     def absolute_deadline(self) -> float:
         if self.task.deadline_s is None:

@@ -8,7 +8,6 @@ optional period (periodic tasks re-arrive automatically).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.errors import ConfigurationError
@@ -16,7 +15,6 @@ from repro.errors import ConfigurationError
 Action = Callable[[], Any]
 
 
-@dataclass
 class ScheduledTask:
     """One schedulable unit.
 
@@ -29,21 +27,26 @@ class ScheduledTask:
         action: optional callback run at completion of each activation.
     """
 
-    task_id: str
-    cost_s: float
-    deadline_s: Optional[float] = None
-    priority: int = 0
-    period_s: Optional[float] = None
-    action: Optional[Action] = field(default=None, repr=False)
+    __slots__ = ("task_id", "cost_s", "deadline_s", "priority", "period_s",
+                 "action", "activation_time", "remaining_s", "activations",
+                 "completions", "misses")
 
-    # Per-activation bookkeeping, managed by the scheduler.
-    activation_time: float = field(default=0.0, init=False)
-    remaining_s: float = field(default=0.0, init=False)
-    activations: int = field(default=0, init=False)
-    completions: int = field(default=0, init=False)
-    misses: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, task_id: str, cost_s: float,
+                 deadline_s: Optional[float] = None, priority: int = 0,
+                 period_s: Optional[float] = None,
+                 action: Optional[Action] = None) -> None:
+        self.task_id = task_id
+        self.cost_s = cost_s
+        self.deadline_s = deadline_s
+        self.priority = priority
+        self.period_s = period_s
+        self.action = action
+        # Per-activation bookkeeping, managed by the scheduler.
+        self.activation_time: float = 0.0
+        self.remaining_s: float = 0.0
+        self.activations: int = 0
+        self.completions: int = 0
+        self.misses: int = 0
         if self.cost_s <= 0:
             raise ConfigurationError(f"task cost must be positive, got {self.cost_s!r}")
         if self.deadline_s is not None and self.deadline_s <= 0:

@@ -30,25 +30,20 @@ CLI: ``python -m repro.simtest run --budget 500 --seed 0`` explores;
 ``python -m repro.simtest repro <file>`` replays a minimized repro.
 """
 
-from repro.simtest.explorer import ExplorationReport, explore
-from repro.simtest.linearizability import Op, check_linearizable
-from repro.simtest.oracles import Divergence
-from repro.simtest.scenario import Scenario, Step, generate_scenario
-from repro.simtest.shrinker import load_repro, shrink, write_repro
-from repro.simtest.world import RunResult, execute_scenario
+from repro import _facade
 
-__all__ = [
-    "Divergence",
-    "ExplorationReport",
-    "Op",
-    "RunResult",
-    "Scenario",
-    "Step",
-    "check_linearizable",
-    "execute_scenario",
-    "explore",
-    "generate_scenario",
-    "load_repro",
-    "shrink",
-    "write_repro",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "ExplorationReport": "repro.simtest.explorer",
+    "explore": "repro.simtest.explorer",
+    "Op": "repro.simtest.linearizability",
+    "check_linearizable": "repro.simtest.linearizability",
+    "Divergence": "repro.simtest.oracles",
+    "Scenario": "repro.simtest.scenario",
+    "Step": "repro.simtest.scenario",
+    "generate_scenario": "repro.simtest.scenario",
+    "load_repro": "repro.simtest.shrinker",
+    "shrink": "repro.simtest.shrinker",
+    "write_repro": "repro.simtest.shrinker",
+    "RunResult": "repro.simtest.world",
+    "execute_scenario": "repro.simtest.world",
+})

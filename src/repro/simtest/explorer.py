@@ -9,7 +9,6 @@ of the arguments, so a failing iteration number is itself a repro.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.simtest.oracles import Divergence
@@ -22,16 +21,19 @@ MIN_STEPS = 18
 MAX_STEPS = 44
 
 
-@dataclass
 class ExplorationReport:
     """Outcome of one exploration sweep."""
 
-    seed: int
-    budget: int
-    runs: int = field(default=0, init=False)
-    divergent_scenario: Optional[Scenario] = field(default=None, init=False)
-    divergences: List[Divergence] = field(default_factory=list, init=False)
-    totals: Dict[str, int] = field(default_factory=dict, init=False)
+    __slots__ = ("seed", "budget", "runs", "divergent_scenario", "divergences",
+                 "totals")
+
+    def __init__(self, seed: int, budget: int) -> None:
+        self.seed = seed
+        self.budget = budget
+        self.runs: int = 0
+        self.divergent_scenario: Optional[Scenario] = None
+        self.divergences: List[Divergence] = []
+        self.totals: Dict[str, int] = {}
 
     @property
     def ok(self) -> bool:

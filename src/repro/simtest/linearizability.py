@@ -22,13 +22,11 @@ which keeps the search small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
 class Op:
     """One operation interval in a history.
 
@@ -36,12 +34,17 @@ class Op:
     ended; their ``result`` is meaningless and ignored.
     """
 
-    client: str
-    op: str
-    args: Tuple[Any, ...]
-    invoke: float
-    response: Optional[float]
-    result: Any = None
+    __slots__ = ("client", "op", "args", "invoke", "response", "result")
+
+    def __init__(self, client: str, op: str, args: Tuple[Any, ...],
+                 invoke: float, response: Optional[float],
+                 result: Any = None) -> None:
+        self.client = client
+        self.op = op
+        self.args = args
+        self.invoke = invoke
+        self.response = response
+        self.result = result
 
     @property
     def completed(self) -> bool:

@@ -14,7 +14,6 @@ they are simple enough to audit by eye, the way
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.feasibility import minimal_feasible_sets
@@ -33,14 +32,16 @@ _SEQ = struct.Struct(">Q")
 _INDEX = struct.Struct(">I")
 
 
-@dataclass(frozen=True)
 class Divergence:
     """One implementation-vs-model disagreement."""
 
-    oracle: str
-    kind: str
-    at: float
-    detail: str
+    __slots__ = ("oracle", "kind", "at", "detail")
+
+    def __init__(self, oracle: str, kind: str, at: float, detail: str) -> None:
+        self.oracle = oracle
+        self.kind = kind
+        self.at = at
+        self.detail = detail
 
     @property
     def signature(self) -> Tuple[str, str]:
@@ -215,11 +216,14 @@ class DeliveryOracle:
 # ---------------------------------------------------------------- discovery
 
 
-@dataclass
 class _FaultWindow:
-    start: float
-    end: float
-    nodes: Optional[Tuple[str, ...]]  # None = whole network
+    __slots__ = ("start", "end", "nodes")
+
+    def __init__(self, start: float, end: float,
+                 nodes: Optional[Tuple[str, ...]]) -> None:
+        self.start = start
+        self.end = end
+        self.nodes = nodes  # None = whole network
 
 
 class DiscoveryOracle:

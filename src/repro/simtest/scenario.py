@@ -13,7 +13,6 @@ scenario plus the expected divergence signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Tuple
 
 from repro.util.rng import split_rng
@@ -63,13 +62,26 @@ _FAULT_WEIGHTS = [
 ]
 
 
-@dataclass(frozen=True)
 class Step:
     """One timed action; ``args`` holds JSON scalars only."""
 
-    at: float
-    op: str
-    args: Tuple[Any, ...] = ()
+    __slots__ = ("at", "op", "args")
+
+    def __init__(self, at: float, op: str, args: Tuple[Any, ...] = ()) -> None:
+        self.at = at
+        self.op = op
+        self.args = args
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.at, self.op, self.args)
+            == (other.at, other.op, other.args)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.at, self.op, self.args))
 
     def to_dict(self) -> Dict[str, Any]:
         return {"at": self.at, "op": self.op, "args": list(self.args)}
@@ -79,17 +91,31 @@ class Step:
         return Step(float(raw["at"]), str(raw["op"]), tuple(raw["args"]))
 
 
-@dataclass(frozen=True)
 class Scenario:
     """A complete, replayable run description."""
 
-    seed: int
-    tie_seed: int
-    steps: Tuple[Step, ...] = ()
-    horizon_s: float = HORIZON_S
+    __slots__ = ("seed", "tie_seed", "steps", "horizon_s")
+
+    def __init__(self, seed: int, tie_seed: int, steps: Tuple[Step, ...] = (),
+                 horizon_s: float = HORIZON_S) -> None:
+        self.seed = seed
+        self.tie_seed = tie_seed
+        self.steps = steps
+        self.horizon_s = horizon_s
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.seed, self.tie_seed, self.steps, self.horizon_s)
+            == (other.seed, other.tie_seed, other.steps, other.horizon_s)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.seed, self.tie_seed, self.steps, self.horizon_s))
 
     def with_steps(self, steps: List[Step]) -> "Scenario":
-        return replace(self, steps=tuple(steps))
+        return Scenario(self.seed, self.tie_seed, tuple(steps), self.horizon_s)
 
     # ------------------------------------------------------------ wire form
 

@@ -16,7 +16,6 @@ reproduces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.simtest.scenario import Scenario, Step
@@ -25,12 +24,15 @@ from repro.simtest.world import execute_scenario
 REPRO_FORMAT = "repro.simtest/1"
 
 
-@dataclass
 class ShrinkResult:
-    scenario: Scenario
-    signature: Tuple[str, str]
-    replays: int
-    initial_steps: int
+    __slots__ = ("scenario", "signature", "replays", "initial_steps")
+
+    def __init__(self, scenario: Scenario, signature: Tuple[str, str],
+                 replays: int, initial_steps: int) -> None:
+        self.scenario = scenario
+        self.signature = signature
+        self.replays = replays
+        self.initial_steps = initial_steps
 
     @property
     def steps(self) -> int:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import struct
 from collections import defaultdict
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -91,12 +90,15 @@ _RPC_RETRIES = 2
 _BULK_PADDING = b"x" * 12
 
 
-@dataclass
 class RunResult:
     """Everything a run produced; a pure function of the scenario."""
 
-    divergences: List[Divergence]
-    stats: Dict[str, int] = field(default_factory=dict)
+    __slots__ = ("divergences", "stats")
+
+    def __init__(self, divergences: List[Divergence],
+                 stats: Optional[Dict[str, int]] = None) -> None:
+        self.divergences = divergences
+        self.stats = {} if stats is None else stats
 
     @property
     def ok(self) -> bool:

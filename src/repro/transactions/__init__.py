@@ -23,29 +23,22 @@ implemented over the common transport abstraction:
   (:mod:`repro.transactions.agents`).
 """
 
-from repro.transactions.agents import AgentHost, MobileAgent
-from repro.transactions.manager import TransactionManager
-from repro.transactions.messaging import MessageBroker, MessagingClient
-from repro.transactions.pubsub import PubSubBroker, PubSubClient
-from repro.transactions.rpc import RpcEndpoint
-from repro.transactions.sharedobjects import SharedObjectCache, SharedObjectHost
-from repro.transactions.transaction import Transaction, TransactionKind, TransactionState
-from repro.transactions.tuplespace import TupleSpaceClient, TupleSpaceServer
+from repro import _facade
 
-__all__ = [
-    "AgentHost",
-    "MobileAgent",
-    "TransactionManager",
-    "MessageBroker",
-    "MessagingClient",
-    "PubSubBroker",
-    "PubSubClient",
-    "RpcEndpoint",
-    "SharedObjectCache",
-    "SharedObjectHost",
-    "Transaction",
-    "TransactionKind",
-    "TransactionState",
-    "TupleSpaceClient",
-    "TupleSpaceServer",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "AgentHost": "repro.transactions.agents",
+    "MobileAgent": "repro.transactions.agents",
+    "TransactionManager": "repro.transactions.manager",
+    "MessageBroker": "repro.transactions.messaging",
+    "MessagingClient": "repro.transactions.messaging",
+    "PubSubBroker": "repro.transactions.pubsub",
+    "PubSubClient": "repro.transactions.pubsub",
+    "RpcEndpoint": "repro.transactions.rpc",
+    "SharedObjectCache": "repro.transactions.sharedobjects",
+    "SharedObjectHost": "repro.transactions.sharedobjects",
+    "Transaction": "repro.transactions.transaction",
+    "TransactionKind": "repro.transactions.transaction",
+    "TransactionState": "repro.transactions.transaction",
+    "TupleSpaceClient": "repro.transactions.tuplespace",
+    "TupleSpaceServer": "repro.transactions.tuplespace",
+})

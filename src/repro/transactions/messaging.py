@@ -17,7 +17,6 @@ Protocol (codec dicts)::
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import DeliveryError
@@ -34,11 +33,13 @@ MAX_REDELIVERIES = 20
 REQUEST_TIMEOUT_S = 2.0
 
 
-@dataclass
 class _QueueState:
-    messages: Deque[Tuple[str, Any]] = field(default_factory=deque)  # (mid, body)
-    subscribers: List[Address] = field(default_factory=list)
-    next_subscriber: int = 0
+    __slots__ = ("messages", "subscribers", "next_subscriber")
+
+    def __init__(self) -> None:
+        self.messages: Deque[Tuple[str, Any]] = deque()  # (mid, body)
+        self.subscribers: List[Address] = []
+        self.next_subscriber = 0
 
 
 class MessageBroker(MessageEndpoint):

@@ -17,7 +17,6 @@ Protocol (codec dicts)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.discovery.matching import AttributeConstraint
@@ -61,11 +60,14 @@ def _content_matches(filters: List[AttributeConstraint], event: Any) -> bool:
     return all(f.matches(attributes) for f in filters)
 
 
-@dataclass
 class _Subscription:
-    subscriber: Address
-    pattern: str
-    filters: List[AttributeConstraint] = field(default_factory=list)
+    __slots__ = ("subscriber", "pattern", "filters")
+
+    def __init__(self, subscriber: Address, pattern: str,
+                 filters: List[AttributeConstraint]) -> None:
+        self.subscriber = subscriber
+        self.pattern = pattern
+        self.filters = filters
 
 
 class PubSubBroker(MessageEndpoint):

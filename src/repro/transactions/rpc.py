@@ -19,7 +19,6 @@ Protocol (codec dicts)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.errors import AdmissionRefused, RemoteError, RpcError, RpcTimeoutError, SchemaError
@@ -34,16 +33,21 @@ from repro.util.promise import Promise
 Handler = Callable[..., Any]
 
 
-@dataclass
 class _PendingCall:
-    promise: Promise
-    destination: Address
-    method: str
-    params: Dict[str, Any]
-    retries_left: int
-    timeout_s: float
-    timer: Any
-    span: Any = NOOP_SPAN  # open rpc.call span; closed when the call settles
+    __slots__ = ("promise", "destination", "method", "params", "retries_left",
+                 "timeout_s", "timer", "span")
+
+    def __init__(self, promise: Promise, destination: Address, method: str,
+                 params: Dict[str, Any], retries_left: int, timeout_s: float,
+                 timer: Any, span: Any = NOOP_SPAN) -> None:
+        self.promise = promise
+        self.destination = destination
+        self.method = method
+        self.params = params
+        self.retries_left = retries_left
+        self.timeout_s = timeout_s
+        self.timer = timer
+        self.span = span  # open rpc.call span; closed when the call settles
 
 
 class RpcEndpoint(MessageEndpoint):

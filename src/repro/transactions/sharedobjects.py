@@ -34,7 +34,6 @@ pass over recorded histories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.interop.codec import wire_plain
@@ -43,10 +42,12 @@ from repro.transport.endpoint import MessageEndpoint, optional, present
 from repro.util.promise import Promise
 
 
-@dataclass
 class _Stored:
-    value: Any
-    version: int
+    __slots__ = ("value", "version")
+
+    def __init__(self, value: Any, version: int) -> None:
+        self.value = value
+        self.version = version
 
 
 class SharedObjectHost(MessageEndpoint):

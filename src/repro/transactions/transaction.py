@@ -14,7 +14,6 @@ drives them; the scheduler and handoff manager reorder and migrate them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.discovery.description import ServiceDescription
@@ -62,14 +61,18 @@ _ALLOWED = {
 DataCallback = Callable[[Any, float], None]  # (value, latency_s)
 
 
-@dataclass
 class TransactionSpec:
     """Static parameters of a transaction."""
 
-    kind: TransactionKind
-    operation: str = "read"
-    interval_s: float = 1.0  # CONTINUOUS: data period
-    predicted_times: tuple = ()  # INTERMITTENT: absolute activation times
+    __slots__ = ("kind", "operation", "interval_s", "predicted_times")
+
+    def __init__(self, kind: TransactionKind, operation: str = "read",
+                 interval_s: float = 1.0, predicted_times: tuple = ()) -> None:
+        self.kind = kind
+        self.operation = operation
+        self.interval_s = interval_s  # CONTINUOUS: data period
+        # INTERMITTENT: absolute activation times
+        self.predicted_times = predicted_times
 
 
 class Transaction:

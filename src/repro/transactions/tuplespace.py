@@ -20,7 +20,6 @@ answered by ``{"op": "tuple", "rid", "tuple": t or None}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.interop.codec import wire_plain
@@ -149,12 +148,15 @@ class TupleStore:
                 del index[key]
 
 
-@dataclass
 class _Waiter:
-    source: Address
-    rid: Any
-    template: List[Any]
-    destructive: bool
+    __slots__ = ("source", "rid", "template", "destructive")
+
+    def __init__(self, source: Address, rid: Any, template: List[Any],
+                 destructive: bool) -> None:
+        self.source = source
+        self.rid = rid
+        self.template = template
+        self.destructive = destructive
 
 
 class TupleSpaceServer(MessageEndpoint):

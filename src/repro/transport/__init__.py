@@ -24,27 +24,21 @@ optionally composed with:
   skeleton every protocol endpoint above a transport subclasses.
 """
 
-from repro.transport.base import Address, Scheduler, Transport
-from repro.transport.inmemory import InMemoryFabric, InMemoryTransport
-from repro.transport.pacing import PacedTransport
-from repro.transport.reliable import ReliabilityParams, ReliableTransport
-from repro.transport.secure import SecureChannel, SecureTransport
-from repro.transport.simnet import SimFabric, SimTransport
-from repro.transport.stack import StackSpec, build_stack
+from repro import _facade
 
-__all__ = [
-    "Address",
-    "Scheduler",
-    "Transport",
-    "InMemoryFabric",
-    "InMemoryTransport",
-    "PacedTransport",
-    "ReliabilityParams",
-    "ReliableTransport",
-    "SecureChannel",
-    "SecureTransport",
-    "SimFabric",
-    "SimTransport",
-    "StackSpec",
-    "build_stack",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "Address": "repro.transport.base",
+    "Scheduler": "repro.transport.base",
+    "Transport": "repro.transport.base",
+    "InMemoryFabric": "repro.transport.inmemory",
+    "InMemoryTransport": "repro.transport.inmemory",
+    "PacedTransport": "repro.transport.pacing",
+    "ReliabilityParams": "repro.transport.reliable",
+    "ReliableTransport": "repro.transport.reliable",
+    "SecureChannel": "repro.transport.secure",
+    "SecureTransport": "repro.transport.secure",
+    "SimFabric": "repro.transport.simnet",
+    "SimTransport": "repro.transport.simnet",
+    "StackSpec": "repro.transport.stack",
+    "build_stack": "repro.transport.stack",
+})

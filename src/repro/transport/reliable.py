@@ -28,7 +28,6 @@ propagate through the simulator event loop and kill the whole run.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
@@ -46,16 +45,18 @@ ACK_FLAG = b"A"
 RELIABLE_HEADER_BYTES = 1 + _SEQ.size
 
 
-@dataclass(frozen=True)
 class ReliabilityParams:
     """Tuning knobs for the retransmission policy (bench E12 ablates these)."""
 
-    ack_timeout_s: float = 0.2
-    max_retries: int = 5
-    backoff_factor: float = 2.0
-    recv_window: int = 1024
+    __slots__ = ("ack_timeout_s", "max_retries", "backoff_factor",
+                 "recv_window")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ack_timeout_s: float = 0.2, max_retries: int = 5,
+                 backoff_factor: float = 2.0, recv_window: int = 1024) -> None:
+        self.ack_timeout_s = ack_timeout_s
+        self.max_retries = max_retries
+        self.backoff_factor = backoff_factor
+        self.recv_window = recv_window
         if self.ack_timeout_s <= 0:
             raise ConfigurationError(f"ack timeout must be positive, got {self.ack_timeout_s!r}")
         if self.max_retries < 0:

@@ -7,7 +7,6 @@ whichever fabric the deployment provides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.transport.base import Transport
@@ -15,7 +14,6 @@ from repro.transport.reliable import ReliabilityParams, ReliableTransport
 from repro.transport.secure import SecureTransport
 
 
-@dataclass(frozen=True)
 class StackSpec:
     """What the application needs from its transport.
 
@@ -23,9 +21,14 @@ class StackSpec:
     the bottom of the stack, so reliability acks are encrypted too.
     """
 
-    reliable: bool = True
-    reliability_params: ReliabilityParams = ReliabilityParams()
-    encryption_key: Optional[bytes] = None
+    __slots__ = ("reliable", "reliability_params", "encryption_key")
+
+    def __init__(self, reliable: bool = True,
+                 reliability_params: ReliabilityParams = ReliabilityParams(),
+                 encryption_key: Optional[bytes] = None) -> None:
+        self.reliable = reliable
+        self.reliability_params = reliability_params
+        self.encryption_key = encryption_key
 
 
 def build_stack(base: Transport, spec: StackSpec = StackSpec()) -> Transport:

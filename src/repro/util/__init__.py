@@ -4,18 +4,15 @@ These are deliberately dependency-free building blocks used by every other
 subsystem. Nothing in here knows about networks or middleware.
 """
 
-from repro.util.events import EventEmitter, Subscription
-from repro.util.geometry import Point, distance
-from repro.util.ids import IdGenerator, SequenceGenerator
-from repro.util.rng import make_rng, split_rng
+from repro import _facade
 
-__all__ = [
-    "EventEmitter",
-    "Subscription",
-    "Point",
-    "distance",
-    "IdGenerator",
-    "SequenceGenerator",
-    "make_rng",
-    "split_rng",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "EventEmitter": "repro.util.events",
+    "Subscription": "repro.util.events",
+    "Point": "repro.util.geometry",
+    "distance": "repro.util.geometry",
+    "IdGenerator": "repro.util.ids",
+    "SequenceGenerator": "repro.util.ids",
+    "make_rng": "repro.util.rng",
+    "split_rng": "repro.util.rng",
+})

@@ -13,7 +13,6 @@ emit completes, because errors should never pass silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
 Handler = Callable[..., None]
@@ -31,14 +30,17 @@ class HandlerErrors(Exception):
         self.errors = errors
 
 
-@dataclass(frozen=True)
 class Subscription:
     """A handle returned by :meth:`EventEmitter.on`; call cancel() to detach."""
 
-    emitter: "EventEmitter"
-    event: str
-    handler: Handler = field(compare=False)
-    token: int = 0
+    __slots__ = ("emitter", "event", "handler", "token")
+
+    def __init__(self, emitter: "EventEmitter", event: str, handler: Handler,
+                 token: int = 0) -> None:
+        self.emitter = emitter
+        self.event = event
+        self.handler = handler
+        self.token = token
 
     def cancel(self) -> None:
         self.emitter.off(self)

@@ -9,53 +9,29 @@ substrates (``chaos_mix=...``), and simtest worlds
 (:mod:`repro.simtest.workloads`).
 """
 
-from repro.workloads.registry import (
-    ARCHETYPES,
-    TRAFFIC_MODELS,
-    Archetype,
-    ArchetypeInfo,
-    TrafficInfo,
-    archetype,
-    parse_scenario,
-    scenario_names,
-    traffic_model,
-)
-from repro.workloads.scorecard import (
-    SCHEMA,
-    canonical_bytes,
-    validate_scorecard,
-)
-from repro.workloads.traffic import TrafficModel
-from repro.workloads.runner import (
-    DEFAULT_HORIZON_S,
-    ScenarioRun,
-    ScenarioSpec,
-    parse_spec,
-    run_scenario,
-    sweep_rows,
-)
+# Importing these registers the built-in traffic models and archetypes.
+import repro.workloads.traffic  # noqa: F401
+import repro.workloads.archetypes  # noqa: F401
+from repro import _facade
 
-# Register the built-ins (traffic models registered by the traffic import).
-import repro.workloads.archetypes  # noqa: E402,F401
-
-__all__ = [
-    "ARCHETYPES",
-    "TRAFFIC_MODELS",
-    "Archetype",
-    "ArchetypeInfo",
-    "DEFAULT_HORIZON_S",
-    "SCHEMA",
-    "ScenarioRun",
-    "ScenarioSpec",
-    "TrafficInfo",
-    "TrafficModel",
-    "archetype",
-    "canonical_bytes",
-    "parse_scenario",
-    "parse_spec",
-    "run_scenario",
-    "scenario_names",
-    "sweep_rows",
-    "traffic_model",
-    "validate_scorecard",
-]
+__getattr__, __all__ = _facade(__name__, {
+    "ARCHETYPES": "repro.workloads.registry",
+    "TRAFFIC_MODELS": "repro.workloads.registry",
+    "Archetype": "repro.workloads.registry",
+    "ArchetypeInfo": "repro.workloads.registry",
+    "TrafficInfo": "repro.workloads.registry",
+    "archetype": "repro.workloads.registry",
+    "parse_scenario": "repro.workloads.registry",
+    "scenario_names": "repro.workloads.registry",
+    "traffic_model": "repro.workloads.registry",
+    "SCHEMA": "repro.workloads.scorecard",
+    "canonical_bytes": "repro.workloads.scorecard",
+    "validate_scorecard": "repro.workloads.scorecard",
+    "TrafficModel": "repro.workloads.traffic",
+    "DEFAULT_HORIZON_S": "repro.workloads.runner",
+    "ScenarioRun": "repro.workloads.runner",
+    "ScenarioSpec": "repro.workloads.runner",
+    "parse_spec": "repro.workloads.runner",
+    "run_scenario": "repro.workloads.runner",
+    "sweep_rows": "repro.workloads.runner",
+})

@@ -34,7 +34,6 @@ fans campaigns over seeds). No wall-clock values appear in the scorecard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.milan import Milan
@@ -91,7 +90,6 @@ _SENSOR_SPECS = [
 ]
 
 
-@dataclass(frozen=True)
 class CampaignSpec:
     """One campaign configuration; everything derives from (mix, seed).
 
@@ -102,15 +100,20 @@ class CampaignSpec:
     timer-leak invariant is meaningful rather than vacuous.
     """
 
-    mix: str
-    seed: int
-    duration_s: float = 75.0
-    fault_start_s: float = 8.0
-    heal_deadline_s: float = 45.0
-    bulk_messages: int = 120
-    transfer_stop_s: float = 44.0
+    __slots__ = ("mix", "seed", "duration_s", "fault_start_s",
+                 "heal_deadline_s", "bulk_messages", "transfer_stop_s")
 
-    def __post_init__(self) -> None:
+    def __init__(self, mix: str, seed: int, duration_s: float = 75.0,
+                 fault_start_s: float = 8.0, heal_deadline_s: float = 45.0,
+                 bulk_messages: int = 120,
+                 transfer_stop_s: float = 44.0) -> None:
+        self.mix = mix
+        self.seed = seed
+        self.duration_s = duration_s
+        self.fault_start_s = fault_start_s
+        self.heal_deadline_s = heal_deadline_s
+        self.bulk_messages = bulk_messages
+        self.transfer_stop_s = transfer_stop_s
         if self.mix not in MIXES:
             raise ConfigurationError(
                 f"unknown fault mix {self.mix!r}; available: {FAULT_MIXES}"
@@ -122,36 +125,46 @@ class CampaignSpec:
             )
 
 
-@dataclass
 class _Episode:
     """One crash outage the heartbeat monitor is expected to report."""
 
-    node_id: str
-    crash_at: float
-    recover_at: float
+    __slots__ = ("node_id", "crash_at", "recover_at")
+
+    def __init__(self, node_id: str, crash_at: float,
+                 recover_at: float) -> None:
+        self.node_id = node_id
+        self.crash_at = crash_at
+        self.recover_at = recover_at
 
 
-@dataclass
 class _ProbeRecord:
-    issued_at: float
-    completed_at: Optional[float] = None
-    ok: bool = False
+    __slots__ = ("issued_at", "completed_at", "ok")
+
+    def __init__(self, issued_at: float) -> None:
+        self.issued_at = issued_at
+        self.completed_at: Optional[float] = None
+        self.ok = False
 
 
-@dataclass
 class _CampaignState:
     """Mutable observations accumulated while the simulation runs."""
 
-    bulk_sent: int = 0
-    bulk_received: List[int] = field(default_factory=list)
-    transfers_attempted: int = 0
-    transfers_acked: Set[str] = field(default_factory=set)
-    suspect_events: List[Tuple[float, str]] = field(default_factory=list)
-    alive_events: List[Tuple[float, str]] = field(default_factory=list)
-    discovery_probes: List[_ProbeRecord] = field(default_factory=list)
-    rpc_probes: List[_ProbeRecord] = field(default_factory=list)
-    milan_before: Optional[bool] = None
-    milan_after: Tuple[bool, int] = (False, 0)
+    __slots__ = ("bulk_sent", "bulk_received", "transfers_attempted",
+                 "transfers_acked", "suspect_events", "alive_events",
+                 "discovery_probes", "rpc_probes", "milan_before",
+                 "milan_after")
+
+    def __init__(self) -> None:
+        self.bulk_sent = 0
+        self.bulk_received: List[int] = []
+        self.transfers_attempted = 0
+        self.transfers_acked: Set[str] = set()
+        self.suspect_events: List[Tuple[float, str]] = []
+        self.alive_events: List[Tuple[float, str]] = []
+        self.discovery_probes: List[_ProbeRecord] = []
+        self.rpc_probes: List[_ProbeRecord] = []
+        self.milan_before: Optional[bool] = None
+        self.milan_after: Tuple[bool, int] = (False, 0)
 
 
 class Ledger:

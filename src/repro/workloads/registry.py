@@ -19,7 +19,6 @@ determinism contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -119,18 +118,24 @@ class Archetype:
         """Tear down transports and timers."""
 
 
-@dataclass(frozen=True)
 class ArchetypeInfo:
-    name: str
-    factory: Callable[[int], Archetype]
-    description: str
+    __slots__ = ("name", "factory", "description")
+
+    def __init__(self, name: str, factory: Callable[[int], Archetype],
+                 description: str) -> None:
+        self.name = name
+        self.factory = factory
+        self.description = description
 
 
-@dataclass(frozen=True)
 class TrafficInfo:
-    name: str
-    factory: Callable[[], Any]
-    description: str
+    __slots__ = ("name", "factory", "description")
+
+    def __init__(self, name: str, factory: Callable[[], Any],
+                 description: str) -> None:
+        self.name = name
+        self.factory = factory
+        self.description = description
 
 
 #: The registries. Plugins land here via the decorators below; the

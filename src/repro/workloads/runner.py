@@ -20,7 +20,6 @@ single pending arrival in the event queue, whatever the horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
@@ -48,18 +47,22 @@ GRACE_S = 8.0
 SLO_BUDGET = 0.05
 
 
-@dataclass(frozen=True)
 class ScenarioSpec:
     """One scenario configuration; everything derives from these fields."""
 
-    archetype: str
-    traffic: str
-    seed: int = 0
-    horizon_s: float = DEFAULT_HORIZON_S
-    chaos_mix: Optional[str] = None
-    record_history: bool = False
+    __slots__ = ("archetype", "traffic", "seed", "horizon_s", "chaos_mix",
+                 "record_history")
 
-    def __post_init__(self) -> None:
+    def __init__(self, archetype: str, traffic: str, seed: int = 0,
+                 horizon_s: float = DEFAULT_HORIZON_S,
+                 chaos_mix: Optional[str] = None,
+                 record_history: bool = False) -> None:
+        self.archetype = archetype
+        self.traffic = traffic
+        self.seed = seed
+        self.horizon_s = horizon_s
+        self.chaos_mix = chaos_mix
+        self.record_history = record_history
         parse_scenario(self.name)  # raises on unknown halves
         if self.horizon_s <= 0:
             raise ConfigurationError(

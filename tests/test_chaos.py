@@ -5,8 +5,8 @@ whole file runs in seconds; the full-length acceptance grid is the
 experiment CLI's job (``python -m repro.experiments.exp_chaos``).
 """
 
-import dataclasses
 import functools
+import inspect
 from types import SimpleNamespace
 
 import pytest
@@ -63,9 +63,10 @@ class TestCampaignSpec:
     def test_the_spec_has_the_seven_fields_some_caller_sets(self):
         """``mix``, ``seed`` and what ``SHORT`` / ``--smoke`` / the
         benchmark's smoke size override; the rest are module constants."""
-        names = [f.name for f in dataclasses.fields(CampaignSpec)]
+        names = list(CampaignSpec.__slots__)
         assert names == ["mix", "seed", "duration_s", "fault_start_s",
                          "heal_deadline_s", "bulk_messages", "transfer_stop_s"]
+        assert list(inspect.signature(CampaignSpec).parameters) == names
         assert set(SHORT) == set(names[2:])
 
     def test_one_table_maps_a_mix_name_to_behaviour(self):
@@ -187,7 +188,8 @@ class TestOutagesFromTheInjectorLog:
         network.sim.run_until(10.0)
         episodes = ChaosCampaign._merged_episodes(
             SimpleNamespace(injector=injector))
-        assert sorted(dataclasses.astuple(e) for e in episodes) == outages
+        assert sorted(tuple(getattr(e, name) for name in e.__slots__)
+                      for e in episodes) == outages
         assert all(network.node(n).alive for n, _, _ in injections)
 
 

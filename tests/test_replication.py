@@ -339,7 +339,8 @@ class TestCatchUp:
 
     def test_far_behind_backup_gets_state_transfer(self):
         params = ReplicationParams(
-            **{**FAST.__dict__, "compact_every": 4}
+            **{**{name: getattr(FAST, name) for name in FAST.__slots__},
+               "compact_every": 4}
         )
         h = GroupHarness(params=params)
         h.fabric.isolate("r0")
