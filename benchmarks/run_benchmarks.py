@@ -27,11 +27,10 @@ smoke/gate runs, but leave it off when refreshing the committed baseline
     PYTHONPATH=src python benchmarks/run_benchmarks.py --quick --jobs 3
 
 ``--scale`` swaps the pytest micro benches for the swarm-scale curve
-(``benchmarks/scale.py``): events/sec at 100/1k/10k nodes on the
-vectorized medium backend, with a scalar reference run per point whose
-delivery trace must be byte-identical (exit 3 on divergence), then a
-single-process 100k-node point with its peak RSS (not under ``--quick``,
-where its row carries no median and is not compared). The same
+(``benchmarks/scale.py``): events/sec at 100/1k/10k nodes, each point's
+delivery trace checked against its pinned digest (exit 3 on divergence),
+then a single-process 100k-node point with its peak RSS (not under
+``--quick``, where its row carries no median and is not compared). The same
 record/compare/threshold machinery applies, against ``BENCH_scale.json``::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py --scale            # baseline
@@ -184,8 +183,8 @@ def main(argv=None) -> int:
                         help="fast smoke run (fewer rounds, noisier medians)")
     parser.add_argument("--scale", action="store_true",
                         help="run the swarm-scale curve (events/sec at "
-                             "100/1k/10k/100k nodes, scalar-vs-vector trace "
-                             "equality) instead of the micro benches; "
+                             "100/1k/10k/100k nodes, traces checked against "
+                             "pinned digests) instead of the micro benches; "
                              f"default output becomes {SCALE_OUTPUT.name}")
     parser.add_argument("--output", type=Path, default=None,
                         help=f"JSON to write/compare (default "
@@ -260,8 +259,8 @@ def main(argv=None) -> int:
     print(f"wrote {args.output}")
 
     if not traces_ok:
-        print("SCALAR/VECTOR TRACE MISMATCH: the vectorized medium backend "
-              "diverged from the scalar reference", file=sys.stderr)
+        print("TRACE MISMATCH: a scale point's delivery trace is not its "
+              "pinned digest", file=sys.stderr)
         return 3
     if regressed:
         names = ", ".join(row[0] for row in regressed)

@@ -1,16 +1,14 @@
 """The swarm-scale curve: events/sec at 100, 1k, 10k and 100k nodes.
 
-Driven by ``run_benchmarks.py --scale``. Each point up to 10k builds the
-same world twice — once per medium backend — runs an identical
-staggered-beacon workload, and reports:
+Driven by ``run_benchmarks.py --scale``. Each point up to 10k builds one
+world, runs a staggered-beacon workload on it, and reports:
 
-* ``ns_per_event`` for the **vectorized** backend (stored as ``median_ns``
-  so the regression harness's ``compare()`` / ``--normalize-skew``
-  machinery applies unchanged to ``BENCH_scale.json``);
-* the scalar backend's ``ns_per_event`` and the resulting speedup;
-* whether the two backends produced **byte-identical delivery traces**
-  (sha256 over every ``(time, receiver, source, packet_id)`` delivery, in
-  delivery order) — the correctness anchor for the whole vectorization.
+* ``ns_per_event``, stored as ``median_ns`` so the regression harness's
+  ``compare()`` / ``--normalize-skew`` machinery applies unchanged to
+  ``BENCH_scale.json``;
+* whether its **delivery trace** (sha256 over every ``(time, receiver,
+  source)`` delivery, in delivery order) is the pinned one in
+  :data:`TRACE_SHA256` — the correctness anchor of the position index.
 
 The workload is deliberately mean to the position index: a ``side x side``
 grid at 30 m spacing under an 802.11-derived swarm profile (100 m range →
@@ -18,15 +16,15 @@ grid at 30 m spacing under an 802.11-derived swarm profile (100 m range →
 same-tick broadcast deliveries batch into single queue entries), every
 node broadcasting one beacon per round at a fully staggered — therefore
 fresh — timestamp, and one node in ten drifting under
-:class:`LinearMobility`. An *event* is one transmission or one delivery —
-backend-independent work units, so ns/event is comparable across backends
-and machines.
+:class:`LinearMobility`. An *event* is one transmission or one delivery, so
+ns/event is comparable across world sizes and machines.
 
 The 100k point (:data:`POINT_100K`) is the single-process answer to "how
-far does one core go": the vector backend only, one round, no delivery
-trace (at ~3.6 M deliveries the trace would be most of the memory), with
-the process's peak RSS beside its events/sec. It runs last, so that peak
-is its own, and ``--quick`` skips it.
+far does one core go": one round, no delivery trace (at ~3.6 M deliveries
+the trace would be most of the memory), with the process's peak RSS and
+its ns/event over the 10k point's (``ns_ratio_vs_10k``) beside its
+events/sec. It runs last, so that peak is its own, and ``--quick`` skips
+it.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import resource
 import sys
 import time
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:  # direct invocation convenience
@@ -50,8 +48,25 @@ from repro.netsim.topology import grid as topology_grid
 #: (label, grid side) — 100, 1024, and 10000 nodes.
 CURVE = [("scale_100", 10), ("scale_1k", 32), ("scale_10k", 100)]
 
-#: (label, grid side) — 99 856 nodes, vector backend only.
+#: (label, grid side) — 99 856 nodes.
 POINT_100K = ("scale_100k", 316)
+
+#: (label, rounds) -> the delivery-trace sha256 every run must reproduce.
+#: ``--quick`` runs one round, a full run two.
+TRACE_SHA256 = {
+    ("scale_100", 1):
+        "d9d2fdd3699c13723406ec00fe55367887bad2875cfd75e82b6bbf734fe7a136",
+    ("scale_1k", 1):
+        "ef0eeeafcae6090f922c4465a7092cef29edb47092703e6f7b0cf1f617b88736",
+    ("scale_10k", 1):
+        "315225bfdd3f9995f5a24e4faa2e5dbf19144981e3b0826979a8284621c6f3e6",
+    ("scale_100", 2):
+        "9f73223f34481b5d45fb9f4a030ff1bd583a771cb3ef4ba34604a9fe34f8aeab",
+    ("scale_1k", 2):
+        "c88771d52cddb23b7887980877974fb31bb02ff5ce5ca2498c11fe6dfa401f3f",
+    ("scale_10k", 2):
+        "a434c9da79f59d15b51737bcc240f5a82698ef06d0c0217384a223d1b648907e",
+}
 
 #: 802.11 rates/range/loss with no contention jitter — a slotted swarm MAC.
 #: Zero contention means every receiver of a broadcast shares one delivery
@@ -64,34 +79,29 @@ SWARM_PROFILE = RadioProfile(
 
 SPACING = 30.0
 #: Beacons are fully staggered — every send lands on a fresh timestamp, as
-#: unsynchronized swarm nodes do. Each fresh timestamp forces a kinematics
-#: refresh of every mobile node, which is exactly the cost the vector
-#: backend collapses to one array expression.
+#: unsynchronized swarm nodes do.
 ROUND_PERIOD = 2.0
 MOBILE_EVERY = 10
 DRIFT = (1.0, 0.5)  # m/s; slow enough to stay in-cell over a short run
 
 
-def run_world(side: int, rounds: int, vectorized: Optional[bool],
-              seed: int = 0, trace: bool = True) -> Dict[str, object]:
+def run_world(side: int, rounds: int, seed: int = 0,
+              trace: bool = True) -> Dict[str, object]:
     """Build a ``side x side`` world, run the beacon workload, measure it.
 
-    Returns events (transmissions + deliveries), wall seconds, ns/event,
-    the sha256 delivery-trace digest (None without ``trace``), and the
-    backend actually used.
+    Returns events (transmissions + deliveries), wall seconds, ns/event
+    and the sha256 delivery-trace digest (None without ``trace``).
     """
     network = topology_grid(side, side, spacing=SPACING,
-                            radio_profile=SWARM_PROFILE, seed=seed,
-                            vectorized=vectorized)
+                            radio_profile=SWARM_PROFILE, seed=seed)
     sim = network.sim
     medium = network.medium
     now = sim.now
     # Deliveries are recorded as raw tuples and serialized into the sha256
     # only after the clock stops, so the trace costs the timed region one
     # list-append per delivery rather than an f-string + hash update.
-    # NOTE: packet_id is a process-global counter (the second backend's run
-    # would start 100 higher), so the trace identifies packets by their
-    # run-local source instead (source + time is unique in this workload).
+    # packet_id is a process-global counter, so the trace identifies
+    # packets by their source instead (source + time is unique here).
     deliveries: list = []
     record = deliveries.append
 
@@ -132,61 +142,40 @@ def run_world(side: int, rounds: int, vectorized: Optional[bool],
         "ns_per_event": round(wall_s / events * 1e9, 1) if events else 0.0,
         "trace_sha256": digest.hexdigest() if trace else None,
         "deliveries": medium.deliveries,
-        "vectorized": medium.vectorized,
+    }
+
+
+def _op(point: Dict[str, object], rounds: int) -> Dict[str, object]:
+    wall_s = point["wall_s"]
+    return {
+        "median_ns": point["ns_per_event"],
+        "rounds": rounds,
+        "nodes": point["nodes"],
+        "events": point["events"],
+        "wall_s": wall_s,
+        "events_per_sec": round(point["events"] / wall_s) if wall_s else 0,
     }
 
 
 def run_curve(quick: bool = False) -> Tuple[Dict[str, dict], bool]:
     """Run the full curve; return (ops for BENCH_scale.json, all_traces_match).
 
-    Each op's ``median_ns`` is the vectorized backend's ns/event; scalar
-    reference numbers and the trace verdict ride along as extra keys
-    (``compare()`` only reads ``median_ns``, so they are inert to gating).
+    Each op's ``median_ns`` is its ns/event; the trace verdict rides along
+    as an extra key (``compare()`` only reads ``median_ns``, so it is inert
+    to gating).
     """
     rounds = 1 if quick else 2
     ops: Dict[str, dict] = {}
     all_match = True
     for label, side in CURVE:
-        vector = run_world(side, rounds, vectorized=None)
-        vector_ns = vector["ns_per_event"]
-        op = {
-            "median_ns": vector_ns,
-            "rounds": rounds,
-            "nodes": vector["nodes"],
-            "events": vector["events"],
-            "wall_s": vector["wall_s"],
-            "events_per_sec": round(vector["events"] / vector["wall_s"])
-            if vector["wall_s"] else 0,
-            "vector_backend_used": vector["vectorized"],
-        }
-        # The scalar reference exists to prove trace equality and record the
-        # speedup; at 10k nodes it costs ~10x the vectorized run's wall
-        # time, so quick (CI) runs check equality at 100/1k only and leave
-        # the 10k reference to full baseline refreshes.
-        if quick and side * side > 2000:
-            op["scalar_ns_per_event"] = None
-            op["speedup_vs_scalar"] = None
-            op["trace_match"] = "skipped-quick"
-            scalar_text = f"{'(skipped)':>12}"
-            status = "SKIP"
-        else:
-            scalar = run_world(side, rounds, vectorized=False)
-            match = vector["trace_sha256"] == scalar["trace_sha256"]
-            all_match = all_match and match
-            scalar_ns = scalar["ns_per_event"]
-            op["scalar_ns_per_event"] = scalar_ns
-            op["speedup_vs_scalar"] = (
-                round(scalar_ns / vector_ns, 2) if vector_ns else 0.0
-            )
-            op["trace_match"] = match
-            scalar_text = f"{scalar_ns / 1e3:>8.1f} us/ev"
-            status = "OK " if match else "MISMATCH"
-        ops[label] = op
-        print(f"{label:<10} {vector['nodes']:>6} nodes  "
-              f"{vector['events']:>9} events  "
-              f"vector {vector_ns / 1e3:>8.1f} us/ev  "
-              f"scalar {scalar_text}  "
-              f"trace {status}")
+        point = run_world(side, rounds)
+        match = point["trace_sha256"] == TRACE_SHA256[label, rounds]
+        all_match = all_match and match
+        ops[label] = dict(_op(point, rounds), trace_match=match)
+        print(f"{label:<10} {point['nodes']:>6} nodes  "
+              f"{point['events']:>9} events  "
+              f"{point['ns_per_event'] / 1e3:>8.2f} us/ev  "
+              f"trace {'OK' if match else 'MISMATCH'}")
     label, side = POINT_100K
     if quick:
         # Present, so the gate does not report it dropped; no median, so
@@ -194,24 +183,16 @@ def run_curve(quick: bool = False) -> Tuple[Dict[str, dict], bool]:
         ops[label] = {"median_ns": None, "skipped": "quick"}
         print(f"{label:<10} (skipped under --quick)")
         return ops, all_match
-    point = run_world(side, 1, vectorized=None, trace=False)
+    point = run_world(side, 1, trace=False)
     # ru_maxrss is in KiB on Linux.
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    ops[label] = {
-        "median_ns": point["ns_per_event"],
-        "rounds": 1,
-        "nodes": point["nodes"],
-        "events": point["events"],
-        "wall_s": point["wall_s"],
-        "events_per_sec": round(point["events"] / point["wall_s"])
-        if point["wall_s"] else 0,
-        "peak_rss_mb": round(peak_mb, 1),
-        "vector_backend_used": point["vectorized"],
-    }
+    ratio = round(point["ns_per_event"] / ops["scale_10k"]["median_ns"], 2)
+    ops[label] = dict(_op(point, 1), peak_rss_mb=round(peak_mb, 1),
+                      ns_ratio_vs_10k=ratio)
     print(f"{label:<10} {point['nodes']:>6} nodes  "
           f"{point['events']:>9} events  "
-          f"vector {point['ns_per_event'] / 1e3:>8.1f} us/ev  "
-          f"peak RSS {peak_mb:.0f} MB")
+          f"{point['ns_per_event'] / 1e3:>8.2f} us/ev  "
+          f"peak RSS {peak_mb:.0f} MB  {ratio:.2f}x the 10k point's ns/event")
     return ops, all_match
 
 

@@ -11,17 +11,16 @@ components off).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import islice
 from math import hypot, inf
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.netsim.mobility import is_time_varying, linear_params, speed_bound
+from repro.netsim.mobility import is_time_varying
 from repro.netsim.node import DeliveryFault, Node
 from repro.netsim.packet import BROADCAST, HEADER_BYTES, Packet
 from repro.netsim.simulator import Simulator
-from repro.netsim.spatialindex import SpatialHashGrid
+from repro.netsim.spatialindex import PositionIndex
 from repro.util.events import Subscription
 from repro.util.rng import split_rng
 
@@ -33,13 +32,6 @@ SKIN_FRACTION = 0.5
 
 #: The share of the skin a memo entry's window lets the fastest mover cover.
 _WINDOW_SHARE = 0.999
-
-#: A default medium (``vectorized=None``) starts on the scalar index and
-#: moves to the numpy one, once and for good, when an attach brings it to
-#: this many nodes: the smallest world size from which the vector index was
-#: measured faster per event at every larger size (``benchmarks/scale.py``
-#: beacon swarm, 9 to 256 nodes), so below it numpy would buy nothing.
-VECTOR_FROM_NODES = 36
 
 
 class RadioProfile:
@@ -92,94 +84,6 @@ IDEAL_RADIO = RadioProfile(
 )
 
 
-class _ScalarBackend:
-    """The retained pure-Python position index (grid + attach order).
-
-    This is the reference path the vectorized backend is held equivalent
-    to: a :class:`SpatialHashGrid` snapshot store plus attach-sequence
-    bookkeeping for the documented neighbor ordering. Mobile nodes are
-    re-bucketed **incrementally** — one batched
-    :meth:`SpatialHashGrid.update_positions` sweep per distinct virtual
-    timestamp that only touches buckets of nodes whose cell actually
-    changed — instead of the historical per-node ``move`` call storm.
-    """
-
-    __slots__ = ("_grid", "_seq", "_node_of", "_next_seq", "_mobile",
-                 "refreshed_at")
-
-    def __init__(self, cell_size: float):
-        self._grid = SpatialHashGrid(cell_size)
-        self._seq: Dict[str, int] = {}
-        self._node_of: Dict[str, Node] = {}
-        self._next_seq = 0
-        self._mobile: Dict[str, Node] = {}
-        # Virtual time of the last refresh; a mobile node inserted or moved
-        # since holds a position no older than that.
-        self.refreshed_at: Optional[float] = None
-
-    def insert(self, node: Node) -> None:
-        position = node.position
-        self._grid.insert(node.node_id, position.x, position.y)
-        self._seq[node.node_id] = self._next_seq
-        self._node_of[node.node_id] = node
-        self._next_seq += 1
-        if is_time_varying(node.mobility):
-            self._mobile[node.node_id] = node
-
-    def remove(self, node_id: str) -> None:
-        self._grid.remove(node_id)
-        self._seq.pop(node_id, None)
-        self._node_of.pop(node_id, None)
-        self._mobile.pop(node_id, None)
-
-    def note_moved(self, node: Node) -> None:
-        position = node.position
-        self._grid.move(node.node_id, position.x, position.y)
-        if is_time_varying(node.mobility):
-            self._mobile[node.node_id] = node
-        else:
-            self._mobile.pop(node.node_id, None)
-
-    def refresh(self, now: float) -> None:
-        if now == self.refreshed_at:
-            return
-        if self._mobile:
-            def positions():
-                for node_id, node in self._mobile.items():
-                    position = node.position
-                    yield node_id, position.x, position.y
-            self._grid.update_positions(positions())
-        self.refreshed_at = now
-
-    def query_circle_ordered(self, x: float, y: float, radius: float) -> List[Node]:
-        ids = self._grid.query_circle(x, y, radius)
-        ids.sort(key=self._seq.__getitem__)
-        return list(map(self._node_of.__getitem__, ids))
-
-    def query_neighbourhood(
-        self, origin_id: str, x: float, y: float, radius: float, reach: float,
-    ) -> Tuple[List[str], List[object]]:
-        """A static origin at (x, y): its neighbour memo entry.
-
-        The same ``(statics, movers)`` as
-        :meth:`VectorPositionIndex.query_neighbourhood`, by attach
-        sequence instead of slot.
-        """
-        grid, seq, mobile = self._grid, self._seq, self._mobile
-        ids = [node_id for node_id in grid.query_circle(x, y, radius)
-               if node_id not in mobile and node_id != origin_id]
-        ids.sort(key=seq.__getitem__)
-        static_seqs = [seq[node_id] for node_id in ids]
-        near = [node_id for node_id in grid.query_circle(x, y, reach)
-                if node_id in mobile]
-        near.sort(key=seq.__getitem__)
-        movers: List[object] = []
-        for node_id in near:
-            movers += (bisect_left(static_seqs, seq[node_id]), node_id,
-                       linear_params(mobile[node_id].mobility))
-        return ids, movers
-
-
 class WirelessMedium:
     """A broadcast domain shared by attached nodes.
 
@@ -187,20 +91,12 @@ class WirelessMedium:
     from ``(seed, "medium:<profile name>")``, independent of any other
     randomness in the run.
 
-    In-range queries go through a position-index backend with cell size
-    equal to the radio range, so a broadcast inspects only the 3x3 cell
-    block around the sender instead of scanning every attached node. Two
-    interchangeable backends exist: the scalar :class:`SpatialHashGrid`
-    reference path, and the numpy-vectorized
-    :class:`~repro.netsim.vecindex.VectorPositionIndex` for swarm-scale
-    worlds. ``vectorized=True`` or ``False`` picks one for good; the
-    default starts scalar and moves to the vector index once the world
-    reaches :data:`VECTOR_FROM_NODES` nodes, if numpy is importable, so a
-    small world never loads numpy. The two are held bit-for-bit equivalent
-    by the suite in ``tests/test_vector_medium.py``, so which one is active
-    never changes results, only speed. Nodes with time-varying mobility
-    are refreshed lazily, at most once per distinct virtual timestamp;
-    static nodes re-bucket only when their ``"moved"`` event fires.
+    In-range queries go through one
+    :class:`~repro.netsim.spatialindex.PositionIndex` with cell side equal
+    to the radio range, so a broadcast inspects only the cells around the
+    sender instead of scanning every attached node. Static nodes re-file
+    only when their ``"moved"`` event fires; time-varying nodes are tested
+    at their exact position at the moment of the query.
 
     Reception is one routine. Every path that ends in a node hearing a
     frame — a contention-free broadcast (one queue entry for all its
@@ -231,31 +127,20 @@ class WirelessMedium:
         sim: Simulator,
         profile: RadioProfile = WIFI_80211,
         seed: int = 0,
-        vectorized: Optional[bool] = None,
     ):
         self.sim = sim
         self.profile = profile
         self._nodes: Dict[str, Node] = {}
         self._rng = split_rng(seed, f"medium:{profile.name}")
-        if vectorized:
-            # Raises ConfigurationError when numpy is missing: forcing the
-            # vector index without it is a mistake, not a silent fallback.
-            from repro.netsim import vecindex
-            self._index = vecindex.VectorPositionIndex(profile.range_m)
-        else:
-            self._index = _ScalarBackend(profile.range_m)
-        self.vectorized = bool(vectorized)
-        # A default medium may still move to the vector index (see attach).
-        self._may_vectorize = vectorized is None
+        self._index = PositionIndex(profile.range_m)
         self._moved_subs: Dict[str, Subscription] = {}
         # Static origin id -> one flat tuple, (until, x, y, end, *statics,
         # *movers) with statics = entry[4:end], of node ids: see
         # _audible_nodes. Ids, floats and ints only, so the cyclic GC stops
         # tracking an entry at its first collection instead of promoting it
-        # to the oldest generation. Liveness NOT applied. Cleared, with the
-        # speed bound it was sized by, on attach, detach and "moved".
+        # to the oldest generation. Liveness NOT applied. Cleared on attach,
+        # detach and "moved".
         self._static_neighbourhoods: Dict[str, tuple] = {}
-        self._speed_bound: Optional[float] = None
         self._skin = profile.range_m * SKIN_FRACTION
         # Failure-modeling state (chaos layer; inert by default).
         self._isolations: Dict[int, frozenset] = {}
@@ -280,34 +165,14 @@ class WirelessMedium:
             raise ConfigurationError(f"node {node.node_id!r} already attached")
         self._nodes[node.node_id] = node
         self._index.insert(node)
-        if self._may_vectorize and len(self._nodes) >= VECTOR_FROM_NODES:
-            self._vectorize()
-        self._forget_neighbourhoods()
+        self._static_neighbourhoods.clear()
         self._moved_subs[node.node_id] = node.events.on("moved", self._on_node_moved)
-
-    def _vectorize(self) -> None:
-        """Move to the vector index, if numpy is importable; asked once.
-
-        The attached nodes go in in attach order, so the new index's slots
-        are the old index's attach sequence and every answer is unchanged.
-        A world that shrinks back below :data:`VECTOR_FROM_NODES` stays
-        here, so it never thrashes between the two.
-        """
-        self._may_vectorize = False
-        from repro.netsim import vecindex
-        if not vecindex.available():
-            return
-        index = vecindex.VectorPositionIndex(self.profile.range_m)
-        for node in self._nodes.values():
-            index.insert(node)
-        self._index = index
-        self.vectorized = True
 
     def detach(self, node_id: str) -> None:
         if self._nodes.pop(node_id, None) is None:
             return
         self._index.remove(node_id)
-        self._forget_neighbourhoods()
+        self._static_neighbourhoods.clear()
         subscription = self._moved_subs.pop(node_id, None)
         if subscription is not None:
             subscription.cancel()
@@ -317,7 +182,7 @@ class WirelessMedium:
         if node.node_id not in self._nodes:
             return
         self._index.note_moved(node)
-        self._forget_neighbourhoods()
+        self._static_neighbourhoods.clear()
 
     # ------------------------------------------------------ failure modeling
 
@@ -361,8 +226,7 @@ class WirelessMedium:
 
         Ordered by attachment, matching the pre-grid all-nodes scan. A
         static node's in-range set is answered from its neighbour memo (see
-        :meth:`_audible_nodes`); a mobile node's from the position index
-        (3x3 cell block, then an exact range check).
+        :meth:`_audible_nodes`); a mobile node's from the position index.
         """
         origin = self._nodes.get(node_id)
         if origin is None:
@@ -372,17 +236,10 @@ class WirelessMedium:
             out = [n for n in out if not self.partitioned(node_id, n.node_id)]
         return out
 
-    def _forget_neighbourhoods(self) -> None:
-        """Drop every memo entry and the speed bound they were sized by."""
-        self._static_neighbourhoods.clear()
-        self._speed_bound = None
-
     def _audible_nodes(self, origin: Node) -> List[Node]:
         """Alive in-range nodes, ignoring partitions (physical audibility).
 
-        Both backends return the candidate nodes already in attachment
-        order (the scalar grid sorts by attach sequence, the vector index
-        by slot number — which *is* the attach sequence).
+        The index returns candidates already in attachment order.
 
         Neighbour memo (a Verlet list): a *static* origin remembers its
         static in-range nodes, every time-varying node within
@@ -407,12 +264,10 @@ class WirelessMedium:
         if entry is None or entry[0] < now:
             entry = self._remember(origin, now)
             if entry is None:
-                index = self._index
-                index.refresh(now)
                 position = origin.position
                 return [
-                    node for node in index.query_circle_ordered(
-                        position.x, position.y, self.profile.range_m)
+                    node for node in self._index.query_circle_ordered(
+                        position.x, position.y, self.profile.range_m, now)
                     if node is not origin and not node._crashed
                     and node.battery.remaining > 0.0
                 ]
@@ -455,28 +310,14 @@ class WirelessMedium:
         """
         if is_time_varying(origin._mobility):
             return None
-        bound = self._speed_bound
-        if bound is None:
-            bound = self._speed_bound = max(
-                (speed_bound(node.mobility) for node in self._nodes.values()
-                 if is_time_varying(node.mobility)),
-                default=0.0,
-            )
+        bound = self._index.speed_bound()
         if bound == inf:
             return None
-        # Movers are picked at the positions of the index's last refresh,
-        # the reach widened by how far any of them can have gone since: the
-        # refresh is paid only once that would add more than one skin.
-        index = self._index
-        since = index.refreshed_at
-        if since is None or bound * (now - since) > self._skin:
-            index.refresh(now)
-            since = now
         position = origin.position
         x, y = position.x, position.y
-        statics, movers = index.query_neighbourhood(
+        statics, movers = self._index.query_neighbourhood(
             origin.node_id, x, y, self.profile.range_m,
-            self.profile.range_m + self._skin + bound * (now - since))
+            self.profile.range_m + self._skin, now)
         until = now + _WINDOW_SHARE * self._skin / bound if bound else inf
         entry = self._static_neighbourhoods[origin.node_id] = (
             until, x, y, 4 + len(statics), *statics, *movers)
@@ -530,16 +371,20 @@ class WirelessMedium:
                 tx_distance = profile.range_m
             else:
                 if sender._mobility is None and target._mobility is None:
-                    # Two pinned nodes: Node.distance_to on the positions
-                    # they hold, the same hypot of the same operands.
+                    # Two pinned nodes: the positions they hold.
                     here, there = sender._home_position, target._home_position
-                    tx_distance = hypot(here.x - there.x, here.y - there.y)
                 else:
-                    tx_distance = sender.distance_to(target)
+                    here, there = sender.position, target.position
+                # Node.distance_to's hypot for the energy; the range test is
+                # the index's squared compare, so unicast and broadcast
+                # agree at the edge.
+                dx = here.x - there.x
+                dy = here.y - there.y
+                tx_distance = hypot(dx, dy)
                 if target._crashed or not target.battery.remaining > 0.0:
                     self.drops_dead += 1
                     receivers = []
-                elif tx_distance > profile.range_m:
+                elif dx * dx + dy * dy > profile.range_m * profile.range_m:
                     self.drops_out_of_range += 1
                     receivers = []
                 elif self._isolations and self.partitioned(

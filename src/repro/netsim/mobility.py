@@ -26,11 +26,10 @@ class MobilityModel(Protocol):
 def is_time_varying(model: "MobilityModel | None") -> bool:
     """True when ``model`` can report different positions over time.
 
-    Spatial caches (the medium's hash grid) key off this: a node with a
-    time-varying model must have its cached position refreshed whenever
-    virtual time advances, while static nodes only move on explicit
-    ``set_position``/``set_mobility`` calls — which emit ``"moved"``
-    events the caches subscribe to.
+    The medium's position index keys off this: a node with a time-varying
+    model is tested at its position at query time, while static nodes only
+    move on explicit ``set_position``/``set_mobility`` calls — which emit
+    ``"moved"`` events the medium subscribes to.
     """
     return model is not None and not isinstance(model, StaticMobility)
 
@@ -40,13 +39,12 @@ def linear_params(
 ) -> Optional[Tuple[float, float, float, float, float]]:
     """Kinematic parameters ``(x0, y0, vx, vy, t0)`` for closed-form models.
 
-    The vectorized medium backend (:mod:`repro.netsim.vecindex`) evaluates
-    ``position = (x0, y0) + (vx, vy) * max(0, t - t0)`` for whole slot
-    ranges in one numpy expression — the arithmetic below matches
-    :meth:`LinearMobility.position_at` operation for operation, so the
-    vector path reproduces the scalar path bit for bit. Models without a
-    closed form (paths, random waypoint) return ``None`` and are refreshed
-    through their Python ``position_at``.
+    The position index (:mod:`repro.netsim.spatialindex`) and the medium's
+    neighbour memo evaluate ``(x0, y0) + (vx, vy) * max(0, t - t0)`` inline
+    from these, with :meth:`LinearMobility.position_at`'s operations in its
+    order, so a mover's position is the same float either way without a
+    call per candidate. Models without a closed form (paths, random
+    waypoint) return ``None`` and are asked through ``position_at``.
     """
     if type(model) is LinearMobility:
         return (

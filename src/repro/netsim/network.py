@@ -29,13 +29,10 @@ class Network:
         sim: Optional[Simulator] = None,
         radio_profile: RadioProfile = WIFI_80211,
         seed: int = 0,
-        vectorized: Optional[bool] = None,
     ):
         self.sim = sim if sim is not None else Simulator()
         self.seed = seed
-        self.medium = WirelessMedium(
-            self.sim, radio_profile, seed=seed, vectorized=vectorized
-        )
+        self.medium = WirelessMedium(self.sim, radio_profile, seed=seed)
         self.links: List[WiredLink] = []
         self._nodes: Dict[str, Node] = {}
         self._link_seq = 0

@@ -36,13 +36,21 @@ def grid(
     seed: int = 0,
     battery_factory: BatteryFactory = _default_battery,
     sim: Optional[Simulator] = None,
-    vectorized: Optional[bool] = None,
+    vectorized: None = None,
 ) -> Network:
-    """A rows x cols grid with the given spacing; ids are ``n<row>_<col>``."""
+    """A rows x cols grid with the given spacing; ids are ``n<row>_<col>``.
+
+    ``vectorized`` selects nothing: it is accepted as ``None`` only, for
+    callers that still pass it.
+    """
+    if vectorized is not None:
+        raise ConfigurationError(
+            f"the medium has one position index; vectorized must be None, "
+            f"got {vectorized!r}"
+        )
     if rows <= 0 or cols <= 0:
         raise ConfigurationError(f"grid dimensions must be positive, got {rows}x{cols}")
-    network = Network(sim=sim, radio_profile=radio_profile, seed=seed,
-                      vectorized=vectorized)
+    network = Network(sim=sim, radio_profile=radio_profile, seed=seed)
     for r in range(rows):
         for c in range(cols):
             node_id = f"n{r}_{c}"
@@ -63,7 +71,6 @@ def random_geometric(
     sim: Optional[Simulator] = None,
     require_connected: bool = True,
     max_attempts: int = 50,
-    vectorized: Optional[bool] = None,
 ) -> Network:
     """``n`` nodes uniformly placed in ``area``; ids are ``n0..n<n-1>``.
 
@@ -92,8 +99,7 @@ def random_geometric(
             coords, radio_profile.range_m
         ):
             continue
-        network = Network(sim=sim, radio_profile=radio_profile, seed=seed,
-                          vectorized=vectorized)
+        network = Network(sim=sim, radio_profile=radio_profile, seed=seed)
         for i, (x, y) in enumerate(coords):
             network.add_node(f"n{i}", position=Point(x, y), battery=batteries[i])
         if not require_connected or network.is_connected():

@@ -25,9 +25,10 @@ def load():
     return module
 
 
-def repro_modules_first_imported(code, *argv, setup=""):
+def repro_modules_first_imported(code, *argv, setup="", package="repro"):
     """The ``repro`` modules a fresh interpreter first imports while it runs
-    ``code``, after ``setup``, with ``argv`` as ``sys.argv[1:]``.
+    ``code``, after ``setup``, with ``argv`` as ``sys.argv[1:]`` (another
+    top-level ``package``'s modules, when one is named).
 
     The child inherits the environment (``PYTHONDONTWRITEBYTECODE`` too, so
     it compiles the tree without writing bytecode into it) and has ``src``
@@ -35,7 +36,7 @@ def repro_modules_first_imported(code, *argv, setup=""):
     """
     script = (f"import sys\n{setup}\nbefore = set(sys.modules)\n{code}\n"
               "print(*[m for m in sys.modules if m not in before"
-              " and m.split('.')[0] == 'repro'])")
+              f" and m.split('.')[0] == {package!r}])")
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
     out = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True,

@@ -649,6 +649,22 @@ def test_every_facade_name_resolves(package):
     assert unresolved == []
 
 
+def test_no_module_imports_numpy():
+    """The library is pure Python: numpy is a test-side dependency only."""
+    importers = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(parsed(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                importers.append(str(path.relative_to(SRC)))
+    assert importers == []
+
+
 def test_no_package_imports_a_name_eagerly():
     """A package ``__init__`` imports submodules (to register them) and the
     ``_facade`` helper, never a name: a name it offers is a table row."""

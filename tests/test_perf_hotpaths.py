@@ -21,7 +21,6 @@ from repro.core.milan import Milan
 from repro.core.policy import health_monitor_policy
 from repro.errors import SimulationError
 from repro.experiments import exp_milan
-from repro.netsim import vecindex
 from repro.netsim.medium import RadioProfile
 from repro.netsim.mobility import LinearMobility, is_time_varying
 from repro.netsim.packet import BROADCAST, Packet
@@ -39,7 +38,6 @@ from repro.transport.simnet import SimFabric
 from repro.workloads import ScenarioRun, parse_spec
 from repro.workloads.campaign import CampaignSpec, ChaosCampaign
 from tests import e2e_workloads
-from tests.test_vector_medium import BACKENDS
 
 
 class TestNaNScheduling:
@@ -297,25 +295,25 @@ class TestReceptionCallBudget:
     chain of per-receiver helpers and nested liveness properties around
     the one float subtraction costs 18. With the neighbour memo answering
     static origins and ``alive`` read in place per neighbour, 2.56 on the
-    vector backend and 2.88 on the scalar one, whose refresh still reads
-    ``position`` per mover (3.68 and 6.49 when every frame asked the
-    index). Counts are exact and repeat run to run, so the budget needs
-    no timing tolerance: a change that puts such a chain back fails here,
-    on any machine. Records became written classes, whose ``__init__`` is
-    counted where the generated one was not: 2.57 and 2.94.
+    numpy index and 2.88 on the grid whose refresh read ``position`` per
+    mover (3.68 and 6.49 when every frame asked the index); 2.57 and 2.94
+    once records' ``__init__`` was counted. The one index that tests
+    movers where they are at query time, with no refresh, costs 2.52.
+    Counts are exact and repeat run to run, so the budget needs no timing
+    tolerance: a change that puts such a chain back fails here, on any
+    machine.
     """
 
-    BUDGET = 2.95
+    BUDGET = 2.53
     ROUNDS = 4
 
-    def swarm(self, vectorized):
+    def swarm(self):
         """The benchmark's smoke size: a 12x12 grid, 4 rounds, one node in
         ten drifting, every node beaconing at its own timestamp."""
         profile = RadioProfile(
             name="802.11-swarm", bandwidth_bps=11e6, range_m=100.0,
             base_latency_s=0.001, loss_probability=0.01)
-        network = grid(12, 12, spacing=30.0, radio_profile=profile, seed=0,
-                       vectorized=vectorized)
+        network = grid(12, 12, spacing=30.0, radio_profile=profile, seed=0)
         sim, medium = network.sim, network.medium
         nodes = network.nodes()
         heard = []
@@ -344,17 +342,14 @@ class TestReceptionCallBudget:
         return calls, medium, nodes
 
     def test_beacon_swarm_stays_within_budget(self):
-        for vectorized in (False, True) if vecindex.available() else (False,):
-            calls, medium, _nodes = self.swarm(vectorized)
-            assert sum(calls.values()) / medium.deliveries <= self.BUDGET, (
-                vectorized)
+        calls, medium, _nodes = self.swarm()
+        assert sum(calls.values()) / medium.deliveries <= self.BUDGET
 
-    @pytest.mark.parametrize("vectorized", BACKENDS)
-    def test_index_is_asked_once_per_static_origin(self, vectorized):
+    def test_index_is_asked_once_per_static_origin(self):
         # The window (0.999 * 50 m / 1.118 m/s) outlasts the 8 s run, so a
         # static origin asks once; a mobile origin asks at every beacon.
         # Asked per beacon, this was 576 queries; it is 129 + 60.
-        calls, _medium, nodes = self.swarm(vectorized)
+        calls, _medium, nodes = self.swarm()
         mobile = sum(is_time_varying(node.mobility) for node in nodes)
         queries = (calls["query_neighbourhood"]
                    + calls["query_circle_ordered"])
@@ -381,9 +376,8 @@ class TestFloodCallBudget:
     BUDGET = 16.8
     UNICASTS = 200
 
-    @pytest.mark.parametrize("vectorized", BACKENDS)
-    def test_flooded_grid_stays_within_budget(self, vectorized):
-        network = grid(3, 3, spacing=60.0, seed=0, vectorized=vectorized)
+    def test_flooded_grid_stays_within_budget(self):
+        network = grid(3, 3, spacing=60.0, seed=0)
         sim, medium = network.sim, network.medium
         agents = build_routed_network(
             SimFabric(network), lambda node_id: FloodingRouter())
@@ -593,20 +587,17 @@ class TestWorkloadCountCeiling:
     cost. ``milan_lifetime`` builds no network, so it pins calls only.
     ``grid_failover``'s campaigns build their worlds inside ``run()``; a
     recording ``run_campaign`` keeps each campaign in hand for its counts.
-    ``swarm_beacon``'s 144 nodes reach ``VECTOR_FROM_NODES``, so it has
-    one row per position index: numpy installed, and not.
 
     A perf change lowers its row in the same diff; a row is raised only
     with a note in CHANGES.md that says why.
     """
 
     #: (calls per op, transmissions per op, events per op); measured, in
-    #: the same order: 557.44, 14.058, 17.655 | 68.83, 1.0367, 2.0367 |
-    #: 319.39, 8, 9 | 10 556.17, 138.375, 577.69 | 97.78, 1, 2 |
-    #: 108.11, 1, 2 | 114.40. The three open-loop rows include one call
-    #: per arrival, the ``schedule_series`` hop that streams the schedule
-    #: into the timed run (it was built before the run, uncounted). Each
-    #: calls row rose when records' ``__init__``, ``__eq__`` and
+    #: the same order: 557.57, 14.058, 17.655 | 68.83, 1.0367, 2.0367 |
+    #: 319.41, 8, 9 | 10 554.98, 138.375, 577.69 | 96.55, 1, 2 | 114.40.
+    #: The three open-loop rows include one call per arrival, the
+    #: ``schedule_series`` hop that streams the schedule into the timed run
+    #: (it was built before the run, uncounted). Each calls row rose when records' ``__init__``, ``__eq__`` and
     #: ``__hash__`` were written out: by no more than the generated frames
     #: the count could not see before.
     CEILINGS = {
@@ -614,15 +605,14 @@ class TestWorkloadCountCeiling:
         "api_flash": (69.09, 1.041, 2.045),
         "chat_read": (320.67, 8.03, 9.04),
         "grid_failover": (10597.3, 138.93, 580.0),
-        "swarm_beacon": (98.06, 1.004, 2.008),
-        "swarm_beacon:scalar": (108.53, 1.004, 2.008),
+        "swarm_beacon": (96.97, 1.004, 2.008),
         "milan_lifetime": (114.85, None, None),
     }
 
     workloads = e2e_workloads.load()
 
     def measure(self, name, monkeypatch):
-        """(row key, calls per op, transmissions per op, events per op)."""
+        """(calls per op, transmissions per op, events per op)."""
         campaigns = []
 
         def run_campaign(mix, seed, **overrides):
@@ -635,29 +625,26 @@ class TestWorkloadCountCeiling:
         calls = sum(count_repro_calls(workload.run).values())
         outcome = workload.outcome()
         ops, counters = outcome["ops"], outcome["counters"]
-        key = name
-        if name == "swarm_beacon" and not workload.network.medium.vectorized:
-            key += ":scalar"
         if campaigns:
             counters = {"transmissions": sum(
                 c.network.medium.transmissions for c in campaigns),
                 "events": sum(c.network.sim.events_processed
                               for c in campaigns)}
         if "events" not in counters:
-            return key, calls / ops, None, None
-        return (key, calls / ops, counters["transmissions"] / ops,
+            return calls / ops, None, None
+        return (calls / ops, counters["transmissions"] / ops,
                 counters["events"] / ops)
 
     @pytest.mark.parametrize("name", list(workloads.SIZES))
     def test_workload_stays_under_its_ceiling(self, name, monkeypatch):
-        key, *measured = self.measure(name, monkeypatch)
+        measured = self.measure(name, monkeypatch)
         for what, got, ceiling in zip(
                 ("calls", "transmissions", "events"), measured,
-                self.CEILINGS[key]):
+                self.CEILINGS[name]):
             if ceiling is None:
                 assert got is None, what
             else:
-                assert got <= ceiling, f"{key}: {what} per op {got:.4f}"
+                assert got <= ceiling, f"{name}: {what} per op {got:.4f}"
 
 
 class TestColdStart:
@@ -671,7 +658,9 @@ class TestColdStart:
     package, 92 since. The workloads then load nothing more inside their
     timed ``run()``: a module first imported there moves its compile cost
     from ``setup_s`` into ``ops_per_s`` (``grid_failover``'s replicas
-    imported their election module so until it moved to import time).
+    imported their election module so until it moved to import time). Nor
+    does any workload load numpy: importing it cost ``swarm_beacon`` 12 MB
+    of its 60 MB peak RSS and about 0.05 s of set-up.
     """
 
     MODULES = 92
@@ -689,6 +678,14 @@ class TestColdStart:
                 "workload = e2e_workloads.load().build(sys.argv[1], 0,"
                 " smoke=True)"))
         assert first_imported_in_run == []
+
+    def test_no_workload_loads_numpy(self):
+        assert e2e_workloads.repro_modules_first_imported(
+            "from tests import e2e_workloads\n"
+            "workloads = e2e_workloads.load()\n"
+            "for name in workloads.SIZES:\n"
+            "    workloads.build(name, 0, smoke=True).run()",
+            package="numpy") == []
 
 
 class TestQuorumWriteCallBudget:

@@ -1,61 +1,56 @@
-"""Scalar/vector medium-backend equivalence — the vectorization contract.
+"""The medium's position index, held to pinned traces and a full scan.
 
-The numpy-vectorized position index (:mod:`repro.netsim.vecindex`) is only
-allowed to change *speed*: every test here runs an identical seeded world
-once per backend and requires **byte-identical** results — neighbor lists
-(values and order), full delivery traces (times, receivers, order), chaos
-scorecards, and simtest explorations. Any divergence is a bug in the
-vector backend by definition, because the scalar path is the reference.
-
-numpy-dependent tests skip cleanly when the ``[scale]`` extra is absent.
+The index may only ever change *speed*: each seeded world here must
+reproduce a pinned sha256 of its full delivery trace (times, receivers,
+order) or chaos scorecard, neighbour lists must be what a scan of every
+attached node says (values and order), and the reception paths must leave
+the same state behind when the index is swapped for that scan.
 """
 
-import math
-import os
+import hashlib
+import importlib.util
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.netsim import medium as medium_module, vecindex
 from repro.netsim.energy import Battery, RadioEnergyModel
-from repro.netsim.medium import VECTOR_FROM_NODES, RadioProfile, WirelessMedium
+from repro.netsim.medium import RadioProfile
 from repro.netsim.mobility import LinearMobility, PathMobility
 from repro.netsim.network import Network
 from repro.netsim.packet import BROADCAST, Packet
-from repro.netsim.simulator import Simulator
 from repro.netsim.topology import grid as topology_grid, random_geometric
 from repro.util.geometry import Point
+from tests import e2e_workloads
+from tests.test_spatialindex import ScanIndex, scan
 
-needs_numpy = pytest.mark.skipif(
-    not vecindex.available(), reason="numpy not installed ([scale] extra)"
-)
+_SCALE = Path(__file__).resolve().parent.parent / "benchmarks" / "scale.py"
 
 #: Contention-free so the batched delivery path is exercised; lossy so the
-#: per-receiver RNG stream must line up between backends.
+#: every reception draws from the loss stream.
 LOSSY_FLAT = RadioProfile(
     name="lossy-flat", bandwidth_bps=11e6, range_m=100.0,
     base_latency_s=0.001, loss_probability=0.05, contention_window_s=0.0,
 )
 #: Contention on: per-receiver uniform backoff draws interleave with loss
-#: draws, the strictest RNG-stream alignment check.
+#: draws, the strictest RNG-stream check.
 LOSSY_CONTENDED = RadioProfile(
     name="lossy-contended", bandwidth_bps=11e6, range_m=100.0,
     base_latency_s=0.001, loss_probability=0.05, contention_window_s=0.002,
 )
 
 
-def _run_grid_world(vectorized, profile, rows=3, cols=3, spacing=60.0):
+def _digest(trace):
+    return hashlib.sha256(repr(trace).encode()).hexdigest()
+
+
+def _run_grid_world(profile, rows=3, cols=3, spacing=60.0):
     """A 3x3 world with mixed mobility running a broadcast+unicast workload.
 
     Returns the full delivery trace [(time, receiver, source, payload)].
     """
     network = topology_grid(rows, cols, spacing=spacing,
-                            radio_profile=profile, seed=11,
-                            vectorized=vectorized)
+                            radio_profile=profile, seed=11)
     sim = network.sim
     trace = []
 
@@ -64,8 +59,8 @@ def _run_grid_world(vectorized, profile, rows=3, cols=3, spacing=60.0):
 
     for node in network.nodes():
         node.set_packet_handler(on_packet)
-    # One drifter with closed-form kinematics, one on a waypoint path (the
-    # vector backend's per-node fallback class).
+    # One drifter with closed-form kinematics, one on a waypoint path (a
+    # mover asked through position_at).
     network.node("n0_0").set_mobility(LinearMobility(
         start=Point(0.0, 0.0), velocity=(4.0, 2.0), start_time=0.0))
     network.node("n2_2").set_mobility(PathMobility(
@@ -110,11 +105,10 @@ def _run_grid_world(vectorized, profile, rows=3, cols=3, spacing=60.0):
     return trace
 
 
-def _run_random_world(vectorized):
+def _run_random_world():
     """200 nodes, mixed static/mobile, random workload; returns the trace."""
     network = random_geometric(200, area=(400.0, 400.0),
-                               radio_profile=LOSSY_FLAT, seed=5,
-                               vectorized=vectorized)
+                               radio_profile=LOSSY_FLAT, seed=5)
     sim = network.sim
     trace = []
 
@@ -157,281 +151,95 @@ def _run_random_world(vectorized):
     return trace
 
 
-def _run_growing_world(vectorized, before_run, joiners=0, shrink_to=None):
-    """A world that grows across :data:`VECTOR_FROM_NODES` (or shrinks).
-
-    ``before_run`` nodes are attached before the run, ``joiners`` more at
-    t = 4, 4.5, ... while node n0 drifts under :class:`LinearMobility`;
-    with ``shrink_to``, nodes are detached from the end at t = 9 until
-    that many are left. Returns the delivery trace and the backend in use
-    at t = 3 (before any joiner), at t = 8 and at the end.
-    """
-    network = Network(radio_profile=LOSSY_FLAT, seed=3, vectorized=vectorized)
-    sim, medium = network.sim, network.medium
-    trace, backends = [], []
-    attached = []
-
-    def on_packet(node, packet):
-        trace.append((sim.now(), node.node_id, packet.source, packet.payload))
-
-    def join(index):
-        node_id = f"n{index}"
-        network.add_node(node_id, position=Point(
-            index % 8 * 40.0, index // 8 * 40.0)).set_packet_handler(on_packet)
-        attached.append(node_id)
-
-    for index in range(before_run):
-        join(index)
-    network.node("n0").set_mobility(LinearMobility(
-        start=Point(0.0, 0.0), velocity=(9.0, 6.0), start_time=0.0))
-    for k in range(joiners):
-        sim.schedule_at(4.0 + 0.5 * k, join, before_run + k)
-    if shrink_to is not None:
-        def shrink():
-            while len(attached) > shrink_to:
-                medium.detach(attached.pop())
-        sim.schedule_at(9.0, shrink)
-    for when in (3.0, 8.0):
-        sim.schedule_at(when, lambda: backends.append(medium.vectorized))
-
-    workload_rng = random.Random(17)
-
-    def send(step):
-        sender = workload_rng.choice(attached)
-        if workload_rng.random() < 0.3:
-            destination = workload_rng.choice(attached)
-        else:
-            destination = BROADCAST
-        medium.transmit(sender, Packet(source=sender, destination=destination,
-                                       payload=f"p{step}", payload_bytes=24))
-
-    for step in range(160):
-        sim.schedule_at(0.05 + step * 0.083, send, step)
-    sim.run()
-    return trace, backends + [medium.vectorized]
-
-
-@needs_numpy
-class TestDefaultMediumMovesToTheVectorIndex:
-    """A default medium starts scalar and moves once, at the constant.
-
-    Each case runs the same world three ways, default, forced scalar and
-    forced vector, and needs byte-identical delivery traces.
-    """
-
-    @staticmethod
-    def three_ways(**world):
-        runs = {flag: _run_growing_world(flag, **world)
-                for flag in (None, False, True)}
-        trace = runs[None][0]
-        assert len(trace) > 1000, "workload too small; test is vacuous"
-        assert runs[False][0] == trace
-        assert runs[True][0] == trace
-        return runs[None][1]
-
-    def test_every_node_attached_before_the_run(self):
-        assert self.three_ways(before_run=VECTOR_FROM_NODES + 4) == [
-            True, True, True]
-
-    def test_crossing_node_attached_while_a_node_moves(self):
-        backends = self.three_ways(before_run=VECTOR_FROM_NODES - 1,
-                                   joiners=4)
-        assert backends == [False, True, True]
-
-    def test_shrinking_below_the_constant_stays_vectorized(self):
-        backends = self.three_ways(before_run=VECTOR_FROM_NODES - 1,
-                                   joiners=4, shrink_to=VECTOR_FROM_NODES // 2)
-        assert backends == [False, True, True]
-
-
-class TestSmallWorldsNeverLoadNumpy:
-    """``import repro`` and a small default world leave numpy unloaded."""
-
-    SCRIPT = """
-import sys
-import repro, repro.workloads, repro.core.milan, repro.netsim.topology
-from repro.netsim.packet import BROADCAST, Packet
-network = repro.netsim.topology.grid(3, 3)
-for node_id in network.node_ids():
-    network.sim.call_later(0.1, network.medium.transmit, node_id, Packet(
-        source=node_id, destination=BROADCAST, payload=b"x", payload_bytes=8))
-network.sim.run()
-assert network.sim.events_processed > 0 and network.medium.deliveries > 0
-assert not network.medium.vectorized
-assert "numpy" not in sys.modules, "a small world loaded numpy"
-"""
-
-    def test_imports_and_a_small_world_leave_numpy_unloaded(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH"))))
-        done = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-
-    @needs_numpy
-    def test_a_world_of_the_constant_size_is_vectorized(self):
-        assert topology_grid(1, VECTOR_FROM_NODES).medium.vectorized
-
-
-@needs_numpy
 class TestDeliveryTraceEquivalence:
+    """Each world's delivery trace is the pinned one, byte for byte."""
+
     def test_grid_world_contention_free(self):
-        scalar = _run_grid_world(False, LOSSY_FLAT)
-        vector = _run_grid_world(True, LOSSY_FLAT)
-        assert scalar, "workload produced no deliveries; test is vacuous"
-        assert vector == scalar
+        trace = _run_grid_world(LOSSY_FLAT)
+        assert len(trace) == 114
+        assert _digest(trace) == (
+            "65705e5f7c5739cda62b272940362d496a5e231ba4244b203379f1ae3c72fbee")
 
     def test_grid_world_with_contention(self):
-        scalar = _run_grid_world(False, LOSSY_CONTENDED)
-        vector = _run_grid_world(True, LOSSY_CONTENDED)
-        assert scalar
-        assert vector == scalar
+        trace = _run_grid_world(LOSSY_CONTENDED)
+        assert len(trace) == 117
+        assert _digest(trace) == (
+            "f24ae4ea548ed36ff547a97ec92e27d0a5afa67929537664a2d7700fd6a42e14")
 
     def test_200_node_random_world(self):
-        scalar = _run_random_world(False)
-        vector = _run_random_world(True)
-        assert len(scalar) > 500
-        assert vector == scalar
+        trace = _run_random_world()
+        assert len(trace) == 2955
+        assert _digest(trace) == (
+            "2290e0720b969e1140e53d6aeea83a80bde06ec441f6fc6c6a20c0442114d703")
 
 
-@needs_numpy
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "e18dcbe1df29aaa9af9332d830c049fcc47ca75f587080068d2520c5c0517b6c"),
+        (1, "946a10217cb2403192a27f261a9af7254cef70788fd633deeaab06bde03ba3f5"),
+        (2, "14978c8cb73e219fd6b0cccd1a5f29193da1118dfc2d323595b933943769d3d2"),
+    ])
+    def test_swarm_beacon_smoke(self, seed, digest):
+        """The benchmark's own 144-node swarm, one node in ten drifting."""
+        workload = e2e_workloads.load().build("swarm_beacon", seed, smoke=True)
+        workload.run()
+        assert workload.outcome()["digest"] == digest
+
+    def test_scale_curve_worlds(self):
+        """``benchmarks/scale.py``'s 100, 1k and 10k-node worlds, one
+        round each, against the digests its gate pins."""
+        spec = importlib.util.spec_from_file_location("scale", _SCALE)
+        scale = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scale)
+        for label, side in scale.CURVE:
+            point = scale.run_world(side, 1)
+            assert point["trace_sha256"] == scale.TRACE_SHA256[label, 1], label
+
+
 class TestNeighborQueryEquivalence:
     def test_ordered_neighbor_lists_match_over_time(self):
-        """Same ids, same (attachment) order, at many timestamps."""
-        worlds = [
-            random_geometric(120, area=(300.0, 300.0),
-                             radio_profile=LOSSY_FLAT, seed=3,
-                             vectorized=flag)
-            for flag in (False, True)
-        ]
-        for network in worlds:
-            for index, node in enumerate(network.nodes()):
-                if index % 5 == 0:
-                    node.set_mobility(LinearMobility(
-                        start=node.position, velocity=(2.0, 1.0),
-                        start_time=0.0))
-        scalar_net, vector_net = worlds
-        assert not scalar_net.medium.vectorized
-        assert vector_net.medium.vectorized
+        """What a scan says: same ids, same (attachment) order, at many
+        timestamps, with one node in five drifting."""
+        network = random_geometric(120, area=(300.0, 300.0),
+                                   radio_profile=LOSSY_FLAT, seed=3)
+        for index, node in enumerate(network.nodes()):
+            if index % 5 == 0:
+                node.set_mobility(LinearMobility(
+                    start=node.position, velocity=(2.0, 1.0), start_time=0.0))
+        medium = network.medium
         for step in range(25):
-            when = step * 0.41
-            scalar_net.sim._now = when
-            vector_net.sim._now = when
+            network.sim._now = step * 0.41
             for node_id in ("n0", "n17", "n63", "n119"):
-                scalar_ids = [
-                    n.node_id for n in scalar_net.medium.neighbors_of(node_id)
-                ]
-                vector_ids = [
-                    n.node_id for n in vector_net.medium.neighbors_of(node_id)
-                ]
-                assert vector_ids == scalar_ids, (
-                    f"divergence at t={when} around {node_id}"
-                )
+                origin = network.node(node_id)
+                expected = [node for node in scan(
+                    medium.nodes(), origin.position, LOSSY_FLAT.range_m,
+                ) if node is not origin]
+                assert medium.neighbors_of(node_id) == expected, (
+                    f"divergence at t={network.sim.now()} around {node_id}")
 
     def test_boundary_distance_exactly_range(self):
-        """Nodes at *exactly* radio range are in range in both backends.
-
-        This is the 1-ulp trap the squared-distance contract exists for:
-        both backends must compute ``dx*dx + dy*dy <= r*r`` with the same
-        operation order, so an exact-boundary neighbor can never flicker
-        between backends.
-        """
-        for flag in (False, True):
-            sim = Simulator()
-            medium = WirelessMedium(sim, LOSSY_FLAT, seed=0, vectorized=flag)
-            network = Network(sim=sim, radio_profile=LOSSY_FLAT, seed=0,
-                              vectorized=flag)
-            origin = network.add_node("origin", position=Point(0.0, 0.0))
-            # 100 m away at an awkward angle: 60/80 scales of a 3-4-5.
-            network.add_node("edge", position=Point(60.0, 80.0))
-            network.add_node("beyond", position=Point(60.0, 80.1))
-            ids = [n.node_id for n in network.medium.neighbors_of("origin")]
-            assert ids == ["edge"], f"backend vectorized={flag} got {ids}"
+        """A node at *exactly* radio range is in range: the squared
+        compare ``dx*dx + dy*dy <= r*r`` is inclusive."""
+        network = Network(radio_profile=LOSSY_FLAT, seed=0)
+        network.add_node("origin", position=Point(0.0, 0.0))
+        # 100 m away at an awkward angle: 60/80 scales of a 3-4-5.
+        network.add_node("edge", position=Point(60.0, 80.0))
+        network.add_node("beyond", position=Point(60.0, 80.1))
+        ids = [n.node_id for n in network.medium.neighbors_of("origin")]
+        assert ids == ["edge"]
 
 
-@needs_numpy
-class TestVectorIndexInternals:
-    def test_compaction_preserves_attach_order(self):
-        index = vecindex.VectorPositionIndex(cell_size=100.0)
-        sim = Simulator()
-
-        class FakeNode:
-            __slots__ = ("node_id", "position", "mobility")
-
-            def __init__(self, node_id, x, y):
-                self.node_id = node_id
-                self.position = Point(x, y)
-                self.mobility = None
-
-        nodes = [FakeNode(f"m{i}", float(i % 13), float(i % 7))
-                 for i in range(200)]
-        for node in nodes:
-            index.insert(node)
-        # Remove enough to trip compaction (dead > 64 and dead > live).
-        for node in nodes[:140]:
-            index.remove(node.node_id)
-        assert len(index) == 60
-        found = index.query_circle_ordered(0.0, 0.0, 50.0)
-        assert found == nodes[140:]
-
-    def test_forcing_vector_without_numpy_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(vecindex, "_np", None)
-        assert not vecindex.available()
-        with pytest.raises(ConfigurationError, match="numpy"):
-            WirelessMedium(Simulator(), LOSSY_FLAT, vectorized=True)
-
-
-class TestScalarFallback:
-    """The pure-Python path must stand alone (no numpy at all)."""
-
-    def test_scalar_backend_explicitly(self):
-        trace = _run_grid_world(False, LOSSY_FLAT)
-        assert trace
-
-    def test_auto_without_numpy_falls_back(self, monkeypatch):
-        monkeypatch.setattr(vecindex, "_np", None)
-        network = Network(radio_profile=LOSSY_FLAT)
-        for index in range(VECTOR_FROM_NODES + 1):
-            network.add_node(f"n{index}", position=Point(float(index), 0.0))
-        assert not network.medium.vectorized
-
-
-@needs_numpy
 class TestChaosScorecardEquivalence:
-    """A full chaos campaign is backend-invariant, byte for byte."""
+    """A full chaos campaign reproduces its pinned scorecard."""
 
     @pytest.mark.chaos
-    def test_churn_campaign_scorecards_identical(self, monkeypatch):
+    def test_churn_campaign_scorecards_identical(self):
         from repro.netsim.chaos import run_campaign, scorecard_bytes
 
         short = dict(duration_s=40.0, heal_deadline_s=24.0, fault_start_s=5.0,
                      bulk_messages=60, transfer_stop_s=22.0)
-        # The campaign's worlds are small: with the constant at 1 every
-        # default medium it builds moves to the vector index at its first
-        # attach, and without numpy none does.
-        monkeypatch.setattr(medium_module, "VECTOR_FROM_NODES", 1)
-        vector = scorecard_bytes(run_campaign("churn", 2, **short))
-        monkeypatch.setattr(vecindex, "_np", None)
-        scalar = scorecard_bytes(run_campaign("churn", 2, **short))
-        assert vector == scalar
-
-
-@needs_numpy
-class TestSimtestOnVectorBackend:
-    """Schedule exploration (tie-breaker installed) over the vector path."""
-
-    @pytest.mark.simtest
-    def test_explorer_smoke_is_clean(self, monkeypatch):
-        from repro.simtest.explorer import explore
-
-        # Every default medium moves to the vector index at its first attach.
-        monkeypatch.setattr(medium_module, "VECTOR_FROM_NODES", 1)
-        report = explore(5, seed=0)
-        assert report.ok
-        assert report.runs == 5
-        assert report.totals["events"] > 0
+        card = scorecard_bytes(run_campaign("churn", 2, **short))
+        assert hashlib.sha256(card).hexdigest() == (
+            "383c5d1749f0702b47fef061f7dabc5572657830f1e587becc3733e091ebeb7a")
 
 
 class TestDeliveryBatching:
@@ -442,7 +250,7 @@ class TestDeliveryBatching:
                                 radio_profile=RadioProfile(
                                     name="flat", bandwidth_bps=11e6,
                                     range_m=100.0, base_latency_s=0.001),
-                                seed=0, vectorized=False)
+                                seed=0)
         got = []
         for node in network.nodes():
             node.set_packet_handler(lambda n, p: got.append(n.node_id))
@@ -490,10 +298,6 @@ RX_JOULES = RadioEnergyModel().rx_cost((8 + 16) * 8)
 #: n1_1's neighbours in attachment order: the receivers of its beacons.
 RING = ["n0_0", "n0_1", "n0_2", "n1_0", "n1_2", "n2_0", "n2_1", "n2_2"]
 
-BACKENDS = [pytest.param(False, id="scalar"),
-            pytest.param(True, id="vector", marks=needs_numpy)]
-
-
 def _one_joule(_node_id):
     return Battery(capacity=1.0)
 
@@ -501,11 +305,16 @@ def _one_joule(_node_id):
 class _World:
     """A 3x3 grid at 60 m pitch (all of RING hears n1_1) with a logbook."""
 
-    def __init__(self, vectorized, per_receiver, battery_factory):
+    def __init__(self, per_receiver, battery_factory, scanned=False):
         self.network = topology_grid(
             3, 3, spacing=60.0, radio_profile=FLAT, seed=0,
-            vectorized=vectorized, battery_factory=battery_factory)
+            battery_factory=battery_factory)
         self.sim, self.medium = self.network.sim, self.network.medium
+        if scanned:
+            # The index swapped for a scan of every node, in attach order.
+            self.medium._index = ScanIndex()
+            for node in self.medium.nodes():
+                self.medium._index.insert(node)
         if per_receiver:
             # A constant tie-breaker keeps scheduling order but makes the
             # medium give every reception a queue entry of its own.
@@ -668,20 +477,19 @@ class TestReceptionPathEquivalence:
     battery charges (``==`` on the floats) behind.
     """
 
-    @pytest.mark.parametrize("vectorized", BACKENDS)
-    def test_batched_and_per_receiver_agree(self, vectorized, drive, batteries):
-        batched = _World(vectorized, False, batteries)
-        per_receiver = _World(vectorized, True, batteries)
+    def test_batched_and_per_receiver_agree(self, drive, batteries):
+        batched = _World(False, batteries)
+        per_receiver = _World(True, batteries)
         drive(batched)
         drive(per_receiver)
         assert batched.snapshot() == per_receiver.snapshot()
         assert (batched.sim.events_processed
                 <= per_receiver.sim.events_processed)
 
-    @needs_numpy
     def test_backends_agree(self, drive, batteries):
-        scalar = _World(False, False, batteries)
-        vector = _World(True, False, batteries)
-        drive(scalar)
-        drive(vector)
-        assert scalar.snapshot() == vector.snapshot()
+        """The index and a scan of every node standing in for it."""
+        indexed = _World(False, batteries)
+        scanned = _World(False, batteries, scanned=True)
+        drive(indexed)
+        drive(scanned)
+        assert indexed.snapshot() == scanned.snapshot()
