@@ -21,7 +21,7 @@ dicts on the same port and is handed to the router.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, MiddlewareError
 from repro.interop.codec import get_codec
@@ -36,6 +36,25 @@ DEFAULT_TTL = 32
 
 #: What an envelope's ``"b"`` field may hold.
 _BODY_TYPES = (bytes, bytearray) + FRAME_TYPES
+
+
+def heard_before(seen: Dict[str, Set[int]], origin: str, seq: int) -> bool:
+    """Whether ``(origin, seq)`` is in the duplicate table ``seen``; records
+    it if not.
+
+    Every router keeps its dedup state in this one shape, origin -> the seqs
+    heard from it: one int per heard flood, not a tuple, and the same
+    answer as a set of ``(origin, seq)`` pairs. ``RoutingAgent._on_frame``
+    runs the same test inline, as it runs once per reception.
+    """
+    seqs = seen.get(origin)
+    if seqs is None:
+        seen[origin] = {seq}
+        return False
+    if seq in seqs:
+        return True
+    seqs.add(seq)
+    return False
 
 
 class Envelope:
@@ -120,7 +139,12 @@ class RoutingAgent:
         self.default_ttl = default_ttl
         self.endpoint: SimTransport = fabric.endpoint(node_id, ROUTE_PORT)
         self._seq = SequenceGenerator(1)
-        self._seen: set[Tuple[str, int]] = set()
+        # The duplicate table (see heard_before): origin "node:port" text ->
+        # the seqs heard from it, this node's own floods included. Exact:
+        # ints hash and compare by value, so True, 0, negative and huge seqs
+        # decide as they would in a (text, seq) pair. It only grows: a lossy
+        # window would change which late floods are accepted.
+        self._seen: Dict[str, Set[int]] = {}
         # "node:port" as received -> (Address, str(Address)); bounded.
         self._addresses: Dict[str, Tuple[Address, str]] = {}
         self._ports: Dict[str, "RoutedTransport"] = {}
@@ -159,8 +183,10 @@ class RoutingAgent:
 
     # --------------------------------------------------------------- sending
 
-    def originate(self, source: Address, destination: Address, payload: bytes) -> None:
-        """Start an envelope from this node."""
+    def originate(self, source: Address, source_text: str,
+                  destination: Address, payload: bytes) -> None:
+        """Start an envelope from this node's port ``source`` (whose
+        ``str()`` is ``source_text``)."""
         if destination.node == BROADCAST_NODE:
             # One-hop broadcast is a link-layer affair: no routing involved.
             self.fabric._transmit(source, destination, payload)
@@ -173,7 +199,7 @@ class RoutingAgent:
             payload=payload,
         )
         self.originated += 1
-        self._seen.add((str(envelope.source), envelope.seq))
+        self._seen.setdefault(source_text, set()).add(envelope.seq)
         if TRACER.enabled:
             with TRACER.span("route.originate", node=self.node_id,
                              dest=destination.node, seq=envelope.seq) as span:
@@ -343,11 +369,14 @@ class RoutingAgent:
                 or not isinstance(body, _BODY_TYPES):
             self._drop("malformed")
             return
-        key = (origin_text, seq)
-        if key in self._seen:
+        seqs = self._seen.get(origin_text)
+        if seqs is None:
+            self._seen[origin_text] = {seq}
+        elif seq in seqs:
             self._drop("duplicate")
             return
-        self._seen.add(key)
+        else:
+            seqs.add(seq)
         envelope = Envelope(origin, target, ttl, seq, body, route)
         envelope.wire = self._capture_wire(
             payload, message, origin_text, target_text)
@@ -408,13 +437,14 @@ class RoutedTransport(Transport):
     def __init__(self, local: Address, agent: RoutingAgent):
         super().__init__(local)
         self._agent = agent
+        self._text = str(local)
 
     @property
     def scheduler(self) -> Scheduler:
         return self._agent.scheduler
 
     def _send(self, destination: Address, payload: bytes) -> None:
-        self._agent.originate(self._local, destination, payload)
+        self._agent.originate(self._local, self._text, destination, payload)
 
     def broadcast(self, payload: bytes, port: Optional[str] = None) -> None:
         """One-hop broadcast (symmetric with SimTransport.broadcast)."""

@@ -16,9 +16,10 @@ Messages (own port, codec dicts)::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.interop.frames import WireFrame
+from repro.routing.base import heard_before
 from repro.transport.base import Address
 from repro.transport.endpoint import MessageEndpoint, present
 from repro.transport.simnet import SimFabric, SimTransport
@@ -69,8 +70,10 @@ class DataCentricAgent(MessageEndpoint):
         self._gradients: Dict[str, Dict[str, Gradient]] = {}
         self._subscriptions: Dict[str, DataCallback] = {}
         self._seq = SequenceGenerator(1)
-        self._seen_interests: Set[Tuple[str, int]] = set()
-        self._seen_data: Set[Tuple[str, int]] = set()
+        # origin -> the seqs heard from it (own floods included), the shape
+        # of RoutingAgent._seen; one table per message kind.
+        self._seen_interests: Dict[str, Set[int]] = {}
+        self._seen_data: Dict[str, Set[int]] = {}
         self.interests_sent = 0
         self.data_sent = 0
         self.data_delivered = 0
@@ -107,7 +110,7 @@ class DataCentricAgent(MessageEndpoint):
 
     def _flood_interest(self, name: str, ttl: int) -> None:
         seq = self._seq.next()
-        self._seen_interests.add((self.node_id, seq))
+        heard_before(self._seen_interests, self.node_id, seq)
         self.interests_sent += 1
         self.endpoint.broadcast(
             WireFrame(
@@ -130,7 +133,7 @@ class DataCentricAgent(MessageEndpoint):
             self.data_delivered += 1
             self._subscriptions[name](name, value, self.node_id)
         seq = self._seq.next()
-        self._seen_data.add((self.node_id, seq))
+        heard_before(self._seen_data, self.node_id, seq)
         return self._forward_data(
             {"c": "data", "n": name, "o": self.node_id, "q": seq, "v": value}
         )
@@ -158,7 +161,6 @@ class DataCentricAgent(MessageEndpoint):
     # -------------------------------------------------------------- receiving
 
     def _on_interest(self, source: Address, message: Dict[str, Any]) -> None:
-        key = (message["o"], message["q"])
         hops = message["h"] + 1
         name, sink = message["n"], message["o"]
         by_sink = self._gradients.setdefault(name, {})
@@ -168,9 +170,8 @@ class DataCentricAgent(MessageEndpoint):
             by_sink[sink] = Gradient(source.node, sink, hops, expires)
         elif hops == existing.hops_to_sink and source.node == existing.parent:
             existing.expires_at = expires
-        if key in self._seen_interests:
+        if heard_before(self._seen_interests, sink, message["q"]):
             return
-        self._seen_interests.add(key)
         ttl = message["t"] - 1
         if ttl >= 1:
             self.interests_sent += 1
@@ -179,10 +180,8 @@ class DataCentricAgent(MessageEndpoint):
             )
 
     def _on_data(self, source: Address, message: Dict[str, Any]) -> None:
-        key = (message["o"], message["q"])
-        if key in self._seen_data:
+        if heard_before(self._seen_data, message["o"], message["q"]):
             return
-        self._seen_data.add(key)
         name = message["n"]
         if name in self._subscriptions:
             self.data_delivered += 1

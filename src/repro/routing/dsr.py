@@ -11,16 +11,20 @@ Control messages (on the routing port)::
     RREQ: {"c": "rreq", "o": origin, "q": seq, "d": destination, "p": [path]}
     RREP: {"c": "rrep", "o": origin, "q": seq, "path": [full path]}
 
+(origin, destination and path entries are node-id strings, seq an int). A
+control frame that breaks these types, or an RREP whose path does not name
+the receiving node, is dropped and counted as the agent's ``malformed``.
+
 Envelopes queued while discovery runs are dropped (and counted) after
 ``discovery_timeout_s`` — the behaviour an unreachable destination produces.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from repro.obs.tracing import TRACER, Span
-from repro.routing.base import Disposition, Envelope, Router
+from repro.routing.base import Disposition, Envelope, Router, heard_before
 from repro.transport.base import Address
 from repro.util.ids import SequenceGenerator
 
@@ -37,7 +41,9 @@ class DsrRouter(Router):
         self.discovery_timeout_s = discovery_timeout_s
         self._route_cache: Dict[str, List[str]] = {}
         self._rreq_seq = SequenceGenerator(1)
-        self._seen_rreqs: Set[Tuple[str, int]] = set()
+        # origin -> the rreq seqs heard from it (this node's own included),
+        # the shape of RoutingAgent._seen.
+        self._seen_rreqs: Dict[str, Set[int]] = {}
         self._waiting: Dict[str, List[Envelope]] = {}
         self._discovery_spans: Dict[str, Span] = {}
         self.rreqs_sent = 0
@@ -121,7 +127,7 @@ class DsrRouter(Router):
 
     def _start_discovery(self, destination: str) -> None:
         seq = self._rreq_seq.next()
-        self._seen_rreqs.add((self.node_id, seq))
+        heard_before(self._seen_rreqs, self.node_id, seq)
         self.rreqs_sent += 1
         if TRACER.enabled:
             span = TRACER.span("route.discovery", node=self.node_id,
@@ -157,26 +163,26 @@ class DsrRouter(Router):
             self._on_rrep(message)
 
     def _on_rreq(self, message: Dict[str, Any]) -> None:
-        key = (message["o"], message["q"])
-        if key in self._seen_rreqs:
+        origin, seq = message.get("o"), message.get("q")
+        destination, path = message.get("d"), message.get("p")
+        if not (isinstance(origin, str) and isinstance(seq, int)
+                and isinstance(destination, str) and _is_path(path)):
+            self.agent._drop("malformed")
             return
-        self._seen_rreqs.add(key)
-        path: List[str] = list(message["p"])
-        if self.node_id in path:
+        if heard_before(self._seen_rreqs, origin, seq) or self.node_id in path:
             return
-        path.append(self.node_id)
-        destination = message["d"]
+        path = path + [self.node_id]
         if destination == self.node_id:
             # We are the target: answer along the reversed accumulated path.
             self.learn_route(path)
-            self._send_rrep(message["o"], message["q"], path)
+            self._send_rrep(origin, seq, path)
             return
         cached = self._route_cache.get(destination)
         if cached is not None and cached[0] == self.node_id:
             # Cache hit: splice our known route onto the accumulated path.
             full = path[:-1] + cached
             if len(set(full)) == len(full):  # no loops
-                self._send_rrep(message["o"], message["q"], full)
+                self._send_rrep(origin, seq, full)
                 return
         self.agent.send_control(None, {**message, "p": path})
 
@@ -191,12 +197,16 @@ class DsrRouter(Router):
         )
 
     def _on_rrep(self, message: Dict[str, Any]) -> None:
-        path: List[str] = list(message["path"])
+        origin, seq, path = message.get("o"), message.get("q"), message.get("path")
+        if not (isinstance(origin, str) and isinstance(seq, int)
+                and _is_path(path) and self.node_id in path):
+            self.agent._drop("malformed")
+            return
         self.learn_route(path)
-        if message["o"] == self.node_id:
+        if origin == self.node_id:
             self._flush(path[-1])
             return
-        self._send_rrep(message["o"], message["q"], path)
+        self._send_rrep(origin, seq, path)
 
     def _flush(self, destination: str) -> None:
         route = self._route_cache.get(destination)
@@ -210,3 +220,8 @@ class DsrRouter(Router):
             envelope.route = route
             if len(route) > 1:
                 self.agent.forward_to(route[1], envelope)
+
+
+def _is_path(path: Any) -> bool:
+    """A control frame's node path: a list of node ids."""
+    return isinstance(path, list) and all(isinstance(hop, str) for hop in path)

@@ -1,5 +1,6 @@
 """``benchmarks/e2e/workloads.py``, loaded read-only (it is not a package),
-and the fresh interpreter that counts what an import loads.
+and the fresh interpreters that count what an import loads and what a
+workload's run allocates.
 
 A module of its own so that a fresh interpreter can load the benchmark's
 workloads without importing a test module, and so count what the
@@ -29,17 +30,35 @@ def repro_modules_first_imported(code, *argv, setup="", package="repro"):
     """The ``repro`` modules a fresh interpreter first imports while it runs
     ``code``, after ``setup``, with ``argv`` as ``sys.argv[1:]`` (another
     top-level ``package``'s modules, when one is named).
-
-    The child inherits the environment (``PYTHONDONTWRITEBYTECODE`` too, so
-    it compiles the tree without writing bytecode into it) and has ``src``
-    and the checkout (for ``tests``) on its path.
     """
     script = (f"import sys\n{setup}\nbefore = set(sys.modules)\n{code}\n"
               "print(*[m for m in sys.modules if m not in before"
               f" and m.split('.')[0] == {package!r}])")
+    return _in_child(script, *argv).split()
+
+
+def traced_peak_of_run(name):
+    """The ``tracemalloc`` peak, in bytes, of workload ``name``'s ``run()``
+    at its smoke size, seed 0, in a fresh interpreter: built first, then
+    ``gc.collect()``, then traced from the run's first allocation."""
+    script = ("import gc, sys, tracemalloc\n"
+              "from tests import e2e_workloads\n"
+              "workload = e2e_workloads.load().build(sys.argv[1], 0, smoke=True)\n"
+              "gc.collect()\n"
+              "tracemalloc.start()\n"
+              "workload.run()\n"
+              "print(tracemalloc.get_traced_memory()[1])")
+    return int(_in_child(script, name))
+
+
+def _in_child(script, *argv):
+    """``script``'s stdout in a fresh interpreter (environment inherited,
+    ``PYTHONDONTWRITEBYTECODE`` too, so it compiles the tree without
+    writing bytecode into it) with ``src`` and the checkout (for
+    ``tests``) on its path, ``argv`` as ``sys.argv[1:]``."""
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
     out = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True,
         text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
         check=True)
-    return out.stdout.split()
+    return out.stdout

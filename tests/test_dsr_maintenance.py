@@ -114,3 +114,38 @@ class TestDsrRouteMaintenance:
         network.sim.run()
         assert received == [b"one"]
         assert agents["src"].router.discovery_failures >= 1
+
+
+class TestMalformedControl:
+    """A bad RREQ/RREP is a counted ``malformed`` drop at the node that
+    hears it; each of these used to raise out of ``sim.run()``."""
+
+    @pytest.mark.parametrize("message", [
+        {"c": "rreq", "o": "x", "q": [1], "d": "b", "p": ["x"]},  # unhashable
+        {"c": "rreq", "q": 1, "d": "b", "p": []},                 # no origin
+        {"c": "rrep", "o": "x", "q": 1},                          # no path
+        {"c": "rrep", "o": "x", "q": 1, "path": ["zz"]},         # not on it
+        {"c": "rreq", "o": "x", "q": 2, "d": "b", "p": 5},        # no list
+        {"c": "rreq", "o": 7, "q": 2, "d": "b", "p": []},
+        {"c": "rreq", "o": "x", "q": 2.0, "d": "b", "p": []},
+        {"c": "rreq", "o": "x", "q": 2, "d": None, "p": []},
+        {"c": "rreq", "o": "x", "q": 2, "d": "b", "p": ["x", 3]},
+        {"c": "rrep", "o": "x", "q": "1", "path": ["x", "top"]},
+        {"c": "rrep", "o": None, "q": 1, "path": ["x", "top"]},
+        {"c": "rrep", "o": "x", "q": 1, "path": "top"},
+    ])
+    def test_bad_control_frame_is_dropped_and_counted(self, message):
+        network, agents = diamond_network()
+        agents["src"].send_control("top", message)
+        network.sim.run()
+        assert agents["top"].dropped == {"malformed": 1}
+        assert agents["top"].router.rreqs_sent == 0
+        assert agents["top"].router.rreps_sent == 0
+        # Well-formed discovery through the same node is unaffected.
+        src = agents["src"].open_port("app")
+        received = []
+        agents["dst"].open_port("app").set_receiver(
+            lambda source, data: received.append(data))
+        src.send(Address("dst", "app"), b"after")
+        network.sim.run()
+        assert received == [b"after"]

@@ -10,10 +10,12 @@ reception path, on a flooded multi-hop delivery, on a warm MiLAN
 reconfiguration round, on a request/reply round trip through the
 message-endpoint skeleton, on one unicast datagram from ``_send`` to
 handler, on every benchmark workload as a whole, and on the quorum-write
-path; one more counts what a benchmark child loads at start-up.
+path. One more pins what each workload's run allocates, and another counts
+what a benchmark child loads at start-up.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -594,7 +596,10 @@ class TestWorkloadCountCeiling:
 
     #: (calls per op, transmissions per op, events per op); measured, in
     #: the same order: 557.57, 14.058, 17.655 | 68.83, 1.0367, 2.0367 |
-    #: 319.41, 8, 9 | 10 554.98, 138.375, 577.69 | 96.55, 1, 2 | 114.40.
+    #: 319.41, 8, 9 | 10 537.46, 138.375, 577.69 | 96.55, 1, 2 | 114.40.
+    #: ``grid_failover``'s calls fell from 10 555.02 when an originated
+    #: flood stopped stringifying its source (843 ``Address.__str__`` calls
+    #: in 48 ops, less the one per routed port now made when it opens).
     #: The three open-loop rows include one call per arrival, the
     #: ``schedule_series`` hop that streams the schedule into the timed run
     #: (it was built before the run, uncounted). Each calls row rose when records' ``__init__``, ``__eq__`` and
@@ -604,7 +609,7 @@ class TestWorkloadCountCeiling:
         "ledger_write": (559.76, 14.11, 17.73),
         "api_flash": (69.09, 1.041, 2.045),
         "chat_read": (320.67, 8.03, 9.04),
-        "grid_failover": (10597.3, 138.93, 580.0),
+        "grid_failover": (10579.6, 138.93, 580.0),
         "swarm_beacon": (96.97, 1.004, 2.008),
         "milan_lifetime": (114.85, None, None),
     }
@@ -645,6 +650,71 @@ class TestWorkloadCountCeiling:
                 assert got is None, what
             else:
                 assert got <= ceiling, f"{name}: {what} per op {got:.4f}"
+
+
+class TestWorkloadMemoryCeiling:
+    """What each benchmark workload's timed ``run()`` allocates, in bytes.
+
+    A fresh child builds the workload at its smoke size, seed 0, collects,
+    and reports the ``tracemalloc`` peak of ``run()``
+    (``e2e_workloads.traced_peak_of_run``). The peaks repeat to the byte
+    per interpreter (one 63 B wobble was seen on 3.10 ``api_flash``) but
+    differ between versions, so there is one row per minor version, each
+    pinned at the measured value + 1 %. Any other version is held to the
+    largest row + 25 %. ``grid_failover`` read 1 430 521 / 1 183 474 /
+    1 166 642 while routing's duplicate tables held a tuple per heard
+    flood.
+
+    A memory change lowers its row in the same diff; a row is raised only
+    with a note in CHANGES.md that says why.
+    """
+
+    PEAKS = {
+        (3, 10): {"ledger_write": 551_941, "api_flash": 86_602,
+                  "chat_read": 232_315, "grid_failover": 1_212_099,
+                  "swarm_beacon": 280_898, "milan_lifetime": 90_420},
+        (3, 11): {"ledger_write": 458_844, "api_flash": 29_195,
+                  "chat_read": 180_873, "grid_failover": 962_287,
+                  "swarm_beacon": 265_724, "milan_lifetime": 66_640},
+        (3, 12): {"ledger_write": 452_844, "api_flash": 29_091,
+                  "chat_read": 178_649, "grid_failover": 951_967,
+                  "swarm_beacon": 266_148, "milan_lifetime": 66_960},
+    }
+
+    #: Bytes a duplicate table holds per heard (origin, seq) pair: its dict,
+    #: its sets and its origin texts (the seq ints are held by any layout).
+    #: 69–71 as origin -> set of seqs; 148–156 as a set of pairs.
+    DEDUP_BYTES_PER_PAIR = 75
+
+    @pytest.mark.parametrize("name", list(TestWorkloadCountCeiling.workloads.SIZES))
+    def test_run_peak_stays_under_its_ceiling(self, name):
+        row = self.PEAKS.get(sys.version_info[:2])
+        ceiling = (row[name] * 1.01 if row is not None else
+                   max(row[name] for row in self.PEAKS.values()) * 1.25)
+        peak = e2e_workloads.traced_peak_of_run(name)
+        assert peak <= ceiling, f"{name}: {peak} B"
+
+    def test_duplicate_tables_hold_one_int_per_heard_flood(self, monkeypatch):
+        campaigns = []
+
+        def run_campaign(mix, seed, **overrides):
+            campaigns.append(ChaosCampaign(
+                CampaignSpec(mix=mix, seed=seed, **overrides)))
+            return campaigns[-1].run()
+
+        workloads = TestWorkloadCountCeiling.workloads
+        monkeypatch.setattr(workloads, "run_campaign", run_campaign)
+        workloads.build("grid_failover", 0, smoke=True).run()
+        held = pairs = 0
+        for campaign in campaigns:
+            for node in campaign.nodes.values():
+                table = node.routing_agent._seen
+                held += sys.getsizeof(table)
+                for origin, seqs in table.items():
+                    held += sys.getsizeof(origin) + sys.getsizeof(seqs)
+                    pairs += len(seqs)
+        assert pairs > 5000
+        assert held / pairs <= self.DEDUP_BYTES_PER_PAIR
 
 
 class TestColdStart:
