@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import struct
 from sys import intern
-from typing import Any, Dict, Protocol, runtime_checkable
+from typing import Any, Callable, Dict, Protocol, runtime_checkable
 
 from repro.errors import CodecError
 from repro.interop import sml
@@ -294,6 +294,19 @@ def register_frame_types(types: tuple) -> None:
         _ROWS[frame_type] = (_size_bytes, _encode_bytes, bytes)
 
 
+def register_record_type(kind: type, to_wire: Callable[[Any], dict]) -> None:
+    """Teach the binary walker an immutable record that a frame may carry
+    by reference (called once by the module that defines it): the record
+    is sized, encoded and made plain exactly as its ``to_wire(record)``
+    dict, so its bytes, and what decoding them yields, are the dict's.
+    JSON and SML know no records and refuse one with :class:`CodecError`."""
+    _ROWS[kind] = (
+        lambda record: _size_dict(to_wire(record)),
+        lambda record, pieces: _encode_dict(to_wire(record), pieces),
+        lambda record: _plain_dict(to_wire(record)),
+    )
+
+
 @runtime_checkable
 class Codec(Protocol):
     """Encoder/decoder pair with a wire-format name."""
@@ -551,12 +564,14 @@ def wire_plain(value: Any) -> Any:
     """``value`` as a receiver would hold it had it crossed the wire as bytes.
 
     A dict extracted from a reference-passed frame is the sender's own
-    object, so a field that is handed on to application code (an RPC
-    result, a published event, a queue body, a shared-object value) or
-    kept (a stored tuple) goes through here first: containers are rebuilt
-    all the way down, a tuple arrives as a list and a bytearray as bytes —
-    what ``decode(encode(value))`` yields — while scalars, which are
-    immutable, pass by reference at no cost.
+    object. An immutable record or a tuple may be kept by reference as it
+    is; a mutable value that is stored or handed on to application code
+    (an RPC result, a published event, a queue body, a shared-object or
+    replicated value) goes through here first: containers are rebuilt
+    all the way down, a tuple arrives as a list, a bytearray as bytes and
+    a registered record as its dict form — what ``decode(encode(value))``
+    yields — while scalars, which are immutable, pass by reference at no
+    cost.
     """
     plain = _ROWS[type(value)][2]
     return value if plain is None else plain(value)

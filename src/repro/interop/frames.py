@@ -26,9 +26,12 @@ encoding.
 Contract for receivers: a message dict extracted from a reference-passed
 frame is shared with the sender (and every other receiver of a broadcast).
 Treat it as immutable — copy (``{**message, ...}``) before patching, which
-is what every receive path in this repo already does. A field that is
-handed on to application code or kept (an RPC result, an event, a queue
-body, a stored tuple) goes through
+is what every receive path in this repo already does. An immutable record
+(a replication ``LogEntry``, registered with the codec through
+:func:`~repro.interop.codec.register_record_type`) or a tuple may be kept
+by reference: nobody can change it. A mutable value that is stored or
+handed on to application code (an RPC result, an event, a queue body, a
+stored tuple, a replicated write's value) goes through
 :func:`~repro.interop.codec.wire_plain` first, so the application holds
 what bytes on a wire would have produced, never the sender's own object.
 

@@ -4,8 +4,8 @@
 (services suppliers, services consumers and network)."
 
 The :class:`SystemEventBus` is that reaction point: it attaches to any mix
-of components — simulated nodes, registries, discovery agents, transaction
-managers, QoS contracts, MiLAN instances — normalizes their event streams
+of components — simulated nodes, registries, transaction managers, QoS
+contracts, MiLAN instances — normalizes their event streams
 onto one dot-separated topic tree, and lets applications subscribe with
 the same wildcard patterns publish/subscribe uses:
 
@@ -18,7 +18,6 @@ topic                      payload
 ``service.registered``     {"service": id, "type": t}
 ``service.unregistered``   {"service": id, "type": t}
 ``service.expired``        {"service": id, "type": t}
-``service.discovered``     {"service": id, "type": t}
 ``qos.violated``           {"contract": id, "supplier": id}
 ``qos.repaired``           {"contract": id, "supplier": id}
 ``txn.established``        {"txn": id, "supplier": id}
@@ -42,7 +41,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.milan import Milan
-from repro.discovery.distributed import DistributedDiscovery
 from repro.discovery.registry import RegistryServer
 from repro.netsim.network import Network
 from repro.obs.metrics import MetricsRegistry
@@ -117,15 +115,6 @@ class SystemEventBus:
         server.events.on("registered", service_event("registered"))
         server.events.on("unregistered", service_event("unregistered"))
         server.events.on("expired", service_event("expired"))
-
-    def watch_discovery(self, agent: DistributedDiscovery) -> None:
-        agent.events.on(
-            "service_discovered",
-            lambda d: self.publish(
-                "service.discovered",
-                {"service": d.service_id, "type": d.service_type},
-            ),
-        )
 
     def watch_contract(self, contract: QoSContract) -> None:
         contract.events.on(

@@ -9,7 +9,7 @@ All randomness is seeded.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.netsim.energy import Battery
@@ -186,8 +186,3 @@ def linear_chain(
             node_id, position=Point(i * spacing, 0.0), battery=battery_factory(node_id)
         )
     return network
-
-
-def positions_of(network: Network) -> List[Tuple[str, Point]]:
-    """Convenience: (node_id, position) pairs, for plotting and assertions."""
-    return [(node.node_id, node.position) for node in network.nodes()]

@@ -64,9 +64,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
 
 #: Default histogram bounds: geometric, 1 µs .. ~134 s (factor 2 per bucket).
 DEFAULT_BUCKET_BOUNDS: Tuple[float, ...] = tuple(1e-6 * 2.0**i for i in range(28))

@@ -75,9 +75,6 @@ class HeartbeatDetector(MessageEndpoint):
                 last_heard=self.transport.scheduler.now(), last_seq=-1
             )
 
-    def unwatch(self, node_id: str) -> None:
-        self._watched.pop(node_id, None)
-
     # --------------------------------------------------------- subscriptions
 
     def on_suspect(self, callback) -> Subscription:

@@ -16,7 +16,7 @@ the committed transactions' effects are visible.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from repro.errors import RecoveryError, TransactionAborted
 from repro.recovery.checkpoint import CheckpointManager
@@ -177,9 +177,6 @@ class TransactionalStore:
     def snapshot(self) -> Dict[str, Any]:
         self._check_up()
         return dict(self._committed)
-
-    def active_transactions(self) -> Set[str]:
-        return set(self._pending)
 
     def __len__(self) -> int:
         self._check_up()

@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     AdmissionRefused, ConfigurationError, DeliveryError, TransactionAborted)
+from repro.interop.codec import wire_plain
 from repro.interop.frames import WireFrame
 from repro.replication.shards import ShardMap
 from repro.transport.base import Address, Transport
@@ -122,7 +123,7 @@ class GroupClient(MessageEndpoint):
         ``blocking`` ops (tuple-space ``in``/``rd``) retry indefinitely.
         """
         rid = rid if rid is not None else self._rids.next()
-        message = {"op": "cmd", "rid": rid, "name": name, "args": list(args)}
+        message = {"op": "cmd", "rid": rid, "name": name, "args": args}
         return self._submit(rid, message, blocking=blocking, read=False)
 
     def read(self, name: str, *args: Any, mode: str = "primary") -> Promise:
@@ -133,7 +134,7 @@ class GroupClient(MessageEndpoint):
             "op": "cmd",
             "rid": rid,
             "name": name,
-            "args": list(args),
+            "args": args,
             "read": True,
             "mode": mode,
             "min_index": self.seen_index if mode == "ryw" else 0,
@@ -286,7 +287,9 @@ class GroupClient(MessageEndpoint):
         if message["index"] > self.seen_index:
             self.seen_index = message["index"]
         self._settle(request)
-        request.promise.fulfill(message["result"])
+        # The result is the replica's own object (a stored value, a cached
+        # answer): the caller gets what bytes on a wire would have held.
+        request.promise.fulfill(wire_plain(message["result"]))
 
     def _on_cmd_err(self, source: Address, message: Dict[str, Any]) -> None:
         request = self._requests.get(message["rid"])

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
+from repro.interop.codec import register_record_type
 
 
 class LogEntry:
@@ -25,6 +26,12 @@ class LogEntry:
 
     ``rid`` is the client-chosen request id used for at-most-once
     application (retries of an already-logged rid never re-append).
+
+    An entry is immutable: nothing assigns a field after ``__init__``, and
+    ``args`` is a tuple. So an append or sync frame carries the entries
+    themselves, and every replica that receives it by reference logs the
+    primary's own objects; the codec sizes and encodes an entry as its
+    :meth:`to_wire` dict, which is what a replica rebuilds from real bytes.
     """
 
     __slots__ = ("index", "term", "rid", "name", "args")
@@ -58,9 +65,12 @@ class LogEntry:
         }
 
     @staticmethod
-    def from_wire(raw: Dict[str, Any]) -> "LogEntry":
+    def from_wire(raw: Any) -> "LogEntry":
         """Rebuild an entry from its wire form; nothing is coerced — a field
-        of the wrong type is a ``TypeError``, a missing one a ``KeyError``."""
+        of the wrong type is a ``TypeError``, a missing one a ``KeyError``.
+        An entry passed by reference is returned as it is."""
+        if raw.__class__ is LogEntry:
+            return raw
         index, term, rid, name, args = (
             raw["i"], raw["t"], raw["r"], raw["n"], raw["a"])
         if not (isinstance(index, int) and isinstance(term, int)
@@ -68,6 +78,9 @@ class LogEntry:
                 and isinstance(args, (list, tuple))):
             raise TypeError(f"malformed log entry: {raw!r}")
         return LogEntry(index, term, rid, name, tuple(args))
+
+
+register_record_type(LogEntry, LogEntry.to_wire)
 
 
 class OpLog:

@@ -146,7 +146,7 @@ class ReplicaNode(MessageEndpoint):
     # its sender being a member. A closed replica hears nothing: close()
     # takes its receiver off the transport.
     OPS = {
-        "cmd": ({"rid": str, "name": str, "args": optional(list),
+        "cmd": ({"rid": str, "name": str, "args": optional((list, tuple)),
                  "read": optional(bool), "mode": optional(str),
                  "min_index": optional(int)}, "_enqueue_cmd"),
         "append": ({"term": int, "commit": int, "prev": int, "prev_term": int,
@@ -442,7 +442,7 @@ class ReplicaNode(MessageEndpoint):
             "commit": self.log.commit_index,
             "prev": prev_index,
             "prev_term": prev_term if prev_term is not None else -1,
-            "entries": [e.to_wire() for e in entries],
+            "entries": entries,
         }
         if repair_from is not None:
             message["repair"] = True
@@ -769,7 +769,7 @@ class ReplicaNode(MessageEndpoint):
                 "op": "sync",
                 "term": term,
                 "commit": self.log.commit_index,
-                "entries": [e.to_wire() for e in entries],
+                "entries": entries,
             },
         )
 
@@ -825,9 +825,6 @@ class ReplicaNode(MessageEndpoint):
         self._start_beacon()
 
     # ------------------------------------------------------------ lifecycle
-
-    def snapshot_state(self) -> Any:
-        return self.machine.snapshot()
 
     def close(self) -> None:
         if self.closed:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.interop.codec import wire_plain
 from repro.replication.client import GroupClient, ShardedClient
 from repro.replication.replica import Outcome, StateMachine
 from repro.transactions.tuplespace import TupleStore, template_matches
@@ -122,7 +123,12 @@ class ShardedLedger:
 
 class KVMachine(StateMachine):
     """Versioned key→value store matching the shared-object semantics:
-    writes return the new version, reads return the value."""
+    writes return the new version, reads return the value.
+
+    A value is stored as :func:`~repro.interop.codec.wire_plain` makes it,
+    as :class:`~repro.transactions.sharedobjects.SharedObjectCache` stores
+    one: the writer's object reaches every replica by reference, and no
+    replica may hold it (or another replica's copy)."""
 
     def __init__(self) -> None:
         self.objects: Dict[str, Tuple[Any, int]] = {}
@@ -131,7 +137,7 @@ class KVMachine(StateMachine):
         if name == "write":
             key, value = args
             version = self.objects.get(key, (None, 0))[1] + 1
-            self.objects[key] = (value, version)
+            self.objects[key] = (wire_plain(value), version)
             return Outcome(result=version)
         raise ValueError(f"unknown kv op {name!r}")
 
@@ -148,7 +154,8 @@ class KVMachine(StateMachine):
         return {k: [v, ver] for k, (v, ver) in self.objects.items()}
 
     def restore(self, snapshot: Any) -> None:
-        self.objects = {k: (v, ver) for k, (v, ver) in snapshot.items()}
+        self.objects = {k: (wire_plain(v), ver)
+                        for k, (v, ver) in snapshot.items()}
 
 
 class ReplicatedSharedObjects:

@@ -253,10 +253,6 @@ class SharedObjectCache(MessageEndpoint):
         ).on_value(update_cache)
         return promise
 
-    def cached_version(self, key: str) -> int:
-        entry = self._cache.get(key)
-        return entry[1] if entry else 0
-
     # -------------------------------------------------------------- plumbing
 
     def _admit(self, key: str, value: Any, version: int) -> None:

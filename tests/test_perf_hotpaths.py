@@ -29,6 +29,7 @@ from repro.netsim.packet import BROADCAST, Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import grid
 from repro.obs.profiler import count_repro_calls
+from repro.replication.client import GroupClient
 from repro.routing.base import build_routed_network
 from repro.routing.flooding import FloodingRouter
 from repro.transactions.rpc import RpcEndpoint
@@ -595,7 +596,7 @@ class TestWorkloadCountCeiling:
     """
 
     #: (calls per op, transmissions per op, events per op); measured, in
-    #: the same order: 557.57, 14.058, 17.655 | 68.83, 1.0367, 2.0367 |
+    #: the same order: 555.28, 14.058, 17.655 | 68.83, 1.0367, 2.0367 |
     #: 319.41, 8, 9 | 10 537.46, 138.375, 577.69 | 96.55, 1, 2 | 114.40.
     #: ``grid_failover``'s calls fell from 10 555.02 when an originated
     #: flood stopped stringifying its source (843 ``Address.__str__`` calls
@@ -604,9 +605,10 @@ class TestWorkloadCountCeiling:
     #: ``schedule_series`` hop that streams the schedule into the timed run
     #: (it was built before the run, uncounted). Each calls row rose when records' ``__init__``, ``__eq__`` and
     #: ``__hash__`` were written out: by no more than the generated frames
-    #: the count could not see before.
+    #: the count could not see before. ``ledger_write``'s calls fell from
+    #: 557.57 when backups stopped rebuilding each log entry from its dict.
     CEILINGS = {
-        "ledger_write": (559.76, 14.11, 17.73),
+        "ledger_write": (557.50, 14.11, 17.73),
         "api_flash": (69.09, 1.041, 2.045),
         "chat_read": (320.67, 8.03, 9.04),
         "grid_failover": (10579.6, 138.93, 580.0),
@@ -663,21 +665,22 @@ class TestWorkloadMemoryCeiling:
     pinned at the measured value + 1 %. Any other version is held to the
     largest row + 25 %. ``grid_failover`` read 1 430 521 / 1 183 474 /
     1 166 642 while routing's duplicate tables held a tuple per heard
-    flood.
+    flood. ``ledger_write`` read 551 941 / 458 844 / 452 844 while every
+    backup rebuilt each log entry and its args from the append frame.
 
     A memory change lowers its row in the same diff; a row is raised only
     with a note in CHANGES.md that says why.
     """
 
     PEAKS = {
-        (3, 10): {"ledger_write": 551_941, "api_flash": 86_602,
-                  "chat_read": 232_315, "grid_failover": 1_212_099,
+        (3, 10): {"ledger_write": 449_013, "api_flash": 86_602,
+                  "chat_read": 232_315, "grid_failover": 1_209_743,
                   "swarm_beacon": 280_898, "milan_lifetime": 90_420},
-        (3, 11): {"ledger_write": 458_844, "api_flash": 29_195,
-                  "chat_read": 180_873, "grid_failover": 962_287,
+        (3, 11): {"ledger_write": 355_500, "api_flash": 29_195,
+                  "chat_read": 180_873, "grid_failover": 960_415,
                   "swarm_beacon": 265_724, "milan_lifetime": 66_640},
-        (3, 12): {"ledger_write": 452_844, "api_flash": 29_091,
-                  "chat_read": 178_649, "grid_failover": 951_967,
+        (3, 12): {"ledger_write": 349_500, "api_flash": 29_091,
+                  "chat_read": 178_649, "grid_failover": 950_095,
                   "swarm_beacon": 266_148, "milan_lifetime": 66_960},
     }
 
@@ -715,6 +718,53 @@ class TestWorkloadMemoryCeiling:
                     pairs += len(seqs)
         assert pairs > 5000
         assert held / pairs <= self.DEDUP_BYTES_PER_PAIR
+
+    #: Bytes the group's three op logs hold per committed transfer: the
+    #: logs' lists, the entries and their args tuples, each object once.
+    #: 171 with one entry shared by the group; 459 while each backup
+    #: rebuilt its own entry and args from the append frame.
+    LOG_BYTES_PER_TRANSFER = 180
+
+    @pytest.fixture(scope="class")
+    def ledger(self):
+        """``ledger_write``'s replicas after its smoke run, and the args
+        tuple the client built for each rid."""
+        built = {}
+        submit = GroupClient._submit
+
+        def recording(client, rid, message, **kwargs):
+            built[rid] = message["args"]
+            return submit(client, rid, message, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(GroupClient, "_submit", recording)
+            workload = TestWorkloadCountCeiling.workloads.build(
+                "ledger_write", 0, smoke=True)
+            workload.run()
+        return workload.scenario.archetype.replicas, built
+
+    def test_every_replica_logs_the_clients_command_once(self, ledger):
+        replicas, built = ledger
+        logs = [replica.log for replica in replicas.values()]
+        commit = logs[0].commit_index
+        assert commit > 300 and all(log.commit_index == commit for log in logs)
+        for index in range(1, commit + 1):
+            entry = logs[0].entry(index)
+            assert all(log.entry(index) is entry for log in logs[1:])
+            assert entry.args is built[entry.rid]
+
+    def test_the_group_logs_hold_one_entry_per_transfer(self, ledger):
+        replicas, _built = ledger
+        logs = [replica.log._entries for replica in replicas.values()]
+        held, counted = sum(map(sys.getsizeof, logs)), set()
+        for obj in (item for entries in logs for entry in entries
+                    for item in (entry, entry.args)):
+            if id(obj) not in counted:
+                counted.add(id(obj))
+                held += sys.getsizeof(obj)
+        transfers = sum(entry.name == "transfer" for entry in logs[0])
+        assert transfers > 300
+        assert held / transfers <= self.LOG_BYTES_PER_TRANSFER
 
 
 class TestColdStart:
@@ -774,10 +824,12 @@ class TestQuorumWriteCallBudget:
     arrival that streams the schedule into the run. ``OpLog`` answers
     ``last_index`` from a stored field: a property there is called 2.3
     times per transmission. 39.65 counts the records' written ``__init__``
-    and ``Address.__hash__``, which ran uncounted when generated.
+    and ``Address.__hash__``, which ran uncounted when generated. 39.48
+    since an append frame carries the log entries themselves: no
+    ``to_wire`` per send, no rebuilt entry per backup.
     """
 
-    BUDGET = 39.66
+    BUDGET = 39.50
 
     def test_ledger_smoke_stays_within_budget(self):
         scenario = ScenarioRun(

@@ -1,6 +1,7 @@
 """Replicated service adapters: ledger, shared objects, tuple space."""
 
 from repro.replication.services import (
+    KVMachine,
     LedgerMachine,
     ReplicatedLedger,
     ReplicatedSharedObjects,
@@ -92,6 +93,40 @@ class TestReplicatedSharedObjects:
         h.run_for(1.0)
         assert read.result() == {"ttl": 6}
         h.close()
+
+    def test_no_replica_holds_the_writers_or_the_readers_object(self):
+        # The value crosses the in-process fabric by reference; each replica
+        # must keep its own copy and a read must hand back a fresh one, as
+        # the unreplicated SharedObjectCache does.
+        h = ShardedHarness()
+        objects = ReplicatedSharedObjects(h.client)
+        value = {"hr": [60]}
+        write = objects.write("vitals", value)
+        h.run_for(1.0)
+        assert write.result() == 1
+        value["hr"].append(61)
+        value["spo2"] = 97
+        replicas = h.replicas[h.shard_map.shard_of("vitals")].values()
+        assert [r.machine.read("read", ("vitals",)) for r in replicas] == [
+            {"hr": [60]}] * 3
+        read = objects.read("vitals")
+        h.run_for(1.0)
+        assert read.result() == {"hr": [60]}
+        read.result().clear()
+        assert [r.machine.read("read", ("vitals",)) for r in replicas] == [
+            {"hr": [60]}] * 3
+        stored = [r.machine.objects["vitals"][0] for r in replicas]
+        assert len({id(v) for v in stored}) == 3
+        assert len({id(v["hr"]) for v in stored}) == 3
+        h.close()
+
+    def test_a_restored_replica_holds_its_own_copy(self):
+        # A snapshot reaches a lagging backup by reference too.
+        primary, backup = KVMachine(), KVMachine()
+        primary.apply("write", ("vitals", {"hr": [60]}))
+        backup.restore(primary.snapshot())
+        primary.objects["vitals"][0]["hr"].append(61)
+        assert backup.read("read", ("vitals",)) == {"hr": [60]}
 
     def test_relaxed_read_mode_passes_through(self):
         h = ShardedHarness()

@@ -35,6 +35,8 @@ from repro.netsim.medium import IDEAL_RADIO
 from repro.netsim.packet import Packet
 from repro.obs.metrics import get_registry
 from repro.recovery.wal import StableStorage
+from repro.replication.log import LogEntry
+from repro.replication.replica import _ENTRIES
 from repro.routing import base as routing_base
 from repro.routing.base import RoutingAgent, build_routed_network
 from repro.routing.flooding import FloodingRouter
@@ -136,6 +138,8 @@ def _fallback_containers(children):
         dicts.map(OrderedDict),
         dicts.map(lambda d: WireFrame(d, BinaryCodec())),
         dicts.map(lambda d: PrefixedFrame(b"\x01\x02", WireFrame(d, BinaryCodec()))),
+        st.lists(children, max_size=3).map(
+            lambda args: LogEntry(1, 2, "rid", "put", tuple(args))),
     )
 
 
@@ -161,7 +165,8 @@ def _is_wire_plain(value):
         return all(_is_wire_plain(item) for item in value)
     if type(value) is dict:
         return all(_is_wire_plain(item) for item in value.values())
-    return not isinstance(value, (tuple, dict, bytearray, WireFrame, PrefixedFrame))
+    return not isinstance(value, (tuple, dict, bytearray, WireFrame,
+                                  PrefixedFrame, LogEntry))
 
 
 class TestWalkerTable:
@@ -254,6 +259,68 @@ class TestWalkerTable:
         with pytest.raises(CodecError) as from_size:
             codec.encoded_size(value)
         assert str(from_encode.value) == str(from_size.value)
+
+
+# Log entries whose args nest every container a command may carry: lists,
+# dicts, tuples and bytes, at any depth.
+_entry_args = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def _entries(args):
+    return st.lists(st.builds(
+        LogEntry, st.integers(min_value=0, max_value=2**70), int64s,
+        st.text(max_size=12), st.text(max_size=12),
+        st.lists(args, max_size=4).map(tuple)), max_size=4)
+
+
+def _append(entries):
+    return {"op": "append", "term": 3, "commit": 7, "prev": 6,
+            "prev_term": 2, "entries": entries}
+
+
+class TestLogEntryRecords:
+    """An append frame carries the log entries themselves; the codec must
+    size and encode it exactly as the same frame of ``to_wire()`` dicts."""
+
+    @given(_entries(_entry_args))
+    @settings(max_examples=200)
+    def test_sized_and_encoded_as_the_dict_form(self, entries):
+        codec = BinaryCodec()
+        records = _append(entries)
+        dicts = _append([entry.to_wire() for entry in entries])
+        assert codec.encoded_size(records) == codec.encoded_size(dicts)
+        assert codec.encode(records) == codec.encode(dicts)
+        assert len(WireFrame(records, codec)) == len(codec.encode(dicts))
+        assert wire_plain(records) == codec.decode(codec.encode(dicts))
+
+    @given(_entries(json_values))
+    @settings(max_examples=200)
+    def test_materialized_frame_parses_back_to_equal_entries(self, entries):
+        # Args of lists, dicts and bytes decode to equal values; a tuple
+        # would come back a list, as it does in any message.
+        codec = BinaryCodec()
+        decoded = codec.decode(WireFrame(_append(entries), codec).materialize())
+        assert _ENTRIES(decoded["entries"]) == entries
+        assert all(LogEntry.from_wire(entry) is entry for entry in entries)
+
+    @given(_entries(_entry_args))
+    @settings(max_examples=100)
+    def test_json_and_sml_encode_the_dict_form_or_refuse(self, entries):
+        for codec in (JsonCodec(), get_codec("sml")):
+            try:
+                encoded = codec.encode(_append(entries))
+            except CodecError:
+                continue
+            expected = codec.encode(_append([e.to_wire() for e in entries]))
+            assert encoded == expected, codec.name
 
 
 class TestDeriveInt:
