@@ -2,9 +2,9 @@
 """Run the micro benchmarks and track the perf trajectory in BENCH_micro.json.
 
 This is the repo's perf-regression harness. It runs the bench files in
-:data:`BENCH_FILES` under pytest-benchmark, reduces each op to
-its median (nanoseconds) and round count, stamps the git sha, and writes
-the result to ``BENCH_micro.json`` at the repo root. When a previous
+:data:`BENCH_FILES` under pytest-benchmark, reduces each op to its median
+(nanoseconds) and round count, stamps the git sha on the file and on every
+row, and writes the result to ``BENCH_micro.json`` at the repo root. When a previous
 BENCH_micro.json exists (or ``--baseline PATH`` names one), the new
 medians are compared against it first: any op slower by more than
 ``--threshold`` (a ratio; default 1.5x to ride out scheduler noise) is
@@ -37,6 +37,10 @@ record/compare/threshold machinery applies, against ``BENCH_scale.json``::
     PYTHONPATH=src python benchmarks/run_benchmarks.py --scale --quick \
         --threshold 2.0 --normalize-skew --baseline BENCH_scale.json \
         --output /tmp/scale.json                                          # CI gate
+
+Memory is gated beside time: an op whose ``peak_rss_mb`` (the 100k point,
+so a full ``--scale`` run) exceeds the baseline's by more than
+:data:`RSS_THRESHOLD` fails the comparison like a time regression.
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ BENCH_FILES = [
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_micro.json"
 SCALE_OUTPUT = REPO_ROOT / "BENCH_scale.json"
 SCHEMA_VERSION = 1
+#: A peak RSS may exceed the baseline's by this ratio before it fails.
+RSS_THRESHOLD = 1.1
 
 
 def git_sha() -> str:
@@ -177,6 +183,20 @@ def compare(previous: dict, current: dict, threshold: float,
     ], dropped
 
 
+def compare_rss(previous: dict, current: dict,
+                threshold: float = RSS_THRESHOLD) -> list:
+    """Return [(op, old_mb, new_mb, ratio, over)] for every op with a
+    ``peak_rss_mb`` in both, ``over`` when the ratio exceeds ``threshold``."""
+    rows = []
+    for op, stats in sorted(current.items()):
+        old_mb = previous.get("ops", {}).get(op, {}).get("peak_rss_mb")
+        new_mb = stats.get("peak_rss_mb")
+        if old_mb is not None and new_mb is not None:
+            ratio = new_mb / old_mb
+            rows.append((op, old_mb, new_mb, ratio, ratio > threshold))
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -231,9 +251,14 @@ def main(argv=None) -> int:
         ops, traces_ok = run_curve(args.quick)
     else:
         ops = run_benches(args.quick, jobs=args.jobs)
+    sha = git_sha()
+    for stats in ops.values():
+        # Each row names the code it measured, so a row carried into a
+        # file recorded at another commit still says where it came from.
+        stats["git_sha"] = sha
     record = {
         "schema": SCHEMA_VERSION,
-        "git_sha": git_sha(),
+        "git_sha": sha,
         "python": sys.version.split()[0],
         "quick": args.quick,
         "ops": ops,
@@ -249,9 +274,15 @@ def main(argv=None) -> int:
             flag = "  REGRESSION" if bad else ""
             print(f"{op:<36} {old_ns / 1e3:>12.1f} {new_ns / 1e3:>12.1f} "
                   f"{ratio:>6.2f}x{flag}")
-        regressed = [row for row in rows if row[4]]
+        rss_rows = compare_rss(previous, ops)
+        for op, old_mb, new_mb, ratio, over in rss_rows:
+            flag = "  REGRESSION" if over else ""
+            print(f"{op + ' peak RSS':<36} {old_mb:>9.1f} MB {new_mb:>9.1f} MB "
+                  f"{ratio:>6.2f}x{flag}")
+        regressed = [row for row in rows + rss_rows if row[4]]
         baseline_sha = previous.get("git_sha", "?")[:12]
-        print(f"(baseline {baseline_sha}, threshold {args.threshold}x)")
+        print(f"(baseline {baseline_sha}, threshold {args.threshold}x, "
+              f"peak RSS {RSS_THRESHOLD}x)")
         for op in dropped:
             print(f"dropped: {op} is in the baseline and was not measured")
 

@@ -13,9 +13,13 @@ charged separately.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from math import inf
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.netsim.node import Node
 
 #: Canonical constants from the LEACH papers.
 DEFAULT_E_ELEC = 50e-9  # J/bit for the radio electronics
@@ -67,15 +71,19 @@ class RadioEnergyModel:
 class Battery:
     """A finite energy store with depletion callbacks.
 
-    ``capacity`` of ``float('inf')`` models a mains-powered node.
+    ``capacity`` of ``inf`` models a mains-powered node. A node reaches
+    its battery's transition to empty through ``_node`` (set by
+    :class:`~repro.netsim.node.Node`); other listeners register with
+    :meth:`on_depleted`, and the list holding them is made by the first.
     """
 
-    __slots__ = ("capacity", "remaining", "_depletion_callbacks")
+    __slots__ = ("capacity", "remaining", "_node", "_callbacks")
 
     def __init__(self, capacity: float = 2.0, remaining: float = -1.0) -> None:
         self.capacity = capacity  # joules; typical mote experiment scale
         self.remaining = remaining
-        self._depletion_callbacks: List[Callable[[], None]] = []
+        self._node: Optional["Node"] = None
+        self._callbacks: Optional[List[Callable[[], None]]] = None
         if self.capacity < 0:
             raise ConfigurationError(f"battery capacity must be >= 0, got {self.capacity!r}")
         if self.remaining < 0:
@@ -87,7 +95,7 @@ class Battery:
 
     @property
     def fraction_remaining(self) -> float:
-        if self.capacity == float("inf"):
+        if self.capacity == inf:
             return 1.0
         if self.capacity == 0:
             return 0.0
@@ -95,13 +103,18 @@ class Battery:
 
     def on_depleted(self, callback: Callable[[], None]) -> None:
         """Register a callback fired once, when the battery first hits zero."""
-        self._depletion_callbacks.append(callback)
+        if self._callbacks is None:
+            self._callbacks = [callback]
+        else:
+            self._callbacks.append(callback)
 
     def drain(self, joules: float) -> bool:
         """Consume energy; returns True if the node is still powered.
 
         Draining an already-depleted battery is a no-op returning False.
-        The depletion callbacks fire exactly once, on the transition to empty.
+        The node, then the depletion callbacks, hear exactly once of the
+        first transition to empty (an infinite battery drained by ``inf``
+        joules goes NaN, which is empty too).
         """
         # One inverted comparison rejects negatives and NaN alike; a NaN
         # would otherwise leave ``remaining`` NaN and the node immortal.
@@ -115,9 +128,14 @@ class Battery:
             self.remaining = remaining
             return True
         self.remaining = 0.0
-        callbacks, self._depletion_callbacks = self._depletion_callbacks, []
-        for callback in callbacks:
-            callback()
+        node, callbacks = self._node, self._callbacks
+        if node is not None:
+            self._node = None
+            node._battery_depleted()
+        if callbacks is not None:
+            self._callbacks = None
+            for callback in callbacks:
+                callback()
         return False
 
     def recharge(self, joules: float) -> None:
@@ -129,4 +147,4 @@ class Battery:
 
 def mains_battery() -> Battery:
     """A battery that never depletes (wall-powered node)."""
-    return Battery(capacity=float("inf"))
+    return Battery(inf)

@@ -21,7 +21,6 @@ from repro.netsim.node import DeliveryFault, Node
 from repro.netsim.packet import BROADCAST, HEADER_BYTES, Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.spatialindex import PositionIndex
-from repro.util.events import Subscription
 from repro.util.rng import split_rng
 
 #: The neighbour memo's skin, as a fraction of the radio range: a static
@@ -95,8 +94,9 @@ class WirelessMedium:
     :class:`~repro.netsim.spatialindex.PositionIndex` with cell side equal
     to the radio range, so a broadcast inspects only the cells around the
     sender instead of scanning every attached node. Static nodes re-file
-    only when their ``"moved"`` event fires; time-varying nodes are tested
-    at their exact position at the moment of the query.
+    only when they move (the node calls :meth:`_on_node_moved`);
+    time-varying nodes are tested at their exact position at the moment of
+    the query.
 
     Reception is one routine. Every path that ends in a node hearing a
     frame — a contention-free broadcast (one queue entry for all its
@@ -133,13 +133,12 @@ class WirelessMedium:
         self._nodes: Dict[str, Node] = {}
         self._rng = split_rng(seed, f"medium:{profile.name}")
         self._index = PositionIndex(profile.range_m)
-        self._moved_subs: Dict[str, Subscription] = {}
         # Static origin id -> one flat tuple, (until, x, y, end, *statics,
         # *movers) with statics = entry[4:end], of node ids: see
         # _audible_nodes. Ids, floats and ints only, so the cyclic GC stops
         # tracking an entry at its first collection instead of promoting it
         # to the oldest generation. Liveness NOT applied. Cleared on attach,
-        # detach and "moved".
+        # detach and a move.
         self._static_neighbourhoods: Dict[str, tuple] = {}
         self._skin = profile.range_m * SKIN_FRACTION
         # Failure-modeling state (chaos layer; inert by default).
@@ -161,26 +160,29 @@ class WirelessMedium:
     # ----------------------------------------------------------- membership
 
     def attach(self, node: Node) -> None:
+        """Add ``node``; it tells this medium of its moves until detached.
+        A node is on one medium at a time."""
         if node.node_id in self._nodes:
             raise ConfigurationError(f"node {node.node_id!r} already attached")
+        if node._medium is not None:
+            raise ConfigurationError(
+                f"node {node.node_id!r} is attached to another medium")
         self._nodes[node.node_id] = node
         self._index.insert(node)
         self._static_neighbourhoods.clear()
-        self._moved_subs[node.node_id] = node.events.on("moved", self._on_node_moved)
+        node._medium = self
 
     def detach(self, node_id: str) -> None:
-        if self._nodes.pop(node_id, None) is None:
+        node = self._nodes.pop(node_id, None)
+        if node is None:
             return
+        node._medium = None
         self._index.remove(node_id)
         self._static_neighbourhoods.clear()
-        subscription = self._moved_subs.pop(node_id, None)
-        if subscription is not None:
-            subscription.cancel()
 
     def _on_node_moved(self, node: Node) -> None:
-        """Invalidation hook: a node was pinned or given a new mobility model."""
-        if node.node_id not in self._nodes:
-            return
+        """Invalidation hook, called by an attached node that was pinned or
+        given a new mobility model."""
         self._index.note_moved(node)
         self._static_neighbourhoods.clear()
 
@@ -253,7 +255,7 @@ class WirelessMedium:
         with the index's own arithmetic and splices the ones in range in at
         their place. An ``inf`` bound turns the memo off; with no movers it
         never expires. Everything else that changes who is in range of whom
-        goes through ``attach``, ``detach`` or a ``"moved"`` event, and
+        goes through ``attach``, ``detach`` or a node's move, and
         each of those clears the memo. A mobile origin asks the index every
         time. Liveness is not remembered: crashes, recoveries and battery
         depletion fire no medium hook, so ``node.alive`` is applied at

@@ -28,8 +28,8 @@ def is_time_varying(model: "MobilityModel | None") -> bool:
 
     The medium's position index keys off this: a node with a time-varying
     model is tested at its position at query time, while static nodes only
-    move on explicit ``set_position``/``set_mobility`` calls — which emit
-    ``"moved"`` events the medium subscribes to.
+    move on explicit ``set_position``/``set_mobility`` calls — which tell
+    the node's medium directly.
     """
     return model is not None and not isinstance(model, StaticMobility)
 

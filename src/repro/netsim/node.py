@@ -8,6 +8,7 @@ sends via the medium/links it is attached to.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.errors import NodeDownError
@@ -17,6 +18,7 @@ from repro.util.events import EventEmitter
 from repro.util.geometry import Point
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.netsim.medium import WirelessMedium
     from repro.netsim.mobility import MobilityModel
     from repro.netsim.simulator import Simulator
 
@@ -41,19 +43,23 @@ class Node:
     * ``"depleted"`` (node) — battery hit zero.
     * ``"recovered"`` (node) — restarted after a crash.
     * ``"moved"`` (node) — position pinned or mobility model swapped;
-      spatial caches (the medium's hash grid) invalidate on this.
+      the attached medium's spatial caches invalidate first.
 
     Hearing a frame is one call, :meth:`receive`, whichever medium or link
     carried it: liveness, energy, counters and the upper-layer handler.
 
-    ``__slots__`` keeps the per-node footprint flat — 10k–100k node worlds
-    hold every node alive for the whole run, so the dict-per-instance
-    overhead was pure waste. Upper layers attach state via their own
-    node-id-keyed maps, never via attributes on the node.
+    A node allocates only what it uses — 10k–100k node worlds hold every
+    node alive for the whole run. ``__slots__``, no dict; the emitter is
+    built on the first read of :attr:`events` (until then there is no one
+    to tell, and nothing is emitted); the battery reaches the node through
+    its ``_node`` slot, and the medium it is attached to through
+    ``_medium``, both without a closure or a subscription. Upper layers
+    attach state via their own node-id-keyed maps, never via attributes on
+    the node.
     """
 
     __slots__ = (
-        "node_id", "sim", "battery", "radio", "events",
+        "node_id", "sim", "battery", "radio", "_events", "_medium",
         "_home_position", "_mobility", "_crashed", "_handler",
         "packets_sent", "packets_received", "bytes_sent", "bytes_received",
     )
@@ -69,9 +75,13 @@ class Node:
     ):
         self.node_id = node_id
         self.sim = sim
-        self.battery = battery if battery is not None else Battery(capacity=float("inf"))
+        if battery is None:
+            battery = Battery(inf)
+        self.battery = battery
         self.radio = radio if radio is not None else _DEFAULT_RADIO
-        self.events = EventEmitter()
+        self._events: Optional[EventEmitter] = None
+        #: The medium this node is attached to; it hears of moves directly.
+        self._medium: Optional["WirelessMedium"] = None
         self._home_position = position
         self._mobility = mobility
         self._crashed = False
@@ -80,7 +90,26 @@ class Node:
         self.packets_received = 0
         self.bytes_sent = 0
         self.bytes_received = 0
-        self.battery.on_depleted(lambda: self.events.emit("depleted", self))
+        if battery._node is None:
+            battery._node = self
+        else:  # a battery shared with another node
+            battery.on_depleted(self._battery_depleted)
+
+    @property
+    def events(self) -> EventEmitter:
+        """The node's emitter, built on first access."""
+        events = self._events
+        if events is None:
+            events = self._events = EventEmitter()
+        return events
+
+    def _emit(self, event: str) -> None:
+        if self._events is not None:
+            self._events.emit(event, self)
+
+    def _battery_depleted(self) -> None:
+        """Called once by the battery, on its first transition to empty."""
+        self._emit("depleted")
 
     # ------------------------------------------------------------- liveness
 
@@ -99,14 +128,14 @@ class Node:
         if self._crashed:
             return
         self._crashed = True
-        self.events.emit("crashed", self)
+        self._emit("crashed")
 
     def recover(self) -> None:
         """Restart a crashed node; volatile state above this layer is gone."""
         if not self._crashed:
             return
         self._crashed = False
-        self.events.emit("recovered", self)
+        self._emit("recovered")
 
     def ensure_alive(self) -> None:
         if not self.alive:
@@ -130,11 +159,17 @@ class Node:
         """Pin the node to a static position (detaches any mobility model)."""
         self._home_position = position
         self._mobility = None
-        self.events.emit("moved", self)
+        self._moved()
 
     def set_mobility(self, mobility: "MobilityModel") -> None:
         self._mobility = mobility
-        self.events.emit("moved", self)
+        self._moved()
+
+    def _moved(self) -> None:
+        """Tell the medium, then the subscribers, of a new position or model."""
+        if self._medium is not None:
+            self._medium._on_node_moved(self)
+        self._emit("moved")
 
     def distance_to(self, other: "Node") -> float:
         return self.position.distance_to(other.position)

@@ -4,35 +4,43 @@ A :class:`Simulator` owns its virtual clock and its event queue. Events
 scheduled for the same instant fire in scheduling order, which (together with
 seeded RNGs everywhere else) makes whole-system runs reproducible.
 
-The queue is a binary heap of ``[time, tie, seq, (fn, args)]`` entries,
-the payload at index 3. ``seq`` is a monotonic sequence number: it makes
-the order total, so two entries never compare on their payload, and
-equal-time events fire in the order they were scheduled. ``tie`` sits in front of it, ``0`` unless a
-tie-breaker is installed (:meth:`Simulator.set_tie_breaker`), in which case
-it is drawn at scheduling time. The simulation-testing explorer
-(:mod:`repro.simtest`) installs a seeded-RNG tie-breaker to perturb the order
-of same-time events: the draw is a pure function of the seed and the
-scheduling sequence, so any perturbed schedule replays exactly.
+The queue is a binary heap of ``[when, tie, seq, fn, args]`` entries, one
+allocation per event besides its args. ``seq`` is a monotonic sequence
+number: it makes the order total, so two entries never compare on ``fn``,
+and equal-time events fire in the order they were scheduled. ``tie`` sits
+in front of it, ``0`` unless a tie-breaker is installed
+(:meth:`Simulator.set_tie_breaker`), in which case it is drawn at
+scheduling time. The simulation-testing explorer (:mod:`repro.simtest`)
+installs a seeded-RNG tie-breaker to perturb the order of same-time
+events: the draw is a pure function of the seed and the scheduling
+sequence, so any perturbed schedule replays exactly.
 
-Cancellation is lazy: :meth:`EventHandle.cancel` tombstones the entry's
-payload in place, and the loop skips tombstones. Workloads that cancel most
-of what they schedule (the reliable transport's retransmit timers, cancelled
-on every ack) would otherwise grow the heap without bound, so a cancel that
+The handle :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`
+return *is* the heap entry: an :class:`EventHandle` is a slotted ``list``
+subclass ``[when, tie, seq, fn, args, sim]``, with ``time`` read from
+index 0. An entry is tombstoned by clearing ``fn`` and ``args`` to
+``None``, when it fires or is cancelled, so a handle held after either
+pins neither the callback nor its arguments.
+
+Cancellation is lazy: :meth:`EventHandle.cancel` tombstones the entry in
+place, and the loop skips tombstones. Workloads that cancel most of what
+they schedule (the reliable transport's retransmit timers, cancelled on
+every ack) would otherwise grow the heap without bound, so a cancel that
 leaves dead entries outnumbering live ones sweeps them out — rebuilding the
 list *in place*, because a running loop holds a reference to it.
 
 The event loop is a measured hot path (``benchmarks/bench_micro.py``):
-entries carry ``(fn, args)`` tuples instead of a per-event thunk lambda,
-and :meth:`Simulator.run` and :meth:`Simulator.run_until` share one loop
-that pops, tombstones and dispatches in place. The heap invariant — every
+:meth:`Simulator.run` and :meth:`Simulator.run_until` share one loop that
+pops, tombstones and dispatches in place. The heap invariant — every
 queued entry's time is >= the current time, enforced at scheduling — is
 what makes the unguarded clock assignment in that loop safe.
 
 Swarm-scale additions (see ARCHITECTURE §13):
 
-* :meth:`Simulator.call_later` is the fire-and-forget fast path — no
-  :class:`EventHandle` allocation, for callers that never cancel (the
-  wireless medium's per-reception delivery events are the heavy user).
+* :meth:`Simulator.call_later` is the fire-and-forget fast path — a
+  plain five-slot entry and no :class:`EventHandle`, for callers that
+  never cancel (the wireless medium's per-reception delivery events are
+  the heavy user).
 * :meth:`Simulator.schedule_batch` folds N same-tick zero-arg callbacks
   into **one** queue entry, so a 10k-receiver broadcast costs one heap
   push/pop instead of 10k. Batched callbacks fire back-to-back in list
@@ -54,15 +62,9 @@ from __future__ import annotations
 from functools import partialmethod
 from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.errors import SimulationError
-
-#: A queue item: the callback and its (possibly empty) argument tuple.
-Event = Tuple[Callable[..., None], Tuple[Any, ...]]
-
-#: The payload of a cancelled or fired entry.
-_REMOVED = object()
 
 #: Dead entries may outnumber live ones by this much before a cancel sweeps
 #: them out of the heap.
@@ -81,15 +83,16 @@ def _fire_batch(callbacks: List[Callable[[], None]]) -> None:
         fn()
 
 
-class EventHandle:
-    """Handle to a scheduled event; :meth:`cancel` prevents it from firing."""
+class EventHandle(list):
+    """A scheduled event's heap entry, ``[when, tie, seq, fn, args, sim]``;
+    :meth:`cancel` prevents it from firing."""
 
-    __slots__ = ("_sim", "_entry", "time")
+    __slots__ = ()
 
-    def __init__(self, sim: "Simulator", entry: List[Any], time: float):
-        self._sim = sim
-        self._entry = entry
-        self.time = time
+    @property
+    def time(self) -> float:
+        """The virtual time the event was scheduled for."""
+        return self[0]
 
     def cancel(self) -> bool:
         """Cancel the event; returns False if it already fired or was cancelled.
@@ -97,16 +100,15 @@ class EventHandle:
         O(live) sweep when dead entries come to dominate, amortized O(1) per
         cancel (each sweep removes at least half the heap).
         """
-        entry = self._entry
-        if entry[3] is _REMOVED:
+        if self[3] is None:
             return False
-        entry[3] = _REMOVED
-        sim = self._sim
+        self[3] = self[4] = None
+        sim = self[5]
         sim._live -= 1
         heap = sim._heap
         dead = len(heap) - sim._live
         if dead > _AUTO_COMPACT_MIN_DEAD and dead > sim._live:
-            heap[:] = [queued for queued in heap if queued[3] is not _REMOVED]
+            heap[:] = [queued for queued in heap if queued[3] is not None]
             heapify(heap)
         return True
 
@@ -175,14 +177,16 @@ class Simulator:
 
     # ------------------------------------------------------------- scheduling
 
-    def _push(self, when: float, item: Event) -> List[Any]:
+    def _handle(self, when: float, fn: Callable[..., None],
+                args: tuple) -> EventHandle:
         seq = self._next_seq
         self._next_seq = seq + 1
         tie = self._tie_breaker
-        entry = [when, 0 if tie is None else tie(), seq, item]
-        heappush(self._heap, entry)
+        handle = EventHandle((when, 0 if tie is None else tie(), seq, fn,
+                              args, self))
+        heappush(self._heap, handle)
         self._live += 1
-        return entry
+        return handle
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time."""
@@ -190,8 +194,7 @@ class Simulator:
         # (NaN compares False against everything).
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule event with delay {delay!r}")
-        when = self._now + delay
-        return EventHandle(self, self._push(when, (fn, args)), when)
+        return self._handle(self._now + delay, fn, args)
 
     def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` at absolute virtual time ``when``."""
@@ -202,18 +205,19 @@ class Simulator:
                 f"cannot schedule event at {when!r} "
                 f"(past or NaN; now is {self._now!r})"
             )
-        when = when + 0.0  # normalize ints so now() stays a float
-        return EventHandle(self, self._push(when, (fn, args)), when)
+        # ``+ 0.0`` normalizes ints so now() stays a float.
+        return self._handle(when + 0.0, fn, args)
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` seconds; no cancellation handle.
 
         The fire-and-forget twin of :meth:`schedule`, for hot paths that
         never cancel what they schedule (per-reception medium deliveries).
-        Skipping the :class:`EventHandle` allocation saves real time at
-        swarm scale — the event itself is identical to one scheduled via
+        The entry is a plain list one slot shorter than an
+        :class:`EventHandle` and otherwise identical to one scheduled via
         :meth:`schedule` (same queue, same ordering, same profiler
-        accounting): the body of :meth:`_push` inlined, to save its frame.
+        accounting); the body of :meth:`_handle` is inlined, to save its
+        frame.
         """
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule event with delay {delay!r}")
@@ -221,7 +225,7 @@ class Simulator:
         self._next_seq = seq + 1
         tie = self._tie_breaker
         heappush(self._heap, [self._now + delay,
-                              0 if tie is None else tie(), seq, (fn, args)])
+                              0 if tie is None else tie(), seq, fn, args])
         self._live += 1
 
     def schedule_batch(
@@ -240,9 +244,7 @@ class Simulator:
         back to individual scheduling while
         :meth:`tie_breaker_installed` is true.
         """
-        if not delay >= 0.0:
-            raise SimulationError(f"cannot schedule event with delay {delay!r}")
-        self._push(self._now + delay, (_fire_batch, (callbacks,)))
+        self.call_later(delay, _fire_batch, callbacks)
 
     def schedule_series(
         self, times: Sequence[float], fn: Callable[..., None], *args: Any
@@ -287,14 +289,13 @@ class Simulator:
             if k < count:
                 tie = self._tie_breaker
                 heappush(heap, [times[k] + 0.0, 0 if tie is None else tie(),
-                                first + k, item])
+                                first + k, fire, ()])
                 self._live += 1
             fn(due, *args)
 
-        item = (fire, ())
         tie = self._tie_breaker
         heappush(heap, [times[0] + 0.0, 0 if tie is None else tie(),
-                        first, item])
+                        first, fire, ()])
         self._live += 1
 
     def schedule_every(
@@ -331,14 +332,13 @@ class Simulator:
         does no more work than an uncapped one updating the attribute.
         """
         heap = self._heap
-        removed = _REMOVED
         profiler = self._profiler
         processed = 0
         try:
             while heap:
                 entry = heappop(heap)
-                item = entry[3]
-                if item is removed:
+                fn = entry[3]
+                if fn is None:
                     continue
                 when = entry[0]
                 if when > deadline:
@@ -347,18 +347,20 @@ class Simulator:
                     # so the pop order does not depend on heap layout.
                     heappush(heap, entry)
                     break
-                entry[3] = removed  # a late cancel() of the handle is a no-op
+                args = entry[4]
+                # The tombstone: a late cancel() of the handle is a no-op.
+                entry[3] = entry[4] = None
                 self._live -= 1
                 self._now = when
                 processed += 1
                 if profiler is None:
-                    item[0](*item[1])
+                    fn(*args)
                 else:
                     _t0 = perf_counter()
                     try:
-                        item[0](*item[1])
+                        fn(*args)
                     finally:
-                        profiler.add(item[0], perf_counter() - _t0)
+                        profiler.add(fn, perf_counter() - _t0)
                 if processed > max_events:
                     raise SimulationError(
                         f"simulation exceeded {max_events} events without draining"

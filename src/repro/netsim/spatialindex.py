@@ -25,8 +25,8 @@ unicast checks — so every answer agrees at the inclusive edge
 
 Keeping the index current is the owner's job:
 :class:`~repro.netsim.medium.WirelessMedium` inserts and removes nodes as
-they attach and detach and calls :meth:`PositionIndex.note_moved` on every
-node ``"moved"`` event.
+they attach and detach and calls :meth:`PositionIndex.note_moved` whenever
+an attached node moves.
 """
 
 from __future__ import annotations
@@ -72,9 +72,10 @@ class PositionIndex:
         self.cell_size = cell_size
         self._next_seq = 0
         self._node_of: Dict[str, Any] = {}
-        # Static nodes: cell -> [(seq, x, y, id)], and id -> (cell, entry).
+        # Static nodes: cell -> [(seq, x, y, id)], and id -> its entry (the
+        # cell is recomputed from x and y).
         self._cells: Dict[Cell, List[tuple]] = {}
-        self._static: Dict[str, Tuple[Cell, tuple]] = {}
+        self._static: Dict[str, tuple] = {}
         # Movers: id -> (seq, linear params or None, model, id), and the
         # same entries bucketed by their cell at ``bucketed_at``.
         self._movers: Dict[str, tuple] = {}
@@ -114,11 +115,8 @@ class PositionIndex:
             self._forget_movers()
             return
         position = node.position
-        x, y = position.x, position.y
-        size = self.cell_size
-        cell = (int(x // size), int(y // size))
-        entry = (seq, x, y, node_id)
-        self._static[node_id] = (cell, entry)
+        entry = self._static[node_id] = (seq, position.x, position.y, node_id)
+        cell = self._cell_of(entry)
         bucket = self._cells.get(cell)
         if bucket is None:
             self._cells[cell] = [entry]
@@ -131,12 +129,18 @@ class PositionIndex:
         if mover is not None:
             self._forget_movers()
             return mover[0]
-        cell, entry = self._static.pop(node_id)
+        entry = self._static.pop(node_id)
+        cell = self._cell_of(entry)
         bucket = self._cells[cell]
         bucket.remove(entry)
         if not bucket:
             del self._cells[cell]
         return entry[0]
+
+    def _cell_of(self, entry: tuple) -> Cell:
+        """The cell of a static entry's position."""
+        size = self.cell_size
+        return (int(entry[1] // size), int(entry[2] // size))
 
     def _forget_movers(self) -> None:
         """Owe a re-bucketing and a fresh speed bound."""

@@ -25,7 +25,7 @@ BatteryFactory = Callable[[str], Battery]
 
 
 def _default_battery(_node_id: str) -> Battery:
-    return Battery(capacity=float("inf"))
+    return Battery(math.inf)
 
 
 def grid(

@@ -51,6 +51,37 @@ def traced_peak_of_run(name):
     return int(_in_child(script, name))
 
 
+def held_bytes_per(kind, count):
+    """Bytes held per item, by ``tracemalloc`` in a fresh interpreter, once
+    ``count`` items of ``kind`` are built: ``"node"``, the nodes of a
+    ``count`` x ``count`` swarm grid (30 m spacing, 100 m range); or
+    ``"schedule_at"`` / ``"call_later"``, pending zero-arg events at
+    distinct times, each return value kept. The lists holding the return
+    values and the simulator's heap are not counted: their slots are the
+    caller's and the queue's, not the item's."""
+    script = ("import gc, sys, tracemalloc\n"
+              "from repro.netsim.medium import RadioProfile\n"
+              "from repro.netsim.simulator import Simulator\n"
+              "from repro.netsim.topology import grid\n"
+              "kind, count = sys.argv[1], int(sys.argv[2])\n"
+              "profile = RadioProfile(name='swarm', bandwidth_bps=11e6,\n"
+              "    range_m=100.0, base_latency_s=0.001, contention_window_s=0.0)\n"
+              "sim, fn = Simulator(), lambda: None\n"
+              "gc.collect()\n"
+              "tracemalloc.start()\n"
+              "if kind == 'node':\n"
+              "    kept = [grid(count, count, spacing=30.0, radio_profile=profile)]\n"
+              "    count *= count\n"
+              "else:\n"
+              "    schedule = getattr(sim, kind)\n"
+              "    kept = [schedule(1.0 + i, fn) for i in range(count)]\n"
+              "gc.collect()\n"
+              "held = (tracemalloc.get_traced_memory()[0] - sys.getsizeof(kept)\n"
+              "        - sys.getsizeof(sim._heap))\n"
+              "print(held / count)")
+    return float(_in_child(script, kind, str(count)))
+
+
 def _in_child(script, *argv):
     """``script``'s stdout in a fresh interpreter (environment inherited,
     ``PYTHONDONTWRITEBYTECODE`` too, so it compiles the tree without

@@ -34,3 +34,16 @@ def test_a_row_the_quick_run_skipped_is_neither_compared_nor_dropped():
     current = {"a": op(10.0), "big": {"median_ns": None, "skipped": "quick"}}
     assert run_benchmarks.compare(baseline, current, 1.5) == (
         [("a", 10.0, 10.0, 1.0, False)], [])
+
+
+
+def test_the_rss_gate_reads_only_rows_with_a_peak_on_both_sides():
+    baseline = {"ops": {"small": op(10.0),
+                        "big": dict(op(2000.0), peak_rss_mb=200.0)}}
+    within = {"small": op(10.0), "big": dict(op(2000.0), peak_rss_mb=219.0)}
+    assert run_benchmarks.compare_rss(baseline, within) == [
+        ("big", 200.0, 219.0, 1.095, False)]
+    over = {"big": dict(op(2000.0), peak_rss_mb=221.0)}
+    assert run_benchmarks.compare_rss(baseline, over)[0][4] is True
+    skipped = {"big": {"median_ns": None, "skipped": "quick"}}
+    assert run_benchmarks.compare_rss(baseline, skipped) == []

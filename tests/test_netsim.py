@@ -271,6 +271,77 @@ class TestNodeLifecycle:
         node.recover()
         assert events == ["crashed", "recovered"]
 
+    def test_subscriber_added_after_construction_is_called(self):
+        network = Network()
+        node = network.add_node("a")
+        node.crash()  # nobody listens yet: nothing to tell
+        node.recover()
+        events = []
+        node.events.on("crashed", events.append)
+        node.crash()
+        assert events == [node]
+
+    def test_depleted_fires_once_for_a_finite_battery(self):
+        node = Network().add_node("a", battery=Battery(capacity=1.0))
+        depleted = []
+        node.events.on("depleted", depleted.append)
+        assert node.battery.drain(0.6)
+        assert not node.battery.drain(0.6)
+        node.battery.recharge(1.0)
+        assert not node.battery.drain(2.0)  # emptied again: no second event
+        assert depleted == [node]
+
+    def test_depleted_fires_once_for_an_infinite_battery_drained_by_inf(self):
+        node = Network().add_node("a")  # the default, infinite battery
+        depleted = []
+        node.events.on("depleted", depleted.append)
+        assert node.battery.drain(1e30)
+        assert not node.battery.drain(float("inf"))  # inf - inf is NaN
+        assert not node.battery.drain(float("inf"))
+        assert depleted == [node] and not node.alive
+
+    def test_a_shared_battery_tells_each_of_its_nodes(self):
+        network = Network()
+        battery = Battery(capacity=1.0)
+        nodes = [network.add_node(name, battery=battery) for name in "ab"]
+        depleted = []
+        for node in nodes:
+            node.events.on("depleted", depleted.append)
+        battery.drain(2.0)
+        assert depleted == nodes
+
+    def test_a_moved_node_tells_its_medium_then_its_subscribers(self):
+        network = Network()
+        node = network.add_node("a")
+        medium = network.medium
+        seen = []
+        node.events.on("moved", lambda n: seen.append(
+            dict(medium._static_neighbourhoods)))
+        medium._static_neighbourhoods["a"] = ()
+        node.set_position(Point(5.0, 0.0))
+        assert seen == [{}]  # the memo was cleared before the event
+        assert medium.neighbors_of("a") == []
+
+    def test_a_detached_node_that_moves_leaves_the_medium_alone(self):
+        network = Network()
+        node = network.add_node("a")
+        medium = network.medium
+        medium.detach("a")
+        memo = medium._static_neighbourhoods
+        memo["b"] = ()
+        node.set_position(Point(5.0, 0.0))
+        assert memo == {"b": ()}
+        network.medium.attach(node)  # and it can be attached again
+        node.set_position(Point(6.0, 0.0))
+        assert memo == {}
+
+    def test_a_node_is_on_one_medium_at_a_time(self):
+        network = Network()
+        node = network.add_node("a")
+        other = Network(sim=network.sim)
+        with pytest.raises(ConfigurationError):
+            other.medium.attach(node)
+
     def test_depleted_node_is_down(self):
         network = Network(radio_profile=IDEAL_RADIO)
         node = network.add_node("a", battery=Battery(capacity=1e-12))

@@ -1,5 +1,8 @@
 """Tests for repro.netsim.simulator."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -71,6 +74,40 @@ class TestScheduling:
         handle = sim.schedule(1.0, lambda: None)
         sim.run()
         assert not handle.cancel()
+
+    def test_cancel_twice_returns_false_the_second_time(self):
+        sim = Simulator()
+        handle = sim.schedule_at(2.5, lambda: None)
+        assert handle.cancel() is True
+        assert handle.cancel() is False
+        assert sim.pending_events() == 0
+
+    def test_handle_time_is_the_scheduled_time(self):
+        sim = Simulator()
+        sim.run_until(1.0)
+        assert sim.schedule(0.5, lambda: None).time == 1.5
+        at = sim.schedule_at(3, lambda: None)
+        assert at.time == 3.0 and type(at.time) is float
+        sim.run()
+        assert at.time == 3.0  # still readable once fired
+
+    @pytest.mark.parametrize("ending", ["cancel", "fire"])
+    def test_a_held_handle_pins_no_args(self, ending):
+        class Payload:
+            pass
+
+        sim = Simulator()
+        payload = Payload()
+        gone = weakref.ref(payload)
+        handle = sim.schedule(1.0, lambda arg: None, payload)
+        del payload
+        if ending == "cancel":
+            handle.cancel()
+        else:
+            sim.run()
+        gc.collect()
+        assert gone() is None
+        assert handle.time == 1.0
 
     def test_callbacks_can_schedule_more(self):
         sim = Simulator()
