@@ -16,8 +16,13 @@ deterministic per configuration):
 Each row is timed over five rounds (one round is a few tens of ms: a single
 garbage collection would be the measurement) and printed with what one
 operation costs in Python-level ``src/repro`` calls — exact, unlike the
-median beside it.
+median beside it. The write rows also print the ``tracemalloc`` bytes a
+group still holds per committed write: its logs, rid-result caches and
+state, as exact as the call count.
 """
+
+import gc
+import tracemalloc
 
 from conftest import emit
 
@@ -137,6 +142,26 @@ def _emit_calls_per_op(run, rows, field: str) -> None:
          f"{calls / ops:.1f}")
 
 
+def _emit_bytes_per_write(rows) -> None:
+    """One more group per row, its writes traced (outside the timed
+    rounds): what the group holds once they commit, set-up excluded."""
+    held = []
+    for row in rows:
+        group = _Group(row["members"])
+        gc.collect()
+        tracemalloc.start()
+        promises = [group.client.command("write", f"k{i}", i)
+                    for i in range(row["writes"])]
+        group.drain(promises)
+        del promises
+        gc.collect()
+        held.append(f"{row['members']} members "
+                    f"{tracemalloc.get_traced_memory()[0] / row['writes']:.0f}")
+        tracemalloc.stop()
+        group.close()
+    emit(f"tracemalloc bytes held per committed write: {', '.join(held)}")
+
+
 def test_read_throughput_scales_with_backups(benchmark):
     rows = benchmark.pedantic(run_read_scaling, rounds=5, iterations=1)
     emit(format_table(rows, "Replication: relaxed-read scaling vs backups"))
@@ -153,6 +178,7 @@ def test_quorum_write_overhead_is_bounded(benchmark):
     rows = benchmark.pedantic(run_write_comparison, rounds=5, iterations=1)
     emit(format_table(rows, "Replication: write throughput vs group size"))
     _emit_calls_per_op(run_write_comparison, rows, "writes")
+    _emit_bytes_per_write(rows)
     assert all(row["applied_everywhere"] for row in rows)
     baseline = rows[0]["writes_per_vsec"]
     replicated = {row["members"]: row["writes_per_vsec"] for row in rows}

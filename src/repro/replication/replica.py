@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.interop.codec import wire_plain
 from repro.interop.frames import WireFrame
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
@@ -139,6 +140,18 @@ class _PendingCmd:
 _ENTRIES = list_of(LogEntry.from_wire)
 
 
+def _cache_row(raw: Any) -> Tuple[str, Tuple[Any, int]]:
+    """One row of a ``snapshot``'s cache, ``[rid, index, result]`` or
+    ``[rid, index]`` where the machine refused the command, as
+    ``(rid, (result, index))``; the result is the receiver's own copy."""
+    if not isinstance(raw, list) or len(raw) not in (2, 3):
+        raise TypeError(f"malformed cache row: {raw!r}")
+    rid, index = raw[0], raw[1]
+    if not (isinstance(rid, str) and isinstance(index, int)):
+        raise TypeError(f"malformed cache row: {raw!r}")
+    return rid, (wire_plain(raw[2]) if len(raw) == 3 else _REJECTED, index)
+
+
 class ReplicaNode(MessageEndpoint):
     """One member of a replica group."""
 
@@ -157,7 +170,8 @@ class ReplicaNode(MessageEndpoint):
         "need_catchup": ({"from": int}, "_on_need_catchup", "_from_member"),
         "fenced": ({"term": int}, "_on_fenced", "_from_member"),
         "snapshot": ({"term": int, "index": int, "sterm": int,
-                      "state": present, "commit": int}, "_on_snapshot",
+                      "state": present, "commit": int,
+                      "results": list_of(_cache_row)}, "_on_snapshot",
                      "_from_member"),
         "elect": ({"term": int}, "_on_elect", "_from_member"),
         "elect_ok": ({"term": int}, "_on_elect_ok", "_from_member"),
@@ -204,10 +218,19 @@ class ReplicaNode(MessageEndpoint):
         self.applied_index = 0
         self.closed = False
 
-        # rid -> (result, index) for every applied op: the at-most-once
-        # cache. Populated on *every* replica so a freshly elected primary
-        # can answer a client's retry of an op the old primary committed.
-        self._results: Dict[str, Tuple[Any, int]] = {}
+        # The at-most-once cache, kept on *every* replica so a freshly
+        # elected primary can answer a client's retry of an op the old
+        # primary committed. ``_results`` maps a rid to the index of the
+        # entry that answered it (the entry's own ``index`` int, which the
+        # log shares); ``_outcomes`` holds one result per applied entry and
+        # ends at ``applied_index``. ``_settled`` maps a rid to its
+        # ``(result, index)`` where one slot per index cannot hold it: the
+        # rids a tuple-space ``out`` wakes at its index, and every answer a
+        # snapshot installed. A rid in both answers with the higher index;
+        # a wakeup wins a tie, as it settles after its entry's own result.
+        self._results: Dict[str, int] = {}
+        self._outcomes: List[Any] = []
+        self._settled: Dict[str, Tuple[Any, int]] = {}
         # rid -> index for logged-but-not-yet-applied entries.
         self._logged_rids: Dict[str, int] = {}
         # Applied blocking ops still waiting for a wakeup.
@@ -327,9 +350,8 @@ class ReplicaNode(MessageEndpoint):
             self._on_read(source, rid, name, args, message)
             return
         # At-most-once: an already-applied rid answers from the cache.
-        cached = self._results.get(rid)
-        if cached is not None:
-            self._answer(source, rid, *cached)
+        if rid in self._results or rid in self._settled:
+            self._answer(source, rid, *self._cached(rid))
             return
         if self.role != "primary":
             self._reply(source, "redirect", rid, leader=self.leader,
@@ -397,6 +419,14 @@ class ReplicaNode(MessageEndpoint):
         except MALFORMED:
             result = _REJECTED
         self._answer(source, rid, result, self.applied_index)
+
+    def _cached(self, rid: str) -> Optional[Tuple[Any, int]]:
+        """``(result, index)`` of the applied command ``rid``, or None."""
+        index = self._results.get(rid)
+        settled = self._settled.get(rid)
+        if index is None or settled is not None and settled[1] >= index:
+            return settled
+        return self._outcomes[index - self.applied_index - 1], index
 
     def _answer(self, source: Address, rid: str, result: Any,
                 index: int) -> None:
@@ -639,12 +669,13 @@ class ReplicaNode(MessageEndpoint):
                 outcome = self.machine.apply(entry.name, entry.args)
             except MALFORMED:
                 outcome = Outcome(result=_REJECTED)
+        self._outcomes.append(outcome.result)
         if outcome.pending:
             self._parked.add(entry.rid)
         else:
-            self._results[entry.rid] = (outcome.result, entry.index)
+            self._results[entry.rid] = entry.index
         for wrid, wresult in outcome.wakeups:
-            self._results[wrid] = (wresult, entry.index)
+            self._settled[wrid] = (wresult, entry.index)
             self._parked.discard(wrid)
             waiter = self._blocked.pop(wrid, None)
             if waiter is not None and self.role == "primary":
@@ -663,13 +694,15 @@ class ReplicaNode(MessageEndpoint):
     # ------------------------------------------------------------- catch-up
 
     def _on_need_catchup(self, source: Address, message: Dict[str, Any]) -> None:
+        """Bring a lagging backup up from ``from``: repair it from the log
+        tail, or, where that prefix is compacted away, send the applied
+        state (the machine's snapshot and the at-most-once cache, one row
+        per rid) and repair the tail above it."""
         if self.role != "primary":
             return
         from_index = message["from"]
         self._m_catchups.inc()
         if from_index <= self.log.snapshot_index:
-            # The requested prefix is compacted away: state-transfer the
-            # applied snapshot, then repair the remaining tail.
             self.send_to_member(
                 source.node,
                 {
@@ -679,6 +712,7 @@ class ReplicaNode(MessageEndpoint):
                     "sterm": self.log.term_at(self.applied_index),
                     "state": self.machine.snapshot(),
                     "commit": self.log.commit_index,
+                    "results": self._cache_rows(),
                 },
             )
             tail = self.log.entries_from(self.applied_index + 1)
@@ -692,8 +726,27 @@ class ReplicaNode(MessageEndpoint):
                 only=source.node,
             )
 
-    def _on_snapshot(self, source: Address, message: Dict[str, Any]) -> None:
+    def _cache_rows(self) -> List[List[Any]]:
+        """The at-most-once cache as a ``snapshot`` carries it: one
+        ``[rid, index, result]`` per applied rid, ``[rid, index]`` where
+        the machine refused the command."""
+        rows = []
+        for rid in {**self._results, **self._settled}:
+            result, index = self._cached(rid)
+            rows.append([rid, index] if result is _REJECTED
+                        else [rid, index, result])
+        return rows
+
+    def _on_snapshot(self, source: Address, message: Dict[str, Any],
+                     results: List[Tuple[str, Tuple[Any, int]]]) -> None:
+        """Install the primary's applied state at ``index``: its machine,
+        a log that starts there, and its at-most-once cache, so a command
+        applied before the snapshot still answers a retry instead of
+        applying again. A cache row past ``index`` is a malformed frame."""
         term, index = message["term"], message["index"]
+        if not all(0 < answer[1] <= index for _rid, answer in results):
+            drop_malformed(self)
+            return
         if term < self.term:
             self.send_to_member(source.node, {"op": "fenced", "term": self.term})
             return
@@ -703,6 +756,8 @@ class ReplicaNode(MessageEndpoint):
         self.machine.restore(message["state"])
         self.log.reset(index, message["sterm"])
         self.applied_index = index
+        self._results, self._outcomes = {}, []
+        self._settled = dict(results)
         self._logged_rids.clear()
         self._parked = set(self.machine.pending_rids())
         self.send_to_member(

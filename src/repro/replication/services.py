@@ -188,6 +188,11 @@ class TupleSpaceMachine(StateMachine):
     identical group-wide. Waiter semantics mirror
     :class:`repro.transactions.tuplespace.TupleSpaceServer`: one ``out``
     wakes every waiting read and at most the first matching take.
+
+    Tuples, templates, wakeups and results are
+    :func:`~repro.interop.codec.wire_plain` copies: a command's args reach
+    every replica by reference, so a list nested in the writer's tuple
+    must not be the one the replicas store, and no two holders share one.
     """
 
     def __init__(self) -> None:
@@ -197,7 +202,7 @@ class TupleSpaceMachine(StateMachine):
 
     def apply(self, name: str, args: Tuple[Any, ...]) -> Outcome:
         if name == "out":
-            values = list(args[0])
+            values = wire_plain(list(args[0]))
             wakeups: List[Tuple[str, Any]] = []
             consumed = False
             remaining: List[Tuple[str, List[Any], bool]] = []
@@ -210,15 +215,15 @@ class TupleSpaceMachine(StateMachine):
                         remaining.append((rid, template, destructive))
                         continue
                     consumed = True
-                wakeups.append((rid, list(values)))
+                wakeups.append((rid, wire_plain(values)))
             self.waiters = remaining
             if not consumed:
                 self.tuples.add(values)
-            return Outcome(result=list(values), wakeups=tuple(wakeups))
+            return Outcome(result=wire_plain(values), wakeups=tuple(wakeups))
         if name == "inp":
-            return Outcome(result=self._find(args[0], remove=True))
+            return Outcome(result=self._find(wire_plain(args[0]), remove=True))
         if name in ("in", "rd"):
-            template, rid = list(args[0]), args[1]
+            template, rid = wire_plain(list(args[0])), args[1]
             found = self._find(template, remove=(name == "in"))
             if found is not None:
                 return Outcome(result=found)
@@ -229,11 +234,11 @@ class TupleSpaceMachine(StateMachine):
 
     def _find(self, template: List[Any], remove: bool) -> Optional[List[Any]]:
         found = self.tuples.find(template, remove=remove)
-        return None if found is None else list(found)
+        return None if found is None else wire_plain(found)
 
     def read(self, name: str, args: Tuple[Any, ...]) -> Any:
         if name == "rdp":
-            return self._find(args[0], remove=False)
+            return self._find(wire_plain(args[0]), remove=False)
         if name == "count":
             return len(self.tuples)
         raise ValueError(f"unknown tuple-space read {name!r}")
@@ -245,8 +250,9 @@ class TupleSpaceMachine(StateMachine):
         }
 
     def restore(self, snapshot: Any) -> None:
-        self.tuples = TupleStore(list(t) for t in snapshot["tuples"])
-        self.waiters = [(r, list(t), bool(d)) for r, t, d in snapshot["waiters"]]
+        self.tuples = TupleStore(wire_plain(t) for t in snapshot["tuples"])
+        self.waiters = [(r, wire_plain(t), bool(d))
+                        for r, t, d in snapshot["waiters"]]
 
     def pending_rids(self) -> Iterable[str]:
         return [rid for rid, _template, _destructive in self.waiters]

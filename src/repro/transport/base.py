@@ -79,7 +79,7 @@ def drop_malformed(endpoint: Any) -> None:
     ``transport.malformed{node}`` always agree: a corrupted, truncated or
     wrongly-typed frame is a counted drop, never a raise through the loop.
     ``MessageEndpoint._on_message`` (:mod:`repro.transport.endpoint`) calls
-    it for everything an op table can tell; the two handlers whose verdict
+    it for everything an op table can tell; the handlers whose verdict
     needs their own state or two fields together call it themselves.
     """
     endpoint.malformed_frames += 1

@@ -82,6 +82,29 @@ def held_bytes_per(kind, count):
     return float(_in_child(script, kind, str(count)))
 
 
+def cache_bytes_per_command():
+    """Bytes a replica's at-most-once cache holds per applied command, by
+    ``tracemalloc`` in a fresh interpreter, over the whole group:
+    ``ledger_write`` at its smoke size, seed 0, traced from the run's first
+    allocation; what the caches hold is what dropping them frees."""
+    script = ("import gc, tracemalloc\n"
+              "from tests import e2e_workloads\n"
+              "workload = e2e_workloads.load().build('ledger_write', 0,"
+              " smoke=True)\n"
+              "gc.collect()\n"
+              "tracemalloc.start()\n"
+              "workload.run()\n"
+              "replicas = workload.scenario.archetype.replicas.values()\n"
+              "applied = sum(r.applied_index for r in replicas)\n"
+              "gc.collect()\n"
+              "held = tracemalloc.get_traced_memory()[0]\n"
+              "for r in replicas:\n"
+              "    r._results = r._outcomes = r._settled = None\n"
+              "gc.collect()\n"
+              "print((held - tracemalloc.get_traced_memory()[0]) / applied)")
+    return float(_in_child(script))
+
+
 def _in_child(script, *argv):
     """``script``'s stdout in a fresh interpreter (environment inherited,
     ``PYTHONDONTWRITEBYTECODE`` too, so it compiles the tree without

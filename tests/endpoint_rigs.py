@@ -599,7 +599,8 @@ def _replica(node, leader):
         "need_catchup": {"op": "need_catchup", "from": 1},
         "fenced": {"op": "fenced", "term": 1},
         "snapshot": {"op": "snapshot", "term": 1, "index": 4, "sterm": 1,
-                     "state": [["set", ["k", 1]]], "commit": 4},
+                     "state": [["set", ["k", 1]]], "commit": 4,
+                     "results": [["x-1", 1, 1], ["x-2", 2]]},
         "elect": {"op": "elect", "term": 2},
         "elect_ok": {"op": "elect_ok", "term": 2},
         "coord": {"op": "coord", "term": 1, "leader": leader},

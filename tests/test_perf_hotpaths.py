@@ -674,20 +674,21 @@ class TestWorkloadMemoryCeiling:
     tuples were drawn from there unseen by ``tracemalloc``; a fired
     ``EventHandle`` (a list subclass) is freed to the allocator instead.
     The same workload's built-and-run peak fell from 575 300 to 411 380
-    on 3.11.
+    on 3.11. ``ledger_write`` read 448 451 / 354 884 / 348 884 while each
+    replica's rid-result cache held a ``(result, index)`` tuple per command.
 
     A memory change lowers its row in the same diff; a row is raised only
     with a note in CHANGES.md that says why.
     """
 
     PEAKS = {
-        (3, 10): {"ledger_write": 448_451, "api_flash": 85_364,
+        (3, 10): {"ledger_write": 398_295, "api_flash": 85_364,
                   "chat_read": 232_212, "grid_failover": 1_186_260,
                   "swarm_beacon": 284_092, "milan_lifetime": 90_420},
-        (3, 11): {"ledger_write": 354_884, "api_flash": 28_531,
+        (3, 11): {"ledger_write": 304_172, "api_flash": 28_531,
                   "chat_read": 180_689, "grid_failover": 941_999,
                   "swarm_beacon": 268_860, "milan_lifetime": 66_640},
-        (3, 12): {"ledger_write": 348_884, "api_flash": 28_427,
+        (3, 12): {"ledger_write": 298_172, "api_flash": 28_427,
                   "chat_read": 178_465, "grid_failover": 931_679,
                   "swarm_beacon": 269_284, "milan_lifetime": 66_960},
     }
@@ -732,6 +733,20 @@ class TestWorkloadMemoryCeiling:
     #: 171 with one entry shared by the group; 459 while each backup
     #: rebuilt its own entry and args from the append frame.
     LOG_BYTES_PER_TRANSFER = 180
+
+    #: Bytes the group's rid-result caches hold per applied command, per
+    #: replica (``e2e_workloads.cache_bytes_per_command``), pinned at the
+    #: measured value + 10 %: 45.1 on 3.11 and 3.12 as a rid -> index dict
+    #: and one result slot per index; 60.3 on 3.10, whose dicts keep a
+    #: hash beside every str key. 92.2 / 107.4 while every answer was a
+    #: ``(result, index)`` tuple. Any other version is held to the largest.
+    CACHE_BYTES_PER_COMMAND = {(3, 10): 66.3, (3, 11): 49.6, (3, 12): 49.6}
+
+    def test_the_caches_hold_an_index_and_a_slot_per_command(self):
+        ceiling = self.CACHE_BYTES_PER_COMMAND.get(
+            sys.version_info[:2], max(self.CACHE_BYTES_PER_COMMAND.values()))
+        held = e2e_workloads.cache_bytes_per_command()
+        assert held <= ceiling, f"{held:.1f} B"
 
     @pytest.fixture(scope="class")
     def ledger(self):

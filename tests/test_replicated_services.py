@@ -189,6 +189,42 @@ class TestReplicatedTupleSpace:
         assert leftover.result() == ["job", 8]
         h.close()
 
+    def test_no_replica_holds_the_writers_nested_list(self):
+        # The tuple crosses the in-process fabric by reference, as a shared
+        # object's value does: each replica stores its own copy all the way
+        # down, and a nested tuple is a list, as bytes would have made it.
+        h = ShardedHarness(machine_factory=TupleSpaceMachine, port="ts")
+        space = ReplicatedTupleSpace(h.client)
+        inner = [1, 2]
+        written = space.out("k", inner, (5, 6), confirm=True)
+        h.run_for(1.0)
+        assert written.result() == ["k", [1, 2], [5, 6]]
+        inner.append(3)
+        replicas = h.replicas[h.shard_map.shard_of("k")].values()
+        assert [r.machine.snapshot()["tuples"] for r in replicas] == [
+            [["k", [1, 2], [5, 6]]]] * 3
+        stored = [next(iter(r.machine.tuples)) for r in replicas]
+        assert len({id(t[1]) for t in stored}) == 3
+        probe = space.rdp("k", None, [5, 6])
+        h.run_for(1.0)
+        assert probe.result() == ["k", [1, 2], [5, 6]]
+        h.close()
+
+    def test_wakeups_results_and_restores_share_no_list(self):
+        machine = TupleSpaceMachine()
+        for rid in ("a", "b"):
+            assert machine.apply("rd", (["k", None], rid)).pending
+        inner = [1]
+        out = machine.apply("out", (["k", inner],))
+        inner.append(2)
+        woken = [result for _rid, result in out.wakeups]
+        assert woken == [["k", [1]]] * 2 and out.result == ["k", [1]]
+        held = [out.result, *woken, next(iter(machine.tuples))]
+        assert len({id(v[1]) for v in held}) == len(held)
+        restored = TupleSpaceMachine()
+        restored.restore(machine.snapshot())
+        assert next(iter(restored.tuples))[1] is not held[-1][1]
+
     def test_wildcard_first_element_rejected(self):
         h = ShardedHarness(machine_factory=TupleSpaceMachine, port="ts")
         space = ReplicatedTupleSpace(h.client)

@@ -1,17 +1,20 @@
 """Tests for the replication core: log, quorum commit, catch-up, reads."""
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import ConfigurationError, DeliveryError, TransactionAborted
 from repro.obs.metrics import get_registry
 from repro.replication.client import GroupClient
 from repro.replication.log import LogEntry, OpLog
-from repro.replication.replica import ReplicationParams
-from repro.replication.services import LedgerMachine
+from repro.replication.replica import (
+    _REJECTED, NOOP, ReplicationParams, deploy_group)
+from repro.replication.services import (
+    KVMachine, LedgerMachine, TupleSpaceMachine)
 from repro.replication.shards import ShardMap
 from repro.transport.base import Address
+from repro.transport.endpoint import MALFORMED
 from repro.transport.inmemory import InMemoryFabric
 
 from tests.replication_helpers import FAST, GroupHarness
@@ -355,6 +358,142 @@ class TestCatchUp:
         assert h.replicas["r0"].log.snapshot_index > 0
         assert get_registry().counter_total("repl.log.catchups") >= 1
         h.close()
+
+    def test_a_retry_after_a_snapshot_install_is_not_applied_again(self):
+        # At-most-once across state transfer: the snapshot carries the
+        # rid-result cache, so the backup that installed it and is then
+        # elected answers a retry of a command it never applied itself.
+        params = ReplicationParams(
+            **{**{name: getattr(FAST, name) for name in FAST.__slots__},
+               "compact_every": 4}
+        )
+        h = GroupHarness(params=params)
+        r1, r2 = h.replicas["r1"], h.replicas["r2"]
+        h.fabric.isolate("r1")
+        first = [h.client.command("write", f"k{i}", i, rid=f"w{i}")
+                 for i in range(10)]
+        h.run_for(3.0)
+        assert [p.result() for p in first] == [1] * 10
+        assert r2.log.snapshot_index == 8 and r1.applied_index == 0
+        h.fabric.heal()
+        h.run_for(3.0)
+        assert r1.log.snapshot_index == 10
+        h.crash("r2")
+        h.run_for(3.0)
+        assert list(h.primaries()) == ["r1"]
+        retry = h.client.command("write", "k3", 3, rid="w3")
+        h.run_for(2.0)
+        assert retry.result() == 1
+        assert r1.machine.read("version", ("k3",)) == 1
+        answer = r2._cached("w3")
+        assert answer[0] == 1 and r1._cached("w3") == answer
+        h.close()
+
+
+#: The at-most-once property's rid pool: small, so rids repeat, and a
+#: tuple-space waiter can carry the rid of another entry.
+_RIDS = [f"c{i}" for i in range(5)]
+_KEY = st.sampled_from(["x", "y"])
+_ACCOUNT = st.sampled_from(["a", "b"])
+_VALUE = st.sampled_from([1, [2], (3, [4])])
+
+#: machine -> what is drawn as one command ``(name, args)``: good ones, and
+#: ones the machine refuses (unknown op, wrong arity).
+_COMMANDS = {
+    KVMachine: st.one_of(
+        st.tuples(st.just("write"), st.tuples(_KEY, st.integers(0, 3))),
+        st.sampled_from([("write", ("x",)), ("erase", ("x",))])),
+    lambda: LedgerMachine({"a": 50, "b": 0}): st.one_of(
+        st.tuples(st.just("transfer"), st.tuples(
+            st.sampled_from(["t0", "t1", "t2"]), _ACCOUNT, _ACCOUNT,
+            st.integers(0, 40))),
+        st.tuples(st.just("deposit"), st.tuples(
+            st.sampled_from(["t0", "t3"]), _ACCOUNT, st.integers(1, 5))),
+        st.just(("mint", ("a",)))),
+    TupleSpaceMachine: st.one_of(
+        st.tuples(st.just("out"), st.tuples(st.tuples(_KEY, _VALUE))),
+        st.tuples(st.sampled_from(["in", "rd"]), st.tuples(
+            st.tuples(_KEY, st.one_of(st.none(), _VALUE)),
+            st.sampled_from(_RIDS))),
+        st.tuples(st.just("inp"), st.tuples(st.tuples(_KEY, st.none()))),
+        st.just(("eval", ()))),
+}
+
+
+@st.composite
+def _cache_runs(draw):
+    """A machine, commands under drawn rids with no-op entries among them,
+    and the step before which a second replica installs a snapshot."""
+    machine = draw(st.sampled_from(list(_COMMANDS)))
+    command = st.tuples(st.sampled_from(_RIDS), _COMMANDS[machine])
+    steps = draw(st.lists(st.one_of(command, command, command, st.just(None)),
+                          min_size=4, max_size=30))
+    return machine, steps, draw(st.integers(1, len(steps)))
+
+
+class TestAtMostOnceCache:
+    """The rid-result cache answers every rid as one ``rid -> (result,
+    index)`` dict would: the answer of the last entry that settled it."""
+
+    @staticmethod
+    def reference_apply(reference, machine, entry):
+        """What the cache must say after ``entry`` applies."""
+        if entry.name == NOOP:
+            reference[entry.rid] = (None, entry.index)
+            return
+        try:
+            outcome = machine.apply(entry.name, entry.args)
+        except MALFORMED:
+            reference[entry.rid] = (_REJECTED, entry.index)
+            return
+        if not outcome.pending:
+            reference[entry.rid] = (outcome.result, entry.index)
+        for rid, result in outcome.wakeups:
+            reference[rid] = (result, entry.index)
+
+    @given(_cache_runs())
+    @example((TupleSpaceMachine, [
+        ("c0", ("rd", (("x", None), "c1"))), ("c1", ("in", (("x", 1), "c1"))),
+        ("c4", ("write", ())), None, ("c2", ("out", (("x", 1),))),
+        ("c3", ("in", (("x", None), "c3"))), ("c1", ("out", (("x", 1),))),
+        ("c3", ("out", (("y", 1),)))], 5))
+    def test_the_cache_answers_as_a_dict_of_last_answers(self, run):
+        factory, steps, install_at = run
+        get_registry().reset()
+        fabric = InMemoryFabric(latency_s=0.001)
+        replicas = deploy_group(fabric.endpoint, ["r0", "r1"], factory,
+                                port="g", params=FAST)
+        replica, model, reference = replicas["r1"], factory(), {}
+        rids = set(_RIDS)
+        for step, drawn in enumerate(steps):
+            if step == install_at:
+                replica = self.install_snapshot(replica, replicas["r0"])
+            if drawn is None:
+                rid, name, args = f"{NOOP}-{step}", NOOP, ()
+            else:
+                rid, (name, args) = drawn
+            rids.add(rid)
+            entry = replica.log.append(replica.term, rid, name, args)
+            replica._advance_commit(entry.index)
+            self.reference_apply(reference, model, entry)
+            assert {rid: replica._cached(rid) for rid in rids} == {
+                rid: reference.get(rid) for rid in rids}
+        for replica in replicas.values():
+            replica.close()
+
+    @staticmethod
+    def install_snapshot(primary, backup):
+        """``backup`` installs ``primary``'s snapshot, as bytes on a wire."""
+        primary.log.compact_to(primary.applied_index)
+        sent = []
+        primary.send_to_member = lambda member, message: sent.append(message)
+        primary._on_need_catchup(Address(backup.node_id, "g"), {"from": 1})
+        assert sent[0]["op"] == "snapshot"
+        backup._on_message(Address(primary.node_id, "g"),
+                           backup.codec.encode(sent[0]))
+        assert backup.malformed_frames == 0
+        assert backup.applied_index == primary.applied_index
+        return backup
 
 
 class TestReadModes:
