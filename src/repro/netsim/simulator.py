@@ -4,19 +4,24 @@ A :class:`Simulator` owns its virtual clock and its event queue. Events
 scheduled for the same instant fire in scheduling order, which (together with
 seeded RNGs everywhere else) makes whole-system runs reproducible.
 
-The queue is a binary heap of ``[when, tie, seq, fn, args]`` entries, one
-allocation per event besides its args. ``seq`` is a monotonic sequence
-number: it makes the order total, so two entries never compare on ``fn``,
-and equal-time events fire in the order they were scheduled. ``tie`` sits
-in front of it, ``0`` unless a tie-breaker is installed
+The queue holds ``[when, tie, seq, fn, args]`` entries, one allocation
+per event besides its args. ``seq`` is a monotonic sequence number: it
+makes the order total, so two entries never compare on ``fn``, and
+equal-time events fire in the order they were scheduled. ``tie`` sits in
+front of it, ``0`` unless a tie-breaker is installed
 (:meth:`Simulator.set_tie_breaker`), in which case it is drawn at
 scheduling time. The simulation-testing explorer (:mod:`repro.simtest`)
 installs a seeded-RNG tie-breaker to perturb the order of same-time
 events: the draw is a pure function of the seed and the scheduling
 sequence, so any perturbed schedule replays exactly.
 
+The queue is a binary heap plus a *run*, a ``deque`` in key order:
+:meth:`Simulator.schedule_at` appends to the run when no tie-breaker is
+installed and its time is not before the run's last; all else goes to the
+heap. The loop fires the smaller head, as one heap of both would.
+
 The handle :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`
-return *is* the heap entry: an :class:`EventHandle` is a slotted ``list``
+return *is* the queue entry: an :class:`EventHandle` is a slotted ``list``
 subclass ``[when, tie, seq, fn, args, sim]``, with ``time`` read from
 index 0. An entry is tombstoned by clearing ``fn`` and ``args`` to
 ``None``, when it fires or is cancelled, so a handle held after either
@@ -25,13 +30,13 @@ pins neither the callback nor its arguments.
 Cancellation is lazy: :meth:`EventHandle.cancel` tombstones the entry in
 place, and the loop skips tombstones. Workloads that cancel most of what
 they schedule (the reliable transport's retransmit timers, cancelled on
-every ack) would otherwise grow the heap without bound, so a cancel that
-leaves dead entries outnumbering live ones sweeps them out — rebuilding the
-list *in place*, because a running loop holds a reference to it.
+every ack) would otherwise grow the queue without bound, so a cancel that
+leaves dead entries outnumbering live ones sweeps them out of both *in
+place*, because a running loop holds a reference to each.
 
 The event loop is a measured hot path (``benchmarks/bench_micro.py``):
 :meth:`Simulator.run` and :meth:`Simulator.run_until` share one loop that
-pops, tombstones and dispatches in place. The heap invariant — every
+pops, tombstones and dispatches in place. The queue invariant — every
 queued entry's time is >= the current time, enforced at scheduling — is
 what makes the unguarded clock assignment in that loop safe.
 
@@ -59,15 +64,16 @@ Swarm-scale additions (see ARCHITECTURE §13):
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partialmethod
 from heapq import heapify, heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Deque, List, Optional, Sequence
 
 from repro.errors import SimulationError
 
 #: Dead entries may outnumber live ones by this much before a cancel sweeps
-#: them out of the heap.
+#: them out of the queue.
 _AUTO_COMPACT_MIN_DEAD = 64
 
 #: ``run_until``'s event cap: an int too large to be reached, so the shared
@@ -84,7 +90,7 @@ def _fire_batch(callbacks: List[Callable[[], None]]) -> None:
 
 
 class EventHandle(list):
-    """A scheduled event's heap entry, ``[when, tie, seq, fn, args, sim]``;
+    """A scheduled event's queue entry, ``[when, tie, seq, fn, args, sim]``;
     :meth:`cancel` prevents it from firing."""
 
     __slots__ = ()
@@ -98,18 +104,21 @@ class EventHandle(list):
         """Cancel the event; returns False if it already fired or was cancelled.
 
         O(live) sweep when dead entries come to dominate, amortized O(1) per
-        cancel (each sweep removes at least half the heap).
+        cancel (each sweep removes at least half the queue).
         """
         if self[3] is None:
             return False
         self[3] = self[4] = None
         sim = self[5]
         sim._live -= 1
-        heap = sim._heap
-        dead = len(heap) - sim._live
+        heap, run = sim._heap, sim._run
+        dead = len(heap) + len(run) - sim._live
         if dead > _AUTO_COMPACT_MIN_DEAD and dead > sim._live:
             heap[:] = [queued for queued in heap if queued[3] is not None]
             heapify(heap)
+            kept = [queued for queued in run if queued[3] is not None]
+            run.clear()
+            run.extend(kept)
         return True
 
 
@@ -134,6 +143,7 @@ class Simulator:
             raise SimulationError(f"cannot start simulation at {start_time!r}")
         self._now = float(start_time)
         self._heap: List[List[Any]] = []
+        self._run: Deque[EventHandle] = deque()
         self._next_seq = 0
         self._tie_breaker: Optional[Callable[[], Any]] = None
         self._live = 0
@@ -199,14 +209,23 @@ class Simulator:
     def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Run ``fn(*args)`` at absolute virtual time ``when``."""
         # Inverted comparison so NaN (which compares False either way, and
-        # would corrupt heap ordering) is rejected along with the past.
+        # would corrupt queue ordering) is rejected along with the past.
         if not when >= self._now:
             raise SimulationError(
                 f"cannot schedule event at {when!r} "
                 f"(past or NaN; now is {self._now!r})"
             )
         # ``+ 0.0`` normalizes ints so now() stays a float.
-        return self._handle(when + 0.0, fn, args)
+        when += 0.0
+        run = self._run
+        if self._tie_breaker is not None or run and when < run[-1][0]:
+            return self._handle(when, fn, args)
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        handle = EventHandle((when, 0, seq, fn, args, self))
+        run.append(handle)
+        self._live += 1
+        return handle
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` seconds; no cancellation handle.
@@ -331,21 +350,32 @@ class Simulator:
         on the way out, which pays for the cap test: per event, the loop
         does no more work than an uncapped one updating the attribute.
         """
-        heap = self._heap
+        heap, run = self._heap, self._run
         profiler = self._profiler
         processed = 0
         try:
-            while heap:
-                entry = heappop(heap)
-                fn = entry[3]
-                if fn is None:
-                    continue
-                when = entry[0]
-                if when > deadline:
-                    # Popping first and pushing the one overshoot back
-                    # saves a peek per event; keys are unique (``seq``),
-                    # so the pop order does not depend on heap layout.
-                    heappush(heap, entry)
+            while True:
+                # Popping first and putting the one overshoot back where it
+                # came from saves a peek per event.
+                if run and not (heap and heap[0] < run[0]):
+                    entry = run.popleft()
+                    fn = entry[3]
+                    if fn is None:
+                        continue
+                    when = entry[0]
+                    if when > deadline:
+                        run.appendleft(entry)
+                        break
+                elif heap:
+                    entry = heappop(heap)
+                    fn = entry[3]
+                    if fn is None:
+                        continue
+                    when = entry[0]
+                    if when > deadline:
+                        heappush(heap, entry)
+                        break
+                else:
                     break
                 args = entry[4]
                 # The tombstone: a late cancel() of the handle is a no-op.

@@ -31,8 +31,9 @@ try:
         suppress_health_check=(HealthCheck.too_slow,),
     )
     settings.register_profile("dev")
-    # ``fuzz``: the endpoint fuzz's own CI step (one property, selected by
-    # name) at twenty times the default budget; tier-1 keeps the default.
+    # ``fuzz``: CI's two fuzz steps (the endpoint fuzz and the queue
+    # exactness property, each selected by name) at twenty times the
+    # default budget; tier-1 keeps the default.
     settings.register_profile(
         "fuzz",
         derandomize=True,

@@ -57,8 +57,8 @@ def held_bytes_per(kind, count):
     ``count`` x ``count`` swarm grid (30 m spacing, 100 m range); or
     ``"schedule_at"`` / ``"call_later"``, pending zero-arg events at
     distinct times, each return value kept. The lists holding the return
-    values and the simulator's heap are not counted: their slots are the
-    caller's and the queue's, not the item's."""
+    values and the simulator's heap and run are not counted: their slots
+    are the caller's and the queue's, not the item's."""
     script = ("import gc, sys, tracemalloc\n"
               "from repro.netsim.medium import RadioProfile\n"
               "from repro.netsim.simulator import Simulator\n"
@@ -77,7 +77,7 @@ def held_bytes_per(kind, count):
               "    kept = [schedule(1.0 + i, fn) for i in range(count)]\n"
               "gc.collect()\n"
               "held = (tracemalloc.get_traced_memory()[0] - sys.getsizeof(kept)\n"
-              "        - sys.getsizeof(sim._heap))\n"
+              "        - sys.getsizeof(sim._heap) - sys.getsizeof(sim._run))\n"
               "print(held / count)")
     return float(_in_child(script, kind, str(count)))
 

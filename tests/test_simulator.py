@@ -1,13 +1,15 @@
 """Tests for repro.netsim.simulator."""
 
 import gc
+import math
 import weakref
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import _AUTO_COMPACT_MIN_DEAD, Simulator
 
 
 class TestScheduling:
@@ -412,3 +414,177 @@ class TestScheduleSeries:
         assert len(draws) == 2
         sim.run()
         assert len(draws) == 3
+
+
+_OFFSETS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+def _operation(reactions):
+    """One drawn queue operation. An event it schedules runs ``reactions``
+    (operations drawn the same way, with none of their own) when it fires.
+    A ``burst`` is up to 80 ``schedule_at`` calls at one instant, so that
+    cancelling them sweeps tombstones out of the queue."""
+    return st.one_of(
+        st.tuples(st.sampled_from(["at", "in", "later"]), _OFFSETS,
+                  reactions),
+        st.tuples(st.just("batch"), _OFFSETS, reactions,
+                  st.integers(1, 3)),
+        st.tuples(st.just("series"), st.lists(
+            _OFFSETS, min_size=1, max_size=4).map(sorted), reactions),
+        st.tuples(st.just("burst"), _OFFSETS, st.integers(1, 80)),
+        st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+        st.tuples(st.just("cancel_all")),
+        st.tuples(st.just("tie"), st.booleans()),
+    )
+
+
+#: A script: phases of top-level operations, each followed by a stop —
+#: ``run_until(now + step)`` (on the instants events use, or between
+#: them) or ``run(max_events=cap)``, whose cap can stop the loop between
+#: two equal-time events.
+_SCRIPTS = st.lists(st.tuples(
+    st.lists(_operation(st.lists(_operation(st.just(())), max_size=2)),
+             max_size=6),
+    st.one_of(
+        st.tuples(st.just("until"),
+                  st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 3.0])),
+        st.tuples(st.just("cap"), st.integers(0, 12)))),
+    min_size=1, max_size=6)
+
+
+class _OneHeap:
+    """The reference queue: a single ``heapq`` of ``(when, tie, seq)``
+    keys, seq counted here, a series streamed one entry at a time, with
+    the firings it predicts and the live entries it holds."""
+
+    def __init__(self):
+        self.heap = []
+        self.live = {}  # seq -> (callbacks, (times, first, k) or None)
+        self.next_seq = 0
+        self.fired = []
+
+    def push(self, when, tie, callbacks=1, series=None, seq=None):
+        if seq is None:
+            seq, self.next_seq = self.next_seq, self.next_seq + 1
+        heappush(self.heap, (when, tie, seq))
+        self.live[seq] = (callbacks, series)
+        return seq
+
+    def pop(self, tie):
+        """Fire the smallest live key; ``tie()`` is the key the simulator
+        drew for a series' next entry."""
+        while self.heap:
+            when, _, seq = heappop(self.heap)
+            if seq in self.live:
+                callbacks, series = self.live.pop(seq)
+                self.fired += [(when, seq)] * callbacks
+                if series is not None:
+                    times, first, k = series
+                    if k + 1 < len(times):
+                        self.push(times[k + 1], tie(),
+                                  series=(times, first, k + 1),
+                                  seq=first + k + 1)
+                return
+        self.fired.append(None)
+
+    def first_time(self):
+        live = [when for when, _, seq in self.heap if seq in self.live]
+        return min(live, default=math.inf)
+
+
+class TestQueueExactness:
+    """The heap and the sorted run of in-order ``schedule_at`` entries fire
+    exactly as one heap of every entry would: the same ``(when, seq)``
+    sequence and the same ``pending_events()``, through ties, tie-breakers,
+    cancels and their sweeps, series, batches and stops mid-instant."""
+
+    @given(script=_SCRIPTS,
+           ties=st.lists(st.sampled_from([0, 0.25, 0.5, 1.0]), min_size=1,
+                         max_size=5))
+    def test_fires_as_one_heap_would(self, script, ties):
+        sim, ref = Simulator(), _OneHeap()
+        fired, handles, drawn = [], [], []
+
+        def draw():
+            drawn.append(ties[len(drawn) % len(ties)])
+            return drawn[-1]
+
+        def tie():
+            return drawn[-1] if sim.tie_breaker_installed() else 0
+
+        def event(seq, reactions):
+            def fire(*series_k):
+                # A series pushes its next entry (drawing its tie) before
+                # it calls back, so ``tie()`` is that entry's key here.
+                ref.pop(tie)
+                fired.append((sim.now(), seq + (series_k[0]
+                                                if series_k else 0)))
+                for operation in reactions:
+                    apply(operation)
+            return fire
+
+        def apply(operation):
+            kind, now = operation[0], sim.now()
+            if kind in ("at", "in", "later", "batch"):
+                offset, reactions = operation[1:3]
+                fire = event(ref.next_seq, reactions)
+                if kind == "batch":
+                    callbacks = [fire] + [
+                        lambda seq=ref.next_seq: fired.append(
+                            (sim.now(), seq))] * (operation[3] - 1)
+                    sim.schedule_batch(offset, callbacks)
+                    ref.push(now + offset, tie(), len(callbacks))
+                elif kind == "later":
+                    sim.call_later(offset, fire)
+                    ref.push(now + offset, tie())
+                else:
+                    schedule = (sim.schedule_at(now + offset, fire)
+                                if kind == "at" else
+                                sim.schedule(offset, fire))
+                    handles.append((schedule, ref.push(now + offset, tie())))
+            elif kind == "series":
+                times = [now + offset for offset in operation[1]]
+                fire = event(ref.next_seq, operation[2])
+                sim.schedule_series(times, fire)
+                ref.push(times[0], tie(), series=(times, ref.next_seq, 0))
+                ref.next_seq += len(times) - 1
+            elif kind == "burst":
+                for _ in range(operation[2]):
+                    handle = sim.schedule_at(now + operation[1],
+                                             event(ref.next_seq, ()))
+                    handles.append((handle, ref.push(now + operation[1],
+                                                     tie())))
+            elif kind == "tie":
+                sim.set_tie_breaker(draw if operation[1] else None)
+            else:
+                chosen = handles
+                if kind == "cancel" and handles:
+                    chosen = [handles[operation[1] % len(handles)]]
+                for handle, seq in chosen:
+                    expected = ref.live.pop(seq, None) is not None
+                    assert handle.cancel() is expected
+                    if expected:
+                        live = sim.pending_events()
+                        dead = len(sim._heap) + len(sim._run) - live
+                        assert dead <= _AUTO_COMPACT_MIN_DEAD or dead <= live
+
+        for operations, (stop, value) in script:
+            for operation in operations:
+                apply(operation)
+            if stop == "until":
+                deadline = sim.now() + value
+                sim.run_until(deadline)
+                assert ref.first_time() > deadline
+            else:
+                before = sim.events_processed
+                try:
+                    sim.run(max_events=value)
+                except SimulationError:
+                    assert sim.events_processed - before == value + 1
+                else:
+                    assert not ref.live
+            assert fired == ref.fired
+            assert sim.pending_events() == len(ref.live)
+        sim.run()
+        assert fired == ref.fired
+        assert sim.pending_events() == len(ref.live) == 0
