@@ -51,7 +51,8 @@ def main() -> None:
                 print(f"{door} read tag {tag.tag_id} (owner {owner}): "
                       f"{pallet} -> {where_is(pallet)}")
 
-    # 2. A GPS fix decides which depot answers for the truck.
+    # 2. A GPS fix, averaged over a few readings, decides which depot
+    # answers for the truck.
     network = Network()
     truck = network.add_node(
         "truck", mobility=LinearMobility(Point(0, 0), velocity=(20.0, 0.0)))
@@ -60,7 +61,7 @@ def main() -> None:
     name = LogicalName.parse("fleet/truck-9")
     for at in (1.0, 15.0):
         network.sim.run_until(at)
-        fix = gps.fix()
+        fix = gps.mean_fix(samples=4)
         nearest = min(depots, key=lambda depot: fix.distance_to(depots[depot]))
         tracker.bind(name, Address(nearest, "yard"))
         fabric.run()

@@ -18,6 +18,7 @@ from repro.discovery.registry import RegistryClient, RegistryServer
 from repro.netsim import topology
 from repro.netsim.failures import FailureInjector
 from repro.netsim.medium import IDEAL_RADIO
+from repro.qos.monitor import QoSMonitor
 from repro.qos.spec import SupplierQoS
 from repro.transactions.manager import TransactionManager
 from repro.transactions.rpc import RpcEndpoint
@@ -57,10 +58,18 @@ def main() -> None:
                                registry.transport.local_address)
     manager = TransactionManager(consumer_rpc, discovery, call_timeout_s=0.5)
     bus.watch_transactions(manager)
+    # The stream's QoS contract feeds the bus too, and a monitor totals
+    # delivered QoS across contracts.
+    monitor = QoSMonitor()
+
+    def watch(transaction):
+        bus.watch_contract(transaction.contract)
+        monitor.register(transaction.contract)
+
     manager.establish(
         Query("bp-sensor"),
         TransactionSpec(TransactionKind.CONTINUOUS, interval_s=1.0),
-    )
+    ).on_value(watch)
 
     # MiLAN runs alongside, also feeding the bus.
     milan = Milan(health_monitor_policy())
@@ -80,6 +89,8 @@ def main() -> None:
     assert transfers, "the stream should have transferred to bp-b"
     print(f"\nthe stream survived: transferred {transfers[0][1]['from']} "
           f"-> {transfers[0][1]['to']}")
+    print(f"delivered QoS: success rate {monitor.system_success_rate():.2f}, "
+          f"{len(monitor.violated_contracts())} contract(s) in violation")
 
 
 if __name__ == "__main__":

@@ -41,9 +41,6 @@ class Figure1Result:
         self.correlation_with_network = correlation_with_network
         self.correlation_with_distributed = correlation_with_distributed
 
-    def middleware_series(self) -> List[int]:
-        return [self.series["middleware"].get(y, 0) for y in YEARS]
-
     def render_ascii(self, width: int = 50) -> str:
         """The bar chart, in the terminal."""
         counts = self.series["middleware"]

@@ -49,7 +49,6 @@ __getattr__, __all__ = _facade(__name__, {
     "OverloadLevel": "repro.core.overload",
     "queue_pressure": "repro.core.overload",
     "rejection_pressure": "repro.core.overload",
-    "shed_pressure": "repro.core.overload",
     "BandwidthPlugin": "repro.core.plugins",
     "BluetoothPlugin": "repro.core.plugins",
     "NetworkContext": "repro.core.plugins",

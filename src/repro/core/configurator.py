@@ -55,18 +55,6 @@ class NetworkConfiguration:
         return hash((self.active_sensors, self.senders, self.routers,
                      self.master, self.sleepers))
 
-    def role_of(self, node_id: str) -> str:
-        if self.master == node_id:
-            return "master"
-        if node_id in self.senders:
-            return "sender"
-        if node_id in self.routers:
-            return "router"
-        if node_id in self.sleepers:
-            return "sleeper"
-        return "unknown"
-
-
 def _shortest_path(adjacency: Dict[str, Set[str]], start: str, goal: str) -> List[str]:
     """BFS path (node ids), [] when unreachable."""
     if start == goal:

@@ -145,9 +145,6 @@ class OverloadGovernor:
             raise ConfigurationError(f"signal {name!r} already registered")
         self._signals[name] = signal
 
-    def remove_signal(self, name: str) -> None:
-        self._signals.pop(name, None)
-
     def sample_pressure(self) -> float:
         """Max over all signals, each clamped to [0, 1]."""
         pressure = 0.0
@@ -277,28 +274,6 @@ def queue_pressure(transport, max_queue: Optional[int] = None) -> Signal:
     def signal() -> float:
         capacity = max_queue if max_queue is not None else transport.max_queue
         return transport.queue_depth / capacity if capacity else 0.0
-    return signal
-
-
-def shed_pressure(transport, window: int = 50) -> Signal:
-    """Pressure from shedding: sheds per ``window`` recent outcomes.
-
-    Stateful by design — it differences the transport's monotonic counters
-    between calls, so each tick sees the *recent* shed fraction rather
-    than a lifetime average that an earlier spike would pin high.
-    """
-    last = {"sent": 0, "shed": 0}
-
-    def signal() -> float:
-        sent, shed = transport.paced_sent, transport.shed
-        d_sent = sent - last["sent"]
-        d_shed = shed - last["shed"]
-        last["sent"], last["shed"] = sent, shed
-        total = d_sent + d_shed
-        if total == 0:
-            return 0.0
-        return min(1.0, d_shed / min(total, window) if total <= window
-                   else d_shed / total)
     return signal
 
 

@@ -43,12 +43,3 @@ class VariableRequirements:
         for requirements in self.by_state.values():
             names.update(requirements)
         return names
-
-    def hardest_state(self) -> str:
-        """The state with the largest total requirement (sizing worst case)."""
-        if not self.by_state:
-            raise ConfigurationError("no requirements declared")
-        return max(
-            self.by_state,
-            key=lambda s: (sum(self.by_state[s].values()), s),
-        )

@@ -181,8 +181,3 @@ class AdaptiveDiscovery:
     def _note_registry_failure(self) -> None:
         self._registry_failures += 1
         self._evaluate()
-
-    def note_registry_recovered(self) -> None:
-        """Clear the failure count (e.g. after an out-of-band health check)."""
-        self._registry_failures = 0
-        self._evaluate()

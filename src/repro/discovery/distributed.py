@@ -136,9 +136,6 @@ class DistributedDiscovery(MessageEndpoint):
              "ttl": self.ttl, "service_id": service_id},
         )
 
-    def local_services(self) -> List[ServiceDescription]:
-        return list(self._local.values())
-
     # ----------------------------------------------------------- consumer API
 
     def lookup(self, query: Query) -> Promise:
@@ -172,10 +169,6 @@ class DistributedDiscovery(MessageEndpoint):
             unique[description.service_id] = description
         ranked = self._matcher.match(list(unique.values()), query)
         promise.fulfill([m.description for m in ranked])
-
-    def cached_services(self) -> List[ServiceDescription]:
-        self._prune_cache()
-        return [c.description for c in self._cache.values()]
 
     # --------------------------------------------------------------- flooding
 

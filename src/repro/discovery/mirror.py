@@ -52,10 +52,6 @@ class MirrorGroup:
             request_timeout_s=request_timeout_s,
         )
 
-    def total_registered(self) -> int:
-        """Registrations across mirrors (equal everywhere once synced)."""
-        return max(len(server) for server in self.servers)
-
     def consistent(self) -> bool:
         """True when every mirror holds the same service-id set."""
         sets = [

@@ -252,9 +252,6 @@ class RegistryClient(MessageEndpoint):
         self._ask({"op": "renew", "service_id": service_id, "lease_s": lease_s})
         self._schedule_renew(service_id, lease_s)
 
-    def renew(self, service_id: str, lease_s: float = DEFAULT_LEASE_S) -> Promise:
-        return self._ask({"op": "renew", "service_id": service_id, "lease_s": lease_s})
-
     def unregister(self, service_id: str) -> Promise:
         self._auto_renew.pop(service_id, None)
         return self._ask({"op": "unregister", "service_id": service_id})

@@ -48,14 +48,6 @@ class ServiceNotFoundError(DiscoveryError):
     """No registered service matched the query."""
 
 
-class QoSError(MiddlewareError):
-    """Base class for quality-of-service failures."""
-
-
-class RoutingError(MiddlewareError):
-    """Base class for routing failures."""
-
-
 class TransactionError(MiddlewareError):
     """Base class for transaction failures."""
 
@@ -128,7 +120,3 @@ class SchemaError(InteropError):
 
 class SimulationError(MiddlewareError):
     """Base class for network-simulator failures."""
-
-
-class NodeDownError(SimulationError):
-    """An operation was attempted on a crashed or depleted node."""

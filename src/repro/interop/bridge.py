@@ -96,42 +96,20 @@ class CodecGateway:
 
 
 class RpcEventBridge:
-    """Lets RPC-world clients publish into, and pull from, pub/sub world.
-
-    Exposes two methods on the given RPC endpoint:
-
-    * ``publish(topic, event)`` — forwards to the event broker;
-    * ``poll(topic)`` — returns (and clears) events buffered for a topic
-      pattern this bridge subscribed to with :meth:`bridge_topic`.
-    """
+    """Lets RPC-world clients publish into the pub/sub world: it exposes
+    ``publish(topic, event)`` on the given RPC endpoint and forwards each
+    call to the event broker."""
 
     def __init__(self, rpc: RpcEndpoint, pubsub: PubSubClient):
         self.rpc = rpc
         self.pubsub = pubsub
-        self._buffers: Dict[str, list] = {}
         self.published = 0
         rpc.expose("publish", self._publish)
-        rpc.expose("poll", self._poll)
 
     def _publish(self, topic: str, event: Any) -> bool:
         self.pubsub.publish(topic, event)
         self.published += 1
         return True
-
-    def bridge_topic(self, pattern: str) -> None:
-        """Start buffering events matching ``pattern`` for RPC pollers."""
-        self._buffers.setdefault(pattern, [])
-        self.pubsub.subscribe(
-            pattern,
-            lambda topic, event: self._buffers[pattern].append(
-                {"topic": topic, "event": event}
-            ),
-        )
-
-    def _poll(self, topic: str) -> list:
-        buffered = self._buffers.get(topic, [])
-        self._buffers[topic] = []
-        return buffered
 
 
 class PubSubTupleBridge:

@@ -76,12 +76,6 @@ class SmlElement:
                 return c
         return None
 
-    def require_child(self, tag: str) -> "SmlElement":
-        found = self.child(tag)
-        if found is None:
-            raise MarkupError(f"<{self.tag}> has no required <{tag}> child")
-        return found
-
     def children_named(self, tag: str) -> List["SmlElement"]:
         return [c for c in self.children if c.tag == tag]
 

@@ -163,10 +163,3 @@ class LocationClient(MessageEndpoint):
 
         promise.on_settle(unpack)
         return result
-
-    def resolve_prefix(self, prefix: LogicalName) -> Promise:
-        """Fulfills with a dict of name -> Address under the prefix."""
-        return self._ask({"op": "resolve_prefix", "prefix": str(prefix)})
-
-    def unbind(self, name: LogicalName) -> Promise:
-        return self._ask({"op": "unbind", "name": str(name)})

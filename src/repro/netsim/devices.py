@@ -73,14 +73,6 @@ class InventoryResult:
         return hash((self.read_tags, self.rounds, self.total_slots,
                      self.collisions, self.empty_slots))
 
-    @property
-    def slot_efficiency(self) -> float:
-        """Successful reads per slot offered (ALOHA's theoretical max ~0.368)."""
-        if self.total_slots == 0:
-            return 0.0
-        return len(self.read_tags) / self.total_slots
-
-
 #: Slots in a reader's first inventory frame, and the most any frame gets.
 INITIAL_FRAME_SIZE = 8
 MAX_FRAME_SIZE = 256

@@ -63,11 +63,6 @@ class RadioEnergyModel:
             raise ConfigurationError(f"negative packet size {size_bits!r}")
         return self.e_elec * size_bits
 
-    def idle_cost(self, duration: float) -> float:
-        """Energy (J) for ``duration`` seconds of idle listening."""
-        return self.idle_power * max(0.0, duration)
-
-
 class Battery:
     """A finite energy store with depletion callbacks.
 
@@ -137,13 +132,6 @@ class Battery:
             for callback in callbacks:
                 callback()
         return False
-
-    def recharge(self, joules: float) -> None:
-        """Add energy up to capacity (used by energy-harvesting scenarios)."""
-        if not joules >= 0.0:
-            raise ConfigurationError(f"cannot recharge negative energy {joules!r}")
-        self.remaining = min(self.capacity, self.remaining + joules)
-
 
 def mains_battery() -> Battery:
     """A battery that never depletes (wall-powered node)."""

@@ -2,8 +2,8 @@
 
 Sections 3.4 and 3.8 of the paper are about surviving failures (graceful
 degradation, recovery). This module provides the failures to survive: node
-crashes and recoveries, link cuts, network partitions, lossy/slow periods,
-and frame corruption — all scheduled deterministically on the simulator.
+crashes and recoveries, network partitions, lossy/slow periods, and frame
+corruption — all scheduled deterministically on the simulator.
 
 Semantics the chaos campaigns (:mod:`repro.workloads.campaign`) rely on:
 
@@ -205,28 +205,6 @@ class FailureInjector:
                 scheduled += 1
                 t += downtime_s
         return scheduled
-
-    # ---------------------------------------------------------------- links
-
-    def cut_link_at(self, when: float, link_index: int, duration: Optional[float] = None) -> None:
-        """Cut the ``link_index``-th wired link; restore after ``duration``."""
-        link = self.network.links[link_index]
-
-        def cut() -> None:
-            link.set_up(False)
-            self.log.append(
-                InjectedFault(self.network.sim.now(), "link-cut", str(link.endpoints))
-            )
-
-        def restore() -> None:
-            link.set_up(True)
-            self.log.append(
-                InjectedFault(self.network.sim.now(), "link-restore", str(link.endpoints))
-            )
-
-        self.network.sim.schedule_at(when, cut)
-        if duration is not None:
-            self.network.sim.schedule_at(when + duration, restore)
 
     # ------------------------------------------------------------ partitions
 

@@ -75,10 +75,6 @@ class WiredLink:
     def up(self) -> bool:
         return self._up
 
-    def set_up(self, up: bool) -> None:
-        """Cut or restore the link (partition injection)."""
-        self._up = up
-
     def connects(self, node_id: str) -> bool:
         return node_id in self.endpoints
 

@@ -61,10 +61,6 @@ class RadioProfile:
                 f"loss probability must be in [0, 1), got {self.loss_probability!r}"
             )
 
-    def serialization_delay(self, size_bits: int) -> float:
-        return size_bits / self.bandwidth_bps
-
-
 #: IEEE 802.11b-era profile.
 WIFI_80211 = RadioProfile(
     name="802.11", bandwidth_bps=11e6, range_m=100.0, base_latency_s=0.001,
@@ -172,14 +168,6 @@ class WirelessMedium:
         self._static_neighbourhoods.clear()
         node._medium = self
 
-    def detach(self, node_id: str) -> None:
-        node = self._nodes.pop(node_id, None)
-        if node is None:
-            return
-        node._medium = None
-        self._index.remove(node_id)
-        self._static_neighbourhoods.clear()
-
     def _on_node_moved(self, node: Node) -> None:
         """Invalidation hook, called by an attached node that was pinned or
         given a new mobility model."""
@@ -219,9 +207,6 @@ class WirelessMedium:
 
     def nodes(self) -> List[Node]:
         return list(self._nodes.values())
-
-    def get_node(self, node_id: str) -> Optional[Node]:
-        return self._nodes.get(node_id)
 
     def neighbors_of(self, node_id: str) -> List[Node]:
         """Alive nodes currently within radio range of ``node_id``.
@@ -339,8 +324,9 @@ class WirelessMedium:
         sender = self._nodes.get(sender_id)
         if sender is None:
             raise ConfigurationError(f"sender {sender_id!r} is not attached to the medium")
-        # Node.alive, Packet.size_bytes / is_broadcast and the profile's
-        # serialization_delay, as their own expressions: once per transmission.
+        # Node.alive, Packet.size_bytes / is_broadcast and the serialization
+        # delay (bits over bandwidth), as their own expressions: once per
+        # transmission.
         if sender._crashed or not sender.battery.remaining > 0.0:
             return False
         profile = self.profile

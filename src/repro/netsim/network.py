@@ -8,7 +8,7 @@ queries (neighbors, connectivity) that routing and discovery layers need.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.netsim.energy import Battery, RadioEnergyModel
@@ -82,9 +82,6 @@ class Network:
     def node_ids(self) -> List[str]:
         return list(self._nodes)
 
-    def alive_nodes(self) -> List[Node]:
-        return [n for n in self._nodes.values() if n.alive]
-
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes
 
@@ -139,18 +136,6 @@ class Network:
                     seen.add(neighbor)
                     frontier.append(neighbor)
         return seen
-
-    def is_connected(self, node_ids: Optional[Iterable[str]] = None) -> bool:
-        """True if the given alive nodes (default: all) are mutually reachable."""
-        targets = (
-            {n.node_id for n in self.alive_nodes()}
-            if node_ids is None
-            else {i for i in node_ids if i in self._nodes and self._nodes[i].alive}
-        )
-        if len(targets) <= 1:
-            return True
-        origin = next(iter(targets))
-        return targets <= self.reachable_from(origin)
 
     # --------------------------------------------------------------- sending
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from math import inf
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.errors import NodeDownError
 from repro.netsim.energy import Battery, RadioEnergyModel
 from repro.netsim.packet import Packet
 from repro.util.events import EventEmitter
@@ -137,10 +136,6 @@ class Node:
         self._crashed = False
         self._emit("recovered")
 
-    def ensure_alive(self) -> None:
-        if not self.alive:
-            raise NodeDownError(f"node {self.node_id!r} is down")
-
     # ------------------------------------------------------------- position
 
     @property
@@ -154,12 +149,6 @@ class Node:
     def mobility(self) -> Optional["MobilityModel"]:
         """The attached mobility model, if any."""
         return self._mobility
-
-    def set_position(self, position: Point) -> None:
-        """Pin the node to a static position (detaches any mobility model)."""
-        self._home_position = position
-        self._mobility = None
-        self._moved()
 
     def set_mobility(self, mobility: "MobilityModel") -> None:
         self._mobility = mobility

@@ -83,18 +83,3 @@ class Packet:
     @property
     def is_broadcast(self) -> bool:
         return self.destination == BROADCAST
-
-    def copy_for_forwarding(self, new_destination: Optional[str] = None) -> "Packet":
-        """Clone the packet for the next hop, bumping the hop count.
-
-        Headers are shallow-copied so per-hop mutation does not leak between
-        branches of a flood.
-        """
-        return Packet(
-            source=self.source,
-            destination=self.destination if new_destination is None else new_destination,
-            payload=self.payload,
-            payload_bytes=self.payload_bytes,
-            headers=dict(self.headers),
-            hop_count=self.hop_count + 1,
-        )

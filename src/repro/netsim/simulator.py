@@ -278,7 +278,7 @@ class Simulator:
         ``k + 1`` before it calls ``fn``. So every entry sorts against
         every other event, same-time ties included, exactly as it would
         had the caller looped ``schedule_at(times[k], fn, k, *args)`` here,
-        and :meth:`pending_events` counts a live series once. Under a
+        and the live-event count holds a live series once. Under a
         tie-breaker an entry draws its tie value when it is pushed, not at
         this call. ``times`` must not change while the series runs, and a
         series cannot be cancelled.
@@ -422,10 +422,6 @@ class Simulator:
     #: deadline, so a call costs no wrapper frame (the datagram call budget
     #: in ``tests/test_perf_hotpaths.py`` runs the loop once per round trip).
     run = partialmethod(_loop, _INFINITY)
-
-    def pending_events(self) -> int:
-        return self._live
-
 
 class PeriodicEvent:
     """A self-rearming event created by :meth:`Simulator.schedule_every`."""

@@ -19,9 +19,9 @@ inspects the few cells its circle touches instead of the whole world.
   speed has no bound, every mover is a candidate.
 
 The distance test is ``dx*dx + dy*dy <= r*r`` everywhere a range is
-decided — here, in :func:`points_connected`, and in the medium's memo and
-unicast checks — so every answer agrees at the inclusive edge
-(``math.hypot`` can disagree with a squared compare by one ulp there).
+decided — here and in the medium's memo and unicast checks — so every
+answer agrees at the inclusive edge (``math.hypot`` can disagree with a
+squared compare by one ulp there).
 
 Keeping the index current is the owner's job:
 :class:`~repro.netsim.medium.WirelessMedium` inserts and removes nodes as
@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from math import floor, inf
 from operator import itemgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.netsim.mobility import is_time_varying, linear_params, speed_bound
@@ -279,43 +279,3 @@ class PositionIndex:
         for seq, params, _model, node_id in near_movers:
             movers += (bisect_left(seqs, seq), node_id, params)
         return ids, movers
-
-
-def points_connected(points: Sequence[Tuple[float, float]], radius: float) -> bool:
-    """True when the geometric graph over ``points`` (edges at distance
-    <= ``radius``, by the index's squared compare) forms a single component.
-
-    Grid-accelerated BFS used by topology generators to reject
-    disconnected random placements before paying for full network
-    construction. Zero or one point counts as connected.
-    """
-    n = len(points)
-    if n <= 1:
-        return True
-    if not radius > 0:
-        return False
-    cells: Dict[Cell, List[int]] = {}
-    for i, (x, y) in enumerate(points):
-        cells.setdefault((int(x // radius), int(y // radius)), []).append(i)
-    r2 = radius * radius
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    reached = 1
-    while stack:
-        i = stack.pop()
-        x, y = points[i]
-        for cx in range(floor(x / radius - 1.0 - _SLIVER),
-                        floor(x / radius + 1.0 + _SLIVER) + 1):
-            for cy in range(floor(y / radius - 1.0 - _SLIVER),
-                            floor(y / radius + 1.0 + _SLIVER) + 1):
-                for k in cells.get((cx, cy), ()):
-                    if not seen[k]:
-                        px, py = points[k]
-                        dx = px - x
-                        dy = py - y
-                        if dx * dx + dy * dy <= r2:
-                            seen[k] = True
-                            reached += 1
-                            stack.append(k)
-    return reached == n

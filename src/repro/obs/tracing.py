@@ -183,9 +183,6 @@ class Tracer:
         self._index = {}
         self._stack = []
 
-    def set_clock(self, clock: Optional[Any]) -> None:
-        self._clock = clock
-
     def now(self) -> float:
         return self._clock.now() if self._clock is not None else 0.0
 
@@ -267,16 +264,6 @@ class Tracer:
                 self._finish(span, None)
 
     # ------------------------------------------------------------ inspection
-
-    def roots(self) -> List[Span]:
-        return [s for s in self.spans if s.parent_id is None]
-
-    def by_trace(self) -> Dict[str, List[Span]]:
-        traces: Dict[str, List[Span]] = {}
-        for span in self.spans:
-            traces.setdefault(span.trace_id, []).append(span)
-        return traces
-
 
 #: The process-wide tracer every instrumentation site checks.
 TRACER = Tracer()

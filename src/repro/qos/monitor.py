@@ -163,15 +163,6 @@ class DegradationManager:
         if key == self.current_supplier:
             self.bind()
 
-    def try_recover(self) -> None:
-        """Attempt to undo degradation (e.g. after suppliers return).
-
-        Resets to level 0 and rebinds; if the original requirements are
-        feasible again the application is back at full QoS.
-        """
-        self.level = 0
-        self.bind()
-
     def delivered_quality(self) -> float:
         """Current match score total, or 0.0 when unbound — the E4 metric."""
         return self.current_score.total if self.current_score is not None else 0.0

@@ -11,7 +11,7 @@ Wire format: ``{"op": "hb", "from": node, "seq": n}`` (fire-and-forget).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Set
+from typing import Any, Dict, List
 
 from repro.errors import ConfigurationError
 from repro.interop.frames import WireFrame
@@ -87,21 +87,11 @@ class HeartbeatDetector(MessageEndpoint):
         """
         return self.events.on("suspect", callback)
 
-    def on_recover(self, callback) -> Subscription:
-        """Invoke ``callback(node_id)`` when a suspected peer is heard again.
-
-        Exactly once per suspected→alive transition (see :meth:`on_suspect`).
-        """
-        return self.events.on("alive", callback)
-
     # -------------------------------------------------------------- queries
 
     def suspected(self, node_id: str) -> bool:
         state = self._watched.get(node_id)
         return state.suspected if state is not None else False
-
-    def alive_peers(self) -> Set[str]:
-        return {n for n, s in self._watched.items() if not s.suspected}
 
     # -------------------------------------------------------------- plumbing
 

@@ -126,14 +126,6 @@ class TransactionalStore:
         writes[key] = value
         self._maybe_checkpoint()
 
-    def delete(self, txid: str, key: str) -> None:
-        self._check_up()
-        writes = self._require_tx(txid)
-        before = writes.get(key, self._committed.get(key))
-        self.log.append(UPDATE, txid=txid, key=key, before=before, after=None)
-        writes[key] = None
-        self._maybe_checkpoint()
-
     def get(self, key: str, txid: Optional[str] = None) -> Any:
         """Committed value — or the transaction's own uncommitted write when
         ``txid`` is given (read-your-writes)."""

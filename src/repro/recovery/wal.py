@@ -96,8 +96,7 @@ class LogRecord:
 class StableStorage:
     """Crash-surviving storage: an append-only list of encoded records.
 
-    Failure injection: :meth:`corrupt_tail` flips bytes in the last record,
-    :meth:`truncate` models a torn write.
+    :meth:`truncate` drops a torn tail when the log repairs itself.
     """
 
     __slots__ = ("blobs",)
@@ -112,13 +111,6 @@ class StableStorage:
 
     def __len__(self) -> int:
         return len(self.blobs)
-
-    def corrupt_tail(self) -> None:
-        if not self.blobs:
-            return
-        last = bytearray(self.blobs[-1])
-        last[-1] ^= 0xFF
-        self.blobs[-1] = bytes(last)
 
     def truncate(self, keep: int) -> None:
         del self.blobs[keep:]

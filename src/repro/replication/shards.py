@@ -36,9 +36,6 @@ class ShardMap:
     def shard_of(self, key: str) -> int:
         return zlib.crc32(str(key).encode("utf-8")) % len(self.groups)
 
-    def group_for(self, key: str) -> Tuple[Address, ...]:
-        return self.groups[self.shard_of(key)]
-
     @staticmethod
     def build(
         node_ids: Sequence[str], num_shards: int, port: str

@@ -105,9 +105,6 @@ class DataCentricAgent(MessageEndpoint):
         self._flood_interest(name, ttl)
         self.endpoint.scheduler.schedule(interval, self._refresh, name, interval, ttl)
 
-    def unsubscribe(self, name: str) -> None:
-        self._subscriptions.pop(name, None)
-
     def _flood_interest(self, name: str, ttl: int) -> None:
         seq = self._seq.next()
         heard_before(self._seen_interests, self.node_id, seq)

@@ -21,7 +21,7 @@ Envelopes queued while discovery runs are dropped (and counted) after
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Set
 
 from repro.obs.tracing import TRACER, Span
 from repro.routing.base import Disposition, Envelope, Router, heard_before
@@ -52,9 +52,6 @@ class DsrRouter(Router):
         self.route_errors = 0
 
     # ----------------------------------------------------------------- cache
-
-    def cached_route(self, destination: str) -> Optional[List[str]]:
-        return self._route_cache.get(destination)
 
     def learn_route(self, path: List[str]) -> None:
         """Cache this path and every prefix/suffix route it implies for us."""

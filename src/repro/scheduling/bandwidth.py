@@ -172,18 +172,6 @@ class BandwidthAllocator:
             raise ConfigurationError(f"unknown flow {flow_id!r}")
         self._privileged[flow_id] = privileged
 
-    @property
-    def reserved_bps(self) -> float:
-        return self._reserved_bps
-
-    @property
-    def free_bps(self) -> float:
-        return max(0.0, self.capacity_bps - self._reserved_bps)
-
-    def flows(self) -> Dict[str, float]:
-        """Live reservations: flow id -> reserved rate (bps)."""
-        return {fid: b.rate_bps for fid, b in self._flows.items()}
-
     # ------------------------------------------------------------------ usage
 
     def try_send(self, flow_id: str, bits: float, now: float) -> bool:

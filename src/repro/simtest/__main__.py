@@ -8,6 +8,7 @@
     python -m repro.simtest repro simtest-repro.json
     python -m repro.simtest plants
     python -m repro.simtest failover --runs 10 --seed 0 --json failover.json
+    python -m repro.simtest scenario telemetry_ledger:heavy_tail --seeds 0-9
 
 ``run`` explores; on divergence it shrinks the trace, writes a repro file,
 and exits 1 (or 0 with ``--expect-divergence``, the planted-bug smoke
@@ -15,7 +16,9 @@ mode, which also verifies the written repro replays). ``repro`` replays a
 repro file and exits 0 iff the recorded divergence reproduces.
 ``failover`` runs the replicated primary-kill world
 (:mod:`repro.simtest.replicated`) over a seed range and exits nonzero on
-any divergence.
+any divergence. ``scenario`` runs a workload scenario with its history
+recorded and judges it (:func:`repro.simtest.workloads.check_scenario`);
+it exits 1 on any violation and 2 on a scenario that records no history.
 """
 
 from __future__ import annotations
@@ -123,6 +126,33 @@ def _cmd_failover(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    from repro.errors import ConfigurationError
+    from repro.experiments.common import parse_seeds
+    from repro.simtest.workloads import check_scenario
+
+    seeds = [args.seed] if args.seeds is None else parse_seeds(args.seeds)
+    failed = 0
+    for seed in seeds:
+        try:
+            result = check_scenario(args.scenario, seed)
+        except ConfigurationError as error:
+            print(f"scenario: {error}", file=sys.stderr)
+            return 2
+        violations = result["violations"]
+        print(f"scenario: {args.scenario} seed={seed} "
+              f"{'VIOLATED' if violations else 'ok'} ({result['objects']} "
+              f"objects, {result['operations']} operations)")
+        for violation in violations:
+            print(f"  {violation}")
+        failed += bool(violations)
+    if failed:
+        print(f"scenario: {failed}/{len(seeds)} runs violated",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_plants(_args: argparse.Namespace) -> int:
     for name in sorted(PLANTS):
         print(f"{name}: {PLANTS[name][1]}")
@@ -176,6 +206,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     failover.add_argument("--json", default=None,
                           help="write all scorecards here")
     failover.set_defaults(func=_cmd_failover)
+
+    scenario = commands.add_parser(
+        "scenario", help="judge a workload scenario's recorded history"
+    )
+    scenario.add_argument("scenario", help="archetype:traffic")
+    seeds = scenario.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=0)
+    seeds.add_argument("--seeds", default=None, help="a range, e.g. 0-9")
+    scenario.set_defaults(func=_cmd_scenario)
 
     plants = commands.add_parser("plants", help="list available plants")
     plants.set_defaults(func=_cmd_plants)

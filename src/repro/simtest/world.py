@@ -140,7 +140,8 @@ def issue_service_op(history: History, clients: Sequence[Any], op: str,
     elif op in ("ts_inp", "ts_rdp", "ts_in"):
         (kind,) = params
         obj, name, recorded = ("ts", kind), op[3:], ()
-        take = getattr(client.space, "in_" if name == "in" else name)
+        take = getattr(client.space,
+                       {"inp": "inp", "rdp": "rdp", "in": "in_"}[name])
         promise = take(kind, None)
     else:
         raise ValueError(f"unknown service op {op!r}")

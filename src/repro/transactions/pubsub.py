@@ -86,9 +86,6 @@ class PubSubBroker(MessageEndpoint):
         self.events_published = 0
         self.events_delivered = 0
 
-    def subscription_count(self) -> int:
-        return len(self._subscriptions)
-
     def _on_sub(self, source: Address, message: Dict[str, Any],
                 filters: Optional[List[AttributeConstraint]]) -> None:
         self._subscriptions.append(
@@ -161,10 +158,6 @@ class PubSubClient(MessageEndpoint):
             # "rid" holds its place on the wire; _request fills it in.
             {"op": "sub", "rid": None, "pattern": pattern, "filters": raw_filters},
             REQUEST_TIMEOUT_S, DeliveryError)
-
-    def unsubscribe(self, pattern: str) -> None:
-        self._handlers.pop(pattern, None)
-        self._send(self.broker_address, {"op": "unsub", "pattern": pattern})
 
     def publish(self, topic: str, event: Any) -> None:
         """Emit an event; fire-and-forget, as events are."""

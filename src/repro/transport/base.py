@@ -65,10 +65,6 @@ class Address:
             raise AddressError(f"address {text!r} has no node part")
         return Address(node, port if sep else "default")
 
-    def with_port(self, port: str) -> "Address":
-        return Address(self.node, port)
-
-
 Receiver = Callable[[Address, bytes], None]
 
 

@@ -99,6 +99,3 @@ class EventEmitter:
         if errors:
             raise HandlerErrors(event, errors)
         return len(handlers)
-
-    def listener_count(self, event: str) -> int:
-        return len(self._handlers.get(event, ()))

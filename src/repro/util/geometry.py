@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Tuple
+from typing import Tuple
 
 
 class Point:
@@ -26,12 +26,6 @@ class Point:
 
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def midpoint(self, other: "Point") -> "Point":
-        return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-
-    def translate(self, dx: float, dy: float) -> "Point":
-        return Point(self.x + dx, self.y + dy)
 
     def move_toward(self, target: "Point", step: float) -> "Point":
         """Return the point ``step`` meters from self toward ``target``.
@@ -58,32 +52,3 @@ ORIGIN = Point(0.0, 0.0)
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""
     return a.distance_to(b)
-
-
-def centroid(points: Iterable[Point]) -> Point:
-    """Arithmetic mean of a non-empty collection of points."""
-    xs, ys, n = 0.0, 0.0, 0
-    for p in points:
-        xs += p.x
-        ys += p.y
-        n += 1
-    if n == 0:
-        raise ValueError("centroid of empty point collection")
-    return Point(xs / n, ys / n)
-
-
-def bounding_box(points: Iterable[Point]) -> Tuple[Point, Point]:
-    """Return (lower-left, upper-right) corners of the points' bounding box."""
-    iterator = iter(points)
-    try:
-        first = next(iterator)
-    except StopIteration:
-        raise ValueError("bounding box of empty point collection") from None
-    min_x = max_x = first.x
-    min_y = max_y = first.y
-    for p in iterator:
-        min_x = min(min_x, p.x)
-        max_x = max(max_x, p.x)
-        min_y = min(min_y, p.y)
-        max_y = max(max_y, p.y)
-    return Point(min_x, min_y), Point(max_x, max_y)

@@ -384,7 +384,7 @@ def location_server():
     def probe():
         name = LogicalName.parse("sensors/bp")
         client.bind(name, Address("n5", "svc"))
-        listing = client.resolve_prefix(LogicalName.parse("sensors"))
+        listing = client._ask({"op": "resolve_prefix", "prefix": "sensors"})
         advance(1)
         return listing.result() == {"sensors/bp": Address("n5", "svc")}
 
@@ -403,8 +403,9 @@ def location_client():
     client = LocationClient(fabric.endpoint("c", "loc"), Address("hub", "loc"))
     held = LogicalName.parse("held/name")
     rids = _held(client, "server_address", lambda: (
-        client.bind(held, Address("n9", "svc")), client.unbind(held),
-        client.resolve(held), client.resolve_prefix(held)))
+        client.bind(held, Address("n9", "svc")),
+        client._ask({"op": "unbind", "name": str(held)}), client.resolve(held),
+        client._ask({"op": "resolve_prefix", "prefix": str(held)})))
 
     def probe():
         name = LogicalName.parse("sensors/bp")
@@ -453,7 +454,8 @@ def registry_client():
     client.register(DESC, auto_renew=False)
     advance(1)
     rids = _held(client, "registry_address", lambda: (
-        client.register(DESC.with_position(3.0, 4.0)), client.renew("held"),
+        client.register(DESC.with_position(3.0, 4.0)),
+        client._ask({"op": "renew", "service_id": "held", "lease_s": 30.0}),
         client.unregister("held"), client.lookup(QUERY)))
 
     def probe():

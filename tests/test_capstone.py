@@ -18,6 +18,7 @@ from repro.scheduling.handoff import HandoffManager
 from repro.transactions.manager import TransactionManager
 from repro.transactions.rpc import RpcEndpoint
 from repro.transport.simnet import SimFabric
+from tests.netsim_fixtures import random_geometric
 
 #: Dense-enough radio so a 100-node field in 400x400 m stays connected.
 CAPSTONE_RADIO = RadioProfile(
@@ -31,7 +32,7 @@ class TestCapstoneDeployment:
         from repro.routing.base import RoutingAgent
         from repro.routing.linkstate import LinkStateRouter
 
-        network = topology.random_geometric(
+        network = random_geometric(
             100, area=(400.0, 400.0), radio_profile=CAPSTONE_RADIO, seed=11,
         )
         fabric = SimFabric(network)

@@ -52,7 +52,7 @@ class TestManualClock:
         sim.schedule_at(6.0, fired.append, "later")
         sim.run_until(4.9)  # an earlier deadline keeps the time
         assert sim.now() == 5.0
-        assert fired == [] and sim.pending_events() == 1
+        assert fired == [] and sim._live == 1
         with pytest.raises(SimulationError):
             sim.schedule_at(4.9, fired.append, "past")
 
@@ -68,9 +68,9 @@ class TestManualClock:
         # The tracer (and every Scheduler holder) reads the simulator
         # itself as its clock.
         sim = Simulator()
-        TRACER.set_clock(sim)
+        TRACER._clock = sim
         try:
             sim.run_for(1.5)
             assert TRACER.now() == 1.5
         finally:
-            TRACER.set_clock(None)
+            TRACER._clock = None

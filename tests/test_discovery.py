@@ -22,6 +22,17 @@ def make_description(service_id="s1", service_type="printer", **kwargs):
     )
 
 
+def cached_services(discovery):
+    """What ``discovery``'s cache answers with now, expired entries pruned."""
+    discovery._prune_cache()
+    return [entry.description for entry in discovery._cache.values()]
+
+
+def total_registered(group):
+    """Registrations across mirrors (equal everywhere once synced)."""
+    return max(len(server) for server in group.servers)
+
+
 class TestServiceDescription:
     def test_dict_round_trip(self):
         description = make_description(
@@ -255,7 +266,7 @@ class TestDistributedDiscovery:
         }
         agents[4].advertise(make_description("svc", "sensor", provider="n4:svc"))
         network.sim.run_until(2.0)
-        assert any(d.service_id == "svc" for d in agents[0].cached_services())
+        assert any(d.service_id == "svc" for d in cached_services(agents[0]))
 
     def test_cache_expires(self, chain):
         network, fabric = chain
@@ -269,9 +280,9 @@ class TestDistributedDiscovery:
         )
         speaker.advertise(make_description("svc", "sensor", provider="n0:svc"))
         network.sim.run_until(1.0)
-        assert listener.cached_services()
+        assert cached_services(listener)
         network.sim.run_until(10.0)
-        assert not listener.cached_services()
+        assert not cached_services(listener)
 
     def test_withdraw_stops_matching(self, ideal_star):
         network, fabric = ideal_star
@@ -315,7 +326,7 @@ class TestMirrorGroup:
         writer.register(make_description("svc", "cam", provider="leaf2:svc"), lease_s=60)
         network.sim.run_until(1.0)
         assert group.consistent()
-        assert group.total_registered() == 1
+        assert total_registered(group) == 1
         reader = group.client(fabric.endpoint("leaf3", "c"), mirror_index=1)
         lookup = reader.lookup(Query("cam"))
         network.sim.run_until(2.0)
@@ -331,7 +342,7 @@ class TestMirrorGroup:
         network.sim.run_until(1.0)
         client.unregister("svc")
         network.sim.run_until(2.0)
-        assert group.total_registered() == 0
+        assert total_registered(group) == 0
         assert group.consistent()
 
     def test_a_sync_copy_is_applied_and_not_answered(self, ideal_star):
@@ -345,12 +356,13 @@ class TestMirrorGroup:
         for at, step in enumerate((
             lambda: client.register(make_description("svc", "cam"),
                                     lease_s=60, auto_renew=False),
-            lambda: client.renew("svc", lease_s=60),
+            lambda: client._ask(
+                {"op": "renew", "service_id": "svc", "lease_s": 60}),
             lambda: client.unregister("svc"),
         )):
             steps.append(step())
             network.sim.run_until(at + 1.0)
-            assert group.total_registered() == (at < 2) and group.consistent()
+            assert total_registered(group) == (at < 2) and group.consistent()
         first, *peers = group.servers
         assert first.replications_sent == 6
         assert [peer.transport.sent_messages for peer in peers] == [0, 0]
@@ -372,7 +384,7 @@ class TestMirrorGroup:
         network.sim.run_until(1.0)
         assert not group.consistent()
         network.medium.heal(cut)
-        client.renew("svc", lease_s=60)
+        client._ask({"op": "renew", "service_id": "svc", "lease_s": 60})
         network.sim.run_until(2.0)
         assert group.consistent() and len(group.servers[1]) == 1
 
@@ -406,7 +418,7 @@ class TestAdaptiveDiscovery:
         agent.advertise(make_description("svc", "cam", provider="leaf0:svc"))
         network.sim.run_until(1.0)
         assert len(server) == 0
-        assert agent.distributed.local_services()
+        assert agent.distributed._local
 
     def test_mode_switch_republisheds(self, ideal_star):
         network, fabric = ideal_star
@@ -440,4 +452,4 @@ class TestAdaptiveDiscovery:
         agent.withdraw("svc")
         network.sim.run_for(1.0)
         assert len(server) == 0
-        assert distributed.local_services() == []
+        assert distributed._local == {}

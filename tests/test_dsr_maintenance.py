@@ -34,7 +34,7 @@ class TestDsrRouteMaintenance:
         src.send(Address("dst", "app"), b"first")
         network.sim.run()
         assert received == [b"first"]
-        cached = agents["src"].router.cached_route("dst")
+        cached = agents["src"].router._route_cache.get("dst")
         relay = cached[1]
         network.node(relay).crash()
         # The cached route is now stale; DSR must detect (no link-layer
@@ -43,7 +43,7 @@ class TestDsrRouteMaintenance:
         network.sim.run()
         assert received == [b"first", b"second"]
         assert agents["src"].router.route_errors >= 1
-        new_route = agents["src"].router.cached_route("dst")
+        new_route = agents["src"].router._route_cache.get("dst")
         assert relay not in new_route
 
     def test_purge_hop_removes_all_routes_through_it(self):
@@ -78,7 +78,7 @@ class TestDsrRouteMaintenance:
         src.send(Address("dst", "app"), b"one")
         network.sim.run()
         assert received == [b"one"]
-        route = agents["src"].router.cached_route("dst")
+        route = agents["src"].router._route_cache.get("dst")
         assert len(route) >= 3
         # Kill the hop after r1 on the cached route (route[2]).
         victim = route[2]

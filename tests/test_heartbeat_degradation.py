@@ -77,7 +77,12 @@ class TestHeartbeatDrivenRebinding:
 
         manager = DegradationManager(ConsumerQoS(min_reliability=0.9), candidates)
         watcher.events.on("suspect", manager.supplier_lost)
-        watcher.events.on("alive", lambda n: manager.try_recover())
+
+        def recover(_node_id):
+            manager.level = 0
+            manager.bind()
+
+        watcher.events.on("alive", recover)
 
         network.sim.run_until(2.0)
         manager.bind()

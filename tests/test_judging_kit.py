@@ -558,12 +558,7 @@ def test_every_module_has_a_driver():
     entries += (root / "benchmarks").rglob("*.py")
     entries += (root / "examples").glob("*.py")
     assert all(Path(entry).is_file() for entry in entries)
-    assert undriven_modules(SRC, entries) == [
-        # A judge ("reference implementations that tests compare against"
-        # stay): the tests that consult check_scenario are its driver until
-        # ROADMAP item 2 runs it in CI. Nothing else is exempt.
-        "repro.simtest.workloads",
-    ]
+    assert undriven_modules(SRC, entries) == []
 
 
 def test_records_are_slotted_classes_not_dataclasses():
@@ -707,38 +702,17 @@ def _init_arguments(cls):
     return None
 
 
-def _dataclass_fields(cls):
-    """``(name, has a default, positional)`` per field ``cls`` declares that
-    a generated ``__init__`` takes; none when it is no dataclass."""
-    if "dataclass" not in map(_name, cls.decorator_list):
-        return []
-    fields = []
-    for stmt in cls.body:
-        if not isinstance(stmt, ast.AnnAssign) or "ClassVar" in ast.unparse(
-                stmt.annotation):
-            continue
-        default = stmt.value is not None
-        if _name(stmt.value) == "field":
-            spec = {kw.arg: kw.value for kw in stmt.value.keywords}
-            if getattr(spec.get("init"), "value", True) is False:
-                continue
-            default = "default" in spec or "default_factory" in spec
-        fields.append((stmt.target.id, default, True))
-    return fields
-
-
 def unset_options(src_root, caller_roots):
     """``Class.option`` for each option of a public class under ``src_root``
     that no call in a file under ``caller_roots`` sets.
 
-    An option is an ``__init__`` keyword with a default, or a dataclass
-    field with a default that is not ``init=False``. A call sets the options
+    An option is an ``__init__`` keyword with a default. A call sets the options
     it names, those its positional arguments reach, and all of them when it
     expands ``*`` or ``**``, but not one it is passed ``<expr>.name``, a
     copy of another instance's value; ``super().__init__(...)`` in a class calls its
     bases, ``cls(...)`` the class itself. A callee is known by its name, and
-    a class without an ``__init__`` of its own takes its base's arguments
-    (a dataclass adds its fields), wherever the class is defined.
+    a class without an ``__init__`` of its own takes its base's arguments,
+    wherever the class is defined.
     """
     src_files = sorted(Path(src_root).resolve().rglob("*.py"))
     files = src_files + [path for root in caller_roots
@@ -754,12 +728,9 @@ def unset_options(src_root, caller_roots):
         own = _init_arguments(cls)
         if own is not None:
             return [(cls.name, *argument) for argument in own]
-        inherited = next((arguments(base) for base_name in map(_name, cls.bases)
-                          for base in classes.get(base_name, ())
-                          if base is not cls), [])
-        names = {name for _owner, name, *_ in inherited}
-        return inherited + [(cls.name, *field) for field in _dataclass_fields(cls)
-                            if field[0] not in names]
+        return next((arguments(base) for base_name in map(_name, cls.bases)
+                     for base in classes.get(base_name, ())
+                     if base is not cls), [])
 
     options = {f"{cls.name}.{name}"
                for path in src_files for cls in parsed(path).body
@@ -838,7 +809,6 @@ def test_every_option_is_set_somewhere():
 def test_the_option_contract_on_a_toy_tree(tmp_path):
     tree = {
         "src/toy/parts.py": (
-            "from dataclasses import dataclass, field\n"
             "class Base:\n"
             "    def __init__(self, a, b=1, *, c=2, d=3):\n"
             "        pass\n"
@@ -852,27 +822,16 @@ def test_the_option_contract_on_a_toy_tree(tmp_path):
             "        return cls(5)\n"
             "class _Hidden:\n"
             "    def __init__(self, f=6):\n"
-            "        pass\n"
-            "@dataclass\n"
-            "class Row:\n"
-            "    g: int\n"
-            "    h: int = 7\n"
-            "    i: list = field(default_factory=list)\n"
-            "    j: int = field(default=0, init=False)\n"
-            "@dataclass\n"
-            "class Wider(Row):\n"
-            "    k: int = 8\n"),
+            "        pass\n"),
         "src/toy/use.py": "from toy.parts import Heir\nHeir(0, 1)\n",
         "tests/test_toy.py": (
-            "from toy.parts import Base, Row, Wider\n"
+            "from toy.parts import Base\n"
             "class Local(Base):\n"
             "    pass\n"
-            "Local(0, d=9)\n"
-            "Wider(0, 1, [], 2)\n"),
+            "Local(0, d=9)\n"),
         "examples/copy.py": (
-            "from toy.parts import Base, Row\n"
+            "from toy.parts import Base\n"
             "def copy(old):\n"
-            "    Row(0, h=old.h)\n"
             "    return Base(0, old.b, c=old.d, d=old.d)\n"),
     }
     for name, text in tree.items():
@@ -884,19 +843,238 @@ def test_the_option_contract_on_a_toy_tree(tmp_path):
     def unset(*roots):
         return unset_options(src, [tmp_path / root for root in roots])
 
-    everything = ["Base.b", "Base.c", "Base.d", "Own.e", "Row.h", "Row.i",
-                  "Wider.k"]
+    everything = ["Base.b", "Base.c", "Base.d", "Own.e"]
     assert unset() == everything
     # A class's own definition sets nothing; a caller in src does: an
     # heir's positional reaches its base's ``b``, ``super().__init__``
     # with ``**`` reaches all of the base's, ``cls(5)`` the first of Own's.
-    assert unset("src") == ["Row.h", "Row.i", "Wider.k"]
-    # A test's subclass passes through to the base, and a dataclass
-    # heir's positional reaches inherited fields before its own; the
-    # ``init=False`` field and the private class are never options.
+    assert unset("src") == []
+    # A test's subclass passes through to the base; the private class's
+    # option is never one.
     assert unset("tests") == ["Base.b", "Base.c", "Own.e"]
     assert unset("src", "tests") == []
     # Passing another instance's ``.b`` as ``b`` copies it and sets
     # nothing; ``c=old.d`` is a value of another name and sets ``c``.
     assert unset("examples") == [name for name in everything
                                  if name != "Base.c"]
+
+
+# ----------------------------------------------- every function has a caller
+
+
+def uncalled_functions(src_root, caller_roots):
+    """``module:Qualified.name`` of each function, method and class under
+    ``src_root`` that no file under ``caller_roots`` uses.
+
+    A use is a load of the same name (``f``, ``x.f``, ``f`` passed as a
+    callback) or an import of it, outside the definition's own body. A
+    string names a method only where code looks one up by it: a handler or
+    gate slot of an ``OPS`` table, a ``getattr`` name, or a string assigned
+    to the name a ``getattr`` reads. A docstring, a ``_facade`` row and a
+    message's op name are no uses. A dunder, a ``Protocol`` member and a
+    definition under a call decorator (a registration) count by
+    construction. Resolution is by name, so it can only undercount.
+    """
+    src_root = Path(src_root).resolve()
+    candidates = []  # (module:qualname, the definition)
+
+    def collect(node, module, prefix, protocol):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                collect(child, module, prefix, protocol)
+                continue
+            name = child.name
+            if not (protocol or name.startswith("__") and name.endswith("__")
+                    or any(isinstance(decorator, ast.Call)
+                           for decorator in child.decorator_list)):
+                candidates.append((f"{module}:{prefix}{name}", child))
+            collect(child, module, f"{prefix}{name}.",
+                    isinstance(child, ast.ClassDef)
+                    and "Protocol" in map(_name, child.bases))
+
+    for path in sorted(src_root.rglob("*.py")):
+        parts = path.relative_to(src_root.parent).with_suffix("").parts
+        collect(parsed(path), ".".join(parts), "", False)
+
+    uses = {}  # name -> [the definitions each use sits inside]
+    resolved, assigned = set(), []  # getattr-read names; (name, string, within)
+
+    def strings(node):
+        return [sub.value for sub in ast.walk(node)
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str)]
+
+    class Uses(ast.NodeVisitor):
+        def __init__(self):
+            self.within = ()
+
+        def use(self, name):
+            uses.setdefault(name, []).append(self.within)
+
+        def visit_FunctionDef(self, node):
+            for decorator in node.decorator_list:
+                self.visit(decorator)
+            outer, self.within = self.within, (*self.within, node)
+            for child in ast.iter_child_nodes(node):
+                if child not in node.decorator_list:
+                    self.visit(child)
+            self.within = outer
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+        def visit_Name(self, node):
+            if isinstance(node.ctx, ast.Load):
+                self.use(node.id)
+
+        def visit_Attribute(self, node):
+            if isinstance(node.ctx, ast.Load):
+                self.use(node.attr)
+            self.generic_visit(node)
+
+        def visit_Import(self, node):
+            for alias in node.names:
+                for part in alias.name.split("."):
+                    self.use(part)
+
+        def visit_ImportFrom(self, node):
+            for alias in node.names:
+                self.use(alias.name)
+
+        def visit_Assign(self, node):
+            if "OPS" in map(_name, node.targets):
+                for row in ast.walk(node.value):  # ({fields}, handler[, gate])
+                    if (isinstance(row, ast.Tuple) and row.elts
+                            and isinstance(row.elts[0], ast.Dict)):
+                        for slot in row.elts[1:]:
+                            for name in strings(slot):
+                                self.use(name)
+            if isinstance(node.value, ast.Constant) and isinstance(
+                    node.value.value, str):
+                assigned.extend((_name(target), node.value.value, self.within)
+                                for target in node.targets)
+            self.generic_visit(node)
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Name) and node.func.id == "getattr" \
+                    and len(node.args) >= 2:
+                for name in strings(node.args[1]):
+                    self.use(name)
+                resolved.update(_name(sub) for sub in ast.walk(node.args[1])
+                                if isinstance(sub, (ast.Name, ast.Attribute)))
+            self.generic_visit(node)
+
+    for path in dict.fromkeys(path for root in caller_roots
+                              for path in sorted(Path(root).resolve().rglob("*.py"))):
+        Uses().visit(parsed(path))
+    for target, name, within in assigned:
+        if target in resolved:
+            uses.setdefault(name, []).append(within)
+    return sorted(qualified for qualified, node in candidates
+                  if all(node in within for within in uses.get(node.name, ())))
+
+
+#: The definitions nothing but tests use that stay: paper features no driver
+#: wires yet, like the options ``UNSET_OPTIONS`` keeps. ROADMAP item 8's
+#: paper-coverage contract decides them; wiring one into an experiment row
+#: is a change to EXPERIMENTS.md.
+UNCALLED_FUNCTIONS = [
+    # §4: MiLAN is "applicable to multiple specific technologies"; only the
+    # Bluetooth plugin has a driver.
+    "repro.core.plugins:BandwidthPlugin",
+    "repro.core.plugins:ReachabilityPlugin",
+    # §3.9: the gateway between wire formats and the pub/sub -> tuple-space
+    # paradigm bridge.
+    "repro.interop.bridge:CodecGateway",
+    "repro.interop.bridge:CodecGateway.map_a_to_b",
+    "repro.interop.bridge:CodecGateway.map_b_to_a",
+    "repro.interop.bridge:PubSubTupleBridge",
+    # §3.4's benefit function: the shapes ``ConsumerQoS.benefit``, itself an
+    # ``UNSET_OPTIONS`` entry, would take. They go or stay with it.
+    "repro.qos.benefit:ExponentialDecayBenefit",
+    "repro.qos.benefit:LinearDecayBenefit",
+    "repro.qos.benefit:StepBenefit",
+]
+
+
+def test_every_function_has_a_caller():
+    """Something other than pytest uses every function, method and class
+    under ``src/repro``: a call or reference under ``src/``, ``examples/``
+    or ``benchmarks/``. A definition only a test reaches is wired, moved
+    into ``tests/`` or deleted. Computed from the tree."""
+    root = SRC.parent.parent
+    callers = [root / top for top in ("src", "examples", "benchmarks")]
+    assert uncalled_functions(SRC, callers) == UNCALLED_FUNCTIONS
+
+
+def test_the_function_contract_on_a_toy_tree(tmp_path):
+    tree = {
+        "src/toy/__init__.py": (
+            "from toy import _facade\n"
+            "__getattr__, __all__ = _facade(__name__, {'exported': 'toy.lib'})\n"),
+        "src/toy/lib.py": (
+            '"""Calls ``documented`` nowhere; only says its name."""\n'
+            "from typing import Protocol\n"
+            "class Base:\n"
+            "    def run(self): pass\n"
+            "    def __len__(self): return 0\n"
+            "class Heir(Base):\n"
+            "    def run(self): pass\n"
+            "    @property\n"
+            "    def size(self): return 1\n"
+            "    def probe(self): pass\n"
+            "    def fault_targets(self): pass\n"
+            "    def _on_ping(self): pass\n"
+            "    def _gate(self): pass\n"
+            "    def ping(self): return {'op': 'ping'}\n"
+            "    OPS = {'ping': ({'rid': str}, '_on_ping', '_gate')}\n"
+            "class Shape(Protocol):\n"
+            "    def area(self): ...\n"
+            "def registry(name):\n"
+            "    return lambda cls: cls\n"
+            "@registry('row')\n"
+            "class Registered: pass\n"
+            "def handler(): pass\n"
+            "def walk(n):\n"
+            "    return walk(n - 1) if n else 0\n"
+            "def documented(): pass\n"
+            "def exported(): pass\n"
+            "def tested(): pass\n"),
+        "src/toy/use.py": (
+            "from toy.lib import Heir, Shape\n"
+            "class Row:\n"
+            "    hits = 'fault_targets'\n"
+            "def main(obj: Shape, on):\n"
+            "    obj.run()\n"
+            "    on('event', handler)\n"
+            "    getattr(obj, 'probe')()\n"
+            "    getattr(obj, Row.hits)()\n"
+            "    return obj.size\n"),
+        "tests/test_toy.py": "from toy.lib import tested\ntested()\n",
+    }
+    for name, text in tree.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    src = tmp_path / "src" / "toy"
+
+    def uncalled(*roots):
+        return uncalled_functions(src, [tmp_path / root for root in roots])
+
+    hits = ["toy.lib:Heir.ping", "toy.lib:documented", "toy.lib:exported",
+            "toy.lib:tested", "toy.lib:walk"]
+    # Defined is not used: with no callers every candidate is a hit, and a
+    # dunder, a Protocol member and a registered class never are.
+    assert uncalled() == sorted(
+        hits + ["toy.lib:Base", "toy.lib:Base.run", "toy.lib:Heir",
+                "toy.lib:Heir._gate", "toy.lib:Heir._on_ping",
+                "toy.lib:Heir.fault_targets", "toy.lib:Heir.probe",
+                "toy.lib:Heir.run", "toy.lib:Heir.size", "toy.lib:Shape",
+                "toy.lib:handler", "toy.lib:registry", "toy.use:Row",
+                "toy.use:main"])
+    # An attribute call reaches the override too; a callback, a property
+    # read, a getattr literal, a getattr'd row string, an op-table handler
+    # and gate, an import and a subclass are uses. A recursive call, a
+    # docstring word, a facade row, an op name in a message and a test
+    # are not; ``main`` has no caller either.
+    assert uncalled("src") == sorted(hits + ["toy.use:main"])
+    assert uncalled("src", "examples") == uncalled("src")

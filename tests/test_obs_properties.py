@@ -20,7 +20,7 @@ from repro.transport.reliable import ReliabilityParams, ReliableTransport
 def _run_reliable_exchange(n_messages: int, loss: float, seed: int):
     """Send ``n_messages`` a->b over a lossy fabric; returns (spans, received)."""
     fabric = InMemoryFabric(latency_s=0.01, loss_probability=loss, seed=seed)
-    TRACER.set_clock(fabric.sim)  # spans carry real sim-time intervals
+    TRACER._clock = fabric.sim  # spans carry real sim-time intervals
     params = ReliabilityParams(ack_timeout_s=0.05, max_retries=4)
     a = ReliableTransport(fabric.endpoint("a"), params)
     b = ReliableTransport(fabric.endpoint("b"), params)

@@ -17,7 +17,6 @@ from repro.core import (
     SensorInfo,
     queue_pressure,
     rejection_pressure,
-    shed_pressure,
 )
 from repro.core.policy import health_monitor_policy
 from repro.errors import AdmissionRefused, ConfigurationError
@@ -81,9 +80,9 @@ class TestPacedTransport:
 
     def test_close_releases_owned_flow(self):
         fabric, allocator, paced, _ = paced_pair()
-        assert "flow" in allocator.flows()
+        assert "flow" in allocator._flows
         paced.close()
-        assert "flow" not in allocator.flows()
+        assert "flow" not in allocator._flows
         assert paced.closed and paced.inner.closed
 
     def test_close_sheds_what_is_still_queued(self):
@@ -113,7 +112,7 @@ class TestPacedTransport:
         allocator.reserve("shared", 500.0)
         paced = PacedTransport(fabric.endpoint("c", "p"), allocator, "shared")
         paced.close()
-        assert "shared" in allocator.flows()  # caller's reservation, not ours
+        assert "shared" in allocator._flows  # caller's reservation, not ours
 
     def test_drain_timer_always_advances_virtual_time(self):
         """Regression: an exact-refill wait can round below the clock's
@@ -355,7 +354,7 @@ class TestOverloadGovernor:
         governor, pressure = self.make()
         governor.add_signal("wild", lambda: 7.3)
         assert governor.sample_pressure() == 1.0
-        governor.remove_signal("wild")
+        del governor._signals["wild"]
         pressure["value"] = -2.0
         assert governor.sample_pressure() == 0.0
         with pytest.raises(ConfigurationError):
@@ -369,18 +368,6 @@ class TestSignalRecipes:
             queue_depth = 6
         assert queue_pressure(Stub())() == pytest.approx(0.75)
         assert queue_pressure(Stub(), max_queue=12)() == pytest.approx(0.5)
-
-    def test_shed_pressure_is_windowed_not_lifetime(self):
-        class Stub:
-            paced_sent = 0
-            shed = 0
-        stub = Stub()
-        signal = shed_pressure(stub)
-        stub.paced_sent, stub.shed = 10, 10
-        assert signal() == pytest.approx(0.5)
-        # No new outcomes since the last sample: pressure decays to zero
-        # instead of pinning at the lifetime shed fraction.
-        assert signal() == 0.0
 
     def test_rejection_pressure_differences_counters(self):
         class Stub:

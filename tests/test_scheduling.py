@@ -212,7 +212,7 @@ class TestBandwidthAllocator:
         with pytest.raises(AdmissionRefused):
             allocator.reserve("b", 5000)
         allocator.reserve("b", 4000)
-        assert allocator.free_bps == 0
+        assert allocator._reserved_bps == allocator.capacity_bps
 
     def test_release_frees_capacity(self):
         allocator = BandwidthAllocator(10000)

@@ -82,7 +82,7 @@ class TestScheduling:
         handle = sim.schedule_at(2.5, lambda: None)
         assert handle.cancel() is True
         assert handle.cancel() is False
-        assert sim.pending_events() == 0
+        assert sim._live == 0
 
     def test_handle_time_is_the_scheduled_time(self):
         sim = Simulator()
@@ -134,7 +134,7 @@ class TestRunning:
         sim.run_until(2.0)
         assert seen == [1]
         assert sim.now() == 2.0
-        assert sim.pending_events() == 1
+        assert sim._live == 1
 
     def test_run_for_is_relative(self):
         sim = Simulator()
@@ -158,7 +158,7 @@ class TestRunning:
         sim.run_until(1.0)
         assert seen == ["a"]
         assert sim.events_processed == 1
-        assert sim.pending_events() == 1
+        assert sim._live == 1
 
     def test_run_guards_against_runaway(self):
         sim = Simulator()
@@ -362,7 +362,7 @@ class TestScheduleSeries:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule_series(times, lambda k: None)
-        assert sim.pending_events() == 0
+        assert sim._live == 0
 
     def test_past_times_raise(self):
         sim = Simulator(start_time=5.0)
@@ -375,7 +375,7 @@ class TestScheduleSeries:
         sim.schedule(1.0, order.append, "a")
         sim.schedule_series([], order.append)
         sim.schedule(1.0, order.append, "b")
-        assert sim.pending_events() == 2
+        assert sim._live == 2
         sim.run()
         assert order == ["a", "b"]
         assert sim.events_processed == 2
@@ -384,14 +384,14 @@ class TestScheduleSeries:
         sim = Simulator()
         fired = []
         sim.schedule_series([1.0, 2.0, 3.0, 4.0], fired.append)
-        assert sim.pending_events() == 1
+        assert sim._live == 1
         sim.schedule(0.5, lambda: None)
-        assert sim.pending_events() == 2
+        assert sim._live == 2
         sim.run_until(2.5)
         assert fired == [0, 1]
-        assert sim.pending_events() == 1
+        assert sim._live == 1
         sim.run_until(4.0)
-        assert sim.pending_events() == 0
+        assert sim._live == 0
 
     def test_run_drains_a_series_with_args(self):
         sim = Simulator()
@@ -400,7 +400,7 @@ class TestScheduleSeries:
             (sim.now(), k, tag)), "x")
         sim.run()
         assert seen == [(1.0, 0, "x"), (1.0, 1, "x"), (3.0, 2, "x")]
-        assert sim.pending_events() == 0
+        assert sim._live == 0
         assert sim.events_processed == 3
         assert isinstance(sim.now(), float)
 
@@ -564,7 +564,7 @@ class TestQueueExactness:
                     expected = ref.live.pop(seq, None) is not None
                     assert handle.cancel() is expected
                     if expected:
-                        live = sim.pending_events()
+                        live = sim._live
                         dead = len(sim._heap) + len(sim._run) - live
                         assert dead <= _AUTO_COMPACT_MIN_DEAD or dead <= live
 
@@ -584,7 +584,7 @@ class TestQueueExactness:
                 else:
                     assert not ref.live
             assert fired == ref.fired
-            assert sim.pending_events() == len(ref.live)
+            assert sim._live == len(ref.live)
         sim.run()
         assert fired == ref.fired
-        assert sim.pending_events() == len(ref.live) == 0
+        assert sim._live == len(ref.live) == 0

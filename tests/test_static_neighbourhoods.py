@@ -41,6 +41,7 @@ from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, Packet
 from repro.netsim.simulator import Simulator
 from repro.util.geometry import Point
+from tests.netsim_fixtures import detach, serialization_delay, set_position
 
 #: Lossless and contention-free, so a broadcast's receivers are exactly the
 #: audible, reachable nodes at the instant of transmission.
@@ -77,7 +78,7 @@ def _mobility(draw, at: float):
 
 def fresh_neighbours(medium: WirelessMedium, node_id: str):
     """What the position index says right now, with today's filters."""
-    origin = medium.get_node(node_id)
+    origin = medium._nodes.get(node_id)
     if origin is None:
         return []
     position = origin.position
@@ -93,7 +94,7 @@ def fresh_neighbours(medium: WirelessMedium, node_id: str):
 def scanned_neighbours(medium: WirelessMedium, node_id: str):
     """The same answer from a scan of every attached node, in attach order,
     leaving the index and its bucketing alone."""
-    origin = medium.get_node(node_id)
+    origin = medium._nodes.get(node_id)
     if origin is None:
         return []
     here = origin.position
@@ -124,7 +125,7 @@ class NeighbourhoodMachine(RuleBasedStateMachine):
         self.heard_at = []
 
     def _node(self, node_id):
-        return self.medium.get_node(node_id)
+        return self.medium._nodes.get(node_id)
 
     # ------------------------------------------------------------ membership
 
@@ -153,7 +154,7 @@ class NeighbourhoodMachine(RuleBasedStateMachine):
 
     @rule(node_id=_node_id)
     def detach(self, node_id):
-        self.medium.detach(node_id)
+        detach(self.medium, node_id)
 
     # -------------------------------------------------------------- movement
 
@@ -161,7 +162,7 @@ class NeighbourhoodMachine(RuleBasedStateMachine):
     def set_position(self, node_id, position):
         node = self._node(node_id)
         if node is not None:
-            node.set_position(position)
+            set_position(node, position)
 
     @rule(node_id=_node_id, data=st.data())
     def set_mobility(self, node_id, data):
@@ -275,7 +276,7 @@ class NeighbourhoodMachine(RuleBasedStateMachine):
         assert self.heard == ([target_id] if hears else [])
         assert self.heard_at == ([sent_at + (
             medium.profile.base_latency_s
-            + medium.profile.serialization_delay(packet.size_bits)
+            + serialization_delay(medium.profile, packet.size_bits)
             + medium.extra_latency_s)] if hears else [])
 
     # ------------------------------------------------------------ invariants
@@ -295,7 +296,7 @@ class NeighbourhoodMachine(RuleBasedStateMachine):
             medium.neighbors_of(node_id)
         now = self.sim.now()
         for node_id, entry in medium._static_neighbourhoods.items():
-            node = medium.get_node(node_id)
+            node = medium._nodes.get(node_id)
             assert node is not None and not is_time_varying(node.mobility)
             assert entry[0] >= now, (node_id, entry[0], now)
 
@@ -462,7 +463,7 @@ class TestMemoLifecycle:
         world.sim.run_until(5.0)
         assert world.ids("b") == ["a"]
         # Pinned (back in range): one query, then memory.
-        world.nodes["c"].set_position(Point(100.0, 0.0))
+        set_position(world.nodes["c"], Point(100.0, 0.0))
         world.asked()
         assert world.ids("b") == ["a", "c"]
         assert world.ids("b") == ["a", "c"]
@@ -476,7 +477,7 @@ class TestMemoLifecycle:
     def test_detach_then_reattach_the_same_id_elsewhere(self, world):
         assert world.ids("b") == ["a", "c"]
         assert world.ids("a") == ["b"]
-        world.medium.detach("c")
+        detach(world.medium, "c")
         assert world.ids("b") == ["a"]
         assert world.ids("c") == []
         # Back under the same id, next to a: attached last, so listed last.
@@ -503,7 +504,7 @@ class TestMemoLifecycle:
             return medium.drops_out_of_range - before
 
         assert out_of_range() == 1  # 120 m
-        c.set_position(Point(100.0, 0.0))  # the inclusive edge
+        set_position(c, Point(100.0, 0.0))  # the inclusive edge
         assert out_of_range() == 0
         # A model overrides the pin: 100 m now, drifting out at 10 m/s ...
         c.set_mobility(LinearMobility(
@@ -514,6 +515,6 @@ class TestMemoLifecycle:
         # ... and taking it away puts c back where it was last pinned.
         c.set_mobility(None)
         assert out_of_range() == 0
-        medium.detach("c")
+        detach(medium, "c")
         world.add("c", Point(0.0, 250.0))
         assert out_of_range() == 1

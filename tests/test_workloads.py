@@ -153,7 +153,7 @@ def test_a_longer_horizon_queues_no_more_events():
     def pending(horizon_s):
         run = ScenarioRun(parse_spec("api_rpc:flash_crowd", 0,
                                      horizon_s=horizon_s))
-        return run.sim.pending_events()
+        return run.sim._live
 
     assert pending(24.0) == pending(2400.0)
 
@@ -310,6 +310,24 @@ def test_historyless_scenario_is_rejected_as_simtest_world():
 
     with pytest.raises(ConfigurationError):
         check_scenario("api_rpc:heavy_tail", seed=0, horizon_s=6.0)
+
+
+@pytest.mark.simtest
+def test_simtest_scenario_cli_exit_codes(monkeypatch, capsys):
+    """``python -m repro.simtest scenario``: 0 when every seed is clean, 1
+    on a violation, 2 on a scenario that records no history."""
+    import repro.simtest.workloads as simtest_workloads
+    from repro.simtest.__main__ import main as simtest_main
+
+    assert simtest_main(["scenario", "chat_fanout:heavy_tail",
+                         "--seeds", "0-1"]) == 0
+    assert "seed=1 ok" in capsys.readouterr().out
+    assert simtest_main(["scenario", "api_rpc:heavy_tail"]) == 2
+    monkeypatch.setattr(simtest_workloads, "check_scenario", lambda name, seed: {
+        "objects": 1, "operations": 2, "violations": ["ledger: lost write"]})
+    assert simtest_main(["scenario", "telemetry_ledger:heavy_tail",
+                         "--seed", "3"]) == 1
+    assert "seed=3 VIOLATED" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------- CLI
