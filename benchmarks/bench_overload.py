@@ -25,7 +25,7 @@ experiment table.
 from conftest import emit
 
 from repro.experiments import format_table
-from repro.obs.metrics import get_registry, nearest_rank
+from repro.obs.metrics import nearest_rank
 from repro.qos import AdmissionController, PriorityClass
 from repro.scheduling.bandwidth import BandwidthAllocator
 from repro.transport.base import Address
@@ -41,7 +41,6 @@ _DEADLINE_S = 200.0
 
 
 def run_config(name, max_queue, with_admission):
-    get_registry().reset()
     fabric = InMemoryFabric(latency_s=0.001)
     sim = fabric.sim
     allocator = BandwidthAllocator(10000.0, burst_s=1.0)

@@ -27,7 +27,6 @@ import tracemalloc
 from conftest import emit
 
 from repro.experiments import format_table
-from repro.obs.metrics import get_registry
 from repro.obs.profiler import count_repro_calls
 from repro.replication.client import GroupClient
 from repro.replication.replica import ReplicationParams, deploy_group
@@ -52,7 +51,6 @@ class _Group:
     """One replica group + client on a private virtual-time fabric."""
 
     def __init__(self, n_members: int, port: str = "kv"):
-        get_registry().reset()
         self.fabric = InMemoryFabric(latency_s=0.0005)
         node_ids = [f"r{i}" for i in range(n_members)]
         self.replicas = deploy_group(
@@ -95,9 +93,8 @@ def run_read_scaling(backups=(0, 1, 2, 4), reads: int = 200):
         ]
         elapsed = group.drain(promises)
         assert all(p.fulfilled and p.result() == "v" for p in promises)
-        served_by_backups = int(
-            get_registry().counter_total("repl.reads.backup")
-        )
+        served_by_backups = sum(
+            replica.reads_backup for replica in group.replicas.values())
         group.close()
         rows.append({
             "backups": n_backups,

@@ -61,11 +61,10 @@ _DOMAINS = (
 class PaperRecord:
     """One synthetic publication."""
 
-    __slots__ = ("paper_id", "year", "title", "keywords")
+    __slots__ = ("year", "title", "keywords")
 
-    def __init__(self, paper_id: int, year: int, title: str,
+    def __init__(self, year: int, title: str,
                  keywords: Tuple[str, ...]) -> None:
-        self.paper_id = paper_id
         self.year = year
         self.title = title
         self.keywords = keywords
@@ -96,7 +95,6 @@ class CorpusGenerator:
         """The full corpus, deterministic in the seed."""
         rng = split_rng(self.seed, "bibliometrics-corpus")
         papers: List[PaperRecord] = []
-        paper_id = 0
         for topic in sorted(CALIBRATION):
             for year in YEARS:
                 for _ in range(self._count_for(topic, year, rng)):
@@ -106,6 +104,5 @@ class CorpusGenerator:
                     keywords = (topic,) + tuple(
                         w for w in domain.split() if len(w) > 4
                     )
-                    papers.append(PaperRecord(paper_id, year, title, keywords))
-                    paper_id += 1
+                    papers.append(PaperRecord(year, title, keywords))
         return papers

@@ -24,8 +24,8 @@ between configurations is itself a load source).
 
 Events (via :attr:`events`): ``"degraded"`` (old_level_name,
 new_level_name) on escalation, ``"restored"`` (old, new) on de-escalation.
-Metrics: ``overload.level`` / ``overload.pressure`` gauges and
-``overload.escalations`` / ``overload.deescalations`` counters.
+State: the ``level`` and ``pressure`` of the last tick, and the
+``escalations`` / ``deescalations`` / ``ticks`` counter slots.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.milan import Milan
 from repro.errors import ConfigurationError
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.util.events import EventEmitter
 
@@ -100,7 +99,6 @@ class OverloadGovernor:
         floor: Optional[Dict[str, float]] = None,
         interval_s: float = 1.0,
         dwell_s: float = 3.0,
-        registry=None,
     ):
         levels = tuple(levels)
         if not levels:
@@ -132,11 +130,6 @@ class OverloadGovernor:
         self._calm_since: Optional[float] = None
         self._timer = None
         self._stopped = False
-        registry = registry if registry is not None else get_registry()
-        self._level_gauge = registry.gauge("overload.level")
-        self._pressure_gauge = registry.gauge("overload.pressure")
-        self._escalation_counter = registry.counter("overload.escalations")
-        self._deescalation_counter = registry.counter("overload.deescalations")
 
     # -------------------------------------------------------------- signals
 
@@ -209,7 +202,6 @@ class OverloadGovernor:
         self.ticks += 1
         pressure = self.sample_pressure()
         self.pressure = pressure
-        self._pressure_gauge.set(pressure)
         # Escalate to the highest level whose enter threshold is reached —
         # immediately, and possibly skipping rungs on a sharp spike.
         target = self.level
@@ -236,13 +228,10 @@ class OverloadGovernor:
     def _change_level(self, new_level: int, escalated: bool) -> None:
         old_name = self.level_name
         self.level = new_level
-        self._level_gauge.set(new_level)
         if escalated:
             self.escalations += 1
-            self._escalation_counter.inc()
         else:
             self.deescalations += 1
-            self._deescalation_counter.inc()
         if TRACER.enabled:
             TRACER.instant(
                 "overload.level",

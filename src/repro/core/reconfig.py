@@ -46,10 +46,10 @@ Exact equivalence with the uncached path is guaranteed by construction
 ``score_set``, whose floats associate over id-sorted members) and asserted
 by the interleaving property test in ``tests/test_feasibility_property.py``.
 
-Cache traffic is visible via :mod:`repro.obs.metrics` counters:
-``milan.feasibility_cache.{hits,misses,invalidations}`` and
-``milan.score_cache.{hits,misses}`` (candidates scored from rows / rows
-compiled).
+Cache traffic is counted in slots: ``FeasibilityCache.{hits,misses,
+invalidations}`` and ``ReconfigEngine.{score_hits,score_misses}``
+(candidates scored from rows / rows compiled); :meth:`ReconfigEngine.stats`
+reads them.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from typing import (
 from repro.core.feasibility import requirements_signature, sensor_signature
 from repro.core.selection import SelectionStrategy, SetScore, score_set, select_best
 from repro.core.sensors import SensorInfo
-from repro.obs.metrics import get_registry
 
 SensorSet = FrozenSet[str]
 Signature = Tuple
@@ -112,12 +111,6 @@ class FeasibilityCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        registry = get_registry()
-        self._hits_counter = registry.counter("milan.feasibility_cache.hits")
-        self._misses_counter = registry.counter("milan.feasibility_cache.misses")
-        self._invalidations_counter = registry.counter(
-            "milan.feasibility_cache.invalidations"
-        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -180,11 +173,9 @@ class FeasibilityCache:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            self._misses_counter.inc()
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        self._hits_counter.inc()
         return entry
 
     def store(self, key: CacheKey, candidates: List[SensorSet]) -> FeasibilityEntry:
@@ -208,9 +199,7 @@ class FeasibilityCache:
         ]
         for key in stale:
             del self._entries[key]
-        if stale:
-            self.invalidations += len(stale)
-            self._invalidations_counter.inc(len(stale))
+        self.invalidations += len(stale)
         return len(stale)
 
     def rows_held(self) -> int:
@@ -231,12 +220,9 @@ class ReconfigEngine:
     """
 
     def __init__(self):
-        registry = get_registry()
         self.feasibility = FeasibilityCache()
         self.score_hits = 0
         self.score_misses = 0
-        self._score_hits_counter = registry.counter("milan.score_cache.hits")
-        self._score_misses_counter = registry.counter("milan.score_cache.misses")
 
     # ------------------------------------------------------------ candidates
 
@@ -284,7 +270,6 @@ class ReconfigEngine:
             # Swapped or removed since the lookup: the fingerprint no
             # longer vouches for the stored rows.
             self.score_misses += len(candidates)
-            self._score_misses_counter.inc(len(candidates))
             return select_best(candidates, sensors, requirements, strategy)
         if not entry.rows:
             self._compile(entry, sensors, requirements)
@@ -294,7 +279,6 @@ class ReconfigEngine:
             in zip(candidates, map(entry.rows.__getitem__, candidates))
         ]
         self.score_hits += len(scores)
-        self._score_hits_counter.inc(len(scores))
         return strategy(scores)
 
     def _compile(
@@ -316,7 +300,6 @@ class ReconfigEngine:
                 itemgetter(*members), score.performance, score.power_w,
             )
         self.score_misses += len(entry.rows)
-        self._score_misses_counter.inc(len(entry.rows))
 
     # ---------------------------------------------------------- invalidation
 

@@ -50,7 +50,6 @@ class StateMachine:
         # advance() runs on every observe() in the reconfigure loop, so it
         # should only scan the current state's outgoing edges.
         self._by_source: Dict[str, List[Transition]] = {}
-        self.transitions_taken = 0
 
     def add_transition(self, source: str, target: str, predicate: Predicate) -> None:
         for state in (source, target):
@@ -66,7 +65,6 @@ class StateMachine:
             raise ConfigurationError(f"unknown state {state!r}")
         if state != self.current:
             old, self.current = self.current, state
-            self.transitions_taken += 1
             self.events.emit("state_changed", old, state)
 
     def advance(self, readings: Dict[str, Any]) -> Optional[Tuple[str, str]]:

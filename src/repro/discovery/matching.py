@@ -174,13 +174,11 @@ class Query:
 class Match:
     """One ranked result."""
 
-    __slots__ = ("description", "score", "distance_m")
+    __slots__ = ("description", "score")
 
-    def __init__(self, description: ServiceDescription, score: MatchScore,
-                 distance_m: Optional[float] = None) -> None:
+    def __init__(self, description: ServiceDescription, score: MatchScore) -> None:
         self.description = description
         self.score = score
-        self.distance_m = distance_m
 
 
 class Matcher:
@@ -204,10 +202,10 @@ class Matcher:
         for description in descriptions:
             if not query.accepts(description):
                 continue
-            distance_m = self.distance(query, description)
-            score = score_match(description.qos, consumer, distance_m=distance_m)
+            score = score_match(description.qos, consumer,
+                                distance_m=self.distance(query, description))
             if score is None:
                 continue
-            results.append(Match(description, score, distance_m))
+            results.append(Match(description, score))
         results.sort(key=lambda m: (-m.score.total, m.description.service_id))
         return results[: query.max_results]

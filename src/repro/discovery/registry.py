@@ -86,7 +86,6 @@ class RegistryServer(MessageEndpoint):
         self._matcher = Matcher()
         self.peers = list(peers) if peers else []
         self.lookups_served = 0
-        self.registrations_accepted = 0
         self.replications_sent = 0
         self._schedule_sweep()
 
@@ -147,7 +146,6 @@ class RegistryServer(MessageEndpoint):
         self._registrations[description.service_id] = Registration(
             description, self.transport.scheduler.now() + lease
         )
-        self.registrations_accepted += 1
         self._replicate(message)
         self.events.emit("registered" if is_new else "renewed", description)
         self._ack(source, message, service_id=description.service_id,

@@ -67,14 +67,12 @@ class RpcTimeoutError(RpcError):
 class RemoteError(RpcError):
     """The remote handler raised an exception.
 
-    The remote exception's type name and message are preserved in
-    :attr:`remote_type` and the error string.
+    The error string is the remote exception's type name and message,
+    ``"<type>: <message>"``.
     """
 
     def __init__(self, remote_type: str, message: str):
         super().__init__(f"{remote_type}: {message}")
-        self.remote_type = remote_type
-        self.remote_message = message
 
 
 class SchedulingError(MiddlewareError):

@@ -59,8 +59,6 @@ class CodecGateway:
         self.forwarded_b_to_a = 0
         self.dropped = 0
         self.malformed_frames = 0
-        # What drop_malformed counts under: the gateway's own node.
-        self.transport = side_a
         side_a.set_receiver(self._from_a)
         side_b.set_receiver(self._from_b)
 

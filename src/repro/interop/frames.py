@@ -35,7 +35,8 @@ stored tuple, a replicated write's value) goes through
 :func:`~repro.interop.codec.wire_plain` first, so the application holds
 what bytes on a wire would have produced, never the sender's own object.
 
-Observability: ``transport.frames.materialized`` counts forced encodes.
+Observability: :attr:`WireFrame.materialized` counts forced encodes,
+process-wide.
 """
 
 from __future__ import annotations
@@ -49,13 +50,15 @@ from repro.interop.codec import (
     Codec,
     register_frame_types,
 )
-from repro.obs.metrics import get_registry
 
 
 class WireFrame:
     """A message and its wire encoding, materialized at most once."""
 
     __slots__ = ("codec", "message", "_encoded", "_length")
+
+    #: Frames encoded to bytes so far, by every instance in the process.
+    materialized = 0
 
     def __init__(
         self,
@@ -76,7 +79,7 @@ class WireFrame:
             encoded = self.codec.encode(self.message)
             self._encoded = encoded
             self._length = len(encoded)
-            get_registry().counter("transport.frames.materialized").inc()
+            WireFrame.materialized += 1
         return encoded
 
     def __bytes__(self) -> bytes:

@@ -94,7 +94,6 @@ class EmbeddedWebServer:
         self.node_name = node_name or transport.local_address.node
         self._routes: Dict[str, Tuple[str, RouteTarget]] = {}
         self._services: Dict[str, ServiceDescription] = {}
-        self.requests_served = 0
         self.errors = 0
         transport.set_receiver(self._on_request)
         self.route("/", "text/html", self._index_page)
@@ -167,7 +166,6 @@ class EmbeddedWebServer:
         except Exception as exc:  # noqa: BLE001 - 500 instead of crash
             self.errors += 1
             status, content_type, body = 500, "text/plain", repr(exc)
-        self.requests_served += 1
         self.transport.send(
             source, _render_response(status, content_type, body, request_id)
         )

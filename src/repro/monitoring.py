@@ -30,8 +30,10 @@ topic                      payload
 =========================  =============================================
 
 Every event is counted into the bus's own :class:`~repro.obs.metrics.
-MetricsRegistry` (:attr:`SystemEventBus.registry`, one counter per topic),
-and can be forwarded to a network
+MetricsRegistry` (:attr:`SystemEventBus.registry`, one counter per topic,
+read as ``bus.registry.counter("node.crashed").value``): a topic is known
+only at run time, so its counter cannot be a slot. Every event can also
+be forwarded to a network
 :class:`~repro.transactions.pubsub.PubSubClient` so remote operators
 observe the system live.
 """
@@ -55,7 +57,7 @@ class SystemEventBus:
     """Aggregates component events onto one wildcard-subscribable stream.
 
     Per-topic counting lives in :attr:`registry`, one counter named after
-    each topic: ``bus.registry.counter_total("node.crashed")``.
+    each topic: ``bus.registry.counter("node.crashed").value``.
     """
 
     def __init__(
@@ -66,13 +68,11 @@ class SystemEventBus:
         self.forward_to = forward_to
         self._subscribers: List[Tuple[str, Handler]] = []
         self.history: List[Tuple[str, Dict[str, Any]]] = []
-        self.events_published = 0
 
     # -------------------------------------------------------------- emitting
 
     def publish(self, topic: str, payload: Dict[str, Any]) -> None:
         """Publish one system event (components call this via the watchers)."""
-        self.events_published += 1
         self.registry.counter(topic).inc()
         self.history.append((topic, payload))
         for pattern, handler in list(self._subscribers):

@@ -63,7 +63,6 @@ class LocationServer(MessageEndpoint):
         super().__init__(transport)
         self.events = EventEmitter()
         self._bindings: Dict[str, Binding] = {}
-        self.resolves_served = 0
 
     def binding(self, name: str) -> Optional[Binding]:
         return self._bindings.get(name)
@@ -83,7 +82,6 @@ class LocationServer(MessageEndpoint):
         self._ack(source, message, ok=accepted)
 
     def _handle_resolve(self, source: Address, message: Dict[str, Any]) -> None:
-        self.resolves_served += 1
         binding = self._bindings.get(message["name"])
         self._ack(source, message,
                   address=binding.address if binding else None,
@@ -91,7 +89,6 @@ class LocationServer(MessageEndpoint):
 
     def _handle_resolve_prefix(self, source: Address, message: Dict[str, Any],
                                prefix: LogicalName) -> None:
-        self.resolves_served += 1
         matches = {
             name: binding.address
             for name, binding in self._bindings.items()

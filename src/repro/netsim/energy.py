@@ -34,19 +34,16 @@ class RadioEnergyModel:
         e_elec: electronics energy per bit (J/bit), charged on TX and RX.
         eps_amp: amplifier energy per bit per m^exponent (J/bit/m^e).
         path_loss_exponent: 2 for free space, up to 4 for multipath.
-        idle_power: power drawn while listening (W).
     """
 
-    __slots__ = ("e_elec", "eps_amp", "path_loss_exponent", "idle_power")
+    __slots__ = ("e_elec", "eps_amp", "path_loss_exponent")
 
     def __init__(self, e_elec: float = DEFAULT_E_ELEC,
                  eps_amp: float = DEFAULT_EPS_AMP,
-                 path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT,
-                 idle_power: float = 0.0) -> None:
+                 path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT) -> None:
         self.e_elec = e_elec
         self.eps_amp = eps_amp
         self.path_loss_exponent = path_loss_exponent
-        self.idle_power = idle_power
 
     def tx_cost(self, size_bits: int, distance: float) -> float:
         """Energy (J) to transmit ``size_bits`` over ``distance`` meters."""

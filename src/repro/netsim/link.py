@@ -62,18 +62,11 @@ class WiredLink:
         self.node_b = node_b
         self.profile = profile
         self._rng = split_rng(seed, f"link:{node_a.node_id}:{node_b.node_id}")
-        self._up = True
         self.transmissions = 0
-        self.deliveries = 0
-        self.drops = 0
 
     @property
     def endpoints(self) -> Tuple[str, str]:
         return (self.node_a.node_id, self.node_b.node_id)
-
-    @property
-    def up(self) -> bool:
-        return self._up
 
     def connects(self, node_id: str) -> bool:
         return node_id in self.endpoints
@@ -88,22 +81,19 @@ class WiredLink:
     def transmit(self, sender_id: str, packet: Packet) -> bool:
         """Send a packet to the other end; returns True if put on the wire."""
         sender = self.other_end(self.other_end(sender_id).node_id)  # validates sender
-        if not self._up or not sender.alive:
+        if not sender.alive:
             return False
         receiver = self.other_end(sender_id)
         self.transmissions += 1
         if self._rng.random() < self.profile.loss_probability:
-            self.drops += 1
             return True
         delay = self.profile.latency_s + packet.size_bits / self.profile.bandwidth_bps
         self.sim.schedule(delay, self._deliver, receiver, packet)
         return True
 
     def _deliver(self, receiver: Node, packet: Packet) -> None:
-        if not self._up or not receiver.alive:
-            self.drops += 1
+        if not receiver.alive:
             return
-        self.deliveries += 1
         # A wire charges the receiver nothing; everything else is the one
         # reception routine the radio medium uses.
         receiver.receive(packet, packet.size_bytes, 0.0)

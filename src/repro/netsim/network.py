@@ -94,7 +94,7 @@ class Network:
         return [
             link.other_end(node_id)
             for link in self.links
-            if link.up and link.connects(node_id) and link.other_end(node_id).alive
+            if link.connects(node_id) and link.other_end(node_id).alive
         ]
 
     def neighbors(self, node_id: str) -> List[Node]:
@@ -161,13 +161,12 @@ class Network:
         if packet.is_broadcast:
             any_sent = self.medium.transmit(sender_id, packet)
             for link in self.links:
-                if link.up and link.connects(sender_id):
+                if link.connects(sender_id):
                     any_sent = link.transmit(sender_id, packet) or any_sent
             return any_sent
         for link in self.links:
             if (
-                link.up
-                and link.connects(sender_id)
+                link.connects(sender_id)
                 and link.other_end(sender_id).node_id == packet.destination
             ):
                 return link.transmit(sender_id, packet)

@@ -60,7 +60,7 @@ class Node:
     __slots__ = (
         "node_id", "sim", "battery", "radio", "_events", "_medium",
         "_home_position", "_mobility", "_crashed", "_handler",
-        "packets_sent", "packets_received", "bytes_sent", "bytes_received",
+        "packets_sent", "packets_received", "bytes_received",
     )
 
     def __init__(
@@ -87,7 +87,6 @@ class Node:
         self._handler: Optional[PacketHandler] = None
         self.packets_sent = 0
         self.packets_received = 0
-        self.bytes_sent = 0
         self.bytes_received = 0
         if battery._node is None:
             battery._node = self
@@ -202,7 +201,6 @@ class Node:
     def charge_tx(self, size_bits: int, distance: float) -> bool:
         """Account transmit energy; returns False if the battery died."""
         self.packets_sent += 1
-        self.bytes_sent += size_bits // 8
         return self.battery.drain(self.radio.tx_cost(size_bits, distance))
 
     def __repr__(self) -> str:

@@ -95,11 +95,6 @@ class PositionIndex:
         self._classify(node, self._next_seq)
         self._next_seq += 1
 
-    def remove(self, node_id: str) -> None:
-        """Drop a node; unknown ids are ignored (idempotent detach)."""
-        if self._node_of.pop(node_id, None) is not None:
-            self._declassify(node_id)
-
     def note_moved(self, node: Any) -> None:
         """Re-file ``node`` after a reposition or a mobility swap; it keeps
         its place in attachment order."""

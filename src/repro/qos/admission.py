@@ -17,9 +17,9 @@ request), and the RPC / replication clients surface it by rejecting the
 promise with :class:`~repro.errors.AdmissionRefused` carrying that hint —
 the caller can back off *exactly* as long as needed instead of guessing.
 
-Metrics: ``admission.admitted`` / ``admission.rejected`` counters labeled
-by class, and an ``admission.rejection_fraction`` gauge the overload
-governor samples.
+Counters: ``admitted`` and ``rejected`` slots, and the
+:attr:`~AdmissionController.rejection_fraction` the overload governor
+samples.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.scheduling.bandwidth import BandwidthAllocator
 
@@ -70,8 +69,6 @@ class AdmissionController:
         now_fn: Callable[[], float],
         capacity_per_s: float,
         classes: Iterable[PriorityClass],
-        *,
-        registry=None,
     ):
         classes = list(classes)
         if not classes:
@@ -94,17 +91,6 @@ class AdmissionController:
                 bucket.tokens = min(bucket.tokens, bucket.burst_bits)
         self.admitted = 0
         self.rejected = 0
-        registry = registry if registry is not None else get_registry()
-        self._registry = registry
-        self._admit_counters = {
-            name: registry.counter("admission.admitted", cls=name)
-            for name in self._classes
-        }
-        self._reject_counters = {
-            name: registry.counter("admission.rejected", cls=name)
-            for name in self._classes
-        }
-        self._fraction_gauge = registry.gauge("admission.rejection_fraction")
 
     def classes(self) -> Dict[str, PriorityClass]:
         return dict(self._classes)
@@ -126,22 +112,14 @@ class AdmissionController:
             now = self.now_fn()
         if self.allocator.try_send(cls, cost, now):
             self.admitted += 1
-            self._admit_counters[cls].inc()
-            self._update_fraction()
             return None
         retry_after = self.allocator.time_until_available(cls, cost, now)
         self.rejected += 1
-        self._reject_counters[cls].inc()
-        self._update_fraction()
         if TRACER.enabled:
             TRACER.instant("admission.rejected", cls=cls,
                            retry_after_s=round(retry_after, 6)
                            if retry_after != float("inf") else -1.0)
         return retry_after
-
-    def _update_fraction(self) -> None:
-        total = self.admitted + self.rejected
-        self._fraction_gauge.set(self.rejected / total if total else 0.0)
 
     # ------------------------------------------------------------ inspection
 

@@ -67,19 +67,16 @@ class QoSContract:
     def __init__(
         self,
         contract_id: str,
-        consumer_id: str,
         supplier_id: str,
         terms: ContractTerms = ContractTerms(),
     ):
         self.contract_id = contract_id
-        self.consumer_id = consumer_id
         self.supplier_id = supplier_id
         self.terms = terms
         self.events = EventEmitter()
         # (success, latency) observations, newest last.
         self._observations: Deque[Tuple[bool, float]] = deque(maxlen=terms.window)
         self._violated = False
-        self.violations = 0
         self.total_observations = 0
 
     # ------------------------------------------------------------ observing
@@ -130,7 +127,6 @@ class QoSContract:
             return
         if not compliant and not self._violated:
             self._violated = True
-            self.violations += 1
             self.events.emit("violated", self)
         elif compliant and self._violated:
             self._violated = False

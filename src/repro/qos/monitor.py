@@ -143,7 +143,7 @@ class DegradationManager:
             self.rebinds += 1
         self.current_supplier = key
         self.current_score = score
-        contract = QoSContract(self._ids.next(), "consumer", key)
+        contract = QoSContract(self._ids.next(), key)
         contract.events.on("violated", self._on_violation)
         self.contract = contract
         self.events.emit("bound", key, score)

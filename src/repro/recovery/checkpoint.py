@@ -24,13 +24,12 @@ class Checkpoint:
     would lose committed writes.
     """
 
-    __slots__ = ("lsn", "state", "live_transactions", "redo_from_lsn")
+    __slots__ = ("lsn", "state", "redo_from_lsn")
 
     def __init__(self, lsn: int, state: Dict[str, Any],
-                 live_transactions: List[str], redo_from_lsn: int) -> None:
+                 redo_from_lsn: int) -> None:
         self.lsn = lsn
         self.state = state
-        self.live_transactions = live_transactions
         self.redo_from_lsn = redo_from_lsn
 
     @staticmethod
@@ -39,7 +38,6 @@ class Checkpoint:
         return Checkpoint(
             lsn=record.lsn,
             state=dict(payload.get("state", {})),
-            live_transactions=list(payload.get("live", [])),
             redo_from_lsn=int(payload.get("redo_from", record.lsn + 1)),
         )
 

@@ -57,7 +57,6 @@ class HeartbeatDetector(MessageEndpoint):
         self._targets: List[Address] = []
         self._watched: Dict[str, PeerState] = {}
         self._seq = 0
-        self.heartbeats_sent = 0
         self._beat_timer = transport.scheduler.schedule(interval_s, self._beat)
         self._check_timer = transport.scheduler.schedule(interval_s, self._check)
 
@@ -105,7 +104,6 @@ class HeartbeatDetector(MessageEndpoint):
             self.codec,
         )
         for peer in self._targets:
-            self.heartbeats_sent += 1
             self.transport.send(peer, frame)
         self._beat_timer = self.transport.scheduler.schedule(self.interval_s, self._beat)
 

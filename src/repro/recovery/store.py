@@ -50,7 +50,6 @@ class TransactionalStore:
         self._pending: Dict[str, Dict[str, Any]] = {}  # txid -> key -> value
         self._pending_begin_lsn: Dict[str, int] = {}
         self._crashed = False
-        self.recoveries = 0
         self.last_recovery_records_scanned = 0
         self.recover()
 
@@ -99,7 +98,6 @@ class TransactionalStore:
         self._committed = state
         self._pending = {}
         self._crashed = False
-        self.recoveries += 1
         self.last_recovery_records_scanned = len(records)
 
     # ----------------------------------------------------------- transactions

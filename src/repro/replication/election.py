@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.replication.log import LogEntry
 
@@ -45,9 +44,6 @@ class BullyElection:
         self._timer: Any = None
         self._retry_timer: Any = None
         self.rounds = 0
-        self._m_rounds = get_registry().counter(
-            "repl.election.rounds", group=replica.group
-        )
 
     # ------------------------------------------------------------- triggers
 
@@ -72,7 +68,6 @@ class BullyElection:
     def _round(self) -> None:
         replica = self.replica
         self.rounds += 1
-        self._m_rounds.inc()
         self._proposed_term = max(self._proposed_term, replica.term) + 1
         higher = [m for m in replica.members if m > replica.node_id]
         message = {"op": "elect", "term": self._proposed_term}

@@ -38,7 +38,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.errors import ConfigurationError
 from repro.interop.codec import wire_plain
 from repro.interop.frames import WireFrame
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.recovery.heartbeat import HeartbeatDetector
 from repro.replication.election import BullyElection
@@ -245,19 +244,12 @@ class ReplicaNode(MessageEndpoint):
         self._busy_until = 0.0
         self._beacon_timer: Any = None
 
-        registry = get_registry()
-        self._m_appends = registry.counter("repl.log.appends", group=group)
-        self._m_commits = registry.counter("repl.log.commits", group=group)
-        self._m_catchups = registry.counter("repl.log.catchups", group=group)
-        self._m_reads_primary = registry.counter("repl.reads.primary", group=group)
-        self._m_reads_backup = registry.counter("repl.reads.backup", group=group)
-        self._m_reads_stale = registry.counter(
-            "repl.reads.stale_rejected", group=group
-        )
-        self._g_term = registry.gauge(
-            "repl.election.term", group=group, node=self.node_id
-        )
-        self._g_term.set(self.term)
+        self.appends = 0
+        self.commits = 0
+        self.catchups = 0
+        self.reads_primary = 0
+        self.reads_backup = 0
+        self.reads_stale = 0
 
         self.detector = HeartbeatDetector(
             hb_transport,
@@ -376,7 +368,7 @@ class ReplicaNode(MessageEndpoint):
             return
         entry = self.log.append(self.term, rid, name, args)
         self._logged_rids[rid] = entry.index
-        self._m_appends.inc()
+        self.appends += 1
         self._arm_pending(entry.index, source, rid)
         self._replicate([entry])
         self._maybe_commit()
@@ -396,7 +388,7 @@ class ReplicaNode(MessageEndpoint):
                 # may exist, so a "linearizable" answer here could be stale.
                 self._reply(source, "cmd_err", rid, error="no_quorum")
                 return
-            self._m_reads_primary.inc()
+            self.reads_primary += 1
             self._answer_read(source, rid, name, args)
             return
         if mode == "primary":
@@ -404,11 +396,11 @@ class ReplicaNode(MessageEndpoint):
                         term=self.term)
             return
         if self.applied_index < message.get("min_index", 0):
-            self._m_reads_stale.inc()
+            self.reads_stale += 1
             self._reply(source, "stale", rid, applied=self.applied_index,
                         leader=self.leader)
             return
-        self._m_reads_backup.inc()
+        self.reads_backup += 1
         self._answer_read(source, rid, name, args)
 
     def _answer_read(
@@ -650,7 +642,7 @@ class ReplicaNode(MessageEndpoint):
         while log.commit_index < new_commit:
             log.commit_index += 1
             entry = log.entry(log.commit_index)
-            self._m_commits.inc()
+            self.commits += 1
             self._apply(entry)
         if (
             self.params.compact_every
@@ -701,7 +693,7 @@ class ReplicaNode(MessageEndpoint):
         if self.role != "primary":
             return
         from_index = message["from"]
-        self._m_catchups.inc()
+        self.catchups += 1
         if from_index <= self.log.snapshot_index:
             self.send_to_member(
                 source.node,
@@ -776,7 +768,6 @@ class ReplicaNode(MessageEndpoint):
     def _step_down(self, term: int) -> None:
         """A newer term exists: become a backup and fail in-flight writes."""
         self.term = max(self.term, term)
-        self._g_term.set(self.term)
         if self.role == "primary":
             self.role = "backup"
             self.leader = None
@@ -793,7 +784,6 @@ class ReplicaNode(MessageEndpoint):
     def _adopt_leader(self, term: int, leader: str) -> None:
         if term > self.term or self.leader != leader:
             self.term = max(self.term, term)
-            self._g_term.set(self.term)
             if self.role == "primary" and leader != self.node_id:
                 self._step_down(term)
             self.leader = leader
@@ -837,7 +827,6 @@ class ReplicaNode(MessageEndpoint):
     ) -> None:
         """Called by the election once a majority has synced logs with us."""
         self.term = term
-        self._g_term.set(term)
         base = self.log.commit_index
         best: Dict[int, LogEntry] = {
             e.index: e for e in self.log.entries_from(base + 1)
@@ -868,7 +857,7 @@ class ReplicaNode(MessageEndpoint):
         # its replication announces term + commit to every backup.
         noop = self.log.append(self.term, f"{NOOP}-{self.group}-{self.term}", NOOP, ())
         self._logged_rids[noop.rid] = noop.index
-        self._m_appends.inc()
+        self.appends += 1
         for peer in self.peers:
             self.send_to_member(
                 peer, {"op": "coord", "term": self.term, "leader": self.node_id}

@@ -74,9 +74,6 @@ class DataCentricAgent(MessageEndpoint):
         # of RoutingAgent._seen; one table per message kind.
         self._seen_interests: Dict[str, Set[int]] = {}
         self._seen_data: Dict[str, Set[int]] = {}
-        self.interests_sent = 0
-        self.data_sent = 0
-        self.data_delivered = 0
 
     def _now(self) -> float:
         return self.endpoint.scheduler.now()
@@ -108,7 +105,6 @@ class DataCentricAgent(MessageEndpoint):
     def _flood_interest(self, name: str, ttl: int) -> None:
         seq = self._seq.next()
         heard_before(self._seen_interests, self.node_id, seq)
-        self.interests_sent += 1
         self.endpoint.broadcast(
             WireFrame(
                 {"c": "interest", "n": name, "o": self.node_id, "q": seq,
@@ -127,7 +123,6 @@ class DataCentricAgent(MessageEndpoint):
         silence is data-centric routing's energy win).
         """
         if name in self._subscriptions:
-            self.data_delivered += 1
             self._subscriptions[name](name, value, self.node_id)
         seq = self._seq.next()
         heard_before(self._seen_data, self.node_id, seq)
@@ -144,7 +139,6 @@ class DataCentricAgent(MessageEndpoint):
         # many gradients the data flows down.
         frame = WireFrame(message, self.codec)
         for parent in sorted(parents):
-            self.data_sent += 1
             self.endpoint.send(Address(parent, DIFFUSION_PORT), frame)
         return len(parents)
 
@@ -171,7 +165,6 @@ class DataCentricAgent(MessageEndpoint):
             return
         ttl = message["t"] - 1
         if ttl >= 1:
-            self.interests_sent += 1
             self.endpoint.broadcast(
                 WireFrame({**message, "h": hops, "t": ttl}, self.codec)
             )
@@ -181,6 +174,5 @@ class DataCentricAgent(MessageEndpoint):
             return
         name = message["n"]
         if name in self._subscriptions:
-            self.data_delivered += 1
             self._subscriptions[name](name, message["v"], message["o"])
         self._forward_data(message)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.netsim.network import Network
 from repro.netsim.packet import HEADER_BYTES
-from repro.obs.metrics import get_registry
 from repro.routing.linkstate import LinkStateRouter
 
 #: Nodes below this residual fraction are penalized as if at the floor,
@@ -51,16 +50,3 @@ class EnergyAwareRouter(LinkStateRouter):
         tx_cost = sender.radio.tx_cost(NOMINAL_PACKET_BITS, distance)
         residual = max(sender.battery.fraction_remaining, RESIDUAL_FLOOR)
         return tx_cost / residual**self.alpha
-
-    def _on_refresh(self) -> None:
-        """Publish the fleet's weakest residual battery on each refresh —
-        the quantity energy-aware routing exists to protect."""
-        residuals = [
-            node.battery.fraction_remaining
-            for node in self.network.nodes()
-            if node.alive
-        ]
-        if residuals:
-            get_registry().gauge(
-                "route.energy.min_residual", node=self.node_id
-            ).set(min(residuals))

@@ -14,11 +14,7 @@ from repro.routing.base import Disposition, Envelope, Router
 class FloodingRouter(Router):
     """Rebroadcast everything not addressed to us."""
 
-    def __init__(self) -> None:
-        self.rebroadcasts = 0
-
     def route(self, envelope: Envelope) -> Disposition:
-        self.rebroadcasts += 1
         if TRACER.enabled:
             TRACER.instant("route.flood_decision", parent=envelope.trace_ctx,
                            node=self.agent.node_id,

@@ -50,11 +50,7 @@ class LinkStateRouter(Router):
                 self._graph = self.network.adjacency()
             self._graph_time = now
             self._next_hop_cache.clear()
-            self._on_refresh()
         return self._graph
-
-    def _on_refresh(self) -> None:
-        """Hook invoked after each topology refresh (subclass extension)."""
 
     def _weight(self, u: str, v: str) -> float:
         """The cost of the edge ``u -> v``: one hop (shortest-hop routing)."""

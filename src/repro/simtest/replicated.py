@@ -42,7 +42,6 @@ from repro.netsim.failures import FailureInjector
 from repro.netsim.medium import IDEAL_RADIO
 from repro.obs.export import canonical_json
 from repro.obs.history import History
-from repro.obs.metrics import get_registry
 from repro.replication.check import check_group, close_group, group_summary
 from repro.replication.client import GroupClient, ShardedClient
 from repro.replication.replica import (
@@ -145,7 +144,6 @@ class ReplicatedWorld:
         self.seed = seed
         self.tie_seed = tie_seed
         self.crash_primary = crash_primary
-        get_registry().reset()
 
         self.network = topology.grid(
             2, 3, spacing=60.0, radio_profile=IDEAL_RADIO, seed=seed
@@ -290,15 +288,14 @@ class ReplicatedWorld:
             self.history.rows(), {a: INITIAL_BALANCE for a in ACCOUNTS},
             now, self.stats,
         )
-        registry = get_registry()
         self.stats["events"] = self.sim.events_processed
         self.stats["transfers_acked"] = len(self.acked_txids)
-        self.stats["election_rounds"] = int(
-            registry.counter_total("repl.election.rounds")
-        )
-        self.stats["log_catchups"] = int(
-            registry.counter_total("repl.log.catchups")
-        )
+        replicas = [replica for _label, members in self._all_groups()
+                    for replica in members.values()]
+        self.stats["election_rounds"] = sum(
+            replica.election.rounds for replica in replicas)
+        self.stats["log_catchups"] = sum(
+            replica.catchups for replica in replicas)
         for client in self.clients:
             client.close()
         for _label, members in self._all_groups():

@@ -41,7 +41,6 @@ from repro.netsim import topology
 from repro.netsim.failures import FailureInjector
 from repro.netsim.medium import IDEAL_RADIO
 from repro.obs.history import History
-from repro.obs.metrics import get_registry
 from repro.simtest.oracles import (
     DeliveryOracle,
     DiscoveryOracle,
@@ -175,7 +174,6 @@ class SimWorld:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        get_registry().reset()
 
         self.network = topology.grid(
             2, 2, spacing=60.0, radio_profile=IDEAL_RADIO, seed=scenario.seed
@@ -242,10 +240,11 @@ class SimWorld:
         )
 
         # --- shared objects (linearizable mode) and tuple space ---------
-        self.so_host = SharedObjectHost(
+        # The servers bind their fabric endpoints; the world keeps no handle.
+        SharedObjectHost(
             self.fabric.endpoint(SERVER, _SO_PORT), write_through_acks=True
         )
-        self.ts_server = TupleSpaceServer(self.fabric.endpoint(SERVER, _TS_PORT))
+        TupleSpaceServer(self.fabric.endpoint(SERVER, _TS_PORT))
         self.clients = tuple(
             SimpleNamespace(
                 ledger=_RpcLedger(self.nodes[node_id].rpc),

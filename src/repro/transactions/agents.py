@@ -90,7 +90,6 @@ class AgentHost(MessageEndpoint):
         self.events = EventEmitter()
         self._registry: Dict[str, Type[MobileAgent]] = {}
         self._homecoming: Dict[str, List[Promise]] = {}
-        self.agents_hosted = 0
         self.agents_refused = 0
 
     @property
@@ -154,7 +153,6 @@ class AgentHost(MessageEndpoint):
             return
         # A copy: the frame's state is the previous stop's agent's own dict.
         agent = agent_class(wire_plain(message["state"]))
-        self.agents_hosted += 1
         self.events.emit("agent_arrived", name)
         try:
             agent.visit(self)

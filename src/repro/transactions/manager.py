@@ -147,13 +147,8 @@ class TransactionManager:
             return
         supplier = results[0]
         transaction_id = self._ids.next()
-        contract = QoSContract(
-            f"{transaction_id}-contract",
-            str(self.rpc.transport.local_address),
-            supplier.service_id,
-        )
+        contract = QoSContract(f"{transaction_id}-contract", supplier.service_id)
         transaction = Transaction(transaction_id, spec, supplier, on_data, contract)
-        transaction.created_at = self._now()
         self._transactions[transaction_id] = transaction
         self._queries[transaction_id] = query
         self._consecutive_failures[transaction_id] = 0

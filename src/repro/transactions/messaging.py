@@ -67,7 +67,6 @@ class MessageBroker(MessageEndpoint):
         self._attempts: Dict[str, int] = {}
         #: Messages abandoned after MAX_REDELIVERIES (queue, body) pairs.
         self.dead_letters: List[Tuple[str, Any]] = []
-        self.messages_accepted = 0
         self.deliveries = 0
         self.redeliveries = 0
 
@@ -90,7 +89,6 @@ class MessageBroker(MessageEndpoint):
         # A copy: the frame's body is the producer's own object, and the
         # queue (or a dead letter) holds what was put, not what it became.
         queue.messages.append((mid, wire_plain(message["body"])))
-        self.messages_accepted += 1
         if "rid" in message:
             self._ack(source, message, mid=mid)
         self._drain(message["queue"])
@@ -160,7 +158,6 @@ class MessagingClient(MessageEndpoint):
         super().__init__(transport, rids="msg")
         self.broker_address = broker_address
         self._handlers: Dict[str, Callable[[Any], None]] = {}
-        self.received = 0
 
     # --------------------------------------------------------------- producer
 
@@ -189,7 +186,6 @@ class MessagingClient(MessageEndpoint):
     def _on_deliver(self, source: Address, message: Dict[str, Any]) -> None:
         handler = self._handlers.get(message["queue"])
         if handler is not None:
-            self.received += 1
             # A copy: the broker keeps the body for redelivery.
             handler(wire_plain(message["body"]))
             self._send(source, {"op": "ack", "mid": message["mid"]})

@@ -83,7 +83,6 @@ class PubSubBroker(MessageEndpoint):
     def __init__(self, transport: Transport):
         super().__init__(transport)
         self._subscriptions: List[_Subscription] = []
-        self.events_published = 0
         self.events_delivered = 0
 
     def _on_sub(self, source: Address, message: Dict[str, Any],
@@ -104,7 +103,6 @@ class PubSubBroker(MessageEndpoint):
         the publisher's own object, which subscribers copy on receipt —
         rather than an encoding of it per subscriber."""
         topic, event = message["topic"], message["event"]
-        self.events_published += 1
         for subscription in self._subscriptions:
             if not topic_matches(subscription.pattern, topic):
                 continue
@@ -140,7 +138,6 @@ class PubSubClient(MessageEndpoint):
         super().__init__(transport, rids="ps")
         self.broker_address = broker_address
         self._handlers: Dict[str, Tuple[EventHandler, List[Dict[str, str]]]] = {}
-        self.events_received = 0
 
     def subscribe(
         self,
@@ -168,6 +165,5 @@ class PubSubClient(MessageEndpoint):
         entry = self._handlers.get(message["pattern"])
         if entry is not None:
             handler, _filters = entry
-            self.events_received += 1
             # A copy: every subscriber's frame carries the one event.
             handler(message["topic"], wire_plain(message["event"]))

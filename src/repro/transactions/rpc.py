@@ -82,7 +82,6 @@ class RpcEndpoint(MessageEndpoint):
         self._handlers: Dict[str, Handler] = {}
         self._rids = IdGenerator(f"rpc:{transport.local_address}")
         self._pending: Dict[str, _PendingCall] = {}
-        self.calls_made = 0
         self.calls_served = 0
         self.timeouts = 0
         self.admission_rejected = 0
@@ -200,12 +199,10 @@ class RpcEndpoint(MessageEndpoint):
         params: Optional[Mapping[str, Any]] = None,
     ) -> None:
         """Asynchronous one-way invocation: no reply, no completion signal."""
-        self.calls_made += 1
         self._send(destination, {"op": "notify", "method": method,
                                  "params": dict(params or {})})
 
     def _transmit_call(self, rid: str, pending: _PendingCall) -> None:
-        self.calls_made += 1
         with TRACER.activate(pending.span):
             self._send(
                 pending.destination,

@@ -88,8 +88,6 @@ class SharedObjectHost(MessageEndpoint):
         self._pending_by_key: Dict[str, int] = {}
         self._deferred_gets: Dict[str, List[Tuple[Address, Any]]] = {}
         self.reads_served = 0
-        self.writes_served = 0
-        self.invalidations_sent = 0
 
     def value(self, key: str) -> Any:
         stored = self._objects.get(key)
@@ -108,7 +106,6 @@ class SharedObjectHost(MessageEndpoint):
 
     def _on_put(self, source: Address, message: Dict[str, Any]) -> None:
         key = message["key"]
-        self.writes_served += 1
         if message.get("watch"):
             self._watchers.setdefault(key, set()).add(source)
         stored = self._objects.get(key)
@@ -147,7 +144,6 @@ class SharedObjectHost(MessageEndpoint):
 
     def _send_invalidate(self, watcher: Address, key: str, version: int,
                          wid: Optional[int]) -> None:
-        self.invalidations_sent += 1
         message: Dict[str, Any] = {"op": "invalidate", "key": key,
                                    "version": version}
         if wid is not None:

@@ -104,14 +104,12 @@ class StreamingSink:
         self._buffer: Dict[int, float] = {}  # seq -> arrival time
         self._playout_started = False
         self._playout_stopped = False
-        self._playout_epoch = 0.0
         self._next_seq = 0
         self._trailing_misses = 0
         self.frames_received = 0
         self.frames_played = 0
         self.late_drops = 0
         self.underruns = 0
-        self.duplicate_frames = 0
         self.latencies: List[float] = []
         transport.set_receiver(self._on_frame)
 
@@ -128,18 +126,14 @@ class StreamingSink:
         self.frames_received += 1
         if seq < self._next_seq:
             # Its playout slot already passed (or it's a duplicate).
-            if seq in self._buffer:
-                self.duplicate_frames += 1
-            else:
+            if seq not in self._buffer:
                 self.late_drops += 1
             return
         if seq in self._buffer:
-            self.duplicate_frames += 1
             return
         self._buffer[seq] = now
         if not self._playout_started:
             self._playout_started = True
-            self._playout_epoch = now + self.playout_delay_s
             self.transport.scheduler.schedule(self.playout_delay_s, self._play_tick)
 
     # --------------------------------------------------------------- playout

@@ -99,7 +99,6 @@ class Transaction:
         self.events = EventEmitter()
         self.deliveries = 0
         self.failures = 0
-        self.created_at: Optional[float] = None
         self.completed_at: Optional[float] = None
         self.transfers = 0
 

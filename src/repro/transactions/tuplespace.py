@@ -173,7 +173,6 @@ class TupleSpaceServer(MessageEndpoint):
         self._store = TupleStore()
         self._waiters: List[_Waiter] = []
         self.outs = 0
-        self.takes = 0
         self.reads = 0
 
     def __len__(self) -> int:
@@ -199,7 +198,6 @@ class TupleSpaceServer(MessageEndpoint):
             if template_matches(waiter.template, values):
                 self._reply(waiter.source, "tuple", waiter.rid, tuple=values)
                 if waiter.destructive:
-                    self.takes += 1
                     consumed = True
                 else:
                     self.reads += 1
@@ -222,9 +220,7 @@ class TupleSpaceServer(MessageEndpoint):
             else:
                 self._reply(source, "tuple", rid, tuple=None)
             return
-        if destructive:
-            self.takes += 1
-        else:
+        if not destructive:
             self.reads += 1
         # A copy: the receiver may get this very list by reference.
         self._reply(source, "tuple", rid, tuple=list(matched))

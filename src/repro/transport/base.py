@@ -19,7 +19,6 @@ from typing import Any, Callable, Optional, Protocol
 
 from repro.errors import AddressError, TransportClosedError
 from repro.interop.frames import FRAME_TYPES, WireFrame
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 
 
@@ -71,17 +70,14 @@ Receiver = Callable[[Address, bytes], None]
 def drop_malformed(endpoint: Any) -> None:
     """Count a frame ``endpoint`` could not parse; the caller then drops it.
 
-    The one place a malformed frame is counted, so ``malformed_frames`` and
-    ``transport.malformed{node}`` always agree: a corrupted, truncated or
-    wrongly-typed frame is a counted drop, never a raise through the loop.
-    ``MessageEndpoint._on_message`` (:mod:`repro.transport.endpoint`) calls
-    it for everything an op table can tell; the handlers whose verdict
-    needs their own state or two fields together call it themselves.
+    The one place a malformed frame is counted: a corrupted, truncated or
+    wrongly-typed frame is a counted drop in ``malformed_frames``, never a
+    raise through the loop. ``MessageEndpoint._on_message``
+    (:mod:`repro.transport.endpoint`) calls it for everything an op table
+    can tell; the handlers whose verdict needs their own state or two
+    fields together call it themselves.
     """
     endpoint.malformed_frames += 1
-    get_registry().counter(
-        "transport.malformed", node=endpoint.transport.local_address.node
-    ).inc()
 
 
 class Scheduler(Protocol):

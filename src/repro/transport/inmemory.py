@@ -44,7 +44,6 @@ class InMemoryFabric:
         self._rng = split_rng(seed, "inmemory-fabric")
         self._endpoints: Dict[Address, "InMemoryTransport"] = {}
         self.messages_dropped = 0
-        self.messages_delivered = 0
 
     def endpoint(self, node: str, port: str = "default") -> "InMemoryTransport":
         """Create (and register) an endpoint for ``node:port``."""
@@ -75,7 +74,6 @@ class InMemoryFabric:
         if endpoint is None or endpoint.closed:
             self.messages_dropped += 1
             return
-        self.messages_delivered += 1
         if TRACER.enabled:
             with TRACER.span("transport.deliver", parent=ctx,
                              node=destination.node, port=destination.port,

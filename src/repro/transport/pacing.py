@@ -5,9 +5,8 @@ This is the transport half of the overload-protection story (ROADMAP item
 a flow reserved on a shared :class:`~repro.scheduling.bandwidth
 .BandwidthAllocator`. Sends the reservation cannot carry *now* wait in a
 **bounded** FIFO queue and drain as tokens refill; when the queue is full
-the transport says "no" — the message is **shed** (counted, surfaced via
-``on_shed``, and visible as metrics) instead of growing memory without
-bound until the run ends.
+the transport says "no" — the message is **shed** (counted and surfaced via
+``on_shed``) instead of growing memory without bound until the run ends.
 
 Layering is the caller's choice:
 
@@ -24,10 +23,9 @@ sent, and the oldest — closest-to-transmitting — work is never wasted.
 Closing sheds whatever is still queued, so every send is sent, queued
 then sent, or shed.
 
-Metrics: ``transport.paced.sent`` / ``.queued`` / ``.shed`` counters and a
-``transport.paced.queue_depth`` gauge, labeled by node and flow;
-:attr:`max_queue_depth` records the high-water mark for bounded-memory
-invariants.
+Counters: the ``paced_sent``, ``queued``, ``shed`` and ``shed_oversize``
+slots; :attr:`queue_depth` is the live depth and :attr:`max_queue_depth`
+its high-water mark for bounded-memory invariants.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.scheduling.bandwidth import BandwidthAllocator
 from repro.transport.base import Address, Scheduler, Transport
@@ -103,12 +100,6 @@ class PacedTransport(Transport):
         self.shed = 0
         self.shed_oversize = 0
         self.max_queue_depth = 0
-        registry = get_registry()
-        labels = {"node": self._local.node, "flow": flow_id}
-        self._sent_counter = registry.counter("transport.paced.sent", **labels)
-        self._queued_counter = registry.counter("transport.paced.queued", **labels)
-        self._shed_counter = registry.counter("transport.paced.shed", **labels)
-        self._depth_gauge = registry.gauge("transport.paced.queue_depth", **labels)
         inner.set_receiver(self._dispatch)
 
     @property
@@ -129,7 +120,6 @@ class PacedTransport(Transport):
         bits = self._bits(payload)
         if not self._queue and self.allocator.try_send(self.flow_id, bits, now):
             self.paced_sent += 1
-            self._sent_counter.inc()
             self.inner.send(destination, payload)
             return
         if math.isinf(self.allocator.time_until_available(self.flow_id, bits, now)):
@@ -143,16 +133,13 @@ class PacedTransport(Transport):
             return
         self._queue.append((destination, payload, bits))
         self.queued += 1
-        self._queued_counter.inc()
         depth = len(self._queue)
-        self._depth_gauge.set(depth)
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
         self._schedule_drain(now)
 
     def _shed(self, destination: Address, payload: bytes, why: str) -> None:
         self.shed += 1
-        self._shed_counter.inc()
         if TRACER.enabled:
             TRACER.instant("transport.shed", node=self._local.node,
                            flow=self.flow_id, peer=destination.node, why=why)
@@ -179,9 +166,7 @@ class PacedTransport(Transport):
                 break
             self._queue.popleft()
             self.paced_sent += 1
-            self._sent_counter.inc()
             self.inner.send(destination, payload)
-        self._depth_gauge.set(len(self._queue))
         if self._queue:
             self._schedule_drain(now)
 
@@ -197,7 +182,6 @@ class PacedTransport(Transport):
         queued, self._queue = self._queue, deque()
         for destination, payload, _bits in queued:
             self._shed(destination, payload, why="closed")
-        self._depth_gauge.set(0)
         if self._owns_flow:
             self.allocator.release(self.flow_id, now=self.scheduler.now())
         self.inner.close()

@@ -32,7 +32,6 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.interop.frames import FRAME_TYPES, PrefixedFrame, split_frame
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER, SpanContext
 from repro.transport.base import Address, Scheduler, Transport
 from repro.transport.simnet import BROADCAST_NODE
@@ -128,7 +127,6 @@ class ReliableTransport(Transport):
         ] = {}
         self._recv: Dict[Address, _PeerReceiveState] = {}
         self.retransmissions = 0
-        self.duplicates_suppressed = 0
         self.acks_sent = 0
         self.give_ups = 0
         self.malformed_frames = 0
@@ -220,7 +218,6 @@ class ReliableTransport(Transport):
             # Ack again — the original ack may have been lost.
             self.acks_sent += 1
             self.inner.send(source, ACK_FLAG + _SEQ.pack(seq))
-            self.duplicates_suppressed += 1
             if TRACER.enabled:
                 TRACER.instant("transport.duplicate",
                                node=self._local.node, peer=source.node, seq=seq)
@@ -241,8 +238,6 @@ class ReliableTransport(Transport):
 
     def _drop_malformed(self, source: Address, why: str) -> None:
         self.malformed_frames += 1
-        get_registry().counter("transport.malformed",
-                               node=self._local.node).inc()
         if TRACER.enabled:
             TRACER.instant("transport.malformed", node=self._local.node,
                            peer=source.node, why=why)

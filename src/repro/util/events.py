@@ -26,20 +26,17 @@ class HandlerErrors(Exception):
             f"{len(errors)} handler(s) failed for event {event!r}: "
             + "; ".join(repr(e) for e in errors)
         )
-        self.event = event
-        self.errors = errors
 
 
 class Subscription:
     """A handle returned by :meth:`EventEmitter.on`; call cancel() to detach."""
 
-    __slots__ = ("emitter", "event", "handler", "token")
+    __slots__ = ("emitter", "event", "token")
 
-    def __init__(self, emitter: "EventEmitter", event: str, handler: Handler,
+    def __init__(self, emitter: "EventEmitter", event: str,
                  token: int = 0) -> None:
         self.emitter = emitter
         self.event = event
-        self.handler = handler
         self.token = token
 
     def cancel(self) -> None:
@@ -58,7 +55,7 @@ class EventEmitter:
         token = self._next_token
         self._next_token += 1
         self._handlers.setdefault(event, []).append((token, handler))
-        return Subscription(self, event, handler, token)
+        return Subscription(self, event, token)
 
     def once(self, event: str, handler: Handler) -> Subscription:
         """Subscribe for a single delivery."""

@@ -44,7 +44,6 @@ from repro.errors import ConfigurationError
 from repro.netsim import topology
 from repro.netsim.failures import FailureInjector
 from repro.obs.export import canonical_json
-from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 from repro.qos.spec import SupplierQoS
 from repro.recovery.heartbeat import HeartbeatDetector
@@ -708,21 +707,7 @@ class ChaosCampaign:
         }
 
     def _publish(self, scorecard: Dict[str, Any]) -> None:
-        """Mirror headline scorecard numbers into the metrics registry."""
-        registry = get_registry()
-        labels = {"mix": self.spec.mix, "seed": str(self.spec.seed)}
-        registry.gauge("chaos.delivery_ratio", **labels).set(
-            scorecard["delivery"]["ratio"]
-        )
-        registry.gauge("chaos.violations", **labels).set(
-            len(scorecard["violations"])
-        )
-        registry.counter("chaos.give_ups", **labels).inc(
-            scorecard["delivery"]["give_ups"]
-        )
-        registry.counter("chaos.malformed_frames", **labels).inc(
-            scorecard["malformed_frames"]
-        )
+        """Mark the campaign's end and verdict on the trace."""
         TRACER.instant(
             "chaos.campaign_end", mix=self.spec.mix, seed=self.spec.seed,
             ok=scorecard["ok"], violations=len(scorecard["violations"]),

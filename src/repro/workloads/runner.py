@@ -1,8 +1,7 @@
 """Compile ``(archetype, traffic, seed)`` into a run; emit a scorecard.
 
 The determinism contract: a scorecard is a pure function of
-``(scenario name, seed)`` plus the explicit spec overrides. The runner
-resets the process-wide metrics registry at the start of every run, all
+``(scenario name, seed)`` plus the explicit spec overrides. All
 randomness flows through label-split streams of the seed, and all times
 are virtual — so two runs of the same spec produce byte-identical
 canonical scorecards (:func:`repro.workloads.scorecard.canonical_bytes`),
@@ -23,7 +22,7 @@ import math
 from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import Histogram
 from repro.obs.tracing import TRACER
 from repro.workloads.mixes import compose
 from repro.workloads.registry import (
@@ -87,8 +86,6 @@ class ScenarioRun:
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
-        self.registry = get_registry()
-        self.registry.reset()
 
         self.archetype: Archetype = ARCHETYPES[spec.archetype].factory(spec.seed)
         self.archetype.record_history = spec.record_history
@@ -98,9 +95,7 @@ class ScenarioRun:
                 f"archetype {spec.archetype!r} did not set self.network"
             )
         self.sim = self.archetype.network.sim
-        self.latency = self.registry.histogram(
-            "workload.latency_s", scenario=spec.name
-        )
+        self.latency = Histogram()
 
         # Per-node energy baseline (finite batteries only).
         self._battery_start: Dict[str, float] = {}
@@ -212,7 +207,8 @@ class ScenarioRun:
                 f"scenario {spec.name!r} produced an invalid scorecard: "
                 + "; ".join(problems)
             )
-        self._publish(card)
+        TRACER.instant("workload.end", scenario=spec.name, seed=spec.seed,
+                       ok=card["ok"])
         self.archetype.close()
         return card
 
@@ -279,22 +275,6 @@ class ScenarioRun:
             "archetype_detail": detail,
             "ok": not violations,
         }
-
-    def _publish(self, card: Dict[str, Any]) -> None:
-        labels = {"scenario": self.spec.name, "seed": str(self.spec.seed)}
-        self.registry.gauge("workload.goodput_per_s", **labels).set(
-            card["goodput"]["ok_per_s"]
-        )
-        self.registry.counter("workload.slo_violations", **labels).inc(
-            card["slo"]["violations"]
-        )
-        self.registry.counter("workload.refused", **labels).inc(
-            card["drops"]["refused"]
-        )
-        TRACER.instant(
-            "workload.end", scenario=self.spec.name, seed=self.spec.seed,
-            ok=card["ok"],
-        )
 
 
 def run_scenario(name: str, seed: int = 0, **overrides: Any) -> Dict[str, Any]:

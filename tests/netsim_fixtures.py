@@ -5,14 +5,14 @@ the connectivity graph is one component, so a multi-hop test never starts
 partitioned; ``is_connected`` is the check a built network passes.
 ``points_connected`` rejects a disconnected placement from raw
 coordinates, deciding range with the medium's squared compare, before a
-network is built. ``clustered`` lays out piconet-style groups on a line.
-``set_position`` pins a node where a test wants it, and
-``detach`` takes one off the medium; ``recharge`` and
+network is built.
+``set_position`` pins a node where a test wants it, ``detach`` takes one
+off the medium and ``unindex`` off a position index; ``recharge`` and
 ``serialization_delay`` are the energy and airtime arithmetic tests check
 against.
 """
 
-from math import cos, floor, pi, sin
+from math import floor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -20,7 +20,7 @@ from repro.netsim.energy import Battery
 from repro.netsim.medium import RadioProfile, WIFI_80211, WirelessMedium
 from repro.netsim.network import Network
 from repro.netsim.node import Node
-from repro.netsim.spatialindex import _SLIVER
+from repro.netsim.spatialindex import _SLIVER, PositionIndex
 from repro.util.geometry import Point
 from repro.util.rng import split_rng
 
@@ -120,8 +120,14 @@ def detach(medium: WirelessMedium, node_id: str) -> None:
     if node is None:
         return
     node._medium = None
-    medium._index.remove(node_id)
+    unindex(medium._index, node_id)
     medium._static_neighbourhoods.clear()
+
+
+def unindex(index: PositionIndex, node_id: str) -> None:
+    """Drop ``node_id`` from ``index``; an unknown id is ignored."""
+    if index._node_of.pop(node_id, None) is not None:
+        index._declassify(node_id)
 
 
 def recharge(battery: Battery, joules: float) -> None:
@@ -135,23 +141,3 @@ def serialization_delay(profile: RadioProfile, size_bits: int) -> float:
     """Seconds a frame of ``size_bits`` occupies the radio."""
     return size_bits / profile.bandwidth_bps
 
-
-def clustered(n_clusters: int, nodes_per_cluster: int,
-              cluster_radius: float = 8.0,
-              cluster_spacing: float = 80.0) -> Network:
-    """Clusters of nodes (Bluetooth-piconet-style groups) on a line.
-
-    Cluster ``k`` has a head ``c<k>_head`` at the cluster center and members
-    ``c<k>_m<i>`` scattered within ``cluster_radius`` of it.
-    """
-    rng = split_rng(0, "topology:clustered")
-    network = Network()
-    for k in range(n_clusters):
-        center = Point(k * cluster_spacing, 0.0)
-        network.add_node(f"c{k}_head", position=center)
-        for i in range(nodes_per_cluster):
-            angle = rng.uniform(0, 2 * pi)
-            r = rng.uniform(0, cluster_radius)
-            network.add_node(f"c{k}_m{i}", position=Point(
-                center.x + r * cos(angle), center.y + r * sin(angle)))
-    return network

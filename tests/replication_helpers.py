@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Set
 
-from repro.obs.metrics import get_registry
 from repro.replication.client import GroupClient, ShardedClient
 from repro.replication.replica import (
     ReplicaNode,
@@ -72,7 +71,6 @@ class GroupHarness:
         port: str = "g",
         max_attempts: Optional[int] = 12,
     ):
-        get_registry().reset()
         self.fabric = PartitionableFabric(latency_s=latency_s)
         self.sim = self.fabric.sim
         self.port = port
@@ -145,7 +143,6 @@ class ShardedHarness:
         params: Optional[ReplicationParams] = None,
         latency_s: float = 0.005,
     ):
-        get_registry().reset()
         self.fabric = PartitionableFabric(latency_s=latency_s)
         self.sim = self.fabric.sim
         self.node_ids = [f"r{i}" for i in range(n)]

@@ -99,8 +99,8 @@ class TestCapstoneDeployment:
         live_states = {p.result().state.value for p in transactions}
         assert live_states <= {"active"}
         # The bus saw the churn.
-        assert bus.registry.counter_total("node.crashed") == 3
-        assert bus.registry.counter_total("node.recovered") == 3
+        assert bus.registry.counter("node.crashed").value == 3
+        assert bus.registry.counter("node.recovered").value == 3
 
     def test_handoff_with_bandwidth_boost(self):
         """HandoffManager + BandwidthAllocator integration: the departing

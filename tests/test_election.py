@@ -2,7 +2,6 @@
 
 import json
 
-from repro.obs.metrics import get_registry
 from repro.replication.client import GroupClient
 from repro.transport.base import Address
 
@@ -68,7 +67,7 @@ class TestEdgeCases:
         assert h.primaries() == ["r2"]
         for node in ("r0", "r1"):
             assert h.replicas[node].leader == "r2"
-        assert get_registry().counter_total("repl.election.rounds") >= 2
+        assert sum(r.election.rounds for r in h.replicas.values()) >= 2
         h.close()
 
     def test_coordinator_crash_mid_election(self):
@@ -207,7 +206,7 @@ class TestDeterminism:
             "events": events,
             "acks": [p.fulfilled for p in promises + [late]],
             "client": h.client.stats(),
-            "rounds": get_registry().counter_total("repl.election.rounds"),
+            "rounds": sum(r.election.rounds for r in h.replicas.values()),
         }
         h.close()
         return json.dumps(summary, sort_keys=True).encode()

@@ -7,11 +7,6 @@ from repro.netsim.energy import Battery, RadioEnergyModel, mains_battery
 from tests.netsim_fixtures import recharge
 
 
-def idle_cost(model, duration):
-    """Energy (J) for ``duration`` seconds of idle listening."""
-    return model.idle_power * max(0.0, duration)
-
-
 class TestRadioEnergyModel:
     def test_tx_cost_grows_with_distance(self):
         model = RadioEnergyModel()
@@ -39,11 +34,6 @@ class TestRadioEnergyModel:
             RadioEnergyModel().tx_cost(-1, 10.0)
         with pytest.raises(ConfigurationError):
             RadioEnergyModel().rx_cost(-1)
-
-    def test_idle_cost(self):
-        model = RadioEnergyModel(idle_power=0.01)
-        assert idle_cost(model, 10.0) == pytest.approx(0.1)
-        assert idle_cost(model, -5.0) == 0.0
 
 
 class TestBattery:

@@ -157,8 +157,8 @@ class TestBibliometrics:
         corpus = CorpusGenerator(seed=0, noise=0.0).generate()
         engine = QueryEngine(corpus)
         # "wireless network" papers also match "network", not vice versa.
-        wireless = set(p.paper_id for p in engine.search("wireless network"))
-        network = set(p.paper_id for p in engine.search("network"))
+        wireless = set(map(id, engine.search("wireless network")))
+        network = set(map(id, engine.search("network")))
         assert wireless <= network
         assert len(network) > len(wireless)
 

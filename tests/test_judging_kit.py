@@ -1078,3 +1078,272 @@ def test_the_function_contract_on_a_toy_tree(tmp_path):
     # are not; ``main`` has no caller either.
     assert uncalled("src") == sorted(hits + ["toy.use:main"])
     assert uncalled("src", "examples") == uncalled("src")
+
+
+# ----------------------------------------- every stored attribute has a reader
+
+
+def _stores(paths):
+    """``(module, owner class or None, attr, function name or None, value)``
+    for each ``<expr>.attr`` stored in ``paths`` (``(module, file)`` pairs);
+    ``value`` is the expression a plain assignment stores, else None."""
+    found = []
+
+    class Stores(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.owner, self.function = module, None, None
+
+        def store(self, node, value):
+            found.append((self.module, self.owner, node.attr, self.function,
+                          value))
+
+        def visit_ClassDef(self, node):
+            outer, self.owner = self.owner, node.name
+            self.generic_visit(node)
+            self.owner = outer
+
+        def visit_FunctionDef(self, node):
+            outer, self.function = self.function, node.name
+            self.generic_visit(node)
+            self.function = outer
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Assign(self, node):
+            for target in node.targets:
+                if isinstance(target, ast.Attribute):
+                    self.store(target, node.value)
+                    self.visit(target.value)
+                else:
+                    self.visit(target)
+            self.visit(node.value)
+
+        def visit_Attribute(self, node):
+            if isinstance(node.ctx, ast.Store):
+                self.store(node, None)
+            self.generic_visit(node)
+
+    for module, path in paths:
+        Stores(module).visit(parsed(path))
+    return found
+
+
+def _modules(root):
+    root = Path(root).resolve()
+    return [(".".join(path.relative_to(root.parent).with_suffix("").parts),
+             path) for path in sorted(root.rglob("*.py"))]
+
+
+def _catalogued(tree):
+    """The attribute of each row of a module-level ``COUNTERS`` table:
+    ``name: (owner, attribute, unit, layer, meaning)``."""
+    attributes = []
+    for node in tree.body:
+        targets = ([node.target] if isinstance(node, ast.AnnAssign)
+                   else getattr(node, "targets", []))
+        if "COUNTERS" in map(_name, targets) and isinstance(node.value, ast.Dict):
+            attributes.extend(row.elts[1].value for row in node.value.values
+                              if isinstance(row, ast.Tuple) and len(row.elts) > 1
+                              and isinstance(row.elts[1], ast.Constant))
+    return attributes
+
+
+def unread_attributes(src_root, caller_roots):
+    """``module:Owner.attr`` for each attribute stored under ``src_root``
+    that no file under ``caller_roots`` reads.
+
+    A read is a load of the same name (``x.attr``), a ``getattr`` string,
+    a load of ``__slots__`` inside a class (which reads every slot it
+    declares), or a row of a ``COUNTERS`` table, the declared catalogue of
+    counters kept for a reader outside the library. A store is an
+    assignment, augmented or not, to ``<expr>.attr``; its owner is the
+    class it sits in. Resolution is by name, so it can only undercount.
+    """
+    reads = set()
+    for path in dict.fromkeys(path for root in caller_roots
+                              for path in sorted(Path(root).resolve().rglob("*.py"))):
+        tree = parsed(path)
+        reads.update(_catalogued(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call) and _name(node.func) == "getattr"
+                  and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                reads.add(node.args[1].value)
+            elif isinstance(node, ast.ClassDef) and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "__slots__"
+                    for sub in ast.walk(node)):
+                reads.update(sub.value for stmt in node.body
+                             if isinstance(stmt, ast.Assign)
+                             and "__slots__" in map(_name, stmt.targets)
+                             for sub in ast.walk(stmt.value)
+                             if isinstance(sub, ast.Constant))
+    return sorted({f"{module}:{owner}.{attr}" if owner else f"{module}:{attr}"
+                   for module, owner, attr, _function, _value
+                   in _stores(_modules(src_root)) if attr not in reads})
+
+
+def frozen_flags(src_root, caller_roots):
+    """``module:Owner.attr`` for each attribute a branch under ``src_root``
+    tests that is only ever assigned a constant, in an ``__init__``.
+
+    A branch tests an attribute when it loads it in the condition of an
+    ``if``, ``while``, conditional expression or ``assert``. Every store of
+    the name under ``src_root`` and ``caller_roots`` must be a plain
+    assignment of a literal inside an ``__init__`` for the flag to be
+    frozen; resolution is by name, so it can only undercount.
+    """
+    modules = _modules(src_root)
+    own = {path for _module, path in modules}
+    stores = {}  # attr -> [(module, owner, attr, function, value)]
+    for store in _stores(modules + [
+            (None, path) for root in caller_roots
+            for path in sorted(Path(root).resolve().rglob("*.py"))
+            if path not in own]):
+        stores.setdefault(store[2], []).append(store)
+    tested = {sub.attr for _module, path in modules
+              for node in ast.walk(parsed(path))
+              if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert))
+              for sub in ast.walk(node.test)
+              if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    return sorted({f"{module}:{owner}.{attr}"
+                   for name in tested & set(stores)
+                   if all(function == "__init__" and isinstance(value, ast.Constant)
+                          for _m, _o, _a, function, value in stores[name])
+                   for module, owner, attr, _function, _value in stores[name]
+                   if module is not None})
+
+
+def test_every_attribute_has_a_reader():
+    """Something other than pytest reads every attribute ``src/repro``
+    stores: a load under ``src/``, ``examples/`` or ``benchmarks/``, or a
+    row of ``repro.obs.metrics.COUNTERS``, the declared catalogue of the
+    counters kept for readers outside the library. A write-only attribute
+    is deleted or declared. Computed from the tree."""
+    root = SRC.parent.parent
+    callers = [root / top for top in ("src", "examples", "benchmarks")]
+    assert unread_attributes(SRC, callers) == []
+
+
+def test_no_flag_is_frozen():
+    """No branch under ``src/repro`` tests an attribute that only ever holds
+    the constant its ``__init__`` gave it: such a branch always goes one
+    way. Computed from the tree."""
+    root = SRC.parent.parent
+    callers = [root / top for top in ("src", "examples", "benchmarks")]
+    assert frozen_flags(SRC, callers) == []
+
+
+def test_every_counter_row_names_a_stored_attribute():
+    """Each ``COUNTERS`` row names a class under ``src/repro`` that stores
+    the attribute, with a unit, a layer and a meaning; a row whose class or
+    attribute is gone fails by name."""
+    from repro.obs.metrics import COUNTERS
+
+    stored = {}  # class name -> the attributes it stores or declares
+    for path in SRC.rglob("*.py"):
+        for cls in ast.walk(parsed(path)):
+            if isinstance(cls, ast.ClassDef):
+                names = stored.setdefault(cls.name, set())
+                names.update(node.attr for node in ast.walk(cls)
+                             if isinstance(node, ast.Attribute)
+                             and isinstance(node.ctx, ast.Store))
+                names.update(_name(stmt.targets[0]) for stmt in cls.body
+                             if isinstance(stmt, ast.Assign))
+    missing = [name for name, (owner, attribute, unit, layer, meaning)
+               in COUNTERS.items()
+               if attribute not in stored.get(owner, ())
+               or not (unit and layer and meaning)
+               or not name.startswith(layer.split(".")[0] + ".")]
+    assert missing == []
+
+
+def test_the_attribute_contracts_on_a_toy_tree(tmp_path):
+    tree = {
+        "src/toy/lib.py": (
+            "class Meter:\n"
+            "    def __init__(self, limit):\n"
+            "        self.count = 0\n"
+            "        self.spare = 0\n"
+            "        self.peak = 0\n"
+            "        self.label = ''\n"
+            "        self.tested = 0\n"
+            "    def bump(self):\n"
+            "        self.count += 1\n"
+            "        self.spare += 1\n"
+            "class Record:\n"
+            "    __slots__ = ('a', 'b')\n"
+            "    def __init__(self):\n"
+            "        self.a, self.b = 1, 2\n"
+            "    def fields(self):\n"
+            "        return tuple(getattr(self, n) for n in self.__slots__)\n"
+            "def configure(obj):\n"
+            "    obj.mode = 1\n"
+            "COUNTERS = {'toy.label': ('Meter', 'label', 'chars', 'toy', 'x')}\n"),
+        "src/toy/link.py": (
+            "class Link:\n"
+            "    def __init__(self, limit):\n"
+            "        self._up = True\n"
+            "        self.open = True\n"
+            "        self.kind = 'wire'\n"
+            "        self.limit = limit\n"
+            "        self.ready = False\n"
+            "    def send(self):\n"
+            "        if not self._up or not self.open:\n"
+            "            return self.kind\n"
+            "        while self.limit:\n"
+            "            self.limit -= 1\n"
+            "        return 1 if self.ready else 2\n"
+            "    def close(self):\n"
+            "        self.open = False\n"),
+        "src/toy/use.py": (
+            "def main(m):\n"
+            "    return m.count, getattr(m, 'peak')\n"),
+        "examples/demo.py": (
+            "from toy.link import Link\n"
+            "link = Link(3)\n"
+            "link.ready = True\n"),
+        "tests/test_toy.py": (
+            "from toy.lib import Meter\n"
+            "assert Meter(1).tested == 0\n"),
+    }
+    for name, text in tree.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    src = tmp_path / "src" / "toy"
+
+    def unread(*roots):
+        return unread_attributes(src, [tmp_path / root for root in roots])
+
+    def frozen(*roots):
+        return frozen_flags(src, [tmp_path / root for root in roots])
+
+    # Stored is not read: with no readers every store is a hit.
+    assert unread() == [
+        "toy.lib:Meter.count", "toy.lib:Meter.label", "toy.lib:Meter.peak",
+        "toy.lib:Meter.spare", "toy.lib:Meter.tested", "toy.lib:Record.a",
+        "toy.lib:Record.b", "toy.lib:mode", "toy.link:Link._up",
+        "toy.link:Link.kind", "toy.link:Link.limit", "toy.link:Link.open",
+        "toy.link:Link.ready"]
+    # A load, a getattr literal, a ``__slots__`` walk and a ``COUNTERS`` row
+    # are reads; an augmented store is none, and a test is no reader.
+    assert unread("src") == ["toy.lib:Meter.spare", "toy.lib:Meter.tested",
+                             "toy.lib:mode"]
+    assert unread("src", "examples") == unread("src")
+    # ``_up`` is only ever the constant its __init__ gave it; ``open`` is
+    # closed later, ``limit`` is a parameter, ``kind`` is never tested, and
+    # an example sets ``ready``.
+    assert frozen("src") == ["toy.link:Link._up", "toy.link:Link.ready"]
+    assert frozen("src", "examples") == ["toy.link:Link._up"]
+
+
+#: ``docs/ARCHITECTURE.md``'s length in lines: a section arrives only by
+#: taking text out. Lowered, never raised, as the document is cut down.
+ARCHITECTURE_LINES = 1555
+
+
+def test_the_architecture_document_does_not_grow():
+    text = (SRC.parent.parent / "docs" / "ARCHITECTURE.md").read_text()
+    assert len(text.splitlines()) <= ARCHITECTURE_LINES

@@ -33,12 +33,6 @@ from repro.errors import ConfigurationError
 from repro.qos.spec import SupplierQoS
 
 
-def hardest_state(requirements):
-    """The state with the largest total requirement (sizing worst case)."""
-    return max(requirements.by_state,
-               key=lambda s: (sum(requirements.by_state[s].values()), s))
-
-
 def fleet():
     return [
         SensorInfo("bp-cuff", {"blood_pressure": 0.95}, active_power_w=0.02, energy_j=10.0),
@@ -99,13 +93,6 @@ class TestRequirements:
             VariableRequirements().require("s", "v", 0.0)
         with pytest.raises(ConfigurationError):
             VariableRequirements().require("s", "v", 1.1)
-
-    def test_hardest_state(self):
-        reqs = (VariableRequirements()
-                .require("easy", "a", 0.5)
-                .require("hard", "a", 0.9)
-                .require("hard", "b", 0.9))
-        assert hardest_state(reqs) == "hard"
 
     def test_variables_union(self):
         reqs = (VariableRequirements()

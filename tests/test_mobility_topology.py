@@ -16,7 +16,7 @@ from repro.netsim.mobility import (
 )
 from repro.netsim.network import Network
 from repro.util.geometry import Point
-from tests.netsim_fixtures import clustered, is_connected, random_geometric
+from tests.netsim_fixtures import is_connected, random_geometric
 
 
 class TestMobility:
@@ -131,16 +131,6 @@ class TestTopology:
         a = random_geometric(15, seed=2)
         b = random_geometric(15, seed=2)
         assert [n.position for n in a.nodes()] == [n.position for n in b.nodes()]
-
-    def test_clustered_structure(self):
-        network = clustered(3, 4, cluster_radius=5, cluster_spacing=200)
-        assert len(network) == 3 * 5  # head + 4 members per cluster
-        # Members are near their own head, far from other heads.
-        head = network.node("c0_head")
-        member = network.node("c0_m0")
-        other_head = network.node("c2_head")
-        assert head.distance_to(member) <= 5.0
-        assert member.distance_to(other_head) > 100
 
     def test_battery_factory_applied(self):
         from repro.netsim.energy import Battery

@@ -38,8 +38,8 @@ class TestSystemEventBus:
         bus.publish("qos.violated", {})
         bus.publish("qos.violated", {})
         bus.publish("qos.repaired", {})
-        assert bus.registry.counter_total("qos.violated") == 2
-        assert bus.registry.counter_total("qos.repaired") == 1
+        assert bus.registry.counter("qos.violated").value == 2
+        assert bus.registry.counter("qos.repaired").value == 1
 
     def test_history_query(self):
         bus = SystemEventBus()
@@ -73,7 +73,7 @@ class TestSystemEventBus:
 
     def test_watch_contract(self):
         bus = SystemEventBus()
-        contract = QoSContract("c1", "x", "sup-1",
+        contract = QoSContract("c1", "sup-1",
                                ContractTerms(min_observations=3))
         bus.watch_contract(contract)
         for _ in range(5):

@@ -18,7 +18,7 @@ from repro.obs import (
     subsystems,
     validate_chrome_trace,
 )
-from repro.obs.metrics import Summary, nearest_rank
+from repro.obs.metrics import Histogram, Summary, nearest_rank
 from repro.obs.report import main as report_main
 
 
@@ -119,43 +119,37 @@ def test_finish_all_closes_open_spans():
 # ------------------------------------------------------------------ metrics
 
 
-def test_registry_counters_gauges_histograms():
+def test_registry_counters_and_histogram():
     registry = MetricsRegistry()
-    registry.counter("tx.sent", node="a").inc()
-    registry.counter("tx.sent", node="a").inc(2)
-    registry.counter("tx.sent", node="b").inc()
-    assert registry.counter("tx.sent", node="a").value == 3
-    assert registry.counter_total("tx.sent") == 4
+    registry.counter("tx.sent").inc()
+    registry.counter("tx.sent").inc()
+    registry.counter("rx.lost").inc()
+    assert registry.counter("tx.sent").value == 2
+    assert registry.render("totals").splitlines() == [
+        "totals", "------", "rx.lost  1", "tx.sent  2"]
 
-    gauge = registry.gauge("battery", node="a")
-    gauge.set(0.5)
-    gauge.inc(0.25)
-    assert gauge.value == 0.75
-
-    hist = registry.histogram("latency")
+    hist = Histogram()
     for ms in (1, 2, 3, 4, 100):
         hist.observe(ms * 1e-3)
-    summary = hist.summary()
-    assert summary["count"] == 5
-    assert summary["min"] <= summary["p50"] <= summary["p95"] <= summary["p99"]
-    assert summary["p99"] <= summary["max"]
-    assert "tx.sent" in registry.render()
+    assert hist.count == 5
+    quantiles = [hist.quantile(q) for q in (0.0, 0.5, 0.95, 0.99, 1.0)]
+    assert quantiles == sorted(quantiles)
+    assert hist.minimum <= quantiles[0] and quantiles[-1] == hist.maximum
 
 
-def test_registry_get_or_create_is_keyed_by_labels():
+def test_registry_get_or_create_is_keyed_by_name():
     registry = MetricsRegistry()
-    a = registry.counter("c", node="a")
-    assert registry.counter("c", node="a") is a
-    assert registry.counter("c", node="b") is not a
-    assert registry.counter("c") is not a
+    a = registry.counter("c")
+    assert registry.counter("c") is a
+    assert registry.counter("d") is not a
 
 
 def test_event_bus_counts_through_registry():
     bus = SystemEventBus()
     bus.publish("node.crashed", {"node": "n1"})
     bus.publish("node.crashed", {"node": "n2"})
-    assert bus.registry.counter_total("node.crashed") == 2
-    assert bus.registry.counter_total("node.recovered") == 0
+    assert bus.registry.counter("node.crashed").value == 2
+    assert bus.registry.counter("node.recovered").value == 0
 
 
 # ------------------------------------------------------------------ export
@@ -248,15 +242,13 @@ def test_loop_profiler_attributes_callbacks():
 def test_empty_histogram_quantiles_are_zero():
     """A histogram with no samples answers 0.0, never raises — scorecards
     from zero-traffic windows read percentiles unconditionally."""
-    hist = MetricsRegistry().histogram("latency")
+    hist = Histogram()
     for q in (0.0, 0.5, 0.95, 0.99, 1.0):
         assert hist.quantile(q) == 0.0
-    assert hist.summary() == {"count": 0, "mean": 0.0, "min": 0.0,
-                              "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
 
 
 def test_single_sample_histogram_quantiles_are_that_sample():
-    hist = MetricsRegistry().histogram("latency")
+    hist = Histogram()
     hist.observe(0.0137)
     for q in (0.0, 0.5, 0.95, 0.99, 1.0):
         assert hist.quantile(q) == pytest.approx(0.0137)
@@ -299,7 +291,6 @@ def test_summary_of_static():
     summary = Summary.of([3.0, 1.0, 2.0, 100.0, 4.0])
     assert (summary.minimum, summary.p50, summary.maximum) == (1.0, 3.0, 100.0)
     assert summary.count == 5
-    assert summary.mean == pytest.approx(22.0)
 
 
 def test_summary_p95_p99():
@@ -308,6 +299,6 @@ def test_summary_p95_p99():
 
 
 def test_histogram_quantile_still_rejects_out_of_range_q():
-    hist = MetricsRegistry().histogram("latency")
+    hist = Histogram()
     with pytest.raises(ValueError):
         hist.quantile(1.5)

@@ -20,7 +20,6 @@ from repro.core import (
 )
 from repro.core.policy import health_monitor_policy
 from repro.errors import AdmissionRefused, ConfigurationError
-from repro.obs.metrics import get_registry
 from repro.qos import AdmissionController, PriorityClass
 from repro.replication.client import GroupClient
 from repro.scheduling.bandwidth import BandwidthAllocator
@@ -90,9 +89,6 @@ class TestPacedTransport:
         shed = []
         fabric, _, paced, got = paced_pair(
             on_shed=lambda dest, payload: shed.append(payload))
-        counter = get_registry().counter("transport.paced.shed",
-                                         node="a", flow="flow")
-        before = counter.value
         paced.send(Address("b", "p"), b"x" * 100)  # the whole 800-bit burst
         for i in range(3):
             paced.send(Address("b", "p"), bytes([i]) * 50)
@@ -100,7 +96,6 @@ class TestPacedTransport:
         paced.close()
         assert paced.shed == 3 and paced.queue_depth == 0
         assert shed == [bytes([i]) * 50 for i in range(3)]
-        assert counter.value - before == 3
         fabric.sim.run_until(10.0)
         assert got == [b"x" * 100]
 

@@ -160,14 +160,14 @@ class TestScoreMatch:
 
 class TestContract:
     def test_no_judgment_before_min_observations(self):
-        contract = QoSContract("c", "consumer", "supplier",
+        contract = QoSContract("c", "supplier",
                                ContractTerms(min_observations=5))
         for _ in range(4):
             contract.observe_failure()
         assert not contract.violated
 
     def test_violation_fires_once(self):
-        contract = QoSContract("c", "x", "y",
+        contract = QoSContract("c", "y",
                                ContractTerms(min_success_rate=0.9, min_observations=5))
         events = []
         contract.events.on("violated", lambda c: events.append("violated"))
@@ -178,7 +178,7 @@ class TestContract:
 
     def test_repair_event(self):
         terms = ContractTerms(min_success_rate=0.5, window=10, min_observations=5)
-        contract = QoSContract("c", "x", "y", terms)
+        contract = QoSContract("c", "y", terms)
         events = []
         contract.events.on("repaired", lambda c: events.append("repaired"))
         for _ in range(10):
@@ -190,13 +190,13 @@ class TestContract:
 
     def test_latency_term_enforced(self):
         terms = ContractTerms(max_mean_latency_s=0.1, min_observations=3)
-        contract = QoSContract("c", "x", "y", terms)
+        contract = QoSContract("c", "y", terms)
         for _ in range(5):
             contract.observe(0.5, success=True)
         assert contract.violated
 
     def test_reset_window_clears_state(self):
-        contract = QoSContract("c", "x", "y", ContractTerms(min_observations=3))
+        contract = QoSContract("c", "y", ContractTerms(min_observations=3))
         for _ in range(5):
             contract.observe_failure()
         assert contract.violated
@@ -285,7 +285,7 @@ class TestDegradation:
 class TestQoSMonitor:
     def test_aggregates_violations(self):
         monitor = QoSMonitor()
-        contract = QoSContract("c1", "x", "y", ContractTerms(min_observations=3))
+        contract = QoSContract("c1", "y", ContractTerms(min_observations=3))
         monitor.register(contract)
         violations = []
         monitor.events.on("violated", lambda c: violations.append(c.contract_id))
@@ -296,8 +296,8 @@ class TestQoSMonitor:
 
     def test_system_success_rate(self):
         monitor = QoSMonitor()
-        good = QoSContract("g", "x", "y", ContractTerms(min_observations=2))
-        bad = QoSContract("b", "x", "z", ContractTerms(min_observations=2))
+        good = QoSContract("g", "y", ContractTerms(min_observations=2))
+        bad = QoSContract("b", "z", ContractTerms(min_observations=2))
         monitor.register(good)
         monitor.register(bad)
         for _ in range(4):

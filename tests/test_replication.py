@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import ConfigurationError, DeliveryError, TransactionAborted
-from repro.obs.metrics import get_registry
 from repro.replication.client import GroupClient
 from repro.replication.log import LogEntry, OpLog
 from repro.replication.replica import (
@@ -356,7 +355,7 @@ class TestCatchUp:
         h.run_for(3.0)
         assert h.converged()
         assert h.replicas["r0"].log.snapshot_index > 0
-        assert get_registry().counter_total("repl.log.catchups") >= 1
+        assert sum(r.catchups for r in h.replicas.values()) >= 1
         h.close()
 
     def test_a_retry_after_a_snapshot_install_is_not_applied_again(self):
@@ -459,7 +458,6 @@ class TestAtMostOnceCache:
         ("c3", ("out", (("y", 1),)))], 5))
     def test_the_cache_answers_as_a_dict_of_last_answers(self, run):
         factory, steps, install_at = run
-        get_registry().reset()
         fabric = InMemoryFabric(latency_s=0.001)
         replicas = deploy_group(fabric.endpoint, ["r0", "r1"], factory,
                                 port="g", params=FAST)
@@ -504,7 +502,7 @@ class TestReadModes:
         read = h.client.read("read", "k", mode="primary")
         h.run_for(1.0)
         assert read.result() == "v1"
-        assert get_registry().counter_total("repl.reads.primary") >= 1
+        assert sum(r.reads_primary for r in h.replicas.values()) >= 1
         h.close()
 
     def test_any_reads_are_served_by_backups(self):
@@ -514,7 +512,7 @@ class TestReadModes:
         reads = [h.client.read("read", "k", mode="any") for _ in range(4)]
         h.run_for(1.0)
         assert all(r.result() == "v1" for r in reads)
-        assert get_registry().counter_total("repl.reads.backup") >= 4
+        assert sum(r.reads_backup for r in h.replicas.values()) >= 4
         h.close()
 
     def test_ryw_read_bounces_off_stale_backup_to_primary(self):
@@ -529,14 +527,13 @@ class TestReadModes:
         h.run_for(1.0)
         assert read.result() == "v1"
         assert h.client.stale_retries >= 1
-        assert get_registry().counter_total("repl.reads.stale_rejected") >= 1
+        assert sum(r.reads_stale for r in h.replicas.values()) >= 1
         h.close()
 
     def test_metrics_counters_exist_for_log_traffic(self):
         h = GroupHarness()
         h.client.command("write", "k", "v")
         h.run_for(1.0)
-        registry = get_registry()
-        assert registry.counter_total("repl.log.appends") >= 1
-        assert registry.counter_total("repl.log.commits") >= 1
+        assert sum(r.appends for r in h.replicas.values()) >= 1
+        assert sum(r.commits for r in h.replicas.values()) >= 1
         h.close()

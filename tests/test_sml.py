@@ -6,13 +6,6 @@ from repro.errors import MarkupError
 from repro.interop import sml
 
 
-def require_child(element, tag):
-    found = element.child(tag)
-    if found is None:
-        raise MarkupError(f"<{element.tag}> has no required <{tag}> child")
-    return found
-
-
 class TestSerialization:
     def test_empty_element_self_closes(self):
         assert sml.serialize(sml.element("null")) == "<null/>"
@@ -110,10 +103,6 @@ class TestElementApi:
         root.add("b", text="1")
         assert root.child("b").text == "1"
         assert root.child("missing") is None
-
-    def test_require_child_raises(self):
-        with pytest.raises(MarkupError):
-            require_child(sml.element("a"), "b")
 
     def test_require_attribute_raises(self):
         with pytest.raises(MarkupError):

@@ -38,6 +38,7 @@ from tests.netsim_fixtures import (
     points_connected,
     random_geometric,
     set_position,
+    unindex,
 )
 
 QUIET_RADIO = RadioProfile(name="quiet", bandwidth_bps=1e6, range_m=50.0)
@@ -109,9 +110,9 @@ class TestSpatialHashGrid:
             index.insert(node)
         assert index.query_circle_ordered(0.0, 0.0, 6.0, 0.0) == [a, b]
         assert index.query_circle_ordered(0.0, 0.0, 200.0, 0.0) == [a, b, c]
-        index.remove("b")
+        unindex(index, "b")
         assert index.query_circle_ordered(0.0, 0.0, 6.0, 0.0) == [a]
-        index.remove("b")  # idempotent
+        unindex(index, "b")  # idempotent
         assert index.query_circle_ordered(0.0, 0.0, 200.0, 0.0) == [a, c]
 
     def test_duplicate_insert_rejected(self):
@@ -247,7 +248,7 @@ class TestTheIndexIsAScan:
                 oracle.insert(node)
             elif op == "detach" and node is not None:
                 del attached[node_id]
-                index.remove(node_id)
+                unindex(index, node_id)
                 oracle.remove(node_id)
             elif op == "set_position" and node is not None:
                 set_position(node, data.draw(_point))

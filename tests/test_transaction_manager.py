@@ -63,7 +63,7 @@ class TestTransactionStateMachine:
         from repro.qos.contract import ContractTerms, QoSContract
 
         values = []
-        contract = QoSContract("c", "x", "y", ContractTerms(min_observations=1))
+        contract = QoSContract("c", "y", ContractTerms(min_observations=1))
         txn = Transaction(
             "t", TransactionSpec(TransactionKind.CONTINUOUS), make_description(),
             on_data=lambda v, lat: values.append(v), contract=contract,

@@ -19,8 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.interop.codec import BinaryCodec, get_codec
-from repro.interop.frames import try_decode_dict
-from repro.obs.metrics import get_registry
+from repro.interop.frames import WireFrame, try_decode_dict
 from repro.transactions.agents import AgentHost
 from repro.transactions.messaging import MessageBroker, MessagingClient
 from repro.transactions.pubsub import PubSubBroker, PubSubClient
@@ -275,14 +274,9 @@ def verdict(cls, frame):
 
 def deliver(rig, frame):
     """Hand ``frame`` to the rig's endpoint as its transport would; returns
-    how many frames it has now counted malformed. Nothing may escape, and
-    the attribute and the registry counter move together."""
+    how many frames it has now counted malformed. Nothing may escape."""
     endpoint = rig.endpoint
     endpoint._on_message(rig.source, frame)
-    node = endpoint.transport.local_address.node
-    assert (get_registry().counter("transport.malformed", node=node).value
-            == get_registry().counter_total("transport.malformed")
-            == endpoint.malformed_frames)
     return endpoint.malformed_frames
 
 
@@ -290,7 +284,6 @@ def check(name, make_frame):
     """One frame against one fresh rig; returns 1 if it was rejected, else
     0. Rejected if the table says so, counted exactly once, nothing sent
     back, counters and stores unchanged, and the endpoint still serving."""
-    get_registry().reset()
     cls, build = BUILDERS[name]
     rig = build()
     frame = make_frame(rig)
@@ -309,8 +302,8 @@ def check(name, make_frame):
 
 
 class TestMalformedFrames:
-    """One corrupt frame: ``malformed_frames += 1``, ``transport.malformed``
-    for the node, nothing sent back, and the endpoint keeps serving."""
+    """One corrupt frame: ``malformed_frames += 1``, nothing sent back, and
+    the endpoint keeps serving."""
 
     @pytest.mark.parametrize("name,label", [
         pytest.param(name, label, id=f"{name.replace('_', '-')}-{label}")
@@ -371,7 +364,6 @@ class TestMalformedFrames:
         ``coord`` from a node outside the group is gated out, uncounted."""
         cls, build = BUILDERS["replica_backup"]
         for op in sorted(set(cls.OPS) - {"cmd"}):
-            get_registry().reset()
             rig = build()
             before = rig.state()
             rig.endpoint._on_message(Address("raw", "g"), _frame(rig.message(op)))
@@ -497,15 +489,13 @@ def test_no_frame_gets_past_the_op_table(name, plan):
     unhashable — at the top or inside what a parser reads — a replayed rid,
     a reply after its request expired: nothing escapes ``_on_message``, nor
     the timers an accepted frame leaves behind; what the table rejects is
-    counted once, in the attribute and in ``transport.malformed{node}``,
-    and leaves nothing sent, no counter or store changed and the endpoint
+    counted once, in ``malformed_frames``, and leaves nothing sent, no counter or store changed and the endpoint
     serving."""
     cls, build = BUILDERS[name]
     kind = plan[0]
     if kind == "pinned":
         assert check(name, pinned(name)[plan[1]]) == 1
     elif kind in ("replay", "expired"):
-        get_registry().reset()
         rig = build()
         frame = derive(rig, cls, plan)
         if (kind == "expired" and rig.expires_s is not None
@@ -668,12 +658,11 @@ class TestNoCodecOnTheSimulatedPath:
                 return _original(self, value)
 
             monkeypatch.setattr(BinaryCodec, name, counted)
-        get_registry().reset()
+        materialized = WireFrame.materialized
         card = ScenarioRun(parse_spec(spec, seed=0)).run()
         assert card["goodput"]["ok"] > 0
         assert calls == {"encode": 0, "decode": 0}
-        registry = get_registry()
-        assert registry.counter_total("transport.frames.materialized") == 0
+        assert WireFrame.materialized == materialized
 
 
 def test_no_eager_codec_call_in_transactions_or_naming():

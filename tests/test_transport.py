@@ -10,10 +10,6 @@ from repro.transport.inmemory import InMemoryFabric
 from repro.transport.simnet import SimFabric, SimScheduler
 
 
-def with_port(address, port):
-    return Address(address.node, port)
-
-
 class TestAddress:
     def test_str_round_trip(self):
         address = Address("node7", "rpc")
@@ -29,9 +25,6 @@ class TestAddress:
     def test_parse_rejects_missing_node(self):
         with pytest.raises(AddressError):
             Address.parse(":port")
-
-    def test_with_port(self):
-        assert with_port(Address("n", "a"), "b") == Address("n", "b")
 
     def test_ordering_is_stable(self):
         addresses = [Address("b"), Address("a", "z"), Address("a", "a")]

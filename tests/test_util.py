@@ -10,32 +10,6 @@ from repro.util.ids import IdGenerator, SequenceGenerator
 from repro.util.rng import make_rng, split_rng
 
 
-def midpoint(a, b):
-    return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-
-
-def translate(point, dx, dy):
-    return Point(point.x + dx, point.y + dy)
-
-
-def centroid(points):
-    """Arithmetic mean of a non-empty collection of points."""
-    points = list(points)
-    if not points:
-        raise ValueError("centroid of empty point collection")
-    return Point(sum(p.x for p in points) / len(points),
-                 sum(p.y for p in points) / len(points))
-
-
-def bounding_box(points):
-    """(lower-left, upper-right) corners of the points' bounding box."""
-    points = list(points)
-    if not points:
-        raise ValueError("bounding box of empty point collection")
-    xs, ys = [p.x for p in points], [p.y for p in points]
-    return Point(min(xs), min(ys)), Point(max(xs), max(ys))
-
-
 class TestIds:
     def test_sequence_increments(self):
         seq = SequenceGenerator()
@@ -118,7 +92,7 @@ class TestEventEmitter:
         with pytest.raises(HandlerErrors) as excinfo:
             emitter.emit("e")
         assert seen == ["ran"]
-        assert len(excinfo.value.errors) == 1
+        assert str(excinfo.value).startswith("1 handler(s) failed")
 
     def test_listener_count(self):
         emitter = EventEmitter()
@@ -210,12 +184,6 @@ class TestGeometry:
         p = Point(2, 3)
         assert p.distance_to(p) == 0.0
 
-    def test_midpoint(self):
-        assert midpoint(Point(0, 0), Point(2, 4)) == Point(1, 2)
-
-    def test_translate(self):
-        assert translate(Point(1, 1), 2, -1) == Point(3, 0)
-
     def test_move_toward_partial(self):
         moved = Point(0, 0).move_toward(Point(10, 0), 4)
         assert moved == Point(4, 0)
@@ -226,22 +194,6 @@ class TestGeometry:
     def test_move_toward_zero_distance(self):
         p = Point(1, 1)
         assert p.move_toward(p, 3) == p
-
-    def test_centroid(self):
-        assert centroid([Point(0, 0), Point(2, 0), Point(1, 3)]) == Point(1, 1)
-
-    def test_centroid_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid([])
-
-    def test_bounding_box(self):
-        low, high = bounding_box([Point(1, 5), Point(-2, 3), Point(4, 0)])
-        assert low == Point(-2, 0)
-        assert high == Point(4, 5)
-
-    def test_bounding_box_empty_raises(self):
-        with pytest.raises(ValueError):
-            bounding_box([])
 
 
 class TestRng:

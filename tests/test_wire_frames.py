@@ -33,7 +33,6 @@ from repro.netsim import topology
 from repro.netsim.failures import FrameCorruptor
 from repro.netsim.medium import IDEAL_RADIO
 from repro.netsim.packet import Packet
-from repro.obs.metrics import get_registry
 from repro.recovery.wal import StableStorage
 from repro.replication.log import LogEntry
 from repro.replication.replica import _ENTRIES
@@ -453,7 +452,7 @@ def _encoded_frame(message):
 
 #: What can arrive, by how it was built: ``(build, the message the one
 #: decoder yields or None for a drop, the forced encodes it adds to
-#: ``transport.frames.materialized``)``. The receivers' codec is the
+#: ``WireFrame.materialized``)``. The receivers' codec is the
 #: registry's binary singleton, ``BinaryCodec()`` is not it.
 ARRIVALS = {
     "reference-lazy": (
@@ -476,19 +475,11 @@ ARRIVALS = {
 
 
 def _arrive(receive, arrival):
-    """Hand one built payload to ``receive``; the forced encodes it added,
-    and the names of the counters that exist afterwards."""
+    """Hand one built payload to ``receive``; the forced encodes it added."""
     payload = ARRIVALS[arrival][0]()
-    registry = get_registry()
-    registry.reset()
+    before = WireFrame.materialized
     receive(Address("peer", "p"), payload)
-    return (registry.counter_total("transport.frames.materialized"),
-            {counter.name for counter in registry.counters()})
-
-
-def _bumped(count):
-    # A counter is created by its first bump, never earlier.
-    return {"transport.frames.materialized"} if count else set()
+    return WireFrame.materialized - before
 
 
 class TestEndpointArrivals:
@@ -501,16 +492,12 @@ class TestEndpointArrivals:
     def test_message_and_counters_match_try_decode_dict(self, arrival):
         _build, message, count = ARRIVALS[arrival]
         endpoint = _Taker(InMemoryFabric().endpoint("n", "p"))
-        added, created = _arrive(endpoint._on_message, arrival)
-        assert added == count
+        assert _arrive(endpoint._on_message, arrival) == count
         if message is None:  # a counted drop
             assert endpoint.taken == [] and endpoint.malformed_frames == 1
-            assert get_registry().counter_total("transport.malformed") == 1
-            assert created == _bumped(count) | {"transport.malformed"}
         else:
             assert endpoint.taken == [message]
             assert endpoint.malformed_frames == 0
-            assert created == _bumped(count)
 
     @pytest.mark.parametrize("arrival", ARRIVALS)
     def test_routing_agent_answers_to_the_same_table(self, arrival):
@@ -520,8 +507,7 @@ class TestEndpointArrivals:
         taken = []
         agent.router.handle_control = lambda source, control: taken.append(
             control)
-        added, created = _arrive(agent._on_frame, arrival)
-        assert added == count and created == _bumped(count)
+        assert _arrive(agent._on_frame, arrival) == count
         if message is None:
             assert taken == [] and agent.dropped == {"malformed": 1}
         else:
@@ -555,8 +541,7 @@ class TestEndToEndZeroCopy:
             return message
 
         monkeypatch.setattr(routing_base, "try_decode_dict", decode)
-        registry = get_registry()
-        materialized = registry.counter_total("transport.frames.materialized")
+        materialized = WireFrame.materialized
         src_port.send(Address(dst, "app"), b"payload")
         network.sim.run()
         assert received == [b"payload"]
@@ -565,7 +550,7 @@ class TestEndToEndZeroCopy:
         assert hops and all(isinstance(payload, WireFrame)
                             and message is payload.message
                             for payload, message in hops)
-        assert registry.counter_total("transport.frames.materialized") == materialized
+        assert WireFrame.materialized == materialized
 
 
 class TestForcedBytesEdges:

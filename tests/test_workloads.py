@@ -378,12 +378,3 @@ def test_cli_smoke_detects_golden_mismatch(tmp_path, capsys):
         ["smoke", "--seed", "0", "--golden", str(GOLDEN_DIR)]
     )
     assert code == 0
-
-
-def test_scorecard_metrics_are_published():
-    from repro.obs import get_registry
-
-    run_scenario("api_rpc:heavy_tail", seed=0, horizon_s=6.0)
-    registry = get_registry()
-    assert "workload.goodput_per_s" in {g.name for g in registry.gauges()}
-    assert "workload.latency_s" in {h.name for h in registry.histograms()}
