@@ -83,12 +83,23 @@ def combined_reliability(
 def satisfies(
     sensors: Sequence[SensorInfo], requirements: Dict[str, float]
 ) -> bool:
-    """True when the group meets every variable requirement."""
-    epsilon = 1e-12
-    return all(
-        combined_reliability(sensors, variable) + epsilon >= required
-        for variable, required in requirements.items()
-    )
+    """True when the group meets every variable requirement.
+
+    Variable by variable, in the requirements' order, and false at the
+    first one missed: ``combined_reliability(sensors, variable) + 1e-12 >=
+    required``, with the miss product written out in the same loop (this
+    runs at least once per MiLAN round). The reference module keeps the
+    ``all(...)`` form as the oracle.
+    """
+    for variable, required in requirements.items():
+        miss = 1.0
+        for sensor in sensors:
+            r = sensor.reliabilities.get(variable, 0.0)
+            if r > 0.0:
+                miss *= 1.0 - r
+        if not (1.0 - miss) + 1e-12 >= required:
+            return False
+    return True
 
 
 def unsatisfied_variables(

@@ -5,7 +5,9 @@ This is the original, clarity-first implementation of
 combinations with a linear superset check against every set found so far.
 It is retained verbatim as the oracle for property tests: the optimized
 bitmask search in :mod:`repro.core.feasibility` must return *exactly* the
-same list (same sets, same order) for every input.
+same list (same sets, same order) for every input. So is the original
+generator form of :func:`satisfies`, which the one-loop version there must
+match.
 
 Do not call this from production code paths; it exists only so the fast
 implementation can be checked against something independently simple.
@@ -16,8 +18,19 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.feasibility import SensorSet, satisfies
+from repro.core.feasibility import SensorSet, combined_reliability
 from repro.core.sensors import SensorInfo
+
+
+def satisfies(
+    sensors: Sequence[SensorInfo], requirements: Dict[str, float]
+) -> bool:
+    """True when the group meets every variable requirement."""
+    epsilon = 1e-12
+    return all(
+        combined_reliability(sensors, variable) + epsilon >= required
+        for variable, required in requirements.items()
+    )
 
 
 def minimal_feasible_sets_reference(

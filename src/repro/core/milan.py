@@ -129,11 +129,11 @@ class Milan:
     def application_satisfied(self) -> bool:
         """Is the applied set actually meeting the current requirements?"""
         sensors = self.context.sensors
-        active = [
-            sensors[sid]
-            for sid in self.active_sensor_ids()
-            if sid in sensors and not sensors[sid].depleted
-        ]
+        active = []
+        for sid in self.active_sensor_ids():
+            sensor = sensors.get(sid)
+            if sensor is not None and not sensor.depleted:
+                active.append(sensor)
         return satisfies(active, self.requirements())
 
     # ---------------------------------------------------------- plug and play

@@ -16,15 +16,15 @@ structural fingerprint::
 where the fleet key is the tuple of ``(sensor_id, sensor_signature)`` over
 non-depleted sensors, in one walk of the sensors dict in its own order (the
 enumeration id-sorts the fleet itself, so a reordered fleet is a miss, never
-a different list). The fingerprint is recomputed on every lookup (cheap: an
-identity-validated signature memo makes it a few dict probes per sensor),
-so correctness never depends on callers announcing changes: a sensor death,
-removal, addition, or even a direct ``context.sensors[sid] = ...`` swap (as
-the secure binder does) lands on a different key and misses. Explicit
-*delta invalidation* (:meth:`ReconfigEngine.invalidate_sensor`, wired into
-``add_sensor`` / ``remove_sensor`` / sensor death) is hygiene on top: it
-evicts entries that can never be hit again and keeps the cache honest
-about memory.
+a different list). The fingerprint is recomputed on every lookup (cheap:
+per sensor, a stored ``depleted`` read and, if alive, an identity-validated
+signature memo probed in line, with no call), so correctness never depends
+on callers announcing changes: a sensor death, removal, addition, or even
+a direct ``context.sensors[sid] = ...`` swap (as the secure binder does)
+lands on a different key and misses. Explicit *delta invalidation*
+(:meth:`ReconfigEngine.invalidate_sensor`, wired into ``add_sensor`` /
+``remove_sensor`` / sensor death) is hygiene on top: it evicts entries that
+can never be hit again and keeps the cache honest about memory.
 
 :class:`ReconfigEngine` adds the scoring half of the fast path. An entry's
 first ``select`` compiles one *row* per candidate: its members as positions
@@ -34,10 +34,11 @@ alive sensor's signature, which is all those terms depend on, so the
 fingerprint validates the rows and the one cache bounds and evicts them.
 A warm energy-only ``reconfigure()`` is a fingerprint probe, plugin
 filtering, one pass over the entry's fleet
-(:meth:`FeasibilityCache.lifetimes`: the signature memo re-checked in
-line, each ``lifetime_if_active()`` read by fleet position, *after* the
-plugins ran), then per candidate ``min(gather(lifetimes))`` into a
-:class:`SetScore` tuple, and the strategy comparison. A sensor swapped or removed since the probe (a
+(:meth:`FeasibilityCache.lifetimes`: the signature memo re-checked and
+each ``lifetime_if_active()`` divided in line, by fleet position, *after*
+the plugins ran), then per candidate ``min(gather(lifetimes))`` into a
+:class:`SetScore` tuple, and the strategy comparison: no call per sensor
+or per candidate member. A sensor swapped or removed since the probe (a
 plugin or listener touched ``context.sensors`` mid-pipeline) fails that
 pass: the round is scored uncached and nothing is stored.
 
@@ -132,19 +133,31 @@ class FeasibilityCache:
         return signature
 
     def fleet_key(self, sensors: Dict[str, SensorInfo]) -> FleetKey:
-        signature_of = self.signature_of
-        # Dict order, not id order: ``compute`` id-sorts the fleet itself,
-        # so a reordered fleet is only a miss, never a different list.
-        return tuple([
-            (sid, signature_of(sensor)) for sid, sensor in sensors.items()
-            if not sensor.depleted
-        ])
+        # The signature_of memo rule, checked in line; signature_of itself
+        # runs only on a memo miss. Dict order, not id order: ``compute``
+        # id-sorts the fleet itself, so a reordered fleet is only a miss,
+        # never a different list.
+        memos = self._signatures
+        key = []
+        for sid, sensor in sensors.items():
+            if sensor.depleted:
+                continue
+            memo = memos.get(sensor.sensor_id)
+            if (
+                memo is None
+                or memo[0] is not sensor.reliabilities
+                or memo[1] != sensor.active_power_w
+            ):
+                key.append((sid, self.signature_of(sensor)))
+            else:
+                key.append((sid, memo[2]))
+        return tuple(key)
 
     def lifetimes(
         self, fleet: FleetKey, sensors: Dict[str, SensorInfo]
     ) -> Optional[List[float]]:
-        """Each ``fleet`` sensor's ``lifetime_if_active()`` by fleet
-        position, then ``inf`` (the empty set's one "member").
+        """Each ``fleet`` sensor's ``lifetime_if_active()``, computed in
+        line, by fleet position, then ``inf`` (the empty set's one "member").
 
         ``None`` if a sensor was swapped or removed since ``fleet`` was
         keyed: the :meth:`signature_of` memo rule, checked in line, plus the
@@ -163,7 +176,8 @@ class FeasibilityCache:
                 or memo[2] != signature
             ):
                 return None
-            lifetimes.append(sensor.lifetime_if_active())
+            power = sensor.active_power_w
+            lifetimes.append(_INF if power == 0 else sensor.energy_j / power)
         lifetimes.append(_INF)
         return lifetimes
 

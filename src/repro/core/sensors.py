@@ -27,12 +27,15 @@ class SensorInfo:
         reliabilities: variable -> reliability in (0, 1].
         active_power_w: power drawn while selected (sampling + radio).
         energy_j: remaining battery energy (inf = mains).
+        depleted: ``energy_j <= 0.0``, stored by ``__init__``: the record
+            is never changed in place (``with_energy``/``drained`` build
+            copies), and MiLAN reads it for every sensor every round.
         bandwidth_bps: network load the sensor's stream costs when active.
         node_id: the network node hosting it (for reachability plugins).
     """
 
     __slots__ = ("sensor_id", "reliabilities", "active_power_w", "energy_j",
-                 "bandwidth_bps", "node_id")
+                 "depleted", "bandwidth_bps", "node_id")
 
     def __init__(self, sensor_id: str,
                  reliabilities: Optional[Dict[str, float]] = None,
@@ -62,6 +65,7 @@ class SensorInfo:
         self.reliabilities = reliabilities
         self.active_power_w = active_power_w
         self.energy_j = energy_j
+        self.depleted = energy_j <= 0.0
         self.bandwidth_bps = bandwidth_bps
         self.node_id = node_id
 
@@ -70,10 +74,6 @@ class SensorInfo:
 
     def measures(self, variable: str) -> bool:
         return variable in self.reliabilities
-
-    @property
-    def depleted(self) -> bool:
-        return self.energy_j <= 0.0
 
     def lifetime_if_active(self) -> float:
         """Seconds until this sensor dies if kept active continuously."""

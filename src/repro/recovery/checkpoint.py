@@ -70,24 +70,14 @@ class CheckpointManager:
             payload={
                 "state": dict(state),
                 "live": list(live_transactions),
-                # Filled in with the record's own lsn + 1 when no live
-                # transaction pins an earlier redo point.
-                "redo_from": redo_from_lsn if redo_from_lsn is not None else -1,
+                # Just past the record's own lsn when no live transaction
+                # pins an earlier redo point.
+                "redo_from": (
+                    redo_from_lsn if redo_from_lsn is not None
+                    else self.log.next_lsn + 1
+                ),
             },
         )
-        if redo_from_lsn is None:
-            # Rewrite the payload marker now that the lsn is known. The
-            # record object is immutable, so re-encode a corrected one in
-            # place of the tail blob.
-            corrected = LogRecord(
-                record.lsn, CHECKPOINT, payload={
-                    "state": dict(state),
-                    "live": list(live_transactions),
-                    "redo_from": record.lsn + 1,
-                },
-            )
-            self.log.storage.blobs[-1] = corrected.encode()
-            record = corrected
         self._ops_since_checkpoint = 0
         self.checkpoints_taken += 1
         return record

@@ -152,6 +152,11 @@ class WriteAheadLog:
 
     # --------------------------------------------------------------- writing
 
+    @property
+    def next_lsn(self) -> int:
+        """The lsn the next :meth:`append` assigns."""
+        return self._next_lsn
+
     def append(
         self,
         kind: str,

@@ -639,7 +639,10 @@ class ChaosCampaign:
         scorecard = self._scorecard(found, heartbeat, reconvergence,
                                     duplicate_deliveries, max_window, conserved,
                                     sections)
-        self._publish(scorecard)
+        TRACER.instant(
+            "chaos.campaign_end", mix=spec.mix, seed=spec.seed,
+            ok=scorecard["ok"], violations=len(scorecard["violations"]),
+        )
         self._teardown()
         return scorecard
 
@@ -705,13 +708,6 @@ class ChaosCampaign:
             "violations": violations,
             "ok": not violations,
         }
-
-    def _publish(self, scorecard: Dict[str, Any]) -> None:
-        """Mark the campaign's end and verdict on the trace."""
-        TRACER.instant(
-            "chaos.campaign_end", mix=self.spec.mix, seed=self.spec.seed,
-            ok=scorecard["ok"], violations=len(scorecard["violations"]),
-        )
 
     def _teardown(self) -> None:
         self.mix.close()

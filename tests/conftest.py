@@ -31,9 +31,10 @@ try:
         suppress_health_check=(HealthCheck.too_slow,),
     )
     settings.register_profile("dev")
-    # ``fuzz``: CI's two fuzz steps (the endpoint fuzz and the queue
-    # exactness property, each selected by name) at twenty times the
-    # default budget; tier-1 keeps the default.
+    # ``fuzz``: CI's three fuzz steps (the endpoint fuzz, the queue
+    # exactness property and the feasibility exactness property, each
+    # selected by name) at twenty times the default budget; tier-1 keeps
+    # the default.
     settings.register_profile(
         "fuzz",
         derandomize=True,

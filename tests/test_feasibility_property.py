@@ -5,7 +5,10 @@ what the retained O(2^n) reference implementation returns — same sets, same
 order — for every input, including the degenerate corners (empty
 requirements, depleted sensors, ``max_size``/``max_sets`` caps). Hypothesis
 generates the fleets; a deterministic seeded sweep adds breadth beyond what
-one hypothesis run explores.
+one hypothesis run explores. The one-loop ``satisfies`` is held to the
+reference's generator form the same way (CI's feasibility exactness fuzz
+runs that property at 2000 examples), and the stored ``depleted`` flag to
+``energy_j <= 0.0`` on every path that makes a sensor.
 """
 
 import math
@@ -13,7 +16,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.feasibility import minimal_feasible_sets, satisfies
+from repro.core import feasibility_reference
+from repro.core.feasibility import (
+    combined_reliability,
+    minimal_feasible_sets,
+    satisfies,
+)
 from repro.core.feasibility_reference import minimal_feasible_sets_reference
 from repro.core.milan import Milan
 from repro.core.policy import ApplicationPolicy
@@ -25,7 +33,9 @@ from repro.core.selection import (
     max_lifetime,
     max_reliability,
 )
-from repro.core.sensors import SensorInfo
+from repro.core.sensors import SensorInfo, sensor_from_description
+from repro.discovery.description import ServiceDescription
+from repro.qos.spec import SupplierQoS
 
 VARIABLES = ["v0", "v1", "v2", "v3"]
 
@@ -86,6 +96,75 @@ class TestBitmaskMatchesReference:
             for removed in feasible:
                 smaller = [by_id[i] for i in feasible if i != removed]
                 assert not satisfies(smaller, requirements)
+
+
+@st.composite
+def _group_and_requirements(draw):
+    """A sensor group and requirements around what it achieves.
+
+    Groups may be empty, repeat a sensor, or hold sensors that measure no
+    required variable (``x`` is never required). Each requirement is 0, 1,
+    above 1, any value in between, or at the epsilon edge of the group's
+    own reliability: the largest value the reference accepts, or the next
+    float above it."""
+    pool = draw(st.lists(st.dictionaries(
+        st.sampled_from(VARIABLES + ["x"]), _reliability, max_size=3),
+        min_size=1, max_size=5))
+    sensors = [SensorInfo(f"s{i}", measures) for i, measures in enumerate(pool)]
+    group = draw(st.lists(st.sampled_from(sensors), max_size=6))
+    requirements = {}
+    for variable in draw(st.lists(st.sampled_from(VARIABLES), unique=True,
+                                  max_size=4)):
+        edge = combined_reliability(group, variable) + 1e-12
+        requirements[variable] = draw(st.one_of(
+            st.sampled_from([0.0, 1.0, 1.0 + 1e-12, 1.5, edge,
+                             math.nextafter(edge, math.inf)]),
+            st.floats(min_value=0.0, max_value=1.0),
+        ))
+    return group, requirements
+
+
+class TestSatisfiesMatchesReference:
+    """The one-loop ``satisfies`` is the reference's generator form, float
+    for float: every ``(group, requirements)`` gets the same answer."""
+
+    @given(_group_and_requirements())
+    def test_same_answer(self, drawn):
+        group, requirements = drawn
+        assert satisfies(group, requirements) is feasibility_reference.satisfies(
+            group, requirements)
+
+
+class TestStoredDepletedFlag:
+    """``depleted`` is stored once by ``__init__``; every way of making a
+    sensor goes through it, so the flag always reads ``energy_j <= 0.0``."""
+
+    _energy = st.one_of(st.just(0.0), st.just(5e-324), st.just(math.inf),
+                        st.floats(min_value=0.0, max_value=1e6))
+
+    @staticmethod
+    def _consistent(sensor):
+        return sensor.depleted is (sensor.energy_j <= 0.0)
+
+    @given(_energy, _energy, st.floats(min_value=0.0, max_value=1e6))
+    def test_every_constructor_path(self, energy, other, joules):
+        sensor = SensorInfo("s", {"v": 0.9}, energy_j=energy)
+        assert self._consistent(sensor)
+        assert self._consistent(sensor.with_energy(other))
+        assert self._consistent(sensor.drained(joules))
+        assert self._consistent(sensor.drained(energy))
+
+    @given(st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+           st.sampled_from(["0", "0.5", "10"]))
+    def test_from_description(self, fraction, capacity):
+        description = ServiceDescription(
+            "s-1", "sensor", "node1:svc",
+            qos=SupplierQoS(battery_powered=fraction is not None,
+                            battery_fraction=fraction,
+                            properties={"var:v": "0.9",
+                                        "battery_capacity_j": capacity}),
+        )
+        assert self._consistent(sensor_from_description(description))
 
 
 def _last_ids_first(scores):

@@ -396,8 +396,10 @@ def test_one_receive_skeleton_under_every_protocol():
 
 
 def test_chaos_scorecard_reads_invariant_names_not_message_substrings():
-    body = sources()["workloads/campaign.py"]
-    scorecard = body[body.index("def _scorecard("):body.index("def _publish(")]
+    path = SRC / "workloads" / "campaign.py"
+    scorecard = ast.get_source_segment(path.read_text(), next(
+        node for node in ast.walk(parsed(path))
+        if isinstance(node, ast.FunctionDef) and node.name == "_scorecard"))
     assert " in v" not in scorecard and "startswith" not in scorecard
 
 
@@ -1257,6 +1259,22 @@ def test_every_counter_row_names_a_stored_attribute():
                or not (unit and layer and meaning)
                or not name.startswith(layer.split(".")[0] + ".")]
     assert missing == []
+
+
+def test_only_the_sensor_constructor_sets_energy():
+    """``SensorInfo.__init__`` stores ``depleted`` from ``energy_j``; an
+    ``energy_j`` assigned anywhere else would leave that flag stale. So the
+    one store of the name under ``src/``, ``examples/``, ``benchmarks/`` and
+    ``tests/`` is the constructor's: a changed energy is a new record
+    (``with_energy``/``drained``)."""
+    root = SRC.parent.parent
+    paths = [(path.relative_to(root).as_posix(), path)
+             for top in ("src", "examples", "benchmarks", "tests")
+             for path in sorted((root / top).rglob("*.py"))]
+    assert [(module, owner, function)
+            for module, owner, attr, function, _value in _stores(paths)
+            if attr == "energy_j"] == [
+        ("src/repro/core/sensors.py", "SensorInfo", "__init__")]
 
 
 def test_the_attribute_contracts_on_a_toy_tree(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import RecoveryError, TransactionAborted
-from repro.recovery.checkpoint import CheckpointManager
+from repro.recovery.checkpoint import Checkpoint, CheckpointManager
 from repro.recovery.heartbeat import HeartbeatDetector
 from repro.recovery.store import TransactionalStore
 from repro.recovery.wal import (
@@ -99,6 +99,25 @@ class TestCheckpointManager:
 
     def test_latest_none_without_checkpoints(self):
         assert CheckpointManager(WriteAheadLog()).latest() is None
+
+    def test_take_encodes_once_and_stores_the_same_bytes(self, monkeypatch):
+        # The blob a checkpoint with no pinned redo point stored when it
+        # was re-encoded in place once its lsn was known.
+        before = bytes.fromhex(
+            "af7c259a4d07036c736e4904046b696e64530a434845434b504f494e540474"
+            "7869644e036b65794e066265666f72654e0561667465724e077061796c6f61"
+            "644d030573746174654d020161490201624c0249044906046c6976654c0153"
+            "027431097265646f5f66726f6d4906")
+        encodes = []
+        encode = LogRecord.encode
+        monkeypatch.setattr(LogRecord, "encode",
+                            lambda record: encodes.append(record) or encode(record))
+        log = WriteAheadLog()
+        log.append(BEGIN, txid="t1")
+        record = CheckpointManager(log).take({"a": 1, "b": [2, 3]}, ["t1"])
+        assert len(encodes) == 2  # the BEGIN and the checkpoint, once each
+        assert log.storage.blobs[-1] == before
+        assert Checkpoint.from_record(record).redo_from_lsn == record.lsn + 1 == 3
 
 
 class TestTransactionalStore:
