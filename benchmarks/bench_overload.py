@@ -27,7 +27,7 @@ from conftest import emit
 from repro.experiments import format_table
 from repro.obs.metrics import nearest_rank
 from repro.qos import AdmissionController, PriorityClass
-from repro.scheduling.bandwidth import BandwidthAllocator
+from repro.qos.bandwidth import BandwidthAllocator
 from repro.transport.base import Address
 from repro.transport.inmemory import InMemoryFabric
 from repro.transport.pacing import PacedTransport

@@ -11,7 +11,7 @@ Run:  python examples/embedded_web.py
 """
 
 from repro.discovery.description import ServiceDescription
-from repro.interop.webserver import EmbeddedWebServer, HttpClient
+from repro.discovery.webserver import EmbeddedWebServer, HttpClient
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
 from repro.qos.spec import SupplierQoS

@@ -79,7 +79,18 @@ def score_set(
     requirements: Dict[str, float],
 ) -> SetScore:
     # Id-sorted: the float product and sum must not associate in hash order.
-    members = [sensors[sid] for sid in sorted(sensor_set)]
+    try:
+        members = [sensors[sid] for sid in sorted(sensor_set)]
+    except KeyError:
+        # Candidates carry sensor ids; a record filed under another key
+        # (a direct ``context.sensors`` store) leaves its id unfound.
+        for key, sensor in sensors.items():
+            if key != sensor.sensor_id:
+                raise ConfigurationError(
+                    f"context.sensors[{key!r}] holds sensor "
+                    f"{sensor.sensor_id!r}; a sensor is stored under its "
+                    f"own id") from None
+        raise
     return SetScore(
         sensor_set,
         set_lifetime(members),

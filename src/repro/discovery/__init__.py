@@ -15,7 +15,10 @@ The section prescribes, and this package provides:
   aspects of the network itself such as density or traffic"
   (:mod:`repro.discovery.adaptive`),
 * registry **mirroring** "to further increase scalability"
-  (:mod:`repro.discovery.mirror`).
+  (:mod:`repro.discovery.mirror`),
+
+and Section 2's embedded web server, which serves a node's services as
+hyperlinked SML pages (:mod:`repro.discovery.webserver`).
 """
 
 from repro import _facade

@@ -20,7 +20,8 @@ import sys
 from typing import List
 
 from repro.experiments import sweep, table
-from repro.experiments.common import ShapeError, format_table, parse_seeds
+from repro.experiments.common import ShapeError, format_table
+from repro.util.rng import parse_seeds
 
 
 def sweep_main(argv: List[str]) -> int:

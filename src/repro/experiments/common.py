@@ -1,6 +1,5 @@
 """Shared helpers for the experiment harnesses: the row type of the
-``EXPERIMENTS`` table, the verdict vocabulary, seed specs and the table
-renderer."""
+``EXPERIMENTS`` table, the verdict vocabulary and the table renderer."""
 
 from __future__ import annotations
 
@@ -74,34 +73,6 @@ def keyed(rows: Rows, *columns: str) -> Dict[Hashable, Dict[str, Any]]:
 
 def ascending(values: Sequence[Any]) -> bool:
     return list(values) == sorted(values)
-
-
-def parse_seeds(spec: str) -> List[int]:
-    """Parse a sweep seed spec: ``"0-3"`` -> [0, 1, 2, 3]; ``"1,5,9"`` ->
-    [1, 5, 9]; ``"7"`` -> [7]. Comma groups may mix ranges and singletons;
-    order is preserved and duplicates dropped (first occurrence wins)."""
-    seeds: List[int] = []
-    seen = set()
-    for group in spec.split(","):
-        group = group.strip()
-        if not group:
-            continue
-        # Split on an interior dash only, so negative singletons still parse.
-        if "-" in group[1:]:
-            low_text, high_text = group[1:].split("-", 1)
-            low, high = int(group[0] + low_text), int(high_text)
-            if high < low:
-                raise ValueError(f"empty seed range {group!r}")
-            values = range(low, high + 1)
-        else:
-            values = [int(group)]
-        for value in values:
-            if value not in seen:
-                seen.add(value)
-                seeds.append(value)
-    if not seeds:
-        raise ValueError(f"no seeds in spec {spec!r}")
-    return seeds
 
 
 def format_table(rows: Sequence[Dict[str, Any]], title: str = "") -> str:

@@ -26,7 +26,8 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.experiments.common import Rows, check, parse_seeds
+from repro.experiments.common import Rows, check
+from repro.util.rng import parse_seeds
 from repro.workloads.campaign import FAULT_MIXES, run_campaign
 
 

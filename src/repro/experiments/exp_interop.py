@@ -20,7 +20,7 @@ import time
 from typing import Any, Dict, List
 
 from repro.experiments.common import Rows, check, keyed
-from repro.interop.bridge import RpcEventBridge
+from repro.transactions.bridge import RpcEventBridge
 from repro.interop.codec import get_codec
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO

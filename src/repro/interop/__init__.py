@@ -10,10 +10,16 @@ tradeoff:
 * :mod:`repro.interop.codec` — pluggable payload codecs: a compact binary
   format, JSON, and SML; the overhead benchmark (E9) measures exactly the
   bytes-per-call cost the paper warns about,
+* :mod:`repro.interop.frames` — the frame every message crosses a transport
+  in,
 * :mod:`repro.interop.schema` — service-interface descriptions and message
-  validation,
-* :mod:`repro.interop.bridge` — paradigm bridges (RPC <-> messaging <->
-  publish/subscribe) and a middleware-to-middleware gateway.
+  validation.
+
+It is the wire format only, so it sits below the simulator, whose corruptor
+gates on frame types. What joins paradigms and formats on top of it lives
+with the protocols it joins: :mod:`repro.transactions.bridge` (paradigm
+bridges and the binary <-> SML gateway) and :mod:`repro.discovery.webserver`
+(the embedded web server).
 """
 
 from repro import _facade

@@ -29,13 +29,10 @@ topic                      payload
 ``milan.infeasible``       {"state": s}
 =========================  =============================================
 
-Every event is counted into the bus's own :class:`~repro.obs.metrics.
-MetricsRegistry` (:attr:`SystemEventBus.registry`, one counter per topic,
-read as ``bus.registry.counter("node.crashed").value``): a topic is known
-only at run time, so its counter cannot be a slot. Every event can also
-be forwarded to a network
-:class:`~repro.transactions.pubsub.PubSubClient` so remote operators
-observe the system live.
+Every event is kept in :attr:`SystemEventBus.history`, so a topic's count
+is ``len(bus.events_matching("node.crashed"))``. Every event can also be
+forwarded to a network :class:`~repro.transactions.pubsub.PubSubClient` so
+remote operators observe the system live.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.milan import Milan
 from repro.discovery.registry import RegistryServer
 from repro.netsim.network import Network
-from repro.obs.metrics import MetricsRegistry
 from repro.qos.contract import QoSContract
 from repro.transactions.manager import TransactionManager
 from repro.transactions.pubsub import PubSubClient, topic_matches
@@ -54,17 +50,12 @@ Handler = Callable[[str, Dict[str, Any]], None]
 
 
 class SystemEventBus:
-    """Aggregates component events onto one wildcard-subscribable stream.
-
-    Per-topic counting lives in :attr:`registry`, one counter named after
-    each topic: ``bus.registry.counter("node.crashed").value``.
-    """
+    """Aggregates component events onto one wildcard-subscribable stream."""
 
     def __init__(
         self,
         forward_to: Optional[PubSubClient] = None,
     ):
-        self.registry = MetricsRegistry()
         self.forward_to = forward_to
         self._subscribers: List[Tuple[str, Handler]] = []
         self.history: List[Tuple[str, Dict[str, Any]]] = []
@@ -73,7 +64,6 @@ class SystemEventBus:
 
     def publish(self, topic: str, payload: Dict[str, Any]) -> None:
         """Publish one system event (components call this via the watchers)."""
-        self.registry.counter(topic).inc()
         self.history.append((topic, payload))
         for pattern, handler in list(self._subscribers):
             if topic_matches(pattern, topic):

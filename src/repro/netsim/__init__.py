@@ -17,9 +17,9 @@ deterministic simulation of one. It models:
 
 Nothing in this package knows about the middleware above it; the coupling
 point is :class:`repro.netsim.node.Node.set_packet_handler`. That is
-enforced by ``tests/test_judging_kit.py``
-(``test_netsim_knows_nothing_about_the_middleware_above_it``): two listed
-imports from above, neither loaded by this ``__init__``.
+enforced by the layer order in ``tests/test_judging_kit.py`` (``LAYERS``):
+one listed import from above, the ``chaos`` forwarder, which this
+``__init__`` does not load.
 """
 
 from repro import _facade

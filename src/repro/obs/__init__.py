@@ -9,9 +9,9 @@ the stack-wide instrumentation layer:
   span tree no matter how many nodes it touches. Tracing is **off by
   default**: every instrumentation site is guarded by ``TRACER.enabled``
   and costs one attribute check when disabled.
-* :mod:`repro.obs.metrics` — the catalogue of slot counters, a registry
-  for counters named at run time, streaming histograms (p50/p95/p99), and
-  the exact :class:`Summary` over raw samples.
+* :mod:`repro.obs.metrics` — the catalogue of slot counters, streaming
+  histograms (p50/p95/p99), and the exact :class:`Summary` over raw
+  samples.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in Perfetto)
   mapping spans onto per-node timelines, plain-text summaries, and the
   canonical JSON encoding traces and scorecards are compared in.
@@ -33,7 +33,6 @@ __getattr__, __all__ = _facade(__name__, {
     "render_summary": "repro.obs.export",
     "subsystems": "repro.obs.export",
     "validate_chrome_trace": "repro.obs.export",
-    "MetricsRegistry": "repro.obs.metrics",
     "Summary": "repro.obs.metrics",
     "LoopProfiler": "repro.obs.profiler",
     "NOOP_SPAN": "repro.obs.tracing",

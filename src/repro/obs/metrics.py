@@ -6,9 +6,6 @@ code reads back, with its owner, unit, layer and meaning, so a reader
 knows where to find each count; ``tests/test_judging_kit.py`` fails by
 name when a row names a class or attribute that is not there.
 
-A :class:`MetricsRegistry` is for counters whose names are known only at
-run time: :class:`~repro.monitoring.SystemEventBus` counts one per topic.
-
 :class:`Histogram` is a fixed-bucket streaming estimator: geometric bucket
 bounds, O(1) memory, nearest-rank percentiles read from the bucket upper
 edge (clamped to the observed min/max). Good to ~2x relative error at the
@@ -22,18 +19,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from typing import Dict, Sequence, Tuple
-
-
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self) -> None:
-        self.value += 1
 
 
 #: Histogram bucket bounds: geometric, 1 µs .. ~134 s (factor 2 per bucket).
@@ -141,18 +126,6 @@ COUNTERS: Dict[str, Tuple[str, str, str, str, str]] = {
     "interop.frames.materialized": (
         "WireFrame", "materialized", "frames", "interop.frames",
         "frames encoded to bytes, process-wide"),
-    "interop.bridge.forwarded_a_to_b": (
-        "CodecGateway", "forwarded_a_to_b", "messages", "interop.codec",
-        "messages the gateway re-encoded from side a to side b"),
-    "interop.bridge.forwarded_b_to_a": (
-        "CodecGateway", "forwarded_b_to_a", "messages", "interop.codec",
-        "messages the gateway re-encoded from side b to side a"),
-    "interop.bridge.bridged": (
-        "PubSubTupleBridge", "bridged", "events", "interop.codec",
-        "published events written into the tuple space"),
-    "interop.webserver.errors": (
-        "EmbeddedWebServer", "errors", "requests", "interop.codec",
-        "requests that did not parse or whose handler raised"),
     "routing.dsr.rreqs_sent": (
         "DsrRouter", "rreqs_sent", "packets", "routing",
         "route requests flooded"),
@@ -174,6 +147,9 @@ COUNTERS: Dict[str, Tuple[str, str, str, str, str]] = {
     "discovery.registry.replications_sent": (
         "RegistryServer", "replications_sent", "messages", "discovery",
         "registration updates copied to peer registries"),
+    "discovery.webserver.errors": (
+        "EmbeddedWebServer", "errors", "requests", "discovery",
+        "requests that did not parse or whose handler raised"),
     "transactions.rpc.timeouts": (
         "RpcEndpoint", "timeouts", "calls", "transactions",
         "calls rejected after their last retry expired"),
@@ -201,6 +177,15 @@ COUNTERS: Dict[str, Tuple[str, str, str, str, str]] = {
     "transactions.agents.refused": (
         "AgentHost", "agents_refused", "agents", "transactions",
         "arriving agents of a class the host does not know"),
+    "transactions.bridge.forwarded_a_to_b": (
+        "CodecGateway", "forwarded_a_to_b", "messages", "transactions",
+        "messages the gateway re-encoded from side a to side b"),
+    "transactions.bridge.forwarded_b_to_a": (
+        "CodecGateway", "forwarded_b_to_a", "messages", "transactions",
+        "messages the gateway re-encoded from side b to side a"),
+    "transactions.bridge.bridged": (
+        "PubSubTupleBridge", "bridged", "events", "transactions",
+        "published events written into the tuple space"),
     "replication.appends": (
         "ReplicaNode", "appends", "entries", "replication",
         "log entries a primary appended, its no-op included"),
@@ -235,24 +220,6 @@ COUNTERS: Dict[str, Tuple[str, str, str, str, str]] = {
         "ScheduledTask", "completions", "runs", "qos",
         "runs of the task that finished"),
 }
-
-
-class MetricsRegistry:
-    """Get-or-create counters keyed by a name known only at run time."""
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter()
-        return instrument
-
-    def render(self, title: str) -> str:
-        return "\n".join([title, "-" * len(title)] + [
-            f"{name}  {counter.value}"
-            for name, counter in sorted(self._counters.items())])
 
 
 def nearest_rank(sorted_values: Sequence[float], q: float) -> float:

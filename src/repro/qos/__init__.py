@@ -16,7 +16,9 @@ score used by service discovery, and :mod:`repro.qos.contract` /
 :mod:`repro.qos.monitor` provide the runtime side: contracts, violation
 detection, and the graceful-degradation manager. :mod:`repro.qos.admission`
 adds request-edge admission control with priority classes — the front door
-of the overload-protection path (Section 3.7).
+of the overload-protection path (Section 3.7) — over the conserving
+token-bucket allocator of :mod:`repro.qos.bandwidth`, which the transport's
+pacer charges as well; so this package sits below ``repro.transport``.
 """
 
 from repro import _facade
@@ -24,6 +26,8 @@ from repro import _facade
 __getattr__, __all__ = _facade(__name__, {
     "AdmissionController": "repro.qos.admission",
     "PriorityClass": "repro.qos.admission",
+    "BandwidthAllocator": "repro.qos.bandwidth",
+    "TokenBucket": "repro.qos.bandwidth",
     "BenefitFunction": "repro.qos.benefit",
     "ConstantBenefit": "repro.qos.benefit",
     "ExponentialDecayBenefit": "repro.qos.benefit",

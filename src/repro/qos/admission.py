@@ -4,7 +4,7 @@ Overload protection starts where work enters the system: an
 :class:`AdmissionController` decides, *before* a request is transmitted,
 whether the stack can afford to carry it. Section 3.7's prescription —
 priority scheduling plus bandwidth reservation — maps directly onto the
-existing :class:`~repro.scheduling.bandwidth.BandwidthAllocator`: each
+existing :class:`~repro.qos.bandwidth.BandwidthAllocator`: each
 **priority class** is a reserved flow (its guaranteed request rate), and
 privileged classes (probes, handoffs, distress traffic) may additionally
 borrow unreserved headroom. One conserving mechanism therefore paces both
@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, Optional
 
 from repro.errors import ConfigurationError
 from repro.obs.tracing import TRACER
-from repro.scheduling.bandwidth import BandwidthAllocator
+from repro.qos.bandwidth import BandwidthAllocator
 
 
 class PriorityClass:

@@ -10,19 +10,19 @@ Correspondingly:
   scheduler with FIFO, static-priority, EDF, and rate-monotonic policies
   (the paper's first middleware citation, Mizunuma et al. [6], is
   rate-monotonic middleware),
-* :mod:`repro.scheduling.bandwidth` — token-bucket bandwidth allocation and
-  reservation-based admission,
 * :mod:`repro.scheduling.handoff` — proactive transaction handoff for
   suppliers moving out of range,
 * :mod:`repro.scheduling.gridsched` — task-to-processor scheduling
   (list scheduling, min-min, max-min).
+
+Bandwidth constraints are :class:`repro.qos.bandwidth.BandwidthAllocator`,
+one layer down, where the transport's pacer and the admission controller
+charge it too.
 """
 
 from repro import _facade
 
 __getattr__, __all__ = _facade(__name__, {
-    "BandwidthAllocator": "repro.scheduling.bandwidth",
-    "TokenBucket": "repro.scheduling.bandwidth",
     "GridTask": "repro.scheduling.gridsched",
     "Processor": "repro.scheduling.gridsched",
     "schedule_list": "repro.scheduling.gridsched",

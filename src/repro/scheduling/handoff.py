@@ -20,7 +20,7 @@ from typing import Dict, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.netsim.network import Network
-from repro.scheduling.bandwidth import BandwidthAllocator
+from repro.qos.bandwidth import BandwidthAllocator
 from repro.transactions.manager import TransactionManager
 from repro.transactions.transaction import Transaction
 from repro.util.events import EventEmitter

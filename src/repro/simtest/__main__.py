@@ -128,7 +128,7 @@ def _cmd_failover(args: argparse.Namespace) -> int:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from repro.errors import ConfigurationError
-    from repro.experiments.common import parse_seeds
+    from repro.util.rng import parse_seeds
     from repro.simtest.workloads import check_scenario
 
     seeds = [args.seed] if args.seeds is None else parse_seeds(args.seeds)

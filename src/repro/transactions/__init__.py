@@ -20,7 +20,10 @@ implemented over the common transport abstraction:
 * distributed shared objects with invalidation-based caching
   (:mod:`repro.transactions.sharedobjects`),
 * mobile software agents that travel to the data
-  (:mod:`repro.transactions.agents`).
+  (:mod:`repro.transactions.agents`),
+
+and Section 3.9's bridges between them: paradigm bridges and a binary <->
+SML gateway (:mod:`repro.transactions.bridge`).
 """
 
 from repro import _facade

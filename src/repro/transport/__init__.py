@@ -1,8 +1,9 @@
 """Transport layer: the paper's "network independence" feature (Section 3.2).
 
-Everything above this package (discovery, transactions, MiLAN) talks to a
-single abstraction — :class:`repro.transport.base.Transport` — and therefore
-runs unchanged over:
+It imports only the layers below it: the simulator, the wire format, the
+QoS bandwidth allocator, observability and utilities. Everything above it
+(discovery, transactions, MiLAN) talks to a single abstraction —
+:class:`repro.transport.base.Transport` — and therefore runs unchanged over:
 
 * :mod:`repro.transport.inmemory` — an in-process fabric with virtual time
   (unit tests, single-machine deployments),
@@ -17,7 +18,7 @@ optionally composed with:
 * :mod:`repro.transport.secure` — shared-key encryption and authentication
   (Section 3.3's transport-level security),
 * :mod:`repro.transport.pacing` — bounded-queue, token-bucket-paced sending
-  charged against a :class:`~repro.scheduling.bandwidth.BandwidthAllocator`
+  charged against a :class:`~repro.qos.bandwidth.BandwidthAllocator`
   reservation (the overload-protection send path),
 * :mod:`repro.transport.stack` — declarative composition of the above,
 * :mod:`repro.transport.endpoint` — the one decode → validate → dispatch

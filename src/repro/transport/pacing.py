@@ -2,7 +2,7 @@
 
 This is the transport half of the overload-protection story (ROADMAP item
 4, paper Section 3.7): a :class:`PacedTransport` charges every send against
-a flow reserved on a shared :class:`~repro.scheduling.bandwidth
+a flow reserved on a shared :class:`~repro.qos.bandwidth
 .BandwidthAllocator`. Sends the reservation cannot carry *now* wait in a
 **bounded** FIFO queue and drain as tokens refill; when the queue is full
 the transport says "no" — the message is **shed** (counted and surfaced via
@@ -36,7 +36,7 @@ from typing import Callable, Deque, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.tracing import TRACER
-from repro.scheduling.bandwidth import BandwidthAllocator
+from repro.qos.bandwidth import BandwidthAllocator
 from repro.transport.base import Address, Scheduler, Transport
 
 ShedCallback = Callable[[Address, bytes], None]

@@ -31,7 +31,7 @@ from repro.replication.check import check_group, close_group, group_summary
 from repro.replication.client import GroupClient
 from repro.replication.replica import ReplicationParams, deploy_group
 from repro.replication.services import LedgerMachine, ReplicatedLedger
-from repro.scheduling.bandwidth import BandwidthAllocator
+from repro.qos.bandwidth import BandwidthAllocator
 from repro.transport.base import Address
 from repro.transport.pacing import PacedTransport
 from repro.util.rng import split_rng

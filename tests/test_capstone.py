@@ -13,7 +13,7 @@ from repro.monitoring import SystemEventBus
 from repro.netsim import topology
 from repro.netsim.failures import FailureInjector
 from repro.netsim.medium import RadioProfile
-from repro.scheduling.bandwidth import BandwidthAllocator
+from repro.qos.bandwidth import BandwidthAllocator
 from repro.scheduling.handoff import HandoffManager
 from repro.transactions.manager import TransactionManager
 from repro.transactions.rpc import RpcEndpoint
@@ -99,8 +99,8 @@ class TestCapstoneDeployment:
         live_states = {p.result().state.value for p in transactions}
         assert live_states <= {"active"}
         # The bus saw the churn.
-        assert bus.registry.counter("node.crashed").value == 3
-        assert bus.registry.counter("node.recovered").value == 3
+        assert len(bus.events_matching("node.crashed")) == 3
+        assert len(bus.events_matching("node.recovered")) == 3
 
     def test_handoff_with_bandwidth_boost(self):
         """HandoffManager + BandwidthAllocator integration: the departing

@@ -333,8 +333,9 @@ def test_one_replay_call_site_and_one_canonical_encoder():
     # codecs' frame coercion, the channel multiplexer, the all-static
     # switch the neighbour memo outgrew, the options nothing set whose names
     # are unique, the wall-clock scheduler and clock, the exceptions
-    # nothing raised, and the queue and clock the simulator now owns
-    # cannot creep back.
+    # nothing raised, the queue and clock the simulator now owns, the
+    # run-time-named counter registry, and the three modules that moved to
+    # their layer cannot creep back.
     texts = sources()
     reads_env = [name for name, text in texts.items()
                  if "os.environ" in text or "getenv" in text]
@@ -342,7 +343,8 @@ def test_one_replay_call_site_and_one_canonical_encoder():
     for gone in ("repro.recovery.replication", "repro.netsim.trace",
                  "repro.netsim.shard", "repro.replication.demo",
                  "repro.transport.multiplex", "repro.util.priorityqueue",
-                 "repro.util.clock"):
+                 "repro.util.clock", "repro.interop.bridge",
+                 "repro.interop.webserver", "repro.scheduling.bandwidth"):
         assert importlib.util.find_spec(gone) is None, gone
     removed = ("MetricsRecorder", "SeriesPoint", "BACKEND_ENV",
                "PrimaryReplica", "BackupReplica", "ReplicationClient",
@@ -358,7 +360,7 @@ def test_one_replay_call_site_and_one_canonical_encoder():
                "RealTimeScheduler", "SystemClock", "LeaseExpiredError",
                "QoSViolationError", "InfeasibleError", "NoRouteError",
                "DeadlineMissed", "StablePriorityQueue", "ManualClock",
-               "pop_if_at_most")
+               "pop_if_at_most", "MetricsRegistry")
     root = SRC.parent.parent
     survivors = [(path.relative_to(root).as_posix(), name)
                  for top in ("src", "examples", "benchmarks")
@@ -381,8 +383,9 @@ def test_one_receive_skeleton_under_every_protocol():
         return sorted(name for name, text in texts.items()
                       if needle in text and not name.startswith(outside))
 
+    # The wire-format gateway is a raw transport bridge, not an endpoint.
     assert where("try_decode_dict(", outside="interop/") == [
-        "routing/base.py", "transport/endpoint.py"]
+        "routing/base.py", "transactions/bridge.py", "transport/endpoint.py"]
     assert where("def try_decode_dict") == ["interop/frames.py"]
     assert texts["interop/frames.py"].count("def try_decode_dict") == 1
     assert where("malformed_frames += 1", outside="transport/") == []
@@ -416,42 +419,116 @@ def test_importing_workloads_loads_neither_chaos_nor_simtest():
             or m.startswith("repro.simtest")] == []
 
 
-# ------------------------------------- the simulator stays below the stack
+# ------------------------------------------------------- one layer order
 
-#: The only imports from above that ``repro.netsim`` holds: the forwarder
-#: the benchmark of record binds to, and the frame types whose isinstance
-#: gate fixes the corruptor's draw order. Both must still exist — a listed
-#: exception nobody needs any more is to be taken off the list.
-UPWARD_IMPORTS = {
-    ("netsim/chaos.py", "repro.workloads.campaign"),
-    ("netsim/failures.py", "repro.interop.frames"),
-}
+#: ``src/repro``'s packages and top-level modules in tiers, lowest first. A
+#: module imports only from its own package or from a lower tier, so the
+#: package graph holds no cycle. A new package takes a tier here.
+LAYERS = (
+    ("errors", "util"),
+    ("interop", "obs", "bibliometrics"),
+    ("netsim", "qos"),
+    ("transport",),
+    ("discovery", "naming", "recovery", "routing"),
+    ("core", "transactions"),
+    ("middleware", "monitoring", "replication", "scheduling"),
+    ("workloads",),
+    ("simtest",),
+    ("experiments",),
+)
+
+#: The one import against the order: the forwarder the benchmark of record
+#: binds to at ``repro.netsim.chaos``.
+LAYER_EXCEPTION = ("netsim/chaos.py", "repro.workloads.campaign")
 
 
-def test_netsim_knows_nothing_about_the_middleware_above_it():
-    upward = set()
-    for path in (SRC / "netsim").glob("*.py"):
+def layer_violations(src_root, layers):
+    """``(file:line, module, why)`` for each import in the package at
+    ``src_root`` that does not run down ``layers``: module-level,
+    function-level, under ``TYPE_CHECKING`` or a lazy ``_facade`` row. The
+    root ``__init__`` (the facade over everything) has no tier."""
+    src_root = Path(src_root)
+    root = src_root.name
+    tier = {package: number for number, row in enumerate(layers)
+            for package in row}
+
+    def named(package):
+        number = tier.get(package)
+        return f"{package!r}, which has no tier" if number is None else (
+            f"tier {number} ({', '.join(layers[number])})")
+
+    found = []
+    for path in sorted(src_root.rglob("*.py")):
+        relative = path.relative_to(src_root)
+        if relative.parts == ("__init__.py",):
+            continue
+        own = relative.parts[0].removesuffix(".py")
+        package = [root, *relative.parts[:-1]]
         for node in ast.walk(parsed(path)):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                # The root package's lazy-table helper loads nothing above;
-                # any other name from the root package does.
-                if node.module == "repro" and {
-                        alias.name for alias in node.names} == {"_facade"}:
-                    continue
-                modules = [node.module]
-            else:  # a relative import stays inside the package
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module
+                if node.level:  # relative: up from the importer's package
+                    up = package[:len(package) - node.level + 1]
+                    base = ".".join(up + ([base] if base else []))
+                modules = ([f"{base}.{alias.name}" for alias in node.names]
+                           if base == root else [base])
+            elif isinstance(node, ast.Call) and _name(node) == "_facade":
+                modules = list(ast.literal_eval(node.args[1]).values())
+            else:
                 continue
-            upward |= {
-                (f"netsim/{path.name}", module) for module in modules
-                if module.split(".")[0] == "repro" and not module.startswith(
-                    ("repro.netsim", "repro.errors", "repro.util"))}
-    assert upward == UPWARD_IMPORTS
+            for module in modules:
+                head, _, rest = module.partition(".")
+                target = rest.split(".")[0] or head  # a bare root: no tier
+                if head != root or target in (own, "_facade"):
+                    continue
+                if tier.get(target, len(layers)) >= tier.get(own, -1):
+                    found.append((f"{relative.as_posix()}:{node.lineno}",
+                                  module, f"{named(own)} imports "
+                                  f"{named(target)}"))
+    return found
+
+
+def test_every_import_runs_down_the_layer_order():
+    found = layer_violations(SRC, LAYERS)
+    assert [f"{where} {module}: {why}" for where, module, why in found
+            if (where.split(":")[0], module) != LAYER_EXCEPTION] == []
+    # A named exception nobody needs any more is taken off; this one stays
+    # a forwarder, and only for whoever names it: the package does not
+    # load it.
+    assert [(where.split(":")[0], module)
+            for where, module, _ in found] == [LAYER_EXCEPTION]
     assert len((SRC / "netsim" / "chaos.py").read_text().splitlines()) <= 15
-    # The forwarder is for whoever names it: the package does not load it.
     assert not {"repro.netsim.chaos", "repro.workloads"} & set(
         loaded_by("repro.netsim"))
+
+
+def test_the_layer_order_on_a_toy_tree(tmp_path):
+    tree = {
+        "__init__.py": "from toy import top\n",
+        "base/__init__.py": "",
+        "base/a.py": "import os\nfrom toy.top import b\nimport toy\n",
+        "mid.py": "def f():\n    from toy import side\n",
+        "side/__init__.py": "from toy import _facade\n",
+        "side/c.py": "from . import d\nfrom .. import base\n",
+        "top/b.py": ("from typing import TYPE_CHECKING\nimport toy.mid\n"
+                     "if TYPE_CHECKING:\n    from toy.extra import e\n"),
+    }
+    for name, text in tree.items():
+        path = tmp_path / "toy" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    layers = (("base",), ("mid", "side"), ("top",))
+    assert layer_violations(tmp_path / "toy", layers) == [
+        ("base/a.py:2", "toy.top", "tier 0 (base) imports tier 2 (top)"),
+        ("base/a.py:3", "toy", "tier 0 (base) imports 'toy', which has no "
+                               "tier"),
+        ("mid.py:2", "toy.side", "tier 1 (mid, side) imports tier 1 "
+                                 "(mid, side)"),
+        ("top/b.py:4", "toy.extra", "tier 2 (top) imports 'extra', which "
+                                    "has no tier"),
+    ]
 
 
 def test_the_campaign_never_asks_which_mix_it_runs():
@@ -984,17 +1061,17 @@ UNCALLED_FUNCTIONS = [
     # Bluetooth plugin has a driver.
     "repro.core.plugins:BandwidthPlugin",
     "repro.core.plugins:ReachabilityPlugin",
-    # §3.9: the gateway between wire formats and the pub/sub -> tuple-space
-    # paradigm bridge.
-    "repro.interop.bridge:CodecGateway",
-    "repro.interop.bridge:CodecGateway.map_a_to_b",
-    "repro.interop.bridge:CodecGateway.map_b_to_a",
-    "repro.interop.bridge:PubSubTupleBridge",
     # §3.4's benefit function: the shapes ``ConsumerQoS.benefit``, itself an
     # ``UNSET_OPTIONS`` entry, would take. They go or stay with it.
     "repro.qos.benefit:ExponentialDecayBenefit",
     "repro.qos.benefit:LinearDecayBenefit",
     "repro.qos.benefit:StepBenefit",
+    # §3.9: the gateway between wire formats and the pub/sub -> tuple-space
+    # paradigm bridge.
+    "repro.transactions.bridge:CodecGateway",
+    "repro.transactions.bridge:CodecGateway.map_a_to_b",
+    "repro.transactions.bridge:CodecGateway.map_b_to_a",
+    "repro.transactions.bridge:PubSubTupleBridge",
 ]
 
 
@@ -1359,7 +1436,7 @@ def test_the_attribute_contracts_on_a_toy_tree(tmp_path):
 
 #: ``docs/ARCHITECTURE.md``'s length in lines: a section arrives only by
 #: taking text out. Lowered, never raised, as the document is cut down.
-ARCHITECTURE_LINES = 1555
+ARCHITECTURE_LINES = 1551
 
 
 def test_the_architecture_document_does_not_grow():

@@ -4,7 +4,7 @@ import pytest
 
 from repro import MiddlewareNode, Query, SupplierQoS, TransactionKind, TransactionSpec
 from repro.discovery.registry import RegistryServer
-from repro.interop.bridge import CodecGateway, PubSubTupleBridge, RpcEventBridge
+from repro.transactions.bridge import CodecGateway, PubSubTupleBridge, RpcEventBridge
 from repro.interop.codec import get_codec
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO

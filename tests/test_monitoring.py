@@ -38,8 +38,8 @@ class TestSystemEventBus:
         bus.publish("qos.violated", {})
         bus.publish("qos.violated", {})
         bus.publish("qos.repaired", {})
-        assert bus.registry.counter("qos.violated").value == 2
-        assert bus.registry.counter("qos.repaired").value == 1
+        assert len(bus.events_matching("qos.violated")) == 2
+        assert len(bus.events_matching("qos.repaired")) == 1
 
     def test_history_query(self):
         bus = SystemEventBus()

@@ -22,7 +22,7 @@ from repro.core.policy import health_monitor_policy
 from repro.errors import AdmissionRefused, ConfigurationError
 from repro.qos import AdmissionController, PriorityClass
 from repro.replication.client import GroupClient
-from repro.scheduling.bandwidth import BandwidthAllocator
+from repro.qos.bandwidth import BandwidthAllocator
 from repro.transactions.rpc import RpcEndpoint
 from repro.transport.base import Address
 from repro.transport.inmemory import InMemoryFabric

@@ -873,7 +873,10 @@ class TestColdStart:
     benchmark child imports ``repro.workloads`` and ``repro.netsim.chaos``
     (everything else its ``workloads.py`` names is under those): 117
     ``repro`` modules while every package ``__init__`` imported its whole
-    package, 92 since. The workloads then load nothing more inside their
+    package, then 92, and 91 since the bandwidth allocator moved from
+    ``scheduling`` to ``qos``: the transport's pacer and the admission
+    controller no longer load the ``repro.scheduling`` package. The
+    workloads then load nothing more inside their
     timed ``run()``: a module first imported there moves its compile cost
     from ``setup_s`` into ``ops_per_s`` (``grid_failover``'s replicas
     imported their election module so until it moved to import time). Nor
@@ -881,7 +884,7 @@ class TestColdStart:
     of its 60 MB peak RSS and about 0.05 s of set-up.
     """
 
-    MODULES = 92
+    MODULES = 91
 
     def test_a_benchmark_child_loads_only_what_it_imports(self):
         loaded = e2e_workloads.repro_modules_first_imported(

@@ -15,6 +15,7 @@ from repro.core.reconfig import FeasibilityCache, ReconfigEngine
 from repro.core.requirements import VariableRequirements
 from repro.core.selection import max_lifetime, strategy_by_name
 from repro.core.sensors import SensorInfo
+from repro.errors import ConfigurationError
 
 
 def fleet():
@@ -345,6 +346,23 @@ class TestDirectSwapHazard:
         # ... and the entry's own rows were neither used nor recompiled.
         assert run(cached, False) == run(plain, False)
         assert cached.engine.stats()["score_misses"] == swapped["score_misses"]
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_a_record_under_another_key_is_named(self, incremental):
+        # The candidates carry ``sensor_id``s, so a sensor the pipeline
+        # scores must sit under its own id; this one raised a bare
+        # ``KeyError: 'ecg'`` out of scoring. The E10 fleet, as
+        # ``exp_milan._build("milan-balanced", 0)`` builds it.
+        from repro.experiments.exp_milan import fleet as e10_fleet
+
+        milan = Milan(health_monitor_policy(), incremental=incremental)
+        for sensor in e10_fleet():
+            milan.add_sensor(sensor)
+        milan.reconfigure()
+        milan.context.sensors["ecg-alias"] = milan.context.sensors.pop("ecg")
+        with pytest.raises(ConfigurationError, match=r"\['ecg-alias'\] "
+                           r"holds sensor 'ecg'"):
+            milan.reconfigure()
 
 
 class TestFeasibilityCacheUnit:

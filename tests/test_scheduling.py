@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AdmissionRefused, ConfigurationError
 from repro.netsim.simulator import Simulator
-from repro.scheduling.bandwidth import BandwidthAllocator, TokenBucket
+from repro.qos.bandwidth import BandwidthAllocator, TokenBucket
 from repro.scheduling.gridsched import (
     GridTask,
     Processor,

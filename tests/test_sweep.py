@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments import table
-from repro.experiments.common import Experiment, ShapeError, parse_seeds
+from repro.experiments.common import Experiment, ShapeError
+from repro.util.rng import parse_seeds
 from repro.experiments.sweep import fan_out, merged_rows, run_sweep
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.discovery.description import ServiceDescription
 from repro.errors import InteropError
-from repro.interop.webserver import EmbeddedWebServer, HttpClient
+from repro.discovery.webserver import EmbeddedWebServer, HttpClient
 from repro.qos.spec import SupplierQoS
 from repro.transport.base import Address
 from repro.transport.inmemory import InMemoryFabric
