@@ -13,10 +13,19 @@ For a candidate set S we score:
   headroom against sensor loss).
 * **cost(S)** — total active power draw.
 
-Strategies (benchmarked against each other in E10's ablation):
+The strategy contract: a strategy, built-in or custom, receives one
+round's candidates as parallel :class:`Columns` — the sets, their
+lifetimes, performance and power, and each set's ``(members, power,
+sorted ids)`` tie-break key — and returns the chosen position. The
+mechanism computes the columns (:func:`score_columns` here, compiled
+columns in :mod:`repro.core.reconfig`); the strategy only picks. Columns
+are read-only: the engine shares its compiled ones across rounds.
 
-* ``max_lifetime`` — maximize lifetime, tie-break on fewer members/lower
-  power;
+Built-in strategies (benchmarked against each other in E10's ablation)
+take the best primary value and break ties on the tie-break key only
+among the candidates that share it:
+
+* ``max_lifetime`` — maximize lifetime;
 * ``max_reliability`` — maximize performance (the greedy baseline's goal);
 * ``balanced(alpha)`` — maximize ``alpha * normalized_lifetime +
   (1-alpha) * performance``; alpha=1 ~ max_lifetime, alpha=0 ~
@@ -26,8 +35,9 @@ Strategies (benchmarked against each other in E10's ablation):
 from __future__ import annotations
 
 import math
+from itertools import filterfalse
 from typing import (
-    Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from repro.core.feasibility import combined_reliability
@@ -38,13 +48,29 @@ SensorSet = FrozenSet[str]
 
 
 class SetScore(NamedTuple):
-    """Metrics of one candidate set (a tuple: the warm engine builds one per
-    candidate per round without a Python-level constructor)."""
+    """Metrics of one candidate set: the chosen set's, as a round reports it."""
 
     sensor_set: SensorSet
     lifetime_s: float
     performance: float
     power_w: float
+
+
+class Columns(NamedTuple):
+    """One round's candidates, position ``i`` of each column describing
+    ``sets[i]``; what every strategy receives."""
+
+    sets: Sequence[SensorSet]
+    lifetimes: Sequence[float]
+    performance: Sequence[float]
+    power: Sequence[float]
+    #: ``(members, power, sorted ids)``: the deterministic final tie-break.
+    tie_keys: Sequence[Tuple]
+
+    def score(self, index: int) -> SetScore:
+        """The one score a round reports: the chosen position's."""
+        return SetScore(self.sets[index], self.lifetimes[index],
+                        self.performance[index], self.power[index])
 
 
 def set_lifetime(members: Sequence[SensorInfo]) -> float:
@@ -73,6 +99,16 @@ def set_power(members: Sequence[SensorInfo]) -> float:
     return sum(m.active_power_w for m in members)
 
 
+def check_own_ids(sensors: Dict[str, SensorInfo]) -> None:
+    """Candidates carry sensor ids, so a record filed under another key (a
+    direct ``context.sensors`` store) cannot be scored: name it."""
+    for key, sensor in sensors.items():
+        if key != sensor.sensor_id:
+            raise ConfigurationError(
+                f"context.sensors[{key!r}] holds sensor "
+                f"{sensor.sensor_id!r}; a sensor is stored under its own id")
+
+
 def score_set(
     sensor_set: SensorSet,
     sensors: Dict[str, SensorInfo],
@@ -82,14 +118,7 @@ def score_set(
     try:
         members = [sensors[sid] for sid in sorted(sensor_set)]
     except KeyError:
-        # Candidates carry sensor ids; a record filed under another key
-        # (a direct ``context.sensors`` store) leaves its id unfound.
-        for key, sensor in sensors.items():
-            if key != sensor.sensor_id:
-                raise ConfigurationError(
-                    f"context.sensors[{key!r}] holds sensor "
-                    f"{sensor.sensor_id!r}; a sensor is stored under its "
-                    f"own id") from None
+        check_own_ids(sensors)
         raise
     return SetScore(
         sensor_set,
@@ -99,29 +128,43 @@ def score_set(
     )
 
 
-#: A strategy maps a list of scores to the chosen one.
-SelectionStrategy = Callable[[List[SetScore]], SetScore]
+def score_columns(
+    candidate_sets: Sequence[SensorSet],
+    sensors: Dict[str, SensorInfo],
+    requirements: Dict[str, float],
+) -> Columns:
+    """Every candidate scored from its sensors by :func:`score_set`."""
+    scores = [score_set(s, sensors, requirements) for s in candidate_sets]
+    return Columns(
+        list(candidate_sets),
+        [score.lifetime_s for score in scores],
+        [score.performance for score in scores],
+        [score.power_w for score in scores],
+        [(len(score.sensor_set), score.power_w, tuple(sorted(score.sensor_set)))
+         for score in scores],
+    )
 
 
-def _tie_break(score: SetScore) -> Tuple:
-    """Deterministic final tie-break: fewer members, lower power, sorted ids."""
-    return (len(score.sensor_set), score.power_w, tuple(sorted(score.sensor_set)))
+#: A strategy maps a round's columns to the chosen position.
+SelectionStrategy = Callable[[Columns], int]
 
 
-def _best(scores: List[SetScore], values: List[float]) -> SetScore:
-    """Highest value wins, :func:`_tie_break` only among those sharing it:
-    the choice ``min(key=(-value,) + _tie_break)`` makes over all scores."""
+def _best(values: Sequence[float], tie_keys: Sequence[Tuple]) -> int:
+    """Position of the highest value; among positions sharing it, the
+    least tie-break key (the first of equal keys)."""
     best = max(values)
-    tied = [score for score, value in zip(scores, values) if value == best]
-    return tied[0] if len(tied) == 1 else min(tied, key=_tie_break)
+    if values.count(best) == 1:
+        return values.index(best)
+    return min([i for i, value in enumerate(values) if value == best],
+               key=tie_keys.__getitem__)
 
 
-def max_lifetime(scores: List[SetScore]) -> SetScore:
-    return _best(scores, [s.lifetime_s for s in scores])
+def max_lifetime(columns: Columns) -> int:
+    return _best(columns.lifetimes, columns.tie_keys)
 
 
-def max_reliability(scores: List[SetScore]) -> SetScore:
-    return _best(scores, [s.performance for s in scores])
+def max_reliability(columns: Columns) -> int:
+    return _best(columns.performance, columns.tie_keys)
 
 
 def balanced(alpha: float = 0.7) -> SelectionStrategy:
@@ -129,21 +172,22 @@ def balanced(alpha: float = 0.7) -> SelectionStrategy:
     (infinite lifetimes normalize to 1), keeping both terms in [0, 1]."""
     if not 0.0 <= alpha <= 1.0:
         raise ConfigurationError(f"alpha must be in [0, 1], got {alpha!r}")
+    beta = 1.0 - alpha
 
-    def strategy(scores: List[SetScore]) -> SetScore:
+    def strategy(columns: Columns) -> int:
         isinf = math.isinf
-        finite = [s.lifetime_s for s in scores if not isinf(s.lifetime_s)]
-        best_finite = max(finite) if finite else 1.0
+        lifetimes = columns.lifetimes
+        best_finite = max(filterfalse(isinf, lifetimes), default=1.0)
         # alpha * normalized lifetime + (1 - alpha) * performance, where an
         # infinite lifetime normalizes to 1 and a zero best one to 0.
-        return _best(scores, [
+        return _best([
             alpha * (
                 1.0 if isinf(lifetime)
                 else 0.0 if best_finite <= 0
                 else lifetime / best_finite
-            ) + (1.0 - alpha) * performance
-            for _set, lifetime, performance, _power in scores
-        ])
+            ) + beta * performance
+            for lifetime, performance in zip(lifetimes, columns.performance)
+        ], columns.tie_keys)
 
     return strategy
 
@@ -173,5 +217,5 @@ def select_best(
     """Score all candidates and pick per the strategy; None when empty."""
     if not candidate_sets:
         return None
-    scores = [score_set(s, sensors, requirements) for s in candidate_sets]
-    return strategy(scores)
+    columns = score_columns(candidate_sets, sensors, requirements)
+    return columns.score(strategy(columns))

@@ -33,7 +33,7 @@ from repro.core.feasibility import (
 )
 from repro.core.milan import Milan
 from repro.core.policy import health_monitor_policy
-from repro.core.selection import SetScore
+from repro.core.selection import Columns
 from repro.core.sensors import SensorInfo
 from repro.experiments.common import Rows, check
 from repro.util.rng import split_rng
@@ -75,8 +75,9 @@ def fleet() -> List[SensorInfo]:
 def _random_strategy(seed: int):
     rng = split_rng(seed, "milan-random")
 
-    def strategy(scores: List[SetScore]) -> SetScore:
-        return rng.choice(sorted(scores, key=lambda s: sorted(s.sensor_set)))
+    def strategy(columns: Columns) -> int:
+        sets = columns.sets
+        return rng.choice(sorted(range(len(sets)), key=lambda i: sorted(sets[i])))
 
     return strategy
 

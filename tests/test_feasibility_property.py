@@ -26,12 +26,14 @@ from repro.core.feasibility_reference import minimal_feasible_sets_reference
 from repro.core.milan import Milan
 from repro.core.policy import ApplicationPolicy
 from repro.core.requirements import VariableRequirements
+from repro.core.reconfig import FeasibilityCache
 from repro.core.selection import (
+    Columns,
     SetScore,
-    _tie_break,
     balanced,
     max_lifetime,
     max_reliability,
+    score_set,
 )
 from repro.core.sensors import SensorInfo, sensor_from_description
 from repro.discovery.description import ServiceDescription
@@ -167,9 +169,10 @@ class TestStoredDepletedFlag:
         assert self._consistent(sensor_from_description(description))
 
 
-def _last_ids_first(scores):
-    """A custom strategy: no ``_tie_break``, just a total order on ids."""
-    return max(scores, key=lambda s: sorted(s.sensor_set))
+def _last_ids_first(columns):
+    """A custom strategy: no tie-break key, just a total order on ids."""
+    sets = columns.sets
+    return max(range(len(sets)), key=lambda i: sorted(sets[i]))
 
 
 _twin_selection = st.sampled_from([
@@ -203,13 +206,13 @@ def _swap(sensors, slot, measures) -> None:
 
 
 def _recorded(selection, log):
-    """``selection`` as a strategy that also logs every score list it is
-    shown, so the twins are compared on all candidates, not the winner."""
+    """``selection`` as a strategy that also logs the columns it is shown,
+    so the twins are compared on all candidates, not the winner."""
     strategy = _twin_policy(selection).selection_strategy()
 
-    def record(scores):
-        log.append(list(scores))
-        return strategy(scores)
+    def record(columns):
+        log.append(columns)
+        return strategy(columns)
 
     return record
 
@@ -322,10 +325,17 @@ class TestIncrementalEngineMatchesUncached:
             )
 
 
+def _tie_key(score):
+    """The final tie-break: fewer members, lower power, sorted ids."""
+    return (len(score.sensor_set), score.power_w, tuple(sorted(score.sensor_set)))
+
+
 def _old_strategy(value):
-    """The one-line strategies ``_best`` replaced: every candidate keyed."""
+    """The one-line strategies ``_best`` replaced: every candidate keyed,
+    the first of equal keys chosen."""
     return lambda scores: min(
-        scores, key=lambda s: (-value(scores, s),) + _tie_break(s))
+        range(len(scores)),
+        key=lambda i: (-value(scores, scores[i]),) + _tie_key(scores[i]))
 
 
 def _old_utility(alpha):
@@ -340,6 +350,136 @@ def _old_utility(alpha):
             normalized = score.lifetime_s / best_finite
         return alpha * normalized + (1.0 - alpha) * score.performance
     return utility
+
+
+class _PlainLookup(FeasibilityCache):
+    """The cache without its last-entry probe: every lookup hashes the
+    fingerprint and moves the entry it finds to the LRU's end."""
+
+    def lookup(self, key):
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry
+
+
+class _RejectSlot:
+    """A plugin that filters out every set holding one sensor."""
+
+    name = "reject-slot"
+
+    def __init__(self, slot):
+        self.sensor_id = f"s{slot}"
+
+    def accepts(self, sensor_set, context) -> bool:
+        return self.sensor_id not in sensor_set
+
+
+#: A strategy and, for a built-in one, the value it maximizes before the
+#: tie-break (``None``: a custom strategy, held to the uncached twin only).
+_exact_selection = st.sampled_from([
+    ("max_lifetime", lambda _, s: s.lifetime_s),
+    ("max_reliability", lambda _, s: s.performance),
+    ("balanced", _old_utility(0.7)),  # the named one's alpha
+    (balanced(0.0), _old_utility(0.0)),
+    (balanced(1.0), _old_utility(1.0)),
+    (_last_ids_first, None),
+])
+
+#: Small pools, so ties are the common case. A fleet is a few kinds of
+#: sensor, each fielded once or twice: the second copy is the same sensor
+#: under another id (a tie on everything but ids) or draws half the power
+#: from half the energy (the same lifetime and performance, less power, and
+#: a later id, so the tie-break and not the enumeration order picks it).
+#: Power 0 is a mains sensor (infinite lifetime); 5e-324 J over 2 W is an
+#: alive sensor whose lifetime is 0.0, so a round's best finite lifetime
+#: can be 0.
+_exact_fleet = st.lists(
+    st.tuples(
+        st.dictionaries(st.sampled_from(["v0", "v1", "v2"]),
+                        st.sampled_from([0.6, 0.8, 0.95]), min_size=1),
+        st.sampled_from([0.0, 1.0, 2.0]),
+        st.sampled_from([5e-324, 10.0, 20.0]),
+        st.sampled_from([(), (1.0,), (0.5,)]),
+    ),
+    min_size=1, max_size=4,
+).map(lambda kinds: [(measures, power * scale, energy * scale)
+                     for measures, power, energy, copies in kinds
+                     for scale in (1.0,) + copies])
+
+#: What happens between two rounds. A ``blip`` is one round in the other
+#: state: under an LRU of one, it stores over the entry the last round hit
+#: and then asks for that entry again.
+_exact_op = st.one_of(
+    st.tuples(st.just("state")),
+    st.tuples(st.just("blip")),
+    st.tuples(st.just("tick"), st.sampled_from([3.0, 50.0])),
+    st.tuples(st.just("energy"), st.integers(0, 7),
+              st.sampled_from([0.0, 4.0, 5e-324])),
+    st.tuples(st.just("invalidate"), st.integers(0, 7)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("nothing")),
+)
+
+
+class TestEngineRoundsMatchUncached:
+    """Round by round, the engine's chosen set and ``current_score`` are
+    ``Milan(incremental=False)``'s, and a built-in strategy's choice is
+    the lexicographic ``(-value,) + tie_key`` minimum over every candidate
+    scored by ``score_set``. The cache's last-entry probe is invisible:
+    its hits, misses and entries are those of a cache that hashes every
+    lookup, under an LRU of one or two entries with state flips, deaths,
+    ``invalidate_sensor`` and ``clear()`` between rounds."""
+
+    @given(_exact_selection, _exact_fleet,
+           st.sampled_from([None, 0, 3]), st.sampled_from([1, 2]),
+           st.lists(_exact_op, min_size=1, max_size=12))
+    @settings(deadline=None)
+    def test_rounds(self, selection, fleet, reject, max_entries, ops):
+        strategy, value = selection
+        plugins = [] if reject is None else [_RejectSlot(reject)]
+        cached, model, plain = (
+            Milan(_twin_policy(strategy), list(plugins),
+                  auto_reconfigure=False, incremental=flag)
+            for flag in (True, True, False))
+        cached.engine.feasibility.max_entries = max_entries
+        model.engine.feasibility = _PlainLookup(max_entries)
+        twins = (cached, model, plain)
+        for i, (measures, power, energy) in enumerate(fleet):
+            for milan in twins:
+                milan.add_sensor(SensorInfo(f"s{i}", measures, power, energy))
+        for op in [("nothing",)] + ops:
+            for milan in twins:
+                kind, state = op[0], milan.state
+                other = "hi" if state == "lo" else "lo"
+                if kind == "state":
+                    milan.set_state(other)
+                elif kind == "blip":
+                    milan.set_state(other)
+                    milan.reconfigure()
+                    milan.set_state(state)
+                elif kind == "tick":
+                    milan.advance_time(op[1])
+                elif kind == "energy":
+                    milan.update_sensor_energy(f"s{op[1]}", op[2])
+                elif milan.engine is not None and kind == "invalidate":
+                    milan.engine.invalidate_sensor(f"s{op[1]}")
+                elif milan.engine is not None and kind == "clear":
+                    milan.engine.clear()
+                milan.reconfigure()
+            assert cached.active_sensor_ids() == plain.active_sensor_ids()
+            assert cached.current_score == plain.current_score
+            assert cached.current_configuration == plain.current_configuration
+            assert cached.engine.stats() == model.engine.stats()
+            if value is not None and plain.current_score is not None:
+                scores = [score_set(sensor_set, plain.sensors,
+                                    plain.requirements())
+                          for sensor_set in plain.candidate_sets()]
+                best = _old_strategy(value)(scores)
+                assert plain.current_score == scores[best]
 
 
 #: Values come from small pools so that ties on the primary value, on
@@ -362,18 +502,19 @@ _score_list = st.sampled_from(
 class TestTieBreakOnlyAmongTies:
     """Picking the best primary value first and tie-breaking among the
     candidates that share it is the same lexicographic choice as keying
-    every candidate on ``(-value,) + _tie_break``."""
+    every candidate on ``(-value,) + tie_key``."""
 
     @given(_score_list, st.sampled_from([0.0, 0.3, 0.7, 1.0]))
     @settings(max_examples=300, deadline=None)
     def test_builtin_strategies_choose_as_before(self, scores, alpha):
+        columns = Columns(*map(list, zip(*scores)), list(map(_tie_key, scores)))
         for new, old in (
             (max_lifetime, _old_strategy(lambda _, s: s.lifetime_s)),
             (max_reliability, _old_strategy(lambda _, s: s.performance)),
             (balanced(alpha), _old_strategy(_old_utility(alpha))),
         ):
-            # The same object: among fully equal keys both keep the first.
-            assert new(scores) is old(scores)
+            # The same position: among fully equal keys both keep the first.
+            assert new(columns) == old(scores)
 
 
 def test_seeded_sweep_matches_reference():

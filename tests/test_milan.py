@@ -274,8 +274,8 @@ class TestSelection:
         # The miss product and the power sum associate in member order, and
         # a frozenset of str iterates in per-process hash order. Print, as
         # hex, the terms of every candidate in every state of the E10
-        # fleet — from score_set and from the engine (cold, then from its
-        # stored terms) — under different seeds.
+        # fleet — from score_set and from the columns the engine compiled
+        # — under different seeds.
         code = """if True:
             from repro.core.milan import Milan
             from repro.core.policy import health_monitor_policy
@@ -284,7 +284,8 @@ class TestSelection:
             policy = health_monitor_policy()
             strategy = policy.selection_strategy()
             seen = []
-            policy.selection = lambda scores: seen.extend(scores) or strategy(scores)
+            policy.selection = lambda columns: seen.extend(
+                map(columns.score, range(len(columns.sets)))) or strategy(columns)
             milan = Milan(policy)
             for sensor in fleet():
                 milan.add_sensor(sensor)

@@ -1,7 +1,7 @@
 """Tests for the incremental reconfiguration engine.
 
 Covers the structural-fingerprint feasibility cache (hits on energy-only
-deltas, misses on structural ones), delta invalidation, the score rows
+deltas, misses on structural ones), delta invalidation, the columns
 its entries compile, metrics visibility, the ``incremental=False`` escape
 hatch, and the binder-style direct-swap hazard the identity-validated
 signatures exist for.
@@ -108,18 +108,25 @@ ROW_CASES = {
 }
 
 
+def column_types(columns):
+    """Every cell's type, and each tie-break key's fields' types."""
+    return ([list(map(type, column)) for column in columns],
+            [list(map(type, key)) for key in columns.tie_keys])
+
+
 class TestRowsScoreLikeUncached:
-    """Compiled rows hand the strategy the same ``SetScore`` list, round
-    after round, as scoring every candidate from its sensors."""
+    """Compiled columns hand the strategy the same ``Columns``, cell for
+    cell and type for type, round after round, as scoring every candidate
+    from its sensors."""
 
     def twin(self, case, selection, incremental):
         extra, plugins, override = ROW_CASES[case]
         seen = []
         chosen = strategy_by_name(selection)
 
-        def recording(scores):
-            seen.append(list(scores))
-            return chosen(scores)
+        def recording(columns):
+            seen.append(columns)
+            return chosen(columns)
 
         policy = health_monitor_policy()
         policy.selection = recording
@@ -141,28 +148,31 @@ class TestRowsScoreLikeUncached:
         for milan in (cached, plain):
             for _ in range(4):  # one cold round, then warm ones
                 milan.reconfigure()
+                assert milan.current_score in map(
+                    milan.seen[-1].score, range(len(milan.seen[-1].sets)))
                 milan.advance_time(20.0)
+        assert len(cached.seen) == 4
         assert cached.seen == plain.seen
-        for cached_scores, plain_scores in zip(cached.seen, plain.seen):
-            assert [tuple(map(type, score)) for score in cached_scores] == \
-                [tuple(map(type, score)) for score in plain_scores]
+        assert list(map(column_types, cached.seen)) == \
+            list(map(column_types, plain.seen))
         assert cached.current_score == plain.current_score
         assert cached.active_sensor_ids() == plain.active_sensor_ids()
         stats = cached.engine.stats()
-        assert stats["score_hits"] == sum(map(len, cached.seen))
+        assert stats["score_hits"] == sum(len(c.sets) for c in cached.seen)
         assert stats["score_misses"] == stats["score_entries"]
-        scores = cached.seen[-1]
+        columns = cached.seen[-1]
         if case == "plugin-filtered":
-            assert len(scores) < stats["score_entries"]
-            assert not any("bp-cuff" in score.sensor_set for score in scores)
+            assert len(columns.sets) < stats["score_entries"]
+            assert not any("bp-cuff" in sensor_set for sensor_set in columns.sets)
         elif case == "one-member":
-            assert all(len(score.sensor_set) == 1 for score in scores)
+            assert all(len(sensor_set) == 1 for sensor_set in columns.sets)
         elif case == "empty-requirements":
-            assert scores == [(frozenset(), float("inf"), 1.0, 0)]
-            assert type(scores[0].power_w) is int
+            assert columns == ([frozenset()], [float("inf")], [1.0], [0],
+                               [(0, 0, ())])
+            assert type(columns.power[0]) is int
         else:
-            assert any(score.lifetime_s == float("inf") for score in scores)
-            assert any("passive-bp" in score.sensor_set for score in scores)
+            assert float("inf") in columns.lifetimes
+            assert any("passive-bp" in sensor_set for sensor_set in columns.sets)
 
 
 class TestInvalidation:
@@ -209,13 +219,17 @@ class TestInvalidation:
             milan.reconfigure()
         victim = sorted(milan.active_sensor_ids())[0]
         entries = milan.engine.feasibility._entries
-        assert any(victim in sensor_set
-                   for entry in entries.values() for sensor_set in entry.rows)
+
+        def compiled_sets():
+            return [sensor_set for entry in entries.values()
+                    if entry.gathers is not None
+                    for sensor_set in entry.candidates]
+
+        assert any(victim in sensor_set for sensor_set in compiled_sets())
         before = milan.engine.stats()
         forget(milan, victim)
         after = milan.engine.stats()
-        assert not any(victim in sensor_set
-                       for entry in entries.values() for sensor_set in entry.rows)
+        assert not any(victim in sensor_set for sensor_set in compiled_sets())
         assert after["feasibility_entries"] < before["feasibility_entries"]
         assert after["score_entries"] < before["score_entries"]
 
@@ -318,9 +332,9 @@ class TestDirectSwapHazard:
             # sensor need not be in the chosen set.
             seen = []
 
-            def strategy(scores):
-                seen.append(list(scores))
-                return max_lifetime(scores)
+            def strategy(columns):
+                seen.append(columns)
+                return max_lifetime(columns)
 
             policy = health_monitor_policy()
             policy.selection = strategy
@@ -360,6 +374,22 @@ class TestDirectSwapHazard:
             milan.add_sensor(sensor)
         milan.reconfigure()
         milan.context.sensors["ecg-alias"] = milan.context.sensors.pop("ecg")
+        with pytest.raises(ConfigurationError, match=r"\['ecg-alias'\] "
+                           r"holds sensor 'ecg'"):
+            milan.reconfigure()
+
+
+    def test_a_record_under_two_keys_is_named(self):
+        # The alias leaves the record's signature memo under its id only,
+        # so the lifetime pass refused every round and each one was scored
+        # uncached, silently.
+        from repro.experiments.exp_milan import fleet as e10_fleet
+
+        milan = Milan(health_monitor_policy())
+        for sensor in e10_fleet():
+            milan.add_sensor(sensor)
+        milan.reconfigure()
+        milan.context.sensors["ecg-alias"] = milan.context.sensors["ecg"]
         with pytest.raises(ConfigurationError, match=r"\['ecg-alias'\] "
                            r"holds sensor 'ecg'"):
             milan.reconfigure()
