@@ -26,6 +26,11 @@ from repro.core.sensors import SensorInfo
 
 SensorSet = FrozenSet[str]
 
+#: The one empty role set that every configuration with an empty role
+#: shares: each ``frozenset()`` call builds another 216-byte object, and
+#: the engine's cache entries keep their winners' configurations.
+_NO_NODES: FrozenSet[str] = frozenset()
+
 
 class NetworkConfiguration:
     """The applied outcome of one MiLAN selection round."""
@@ -126,12 +131,12 @@ def configure(
         awake.add(master)
     if context.sink_node_id is not None:
         awake.add(context.sink_node_id)
-    sleepers = frozenset(all_nodes - awake)
+    sleepers = all_nodes - awake
 
     return NetworkConfiguration(
         active_sensors=chosen,
-        senders=frozenset(senders),
-        routers=frozenset(routers),
+        senders=frozenset(senders) if senders else _NO_NODES,
+        routers=frozenset(routers) if routers else _NO_NODES,
         master=master,
-        sleepers=sleepers,
+        sleepers=frozenset(sleepers) if sleepers else _NO_NODES,
     )

@@ -34,7 +34,7 @@ from repro.core.feasibility import (
 from repro.core.plugins import NetworkContext, NetworkPlugin, network_feasible
 from repro.core.policy import ApplicationPolicy
 from repro.core.reconfig import FeasibilityEntry, ReconfigEngine
-from repro.core.selection import SetScore, select_best
+from repro.core.selection import SetScore, check_own_ids, select_best
 from repro.core.sensors import SensorInfo
 from repro.obs.tracing import TRACER
 from repro.util.events import EventEmitter
@@ -49,7 +49,9 @@ class Milan:
     :class:`~repro.core.reconfig.ReconfigEngine`: candidate enumerations
     and their energy-independent score terms are memoized together under
     one structural fingerprint, so an energy-only round reads each alive
-    sensor's lifetime once and re-ranks the cached candidates. Results are
+    sensor's lifetime once, re-ranks the cached candidates and, with no
+    network and no master election, reuses the winner's configuration
+    from the last time it won. Results are
     identical to the uncached path (``incremental=False``), which is kept
     both as the equivalence oracle and for memory-constrained embeddings.
     """
@@ -220,6 +222,10 @@ class Milan:
             )
             candidates = entry.candidates
         else:
+            # The engine's probe names a record under another key; so does
+            # the oracle, which would otherwise score a record held under
+            # two keys, and ``advance_time`` drain one of them.
+            check_own_ids(self.context.sensors)
             candidates = self._application_candidates(requirements)
         # Plugins judge live network state (reachability, channel load) that
         # can change without any sensor delta, so filtering is never cached.
@@ -267,13 +273,15 @@ class Milan:
         candidates, entry = self._candidate_sets(requirements)
         if entry is not None:
             chosen = self.engine.select(
-                entry, candidates, self.context.sensors, requirements,
-                self._strategy,
+                entry, candidates, self.context, requirements,
+                self._strategy, self.elect_master,
             )
         else:
-            chosen = select_best(
+            score = select_best(
                 candidates, self.context.sensors, requirements, self._strategy
             )
+            chosen = None if score is None else (score, configure(
+                score.sensor_set, self.context, self.elect_master))
         if chosen is None:
             # Graceful degradation: best-effort greedy set, even if it
             # cannot fully satisfy the state.
@@ -289,13 +297,11 @@ class Milan:
             self.current_configuration = configuration
             self.current_score = None
             return configuration
-        configuration = configure(
-            chosen.sensor_set, self.context, self.elect_master
-        )
+        score, configuration = chosen
         self.current_configuration = configuration
-        self.current_score = chosen
+        self.current_score = score
         self.reconfigurations += 1
-        self.events.emit("reconfigured", configuration, chosen)
+        self.events.emit("reconfigured", configuration, score)
         return configuration
 
     def _all_alive(self) -> SensorSet:

@@ -173,7 +173,11 @@ def _size_list(value: Any) -> int:
     count = len(value)
     total = 2 if count < 128 else 1 + _varint_size(count)
     for item in value:
-        total += rows[type(item)][0](item)
+        try:
+            size = rows[type(item)][0]
+        except KeyError:
+            size = _row_of(type(item))[0]
+        total += size(item)
     return total
 
 
@@ -181,14 +185,21 @@ def _encode_list(value: Any, pieces: list) -> None:
     rows = _ROWS
     pieces.append(_T_LIST + _encode_varint(len(value)))
     for item in value:
-        rows[type(item)][1](item, pieces)
+        try:
+            encode = rows[type(item)][1]
+        except KeyError:
+            encode = _row_of(type(item))[1]
+        encode(item, pieces)
 
 
 def _plain_list(value: Any) -> list:
     rows = _ROWS
     result = []
     for item in value:
-        plain = rows[type(item)][2]
+        try:
+            plain = rows[type(item)][2]
+        except KeyError:
+            plain = _row_of(type(item))[2]
         result.append(item if plain is None else plain(item))
     return result
 
@@ -222,7 +233,11 @@ def _size_dict(value: Any) -> int:
             header = headers[key]
         except KeyError:
             header = _key_header(key)
-        total += len(header) + rows[type(item)][0](item)
+        try:
+            size = rows[type(item)][0]
+        except KeyError:
+            size = _row_of(type(item))[0]
+        total += len(header) + size(item)
     return total
 
 
@@ -236,43 +251,31 @@ def _encode_dict(value: Any, pieces: list) -> None:
         except KeyError:
             header = _key_header(key)
         pieces.append(header)
-        rows[type(item)][1](item, pieces)
+        try:
+            encode = rows[type(item)][1]
+        except KeyError:
+            encode = _row_of(type(item))[1]
+        encode(item, pieces)
 
 
 def _plain_dict(value: Any) -> dict:
     rows = _ROWS
     result = {}
     for key, item in value.items():
-        plain = rows[type(item)][2]
+        try:
+            plain = rows[type(item)][2]
+        except KeyError:
+            plain = _row_of(type(item))[2]
         result[key] = item if plain is None else plain(item)
     return result
 
 
-class _RowTable(dict):
-    """``type -> (size, encode, plain)``: an exact type is one dict probe.
-
-    A type not in the table (``IntEnum``, ``OrderedDict``, a namedtuple, a
-    ``str`` subclass, ...) resolves once, to the row of the first entry it
-    subclasses in insertion order — the order the rows are listed below —
-    and is then an exact hit. A type with no such entry is unsupported.
-    """
-
-    #: Resolved subclasses are remembered up to this many rows, so a
-    #: program that keeps minting value classes cannot grow the table.
-    MAX_ROWS = 256
-
-    def __missing__(self, kind: type) -> tuple:
-        for base, row in self.items():
-            if issubclass(kind, base):
-                break  # leave the loop before the insert below
-        else:
-            raise CodecError(f"unsupported type {kind.__name__}")
-        if len(self) < self.MAX_ROWS:
-            self[kind] = row
-        return row
-
-
-_ROWS = _RowTable({
+#: ``type -> (size, encode, plain)``: an exact type is one probe of a plain
+#: ``dict`` (a subclass would lose the interpreter's specialised subscript).
+#: A type not in the table (``IntEnum``, ``OrderedDict``, a namedtuple, a
+#: ``str`` subclass, ...) raises ``KeyError`` there, and each walker site
+#: resolves it through :func:`_row_of`.
+_ROWS: Dict[type, tuple] = {
     type(None): (_size_tag_only, _encode_none, None),
     bool: (_size_tag_only, _encode_bool, None),  # before int, its base
     int: (_size_int, _encode_int, None),
@@ -283,7 +286,26 @@ _ROWS = _RowTable({
     list: (_size_list, _encode_list, _plain_list),
     tuple: (_size_list, _encode_list, _plain_list),
     dict: (_size_dict, _encode_dict, _plain_dict),
-})
+}
+
+#: Resolved subclasses are remembered up to this many rows, so a program
+#: that keeps minting value classes cannot grow the table.
+MAX_ROWS = 256
+
+
+def _row_of(kind: type) -> tuple:
+    """The row of a type not in ``_ROWS``: that of the first entry it
+    subclasses in insertion order (the order the rows are listed above),
+    remembered so the type is then an exact hit. A type with no such
+    entry is unsupported."""
+    for base, row in _ROWS.items():
+        if issubclass(kind, base):
+            break  # leave the loop before the insert below
+    else:
+        raise CodecError(f"unsupported type {kind.__name__}")
+    if len(_ROWS) < MAX_ROWS:
+        _ROWS[kind] = row
+    return row
 
 
 def register_frame_types(types: tuple) -> None:
@@ -332,7 +354,11 @@ class BinaryCodec:
     def encode(self, value: Any) -> bytes:
         pieces: list[bytes] = []
         try:
-            _ROWS[type(value)][1](value, pieces)
+            encode = _ROWS[type(value)][1]
+        except KeyError:
+            encode = _row_of(type(value))[1]
+        try:
+            encode(value, pieces)
         except CodecError:
             raise
         except Exception as exc:
@@ -351,7 +377,11 @@ class BinaryCodec:
         (the simulator's serialization-delay input) without materializing.
         """
         try:
-            return _ROWS[type(value)][0](value)
+            size = _ROWS[type(value)][0]
+        except KeyError:
+            size = _row_of(type(value))[0]
+        try:
+            return size(value)
         except CodecError:
             raise
         except Exception as exc:
@@ -573,5 +603,8 @@ def wire_plain(value: Any) -> Any:
     yields — while scalars, which are immutable, pass by reference at no
     cost.
     """
-    plain = _ROWS[type(value)][2]
+    try:
+        plain = _ROWS[type(value)][2]
+    except KeyError:
+        plain = _row_of(type(value))[2]
     return value if plain is None else plain(value)

@@ -379,13 +379,14 @@ class TestDirectSwapHazard:
             milan.reconfigure()
 
 
-    def test_a_record_under_two_keys_is_named(self):
-        # The alias leaves the record's signature memo under its id only,
-        # so the lifetime pass refused every round and each one was scored
-        # uncached, silently.
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_a_record_under_two_keys_is_named(self, incremental):
+        # The engine scored every such round uncached, silently; the
+        # uncached path scored the record twice, and ``advance_time``
+        # drained one key and left the other stale.
         from repro.experiments.exp_milan import fleet as e10_fleet
 
-        milan = Milan(health_monitor_policy())
+        milan = Milan(health_monitor_policy(), incremental=incremental)
         for sensor in e10_fleet():
             milan.add_sensor(sensor)
         milan.reconfigure()
@@ -399,7 +400,7 @@ class TestFeasibilityCacheUnit:
     def test_lru_bounds_entries(self):
         cache = FeasibilityCache(max_entries=2)
         sensors = {s.sensor_id: s for s in fleet()}
-        base = cache.fleet_key(sensors)
+        base = cache.probe(sensors)[0]
         for i in range(4):
             cache.store((base, ("req", i)), [])
         assert len(cache) == 2
@@ -407,31 +408,43 @@ class TestFeasibilityCacheUnit:
     def test_signature_memo_revalidates_on_swap(self):
         cache = FeasibilityCache()
         a = SensorInfo("s", {"v": 0.9}, 0.01, 5.0)
-        sig_a = cache.signature_of(a)
-        assert cache.signature_of(a.with_energy(4.0)) is sig_a  # identity hit
+        (item_a,), _, _ = cache.probe({"s": a})
+        # An identity hit: the drained copy keeps the memo's key item.
+        assert cache.probe({"s": a.with_energy(4.0)})[0][0] is item_a
         b = SensorInfo("s", {"v": 0.2}, 0.01, 5.0)
-        assert cache.signature_of(b) != sig_a
+        assert cache.probe({"s": b})[0][0] != item_a
+        # The same reliabilities mapping and power on another node.
+        moved = SensorInfo("s", a.reliabilities, 0.01, 5.0, node_id="n1")
+        assert cache.probe({"s": moved})[0][0] != item_a
 
-    def test_lifetimes_follow_the_fleet_or_refuse_a_swap(self):
+    def test_probe_follows_the_fleet_and_rekeys_a_swap(self):
         cache = FeasibilityCache()
         sensors = {s.sensor_id: s for s in fleet()}
-        fleet_key = cache.fleet_key(sensors)
-        lifetimes = cache.lifetimes(fleet_key, sensors)
+        fleet_key, lifetimes, depleted_nodes = cache.probe(sensors)
         assert lifetimes == [
-            sensors[sid].lifetime_if_active() for sid, _sig in fleet_key
+            sensors[item[0]].lifetime_if_active() for item in fleet_key
         ] + [float("inf")]
+        assert depleted_nodes == []
         victim = fleet_key[0][0]
         drained = dict(sensors, **{victim: sensors[victim].drained(1.0)})
-        assert cache.lifetimes(fleet_key, drained)[0] < lifetimes[0]
+        drained_key, drained_lifetimes, _ = cache.probe(drained)
+        assert drained_key == fleet_key
+        assert drained_lifetimes[0] < lifetimes[0]
         swapped = dict(sensors, **{victim: SensorInfo(victim, {"v": 0.5})})
-        assert cache.lifetimes(fleet_key, swapped) is None
+        assert cache.probe(swapped)[0] != fleet_key
+        depleted = dict(sensors, **{victim: SensorInfo(
+            victim, sensors[victim].reliabilities, node_id="n3", energy_j=0.0)})
+        depleted_key, depleted_lifetimes, depleted_nodes = cache.probe(depleted)
+        assert depleted_key == fleet_key[1:]
+        assert depleted_lifetimes == lifetimes[1:]
+        assert depleted_nodes == ["n3"]
         del drained[victim]
-        assert cache.lifetimes(fleet_key, drained) is None
+        assert cache.probe(drained)[0] == fleet_key[1:]
 
     def test_invalidate_reports_dropped_count(self):
         cache = FeasibilityCache()
         sensors = {s.sensor_id: s for s in fleet()}
-        key = (cache.fleet_key(sensors), ("req",), 16, 0)
+        key = (cache.probe(sensors)[0], ("req",), 16, 0)
         cache.store(key, [frozenset(["ecg"])])
         assert cache.invalidate_sensor("ecg") == 1
         assert cache.lookup(key) is None
