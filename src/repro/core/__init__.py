@@ -55,7 +55,6 @@ __getattr__, __all__ = _facade(__name__, {
     "NetworkPlugin": "repro.core.plugins",
     "ReachabilityPlugin": "repro.core.plugins",
     "ApplicationPolicy": "repro.core.policy",
-    "FeasibilityCache": "repro.core.reconfig",
     "ReconfigEngine": "repro.core.reconfig",
     "VariableRequirements": "repro.core.requirements",
     "SelectionStrategy": "repro.core.selection",

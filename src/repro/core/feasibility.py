@@ -54,7 +54,7 @@ def sensor_signature(sensor: SensorInfo) -> Tuple:
 
     Two fleets whose alive sensors carry pairwise-equal signatures (under
     the same requirements) produce identical candidate enumerations, so
-    this is what :class:`repro.core.reconfig.FeasibilityCache` fingerprints.
+    this is what :class:`repro.core.reconfig.ReconfigEngine` fingerprints.
     Remaining energy is deliberately excluded: draining a battery without
     depleting it cannot change which sets are feasible, only how they
     score — that is the energy-only fast path. Active power is included
@@ -105,11 +105,10 @@ def satisfies(
 def unsatisfied_variables(
     sensors: Sequence[SensorInfo], requirements: Dict[str, float]
 ) -> List[str]:
-    epsilon = 1e-12
     return [
         variable
         for variable, required in requirements.items()
-        if combined_reliability(sensors, variable) + epsilon < required
+        if combined_reliability(sensors, variable) + _EPSILON < required
     ]
 
 
@@ -249,7 +248,6 @@ class _BitmaskSearch:
 
     def results(self, ids: List[str], max_sets: int) -> List[SensorSet]:
         """Minimal candidates in (size, lex) order, capped like the reference."""
-        kept_masks: List[int] = []
         out: List[SensorSet] = []
         # Size-bucketed index of kept masks: a candidate of size s can only
         # contain kept sets from strictly smaller buckets.
@@ -269,7 +267,6 @@ class _BitmaskSearch:
                     break
             if dominated:
                 continue
-            kept_masks.append(cand)
             by_size.setdefault(size, []).append(cand)
             out.append(frozenset(ids[j] for j in path))
             if len(out) >= max_sets:
@@ -283,18 +280,15 @@ def minimal_feasible_sets(
     max_size: Optional[int] = None,
     max_sets: int = 256,
 ) -> List[SensorSet]:
-    """Enumerate minimal feasible sets (ids), smallest first.
+    """Every minimal feasible set (ids) of at most ``max_size`` members,
+    in (size, sorted ids) order, the first ``max_sets`` of them.
 
-    Only sensors measuring at least one required variable are considered.
-    Searches subset sizes in increasing order and prunes supersets of
-    already-found feasible sets, so every returned set is minimal. Stops
-    after ``max_sets`` results — the selector rarely needs more, and the
-    cap bounds worst-case work (documented ablation in bench E10).
-
-    Returns an empty list when even the full set is infeasible. The result
-    (sets, order, cap behaviour) is identical to
+    Only sensors measuring at least one required variable are considered;
+    an empty list means even the full set is infeasible. The cap bounds
+    worst-case work (documented ablation in bench E10). The result (sets,
+    order, cap behaviour) is identical to
     :func:`repro.core.feasibility_reference.minimal_feasible_sets_reference`;
-    only the search machinery differs (see the module docstring).
+    the search is described in the module docstring.
     """
     relevant = [
         sensor

@@ -1,94 +1,36 @@
-"""Incremental reconfiguration: feasibility caching + energy-only fast path.
+"""Incremental reconfiguration: the engine behind ``Milan``'s warm round.
 
-MiLAN "continually monitors" the network: lifetime experiments alternate
-``advance_time`` with ``reconfigure`` in a tight loop, and most of those
-rounds change nothing but residual energy. Energy changes that do not
-deplete a sensor cannot change *which* sets are feasible — feasibility
-depends only on the alive sensors' reliabilities and the state's
-requirements — so re-running the minimal-feasible-set enumeration (the
-slowest micro-bench in BENCH_micro.json) on every round is pure waste.
+:class:`ReconfigEngine` memoizes candidate enumerations, and the columns
+and configurations compiled from them, under a structural fingerprint::
 
-:class:`FeasibilityCache` memoizes candidate enumerations under a
-structural fingerprint::
-
-    (alive fleet key, requirements signature, exhaustive_limit, redundancy)
+    (fleet key, requirements signature, exhaustive_limit, redundancy)
 
 where the fleet key is the tuple of ``(sensor_id, sensor_signature,
-node_id)`` over non-depleted sensors, in the sensors dict's own order (the
-enumeration id-sorts the fleet itself, so a reordered fleet is a miss,
-never a different list). One walk of the sensors dict per round,
-:meth:`FeasibilityCache.probe`, builds it and, in the same pass, divides
-each alive sensor's ``lifetime_if_active()`` in line and lists each
-depleted sensor's node. Per sensor that is an id check (a record under
-another key than its id is a ``ConfigurationError`` naming both), the
-stored ``depleted`` slot and, if alive, a memo validated by identity of
-the reliabilities mapping and equality of power and node id, whose stored
-key item is appended as is, with no call. So correctness never depends on
-callers announcing changes: a sensor death, removal, addition, move to
-another node, or even a direct ``context.sensors[sid] = ...`` swap (as the
-secure binder does) lands on a different key and misses. Explicit *delta
-invalidation* (:meth:`ReconfigEngine.invalidate_sensor`, wired into
-``add_sensor`` / ``remove_sensor`` / sensor death) is hygiene on top: it
-evicts entries that can never be hit again and keeps the cache honest
-about memory.
+node_id)`` over non-depleted sensors, in the sensors dict's own order.
+Energy is not in it, so an energy-only round hits. The key is rebuilt
+from live state every round, so a sensor death, removal, addition, move
+to another node or direct ``context.sensors`` swap lands on another key
+whether or not anyone announced it.
 
-:class:`ReconfigEngine` adds the scoring half of the fast path. An entry's
-first ``select`` compiles its energy-independent columns once: each
-candidate's members as positions in the entry's fleet (an
-``itemgetter``), and the ``performance``, ``power`` and tie-break-key
-columns of ``score_columns``. The fleet key pins every alive sensor's
-signature, which is all those columns depend on, so the fingerprint
-validates them and the one cache bounds and evicts them. A warm
-energy-only ``reconfigure()`` computes only what changes: the probe, a
-lookup (the entry the cache last returned is re-probed by equality, with
-no hash and no LRU move), plugin filtering, the lifetime column as
-``min(gather(lifetimes))`` per candidate over the probe's lifetimes, the
-strategy's pick over the columns (the contract of
-:mod:`repro.core.selection`), and one :class:`SetScore`, the winner's.
-Plugins run between the lookup and ``select`` and may write
-``context.sensors``, so where they ran ``select`` probes again; if the
-fleet key moved, the round is scored uncached and nothing is stored.
-
-An entry also keeps each candidate's ``NetworkConfiguration`` by position,
-built by ``configure`` the first time the candidate wins, wherever
-``configure`` is a pure function of what the probe pins: no
-``context.network`` (routers follow the live topology) and no
-``elect_master`` (the master follows residual energy). It then reads the
-members' nodes, pinned by the key, and every other sensor's node and the
-sink, pinned beside the configurations (the depleted sensors' nodes, in
-dict order, and ``sink_node_id``), which start over when that pin moves.
-Elsewhere ``configure`` runs every round.
-
-Exact equivalence with the uncached path is guaranteed by construction
-(the miss paths *are* the uncached code: the ``compute`` thunk, and
-``score_columns``, whose floats associate over id-sorted members) and
-asserted by the property tests in ``tests/test_feasibility_property.py``.
-
-Cache traffic is counted in slots: ``FeasibilityCache.{hits,misses,
-invalidations}`` and ``ReconfigEngine.{score_hits,score_misses}``
-(candidates scored from compiled columns / candidates compiled);
-:meth:`ReconfigEngine.stats` reads them.
+Exactness: the miss paths are the uncached code (the ``compute`` thunk and
+``score_columns``, whose floats associate over id-sorted members), so a
+round chooses, scores and configures exactly as ``Milan(incremental=False)``
+does; ``tests/test_feasibility_property.py`` asserts it round by round.
+What an entry holds, the warm round, invalidation and the counters are
+described once, in docs/ARCHITECTURE.md section 10.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from operator import itemgetter
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.configurator import NetworkConfiguration, configure
 from repro.core.feasibility import requirements_signature, sensor_signature
 from repro.core.plugins import NetworkContext
 from repro.core.selection import (
-    Columns, SelectionStrategy, SetScore, check_own_ids, score_columns, select_best,
+    Columns, SelectionStrategy, SetScore, check_own_ids, score_columns,
 )
 from repro.core.sensors import SensorInfo
 
@@ -97,6 +39,9 @@ SensorSet = FrozenSet[str]
 #: dict's order.
 FleetKey = Tuple
 CacheKey = Tuple
+#: One walk of the sensors: the fleet key, each alive sensor's lifetime by
+#: fleet position then ``inf``, and each depleted sensor's node.
+Probe = Tuple[FleetKey, List[float], List[Optional[str]]]
 _INF = float("inf")
 
 
@@ -125,17 +70,19 @@ class FeasibilityEntry:
         self.layout: Optional[Tuple] = None
 
 
-class FeasibilityCache:
-    """LRU memo of application-feasible candidate lists.
+class ReconfigEngine:
+    """The incremental engine behind ``Milan._run_pipeline``: one LRU of
+    :class:`FeasibilityEntry` under structural fingerprints, the per-sensor
+    memo the probe reads, and the counters ``stats`` reports.
 
-    Keys are structural fingerprints (see the module docstring), so stale
-    reads are impossible; ``max_entries`` bounds memory across state/fleet
-    churn. The per-sensor memo is validated by *identity* of the
+    Keys are structural (see the module docstring), so stale reads are
+    impossible; ``max_entries`` bounds memory across state and fleet churn.
+    The per-sensor memo is validated by *identity* of the
     (immutable-by-convention) reliabilities mapping plus power and node id
     equality — ``SensorInfo.with_energy``/``drained`` preserve all three,
-    which is exactly what makes the energy-only probe cheap. Holding the
-    mapping reference also pins it, so an identity check can never be
-    confused by object-id reuse.
+    which is what makes the energy-only probe cheap. Holding the mapping
+    reference also pins it, so object-id reuse cannot fool the identity
+    check.
     """
 
     def __init__(self, max_entries: int = 256):
@@ -148,23 +95,15 @@ class FeasibilityCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        self.score_hits = 0
+        self.score_misses = 0
 
     # ----------------------------------------------------------------- probe
 
-    def probe(
-        self, sensors: Dict[str, SensorInfo]
-    ) -> Tuple[FleetKey, List[float], List[Optional[str]]]:
-        """One walk of ``sensors``, in the dict's own order.
-
-        Returns the fleet key (each alive sensor's ``(sensor_id,
-        signature, node_id)``), each alive sensor's
-        ``lifetime_if_active()`` by fleet position, computed in line, then
-        ``inf`` (the empty set's one "member"), and each depleted sensor's
-        node id. A record under another key than its id is a
-        ``ConfigurationError`` naming both.
+    def probe(self, sensors: Dict[str, SensorInfo]) -> Probe:
+        """One walk of ``sensors``, in the dict's own order, each alive
+        sensor's ``lifetime_if_active()`` computed in line. A record under
+        another key than its id is a ``ConfigurationError`` naming both.
         """
         memos = self._memos
         fleet = []
@@ -225,10 +164,12 @@ class FeasibilityCache:
         return entry
 
     def invalidate_sensor(self, sensor_id: str) -> int:
-        """Evict the sensor's memo and every entry keyed on it.
+        """Evict the sensor's memo and every entry keyed on it; returns the
+        number of entries dropped.
 
-        Returns the number of entries dropped. Structural keying
-        already guarantees such entries could never be *wrongly* hit; this
+        Wired into ``add_sensor`` (a re-registration may carry new
+        reliabilities), ``remove_sensor`` and sensor death. Structural
+        keying already keeps such entries from being *wrongly* hit; this
         reclaims their memory the moment they become unreachable.
         """
         self._memos.pop(sensor_id, None)
@@ -242,33 +183,10 @@ class FeasibilityCache:
         self.invalidations += len(stale)
         return len(stale)
 
-    def rows_held(self) -> int:
-        return sum(len(entry.gathers or ()) for entry in self._entries.values())
-
     def clear(self) -> None:
         self._entries.clear()
         self._memos.clear()
         self._last = None
-
-
-class ReconfigEngine:
-    """The incremental engine behind ``Milan._run_pipeline``.
-
-    One :class:`FeasibilityCache` whose entries carry both halves of the
-    fast path: a warm reconfigure after an energy-only update skips the
-    candidate enumeration, the per-set reliability products and, where the
-    entry holds the winner's configuration, ``configure``; it pays one
-    walk of the sensors plus one ``min`` per candidate.
-    """
-
-    def __init__(self):
-        self.feasibility = FeasibilityCache()
-        self.score_hits = 0
-        self.score_misses = 0
-        # The last probe's lifetimes and depleted sensors' nodes, which the
-        # ``select`` after ``candidates`` ranks and configures on.
-        self._lifetimes: List[float] = []
-        self._depleted_nodes: List[Optional[str]] = []
 
     # ------------------------------------------------------------ candidates
 
@@ -278,55 +196,59 @@ class ReconfigEngine:
         requirements: Dict[str, float],
         policy,
         compute: Callable[[], List[SensorSet]],
-    ) -> FeasibilityEntry:
-        """The memoized entry for the current fingerprint.
+    ) -> Tuple[FeasibilityEntry, Probe]:
+        """The memoized entry for the current fingerprint, and the probe
+        that keyed it; ``select`` takes both.
 
         ``compute`` is the uncached enumeration (Milan's own pipeline
         code), called only on a fingerprint miss — so ``entry.candidates``
         is byte-identical to what the uncached path would have produced.
-        Callers must treat it as immutable and hand the entry to ``select``.
+        Callers must treat it as immutable.
         """
-        fleet, self._lifetimes, self._depleted_nodes = (
-            self.feasibility.probe(sensors))
+        probe = self.probe(sensors)
         key = (
-            fleet,
+            probe[0],
             requirements_signature(requirements),
             policy.exhaustive_limit,
             policy.redundancy,
         )
-        entry = self.feasibility.lookup(key)
+        entry = self.lookup(key)
         if entry is None:
-            entry = self.feasibility.store(key, compute())
-        return entry
+            entry = self.store(key, compute())
+        return entry, probe
 
     # --------------------------------------------------------------- scoring
 
     def select(
         self,
         entry: FeasibilityEntry,
+        probe: Probe,
         candidates: Sequence[SensorSet],
         context: NetworkContext,
         requirements: Dict[str, float],
         strategy: SelectionStrategy,
         elect_master: bool = False,
     ) -> Optional[Tuple[SetScore, NetworkConfiguration]]:
-        """``select_best`` over ``entry``'s compiled columns, and the
-        winner's ``configure``; ``candidates`` are the entry's after
-        network filtering, ``requirements`` its lookup's."""
+        """The strategy's pick over ``entry``'s compiled columns, and the
+        winner's configuration; ``candidates`` are the entry's after
+        network filtering, ``probe`` and ``requirements`` its lookup's.
+
+        ``None`` when there is nothing to rank, or when the plugins have
+        moved the fleet key: the caller scores that round uncached.
+        """
         if not candidates:
             return None
         sensors = context.sensors
-        lifetimes, depleted_nodes = self._lifetimes, self._depleted_nodes
+        _, lifetimes, depleted_nodes = probe
         filtered = candidates is not entry.candidates
         if filtered:
             # The plugins ran since the probe, and may have written
             # ``context.sensors``: probe again.
-            fleet, lifetimes, depleted_nodes = self.feasibility.probe(sensors)
+            fleet, lifetimes, depleted_nodes = self.probe(sensors)
             if fleet != entry.key[0]:
                 # The fingerprint no longer vouches for the compiled columns.
                 self.score_misses += len(candidates)
-                score = select_best(candidates, sensors, requirements, strategy)
-                return score, configure(score.sensor_set, context, elect_master)
+                return None
         if entry.gathers is None:
             self._compile(entry, sensors, requirements)
         columns = Columns(
@@ -381,28 +303,16 @@ class ReconfigEngine:
         entry.gathers = gathers
         self.score_misses += len(gathers)
 
-    # ---------------------------------------------------------- invalidation
-
-    def invalidate_sensor(self, sensor_id: str) -> None:
-        """Delta invalidation: drop every entry keyed on ``sensor_id``.
-
-        Wired into ``add_sensor`` (a re-registration may carry new
-        reliabilities), ``remove_sensor``, and sensor death.
-        """
-        self.feasibility.invalidate_sensor(sensor_id)
-
-    def clear(self) -> None:
-        self.feasibility.clear()
-
     # ------------------------------------------------------------ inspection
 
     def stats(self) -> Dict[str, float]:
         return {
-            "feasibility_hits": self.feasibility.hits,
-            "feasibility_misses": self.feasibility.misses,
-            "feasibility_invalidations": self.feasibility.invalidations,
-            "feasibility_entries": len(self.feasibility),
+            "feasibility_hits": self.hits,
+            "feasibility_misses": self.misses,
+            "feasibility_invalidations": self.invalidations,
+            "feasibility_entries": len(self._entries),
             "score_hits": self.score_hits,
             "score_misses": self.score_misses,
-            "score_entries": self.feasibility.rows_held(),
+            "score_entries": sum(len(entry.gathers or ())
+                                 for entry in self._entries.values()),
         }

@@ -292,8 +292,9 @@ class TestSelection:
             for state in ("rest", "exercise", "distress"):
                 milan.set_state(state)
                 milan.reconfigure()
-                seen.extend(score_set(sensor_set, milan.sensors, milan.requirements())
-                            for sensor_set in milan.candidate_sets())
+                requirements = milan.requirements()
+                seen.extend(score_set(sensor_set, milan.sensors, requirements)
+                            for sensor_set in milan._candidate_sets(requirements)[0])
             for score in seen:
                 print(sorted(score.sensor_set), score.performance.hex(),
                       score.power_w.hex())

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.milan import Milan
 from repro.core.policy import ApplicationPolicy, health_monitor_policy
-from repro.core.reconfig import FeasibilityCache, ReconfigEngine
+from repro.core.reconfig import ReconfigEngine
 from repro.core.requirements import VariableRequirements
 from repro.core.selection import max_lifetime, strategy_by_name
 from repro.core.sensors import SensorInfo
@@ -29,6 +29,11 @@ def fleet():
     ]
 
 
+def candidate_sets(milan):
+    """Steps 1-2 of the pipeline: feasible sets, then network filtering."""
+    return milan._candidate_sets(milan.requirements())[0]
+
+
 def build(**kwargs):
     milan = Milan(health_monitor_policy(), **kwargs)
     for sensor in fleet():
@@ -39,29 +44,29 @@ def build(**kwargs):
 class TestFeasibilityCacheFastPath:
     def test_energy_only_update_hits(self):
         milan = build()
-        hits_before = milan.engine.feasibility.hits
+        hits_before = milan.engine.hits
         milan.update_sensor_energy("spo2", 8.9)  # non-depleting drain
         milan.reconfigure()
-        assert milan.engine.feasibility.hits > hits_before
+        assert milan.engine.hits > hits_before
 
     def test_advance_time_tick_hits(self):
         milan = build()
         milan.reconfigure()
-        hits_before = milan.engine.feasibility.hits
-        misses_before = milan.engine.feasibility.misses
+        hits_before = milan.engine.hits
+        misses_before = milan.engine.misses
         for _ in range(5):
             milan.advance_time(0.01)  # nobody depletes
             milan.reconfigure()
-        assert milan.engine.feasibility.misses == misses_before
-        assert milan.engine.feasibility.hits >= hits_before + 5
+        assert milan.engine.misses == misses_before
+        assert milan.engine.hits >= hits_before + 5
 
     def test_state_change_misses_then_warms(self):
         milan = build()
-        misses_before = milan.engine.feasibility.misses
+        misses_before = milan.engine.misses
         milan.set_state("distress")
-        assert milan.engine.feasibility.misses == misses_before + 1
+        assert milan.engine.misses == misses_before + 1
         milan.set_state("rest")  # rest entry is still cached
-        assert milan.engine.feasibility.misses == misses_before + 1
+        assert milan.engine.misses == misses_before + 1
 
     def test_score_cache_hits_on_warm_rounds(self):
         milan = build()
@@ -73,7 +78,7 @@ class TestFeasibilityCacheFastPath:
         assert after["score_misses"] == before["score_misses"]
         assert after["score_entries"] == before["score_entries"]
         assert (after["score_hits"] - before["score_hits"]
-                == len(milan.candidate_sets()))
+                == len(candidate_sets(milan)))
 
     def test_empty_requirements_score_like_uncached(self):
         # The empty candidate has no member to take a lifetime from.
@@ -81,7 +86,7 @@ class TestFeasibilityCacheFastPath:
         for milan in (cached, plain):
             milan.set_requirements_override(lambda base: {})
             milan.reconfigure()  # cached: the second, warm, round
-            assert milan.candidate_sets() == [frozenset()]
+            assert candidate_sets(milan) == [frozenset()]
             score = milan.current_score
             assert score.lifetime_s == float("inf")
             assert (score.performance, score.power_w) == (1.0, 0)
@@ -180,21 +185,21 @@ class TestInvalidation:
         milan = build()
         milan.reconfigure()
         victim = sorted(milan.active_sensor_ids())[0]
-        misses_before = milan.engine.feasibility.misses
+        misses_before = milan.engine.misses
         milan.update_sensor_energy(victim, 0.0)
-        assert milan.engine.feasibility.invalidations > 0
+        assert milan.engine.invalidations > 0
         # The death's own reconfigure ran against the shrunken fleet: miss.
-        assert milan.engine.feasibility.misses > misses_before
+        assert milan.engine.misses > misses_before
 
     def test_remove_drops_entries(self):
         milan = build()
         milan.reconfigure()
-        assert len(milan.engine.feasibility) > 0
+        assert milan.engine.stats()["feasibility_entries"] > 0
         for sensor_id in list(milan.sensors):
             milan.remove_sensor(sensor_id)
         # At most the final empty-fleet entry survives; every entry keyed
         # on a removed sensor is gone.
-        assert len(milan.engine.feasibility) <= 1
+        assert milan.engine.stats()["feasibility_entries"] <= 1
 
     def test_advance_time_death_invalidates(self):
         milan = build()
@@ -205,7 +210,7 @@ class TestInvalidation:
         )
         milan.advance_time(weakest.lifetime_if_active() + 1.0)
         assert weakest.sensor_id not in milan.active_sensor_ids()
-        assert milan.engine.feasibility.invalidations > 0
+        assert milan.engine.invalidations > 0
 
     @pytest.mark.parametrize("forget", [
         lambda milan, victim: milan.update_sensor_energy(victim, 0.0),
@@ -218,7 +223,7 @@ class TestInvalidation:
             milan.set_state(state)
             milan.reconfigure()
         victim = sorted(milan.active_sensor_ids())[0]
-        entries = milan.engine.feasibility._entries
+        entries = milan.engine._entries
 
         def compiled_sets():
             return [sensor_set for entry in entries.values()
@@ -398,15 +403,15 @@ class TestDirectSwapHazard:
 
 class TestFeasibilityCacheUnit:
     def test_lru_bounds_entries(self):
-        cache = FeasibilityCache(max_entries=2)
+        cache = ReconfigEngine(max_entries=2)
         sensors = {s.sensor_id: s for s in fleet()}
         base = cache.probe(sensors)[0]
         for i in range(4):
             cache.store((base, ("req", i)), [])
-        assert len(cache) == 2
+        assert cache.stats()["feasibility_entries"] == 2
 
     def test_signature_memo_revalidates_on_swap(self):
-        cache = FeasibilityCache()
+        cache = ReconfigEngine()
         a = SensorInfo("s", {"v": 0.9}, 0.01, 5.0)
         (item_a,), _, _ = cache.probe({"s": a})
         # An identity hit: the drained copy keeps the memo's key item.
@@ -418,7 +423,7 @@ class TestFeasibilityCacheUnit:
         assert cache.probe({"s": moved})[0][0] != item_a
 
     def test_probe_follows_the_fleet_and_rekeys_a_swap(self):
-        cache = FeasibilityCache()
+        cache = ReconfigEngine()
         sensors = {s.sensor_id: s for s in fleet()}
         fleet_key, lifetimes, depleted_nodes = cache.probe(sensors)
         assert lifetimes == [
@@ -442,7 +447,7 @@ class TestFeasibilityCacheUnit:
         assert cache.probe(drained)[0] == fleet_key[1:]
 
     def test_invalidate_reports_dropped_count(self):
-        cache = FeasibilityCache()
+        cache = ReconfigEngine()
         sensors = {s.sensor_id: s for s in fleet()}
         key = (cache.probe(sensors)[0], ("req",), 16, 0)
         cache.store(key, [frozenset(["ecg"])])
@@ -460,9 +465,9 @@ class TestFeasibilityCacheUnit:
         engine = ReconfigEngine()
         sensors = {s.sensor_id: s for s in fleet()}
         requirements = reqs.for_state("run")
-        first = engine.candidates(sensors, requirements, small,
-                                  lambda: [frozenset(["a"])])
-        second = engine.candidates(sensors, requirements, big,
-                                   lambda: [frozenset(["b"])])
+        first, _ = engine.candidates(sensors, requirements, small,
+                                     lambda: [frozenset(["a"])])
+        second, _ = engine.candidates(sensors, requirements, big,
+                                      lambda: [frozenset(["b"])])
         assert first.candidates != second.candidates
-        assert engine.feasibility.misses == 2
+        assert engine.misses == 2
