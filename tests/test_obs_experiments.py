@@ -1,10 +1,12 @@
 """End-to-end tracing through the experiments (the acceptance scenarios)."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.experiments import exp_handoff, exp_milan
+from repro.obs.export import canonical_json, chrome_trace
 from repro.obs.tracing import TRACER
 
 
@@ -37,6 +39,17 @@ def test_traced_exports_are_byte_identical_across_runs(tmp_path):
     third = tmp_path / "c.json"
     exp_milan.run_traced(seed=4, export_path=str(third))
     assert first.read_bytes() != third.read_bytes()
+
+
+def test_traced_milan_export_is_pinned_to_its_bytes():
+    """The seed-0 ``exp_milan`` trace (439 spans, 458 events; the file CI
+    uploads) hashed over its canonical bytes. Span ids, parents, intervals
+    and labels all feed it, so a change to how the tracer draws ids, links
+    a span to its parent or closes it shows here as a new digest."""
+    exp_milan.run_traced(seed=0)
+    digest = hashlib.sha256(canonical_json(chrome_trace(TRACER))).hexdigest()
+    assert digest == (
+        "0a5631d96d83850bc041f405602251010283abeea8bccb0b0f93158a4696262d")
 
 
 def test_traced_handoff_run_exports_valid_trace(tmp_path):
