@@ -102,8 +102,8 @@ def run_world(side: int, rounds: int, seed: int = 0,
     # Deliveries are recorded as raw tuples and serialized into the sha256
     # only after the clock stops, so the trace costs the timed region one
     # list-append per delivery rather than an f-string + hash update.
-    # packet_id is a process-global counter, so the trace identifies
-    # packets by their source instead (source + time is unique here).
+    # A packet carries no id, so the trace identifies packets by their
+    # source (source + time is unique here).
     deliveries: list = []
     record = deliveries.append
 

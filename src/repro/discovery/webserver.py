@@ -174,9 +174,8 @@ class EmbeddedWebServer:
 class HttpResponse:
     """What :meth:`HttpClient.get` fulfills with."""
 
-    def __init__(self, status: int, headers: Dict[str, str], body: str):
+    def __init__(self, status: int, body: str):
         self.status = status
-        self.headers = headers
         self.body = body
 
     @property
@@ -227,4 +226,4 @@ class HttpClient:
             return
         promise = self._pending.pop(headers.get("x-request-id", ""), None)
         if promise is not None:
-            promise.fulfill(HttpResponse(status, headers, body))
+            promise.fulfill(HttpResponse(status, body))

@@ -107,8 +107,7 @@ class FrameCorruptor:
             destination=packet.destination,
             payload=(payload[0], payload[1], data),
             payload_bytes=packet.payload_bytes,
-            headers=dict(packet.headers),
-            hop_count=packet.hop_count,
+            trace=packet.trace,
         )
         return mangled
 

@@ -7,10 +7,12 @@ explicit so upper layers can account header overhead honestly.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from repro.obs.tracing import Span
 
 #: Broadcast destination sentinel.
 BROADCAST = "*"
@@ -18,34 +20,28 @@ BROADCAST = "*"
 #: Default link-layer header overhead charged per packet (bytes).
 HEADER_BYTES = 16
 
-_packet_seq = itertools.count()
-
 
 class Packet:
     """A simulated frame.
 
     Slotted: a 10k-node broadcast world holds hundreds of thousands of live
-    frames, and a per-instance ``__dict__`` dominated their footprint.
-    Per-hop metadata belongs in :attr:`headers`, not in ad-hoc attributes.
-    ``==`` and ``repr`` compare and show the seven fields in order.
+    frames, and a per-instance ``__dict__`` dominated their footprint. A
+    packet holds only what something reads. ``==`` and ``repr`` compare
+    and show the five fields in order.
 
     Attributes:
         source: node id of the original sender.
         destination: node id, or :data:`BROADCAST`.
         payload: opaque application payload (any picklable object).
         payload_bytes: accounted size of the payload.
-        headers: mutable per-hop metadata (route records, TTLs, ...);
-            a fresh dict unless one is given.
-        packet_id: unique per-process id, for tracing and dedup.
-        hop_count: incremented by forwarding layers.
+        trace: the span a traced send carries to the receiver's
+            deliver span; ``None`` unless tracing set it.
     """
 
-    __slots__ = ("source", "destination", "payload", "payload_bytes", "headers",
-                 "packet_id", "hop_count")
+    __slots__ = ("source", "destination", "payload", "payload_bytes", "trace")
 
     def __init__(self, source: str, destination: str, payload: Any,
-                 payload_bytes: int, headers: Optional[Dict[str, Any]] = None,
-                 packet_id: Optional[int] = None, hop_count: int = 0) -> None:
+                 payload_bytes: int, trace: Optional["Span"] = None) -> None:
         if payload_bytes < 0:
             raise ConfigurationError(
                 f"payload_bytes must be >= 0, got {payload_bytes!r}"
@@ -54,9 +50,7 @@ class Packet:
         self.destination = destination
         self.payload = payload
         self.payload_bytes = payload_bytes
-        self.headers = {} if headers is None else headers
-        self.packet_id = next(_packet_seq) if packet_id is None else packet_id
-        self.hop_count = hop_count
+        self.trace = trace
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

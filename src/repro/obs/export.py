@@ -11,8 +11,8 @@ map the simulation onto it as:
   ``route``, ``rpc``, ``txn``, ``discovery``, ``milan``, ...), taken from
   the span name's first dot-separated component;
 * **event** — one complete (``"ph": "X"``) event per span, ``ts``/``dur``
-  in microseconds of sim time, span/trace/parent ids and labels in
-  ``args``.
+  in microseconds of sim time, span/trace/parent ids (16 hex digits,
+  formatted here and nowhere else) and labels in ``args``.
 
 Exports are deterministic: processes and threads are numbered in sorted
 order, events follow span creation order, and the JSON is dumped with
@@ -62,9 +62,10 @@ def chrome_trace(tracer: Tracer, default_process: str = DEFAULT_PROCESS) -> Dict
     for span in spans:
         process = str(span.labels.get("node", default_process))
         end = span.end if span.end is not None else span.start
-        args: Dict[str, Any] = {"trace_id": span.trace_id, "span_id": span.span_id}
-        if span.parent_id is not None:
-            args["parent_id"] = span.parent_id
+        args: Dict[str, Any] = {"trace_id": f"{span.trace_id:016x}",
+                                "span_id": f"{span.span_id:016x}"}
+        if span.parent is not None:
+            args["parent_id"] = f"{span.parent.span_id:016x}"
         for key, value in span.labels.items():
             args[key] = value if isinstance(value, (int, float, bool)) else str(value)
         events.append({

@@ -26,21 +26,16 @@ Design points:
   closure of its children's even for asynchronous operations (an RPC span
   closed when the reply arrives, a deliver span on another node). Sim time
   is monotone, so a child can never *start* before its parent.
-* **Context propagation.** The tracer keeps a stack of active spans; a new
-  span parents onto the top of the stack unless an explicit ``parent`` (a
-  :class:`Span` or a ``(trace_id, span_id)`` tuple carried in a packet
-  header) is given. :meth:`Tracer.activate` re-enters an open asynchronous
-  span so work done on its behalf nests under it.
+* **A span is its own context.** What a packet, an envelope or a timer
+  carries is the span itself, and its ids stay ints until export;
+  docs/ARCHITECTURE.md §9 is the one description of the context model.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.util.rng import split_rng
-
-#: Wire-friendly span reference: ``(trace_id, span_id)``.
-SpanContext = Tuple[str, str]
 
 
 class _NoopSpan:
@@ -60,35 +55,29 @@ class _NoopSpan:
     def finish(self, end_time: Optional[float] = None) -> None:
         pass
 
-    def context(self) -> Optional[SpanContext]:
-        return None
-
 
 #: Shared disabled-tracer span; all operations on it are no-ops.
 NOOP_SPAN = _NoopSpan()
 
 
 class Span:
-    """One named sim-time interval in a trace tree."""
+    """One named sim-time interval in a trace tree; ids are 64-bit ints."""
 
-    __slots__ = ("tracer", "name", "trace_id", "span_id", "parent_id",
+    __slots__ = ("tracer", "name", "trace_id", "span_id", "parent",
                  "start", "end", "labels", "_stacked")
 
-    def __init__(self, tracer: "Tracer", name: str, trace_id: str,
-                 span_id: str, parent_id: Optional[str], start: float,
+    def __init__(self, tracer: "Tracer", name: str, trace_id: int,
+                 span_id: int, parent: Optional["Span"], start: float,
                  labels: Dict[str, Any]):
         self.tracer = tracer
         self.name = name
         self.trace_id = trace_id
         self.span_id = span_id
-        self.parent_id = parent_id
+        self.parent = parent
         self.start = start
         self.end: Optional[float] = None
         self.labels = labels
         self._stacked = False
-
-    def context(self) -> SpanContext:
-        return (self.trace_id, self.span_id)
 
     def set_label(self, **labels: Any) -> None:
         self.labels.update(labels)
@@ -116,8 +105,9 @@ class Span:
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        parent = None if self.parent is None else self.parent.span_id
         return (f"Span({self.name!r}, trace={self.trace_id}, id={self.span_id}, "
-                f"parent={self.parent_id}, [{self.start}, {self.end}])")
+                f"parent={parent}, [{self.start}, {self.end}])")
 
 
 class _Activation:
@@ -142,9 +132,6 @@ class _Activation:
         return False
 
 
-Parent = Union[Span, SpanContext, None]
-
-
 class Tracer:
     """Collects spans; disabled (and free) until :meth:`enable` is called."""
 
@@ -154,7 +141,6 @@ class Tracer:
         self._clock: Optional[Any] = None
         self._rng = split_rng(0, "obs.span-ids")
         self.spans: List[Span] = []
-        self._index: Dict[str, Span] = {}
         self._stack: List[Span] = []
 
     # ------------------------------------------------------------- lifecycle
@@ -166,7 +152,6 @@ class Tracer:
         self._rng = split_rng(seed, "obs.span-ids")
         self._clock = clock
         self.spans = []
-        self._index = {}
         self._stack = []
         self.enabled = True
         return self
@@ -180,7 +165,6 @@ class Tracer:
         """Drop all collected spans and restart the id stream from the seed."""
         self._rng = split_rng(self.seed, "obs.span-ids")
         self.spans = []
-        self._index = {}
         self._stack = []
 
     def now(self) -> float:
@@ -188,10 +172,10 @@ class Tracer:
 
     # --------------------------------------------------------------- context
 
-    def current_context(self) -> Optional[SpanContext]:
-        """The ambient span's ``(trace_id, span_id)``, for packet headers."""
+    def current_context(self) -> Optional[Span]:
+        """The ambient span, for an envelope, a timer or a packet to carry."""
         stack = self._stack
-        return stack[-1].context() if stack else None
+        return stack[-1] if stack else None
 
     def activate(self, span: Union[Span, _NoopSpan, None]):
         """Context manager making an open async ``span`` the ambient parent."""
@@ -201,36 +185,28 @@ class Tracer:
 
     # --------------------------------------------------------------- spans
 
-    def _new_id(self) -> str:
-        return f"{self._rng.getrandbits(64):016x}"
-
-    def span(self, name: str, parent: Parent = None,
+    def span(self, name: str, parent: Optional[Span] = None,
              **labels: Any) -> Union[Span, _NoopSpan]:
         """Open a span.
 
         Use as a context manager for synchronous work (entering pushes it on
         the ambient stack); or keep the returned span and :meth:`Span.finish`
         it later for asynchronous operations. ``parent`` overrides the
-        ambient stack — pass a carried ``(trace_id, span_id)`` tuple to
-        continue a trace across a process/hop boundary.
+        ambient stack — pass a carried span to continue its trace across a
+        hop. A root draws its trace id, then its span id.
         """
         if not self.enabled:
             return NOOP_SPAN
         if parent is None and self._stack:
             parent = self._stack[-1]
-        if isinstance(parent, Span):
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        elif parent is not None:
-            trace_id, parent_id = parent
-        else:
-            trace_id, parent_id = self._new_id(), None
-        span = Span(self, name, trace_id, self._new_id(), parent_id,
-                    self.now(), labels)
+        draw = self._rng.getrandbits
+        trace_id = draw(64) if parent is None else parent.trace_id
+        span = Span(self, name, trace_id, draw(64), parent, self.now(), labels)
         self.spans.append(span)
-        self._index[span.span_id] = span
         return span
 
-    def instant(self, name: str, parent: Parent = None, **labels: Any) -> None:
+    def instant(self, name: str, parent: Optional[Span] = None,
+                **labels: Any) -> None:
         """Record a zero-duration event (drops, give-ups, state marks)."""
         if not self.enabled:
             return
@@ -248,13 +224,11 @@ class Tracer:
         # Well-nestedness: a finished ancestor's interval must contain this
         # child's. (An ancestor still open will close later, at a sim time
         # >= `end`, because sim time is monotone.)
-        parent_id = span.parent_id
-        while parent_id is not None:
-            parent = self._index.get(parent_id)
-            if parent is None or parent.end is None or parent.end >= end:
-                break
+        parent = span.parent
+        while (parent is not None and parent.end is not None
+               and parent.end < end):
             parent.end = end
-            parent_id = parent.parent_id
+            parent = parent.parent
 
     def finish_all(self) -> None:
         """Close every still-open span at the current time (children first,

@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.netsim.simulator import Simulator
-from repro.obs.tracing import TRACER, SpanContext
+from repro.obs.tracing import TRACER, Span
 from repro.transport.base import Address, Scheduler, Transport
 from repro.util.rng import split_rng
 
@@ -69,7 +69,7 @@ class InMemoryFabric:
                           source, destination, payload, ctx)
 
     def _deliver(self, source: Address, destination: Address, payload: bytes,
-                 ctx: Optional[SpanContext] = None) -> None:
+                 ctx: Optional[Span] = None) -> None:
         endpoint = self._endpoints.get(destination)
         if endpoint is None or endpoint.closed:
             self.messages_dropped += 1

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.interop.frames import FRAME_TYPES, PrefixedFrame, split_frame
-from repro.obs.tracing import TRACER, SpanContext
+from repro.obs.tracing import TRACER, Span
 from repro.transport.base import Address, Scheduler, Transport
 from repro.transport.simnet import BROADCAST_NODE
 
@@ -123,7 +123,7 @@ class ReliableTransport(Transport):
         # (destination, seq) -> (payload, attempt, timer handle, trace ctx)
         self._pending: Dict[
             Tuple[Address, int],
-            Tuple[bytes, int, object, Optional[SpanContext]],
+            Tuple[bytes, int, object, Optional[Span]],
         ] = {}
         self._recv: Dict[Address, _PeerReceiveState] = {}
         self.retransmissions = 0
@@ -158,7 +158,7 @@ class ReliableTransport(Transport):
         self._transmit(destination, seq, payload, attempt=0, ctx=ctx)
 
     def _transmit(self, destination: Address, seq: int, payload: bytes,
-                  attempt: int, ctx: Optional[SpanContext] = None) -> None:
+                  attempt: int, ctx: Optional[Span] = None) -> None:
         frame = self._data_frame(seq, payload)
         if attempt > 0 and TRACER.enabled:
             with TRACER.span("transport.retransmit", parent=ctx,

@@ -130,11 +130,8 @@ class SimFabric:
             # The sender's Address itself, shared by every receiver.
             payload=(source, destination.port, payload),
             payload_bytes=len(payload) + PORT_HEADER_BYTES,
+            trace=TRACER.current_context() if TRACER.enabled else None,
         )
-        if TRACER.enabled:
-            ctx = TRACER.current_context()
-            if ctx is not None:
-                packet.headers["trace"] = ctx
         self.network.send(source.node, packet)
 
     def inject(self, destination: Address, source: Address, payload: bytes) -> None:
@@ -169,7 +166,7 @@ class SimFabric:
         if TRACER.enabled:
             with TRACER.span(
                 "transport.deliver",
-                parent=packet.headers.get("trace"),
+                parent=packet.trace,
                 node=node.node_id,
                 port=dest_port,
                 peer=packet.source,

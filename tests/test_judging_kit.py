@@ -1436,7 +1436,7 @@ def test_the_attribute_contracts_on_a_toy_tree(tmp_path):
 
 #: ``docs/ARCHITECTURE.md``'s length in lines: a section arrives only by
 #: taking text out. Lowered, never raised, as the document is cut down.
-ARCHITECTURE_LINES = 1550
+ARCHITECTURE_LINES = 1545
 
 
 def test_the_architecture_document_does_not_grow():

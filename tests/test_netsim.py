@@ -42,41 +42,31 @@ class TestPacket:
         assert make_packet(dst=BROADCAST).is_broadcast
         assert not make_packet(dst="n1").is_broadcast
 
-    def test_packet_ids_unique(self):
-        assert make_packet().packet_id != make_packet().packet_id
-
     # ``__init__`` is written out: what the dataclass gave.
 
-    def test_default_headers_are_fresh_per_packet_and_ids_increase(self):
-        first, second, third = make_packet(), make_packet(), make_packet()
-        assert first.headers == {} and first.headers is not second.headers
-        first.headers["ttl"] = 3
-        assert second.headers == {}
-        assert first.packet_id < second.packet_id < third.packet_id
-        assert first.hop_count == 0
+    def test_trace_defaults_to_none(self):
+        assert make_packet().trace is None
 
     def test_positional_and_keyword_construction_agree(self):
-        headers = {"trace": 1}
-        by_position = Packet("a", "b", b"x", 7, headers, 41, 2)
-        by_keyword = Packet(hop_count=2, packet_id=41, headers=headers,
-                            payload_bytes=7, payload=b"x", destination="b",
-                            source="a")
+        trace = object()
+        by_position = Packet("a", "b", b"x", 7, trace)
+        by_keyword = Packet(trace=trace, payload_bytes=7, payload=b"x",
+                            destination="b", source="a")
         assert by_position == by_keyword
-        assert by_position.headers is headers  # a given dict is kept as is
-        assert by_position != Packet("a", "b", b"x", 7, headers, 42, 2)
+        assert by_position.trace is trace
+        assert by_position != Packet("a", "b", b"x", 7)
         with pytest.raises(TypeError):
             Packet("a", "b", b"x")  # payload_bytes has no default
 
     def test_repr_eq_fields_and_slots_are_the_dataclass_ones(self):
-        packet = Packet("a", "b", b"x", 7, packet_id=5)
+        packet = Packet("a", "b", b"x", 7)
         assert repr(packet) == (
             "Packet(source='a', destination='b', payload=b'x', "
-            "payload_bytes=7, headers={}, packet_id=5, hop_count=0)")
+            "payload_bytes=7, trace=None)")
         assert Packet.__slots__ == (
-            "source", "destination", "payload", "payload_bytes", "headers",
-            "packet_id", "hop_count")
+            "source", "destination", "payload", "payload_bytes", "trace")
         fields = {name: getattr(packet, name) for name in Packet.__slots__}
-        assert Packet(**{**fields, "hop_count": 1}).hop_count == 1
+        assert Packet(**{**fields, "payload_bytes": 8}).payload_bytes == 8
         assert not hasattr(packet, "__dict__")
         with pytest.raises(AttributeError):
             packet.scratch = 1
@@ -84,7 +74,7 @@ class TestPacket:
     def test_survives_a_process_boundary(self):
         import pickle
 
-        packet = Packet("a", "b", (1, "two"), 7, {"ttl": 3}, 9, 4)
+        packet = Packet("a", "b", (1, "two"), 7)
         assert pickle.loads(pickle.dumps(packet)) == packet
 
 

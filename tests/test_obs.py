@@ -37,7 +37,6 @@ def test_disabled_tracer_is_inert():
     assert span is NOOP_SPAN
     with span:
         span.set_label(x=1)
-    assert span.context() is None
     assert TRACER.current_context() is None
     TRACER.instant("route.drop", reason="ttl")
     assert TRACER.spans == []
@@ -48,25 +47,27 @@ def test_ambient_nesting_and_context():
     TRACER.enable(seed=1, clock=sim)
     with TRACER.span("txn.transaction", node="a") as root:
         sim.run_for(1.0)
-        assert TRACER.current_context() == root.context()
+        assert TRACER.current_context() is root
         with TRACER.span("rpc.call") as child:
             sim.run_for(1.0)
             assert child.trace_id == root.trace_id
-            assert child.parent_id == root.span_id
-    assert root.parent_id is None
+            assert child.parent is root
+    assert root.parent is None
     assert root.start == 0.0 and root.end == 2.0
     assert child.start == 1.0 and child.end == 2.0
 
 
-def test_explicit_parent_tuple_crosses_boundaries():
+def test_explicit_parent_span_crosses_boundaries():
+    # The span a packet carries parents the deliver span on the far node,
+    # whatever is ambient there.
     TRACER.enable(seed=1)
     root = TRACER.span("transport.send", node="a")
-    ctx = root.context()
     root.finish()
-    child = TRACER.span("transport.deliver", parent=ctx, node="b")
+    with TRACER.span("route.forward", node="b"):
+        child = TRACER.span("transport.deliver", parent=root, node="b")
     child.finish()
     assert child.trace_id == root.trace_id
-    assert child.parent_id == root.span_id
+    assert child.parent is root
 
 
 def test_finished_ancestors_extend_to_cover_late_children():

@@ -57,16 +57,17 @@ def test_one_root_per_send_and_well_nested(n_messages, loss, seed):
     # the originating reliable transport.send.
     assert len(by_trace) == n_messages
     for trace_spans in by_trace.values():
-        roots = [s for s in trace_spans if s.parent_id is None]
+        roots = [s for s in trace_spans if s.parent is None]
         assert len(roots) == 1
         assert roots[0].name == "transport.send"
 
     # Well-nestedness: every child's interval lies within its parent's.
-    index = {span.span_id: span for span in spans}
+    recorded = set(spans)
     for span in spans:
-        if span.parent_id is None:
+        parent = span.parent
+        if parent is None:
             continue
-        parent = index[span.parent_id]
+        assert parent in recorded
         assert parent.trace_id == span.trace_id
         assert parent.start <= span.start
         assert span.end <= parent.end

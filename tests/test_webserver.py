@@ -41,7 +41,15 @@ class TestEmbeddedWebServer:
         server.route("/status", "text/plain", "all good")
         response = fetch(fabric, client, server, "/status")
         assert response.ok and response.body == "all good"
-        assert response.headers["content-type"] == "text/plain"
+        # The route's content type is on the wire (the client keeps only
+        # status and body).
+        raw = fabric.endpoint("raw", "http")
+        replies = []
+        raw.set_receiver(lambda source, data: replies.append(bytes(data)))
+        raw.send(server.transport.local_address,
+                 b"GET /status HTTP/1.0\r\nX-Request-Id: r1\r\n\r\n")
+        fabric.run()
+        assert b"\r\nContent-Type: text/plain\r\n" in replies[0]
 
     def test_dynamic_route(self):
         fabric, server, client = setup_pair()
