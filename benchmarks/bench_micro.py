@@ -79,10 +79,10 @@ def test_feasible_set_enumeration(benchmark):
 
 
 def test_simulator_event_throughput(benchmark):
-    # The swarm hot path: 1000 events landing on one timestamp, folded into
-    # a single batched queue entry (Simulator.schedule_batch) — how the
-    # medium schedules same-tick broadcast deliveries. One heap push/pop
-    # total instead of 1000, so the per-event cost is the bare callback.
+    # 1000 fire-and-forget events landing on one timestamp, each its own
+    # ``call_later`` entry: a heap push and pop per event, no handle. (The
+    # medium batches a broadcast's same-tick receivers into one entry by
+    # handing its delivery call the list.)
     def run_events():
         sim = Simulator()
         count = [0]
@@ -90,7 +90,8 @@ def test_simulator_event_throughput(benchmark):
         def bump():
             count[0] += 1
 
-        sim.schedule_batch(0.001, [bump] * 1000)
+        for _ in range(1000):
+            sim.call_later(0.001, bump)
         sim.run()
         return count[0]
 
@@ -98,9 +99,9 @@ def test_simulator_event_throughput(benchmark):
 
 
 def test_simulator_chained_events(benchmark):
-    # The adversarial counterpart: 1000 strictly sequential events, each
-    # scheduled by its predecessor — no batching possible, every event pays
-    # a full heap push + pop. This bounds the un-batchable worst case.
+    # The chained counterpart: 1000 strictly sequential events, each
+    # scheduled by its predecessor through ``schedule``, so every event
+    # also builds its cancellable handle.
     def run_events():
         sim = Simulator()
         count = [0]

@@ -44,17 +44,10 @@ Swarm-scale additions (see ARCHITECTURE §13):
 
 * :meth:`Simulator.call_later` is the fire-and-forget fast path — a
   plain five-slot entry and no :class:`EventHandle`, for callers that
-  never cancel (the wireless medium's per-reception delivery events are
-  the heavy user).
-* :meth:`Simulator.schedule_batch` folds N same-tick zero-arg callbacks
-  into **one** queue entry, so a 10k-receiver broadcast costs one heap
-  push/pop instead of 10k. Batched callbacks fire back-to-back in list
-  order, which is exactly the order N individually scheduled same-time
-  events would have fired in (consecutive sequence numbers), so delivery
-  traces are unchanged — but a same-time tie-breaker cannot interleave
-  *between* them, which is why callers that need explorable interleavings
-  (:mod:`repro.simtest`) check :meth:`Simulator.tie_breaker_installed`
-  before batching.
+  never cancel. The wireless medium's deliveries are the heavy user: a
+  contention-free broadcast hands its list of surviving receivers to one
+  ``call_later`` entry, so it pays one heap push/pop, not one per
+  receiver.
 * :meth:`Simulator.schedule_series` streams a precomputed schedule (a
   workload's open-loop arrivals): it reserves one sequence number per
   entry up front but keeps only the next entry in the heap, so the queue
@@ -81,12 +74,6 @@ _AUTO_COMPACT_MIN_DEAD = 64
 _UNCAPPED = 1 << 62
 
 _INFINITY = float("inf")
-
-
-def _fire_batch(callbacks: List[Callable[[], None]]) -> None:
-    """Dispatch one same-tick batch (see :meth:`Simulator.schedule_batch`)."""
-    for fn in callbacks:
-        fn()
 
 
 class EventHandle(list):
@@ -175,9 +162,9 @@ class Simulator:
     def tie_breaker_installed(self) -> bool:
         """True while a same-time tie-breaker is active.
 
-        Same-tick batching (:meth:`schedule_batch`, the medium's broadcast
-        delivery batches) is disabled while one is installed, so schedule
-        exploration keeps its power to interleave individual deliveries.
+        The medium stops batching same-tick broadcast deliveries into one
+        event while one is installed, so schedule exploration keeps its
+        power to interleave individual deliveries.
         """
         return self._tie_breaker is not None
 
@@ -246,24 +233,6 @@ class Simulator:
         heappush(self._heap, [self._now + delay,
                               0 if tie is None else tie(), seq, fn, args])
         self._live += 1
-
-    def schedule_batch(
-        self, delay: float, callbacks: List[Callable[[], None]]
-    ) -> None:
-        """Run every zero-arg callback in ``callbacks`` after ``delay``, as
-        one queue entry.
-
-        The callbacks fire back-to-back in list order at the same virtual
-        instant — exactly the order they would have fired in had each been
-        scheduled individually (consecutive sequence numbers) — but the
-        queue carries a single entry, so the per-event heap and dispatch
-        overhead is paid once instead of ``len(callbacks)`` times. The
-        batch counts as one processed event. Callers that must preserve
-        same-time *interleavability* (schedule exploration) should fall
-        back to individual scheduling while
-        :meth:`tie_breaker_installed` is true.
-        """
-        self.call_later(delay, _fire_batch, callbacks)
 
     def schedule_series(
         self, times: Sequence[float], fn: Callable[..., None], *args: Any

@@ -221,7 +221,7 @@ class TestPeriodic:
 
 
 class TestHotPathScheduling:
-    """call_later / schedule_batch — the allocation-lean swarm hot paths."""
+    """call_later — the allocation-lean swarm hot path."""
 
     def test_call_later_fires_with_args(self):
         sim = Simulator()
@@ -240,33 +240,6 @@ class TestHotPathScheduling:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.call_later(float("nan"), lambda: None)
-
-    def test_schedule_batch_fires_in_list_order_as_one_event(self):
-        sim = Simulator()
-        order = []
-        sim.schedule_batch(1.0, [lambda i=i: order.append(i)
-                                 for i in range(10)])
-        sim.run()
-        assert order == list(range(10))
-        # The whole batch is one queue entry, so one processed event.
-        assert sim.events_processed == 1
-
-    def test_batch_orders_against_neighbors_by_push_order(self):
-        # Same-timestamp entries fire in push order whether they are
-        # singletons or batches: the batch is one entry at its push seq.
-        sim = Simulator()
-        order = []
-        sim.schedule(1.0, lambda: order.append("before"))
-        sim.schedule_batch(1.0, [lambda: order.append("batch-a"),
-                                 lambda: order.append("batch-b")])
-        sim.schedule(1.0, lambda: order.append("after"))
-        sim.run()
-        assert order == ["before", "batch-a", "batch-b", "after"]
-
-    def test_schedule_batch_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_batch(-1.0, [lambda: None])
 
     def test_tie_breaker_installed_flag(self):
         sim = Simulator()
@@ -427,8 +400,6 @@ def _operation(reactions):
     return st.one_of(
         st.tuples(st.sampled_from(["at", "in", "later"]), _OFFSETS,
                   reactions),
-        st.tuples(st.just("batch"), _OFFSETS, reactions,
-                  st.integers(1, 3)),
         st.tuples(st.just("series"), st.lists(
             _OFFSETS, min_size=1, max_size=4).map(sorted), reactions),
         st.tuples(st.just("burst"), _OFFSETS, st.integers(1, 80)),
@@ -459,15 +430,15 @@ class _OneHeap:
 
     def __init__(self):
         self.heap = []
-        self.live = {}  # seq -> (callbacks, (times, first, k) or None)
+        self.live = {}  # seq -> (times, first, k) or None
         self.next_seq = 0
         self.fired = []
 
-    def push(self, when, tie, callbacks=1, series=None, seq=None):
+    def push(self, when, tie, series=None, seq=None):
         if seq is None:
             seq, self.next_seq = self.next_seq, self.next_seq + 1
         heappush(self.heap, (when, tie, seq))
-        self.live[seq] = (callbacks, series)
+        self.live[seq] = series
         return seq
 
     def pop(self, tie):
@@ -476,8 +447,8 @@ class _OneHeap:
         while self.heap:
             when, _, seq = heappop(self.heap)
             if seq in self.live:
-                callbacks, series = self.live.pop(seq)
-                self.fired += [(when, seq)] * callbacks
+                series = self.live.pop(seq)
+                self.fired.append((when, seq))
                 if series is not None:
                     times, first, k = series
                     if k + 1 < len(times):
@@ -496,7 +467,7 @@ class TestQueueExactness:
     """The heap and the sorted run of in-order ``schedule_at`` entries fire
     exactly as one heap of every entry would: the same ``(when, seq)``
     sequence and the same ``pending_events()``, through ties, tie-breakers,
-    cancels and their sweeps, series, batches and stops mid-instant."""
+    cancels and their sweeps, series and stops mid-instant."""
 
     @given(script=_SCRIPTS,
            ties=st.lists(st.sampled_from([0, 0.25, 0.5, 1.0]), min_size=1,
@@ -525,16 +496,10 @@ class TestQueueExactness:
 
         def apply(operation):
             kind, now = operation[0], sim.now()
-            if kind in ("at", "in", "later", "batch"):
+            if kind in ("at", "in", "later"):
                 offset, reactions = operation[1:3]
                 fire = event(ref.next_seq, reactions)
-                if kind == "batch":
-                    callbacks = [fire] + [
-                        lambda seq=ref.next_seq: fired.append(
-                            (sim.now(), seq))] * (operation[3] - 1)
-                    sim.schedule_batch(offset, callbacks)
-                    ref.push(now + offset, tie(), len(callbacks))
-                elif kind == "later":
+                if kind == "later":
                     sim.call_later(offset, fire)
                     ref.push(now + offset, tie())
                 else:
@@ -561,7 +526,8 @@ class TestQueueExactness:
                 if kind == "cancel" and handles:
                     chosen = [handles[operation[1] % len(handles)]]
                 for handle, seq in chosen:
-                    expected = ref.live.pop(seq, None) is not None
+                    expected = seq in ref.live
+                    ref.live.pop(seq, None)
                     assert handle.cancel() is expected
                     if expected:
                         live = sim._live
