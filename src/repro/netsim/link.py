@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.errors import ConfigurationError
+from repro.netsim.medium import WirelessMedium
 from repro.netsim.node import Node
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
@@ -63,6 +64,7 @@ class WiredLink:
         self.profile = profile
         self._rng = split_rng(seed, f"link:{node_a.node_id}:{node_b.node_id}")
         self.transmissions = 0
+        self.deliveries = self.drops_dead = self.drops_faulted = 0
 
     @property
     def endpoints(self) -> Tuple[str, str]:
@@ -88,12 +90,11 @@ class WiredLink:
         if self._rng.random() < self.profile.loss_probability:
             return True
         delay = self.profile.latency_s + packet.size_bits / self.profile.bandwidth_bps
-        self.sim.schedule(delay, self._deliver, receiver, packet)
+        self.sim.schedule(delay, self._deliver, (receiver,), packet, False)
         return True
 
-    def _deliver(self, receiver: Node, packet: Packet) -> None:
-        if not receiver.alive:
-            return
-        # A wire charges the receiver nothing; everything else is the one
-        # reception routine the radio medium uses.
-        receiver.receive(packet, packet.size_bytes, 0.0)
+    #: A frame on the wire is heard through the radio medium's one
+    #: reception routine, as a batch of one off the air: a wire charges
+    #: its receiver nothing, and has no fault hook.
+    _deliver = WirelessMedium._deliver
+    _delivery_fault = None

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from itertools import islice
 from math import hypot, inf
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.netsim.mobility import is_time_varying
-from repro.netsim.node import DeliveryFault, Node
+from repro.netsim.node import Node
 from repro.netsim.packet import BROADCAST, HEADER_BYTES, Packet
 from repro.netsim.simulator import Simulator
 from repro.netsim.spatialindex import PositionIndex
@@ -31,6 +31,11 @@ SKIN_FRACTION = 0.5
 
 #: The share of the skin a memo entry's window lets the fastest mover cover.
 _WINDOW_SHARE = 0.999
+
+#: A delivery fault hook: ``(receiver_id, packet) -> packet or None``.
+#: Returning ``None`` drops the reception; returning a (possibly mutated)
+#: packet delivers it. Installed by the chaos layer to model corruption.
+DeliveryFault = Callable[[str, Packet], Optional[Packet]]
 
 
 class RadioProfile:
@@ -94,16 +99,16 @@ class WirelessMedium:
     time-varying nodes are tested at their exact position at the moment of
     the query.
 
-    Reception is one routine. Every path that ends in a node hearing a
-    frame — a contention-free broadcast (one queue entry for all its
-    surviving receivers), a contended or tie-broken reception, a unicast
-    (each a batch of one) — schedules the same delivery method, which
-    calls :meth:`Node.receive` once per receiver. Per
-    receiver, strictly in this order: liveness check, rx-energy drain,
-    post-drain liveness, delivery-fault hook, delivery count, the node's
-    receive counters, its handler. Receiver *k*'s handler returns before
-    receiver *k+1* is tested for liveness, so a handler that crashes a
-    later receiver of its own batch is seen by that receiver's check.
+    Reception is one routine, :meth:`_deliver`'s loop, run by every path
+    that ends in a node hearing a frame: a contention-free broadcast (one
+    queue entry for all its surviving receivers), and a contended or
+    tie-broken reception, a unicast or a frame on a ``WiredLink`` (each a
+    batch of one). Per receiver, strictly in this order: crash check, rx
+    charge (emptying the battery is a dead drop), delivery-fault hook,
+    the node's receive counters, its handler. Receiver *k*'s handler
+    returns before receiver *k+1* is tested for liveness, so a handler
+    that crashes a later receiver of its own batch is seen by that
+    receiver's check.
 
     Failure modeling hooks (all no-cost when unused):
 
@@ -430,31 +435,60 @@ class WirelessMedium:
             sim.call_later(delay, deliver, survivors, packet)
         return True
 
-    def _deliver(self, receivers: Sequence[Node], packet: Packet) -> None:
+    def _deliver(self, receivers: Sequence[Node], packet: Packet,
+                 on_air: bool = True) -> None:
         """``receivers`` hear ``packet``, in order (contract: class docstring).
 
-        What does not vary by receiver — frame size, the fault hook, the rx
-        price of each distinct radio model — is read once per batch, and
-        the medium's counters are written back once, in a ``finally``: a
+        Each receiver's radio is charged for the frame (a wire, with
+        ``on_air`` False, charges nothing), in place unless the charge
+        empties the battery: :meth:`Battery.drain` makes that one, and
+        alone tells the node and the depletion callbacks. Frame size, the
+        fault hook and each distinct radio's price are read once per
+        batch; the counters are written back once, in a ``finally``: a
         reception whose handler raises was still made, and is counted.
         """
-        size_bytes = packet.payload_bytes + HEADER_BYTES
-        size_bits = size_bytes * 8
+        heard, size = packet, packet.payload_bytes + HEADER_BYTES
+        rx_bits = size * 8
         fault = self._delivery_fault
         radio = None
-        made = dead = faulted = 0
+        dead = faulted = 0
         try:
             for receiver in receivers:
+                if receiver._crashed:
+                    dead += 1
+                    continue
                 if receiver.radio is not radio:
                     radio = receiver.radio
-                    rx_joules = radio.rx_cost(size_bits)
-                made += 1
-                heard = receiver.receive(packet, size_bytes, rx_joules, fault)
-                if not heard:
+                    rx_joules = radio.rx_cost(rx_bits) if on_air else 0.0
+                    # Inverted, so NaN is refused with the negatives.
+                    if not rx_joules >= 0.0:
+                        raise ConfigurationError(
+                            f"cannot drain negative energy {rx_joules!r}")
+                battery = receiver.battery
+                remaining = battery.remaining
+                if remaining > rx_joules:
+                    battery.remaining = remaining - rx_joules
+                else:
+                    battery.drain(rx_joules)
+                    dead += 1
+                    continue
+                if fault is not None:  # each receiver's own frame
+                    heard = fault(receiver.node_id, packet)
                     if heard is None:
                         faulted += 1
-                    else:
-                        dead += 1
+                        continue
+                    size = heard.size_bytes
+                receiver.packets_received += 1
+                receiver.bytes_received += size
+                handler = receiver._handler
+                if handler is not None:
+                    handler(receiver, heard)
+            made = len(receivers)
+        except BaseException:
+            # The reception that raised was made, the ones after it were
+            # not (a node is in a batch once).
+            made = receivers.index(receiver) + 1
+            raise
         finally:
             self.drops_dead += dead
             self.drops_faulted += faulted

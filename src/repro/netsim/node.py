@@ -27,11 +27,6 @@ PacketHandler = Callable[["Node", Packet], None]
 #: frozen): the medium prices a frame once per distinct radio instance.
 _DEFAULT_RADIO = RadioEnergyModel()
 
-#: A delivery fault hook: ``(receiver_id, packet) -> packet or None``.
-#: Returning ``None`` drops the reception; returning a (possibly mutated)
-#: packet delivers it. Installed by the chaos layer to model corruption.
-DeliveryFault = Callable[[str, Packet], Optional[Packet]]
-
 
 class Node:
     """A networked device in the simulation.
@@ -44,8 +39,8 @@ class Node:
     * ``"moved"`` (node) — position pinned or mobility model swapped;
       the attached medium's spatial caches invalidate first.
 
-    Hearing a frame is one call, :meth:`receive`, whichever medium or link
-    carried it: liveness, energy, counters and the upper-layer handler.
+    A node hears a frame in the one reception routine,
+    ``WirelessMedium._deliver``, whichever medium or link carried it.
 
     A node allocates only what it uses — 10k–100k node worlds hold every
     node alive for the whole run. ``__slots__``, no dict; the emitter is
@@ -117,8 +112,8 @@ class Node:
         # Read in place by ``WirelessMedium.transmit`` (sender and unicast
         # target: ``_crashed or not battery.remaining > 0.0``), by
         # ``WirelessMedium._audible_nodes`` (every neighbour) and by
-        # ``receive`` below (``_crashed``, then the drain's verdict): a
-        # change to what "alive" means changes those four too.
+        # ``WirelessMedium._deliver`` (``_crashed``, then the rx charge's
+        # verdict): a change to what "alive" means changes those four too.
         return not self._crashed and self.battery.remaining > 0.0
 
     def crash(self) -> None:
@@ -167,36 +162,6 @@ class Node:
     def set_packet_handler(self, handler: Optional[PacketHandler]) -> None:
         """Install the upper-layer receive callback (one per node)."""
         self._handler = handler
-
-    def receive(
-        self,
-        packet: Packet,
-        size_bytes: int,
-        rx_joules: float,
-        fault: Optional[DeliveryFault] = None,
-    ) -> Optional[bool]:
-        """Hear one frame: the whole reception, called by the medium/link.
-
-        The caller reads ``packet.size_bytes`` and prices ``rx_joules`` (what
-        this node's radio charges for the frame) once per frame, not once
-        per receiver. In order: liveness check, energy drain, post-drain
-        liveness, the per-reception ``fault`` hook, the receive counters,
-        then the upper-layer handler. Returns True if the packet was handed
-        up, False if the node was (or went) dead — dead nodes silently drop
-        traffic, as real ones do — and None if the fault hook swallowed it.
-        """
-        if self._crashed or not self.battery.drain(rx_joules):
-            return False
-        if fault is not None:
-            packet = fault(self.node_id, packet)
-            if packet is None:
-                return None
-            size_bytes = packet.size_bytes
-        self.packets_received += 1
-        self.bytes_received += size_bytes
-        if self._handler is not None:
-            self._handler(self, packet)
-        return True
 
     def charge_tx(self, size_bits: int, distance: float) -> bool:
         """Account transmit energy; returns False if the battery died."""

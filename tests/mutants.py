@@ -1,4 +1,7 @@
-"""Committed mutants of the MiLAN fast paths, each with the property that kills it.
+"""Committed mutants of the fast paths, each with the property that kills it.
+
+The rows cover MiLAN's feasibility and round engine and the medium's one
+reception loop.
 
 A row names a target (``module:qualname``), one text patch inside it (the
 old text occurs exactly once in the target's file), the pytest node id of
@@ -18,7 +21,7 @@ names each surviving mutant and each property the unmutated tree fails)::
 A row that survives its profile is a finding about its property: the
 property is strengthened, and the mutant is never softened. Tier-1
 (``tests/test_mutants.py``) checks only that every row still applies; the
-kills run in CI's "MiLAN mutants" step.
+kills run in CI's "Mutants" step.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ SATISFIES = ("tests/test_feasibility_property.py::"
              "TestSatisfiesMatchesReference::test_same_answer")
 ENGINE_ROUNDS = ("tests/test_feasibility_property.py::"
                  "TestEngineRoundsMatchUncached::test_rounds")
+RECEPTION = ("tests/test_reception_property.py::"
+             "TestDeliverMatchesReference::test_same_reception")
 
 
 class Mutant(NamedTuple):
@@ -87,6 +92,34 @@ MUTANTS = (
     Mutant("layout-ignores-depleted", "repro.core.reconfig:ReconfigEngine.select",
            "layout = (depleted_nodes, context.sink_node_id)",
            "layout = (context.sink_node_id,)", ENGINE_ROUNDS, "ci"),
+    # The medium's one reception loop against the per-receiver reference.
+    Mutant("charge-in-place-at-equal", "repro.netsim.medium:WirelessMedium._deliver",
+           "if remaining > rx_joules:", "if remaining >= rx_joules:",
+           RECEPTION, "ci"),
+    Mutant("crashed-receiver-hears", "repro.netsim.medium:WirelessMedium._deliver",
+           "                if receiver._crashed:\n"
+           "                    dead += 1\n                    continue\n",
+           "", RECEPTION, "ci"),
+    Mutant("empty-without-drain", "repro.netsim.medium:WirelessMedium._deliver",
+           "                    battery.drain(rx_joules)\n",
+           "                    battery.remaining = 0.0\n", RECEPTION, "ci"),
+    Mutant("one-price-per-batch", "repro.netsim.medium:WirelessMedium._deliver",
+           "if receiver.radio is not radio:", "if radio is None:",
+           RECEPTION, "ci"),
+    Mutant("wire-priced-as-air", "repro.netsim.medium:WirelessMedium._deliver",
+           "radio.rx_cost(rx_bits) if on_air else 0.0",
+           "radio.rx_cost(rx_bits)", RECEPTION, "ci"),
+    Mutant("fault-size-ignored", "repro.netsim.medium:WirelessMedium._deliver",
+           "                    size = heard.size_bytes\n", "", RECEPTION,
+           "ci"),
+    Mutant("raised-reception-uncounted",
+           "repro.netsim.medium:WirelessMedium._deliver",
+           "made = receivers.index(receiver) + 1",
+           "made = receivers.index(receiver)", RECEPTION, "ci"),
+    Mutant("handler-hears-sent-frame",
+           "repro.netsim.medium:WirelessMedium._deliver",
+           "handler(receiver, heard)", "handler(receiver, packet)",
+           RECEPTION, "ci"),
 )
 
 

@@ -1,6 +1,6 @@
 """Every committed mutant still applies to the code it names.
 
-The kills themselves run in CI's "MiLAN mutants" step (``python -m
+The kills themselves run in CI's "Mutants" step (``python -m
 tests.mutants``), out of tier-1's wall time; here each row's target must
 exist, its old text must occur exactly once in the target and in its file,
 and its property must be a test that exists.
