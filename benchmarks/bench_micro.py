@@ -14,6 +14,7 @@ from repro.core.feasibility import minimal_feasible_sets
 from repro.core.sensors import SensorInfo
 from repro.interop.codec import BinaryCodec, SmlCodec
 from repro.interop.sml import parse, serialize
+from repro.netsim.medium import RadioProfile
 from repro.netsim.mobility import LinearMobility
 from repro.netsim.packet import BROADCAST, Packet
 from repro.netsim.simulator import Simulator
@@ -154,21 +155,34 @@ def test_medium_neighbor_memo_hit(benchmark):
     assert "n16_16" in medium._static_neighbourhoods
 
 
-@pytest.mark.parametrize("side,center", [(8, "n4_4"), (32, "n16_16")],
-                         ids=["64n", "1024n"])
-def test_medium_broadcast_delivery(benchmark, side, center):
-    network = topology_grid(side, side, spacing=30.0)
+#: ``swarm_beacon``'s radio without its loss: 802.11 rates and range, no
+#: contention jitter, so every receiver of a broadcast shares one delivery
+#: time and the broadcast is one batched queue entry.
+SWARM_RADIO = RadioProfile(
+    name="802.11-swarm", bandwidth_bps=11e6, range_m=100.0,
+    base_latency_s=0.001, loss_probability=0.0, contention_window_s=0.0,
+)
+
+
+@pytest.mark.parametrize("spacing,receivers", [(30.0, 36), (10.0, 316)],
+                         ids=["36rx", "316rx"])
+def test_medium_broadcast_delivery(benchmark, spacing, receivers):
+    # One broadcast from the centre of a 32x32 grid, heard by every node
+    # within the 100 m range: 36 at 30 m spacing, 316 at 10 m. The pair
+    # gates the per-receiver cost of the medium's one reception loop.
+    network = topology_grid(32, 32, spacing=spacing, radio_profile=SWARM_RADIO)
     medium = network.medium
     packet = Packet(
-        source=center, destination=BROADCAST, payload=b"x", payload_bytes=32
+        source="n16_16", destination=BROADCAST, payload=b"x", payload_bytes=32
     )
 
     def transmit_and_drain():
-        medium.transmit(center, packet)
+        before = medium.deliveries
+        medium.transmit("n16_16", packet)
         network.sim.run()
-        return medium.deliveries
+        return medium.deliveries - before
 
-    assert benchmark(transmit_and_drain) > 0
+    assert benchmark(transmit_and_drain) == receivers
 
 
 def test_scheduler_throughput(benchmark):

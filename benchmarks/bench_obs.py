@@ -20,7 +20,7 @@ from repro.obs.profiler import LoopProfiler
 from repro.obs.tracing import TRACER
 from repro.transport.base import Address
 from repro.transport.inmemory import InMemoryFabric
-from repro.transport.reliable import ReliabilityParams, ReliableTransport
+from repro.transport.stack import build_stack
 
 N_EVENTS = 1000
 N_MESSAGES = 200
@@ -67,8 +67,8 @@ def test_simulator_throughput_with_profiler(benchmark):
 
 def _reliable_burst() -> None:
     fabric = InMemoryFabric(latency_s=0.001)
-    a = ReliableTransport(fabric.endpoint("a"), ReliabilityParams())
-    b = ReliableTransport(fabric.endpoint("b"), ReliabilityParams())
+    a = build_stack(fabric.endpoint("a"))
+    b = build_stack(fabric.endpoint("b"))
     b.set_receiver(lambda source, payload: None)
     destination = Address("b")
     for i in range(N_MESSAGES):

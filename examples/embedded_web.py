@@ -17,8 +17,8 @@ from repro.netsim.medium import IDEAL_RADIO
 from repro.qos.spec import SupplierQoS
 from repro.transactions.rpc import RpcEndpoint
 from repro.transport.base import Address
-from repro.transport.secure import SecureTransport
 from repro.transport.simnet import SimFabric
+from repro.transport.stack import StackSpec, build_stack
 
 DEVICES = [
     ("bp-monitor", "bp-sensor", 0.95, 121.5),
@@ -26,7 +26,9 @@ DEVICES = [
     ("spo2-clip", "spo2-sensor", 0.85, 0.98),
 ]
 
-SHARED_KEY = b"ward3-shared-key-0123456789abcdef"
+#: The encrypted endpoints: the secure layer alone, no reliability above it.
+SECURE = StackSpec(reliable=False,
+                   encryption_key=b"ward3-shared-key-0123456789abcdef")
 
 
 def main() -> None:
@@ -41,7 +43,7 @@ def main() -> None:
         rpc.expose("read", lambda v=value: v)
         http_transport = fabric.endpoint(node_id, "http")
         if device_id == "bp-monitor":  # the sensitive one is encrypted
-            http_transport = SecureTransport(http_transport, SHARED_KEY)
+            http_transport = build_stack(http_transport, SECURE)
         server = EmbeddedWebServer(http_transport, node_name=device_id)
         server.route("/about", "text/plain",
                      f"{device_id}: a tiny {service_type} with a web face")
@@ -53,7 +55,7 @@ def main() -> None:
     # The browser crawls.
     plain_client = HttpClient(fabric.endpoint("leaf3", "http"))
     secure_client = HttpClient(
-        SecureTransport(fabric.endpoint("leaf3", "https"), SHARED_KEY)
+        build_stack(fabric.endpoint("leaf3", "https"), SECURE)
     )
     rpc_client = RpcEndpoint(fabric.endpoint("leaf3", "rpc"))
 

@@ -124,6 +124,4 @@ class DiscoveryBinder:
     def stop(self) -> None:
         """Stop refreshing (the current fleet stays bound)."""
         self._running = False
-        cancel = getattr(self._timer, "cancel", None)
-        if cancel is not None:
-            cancel()
+        self._timer.cancel()

@@ -179,9 +179,7 @@ class OverloadGovernor:
     def stop(self) -> None:
         self._stopped = True
         if self._timer is not None:
-            cancel = getattr(self._timer, "cancel", None)
-            if cancel is not None:
-                cancel()
+            self._timer.cancel()
             self._timer = None
 
     def _on_tick(self) -> None:

@@ -138,6 +138,7 @@ class RoutingAgent:
         self.codec = get_codec("binary")
         self.default_ttl = default_ttl
         self.endpoint: SimTransport = fabric.endpoint(node_id, ROUTE_PORT)
+        self.scheduler: Scheduler = self.endpoint.scheduler
         self._seq = SequenceGenerator(1)
         # The duplicate table (see heard_before): origin "node:port" text ->
         # the seqs heard from it, this node's own floods included. Exact:
@@ -176,10 +177,6 @@ class RoutingAgent:
     def close_port(self, port: str) -> None:
         if self._ports.pop(port, None) is not None:
             self.fabric.remove(Address(self.node_id, port))
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self.endpoint.scheduler
 
     # --------------------------------------------------------------- sending
 
@@ -435,13 +432,9 @@ class RoutedTransport(Transport):
     """A Transport whose unicasts traverse multiple hops via the agent."""
 
     def __init__(self, local: Address, agent: RoutingAgent):
-        super().__init__(local)
+        super().__init__(local, agent.scheduler)
         self._agent = agent
         self._text = str(local)
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self._agent.scheduler
 
     def _send(self, destination: Address, payload: bytes) -> None:
         self._agent.originate(self._local, self._text, destination, payload)

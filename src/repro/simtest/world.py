@@ -53,9 +53,9 @@ from repro.simtest.scenario import PARTITION_GROUPS, Scenario
 from repro.transactions.sharedobjects import SharedObjectCache, SharedObjectHost
 from repro.transactions.tuplespace import TupleSpaceClient, TupleSpaceServer
 from repro.transport.base import Address
-from repro.transport.reliable import ReliabilityParams, ReliableTransport
-from repro.transport.secure import SecureTransport
+from repro.transport.reliable import ReliabilityParams
 from repro.transport.simnet import SimFabric
+from repro.transport.stack import StackSpec, build_stack
 from repro.middleware import MiddlewareNode
 from repro.util.rng import split_rng
 from repro.workloads.campaign import ACCOUNTS, INITIAL_BALANCE, Ledger
@@ -218,10 +218,10 @@ class SimWorld:
 
         # --- reliable-over-secure bulk stream ---------------------------
         self._bulk_dst = Address(MONITOR, _BULK_PORT)
-        secure_recv = SecureTransport(
-            self.fabric.endpoint(MONITOR, _BULK_PORT), _KEY
-        )
-        self.bulk_receiver = ReliableTransport(secure_recv, _BULK_PARAMS)
+        bulk_spec = StackSpec(reliability_params=_BULK_PARAMS,
+                              encryption_key=_KEY)
+        self.bulk_receiver = build_stack(
+            self.fabric.endpoint(MONITOR, _BULK_PORT), bulk_spec)
         self.bulk_receiver.set_receiver(self._on_bulk_payload)
         inner_on_frame = self.bulk_receiver._on_frame
 
@@ -232,12 +232,11 @@ class SimWorld:
                 self.sim.now(), source, frame, self.bulk_receiver, before
             )
 
-        secure_recv.set_receiver(checked_on_frame)
-        self.bulk_sender = ReliableTransport(
-            SecureTransport(self.fabric.endpoint(SERVER, _BULK_PORT), _KEY),
-            _BULK_PARAMS,
-            on_give_up=lambda _dest, payload: self.delivery.note_gave_up(payload),
-        )
+        self.bulk_receiver.inner.set_receiver(checked_on_frame)
+        self.bulk_sender = build_stack(
+            self.fabric.endpoint(SERVER, _BULK_PORT), bulk_spec)
+        self.bulk_sender.on_give_up = (
+            lambda _dest, payload: self.delivery.note_gave_up(payload))
 
         # --- shared objects (linearizable mode) and tuple space ---------
         # The servers bind their fabric endpoints; the world keeps no handle.

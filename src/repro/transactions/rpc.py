@@ -238,9 +238,7 @@ class RpcEndpoint(MessageEndpoint):
         if pending is None:
             return  # late reply after timeout: drop
         if pending.timer is not None:
-            cancel = getattr(pending.timer, "cancel", None)
-            if cancel is not None:
-                cancel()
+            pending.timer.cancel()
         ok = message["op"] == "result"
         pending.span.set_label(status="ok" if ok else "error")
         pending.span.finish()

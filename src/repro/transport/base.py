@@ -7,8 +7,10 @@ the guarantee a datagram network gives. Reliability, ordering and
 structure are layered on top (see :mod:`repro.transport.reliable`,
 :mod:`repro.interop.codec`).
 
-Transports also expose a :class:`Scheduler` so the layers above can set
-timers without knowing which world they run in.
+Transports also carry a :class:`Scheduler` so the layers above can set
+timers without knowing which world they run in. It is bound once, when the
+transport is built: a base transport passes its world's, a wrapping layer
+passes its inner transport's.
 """
 
 from __future__ import annotations
@@ -92,10 +94,15 @@ class Scheduler(Protocol):
 
 
 class Transport(abc.ABC):
-    """One endpoint's best-effort datagram interface."""
+    """One endpoint's best-effort datagram interface.
 
-    def __init__(self, local: Address):
+    ``scheduler`` is the timer facility for this transport's world, a plain
+    attribute fixed at construction.
+    """
+
+    def __init__(self, local: Address, scheduler: Scheduler):
         self._local = local
+        self.scheduler = scheduler
         self._receiver: Optional[Receiver] = None
         self._closed = False
         self.sent_messages = 0
@@ -112,11 +119,6 @@ class Transport(abc.ABC):
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    @abc.abstractmethod
-    def scheduler(self) -> Scheduler:
-        """The timer facility for this transport's world."""
 
     # --------------------------------------------------------------- sending
 

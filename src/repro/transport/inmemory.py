@@ -13,7 +13,7 @@ from typing import Dict, Optional
 from repro.errors import ConfigurationError
 from repro.netsim.simulator import Simulator
 from repro.obs.tracing import TRACER, Span
-from repro.transport.base import Address, Scheduler, Transport
+from repro.transport.base import Address, Transport
 from repro.util.rng import split_rng
 
 
@@ -91,12 +91,8 @@ class InMemoryTransport(Transport):
     """An endpoint on an :class:`InMemoryFabric`."""
 
     def __init__(self, local: Address, fabric: InMemoryFabric):
-        super().__init__(local)
+        super().__init__(local, fabric.sim)
         self._fabric = fabric
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self._fabric.sim
 
     def _send(self, destination: Address, payload: bytes) -> None:
         self._fabric._transmit(self._local, destination, payload)

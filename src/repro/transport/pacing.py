@@ -37,7 +37,7 @@ from typing import Callable, Deque, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.obs.tracing import TRACER
 from repro.qos.bandwidth import BandwidthAllocator
-from repro.transport.base import Address, Scheduler, Transport
+from repro.transport.base import Address, Transport
 
 ShedCallback = Callable[[Address, bytes], None]
 
@@ -78,7 +78,7 @@ class PacedTransport(Transport):
             raise ConfigurationError(f"max queue must be >= 1, got {max_queue!r}")
         if header_bits < 0:
             raise ConfigurationError(f"header bits must be >= 0, got {header_bits!r}")
-        super().__init__(inner.local_address)
+        super().__init__(inner.local_address, inner.scheduler)
         self.inner = inner
         self.allocator = allocator
         self.flow_id = flow_id
@@ -88,7 +88,7 @@ class PacedTransport(Transport):
         self._owns_flow = rate_bps is not None
         if rate_bps is not None:
             allocator.reserve(flow_id, rate_bps, privileged=privileged,
-                              now=inner.scheduler.now())
+                              now=self.scheduler.now())
         elif flow_id not in allocator._flows:
             raise ConfigurationError(
                 f"flow {flow_id!r} is not reserved; pass rate_bps to reserve it"
@@ -101,10 +101,6 @@ class PacedTransport(Transport):
         self.shed_oversize = 0
         self.max_queue_depth = 0
         inner.set_receiver(self._dispatch)
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self.inner.scheduler
 
     @property
     def queue_depth(self) -> int:
@@ -175,9 +171,7 @@ class PacedTransport(Transport):
     def close(self) -> None:
         super().close()
         if self._drain_timer is not None:
-            cancel = getattr(self._drain_timer, "cancel", None)
-            if cancel is not None:
-                cancel()
+            self._drain_timer.cancel()
             self._drain_timer = None
         queued, self._queue = self._queue, deque()
         for destination, payload, _bits in queued:

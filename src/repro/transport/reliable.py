@@ -33,7 +33,7 @@ from typing import Callable, Dict, Optional, Set, Tuple
 from repro.errors import ConfigurationError
 from repro.interop.frames import FRAME_TYPES, PrefixedFrame, split_frame
 from repro.obs.tracing import TRACER, Span
-from repro.transport.base import Address, Scheduler, Transport
+from repro.transport.base import Address, Transport
 from repro.transport.simnet import BROADCAST_NODE
 
 _SEQ = struct.Struct(">Q")
@@ -115,7 +115,7 @@ class ReliableTransport(Transport):
         params: ReliabilityParams = ReliabilityParams(),
         on_give_up: Optional[GiveUpCallback] = None,
     ):
-        super().__init__(inner.local_address)
+        super().__init__(inner.local_address, inner.scheduler)
         self.inner = inner
         self.params = params
         self.on_give_up = on_give_up
@@ -132,10 +132,6 @@ class ReliableTransport(Transport):
         self.malformed_frames = 0
         self.window_overflows = 0
         inner.set_receiver(self._on_frame)
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self.inner.scheduler
 
     # --------------------------------------------------------------- sending
 
@@ -199,10 +195,7 @@ class ReliableTransport(Transport):
         if flag == ACK_FLAG:
             entry = self._pending.pop((source, seq), None)
             if entry is not None:
-                _payload, _attempt, handle, _ctx = entry
-                cancel = getattr(handle, "cancel", None)
-                if cancel is not None:
-                    cancel()
+                entry[2].cancel()  # the retransmit timer
             return
         if flag != DATA_FLAG:
             self._drop_malformed(source, f"unknown flag {flag!r}")
@@ -247,8 +240,6 @@ class ReliableTransport(Transport):
     def close(self) -> None:
         super().close()
         for _payload, _attempt, handle, _ctx in self._pending.values():
-            cancel = getattr(handle, "cancel", None)
-            if cancel is not None:
-                cancel()
+            handle.cancel()
         self._pending.clear()
         self.inner.close()

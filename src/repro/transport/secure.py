@@ -26,7 +26,7 @@ import struct
 from typing import Optional
 
 from repro.errors import ConfigurationError
-from repro.transport.base import Address, Scheduler, Transport
+from repro.transport.base import Address, Transport
 
 NONCE_BYTES = 12
 TAG_BYTES = 16
@@ -103,15 +103,11 @@ class SecureTransport(Transport):
     """
 
     def __init__(self, inner: Transport, key: bytes):
-        super().__init__(inner.local_address)
+        super().__init__(inner.local_address, inner.scheduler)
         self.inner = inner
         self._channel = SecureChannel(key)
         self.auth_failures = 0
         inner.set_receiver(self._on_frame)
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self.inner.scheduler
 
     def _send(self, destination: Address, payload: bytes) -> None:
         self.inner.send(

@@ -66,14 +66,12 @@ class SimFabric:
 
     def __init__(self, network: Network):
         self.network = network
+        #: The fabric-wide scheduler: the simulator itself, never skewed.
+        self.scheduler: Scheduler = network.sim
         self._node_schedulers: Dict[str, SimScheduler] = {}
         # (node_id, port) -> endpoint
         self._endpoints: Dict[Tuple[str, str], "SimTransport"] = {}
         self._dispatching_nodes: Dict[str, Node] = {}
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self.network.sim
 
     def scheduler_for(self, node_id: str) -> Scheduler:
         """The per-node scheduler (shares the fabric clock until skewed)."""
@@ -184,12 +182,8 @@ class SimTransport(Transport):
     """An endpoint bound to one simulated node and port."""
 
     def __init__(self, local: Address, fabric: SimFabric):
-        super().__init__(local)
+        super().__init__(local, fabric.scheduler_for(local.node))
         self._fabric = fabric
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self._fabric.scheduler_for(self._local.node)
 
     @property
     def node(self) -> Node:

@@ -11,7 +11,6 @@ from typing import Optional
 
 from repro.transport.base import Transport
 from repro.transport.reliable import ReliabilityParams, ReliableTransport
-from repro.transport.secure import SecureTransport
 
 
 class StackSpec:
@@ -36,10 +35,14 @@ def build_stack(base: Transport, spec: StackSpec = StackSpec()) -> Transport:
     the top of the stack.
 
     Layer order is fixed — encryption at the bottom, so everything above it
-    is protected, including acks.
+    is protected, including acks. This is the one place in the library that
+    stacks these layers.
     """
     top: Transport = base
     if spec.encryption_key is not None:
+        # Loaded on first use: a process that builds no keyed stack (every
+        # benchmark workload) never compiles the crypto layer.
+        from repro.transport.secure import SecureTransport
         top = SecureTransport(top, spec.encryption_key)
     if spec.reliable:
         top = ReliableTransport(top, spec.reliability_params)

@@ -49,8 +49,9 @@ from repro.qos.spec import SupplierQoS
 from repro.recovery.heartbeat import HeartbeatDetector
 from repro.routing.flooding import FloodingRouter
 from repro.transport.base import Address
-from repro.transport.reliable import ReliabilityParams, ReliableTransport
+from repro.transport.reliable import ReliabilityParams
 from repro.transport.simnet import SimFabric
+from repro.transport.stack import StackSpec, build_stack
 from repro.middleware import MiddlewareNode
 from repro.util.rng import split_rng
 from repro.workloads.mixes import MIXES
@@ -275,13 +276,12 @@ class ChaosCampaign:
         # Reliable bulk stream across the diagonal, over the routing layer.
         # ``bulk_pipe`` is what the workload sends into: the reliable sender
         # itself, unless a mix's ``build()`` puts something above it.
-        params = ReliabilityParams(recv_window=RECV_WINDOW)
-        self.bulk_sender = ReliableTransport(
-            self.routed_port(self.bulk_src_id, _BULK_PORT), params=params
-        )
-        self.bulk_receiver = ReliableTransport(
-            self.routed_port(self.bulk_dst_id, _BULK_PORT), params=params
-        )
+        spec = StackSpec(
+            reliability_params=ReliabilityParams(recv_window=RECV_WINDOW))
+        self.bulk_sender = build_stack(
+            self.routed_port(self.bulk_src_id, _BULK_PORT), spec)
+        self.bulk_receiver = build_stack(
+            self.routed_port(self.bulk_dst_id, _BULK_PORT), spec)
         self.bulk_receiver.set_receiver(self._on_bulk)
         self.bulk_pipe: Any = self.bulk_sender
 

@@ -398,6 +398,53 @@ def test_one_receive_skeleton_under_every_protocol():
             for _ in one_line_send.findall(text)] == ["transport/endpoint.py"]
 
 
+#: The layers ``build_stack`` composes; only ``transport/stack.py`` builds
+#: them, so the layer order is stated once.
+STACKED_LAYERS = ("SecureTransport", "ReliableTransport")
+
+
+def composer_violations(root, tops, composer):
+    """``file:line name`` for each call of a :data:`STACKED_LAYERS` class in
+    a ``.py`` file under ``root``'s ``tops``, other than ``composer``."""
+    root = Path(root)
+    return [f"{relative}:{node.lineno} {_name(node)}"
+            for top in tops for path in sorted((root / top).rglob("*.py"))
+            if (relative := path.relative_to(root).as_posix()) != composer
+            for node in ast.walk(parsed(path))
+            if isinstance(node, ast.Call) and _name(node) in STACKED_LAYERS]
+
+
+def test_build_stack_is_the_one_composer():
+    """Encryption and reliability are stacked over a transport in one
+    place, ``build_stack``. ``tests/`` is exempt: it builds the layers one
+    at a time."""
+    assert composer_violations(
+        SRC.parent.parent, ("src", "examples", "benchmarks"),
+        "src/repro/transport/stack.py") == []
+
+
+def test_the_composer_contract_on_a_toy_tree(tmp_path):
+    tree = {
+        "src/toy/stack.py": ("def build(base):\n"
+                             "    return ReliableTransport(base)\n"),
+        "src/toy/world.py": ("from toy import reliable\n"
+                             "class ReliableTransport: pass\n"
+                             "def f(base):\n"
+                             "    return reliable.ReliableTransport(base)\n"),
+        "examples/demo.py": "top = SecureTransport(base, key)\n",
+        "tests/test_toy.py": "top = SecureTransport(base, key)\n",
+    }
+    for name, text in tree.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert composer_violations(tmp_path, ("src", "examples"),
+                               "src/toy/stack.py") == [
+        "src/toy/world.py:4 ReliableTransport",
+        "examples/demo.py:1 SecureTransport",
+    ]
+
+
 def test_chaos_scorecard_reads_invariant_names_not_message_substrings():
     path = SRC / "workloads" / "campaign.py"
     scorecard = ast.get_source_segment(path.read_text(), next(

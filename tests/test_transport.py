@@ -1,13 +1,25 @@
-"""Tests for the transport layer: addresses, in-memory fabric and simnet."""
+"""Tests for the transport layer: addresses, in-memory fabric and simnet,
+and one rig per transport class."""
+
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import AddressError, ConfigurationError, TransportClosedError
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
+from repro.qos.bandwidth import BandwidthAllocator
+from repro.routing.base import RoutedTransport, RoutingAgent
+from repro.routing.flooding import FloodingRouter
 from repro.transport.base import Address
-from repro.transport.inmemory import InMemoryFabric
-from repro.transport.simnet import SimFabric, SimScheduler
+from repro.transport.inmemory import InMemoryFabric, InMemoryTransport
+from repro.transport.pacing import PacedTransport
+from repro.transport.reliable import ReliabilityParams, ReliableTransport
+from repro.transport.secure import SecureTransport
+from repro.transport.simnet import SimFabric, SimScheduler, SimTransport
+from repro.transport.stack import build_stack
 
 
 class TestAddress:
@@ -184,3 +196,86 @@ def test_a_fabric_holds_one_scheduler(ideal_star):
     a, b = fabric.endpoint("hub", "a"), fabric.endpoint("hub", "b")
     assert a.scheduler is b.scheduler
     assert type(a.scheduler) is SimScheduler
+
+
+# ------------------------------------------------------------ transport rigs
+#
+# One rig per ``Transport`` subclass under ``src/repro``. A rig builds the
+# class over a fresh world and returns ``(top, scheduler, address)``: the
+# transport under test, and the scheduler and local address it must carry
+# unchanged from what it is built on (its inner transport, or for a base
+# transport its fabric's node).
+
+
+def _star():
+    return SimFabric(topology.star(2, radius=40, radio_profile=IDEAL_RADIO))
+
+
+def _sim_rig():
+    fabric = _star()
+    return (fabric.endpoint("hub", "rig"), fabric.scheduler_for("hub"),
+            Address("hub", "rig"))
+
+
+def _memory_rig():
+    fabric = InMemoryFabric()
+    return fabric.endpoint("a", "rig"), fabric.sim, Address("a", "rig")
+
+
+def _wrapping(wrap):
+    def rig():
+        inner = _star().endpoint("hub", "rig")
+        return wrap(inner), inner.scheduler, inner.local_address
+    return rig
+
+
+def _routed_rig():
+    agent = RoutingAgent(_star(), "hub", FloodingRouter())
+    return agent.open_port("rig"), agent.endpoint.scheduler, Address("hub", "rig")
+
+
+TRANSPORT_RIGS = {
+    SimTransport: _sim_rig,
+    InMemoryTransport: _memory_rig,
+    SecureTransport: _wrapping(lambda inner: SecureTransport(inner, b"k" * 16)),
+    ReliableTransport: _wrapping(ReliableTransport),
+    PacedTransport: _wrapping(lambda inner: PacedTransport(
+        inner, BandwidthAllocator(1e6), "rig", rate_bps=1e5)),
+    RoutedTransport: _routed_rig,
+}
+
+
+def test_every_transport_class_has_a_rig():
+    declared = re.compile(r"^class (\w+)\(Transport\):", re.M)
+    classes = {name for path in Path(repro.__file__).parent.rglob("*.py")
+               for name in declared.findall(path.read_text())}
+    rigged = {cls.__name__ for cls in TRANSPORT_RIGS}
+    assert sorted(classes - rigged) == [], "a Transport subclass has no rig"
+    assert classes == rigged
+
+
+@pytest.mark.parametrize("cls", list(TRANSPORT_RIGS), ids=lambda c: c.__name__)
+def test_a_transport_carries_its_base_scheduler_and_address(cls):
+    top, scheduler, address = TRANSPORT_RIGS[cls]()
+    assert type(top) is cls
+    assert top.scheduler is scheduler
+    assert top.local_address == address
+    top.close()
+    with pytest.raises(TransportClosedError):
+        top.send(Address("leaf0", "rig"), b"x")
+
+
+@pytest.mark.parametrize("skew", [1.0, 2.0])
+def test_a_skew_set_after_the_stack_is_built_stretches_its_timers(skew):
+    """A layer binds its scheduler when it is built; the node's skew is a
+    field of that same object, so a skew set later still reaches it."""
+    fabric = _star()
+    stack = build_stack(fabric.endpoint("hub", "bulk"))
+    fabric.set_clock_skew("hub", skew)
+    stack.send(Address("leaf0", "bulk"), b"x")  # no port there: never acked
+    first = ReliabilityParams().ack_timeout_s * skew
+    sim = fabric.network.sim
+    sim.run_until(first * 0.99)
+    assert stack.retransmissions == 0
+    sim.run_until(first * 1.01)
+    assert stack.retransmissions == 1
