@@ -49,11 +49,9 @@ __getattr__, __all__ = _facade(__name__, {
     "OverloadLevel": "repro.core.overload",
     "queue_pressure": "repro.core.overload",
     "rejection_pressure": "repro.core.overload",
-    "BandwidthPlugin": "repro.core.plugins",
     "BluetoothPlugin": "repro.core.plugins",
     "NetworkContext": "repro.core.plugins",
     "NetworkPlugin": "repro.core.plugins",
-    "ReachabilityPlugin": "repro.core.plugins",
     "ApplicationPolicy": "repro.core.policy",
     "ReconfigEngine": "repro.core.reconfig",
     "VariableRequirements": "repro.core.requirements",

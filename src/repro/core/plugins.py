@@ -7,7 +7,8 @@ multiple specific technologies (e.g., Bluetooth or 802.11)".
 
 A plugin knows one technology's constraints and filters candidate sensor
 sets accordingly. Plugins compose: a set is network-feasible when every
-installed plugin accepts it.
+installed plugin accepts it. The tree ships the Bluetooth plugin; any
+object with a ``name`` and an ``accepts`` (:class:`NetworkPlugin`) is one.
 """
 
 from __future__ import annotations
@@ -68,46 +69,6 @@ class BluetoothPlugin:
 
     def accepts(self, sensor_set: SensorSet, context: NetworkContext) -> bool:
         return len(sensor_set) <= self.max_active_slaves * self.masters
-
-
-class BandwidthPlugin:
-    """802.11-style shared-channel constraint: the sum of the set's stream
-    bandwidths must fit in the channel's usable capacity."""
-
-    name = "bandwidth"
-
-    def __init__(self, capacity_bps: float, utilization_cap: float = 0.8):
-        if capacity_bps <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {capacity_bps!r}")
-        if not 0.0 < utilization_cap <= 1.0:
-            raise ConfigurationError(
-                f"utilization cap must be in (0, 1], got {utilization_cap!r}"
-            )
-        self.capacity_bps = capacity_bps
-        self.utilization_cap = utilization_cap
-
-    def accepts(self, sensor_set: SensorSet, context: NetworkContext) -> bool:
-        demand = sum(context.info(sid).bandwidth_bps for sid in sensor_set)
-        return demand <= self.capacity_bps * self.utilization_cap
-
-
-class ReachabilityPlugin:
-    """Multi-hop constraint: every selected sensor's node must currently
-    reach the sink over the live topology."""
-
-    name = "reachability"
-
-    def accepts(self, sensor_set: SensorSet, context: NetworkContext) -> bool:
-        if context.network is None or context.sink_node_id is None:
-            return True  # nothing to check against
-        reachable = context.network.reachable_from(context.sink_node_id)
-        for sensor_id in sensor_set:
-            node_id = context.info(sensor_id).node_id
-            if node_id is None:
-                continue
-            if node_id != context.sink_node_id and node_id not in reachable:
-                return False
-        return True
 
 
 def network_feasible(

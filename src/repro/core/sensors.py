@@ -30,17 +30,16 @@ class SensorInfo:
         depleted: ``energy_j <= 0.0``, stored by ``__init__``: the record
             is never changed in place (``with_energy``/``drained`` build
             copies), and MiLAN reads it for every sensor every round.
-        bandwidth_bps: network load the sensor's stream costs when active.
-        node_id: the network node hosting it (for reachability plugins).
+        node_id: the network node hosting it (for the configurator's
+            routes and roles).
     """
 
     __slots__ = ("sensor_id", "reliabilities", "active_power_w", "energy_j",
-                 "depleted", "bandwidth_bps", "node_id")
+                 "depleted", "node_id")
 
     def __init__(self, sensor_id: str,
                  reliabilities: Optional[Dict[str, float]] = None,
                  active_power_w: float = 1e-3, energy_j: float = float("inf"),
-                 bandwidth_bps: float = 0.0,
                  node_id: Optional[str] = None) -> None:
         if not sensor_id:
             raise ConfigurationError("sensor_id must be non-empty")
@@ -66,7 +65,6 @@ class SensorInfo:
         self.active_power_w = active_power_w
         self.energy_j = energy_j
         self.depleted = energy_j <= 0.0
-        self.bandwidth_bps = bandwidth_bps
         self.node_id = node_id
 
     def reliability_for(self, variable: str) -> float:
@@ -92,7 +90,7 @@ class SensorInfo:
         # signature memo is validated by it.
         return SensorInfo(
             self.sensor_id, self.reliabilities, self.active_power_w,
-            energy_j, self.bandwidth_bps, self.node_id,
+            energy_j, self.node_id,
         )
 
 
@@ -120,6 +118,5 @@ def sensor_from_description(description: ServiceDescription) -> SensorInfo:
         reliabilities=reliabilities,
         active_power_w=power,
         energy_j=energy,
-        bandwidth_bps=description.qos.bandwidth_bps,
         node_id=description.provider.split(":", 1)[0],
     )

@@ -5,7 +5,7 @@ approach to adapt to the current environment, selecting a centralized or
 distributed approach based on some aspects of the network itself such as
 density or traffic."
 
-The policy implemented here:
+The policy implemented here reads density:
 
 * **dense** neighborhoods make flooding expensive (every neighbor
   rebroadcasts), so above ``density_threshold`` the agent uses the central
@@ -38,15 +38,13 @@ DISTRIBUTED = "distributed"
 class AdaptivePolicy:
     """When to prefer the registry over flooding."""
 
-    __slots__ = ("density_threshold", "traffic_threshold",
-                 "reevaluate_interval_s", "registry_failure_limit")
+    __slots__ = ("density_threshold", "reevaluate_interval_s",
+                 "registry_failure_limit")
 
     def __init__(self, density_threshold: float = 6.0,
-                 traffic_threshold: float = 0.7,
                  reevaluate_interval_s: float = 5.0,
                  registry_failure_limit: int = 2) -> None:
         self.density_threshold = density_threshold
-        self.traffic_threshold = traffic_threshold
         self.reevaluate_interval_s = reevaluate_interval_s
         self.registry_failure_limit = registry_failure_limit
         if self.density_threshold < 0:
@@ -62,9 +60,8 @@ class AdaptivePolicy:
 class AdaptiveDiscovery:
     """Hybrid agent owning both a registry client and a flooding agent.
 
-    ``density_probe`` returns the current neighborhood size and
-    ``traffic_probe`` the local load estimate in [0, 1]; in simulation these
-    come straight from the network object.
+    ``density_probe`` returns the current neighborhood size; in simulation
+    it comes straight from the network object.
 
     Events (via :attr:`events`): ``"mode_changed"`` (new mode string).
     """
@@ -75,13 +72,11 @@ class AdaptiveDiscovery:
         registry: Optional[RegistryClient] = None,
         policy: AdaptivePolicy = AdaptivePolicy(),
         density_probe: Callable[[], float] = lambda: 0.0,
-        traffic_probe: Callable[[], float] = lambda: 0.0,
     ):
         self.distributed = distributed
         self.registry = registry
         self.policy = policy
         self.density_probe = density_probe
-        self.traffic_probe = traffic_probe
         self.events = EventEmitter()
         self._mode = DISTRIBUTED
         self._registry_failures = 0
@@ -107,12 +102,7 @@ class AdaptiveDiscovery:
 
     def _evaluate(self) -> None:
         dense = self.density_probe() >= self.policy.density_threshold
-        busy = self.traffic_probe() >= self.policy.traffic_threshold
-        want = (
-            CENTRALIZED
-            if self._registry_usable() and (dense or busy)
-            else DISTRIBUTED
-        )
+        want = CENTRALIZED if self._registry_usable() and dense else DISTRIBUTED
         if want != self._mode:
             self._mode = want
             self.mode_switches += 1

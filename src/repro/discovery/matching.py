@@ -129,8 +129,8 @@ class Query:
     def from_dict(payload: Dict[str, Any]) -> "Query":
         """Rebuild a query from its wire form.
 
-        Note: only the *hard* consumer terms travel (benefit functions are
-        code, not data); remote matchers filter hard terms and the consumer
+        Note: only the *hard* consumer terms travel (the soft preferences
+        stay local); remote matchers filter hard terms and the consumer
         re-ranks locally with its full QoS — the standard split in SLP-like
         protocols. Every field is checked; anything a matcher could not use
         raises :class:`DiscoveryError`.

@@ -258,7 +258,7 @@ class RegistryClient(MessageEndpoint):
         """Find services; fulfills with a list of :class:`ServiceDescription`.
 
         The server filters hard constraints; the client re-ranks locally
-        with the full consumer QoS (including benefit and spatial terms).
+        with the full consumer QoS (including its spatial and power terms).
         """
         span: Any = NOOP_SPAN
         if TRACER.enabled:

@@ -17,9 +17,9 @@ tradeoff:
 
 It is the wire format only, so it sits below the simulator, whose corruptor
 gates on frame types. What joins paradigms and formats on top of it lives
-with the protocols it joins: :mod:`repro.transactions.bridge` (paradigm
-bridges and the binary <-> SML gateway) and :mod:`repro.discovery.webserver`
-(the embedded web server).
+with the protocols it joins: :mod:`repro.transactions.bridge` (the
+RPC -> pub/sub bridge) and :mod:`repro.discovery.webserver` (the embedded
+web server).
 """
 
 from repro import _facade

@@ -177,15 +177,6 @@ COUNTERS: Dict[str, Tuple[str, str, str, str, str]] = {
     "transactions.agents.refused": (
         "AgentHost", "agents_refused", "agents", "transactions",
         "arriving agents of a class the host does not know"),
-    "transactions.bridge.forwarded_a_to_b": (
-        "CodecGateway", "forwarded_a_to_b", "messages", "transactions",
-        "messages the gateway re-encoded from side a to side b"),
-    "transactions.bridge.forwarded_b_to_a": (
-        "CodecGateway", "forwarded_b_to_a", "messages", "transactions",
-        "messages the gateway re-encoded from side b to side a"),
-    "transactions.bridge.bridged": (
-        "PubSubTupleBridge", "bridged", "events", "transactions",
-        "published events written into the tuple space"),
     "replication.appends": (
         "ReplicaNode", "appends", "entries", "replication",
         "log entries a primary appended, its no-op included"),

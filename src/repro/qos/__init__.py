@@ -5,8 +5,8 @@ The paper splits QoS three ways and this package mirrors that split:
 * **supplier QoS** — what a service can promise: availability, reliability,
   latency, security requirements, power constraints
   (:class:`~repro.qos.spec.SupplierQoS`);
-* **consumer QoS** — what an application needs, over time (benefit
-  functions, :mod:`repro.qos.benefit`) and space (spatial preferences,
+* **consumer QoS** — what an application needs: reliability, availability
+  and latency floors, security, and space (spatial preferences,
   :mod:`repro.qos.spatial`) (:class:`~repro.qos.spec.ConsumerQoS`);
 * **network QoS** — bandwidth, density, traffic
   (:class:`~repro.qos.spec.NetworkQoS`).
@@ -28,11 +28,6 @@ __getattr__, __all__ = _facade(__name__, {
     "PriorityClass": "repro.qos.admission",
     "BandwidthAllocator": "repro.qos.bandwidth",
     "TokenBucket": "repro.qos.bandwidth",
-    "BenefitFunction": "repro.qos.benefit",
-    "ConstantBenefit": "repro.qos.benefit",
-    "ExponentialDecayBenefit": "repro.qos.benefit",
-    "LinearDecayBenefit": "repro.qos.benefit",
-    "StepBenefit": "repro.qos.benefit",
     "ContractTerms": "repro.qos.contract",
     "QoSContract": "repro.qos.contract",
     "DegradationManager": "repro.qos.monitor",

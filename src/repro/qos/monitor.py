@@ -103,7 +103,6 @@ class DegradationManager:
             min_reliability=reliability,
             min_availability=availability,
             max_latency_s=latency,
-            benefit=base.benefit,
             spatial=base.spatial,
             require_encryption=base.require_encryption,
             password=base.password,

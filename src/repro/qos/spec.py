@@ -4,8 +4,7 @@ Section 3.4 enumerates what each party brings to a match:
 
 * the **supplier**: required connections, security access, power
   constraints, availability;
-* the **consumer**: service/attribute needs over time and space, benefit
-  (time-constraint) functions;
+* the **consumer**: service/attribute needs over time and space;
 * the **network**: "mainly related to bandwidth issues, but network density
   and traffic patterns can be considered as well".
 
@@ -20,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.qos.benefit import BenefitFunction, ConstantBenefit, expected_benefit
 from repro.qos.spatial import SpatialPreference
 
 
@@ -103,7 +101,6 @@ class ConsumerQoS:
     Attributes:
         min_reliability / min_availability: hard floors.
         max_latency_s: hard ceiling on expected latency (None = don't care).
-        benefit: time-constraint function over delivery delay.
         spatial: spatial preference (None = logical matching only —
             exactly the deficiency experiment E3 demonstrates).
         require_encryption: hard security constraint.
@@ -113,13 +110,12 @@ class ConsumerQoS:
     """
 
     __slots__ = ("min_reliability", "min_availability", "max_latency_s",
-                 "benefit", "spatial", "require_encryption", "password",
+                 "spatial", "require_encryption", "password",
                  "prefer_mains_power")
 
     def __init__(self, min_reliability: float = 0.0,
                  min_availability: float = 0.0,
                  max_latency_s: Optional[float] = None,
-                 benefit: BenefitFunction = ConstantBenefit(),
                  spatial: Optional[SpatialPreference] = None,
                  require_encryption: bool = False,
                  password: Optional[str] = None,
@@ -127,7 +123,6 @@ class ConsumerQoS:
         self.min_reliability = min_reliability
         self.min_availability = min_availability
         self.max_latency_s = max_latency_s
-        self.benefit = benefit
         self.spatial = spatial
         self.require_encryption = require_encryption
         self.password = password
@@ -213,7 +208,9 @@ def score_match(
     terms: Dict[str, float] = {
         "reliability": supplier.reliability,
         "availability": supplier.availability,
-        "benefit": expected_benefit(consumer.benefit, effective_latency),
+        # §3.4's time constraint, delay-insensitive: full benefit whenever
+        # the data arrives, so a late supplier loses only to the latency cap.
+        "benefit": 1.0,
     }
     if consumer.spatial is not None and distance_m is not None:
         terms["spatial"] = consumer.spatial.score(distance_m)

@@ -22,8 +22,8 @@ implemented over the common transport abstraction:
 * mobile software agents that travel to the data
   (:mod:`repro.transactions.agents`),
 
-and Section 3.9's bridges between them: paradigm bridges and a binary <->
-SML gateway (:mod:`repro.transactions.bridge`).
+and Section 3.9's bridge between two of them, RPC callers to pub/sub
+consumers (:mod:`repro.transactions.bridge`).
 """
 
 from repro import _facade

@@ -1,7 +1,7 @@
 """Committed mutants of the fast paths, each with the property that kills it.
 
-The rows cover MiLAN's feasibility and round engine and the medium's one
-reception loop.
+The rows cover MiLAN's feasibility and round engine, the medium's one
+reception loop, and the simulator's queue (a heap beside a sorted run).
 
 A row names a target (``module:qualname``), one text patch inside it (the
 old text occurs exactly once in the target's file), the pytest node id of
@@ -46,6 +46,8 @@ ENGINE_ROUNDS = ("tests/test_feasibility_property.py::"
                  "TestEngineRoundsMatchUncached::test_rounds")
 RECEPTION = ("tests/test_reception_property.py::"
              "TestDeliverMatchesReference::test_same_reception")
+QUEUE = ("tests/test_simulator.py::"
+         "TestQueueExactness::test_fires_as_one_heap_would")
 
 
 class Mutant(NamedTuple):
@@ -120,6 +122,18 @@ MUTANTS = (
            "repro.netsim.medium:WirelessMedium._deliver",
            "handler(receiver, heard)", "handler(receiver, packet)",
            RECEPTION, "ci"),
+    # The heap and the sorted run against one heap of every entry.
+    Mutant("loop-compares-no-heads", "repro.netsim.simulator:Simulator._loop",
+           "if run and not (heap and heap[0] < run[0]):", "if run:",
+           QUEUE, "ci"),
+    Mutant("run-takes-out-of-order",
+           "repro.netsim.simulator:Simulator.schedule_at",
+           "if self._tie_breaker is not None or run and when < run[-1][0]:",
+           "if self._tie_breaker is not None:", QUEUE, "ci"),
+    Mutant("sweep-counts-heap-only",
+           "repro.netsim.simulator:EventHandle.cancel",
+           "dead = len(heap) + len(run) - sim._live",
+           "dead = len(heap) - sim._live", QUEUE, "ci"),
 )
 
 

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "run_benchmarks.py"
 spec = importlib.util.spec_from_file_location("run_benchmarks", SCRIPT)
 run_benchmarks = importlib.util.module_from_spec(spec)
@@ -35,6 +37,20 @@ def test_a_row_the_quick_run_skipped_is_neither_compared_nor_dropped():
     assert run_benchmarks.compare(baseline, current, 1.5) == (
         [("a", 10.0, 10.0, 1.0, False)], [])
 
+
+def test_skew_normalization_refuses_a_baseline_recorded_at_two_shas():
+    baseline = {"ops": {"a": dict(op(10.0), git_sha="a" * 40),
+                        "b": dict(op(10.0), git_sha="b" * 40),
+                        "c": dict(op(10.0), git_sha="a" * 40)}}
+    current = {name: op(10.0) for name in "abc"}
+    with pytest.raises(ValueError, match="2 shas: aaaaaaaaaaaa, bbbbbbbbbbbb"):
+        run_benchmarks.compare(baseline, current, 1.3, normalize_skew=True)
+    # Unnormalized ratios need no common machine speed, so the same
+    # baseline still compares.
+    assert run_benchmarks.compare(baseline, current, 1.3)[0][0][4] is False
+    one_run = {"ops": {name: dict(stats, git_sha="a" * 40)
+                       for name, stats in baseline["ops"].items()}}
+    assert run_benchmarks.compare(one_run, current, 1.3, normalize_skew=True)[1] == []
 
 
 def test_the_rss_gate_reads_only_rows_with_a_peak_on_both_sides():

@@ -481,7 +481,7 @@ def _move(sensors, slot, node_id) -> None:
         old = sensors[sid]
         sensors[sid] = SensorInfo(
             sid, old.reliabilities, old.active_power_w, old.energy_j,
-            old.bandwidth_bps, node_id)
+            node_id)
 
 
 class TestEngineRoundsMatchUncached:

@@ -16,7 +16,7 @@ from repro import (
     TransactionSpec,
     health_monitor_policy,
 )
-from repro.core.plugins import NetworkContext, ReachabilityPlugin
+from repro.core.plugins import NetworkContext, NetworkPlugin
 from repro.core.sensors import sensor_from_description
 from repro.discovery.registry import RegistryServer
 from repro.netsim import topology
@@ -209,8 +209,20 @@ class TestDurableSensorLog:
         assert len(recovered.snapshot()) == persisted
 
 
+class SinkReachability:
+    """A multi-hop plugin: every selected sensor's node must reach the sink
+    over the live topology."""
+
+    name = "reachability"
+
+    def accepts(self, sensor_set, context):
+        reachable = context.network.reachable_from(context.sink_node_id)
+        return all(context.sensors[sid].node_id in reachable
+                   for sid in sensor_set)
+
+
 class TestMilanWithLiveTopology:
-    """MiLAN + reachability plugin over a live network: partition makes a
+    """MiLAN + a reachability plugin over a live network: partition makes a
     sensor network-infeasible, and MiLAN reconfigures around it."""
 
     def test_partition_forces_reselection(self):
@@ -232,9 +244,13 @@ class TestMilanWithLiveTopology:
         )
         context = NetworkContext(sensors=dict(sensors), network=network,
                                  sink_node_id="n0")
-        milan = Milan(policy, plugins=[ReachabilityPlugin()], context=context)
+        plugin = SinkReachability()
+        assert isinstance(plugin, NetworkPlugin)
+        milan = Milan(policy, plugins=[plugin], context=context)
         milan.reconfigure()
         assert milan.active_sensor_ids() == frozenset(["far"])  # higher reliability
         network.node("n2").crash()  # n3 unreachable from n0 now
+        assert plugin.accepts(frozenset(["near"]), context)
+        assert not plugin.accepts(frozenset(["far"]), context)
         configuration = milan.reconfigure()
         assert milan.active_sensor_ids() == frozenset(["near"])

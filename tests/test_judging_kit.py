@@ -334,8 +334,10 @@ def test_one_replay_call_site_and_one_canonical_encoder():
     # switch the neighbour memo outgrew, the options nothing set whose names
     # are unique, the wall-clock scheduler and clock, the exceptions
     # nothing raised, the queue and clock the simulator now owns, the
-    # run-time-named counter registry, and the three modules that moved to
-    # their layer cannot creep back.
+    # run-time-named counter registry, the three modules that moved to
+    # their layer, and the paper features no driver wired (§3.3's traffic
+    # trigger, §3.4's benefit shapes, §4's 802.11 and reachability plugins,
+    # §3.9's codec gateway and pub/sub -> tuple bridge) cannot creep back.
     texts = sources()
     reads_env = [name for name, text in texts.items()
                  if "os.environ" in text or "getenv" in text]
@@ -344,7 +346,8 @@ def test_one_replay_call_site_and_one_canonical_encoder():
                  "repro.netsim.shard", "repro.replication.demo",
                  "repro.transport.multiplex", "repro.util.priorityqueue",
                  "repro.util.clock", "repro.interop.bridge",
-                 "repro.interop.webserver", "repro.scheduling.bandwidth"):
+                 "repro.interop.webserver", "repro.scheduling.bandwidth",
+                 "repro.qos.benefit"):
         assert importlib.util.find_spec(gone) is None, gone
     removed = ("MetricsRecorder", "SeriesPoint", "BACKEND_ENV",
                "PrimaryReplica", "BackupReplica", "ReplicationClient",
@@ -360,7 +363,9 @@ def test_one_replay_call_site_and_one_canonical_encoder():
                "RealTimeScheduler", "SystemClock", "LeaseExpiredError",
                "QoSViolationError", "InfeasibleError", "NoRouteError",
                "DeadlineMissed", "StablePriorityQueue", "ManualClock",
-               "pop_if_at_most", "MetricsRegistry")
+               "pop_if_at_most", "MetricsRegistry", "traffic_probe",
+               "traffic_threshold", "Benefit(", "BandwidthPlugin",
+               "ReachabilityPlugin", "CodecGateway", "PubSubTupleBridge")
     root = SRC.parent.parent
     survivors = [(path.relative_to(root).as_posix(), name)
                  for top in ("src", "examples", "benchmarks")
@@ -383,9 +388,9 @@ def test_one_receive_skeleton_under_every_protocol():
         return sorted(name for name, text in texts.items()
                       if needle in text and not name.startswith(outside))
 
-    # The wire-format gateway is a raw transport bridge, not an endpoint.
+    # A routing agent decodes the envelopes it relays; it is no endpoint.
     assert where("try_decode_dict(", outside="interop/") == [
-        "routing/base.py", "transactions/bridge.py", "transport/endpoint.py"]
+        "routing/base.py", "transport/endpoint.py"]
     assert where("def try_decode_dict") == ["interop/frames.py"]
     assert texts["interop/frames.py"].count("def try_decode_dict") == 1
     assert where("malformed_frames += 1", outside="transport/") == []
@@ -912,16 +917,6 @@ def unset_options(src_root, caller_roots):
     return sorted(options)
 
 
-#: The options nothing sets that stay: two paper features no driver wires
-#: yet, §3.4's benefit function and the "traffic" of §3.3's "density or
-#: traffic". ROADMAP item 8's paper-coverage contract decides them.
-UNSET_OPTIONS = [
-    "AdaptiveDiscovery.traffic_probe",
-    "AdaptivePolicy.traffic_threshold",
-    "ConsumerQoS.benefit",
-]
-
-
 def test_every_option_is_set_somewhere():
     """A constructor option that only ever holds its default is an
     unexercised path, not policy: some call under ``src/``, ``examples/``,
@@ -929,7 +924,7 @@ def test_every_option_is_set_somewhere():
     module constant or a plain attribute. Computed from the tree."""
     root = SRC.parent.parent
     callers = [root / top for top in ("src", "examples", "benchmarks", "tests")]
-    assert unset_options(SRC, callers) == UNSET_OPTIONS
+    assert unset_options(SRC, callers) == []
 
 
 def test_the_option_contract_on_a_toy_tree(tmp_path):
@@ -1099,29 +1094,6 @@ def uncalled_functions(src_root, caller_roots):
                   if all(node in within for within in uses.get(node.name, ())))
 
 
-#: The definitions nothing but tests use that stay: paper features no driver
-#: wires yet, like the options ``UNSET_OPTIONS`` keeps. ROADMAP item 8's
-#: paper-coverage contract decides them; wiring one into an experiment row
-#: is a change to EXPERIMENTS.md.
-UNCALLED_FUNCTIONS = [
-    # §4: MiLAN is "applicable to multiple specific technologies"; only the
-    # Bluetooth plugin has a driver.
-    "repro.core.plugins:BandwidthPlugin",
-    "repro.core.plugins:ReachabilityPlugin",
-    # §3.4's benefit function: the shapes ``ConsumerQoS.benefit``, itself an
-    # ``UNSET_OPTIONS`` entry, would take. They go or stay with it.
-    "repro.qos.benefit:ExponentialDecayBenefit",
-    "repro.qos.benefit:LinearDecayBenefit",
-    "repro.qos.benefit:StepBenefit",
-    # §3.9: the gateway between wire formats and the pub/sub -> tuple-space
-    # paradigm bridge.
-    "repro.transactions.bridge:CodecGateway",
-    "repro.transactions.bridge:CodecGateway.map_a_to_b",
-    "repro.transactions.bridge:CodecGateway.map_b_to_a",
-    "repro.transactions.bridge:PubSubTupleBridge",
-]
-
-
 def test_every_function_has_a_caller():
     """Something other than pytest uses every function, method and class
     under ``src/repro``: a call or reference under ``src/``, ``examples/``
@@ -1129,7 +1101,7 @@ def test_every_function_has_a_caller():
     into ``tests/`` or deleted. Computed from the tree."""
     root = SRC.parent.parent
     callers = [root / top for top in ("src", "examples", "benchmarks")]
-    assert uncalled_functions(SRC, callers) == UNCALLED_FUNCTIONS
+    assert uncalled_functions(SRC, callers) == []
 
 
 def test_the_function_contract_on_a_toy_tree(tmp_path):
@@ -1483,7 +1455,7 @@ def test_the_attribute_contracts_on_a_toy_tree(tmp_path):
 
 #: ``docs/ARCHITECTURE.md``'s length in lines: a section arrives only by
 #: taking text out. Lowered, never raised, as the document is cut down.
-ARCHITECTURE_LINES = 1545
+ARCHITECTURE_LINES = 1537
 
 
 def test_the_architecture_document_does_not_grow():

@@ -1,17 +1,13 @@
-"""Tests for the MiddlewareNode facade and the interop bridges."""
-
-import pytest
+"""Tests for the MiddlewareNode facade and the RPC -> pub/sub bridge."""
 
 from repro import MiddlewareNode, Query, SupplierQoS, TransactionKind, TransactionSpec
 from repro.discovery.registry import RegistryServer
-from repro.transactions.bridge import CodecGateway, PubSubTupleBridge, RpcEventBridge
-from repro.interop.codec import get_codec
+from repro.transactions.bridge import RpcEventBridge
 from repro.netsim import topology
 from repro.netsim.medium import IDEAL_RADIO
 from repro.routing.linkstate import LinkStateRouter
 from repro.transactions.pubsub import PubSubBroker, PubSubClient
 from repro.transactions.rpc import RpcEndpoint
-from repro.transactions.tuplespace import TupleSpaceClient, TupleSpaceServer
 from repro.transport.base import Address
 from repro.transport.inmemory import InMemoryFabric
 from repro.transport.simnet import SimFabric
@@ -121,81 +117,6 @@ class TestMiddlewareNodeRouted:
         assert call.result() == 7
 
 
-class TestCodecGateway:
-    def test_bidirectional_translation(self):
-        fabric = InMemoryFabric(latency_s=0.01)
-        binary_side = fabric.endpoint("island", "app")
-        sml_side = fabric.endpoint("enterprise", "app")
-        gateway = CodecGateway(
-            fabric.endpoint("gw", "a"), fabric.endpoint("gw", "b"),
-            default_b=Address("enterprise", "app"),
-            default_a=Address("island", "app"),
-        )
-        received = []
-        sml_codec = get_codec("sml")
-        binary_codec = get_codec("binary")
-        sml_side.set_receiver(
-            lambda src, data: received.append(("sml", sml_codec.decode(data)))
-        )
-        binary_side.set_receiver(
-            lambda src, data: received.append(("binary", binary_codec.decode(data)))
-        )
-        binary_side.send(Address("gw", "a"), binary_codec.encode({"op": "hello"}))
-        fabric.run()
-        sml_side.send(Address("gw", "b"), sml_codec.encode({"op": "reply"}))
-        fabric.run()
-        assert received == [("sml", {"op": "hello"}), ("binary", {"op": "reply"})]
-        assert gateway.forwarded_a_to_b == 1 and gateway.forwarded_b_to_a == 1
-
-    def test_garbage_is_a_counted_drop_not_a_raise(self):
-        fabric = InMemoryFabric(latency_s=0.01)
-        island = fabric.endpoint("island", "app")
-        enterprise = fabric.endpoint("enterprise", "app")
-        gateway = CodecGateway(
-            fabric.endpoint("gw", "a"), fabric.endpoint("gw", "b"),
-            default_b=Address("enterprise", "app"),
-        )
-        sml, binary = get_codec("sml"), get_codec("binary")
-        received = []
-        enterprise.set_receiver(
-            lambda src, data: received.append(sml.decode(data)))
-        island.send(Address("gw", "a"), b"\xff\x00 not a frame")
-        island.send(Address("gw", "a"), binary.encode([1, 2]))  # no dict
-        island.send(Address("gw", "a"), binary.encode({"op": "hello"}))
-        fabric.run()
-        assert received == [{"op": "hello"}]
-        assert gateway.malformed_frames == 2
-        assert gateway.forwarded_a_to_b == 1 and gateway.dropped == 0
-
-    def test_unrouted_traffic_dropped(self):
-        fabric = InMemoryFabric()
-        gateway = CodecGateway(fabric.endpoint("gw", "a"), fabric.endpoint("gw", "b"))
-        sender = fabric.endpoint("x", "app")
-        sender.send(Address("gw", "a"), get_codec("binary").encode({"m": 1}))
-        fabric.run()
-        assert gateway.dropped == 1
-
-    def test_explicit_address_maps(self):
-        fabric = InMemoryFabric(latency_s=0.005)
-        binary = get_codec("binary")
-        sml = get_codec("sml")
-        gateway = CodecGateway(fabric.endpoint("gw", "a"),
-                               fabric.endpoint("gw", "b"))
-        gateway.map_a_to_b(Address("alice", "app"), Address("bob", "app"))
-        gateway.map_b_to_a(Address("bob", "app"), Address("alice", "app"))
-        alice = fabric.endpoint("alice", "app")
-        bob = fabric.endpoint("bob", "app")
-        seen = []
-        bob.set_receiver(lambda src, data: seen.append(sml.decode(data)))
-        alice.set_receiver(lambda src, data: seen.append(binary.decode(data)))
-        alice.send(Address("gw", "a"), binary.encode({"n": 1}))
-        fabric.run()
-        bob.send(Address("gw", "b"), sml.encode({"n": 2}))
-        fabric.run()
-        assert seen == [{"n": 1}, {"n": 2}]
-        assert gateway.dropped == 0
-
-
 class TestParadigmBridges:
     def test_rpc_to_pubsub(self):
         fabric = InMemoryFabric(latency_s=0.01)
@@ -217,27 +138,3 @@ class TestParadigmBridges:
         fabric.run()
         assert call.result() is True
         assert events == [("alerts.fire", {"level": 2})]
-
-    def test_pubsub_to_tuplespace(self):
-        fabric = InMemoryFabric(latency_s=0.01)
-        broker = PubSubBroker(fabric.endpoint("broker", "ps"))
-        space = TupleSpaceServer(fabric.endpoint("space", "ts"))
-        bridge = PubSubTupleBridge(
-            PubSubClient(fabric.endpoint("bridge", "ps"),
-                         broker.transport.local_address),
-            TupleSpaceClient(fabric.endpoint("bridge", "ts"),
-                             space.transport.local_address),
-            pattern="vitals.#",
-        )
-        fabric.run()
-        publisher = PubSubClient(fabric.endpoint("pub", "ps"),
-                                 broker.transport.local_address)
-        publisher.publish("vitals.bp", 120)
-        fabric.run()
-        # Tuple-space consumer sees the event as a tuple.
-        reader = TupleSpaceClient(fabric.endpoint("reader", "ts"),
-                                  space.transport.local_address)
-        take = reader.inp("event", "vitals.bp", None)
-        fabric.run()
-        assert take.result() == ["event", "vitals.bp", 120]
-        assert bridge.bridged == 1

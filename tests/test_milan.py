@@ -16,13 +16,7 @@ from repro.core.feasibility import (
     satisfies,
 )
 from repro.core.milan import Milan
-from repro.core.plugins import (
-    BandwidthPlugin,
-    BluetoothPlugin,
-    NetworkContext,
-    ReachabilityPlugin,
-    network_feasible,
-)
+from repro.core.plugins import BluetoothPlugin, NetworkContext, network_feasible
 from repro.core.policy import ApplicationPolicy, health_monitor_policy
 from repro.core.requirements import VariableRequirements
 from repro.core.selection import balanced, max_lifetime, max_reliability, score_set, select_best
@@ -179,34 +173,6 @@ class TestPlugins:
     def test_scatternet_multiplies_cap(self):
         plugin = BluetoothPlugin(max_active_slaves=2, masters=2)
         assert plugin.accepts(frozenset(["a", "b", "c", "d"]), self.context())
-
-    def test_bandwidth_plugin(self):
-        sensors = [
-            SensorInfo("heavy", {"v": 0.9}, bandwidth_bps=8000),
-            SensorInfo("light", {"v": 0.9}, bandwidth_bps=1000),
-        ]
-        plugin = BandwidthPlugin(capacity_bps=10000, utilization_cap=0.5)
-        context = self.context(sensors)
-        assert plugin.accepts(frozenset(["light"]), context)
-        assert not plugin.accepts(frozenset(["heavy"]), context)
-
-    def test_reachability_plugin(self):
-        from repro.netsim import topology
-
-        network = topology.linear_chain(3, spacing=60)
-        sensors = [
-            SensorInfo("near", {"v": 0.9}, node_id="n1"),
-            SensorInfo("far", {"v": 0.9}, node_id="n2"),
-        ]
-        context = NetworkContext(
-            sensors={s.sensor_id: s for s in sensors},
-            network=network, sink_node_id="n0",
-        )
-        plugin = ReachabilityPlugin()
-        assert plugin.accepts(frozenset(["near", "far"]), context)
-        network.node("n1").crash()  # n2 now unreachable from n0
-        assert plugin.accepts(frozenset(["near"]), context) is False or True
-        assert not plugin.accepts(frozenset(["far"]), context)
 
     def test_network_feasible_composition(self):
         sets = [frozenset(["a"]), frozenset(["a", "b", "c"])]

@@ -793,7 +793,11 @@ class TestWorkloadMemoryCeiling:
     ``swarm_beacon`` by 124 / 108 / 108. When a reception stopped calling
     ``Node.receive`` and ``Battery.drain``, the four rows with unicasts
     moved by −228 / +24 / +24 B and ``swarm_beacon`` by +472 / +48 /
-    −168 B; no row was re-pinned for it.
+    −168 B; no row was re-pinned for it. When ``SensorInfo`` lost its
+    ``bandwidth_bps`` slot (8 B a record), ``milan_lifetime`` fell by
+    341 / 296 / 296 B and ``grid_failover`` by 952 / 64 / 64 B against the
+    parent's reading; the ``milan_lifetime`` rows and the 3.10
+    ``grid_failover`` row were lowered to the new readings.
 
     A memory change lowers its row in the same diff; a row is raised only
     with a note in CHANGES.md that says why.
@@ -801,14 +805,14 @@ class TestWorkloadMemoryCeiling:
 
     PEAKS = {
         (3, 10): {"ledger_write": 396_897, "api_flash": 82_013,
-                  "chat_read": 228_422, "grid_failover": 1_167_734,
-                  "swarm_beacon": 283_784, "milan_lifetime": 88_735},
+                  "chat_read": 228_422, "grid_failover": 1_164_987,
+                  "swarm_beacon": 283_784, "milan_lifetime": 88_394},
         (3, 11): {"ledger_write": 302_700, "api_flash": 28_199,
                   "chat_read": 180_045, "grid_failover": 939_015,
-                  "swarm_beacon": 268_560, "milan_lifetime": 66_120},
+                  "swarm_beacon": 268_560, "milan_lifetime": 65_824},
         (3, 12): {"ledger_write": 296_772, "api_flash": 28_095,
                   "chat_read": 177_821, "grid_failover": 928_711,
-                  "swarm_beacon": 268_984, "milan_lifetime": 66_016},
+                  "swarm_beacon": 268_984, "milan_lifetime": 65_720},
     }
 
     #: Bytes a duplicate table holds per heard (origin, seq) pair: its dict,
@@ -963,7 +967,9 @@ class TestColdStart:
     controller no longer load the ``repro.scheduling`` package. It is 92
     since the chaos campaign builds its reliable bulk pair through
     ``build_stack``, the one composer: ``repro.transport.stack`` loads with
-    it, and the crypto layer that module stacks waits for a keyed stack. The
+    it, and the crypto layer that module stacks waits for a keyed stack. It
+    is 91 since ``repro.qos.benefit`` went with the benefit shapes no driver
+    used (the match's benefit term is a constant). The
     workloads then load nothing more inside their
     timed ``run()``: a module first imported there moves its compile cost
     from ``setup_s`` into ``ops_per_s`` (``grid_failover``'s replicas
@@ -972,7 +978,7 @@ class TestColdStart:
     of its 60 MB peak RSS and about 0.05 s of set-up.
     """
 
-    MODULES = 92
+    MODULES = 91
 
     def test_a_benchmark_child_loads_only_what_it_imports(self):
         loaded = e2e_workloads.repro_modules_first_imported(

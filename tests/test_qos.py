@@ -3,13 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.qos.benefit import (
-    ConstantBenefit,
-    ExponentialDecayBenefit,
-    LinearDecayBenefit,
-    StepBenefit,
-    expected_benefit,
-)
 from repro.qos.contract import ContractTerms, QoSContract
 from repro.qos.monitor import DegradationManager, QoSMonitor
 from repro.qos.spatial import SpatialPreference, spatial_score
@@ -18,31 +11,13 @@ from repro.qos.spec import ConsumerQoS, NetworkQoS, SupplierQoS, rank_matches, s
 
 class TestBenefit:
     def test_constant(self):
-        assert ConstantBenefit().value(1000.0) == 1.0
-
-    def test_step_edges(self):
-        step = StepBenefit(deadline_s=1.0)
-        assert step.value(1.0) == 1.0
-        assert step.value(1.0001) == 0.0
-
-    def test_linear_decay_shape(self):
-        fn = LinearDecayBenefit(full_until_s=1.0, zero_at_s=3.0)
-        assert fn.value(0.5) == 1.0
-        assert fn.value(2.0) == pytest.approx(0.5)
-        assert fn.value(3.0) == 0.0
-
-    def test_linear_decay_requires_order(self):
-        with pytest.raises(ConfigurationError):
-            LinearDecayBenefit(full_until_s=2.0, zero_at_s=1.0)
-
-    def test_exponential_half_life(self):
-        fn = ExponentialDecayBenefit(half_life_s=2.0)
-        assert fn.value(2.0) == pytest.approx(0.5)
-        assert fn.value(4.0) == pytest.approx(0.25)
-        assert fn.value(0.0) == 1.0
-
-    def test_expected_benefit_clamps(self):
-        assert expected_benefit(ConstantBenefit(), -5.0) == 1.0
+        """The time-constraint term is delay-insensitive: full benefit at
+        any latency the consumer's ceiling admits."""
+        consumer = ConsumerQoS()
+        for latency in (0.0, 0.01, 1000.0):
+            score = score_match(SupplierQoS(expected_latency_s=latency), consumer,
+                                NetworkQoS(traffic_load=1.0))
+            assert score.terms["benefit"] == 1.0
 
 
 class TestSpatial:
