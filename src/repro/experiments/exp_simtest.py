@@ -2,9 +2,11 @@
 
 Claim under test: the deterministic simulation-testing framework
 (:mod:`repro.simtest`) is an effective defect detector, not just a green
-light. For every planted defect (:mod:`repro.simtest.plants`) the explorer
-must find a divergence, the shrinker must reduce the triggering trace to a
-handful of steps, and the minimized trace must replay deterministically.
+light. For every planted defect (a plant row of
+:data:`repro.simtest.defects.DEFECTS`) the explorer must find a divergence
+first reported by the oracle the row names as its judge, the shrinker must
+reduce the triggering trace to a handful of steps, and the minimized trace
+must replay deterministically.
 A clean sweep row establishes the baseline: the unmodified middleware
 survives the same exploration budget with zero divergences.
 
@@ -27,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.experiments.common import Rows, check
 from repro.simtest.explorer import explore
-from repro.simtest.plants import PLANTS
+from repro.simtest.defects import DEFECTS, PLANTS
 from repro.simtest.scenario import Scenario, Step
 from repro.simtest.shrinker import shrink
 from repro.simtest.world import execute_scenario
@@ -106,7 +108,7 @@ def run(seed: int = 0, budget: int = DEFAULT_BUDGET,
         "replays": "-",
         "reproduces": clean.ok,  # for the baseline: "zero divergences"
     }]
-    for plant in (plants if plants is not None else sorted(PLANTS)):
+    for plant in (plants if plants is not None else PLANTS):
         rows.append(run_one(plant, seed, budget))
     return rows
 
@@ -117,6 +119,9 @@ def verdict(rows: Rows) -> str:
     for row in planted:
         check(row["reproduces"] is True,
               f"plant {row['plant']}: {row['found_after']}, replay {row['replays']}")
+        judge = DEFECTS[row["plant"]].judge
+        check(row["oracle"].split("/")[0] == judge,
+              f"plant {row['plant']}: caught by {row['oracle']}, not by {judge}")
     longest = max(row["shrunk"] for row in planted)
     return (f"holds ({len(planted)}/{len(planted)} planted defects found, shrunk to "
             f"at most {longest} steps and replayed; {clean['found_after']})")
@@ -130,7 +135,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     parser.add_argument("--plants", nargs="*", default=None,
-                        choices=sorted(PLANTS))
+                        choices=PLANTS)
     parser.add_argument("--json", default=None,
                         help="also write the rows as JSON here")
     args = parser.parse_args(argv)

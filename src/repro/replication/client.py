@@ -84,7 +84,7 @@ class GroupClient(MessageEndpoint):
         if not members:
             raise ConfigurationError("a group client needs at least one member")
         super().__init__(transport)
-        self.members: List[Address] = sorted(set(members))
+        self.members: List[Address] = sorted(dict.fromkeys(members))
         self.request_timeout_s = request_timeout_s
         self.max_attempts = max_attempts
         self.backoff_factor = backoff_factor

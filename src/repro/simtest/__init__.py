@@ -23,8 +23,13 @@ The pieces:
   the budget runs out.
 * :mod:`repro.simtest.shrinker` — minimizes a diverging scenario by greedy
   deletion/reordering and emits a replayable repro file.
-* :mod:`repro.simtest.plants` — deliberately-broken variants used to prove
-  the harness can catch (and shrink) real bugs.
+* :mod:`repro.simtest.defects` — one table of deliberate defects in
+  deployed code, each with the oracle or property that must catch it, and
+  the routine that applies one for a block.
+* :mod:`repro.simtest.replicated` — the replicated primary-kill world
+  (``simtest failover``).
+* :mod:`repro.simtest.workloads` — Wing–Gong and end-of-run checks over a
+  workload scenario's recorded history (``simtest scenario``).
 
 CLI: ``python -m repro.simtest run --budget 500 --seed 0`` explores;
 ``python -m repro.simtest repro <file>`` replays a minimized repro.

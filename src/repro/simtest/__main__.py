@@ -12,7 +12,8 @@
 
 ``run`` explores; on divergence it shrinks the trace, writes a repro file,
 and exits 1 (or 0 with ``--expect-divergence``, the planted-bug smoke
-mode, which also verifies the written repro replays). ``repro`` replays a
+mode, which also requires the plant's judge to report the first
+divergence and verifies the written repro replays). ``repro`` replays a
 repro file and exits 0 iff the recorded divergence reproduces.
 ``failover`` runs the replicated primary-kill world
 (:mod:`repro.simtest.replicated`) over a seed range and exits nonzero on
@@ -29,7 +30,7 @@ import sys
 from typing import List, Optional
 
 from repro.simtest.explorer import explore
-from repro.simtest.plants import PLANTS
+from repro.simtest.defects import DEFECTS, PLANTS
 from repro.simtest.shrinker import replay_repro, shrink, write_repro
 
 
@@ -65,6 +66,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"[{first.oracle}/{first.kind}] {first.detail}")
     print(f"  scenario: seed={scenario.seed} tie_seed={scenario.tie_seed} "
           f"steps={len(scenario.steps)}")
+    if (args.expect_divergence and args.plant
+            and first.oracle != DEFECTS[args.plant].judge):
+        print(f"  ERROR: caught by {first.oracle}, not by the plant's judge "
+              f"{DEFECTS[args.plant].judge}", file=sys.stderr)
+        return 1
     result = shrink(scenario, first.signature, plant=args.plant,
                     max_replays=args.shrink_budget)
     print(f"  shrunk: {result.initial_steps} -> {result.steps} steps "
@@ -154,8 +160,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_plants(_args: argparse.Namespace) -> int:
-    for name in sorted(PLANTS):
-        print(f"{name}: {PLANTS[name][1]}")
+    for name in PLANTS:
+        print(f"{name}: {DEFECTS[name].description}")
     return 0
 
 
@@ -178,8 +184,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--steps", type=int, default=None,
                      help="pin the per-scenario step count")
-    run.add_argument("--plant", choices=sorted(PLANTS), default=None,
-                     help="install a deliberately broken variant")
+    run.add_argument("--plant", choices=PLANTS, default=None,
+                     help="apply a plant row of the defect table")
     run.add_argument("--shrink-budget", type=int, default=400,
                      help="max replays during shrinking (default 400)")
     run.add_argument("--repro-out", default="simtest-repro.json")

@@ -421,10 +421,10 @@ class SimWorld:
 
 def execute_scenario(scenario: Scenario,
                      plant: Optional[str] = None) -> RunResult:
-    """Run one scenario (optionally with a planted bug) to a result."""
+    """Run one scenario (optionally with a planted defect) to a result."""
     if plant is None:
         return SimWorld(scenario).run()
-    from repro.simtest.plants import planted
+    from repro.simtest.defects import applied
 
-    with planted(plant):
+    with applied(plant):
         return SimWorld(scenario).run()

@@ -105,14 +105,26 @@ def cache_bytes_per_command():
     return float(_in_child(script))
 
 
-def _in_child(script, *argv):
+def scenario_calls(name, hash_seed):
+    """``src/repro`` calls that scenario ``name`` makes at seed 0, counted
+    by ``count_repro_calls`` in a fresh interpreter at ``PYTHONHASHSEED``
+    ``hash_seed``."""
+    script = ("import sys\n"
+              "from repro.obs.profiler import count_repro_calls\n"
+              "from repro.workloads.runner import run_scenario\n"
+              "calls = count_repro_calls(lambda: run_scenario(sys.argv[1]))\n"
+              "print(sum(calls.values()))")
+    return int(_in_child(script, name, PYTHONHASHSEED=str(hash_seed)))
+
+
+def _in_child(script, *argv, **env):
     """``script``'s stdout in a fresh interpreter (environment inherited,
     ``PYTHONDONTWRITEBYTECODE`` too, so it compiles the tree without
-    writing bytecode into it) with ``src`` and the checkout (for
-    ``tests``) on its path, ``argv`` as ``sys.argv[1:]``."""
+    writing bytecode into it, plus ``env``) with ``src`` and the checkout
+    (for ``tests``) on its path, ``argv`` as ``sys.argv[1:]``."""
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT)])
     out = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True,
-        text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
-        check=True)
+        text=True, timeout=120,
+        env={**os.environ, **env, "PYTHONPATH": path}, check=True)
     return out.stdout

@@ -1040,3 +1040,11 @@ class TestQuorumWriteCallBudget:
         assert medium.transmissions == 5047
         assert sum(calls.values()) / medium.transmissions <= self.BUDGET
         assert calls["last_index"] == 0
+
+    def test_count_does_not_follow_the_string_hash(self):
+        """A group client sorts its members in the order given, not in a
+        set's: the set's order follows the string hash, and so did the
+        number of ``Address.__lt__`` calls the sort made."""
+        counts = {seed: e2e_workloads.scenario_calls(
+            "telemetry_ledger:closed_loop", seed) for seed in (0, 1)}
+        assert counts[0] == counts[1], counts

@@ -9,7 +9,7 @@ worlds and batches on which the two must leave the same state behind: the
 same batteries (compared by ``repr``, so NaN and ``-0.0`` count), the same
 depletion callbacks and handler calls in the same interleaving, the same
 node and medium counters. CI's reception exactness fuzz runs the property
-at 2000 examples, and ``tests/mutants.py`` holds the mutants it must kill.
+at 2000 examples, and ``repro.simtest.defects`` holds the mutants it must kill.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from repro.experiments import exp_simtest
+from repro.experiments.common import ShapeError
 from repro.simtest import __main__ as cli
+from repro.simtest.defects import DEFECTS, PLANTS, Defect
 from repro.simtest.explorer import explore, scenario_for_iteration
-from repro.simtest.plants import PLANTS, planted
 from repro.simtest.scenario import Scenario, Step, generate_scenario
 from repro.simtest.shrinker import (
     load_repro,
@@ -84,19 +86,6 @@ class TestExecution:
 
 
 class TestPlants:
-    def test_unknown_plant_rejected(self):
-        with pytest.raises(ValueError, match="unknown plant"):
-            with planted("no-such-plant"):
-                pass
-
-    def test_plant_restores_on_exit(self):
-        from repro.transport import reliable
-
-        original = reliable._PeerReceiveState.is_duplicate
-        with planted("broken-watermark"):
-            assert reliable._PeerReceiveState.is_duplicate is not original
-        assert reliable._PeerReceiveState.is_duplicate is original
-
     def test_broken_watermark_caught(self):
         report = explore(20, seed=0, plant="broken-watermark")
         assert not report.ok
@@ -182,6 +171,31 @@ class TestCli:
         assert "replays deterministically" in out
         # And the repro subcommand agrees.
         assert cli.main(["repro", str(repro)]) == 0
+
+    def test_expect_divergence_requires_the_plant_s_judge(
+            self, tmp_path, capsys, monkeypatch):
+        row = DEFECTS["broken-watermark"]
+        monkeypatch.setitem(DEFECTS, row.name, Defect(
+            row.name, row.target, row.old, row.new, "ledger", ""))
+        code = cli.main([
+            "run", "--budget", "20", "--seed", "0",
+            "--plant", "broken-watermark", "--expect-divergence",
+            "--repro-out", str(tmp_path / "repro.json"),
+        ])
+        assert code == 1
+        assert "caught by delivery, not by the plant's judge ledger" in (
+            capsys.readouterr().err)
+
+    def test_e14_verdict_requires_each_plant_s_judge(self):
+        clean = {"plant": "(none)", "found_after": "clean x60",
+                 "reproduces": True}
+        row = {"plant": "double-apply", "found_after": "21", "shrunk": 5,
+               "replays": 102, "reproduces": True,
+               "oracle": "ledger/state-mismatch"}
+        assert exp_simtest.verdict([clean, row]).startswith("holds (1/1")
+        with pytest.raises(ShapeError, match="caught by delivery/"):
+            exp_simtest.verdict([clean, dict(
+                row, oracle="delivery/delivery-mismatch")])
 
     def test_plants_listing(self, capsys):
         assert cli.main(["plants"]) == 0
