@@ -46,8 +46,8 @@ class Milan:
     """One application's MiLAN instance.
 
     ``incremental=True`` (the default) runs the pipeline through a
-    :class:`~repro.core.reconfig.ReconfigEngine` (docs/ARCHITECTURE.md
-    section 10). Results are identical to the uncached path
+    :class:`~repro.core.reconfig.ReconfigEngine` (docs/ARCHITECTURE.md,
+    "The warm round"). Results are identical to the uncached path
     (``incremental=False``), which is kept both as the equivalence oracle
     and for memory-constrained embeddings.
     """

@@ -17,7 +17,7 @@ Exactness: the miss paths are the uncached code (the ``compute`` thunk and
 round chooses, scores and configures exactly as ``Milan(incremental=False)``
 does; ``tests/test_feasibility_property.py`` asserts it round by round.
 What an entry holds, the warm round, invalidation and the counters are
-described once, in docs/ARCHITECTURE.md section 10.
+described once, in docs/ARCHITECTURE.md, "The warm round".
 """
 
 from __future__ import annotations

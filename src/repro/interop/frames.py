@@ -1,42 +1,12 @@
-"""Zero-copy wire frames: encode once, decode never on the simulated path.
+"""Wire frames: a message encoded at most once, and decoded never on the
+simulated path.
 
-Every layer of the stack used to pay a full ``dict -> encode -> bytes ->
-decode -> dict`` round trip per hop, even though the bytes travel between
-functions in the same process. Now every layer — transport, routing,
-discovery, replication, heartbeats, the interaction styles of
-``transactions/`` and the location service of ``naming/`` — sends a
-:class:`WireFrame`: an in-process message that holds its dict and a
-lazily materialized, cached encoding.
-
-* It encodes only when something genuinely needs bytes (the secure
-  channel, chaos tampering, the WAL, a codec mismatch) —
-  ``bytes(frame)`` is always bit-identical to ``codec.encode(message)``,
-  enforced by a property test.
-* ``len(frame)`` reports the exact encoded length *without* materializing
-  (via :meth:`BinaryCodec.encoded_size`), so ``payload_bytes``-driven
-  serialization delays, energy charges, and byte counters are unchanged.
-* Delivered by reference through the in-process fabrics, the receiver's
-  :func:`try_decode_dict` — the one receive decoder — returns the
-  original dict with zero decode.
-
-:class:`PrefixedFrame` composes the packed reliable DATA header with a
-lazy body, so the reliability layer frames without forcing the body's
-encoding.
-
-Contract for receivers: a message dict extracted from a reference-passed
-frame is shared with the sender (and every other receiver of a broadcast).
-Treat it as immutable — copy (``{**message, ...}``) before patching, which
-is what every receive path in this repo already does. An immutable record
-(a replication ``LogEntry``, registered with the codec through
-:func:`~repro.interop.codec.register_record_type`) or a tuple may be kept
-by reference: nobody can change it. A mutable value that is stored or
-handed on to application code (an RPC result, an event, a queue body, a
-stored tuple, a replicated write's value) goes through
-:func:`~repro.interop.codec.wire_plain` first, so the application holds
-what bytes on a wire would have produced, never the sender's own object.
-
-Observability: :attr:`WireFrame.materialized` counts forced encodes,
-process-wide.
+:class:`WireFrame` holds its dict and a lazily materialized, cached
+encoding; :class:`PrefixedFrame` puts the reliable layer's header on a
+lazy body; :func:`try_decode_dict` is the one receive decoder. What a
+frame promises, which edges force its bytes, and what a receiver may keep
+by reference are described once, in docs/ARCHITECTURE.md, "Wire formats
+and the by-reference frame".
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ pops, tombstones and dispatches in place. The queue invariant — every
 queued entry's time is >= the current time, enforced at scheduling — is
 what makes the unguarded clock assignment in that loop safe.
 
-Swarm-scale additions (see ARCHITECTURE §13):
+Swarm-scale additions:
 
 * :meth:`Simulator.call_later` is the fire-and-forget fast path — a
   plain five-slot entry and no :class:`EventHandle`, for callers that

@@ -28,7 +28,8 @@ Design points:
   is monotone, so a child can never *start* before its parent.
 * **A span is its own context.** What a packet, an envelope or a timer
   carries is the span itself, and its ids stay ints until export;
-  docs/ARCHITECTURE.md §9 is the one description of the context model.
+  docs/ARCHITECTURE.md, "obs", is the one description of the context
+  model.
 """
 
 from __future__ import annotations

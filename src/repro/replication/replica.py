@@ -9,7 +9,7 @@ index order, and answers the client. Backups append what the primary sends,
 apply up to the piggybacked commit index, and serve reads for clients that
 opted into relaxed consistency.
 
-Safety rests on three invariants (see ARCHITECTURE §14):
+Safety rests on three invariants:
 
 - **Term fencing** — every replication message carries the sender's term.
   A receiver with a higher term answers ``fenced`` instead of obeying; a

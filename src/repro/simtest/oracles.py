@@ -415,6 +415,7 @@ class MilanOracle:
         if fast != reference:
             self.divergences.append(Divergence(
                 "milan", "feasible-set-mismatch", now,
-                f"fleet seed {fleet_seed}: fast {fast} != reference "
-                f"{reference}",
+                f"fleet seed {fleet_seed}: fast "
+                f"{[sorted(found) for found in fast]} != reference "
+                f"{[sorted(found) for found in reference]}",
             ))

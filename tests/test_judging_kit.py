@@ -1456,9 +1456,133 @@ def test_the_attribute_contracts_on_a_toy_tree(tmp_path):
 
 #: ``docs/ARCHITECTURE.md``'s length in lines: a section arrives only by
 #: taking text out. Lowered, never raised, as the document is cut down.
-ARCHITECTURE_LINES = 1536
+ARCHITECTURE_LINES = 697
+ROOT = SRC.parent.parent
+ARCHITECTURE = ROOT / "docs" / "ARCHITECTURE.md"
 
 
 def test_the_architecture_document_does_not_grow():
-    text = (SRC.parent.parent / "docs" / "ARCHITECTURE.md").read_text()
-    assert len(text.splitlines()) <= ARCHITECTURE_LINES
+    assert len(ARCHITECTURE.read_text().splitlines()) <= ARCHITECTURE_LINES
+
+
+def headings(text):
+    """``(level, text)`` of each markdown heading outside code fences."""
+    found, fenced = [], False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced and (match := re.match(r"(#+) (.+)", line)):
+            found.append((len(match[1]), match[2].strip()))
+    return found
+
+
+def layer_section_problems(titles, layers):
+    """What keeps ``titles`` (the ``##`` headings, in order) from being one
+    section per tier of ``layers``: a package no title names, and a
+    package named after a title of a higher tier."""
+    tier = {package: number for number, row in enumerate(layers)
+            for package in row}
+    named = {}
+    for title in titles:
+        for word in re.findall(r"\w+", title):
+            if word in tier:
+                named.setdefault(word, title)
+    problems = [f"{package} (tier {tier[package]}) has no section"
+                for row in layers for package in row if package not in named]
+    highest = -1
+    for package, title in named.items():
+        if tier[package] < highest:
+            problems.append(f"{package} (tier {tier[package]}) is named by "
+                            f"{title!r}, after a tier-{highest} section")
+        highest = max(highest, tier[package])
+    return problems
+
+
+def test_the_architecture_sections_follow_the_layer_order():
+    titles = [text for level, text in headings(ARCHITECTURE.read_text())
+              if level == 2]
+    assert layer_section_problems(titles, LAYERS) == []
+
+
+def test_the_section_order_on_toy_headings():
+    layers = (("util",), ("netsim", "qos"), ("core",))
+    assert layer_section_problems(
+        ["Execution model", "Tier 0: util", "Tier 2: core", "Tier 1: netsim",
+         "Testing"], layers) == [
+        "qos (tier 1) has no section",
+        "netsim (tier 1) is named by 'Tier 1: netsim', after a tier-2 section"]
+
+
+def cited_problems(text, root):
+    """Each repo path and ``tests/<file>.py::<Name>`` that ``text`` cites in
+    backticks and ``root`` does not hold. A path may be relative to
+    ``root``, ``root/src`` or ``root/src/repro``; a bare ``::Name`` is in
+    the test file cited last."""
+    problems, last = [], None
+    for span in re.findall(r"`([^`\n]+)`", text):
+        test = re.fullmatch(r"(tests/\w+\.py)?((?:::\w+)+)", span)
+        if test:
+            last = test[1] or last
+            names = test[2].split("::")[1:]
+            tree = parsed(root / last) if (root / last).exists() else None
+            scope = tree.body if tree else []
+            for name in names:
+                found = [node for node in scope
+                         if getattr(node, "name", None) == name
+                         or isinstance(node, ast.Assign) and name in [
+                             getattr(t, "id", None) for t in node.targets]]
+                if not found:
+                    problems.append(f"{last}::{'::'.join(names)}")
+                    break
+                scope = getattr(found[0], "body", [])
+        elif re.fullmatch(r"[\w.-]+(/[\w.-]+)*/?", span) and (
+                "/" in span or re.search(r"\.(py|md|json|toml)$", span)):
+            if not any((base / span).exists() for base in (
+                    root, root / "src", root / "src" / "repro")):
+                problems.append(span)
+    return problems
+
+
+def test_what_the_architecture_document_cites_exists():
+    assert cited_problems(ARCHITECTURE.read_text(), ROOT) == []
+
+
+def test_the_citation_check_on_a_toy_tree(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_toy.py").write_text(
+        "class TestA:\n    def test_b(self):\n        pass\n"
+        "TestD = TestA\n")
+    (tmp_path / "docs").mkdir()
+    text = ("`tests/test_toy.py::TestA`, `::TestA::test_b`, `::TestC`, `::TestD`, "
+            "`tests/test_toy.py::TestA::test_c`, `tests/test_gone.py::TestA`, "
+            "`docs/`, `docs/GONE.md`, `a plain phrase`, `ok`")
+    assert cited_problems(text, tmp_path) == [
+        "tests/test_toy.py::TestC", "tests/test_toy.py::TestA::test_c",
+        "tests/test_gone.py::TestA", "docs/GONE.md"]
+
+
+def architecture_citations(text):
+    """``(heading or None, where)`` for each mention of ARCHITECTURE in
+    ``text``: the quoted heading that follows it, or ``None``."""
+    flat = re.sub(r"\s*\n\s*(?:#\s*)?", " ", text)
+    return [(match[1], flat[max(0, match.start() - 30):match.end()])
+            for match in re.finditer(
+                r'ARCHITECTURE(?:\.md)?`?(?:,? *"([^"]+)")?', flat)]
+
+
+def test_every_citation_of_the_architecture_names_a_heading():
+    titles = {text for _, text in headings(ARCHITECTURE.read_text())}
+    citing = [*SRC.rglob("*.py"), ROOT / "README.md", ROOT / "DESIGN.md",
+              ROOT / "docs" / "BENCHMARKS.md"]
+    problems = [f"{path.relative_to(ROOT)}: ...{where}"
+                for path in citing
+                for heading, where in architecture_citations(path.read_text())
+                if heading not in titles]
+    assert problems == []
+
+
+def test_a_citation_names_its_heading_on_toy_text():
+    text = ('see docs/ARCHITECTURE.md, "Tier 3: transport", and\n'
+            '# `docs/ARCHITECTURE.md`,\n# "Error handling"; ARCHITECTURE §9')
+    assert [heading for heading, _ in architecture_citations(text)] == [
+        "Tier 3: transport", "Error handling", None]

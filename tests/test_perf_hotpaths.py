@@ -650,39 +650,9 @@ class TestWorkloadCountCeiling:
     #: (calls per op, transmissions per op, events per op); measured, in
     #: the same order: 507.05, 14.058, 17.655 | 60.21, 1.0367, 2.0367 |
     #: 303.32, 8, 9 | 9 211.85, 138.375, 577.69 | 41.75, 1, 2 | 44.60.
-    #: ``ledger_write``, ``api_flash`` and ``grid_failover`` fell from
-    #: 518.33, 63.25 and 9 389.81 when a transport began to bind its
-    #: scheduler at construction: no timer walks the property chain
-    #: ``ReliableTransport.scheduler`` → ``RoutedTransport.scheduler`` →
-    #: ``RoutingAgent.scheduler`` → ``SimTransport.scheduler`` →
-    #: ``SimFabric.scheduler_for`` any more.
-    #: The five packet-path rows fell from 546.09, 65.30, 319.32, 10 503.21
-    #: and 96.55 when a reception stopped calling ``Node.receive`` and
-    #: ``Battery.drain``: two calls fewer per delivery.
-    #: ``milan_lifetime`` fell from 51.50 when a round's fleet walks became
-    #: one probe and an entry began to reuse its winners' configurations.
-    #: ``milan_lifetime`` fell from 53.28 when strategies began to rank
-    #: compiled columns and a round to build one ``SetScore``, not one per
-    #: candidate.
-    #: ``milan_lifetime`` fell from 112.26 when a MiLAN round stopped
-    #: calling per sensor: ``satisfies`` one loop, ``depleted`` a stored
-    #: slot, the fingerprint's memo hits and each lifetime read in line.
-    #: ``ledger_write``, ``api_flash`` and ``milan_lifetime`` fell from
-    #: 550.30, 68.31 and 114.40 when counters stopped being mirrored into
-    #: a metrics registry: admission's three ``.inc()``/``.set()`` calls per
-    #: request, the replica's per-append one, the feasibility cache's.
-    #: ``ledger_write`` and ``grid_failover`` fell from 550.39 and
-    #: 10 512.44 when an in-order ``schedule_at`` stopped calling
-    #: ``Simulator._handle`` (it appends to the sorted run itself).
-    #: ``grid_failover``'s calls fell from 10 555.02 when an originated
-    #: flood stopped stringifying its source (843 ``Address.__str__`` calls
-    #: in 48 ops, less the one per routed port now made when it opens).
     #: The three open-loop rows include one call per arrival, the
-    #: ``schedule_series`` hop that streams the schedule into the timed run
-    #: (it was built before the run, uncounted). Each calls row rose when records' ``__init__``, ``__eq__`` and
-    #: ``__hash__`` were written out: by no more than the generated frames
-    #: the count could not see before. ``ledger_write``'s calls fell from
-    #: 557.57 when backups stopped rebuilding each log entry from its dict.
+    #: ``schedule_series`` hop that streams the schedule into the timed run.
+    #: CHANGES.md records why each row moved.
     CEILINGS = {
         "ledger_write": (509.3, 14.11, 17.73),
         "api_flash": (60.48, 1.041, 2.045),
@@ -960,18 +930,10 @@ class TestColdStart:
     A package loads its public names on first use (``repro._facade``), so a
     process compiles only the modules some import of its own reaches. A
     benchmark child imports ``repro.workloads`` and ``repro.netsim.chaos``
-    (everything else its ``workloads.py`` names is under those): 117
-    ``repro`` modules while every package ``__init__`` imported its whole
-    package, then 92, and 91 since the bandwidth allocator moved from
-    ``scheduling`` to ``qos``: the transport's pacer and the admission
-    controller no longer load the ``repro.scheduling`` package. It is 92
-    since the chaos campaign builds its reliable bulk pair through
-    ``build_stack``, the one composer: ``repro.transport.stack`` loads with
-    it, and the crypto layer that module stacks waits for a keyed stack. It
-    is 91 since ``repro.qos.benefit`` went with the benefit shapes no driver
-    used (the match's benefit term is a constant). The
-    workloads then load nothing more inside their
-    timed ``run()``: a module first imported there moves its compile cost
+    (everything else its ``workloads.py`` names is under those): 91
+    ``repro`` modules (CHANGES.md records how the count moved). The
+    workloads then load nothing more inside their timed ``run()``: a module
+    first imported there moves its compile cost
     from ``setup_s`` into ``ops_per_s`` (``grid_failover``'s replicas
     imported their election module so until it moved to import time). Nor
     does any workload load numpy: importing it cost ``swarm_beacon`` 12 MB

@@ -1,6 +1,10 @@
 """End-to-end tests for the deterministic simulation-testing framework."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,8 @@ from repro.simtest.shrinker import (
 from repro.simtest.world import execute_scenario
 
 pytestmark = pytest.mark.simtest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # The interleaving that exposes the eager-get plant: a partition drops the
@@ -185,6 +191,25 @@ class TestCli:
         assert code == 1
         assert "caught by delivery, not by the plant's judge ledger" in (
             capsys.readouterr().err)
+
+    def test_plant_detail_does_not_follow_the_string_hash(self, tmp_path):
+        """The MiLAN oracle names each feasible set by its sorted sensor ids:
+        a frozenset's repr lists its members in the string hash's order, so
+        the detail line and the repro file differed in every process."""
+        runs = {}
+        for seed in (0, 1):
+            repro = tmp_path / f"repro-{seed}.json"
+            out = subprocess.run(
+                [sys.executable, "-m", "repro.simtest", "run", "--plant",
+                 "truncated-feasibility", "--expect-divergence",
+                 "--repro-out", str(repro)], capture_output=True, text=True,
+                timeout=120, check=True, env={
+                    **os.environ, "PYTHONPATH": str(SRC),
+                    "PYTHONHASHSEED": str(seed)}).stdout
+            runs[seed] = (out.splitlines()[0],
+                          json.loads(repro.read_text())["detail"])
+        assert runs[0] == runs[1], runs
+        assert "['s1', 's3', 's8']" in runs[0][1]
 
     def test_e14_verdict_requires_each_plant_s_judge(self):
         clean = {"plant": "(none)", "found_after": "clean x60",
