@@ -97,6 +97,10 @@ def _bench_env() -> dict:
         env_path + os.pathsep + env["PYTHONPATH"]
         if env.get("PYTHONPATH") else env_path
     )
+    # The order of a set of str follows the string hash, and so does the
+    # number of comparisons a sort over it makes: pin it, as the benchmark
+    # of record's traced children do.
+    env["PYTHONHASHSEED"] = "0"
     return env
 
 

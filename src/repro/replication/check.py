@@ -49,22 +49,23 @@ def check_group(
                          f"primary {primaries[0]} never advanced past the "
                          "initial term"))
     (head_node, head), *rest = members.items()
+    head_state = head.machine.snapshot()
     for node, replica in rest:
         if (replica.applied_index != head.applied_index
-                or replica.machine.snapshot() != head.machine.snapshot()):
+                or replica.machine.snapshot() != head_state):
             findings.append(("replica-diverged",
                              f"{node} diverged from {head_node} "
                              f"({replica.applied_index} != "
                              f"{head.applied_index})"))
     if expected_total is not None:
-        acked = set(acked)
         for node, replica in members.items():
             total = sum(replica.machine.balances.values())
             if total != expected_total:
                 findings.append(("conservation",
                                  f"conservation broken on {node} "
                                  f"(total={total})"))
-            missing = sorted(acked - replica.machine.applied_txids)
+            applied = replica.machine.applied_txids
+            missing = sorted({t for t in acked if t not in applied})
             if missing:
                 findings.append(("acked-not-applied",
                                  f"{len(missing)} acked txids missing on "

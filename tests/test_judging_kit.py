@@ -70,8 +70,8 @@ def kinds(findings):
 
 
 class TestCheckGroup:
-    def check(self, members, failed_over=True):
-        return check_group(members, {"t0"}, expected_total=100,
+    def check(self, members, failed_over=True, acked=frozenset({"t0"})):
+        return check_group(members, acked, expected_total=100,
                            failed_over=failed_over)
 
     def test_sound_group_has_no_findings(self):
@@ -120,11 +120,14 @@ class TestCheckGroup:
     def test_acked_txid_missing_on_one_replica(self):
         members = ledger_group()
         members["n0"].machine.applied_txids.clear()
-        findings = self.check(members)
-        # n0 is the member the others are compared with.
-        assert kinds(findings) == ["replica-diverged", "replica-diverged",
-                                   "acked-not-applied"]
-        assert "1 acked txids missing on n0 (first: t0)" in findings[2][1]
+        # A set, a list that repeats the txid and a txid -> amount dict
+        # name the same one distinct txid.
+        for acked in ({"t0"}, ["t0", "t0"], {"t0": 5}):
+            findings = self.check(members, acked=acked)
+            # n0 is the member the others are compared with.
+            assert kinds(findings) == ["replica-diverged", "replica-diverged",
+                                       "acked-not-applied"]
+            assert "1 acked txids missing on n0 (first: t0)" in findings[2][1]
 
     def test_a_group_without_a_ledger_skips_the_ledger_invariants(self):
         members = ledger_group()
@@ -158,7 +161,7 @@ def break_then_check(monkeypatch, module, only=lambda members: True):
         low, mid, high = members.values()
         mid.applied_index += 1
         mid.machine.balances[next(iter(mid.machine.balances))] += 1
-        low.machine.applied_txids.discard(sorted(acked)[0])
+        low.machine.applied_txids.pop(sorted(acked)[0], None)
         for replica in members.values():
             replica.role, replica.term = "backup", 1
         high.role = "primary"

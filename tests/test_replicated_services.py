@@ -1,5 +1,7 @@
 """Replicated service adapters: ledger, shared objects, tuple space."""
 
+import pytest
+
 from repro.replication.services import (
     KVMachine,
     LedgerMachine,
@@ -52,6 +54,19 @@ class TestReplicatedLedger:
         primary = h.replicas[h.primaries()[0]]
         assert primary.machine.balances == {"a": 10, "b": 0}
         h.close()
+
+    def test_a_restored_ledger_snapshots_and_dedups_as_its_source(self):
+        machine = LedgerMachine({"a": 10, "b": 0})
+        for txid in ("t2", "t0", "t1"):
+            machine.apply("transfer", (txid, "a", "b", 1))
+        restored = LedgerMachine()
+        restored.restore(machine.snapshot())
+        assert restored.snapshot() == machine.snapshot()
+        assert restored.snapshot()["applied"] == ["t0", "t1", "t2"]
+        assert restored.apply("transfer", ("t0", "a", "b", 5)).result is True
+        assert restored.balances == {"a": 7, "b": 3}
+        with pytest.raises(TypeError):
+            restored.restore({"balances": {}, "applied": [["t0"]]})
 
 
 class TestShardedLedger:
