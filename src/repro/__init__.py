@@ -73,7 +73,6 @@ __getattr__, __all__ = _facade(__name__, {
     "MiddlewareNode": "repro.middleware",
     "SystemEventBus": "repro.monitoring",
     "ConsumerQoS": "repro.qos.spec",
-    "NetworkQoS": "repro.qos.spec",
     "SupplierQoS": "repro.qos.spec",
     "TransactionKind": "repro.transactions.transaction",
     "TransactionSpec": "repro.transactions.transaction",

@@ -26,6 +26,9 @@ from repro.util.promise import Promise
 
 #: Descriptions asked for per discovery lookup.
 MAX_RESULTS = 64
+#: Consecutive refreshes a bound sensor may be missing from before it is
+#: removed from MiLAN.
+MISS_LIMIT = 2
 
 
 class LookupAgent(Protocol):
@@ -49,14 +52,12 @@ class DiscoveryBinder:
         scheduler: Scheduler,
         service_type: str = "sensor",
         refresh_interval_s: float = 10.0,
-        miss_limit: int = 2,
     ):
         self.milan = milan
         self.discovery = discovery
         self.scheduler = scheduler
         self.service_type = service_type
         self.refresh_interval_s = refresh_interval_s
-        self.miss_limit = miss_limit
         self.events = EventEmitter()
         self._bound: Set[str] = set()
         self._misses: Dict[str, int] = {}
@@ -98,11 +99,11 @@ class DiscoveryBinder:
                 # Refresh energy/reliability info without forcing reconfig
                 # unless the sensor died.
                 self.milan.context.sensors[sensor.sensor_id] = sensor
-        # A sensor missing from miss_limit consecutive rounds is gone.
+        # A sensor missing from MISS_LIMIT consecutive rounds is gone.
         for sensor_id in list(self._bound - seen):
             misses = self._misses.get(sensor_id, 0) + 1
             self._misses[sensor_id] = misses
-            if misses >= self.miss_limit:
+            if misses >= MISS_LIMIT:
                 self._bound.discard(sensor_id)
                 self._misses.pop(sensor_id, None)
                 self.milan.remove_sensor(sensor_id)

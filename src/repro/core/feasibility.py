@@ -34,8 +34,7 @@ return identical results.
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.sensors import SensorInfo
 
@@ -366,28 +365,3 @@ def greedy_feasible_set(
             candidates, key=lambda s: (s.reliability_for(target), s.sensor_id)
         )
         chosen[best.sensor_id] = best
-
-
-def expand_sets(
-    minimal: Iterable[SensorSet], all_ids: Iterable[str], extra: int = 0
-) -> List[SensorSet]:
-    """Optionally grow minimal sets by up to ``extra`` spare sensors.
-
-    MiLAN sometimes prefers slightly-larger-than-minimal sets (redundancy
-    for fault tolerance); this generates those candidates.
-    """
-    ids = sorted(set(all_ids))
-    results: List[SensorSet] = []
-    seen: set = set()
-    for base in minimal:
-        # Spares depend only on ``base``; compute once per base (with a set
-        # for the membership test) rather than once per growth size.
-        base_members = set(base)
-        spares = [i for i in ids if i not in base_members]
-        for k in range(extra + 1):
-            for addition in combinations(spares, k):
-                grown = base | frozenset(addition)
-                if grown not in seen:
-                    seen.add(grown)
-                    results.append(grown)
-    return results

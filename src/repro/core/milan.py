@@ -26,7 +26,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.configurator import NetworkConfiguration, configure
 from repro.core.feasibility import (
-    expand_sets,
     greedy_feasible_set,
     minimal_feasible_sets,
     satisfies,
@@ -40,6 +39,10 @@ from repro.obs.tracing import TRACER
 from repro.util.events import EventEmitter
 
 SensorSet = FrozenSet[str]
+
+#: Fleet size up to which minimal sets are enumerated exactly; larger
+#: fleets use the greedy construction.
+EXHAUSTIVE_LIMIT = 16
 
 
 class Milan:
@@ -211,7 +214,6 @@ class Milan:
             entry, probe = self.engine.candidates(
                 self.context.sensors,
                 requirements,
-                self.policy,
                 lambda: self._application_candidates(requirements),
             )
             candidates = entry.candidates
@@ -240,17 +242,11 @@ class Milan:
             (s for s in self.context.sensors.values() if not s.depleted),
             key=lambda s: s.sensor_id,
         )
-        if len(alive) <= self.policy.exhaustive_limit:
+        if len(alive) <= EXHAUSTIVE_LIMIT:
             minimal = minimal_feasible_sets(alive, requirements)
         else:
             greedy = greedy_feasible_set(alive, requirements)
             minimal = [greedy] if greedy is not None else []
-        if self.policy.redundancy > 0 and minimal:
-            return expand_sets(
-                minimal,
-                [s.sensor_id for s in alive],
-                extra=self.policy.redundancy,
-            )
         return list(minimal)
 
     def reconfigure(self) -> Optional[NetworkConfiguration]:

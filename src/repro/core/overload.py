@@ -30,7 +30,7 @@ State: the ``level`` and ``pressure`` of the last tick, and the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.milan import Milan
 from repro.errors import ConfigurationError
@@ -95,31 +95,20 @@ class OverloadGovernor:
         scheduler,
         milan: Optional[Milan] = None,
         *,
-        levels: Sequence[OverloadLevel] = DEFAULT_LEVELS,
         floor: Optional[Dict[str, float]] = None,
         interval_s: float = 1.0,
         dwell_s: float = 3.0,
     ):
-        levels = tuple(levels)
-        if not levels:
-            raise ConfigurationError("the governor needs at least one level")
-        for prev, cur in zip(levels, levels[1:]):
-            if cur.enter <= prev.enter:
-                raise ConfigurationError(
-                    f"levels must escalate: {cur.name!r} enters at {cur.enter} "
-                    f"<= {prev.name!r} at {prev.enter}"
-                )
         if interval_s <= 0:
             raise ConfigurationError(f"interval must be positive, got {interval_s!r}")
         self.scheduler = scheduler
         self.milan = milan
-        self.levels = levels
         self.floor = dict(floor or {})
         self.interval_s = interval_s
         self.dwell_s = dwell_s
         self.events = EventEmitter()
         self._signals: Dict[str, Signal] = {}
-        # 0 = nominal; i >= 1 means levels[i - 1] is active.
+        # 0 = nominal; i >= 1 means DEFAULT_LEVELS[i - 1] is active.
         self.level = 0
         self.pressure = 0.0
         self.escalations = 0
@@ -149,7 +138,7 @@ class OverloadGovernor:
 
     @property
     def level_name(self) -> str:
-        return "nominal" if self.level == 0 else self.levels[self.level - 1].name
+        return "nominal" if self.level == 0 else DEFAULT_LEVELS[self.level - 1].name
 
     def degraded_requirements(self, base: Dict[str, float]) -> Dict[str, float]:
         """Scale ``base`` by the active level, clamped to the QoS floor.
@@ -162,7 +151,7 @@ class OverloadGovernor:
         """
         if self.level == 0:
             return base
-        scale = self.levels[self.level - 1].scale
+        scale = DEFAULT_LEVELS[self.level - 1].scale
         degraded = {}
         for variable, required in base.items():
             value = max(required * scale, self.floor.get(variable, 0.0))
@@ -203,8 +192,8 @@ class OverloadGovernor:
         # Escalate to the highest level whose enter threshold is reached —
         # immediately, and possibly skipping rungs on a sharp spike.
         target = self.level
-        for index in range(len(self.levels), self.level, -1):
-            if pressure >= self.levels[index - 1].enter:
+        for index in range(len(DEFAULT_LEVELS), self.level, -1):
+            if pressure >= DEFAULT_LEVELS[index - 1].enter:
                 target = index
                 break
         if target > self.level:
@@ -213,7 +202,7 @@ class OverloadGovernor:
             return self.level
         # De-escalate one rung at a time, only after dwell_s of calm below
         # the active level's exit threshold.
-        if self.level > 0 and pressure <= self.levels[self.level - 1].exit:
+        if self.level > 0 and pressure <= DEFAULT_LEVELS[self.level - 1].exit:
             if self._calm_since is None:
                 self._calm_since = now
             elif now - self._calm_since >= self.dwell_s:

@@ -54,21 +54,17 @@ class NetworkPlugin(Protocol):
 class BluetoothPlugin:
     """Piconet constraint: a master serves at most ``max_active_slaves``
     active slaves, so a set larger than that cannot stream concurrently.
-
-    With ``masters > 1`` the deployment has several piconets (a scatternet)
-    and the cap multiplies.
     """
 
     name = "bluetooth"
 
-    def __init__(self, max_active_slaves: int = 7, masters: int = 1):
-        if max_active_slaves < 1 or masters < 1:
+    def __init__(self, max_active_slaves: int = 7):
+        if max_active_slaves < 1:
             raise ConfigurationError("piconet parameters must be >= 1")
         self.max_active_slaves = max_active_slaves
-        self.masters = masters
 
     def accepts(self, sensor_set: SensorSet, context: NetworkContext) -> bool:
-        return len(sensor_set) <= self.max_active_slaves * self.masters
+        return len(sensor_set) <= self.max_active_slaves
 
 
 def network_feasible(

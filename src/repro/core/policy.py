@@ -6,9 +6,9 @@ implementing the policy, which is affected within MiLAN."
 
 An :class:`ApplicationPolicy` is everything the application declares —
 states, per-state variable requirements, transition rules, the
-performance/lifetime weighting, redundancy appetite — and nothing about
-*how* feasible sets are found, filtered, or applied. Handing one of these
-to :class:`repro.core.milan.Milan` is the entire application-side API.
+performance/lifetime weighting — and nothing about *how* feasible sets are
+found, filtered, or applied. Handing one of these to
+:class:`repro.core.milan.Milan` is the entire application-side API.
 """
 
 from __future__ import annotations
@@ -31,35 +31,26 @@ class ApplicationPolicy:
         transitions: (source, target, predicate) triples over readings.
         selection: a strategy name ("max_lifetime", "max_reliability",
             "balanced") or a custom :data:`SelectionStrategy`.
-        redundancy: how many spare sensors beyond minimal sets MiLAN may
-            consider (fault-tolerance appetite; costs energy).
-        exhaustive_limit: fleet size up to which minimal sets are enumerated
-            exactly; larger fleets use the greedy construction.
     """
 
     __slots__ = ("name", "requirements", "initial_state", "transitions",
-                 "selection", "redundancy", "exhaustive_limit")
+                 "selection")
 
     def __init__(self, name: str, requirements: VariableRequirements,
                  initial_state: str,
                  transitions: Optional[List[Tuple[str, str, Predicate]]] = None,
-                 selection: object = "max_lifetime", redundancy: int = 0,
-                 exhaustive_limit: int = 16) -> None:
+                 selection: object = "max_lifetime") -> None:
         self.name = name
         self.requirements = requirements
         self.initial_state = initial_state
         self.transitions = [] if transitions is None else transitions
         self.selection = selection
-        self.redundancy = redundancy
-        self.exhaustive_limit = exhaustive_limit
         states = self.requirements.states()
         if self.initial_state not in states:
             raise ConfigurationError(
                 f"initial state {self.initial_state!r} has no requirements; "
                 f"declared states: {states}"
             )
-        if self.redundancy < 0:
-            raise ConfigurationError(f"redundancy must be >= 0, got {self.redundancy!r}")
 
     def build_state_machine(self) -> StateMachine:
         machine = StateMachine(self.requirements.states(), self.initial_state)

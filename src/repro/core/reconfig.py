@@ -3,7 +3,7 @@
 :class:`ReconfigEngine` memoizes candidate enumerations, and the columns
 and configurations compiled from them, under a structural fingerprint::
 
-    (fleet key, requirements signature, exhaustive_limit, redundancy)
+    (fleet key, requirements signature)
 
 where the fleet key is the tuple of ``(sensor_id, sensor_signature,
 node_id)`` over non-depleted sensors, in the sensors dict's own order.
@@ -43,6 +43,8 @@ CacheKey = Tuple
 #: fleet position then ``inf``, and each depleted sensor's node.
 Probe = Tuple[FleetKey, List[float], List[Optional[str]]]
 _INF = float("inf")
+#: Entries the LRU holds across state and fleet churn.
+MAX_ENTRIES = 256
 
 
 class FeasibilityEntry:
@@ -76,7 +78,8 @@ class ReconfigEngine:
     memo the probe reads, and the counters ``stats`` reports.
 
     Keys are structural (see the module docstring), so stale reads are
-    impossible; ``max_entries`` bounds memory across state and fleet churn.
+    impossible; :data:`MAX_ENTRIES` bounds memory across state and fleet
+    churn.
     The per-sensor memo is validated by *identity* of the
     (immutable-by-convention) reliabilities mapping plus power and node id
     equality — ``SensorInfo.with_energy``/``drained`` preserve all three,
@@ -85,8 +88,7 @@ class ReconfigEngine:
     check.
     """
 
-    def __init__(self, max_entries: int = 256):
-        self.max_entries = max_entries
+    def __init__(self):
         self._entries: "OrderedDict[CacheKey, FeasibilityEntry]" = OrderedDict()
         #: sensor id -> (reliabilities, power, node id, its fleet-key item)
         self._memos: Dict[str, Tuple[Dict[str, float], float, Optional[str],
@@ -158,9 +160,9 @@ class ReconfigEngine:
     def store(self, key: CacheKey, candidates: List[SensorSet]) -> FeasibilityEntry:
         entry = self._entries[key] = FeasibilityEntry(key, candidates)
         self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > MAX_ENTRIES:
             self._entries.popitem(last=False)
-        self._last = entry if key in self._entries else None
+        self._last = entry
         return entry
 
     def invalidate_sensor(self, sensor_id: str) -> int:
@@ -194,7 +196,6 @@ class ReconfigEngine:
         self,
         sensors: Dict[str, SensorInfo],
         requirements: Dict[str, float],
-        policy,
         compute: Callable[[], List[SensorSet]],
     ) -> Tuple[FeasibilityEntry, Probe]:
         """The memoized entry for the current fingerprint, and the probe
@@ -206,12 +207,7 @@ class ReconfigEngine:
         Callers must treat it as immutable.
         """
         probe = self.probe(sensors)
-        key = (
-            probe[0],
-            requirements_signature(requirements),
-            policy.exhaustive_limit,
-            policy.redundancy,
-        )
+        key = (probe[0], requirements_signature(requirements))
         entry = self.lookup(key)
         if entry is None:
             entry = self.store(key, compute())

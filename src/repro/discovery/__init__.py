@@ -25,7 +25,6 @@ from repro import _facade
 
 __getattr__, __all__ = _facade(__name__, {
     "AdaptiveDiscovery": "repro.discovery.adaptive",
-    "AdaptivePolicy": "repro.discovery.adaptive",
     "ServiceDescription": "repro.discovery.description",
     "DistributedDiscovery": "repro.discovery.distributed",
     "AttributeConstraint": "repro.discovery.matching",

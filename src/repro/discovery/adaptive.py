@@ -8,12 +8,13 @@ density or traffic."
 The policy implemented here reads density:
 
 * **dense** neighborhoods make flooding expensive (every neighbor
-  rebroadcasts), so above ``density_threshold`` the agent uses the central
-  registry when one is configured and answering;
+  rebroadcasts), so from :data:`DENSITY_THRESHOLD` neighbors up the agent
+  uses the central registry when one is configured and answering;
 * **sparse** networks make a far-away registry unreachable or costly, so
   below the threshold the agent floods;
-* registry silence (timeouts) forces distributed mode regardless — a
-  directory you cannot reach is no directory.
+* registry silence (:data:`REGISTRY_FAILURE_LIMIT` timeouts) forces
+  distributed mode regardless — a directory you cannot reach is no
+  directory.
 
 Advertisements are published through *both* paths on every mode switch so
 consumers in either mode can find the service during transitions.
@@ -21,40 +22,24 @@ consumers in either mode can find the service during transitions.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.discovery.description import ServiceDescription
 from repro.discovery.distributed import DistributedDiscovery
 from repro.discovery.matching import Query
 from repro.discovery.registry import RegistryClient
-from repro.errors import ConfigurationError
 from repro.util.events import EventEmitter
 from repro.util.promise import Promise
 
 CENTRALIZED = "centralized"
 DISTRIBUTED = "distributed"
 
-
-class AdaptivePolicy:
-    """When to prefer the registry over flooding."""
-
-    __slots__ = ("density_threshold", "reevaluate_interval_s",
-                 "registry_failure_limit")
-
-    def __init__(self, density_threshold: float = 6.0,
-                 reevaluate_interval_s: float = 5.0,
-                 registry_failure_limit: int = 2) -> None:
-        self.density_threshold = density_threshold
-        self.reevaluate_interval_s = reevaluate_interval_s
-        self.registry_failure_limit = registry_failure_limit
-        if self.density_threshold < 0:
-            raise ConfigurationError(
-                f"density threshold must be >= 0, got {self.density_threshold!r}"
-            )
-        if self.reevaluate_interval_s <= 0:
-            raise ConfigurationError(
-                f"reevaluate interval must be positive, got {self.reevaluate_interval_s!r}"
-            )
+#: Neighborhood size from which the registry is preferred over flooding.
+DENSITY_THRESHOLD = 6.0
+#: How often the agent re-reads the density and may switch modes.
+REEVALUATE_INTERVAL_S = 5.0
+#: Registry failures after which the agent stops trying the registry.
+REGISTRY_FAILURE_LIMIT = 2
 
 
 class AdaptiveDiscovery:
@@ -70,12 +55,10 @@ class AdaptiveDiscovery:
         self,
         distributed: DistributedDiscovery,
         registry: Optional[RegistryClient] = None,
-        policy: AdaptivePolicy = AdaptivePolicy(),
         density_probe: Callable[[], float] = lambda: 0.0,
     ):
         self.distributed = distributed
         self.registry = registry
-        self.policy = policy
         self.density_probe = density_probe
         self.events = EventEmitter()
         self._mode = DISTRIBUTED
@@ -85,7 +68,7 @@ class AdaptiveDiscovery:
         self.lookups: Dict[str, int] = {CENTRALIZED: 0, DISTRIBUTED: 0}
         self._evaluate()
         self._timer = distributed.transport.scheduler.schedule(
-            policy.reevaluate_interval_s, self._periodic_evaluate
+            REEVALUATE_INTERVAL_S, self._periodic_evaluate
         )
 
     # ------------------------------------------------------------------ mode
@@ -97,11 +80,11 @@ class AdaptiveDiscovery:
     def _registry_usable(self) -> bool:
         return (
             self.registry is not None
-            and self._registry_failures < self.policy.registry_failure_limit
+            and self._registry_failures < REGISTRY_FAILURE_LIMIT
         )
 
     def _evaluate(self) -> None:
-        dense = self.density_probe() >= self.policy.density_threshold
+        dense = self.density_probe() >= DENSITY_THRESHOLD
         want = CENTRALIZED if self._registry_usable() and dense else DISTRIBUTED
         if want != self._mode:
             self._mode = want
@@ -114,7 +97,7 @@ class AdaptiveDiscovery:
             return
         self._evaluate()
         self._timer = self.distributed.transport.scheduler.schedule(
-            self.policy.reevaluate_interval_s, self._periodic_evaluate
+            REEVALUATE_INTERVAL_S, self._periodic_evaluate
         )
 
     # ------------------------------------------------------------ supplier API

@@ -34,6 +34,8 @@ DEFAULT_LEASE_S = 30.0
 MAX_LEASE_S = 300.0
 #: How often the server drops registrations whose lease ran out.
 SWEEP_INTERVAL_S = 1.0
+#: How often a client request is retransmitted after its first timeout.
+REQUEST_RETRIES = 2
 
 
 def _clamp_lease(requested: Any) -> float:
@@ -197,12 +199,10 @@ class RegistryClient(MessageEndpoint):
         transport: Transport,
         registry_address: Address,
         request_timeout_s: float = 2.0,
-        retries: int = 2,
     ):
         super().__init__(transport, rids="reg")
         self.registry_address = registry_address
         self.request_timeout_s = request_timeout_s
-        self.retries = retries
         self._auto_renew: Dict[str, float] = {}  # service_id -> lease_s
 
     # --------------------------------------------------------------- sending
@@ -212,7 +212,7 @@ class RegistryClient(MessageEndpoint):
         # server operations are idempotent, so duplicates are harmless.
         return self._request(self.registry_address, message,
                              self.request_timeout_s, DiscoveryError,
-                             self.retries)
+                             REQUEST_RETRIES)
 
     # ------------------------------------------------------------ operations
 

@@ -36,6 +36,9 @@ RouteTarget = Union[str, Handler]
 
 _STATUS_TEXT = {200: "OK", 404: "Not Found", 500: "Internal Server Error"}
 
+#: How long an :class:`HttpClient` GET waits for its response.
+REQUEST_TIMEOUT_S = 2.0
+
 
 def _render_response(status: int, content_type: str, body: str,
                      request_id: str) -> bytes:
@@ -190,9 +193,8 @@ class HttpResponse:
 class HttpClient:
     """Fetches pages from embedded web servers over the transport."""
 
-    def __init__(self, transport: Transport, request_timeout_s: float = 2.0):
+    def __init__(self, transport: Transport):
         self.transport = transport
-        self.request_timeout_s = request_timeout_s
         self._rids = IdGenerator(f"http:{transport.local_address}")
         self._pending: Dict[str, Promise] = {}
         transport.set_receiver(self._on_response)
@@ -210,7 +212,7 @@ class HttpClient:
         )
         self.transport.send(server, request.encode("utf-8"))
         self.transport.scheduler.schedule(
-            self.request_timeout_s, self._timeout, request_id
+            REQUEST_TIMEOUT_S, self._timeout, request_id
         )
         return promise
 

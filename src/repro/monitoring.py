@@ -30,21 +30,19 @@ topic                      payload
 =========================  =============================================
 
 Every event is kept in :attr:`SystemEventBus.history`, so a topic's count
-is ``len(bus.events_matching("node.crashed"))``. Every event can also be
-forwarded to a network :class:`~repro.transactions.pubsub.PubSubClient` so
-remote operators observe the system live.
+is ``len(bus.events_matching("node.crashed"))``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.milan import Milan
 from repro.discovery.registry import RegistryServer
 from repro.netsim.network import Network
 from repro.qos.contract import QoSContract
 from repro.transactions.manager import TransactionManager
-from repro.transactions.pubsub import PubSubClient, topic_matches
+from repro.transactions.pubsub import topic_matches
 
 Handler = Callable[[str, Dict[str, Any]], None]
 
@@ -52,11 +50,7 @@ Handler = Callable[[str, Dict[str, Any]], None]
 class SystemEventBus:
     """Aggregates component events onto one wildcard-subscribable stream."""
 
-    def __init__(
-        self,
-        forward_to: Optional[PubSubClient] = None,
-    ):
-        self.forward_to = forward_to
+    def __init__(self):
         self._subscribers: List[Tuple[str, Handler]] = []
         self.history: List[Tuple[str, Dict[str, Any]]] = []
 
@@ -68,8 +62,6 @@ class SystemEventBus:
         for pattern, handler in list(self._subscribers):
             if topic_matches(pattern, topic):
                 handler(topic, payload)
-        if self.forward_to is not None:
-            self.forward_to.publish(f"system.{topic}", payload)
 
     def subscribe(self, pattern: str, handler: Handler) -> None:
         """Subscribe with a pub/sub topic pattern (``*``, ``#`` wildcards)."""

@@ -29,6 +29,9 @@ def _bindings(raw: Dict[str, str]) -> Dict[str, Address]:
 
 _NAME = checked(LogicalName.parse)
 
+#: How long a :class:`LocationClient` request waits for the server's reply.
+REQUEST_TIMEOUT_S = 2.0
+
 
 class Binding:
     __slots__ = ("name", "address", "version")
@@ -120,16 +123,14 @@ class LocationClient(MessageEndpoint):
         self,
         transport: Transport,
         server_address: Address,
-        request_timeout_s: float = 2.0,
     ):
         super().__init__(transport, rids="loc")
         self.server_address = server_address
-        self.request_timeout_s = request_timeout_s
         self._versions: Dict[str, int] = {}
 
     def _ask(self, message: Dict[str, Any]) -> Promise:
         return self._request(self.server_address, message,
-                             self.request_timeout_s, NameNotFoundError)
+                             REQUEST_TIMEOUT_S, NameNotFoundError)
 
     # ------------------------------------------------------------ operations
 

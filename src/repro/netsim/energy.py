@@ -5,9 +5,9 @@ lifetime, so energy accounting is load-bearing for experiment E10/E5. We use
 the first-order radio model from the authors' group (Heinzelman et al.,
 LEACH): transmitting ``k`` bits over distance ``d`` costs
 
-    E_tx(k, d) = E_elec * k + eps_amp * k * d**path_loss_exponent
+    E_tx(k, d) = E_ELEC * k + EPS_AMP * k * d**PATH_LOSS_EXPONENT
 
-and receiving ``k`` bits costs ``E_elec * k``. Sensing and idle listening are
+and receiving ``k`` bits costs ``E_ELEC * k``. Sensing and idle listening are
 charged separately.
 """
 
@@ -22,43 +22,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.netsim.node import Node
 
 #: Canonical constants from the LEACH papers.
-DEFAULT_E_ELEC = 50e-9  # J/bit for the radio electronics
-DEFAULT_EPS_AMP = 100e-12  # J/bit/m^2 for the transmit amplifier
-DEFAULT_PATH_LOSS_EXPONENT = 2.0
+E_ELEC = 50e-9  # J/bit for the radio electronics, charged on TX and RX
+EPS_AMP = 100e-12  # J/bit/m^2 for the transmit amplifier
+PATH_LOSS_EXPONENT = 2.0  # free space
 
 
 class RadioEnergyModel:
-    """First-order radio energy model.
+    """First-order radio energy model over :data:`E_ELEC`, :data:`EPS_AMP`
+    and :data:`PATH_LOSS_EXPONENT`."""
 
-    Attributes:
-        e_elec: electronics energy per bit (J/bit), charged on TX and RX.
-        eps_amp: amplifier energy per bit per m^exponent (J/bit/m^e).
-        path_loss_exponent: 2 for free space, up to 4 for multipath.
-    """
-
-    __slots__ = ("e_elec", "eps_amp", "path_loss_exponent")
-
-    def __init__(self, e_elec: float = DEFAULT_E_ELEC,
-                 eps_amp: float = DEFAULT_EPS_AMP,
-                 path_loss_exponent: float = DEFAULT_PATH_LOSS_EXPONENT) -> None:
-        self.e_elec = e_elec
-        self.eps_amp = eps_amp
-        self.path_loss_exponent = path_loss_exponent
+    __slots__ = ()
 
     def tx_cost(self, size_bits: int, distance: float) -> float:
         """Energy (J) to transmit ``size_bits`` over ``distance`` meters."""
         if size_bits < 0:
             raise ConfigurationError(f"negative packet size {size_bits!r}")
         return (
-            self.e_elec * size_bits
-            + self.eps_amp * size_bits * distance**self.path_loss_exponent
+            E_ELEC * size_bits
+            + EPS_AMP * size_bits * distance**PATH_LOSS_EXPONENT
         )
 
     def rx_cost(self, size_bits: int) -> float:
         """Energy (J) to receive ``size_bits``."""
         if size_bits < 0:
             raise ConfigurationError(f"negative packet size {size_bits!r}")
-        return self.e_elec * size_bits
+        return E_ELEC * size_bits
 
 class Battery:
     """A finite energy store with depletion callbacks.

@@ -15,6 +15,9 @@ from repro.errors import ConfigurationError
 from repro.util.geometry import Point
 from repro.util.rng import split_rng
 
+#: How long a random-waypoint node rests at each destination.
+PAUSE_S = 1.0
+
 
 class MobilityModel(Protocol):
     """Anything that can report a position for a virtual time."""
@@ -146,12 +149,13 @@ class RandomWaypointMobility:
     """The classic random-waypoint model over a rectangular area.
 
     The node repeatedly picks a uniform random destination and speed, walks
-    there, and pauses. Segments are generated lazily but deterministically
-    from the seed, so ``position_at`` is a pure function of (seed, t).
+    there, and pauses :data:`PAUSE_S`. Segments are generated lazily but
+    deterministically from the seed, so ``position_at`` is a pure function
+    of (seed, t).
     """
 
     __slots__ = (
-        "area", "speed_range", "pause_s", "_rng",
+        "area", "speed_range", "_rng",
         "_segments", "_horizon", "_last_position",
     )
 
@@ -160,7 +164,6 @@ class RandomWaypointMobility:
         area: Tuple[float, float],
         seed: int,
         speed_range: Tuple[float, float] = (0.5, 2.0),
-        pause_s: float = 1.0,
         start: Point | None = None,
     ):
         if area[0] <= 0 or area[1] <= 0:
@@ -169,7 +172,6 @@ class RandomWaypointMobility:
             raise ConfigurationError(f"bad speed range {speed_range!r}")
         self.area = area
         self.speed_range = speed_range
-        self.pause_s = pause_s
         self._rng = split_rng(seed, "random-waypoint")
         if start is None:
             start = Point(
@@ -183,7 +185,7 @@ class RandomWaypointMobility:
 
     def _extend_to(self, t: float) -> None:
         while self._horizon <= t:
-            depart = self._horizon + self.pause_s
+            depart = self._horizon + PAUSE_S
             destination = Point(
                 self._rng.uniform(0, self.area[0]),
                 self._rng.uniform(0, self.area[1]),

@@ -291,20 +291,13 @@ class Simulator:
         interval: float,
         fn: Callable[..., None],
         *args: Any,
-        jitter_fn: Optional[Callable[[], float]] = None,
-        first_delay: Optional[float] = None,
     ) -> "PeriodicEvent":
-        """Run ``fn(*args)`` every ``interval`` seconds until cancelled.
-
-        ``jitter_fn``, if given, is called before each firing and its result
-        is added to that firing's delay (pass a seeded-RNG closure for
-        deterministic jitter). ``first_delay`` overrides the delay before the
-        first firing (default: one full interval).
-        """
+        """Run ``fn(*args)`` every ``interval`` seconds until cancelled; the
+        first firing is one interval from now."""
         if interval <= 0:
             raise SimulationError(f"periodic interval must be positive, got {interval!r}")
-        periodic = PeriodicEvent(self, interval, fn, args, jitter_fn)
-        periodic._arm(interval if first_delay is None else first_delay)
+        periodic = PeriodicEvent(self, interval, fn, args)
+        periodic._arm()
         return periodic
 
     # ---------------------------------------------------------------- running
@@ -401,23 +394,19 @@ class PeriodicEvent:
         interval: float,
         fn: Callable[..., None],
         args: tuple,
-        jitter_fn: Optional[Callable[[], float]],
     ):
         self._sim = sim
         self.interval = interval
         self._fn = fn
         self._args = args
-        self._jitter_fn = jitter_fn
         self._handle: Optional[EventHandle] = None
         self._cancelled = False
         self.firings = 0
 
-    def _arm(self, delay: float) -> None:
+    def _arm(self) -> None:
         if self._cancelled:
             return
-        if self._jitter_fn is not None:
-            delay = max(0.0, delay + self._jitter_fn())
-        self._handle = self._sim.schedule(delay, self._fire)
+        self._handle = self._sim.schedule(self.interval, self._fire)
 
     def _fire(self) -> None:
         if self._cancelled:
@@ -426,7 +415,7 @@ class PeriodicEvent:
         try:
             self._fn(*self._args)
         finally:
-            self._arm(self.interval)
+            self._arm()
 
     def cancel(self) -> None:
         """Stop future firings; idempotent."""

@@ -8,11 +8,11 @@ The paper splits QoS three ways and this package mirrors that split:
 * **consumer QoS** — what an application needs: reliability, availability
   and latency floors, security, and space (spatial preferences,
   :mod:`repro.qos.spatial`) (:class:`~repro.qos.spec.ConsumerQoS`);
-* **network QoS** — bandwidth, density, traffic
-  (:class:`~repro.qos.spec.NetworkQoS`).
+* **network QoS** — bandwidth, density, traffic; no deployment supplies it
+  at match time, so it does not enter the score.
 
-:func:`~repro.qos.spec.score_match` combines all three into the matching
-score used by service discovery, and :mod:`repro.qos.contract` /
+:func:`~repro.qos.spec.score_match` combines supplier and consumer QoS into
+the matching score used by service discovery, and :mod:`repro.qos.contract` /
 :mod:`repro.qos.monitor` provide the runtime side: contracts, violation
 detection, and the graceful-degradation manager. :mod:`repro.qos.admission`
 adds request-edge admission control with priority classes — the front door
@@ -28,7 +28,6 @@ __getattr__, __all__ = _facade(__name__, {
     "PriorityClass": "repro.qos.admission",
     "BandwidthAllocator": "repro.qos.bandwidth",
     "TokenBucket": "repro.qos.bandwidth",
-    "ContractTerms": "repro.qos.contract",
     "QoSContract": "repro.qos.contract",
     "DegradationManager": "repro.qos.monitor",
     "QoSMonitor": "repro.qos.monitor",
@@ -36,7 +35,6 @@ __getattr__, __all__ = _facade(__name__, {
     "spatial_score": "repro.qos.spatial",
     "ConsumerQoS": "repro.qos.spec",
     "MatchScore": "repro.qos.spec",
-    "NetworkQoS": "repro.qos.spec",
     "SupplierQoS": "repro.qos.spec",
     "score_match": "repro.qos.spec",
 })

@@ -35,19 +35,16 @@ class PriorityClass:
     """One admission class: a guaranteed request rate plus privilege.
 
     ``rate_per_s`` is the sustained admission rate the class is guaranteed;
-    ``burst`` how many requests it may admit back-to-back (defaults to one
-    second's worth, minimum 1). ``privileged`` classes borrow headroom the
-    way the handoff boost does on links.
+    it may admit one second's worth back-to-back. ``privileged`` classes
+    may also borrow the capacity no class reserved.
     """
 
-    __slots__ = ("name", "rate_per_s", "burst", "privileged")
+    __slots__ = ("name", "rate_per_s", "privileged")
 
     def __init__(self, name: str, rate_per_s: float,
-                 burst: Optional[float] = None,
                  privileged: bool = False) -> None:
         self.name = name
         self.rate_per_s = rate_per_s
-        self.burst = burst
         self.privileged = privileged
         if self.rate_per_s <= 0:
             raise ConfigurationError(
@@ -76,7 +73,7 @@ class AdmissionController:
         self.now_fn = now_fn
         self._classes: Dict[str, PriorityClass] = {}
         # One request = one "bit": rates are requests/sec, bursts requests.
-        # burst_s=1.0 so a class's default burst is one second of its rate.
+        # burst_s=1.0 so a class's burst is one second of its rate.
         self.allocator = BandwidthAllocator(capacity_per_s, burst_s=1.0)
         now = now_fn()
         for cls in classes:
@@ -85,10 +82,6 @@ class AdmissionController:
             self._classes[cls.name] = cls
             self.allocator.reserve(cls.name, cls.rate_per_s,
                                    privileged=cls.privileged, now=now)
-            if cls.burst is not None:
-                bucket = self.allocator._flows[cls.name]
-                bucket.burst_bits = max(1.0, cls.burst)
-                bucket.tokens = min(bucket.tokens, bucket.burst_bits)
         self.admitted = 0
         self.rejected = 0
 

@@ -77,8 +77,8 @@ class BandwidthAllocator:
     """Reservation-based sharing of one link's capacity.
 
     Flows reserve a sustained rate; admission fails when the sum of
-    reservations would exceed capacity. A flow marked privileged (the
-    "about to hand off" case) may additionally draw from the unreserved
+    reservations would exceed capacity. A flow reserved as privileged (a
+    privileged admission class) may additionally draw from the unreserved
     headroom bucket.
     """
 
@@ -165,12 +165,6 @@ class BandwidthAllocator:
                 carry += self._headroom.tokens
             self._recompute_reserved()
             self._rebuild_headroom(now, carry)
-
-    def set_privileged(self, flow_id: str, privileged: bool) -> None:
-        """Boost (or unboost) a flow — the handoff manager calls this."""
-        if flow_id not in self._flows:
-            raise ConfigurationError(f"unknown flow {flow_id!r}")
-        self._privileged[flow_id] = privileged
 
     # ------------------------------------------------------------------ usage
 

@@ -106,7 +106,6 @@ class DegradationManager:
             spatial=base.spatial,
             require_encryption=base.require_encryption,
             password=base.password,
-            prefer_mains_power=base.prefer_mains_power,
         )
 
     # --------------------------------------------------------------- binding

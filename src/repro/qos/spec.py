@@ -6,12 +6,13 @@ Section 3.4 enumerates what each party brings to a match:
   constraints, availability;
 * the **consumer**: service/attribute needs over time and space;
 * the **network**: "mainly related to bandwidth issues, but network density
-  and traffic patterns can be considered as well".
+  and traffic patterns can be considered as well" — no deployment supplies
+  network conditions at match time, so none enter the score.
 
 :func:`score_match` is the single place these meet. Hard constraints
-(security, reliability floor, latency ceiling, spatial cutoff, bandwidth)
-make a match infeasible; soft terms combine into a weighted score that
-discovery uses to rank feasible suppliers.
+(security, reliability floor, latency ceiling, spatial cutoff) make a match
+infeasible; soft terms combine into a weighted score that discovery uses to
+rank feasible suppliers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ SOFT_WEIGHTS: Dict[str, float] = {
     "availability": 0.5,
     "benefit": 1.0,
     "spatial": 1.0,
-    "power": 0.5,
 }
 
 
@@ -105,28 +105,23 @@ class ConsumerQoS:
             exactly the deficiency experiment E3 demonstrates).
         require_encryption: hard security constraint.
         password: credential presented to password-protected suppliers.
-        prefer_mains_power: softly prefer wall-powered suppliers, so battery
-            nodes are spared (feeds MiLAN's energy goal).
     """
 
     __slots__ = ("min_reliability", "min_availability", "max_latency_s",
-                 "spatial", "require_encryption", "password",
-                 "prefer_mains_power")
+                 "spatial", "require_encryption", "password")
 
     def __init__(self, min_reliability: float = 0.0,
                  min_availability: float = 0.0,
                  max_latency_s: Optional[float] = None,
                  spatial: Optional[SpatialPreference] = None,
                  require_encryption: bool = False,
-                 password: Optional[str] = None,
-                 prefer_mains_power: bool = False) -> None:
+                 password: Optional[str] = None) -> None:
         self.min_reliability = min_reliability
         self.min_availability = min_availability
         self.max_latency_s = max_latency_s
         self.spatial = spatial
         self.require_encryption = require_encryption
         self.password = password
-        self.prefer_mains_power = prefer_mains_power
         _check_unit("min reliability", self.min_reliability)
         _check_unit("min availability", self.min_availability)
         if self.max_latency_s is not None and self.max_latency_s <= 0:
@@ -135,45 +130,21 @@ class ConsumerQoS:
             )
 
 
-class NetworkQoS:
-    """Network-side constraints at match time.
-
-    Attributes:
-        available_bandwidth_bps: headroom on the path (None = unconstrained).
-        traffic_load: utilization estimate in [0, 1]; inflates expected
-            latency multiplicatively.
-    """
-
-    __slots__ = ("available_bandwidth_bps", "traffic_load")
-
-    def __init__(self, available_bandwidth_bps: Optional[float] = None,
-                 traffic_load: float = 0.0) -> None:
-        self.available_bandwidth_bps = available_bandwidth_bps
-        self.traffic_load = traffic_load
-        _check_unit("traffic load", self.traffic_load)
-
-
 class MatchScore:
-    """Result of a feasible match: total plus per-term breakdown."""
+    """Result of a feasible match: the weighted mean of its soft terms."""
 
-    __slots__ = ("total", "terms")
+    __slots__ = ("total",)
 
-    def __init__(self, total: float, terms: Dict[str, float]) -> None:
+    def __init__(self, total: float) -> None:
         self.total = total
-        self.terms = terms
-
-
-#: A neutral network when callers have no network information.
-UNCONSTRAINED_NETWORK = NetworkQoS()
 
 
 def score_match(
     supplier: SupplierQoS,
     consumer: ConsumerQoS,
-    network: NetworkQoS = UNCONSTRAINED_NETWORK,
     distance_m: Optional[float] = None,
 ) -> Optional[MatchScore]:
-    """Score a (supplier, consumer) pair under network conditions.
+    """Score a (supplier, consumer) pair.
 
     Returns None when any hard constraint fails; otherwise a
     :class:`MatchScore` whose total is the weighted mean of the soft terms,
@@ -189,13 +160,8 @@ def score_match(
         return None
     if supplier.requires_password and consumer.password is None:
         return None
-    effective_latency = supplier.expected_latency_s * (1.0 + network.traffic_load)
-    if consumer.max_latency_s is not None and effective_latency > consumer.max_latency_s:
-        return None
-    if (
-        network.available_bandwidth_bps is not None
-        and supplier.bandwidth_bps > network.available_bandwidth_bps
-    ):
+    if (consumer.max_latency_s is not None
+            and supplier.expected_latency_s > consumer.max_latency_s):
         return None
     if (
         consumer.spatial is not None
@@ -214,13 +180,6 @@ def score_match(
     }
     if consumer.spatial is not None and distance_m is not None:
         terms["spatial"] = consumer.spatial.score(distance_m)
-    if consumer.prefer_mains_power:
-        if supplier.battery_powered:
-            terms["power"] = (
-                supplier.battery_fraction if supplier.battery_fraction is not None else 0.5
-            )
-        else:
-            terms["power"] = 1.0
 
     weighted_sum = 0.0
     weight_total = 0.0
@@ -231,13 +190,12 @@ def score_match(
         weighted_sum += weight * value
         weight_total += weight
     total = weighted_sum / weight_total if weight_total > 0 else 0.0
-    return MatchScore(total=total, terms=terms)
+    return MatchScore(total=total)
 
 
 def rank_matches(
     candidates: List[tuple],
     consumer: ConsumerQoS,
-    network: NetworkQoS = UNCONSTRAINED_NETWORK,
 ) -> List[tuple]:
     """Rank ``(key, SupplierQoS, distance_m)`` triples by match score, best first.
 
@@ -246,7 +204,7 @@ def rank_matches(
     """
     scored = []
     for key, supplier, distance_m in candidates:
-        match = score_match(supplier, consumer, network, distance_m)
+        match = score_match(supplier, consumer, distance_m)
         if match is not None:
             scored.append((key, match))
     scored.sort(key=lambda pair: (-pair[1].total, str(pair[0])))

@@ -165,14 +165,11 @@ class ReplicatedSharedObjects:
     call shape (read fulfills with value, write with new version) over a
     sharded replicated deployment."""
 
-    def __init__(self, client: ShardedClient, read_mode: str = "primary"):
+    def __init__(self, client: ShardedClient):
         self.client = client
-        self.read_mode = read_mode
 
-    def read(self, key: str, mode: Optional[str] = None) -> Promise:
-        return self.client.read(
-            key, "read", key, mode=mode if mode is not None else self.read_mode
-        )
+    def read(self, key: str, mode: str = "primary") -> Promise:
+        return self.client.read(key, "read", key, mode=mode)
 
     def write(self, key: str, value: Any) -> Promise:
         return self.client.command(key, "write", key, value)

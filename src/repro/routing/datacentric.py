@@ -27,7 +27,8 @@ from repro.util.ids import SequenceGenerator
 
 DIFFUSION_PORT = "diffusion"
 DEFAULT_INTEREST_TTL = 16
-DEFAULT_GRADIENT_LIFETIME_S = 30.0
+#: How long a gradient lasts unless a refreshed interest renews it.
+GRADIENT_LIFETIME_S = 30.0
 
 DataCallback = Callable[[str, Any, str], None]  # (name, value, origin)
 
@@ -59,13 +60,11 @@ class DataCentricAgent(MessageEndpoint):
         self,
         fabric: SimFabric,
         node_id: str,
-        gradient_lifetime_s: float = DEFAULT_GRADIENT_LIFETIME_S,
     ):
         self.endpoint: SimTransport = fabric.endpoint(node_id, DIFFUSION_PORT)
         super().__init__(self.endpoint)
         self.fabric = fabric
         self.node_id = node_id
-        self.gradient_lifetime_s = gradient_lifetime_s
         # name -> sink -> gradient
         self._gradients: Dict[str, Dict[str, Gradient]] = {}
         self._subscriptions: Dict[str, DataCallback] = {}
@@ -156,7 +155,7 @@ class DataCentricAgent(MessageEndpoint):
         name, sink = message["n"], message["o"]
         by_sink = self._gradients.setdefault(name, {})
         existing = by_sink.get(sink)
-        expires = self._now() + self.gradient_lifetime_s
+        expires = self._now() + GRADIENT_LIFETIME_S
         if existing is None or hops < existing.hops_to_sink:
             by_sink[sink] = Gradient(source.node, sink, hops, expires)
         elif hops == existing.hops_to_sink and source.node == existing.parent:

@@ -16,7 +16,8 @@ control frame that breaks these types, or an RREP whose path does not name
 the receiving node, is dropped and counted as the agent's ``malformed``.
 
 Envelopes queued while discovery runs are dropped (and counted) after
-``discovery_timeout_s`` — the behaviour an unreachable destination produces.
+:data:`DISCOVERY_TIMEOUT_S` — the behaviour an unreachable destination
+produces.
 """
 
 from __future__ import annotations
@@ -32,13 +33,15 @@ from repro.util.ids import SequenceGenerator
 #: goes first when a new one arrives at a full queue.
 MAX_QUEUE = 64
 
+#: How long a route discovery runs before its queued envelopes are dropped.
+DISCOVERY_TIMEOUT_S = 2.0
+
 
 class DsrRouter(Router):
     """Dynamic source routing with a route cache."""
 
-    def __init__(self, node_id: str, discovery_timeout_s: float = 2.0):
+    def __init__(self, node_id: str):
         self.node_id = node_id
-        self.discovery_timeout_s = discovery_timeout_s
         self._route_cache: Dict[str, List[str]] = {}
         self._rreq_seq = SequenceGenerator(1)
         # origin -> the rreq seqs heard from it (this node's own included),
@@ -137,7 +140,7 @@ class DsrRouter(Router):
              "p": [self.node_id]},
         )
         self.agent.scheduler.schedule(
-            self.discovery_timeout_s, self._discovery_deadline, destination
+            DISCOVERY_TIMEOUT_S, self._discovery_deadline, destination
         )
 
     def _discovery_deadline(self, destination: str) -> None:

@@ -34,7 +34,6 @@ __getattr__, __all__ = _facade(__name__, {
     "FifoPolicy": "repro.scheduling.policies",
     "PriorityPolicy": "repro.scheduling.policies",
     "RateMonotonicPolicy": "repro.scheduling.policies",
-    "rm_utilization_bound": "repro.scheduling.policies",
     "TaskScheduler": "repro.scheduling.scheduler",
     "ScheduledTask": "repro.scheduling.task",
 })

@@ -8,19 +8,17 @@ possibly allocated more bandwidth."
 
 The :class:`HandoffManager` watches the physical distance between each
 active transaction's consumer and supplier nodes. When a supplier crosses
-``warn_fraction`` of radio range, the manager (a) boosts the transaction's
-bandwidth flow to privileged, and (b) asks the transaction manager to
-transfer it to another matching supplier — *before* the link breaks.
+``warn_fraction`` of radio range, the manager asks the transaction manager
+to transfer it to another matching supplier — *before* the link breaks.
 Experiment E7 runs the same mobile scenario with the manager on and off.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.netsim.network import Network
-from repro.qos.bandwidth import BandwidthAllocator
 from repro.transactions.manager import TransactionManager
 from repro.transactions.transaction import Transaction
 from repro.util.events import EventEmitter
@@ -36,7 +34,6 @@ class HandoffManager:
         consumer_node_id: str,
         warn_fraction: float = 0.8,
         check_interval_s: float = 1.0,
-        bandwidth: Optional[BandwidthAllocator] = None,
     ):
         if not 0.0 < warn_fraction <= 1.0:
             raise ConfigurationError(
@@ -47,11 +44,9 @@ class HandoffManager:
         self.consumer_node_id = consumer_node_id
         self.warn_fraction = warn_fraction
         self.check_interval_s = check_interval_s
-        self.bandwidth = bandwidth
         self.events = EventEmitter()
         self.handoffs_initiated = 0
         self._in_progress: Set[str] = set()
-        self._boosted: Dict[str, str] = {}  # transaction id -> flow id
         self._timer = network.sim.schedule(check_interval_s, self._check)
         manager.events.on("transferred", self._on_transferred)
 
@@ -88,11 +83,6 @@ class HandoffManager:
     def _initiate(self, transaction: Transaction) -> None:
         self.handoffs_initiated += 1
         self._in_progress.add(transaction.transaction_id)
-        if self.bandwidth is not None:
-            flow_id = f"txn:{transaction.transaction_id}"
-            if flow_id in self.bandwidth._flows:
-                self.bandwidth.set_privileged(flow_id, True)
-                self._boosted[transaction.transaction_id] = flow_id
         self.events.emit("handoff_started", transaction)
         self.manager.request_transfer(transaction)
 
@@ -100,9 +90,6 @@ class HandoffManager:
         if transaction.transaction_id not in self._in_progress:
             return
         self._in_progress.discard(transaction.transaction_id)
-        flow_id = self._boosted.pop(transaction.transaction_id, None)
-        if flow_id is not None and self.bandwidth is not None:
-            self.bandwidth.set_privileged(flow_id, False)
         self.events.emit("handoff_completed", transaction, old_supplier)
 
     def stop(self) -> None:

@@ -7,7 +7,6 @@ break on activation time then task id, keeping runs deterministic.
 
 from __future__ import annotations
 
-import math
 from typing import Protocol, Tuple, runtime_checkable
 
 from repro.scheduling.task import ScheduledTask
@@ -61,26 +60,3 @@ class RateMonotonicPolicy:
     def key(self, task: ScheduledTask, now: float) -> Key:
         period = task.period_s if task.period_s is not None else float("inf")
         return (period, task.activation_time, task.task_id)
-
-
-def rm_utilization_bound(n: int) -> float:
-    """Liu & Layland's sufficient schedulability bound n(2^(1/n) - 1).
-
-    A periodic task set with total utilization below this bound is
-    guaranteed schedulable under rate-monotonic priorities.
-    """
-    if n <= 0:
-        raise ValueError(f"task count must be positive, got {n}")
-    return n * (2.0 ** (1.0 / n) - 1.0)
-
-
-def total_utilization(tasks: list[ScheduledTask]) -> float:
-    return math.fsum(t.utilization for t in tasks)
-
-
-def rm_admissible(tasks: list[ScheduledTask]) -> bool:
-    """Sufficient (not necessary) admission test for RM scheduling."""
-    periodic = [t for t in tasks if t.periodic]
-    if not periodic:
-        return True
-    return total_utilization(periodic) <= rm_utilization_bound(len(periodic))

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
-from repro.errors import AdmissionRefused
 from repro.netsim.simulator import EventHandle, Simulator
 from repro.scheduling.policies import SchedulingPolicy
-from repro.scheduling.policies import rm_admissible
 from repro.scheduling.task import ScheduledTask
 from repro.util.events import EventEmitter
 
@@ -66,15 +64,12 @@ class TaskScheduler:
         sim: Simulator,
         policy: SchedulingPolicy,
         drop_late: bool = False,
-        admission_control: bool = False,
     ):
         self.sim = sim
         self.policy = policy
         self.drop_late = drop_late
-        self.admission_control = admission_control
         self.events = EventEmitter()
         self._task_ids: Set[str] = set()
-        self._admitted: List[ScheduledTask] = []
         self._ready: List[_Activation] = []
         self._running: Optional[_Activation] = None
         self._running_started = 0.0
@@ -89,25 +84,14 @@ class TaskScheduler:
     # ------------------------------------------------------------- submitting
 
     def submit(self, task: ScheduledTask, delay_s: float = 0.0) -> None:
-        """Add a task; its first activation happens after ``delay_s``.
-
-        With admission control on, a periodic task that would push the set
-        past the rate-monotonic bound is refused.
-        """
-        if self.admission_control and task.periodic:
-            if not rm_admissible(self._admitted + [task]):
-                raise AdmissionRefused(
-                    f"task {task.task_id!r} would exceed the schedulable bound"
-                )
+        """Add a task; its first activation happens after ``delay_s``."""
         self._task_ids.add(task.task_id)
-        self._admitted.append(task)
         self._cancelled.discard(task.task_id)
         self.sim.schedule(delay_s, self._activate, task)
 
     def cancel(self, task_id: str) -> None:
         """Stop future activations (queued/running ones finish normally)."""
         self._cancelled.add(task_id)
-        self._admitted = [t for t in self._admitted if t.task_id != task_id]
 
     # ------------------------------------------------------------- activation
 

@@ -60,13 +60,6 @@ class ScheduledTask:
     def periodic(self) -> bool:
         return self.period_s is not None
 
-    @property
-    def utilization(self) -> float:
-        """cost/period for periodic tasks; 0 for one-shots."""
-        if self.period_s is None:
-            return 0.0
-        return self.cost_s / self.period_s
-
     def absolute_deadline(self) -> float:
         """Deadline of the current activation (inf when best-effort)."""
         if self.deadline_s is None:

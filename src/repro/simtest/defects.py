@@ -4,7 +4,8 @@ A row names a target function (``module:qualname``), one text patch inside
 it (the old text occurs exactly once in the target's source), its judge and
 a description. A *plant*'s judge is the simtest oracle whose divergence must
 come first (``simtest run --plant``, E14). A *mutant*'s judge is the pytest
-node id of the Hypothesis property that must fail under the ``ci`` profile
+node id of the Hypothesis property (for the engine's LRU bound, which no
+property reaches, a unit test) that must fail under the ``ci`` profile
 (``python -m tests.mutants``, CI's "Mutants" step). A row that survives its
 judge is a finding about the judge; the defect is never softened.
 
@@ -27,6 +28,8 @@ SATISFIES = ("tests/test_feasibility_property.py::"
              "TestSatisfiesMatchesReference::test_same_answer")
 ENGINE_ROUNDS = ("tests/test_feasibility_property.py::"
                  "TestEngineRoundsMatchUncached::test_rounds")
+LRU_BOUND = ("tests/test_reconfig.py::"
+             "TestFeasibilityCacheUnit::test_lru_bounds_entries")
 RECEPTION = ("tests/test_reception_property.py::"
              "TestDeliverMatchesReference::test_same_reception")
 QUEUE = ("tests/test_simulator.py::"
@@ -94,8 +97,8 @@ DEFECTS = {row.name: row for row in (
            "if values.count(best) == 1:", "if values.count(best) >= 1:",
            ENGINE_ROUNDS, "ties on the primary value skip the tie-break"),
     Defect("store-keeps-last", ENGINE + "store",
-           "        self._last = entry if key in self._entries else None\n",
-           "", ENGINE_ROUNDS, "a stored entry leaves a stale last probe"),
+           "        self._last = entry\n", "", LRU_BOUND,
+           "a stored entry leaves a stale last probe"),
     Defect("invalidate-keeps-last", ENGINE + "invalidate_sensor",
            "            if self._entries.pop(key) is self._last:\n"
            "                self._last = None\n",

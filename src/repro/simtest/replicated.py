@@ -139,11 +139,9 @@ class _ClientStack:
 class ReplicatedWorld:
     """Builds the replicated deployment and runs one primary-kill run."""
 
-    def __init__(self, seed: int, tie_seed: int = 0,
-                 crash_primary: bool = True):
+    def __init__(self, seed: int, tie_seed: int = 0):
         self.seed = seed
         self.tie_seed = tie_seed
-        self.crash_primary = crash_primary
 
         self.network = topology.grid(
             2, 3, spacing=60.0, radio_profile=IDEAL_RADIO, seed=seed
@@ -179,19 +177,16 @@ class ReplicatedWorld:
 
         # --- the fault: kill every group's primary mid-horizon -----------
         rng = split_rng(seed, "simtest.replicated")
-        self.crash_at = 0.0
-        self.recover_at = 0.0
         self.first_new_primary_at: Optional[float] = None
         self.new_primary: Optional[str] = None
-        if crash_primary:
-            self.crash_at = round(5.5 + rng.uniform(0.0, 1.0), 3)
-            downtime = round(5.0 + rng.uniform(0.0, 1.5), 3)
-            self.recover_at = round(self.crash_at + downtime, 3)
-            self.injector.crash_and_recover(PRIMARY, self.crash_at, downtime)
-            probe_at = self.crash_at + 0.25
-            while probe_at < self.crash_at + FAILOVER_BOUND_S + 2.0:
-                self.sim.schedule_at(probe_at, self._probe_failover)
-                probe_at += 0.25
+        self.crash_at = round(5.5 + rng.uniform(0.0, 1.0), 3)
+        downtime = round(5.0 + rng.uniform(0.0, 1.5), 3)
+        self.recover_at = round(self.crash_at + downtime, 3)
+        self.injector.crash_and_recover(PRIMARY, self.crash_at, downtime)
+        probe_at = self.crash_at + 0.25
+        while probe_at < self.crash_at + FAILOVER_BOUND_S + 2.0:
+            self.sim.schedule_at(probe_at, self._probe_failover)
+            probe_at += 0.25
 
         # --- the workload ------------------------------------------------
         for i in range(N_OPS):
@@ -250,28 +245,26 @@ class ReplicatedWorld:
             yield f"ts.s{shard}", members
 
     def _check_replication(self, now: float) -> None:
-        if self.crash_primary:
-            if self.first_new_primary_at is None:
-                self.divergences.append(Divergence(
-                    "failover", "no-new-primary", now,
-                    f"no survivor took over the ledger group within "
-                    f"{FAILOVER_BOUND_S}s of the crash at t={self.crash_at}",
-                ))
-            elif self.first_new_primary_at - self.crash_at > FAILOVER_BOUND_S:
-                self.divergences.append(Divergence(
-                    "failover", "bound-exceeded", now,
-                    f"{self.new_primary} took over the ledger group "
-                    f"{self.first_new_primary_at - self.crash_at:.3f}s after "
-                    f"the crash at t={self.crash_at}; the bound is "
-                    f"{FAILOVER_BOUND_S}s",
-                ))
+        if self.first_new_primary_at is None:
+            self.divergences.append(Divergence(
+                "failover", "no-new-primary", now,
+                f"no survivor took over the ledger group within "
+                f"{FAILOVER_BOUND_S}s of the crash at t={self.crash_at}",
+            ))
+        elif self.first_new_primary_at - self.crash_at > FAILOVER_BOUND_S:
+            self.divergences.append(Divergence(
+                "failover", "bound-exceeded", now,
+                f"{self.new_primary} took over the ledger group "
+                f"{self.first_new_primary_at - self.crash_at:.3f}s after "
+                f"the crash at t={self.crash_at}; the bound is "
+                f"{FAILOVER_BOUND_S}s",
+            ))
         for label, members in self._all_groups():
             ledger_args = (
                 (self.acked_txids, INITIAL_BALANCE * len(ACCOUNTS))
                 if members is self.ledger_group else ()
             )
-            findings = check_group(members, *ledger_args,
-                                   failed_over=self.crash_primary)
+            findings = check_group(members, *ledger_args, failed_over=True)
             self.divergences += [
                 Divergence("replication", invariant, now,
                            f"group {label}: {detail}")

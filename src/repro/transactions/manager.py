@@ -11,7 +11,7 @@ binds a QoS contract, and then *drives* the interaction over RPC:
 * ``CONTINUOUS`` — a call every ``interval_s`` until stopped;
 * ``INTERMITTENT`` — calls at the spec's predicted times.
 
-When a supplier stops answering (``failure_threshold`` consecutive
+When a supplier stops answering (:data:`FAILURE_THRESHOLD` consecutive
 failures), the manager re-runs discovery and transfers the transaction to
 the next best supplier — the §3.7 "completed, or transferred to different
 services matching the constraints" behaviour — aborting only when no
@@ -40,6 +40,10 @@ from repro.util.events import EventEmitter
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
+#: Consecutive failed calls after which a transaction moves to another
+#: supplier.
+FAILURE_THRESHOLD = 3
+
 
 class DiscoveryService(Protocol):
     """Anything that can look services up (registry client, distributed
@@ -61,12 +65,10 @@ class TransactionManager:
         self,
         rpc: RpcEndpoint,
         discovery: DiscoveryService,
-        failure_threshold: int = 3,
         call_timeout_s: float = 1.0,
     ):
         self.rpc = rpc
         self.discovery = discovery
-        self.failure_threshold = failure_threshold
         self.call_timeout_s = call_timeout_s
         self.events = EventEmitter()
         self._ids = IdGenerator(f"txn:{rpc.transport.local_address}")
@@ -243,7 +245,7 @@ class TransactionManager:
         transaction.delivery_failed()
         failures = self._consecutive_failures.get(transaction.transaction_id, 0) + 1
         self._consecutive_failures[transaction.transaction_id] = failures
-        if failures >= self.failure_threshold:
+        if failures >= FAILURE_THRESHOLD:
             self._attempt_transfer(transaction, complete_after)
         elif transaction.spec.kind != TransactionKind.CONTINUOUS:
             # One-shot fires (on-demand, intermittent episodes) retry

@@ -26,7 +26,8 @@ from repro.transport.endpoint import MessageEndpoint, optional, present
 from repro.util.ids import IdGenerator
 from repro.util.promise import Promise
 
-DEFAULT_REDELIVERY_TIMEOUT_S = 5.0
+#: How long a delivery waits for its ack before the broker redelivers it.
+REDELIVERY_TIMEOUT_S = 5.0
 #: Deliveries a message gets before it is dead-lettered.
 MAX_REDELIVERIES = 20
 #: How long a client waits for the broker to confirm a put or subscribe.
@@ -56,10 +57,8 @@ class MessageBroker(MessageEndpoint):
     def __init__(
         self,
         transport: Transport,
-        redelivery_timeout_s: float = DEFAULT_REDELIVERY_TIMEOUT_S,
     ):
         super().__init__(transport)
-        self.redelivery_timeout_s = redelivery_timeout_s
         self._queues: Dict[str, _QueueState] = {}
         self._mids = IdGenerator("m")
         # mid -> (queue, body, subscriber) awaiting ack
@@ -118,7 +117,7 @@ class MessageBroker(MessageEndpoint):
             {"op": "deliver", "queue": queue_name, "mid": mid, "body": body},
         )
         self.transport.scheduler.schedule(
-            self.redelivery_timeout_s, self._check_ack, mid
+            REDELIVERY_TIMEOUT_S, self._check_ack, mid
         )
 
     def _check_ack(self, mid: str) -> None:

@@ -34,6 +34,9 @@ _HEADER = struct.Struct(">Id")
 STREAM_HEADER_BYTES = _HEADER.size
 #: Media payload bytes per frame, after the header.
 FRAME_PAYLOAD_BYTES = 512
+#: Empty playout slots in a row after which the sink takes the stream as
+#: ended and rolls those slots back out of its underruns.
+STALL_LIMIT = 25
 
 
 class StreamingSource:
@@ -89,18 +92,14 @@ class StreamingSink:
         transport: Transport,
         frame_interval_s: float = 0.04,
         playout_delay_s: float = 0.2,
-        stall_limit: int = 25,
     ):
         if playout_delay_s < 0:
             raise ConfigurationError(
                 f"playout delay must be >= 0, got {playout_delay_s!r}"
             )
-        if stall_limit < 1:
-            raise ConfigurationError(f"stall limit must be >= 1, got {stall_limit!r}")
         self.transport = transport
         self.frame_interval_s = frame_interval_s
         self.playout_delay_s = playout_delay_s
-        self.stall_limit = stall_limit
         self._buffer: Dict[int, float] = {}  # seq -> arrival time
         self._playout_started = False
         self._playout_stopped = False
@@ -155,7 +154,7 @@ class StreamingSink:
             else:
                 # Nothing buffered at all: possibly the stream ended.
                 self._trailing_misses += 1
-                if self._trailing_misses >= self.stall_limit:
+                if self._trailing_misses >= STALL_LIMIT:
                     # End of stream: the trailing empty slots were not
                     # playback glitches — roll them back and stop. The
                     # current slot was never advanced past, hence the -1.

@@ -5,8 +5,8 @@ This is the transport half of the overload-protection story (ROADMAP item
 a flow reserved on a shared :class:`~repro.qos.bandwidth
 .BandwidthAllocator`. Sends the reservation cannot carry *now* wait in a
 **bounded** FIFO queue and drain as tokens refill; when the queue is full
-the transport says "no" — the message is **shed** (counted and surfaced via
-``on_shed``) instead of growing memory without bound until the run ends.
+the transport says "no" — the message is **shed** (counted and traced)
+instead of growing memory without bound until the run ends.
 
 Layering is the caller's choice:
 
@@ -32,14 +32,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.tracing import TRACER
 from repro.qos.bandwidth import BandwidthAllocator
 from repro.transport.base import Address, Transport
-
-ShedCallback = Callable[[Address, bytes], None]
 
 #: Slack added to every drain-timer wait. ``time_until_available`` returns
 #: the *exact* refill time; waking exactly then leaves the bucket an ulp
@@ -55,8 +53,7 @@ class PacedTransport(Transport):
 
     ``rate_bps`` (when given) reserves ``flow_id`` on the allocator at
     construction and releases it on close; pass ``rate_bps=None`` to pace
-    against a flow the caller reserved (and owns) itself. ``privileged``
-    flows may borrow unreserved headroom (Section 3.7's handoff boost).
+    against a flow the caller reserved (and owns) itself.
 
     The receive path is a pass-through: the wrapped transport's receiver
     slot is taken over, install the application receiver on *this* object.
@@ -69,26 +66,18 @@ class PacedTransport(Transport):
         flow_id: str,
         *,
         rate_bps: Optional[float] = None,
-        privileged: bool = False,
         max_queue: int = 64,
-        header_bits: float = 0.0,
-        on_shed: Optional[ShedCallback] = None,
     ):
         if max_queue < 1:
             raise ConfigurationError(f"max queue must be >= 1, got {max_queue!r}")
-        if header_bits < 0:
-            raise ConfigurationError(f"header bits must be >= 0, got {header_bits!r}")
         super().__init__(inner.local_address, inner.scheduler)
         self.inner = inner
         self.allocator = allocator
         self.flow_id = flow_id
         self.max_queue = max_queue
-        self.header_bits = header_bits
-        self.on_shed = on_shed
         self._owns_flow = rate_bps is not None
         if rate_bps is not None:
-            allocator.reserve(flow_id, rate_bps, privileged=privileged,
-                              now=self.scheduler.now())
+            allocator.reserve(flow_id, rate_bps, now=self.scheduler.now())
         elif flow_id not in allocator._flows:
             raise ConfigurationError(
                 f"flow {flow_id!r} is not reserved; pass rate_bps to reserve it"
@@ -108,12 +97,9 @@ class PacedTransport(Transport):
 
     # --------------------------------------------------------------- sending
 
-    def _bits(self, payload: bytes) -> float:
-        return len(payload) * 8.0 + self.header_bits
-
     def _send(self, destination: Address, payload: bytes) -> None:
         now = self.scheduler.now()
-        bits = self._bits(payload)
+        bits = len(payload) * 8.0
         if not self._queue and self.allocator.try_send(self.flow_id, bits, now):
             self.paced_sent += 1
             self.inner.send(destination, payload)
@@ -139,8 +125,6 @@ class PacedTransport(Transport):
         if TRACER.enabled:
             TRACER.instant("transport.shed", node=self._local.node,
                            flow=self.flow_id, peer=destination.node, why=why)
-        if self.on_shed is not None:
-            self.on_shed(destination, payload)
 
     def _schedule_drain(self, now: float) -> None:
         if self._drain_timer is not None:

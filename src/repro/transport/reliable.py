@@ -104,21 +104,20 @@ class ReliableTransport(Transport):
     """Wraps an unreliable transport with ack/retransmit/dedup.
 
     The wrapped transport's receiver slot is taken over; install the
-    application receiver on *this* object. ``on_give_up`` (optional) is
-    called when a message exhausts its retries — the sender's only failure
-    signal, since the network itself says nothing.
+    application receiver on *this* object. :attr:`on_give_up`, when a
+    caller assigns one, is called when a message exhausts its retries — the
+    sender's only failure signal, since the network itself says nothing.
     """
 
     def __init__(
         self,
         inner: Transport,
         params: ReliabilityParams = ReliabilityParams(),
-        on_give_up: Optional[GiveUpCallback] = None,
     ):
         super().__init__(inner.local_address, inner.scheduler)
         self.inner = inner
         self.params = params
-        self.on_give_up = on_give_up
+        self.on_give_up: Optional[GiveUpCallback] = None
         self._next_seq: Dict[Address, int] = {}
         # (destination, seq) -> (payload, attempt, timer handle, trace ctx)
         self._pending: Dict[

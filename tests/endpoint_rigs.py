@@ -449,8 +449,7 @@ def registry_server():
 def registry_client():
     fabric, advance = _fabric()
     RegistryServer(fabric.endpoint("hub", "reg"))
-    client = RegistryClient(fabric.endpoint("c", "reg"), Address("hub", "reg"),
-                            retries=1)
+    client = RegistryClient(fabric.endpoint("c", "reg"), Address("hub", "reg"))
     client.register(DESC, auto_renew=False)
     advance(1)
     rids = _held(client, "registry_address", lambda: (

@@ -2,7 +2,8 @@
 
 A mutant is a row of :data:`repro.simtest.defects.DEFECTS` whose judge is
 the pytest node id of a Hypothesis property (MiLAN's feasibility and round
-engine, the medium's one reception loop, the simulator's queue). For each
+engine, the medium's one reception loop, the simulator's queue) or, for the
+engine's LRU bound, which no property reaches, of a unit test. For each
 row a child process applies the row in process
 (:func:`repro.simtest.defects.applied`) and runs pytest on the property
 under the ``ci`` profile; the property must fail. Then each property must

@@ -13,7 +13,6 @@ from repro.monitoring import SystemEventBus
 from repro.netsim import topology
 from repro.netsim.failures import FailureInjector
 from repro.netsim.medium import RadioProfile
-from repro.qos.bandwidth import BandwidthAllocator
 from repro.scheduling.handoff import HandoffManager
 from repro.transactions.manager import TransactionManager
 from repro.transactions.rpc import RpcEndpoint
@@ -102,9 +101,9 @@ class TestCapstoneDeployment:
         assert len(bus.events_matching("node.crashed")) == 3
         assert len(bus.events_matching("node.recovered")) == 3
 
-    def test_handoff_with_bandwidth_boost(self):
-        """HandoffManager + BandwidthAllocator integration: the departing
-        transaction's flow is boosted during handoff, then unboosted."""
+    def test_handoff_events_bracket_the_transfer(self):
+        """HandoffManager integration: the departing supplier's transaction
+        is announced, transferred to the one that stays, and completed."""
         from repro.discovery.description import ServiceDescription
         from repro.discovery.registry import RegistryClient
         from repro.netsim.mobility import LinearMobility
@@ -133,25 +132,21 @@ class TestCapstoneDeployment:
         discovery = RegistryClient(fabric.endpoint("hub", "disc"),
                                    registry.transport.local_address)
         manager = TransactionManager(consumer, discovery, call_timeout_s=0.5)
-        allocator = BandwidthAllocator(1e6)
         handoff = HandoffManager(network, manager, "hub", warn_fraction=0.7,
-                                 check_interval_s=0.5, bandwidth=allocator)
-        boosts = []
+                                 check_interval_s=0.5)
+        events = []
         handoff.events.on("handoff_started",
-                          lambda t: boosts.append(("start", t.transaction_id)))
+                          lambda t: events.append(("start", t.transaction_id)))
         handoff.events.on("handoff_completed",
-                          lambda t, old: boosts.append(("done", old)))
+                          lambda t, old: events.append(("done", old)))
         promise = manager.establish(
             Query("sensor"),
             TransactionSpec(TransactionKind.CONTINUOUS, interval_s=0.5),
         )
         network.sim.run_until(3.0)
         transaction = promise.result()
-        allocator.reserve(f"txn:{transaction.transaction_id}", 1e5)
         # Mobile node hits 70 m (0.7 x 100 m) at t = (70-30)/6 ≈ 6.7 s.
         network.sim.run_until(12.0)
-        assert [kind for kind, _x in boosts] == ["start", "done"]
-        # Boost released after completion.
-        flow = f"txn:{transaction.transaction_id}"
-        assert allocator._privileged[flow] is False
+        assert events == [("start", transaction.transaction_id),
+                          ("done", "mobile")]
         assert transaction.supplier.service_id == "static"

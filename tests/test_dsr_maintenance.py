@@ -19,7 +19,7 @@ def diamond_network():
     network.add_node("dst", position=Point(140, 0))
     fabric = SimFabric(network)
     agents = build_routed_network(
-        fabric, lambda nid: DsrRouter(nid, discovery_timeout_s=1.0)
+        fabric, lambda nid: DsrRouter(nid)
     )
     return network, agents
 
@@ -69,7 +69,7 @@ class TestDsrRouteMaintenance:
         network.add_node("dst", position=Point(200, 40))
         fabric = SimFabric(network)
         agents = build_routed_network(
-            fabric, lambda nid: DsrRouter(nid, discovery_timeout_s=1.0)
+            fabric, lambda nid: DsrRouter(nid)
         )
         src = agents["src"].open_port("app")
         dst = agents["dst"].open_port("app")
@@ -100,7 +100,7 @@ class TestDsrRouteMaintenance:
         network.add_node("dst", position=Point(140, 0))
         fabric = SimFabric(network)
         agents = build_routed_network(
-            fabric, lambda nid: DsrRouter(nid, discovery_timeout_s=1.0)
+            fabric, lambda nid: DsrRouter(nid)
         )
         src = agents["src"].open_port("app")
         dst = agents["dst"].open_port("app")

@@ -7,7 +7,7 @@ behaviour (not just "no crash").
 
 import pytest
 
-from repro.discovery.adaptive import AdaptiveDiscovery, AdaptivePolicy
+from repro.discovery.adaptive import AdaptiveDiscovery
 from repro.errors import ConfigurationError
 from repro.discovery.description import ServiceDescription
 from repro.discovery.distributed import DistributedDiscovery
@@ -33,11 +33,9 @@ class TestAdaptiveFallback:
                                            collect_window_s=0.5)
         registry = RegistryClient(fabric.endpoint("leaf0", "reg"),
                                   server.transport.local_address,
-                                  request_timeout_s=0.3, retries=0)
+                                  request_timeout_s=0.3)
         agent = AdaptiveDiscovery(
             distributed, registry,
-            policy=AdaptivePolicy(density_threshold=1, reevaluate_interval_s=0.5,
-                                  registry_failure_limit=2),
             density_probe=lambda: 10,  # dense: prefers centralized
         )
         assert agent.mode == "centralized"
@@ -66,10 +64,9 @@ class TestAdaptiveFallback:
         distributed = DistributedDiscovery(fabric.endpoint("leaf0", "disc"))
         registry = RegistryClient(fabric.endpoint("leaf0", "reg"),
                                   server.transport.local_address,
-                                  request_timeout_s=0.3, retries=0)
+                                  request_timeout_s=0.3)
         agent = AdaptiveDiscovery(
             distributed, registry,
-            policy=AdaptivePolicy(density_threshold=1, reevaluate_interval_s=0.5),
             density_probe=lambda: 10,
         )
         agent._note_registry_failure()
@@ -85,8 +82,7 @@ class TestBrokerCrash:
     def test_messages_lost_with_broker_are_bounded(self):
         network = topology.star(4, radius=40, radio_profile=IDEAL_RADIO)
         fabric = SimFabric(network)
-        broker = MessageBroker(fabric.endpoint("hub", "mq"),
-                               redelivery_timeout_s=0.5)
+        broker = MessageBroker(fabric.endpoint("hub", "mq"))
         received = []
         consumer = MessagingClient(fabric.endpoint("leaf0", "mq"),
                                    broker.transport.local_address)
@@ -131,8 +127,7 @@ class TestPartitionDuringStream:
         discovery = RegistryClient(fabric.endpoint("leaf1", "disc"),
                                    registry.transport.local_address)
         manager = TransactionManager(consumer_rpc, discovery,
-                                     call_timeout_s=0.5,
-                                     failure_threshold=100)  # never give up
+                                     call_timeout_s=0.5)
         readings = []
         promise = manager.establish(
             Query("sensor"),
@@ -140,14 +135,16 @@ class TestPartitionDuringStream:
             on_data=lambda value, latency: readings.append(network.sim.now()),
         )
         injector = FailureInjector(network)
-        injector.partition_at(5.0, ["leaf0"], duration=5.0)
+        # Shorter than FAILURE_THRESHOLD calls: the stream keeps its
+        # supplier instead of transferring.
+        injector.partition_at(5.0, ["leaf0"], duration=1.5)
         network.sim.run_until(20.0)
         transaction = promise.result()
         assert transaction.state.value == "active"
         # No deliveries during the partition window, flow on both sides.
-        in_partition = [t for t in readings if 5.5 <= t <= 10.0]
+        in_partition = [t for t in readings if 5.5 <= t <= 6.5]
         before = [t for t in readings if t < 5.0]
-        after = [t for t in readings if t > 11.0]
+        after = [t for t in readings if t > 7.0]
         assert in_partition == []
         assert before and after
         assert transaction.failures > 0

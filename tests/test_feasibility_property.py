@@ -452,8 +452,8 @@ _exact_depleted = st.sampled_from(["absent", None, "hub", "own"])
 
 #: What happens between two rounds, four to sixteen times, so that most
 #: examples reach a warm hit before a structural op. A ``blip`` is one
-#: round in the other state: under an LRU of one, it stores over the entry
-#: the last round hit and then asks for that entry again. A ``move`` names
+#: round in the other state: it stores or hits that state's entry and then
+#: asks again for the entry the round before it hit. A ``move`` names
 #: one of the first four slots, which most fleets fill.
 _exact_op = st.one_of(
     st.tuples(st.just("state")),
@@ -490,26 +490,24 @@ class TestEngineRoundsMatchUncached:
     the lexicographic ``(-value,) + tie_key`` minimum over every candidate
     scored by ``score_set``. The cache's last-entry probe is invisible:
     its hits, misses and entries are those of a cache that hashes every
-    lookup, under an LRU of one or two entries with state flips, deaths,
-    ``invalidate_sensor`` and ``clear()`` between rounds. The
+    lookup, with state flips, deaths, ``invalidate_sensor`` and ``clear()``
+    between rounds. The
     configuration is the uncached twin's too, on nodes that are shared,
     distinct or ``None``, and after a sensor, alive or depleted, moves to
     another node with its reliabilities mapping and power."""
 
     @given(_exact_selection, _exact_fleet, _exact_nodes, _exact_depleted,
-           st.sampled_from([None, 0, 3]), st.sampled_from([1, 2]),
+           st.sampled_from([None, 0, 3]),
            st.lists(_exact_op, min_size=4, max_size=16))
     @settings(deadline=None)
-    def test_rounds(self, selection, fleet, nodes, depleted, reject,
-                    max_entries, ops):
+    def test_rounds(self, selection, fleet, nodes, depleted, reject, ops):
         strategy, value = selection
         plugins = [] if reject is None else [_RejectSlot(reject)]
         cached, model, plain = (
             Milan(_twin_policy(strategy), list(plugins),
                   auto_reconfigure=False, incremental=flag)
             for flag in (True, True, False))
-        cached.engine.max_entries = max_entries
-        model.engine = _PlainLookup(max_entries)
+        model.engine = _PlainLookup()
         twins = (cached, model, plain)
         if depleted != "absent" and len(fleet) < len(nodes):
             nodes = nodes[:len(fleet)] + [depleted]

@@ -603,7 +603,7 @@ def test_the_campaign_never_asks_which_mix_it_runs():
     campaign = texts["workloads/campaign.py"]
     assert "is not None and" not in campaign and ".episodes" not in campaign
     assert list(inspect.signature(replicated.ReplicatedWorld).parameters) == [
-        "seed", "tie_seed", "crash_primary"]
+        "seed", "tie_seed"]
 
 
 # ------------------------------------------------ every module has a driver
@@ -823,32 +823,38 @@ def _name(node):
 
 
 def _init_arguments(cls):
-    """``(name, has a default, positional)`` per argument of ``cls``'s own
-    ``__init__`` after ``self``; None when it defines none."""
+    """``(name, has a default, positional, line)`` per argument of
+    ``cls``'s own ``__init__`` after ``self``; None when it defines none."""
     for stmt in cls.body:
         if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
             args = stmt.args
             positional = (args.posonlyargs + args.args)[1:]
             defaults = [None] * (len(positional) - len(args.defaults))
-            return ([(arg.arg, default is not None, True) for arg, default
-                     in zip(positional, defaults + args.defaults)]
-                    + [(arg.arg, default is not None, False) for arg, default
-                       in zip(args.kwonlyargs, args.kw_defaults)])
+            return ([(arg.arg, default is not None, True, arg.lineno)
+                     for arg, default in zip(positional,
+                                             defaults + args.defaults)]
+                    + [(arg.arg, default is not None, False, arg.lineno)
+                       for arg, default in zip(args.kwonlyargs,
+                                               args.kw_defaults)])
     return None
 
 
 def unset_options(src_root, caller_roots):
-    """``Class.option`` for each option of a public class under ``src_root``
-    that no call in a file under ``caller_roots`` sets.
+    """``{Class.option: "path:line"}`` for each option of a public class
+    under ``src_root`` that no call in a file under ``caller_roots`` sets,
+    the path relative to the tree holding ``src/`` and the line its
+    ``__init__`` argument's.
 
     An option is an ``__init__`` keyword with a default. A call sets the options
     it names, those its positional arguments reach, and all of them when it
     expands ``*`` or ``**``, but not one it is passed ``<expr>.name``, a
-    copy of another instance's value; ``super().__init__(...)`` in a class calls its
+    copy of another instance's value; ``self.name`` is the caller's own
+    value and sets it. ``super().__init__(...)`` in a class calls its
     bases, ``cls(...)`` the class itself. A callee is known by its name, and
     a class without an ``__init__`` of its own takes its base's arguments,
     wherever the class is defined.
     """
+    tree = Path(src_root).resolve().parent.parent
     src_files = sorted(Path(src_root).resolve().rglob("*.py"))
     files = src_files + [path for root in caller_roots
                          for path in sorted(Path(root).resolve().rglob("*.py"))]
@@ -867,16 +873,19 @@ def unset_options(src_root, caller_roots):
                      for base in classes.get(base_name, ())
                      if base is not cls), [])
 
-    options = {f"{cls.name}.{name}"
+    options = {f"{cls.name}.{name}":
+               f"{path.relative_to(tree).as_posix()}:{line}"
                for path in src_files for cls in parsed(path).body
                if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-               for owner, name, default, _ in arguments(cls)
+               for owner, name, default, _, line in arguments(cls)
                if owner == cls.name and default}
 
     def copies(value, name):
         """``<expr>.name`` passed as ``name`` carries another instance's
-        value over; it sets nothing."""
-        return isinstance(value, ast.Attribute) and value.attr == name
+        value over and sets nothing; ``self.name`` does set it."""
+        return (isinstance(value, ast.Attribute) and value.attr == name
+                and not (isinstance(value.value, ast.Name)
+                         and value.value.id == "self"))
 
     def credit(cls, call):
         reached = arguments(cls)
@@ -890,8 +899,8 @@ def unset_options(src_root, caller_roots):
                         if not copies(value, argument[1])]
                        + [argument for argument in reached
                           if argument[1] in named])
-        options.difference_update(f"{owner}.{name}"
-                                  for owner, name, *_ in reached)
+        for owner, name, *_ in reached:
+            options.pop(f"{owner}.{name}", None)
 
     class Calls(ast.NodeVisitor):
         def __init__(self):
@@ -918,17 +927,88 @@ def unset_options(src_root, caller_roots):
 
     for path in files[len(src_files):]:
         Calls().visit(parsed(path))
-    return sorted(options)
+    return dict(sorted(options.items()))
+
+
+#: The options no call outside ``tests/`` sets, each with why it stays: a
+#: ``seam`` a test uses to substitute a fake, inject loss or an outage, set
+#: a start state or step the component by hand; or a ``paper §`` mechanism
+#: only tests deploy, which ROADMAP item 18 wires or deletes.
+SET_ONLY_BY_TESTS = {
+    "Battery.remaining": "seam: a battery that starts part-drained "
+                         "(test_energy, test_routing)",
+    "GpsDevice.outage_probability": "seam: GPS outages (test_devices)",
+    "InMemoryFabric.loss_probability": "seam: loss on the in-memory wire "
+                                       "(test_reliable, test_transport)",
+    "InMemoryFabric.seed": "seam: the seed of that loss (test_reliable)",
+    "LinkProfile.loss_probability": "seam: a lossy wired link (test_netsim)",
+    "MiddlewareNode.adaptive": "paper §3.3: adaptive centralized/distributed "
+                               "discovery on a full node",
+    "MiddlewareNode.registry": "paper §3.3: a node bound to a central "
+                               "registry",
+    "Milan.auto_reconfigure": "seam: MiLAN stepped by hand "
+                              "(TestEngineRoundsMatchUncached, test_reconfig, "
+                              "test_perf_hotpaths' count rows)",
+    "Milan.context": "seam: a network context the test builds "
+                     "(test_integration)",
+    "Milan.elect_master": "paper §4: electing a piconet master",
+    "MobileAgent.state": "seam: an agent that sets off with state "
+                         "(test_transactions_frames)",
+    "NetworkContext.network": "paper §4: MiLAN configuring routers over the "
+                              "live topology",
+    "NetworkContext.sensors": "paper §4: a fleet shared with the network "
+                              "plugins",
+    "NetworkContext.sink_node_id": "paper §4: the sink that routes lead to",
+    "PathMobility.start_time": "seam: a path that sets off later "
+                               "(test_spatialindex)",
+    "ReplicationParams.compact_every": "paper §3.8: log compaction and "
+                                       "snapshot install",
+    "RpcEndpoint.interface": "paper §3.9: calls checked against a markup "
+                             "interface",
+    "ScheduledTask.action": "seam: a callback that records completions "
+                            "(test_scheduling)",
+    "Simulator.start_time": "seam: a clock that starts later "
+                            "(test_simulator)",
+    "TransactionSpec.operation": "seam: a call to another operation "
+                                 "(test_capstone)",
+    "TransactionSpec.predicted_times": "seam: intermittent calls at given "
+                                       "times (test_transaction_manager)",
+}
+
+
+def option_contract_violations(src_root, caller_roots, table):
+    """``path:line Class.option: why`` for each option under ``src_root``
+    that only tests set and ``table`` does not pin, each entry of ``table``
+    that a call under ``caller_roots`` now sets or that names no option,
+    and each entry whose reason starts with neither ``seam`` nor
+    ``paper §``; ``-`` stands for the address of an option that is gone."""
+    every = unset_options(src_root, [])
+    unset = unset_options(src_root, caller_roots)
+    found = []
+    for name in sorted(set(unset) | set(table)):
+        if name not in table:
+            why = "only tests set it"
+        elif name not in every:
+            why = "stale: no such option"
+        elif name not in unset:
+            why = "stale: a caller outside tests/ sets it"
+        elif not table[name].startswith(("seam", "paper §")):
+            why = "the reason is neither a seam nor a paper mechanism"
+        else:
+            continue
+        found.append(f"{every.get(name, '-')} {name}: {why}")
+    return found
 
 
 def test_every_option_is_set_somewhere():
     """A constructor option that only ever holds its default is an
-    unexercised path, not policy: some call under ``src/``, ``examples/``,
-    ``benchmarks/`` or ``tests/`` sets every one. A value nobody sets is a
-    module constant or a plain attribute. Computed from the tree."""
+    unexercised path, not policy: some call under ``src/``, ``examples/``
+    or ``benchmarks/`` sets every one, or :data:`SET_ONLY_BY_TESTS` pins it
+    as a test seam or a paper mechanism. A value nobody sets is a module
+    constant or a plain attribute. Computed from the tree."""
     root = SRC.parent.parent
-    callers = [root / top for top in ("src", "examples", "benchmarks", "tests")]
-    assert unset_options(SRC, callers) == []
+    callers = [root / top for top in ("src", "examples", "benchmarks")]
+    assert option_contract_violations(SRC, callers, SET_ONLY_BY_TESTS) == []
 
 
 def test_the_option_contract_on_a_toy_tree(tmp_path):
@@ -958,6 +1038,13 @@ def test_the_option_contract_on_a_toy_tree(tmp_path):
             "from toy.parts import Base\n"
             "def copy(old):\n"
             "    return Base(0, old.b, c=old.d, d=old.d)\n"),
+        "benchmarks/own.py": (
+            "from toy.parts import Base\n"
+            "class Keeper:\n"
+            "    def __init__(self, b):\n"
+            "        self.b = b\n"
+            "    def fresh(self):\n"
+            "        return Base(0, self.b)\n"),
     }
     for name, text in tree.items():
         path = tmp_path / name
@@ -966,10 +1053,14 @@ def test_the_option_contract_on_a_toy_tree(tmp_path):
     src = tmp_path / "src" / "toy"
 
     def unset(*roots):
-        return unset_options(src, [tmp_path / root for root in roots])
+        return list(unset_options(src, [tmp_path / root for root in roots]))
 
     everything = ["Base.b", "Base.c", "Base.d", "Own.e"]
     assert unset() == everything
+    # Each option is addressed by its ``__init__`` argument.
+    assert unset_options(src, []) == {
+        "Base.b": "src/toy/parts.py:2", "Base.c": "src/toy/parts.py:2",
+        "Base.d": "src/toy/parts.py:2", "Own.e": "src/toy/parts.py:7"}
     # A class's own definition sets nothing; a caller in src does: an
     # heir's positional reaches its base's ``b``, ``super().__init__``
     # with ``**`` reaches all of the base's, ``cls(5)`` the first of Own's.
@@ -982,6 +1073,31 @@ def test_the_option_contract_on_a_toy_tree(tmp_path):
     # nothing; ``c=old.d`` is a value of another name and sets ``c``.
     assert unset("examples") == [name for name in everything
                                  if name != "Base.c"]
+    # The caller's own ``self.b`` passed as ``b`` is its value: it sets it.
+    assert unset("benchmarks") == [name for name in everything
+                                   if name != "Base.b"]
+
+    def violations(table):
+        return option_contract_violations(
+            src, [tmp_path / root for root in ("examples", "benchmarks")],
+            table)
+
+    # Outside tests/, only ``Base.d`` (which a test sets) and ``Own.e`` are
+    # unset; pinned with a seam or a paper reason, the contract holds.
+    table = {"Base.d": "seam: test_toy", "Own.e": "paper §4: a mechanism"}
+    assert violations(table) == []
+    # A setter found only in tests/ no longer counts.
+    assert violations({"Own.e": "seam: x"}) == [
+        "src/toy/parts.py:2 Base.d: only tests set it"]
+    # An entry that a caller outside tests/ now sets is stale.
+    assert violations({**table, "Base.c": "seam: x"}) == [
+        "src/toy/parts.py:2 Base.c: stale: a caller outside tests/ sets it"]
+    assert violations({**table, "Gone.f": "seam: x"}) == [
+        "- Gone.f: stale: no such option"]
+    # Every reason is a seam or a paper mechanism; a tuning number is not.
+    assert violations({**table, "Own.e": "a limit"}) == [
+        "src/toy/parts.py:7 Own.e: the reason is neither a seam nor a paper "
+        "mechanism"]
 
 
 # ----------------------------------------------- every function has a caller

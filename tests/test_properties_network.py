@@ -1,14 +1,9 @@
-"""Property-based tests on networking invariants and MiLAN redundancy."""
+"""Property-based tests on networking invariants."""
 
 import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.feasibility import expand_sets, minimal_feasible_sets, satisfies
-from repro.core.milan import Milan
-from repro.core.policy import ApplicationPolicy
-from repro.core.requirements import VariableRequirements
-from repro.core.sensors import SensorInfo
 from repro.naming.names import LogicalName
 from repro.scheduling.gridsched import (
     GridTask,
@@ -122,55 +117,3 @@ class TestGridSchedulerProperties:
             loads[proc] += task.work / processors[proc]
         for proc, load in loads.items():
             assert abs(load - result.finish_times[proc]) < 1e-6
-
-
-class TestRedundancy:
-    """MiLAN's fault-tolerance appetite (§4: 'we are still addressing
-    concerns at the middleware level such as fault tolerance')."""
-
-    def _policy(self, redundancy):
-        return ApplicationPolicy(
-            "r", VariableRequirements().require("on", "v", 0.8),
-            initial_state="on", redundancy=redundancy,
-            selection="max_reliability",
-        )
-
-    def _fleet(self):
-        return [
-            SensorInfo("a", {"v": 0.9}, active_power_w=0.01, energy_j=10.0),
-            SensorInfo("b", {"v": 0.85}, active_power_w=0.01, energy_j=10.0),
-            SensorInfo("c", {"v": 0.82}, active_power_w=0.01, energy_j=10.0),
-        ]
-
-    def test_redundancy_grows_active_set(self):
-        lean = Milan(self._policy(0))
-        padded = Milan(self._policy(1))
-        for sensor in self._fleet():
-            lean.add_sensor(sensor)
-            padded.add_sensor(sensor)
-        assert len(lean.active_sensor_ids()) == 1
-        assert len(padded.active_sensor_ids()) == 2
-
-    def test_redundant_set_survives_one_loss_without_reconfiguration(self):
-        padded = Milan(self._policy(1))
-        for sensor in self._fleet():
-            padded.add_sensor(sensor)
-        active = sorted(padded.active_sensor_ids())
-        # Remove one active member; the survivor still satisfies the app
-        # even before MiLAN reconfigures.
-        survivor = [padded.sensors[s] for s in active[1:]]
-        assert satisfies(survivor, padded.requirements())
-
-    def test_expand_sets_generates_supersets(self):
-        minimal = [frozenset(["a"])]
-        grown = expand_sets(minimal, ["a", "b", "c"], extra=1)
-        assert frozenset(["a"]) in grown
-        assert frozenset(["a", "b"]) in grown
-        assert frozenset(["a", "c"]) in grown
-        assert all(frozenset(["a"]) <= s for s in grown)
-
-    def test_expand_sets_deduplicates(self):
-        grown = expand_sets(
-            [frozenset(["a"]), frozenset(["b"])], ["a", "b"], extra=1
-        )
-        assert len(grown) == len(set(grown))

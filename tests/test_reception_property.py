@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.netsim.energy import DEFAULT_E_ELEC, Battery, RadioEnergyModel
+from repro.netsim.energy import E_ELEC, Battery
 from repro.netsim.link import WiredLink
 from repro.netsim.medium import IDEAL_RADIO, DeliveryFault, WirelessMedium
 from repro.netsim.node import Node
@@ -58,6 +58,17 @@ def reference_receive(
     if self._handler is not None:
         self._handler(self, packet)
     return True
+
+
+class PricedRadio:
+    """A node's radio at a price of its own, in joules per received bit (a
+    deployed radio charges :data:`E_ELEC`)."""
+
+    def __init__(self, joules_per_bit: float):
+        self.joules_per_bit = joules_per_bit
+
+    def rx_cost(self, size_bits: int) -> float:
+        return self.joules_per_bit * size_bits
 
 
 def reference_deliver(medium, receivers, packet):
@@ -115,7 +126,7 @@ def _plans(draw):
     hear: each an ordered subset of the nodes on the air, or its first
     member alone on a wire."""
     radios = draw(st.lists(
-        st.sampled_from([0.0, 1e-9, DEFAULT_E_ELEC, 1e-6, inf]),
+        st.sampled_from([0.0, 1e-9, E_ELEC, 1e-6, inf]),
         min_size=2, max_size=2))
     count = draw(st.integers(min_value=1, max_value=8))
     nodes = draw(st.lists(
@@ -141,7 +152,7 @@ class _World:
         self.log = []
         self.payload = payload
         air_bits = (payload + HEADER_BYTES) * 8
-        radios = [RadioEnergyModel(e_elec=e_elec) for e_elec in radios]
+        radios = [PricedRadio(price) for price in radios]
         self.nodes = []
         for k, (radio, kind, crashed, action) in enumerate(specs):
             price = radios[radio].rx_cost(air_bits)
@@ -229,13 +240,13 @@ class TestDeliverMatchesReference:
             wired, 0)
 
 
-@pytest.mark.parametrize("e_elec", [-1e-9, float("nan")])
-def test_a_negative_or_nan_price_is_refused(e_elec):
+@pytest.mark.parametrize("price", [-1e-9, float("nan")])
+def test_a_negative_or_nan_price_is_refused(price):
     """The loop's in-place charge never sees a price ``Battery.drain``
     would refuse: it is checked once per radio instead."""
     medium = WirelessMedium(Simulator(), IDEAL_RADIO)
     node = Node("n0", medium.sim, battery=Battery(1.0),
-                radio=RadioEnergyModel(e_elec=e_elec))
+                radio=PricedRadio(price))
     with pytest.raises(ConfigurationError, match="negative energy"):
         medium._deliver([node], Packet("src", BROADCAST, b"x", 8))
     assert node.battery.remaining == 1.0

@@ -10,9 +10,8 @@ signatures exist for.
 import pytest
 
 from repro.core.milan import Milan
-from repro.core.policy import ApplicationPolicy, health_monitor_policy
-from repro.core.reconfig import ReconfigEngine
-from repro.core.requirements import VariableRequirements
+from repro.core.policy import health_monitor_policy
+from repro.core.reconfig import MAX_ENTRIES, ReconfigEngine
 from repro.core.selection import max_lifetime, strategy_by_name
 from repro.core.sensors import SensorInfo
 from repro.errors import ConfigurationError
@@ -403,12 +402,17 @@ class TestDirectSwapHazard:
 
 class TestFeasibilityCacheUnit:
     def test_lru_bounds_entries(self):
-        cache = ReconfigEngine(max_entries=2)
+        cache = ReconfigEngine()
         sensors = {s.sensor_id: s for s in fleet()}
         base = cache.probe(sensors)[0]
-        for i in range(4):
+        first = (base, ("req", 0))
+        cache.store(first, [])
+        assert cache.lookup(first) is not None
+        for i in range(1, MAX_ENTRIES + 1):
             cache.store((base, ("req", i)), [])
-        assert cache.stats()["feasibility_entries"] == 2
+        assert cache.stats()["feasibility_entries"] == MAX_ENTRIES
+        # The oldest entry went, and the last probe does not bring it back.
+        assert cache.lookup(first) is None
 
     def test_signature_memo_revalidates_on_swap(self):
         cache = ReconfigEngine()
@@ -449,25 +453,7 @@ class TestFeasibilityCacheUnit:
     def test_invalidate_reports_dropped_count(self):
         cache = ReconfigEngine()
         sensors = {s.sensor_id: s for s in fleet()}
-        key = (cache.probe(sensors)[0], ("req",), 16, 0)
+        key = (cache.probe(sensors)[0], ("req",))
         cache.store(key, [frozenset(["ecg"])])
         assert cache.invalidate_sensor("ecg") == 1
         assert cache.lookup(key) is None
-
-    def test_exhaustive_limit_keys_are_distinct(self):
-        # Same fleet + requirements under different policy knobs must not
-        # share cache entries.
-        reqs = (VariableRequirements()
-                .require("run", "blood_pressure", 0.7)
-                .require("run", "heart_rate", 0.6))
-        small = ApplicationPolicy("p", reqs, "run", exhaustive_limit=1)
-        big = ApplicationPolicy("p", reqs, "run", exhaustive_limit=16)
-        engine = ReconfigEngine()
-        sensors = {s.sensor_id: s for s in fleet()}
-        requirements = reqs.for_state("run")
-        first, _ = engine.candidates(sensors, requirements, small,
-                                     lambda: [frozenset(["a"])])
-        second, _ = engine.candidates(sensors, requirements, big,
-                                      lambda: [frozenset(["b"])])
-        assert first.candidates != second.candidates
-        assert engine.misses == 2

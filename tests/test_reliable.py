@@ -71,8 +71,8 @@ class TestReliableTransport:
         a = ReliableTransport(
             fabric.endpoint("a"),
             ReliabilityParams(ack_timeout_s=0.05, max_retries=2),
-            on_give_up=lambda dest, payload: failures.append(payload),
         )
+        a.on_give_up = lambda dest, payload: failures.append(payload)
         ReliableTransport(fabric.endpoint("b"),
                           ReliabilityParams(ack_timeout_s=0.05, max_retries=2))
         a.send(Address("b"), b"doomed")

@@ -145,11 +145,11 @@ class TestReplicatedSharedObjects:
 
     def test_relaxed_read_mode_passes_through(self):
         h = ShardedHarness()
-        objects = ReplicatedSharedObjects(h.client, read_mode="any")
+        objects = ReplicatedSharedObjects(h.client)
         write = objects.write("k", "v")
         h.run_for(1.0)
         assert write.fulfilled
-        read = objects.read("k")
+        read = objects.read("k", mode="any")
         h.run_for(1.0)
         assert read.result() == "v"
         h.close()

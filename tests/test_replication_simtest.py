@@ -9,7 +9,6 @@ from repro.simtest import __main__ as simtest_cli
 from repro.simtest.replicated import (
     FAILOVER_BOUND_S,
     PRIMARY,
-    ReplicatedWorld,
     run_failover,
     scorecard_bytes,
 )
@@ -55,14 +54,6 @@ class TestPrimaryKill:
         assert not scorecard["ok"]
         assert [(d["oracle"], d["kind"]) for d in scorecard["divergences"]] \
             == [("failover", "bound-exceeded")]
-
-    def test_quiet_run_without_crash_stays_clean(self):
-        world = ReplicatedWorld(3, crash_primary=False)
-        result = world.run()
-        assert result.ok, result.divergences
-        scorecard = world.scorecard(result)
-        assert scorecard["failover"]["new_primary"] is None
-        assert all(t == 1 for t in scorecard["failover"]["terms"].values())
 
 
 class TestDeterminism:

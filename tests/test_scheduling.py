@@ -18,9 +18,6 @@ from repro.scheduling.policies import (
     FifoPolicy,
     PriorityPolicy,
     RateMonotonicPolicy,
-    rm_admissible,
-    rm_utilization_bound,
-    total_utilization,
 )
 from repro.scheduling.scheduler import TaskScheduler
 from repro.scheduling.task import ScheduledTask
@@ -40,13 +37,6 @@ def run_periodic(policy, utilization, duration=50.0, drop_late=False):
 
 
 class TestTask:
-    def test_utilization(self):
-        task = ScheduledTask("t", cost_s=0.2, period_s=1.0)
-        assert task.utilization == pytest.approx(0.2)
-
-    def test_one_shot_utilization_zero(self):
-        assert ScheduledTask("t", cost_s=0.2).utilization == 0.0
-
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
             ScheduledTask("t", cost_s=0)
@@ -60,26 +50,6 @@ class TestTask:
         task.activation_time = 5.0
         assert task.absolute_deadline() == 7.0
         assert ScheduledTask("t2", cost_s=0.1).absolute_deadline() == float("inf")
-
-
-class TestPolicies:
-    def test_rm_bound_values(self):
-        assert rm_utilization_bound(1) == pytest.approx(1.0)
-        assert rm_utilization_bound(2) == pytest.approx(0.8284, abs=1e-3)
-        assert rm_utilization_bound(3) == pytest.approx(0.7798, abs=1e-3)
-
-    def test_rm_admissible(self):
-        light = [ScheduledTask(f"t{i}", cost_s=0.02, period_s=0.2, deadline_s=0.2)
-                 for i in range(3)]
-        assert rm_admissible(light)
-        heavy = [ScheduledTask(f"h{i}", cost_s=0.09, period_s=0.2, deadline_s=0.2)
-                 for i in range(3)]
-        assert not rm_admissible(heavy)
-
-    def test_total_utilization(self):
-        tasks = [ScheduledTask("a", cost_s=0.1, period_s=1.0),
-                 ScheduledTask("b", cost_s=0.2, period_s=0.5)]
-        assert total_utilization(tasks) == pytest.approx(0.5)
 
 
 class TestScheduler:
@@ -151,15 +121,6 @@ class TestScheduler:
         sim.run_until(5.0)
         assert scheduler.dropped == 1
         assert scheduler.completed == 1  # only the blocker finished
-
-    def test_admission_control_refuses_overload(self):
-        sim = Simulator()
-        scheduler = TaskScheduler(sim, RateMonotonicPolicy(), admission_control=True)
-        scheduler.submit(ScheduledTask("a", cost_s=0.05, period_s=0.1, deadline_s=0.1))
-        with pytest.raises(AdmissionRefused):
-            scheduler.submit(
-                ScheduledTask("b", cost_s=0.09, period_s=0.1, deadline_s=0.1)
-            )
 
     def test_cancel_stops_future_activations(self):
         sim = Simulator()

@@ -214,7 +214,7 @@ def _mobility(draw, now):
     if kind == "waypoint":
         return RandomWaypointMobility(
             area=(250.0, 250.0), seed=draw(st.integers(0, 3)),
-            speed_range=(5.0, 25.0), pause_s=0.5)
+            speed_range=(5.0, 25.0))
     velocity = (draw(st.sampled_from([-20.0, 0.0, 7.5])),
                 draw(st.sampled_from([-5.0, 0.0, 20.0])))
     kind = LinearMobility if kind == "linear" else Swerving

@@ -71,7 +71,7 @@ def _mobility(draw, at: float):
     if kind == "waypoint":
         return RandomWaypointMobility(
             area=(200.0, 200.0), seed=draw(st.integers(0, 3)),
-            speed_range=(5.0, 20.0), pause_s=0.5)
+            speed_range=(5.0, 20.0))
     return PathMobility(waypoints=[draw(_point), draw(_point)], speed=15.0,
                         start_time=at)
 

@@ -577,8 +577,7 @@ class TestAliasingContract:
 
     def test_queue_body_survives_producer_and_consumer_mutation(self):
         fabric = InMemoryFabric(latency_s=0.01)
-        broker = MessageBroker(fabric.endpoint("hub", "mq"),
-                               redelivery_timeout_s=1.0)
+        broker = MessageBroker(fabric.endpoint("hub", "mq"))
         producer = MessagingClient(fabric.endpoint("p", "mq"), Address("hub", "mq"))
         consumer = MessagingClient(fabric.endpoint("c", "mq"), Address("hub", "mq"))
         body = {"job": [1, 2]}
